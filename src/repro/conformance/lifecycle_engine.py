@@ -15,6 +15,9 @@ invariants are the ones the paper's comparison takes for granted:
   before and after the call, since the simulated network charges per-hop
   latency between client and manager;
 - no delivery after expiry or unsubscribe, every delivery before, in order;
+- a content filter that cannot compile (unbound prefix, unknown function,
+  wrong arity) is faulted at subscribe time with the family's filter subcode;
+  one that compiles but fails on every message starves only its own subscription;
 - management operations on an expired or unsubscribed subscription fault.
 
 The model is deliberately naive — a dict per subscription with a float
@@ -39,6 +42,14 @@ _WSE_VERSIONS = ("V2004_01", "V2004_08")
 _DEFAULT_LIFETIME = 3600.0
 
 _INVALID_KINDS = ("zero", "negative", "pastdt", "garbage")
+
+#: optional ``"filter"`` of a subscription spec -> the XPath it subscribes with
+_POISON_FILTERS = {
+    "unbound_prefix": "/q:conf-evt[q:host='a']",
+    "unknown_function": "frobnicate(1)",
+    "wrong_arity": "contains('x')",
+    "dynamic_error": "1 | 2",  # compiles; '|' needs node-sets on every message
+}
 
 
 def _gen_expiry(rng: SeededRng, *, allow_invalid: bool = True) -> dict:
@@ -114,6 +125,10 @@ class LifecycleEngine:
                 ops.append({"op": "unsubscribe", "sub": rng.randrange(len(subs))})
             else:
                 ops.append({"op": "status", "sub": rng.randrange(len(subs))})
+        # drawn last, so the schedules above are what they were without filters
+        for spec in subs:
+            if rng.randrange(100) < 8:
+                spec["filter"] = pick(rng, tuple(_POISON_FILTERS))
         return {"family": family, "version": version, "subs": subs, "ops": ops}
 
     # --- validity (the shrinker mutates blindly) --------------------------
@@ -134,6 +149,8 @@ class LifecycleEngine:
         if not isinstance(subs, list) or not subs:
             return False
         if not all(_valid_expiry_spec(s) for s in subs):
+            return False
+        if any(s.get("filter", "dynamic_error") not in _POISON_FILTERS for s in subs):
             return False
         ops = case.get("ops")
         if not isinstance(ops, list):
@@ -176,6 +193,7 @@ class _Run:
     """Shared schedule interpreter; subclasses bind one family's client API."""
 
     fault_subcode: str
+    filter_fault_subcode: str
 
     def __init__(self, case: dict) -> None:
         self.case = case
@@ -187,7 +205,9 @@ class _Run:
 
     # family bindings ------------------------------------------------------
 
-    def subscribe(self, index: int, expires_text: Optional[str]) -> object:
+    def subscribe(
+        self, index: int, expires_text: Optional[str], xpath: Optional[str]
+    ) -> object:
         raise NotImplementedError
 
     def renew(self, handle: object, expires_text: Optional[str]) -> str:
@@ -261,17 +281,24 @@ class _Run:
             now = self.clock.now()
             text = _render_expiry(spec, now)
             tag = f"[{self.case['family']}/{self.case['version']}] subscribe {index} ({spec['kind']})"
+            poison = spec.get("filter")
+            uncompilable = poison not in (None, "dynamic_error")
             try:
-                handle = self.subscribe(index, text)
+                handle = self.subscribe(index, text, _POISON_FILTERS.get(poison))
             except SoapFault as fault:
-                if not _expiry_is_invalid(spec):
+                wanted = [self.filter_fault_subcode] if uncompilable else []
+                if _expiry_is_invalid(spec):
+                    wanted.append(self.fault_subcode)
+                if not wanted:
                     return f"{tag}: unexpected fault: {fault}"
-                if not self._fault_matches(fault):
-                    return f"{tag}: fault lacks {self.fault_subcode} subcode: {fault}"
+                if not any(self._fault_matches(fault, subcode) for subcode in wanted):
+                    return f"{tag}: fault lacks {' or '.join(wanted)} subcode: {fault}"
                 self.model.append(
-                    {"handle": None, "expires": 0.0, "gone": True, "expected": []}
+                    {"handle": None, "expires": 0.0, "gone": True, "expected": [], "mute": True}
                 )
                 continue
+            if uncompilable:
+                return f"{tag}: uncompilable filter {_POISON_FILTERS[poison]!r} was accepted"
             if _expiry_is_invalid(spec):
                 return f"{tag}: invalid expiration {text!r} was granted"
             failure, granted = self._grant_failure(
@@ -280,15 +307,18 @@ class _Run:
             if failure is not None:
                 return f"{tag}: {failure}"
             self.model.append(
-                {"handle": handle, "expires": granted, "gone": False, "expected": []}
+                {
+                    "handle": handle, "expires": granted, "gone": False,
+                    "expected": [], "mute": poison is not None,
+                }
             )
         return None
 
-    def _fault_matches(self, fault: SoapFault) -> bool:
+    def _fault_matches(self, fault: SoapFault, wanted: str) -> bool:
         subcode = getattr(fault, "subcode", None)
-        if subcode is not None and self.fault_subcode in subcode.local:
+        if subcode is not None and wanted in subcode.local:
             return True
-        return self.fault_subcode in str(fault)
+        return wanted in str(fault)
 
     def _apply(self, step: int, op: dict) -> Optional[str]:
         kind = op["op"]
@@ -299,7 +329,7 @@ class _Run:
             marker = f"m{self.published}"
             self.published += 1
             for sub in self.model:
-                if self._live(sub):
+                if self._live(sub) and not sub["mute"]:  # a failing filter matches nothing
                     sub["expected"].append(marker)
             self.publish(XElem(QName("", "conf-evt"), children=[marker]))
             return self._check_deliveries(f"after publish {marker}")
@@ -380,6 +410,7 @@ class _Run:
 
 class _WseRun(_Run):
     fault_subcode = "InvalidExpirationTime"
+    filter_fault_subcode = "FilteringRequestedUnavailable"
 
     def __init__(self, case: dict) -> None:
         super().__init__(case)
@@ -394,11 +425,14 @@ class _WseRun(_Run):
             for i in range(len(case["subs"]))
         ]
 
-    def subscribe(self, index: int, expires_text: Optional[str]) -> object:
+    def subscribe(
+        self, index: int, expires_text: Optional[str], xpath: Optional[str]
+    ) -> object:
         return self.subscriber.subscribe(
             self.source.epr(),
             notify_to=self.sinks[index].epr(),
             expires=expires_text,
+            filter=xpath,
         )
 
     def renew(self, handle: object, expires_text: Optional[str]) -> str:
@@ -422,6 +456,7 @@ class _WseRun(_Run):
 
 class _WsnRun(_Run):
     fault_subcode = "TerminationTimeFault"  # Unacceptable(Initial)TerminationTimeFault
+    filter_fault_subcode = "InvalidMessageContentExpressionFault"
 
     TOPIC = "conf"
 
@@ -440,12 +475,15 @@ class _WsnRun(_Run):
             for i in range(len(case["subs"]))
         ]
 
-    def subscribe(self, index: int, expires_text: Optional[str]) -> object:
+    def subscribe(
+        self, index: int, expires_text: Optional[str], xpath: Optional[str]
+    ) -> object:
         return self.subscriber.subscribe(
             self.producer.epr(),
             self.consumers[index].epr(),
             topic=self.TOPIC,
             initial_termination=expires_text,
+            message_content=xpath,
         )
 
     def renew(self, handle: object, expires_text: Optional[str]) -> str:

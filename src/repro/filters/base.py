@@ -19,12 +19,15 @@ class FilterContext:
     - ``payload``: the notification message content (an XML element);
     - ``topic``: the topic path string the producer published on, if any;
     - ``producer_properties``: resource properties of the producer, for
-      WSN ProducerProperties filters.
+      WSN ProducerProperties filters;
+    - ``producer_document``: the same properties as the frozen document the
+      producer rebuilds only when they change (``None``: rendered on demand).
     """
 
     payload: XElem
     topic: Optional[str] = None
     producer_properties: dict[str, str] = field(default_factory=dict)
+    producer_document: Optional[XElem] = None
 
 
 class Filter:
@@ -38,6 +41,22 @@ class Filter:
 
     def describe(self) -> str:
         return type(self).__name__
+
+
+def admits(filter: Filter, context: FilterContext, instr, family: str, subscription: str) -> bool:
+    """``filter.matches(context)`` inside a fan-out: a filter that fails to
+    evaluate on this message costs only its own subscription the message —
+    a non-match, counted and put on the message's lineage, never raised."""
+    try:
+        return filter.matches(context)
+    except FilterError as exc:
+        instr.count("fanout.filter_errors", family=family, reason="evaluation")
+        lineage = instr.trace_context()
+        if lineage is not None:
+            instr.lineage_event(
+                lineage.lineage_id, "filter_error", subscription=subscription, error=str(exc)
+            )
+        return False
 
 
 class AcceptAllFilter(Filter):

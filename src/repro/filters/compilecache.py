@@ -4,13 +4,16 @@ At 100k subscribers the Subscribe storm dominated by re-parsing the same
 handful of XPath expressions (and topic expressions) once per subscription.
 Both compiled forms are immutable after construction — :class:`repro.xmlkit.
 xpath.XPath` keeps only its AST and namespace map, evaluation state lives in
-a per-call context — so identical expressions can share one instance.
+a per-call context or with the document — so identical expressions can share
+one instance.
 
-Keys capture everything that affects compilation: the expression text plus
-the in-scope namespace bindings (sorted, so ``{"a": u, "b": v}`` and
-``{"b": v, "a": u}`` share an entry) for XPath; ``(text, dialect URI)`` for
-topic expressions.  Failed compilations are *not* cached — callers wrap them
-in dialect-specific :class:`~repro.filters.base.FilterError` messages and a
+Keys capture everything that affects compilation and little else: for XPath
+the expression text plus the bindings whose prefix occurs in it (the other
+in-scope bindings differ from client to client and dialect to dialect, and
+one shared instance per predicate is what lets a fan-out evaluate it once);
+``(text, dialect URI)`` for topic expressions.  Failed compilations are
+*not* cached — callers wrap them in dialect-specific
+:class:`~repro.filters.base.FilterError` messages and a
 bad expression is rejected at Subscribe time, never in the hot path.
 """
 
@@ -80,7 +83,10 @@ def compiled_xpath(
     expression: str, namespaces: Optional[dict[str, str]] = None
 ) -> XPath:
     """The shared compiled form of ``expression`` under ``namespaces``."""
-    key = (expression, tuple(sorted((namespaces or {}).items())))
+    # a prefix the expression uses occurs in its text, so every other binding
+    # can be left out of the key (one that merely occurs is kept: harmless)
+    used = sorted(item for item in (namespaces or {}).items() if item[0] in expression)
+    key = (expression, tuple(used))
     return _xpath_cache.get_or_build(key, lambda: XPath(expression, namespaces))
 
 

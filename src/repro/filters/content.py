@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.filters.base import Filter, FilterContext, FilterError
+from repro.filters.base import AndFilter, Filter, FilterContext, FilterError
 from repro.filters.compilecache import compiled_xpath
 from repro.xmlkit.names import Namespaces
-from repro.xmlkit.xpath import XPathError
+from repro.xmlkit.xpath import XPath, XPathError
 
 
 class MessageContentFilter(Filter):
@@ -23,16 +23,28 @@ class MessageContentFilter(Filter):
 
     def __init__(self, expression: str, namespaces: Optional[dict[str, str]] = None) -> None:
         try:
-            self._xpath = compiled_xpath(expression, namespaces)
+            #: shared by every filter with this predicate (see compilecache)
+            self.xpath = compiled_xpath(expression, namespaces)
         except XPathError as exc:
             raise FilterError(f"invalid XPath filter {expression!r}: {exc}") from exc
         self.expression = expression
 
     def matches(self, context: FilterContext) -> bool:
         try:
-            return self._xpath.matches(context.payload)
+            return self.xpath.matches(context.payload)
         except XPathError as exc:
             raise FilterError(f"filter evaluation failed: {exc}") from exc
 
     def describe(self) -> str:
         return f"xpath({self.expression})"
+
+
+def content_expression_of(filter: Filter) -> Optional[XPath]:
+    """The content constraint the subscription index can extract from a
+    filter (the counterpart of ``topic_expression_of``): the compiled
+    expression of its first MessageContent part, or ``None``."""
+    parts = filter.parts if isinstance(filter, AndFilter) else (filter,)
+    for part in parts:
+        if isinstance(part, MessageContentFilter):
+            return part.xpath
+    return None

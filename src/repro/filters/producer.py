@@ -45,7 +45,9 @@ class ProducerPropertiesFilter(Filter):
         self.expression = expression
 
     def matches(self, context: FilterContext) -> bool:
-        document = properties_document(context.producer_properties)
+        document = context.producer_document
+        if document is None:
+            document = properties_document(context.producer_properties)
         try:
             return self._xpath.matches(document)
         except XPathError as exc:

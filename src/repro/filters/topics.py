@@ -25,7 +25,9 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterContext, FilterError
+from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces
+from repro.xmlkit.xpath import XPath, XPathError
 
 
 class TopicDialect(Enum):
@@ -267,15 +269,20 @@ class _IndexNode:
 
 
 class TopicSubscriptionIndex:
-    """Topic-expression trie mapping a published path to candidate keys.
+    """Topic-expression trie plus content buckets, mapping a publication to
+    candidate keys.
 
     The fan-out fast path registers every subscription here: topic-filtered
     ones under their compiled expression branches, everything else (no topic
     constraint, or a filter the index cannot see through) in an always-
-    candidate bucket.  :meth:`candidates` then returns exactly the
-    subscriptions whose topic constraint admits the published path — in
-    subscription insertion order, so delivery order (and therefore wire
-    bytes) is identical to a linear scan over the subscription table.
+    candidate bucket; those with a MessageContent part also in the bucket of
+    their shared compiled expression (see ``compiled_xpath``).
+    :meth:`candidates` then returns the subscriptions whose topic constraint
+    admits the published path and whose content expression — evaluated once
+    however many keys carry it — admits the payload, in subscription
+    insertion order, so delivery order (and therefore wire bytes) is
+    identical to a linear scan over the subscription table.  It is a
+    conservative pre-filter: callers still run each candidate's full filter.
     """
 
     def __init__(self) -> None:
@@ -285,12 +292,23 @@ class TopicSubscriptionIndex:
         self._terminals: dict[str, list[_IndexNode]] = {}
         self._counter = itertools.count()
         self._trie_entries = 0
+        self._content: dict[XPath, set[str]] = {}  # expression -> its bucket
+        self._content_of: dict[str, XPath] = {}
+        #: content expressions the latest ``candidates`` call evaluated (the
+        #: fan-out reports it as ``fanout.xpath_evals``)
+        self.content_evals = 0
 
-    def add(self, key: str, expression: Optional[TopicExpression]) -> None:
-        """Register ``key``; ``expression=None`` means always-candidate."""
+    def add(
+        self, key: str, expression: Optional[TopicExpression], content: Optional[XPath] = None
+    ) -> None:
+        """Register ``key``; ``expression=None`` means always-candidate on
+        the topic side, ``content=None`` no content constraint."""
         if key in self._seq:
             self.discard(key)
         self._seq[key] = next(self._counter)
+        if content is not None:
+            self._content.setdefault(content, set()).add(key)
+            self._content_of[key] = content
         if expression is None:
             self._always.add(key)
             return
@@ -312,13 +330,34 @@ class TopicSubscriptionIndex:
         for node in self._terminals.pop(key, ()):
             node.entries.pop(key, None)
             self._trie_entries -= 1
+        content = self._content_of.pop(key, None)
+        if content is not None:
+            bucket = self._content[content]
+            bucket.discard(key)
+            if not bucket:
+                del self._content[content]
 
-    def candidates(self, topic: Optional[str | TopicPath]) -> list[str]:
-        """Keys whose topic constraint admits ``topic`` (insertion order)."""
+    def candidates(
+        self, topic: Optional[str | TopicPath], payload: Optional[XElem] = None
+    ) -> list[str]:
+        """Keys whose topic constraint admits ``topic`` and, given the
+        ``payload``, whose content expression admits it (insertion order)."""
         found: set[str] = set(self._always)
         if topic is not None and self._trie_entries:
             path = TopicPath.parse(topic) if isinstance(topic, str) else topic
             self._collect(self._root, path.parts, found)
+        self.content_evals = 0
+        if payload is not None:
+            for content, bucket in self._content.items():
+                if found.isdisjoint(bucket):
+                    continue  # the topic side already ruled the whole bucket out
+                self.content_evals += 1
+                try:
+                    admitted = content.matches(payload)
+                except XPathError:
+                    continue  # each subscription's own filter reports it
+                if not admitted:
+                    found.difference_update(bucket)
         return sorted(found, key=self._seq.__getitem__)
 
     def _collect(

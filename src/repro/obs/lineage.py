@@ -21,10 +21,12 @@ overflow, message-box overflow) — an accounted decision, not a silent
 loss.  The conservation auditor (:mod:`repro.obs.audit`) checks that
 these books balance.
 
-``queued`` and ``mediated`` are informational (no obligation): ``mediated``
-marks a broker translating the message between spec families, ``queued``
-marks payloads buffered inside a pull/wrapped-mode subscription queue that
-does not carry per-item lineage.
+``queued``, ``mediated`` and ``filter_error`` are informational (no
+obligation): ``mediated`` marks a broker translating the message between
+spec families, ``queued`` marks payloads buffered inside a pull/wrapped-mode
+subscription queue that does not carry per-item lineage, ``filter_error``
+marks a subscription whose filter failed to evaluate on this message and so
+did not match it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ KNOWN_STATES = frozenset(
         "queued",
         "attempted",
         "pending_pull",
+        "filter_error",
     }
     | OPENING_STATES
     | CLOSING_STATES

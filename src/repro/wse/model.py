@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from repro.filters.base import Filter, FilterContext
+from repro.filters.base import Filter
 from repro.qos.properties import QosProfile
 from repro.transport.clock import VirtualClock
 from repro.wsa.epr import EndpointReference
@@ -62,9 +62,6 @@ class WseSubscription:
 
     def is_expired(self, now: float) -> bool:
         return self.expires is not None and now >= self.expires
-
-    def accepts(self, context: FilterContext) -> bool:
-        return self.filter.matches(context)
 
 
 class SubscriptionStore:

@@ -19,9 +19,9 @@ from repro.delivery.task import DeliveryItem
 from repro.qos.adaptive import validate_supported
 from repro.qos.properties import DiscardPolicy, QosError, QosProfile
 from repro.transport.clock import ClockScheduler
-from repro.filters.base import AcceptAllFilter, Filter, FilterContext, FilterError
+from repro.filters.base import AcceptAllFilter, Filter, FilterContext, FilterError, admits
 from repro.obs.instrument import BoundCounters
-from repro.filters.content import MessageContentFilter
+from repro.filters.content import MessageContentFilter, content_expression_of
 from repro.filters.topics import TopicSubscriptionIndex, topic_expression_of
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
@@ -116,7 +116,9 @@ class EventSource:
         # direct store manipulation (tests, sweeps) can never leave it stale
         self._topic_index = TopicSubscriptionIndex()
         self.store.on_created.append(
-            lambda s: self._topic_index.add(s.id, topic_expression_of(s.filter))
+            lambda s: self._topic_index.add(
+                s.id, topic_expression_of(s.filter), content_expression_of(s.filter)
+            )
         )
         self.store.on_removed.append(lambda s: self._topic_index.discard(s.id))
         self._client = SoapClient(
@@ -414,29 +416,21 @@ class EventSource:
         context = FilterContext(
             frozen, topic=topic, producer_properties=self.producer_properties
         )
-        candidates = self._topic_index.candidates(topic)
+        index = self._topic_index
+        candidates = index.candidates(topic, frozen)
         lineage = instr.trace_context() if instr.enabled else None
+        evals_counter = None
         if instr.enabled:
             bound = self._bound_counters
-            hits_counter = bound.probe(instr, "index_hits")
-            if hits_counter is None:
-                hits_counter = bound.get(
-                    instr, "index_hits", "fanout.index_hits", family="wse"
-                )
-            hits_counter.inc(len(candidates))
+            evaluated = index.content_evals
+            if evaluated:
+                bound.get(instr, "xpath_evals", "fanout.xpath_evals", family="wse").inc(evaluated)
+            bound.get(instr, "index_hits", "fanout.index_hits", family="wse").inc(len(candidates))
             skipped = len(self.store._subscriptions) - len(candidates)
             if skipped > 0:
-                bound.get(
-                    instr, "index_skips", "fanout.index_skips", family="wse"
-                ).inc(skipped)
-            # hottest site: one increment per candidate, via one handle
-            evals_counter = bound.probe(instr, "filter_evals")
-            if evals_counter is None:
-                evals_counter = bound.get(
-                    instr, "filter_evals", "fanout.filter_evals", family="wse"
-                )
-        else:
-            evals_counter = None
+                bound.get(instr, "index_skips", "fanout.index_skips", family="wse").inc(skipped)
+            # one increment per residual filter run, via one handle
+            evals_counter = bound.get(instr, "filter_evals", "fanout.filter_evals", family="wse")
         delivered = 0
         for key in candidates:
             subscription = self.store.get(key)
@@ -444,7 +438,7 @@ class EventSource:
                 continue
             if evals_counter is not None:
                 evals_counter.inc()
-            if not subscription.accepts(context):
+            if not admits(subscription.filter, context, instr, "wse", key):
                 continue
             delivered += 1
             if subscription.mode is DeliveryMode.PULL:
@@ -546,14 +540,17 @@ class EventSource:
         evaluation per subscriber and per-subscriber payload copies."""
         instr = self.network.instrumentation
         self.store.sweep_expired()
+        # the oracle evaluates every subscription on its own: an unfrozen tree
+        # never reaches the per-document match state of repro.xmlkit.xpath
+        unfrozen = payload.copy() if payload.frozen else payload
         context = FilterContext(
-            payload, topic=topic, producer_properties=self.producer_properties
+            unfrozen, topic=topic, producer_properties=self.producer_properties
         )
         delivered = 0
         for subscription in list(self.store.live()):
             if instr.enabled:
                 instr.count("fanout.filter_evals", family="wse")
-            if not subscription.accepts(context):
+            if not admits(subscription.filter, context, instr, "wse", subscription.id):
                 continue
             delivered += 1
             if subscription.mode is DeliveryMode.PULL:

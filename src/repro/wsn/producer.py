@@ -17,12 +17,19 @@ from repro.delivery.batcher import DeliveryBatcher
 from repro.delivery.outcome import DeliveryFailure, record_failure
 from repro.delivery.policy import BatchingPolicy
 from repro.delivery.task import DeliveryItem
-from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterContext, FilterError
+from repro.filters.base import (
+    AcceptAllFilter,
+    AndFilter,
+    Filter,
+    FilterContext,
+    FilterError,
+    admits,
+)
 from repro.obs.instrument import BoundCounters
 from repro.qos.adaptive import validate_supported
 from repro.qos.properties import QosError, QosProfile
-from repro.filters.content import MessageContentFilter
-from repro.filters.producer import ProducerPropertiesFilter
+from repro.filters.content import MessageContentFilter, content_expression_of
+from repro.filters.producer import ProducerPropertiesFilter, properties_document
 from repro.filters.topics import TopicFilter, TopicNamespace, topic_expression_of
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
@@ -108,6 +115,8 @@ class NotificationProducer:
         self.debug_linear_match = debug_linear_match
         self._topic_index = self.topics.new_index()
         self.producer_properties = dict(producer_properties or {})
+        #: (properties rendered, their frozen document): see _properties_document
+        self._properties_rendered: tuple[Optional[dict], Optional[XElem]] = (None, None)
         # WSRF port: mandatory <= 1.2, optional (default on) in 1.3
         if enable_wsrf is None:
             self.wsrf_enabled = True
@@ -240,7 +249,11 @@ class NotificationProducer:
             qos=request.qos,
         )
         self._subscriptions[resource.key] = subscription
-        self._topic_index.add(resource.key, topic_expression_of(subscription_filter))
+        self._topic_index.add(
+            resource.key,
+            topic_expression_of(subscription_filter),
+            content_expression_of(subscription_filter),
+        )
         self._set_resource_properties(subscription)
         resource.termination_listeners.append(self._on_subscription_terminated)
         self._notify_listeners("created", subscription)
@@ -486,9 +499,7 @@ class NotificationProducer:
         if name == PROP_TOPIC_SET:
             body.append(self.topic_set_document())
         elif name.local == "ProducerProperties":
-            from repro.filters.producer import properties_document
-
-            body.append(properties_document(self.producer_properties))
+            body.append(self._properties_document())
         else:
             from repro.wsrf.properties import InvalidResourcePropertyFault
 
@@ -496,6 +507,16 @@ class NotificationProducer:
         return self._reply(
             headers, messages.wsrf_action("GetResourcePropertyResponse"), body
         )
+
+    def _properties_document(self) -> XElem:
+        """What ProducerProperties filters see: frozen, so a fan-out evaluates
+        each expression on it once; rebuilt only when the properties change."""
+        rendered, document = self._properties_rendered
+        if rendered != self.producer_properties:
+            rendered = dict(self.producer_properties)
+            document = properties_document(rendered).freeze()
+            self._properties_rendered = (rendered, document)
+        return document
 
     def _handle_get_current_message(self, envelope: SoapEnvelope, headers: MessageHeaders):
         topic, _dialect = messages.parse_get_current_message(
@@ -586,30 +607,22 @@ class NotificationProducer:
             self._current_message[topic] = frozen
         self.registry.sweep_due()
         context = FilterContext(
-            frozen, topic=topic, producer_properties=self.producer_properties
+            frozen, topic, self.producer_properties, producer_document=self._properties_document()
         )
-        candidates = self._topic_index.candidates(topic)
+        index = self._topic_index
+        candidates = index.candidates(topic, frozen)
+        evals_counter = None
         if instr.enabled:
             bound = self._bound_counters
-            hits_counter = bound.probe(instr, "index_hits")
-            if hits_counter is None:
-                hits_counter = bound.get(
-                    instr, "index_hits", "fanout.index_hits", family="wsn"
-                )
-            hits_counter.inc(len(candidates))
+            evaluated = index.content_evals
+            if evaluated:
+                bound.get(instr, "xpath_evals", "fanout.xpath_evals", family="wsn").inc(evaluated)
+            bound.get(instr, "index_hits", "fanout.index_hits", family="wsn").inc(len(candidates))
             skipped = len(self._subscriptions) - len(candidates)
             if skipped > 0:
-                bound.get(
-                    instr, "index_skips", "fanout.index_skips", family="wsn"
-                ).inc(skipped)
-            # hottest site: one increment per candidate, via one handle
-            evals_counter = bound.probe(instr, "filter_evals")
-            if evals_counter is None:
-                evals_counter = bound.get(
-                    instr, "filter_evals", "fanout.filter_evals", family="wsn"
-                )
-        else:
-            evals_counter = None
+                bound.get(instr, "index_skips", "fanout.index_skips", family="wsn").inc(skipped)
+            # one increment per residual filter run, via one handle
+            evals_counter = bound.get(instr, "filter_evals", "fanout.filter_evals", family="wsn")
         matched = 0
         for key in candidates:
             subscription = self._subscriptions.get(key)
@@ -617,7 +630,7 @@ class NotificationProducer:
                 continue
             if evals_counter is not None:
                 evals_counter.inc()
-            if not subscription.filter.matches(context):
+            if not admits(subscription.filter, context, instr, "wsn", key):
                 continue
             matched += 1
             message = NotificationMessage(
@@ -673,8 +686,11 @@ class NotificationProducer:
             if instr.enabled:
                 instr.count("fanout.payload_copies", family="wsn")
         self.registry.sweep()
+        # the oracle evaluates every subscription on its own: an unfrozen tree
+        # never reaches the per-document match state of repro.xmlkit.xpath
+        unfrozen = payload.copy() if payload.frozen else payload
         context = FilterContext(
-            payload, topic=topic, producer_properties=self.producer_properties
+            unfrozen, topic=topic, producer_properties=self.producer_properties
         )
         matched = 0
         for subscription in list(self._subscriptions.values()):
@@ -682,7 +698,7 @@ class NotificationProducer:
                 continue
             if instr.enabled:
                 instr.count("fanout.filter_evals", family="wsn")
-            if not subscription.filter.matches(context):
+            if not admits(subscription.filter, context, instr, "wsn", subscription.key):
                 continue
             matched += 1
             if instr.enabled:

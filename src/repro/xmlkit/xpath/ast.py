@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,8 @@ class StringLit:
 class FunctionCall:
     name: str
     args: tuple["Expr", ...]
+    #: the library function ``name`` resolved to when the call was parsed
+    fn: Callable = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -39,12 +41,14 @@ class NodeTest:
     """A node test within a step.
 
     ``kind`` is ``"name"`` (with ``prefix``/``local``, either possibly ``*``),
-    ``"text"`` or ``"node"``.
+    ``"text"`` or ``"node"``.  ``namespace`` is the URI ``prefix`` was bound
+    to when the expression was parsed (``""`` for an unprefixed name).
     """
 
     kind: str
     prefix: Optional[str] = None
     local: Optional[str] = None
+    namespace: str = ""
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from typing import Optional
 from repro.xmlkit.element import XElem
 from repro.xmlkit.xpath import ast
 from repro.xmlkit.xpath.errors import XPathEvaluationError
-from repro.xmlkit.xpath.functions import FUNCTIONS, Context
+from repro.xmlkit.xpath.functions import Context
 from repro.xmlkit.xpath.nodes import (
     AttributeNode,
     ElementNode,
@@ -30,21 +30,54 @@ from repro.xmlkit.xpath.values import (
 )
 
 
+class _FrozenDocument:
+    """What XPath keeps about one frozen tree: its node tree, built once, and
+    the boolean each compiled expression gave on it."""
+
+    __slots__ = ("root", "tree", "verdicts")
+
+    def __init__(self, root: XElem) -> None:
+        self.root = root  # a strong reference: the identity test below is safe
+        self.tree = build_tree(root)
+        self.verdicts: dict[XPath, bool] = {}
+
+
+#: the frozen trees evaluated most recently, newest first.  A fan-out walks
+#: one frozen payload past every subscription, interleaved at most with the
+#: producer's frozen properties document, so two is all that is ever live;
+#: an unfrozen tree can change between calls and is never looked up here.
+_recent_documents: list[_FrozenDocument] = []
+
+
+def _document_of(root: XElem) -> _FrozenDocument:
+    for document in _recent_documents:
+        if document.root is root:
+            return document
+    document = _FrozenDocument(root)
+    _recent_documents[:] = [document, *_recent_documents[:1]]
+    return document
+
+
 class XPath:
     """A compiled XPath expression.
 
     ``namespaces`` maps the prefixes used in the expression to namespace URIs
     (the way a WSE/WSN subscription message carries in-scope namespace
-    bindings for its filter expression).
+    bindings for its filter expression).  They are resolved here, so an
+    undeclared prefix fails the compilation with :class:`XPathSyntaxError`.
     """
 
     def __init__(self, expression: str, namespaces: Optional[dict[str, str]] = None) -> None:
         self.expression = expression
         self.namespaces = dict(namespaces or {})
-        self._ast = parse_xpath(expression)
+        self._ast = parse_xpath(expression, self.namespaces)
 
     def __repr__(self) -> str:
         return f"XPath({self.expression!r})"
+
+    def _value(self, tree: RootNode) -> XPathValue:
+        """One evaluation over an already wrapped document."""
+        return _evaluate(self._ast, Context(tree, 1, 1))
 
     def evaluate(self, root: XElem) -> XPathValue:
         """Evaluate against a document whose root element is ``root``.
@@ -52,18 +85,25 @@ class XPath:
         Returns the raw XPath value: a node-set is returned as a list of the
         underlying :class:`XElem`/attribute/text values.
         """
-        doc = build_tree(root)
-        ctx = Context(doc, 1, 1, self.namespaces)
-        value = _evaluate(self._ast, ctx)
+        value = self._value(_document_of(root).tree if root.frozen else build_tree(root))
         if is_node_set(value):
             return [_unwrap(node) for node in value]
         return value
 
     def matches(self, root: XElem) -> bool:
-        """Boolean-coerced evaluation — the WS filter-dialect semantics."""
-        doc = build_tree(root)
-        ctx = Context(doc, 1, 1, self.namespaces)
-        return to_boolean(_evaluate(self._ast, ctx))
+        """Boolean-coerced evaluation — the WS filter-dialect semantics.
+
+        On a frozen ``root`` the answer is computed once and kept while that
+        tree is among the most recently evaluated, so a fan-out pays for each
+        distinct expression once however many subscriptions carry it.
+        """
+        if not root.frozen:
+            return to_boolean(self._value(build_tree(root)))
+        document = _document_of(root)
+        verdict = document.verdicts.get(self)
+        if verdict is None:
+            verdict = document.verdicts[self] = to_boolean(self._value(document.tree))
+        return verdict
 
     def select(self, root: XElem) -> list[XElem]:
         """Evaluate and keep only element nodes (common in tests/tools)."""
@@ -98,11 +138,7 @@ def _evaluate(expr: ast.Expr, ctx: Context) -> XPathValue:
     if isinstance(expr, ast.BinaryOp):
         return _evaluate_binary(expr, ctx)
     if isinstance(expr, ast.FunctionCall):
-        fn = FUNCTIONS.get(expr.name)
-        if fn is None:
-            raise XPathEvaluationError(f"unknown function {expr.name}()")
-        args = [_evaluate(arg, ctx) for arg in expr.args]
-        return fn(ctx, args)
+        return expr.fn(ctx, [_evaluate(arg, ctx) for arg in expr.args])
     if isinstance(expr, ast.LocationPath):
         return _evaluate_path(expr, ctx)
     if isinstance(expr, ast.FilterPath):
@@ -152,7 +188,7 @@ def _evaluate_path(path: ast.LocationPath, ctx: Context) -> NodeSet:
         current: NodeSet = [node]
     else:
         current = [ctx.node]
-    return _apply_steps(path.steps, current, ctx)
+    return _apply_steps(path.steps, current)
 
 
 def _evaluate_filter_path(expr: ast.FilterPath, ctx: Context) -> XPathValue:
@@ -160,32 +196,32 @@ def _evaluate_filter_path(expr: ast.FilterPath, ctx: Context) -> XPathValue:
     if expr.predicates or expr.steps:
         if not is_node_set(value):
             raise XPathEvaluationError("predicates/steps require a node-set")
-        value = _filter_nodes(value, expr.predicates, ctx)
-        value = _apply_steps(expr.steps, value, ctx)
+        value = _filter_nodes(value, expr.predicates)
+        value = _apply_steps(expr.steps, value)
     return value
 
 
-def _apply_steps(steps: tuple[ast.Step, ...], current: NodeSet, ctx: Context) -> NodeSet:
+def _apply_steps(steps: tuple[ast.Step, ...], current: NodeSet) -> NodeSet:
     for step in steps:
         gathered: list[XNode] = []
         seen: set[int] = set()
         for node in current:
             for candidate in _axis_nodes(step.axis, node):
-                if _test_matches(step.test, step.axis, candidate, ctx):
+                if _test_matches(step.test, step.axis, candidate):
                     if id(candidate) not in seen:
                         seen.add(id(candidate))
                         gathered.append(candidate)
         gathered.sort(key=lambda n: n.order)
-        current = _filter_nodes(gathered, step.predicates, ctx)
+        current = _filter_nodes(gathered, step.predicates)
     return current
 
 
-def _filter_nodes(nodes: NodeSet, predicates: tuple[ast.Expr, ...], ctx: Context) -> NodeSet:
+def _filter_nodes(nodes: NodeSet, predicates: tuple[ast.Expr, ...]) -> NodeSet:
     for predicate in predicates:
         kept: list[XNode] = []
         size = len(nodes)
         for position, node in enumerate(nodes, start=1):
-            value = _evaluate(predicate, ctx.with_node(node, position, size))
+            value = _evaluate(predicate, Context(node, position, size))
             if isinstance(value, float):
                 if value == position:  # positional predicate
                     kept.append(node)
@@ -211,29 +247,15 @@ def _axis_nodes(axis: str, node: XNode):
     raise XPathEvaluationError(f"unsupported axis {axis!r}")
 
 
-def _test_matches(test: ast.NodeTest, axis: str, node: XNode, ctx: Context) -> bool:
+def _test_matches(test: ast.NodeTest, axis: str, node: XNode) -> bool:
     if test.kind == "node":
         return True
     if test.kind == "text":
         return isinstance(node, TextNode)
     # name test: the principal node type is attribute on the attribute axis,
     # element everywhere else
-    if axis == "attribute":
-        if not isinstance(node, AttributeNode):
-            return False
-    else:
-        if not isinstance(node, ElementNode):
-            return False
-    if test.prefix is not None:
-        uri = ctx.namespaces.get(test.prefix)
-        if uri is None:
-            raise XPathEvaluationError(f"undeclared namespace prefix {test.prefix!r}")
-    else:
-        uri = ""
-    if test.local == "*":
-        if test.prefix is None:
-            return True
-        return node.name.namespace == uri
-    if node.name.local != test.local:
+    if not isinstance(node, AttributeNode if axis == "attribute" else ElementNode):
         return False
-    return node.name.namespace == uri
+    if test.local == "*":
+        return test.prefix is None or node.name.namespace == test.namespace
+    return node.name.local == test.local and node.name.namespace == test.namespace

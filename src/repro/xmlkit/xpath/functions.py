@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.xmlkit.xpath.errors import XPathEvaluationError
 from repro.xmlkit.xpath.nodes import AttributeNode, ElementNode, XNode
@@ -17,28 +17,15 @@ from repro.xmlkit.xpath.values import (
 
 
 class Context:
-    """Evaluation context: node, position/size, and the prefix->URI map."""
+    """Evaluation context: node and position/size (prefixes and function
+    names are resolved when the expression is compiled)."""
 
-    __slots__ = ("node", "position", "size", "namespaces")
+    __slots__ = ("node", "position", "size")
 
-    def __init__(
-        self, node: XNode, position: int, size: int, namespaces: dict[str, str]
-    ) -> None:
+    def __init__(self, node: XNode, position: int, size: int) -> None:
         self.node = node
         self.position = position
         self.size = size
-        self.namespaces = namespaces
-
-    def with_node(self, node: XNode, position: int, size: int) -> "Context":
-        return Context(node, position, size, self.namespaces)
-
-
-def _arity(name: str, args: list[XPathValue], low: int, high: int | None = None) -> None:
-    high = low if high is None else high
-    if not (low <= len(args) <= high):
-        raise XPathEvaluationError(
-            f"{name}() expects {low}{'' if high == low else f'..{high}'} argument(s), got {len(args)}"
-        )
 
 
 def _node_name(node: XNode) -> str | None:
@@ -54,17 +41,14 @@ def _node_namespace(node: XNode) -> str | None:
 
 
 def fn_last(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("last", args, 0)
     return float(ctx.size)
 
 
 def fn_position(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("position", args, 0)
     return float(ctx.position)
 
 
 def fn_count(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("count", args, 1)
     if not is_node_set(args[0]):
         raise XPathEvaluationError("count() requires a node-set")
     return float(len(args[0]))
@@ -83,60 +67,49 @@ def _name_arg(ctx: Context, args: list[XPathValue], extractor) -> str:
 
 
 def fn_local_name(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("local-name", args, 0, 1)
     return _name_arg(ctx, args, _node_name)
 
 
 def fn_namespace_uri(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("namespace-uri", args, 0, 1)
     return _name_arg(ctx, args, _node_namespace)
 
 
 def fn_name(ctx: Context, args: list[XPathValue]) -> XPathValue:
     # without prefix bookkeeping in XElem, name() == local-name()
-    _arity("name", args, 0, 1)
     return _name_arg(ctx, args, _node_name)
 
 
 def fn_string(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("string", args, 0, 1)
     if not args:
         return ctx.node.string_value()
     return to_string(args[0])
 
 
 def fn_concat(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    if len(args) < 2:
-        raise XPathEvaluationError("concat() expects at least 2 arguments")
     return "".join(to_string(arg) for arg in args)
 
 
 def fn_starts_with(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("starts-with", args, 2)
     return to_string(args[0]).startswith(to_string(args[1]))
 
 
 def fn_contains(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("contains", args, 2)
     return to_string(args[1]) in to_string(args[0])
 
 
 def fn_substring_before(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("substring-before", args, 2)
     haystack, needle = to_string(args[0]), to_string(args[1])
     index = haystack.find(needle)
     return haystack[:index] if index >= 0 else ""
 
 
 def fn_substring_after(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("substring-after", args, 2)
     haystack, needle = to_string(args[0]), to_string(args[1])
     index = haystack.find(needle)
     return haystack[index + len(needle):] if index >= 0 else ""
 
 
 def fn_substring(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("substring", args, 2, 3)
     text = to_string(args[0])
     start = to_number(args[1])
     if math.isnan(start):
@@ -158,19 +131,16 @@ def fn_substring(ctx: Context, args: list[XPathValue]) -> XPathValue:
 
 
 def fn_string_length(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("string-length", args, 0, 1)
     text = ctx.node.string_value() if not args else to_string(args[0])
     return float(len(text))
 
 
 def fn_normalize_space(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("normalize-space", args, 0, 1)
     text = ctx.node.string_value() if not args else to_string(args[0])
     return " ".join(text.split())
 
 
 def fn_translate(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("translate", args, 3)
     text, src, dst = (to_string(arg) for arg in args)
     table: dict[int, int | None] = {}
     for i, ch in enumerate(src):
@@ -181,81 +151,74 @@ def fn_translate(ctx: Context, args: list[XPathValue]) -> XPathValue:
 
 
 def fn_boolean(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("boolean", args, 1)
     return to_boolean(args[0])
 
 
 def fn_not(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("not", args, 1)
     return not to_boolean(args[0])
 
 
 def fn_true(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("true", args, 0)
     return True
 
 
 def fn_false(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("false", args, 0)
     return False
 
 
 def fn_number(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("number", args, 0, 1)
     if not args:
         return to_number(ctx.node.string_value())
     return to_number(args[0])
 
 
 def fn_sum(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("sum", args, 1)
     if not is_node_set(args[0]):
         raise XPathEvaluationError("sum() requires a node-set")
     return float(sum(to_number(node.string_value()) for node in args[0]))
 
 
 def fn_floor(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("floor", args, 1)
     return float(math.floor(to_number(args[0])))
 
 
 def fn_ceiling(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("ceiling", args, 1)
     return float(math.ceil(to_number(args[0])))
 
 
 def fn_round(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    _arity("round", args, 1)
     value = to_number(args[0])
     if math.isnan(value) or math.isinf(value):
         return value
     return float(math.floor(value + 0.5))  # XPath rounds .5 towards +inf
 
 
-FUNCTIONS: dict[str, Callable[[Context, list[XPathValue]], XPathValue]] = {
-    "last": fn_last,
-    "position": fn_position,
-    "count": fn_count,
-    "local-name": fn_local_name,
-    "namespace-uri": fn_namespace_uri,
-    "name": fn_name,
-    "string": fn_string,
-    "concat": fn_concat,
-    "starts-with": fn_starts_with,
-    "contains": fn_contains,
-    "substring-before": fn_substring_before,
-    "substring-after": fn_substring_after,
-    "substring": fn_substring,
-    "string-length": fn_string_length,
-    "normalize-space": fn_normalize_space,
-    "translate": fn_translate,
-    "boolean": fn_boolean,
-    "not": fn_not,
-    "true": fn_true,
-    "false": fn_false,
-    "number": fn_number,
-    "sum": fn_sum,
-    "floor": fn_floor,
-    "ceiling": fn_ceiling,
-    "round": fn_round,
+#: name -> (implementation, fewest arguments, most arguments or None for any
+#: number); the parser checks name and arity, so a call that compiles runs
+FUNCTIONS: dict[str, tuple[Callable[..., XPathValue], int, Optional[int]]] = {
+    "last": (fn_last, 0, 0),
+    "position": (fn_position, 0, 0),
+    "count": (fn_count, 1, 1),
+    "local-name": (fn_local_name, 0, 1),
+    "namespace-uri": (fn_namespace_uri, 0, 1),
+    "name": (fn_name, 0, 1),
+    "string": (fn_string, 0, 1),
+    "concat": (fn_concat, 2, None),
+    "starts-with": (fn_starts_with, 2, 2),
+    "contains": (fn_contains, 2, 2),
+    "substring-before": (fn_substring_before, 2, 2),
+    "substring-after": (fn_substring_after, 2, 2),
+    "substring": (fn_substring, 2, 3),
+    "string-length": (fn_string_length, 0, 1),
+    "normalize-space": (fn_normalize_space, 0, 1),
+    "translate": (fn_translate, 3, 3),
+    "boolean": (fn_boolean, 1, 1),
+    "not": (fn_not, 1, 1),
+    "true": (fn_true, 0, 0),
+    "false": (fn_false, 0, 0),
+    "number": (fn_number, 0, 1),
+    "sum": (fn_sum, 1, 1),
+    "floor": (fn_floor, 1, 1),
+    "ceiling": (fn_ceiling, 1, 1),
+    "round": (fn_round, 1, 1),
 }

@@ -15,12 +15,20 @@ Grammar (simplified to the supported axes and node types)::
                       | FilterExpr (('/'|'//') RelativeLocationPath)?
     FilterExpr      ::= PrimaryExpr Predicate*
     PrimaryExpr     ::= '(' Expr ')' | Literal | Number | FunctionCall
+
+Names are resolved here, once: a name test's prefix to its namespace URI, a
+function call to its implementation, with the argument count checked.  An
+undeclared prefix, an unknown function or a wrong arity is therefore a
+syntax error of the expression, not a failure of some later evaluation.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.xmlkit.xpath import ast
 from repro.xmlkit.xpath.errors import XPathSyntaxError
+from repro.xmlkit.xpath.functions import FUNCTIONS
 from repro.xmlkit.xpath.lexer import Token, TokenKind, tokenize
 
 _SUPPORTED_AXES = {
@@ -34,8 +42,9 @@ _SUPPORTED_AXES = {
 
 
 class _Parser:
-    def __init__(self, expression: str) -> None:
+    def __init__(self, expression: str, namespaces: dict[str, str]) -> None:
         self.expression = expression
+        self.namespaces = namespaces
         self.tokens = tokenize(expression)
         self.pos = 0
 
@@ -157,7 +166,19 @@ class _Parser:
                 self.advance()
                 args.append(self.parse_or())
         self.expect(TokenKind.RPAREN)
-        return ast.FunctionCall(name_token.value, tuple(args))
+        name = name_token.value
+        if name not in FUNCTIONS:
+            raise XPathSyntaxError(
+                f"unknown function {name}()", self.expression, name_token.position
+            )
+        fn, low, high = FUNCTIONS[name]
+        if len(args) < low or (high is not None and len(args) > high):
+            raise XPathSyntaxError(
+                f"{name}() does not take {len(args)} argument(s)",
+                self.expression,
+                name_token.position,
+            )
+        return ast.FunctionCall(name, tuple(args), fn)
 
     def parse_location_path(self) -> ast.LocationPath:
         absolute = False
@@ -238,12 +259,18 @@ class _Parser:
             first = self.advance().value
             if self.peek().kind is TokenKind.COLON:
                 self.advance()
-                nxt = self.peek()
-                if nxt.kind is TokenKind.STAR:
+                uri = self.namespaces.get(first)
+                if uri is None:
+                    raise XPathSyntaxError(
+                        f"undeclared namespace prefix {first!r}",
+                        self.expression,
+                        token.position,
+                    )
+                if self.peek().kind is TokenKind.STAR:
                     self.advance()
-                    return ast.NodeTest("name", prefix=first, local="*")
+                    return ast.NodeTest("name", first, "*", uri)
                 local = self.expect(TokenKind.NAME).value
-                return ast.NodeTest("name", prefix=first, local=local)
+                return ast.NodeTest("name", first, local, uri)
             return ast.NodeTest("name", prefix=None, local=first)
         raise XPathSyntaxError(
             f"expected a node test, found {token.value!r}", self.expression, token.position
@@ -258,6 +285,7 @@ class _Parser:
         return predicates
 
 
-def parse_xpath(expression: str) -> ast.Expr:
-    """Parse an XPath expression into an AST."""
-    return _Parser(expression).parse()
+def parse_xpath(expression: str, namespaces: Optional[dict[str, str]] = None) -> ast.Expr:
+    """Parse an XPath expression into an AST, resolving the prefixes it uses
+    against ``namespaces``."""
+    return _Parser(expression, namespaces or {}).parse()

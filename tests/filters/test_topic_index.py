@@ -1,8 +1,9 @@
-"""The fan-out fast path's topic-subscription trie.
+"""The fan-out fast path's topic-subscription trie and content buckets.
 
 The load-bearing property: for every (expression, path) pair the index's
 candidate set agrees exactly with ``TopicExpression.matches`` — the trie is a
-pure acceleration of the linear scan, never a semantic change.
+pure acceleration of the linear scan, never a semantic change.  The content
+dimension is held to the same standard against ``XPath.matches``.
 """
 
 import random
@@ -10,7 +11,9 @@ import random
 import pytest
 
 from repro.filters.base import AcceptAllFilter, AndFilter
-from repro.filters.content import MessageContentFilter
+from repro.filters.compilecache import compiled_xpath
+from repro.filters.content import MessageContentFilter, content_expression_of
+from repro.filters.producer import ProducerPropertiesFilter
 from repro.filters.topics import (
     TopicDialect,
     TopicExpression,
@@ -19,6 +22,7 @@ from repro.filters.topics import (
     TopicSubscriptionIndex,
     topic_expression_of,
 )
+from repro.xmlkit import parse_xml
 
 FULL = TopicDialect.FULL
 
@@ -204,3 +208,104 @@ class TestTopicExpressionOf:
         namespace = TopicNamespace()
         assert isinstance(namespace.new_index(), TopicSubscriptionIndex)
         assert namespace.new_index() is not namespace.new_index()
+
+
+def _reading(host: str):
+    return parse_xml(f"<Reading><host>{host}</host></Reading>").freeze()
+
+
+def _host(name: str):
+    return compiled_xpath(f"/Reading[host='{name}']")
+
+
+class TestContentDimension:
+    def test_keys_need_topic_and_content_to_admit(self):
+        index = TopicSubscriptionIndex()
+        index.add("all", None)
+        index.add("topic-only", TopicExpression("a/*", FULL))
+        index.add("content-only", None, _host("h1"))
+        index.add("both", TopicExpression("a/*", FULL), _host("h1"))
+        index.add("other-host", TopicExpression("a/*", FULL), _host("h2"))
+        assert index.candidates("a/b", _reading("h1")) == [
+            "all", "topic-only", "content-only", "both",
+        ]
+        assert index.candidates("a/b", _reading("h2")) == ["all", "topic-only", "other-host"]
+        assert index.candidates("z", _reading("h1")) == ["all", "content-only"]
+        assert index.candidates(None, _reading("h9")) == ["all"]
+
+    def test_without_a_payload_content_is_not_consulted(self):
+        index = TopicSubscriptionIndex()
+        index.add("k", None, _host("h1"))
+        assert index.candidates("a") == ["k"]
+        assert index.content_evals == 0
+
+    def test_one_evaluation_per_distinct_expression_not_per_key(self):
+        index = TopicSubscriptionIndex()
+        for n in range(300):
+            index.add(f"k{n}", None, _host(f"h{n % 3}"))
+        assert len(index._content) == 3
+        assert index.candidates(None, _reading("h1")) == [f"k{n}" for n in range(1, 300, 3)]
+        assert index.content_evals == 3
+
+    def test_buckets_the_topic_side_ruled_out_are_not_evaluated(self):
+        index = TopicSubscriptionIndex()
+        index.add("near", TopicExpression("a", TopicDialect.CONCRETE), _host("h1"))
+        index.add("far", TopicExpression("b", TopicDialect.CONCRETE), _host("h2"))
+        assert index.candidates("a", _reading("h1")) == ["near"]
+        assert index.content_evals == 1
+
+    def test_an_expression_that_fails_to_evaluate_leaves_its_keys_to_the_caller(self):
+        # conservative pre-filter: the subscription's own filter reports it
+        index = TopicSubscriptionIndex()
+        index.add("healthy", None, _host("h1"))
+        index.add("poisoned", None, compiled_xpath("1 | 2"))
+        assert index.candidates(None, _reading("h1")) == ["healthy", "poisoned"]
+
+    def test_churn_leaves_no_empty_bucket_behind(self):
+        rng = random.Random(13)
+        index = TopicSubscriptionIndex()
+        live: list[str] = []
+        for step in range(2000):
+            if live and rng.random() < 0.5:
+                index.discard(live.pop(rng.randrange(len(live))))
+            else:
+                key = f"k{step}"
+                topic = rng.choice([None, TopicExpression("a/*", FULL)])
+                index.add(key, topic, rng.choice([None, _host(f"h{rng.randrange(5)}")]))
+                live.append(key)
+            if step % 7 == 0 and live:  # re-registration replaces the old entry
+                index.add(live[0], None, _host(f"h{rng.randrange(5)}"))
+            assert len(index._content) == len({index._content_of[k] for k in live if k in index._content_of})
+        for key in live:
+            index.discard(key)
+        assert len(index._content) == 0 and len(index) == 0
+        assert index._content == {} and index._content_of == {}
+        assert index.candidates("a/b", _reading("h1")) == []
+
+    def test_same_predicate_under_different_in_scope_bindings_shares_a_bucket(self):
+        wse = compiled_xpath("/e:r[e:h='1']", {"e": "urn:e", "s": "urn:soap", "wse": "urn:wse"})
+        wsn = compiled_xpath("/e:r[e:h='1']", {"wsnt": "urn:wsn", "e": "urn:e"})
+        assert wse is wsn
+        assert compiled_xpath("/e:r[e:h='1']", {"e": "urn:other"}) is not wse
+        index = TopicSubscriptionIndex()
+        index.add("a", None, wse)
+        index.add("b", None, wsn)
+        assert len(index._content) == 1
+
+
+class TestContentExpressionOf:
+    def test_message_content_filter_exposes_its_shared_compiled_form(self):
+        first, second = MessageContentFilter("//a"), MessageContentFilter("//a")
+        assert content_expression_of(first) is content_expression_of(second) is first.xpath
+
+    def test_and_filter_exposes_its_content_part(self):
+        content = MessageContentFilter("//a")
+        composite = AndFilter(
+            [TopicFilter(TopicExpression("a", TopicDialect.CONCRETE)), content]
+        )
+        assert content_expression_of(composite) is content.xpath
+
+    def test_filters_without_a_content_part_map_to_none(self):
+        assert content_expression_of(AcceptAllFilter()) is None
+        assert content_expression_of(ProducerPropertiesFilter("/*")) is None
+        assert content_expression_of(TopicFilter(TopicExpression("a", FULL))) is None

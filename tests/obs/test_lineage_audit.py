@@ -65,7 +65,7 @@ class TestLedgerAccounting:
         assert {
             "published", "mediated", "queued", "enqueued", "replayed",
             "attempted", "pending_pull", "delivered", "dead_lettered",
-            "failed", "shed",
+            "failed", "shed", "filter_error",
         } == set(KNOWN_STATES)
 
 

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.filters.base import AcceptAllFilter, FilterContext
+from repro.filters.base import AcceptAllFilter
 from repro.transport import VirtualClock
 from repro.wsa import EndpointReference
 from repro.wse.model import DeliveryMode, SubscriptionStore, WseSubscription
 from repro.wse.versions import WseVersion
-from repro.xmlkit import parse_xml
 
 
 @pytest.fixture
@@ -91,11 +90,6 @@ class TestSubscriptionModel:
         subscription = make(store, expires=None)
         clock.advance(10**9)
         assert not subscription.is_expired(clock.now())
-
-    def test_accepts_delegates_to_filter(self, store):
-        subscription = make(store)
-        payload = parse_xml("<e/>")
-        assert subscription.accepts(FilterContext(payload))
 
     def test_queue_starts_empty(self, store):
         assert make(store).queue == []

@@ -70,8 +70,9 @@ class TestLocationPaths:
         assert not match("/StatusEvent")
 
     def test_undeclared_prefix_raises(self):
-        with pytest.raises(XPathEvaluationError):
-            XPath("/zz:thing", NS).matches(DOC)
+        # resolved when the expression is compiled, not per evaluation
+        with pytest.raises(XPathSyntaxError, match="undeclared namespace prefix 'zz'"):
+            XPath("/zz:thing", NS)
 
 
 class TestPredicates:
@@ -190,12 +191,17 @@ class TestFunctions:
             ev("count('text')")
 
     def test_unknown_function(self):
-        with pytest.raises(XPathEvaluationError):
-            ev("frobnicate(1)")
+        with pytest.raises(XPathSyntaxError, match="unknown function frobnicate"):
+            XPath("frobnicate(1)", NS)
 
     def test_arity_error(self):
-        with pytest.raises(XPathEvaluationError):
-            ev("contains('only-one')")
+        with pytest.raises(XPathSyntaxError, match=r"contains\(\) does not take 1 argument"):
+            XPath("contains('only-one')", NS)
+
+    @pytest.mark.parametrize("bad", ["concat('one')", "true(1)", "substring('a', 1, 2, 3)"])
+    def test_arity_bounds(self, bad):
+        with pytest.raises(XPathSyntaxError, match="argument"):
+            XPath(bad, NS)
 
 
 class TestSyntaxErrors:

@@ -72,9 +72,10 @@ class TestLocationPaths:
         assert tree.steps[1].axis == "parent"
 
     def test_qname_test(self):
-        tree = parse_xpath("ns:local")
+        tree = parse_xpath("ns:local", {"ns": "urn:x"})
         test = tree.steps[0].test
         assert test.prefix == "ns" and test.local == "local"
+        assert test.namespace == "urn:x"
 
     def test_predicates_attached_to_step(self):
         tree = parse_xpath("a[1][b]")
