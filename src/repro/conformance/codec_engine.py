@@ -11,6 +11,16 @@ Two case shapes:
   prefixes on one namespace, default namespaces, entity/character
   references, mixed content).  Raw text is parsed first, so the property is
   on the *parsed* tree: serialize→parse must be the identity from there on.
+
+Two hostile shapes, kept compact so a case is a line, not a 20 KB literal:
+
+- ``deep`` — ``<a>`` nested ``depth`` times.  It either parses (and then
+  round-trips like any raw document, through the tree's recursive walkers)
+  or raises :class:`XmlParseError`; no other exception type may escape.
+- ``reject`` — a document the parser must refuse, sent as its UTF-8 bytes
+  (a Document Type Declaration, which SOAP forbids; an encoding declaration
+  naming no usable codec): it must raise :class:`XmlParseError`, never parse
+  and never raise anything else.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from repro.conformance.gen import (
 from repro.util.rng import SeededRng
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import QName
-from repro.xmlkit.parser import XmlParseError, parse_xml
+from repro.xmlkit.parser import MAX_DEPTH, XmlParseError, parse_xml
 from repro.xmlkit.writer import serialize_xml
 
 # pre-escaped fragments safe to splice into raw markup text slots
@@ -35,6 +45,18 @@ _ESCAPED_POOL = ("t", "a b", "&amp;", "&lt;", "&#9;", "&#10;", "&#13;", "x&gt;y"
 # raw character data for CDATA sections ("]]>" would close the section;
 # "\r" would be eaten by XML line-end normalization before the parser)
 _CDATA_POOL = ("x", "a & b < c", "<not><markup>", " two]]brackets ", "line\nbreak", "")
+
+
+# nesting depths around the parser's cap, plus one no recursive walker survives
+_DEPTH_POOL = (1, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 2 * MAX_DEPTH, 3000)
+_REJECT_POOL = (
+    '<!DOCTYPE r [<!ENTITY a "expanded">]><r>&a;</r>',
+    '<!DOCTYPE r [<!ENTITY a "aaaa"><!ENTITY b "&a;&a;&a;&a;">]><r>&b;</r>',
+    '<!DOCTYPE r SYSTEM "http://repro.invalid/r.dtd"><r/>',
+    "<!DOCTYPE r><r/>",
+    '<?xml version="1.0" encoding="no-such-codec"?><r/>',
+    '<?xml version="1.0" encoding="shift_jis"?><r/>',
+)
 
 
 def _gen_raw_xml(rng: SeededRng) -> str:
@@ -64,7 +86,12 @@ class CodecEngine:
     name = "codec"
 
     def generate(self, rng: SeededRng) -> dict:
-        if rng.randrange(3) == 0:
+        roll = rng.randrange(30)
+        if roll == 0:
+            return {"kind": "deep", "depth": pick(rng, _DEPTH_POOL)}
+        if roll == 1:
+            return {"kind": "reject", "xml": pick(rng, _REJECT_POOL)}
+        if roll % 3 == 0:
             return {"kind": "raw", "xml": _gen_raw_xml(rng)}
         return {"kind": "tree", "tree": gen_tree_spec(rng)}
 
@@ -75,6 +102,11 @@ class CodecEngine:
             return self._check_raw(case["xml"])
         if case.get("kind") == "tree" and valid_tree_spec(case.get("tree")):
             return self._check_tree(case["tree"])
+        depth = case.get("depth")
+        if case.get("kind") == "deep" and isinstance(depth, int) and 0 < depth <= 100_000:
+            return self._check_raw("<a>" * depth + "</a>" * depth)
+        if case.get("kind") == "reject" and isinstance(case.get("xml"), str):
+            return self._check_rejected(case["xml"])
         return None  # not a case (shrinker wandered): vacuously passing
 
     # --- properties ------------------------------------------------------
@@ -85,6 +117,13 @@ class CodecEngine:
         except XmlParseError:
             return None  # generator emitted well-formed XML; shrunk forms may not be
         return self._roundtrip(first, "raw")
+
+    def _check_rejected(self, xml: str) -> Optional[str]:
+        try:
+            parse_xml(xml.encode("utf-8"))
+        except XmlParseError:
+            return None
+        return f"reject: parsed a document the parser must refuse: {xml!r}"
 
     def _check_tree(self, spec: dict) -> Optional[str]:
         elem = spec_to_elem(spec)

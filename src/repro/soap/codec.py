@@ -58,22 +58,22 @@ def parse_envelope(text: str | bytes) -> SoapEnvelope:
     envelope = SoapEnvelope(version)
     header = root.find(version.qname("Header"))
     if header is not None:
+        mu_attr = version.qname("mustUnderstand")
+        actor_attr = version.qname("actor" if version is SoapVersion.V11 else "role")
         for content in header.elements():
-            envelope.headers.append(_parse_header_block(content, version))
+            attrs = content.attrs
+            envelope.headers.append(
+                HeaderBlock(
+                    content,
+                    attrs.pop(mu_attr, "") in ("1", "true"),
+                    attrs.pop(actor_attr, None),
+                )
+            )
     body = root.find(version.qname("Body"))
     if body is None:
         raise SoapCodecError("envelope has no Body")
-    for payload in body.elements():
-        envelope.body.append(payload)
+    envelope.body.extend(body.elements())
     return envelope
-
-
-def _parse_header_block(content: XElem, version: SoapVersion) -> HeaderBlock:
-    mu_attr = version.qname("mustUnderstand")
-    actor_attr = version.qname("actor" if version is SoapVersion.V11 else "role")
-    must_understand = content.attrs.pop(mu_attr, "") in ("1", "true")
-    actor = content.attrs.pop(actor_attr, None)
-    return HeaderBlock(content, must_understand, actor)
 
 
 def envelope_bytes(envelope: SoapEnvelope) -> bytes:

@@ -3,32 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Optional
 
 from repro.xmlkit.element import XElem
-from repro.xmlkit.names import Namespaces, QName
+from repro.xmlkit.names import Namespaces, NamespaceVersion, QName
 
 
-class SoapVersion(Enum):
+class SoapVersion(NamespaceVersion):
     """SOAP protocol version; carries its envelope namespace."""
 
     V11 = Namespaces.SOAP11
     V12 = Namespaces.SOAP12
-
-    @property
-    def namespace(self) -> str:
-        return self.value
-
-    def qname(self, local: str) -> QName:
-        return QName(self.namespace, local)
-
-    @classmethod
-    def from_namespace(cls, uri: str) -> "SoapVersion":
-        for version in cls:
-            if version.namespace == uri:
-                return version
-        raise ValueError(f"not a SOAP envelope namespace: {uri!r}")
 
 
 @dataclass

@@ -107,35 +107,55 @@ def apply_headers(
 def detect_wsa_version(envelope: SoapEnvelope) -> Optional[WsaVersion]:
     """Find which WS-Addressing namespace the envelope's headers use."""
     for block in envelope.headers:
-        try:
-            return WsaVersion.from_namespace(block.name.namespace)
-        except ValueError:
-            continue
+        version = WsaVersion.find_namespace(block.content.name.namespace)
+        if version is not None:
+            return version
     return None
 
 
+#: local names of the message-information headers; a block with one of these
+#: names in the detected version's namespace is consumed, never echoed
+_MESSAGE_INFORMATION = frozenset(
+    ("To", "Action", "MessageID", "RelatesTo", "ReplyTo", "FaultTo", "From")
+)
+
+
+def _stripped_text(block: Optional[XElem]) -> Optional[str]:
+    return block.full_text().strip() if block is not None else None
+
+
 def extract_headers(envelope: SoapEnvelope, version: Optional[WsaVersion] = None) -> MessageHeaders:
-    """Recover addressing headers; auto-detects the version when not given."""
+    """Recover addressing headers; auto-detects the version when not given.
+
+    One pass over the header blocks: the first block of each
+    message-information name wins, and every block outside that vocabulary
+    (other namespaces, other WS-Addressing versions) is echoed in order.
+    """
     if version is None:
         version = detect_wsa_version(envelope)
         if version is None:
             raise ValueError("envelope carries no WS-Addressing headers")
-    to = envelope.header_text(version.qname("To")) or ""
-    action = envelope.header_text(version.qname("Action")) or ""
-    headers = MessageHeaders(to=to, action=action)
-    headers.message_id = envelope.header_text(version.qname("MessageID"))
-    headers.relates_to = envelope.header_text(version.qname("RelatesTo"))
-    reply_to = envelope.header(version.qname("ReplyTo"))
+    namespace = version.namespace
+    found: dict[str, XElem] = {}
+    echoed: list[XElem] = []
+    for block in envelope.headers:
+        content = block.content
+        name = content.name
+        if name.namespace == namespace and name.local in _MESSAGE_INFORMATION:
+            found.setdefault(name.local, content)
+        else:
+            echoed.append(content)
+    headers = MessageHeaders(
+        to=_stripped_text(found.get("To")) or "",
+        action=_stripped_text(found.get("Action")) or "",
+        message_id=_stripped_text(found.get("MessageID")),
+        relates_to=_stripped_text(found.get("RelatesTo")),
+        echoed=echoed,
+    )
+    reply_to = found.get("ReplyTo")
     if reply_to is not None:
         headers.reply_to = EndpointReference.from_element(reply_to, version)
-    fault_to = envelope.header(version.qname("FaultTo"))
+    fault_to = found.get("FaultTo")
     if fault_to is not None:
         headers.fault_to = EndpointReference.from_element(fault_to, version)
-    known = {
-        version.qname(local)
-        for local in ("To", "Action", "MessageID", "RelatesTo", "ReplyTo", "FaultTo", "From")
-    }
-    headers.echoed = [
-        block.content for block in envelope.headers if block.name not in known
-    ]
     return headers

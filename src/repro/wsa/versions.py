@@ -2,24 +2,15 @@
 
 from __future__ import annotations
 
-from enum import Enum
-
-from repro.xmlkit.names import Namespaces, QName
+from repro.xmlkit.names import Namespaces, NamespaceVersion, QName
 
 
-class WsaVersion(Enum):
+class WsaVersion(NamespaceVersion):
     """One of the three WS-Addressing releases used by WSE/WSN versions."""
 
     V2003_03 = Namespaces.WSA_2003_03
     V2004_08 = Namespaces.WSA_2004_08
     V2005_08 = Namespaces.WSA_2005_08
-
-    @property
-    def namespace(self) -> str:
-        return self.value
-
-    def qname(self, local: str) -> QName:
-        return QName(self.namespace, local)
 
     @property
     def anonymous_uri(self) -> str:
@@ -42,10 +33,3 @@ class WsaVersion(Enum):
     def is_reference_parameter_attr(self) -> QName:
         """2005/08 marks echoed headers with wsa:IsReferenceParameter."""
         return self.qname("IsReferenceParameter")
-
-    @classmethod
-    def from_namespace(cls, uri: str) -> "WsaVersion":
-        for version in cls:
-            if version.namespace == uri:
-                return version
-        raise ValueError(f"not a WS-Addressing namespace: {uri!r}")

@@ -8,24 +8,15 @@ to).
 
 from __future__ import annotations
 
-from enum import Enum
-
 from repro.wsa.versions import WsaVersion
-from repro.xmlkit.names import Namespaces, QName
+from repro.xmlkit.names import Namespaces, NamespaceVersion
 
 
-class WseVersion(Enum):
+class WseVersion(NamespaceVersion):
     """The two released WS-Eventing specifications."""
 
     V2004_01 = Namespaces.WSE_2004_01
     V2004_08 = Namespaces.WSE_2004_08
-
-    @property
-    def namespace(self) -> str:
-        return self.value
-
-    def qname(self, local: str) -> QName:
-        return QName(self.namespace, local)
 
     def action(self, local: str) -> str:
         return f"{self.namespace}/{local}"

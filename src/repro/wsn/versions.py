@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from enum import Enum
-
 from repro.wsa.versions import WsaVersion
-from repro.xmlkit.names import Namespaces, QName
+from repro.xmlkit.names import Namespaces, NamespaceVersion
 
 
-class WsnVersion(Enum):
+class WsnVersion(NamespaceVersion):
     """The three WS-BaseNotification releases the paper compares.
 
     1.0 (03/2004) is the initial refactor of the original WS-Notification;
@@ -20,13 +18,6 @@ class WsnVersion(Enum):
     V1_0 = Namespaces.WSNT_10
     V1_2 = Namespaces.WSNT_12
     V1_3 = Namespaces.WSNT_13
-
-    @property
-    def namespace(self) -> str:
-        return self.value
-
-    def qname(self, local: str) -> QName:
-        return QName(self.namespace, local)
 
     def action(self, local: str) -> str:
         return f"{self.namespace}/{local}"

@@ -10,17 +10,20 @@ first-class constants here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from enum import Enum
+from typing import NamedTuple, Optional, TypeVar
 
 
-@dataclass(frozen=True, slots=True)
-class QName:
+class QName(NamedTuple):
     """An XML qualified name: a ``(namespace URI, local part)`` pair.
 
     ``namespace`` is ``""`` for names in no namespace.  QNames are hashable
     and compare by value, which lets element/attribute lookup be exact even
     when two specifications use the same local name in different namespaces
     (e.g. ``Subscribe`` exists in both WS-Eventing and WS-BaseNotification).
+
+    A named tuple rather than a dataclass: a received envelope is a few
+    dozen names to build, hash and compare, and a tuple does all three in C.
     """
 
     namespace: str
@@ -103,6 +106,42 @@ class Namespaces:
         WSRF_RL: "wsrf-rl",
         WSRF_BF: "wsrf-bf",
     }
+
+
+_V = TypeVar("_V", bound="NamespaceVersion")
+
+
+class NamespaceVersion(Enum):
+    """Base of the specification-version enums (SOAP, WS-Addressing,
+    WS-Eventing, WS-Notification): a member's value is its namespace URI.
+
+    ``qname`` keeps the names it has built per member.  Every caller passes
+    a local name from the specification's own vocabulary, so each table is
+    a few dozen entries and the wire path builds no name twice.
+    """
+
+    def __init__(self, namespace: str) -> None:
+        self.namespace = namespace
+        self._qnames: dict[str, QName] = {}
+
+    def qname(self, local: str) -> QName:
+        name = self._qnames.get(local)
+        if name is None:
+            name = self._qnames[local] = QName(self.namespace, local)
+        return name
+
+    @classmethod
+    def find_namespace(cls: type[_V], uri: str) -> Optional[_V]:
+        """The version whose namespace is ``uri``, or ``None``."""
+        return cls._value2member_map_.get(uri)  # type: ignore[return-value]
+
+    @classmethod
+    def from_namespace(cls: type[_V], uri: str) -> _V:
+        """Like :meth:`find_namespace` but raises ``ValueError`` when absent."""
+        version = cls.find_namespace(uri)
+        if version is None:
+            raise ValueError(f"not a {cls.__name__} namespace: {uri!r}")
+        return version
 
 
 def qn(namespace: str, local: str) -> QName:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.soap import SoapEnvelope, SoapFault, FaultCode
+from repro.obs import Instrumentation
+from repro.soap import SoapEnvelope, SoapFault, FaultCode, parse_envelope
 from repro.transport import (
     AddressUnreachable,
     FirewallBlocked,
@@ -213,3 +214,28 @@ class TestSoapEndpoint:
     def test_epr(self):
         _, endpoint = self._setup()
         assert endpoint.epr().address == "http://svc"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"<a>" * 5000 + b"</a>" * 5000,
+            b'<!DOCTYPE r [<!ENTITY a "expanded">]><r>&a;</r>',
+            b"<s:Envelope",
+        ],
+        ids=["deep-nesting", "doctype", "truncated"],
+    )
+    def test_hostile_body_answers_400_sender_fault(self, body):
+        # nothing the parser refuses may raise out of send_request into the
+        # sender's stack: the answer is a counted 400 Sender fault
+        network, _ = self._setup()
+        instrumentation = Instrumentation.attach(network)
+        wire = network.send_request("http://svc", build_request("http://svc", body))
+        response = parse_response(wire)
+        assert response.status == 400
+        reply = parse_envelope(response.body)
+        fault = SoapFault.from_element(reply.body_element(), reply.version)
+        assert fault.code is FaultCode.SENDER
+        assert "unparseable envelope" in fault.reason
+        assert instrumentation.metrics.counter_values("endpoint.requests") == {
+            "endpoint.requests{address=http://svc,status=parse_error}": 1
+        }

@@ -149,3 +149,107 @@ class TestHeaders:
         apply_headers(envelope, headers, WsaVersion.V2005_08)
         recovered = extract_headers(parse_envelope(serialize_envelope(envelope)))
         assert recovered.reply_to.address == "http://client/sink"
+
+
+def _extract_by_rescanning(envelope, version):
+    """The retired ``extract_headers``: one scan of the header list per name."""
+    to = envelope.header_text(version.qname("To")) or ""
+    action = envelope.header_text(version.qname("Action")) or ""
+    headers = MessageHeaders(to=to, action=action)
+    headers.message_id = envelope.header_text(version.qname("MessageID"))
+    headers.relates_to = envelope.header_text(version.qname("RelatesTo"))
+    reply_to = envelope.header(version.qname("ReplyTo"))
+    if reply_to is not None:
+        headers.reply_to = EndpointReference.from_element(reply_to, version)
+    fault_to = envelope.header(version.qname("FaultTo"))
+    if fault_to is not None:
+        headers.fault_to = EndpointReference.from_element(fault_to, version)
+    known = {
+        version.qname(local)
+        for local in ("To", "Action", "MessageID", "RelatesTo", "ReplyTo", "FaultTo", "From")
+    }
+    headers.echoed = [block.content for block in envelope.headers if block.name not in known]
+    return headers
+
+
+@pytest.mark.parametrize("version", list(WsaVersion), ids=lambda version: version.name)
+class TestExtractHeadersSinglePass:
+    FOREIGN = QName("urn:other", "Token")
+
+    def _other(self, version):
+        return next(other for other in WsaVersion if other is not version)
+
+    def _envelope(self, version):
+        """Every shape at once: a foreign block ahead of the first WSA block,
+        duplicates of To/Action/MessageID, another WSA version's To in the
+        middle, From, and ReplyTo/FaultTo EPRs carrying reference parameters."""
+        reply_to = EndpointReference("http://client/reply")
+        reply_to.with_parameter(text_element(SUB_ID, "sub-1"))
+        fault_to = EndpointReference("http://client/faults")
+        fault_to.with_parameter(text_element(SUB_ID, "sub-2"))
+        fault_to.with_parameter(text_element(self.FOREIGN, "t"))
+        envelope = SoapEnvelope()
+        for content in (
+            text_element(self.FOREIGN, "before"),
+            text_element(version.qname("To"), " http://first "),
+            text_element(version.qname("Action"), "urn:first"),
+            text_element(self._other(version).qname("To"), "http://other-version"),
+            text_element(version.qname("To"), "http://second"),
+            text_element(version.qname("MessageID"), "urn:uuid:1"),
+            text_element(SUB_ID, "sub-9"),
+            text_element(version.qname("Action"), "urn:second"),
+            text_element(version.qname("MessageID"), "urn:uuid:2"),
+            text_element(version.qname("RelatesTo"), "urn:uuid:0"),
+            text_element(version.qname("From"), "http://ignored"),
+            reply_to.to_element(version, version.qname("ReplyTo")),
+            fault_to.to_element(version, version.qname("FaultTo")),
+            text_element(version.qname("Unknown"), "kept"),
+            text_element(self.FOREIGN, "after"),
+        ):
+            envelope.add_header(content)
+        return parse_envelope(serialize_envelope(envelope))
+
+    def test_first_block_of_a_name_wins(self, version):
+        headers = extract_headers(self._envelope(version))
+        assert headers.to == "http://first"
+        assert headers.action == "urn:first"
+        assert headers.message_id == "urn:uuid:1"
+        assert headers.relates_to == "urn:uuid:0"
+
+    def test_everything_outside_the_vocabulary_is_echoed_in_order(self, version):
+        headers = extract_headers(self._envelope(version))
+        assert [(block.name, block.text()) for block in headers.echoed] == [
+            (self.FOREIGN, "before"),
+            (self._other(version).qname("To"), "http://other-version"),
+            (SUB_ID, "sub-9"),
+            (version.qname("Unknown"), "kept"),
+            (self.FOREIGN, "after"),
+        ]
+
+    def test_reply_and_fault_eprs_keep_their_reference_parameters(self, version):
+        headers = extract_headers(self._envelope(version))
+        assert headers.reply_to.address == "http://client/reply"
+        assert headers.reply_to.parameter_text(SUB_ID) == "sub-1"
+        assert headers.fault_to.address == "http://client/faults"
+        assert headers.fault_to.parameter_text(SUB_ID) == "sub-2"
+        assert headers.fault_to.parameter_text(self.FOREIGN) == "t"
+
+    def test_same_result_as_the_rescanning_implementation(self, version):
+        envelope = self._envelope(version)
+        assert extract_headers(envelope) == _extract_by_rescanning(envelope, version)
+        assert extract_headers(envelope, version) == _extract_by_rescanning(envelope, version)
+        # an explicit version overrides detection: everything is then foreign
+        other = self._other(version)
+        assert extract_headers(envelope, other) == _extract_by_rescanning(envelope, other)
+
+    def test_detection_skips_leading_foreign_blocks(self, version):
+        assert detect_wsa_version(self._envelope(version)) is version
+
+    def test_no_wsa_header_still_raises(self, version):
+        envelope = SoapEnvelope()
+        envelope.add_header(text_element(self.FOREIGN, "only"))
+        with pytest.raises(ValueError, match="no WS-Addressing"):
+            extract_headers(envelope)
+        headers = extract_headers(envelope, version)
+        assert (headers.to, headers.action, headers.message_id) == ("", "", None)
+        assert [block.name for block in headers.echoed] == [self.FOREIGN]

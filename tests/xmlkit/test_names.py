@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.xmlkit.names import Namespaces, QName, qn
+from repro.soap.envelope import SoapVersion
+from repro.wsa.versions import WsaVersion
+from repro.wse.versions import WseVersion
+from repro.wsn.versions import WsnVersion
+from repro.xmlkit.names import Namespaces, NamespaceVersion, QName, qn
+from repro.xmlkit.parser import parse_xml
 
 
 class TestQName:
@@ -32,6 +37,66 @@ class TestQName:
 
     def test_qn_shorthand(self):
         assert qn("urn:a", "x") == QName("urn:a", "x")
+
+    def test_hash_equal_across_separately_built_instances(self):
+        built = QName("urn:" + "a", "".join(["x", "y"]))
+        assert built is not QName("urn:a", "xy")
+        assert hash(built) == hash(QName("urn:a", "xy")) == hash(QName.from_clark("{urn:a}xy"))
+
+    def test_dict_key_with_interned_and_fresh_instances_mixed(self):
+        root = parse_xml('<p:x xmlns:p="urn:a" p:k="v" k="w"/>')  # parser-interned names
+        table = {root.name: "element", QName("urn:a", "k"): "prefixed", QName("", "k"): "plain"}
+        assert table[QName("urn:a", "x")] == "element"
+        assert [table[key] for key in root.attrs] == ["prefixed", "plain"]
+        assert root.attrs[QName("urn:a", "k")] == "v"
+        parsed = parse_xml(f'<Envelope xmlns="{Namespaces.SOAP11}"/>').name
+        assert parsed in {SoapVersion.V11.qname("Envelope")}
+
+    def test_immutable(self):
+        name = QName("urn:a", "x")
+        with pytest.raises(AttributeError):
+            name.local = "y"
+        with pytest.raises(AttributeError):
+            name.extra = 1
+        with pytest.raises(TypeError):
+            name[0] = "urn:b"
+
+    def test_fields_by_name_and_in_order(self):
+        name = QName("urn:a", "x")
+        assert (name.namespace, name.local) == ("urn:a", "x") == tuple(name)
+        assert repr(name) == "QName(namespace='urn:a', local='x')"
+        assert f"<{name}>" == "<{urn:a}x>"
+
+
+VERSION_ENUMS = [SoapVersion, WsaVersion, WseVersion, WsnVersion]
+
+
+@pytest.mark.parametrize("enum", VERSION_ENUMS, ids=lambda enum: enum.__name__)
+class TestNamespaceVersion:
+    def test_one_shared_implementation(self, enum):
+        assert issubclass(enum, NamespaceVersion)
+        for name in ("qname", "find_namespace", "from_namespace"):
+            assert name not in vars(enum)
+
+    def test_value_is_the_namespace(self, enum):
+        for version in enum:
+            assert version.namespace == version.value
+
+    def test_qname_is_built_once_per_member_and_local(self, enum):
+        for version in enum:
+            name = version.qname("Probe")
+            assert name == QName(version.namespace, "Probe")
+            assert version.qname("Probe") is name
+        first, second = list(enum)[:2]
+        assert first.qname("Probe") != second.qname("Probe")
+
+    def test_lookup_by_namespace(self, enum):
+        for version in enum:
+            assert enum.find_namespace(version.namespace) is version
+            assert enum.from_namespace(version.namespace) is version
+        assert enum.find_namespace("urn:none") is None
+        with pytest.raises(ValueError, match=enum.__name__):
+            enum.from_namespace("urn:none")
 
 
 class TestNamespaces:
