@@ -1,23 +1,21 @@
 """Benchmark — the notification fan-out hot path.
 
 Sweeps {10, 100, 1000} subscribers x {100%, 10%, 1%} topic selectivity over a
-WSN producer and measures FOUR fan-out paths in the same run:
+WSN producer, plus two big cells — (10_000, 1%) and (100_000, 1%) — and
+measures the two fan-out modes that ship, in the same run:
 
-- ``linear``    — the pre-index linear matcher (``debug_linear_match=True``),
-  tree-serializing every envelope (``debug_no_templates=True``);
-- ``indexed``   — the PR 3 fast path: topic index + frozen payload + spliced
-  serialization, but a full envelope tree built and walked per send
-  (``debug_no_templates=True``);
-- ``templated`` — per-(sink, shape) envelope byte-templates: steady-state
-  sends are a ``str.join`` over cached segments, zero tree walks;
-- ``batched``   — byte-templates plus per-sink delivery batching
+- ``templated`` — topic index + frozen payload + per-(sink, shape) envelope
+  byte-templates: steady-state sends are a ``str.join`` over cached
+  segments, zero tree walks; one wire request per matched subscription;
+- ``batched``   — the same plus per-sink delivery batching
   (``BatchingPolicy(window=0.0, max_batch=100)``): same-sink notifications
   within one publish coalesce into one multi-message ``Notify``.
 
-Two big cells — (10_000, 1%) and (100_000, 1%) — extend the sweep for the
-non-linear modes (the linear matcher at 100k subscribers is pointless
-cruelty).  Per cell it records filter evaluations, payload copies, index
-hits/skips, template hits/misses, batched submissions, envelope
+(The linear matcher and the tree renderer these were once measured against
+left product code; they survive as test-side oracles under
+``tests/integration/conftest.py``, where byte-identity is what matters and
+wall time is not.)  Per cell it records filter evaluations, payload copies,
+index hits/skips, template hits/misses, batched submissions, envelope
 serializations (frozen splice hits vs refills, full tree walks), wire
 requests and bytes, and virtual/wall time per publish — all sourced from
 ``repro.obs`` counters, the writer's stats and the network's stats.
@@ -50,8 +48,7 @@ RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_fanout_hotpath.jso
 SEED = 20060813
 SUBSCRIBER_GRID = [10, 100, 1000]
 SELECTIVITY_GRID = [1.0, 0.1, 0.01]
-#: the scale extension: non-linear modes only (the linear matcher would
-#: dominate the run without changing any conclusion)
+#: the scale extension
 BIG_CELLS = [(10_000, 0.01), (100_000, 0.01)]
 PUBLISHES = 3
 HOT_TOPIC = "bench/hot"
@@ -60,7 +57,7 @@ SMOKE_POINT = (10, 1.0)
 CI_POINT = (10_000, 0.01)
 ACCEPTANCE_POINT = (100_000, 0.01)
 
-MODE_NAMES = ("linear", "indexed", "templated", "batched")
+MODE_NAMES = ("templated", "batched")
 
 #: every per-mode measurement carries exactly these keys (schema contract)
 MODE_KEYS = frozenset(
@@ -115,8 +112,6 @@ def _build_stack(subscribers: int, selectivity: float, *, mode: str):
     producer = NotificationProducer(
         network,
         "http://bench-producer",
-        debug_linear_match=(mode == "linear"),
-        debug_no_templates=(mode in ("linear", "indexed")),
         batching=BATCH_POLICY if mode == "batched" else None,
     )
     matching = max(1, int(subscribers * selectivity))
@@ -217,16 +212,12 @@ def build_report() -> dict:
         for subscribers in SUBSCRIBER_GRID
         for selectivity in SELECTIVITY_GRID
     ]
-    grid.extend(
-        measure_cell(subscribers, selectivity, modes=("indexed", "templated", "batched"))
-        for subscribers, selectivity in BIG_CELLS
-    )
+    grid.extend(measure_cell(subscribers, selectivity) for subscribers, selectivity in BIG_CELLS)
     target = next(
         cell
         for cell in grid
         if (cell["subscribers"], cell["selectivity"]) == ACCEPTANCE_POINT
     )
-    indexed = target["modes"]["indexed"]
     templated = target["modes"]["templated"]
     batched = target["modes"]["batched"]
     acceptance = {
@@ -234,19 +225,15 @@ def build_report() -> dict:
             "subscribers": target["subscribers"],
             "selectivity": target["selectivity"],
         },
-        "wall_us_per_matched_indexed": round(_wall_per_matched(indexed) * 1e6, 2),
         "wall_us_per_matched_templated": round(_wall_per_matched(templated) * 1e6, 2),
         "wall_us_per_matched_batched": round(_wall_per_matched(batched) * 1e6, 2),
-        "speedup_templated_vs_indexed": round(
-            _wall_per_matched(indexed) / _wall_per_matched(templated), 2
-        ),
-        "speedup_batched_vs_indexed": round(
-            _wall_per_matched(indexed) / _wall_per_matched(batched), 2
+        "speedup_batched_vs_templated": round(
+            _wall_per_matched(templated) / _wall_per_matched(batched), 2
         ),
         "template_hits_batched": batched["template_hits"],
         "template_misses_batched": batched["template_misses"],
         "tree_serializations_batched": batched["tree_serializations"],
-        "wire_requests_indexed": indexed["wire_requests"],
+        "wire_requests_templated": templated["wire_requests"],
         "wire_requests_batched": batched["wire_requests"],
     }
     return {
@@ -262,21 +249,21 @@ def build_report() -> dict:
 # --- pytest entry points -------------------------------------------------------------
 
 
+#: the artifact's 100k point records ~4.6x; the gates leave room for noise
+MIN_ARTIFACT_SPEEDUP = 3.0
+
+
 def test_smoke_smallest_point():
-    """CI smoke: the smallest sweep point runs and all four paths agree."""
+    """CI smoke: the smallest sweep point runs and both modes agree."""
     cell = measure_cell(*SMOKE_POINT)
-    modes = cell["modes"]
-    linear, indexed = modes["linear"], modes["indexed"]
-    templated, batched = modes["templated"], modes["batched"]
-    for measurement in modes.values():
+    templated, batched = cell["modes"]["templated"], cell["modes"]["batched"]
+    for measurement in cell["modes"].values():
         assert set(measurement) == MODE_KEYS
-    # every path delivers the same notifications
-    matched = linear["matched_total"]
-    assert all(m["matched_total"] == matched for m in modes.values())
-    # unbatched paths agree on the wire — request-for-request, byte-for-byte
-    assert indexed["wire_requests"] == linear["wire_requests"]
-    assert templated["wire_requests"] == indexed["wire_requests"]
-    assert templated["bytes_sent"] == indexed["bytes_sent"]
+    # both modes deliver the same notifications
+    matched = templated["matched_total"]
+    assert batched["matched_total"] == matched
+    # unbatched: one request per matched subscription
+    assert templated["wire_requests"] == matched
     # batching coalesces each publish's same-sink sends into one request
     assert batched["wire_requests"] == PUBLISHES
     assert batched["batched_total"] == matched
@@ -286,42 +273,33 @@ def test_smoke_smallest_point():
     assert templated["template_hits"] == matched - 1
     assert templated["tree_serializations"] == 1
     assert batched["tree_serializations"] == 1
-    # the PR 3 invariants still hold on the indexed path
-    assert indexed["index_skips"] == 0
-    assert indexed["frozen_serializations"] == PUBLISHES
-
-
-def test_fast_path_reduces_work_at_scale():
-    """Index acceptance: >=5x fewer filter evals, >=50% fewer copies (1000/1%)."""
-    cell = measure_cell(1000, 0.01, modes=("linear", "indexed"))
-    linear, indexed = cell["modes"]["linear"], cell["modes"]["indexed"]
-    assert indexed["matched_total"] == linear["matched_total"]
-    assert indexed["wire_requests"] == linear["wire_requests"]
-    assert linear["filter_evals"] >= 5 * max(1, indexed["filter_evals"])
-    assert indexed["payload_copies"] <= linear["payload_copies"] / 2
+    # the index and the frozen payload: nothing skipped over, one splice fill per publish
+    assert templated["index_skips"] == 0
+    assert templated["frozen_serializations"] == PUBLISHES
 
 
 def test_ci_smoke_10k_point():
-    """CI gate at (10_000, 1%): templates + batching must beat the PR 3
-    baseline on wall time, with zero tree serializations after warm-up."""
-    cell = measure_cell(*CI_POINT, modes=("indexed", "templated", "batched"))
-    indexed = cell["modes"]["indexed"]
+    """CI gate at (10_000, 1%): batching must beat one-request-per-subscriber
+    on wall time, with zero tree serializations after warm-up."""
+    cell = measure_cell(*CI_POINT)
     templated = cell["modes"]["templated"]
     batched = cell["modes"]["batched"]
-    assert batched["matched_total"] == indexed["matched_total"]
+    assert batched["matched_total"] == templated["matched_total"]
+    # the index hands the loop only the 1% that match
+    assert templated["filter_evals"] == templated["matched_total"]
     # repeated shapes never re-serialize a tree: one compile, then joins only
     assert templated["tree_serializations"] == 1
     assert batched["tree_serializations"] == 1
     assert templated["template_misses"] == 1
     # wall-time regression gate on the noise-resistant best-publish stat
-    # (conservative: the artifact records ~5x+ at 100k; 2x here keeps CI
+    # (conservative: the artifact records ~4.6x at 100k; 2x here keeps CI
     # green on noisy shared runners)
     assert (
         batched["wall_seconds_best_publish"] * 2
-        <= indexed["wall_seconds_best_publish"]
+        <= templated["wall_seconds_best_publish"]
     ), (
         f"batched fan-out regressed: {batched['wall_seconds_best_publish']}s vs "
-        f"indexed {indexed['wall_seconds_best_publish']}s per publish"
+        f"templated {templated['wall_seconds_best_publish']}s per publish"
     )
 
 
@@ -332,34 +310,25 @@ def test_schema_matches_committed_artifact():
     assert committed["schema_version"] == SCHEMA_VERSION
     expected_cells = len(SUBSCRIBER_GRID) * len(SELECTIVITY_GRID) + len(BIG_CELLS)
     assert len(committed["grid"]) == expected_cells
-    big_points = {point for point in BIG_CELLS}
     for cell in committed["grid"]:
         assert set(cell) == CELL_KEYS
-        point = (cell["subscribers"], cell["selectivity"])
-        expected_modes = (
-            {"indexed", "templated", "batched"}
-            if point in big_points
-            else set(MODE_NAMES)
-        )
-        assert set(cell["modes"]) == expected_modes
+        assert set(cell["modes"]) == set(MODE_NAMES)
         for measurement in cell["modes"].values():
             assert set(measurement) == MODE_KEYS
     acceptance = committed["acceptance"]
-    assert acceptance["speedup_batched_vs_indexed"] >= 5.0
+    assert acceptance["speedup_batched_vs_templated"] >= MIN_ARTIFACT_SPEEDUP
     assert acceptance["tree_serializations_batched"] <= PUBLISHES
 
 
 def test_write_fanout_report():
     report = build_report()
-    assert report["acceptance"]["speedup_batched_vs_indexed"] >= 5.0
+    assert report["acceptance"]["speedup_batched_vs_templated"] >= MIN_ARTIFACT_SPEEDUP
     write_artifact(RESULT_FILE, report)
     print(f"\nwrote {RESULT_FILE}")
     point = report["acceptance"]
     print(
         f"  100k subs / 1% selectivity:"
-        f" {point['wall_us_per_matched_indexed']}us/notification indexed"
-        f" -> {point['wall_us_per_matched_templated']}us templated"
-        f" ({point['speedup_templated_vs_indexed']}x)"
+        f" {point['wall_us_per_matched_templated']}us/notification templated"
         f" -> {point['wall_us_per_matched_batched']}us batched"
-        f" ({point['speedup_batched_vs_indexed']}x)"
+        f" ({point['speedup_batched_vs_templated']}x)"
     )

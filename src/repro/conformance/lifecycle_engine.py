@@ -18,6 +18,9 @@ invariants are the ones the paper's comparison takes for granted:
 - a content filter that cannot compile (unbound prefix, unknown function,
   wrong arity) is faulted at subscribe time with the family's filter subcode;
   one that compiles but fails on every message starves only its own subscription;
+- a QoS profile asking for a property the broker understands but does not
+  implement (``DiscardPolicy=DeadlineOrder``, a ``PacingInterval``) is faulted
+  at subscribe time with the family's QoS subcode — never granted and ignored;
 - management operations on an expired or unsubscribed subscription fault.
 
 The model is deliberately naive — a dict per subscription with a float
@@ -30,6 +33,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.conformance.gen import pick
+from repro.qos.properties import DiscardPolicy, QosProfile
 from repro.soap.fault import SoapFault
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.util.rng import SeededRng
@@ -49,6 +53,12 @@ _POISON_FILTERS = {
     "unknown_function": "frobnicate(1)",
     "wrong_arity": "contains('x')",
     "dynamic_error": "1 | 2",  # compiles; '|' needs node-sets on every message
+}
+
+#: optional ``"qos"`` of a subscription spec -> the profile it asks for
+_UNSUPPORTED_QOS = {
+    "deadline_order": {"DiscardPolicy": DiscardPolicy.DEADLINE_ORDER},
+    "pacing_interval": {"PacingInterval": 0.5},
 }
 
 
@@ -129,6 +139,9 @@ class LifecycleEngine:
         for spec in subs:
             if rng.randrange(100) < 8:
                 spec["filter"] = pick(rng, tuple(_POISON_FILTERS))
+        for spec in subs:  # its own pass, after every filter draw, for the same reason
+            if rng.randrange(100) < 5:
+                spec["qos"] = pick(rng, tuple(_UNSUPPORTED_QOS))
         return {"family": family, "version": version, "subs": subs, "ops": ops}
 
     # --- validity (the shrinker mutates blindly) --------------------------
@@ -151,6 +164,8 @@ class LifecycleEngine:
         if not all(_valid_expiry_spec(s) for s in subs):
             return False
         if any(s.get("filter", "dynamic_error") not in _POISON_FILTERS for s in subs):
+            return False
+        if any(s.get("qos", "deadline_order") not in _UNSUPPORTED_QOS for s in subs):
             return False
         ops = case.get("ops")
         if not isinstance(ops, list):
@@ -194,6 +209,7 @@ class _Run:
 
     fault_subcode: str
     filter_fault_subcode: str
+    qos_fault_subcode: str
 
     def __init__(self, case: dict) -> None:
         self.case = case
@@ -206,7 +222,11 @@ class _Run:
     # family bindings ------------------------------------------------------
 
     def subscribe(
-        self, index: int, expires_text: Optional[str], xpath: Optional[str]
+        self,
+        index: int,
+        expires_text: Optional[str],
+        xpath: Optional[str],
+        qos: Optional[QosProfile],
     ) -> object:
         raise NotImplementedError
 
@@ -283,10 +303,16 @@ class _Run:
             tag = f"[{self.case['family']}/{self.case['version']}] subscribe {index} ({spec['kind']})"
             poison = spec.get("filter")
             uncompilable = poison not in (None, "dynamic_error")
+            qos = spec.get("qos")
             try:
-                handle = self.subscribe(index, text, _POISON_FILTERS.get(poison))
+                handle = self.subscribe(
+                    index, text, _POISON_FILTERS.get(poison),
+                    QosProfile(dict(_UNSUPPORTED_QOS[qos])) if qos else None,
+                )
             except SoapFault as fault:
                 wanted = [self.filter_fault_subcode] if uncompilable else []
+                if qos:
+                    wanted.append(self.qos_fault_subcode)
                 if _expiry_is_invalid(spec):
                     wanted.append(self.fault_subcode)
                 if not wanted:
@@ -301,6 +327,8 @@ class _Run:
                 return f"{tag}: uncompilable filter {_POISON_FILTERS[poison]!r} was accepted"
             if _expiry_is_invalid(spec):
                 return f"{tag}: invalid expiration {text!r} was granted"
+            if qos:
+                return f"{tag}: unsupported QoS {_UNSUPPORTED_QOS[qos]} was granted"
             failure, granted = self._grant_failure(
                 spec, text, now, self.clock.now(), self.granted_text(handle)
             )
@@ -411,6 +439,7 @@ class _Run:
 class _WseRun(_Run):
     fault_subcode = "InvalidExpirationTime"
     filter_fault_subcode = "FilteringRequestedUnavailable"
+    qos_fault_subcode = "UnsupportedQoS"
 
     def __init__(self, case: dict) -> None:
         super().__init__(case)
@@ -426,13 +455,18 @@ class _WseRun(_Run):
         ]
 
     def subscribe(
-        self, index: int, expires_text: Optional[str], xpath: Optional[str]
+        self,
+        index: int,
+        expires_text: Optional[str],
+        xpath: Optional[str],
+        qos: Optional[QosProfile],
     ) -> object:
         return self.subscriber.subscribe(
             self.source.epr(),
             notify_to=self.sinks[index].epr(),
             expires=expires_text,
             filter=xpath,
+            qos=qos,
         )
 
     def renew(self, handle: object, expires_text: Optional[str]) -> str:
@@ -457,6 +491,7 @@ class _WseRun(_Run):
 class _WsnRun(_Run):
     fault_subcode = "TerminationTimeFault"  # Unacceptable(Initial)TerminationTimeFault
     filter_fault_subcode = "InvalidMessageContentExpressionFault"
+    qos_fault_subcode = "UnsupportedPolicyRequestFault"
 
     TOPIC = "conf"
 
@@ -476,7 +511,11 @@ class _WsnRun(_Run):
         ]
 
     def subscribe(
-        self, index: int, expires_text: Optional[str], xpath: Optional[str]
+        self,
+        index: int,
+        expires_text: Optional[str],
+        xpath: Optional[str],
+        qos: Optional[QosProfile],
     ) -> object:
         return self.subscriber.subscribe(
             self.producer.epr(),
@@ -484,6 +523,7 @@ class _WsnRun(_Run):
             topic=self.TOPIC,
             initial_termination=expires_text,
             message_content=xpath,
+            qos=qos,
         )
 
     def renew(self, handle: object, expires_text: Optional[str]) -> str:

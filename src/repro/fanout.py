@@ -1,0 +1,242 @@
+"""The one fan-out pipeline both specification families run on.
+
+The paper's Table 2 maps WS-Eventing and WS-Notification operations almost
+one-to-one, and section VII serves both from one broker; what differs between
+the families is how a notification is *rendered* (wrapped Notify / raw /
+WSE push with a topic header / wrapped ``Notifications``), where an
+undeliverable-right-now copy is *parked* (WSN paused queue, WSE pull and
+wrapped queues) and what the faults are *called*.  Everything else is here,
+once, as three stages:
+
+1. :meth:`Fanout.publish` — publish framing: origin detection, the
+   ``<family>.publish`` span that mints the lineage, the ``published`` ledger
+   record and ``notifications.matched``;
+2. :meth:`Fanout.match` — the only candidate loop: expiry sweep, topic/content
+   index lookup, the ``fanout.*`` counters, the residual filter; survivors come
+   out lazily, in subscription order, so liveness is checked at each one's turn;
+3. :meth:`Fanout.settle` — one wire attempt wrapped in the ``notify`` span and
+   counted per *item*, handed to the :class:`DeliveryManager` when there is one
+   and otherwise made right here, with the obligation ledger written as one
+   state sequence: ``enqueued -> attempted -> delivered | failed`` (the manager
+   adds ``dead_lettered`` and ``shed``).  SubscriptionEnd and
+   TerminationNotification take the same road with no items.
+
+Best-effort delivery is deliberately still the ``manager is None`` branch of
+``settle`` and not a ``BEST_EFFORT``-policy manager: see DESIGN.md, "The
+fan-out pipeline", for the ladder numbers that decide it.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence
+
+from repro.delivery.outcome import DeliveryFailure, record_failure
+from repro.delivery.task import DeliveryItem
+from repro.filters.base import FilterContext, admits
+from repro.obs.instrument import BoundCounters
+from repro.soap.fault import SoapFault
+from repro.transport.network import NetworkError, SimulatedNetwork
+from repro.xmlkit.element import XElem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.delivery.manager import DeliveryManager
+    from repro.filters.topics import TopicSubscriptionIndex
+
+
+def freeze_once(payload: XElem, instr, bound: BoundCounters, family: str) -> XElem:
+    """The frozen instance every match of one publish shares (copied at most
+    once, at whichever layer sees the mutable tree first)."""
+    if payload.frozen:
+        return payload
+    if instr.enabled:
+        bound.get(instr, "payload_copies", "fanout.payload_copies", family=family).inc()
+    return payload.copy().freeze()
+
+
+class Fanout:
+    """The pipeline, bound to one producer / event source.
+
+    The owner supplies what only it knows: its ``subscriptions`` (key ->
+    subscription, each with a ``filter``), whether one has ``expired`` by a
+    given instant, how to ``sweep`` those, and the ``index`` it keeps current.
+    """
+
+    def __init__(
+        self,
+        network: SimulatedNetwork,
+        *,
+        family: str,
+        version_tag: str,
+        role: str,
+        address: str,
+        index: "TopicSubscriptionIndex",
+        subscriptions: Mapping[str, object],
+        expired: Callable[[object, float], bool],
+        sweep: Callable[[], object],
+        manager: Optional["DeliveryManager"],
+        failures: list[DeliveryFailure],
+    ) -> None:
+        self.network = network
+        self.family = family
+        self.version_tag = version_tag
+        #: how the owner names itself on spans and ledger records
+        #: (``producer=<address>`` / ``source=<address>``)
+        self._origin = {role: address}
+        self.index = index
+        self.subscriptions = subscriptions
+        self.expired = expired
+        self.sweep = sweep
+        self.manager = manager
+        self.failures = failures
+        self._bound = BoundCounters()
+
+    def _notifications_counter(self, instr, key: str):
+        counter = self._bound.probe(instr, key)
+        if counter is None:
+            counter = self._bound.get(
+                instr, key, "notifications." + key,
+                family=self.family, version=self.version_tag,
+            )
+        return counter
+
+    # --- stage 1: publish framing --------------------------------------------------
+
+    def publish(self, fan_out: Callable[..., int], *args, **span_attrs: str) -> int:
+        """Run ``fan_out(*args)`` — the owner's match-and-route loop, which
+        returns how many subscriptions matched — as one publication."""
+        instr = self.network.instrumentation
+        if not instr.enabled:
+            return fan_out(*args)
+        # a publish arriving with no live lineage is a true origin (mint a
+        # fresh one); with one — e.g. the broker backbone re-publishing a
+        # mediated message — it stays inside the existing trace
+        originating = instr.trace_context() is None
+        with instr.span(
+            self.family + ".publish", mint=True,
+            **self._origin, version=self.version_tag, **span_attrs,
+        ) as span:
+            if originating:
+                # direct ledger write: mint=True guarantees span.lineage, so
+                # the lineage_event() None-guard and kwargs repack are skipped
+                instr._ledger_record(
+                    span.lineage, "published", **self._origin, family=self.family
+                )
+            matched = fan_out(*args)
+        self._notifications_counter(instr, "matched").inc(matched)
+        return matched
+
+    # --- stage 2: match ------------------------------------------------------------------
+
+    def freeze(self, payload: XElem) -> XElem:
+        return freeze_once(payload, self.network.instrumentation, self._bound, self.family)
+
+    def match(
+        self,
+        frozen: XElem,
+        topic: Optional[str],
+        producer_properties: dict[str, str],
+        producer_document: Optional[XElem] = None,
+    ) -> Iterator[object]:
+        """The live subscriptions whose filter admits this publication."""
+        instr = self.network.instrumentation
+        family = self.family
+        self.sweep()
+        context = FilterContext(
+            frozen, topic, producer_properties, producer_document=producer_document
+        )
+        index = self.index
+        candidates = index.candidates(topic, frozen)
+        evals_counter = None
+        if instr.enabled:
+            bound = self._bound
+            if index.content_evals:
+                bound.get(instr, "xpath_evals", "fanout.xpath_evals", family=family).inc(
+                    index.content_evals
+                )
+            bound.get(instr, "index_hits", "fanout.index_hits", family=family).inc(len(candidates))
+            skipped = len(self.subscriptions) - len(candidates)
+            if skipped > 0:
+                bound.get(instr, "index_skips", "fanout.index_skips", family=family).inc(skipped)
+            # one increment per residual filter run, via one handle
+            evals_counter = bound.get(instr, "filter_evals", "fanout.filter_evals", family=family)
+        subscriptions, expired, now = self.subscriptions, self.expired, self.network.clock.now
+        for key in candidates:
+            subscription = subscriptions.get(key)
+            if subscription is None or expired(subscription, now()):
+                continue
+            if evals_counter is not None:
+                evals_counter.inc()
+            if admits(subscription.filter, context, instr, family, key):
+                yield subscription
+
+    # --- stage 3: settle -----------------------------------------------------------------
+
+    def settle(
+        self,
+        sink: str,
+        send: Callable[..., None],
+        args: tuple,
+        items: Sequence[DeliveryItem] = (),
+        *,
+        stage: str = "notify",
+        describe: str = "",
+        priority: int = 0,
+        on_failed: Optional[Callable[..., None]] = None,
+        **span_attrs: str,
+    ) -> None:
+        """Get one message to ``sink``: ``send(*args)`` is exactly one wire
+        attempt (raising ``NetworkError`` / ``SoapFault``), ``items`` are the
+        notifications it carries (none for an end / termination notice).
+
+        With a delivery manager the attempt is submitted and the pipeline owns
+        retries, dead-lettering and the firewall fallback — a failed attempt
+        never ends the subscription.  Without one the obligation opens and
+        closes here, and a failure is handed to ``on_failed(exc, *args)`` so
+        the owner ends the subscription in its own vocabulary.
+        """
+        network = self.network
+        family = self.family
+        n = len(items)
+
+        def attempt() -> None:
+            instr = network.instrumentation
+            if not n or not instr.enabled:
+                send(*args)
+                return
+            with instr.span("notify", family=family, to=sink, **span_attrs):
+                send(*args)
+            self._notifications_counter(instr, "delivered").inc(n)
+
+        if self.manager is not None:
+            self.manager.submit(
+                sink, attempt, items=items, family=family, describe=describe, priority=priority
+            )
+            return
+        instr = network.instrumentation
+        lineages = [item.lineage for item in items if item.lineage is not None]
+        # ledger written directly — every lineage id here is known non-None
+        for lineage in lineages:
+            instr._ledger_record(lineage.lineage_id, "enqueued", sink=sink, family=family)
+            instr._ledger_record(lineage.lineage_id, "attempted", n=1, sink=sink)
+        try:
+            attempt()
+        except (NetworkError, SoapFault) as exc:
+            if n and instr.enabled:
+                self._notifications_counter(instr, "failed").inc(n)
+            for lineage in lineages:
+                instr.lineage_event(
+                    lineage.lineage_id, "failed", sink=sink, reason=type(exc).__name__
+                )
+            # recorded, never swallowed — even when the sink is the thing
+            # that died (delivery.failed_total)
+            record_failure(
+                self.failures, instr, at=network.clock.now(),
+                family=family, stage=stage, sink=sink, error=exc,
+            )
+            if on_failed is not None:
+                on_failed(exc, *args)
+            return
+        for lineage in lineages:
+            instr.lineage_delivered(
+                lineage.lineage_id, family=family, hops=lineage.hop + 1, sink=sink
+            )

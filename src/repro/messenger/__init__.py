@@ -25,7 +25,6 @@ package reproduces its architecture:
 
 from repro.messenger.detection import DetectedSpec, SpecFamily, detect_spec
 from repro.messenger.broker import WsMessenger
-from repro.messenger.journal import SubscriptionJournal
 from repro.messenger.adapters import (
     CorbaBackbone,
     InMemoryBackbone,
@@ -35,7 +34,6 @@ from repro.messenger.adapters import (
 
 __all__ = [
     "WsMessenger",
-    "SubscriptionJournal",
     "detect_spec",
     "DetectedSpec",
     "SpecFamily",

@@ -35,10 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.delivery.manager import DeliveryManager
 from repro.delivery.messagebox import MessageBoxRegistry
 from repro.delivery.policy import BatchingPolicy, DeliveryPolicy
+from repro.fanout import freeze_once
 from repro.filters.topics import TopicNamespace
 from repro.messenger.adapters import InMemoryBackbone, MessagingBackbone
 from repro.messenger.detection import DetectedSpec, SpecDetectionError, SpecFamily, detect_spec
-from repro.messenger.journal import SubscriptionJournal
 from repro.obs.instrument import BoundCounters
 from repro.qos.adaptive import AdaptiveQosController, AdaptiveQosPolicy
 from repro.messenger import mediation
@@ -89,23 +89,14 @@ class WsMessenger:
         topic_namespace: Optional[TopicNamespace] = None,
         wse_versions: Optional[list[WseVersion]] = None,
         wsn_versions: Optional[list[WsnVersion]] = None,
-        journal: Optional["SubscriptionJournal"] = None,
         delivery: Optional[DeliveryPolicy] = None,
         delivery_seed: int = 0,
         qos: Optional[AdaptiveQosPolicy] = None,
         store: Optional["BrokerStore"] = None,
-        debug_linear_match: bool = False,
         batching: Optional[BatchingPolicy] = None,
-        debug_no_templates: bool = False,
     ) -> None:
         self.network = network
         self.address = address
-        #: escape hatch: run every internal source/producer on the pre-index
-        #: linear matcher (differential tests diff the two fan-out paths)
-        self.debug_linear_match = debug_linear_match
-        #: escape hatch: disable envelope byte-templates (tree-serialize every
-        #: Notify); mirrors debug_linear_match for the byte-template layer
-        self.debug_no_templates = debug_no_templates
         #: optional per-sink coalescing of same-EPR notifications
         self.batching = batching
         self.stats = BrokerStats()
@@ -113,8 +104,6 @@ class WsMessenger:
         self._bound_counters = BoundCounters()
         self.backbone = backbone or InMemoryBackbone()
         self.backbone.network = network
-        #: optional crash-recovery journal (see repro.messenger.journal)
-        self.journal = journal
         #: optional event-sourced durable core (see repro.store); exactly-
         #: once outcomes need the delivery pipeline, so a store implies one
         self.store = store
@@ -161,7 +150,6 @@ class WsMessenger:
                 manager_address=f"{address}/{tag}/subscriptions",
                 topic_header=mediation.WSE_TOPIC_HEADER,
                 delivery_manager=self.delivery_manager,
-                debug_linear_match=debug_linear_match,
                 batching=batching,
             )
         self.wsn_producers: dict[WsnVersion, NotificationProducer] = {}
@@ -174,9 +162,7 @@ class WsMessenger:
                 manager_address=f"{address}/{tag}/subscriptions",
                 topic_namespace=topics,
                 delivery_manager=self.delivery_manager,
-                debug_linear_match=debug_linear_match,
                 batching=batching,
-                debug_no_templates=debug_no_templates,
             )
         # pull points for firewalled WSN 1.3 consumers
         self.pullpoint_factory = (
@@ -191,7 +177,7 @@ class WsMessenger:
             Callable[[XElem, Optional[str]], bool]
         ] = None
         # capture the identity each granted Subscribe mints — (family, tag,
-        # sub_id, granted absolute expiry) — for the journal and the store
+        # sub_id, granted absolute expiry) — for the store
         self._last_granted: Optional[tuple[str, str, str, Optional[float]]] = None
         for version, source in self.wse_sources.items():
             source.store.on_created.append(
@@ -299,8 +285,6 @@ class WsMessenger:
         reply = self._route(envelope, headers, spec)
         if spec.operation == "Subscribe":  # only reached on success (no fault)
             granted, self._last_granted = self._last_granted, None
-            if self.journal is not None:
-                self.journal.record(envelope, granted=granted)
             if self.store is not None:
                 self.store.record_subscribe(envelope, headers.action, granted)
         return reply
@@ -352,21 +336,8 @@ class WsMessenger:
         whose subscription matches — regardless of which spec they used."""
         instr = self.network.instrumentation
         self.stats.publications += 1
-        store = self.store
         if not instr.enabled:
-            if store is not None:
-                store.record_publish(payload, topic, None)
-            try:
-                if self.publish_router is not None and self.publish_router(
-                    payload, topic
-                ):
-                    if store is not None:
-                        store.record_routed()
-                    return
-                self.backbone.publish(payload, topic)
-            finally:
-                if store is not None:
-                    store.end_publish()
+            self._outbox_publish(payload, topic, instr)
             return
         publications_counter = self._bound_counters.probe(instr, "publications")
         if publications_counter is None:
@@ -396,23 +367,28 @@ class WsMessenger:
                     lineage=span.lineage,
                     origin="local" if originating else "mediated",
                 )
-            # transactional outbox: the publish record (and the message id
-            # that stamps every delivery item) exists before any fan-out
-            if store is not None:
-                store.record_publish(payload, topic, instr.trace_context())
             try:
-                if self.publish_router is not None and self.publish_router(
-                    payload, topic
-                ):
-                    if store is not None:
-                        store.record_routed()
-                    return
-                self.backbone.publish(payload, topic)
+                self._outbox_publish(payload, topic, instr)
             finally:
-                if store is not None:
-                    store.end_publish()
                 if phases is not None:
                     phases.end("publish", timer)
+
+    def _outbox_publish(self, payload: XElem, topic: Optional[str], instr) -> None:
+        """Transactional outbox, then router or backbone: the publish record
+        (and the message id that stamps every delivery item) exists before
+        any fan-out, and the publish is closed whatever the fan-out raised."""
+        store = self.store
+        if store is not None:
+            store.record_publish(payload, topic, instr.trace_context())
+        try:
+            if self.publish_router is not None and self.publish_router(payload, topic):
+                if store is not None:
+                    store.record_routed()
+                return
+            self.backbone.publish(payload, topic)
+        finally:
+            if store is not None:
+                store.end_publish()
 
     def _fan_out(self, payload: XElem, topic: Optional[str]) -> None:
         instr = self.network.instrumentation
@@ -423,19 +399,10 @@ class WsMessenger:
             self._fan_out_all(payload, topic)
 
     def _fan_out_all(self, payload: XElem, topic: Optional[str]) -> None:
-        if self.debug_linear_match:
-            self._fan_out_all_linear(payload, topic)
-            return
         instr = self.network.instrumentation
         # freeze once at the broker: every internal source/producer (and the
         # whole delivery machinery below them) shares this one instance
-        if not payload.frozen:
-            payload = payload.copy().freeze()
-            if instr.enabled:
-                self._bound_counters.get(
-                    instr, "payload_copies", "fanout.payload_copies",
-                    family="broker",
-                ).inc()
+        payload = freeze_once(payload, instr, self._bound_counters, "broker")
         skips_counter = (
             self._bound_counters.get(
                 instr, "index_skips", "fanout.index_skips", family="broker"
@@ -458,14 +425,6 @@ class WsMessenger:
                 if skips_counter is not None:
                     skips_counter.inc()
                 continue
-            producer.publish(payload, topic=topic)
-
-    def _fan_out_all_linear(self, payload: XElem, topic: Optional[str]) -> None:
-        for source in self.wse_sources.values():
-            source.publish(payload, topic=topic)
-        for producer in self.wsn_producers.values():
-            if topic is None and producer.version.requires_topic:
-                continue  # <=1.2 subscriptions are all topic-filtered anyway
             producer.publish(payload, topic=topic)
 
     def flush(self) -> None:

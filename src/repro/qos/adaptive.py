@@ -53,6 +53,14 @@ def validate_supported(profile: QosProfile) -> QosProfile:
     for name in _UNSUPPORTED_WHEN_TRUE:
         if profile.get(name):
             raise QosError(f"{name} cannot be granted by this broker")
+    # understood (Table 3: all 13 CORBA properties are) but not implemented:
+    # events carry no deadline to order a discard by, and pacing is the
+    # broker's token buckets, not a per-consumer interval — granting either
+    # and then ignoring it would be a silent downgrade
+    if profile.get("DiscardPolicy") is DiscardPolicy.DEADLINE_ORDER:
+        raise QosError("DiscardPolicy DeadlineOrder is not supported by this broker")
+    if profile.get("PacingInterval"):
+        raise QosError("PacingInterval is not supported by this broker")
     return profile
 
 
@@ -238,7 +246,8 @@ class AdaptiveQosController:
             if task.priority > lowest.priority:
                 return True, [lowest]
             return False, []
-        # FIFO_ORDER (and ANY/DEADLINE, which this broker maps to FIFO):
+        # FIFO_ORDER (and ANY_ORDER, which leaves the choice to the broker;
+        # DEADLINE_ORDER never gets here — validate_supported refuses it):
         # the oldest waiting message makes room for the newest
         return True, [waiting[0]]
 

@@ -13,20 +13,20 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.delivery.limits import parse_drain_limit
-from repro.delivery.outcome import DeliveryFailure, record_failure
+from repro.delivery.outcome import DeliveryFailure
 from repro.delivery.policy import BatchingPolicy
 from repro.delivery.task import DeliveryItem
+from repro.fanout import Fanout
 from repro.qos.adaptive import validate_supported
 from repro.qos.properties import DiscardPolicy, QosError, QosProfile
 from repro.transport.clock import ClockScheduler
-from repro.filters.base import AcceptAllFilter, Filter, FilterContext, FilterError, admits
-from repro.obs.instrument import BoundCounters
+from repro.filters.base import AcceptAllFilter, Filter, FilterError
 from repro.filters.content import MessageContentFilter, content_expression_of
 from repro.filters.topics import TopicSubscriptionIndex, topic_expression_of
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
-from repro.transport.network import NetworkError, SimulatedNetwork
+from repro.transport.network import SimulatedNetwork
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders, apply_headers
 from repro.wse import messages
@@ -37,7 +37,7 @@ from repro.wse.model import (
     WseSubscription,
 )
 from repro.wse.versions import WseVersion
-from repro.xmlkit.element import XElem
+from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.names import Namespaces, QName
 from repro.util.xstime import format_datetime, parse_expires
 
@@ -63,16 +63,11 @@ class EventSource:
         wrapped_batch_size: int = 10,
         producer_properties: Optional[dict[str, str]] = None,
         topic_header: Optional["QName"] = None,
-        delivery_retries: int = 0,
         delivery_manager: Optional["DeliveryManager"] = None,
-        debug_linear_match: bool = False,
         batching: Optional[BatchingPolicy] = None,
     ) -> None:
         self.network = network
         self.version = version
-        self._version_tag = version.name.lower()  # metric/span label form
-        #: pre-bound fan-out counters (see repro.obs.instrument.BoundCounters)
-        self._bound_counters = BoundCounters()
         self.clock = network.clock
         self.default_lifetime = default_lifetime
         self.max_lifetime = max_lifetime
@@ -81,9 +76,6 @@ class EventSource:
         # mediation hook (section V.4 category 6): WSE has no body slot for a
         # topic, so when set, published topics ride as this SOAP header
         self.topic_header = topic_header
-        #: transient failures (lost messages) are retried this many times
-        #: before the subscription is ended with DeliveryFailure
-        self.delivery_retries = delivery_retries
         #: when set, push delivery routes through the reliable store-and-
         #: forward pipeline instead of the immediate best-effort attempt
         self.delivery_manager = delivery_manager
@@ -101,9 +93,6 @@ class EventSource:
             )
         #: every failed outbound send, recorded (see repro.delivery.outcome)
         self.delivery_failures: list[DeliveryFailure] = []
-        #: escape hatch: bypass the topic index / frozen-payload fast path and
-        #: match with the original linear scan (differential tests diff the two)
-        self.debug_linear_match = debug_linear_match
         self.store = SubscriptionStore(self.clock)
         #: lifecycle listeners (event, subscription, detail): "renewed" and
         #: "pulled" — creations/removals already flow via the store's hooks
@@ -121,6 +110,21 @@ class EventSource:
             )
         )
         self.store.on_removed.append(lambda s: self._topic_index.discard(s.id))
+        #: match and settle are the shared pipeline's; rendering, the pull and
+        #: wrapped queues and the fault names below are what WS-Eventing adds
+        self._fanout = Fanout(
+            network,
+            family="wse",
+            version_tag=version.name.lower(),
+            role="source",
+            address=address,
+            index=self._topic_index,
+            subscriptions=self.store._subscriptions,
+            expired=WseSubscription.is_expired,
+            sweep=self.store.sweep_due,
+            manager=delivery_manager,
+            failures=self.delivery_failures,
+        )
         self._client = SoapClient(
             network, wsa_version=version.wsa_version, soap_version=SoapVersion.V11
         )
@@ -158,7 +162,7 @@ class EventSource:
     # --- subscribe --------------------------------------------------------------
 
     def force_next_subscription_id(self, sub_id: str) -> None:
-        """Pin the id the next Subscribe mints (log/journal replay)."""
+        """Pin the id the next Subscribe mints (log replay)."""
         self._forced_sub_id = sub_id
 
     def _fire_lifecycle(self, event: str, subscription: WseSubscription, **detail) -> None:
@@ -372,98 +376,34 @@ class EventSource:
         WS-Eventing has no topic model — ``topic`` only feeds filters that
         look at it (the mediation layer maps WSN topics through here).
         """
-        instr = self.network.instrumentation
-        if not instr.enabled:
-            return self._fan_out_event(payload, action, topic)
-        # a publish arriving with no live lineage is a true origin (mint a
-        # fresh one); with one — e.g. the broker backbone re-publishing a
-        # mediated message — it stays inside the existing trace
-        originating = instr.trace_context() is None
-        with instr.span(
-            "wse.publish", mint=True, source=self.address, version=self._version_tag
-        ) as span:
-            if originating:
-                # direct ledger write: mint=True guarantees span.lineage
-                instr._ledger_record(
-                    span.lineage, "published", source=self.address, family="wse"
-                )
-            delivered = self._fan_out_event(payload, action, topic)
-        matched_counter = self._bound_counters.probe(instr, "matched")
-        if matched_counter is None:
-            matched_counter = self._bound_counters.get(
-                instr, "matched", "notifications.matched",
-                family="wse", version=self._version_tag,
-            )
-        matched_counter.inc(delivered)
-        return delivered
+        return self._fanout.publish(self._fan_out_event, payload, action, topic)
 
     def _fan_out_event(
         self, payload: XElem, action: str, topic: Optional[str]
     ) -> int:
-        if self.debug_linear_match:
-            return self._fan_out_linear(payload, action, topic)
-        instr = self.network.instrumentation
-        self.store.sweep_due()
         # one frozen payload instance is shared by every match this publish
-        if payload.frozen:
-            frozen = payload
-        else:
-            frozen = payload.copy().freeze()
-            if instr.enabled:
-                self._bound_counters.get(
-                    instr, "payload_copies", "fanout.payload_copies", family="wse"
-                ).inc()
-        context = FilterContext(
-            frozen, topic=topic, producer_properties=self.producer_properties
-        )
-        index = self._topic_index
-        candidates = index.candidates(topic, frozen)
-        lineage = instr.trace_context() if instr.enabled else None
-        evals_counter = None
-        if instr.enabled:
-            bound = self._bound_counters
-            evaluated = index.content_evals
-            if evaluated:
-                bound.get(instr, "xpath_evals", "fanout.xpath_evals", family="wse").inc(evaluated)
-            bound.get(instr, "index_hits", "fanout.index_hits", family="wse").inc(len(candidates))
-            skipped = len(self.store._subscriptions) - len(candidates)
-            if skipped > 0:
-                bound.get(instr, "index_skips", "fanout.index_skips", family="wse").inc(skipped)
-            # one increment per residual filter run, via one handle
-            evals_counter = bound.get(instr, "filter_evals", "fanout.filter_evals", family="wse")
+        frozen = self._fanout.freeze(payload)
+        instr = self.network.instrumentation
+        lineage = instr.trace_context()
         delivered = 0
-        for key in candidates:
-            subscription = self.store.get(key)
-            if subscription is None:
-                continue
-            if evals_counter is not None:
-                evals_counter.inc()
-            if not admits(subscription.filter, context, instr, "wse", key):
-                continue
+        for subscription in self._fanout.match(frozen, topic, self.producer_properties):
             delivered += 1
-            if subscription.mode is DeliveryMode.PULL:
-                if not self._enqueue_bounded(subscription, frozen):
-                    continue
-                if lineage is not None:
-                    # informational: subscription queues hold bare payloads,
-                    # so per-item lineage ends here (no delivery obligation)
-                    instr.lineage_event(
-                        lineage.lineage_id, "queued",
-                        subscription=subscription.id, mode="pull",
-                    )
-            elif subscription.mode is DeliveryMode.WRAPPED:
-                if not self._enqueue_bounded(subscription, frozen):
-                    continue
-                if lineage is not None:
-                    instr.lineage_event(
-                        lineage.lineage_id, "queued",
-                        subscription=subscription.id, mode="wrapped",
-                    )
+            if subscription.mode is DeliveryMode.PUSH:
+                self._push(subscription, frozen, action, topic, lineage)
+                continue
+            if not self._enqueue_bounded(subscription, frozen):
+                continue
+            if lineage is not None:
+                # informational: subscription queues hold bare payloads,
+                # so per-item lineage ends here (no delivery obligation)
+                instr.lineage_event(
+                    lineage.lineage_id, "queued", subscription=subscription.id,
+                    mode="pull" if subscription.mode is DeliveryMode.PULL else "wrapped",
+                )
+            if subscription.mode is DeliveryMode.WRAPPED:
                 self._note_wrapped_queued(subscription)
                 if len(subscription.queue) >= self._wrapped_trigger():
                     self._flush_wrapped(subscription)
-            else:
-                self._push(subscription, frozen, action, topic)
         return delivered
 
     def _enqueue_bounded(self, subscription: WseSubscription, frozen: XElem) -> bool:
@@ -532,41 +472,6 @@ class EventSource:
         else:
             self._wrapped_deadlines.pop(sub_id, None)
 
-    def _fan_out_linear(
-        self, payload: XElem, action: str, topic: Optional[str]
-    ) -> int:
-        """The pre-index matcher, kept verbatim as the differential baseline
-        (``debug_linear_match=True``): full sweep, linear scan, one filter
-        evaluation per subscriber and per-subscriber payload copies."""
-        instr = self.network.instrumentation
-        self.store.sweep_expired()
-        # the oracle evaluates every subscription on its own: an unfrozen tree
-        # never reaches the per-document match state of repro.xmlkit.xpath
-        unfrozen = payload.copy() if payload.frozen else payload
-        context = FilterContext(
-            unfrozen, topic=topic, producer_properties=self.producer_properties
-        )
-        delivered = 0
-        for subscription in list(self.store.live()):
-            if instr.enabled:
-                instr.count("fanout.filter_evals", family="wse")
-            if not admits(subscription.filter, context, instr, "wse", subscription.id):
-                continue
-            delivered += 1
-            if subscription.mode is DeliveryMode.PULL:
-                subscription.queue.append(payload.copy())
-                if instr.enabled:
-                    instr.count("fanout.payload_copies", family="wse")
-            elif subscription.mode is DeliveryMode.WRAPPED:
-                subscription.queue.append(payload.copy())
-                if instr.enabled:
-                    instr.count("fanout.payload_copies", family="wse")
-                if len(subscription.queue) >= self.wrapped_batch_size:
-                    self._flush_wrapped(subscription)
-            else:
-                self._push(subscription, payload, action, topic)
-        return delivered
-
     def flush(self) -> None:
         """Deliver any batched wrapped-mode notifications immediately."""
         for subscription in self.store.live():
@@ -578,187 +483,54 @@ class EventSource:
         subscription: WseSubscription,
         payload: XElem,
         action: str,
-        topic: Optional[str] = None,
+        topic: Optional[str],
+        lineage,
     ) -> None:
+        self._fanout.settle(
+            subscription.notify_to.address,
+            self._send_push,
+            (subscription, payload, action, topic),
+            [DeliveryItem(payload, topic, lineage=lineage)],
+            describe=f"notify {subscription.id}",
+            priority=self._priority_of(subscription),
+            on_failed=self._end_after_failure,
+        )
+
+    def _send_push(
+        self, subscription: WseSubscription, payload: XElem, action: str, topic: Optional[str]
+    ) -> None:
+        """One raw notification: the (frozen, fan-out-shared) payload is the
+        body; a mediated topic rides as a SOAP header."""
         extra = []
         if topic is not None and self.topic_header is not None:
-            from repro.xmlkit.element import text_element
-
             extra.append(text_element(self.topic_header, topic))
-
-        def outbound() -> XElem:
-            # frozen payloads are fan-out-shared; mutable ones are copied per
-            # attempt exactly as before the fast path existed
-            if payload.frozen:
-                return payload
-            instr = self.network.instrumentation
-            if instr.enabled:
-                instr.count("fanout.payload_copies", family="wse")
-            return payload.copy()
-
-        def attempt() -> None:
-            instr = self.network.instrumentation
-            if not instr.enabled:
-                self._client.call(
-                    subscription.notify_to,
-                    action,
-                    [outbound()],
-                    expect_reply=False,
-                    extra_headers=extra,
-                )
-                return
-            with instr.span("notify", family="wse", to=subscription.notify_to.address):
-                self._client.call(
-                    subscription.notify_to,
-                    action,
-                    [outbound()],
-                    expect_reply=False,
-                    extra_headers=extra,
-                )
-
-        if self.delivery_manager is not None:
-            self.delivery_manager.submit(
-                subscription.notify_to.address,
-                attempt,
-                items=[
-                    DeliveryItem(
-                        payload if payload.frozen else payload.copy(),
-                        topic,
-                        lineage=self.network.instrumentation.trace_context(),
-                    )
-                ],
-                family="wse",
-                describe=f"notify {subscription.id}",
-                priority=self._priority_of(subscription),
-            )
-            return
-        self._deliver_with_retries(subscription, "notify", attempt)
-
-    def _deliver_with_retries(
-        self, subscription: WseSubscription, stage: str, attempt
-    ) -> None:
-        from repro.transport.network import MessageLost
-
-        instr = self.network.instrumentation
-        sink = subscription.notify_to.address if subscription.notify_to else ""
-        lineage = instr.trace_context() if instr.enabled else None
-        if lineage is not None:
-            # direct path: the obligation opens and closes synchronously
-            # (ledger written directly — the lineage id is known non-None)
-            instr._ledger_record(
-                lineage.lineage_id, "enqueued", sink=sink, family="wse"
-            )
-        for remaining in range(self.delivery_retries, -1, -1):
-            if lineage is not None:
-                instr._ledger_record(
-                    lineage.lineage_id, "attempted",
-                    n=self.delivery_retries - remaining + 1, sink=sink,
-                )
-            try:
-                attempt()
-                if instr.enabled:
-                    delivered_counter = self._bound_counters.probe(
-                        instr, "delivered"
-                    )
-                    if delivered_counter is None:
-                        delivered_counter = self._bound_counters.get(
-                            instr, "delivered", "notifications.delivered",
-                            family="wse", version=self._version_tag,
-                        )
-                    delivered_counter.inc()
-                if lineage is not None:
-                    instr.lineage_delivered(
-                        lineage.lineage_id,
-                        family="wse",
-                        hops=lineage.hop + 1,
-                        sink=sink,
-                    )
-                return
-            except MessageLost as exc:
-                if remaining == 0:  # transient, but retries exhausted
-                    self._record_push_failure(subscription, stage, exc)
-                    if lineage is not None:
-                        instr.lineage_event(
-                            lineage.lineage_id, "failed",
-                            sink=sink, reason=type(exc).__name__,
-                        )
-                    self._end_subscription(
-                        subscription, SubscriptionEndCode.DELIVERY_FAILURE, str(exc)
-                    )
-            except (NetworkError, SoapFault) as exc:
-                # hard failure (unreachable/refused/fault): no point retrying
-                self._record_push_failure(subscription, stage, exc)
-                if lineage is not None:
-                    instr.lineage_event(
-                        lineage.lineage_id, "failed",
-                        sink=sink, reason=type(exc).__name__,
-                    )
-                self._end_subscription(
-                    subscription, SubscriptionEndCode.DELIVERY_FAILURE, str(exc)
-                )
-                return
-
-    def _record_push_failure(
-        self, subscription: WseSubscription, stage: str, error: Exception
-    ) -> None:
-        instr = self.network.instrumentation
-        if instr.enabled:
-            self._bound_counters.get(
-                instr, "failed", "notifications.failed",
-                family="wse", version=self._version_tag,
-            ).inc()
-        sink = subscription.notify_to.address if subscription.notify_to else ""
-        record_failure(
-            self.delivery_failures,
-            instr,
-            at=self.clock.now(),
-            family="wse",
-            stage=stage,
-            sink=sink,
-            error=error,
+        self._client.call(
+            subscription.notify_to, action, [payload], expect_reply=False, extra_headers=extra
         )
+
+    def _send_notice(self, target: EndpointReference, action: str, body: XElem) -> None:
+        self._client.call(target, action, [body], expect_reply=False)
+
+    def _end_after_failure(self, exc: Exception, subscription: WseSubscription, *_) -> None:
+        self._end_subscription(subscription, SubscriptionEndCode.DELIVERY_FAILURE, str(exc))
 
     def _flush_wrapped(self, subscription: WseSubscription) -> None:
         self._wrapped_deadlines.pop(subscription.id, None)
         batch, subscription.queue = subscription.queue, []
-        wrapper = messages.build_wrapped_notification(self.version, batch)
-        items = [
-            DeliveryItem(message if message.frozen else message.copy())
-            for message in batch
-        ]
+        self._fanout.settle(
+            subscription.notify_to.address,
+            self._send_wrapper,
+            (subscription, messages.build_wrapped_notification(self.version, batch)),
+            [DeliveryItem(message) for message in batch],
+            stage="wrapped_notify",
+            describe=f"wrapped notify {subscription.id}",
+            priority=self._priority_of(subscription),
+            on_failed=self._end_after_failure,
+            mode="wrapped",
+        )
 
-        def attempt() -> None:
-            instr = self.network.instrumentation
-            if not instr.enabled:
-                self._client.call(
-                    subscription.notify_to,
-                    self.version.action("Notifications"),
-                    [wrapper],
-                    expect_reply=False,
-                )
-                return
-            with instr.span(
-                "notify", family="wse", mode="wrapped",
-                to=subscription.notify_to.address,
-            ):
-                self._client.call(
-                    subscription.notify_to,
-                    self.version.action("Notifications"),
-                    [wrapper],
-                    expect_reply=False,
-                )
-
-        if self.delivery_manager is not None:
-            self.delivery_manager.submit(
-                subscription.notify_to.address,
-                attempt,
-                items=items,
-                family="wse",
-                describe=f"wrapped notify {subscription.id}",
-                priority=self._priority_of(subscription),
-            )
-            return
-        self._deliver_with_retries(subscription, "wrapped_notify", attempt)
+    def _send_wrapper(self, subscription: WseSubscription, wrapper: XElem) -> None:
+        self._send_notice(subscription.notify_to, self.version.action("Notifications"), wrapper)
 
     # --- termination -----------------------------------------------------------------
 
@@ -779,43 +551,22 @@ class EventSource:
         if subscription.end_to is None:
             # per the paper: no EndTo in the request => no SubscriptionEnd message
             return
-        body = messages.build_subscription_end(
-            self.version,
-            manager_address=self.manager_address,
-            sub_id=subscription.id,
-            code=code,
-            reason=reason,
-        )
-
-        def send_end() -> None:
-            self._client.call(
+        # a control message rides the reliable pipeline too when there is one
+        # (no parkable payload: an end notice is meaningless once the sink is gone)
+        self._fanout.settle(
+            subscription.end_to.address,
+            self._send_notice,
+            (
                 subscription.end_to,
                 self.version.action("SubscriptionEnd"),
-                [body],
-                expect_reply=False,
-            )
-
-        if self.delivery_manager is not None:
-            # control messages ride the reliable pipeline too (no parkable
-            # payload: an end notice is meaningless once the sink is gone)
-            self.delivery_manager.submit(
-                subscription.end_to.address,
-                send_end,
-                family="wse",
-                describe=f"subscription_end {subscription.id}",
-            )
-            return
-        try:
-            send_end()
-        except (NetworkError, SoapFault) as exc:
-            # the sink may be the thing that died — but the failure is
-            # recorded, never swallowed (delivery.failed_total)
-            record_failure(
-                self.delivery_failures,
-                self.network.instrumentation,
-                at=self.clock.now(),
-                family="wse",
-                stage="subscription_end",
-                sink=subscription.end_to.address,
-                error=exc,
-            )
+                messages.build_subscription_end(
+                    self.version,
+                    manager_address=self.manager_address,
+                    sub_id=subscription.id,
+                    code=code,
+                    reason=reason,
+                ),
+            ),
+            stage="subscription_end",
+            describe=f"subscription_end {subscription.id}",
+        )

@@ -14,17 +14,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.delivery.batcher import DeliveryBatcher
-from repro.delivery.outcome import DeliveryFailure, record_failure
+from repro.delivery.outcome import DeliveryFailure
 from repro.delivery.policy import BatchingPolicy
 from repro.delivery.task import DeliveryItem
-from repro.filters.base import (
-    AcceptAllFilter,
-    AndFilter,
-    Filter,
-    FilterContext,
-    FilterError,
-    admits,
-)
+from repro.fanout import Fanout
+from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterError
 from repro.obs.instrument import BoundCounters
 from repro.qos.adaptive import validate_supported
 from repro.qos.properties import QosError, QosProfile
@@ -34,7 +28,7 @@ from repro.filters.topics import TopicFilter, TopicNamespace, topic_expression_o
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
-from repro.transport.network import NetworkError, SimulatedNetwork
+from repro.transport.network import SimulatedNetwork
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders, apply_headers, fresh_message_id
 from repro.wsn import messages
@@ -98,21 +92,15 @@ class NotificationProducer:
         producer_properties: Optional[dict[str, str]] = None,
         enable_wsrf: Optional[bool] = None,
         delivery_manager: Optional["DeliveryManager"] = None,
-        debug_linear_match: bool = False,
         batching: Optional[BatchingPolicy] = None,
-        debug_no_templates: bool = False,
     ) -> None:
         self.network = network
         self.version = version
-        self._version_tag = version.name.lower()  # metric/span label form
-        #: pre-bound fan-out counters (see repro.obs.instrument.BoundCounters)
+        #: pre-bound template hit/miss counters (see BoundCounters)
         self._bound_counters = BoundCounters()
         self.clock = network.clock
         self.default_lifetime = default_lifetime
         self.topics = topic_namespace or TopicNamespace()
-        #: escape hatch: bypass the topic index / frozen-payload fast path and
-        #: match with the original linear scan (differential tests diff the two)
-        self.debug_linear_match = debug_linear_match
         self._topic_index = self.topics.new_index()
         self.producer_properties = dict(producer_properties or {})
         #: (properties rendered, their frozen document): see _properties_document
@@ -152,11 +140,22 @@ class NotificationProducer:
         self.manager_address = manager_address or f"{address}/subscriptions"
         self.manager_endpoint = SoapEndpoint(network, self.manager_address)
         self._register_manager_handlers(self.manager_endpoint)
-        #: escape hatch mirroring ``debug_linear_match``: disable the envelope
-        #: byte-template cache so every send walks the full tree (differential
-        #: tests diff the two paths byte-for-byte)
-        self.debug_no_templates = debug_no_templates
         self.templates = NotifyTemplateCache(version, address, self.manager_address)
+        #: match and settle are the shared pipeline's; rendering, the paused
+        #: queue and the fault names below are what WS-Notification adds
+        self._fanout = Fanout(
+            network,
+            family="wsn",
+            version_tag=version.name.lower(),
+            role="producer",
+            address=address,
+            index=self._topic_index,
+            subscriptions=self._subscriptions,
+            expired=lambda subscription, now: not subscription.resource.alive(now),
+            sweep=self.registry.sweep_due,
+            manager=delivery_manager,
+            failures=self.delivery_failures,
+        )
         #: per-sink wire coalescing (None = one request per notification);
         #: shares the delivery manager's scheduler so window expiry rides the
         #: same run_due/run_until_idle pump as retries
@@ -208,7 +207,7 @@ class NotificationProducer:
         return self._reply(headers, self.version.action("SubscribeResponse"), body)
 
     def force_next_subscription_id(self, sub_id: str) -> None:
-        """Pin the key the next Subscribe mints (log/journal replay)."""
+        """Pin the key the next Subscribe mints (log replay)."""
         self._forced_sub_id = sub_id
 
     def forget_subscription(self, sub_id: str) -> None:
@@ -555,83 +554,26 @@ class NotificationProducer:
                 FaultCode.SENDER,
                 f"WS-BaseNotification {self.version.name} publications require a topic",
             )
-        instr = self.network.instrumentation
-        if not instr.enabled:
-            return self._match_and_deliver(payload, topic)
-        # a publish arriving with no live lineage is a true origin (mint a
-        # fresh one); with one — e.g. the broker backbone re-publishing a
-        # mediated message — it stays inside the existing trace
-        originating = instr.trace_context() is None
-        with instr.span(
-            "wsn.publish",
-            mint=True,
-            producer=self.address,
-            version=self._version_tag,
-            topic=topic or "",
-        ) as span:
-            if originating:
-                # direct ledger write: mint=True guarantees span.lineage, so
-                # the lineage_event() None-guard and kwargs repack are skipped
-                instr._ledger_record(
-                    span.lineage, "published", producer=self.address, family="wsn"
-                )
-            matched = self._match_and_deliver(payload, topic)
-        matched_counter = self._bound_counters.probe(instr, "matched")
-        if matched_counter is None:
-            matched_counter = self._bound_counters.get(
-                instr, "matched", "notifications.matched",
-                family="wsn", version=self._version_tag,
-            )
-        matched_counter.inc(matched)
-        return matched
+        return self._fanout.publish(
+            self._match_and_deliver, payload, topic, topic=topic or ""
+        )
 
     def _match_and_deliver(self, payload: XElem, topic: Optional[str]) -> int:
-        if self.debug_linear_match:
-            return self._match_and_deliver_linear(payload, topic)
-        instr = self.network.instrumentation
         if topic is not None:
             try:
                 self.topics.validate_publication(topic)
             except FilterError as exc:
                 raise SoapFault(FaultCode.SENDER, str(exc)) from exc
         # one frozen payload instance is shared by every match this publish
-        if payload.frozen:
-            frozen = payload
-        else:
-            frozen = payload.copy().freeze()
-            if instr.enabled:
-                self._bound_counters.get(
-                    instr, "payload_copies", "fanout.payload_copies", family="wsn"
-                ).inc()
+        frozen = self._fanout.freeze(payload)
         if topic is not None:
             self._current_message[topic] = frozen
-        self.registry.sweep_due()
-        context = FilterContext(
-            frozen, topic, self.producer_properties, producer_document=self._properties_document()
-        )
-        index = self._topic_index
-        candidates = index.candidates(topic, frozen)
-        evals_counter = None
-        if instr.enabled:
-            bound = self._bound_counters
-            evaluated = index.content_evals
-            if evaluated:
-                bound.get(instr, "xpath_evals", "fanout.xpath_evals", family="wsn").inc(evaluated)
-            bound.get(instr, "index_hits", "fanout.index_hits", family="wsn").inc(len(candidates))
-            skipped = len(self._subscriptions) - len(candidates)
-            if skipped > 0:
-                bound.get(instr, "index_skips", "fanout.index_skips", family="wsn").inc(skipped)
-            # one increment per residual filter run, via one handle
-            evals_counter = bound.get(instr, "filter_evals", "fanout.filter_evals", family="wsn")
+        instr = self.network.instrumentation
+        lineage = instr.trace_context()
         matched = 0
-        for key in candidates:
-            subscription = self._subscriptions.get(key)
-            if subscription is None or not subscription.resource.alive(self.clock.now()):
-                continue
-            if evals_counter is not None:
-                evals_counter.inc()
-            if not admits(subscription.filter, context, instr, "wsn", key):
-                continue
+        for subscription in self._fanout.match(
+            frozen, topic, self.producer_properties, self._properties_document()
+        ):
             matched += 1
             message = NotificationMessage(
                 frozen,
@@ -643,20 +585,17 @@ class NotificationProducer:
             )
             if subscription.paused:
                 subscription.paused_queue.append(message)
-                if instr.enabled:
-                    lineage = instr.trace_context()
-                    if lineage is not None:
-                        # informational: the paused queue holds bare messages,
-                        # so per-item lineage ends here (no obligation)
-                        instr.lineage_event(
-                            lineage.lineage_id, "queued",
-                            subscription=subscription.key, mode="paused",
-                        )
+                if lineage is not None:
+                    # informational: the paused queue holds bare messages,
+                    # so per-item lineage ends here (no obligation)
+                    instr.lineage_event(
+                        lineage.lineage_id, "queued",
+                        subscription=subscription.key, mode="paused",
+                    )
             elif self.batcher is not None and not subscription.use_raw:
                 # same sink + same shape coalesce into one wire request; the
                 # group key mirrors the byte-template cache key so every
                 # flushed batch renders through a single compiled envelope
-                lineage = instr.trace_context() if instr.enabled else None
                 self.batcher.add(
                     (
                         sink_signature(subscription.consumer),
@@ -667,54 +606,9 @@ class NotificationProducer:
                     priority=self._priority_of(subscription),
                 )
             else:
-                self._deliver(subscription, [message])
+                self._flush_batch(None, [(subscription, message, lineage)])
         if self.batcher is not None:
             self.batcher.flush_publish()
-        return matched
-
-    def _match_and_deliver_linear(self, payload: XElem, topic: Optional[str]) -> int:
-        """The pre-index matcher, kept verbatim as the differential baseline
-        (``debug_linear_match=True``): full sweep, linear scan, one filter
-        evaluation and one payload copy per subscriber."""
-        instr = self.network.instrumentation
-        if topic is not None:
-            try:
-                self.topics.validate_publication(topic)
-            except FilterError as exc:
-                raise SoapFault(FaultCode.SENDER, str(exc)) from exc
-            self._current_message[topic] = payload.copy()
-            if instr.enabled:
-                instr.count("fanout.payload_copies", family="wsn")
-        self.registry.sweep()
-        # the oracle evaluates every subscription on its own: an unfrozen tree
-        # never reaches the per-document match state of repro.xmlkit.xpath
-        unfrozen = payload.copy() if payload.frozen else payload
-        context = FilterContext(
-            unfrozen, topic=topic, producer_properties=self.producer_properties
-        )
-        matched = 0
-        for subscription in list(self._subscriptions.values()):
-            if not subscription.resource.alive(self.clock.now()):
-                continue
-            if instr.enabled:
-                instr.count("fanout.filter_evals", family="wsn")
-            if not admits(subscription.filter, context, instr, "wsn", subscription.key):
-                continue
-            matched += 1
-            if instr.enabled:
-                instr.count("fanout.payload_copies", family="wsn")
-            message = NotificationMessage(
-                payload.copy(),
-                topic=topic,
-                subscription_reference=self.registry.epr_for(
-                    subscription.resource, self.manager_address
-                ),
-                producer_reference=self.epr(),
-            )
-            if subscription.paused:
-                subscription.paused_queue.append(message)
-            else:
-                self._deliver(subscription, [message])
         return matched
 
     def note_publication(self, payload: XElem, topic: Optional[str]) -> None:
@@ -737,98 +631,10 @@ class NotificationProducer:
     def _deliver(
         self, subscription: WsnSubscription, notifications: list[NotificationMessage]
     ) -> None:
-        instr = self.network.instrumentation
-
-        def attempt() -> None:
-            if not instr.enabled:
-                self._send_notifications(subscription, notifications)
-            else:
-                with instr.span(
-                    "notify", family="wsn", to=subscription.consumer.address,
-                    raw="true" if subscription.use_raw else "false",
-                ):
-                    self._send_notifications(subscription, notifications)
-                delivered_counter = self._bound_counters.probe(
-                    instr, "delivered"
-                )
-                if delivered_counter is None:
-                    delivered_counter = self._bound_counters.get(
-                        instr, "delivered", "notifications.delivered",
-                        family="wsn", version=self._version_tag,
-                    )
-                delivered_counter.inc()
-
-        if self.delivery_manager is not None:
-            # reliable path: the pipeline owns retries, dead-lettering and the
-            # firewall fallback, so a failed attempt never ends the subscription
-            lineage = instr.trace_context()
-            self.delivery_manager.submit(
-                subscription.consumer.address,
-                attempt,
-                items=[
-                    DeliveryItem(
-                        item.payload if item.payload.frozen else item.payload.copy(),
-                        item.topic,
-                        lineage=lineage,
-                    )
-                    for item in notifications
-                ],
-                family="wsn",
-                describe=f"notify {subscription.key}",
-                priority=self._priority_of(subscription),
-            )
-            return
-        lineage = instr.trace_context() if instr.enabled else None
-        sink = subscription.consumer.address
-        if lineage is not None:
-            # direct path: the obligation opens and closes synchronously
-            # (ledger written directly — the lineage id is known non-None)
-            record = instr._ledger_record
-            for _ in notifications:
-                record(lineage.lineage_id, "enqueued", sink=sink, family="wsn")
-                record(lineage.lineage_id, "attempted", n=1, sink=sink)
-        try:
-            attempt()
-            if lineage is not None:
-                for _ in notifications:
-                    instr.lineage_delivered(
-                        lineage.lineage_id,
-                        family="wsn",
-                        hops=lineage.hop + 1,
-                        sink=sink,
-                    )
-        except (NetworkError, SoapFault) as exc:
-            # failed consumer: destroy the subscription (soft state would
-            # collect it anyway; this mirrors WSE's DeliveryFailure ending)
-            if instr.enabled:
-                self._bound_counters.get(
-                    instr, "failed", "notifications.failed",
-                    family="wsn", version=self._version_tag,
-                ).inc()
-            if lineage is not None:
-                for _ in notifications:
-                    instr.lineage_event(
-                        lineage.lineage_id, "failed",
-                        sink=sink, reason=type(exc).__name__,
-                    )
-            record_failure(
-                self.delivery_failures,
-                instr,
-                at=self.clock.now(),
-                family="wsn",
-                stage="notify",
-                sink=subscription.consumer.address,
-                error=exc,
-            )
-            try:
-                self.registry.destroy(subscription.key, reason="delivery failure")
-            except ResourceUnknownFault as destroy_exc:
-                # already destroyed (e.g. swept mid-delivery); record the skip
-                instr.count(
-                    "obs.swallowed_errors_total",
-                    site="wsn.producer.destroy_after_failure",
-                    kind=type(destroy_exc).__name__,
-                )
+        """One subscriber's notifications (a resumed backlog) as one request
+        — a one-subscription batch."""
+        lineage = self.network.instrumentation.trace_context()
+        self._flush_batch(None, [(subscription, item, lineage) for item in notifications])
 
     def flush_batches(self) -> None:
         """Force out every partially-filled batch (broker ``flush()``)."""
@@ -840,105 +646,68 @@ class NotificationProducer:
         key,
         entries: list[tuple[WsnSubscription, NotificationMessage, object]],
     ) -> None:
-        """Deliver one coalesced batch: same sink, same shape, one request.
-
-        Mirrors :meth:`_deliver` exactly — manager path submits one task
-        whose items carry each notification's own lineage; the direct path
-        opens and closes every obligation synchronously and ends all batched
-        subscriptions on failure, just as a per-subscriber push would have.
-        """
-        instr = self.network.instrumentation
-        consumer = entries[0][0].consumer
-        sink = consumer.address
-        wrapped = [(sub.key, item) for sub, item, _ in entries]
-
-        def attempt() -> None:
-            if not instr.enabled:
-                self._send_wrapped(consumer, wrapped)
-            else:
-                with instr.span(
-                    "notify", family="wsn", to=sink, raw="false",
-                    batch=str(len(wrapped)),
-                ):
-                    self._send_wrapped(consumer, wrapped)
-                self._bound_counters.get(
-                    instr, "delivered", "notifications.delivered",
-                    family="wsn", version=self._version_tag,
-                ).inc(len(wrapped))
-
-        if self.delivery_manager is not None:
-            self.delivery_manager.submit(
-                sink,
-                attempt,
-                items=[
-                    DeliveryItem(
-                        item.payload if item.payload.frozen else item.payload.copy(),
-                        item.topic,
-                        lineage=lineage,
-                    )
-                    for _, item, lineage in entries
-                ],
-                family="wsn",
-                describe=f"notify batch[{len(entries)}] {sink}",
-                priority=max(self._priority_of(sub) for sub, _, _ in entries),
-            )
-            return
-        lineages = [lineage for _, _, lineage in entries if lineage is not None]
-        if lineages:
-            record = instr._ledger_record
-            for lineage in lineages:
-                record(lineage.lineage_id, "enqueued", sink=sink, family="wsn")
-                record(lineage.lineage_id, "attempted", n=1, sink=sink)
-        try:
-            attempt()
-            for lineage in lineages:
-                instr.lineage_delivered(
-                    lineage.lineage_id, family="wsn", hops=lineage.hop + 1, sink=sink
-                )
-        except (NetworkError, SoapFault) as exc:
-            if instr.enabled:
-                self._bound_counters.get(
-                    instr, "failed", "notifications.failed",
-                    family="wsn", version=self._version_tag,
-                ).inc(len(entries))
-            for lineage in lineages:
-                instr.lineage_event(
-                    lineage.lineage_id, "failed", sink=sink, reason=type(exc).__name__
-                )
-            record_failure(
-                self.delivery_failures,
-                instr,
-                at=self.clock.now(),
-                family="wsn",
-                stage="notify",
-                sink=sink,
-                error=exc,
-            )
-            for subscription in {sub.key: sub for sub, _, _ in entries}.values():
-                try:
-                    self.registry.destroy(subscription.key, reason="delivery failure")
-                except ResourceUnknownFault as destroy_exc:
-                    instr.count(
-                        "obs.swallowed_errors_total",
-                        site="wsn.producer.destroy_after_failure",
-                        kind=type(destroy_exc).__name__,
-                    )
-
-    def _send_notifications(
-        self, subscription: WsnSubscription, notifications: list[NotificationMessage]
-    ) -> None:
-        if subscription.use_raw:
-            for item in notifications:
-                self._client.call(
-                    subscription.consumer,
-                    self.version.action("Notify"),
-                    [item.payload if item.payload.frozen else item.payload.copy()],
-                    expect_reply=False,
-                )
+        """Deliver one batch — same sink, same shape, one settlement: the
+        batcher's coalesced group (``key`` is its group key), or the
+        unbatched case of a single subscription (``key`` is None).  Every
+        entry is its own item, with its own lineage; a failed direct attempt
+        ends every subscription in the batch, just as per-subscriber pushes
+        would have."""
+        first = entries[0][0]
+        sink = first.consumer.address
+        if key is None:
+            attrs = {"raw": "true" if first.use_raw else "false"}
+            describe = f"notify {first.key}"
+            priority = self._priority_of(first)
         else:
-            self._send_wrapped(
-                subscription.consumer,
-                [(subscription.key, item) for item in notifications],
+            attrs = {"raw": "false", "batch": str(len(entries))}
+            describe = f"notify batch[{len(entries)}] {sink}"
+            priority = max(self._priority_of(sub) for sub, _, _ in entries)
+        self._fanout.settle(
+            sink,
+            self._send_raw if first.use_raw else self._send_wrapped,
+            (first.consumer, [(sub.key, item) for sub, item, _ in entries]),
+            [
+                DeliveryItem(
+                    item.payload if item.payload.frozen else item.payload.copy(),
+                    item.topic,
+                    lineage=lineage,
+                )
+                for _, item, lineage in entries
+            ],
+            describe=describe,
+            priority=priority,
+            on_failed=self._end_after_failure,
+            **attrs,
+        )
+
+    def _end_after_failure(self, exc: Exception, consumer, entries) -> None:
+        """A direct attempt failed: destroy the subscriptions it carried
+        (soft state would collect them anyway; this mirrors WS-Eventing's
+        DeliveryFailure ending)."""
+        for sub_key in dict.fromkeys(sub_key for sub_key, _ in entries):
+            try:
+                self.registry.destroy(sub_key, reason="delivery failure")
+            except ResourceUnknownFault as destroy_exc:
+                # already destroyed (e.g. swept mid-delivery); record the skip
+                self.network.instrumentation.count(
+                    "obs.swallowed_errors_total",
+                    site="wsn.producer.destroy_after_failure",
+                    kind=type(destroy_exc).__name__,
+                )
+
+    def _send_notice(self, target: EndpointReference, action: str, body: XElem) -> None:
+        self._client.call(target, action, [body], expect_reply=False)
+
+    def _send_raw(
+        self,
+        consumer: EndpointReference,
+        entries: list[tuple[str, NotificationMessage]],
+    ) -> None:
+        """Raw delivery: each payload is the body of its own message."""
+        action = self.version.action("Notify")
+        for _, item in entries:
+            self._send_notice(
+                consumer, action, item.payload if item.payload.frozen else item.payload.copy()
             )
 
     def _send_wrapped(
@@ -949,9 +718,9 @@ class NotificationProducer:
         """One wrapped Notify request carrying ``entries`` (sub key, message).
 
         Fast path: render through the envelope byte-template cache — no tree
-        build, no tree walk.  Fallback (``debug_no_templates``, unfrozen
-        payload, mixed shapes, sentinel collision, envelope filter): the
-        original ``build_notify`` + ``call`` path, byte-identical output.
+        build, no tree walk.  Fallback (unfrozen payload, mixed shapes,
+        sentinel collision, envelope filter): the original ``build_notify``
+        + ``call`` path, byte-identical output.
         """
         action = self.version.action("Notify")
         text = self._render_notify(consumer, entries)
@@ -965,8 +734,9 @@ class NotificationProducer:
                 lineage=None if context is None else context.wire_text(),
             )
             return
-        body = messages.build_notify(self.version, [item for _, item in entries])
-        self._client.call(consumer, action, [body], expect_reply=False)
+        self._send_notice(
+            consumer, action, messages.build_notify(self.version, [item for _, item in entries])
+        )
 
     def _render_notify(
         self,
@@ -978,7 +748,7 @@ class NotificationProducer:
         where the tree path would mint it.  Lineage never appears here:
         trace context rides the HTTP head (see ``_send_wrapped``), so the
         rendered bytes match the uninstrumented envelope exactly."""
-        if self.debug_no_templates or self._client.envelope_filter is not None:
+        if self._client.envelope_filter is not None:
             return None
         instr = self.network.instrumentation
         first = entries[0][1]
@@ -1084,38 +854,19 @@ class NotificationProducer:
             # TerminationNotification is a WSRF resource-lifetime feature:
             # mandatory <= 1.2, available in 1.3 exactly when WSRF is mounted
             return
-        body = messages.build_termination_notification(reason)
-
-        def send_termination() -> None:
-            self._client.call(
+        # control message: under a delivery manager retried like any
+        # delivery, but content-free so it is never parked in a message box
+        self._fanout.settle(
+            subscription.consumer.address,
+            self._send_notice,
+            (
                 subscription.consumer,
                 messages.wsrf_lifetime_action("TerminationNotification"),
-                [body],
-                expect_reply=False,
-            )
-
-        if self.delivery_manager is not None:
-            # control message: retried like any delivery, but content-free so
-            # it is never parked in a message box
-            self.delivery_manager.submit(
-                subscription.consumer.address,
-                send_termination,
-                family="wsn",
-                describe=f"termination_notification {subscription.key}",
-            )
-            return
-        try:
-            send_termination()
-        except (NetworkError, SoapFault) as exc:
-            record_failure(
-                self.delivery_failures,
-                self.network.instrumentation,
-                at=self.clock.now(),
-                family="wsn",
-                stage="termination_notification",
-                sink=subscription.consumer.address,
-                error=exc,
-            )
+                messages.build_termination_notification(reason),
+            ),
+            stage="termination_notification",
+            describe=f"termination_notification {subscription.key}",
+        )
 
     def sweep(self) -> None:
         """Expire overdue subscriptions (fires termination notifications)."""

@@ -36,7 +36,7 @@ class TemplateStats:
         #: cache misses that compiled a fresh template
         self.misses = 0
         #: sends that could not use a template at all (unfrozen payload,
-        #: sentinel collision, envelope filter, ``debug_no_templates``...)
+        #: sentinel collision, envelope filter...)
         self.fallbacks = 0
 
     def snapshot(self) -> dict[str, int]:

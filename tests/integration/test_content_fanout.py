@@ -3,11 +3,11 @@
 The subscription index buckets content-filtered subscriptions by their
 shared compiled expression, evaluates each distinct expression once per
 publish and hands the fan-out loop only the survivors.  Here the composed
-broker is held to the linear oracle (``debug_linear_match=True``, which
-evaluates every subscription on its own, on an unfrozen tree), the work per
-publish is counted, and the two filter-error bugs stay fixed: a filter that
-cannot compile is refused at Subscribe, one that fails on a message costs
-only its own subscriptions that message.
+broker is held to the test-side linear oracle (``conftest.py``: it replaces
+``Fanout.match`` and evaluates every subscription on its own, on an unfrozen
+tree), the work per publish is counted, and the two filter-error bugs stay
+fixed: a filter that cannot compile is refused at Subscribe, one that fails
+on a message costs only its own subscriptions that message.
 """
 
 import random
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.filters import base as filters_base
+import repro.fanout
 from repro.messenger import WsMessenger
 from repro.obs import Instrumentation
 from repro.soap.fault import SoapFault
@@ -70,7 +70,7 @@ class Run:
 class Scenario:
     """One seeded population and traffic mix, replayed on either path."""
 
-    def __init__(self, *, linear: bool, seed: int, instrumented: bool = False) -> None:
+    def __init__(self, oracle_broker, *, linear: bool, seed: int, instrumented: bool = False) -> None:
         reset_message_counter()
         self.rng = random.Random(seed)
         self.run = Run()
@@ -79,7 +79,7 @@ class Scenario:
             lambda obs: self.run.wire.append((obs.address, bytes(obs.request)))
         )
         self.instr = Instrumentation.attach(self.network) if instrumented else None
-        self.broker = WsMessenger(self.network, "http://cf-broker", debug_linear_match=linear)
+        self.broker = oracle_broker(self.network, "http://cf-broker", linear=linear)
         self.properties = self.broker.wsn_producers[WsnVersion.V1_3].producer_properties
         self.properties["cluster"] = "A"
         self.consumers: list = []
@@ -194,9 +194,9 @@ class Scenario:
 
 class TestIndexAgainstTheLinearOracle:
     @pytest.mark.parametrize("seed", [20060813, 7, 4242])
-    def test_same_deliveries_and_byte_identical_wire(self, seed):
-        linear = Scenario(linear=True, seed=seed).play(population=40, publishes=60)
-        indexed = Scenario(linear=False, seed=seed).play(population=40, publishes=60)
+    def test_same_deliveries_and_byte_identical_wire(self, seed, oracle_broker):
+        linear = Scenario(oracle_broker, linear=True, seed=seed).play(population=40, publishes=60)
+        indexed = Scenario(oracle_broker, linear=False, seed=seed).play(population=40, publishes=60)
         assert indexed.received == linear.received
         delivered = sum(len(v) for v in linear.received.values())
         assert 100 < delivered < 40 * 60, "the population must filter, not pass or drop everything"
@@ -204,20 +204,20 @@ class TestIndexAgainstTheLinearOracle:
         for n, (want, got) in enumerate(zip(linear.wire, indexed.wire)):
             assert got == want, f"frame {n} diverged"
 
-    def test_filter_errors_are_counted_alike_on_both_paths(self):
-        linear = Scenario(linear=True, seed=99, instrumented=True).play(30, 40)
-        indexed = Scenario(linear=False, seed=99, instrumented=True).play(30, 40)
+    def test_filter_errors_are_counted_alike_on_both_paths(self, oracle_broker):
+        linear = Scenario(oracle_broker, linear=True, seed=99, instrumented=True).play(30, 40)
+        indexed = Scenario(oracle_broker, linear=False, seed=99, instrumented=True).play(30, 40)
         assert indexed.received == linear.received
         assert sum(indexed.filter_errors.values()) > 0
         assert indexed.filter_errors == linear.filter_errors
         assert indexed.error_events == linear.error_events
 
 
-def _broker(linear: bool = False):
+def _broker(build=WsMessenger, **oracle):
     reset_message_counter()
     network = SimulatedNetwork(VirtualClock())
     instr = Instrumentation.attach(network)
-    return network, instr, WsMessenger(network, "http://cf-broker", debug_linear_match=linear)
+    return network, instr, build(network, "http://cf-broker", **oracle)
 
 
 class TestUncompilableFiltersFaultAtSubscribe:
@@ -269,8 +269,8 @@ class TestUncompilableFiltersFaultAtSubscribe:
 
 class TestAFailingFilterCostsOnlyItsOwnSubscriptions:
     @pytest.mark.parametrize("linear", [False, True], ids=["indexed", "linear"])
-    def test_poisoned_subscription_between_two_healthy_ones(self, linear):
-        network, instr, broker = _broker(linear)
+    def test_poisoned_subscription_between_two_healthy_ones(self, linear, oracle_broker):
+        network, instr, broker = _broker(oracle_broker, linear=linear)
         sinks = [EventSink(network, f"http://cf-sink-{n}") for n in range(3)]
         consumers = [NotificationConsumer(network, f"http://cf-consumer-{n}") for n in range(3)]
         wse, wsn = WseSubscriber(network), WsnSubscriber(network)
@@ -347,7 +347,7 @@ class TestWorkPerPublish:
         assert [len(index._content) for index in indexes] == [HOSTS, HOSTS]
 
         seen = {"builds": 0, "evaluations": 0, "residual": 0}
-        build_tree, value, admits = engine.build_tree, XPath._value, filters_base.admits
+        build_tree, value, admits = engine.build_tree, XPath._value, repro.fanout.admits
 
         def counting_build(root):
             seen["builds"] += 1
@@ -363,8 +363,7 @@ class TestWorkPerPublish:
 
         monkeypatch.setattr(engine, "build_tree", counting_build)
         monkeypatch.setattr(XPath, "_value", counting_value)
-        for module in ("repro.wse.source", "repro.wsn.producer"):
-            monkeypatch.setattr(f"{module}.admits", counting_admits)
+        monkeypatch.setattr(repro.fanout, "admits", counting_admits)
 
         for seq in range(5):
             before = dict(seen), len(sink.received) + len(consumer.received)

@@ -2,19 +2,22 @@
 
 The same seeded scenario — randomized topic sets, mixed WSN dialects and
 versions, WSE subscriptions with and without content filters, publications,
-renews and unsubscribes — is run against a WS-Messenger broker on each fan-out
-path: the pre-index linear matcher (``debug_linear_match=True``), the
-topic-indexed / frozen-payload fast path with byte-templates disabled
-(``debug_no_templates=True``), and the full envelope byte-template path.
-Every pair of runs must produce the exact same (consumer, message) delivery
-sets AND byte-identical raw wire traffic, frame for frame.
+renews and unsubscribes — is run against a WS-Messenger broker as shipped and
+against the same broker with a test-side oracle installed (see
+``conftest.py``): the pre-index linear matcher in place of the shared
+``Fanout.match``, or tree serialization in place of the envelope
+byte-template render.  Every pair of runs must produce the exact same
+(consumer, message) delivery sets AND byte-identical raw wire traffic, frame
+for frame.  The oracles replace one stage each, so the same holds with the
+delivery manager, batching and a QoS queue bound composed in.
 """
 
 import random
 from dataclasses import dataclass, field
 
-from repro.messenger import WsMessenger
-from repro.transport import SimulatedNetwork, VirtualClock
+from repro.delivery import BatchingPolicy, DeliveryPolicy
+from repro.qos.adaptive import AdaptiveQosPolicy
+from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
 from repro.wsa.headers import reset_message_counter
 from repro.wse import EventSink, WseSubscriber
 from repro.wse.versions import WseVersion
@@ -67,22 +70,40 @@ class RunResult:
     wire: list[tuple[str, bytes]] = field(default_factory=list)
     #: per consumer address: the (topic, payload-text) sequence it received
     received: dict[str, list] = field(default_factory=dict)
-    matched_counts: list[int] = field(default_factory=list)
+    #: obligations the QoS queue bound shed (composed cell only)
+    shed: int = 0
 
 
-def _run_scenario(*, linear: bool, no_templates: bool = False) -> RunResult:
+#: the composed cell: reliable delivery, per-sink batching and a bounded
+#: per-sink queue, with one consumer dark for a stretch so the bound sheds
+COMPOSED = dict(
+    delivery=DeliveryPolicy(max_attempts=4, base_backoff=0.5, jitter=0.0),
+    batching=BatchingPolicy(max_batch=4),
+    qos=AdaptiveQosPolicy(max_sink_queue=2),
+)
+DARK_PUBLISHES = range(4, 16)
+
+
+def _run_scenario(
+    oracle_broker, *, linear: bool, tree: bool = False, composed: bool = False
+) -> RunResult:
     reset_message_counter()
     result = RunResult()
     network = SimulatedNetwork(VirtualClock())
     network.wire_observers.append(
         lambda obs: result.wire.append((obs.address, bytes(obs.request)))
     )
-    broker = WsMessenger(
-        network,
-        "http://diff-broker",
-        debug_linear_match=linear,
-        debug_no_templates=no_templates,
+    broker = oracle_broker(
+        network, "http://diff-broker", linear=linear, tree=tree,
+        **(COMPOSED if composed else {}),
     )
+    dark: set[str] = set()
+
+    def blackout(target, payload):
+        if target in dark:
+            raise MessageLost(target)
+
+    network.observers.append(blackout)
     rng = random.Random(SEED)
 
     wsn_consumers: list[NotificationConsumer] = []
@@ -126,6 +147,11 @@ def _run_scenario(*, linear: bool, no_templates: bool = False) -> RunResult:
             wse_handles.append((WseSubscriber(network, version=version), handle))
 
     for i in range(N_PUBLISHES):
+        if composed:
+            dark.clear()
+            if i in DARK_PUBLISHES:
+                dark.update(c.address for c in wsn_consumers[:2])
+                dark.update(s.address for s in wse_sinks[:1])
         topic = rng.choice(TOPICS + [None])
         broker.publish(_event(i), topic=topic)
         # occasional management traffic interleaved with publications
@@ -141,6 +167,9 @@ def _run_scenario(*, linear: bool, no_templates: bool = False) -> RunResult:
             subscriber.unsubscribe(handle)
 
     broker.flush()
+    broker.run_deliveries_until_idle()
+    if composed:
+        result.shed = broker.delivery_manager.stats.shed
 
     for consumer in wsn_consumers:
         result.received[consumer.address] = [
@@ -153,10 +182,17 @@ def _run_scenario(*, linear: bool, no_templates: bool = False) -> RunResult:
     return result
 
 
+def _assert_same_wire(want: RunResult, got: RunResult) -> None:
+    assert len(got.wire) == len(want.wire)
+    for i, (expected, actual) in enumerate(zip(want.wire, got.wire)):
+        assert actual[0] == expected[0], f"frame {i}: address diverged"
+        assert actual[1] == expected[1], f"frame {i}: request bytes diverged"
+
+
 class TestFanoutDifferential:
-    def test_indexed_path_is_byte_identical_to_linear_path(self):
-        linear = _run_scenario(linear=True)
-        indexed = _run_scenario(linear=False)
+    def test_indexed_path_is_byte_identical_to_linear_path(self, oracle_broker):
+        linear = _run_scenario(oracle_broker, linear=True)
+        indexed = _run_scenario(oracle_broker, linear=False)
 
         # identical delivery sets per consumer
         assert indexed.received == linear.received
@@ -164,22 +200,31 @@ class TestFanoutDifferential:
         assert sum(len(v) for v in linear.received.values()) > 0
 
         # byte-identical wire capture, frame for frame
-        assert len(indexed.wire) == len(linear.wire)
-        for i, (want, got) in enumerate(zip(linear.wire, indexed.wire)):
-            assert got[0] == want[0], f"frame {i}: address diverged"
-            assert got[1] == want[1], f"frame {i}: request bytes diverged"
+        _assert_same_wire(linear, indexed)
 
-    def test_templated_path_is_byte_identical_to_tree_path(self):
+    def test_templated_path_is_byte_identical_to_tree_path(self, oracle_broker):
         # the envelope byte-template cache must be invisible on the wire:
         # rendering cached segments == serializing the equivalent tree
-        tree = _run_scenario(linear=False, no_templates=True)
-        templated = _run_scenario(linear=False)
+        tree = _run_scenario(oracle_broker, linear=False, tree=True)
+        templated = _run_scenario(oracle_broker, linear=False)
         assert templated.received == tree.received
         assert templated.wire == tree.wire
 
-    def test_linear_run_is_self_reproducible(self):
+    def test_composed_stack_is_byte_identical_to_both_oracles(self, oracle_broker):
+        # the cell the in-product forks could never run: the linear path
+        # ignored queue bounds, the batching policy and the batcher
+        product = _run_scenario(oracle_broker, linear=False, composed=True)
+        assert product.shed > 0, "the queue bound must be load-bearing"
+        assert sum(len(v) for v in product.received.values()) > 0
+        for oracle in (dict(linear=True), dict(linear=False, tree=True), dict(linear=True, tree=True)):
+            reference = _run_scenario(oracle_broker, composed=True, **oracle)
+            assert reference.received == product.received
+            assert reference.shed == product.shed
+            _assert_same_wire(reference, product)
+
+    def test_linear_run_is_self_reproducible(self, oracle_broker):
         # guards the harness itself: the scenario must be deterministic
-        a = _run_scenario(linear=True)
-        b = _run_scenario(linear=True)
+        a = _run_scenario(oracle_broker, linear=True)
+        b = _run_scenario(oracle_broker, linear=True)
         assert a.wire == b.wire
         assert a.received == b.received

@@ -1,12 +1,26 @@
-"""Broker crash recovery via the subscription journal."""
+"""Broker crash recovery: the event log is the subscription journal.
+
+These are the behaviours the retired ``SubscriptionJournal`` was tested for
+(every accepted Subscribe is journalled verbatim and replayed at a fresh
+broker, ids / manager EPRs / granted expiries survive), ported to what
+subsumed it: ``WsMessenger(store=BrokerStore(log))`` + ``recover_broker``.
+A store implies the delivery manager, so a consumer that vanished with the
+broker dead-letters instead of being reaped on first failure.
+"""
 
 import pytest
 
-from repro.messenger import SubscriptionJournal, WsMessenger
+from repro.delivery import DeliveryPolicy
+from repro.messenger import WsMessenger
+from repro.soap import SoapFault
+from repro.store import BrokerStore, MemoryEventLog, recover_broker
+from repro.store.records import SubscribeRecorded
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.wse import EventSink, WseSubscriber, WseVersion
-from repro.wsn import NotificationConsumer, WsnSubscriber, WsnVersion
+from repro.wsn import NotificationConsumer, WsnSubscriber
 from repro.xmlkit import parse_xml
+
+ADDRESS = "http://jr-broker"
 
 
 def event(n=1):
@@ -16,6 +30,19 @@ def event(n=1):
 @pytest.fixture
 def network():
     return SimulatedNetwork(VirtualClock())
+
+
+def _broker(network, **kwargs):
+    return WsMessenger(network, ADDRESS, store=BrokerStore(MemoryEventLog()), **kwargs)
+
+
+def _crash_and_recover(network, broker, **kwargs):
+    broker.close()  # the broker and all its internal endpoints vanish
+    return recover_broker(network, ADDRESS, broker.store.log, **kwargs)
+
+
+def _journalled(broker):
+    return [r for r in broker.store.log.records() if isinstance(r, SubscribeRecorded)]
 
 
 def _populate(network, broker):
@@ -28,67 +55,54 @@ def _populate(network, broker):
 
 class TestJournal:
     def test_journal_records_subscribes_only(self, network):
-        journal = SubscriptionJournal()
-        broker = WsMessenger(network, "http://jr-broker", journal=journal)
-        sink, consumer = _populate(network, broker)
-        broker.publish(event(), topic="jr")  # publications are not journalled
-        assert len(journal) == 2
+        broker = _broker(network)
+        _populate(network, broker)
+        broker.publish(event(), topic="jr")  # logged, but not as a Subscribe
+        assert len(_journalled(broker)) == 2
 
     def test_failed_subscribe_not_journalled(self, network):
-        journal = SubscriptionJournal()
-        broker = WsMessenger(network, "http://jr-broker", journal=journal)
-        from repro.soap import SoapFault
-
-        subscriber = WseSubscriber(network)
+        broker = _broker(network)
         with pytest.raises(SoapFault):
-            subscriber.subscribe(broker.epr())  # push without NotifyTo faults
-        assert len(journal) == 0
+            WseSubscriber(network).subscribe(broker.epr())  # push without NotifyTo faults
+        assert _journalled(broker) == []
 
     def test_crash_and_recover(self, network):
-        journal = SubscriptionJournal()
-        broker = WsMessenger(network, "http://jr-broker", journal=journal)
+        broker = _broker(network)
         sink, consumer = _populate(network, broker)
         broker.publish(event(1), topic="jr")
-        # --- crash: the broker and all its internal endpoints vanish ---------
-        broker.close()
-        # --- recover: a fresh broker at the same address, replay the journal -
-        recovered_broker = WsMessenger(network, "http://jr-broker")
-        recovered = journal.replay(network, "http://jr-broker")
-        assert recovered == 2
-        assert recovered_broker.subscription_count() == 2
-        recovered_broker.publish(event(2), topic="jr")
-        # consumers kept receiving across the crash
+        recovered = _crash_and_recover(network, broker)
+        assert recovered.store.stats.recovered_subscriptions == 2
+        assert recovered.subscription_count() == 2
+        recovered.publish(event(2), topic="jr")
+        # consumers kept receiving across the crash, nothing twice
         assert len(sink.received) == 2
         assert len(consumer.received) == 2
 
     def test_replay_skips_vanished_consumers(self, network):
-        journal = SubscriptionJournal()
-        broker = WsMessenger(network, "http://jr-broker", journal=journal)
+        policy = DeliveryPolicy(max_attempts=2, base_backoff=0.0, jitter=0.0)
+        broker = _broker(network, delivery=policy)
         sink, consumer = _populate(network, broker)
-        broker.close()
         sink.close()  # one consumer died along with the broker
-        recovered_broker = WsMessenger(network, "http://jr-broker")
+        recovered = _crash_and_recover(network, broker, delivery=policy)
         # subscriptions are re-created regardless (consumer liveness is only
         # probed at delivery time, as with any live subscription)
-        assert journal.replay(network, "http://jr-broker") == 2
-        recovered_broker.publish(event(), topic="jr")
+        assert recovered.store.stats.recovered_subscriptions == 2
+        recovered.publish(event(), topic="jr")
+        recovered.run_deliveries_until_idle()
         assert len(consumer.received) == 1
-        # the dead sink's subscription was reaped at first delivery failure
-        assert recovered_broker.subscription_count() == 1
+        # the dead sink's copy is dead-lettered; the DLQ owns it from here
+        assert len(recovered.delivery_manager.dlq) == 1
+        assert recovered.subscription_count() == 2
 
     def test_replay_preserves_ids_and_manager_eprs(self, network):
-        journal = SubscriptionJournal()
-        broker = WsMessenger(network, "http://jr-broker", journal=journal)
+        broker = _broker(network)
         sink = EventSink(network, "http://jr-sink")
         consumer = NotificationConsumer(network, "http://jr-consumer")
         wse_subscriber = WseSubscriber(network)
         wsn_subscriber = WsnSubscriber(network)
         wse_handle = wse_subscriber.subscribe(broker.epr(), notify_to=sink.epr())
         wsn_handle = wsn_subscriber.subscribe(broker.epr(), consumer.epr(), topic="jr")
-        broker.close()
-        recovered = WsMessenger(network, "http://jr-broker")
-        # passing the broker pins each entry's granted id before the re-post
-        assert journal.replay(network, "http://jr-broker", broker=recovered) == 2
+        recovered = _crash_and_recover(network, broker)
         # the manager EPRs minted before the crash still address these
         # subscriptions: Renew and Unsubscribe work without re-subscribing
         wse_subscriber.renew(wse_handle, "PT2H")
@@ -98,38 +112,22 @@ class TestJournal:
         assert recovered.subscription_count() == 0
 
     def test_replay_restores_granted_expiry(self, network):
-        journal = SubscriptionJournal()
-        broker = WsMessenger(network, "http://jr-broker", journal=journal)
+        broker = _broker(network)
         sink = EventSink(network, "http://jr-sink")
-        subscriber = WseSubscriber(network)
-        handle = subscriber.subscribe(broker.epr(), notify_to=sink.epr(), expires="PT1H")
+        WseSubscriber(network).subscribe(broker.epr(), notify_to=sink.epr(), expires="PT1H")
         network.clock.advance(1200.0)
-        broker.close()
-        recovered = WsMessenger(network, "http://jr-broker")
-        assert journal.replay(network, "http://jr-broker", broker=recovered) == 1
+        recovered = _crash_and_recover(network, broker)
         # absolute expiry survives: the remaining lifetime shrank by the
         # 20 minutes that elapsed, instead of being re-granted in full
         source = recovered.wse_sources[WseVersion.V2004_08]
         [subscription] = source.store.live()
         assert subscription.expires == pytest.approx(3600.0, abs=1.0)
 
-    def test_replay_against_unreachable_broker(self, network):
-        journal = SubscriptionJournal()
-        broker = WsMessenger(network, "http://jr-broker", journal=journal)
-        _populate(network, broker)
-        broker.close()
-        assert journal.replay(network, "http://nowhere") == 0
-
 
 class TestJournalWithReliableDelivery:
     def test_restart_replays_journal_and_dlq_exactly_once(self, network):
-        from repro.delivery import DeliveryPolicy
-
-        journal = SubscriptionJournal()
         policy = DeliveryPolicy(max_attempts=2, base_backoff=1.0, jitter=0.0)
-        broker = WsMessenger(
-            network, "http://jr-broker", journal=journal, delivery=policy
-        )
+        broker = _broker(network, delivery=policy)
         sink, consumer = _populate(network, broker)
         # the WSN consumer goes dark: its copy exhausts the retry budget and
         # dead-letters (the subscription itself survives — the DLQ owns it)
@@ -138,18 +136,17 @@ class TestJournalWithReliableDelivery:
         broker.run_deliveries_until_idle()
         assert len(sink.received) == 1
         assert len(broker.delivery_manager.dlq) == 1
-        pending_dlq = broker.delivery_manager.dlq
-        # --- crash ----------------------------------------------------------
-        broker.close()
-        # --- recover: fresh broker, re-created subscriptions, consumer back -
-        recovered = WsMessenger(network, "http://jr-broker", delivery=policy)
-        assert journal.replay(network, "http://jr-broker") == 2
-        assert recovered.subscription_count() == 2
-        revived = NotificationConsumer(network, "http://jr-consumer")
-        # replay the carried-over dead letters through the new pipeline
-        assert pending_dlq.replay(recovered.delivery_manager) == 1
+        # --- crash, recover: subscriptions and the dead letter come back ----
+        recovered = _crash_and_recover(network, broker, delivery=policy)
         recovered.run_deliveries_until_idle()
-        assert len(pending_dlq) == 0
+        assert recovered.subscription_count() == 2
+        assert len(sink.received) == 1  # the settled copy is not re-sent
+        dlq = recovered.delivery_manager.dlq
+        assert len(dlq) == 1
+        revived = NotificationConsumer(network, "http://jr-consumer")
+        assert dlq.replay(recovered.delivery_manager) == 1
+        recovered.run_deliveries_until_idle()
+        assert len(dlq) == 0
         # the replayed message arrived exactly once
         assert len(revived.received) == 1
         # and live traffic flows exactly once to every consumer

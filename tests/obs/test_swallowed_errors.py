@@ -184,20 +184,6 @@ def test_jms_drain_does_not_strand_messages_behind_a_poisoned_one():
     assert counter_total(instrumentation, "messenger.adapters.jms_drain") == 1
 
 
-def test_journal_replay_counts_dead_front_door():
-    from repro.messenger.journal import JournalEntry, SubscriptionJournal
-
-    network = SimulatedNetwork(VirtualClock())
-    instrumentation = Instrumentation.attach(network)
-    journal = SubscriptionJournal(
-        entries=[JournalEntry("urn:act", b"<not-really-soap/>")]
-    )
-    # nobody listens at the broker address: every re-post dies in flight
-    recovered = journal.replay(network, "http://journal-gone-broker")
-    assert recovered == 0  # the replay completes...
-    assert counter_total(instrumentation, "messenger.journal.replay") == 1
-
-
 def test_store_recovery_counts_failed_subscribe_replay():
     from repro.messenger.broker import WsMessenger
     from repro.store.core import BrokerStore

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.messenger import WsMessenger
 from repro.qos import DiscardPolicy, OrderPolicy, QosError, QosProfile
+from repro.qos.adaptive import AdaptiveQosPolicy
 from repro.qos.wire import find_profile, profile_from_element, profile_to_element
 from repro.soap.fault import FaultCode, SoapFault
 from repro.transport import SimulatedNetwork, VirtualClock
@@ -141,3 +143,52 @@ class TestWsnSubscribeQos:
         (subscription,) = producer._subscriptions.values()
         assert subscription.use_raw
         assert subscription.qos is not None and subscription.qos.get("Priority") == 2
+
+
+#: understood on the wire (Table 3: all 13 CORBA properties are), but this
+#: broker implements neither — granting them would be a silent downgrade
+DECLARED_NOT_HONOURED = [
+    {"DiscardPolicy": DiscardPolicy.DEADLINE_ORDER},
+    {"PacingInterval": 0.5},
+]
+
+
+class TestDeclaredButUnimplementedKnobsFault:
+    """Was: accepted, then DeadlineOrder shed as FIFO and PacingInterval ignored."""
+
+    @pytest.mark.parametrize("with_controller", [False, True], ids=["bare", "controller"])
+    @pytest.mark.parametrize("values", DECLARED_NOT_HONOURED, ids=["deadline", "pacing"])
+    def test_both_families_fault_the_subscribe(self, values, with_controller):
+        network = _network()
+        broker = WsMessenger(
+            network, "http://broker", qos=AdaptiveQosPolicy() if with_controller else None
+        )
+        assert (broker.qos is not None) == with_controller
+        sink = EventSink(network, "http://sink")
+        consumer = NotificationConsumer(network, "http://consumer")
+        with pytest.raises(SoapFault) as wse:
+            WseSubscriber(network).subscribe(
+                broker.epr(), notify_to=sink.epr(), qos=QosProfile(dict(values))
+            )
+        with pytest.raises(SoapFault) as wsn:
+            WsnSubscriber(network).subscribe(
+                broker.epr(), consumer.epr(), topic="qos", qos=QosProfile(dict(values))
+            )
+        assert wse.value.subcode.local == "UnsupportedQoS"
+        assert wsn.value.subcode.local == "UnsupportedPolicyRequestFault"
+        assert broker.subscription_count() == 0
+        if with_controller:
+            assert broker.qos.profile_rejections == 2
+
+    def test_the_codec_still_understands_them_and_any_order_is_granted(self):
+        for values in DECLARED_NOT_HONOURED:
+            profile = QosProfile(dict(values))
+            assert profile_from_element(profile_to_element(profile)).values == values
+        network = _network()
+        source = EventSource(network, "http://source")
+        WseSubscriber(network).subscribe(
+            source.epr(),
+            notify_to=EventSink(network, "http://sink").epr(),
+            qos=QosProfile({"DiscardPolicy": DiscardPolicy.ANY_ORDER, "PacingInterval": 0.0}),
+        )
+        assert len(source.store) == 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.delivery import DeliveryManager, DeliveryPolicy
 from repro.soap import SoapFault
 from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
 from repro.wse import EventSink, EventSource, SubscriptionEndCode, WseSubscriber
@@ -29,10 +30,19 @@ class LossSchedule:
             raise MessageLost(target)
 
 
+def _retrying_source(network, attempts: int) -> EventSource:
+    """Retrying is the delivery policy's job: a source given a manager whose
+    budget is ``attempts`` tries, the first included, with no backoff."""
+    policy = DeliveryPolicy(max_attempts=attempts, base_backoff=0.0, jitter=0.0)
+    return EventSource(
+        network, "http://src", delivery_manager=DeliveryManager(network, policy=policy)
+    )
+
+
 class TestLossyDelivery:
     def test_no_retries_loss_kills_subscription(self):
         network = SimulatedNetwork(VirtualClock())
-        source = EventSource(network, "http://src", delivery_retries=0)
+        source = EventSource(network, "http://src")  # best effort: one attempt
         sink = EventSink(network, "http://snk")
         WseSubscriber(network).subscribe(source.epr(), notify_to=sink.epr())
         LossSchedule(network, {1})  # drop the next wire request
@@ -43,27 +53,34 @@ class TestLossyDelivery:
 
     def test_retry_recovers_from_transient_loss(self):
         network = SimulatedNetwork(VirtualClock())
-        source = EventSource(network, "http://src", delivery_retries=2)
+        source = _retrying_source(network, attempts=3)
         sink = EventSink(network, "http://snk")
         WseSubscriber(network).subscribe(source.epr(), notify_to=sink.epr())
         LossSchedule(network, {1})  # first attempt lost, retry succeeds
         source.publish(event())
+        source.delivery_manager.run_until_idle()
         assert len(sink.received) == 1
         assert not source.ended_subscriptions
 
-    def test_retries_exhausted_ends_subscription(self):
+    def test_retries_exhausted_dead_letters(self):
         network = SimulatedNetwork(VirtualClock())
-        source = EventSource(network, "http://src", delivery_retries=2)
+        source = _retrying_source(network, attempts=3)
         sink = EventSink(network, "http://snk")
         WseSubscriber(network).subscribe(source.epr(), notify_to=sink.epr())
         LossSchedule(network, {1, 2, 3})  # initial + both retries lost
         source.publish(event())
+        source.delivery_manager.run_until_idle()
         assert sink.received == []
-        assert source.ended_subscriptions
+        # the pipeline owns the failure: dead-lettered and replayable, and
+        # the subscription is not ended over it
+        assert len(source.delivery_manager.dlq) == 1
+        assert not source.ended_subscriptions
+        source.publish(event(2))
+        assert len(sink.received) == 1
 
     def test_hard_failure_not_retried(self):
         network = SimulatedNetwork(VirtualClock())
-        source = EventSource(network, "http://src", delivery_retries=5)
+        source = EventSource(network, "http://src")
         sink = EventSink(network, "http://snk")
         WseSubscriber(network).subscribe(source.epr(), notify_to=sink.epr())
         sink.close()  # address gone: AddressUnreachable is permanent
@@ -72,6 +89,18 @@ class TestLossyDelivery:
         assert source.ended_subscriptions
         # exactly one attempt: no retry storm against a dead address
         assert network.stats.refused == 1
+
+    def test_hard_failure_attempts_are_bounded_by_the_policy(self):
+        network = SimulatedNetwork(VirtualClock())
+        source = _retrying_source(network, attempts=3)
+        sink = EventSink(network, "http://snk")
+        WseSubscriber(network).subscribe(source.epr(), notify_to=sink.epr())
+        sink.close()
+        network.stats.reset()
+        source.publish(event())
+        source.delivery_manager.run_until_idle()
+        assert network.stats.refused == 3
+        assert len(source.delivery_manager.dlq) == 1
 
     def test_seeded_loss_rate_is_reproducible(self):
         outcomes = []
