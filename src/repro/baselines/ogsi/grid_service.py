@@ -6,12 +6,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.soap.envelope import SoapEnvelope, SoapVersion
+from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.network import NetworkError, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, apply_headers
+from repro.wsa.headers import MessageHeaders, reply_envelope
 from repro.wsa.versions import WsaVersion
 from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.names import QName
@@ -127,11 +127,8 @@ class GridService:
         return self._reply(headers, _action(local), XElem(_q(local)))
 
     def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> SoapEnvelope:
-        reply = SoapEnvelope(SoapVersion.V11)
-        wsa = WsaVersion.V2003_03  # OGSI is WSA 2003/03 era
-        apply_headers(reply, MessageHeaders.reply(request_headers, action, wsa), wsa)
-        reply.add_body(body)
-        return reply
+        # OGSI is WSA 2003/03 era
+        return reply_envelope(request_headers, action, body, WsaVersion.V2003_03)
 
 
 class NotificationSource(GridService):

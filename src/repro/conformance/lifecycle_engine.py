@@ -1,14 +1,17 @@
-"""Lifecycle engine: subscription schedules against both spec families.
+"""Lifecycle engine: subscription schedules against every spec family.
 
 Each case is a schedule — initial subscriptions with generated expirations,
 then a sequence of clock advances, publishes, renews, unsubscribes, and
-status queries — executed against a *real* WSE source or WSN producer over
-the simulated network, with a tiny reference model running alongside.  The
-invariants are the ones the paper's comparison takes for granted:
+status queries — executed against a *real* WSE source, WSN producer or
+converged (WS-EventNotification) source over the simulated network, with a
+tiny reference model running alongside.  The invariants are the ones the
+paper's comparison takes for granted:
 
 - an invalid expiration (``PT0S``, ``-PT5S``, a past dateTime, garbage) is
-  faulted at subscribe/renew time with the family's own subcode — never
-  silently granted;
+  faulted at subscribe/renew time with the family's own subcode *for that
+  operation* — never silently granted; a WSRF SetTerminationTime that cannot
+  be honoured faults ``UnableToSetTerminationTimeFault``, whatever its text;
+- a Subscribe that faults leaves nothing behind, its QoS profile included;
 - a granted expiration is exact: a requested absolute dateTime is echoed
   verbatim, and a duration (or the default lifetime) is anchored at the
   grant instant — which the model brackets between the virtual-clock reads
@@ -33,6 +36,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.conformance.gen import pick
+from repro.delivery.manager import DeliveryManager
+from repro.qos.adaptive import AdaptiveQosController
 from repro.qos.properties import DiscardPolicy, QosProfile
 from repro.soap.fault import SoapFault
 from repro.transport import SimulatedNetwork, VirtualClock
@@ -43,6 +48,8 @@ from repro.xmlkit.names import QName
 
 _FAMILIES = ("wse", "wsn")
 _WSE_VERSIONS = ("V2004_01", "V2004_08")
+#: family -> the versions a case may name ("wsen": the converged prototype)
+_VERSIONS = {"wse": _WSE_VERSIONS, "wsn": ("V1_3",), "wsen": ("WSEN",)}
 _DEFAULT_LIFETIME = 3600.0
 
 _INVALID_KINDS = ("zero", "negative", "pastdt", "garbage")
@@ -60,6 +67,9 @@ _UNSUPPORTED_QOS = {
     "deadline_order": {"DiscardPolicy": DiscardPolicy.DEADLINE_ORDER},
     "pacing_interval": {"PacingInterval": 0.5},
 }
+#: ... and one the broker does honour (corpus only: with ``"controller"`` set
+#: on the case, a *refused* Subscribe must not leave it registered)
+_QOS = {**_UNSUPPORTED_QOS, "priority": {"Priority": 7, "MaxEventsPerConsumer": 3}}
 
 
 def _gen_expiry(rng: SeededRng, *, allow_invalid: bool = True) -> dict:
@@ -142,6 +152,16 @@ class LifecycleEngine:
         for spec in subs:  # its own pass, after every filter draw, for the same reason
             if rng.randrange(100) < 5:
                 spec["qos"] = pick(rng, tuple(_UNSUPPORTED_QOS))
+        # later still: a WSRF SetTerminationTime closes some WSN schedules, and
+        # some schedules the converged prototype can express run on it instead
+        if family == "wsn" and rng.randrange(100) < 15:
+            ops.append(
+                {"op": "set_termination", "sub": rng.randrange(len(subs)), "expires": _gen_expiry(rng)}
+            )
+        elif rng.randrange(100) < 15 and not any(
+            op["op"] == "status" for op in ops
+        ) and not any("qos" in spec for spec in subs):
+            family, version = "wsen", "WSEN"
         return {"family": family, "version": version, "subs": subs, "ops": ops}
 
     # --- validity (the shrinker mutates blindly) --------------------------
@@ -150,13 +170,11 @@ class LifecycleEngine:
         if not isinstance(case, dict):
             return False
         family, version = case.get("family"), case.get("version")
-        if family == "wse":
-            if version not in _WSE_VERSIONS:
-                return False
-        elif family == "wsn":
-            if version != "V1_3":
-                return False
-        else:
+        if version not in _VERSIONS.get(family, ()):
+            return False
+        if case.get("controller", False) not in (False, True) or (
+            family == "wsen" and case.get("controller")
+        ):
             return False
         subs = case.get("subs")
         if not isinstance(subs, list) or not subs:
@@ -165,8 +183,10 @@ class LifecycleEngine:
             return False
         if any(s.get("filter", "dynamic_error") not in _POISON_FILTERS for s in subs):
             return False
-        if any(s.get("qos", "deadline_order") not in _UNSUPPORTED_QOS for s in subs):
+        if any(s.get("qos", "priority") not in _QOS for s in subs):
             return False
+        if family == "wsen" and any("qos" in s for s in subs):
+            return False  # the converged Subscribe carries no QoS profile
         ops = case.get("ops")
         if not isinstance(ops, list):
             return False
@@ -179,7 +199,9 @@ class LifecycleEngine:
                     return False
             elif kind == "publish":
                 pass
-            elif kind == "renew":
+            elif kind in ("renew", "set_termination"):
+                if kind == "set_termination" and family != "wsn":
+                    return False
                 if not (
                     isinstance(op.get("sub"), int)
                     and 0 <= op["sub"] < len(subs)
@@ -200,21 +222,30 @@ class LifecycleEngine:
     def check(self, case: object) -> Optional[str]:
         if not self._valid(case):
             return None
-        runner = _WseRun(case) if case["family"] == "wse" else _WsnRun(case)
-        return runner.run()
+        return _RUNS[case["family"]](case).run()
 
 
 class _Run:
     """Shared schedule interpreter; subclasses bind one family's client API."""
 
-    fault_subcode: str
+    fault_subcode: str  # invalid expiration at Subscribe ...
+    renew_fault_subcode: str  # ... and at Renew
     filter_fault_subcode: str
     qos_fault_subcode: str
+    #: set by the subclass: the client role, and one sink per subscription
+    subscriber: object
+    sinks: list
 
     def __init__(self, case: dict) -> None:
         self.case = case
         self.clock = VirtualClock()
         self.network = SimulatedNetwork(self.clock)
+        #: ``"controller"`` cases run over the reliable pipeline with an
+        #: adaptive QoS controller, whose profile registry the model watches
+        self.controller = AdaptiveQosController(self.clock) if case.get("controller") else None
+        self.manager = (
+            DeliveryManager(self.network, qos=self.controller) if self.controller else None
+        )
         #: per-sub model: {"handle", "expires": float, "gone": bool, "expected": [markers]}
         self.model: list[dict] = []
         self.published = 0
@@ -231,19 +262,19 @@ class _Run:
         raise NotImplementedError
 
     def renew(self, handle: object, expires_text: Optional[str]) -> str:
-        raise NotImplementedError
+        return self.subscriber.renew(handle, expires_text)
 
     def unsubscribe(self, handle: object) -> None:
-        raise NotImplementedError
+        self.subscriber.unsubscribe(handle)
 
-    def status(self, handle: object) -> str:
+    def status(self, handle: object) -> str:  # pragma: no cover - WSE 08/2004 only
         raise NotImplementedError
 
     def publish(self, payload: XElem) -> None:
         raise NotImplementedError
 
     def delivered(self, index: int) -> list[str]:
-        raise NotImplementedError
+        return [payload.full_text() for payload in self.sinks[index].payloads()]
 
     def granted_text(self, handle: object) -> str:
         raise NotImplementedError
@@ -303,13 +334,16 @@ class _Run:
             tag = f"[{self.case['family']}/{self.case['version']}] subscribe {index} ({spec['kind']})"
             poison = spec.get("filter")
             uncompilable = poison not in (None, "dynamic_error")
-            qos = spec.get("qos")
+            profile = spec.get("qos")
+            qos = profile if profile in _UNSUPPORTED_QOS else None
             try:
                 handle = self.subscribe(
                     index, text, _POISON_FILTERS.get(poison),
-                    QosProfile(dict(_UNSUPPORTED_QOS[qos])) if qos else None,
+                    QosProfile(dict(_QOS[profile])) if profile else None,
                 )
             except SoapFault as fault:
+                if self.controller and self.controller.profile_for(self.sinks[index].address):
+                    return f"{tag}: the refused Subscribe left its QoS profile registered"
                 wanted = [self.filter_fault_subcode] if uncompilable else []
                 if qos:
                     wanted.append(self.qos_fault_subcode)
@@ -360,11 +394,13 @@ class _Run:
                 if self._live(sub) and not sub["mute"]:  # a failing filter matches nothing
                     sub["expected"].append(marker)
             self.publish(XElem(QName("", "conf-evt"), children=[marker]))
+            if self.manager is not None:
+                self.manager.run_until_idle()
             return self._check_deliveries(f"after publish {marker}")
         sub = self.model[op["sub"]]
         if sub["handle"] is None:
             return None  # never created (faulted at subscribe): nothing to manage
-        if kind == "renew":
+        if kind in ("renew", "set_termination"):
             return self._apply_renew(sub, op)
         if kind == "unsubscribe":
             return self._apply_unsubscribe(sub, op)
@@ -375,16 +411,30 @@ class _Run:
         now = self.clock.now()
         text = _render_expiry(spec, now)
         live = self._live(sub)
+        # WSRF SetTerminationTime takes an absolute time or nothing ("never")
+        wsrf = op["op"] == "set_termination"
+        invalid = spec["kind"] not in ("none", "datetime") if wsrf else _expiry_is_invalid(spec)
         try:
-            granted = self.renew(sub["handle"], text)
+            if wsrf:
+                granted = self.subscriber.set_termination_time(sub["handle"], text)
+            else:
+                granted = self.renew(sub["handle"], text)
         except SoapFault as fault:
-            if live and not _expiry_is_invalid(spec):
-                return f"sub {op['sub']}: unexpected renew fault: {fault}"
+            if live and not invalid:
+                return f"sub {op['sub']}: unexpected {op['op']} fault: {fault}"
+            wanted = "UnableToSetTerminationTimeFault" if wsrf else self.renew_fault_subcode
+            if live and not self._fault_matches(fault, wanted):
+                return f"sub {op['sub']}: {op['op']} fault lacks {wanted} subcode: {fault}"
             return None  # dead subscription or invalid expiry: fault is the contract
         if not live:
-            return f"sub {op['sub']}: renew of a dead subscription succeeded"
-        if _expiry_is_invalid(spec):
+            return f"sub {op['sub']}: {op['op']} of a dead subscription succeeded"
+        if invalid:
             return f"sub {op['sub']}: invalid renewal {text!r} was granted"
+        if wsrf and spec["kind"] == "none":
+            if granted:
+                return f"sub {op['sub']}: infinite termination reported as {granted!r}"
+            sub["expires"] = float("inf")
+            return None
         failure, granted_at = self._grant_failure(
             spec, text, now, self.clock.now(), granted
         )
@@ -437,7 +487,7 @@ class _Run:
 
 
 class _WseRun(_Run):
-    fault_subcode = "InvalidExpirationTime"
+    fault_subcode = renew_fault_subcode = "InvalidExpirationTime"
     filter_fault_subcode = "FilteringRequestedUnavailable"
     qos_fault_subcode = "UnsupportedQoS"
 
@@ -447,7 +497,9 @@ class _WseRun(_Run):
         from repro.wse.versions import WseVersion
 
         version = WseVersion[case["version"]]
-        self.source = EventSource(self.network, "http://conf-source", version=version)
+        self.source = EventSource(
+            self.network, "http://conf-source", version=version, delivery_manager=self.manager
+        )
         self.subscriber = WseSubscriber(self.network, version=version)
         self.sinks = [
             EventSink(self.network, f"http://conf-sink-{i}", version=version)
@@ -469,20 +521,11 @@ class _WseRun(_Run):
             qos=qos,
         )
 
-    def renew(self, handle: object, expires_text: Optional[str]) -> str:
-        return self.subscriber.renew(handle, expires_text)
-
-    def unsubscribe(self, handle: object) -> None:
-        self.subscriber.unsubscribe(handle)
-
     def status(self, handle: object) -> str:
         return self.subscriber.get_status(handle)
 
     def publish(self, payload: XElem) -> None:
         self.source.publish(payload)
-
-    def delivered(self, index: int) -> list[str]:
-        return [payload.full_text() for payload in self.sinks[index].payloads()]
 
     def granted_text(self, handle: object) -> str:
         return handle.expires_text
@@ -490,6 +533,7 @@ class _WseRun(_Run):
 
 class _WsnRun(_Run):
     fault_subcode = "TerminationTimeFault"  # Unacceptable(Initial)TerminationTimeFault
+    renew_fault_subcode = "UnacceptableTerminationTimeFault"  # not the Subscribe one
     filter_fault_subcode = "InvalidMessageContentExpressionFault"
     qos_fault_subcode = "UnsupportedPolicyRequestFault"
 
@@ -501,11 +545,11 @@ class _WsnRun(_Run):
         from repro.wsn.versions import WsnVersion
 
         version = WsnVersion[case["version"]]
-        self.producer = NotificationProducer(
-            self.network, "http://conf-producer", version=version
+        self.source = NotificationProducer(
+            self.network, "http://conf-producer", version=version, delivery_manager=self.manager
         )
         self.subscriber = WsnSubscriber(self.network, version=version)
-        self.consumers = [
+        self.sinks = [
             NotificationConsumer(self.network, f"http://conf-consumer-{i}", version=version)
             for i in range(len(case["subs"]))
         ]
@@ -518,28 +562,59 @@ class _WsnRun(_Run):
         qos: Optional[QosProfile],
     ) -> object:
         return self.subscriber.subscribe(
-            self.producer.epr(),
-            self.consumers[index].epr(),
+            self.source.epr(),
+            self.sinks[index].epr(),
             topic=self.TOPIC,
             initial_termination=expires_text,
             message_content=xpath,
             qos=qos,
         )
 
-    def renew(self, handle: object, expires_text: Optional[str]) -> str:
-        return self.subscriber.renew(handle, expires_text)
-
-    def unsubscribe(self, handle: object) -> None:
-        self.subscriber.unsubscribe(handle)
-
-    def status(self, handle: object) -> str:  # pragma: no cover - not generated
-        raise NotImplementedError("status ops are WSE 08/2004 only")
-
     def publish(self, payload: XElem) -> None:
-        self.producer.publish(payload, topic=self.TOPIC)
-
-    def delivered(self, index: int) -> list[str]:
-        return [payload.full_text() for payload in self.consumers[index].payloads()]
+        self.source.publish(payload, topic=self.TOPIC)
 
     def granted_text(self, handle: object) -> str:
         return handle.termination_time_text or ""
+
+
+class _ConvergedRun(_Run):
+    fault_subcode = renew_fault_subcode = "InvalidExpirationTime"
+    filter_fault_subcode = "InvalidFilterFault"
+    qos_fault_subcode = "n/a"  # no QoS profile on the converged wire
+
+    def __init__(self, case: dict) -> None:
+        super().__init__(case)
+        from repro.convergence import ConvergedConsumer, ConvergedSource, ConvergedSubscriber
+
+        self.source = ConvergedSource(self.network, "http://conf-converged")
+        self.subscriber = ConvergedSubscriber(self.network)
+        self.sinks = [
+            ConvergedConsumer(self.network, f"http://conf-wsen-consumer-{i}")
+            for i in range(len(case["subs"]))
+        ]
+
+    def subscribe(
+        self,
+        index: int,
+        expires_text: Optional[str],
+        xpath: Optional[str],
+        qos: Optional[QosProfile],
+    ) -> object:
+        return self.subscriber.subscribe(
+            self.source.epr(),
+            consumer=self.sinks[index].epr(),
+            expires=expires_text,
+            message_content=xpath,
+        )
+
+    def publish(self, payload: XElem) -> None:
+        self.source.publish(payload)
+
+    def delivered(self, index: int) -> list[str]:
+        return [payload.full_text() for payload, _, _ in self.sinks[index].received]
+
+    def granted_text(self, handle: object) -> str:
+        return handle.expires_text
+
+
+_RUNS = {"wse": _WseRun, "wsn": _WsnRun, "wsen": _ConvergedRun}

@@ -2,7 +2,7 @@
 
 Each case fills one drainable backlog — a firewall message box (drained
 through WSN ``GetMessages`` or WSE ``Pull``), a WSN 1.3 pull point, or a
-WSE pull-mode subscription — then replays a generated sequence of drain
+WSE / converged pull-mode subscription — then replays a generated sequence of drain
 requests against it over the simulated network, with a list of markers as
 the reference model.  The contract under test is the one
 :func:`repro.delivery.limits.parse_drain_limit` centralizes:
@@ -27,6 +27,7 @@ from repro.xmlkit.element import XElem
 from repro.xmlkit.names import QName
 
 _SURFACES = ("msgbox_wsn", "msgbox_wse", "pullpoint", "wse_pull")
+_ALL_SURFACES = _SURFACES + ("wsen_pull",)  # drawn late, see generate
 _GARBAGE = ("x", "1.5", "NaN", "2x")
 _MAX_BACKLOG = 50
 
@@ -59,18 +60,23 @@ class PullDrainEngine:
     name = "pulldrain"
 
     def generate(self, rng: SeededRng) -> dict:
-        return {
+        case = {
             "surface": pick(rng, _SURFACES),
             "backlog": rng.randrange(7),
             "pulls": [_gen_pull(rng) for _ in range(1 + rng.randrange(4))],
         }
+        # drawn last, so the schedules above are what they were before the
+        # converged prototype had a pull surface
+        if case["surface"] == "wse_pull" and rng.randrange(2):
+            case["surface"] = "wsen_pull"
+        return case
 
     # --- validity (the shrinker mutates blindly) --------------------------
 
     def _valid(self, case: object) -> bool:
         if not isinstance(case, dict):
             return False
-        if case.get("surface") not in _SURFACES:
+        if case.get("surface") not in _ALL_SURFACES:
             return False
         backlog = case.get("backlog")
         if not isinstance(backlog, int) or not 0 <= backlog <= _MAX_BACKLOG:
@@ -124,6 +130,15 @@ def _marker_payload(marker: str) -> XElem:
     return XElem(QName("", "pd-evt"), children=[marker])
 
 
+def _wse_maximum(spec: dict):
+    """``max_messages`` for the WSE-style pull clients: a falsy 0 omits
+    MaxMessages entirely; a literal 0 must go on the wire, so numbers travel
+    as (truthy) text."""
+    if spec["kind"] == "all":
+        return 0
+    return spec["text"] if spec["kind"] == "garbage" else str(spec["value"])
+
+
 class _MsgboxRun:
     """A firewall message box, filled by direct park."""
 
@@ -161,15 +176,8 @@ class _MsgboxWseRun(_MsgboxRun):
     def drain(self, spec: dict) -> list[str]:
         from repro.delivery.messagebox import drain_message_box_wse
 
-        if spec["kind"] == "all":
-            maximum = 0  # falsy: the builder omits MaxMessages entirely
-        elif spec["kind"] == "garbage":
-            maximum = spec["text"]
-        else:
-            # a literal 0 must go on the wire, so send it as (truthy) text
-            maximum = str(spec["value"])
         payloads = drain_message_box_wse(
-            self.network, self.box.epr(), max_messages=maximum
+            self.network, self.box.epr(), max_messages=_wse_maximum(spec)
         )
         return [payload.full_text() for payload in payloads]
 
@@ -228,14 +236,24 @@ class _WsePullRun:
             self.source.publish(_marker_payload(marker))
 
     def drain(self, spec: dict) -> list[str]:
-        if spec["kind"] == "all":
-            maximum = 0  # falsy: the builder omits MaxMessages entirely
-        elif spec["kind"] == "garbage":
-            maximum = spec["text"]
-        else:
-            maximum = str(spec["value"])
-        payloads = self.subscriber.pull(self.handle, max_messages=maximum)
+        payloads = self.subscriber.pull(self.handle, max_messages=_wse_maximum(spec))
         return [payload.full_text() for payload in payloads]
+
+
+class _ConvergedPullRun(_WsePullRun):
+    """A pull-mode subscription at the converged (WS-EventNotification) source."""
+
+    def __init__(self, case: dict) -> None:
+        self.network = SimulatedNetwork(VirtualClock())
+        from repro.convergence import MODE_PULL, ConvergedSource, ConvergedSubscriber
+
+        self.source = ConvergedSource(self.network, "http://conf-converged")
+        self.subscriber = ConvergedSubscriber(self.network)
+        self.handle = self.subscriber.subscribe(self.source.epr(), mode=MODE_PULL)
+
+    def drain(self, spec: dict) -> list[str]:
+        entries = self.subscriber.pull(self.handle, max_messages=_wse_maximum(spec))
+        return [payload.full_text() for payload, _topic in entries]
 
 
 _SURFACE_RUNNERS = {
@@ -243,4 +261,5 @@ _SURFACE_RUNNERS = {
     "msgbox_wse": _MsgboxWseRun,
     "pullpoint": _PullPointRun,
     "wse_pull": _WsePullRun,
+    "wsen_pull": _ConvergedPullRun,
 }

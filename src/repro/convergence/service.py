@@ -15,26 +15,24 @@ One subscription operation carries the union of both parents' power:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.convergence.profile import WSEN_NS
-from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterContext, FilterError
-from repro.filters.content import MessageContentFilter
-from repro.filters.producer import ProducerPropertiesFilter
-from repro.filters.topics import TopicFilter, TopicNamespace
+from repro.convergence.profile import WSEN_NS, ConvergedProfile
+from repro.delivery.task import DeliveryItem
+from repro.filters.topics import TopicNamespace
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
+from repro.subscriptions import DeliveryMode, Subscription, SubscriptionService
 from repro.transport.endpoint import SoapClient, SoapEndpoint
-from repro.transport.network import NetworkError, PUBLIC_ZONE, SimulatedNetwork
+from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, apply_headers
+from repro.wsa.headers import MessageHeaders
 from repro.wsa.versions import WsaVersion
 from repro.wse.messages import decode_filter_namespaces, encode_filter_namespaces
 from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.names import Namespaces, QName
-from repro.util.xstime import format_datetime, parse_expires
+from repro.util.xstime import format_datetime
 
 WSA = WsaVersion.V2005_08  # the converged spec binds the W3C recommendation
 
@@ -47,33 +45,42 @@ def _action(local: str) -> str:
     return f"{WSEN_NS}/{local}"
 
 
+def _text_of(parent: XElem, local: str) -> Optional[str]:
+    child = parent.find(_q(local))
+    return child.full_text().strip() if child is not None else None
+
+
+def _entries_of(container: XElem) -> list[tuple[XElem, Optional[str]]]:
+    """The (payload, topic) pairs a wrapped Notify / PullResponse carries."""
+    return [
+        (next(entry.require(_q("Message")).elements()).copy(), _text_of(entry, "Topic"))
+        for entry in container.find_all(_q("Notification"))
+    ]
+
+
 _DIALECT = QName("", "Dialect")
 _MODE = QName("", "Mode")
 
-MODE_PUSH = f"{WSEN_NS}/DeliveryModes/Push"
-MODE_PULL = f"{WSEN_NS}/DeliveryModes/Pull"
-MODE_WRAP = f"{WSEN_NS}/DeliveryModes/Wrap"
+_PROFILE = ConvergedProfile()  # WS-Eventing's delivery modes, in the converged namespace
+MODE_PUSH = DeliveryMode.PUSH.uri(_PROFILE)
+MODE_PULL = DeliveryMode.PULL.uri(_PROFILE)
+MODE_WRAP = DeliveryMode.WRAPPED.uri(_PROFILE)
+
+#: kind x operation -> fault subcode, and removal reason -> the Reason a
+#: SubscriptionEnd carries (Unsubscribe is silent): the converged rows
+_FAULTS = {
+    ("invalid_topic", None): _q("InvalidFilterFault"),
+    ("invalid_properties", None): _q("InvalidFilterFault"),
+    ("invalid_content", None): _q("InvalidFilterFault"),
+    ("invalid_expiry", None): _q("InvalidExpirationTime"),
+    ("unknown_subscription", None): _q("UnknownSubscription"),
+}
+_END_REASONS = {"expired": "SubscriptionExpired", "delivery failure": "DeliveryFailure: {detail}"}
 
 
-@dataclass
-class ConvergedSubscription:
-    id: str
-    consumer: Optional[EndpointReference]
-    mode: str
-    filter: Filter
-    topic_expression: Optional[str]
-    expires: Optional[float]
-    end_to: Optional[EndpointReference]
-    use_raw: bool
-    paused: bool = False
-    queue: list[tuple[XElem, Optional[str]]] = field(default_factory=list)
-
-    def is_expired(self, now: float) -> bool:
-        return self.expires is not None and now >= self.expires
-
-
-class ConvergedSource:
-    """The prototype event source/producer (one endpoint + one manager)."""
+class ConvergedSource(SubscriptionService):
+    """The prototype event source/producer (one endpoint + one manager):
+    the third row set over the shared subscription manager and fan-out."""
 
     def __init__(
         self,
@@ -85,21 +92,22 @@ class ConvergedSource:
         wrapped_batch_size: int = 10,
         producer_properties: Optional[dict[str, str]] = None,
     ) -> None:
-        self.network = network
-        self.clock = network.clock
-        self.default_lifetime = default_lifetime
+        super().__init__(
+            network,
+            address,
+            f"{address}/subscriptions",
+            family="wsen",
+            version_tag="wsen",
+            role="source",
+            wsa_version=WSA,
+            faults=_FAULTS,
+            topics=topic_namespace or TopicNamespace(),
+            default_lifetime=default_lifetime,
+        )
         self.wrapped_batch_size = wrapped_batch_size
-        self.topics = topic_namespace or TopicNamespace()
         self.producer_properties = dict(producer_properties or {})
-        self._counter = itertools.count(1)
-        self._subscriptions: dict[str, ConvergedSubscription] = {}
-        self._current_message: dict[str, XElem] = {}
-        self._client = SoapClient(network, wsa_version=WSA, soap_version=SoapVersion.V11)
-        self.endpoint = SoapEndpoint(network, address)
         self.endpoint.on_action(_action("Subscribe"), self._handle_subscribe)
         self.endpoint.on_action(_action("GetCurrentMessage"), self._handle_get_current)
-        self.manager_address = f"{address}/subscriptions"
-        self.manager_endpoint = SoapEndpoint(network, self.manager_address)
         for local, handler in [
             ("Renew", self._handle_renew),
             ("GetStatus", self._handle_get_status),
@@ -110,22 +118,11 @@ class ConvergedSource:
         ]:
             self.manager_endpoint.on_action(_action(local), handler)
 
-    @property
-    def address(self) -> str:
-        return self.endpoint.address
-
-    def epr(self) -> EndpointReference:
-        return EndpointReference(self.address)
-
     def wsdl(self) -> str:
         """This prototype's self-description as a WSDL 1.1 document."""
         from repro.wsdl.generator import wsdl_for_converged_source
 
         return wsdl_for_converged_source(address=self.address).to_xml()
-
-    def close(self) -> None:
-        self.endpoint.close()
-        self.manager_endpoint.close()
 
     # --- subscribe -----------------------------------------------------------------
 
@@ -134,234 +131,154 @@ class ConvergedSource:
         if body.name != _q("Subscribe"):
             raise SoapFault(FaultCode.SENDER, f"expected wsen:Subscribe, got {body.name}")
         delivery = body.find(_q("Delivery"))
-        mode = delivery.attrs.get(_MODE, MODE_PUSH) if delivery is not None else MODE_PUSH
-        if mode not in (MODE_PUSH, MODE_PULL, MODE_WRAP):
+        mode_uri = delivery.attrs.get(_MODE, MODE_PUSH) if delivery is not None else MODE_PUSH
+        try:
+            mode = DeliveryMode.from_uri(mode_uri, _PROFILE)
+        except ValueError as exc:
             raise SoapFault(
-                FaultCode.SENDER,
-                f"unknown delivery mode {mode!r}",
-                subcode=_q("DeliveryModeRequestedUnavailable"),
-            )
+                FaultCode.SENDER, str(exc), subcode=_q("DeliveryModeRequestedUnavailable")
+            ) from exc
         consumer_elem = body.find(_q("ConsumerReference"))
         consumer = (
             EndpointReference.from_element(consumer_elem, WSA)
             if consumer_elem is not None
             else None
         )
-        if mode in (MODE_PUSH, MODE_WRAP) and consumer is None:
+        if mode is not DeliveryMode.PULL and consumer is None:
             raise SoapFault(
                 FaultCode.SENDER, "push/wrapped delivery requires ConsumerReference"
             )
         end_elem = body.find(_q("EndTo"))
-        end_to = EndpointReference.from_element(end_elem, WSA) if end_elem is not None else None
-        subscription_filter, topic_expression = self._build_filter(body)
-        expires_elem = body.find(_q("Expires"))
-        expires = self._grant_expiry(
-            expires_elem.full_text().strip() if expires_elem is not None else None
-        )
-        use_raw = body.find(_q("UseRaw")) is not None
-        subscription = ConvergedSubscription(
-            id=f"wsen-sub-{next(self._counter)}",
+        subscription = self._core(
+            "subscribe",
+            self.subscriptions.subscribe,
             consumer=consumer,
+            filter_parts=self._filter_parts(body.find(_q("Filter"))),
+            expires_text=_text_of(body, "Expires"),
+            end_to=EndpointReference.from_element(end_elem, WSA) if end_elem is not None else None,
             mode=mode,
-            filter=subscription_filter,
-            topic_expression=topic_expression,
-            expires=expires,
-            end_to=end_to,
-            use_raw=use_raw,
+            use_raw=body.find(_q("UseRaw")) is not None,
         )
-        self._subscriptions[subscription.id] = subscription
-        response = XElem(_q("SubscribeResponse"))
+        response = self._lease_response("SubscribeResponse", subscription)
         manager = EndpointReference(self.manager_address)
-        manager.with_parameter(text_element(_q("Identifier"), subscription.id))
-        response.append(manager.to_element(WSA, _q("SubscriptionManager")))
-        response.append(text_element(_q("Expires"), self._expires_text(expires)))
+        manager.with_parameter(text_element(_q("Identifier"), subscription.key))
+        response.children.insert(0, manager.to_element(WSA, _q("SubscriptionManager")))
         response.append(text_element(_q("CurrentTime"), format_datetime(self.clock.now())))
-        return self._reply(headers, _action("SubscribeResponse"), response)
+        return self._respond(headers, response)
 
-    def _build_filter(self, body: XElem) -> tuple[Filter, Optional[str]]:
-        filter_elem = body.find(_q("Filter"))
+    def _filter_parts(self, filter_elem: Optional[XElem]) -> dict:
+        """WS-Notification's three-part filter, as the core's arguments."""
+        parts: dict = {}
         if filter_elem is None:
-            return AcceptAllFilter(), None
-        parts: list[Filter] = []
-        topic_expression: Optional[str] = None
+            return parts
         topic = filter_elem.find(_q("TopicExpression"))
-        try:
-            if topic is not None:
-                topic_expression = topic.full_text().strip()
-                dialect = topic.attrs.get(_DIALECT, Namespaces.DIALECT_TOPIC_CONCRETE)
-                parts.append(TopicFilter.parse(topic_expression, dialect))
-            props = filter_elem.find(_q("ProducerProperties"))
-            if props is not None:
-                parts.append(
-                    ProducerPropertiesFilter(
-                        props.full_text().strip(), decode_filter_namespaces(props)
-                    )
-                )
-            content = filter_elem.find(_q("MessageContent"))
-            if content is not None:
-                parts.append(
-                    MessageContentFilter(
-                        content.full_text().strip(), decode_filter_namespaces(content)
-                    )
-                )
-        except FilterError as exc:
-            raise SoapFault(
-                FaultCode.SENDER, str(exc), subcode=_q("InvalidFilterFault")
-            ) from exc
-        if not parts:
-            return AcceptAllFilter(), None
-        return (parts[0] if len(parts) == 1 else AndFilter(parts)), topic_expression
-
-    def _grant_expiry(self, text: Optional[str]) -> Optional[float]:
-        now = self.clock.now()
-        if text is None:
-            return None if self.default_lifetime is None else now + self.default_lifetime
-        try:
-            requested = parse_expires(text, now)
-        except ValueError as exc:
-            raise SoapFault(
-                FaultCode.SENDER, str(exc), subcode=_q("InvalidExpirationTime")
-            ) from exc
-        if requested is not None and requested <= now:
-            raise SoapFault(
-                FaultCode.SENDER,
-                "expiration in the past",
-                subcode=_q("InvalidExpirationTime"),
-            )
-        return requested
-
-    def _expires_text(self, expires: Optional[float]) -> str:
-        if expires is None:
-            return format_datetime(self.clock.now() + 10 * 365 * 86400)
-        return format_datetime(expires)
+        if topic is not None:
+            parts["topic"] = topic.full_text().strip()
+            parts["topic_dialect"] = topic.attrs.get(_DIALECT, Namespaces.DIALECT_TOPIC_CONCRETE)
+        for key, local in (("properties", "ProducerProperties"), ("content", "MessageContent")):
+            part = filter_elem.find(_q(local))
+            if part is not None:
+                parts[key] = part.full_text().strip()
+                parts[f"{key}_namespaces"] = decode_filter_namespaces(part)
+        return parts
 
     # --- manager operations ----------------------------------------------------------
 
-    def _subscription_for(self, headers: MessageHeaders) -> ConvergedSubscription:
+    def _subscription_for(self, headers: MessageHeaders) -> Subscription:
         sub_id = ""
         for echoed in headers.echoed:
             if echoed.name == _q("Identifier"):
                 sub_id = echoed.full_text().strip()
-        subscription = self._subscriptions.get(sub_id)
-        if subscription is None or subscription.is_expired(self.clock.now()):
-            raise SoapFault(
-                FaultCode.SENDER,
-                f"unknown subscription {sub_id!r}",
-                subcode=_q("UnknownSubscription"),
+        return self._lookup(sub_id)
+
+    def _lease_response(self, local: str, subscription: Subscription) -> XElem:
+        response = XElem(_q(local))
+        response.append(
+            text_element(
+                _q("Expires"), self.subscriptions.lease_text(subscription.termination_time)
             )
-        return subscription
+        )
+        return response
 
     def _handle_renew(self, envelope: SoapEnvelope, headers: MessageHeaders):
         subscription = self._subscription_for(headers)
-        expires_elem = envelope.body_element().find(_q("Expires"))
-        subscription.expires = self._grant_expiry(
-            expires_elem.full_text().strip() if expires_elem is not None else None
-        )
-        response = XElem(_q("RenewResponse"))
-        response.append(text_element(_q("Expires"), self._expires_text(subscription.expires)))
-        return self._reply(headers, _action("RenewResponse"), response)
+        expires_text = _text_of(envelope.body_element(), "Expires")
+        self._core("renew", self.subscriptions.renew, subscription, expires_text)
+        return self._respond(headers, self._lease_response("RenewResponse", subscription))
 
     def _handle_get_status(self, envelope: SoapEnvelope, headers: MessageHeaders):
         subscription = self._subscription_for(headers)
-        response = XElem(_q("GetStatusResponse"))
-        response.append(text_element(_q("Expires"), self._expires_text(subscription.expires)))
+        response = self._lease_response("GetStatusResponse", subscription)
         response.append(
             text_element(_q("Status"), "Paused" if subscription.paused else "Active")
         )
-        return self._reply(headers, _action("GetStatusResponse"), response)
+        return self._respond(headers, response)
 
     def _handle_unsubscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
-        del self._subscriptions[subscription.id]
-        return self._reply(
-            headers, _action("UnsubscribeResponse"), XElem(_q("UnsubscribeResponse"))
-        )
+        self.subscriptions.destroy(self._subscription_for(headers).key, "unsubscribed")
+        return self._respond(headers, XElem(_q("UnsubscribeResponse")))
 
     def _handle_pause(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
-        subscription.paused = True
-        return self._reply(
-            headers,
-            _action("PauseSubscriptionResponse"),
-            XElem(_q("PauseSubscriptionResponse")),
-        )
+        self.subscriptions.pause(self._subscription_for(headers))
+        return self._respond(headers, XElem(_q("PauseSubscriptionResponse")))
 
     def _handle_resume(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
-        subscription.paused = False
-        if subscription.mode is not None and subscription.mode != MODE_PULL:
-            backlog, subscription.queue = subscription.queue, []
-            for payload, topic in backlog:
-                self._deliver(subscription, payload, topic)
-        return self._reply(
-            headers,
-            _action("ResumeSubscriptionResponse"),
-            XElem(_q("ResumeSubscriptionResponse")),
-        )
+        self.subscriptions.resume(self._subscription_for(headers), self._notify)
+        return self._respond(headers, XElem(_q("ResumeSubscriptionResponse")))
 
     def _handle_pull(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
-        if subscription.mode != MODE_PULL:
-            raise SoapFault(FaultCode.SENDER, "subscription is not in pull mode")
+        batch = self._core(
+            "pull",
+            self.subscriptions.pull,
+            self._subscription_for(headers),
+            envelope.body_element(),
+            _q("MaxMessages"),
+        )
         response = XElem(_q("PullResponse"))
-        for payload, topic in subscription.queue:
+        for payload, topic in batch:
             response.append(self._wrap_one(payload, topic))
-        subscription.queue.clear()
-        return self._reply(headers, _action("PullResponse"), response)
+        return self._respond(headers, response)
 
     def _handle_get_current(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        topic_elem = envelope.body_element().find(_q("Topic"))
-        topic = topic_elem.full_text().strip() if topic_elem is not None else ""
-        payload = self._current_message.get(topic)
-        if payload is None:
-            raise SoapFault(
-                FaultCode.SENDER,
-                f"no current message on {topic!r}",
-                subcode=_q("NoCurrentMessageOnTopic"),
-            )
+        topic = _text_of(envelope.body_element(), "Topic") or ""
         response = XElem(_q("GetCurrentMessageResponse"))
-        response.append(payload.copy())
-        return self._reply(headers, _action("GetCurrentMessageResponse"), response)
+        response.append(self._current_message_on(topic, _q("NoCurrentMessageOnTopic")))
+        return self._respond(headers, response)
 
-    def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> SoapEnvelope:
-        reply = SoapEnvelope(SoapVersion.V11)
-        apply_headers(reply, MessageHeaders.reply(request_headers, action, WSA), WSA)
-        reply.add_body(body)
-        return reply
+    def _respond(self, request_headers: MessageHeaders, body: XElem) -> SoapEnvelope:
+        return self._reply(request_headers, _action(body.name.local), body)
 
     # --- publication -----------------------------------------------------------------
 
     def publish(self, payload: XElem, *, topic: Optional[str] = None) -> int:
-        if topic is not None:
-            self.topics.validate_publication(topic)
-            self._current_message[topic] = payload.copy()
-        now = self.clock.now()
-        context = FilterContext(
-            payload, topic=topic, producer_properties=self.producer_properties
-        )
+        return self._fanout.publish(self._fan_out_event, payload, topic, topic=topic or "")
+
+    def _fan_out_event(self, payload: XElem, topic: Optional[str]) -> int:
+        # one frozen payload instance is shared by every match this publish
+        frozen = self._fanout.freeze(payload)
+        self._admit_publication(frozen, topic)
+        lineage = self.network.instrumentation.trace_context()
         matched = 0
-        for subscription in list(self._subscriptions.values()):
-            if subscription.is_expired(now):
-                del self._subscriptions[subscription.id]
-                self._send_end(subscription, "SubscriptionExpired")
-                continue
-            if not subscription.filter.matches(context):
-                continue
+        for subscription in self._fanout.match(frozen, topic, self.producer_properties):
             matched += 1
-            if subscription.paused or subscription.mode == MODE_PULL:
-                subscription.queue.append((payload.copy(), topic))
-            elif subscription.mode == MODE_WRAP:
-                subscription.queue.append((payload.copy(), topic))
-                if len(subscription.queue) >= self.wrapped_batch_size:
-                    self._flush(subscription)
-            else:
-                self._deliver(subscription, payload, topic)
+            if not subscription.paused and subscription.mode is DeliveryMode.PUSH:
+                self._notify(subscription, [(frozen, topic)], lineage)
+            elif self.subscriptions.park(subscription, (frozen, topic), lineage) and (
+                subscription.mode is DeliveryMode.WRAPPED
+                and not subscription.paused
+                and len(subscription.queue) >= self.wrapped_batch_size
+            ):
+                self._notify(subscription, self.subscriptions.drain(subscription))
         return matched
 
     def flush(self) -> None:
-        for subscription in self._subscriptions.values():
-            if subscription.mode == MODE_WRAP and subscription.queue and not subscription.paused:
-                self._flush(subscription)
+        for subscription in self.subscriptions.live_resources():
+            if (
+                subscription.mode is DeliveryMode.WRAPPED
+                and subscription.queue
+                and not subscription.paused
+            ):
+                self._notify(subscription, self.subscriptions.drain(subscription))
 
     def _wrap_one(self, payload: XElem, topic: Optional[str]) -> XElem:
         """The *defined* wrapped entry format (closing WSE's gap)."""
@@ -369,65 +286,51 @@ class ConvergedSource:
         if topic is not None:
             entry.append(text_element(_q("Topic"), topic))
         message = XElem(_q("Message"))
-        message.append(payload.copy())
+        message.append(payload)
         entry.append(message)
         return entry
 
-    def _deliver(self, subscription: ConvergedSubscription, payload: XElem, topic):
-        extra = [text_element(_q("Topic"), topic)] if topic is not None else []
-        try:
-            if subscription.use_raw:
+    def _notify(self, subscription: Subscription, entries: list, lineage=None) -> None:
+        """``entries`` (payload, topic) to one consumer; a failed attempt
+        ends the subscription with a DeliveryFailure notice."""
+        self._fanout.settle(
+            subscription.consumer.address,
+            self._send_entries,
+            (subscription, entries),
+            [DeliveryItem(payload, topic, lineage=lineage) for payload, topic in entries],
+            describe=f"notify {subscription.key}",
+            on_failed=self._end_after_failure,
+        )
+
+    def _send_entries(self, subscription: Subscription, entries: list) -> None:
+        if subscription.use_raw and subscription.mode is DeliveryMode.PUSH:
+            # raw: each payload is the body of its own message, topic in a header
+            for payload, topic in entries:
+                extra = [text_element(_q("Topic"), topic)] if topic is not None else []
                 self._client.call(
                     subscription.consumer,
                     _action("Notify"),
-                    [payload.copy()],
+                    [payload],
                     expect_reply=False,
                     extra_headers=extra,
                 )
-            else:
-                wrapper = XElem(_q("Notifications"))
-                wrapper.append(self._wrap_one(payload, topic))
-                self._client.call(
-                    subscription.consumer, _action("Notify"), [wrapper], expect_reply=False
-                )
-        except (NetworkError, SoapFault) as exc:
-            del self._subscriptions[subscription.id]
-            self._send_end(subscription, f"DeliveryFailure: {exc}")
-
-    def _flush(self, subscription: ConvergedSubscription) -> None:
-        batch, subscription.queue = subscription.queue, []
+            return
         wrapper = XElem(_q("Notifications"))
-        for payload, topic in batch:
+        for payload, topic in entries:
             wrapper.append(self._wrap_one(payload, topic))
-        try:
-            self._client.call(
-                subscription.consumer, _action("Notify"), [wrapper], expect_reply=False
-            )
-        except (NetworkError, SoapFault) as exc:
-            del self._subscriptions[subscription.id]
-            self._send_end(subscription, f"DeliveryFailure: {exc}")
+        self._send_notice(subscription.consumer, _action("Notify"), wrapper)
 
-    def _send_end(self, subscription: ConvergedSubscription, reason: str) -> None:
-        if subscription.end_to is None:
+    def _announce_end(self, subscription: Subscription, reason: str, detail: str) -> None:
+        """The end-notice table: expiry and delivery failure are announced."""
+        text = _END_REASONS.get(reason)
+        if text is None or subscription.end_to is None:
             return
         body = XElem(_q("SubscriptionEnd"))
-        body.append(text_element(_q("Identifier"), subscription.id))
-        body.append(text_element(_q("Reason"), reason))
-        try:
-            self._client.call(
-                subscription.end_to, _action("SubscriptionEnd"), [body], expect_reply=False
-            )
-        except (NetworkError, SoapFault) as exc:
-            # the EndTo sink may be the thing that died; record the skip
-            self.network.instrumentation.count(
-                "obs.swallowed_errors_total",
-                site="convergence.send_end",
-                kind=type(exc).__name__,
-            )
-
-    def live_count(self) -> int:
-        now = self.clock.now()
-        return sum(1 for s in self._subscriptions.values() if not s.is_expired(now))
+        body.append(text_element(_q("Identifier"), subscription.key))
+        body.append(text_element(_q("Reason"), text.format(detail=detail)))
+        self._send_end_notice(
+            subscription, subscription.end_to, _action("SubscriptionEnd"), body, "subscription_end"
+        )
 
 
 @dataclass
@@ -462,19 +365,13 @@ class ConvergedConsumer:
     def _handle_notify(self, envelope: SoapEnvelope, headers: MessageHeaders):
         body = envelope.body_element()
         if body.name == _q("Notifications"):
-            for entry in body.find_all(_q("Notification")):
-                topic_elem = entry.find(_q("Topic"))
-                topic = topic_elem.full_text().strip() if topic_elem is not None else None
-                payload = next(entry.require(_q("Message")).elements())
-                self.received.append((payload.copy(), topic, True))
+            self.received.extend((payload, topic, True) for payload, topic in _entries_of(body))
         else:
-            topic = envelope.header_text(_q("Topic"))
-            self.received.append((body.copy(), topic, False))
+            self.received.append((body.copy(), envelope.header_text(_q("Topic")), False))
         return None
 
     def _handle_end(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        reason = envelope.body_element().find(_q("Reason"))
-        self.ends.append(reason.full_text().strip() if reason is not None else "")
+        self.ends.append(_text_of(envelope.body_element(), "Reason") or "")
         return None
 
 
@@ -536,11 +433,10 @@ class ConvergedSubscriber:
         manager = EndpointReference.from_element(
             response.require(_q("SubscriptionManager")), WSA
         )
-        expires_elem = response.find(_q("Expires"))
         return ConvergedHandle(
             manager,
             manager.parameter_text(_q("Identifier")) or "",
-            expires_elem.full_text().strip() if expires_elem is not None else "",
+            _text_of(response, "Expires") or "",
         )
 
     def _manager_call(self, handle: ConvergedHandle, local: str, body: XElem) -> XElem:
@@ -553,14 +449,11 @@ class ConvergedSubscriber:
         body = XElem(_q("Renew"))
         if expires is not None:
             body.append(text_element(_q("Expires"), expires))
-        response = self._manager_call(handle, "Renew", body)
-        expires_elem = response.find(_q("Expires"))
-        return expires_elem.full_text().strip() if expires_elem is not None else ""
+        return _text_of(self._manager_call(handle, "Renew", body), "Expires") or ""
 
     def get_status(self, handle: ConvergedHandle) -> str:
         response = self._manager_call(handle, "GetStatus", XElem(_q("GetStatus")))
-        status = response.find(_q("Status"))
-        return status.full_text().strip() if status is not None else ""
+        return _text_of(response, "Status") or ""
 
     def unsubscribe(self, handle: ConvergedHandle) -> None:
         self._manager_call(handle, "Unsubscribe", XElem(_q("Unsubscribe")))
@@ -571,15 +464,14 @@ class ConvergedSubscriber:
     def resume(self, handle: ConvergedHandle) -> None:
         self._manager_call(handle, "ResumeSubscription", XElem(_q("ResumeSubscription")))
 
-    def pull(self, handle: ConvergedHandle) -> list[tuple[XElem, Optional[str]]]:
-        response = self._manager_call(handle, "Pull", XElem(_q("Pull")))
-        results: list[tuple[XElem, Optional[str]]] = []
-        for entry in response.find_all(_q("Notification")):
-            topic_elem = entry.find(_q("Topic"))
-            topic = topic_elem.full_text().strip() if topic_elem is not None else None
-            payload = next(entry.require(_q("Message")).elements())
-            results.append((payload.copy(), topic))
-        return results
+    def pull(
+        self, handle: ConvergedHandle, max_messages: int = 0
+    ) -> list[tuple[XElem, Optional[str]]]:
+        """Drain a pull-mode subscription (``max_messages`` 0 = no maximum)."""
+        body = XElem(_q("Pull"))
+        if max_messages:
+            body.append(text_element(_q("MaxMessages"), str(max_messages)))
+        return _entries_of(self._manager_call(handle, "Pull", body))
 
     def get_current_message(self, source: EndpointReference, topic: str) -> XElem:
         body = XElem(_q("GetCurrentMessage"))

@@ -30,7 +30,7 @@ from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, apply_headers
+from repro.wsa.headers import MessageHeaders, reply_envelope
 from repro.wse import messages as wse_messages
 from repro.wse.versions import WseVersion
 from repro.wsn.versions import WsnVersion
@@ -136,7 +136,7 @@ class MessageBox:
             self.wsn_version,
         ):
             response.append(element)
-        return self._reply(
+        return reply_envelope(
             headers,
             self.wsn_version.action("GetMessagesResponse"),
             response,
@@ -151,21 +151,12 @@ class MessageBox:
         response = wse_messages.build_pull_response(
             self.wse_version, [item.payload for item in batch]
         )
-        return self._reply(
+        return reply_envelope(
             headers,
             self.wse_version.action("PullResponse"),
             response,
             self.wse_version.wsa_version,
         )
-
-    def _reply(
-        self, request_headers: MessageHeaders, action: str, body: XElem, wsa_version
-    ) -> SoapEnvelope:
-        reply = SoapEnvelope(SoapVersion.V11)
-        headers = MessageHeaders.reply(request_headers, action, wsa_version)
-        apply_headers(reply, headers, wsa_version)
-        reply.add_body(body)
-        return reply
 
     def close(self) -> None:
         self.endpoint.close()

@@ -1,12 +1,12 @@
-"""The one fan-out pipeline both specification families run on.
+"""The one fan-out pipeline every specification family runs on.
 
 The paper's Table 2 maps WS-Eventing and WS-Notification operations almost
 one-to-one, and section VII serves both from one broker; what differs between
 the families is how a notification is *rendered* (wrapped Notify / raw /
-WSE push with a topic header / wrapped ``Notifications``), where an
-undeliverable-right-now copy is *parked* (WSN paused queue, WSE pull and
-wrapped queues) and what the faults are *called*.  Everything else is here,
-once, as three stages:
+WSE push with a topic header / wrapped ``Notifications``), *when* a parked
+copy is flushed (resume, a pull, a full wrapped batch) and what the faults
+are *called*.  The subscriptions themselves are :mod:`repro.subscriptions`';
+everything else about a publication is here, once, as three stages:
 
 1. :meth:`Fanout.publish` — publish framing: origin detection, the
    ``<family>.publish`` span that mints the lineage, the ``published`` ledger
@@ -28,7 +28,7 @@ fan-out pipeline", for the ladder numbers that decide it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.delivery.outcome import DeliveryFailure, record_failure
 from repro.delivery.task import DeliveryItem
@@ -40,7 +40,7 @@ from repro.xmlkit.element import XElem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.delivery.manager import DeliveryManager
-    from repro.filters.topics import TopicSubscriptionIndex
+    from repro.subscriptions import Subscription, SubscriptionManager
 
 
 def freeze_once(payload: XElem, instr, bound: BoundCounters, family: str) -> XElem:
@@ -56,9 +56,8 @@ def freeze_once(payload: XElem, instr, bound: BoundCounters, family: str) -> XEl
 class Fanout:
     """The pipeline, bound to one producer / event source.
 
-    The owner supplies what only it knows: its ``subscriptions`` (key ->
-    subscription, each with a ``filter``), whether one has ``expired`` by a
-    given instant, how to ``sweep`` those, and the ``index`` it keeps current.
+    The owner's :class:`~repro.subscriptions.SubscriptionManager` supplies
+    the records, their expiry sweep and the index it keeps current.
     """
 
     def __init__(
@@ -69,10 +68,7 @@ class Fanout:
         version_tag: str,
         role: str,
         address: str,
-        index: "TopicSubscriptionIndex",
-        subscriptions: Mapping[str, object],
-        expired: Callable[[object, float], bool],
-        sweep: Callable[[], object],
+        subscriptions: "SubscriptionManager",
         manager: Optional["DeliveryManager"],
         failures: list[DeliveryFailure],
     ) -> None:
@@ -82,10 +78,7 @@ class Fanout:
         #: how the owner names itself on spans and ledger records
         #: (``producer=<address>`` / ``source=<address>``)
         self._origin = {role: address}
-        self.index = index
         self.subscriptions = subscriptions
-        self.expired = expired
-        self.sweep = sweep
         self.manager = manager
         self.failures = failures
         self._bound = BoundCounters()
@@ -136,15 +129,15 @@ class Fanout:
         topic: Optional[str],
         producer_properties: dict[str, str],
         producer_document: Optional[XElem] = None,
-    ) -> Iterator[object]:
+    ) -> Iterator["Subscription"]:
         """The live subscriptions whose filter admits this publication."""
         instr = self.network.instrumentation
         family = self.family
-        self.sweep()
+        self.subscriptions.sweep_due()
         context = FilterContext(
             frozen, topic, producer_properties, producer_document=producer_document
         )
-        index = self.index
+        index = self.subscriptions.index
         candidates = index.candidates(topic, frozen)
         evals_counter = None
         if instr.enabled:
@@ -154,15 +147,18 @@ class Fanout:
                     index.content_evals
                 )
             bound.get(instr, "index_hits", "fanout.index_hits", family=family).inc(len(candidates))
-            skipped = len(self.subscriptions) - len(candidates)
+            skipped = len(self.subscriptions.records) - len(candidates)
             if skipped > 0:
                 bound.get(instr, "index_skips", "fanout.index_skips", family=family).inc(skipped)
             # one increment per residual filter run, via one handle
             evals_counter = bound.get(instr, "filter_evals", "fanout.filter_evals", family=family)
-        subscriptions, expired, now = self.subscriptions, self.expired, self.network.clock.now
+        records, now = self.subscriptions.records, self.network.clock.now
         for key in candidates:
-            subscription = subscriptions.get(key)
-            if subscription is None or expired(subscription, now()):
+            subscription = records.get(key)
+            if subscription is None:
+                continue
+            expires = subscription.termination_time
+            if expires is not None and now() >= expires:
                 continue
             if evals_counter is not None:
                 evals_counter.inc()

@@ -141,15 +141,6 @@ class TopicNamespace:
             paths.extend("/".join(p) for p in root.walk(()))
         return sorted(paths)
 
-    def new_index(self) -> "TopicSubscriptionIndex":
-        """A fresh subscription index over this topic space.
-
-        Each producer/source keeps its own (subscription keys are only
-        unique per endpoint), but the expressions it holds are interpreted
-        against this namespace's topic forest.
-        """
-        return TopicSubscriptionIndex()
-
 
 @dataclass(frozen=True)
 class _Alternative:

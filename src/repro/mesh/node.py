@@ -143,7 +143,7 @@ class MeshNode:
                 )
             if phases is not None:
                 phases.end("route", timer)
-            if self.exchange.has_subscriptions():
+            if self.exchange.subscriptions.records:
                 self.exchange.publish(payload, topic=topic)
             return False
         flight = instr.flight
@@ -211,25 +211,12 @@ class MeshNode:
     # --- federation demand ----------------------------------------------------
 
     def _attach_demand_listeners(self) -> None:
-        for version, producer in self.broker.wsn_producers.items():
-            producer.subscription_listeners.append(
-                self._wsn_listener(version.name.lower())
-            )
-        for version, source in self.broker.wse_sources.items():
-            tag = version.name.lower()
-            source.store.on_created.append(
-                lambda s, tag=tag: self._need_changed(
-                    f"wse:{tag}:{s.id}",
-                    routing_keys_of_expression(topic_expression_of(s.filter)),
-                )
-            )
-            source.store.on_removed.append(
-                lambda s, tag=tag: self._need_changed(f"wse:{tag}:{s.id}", None, gone=True)
-            )
+        for family, tag, subscriptions in self.broker.subscription_managers():
+            subscriptions.listeners.append(self._demand_listener(f"{family}:{tag}"))
 
-    def _wsn_listener(self, tag: str):
-        def listener(event: str, subscription) -> None:
-            key = f"wsn:{tag}:{subscription.key}"
+    def _demand_listener(self, prefix: str):
+        def listener(event: str, subscription, detail: dict) -> None:
+            key = f"{prefix}:{subscription.key}"
             if event == "created":
                 self._need_changed(
                     key,
@@ -237,7 +224,7 @@ class MeshNode:
                         topic_expression_of(subscription.filter)
                     ),
                 )
-            elif event == "destroyed":
+            elif event == "removed":
                 self._need_changed(key, None, gone=True)
 
         return listener

@@ -179,14 +179,8 @@ class WsMessenger:
         # capture the identity each granted Subscribe mints — (family, tag,
         # sub_id, granted absolute expiry) — for the store
         self._last_granted: Optional[tuple[str, str, str, Optional[float]]] = None
-        for version, source in self.wse_sources.items():
-            source.store.on_created.append(
-                self._wse_granted_hook(version.name.lower())
-            )
-        for version, producer in self.wsn_producers.items():
-            producer.subscription_listeners.append(
-                self._wsn_granted_hook(version.name.lower())
-            )
+        for family, tag, subscriptions in self.subscription_managers():
+            subscriptions.listeners.append(self._granted_hook(family, tag))
         # the front door
         self.endpoint = SoapEndpoint(network, address)
         self.endpoint.on_any(self._front_door)
@@ -197,20 +191,20 @@ class WsMessenger:
         if self.store is not None:
             self.store.attach(self)
 
-    def _wse_granted_hook(self, tag: str):
-        def on_created(subscription) -> None:
-            self._last_granted = ("wse", tag, subscription.id, subscription.expires)
+    def subscription_managers(self):
+        """``(family, version tag, SubscriptionManager)`` of every internal
+        source and producer — how the store, the mesh and the probes reach
+        subscriptions without knowing which family holds them."""
+        for version, source in self.wse_sources.items():
+            yield "wse", version.name.lower(), source.subscriptions
+        for version, producer in self.wsn_producers.items():
+            yield "wsn", version.name.lower(), producer.subscriptions
 
-        return on_created
-
-    def _wsn_granted_hook(self, tag: str):
-        def on_event(event: str, subscription) -> None:
+    def _granted_hook(self, family: str, tag: str):
+        def on_event(event: str, subscription, detail: dict) -> None:
             if event == "created":
                 self._last_granted = (
-                    "wsn",
-                    tag,
-                    subscription.key,
-                    subscription.resource.termination_time,
+                    family, tag, subscription.key, subscription.termination_time
                 )
 
         return on_event
@@ -411,7 +405,7 @@ class WsMessenger:
             else None
         )
         for source in self.wse_sources.values():
-            if not source.store.has_subscriptions():
+            if not source.subscriptions.records:
                 if skips_counter is not None:
                     skips_counter.inc()
                 continue
@@ -419,7 +413,7 @@ class WsMessenger:
         for producer in self.wsn_producers.values():
             if topic is None and producer.version.requires_topic:
                 continue  # <=1.2 subscriptions are all topic-filtered anyway
-            if not producer.has_subscriptions():
+            if not producer.subscriptions.records:
                 # still validate the topic and refresh GetCurrentMessage
                 producer.note_publication(payload, topic)
                 if skips_counter is not None:
@@ -438,9 +432,7 @@ class WsMessenger:
     # --- introspection ---------------------------------------------------------------
 
     def subscription_count(self) -> int:
-        return sum(len(s.store) for s in self.wse_sources.values()) + sum(
-            len(p.live_subscriptions()) for p in self.wsn_producers.values()
-        )
+        return sum(len(manager) for _, _, manager in self.subscription_managers())
 
     # --- bridging: the broker as a consumer of external producers ------------------------
 

@@ -145,7 +145,7 @@ def stale_batch_timers(brokers: list) -> list[dict]:
                         "stale_groups": stale,
                         "held_entries": sum(
                             len(s.queue)
-                            for s in source.store._subscriptions.values()
+                            for s in source.subscriptions.records.values()
                         ),
                     }
                 )

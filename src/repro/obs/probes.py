@@ -173,22 +173,16 @@ class GaugeProbes:
                     **labels,
                 )
 
-        def wse_queued() -> int:
-            return sum(
+        def queued(family: str):
+            return lambda: sum(
                 len(subscription.queue)
-                for source in broker.wse_sources.values()
-                for subscription in source.store._subscriptions.values()
+                for held_by, _, manager in broker.subscription_managers()
+                if held_by == family
+                for subscription in manager.records.values()
             )
 
-        def wsn_queued() -> int:
-            return sum(
-                len(subscription.paused_queue)
-                for producer in broker.wsn_producers.values()
-                for subscription in producer._subscriptions.values()
-            )
-
-        self.add_source("broker.sub_queue_depth", wse_queued, family="wse", **labels)
-        self.add_source("broker.sub_queue_depth", wsn_queued, family="wsn", **labels)
+        for family in ("wse", "wsn"):
+            self.add_source("broker.sub_queue_depth", queued(family), family=family, **labels)
         if broker.store is not None:
             self.watch_store(broker.store, **labels)
 

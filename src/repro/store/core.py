@@ -43,6 +43,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: outcomes after which a (message_id, sink) obligation needs no further work
 TERMINAL_OUTCOMES = frozenset({"delivered", "dead", "drained"})
 
+#: the state a family's subscriptions can differ in beyond sink, expiry and
+#: backlog: WS-Eventing picks a delivery mode at Subscribe, WS-Notification
+#: can pause (the projection reports what the log can determine)
+_FAMILY_STATE = {
+    "wse": lambda sub: ("mode", sub.mode.value),
+    "wsn": lambda sub: ("paused", sub.paused),
+}
+
 
 @dataclass
 class StoreStats:
@@ -140,84 +148,37 @@ class BrokerStore:
         manager and message boxes.  Called from the broker constructor."""
         self.broker = broker
         self.clock = broker.network.clock
-        for version, source in broker.wse_sources.items():
-            tag = version.name.lower()
-            source.store.on_removed.append(self._wse_removed_hook(tag))
-            source.lifecycle_listeners.append(self._wse_lifecycle_hook(tag))
-        for version, producer in broker.wsn_producers.items():
-            tag = version.name.lower()
-            producer.subscription_listeners.append(self._wsn_hook(tag))
+        for family, tag, subscriptions in broker.subscription_managers():
+            subscriptions.listeners.append(self._lifecycle_hook(family, tag))
         if broker.delivery_manager is not None:
             broker.delivery_manager.store = self
         if broker.message_boxes is not None:
             broker.message_boxes.on_drained = self._box_drained
 
-    def _wse_removed_hook(self, tag: str):
-        def on_removed(subscription) -> None:
-            if self.replaying:
-                return
-            self._append(
-                RemoveRecorded(
-                    at=self._now(), family="wse", tag=tag, sub_id=subscription.id
-                )
-            )
-
-        return on_removed
-
-    def _wse_lifecycle_hook(self, tag: str):
+    def _lifecycle_hook(self, family: str, tag: str):
         def on_event(event: str, subscription, detail: dict) -> None:
             if self.replaying:
                 return
+            at, sub_id = self._now(), subscription.key
             if event == "renewed":
                 self._append(
                     RenewRecorded(
-                        at=self._now(),
-                        family="wse",
+                        at=at,
+                        family=family,
                         tag=tag,
-                        sub_id=subscription.id,
-                        expires=subscription.expires,
+                        sub_id=sub_id,
+                        expires=subscription.termination_time,
                     )
                 )
-            elif event == "pulled" and detail.get("count"):
-                self._append(
-                    PullDrainRecorded(
-                        at=self._now(),
-                        tag=tag,
-                        sub_id=subscription.id,
-                        count=int(detail["count"]),
-                    )
-                )
-
-        return on_event
-
-    def _wsn_hook(self, tag: str):
-        def on_event(event: str, subscription) -> None:
-            if self.replaying:
-                return
-            if event == "renewed":
-                self._append(
-                    RenewRecorded(
-                        at=self._now(),
-                        family="wsn",
-                        tag=tag,
-                        sub_id=subscription.key,
-                        expires=subscription.resource.termination_time,
-                    )
-                )
-            elif event == "destroyed":
-                self._append(
-                    RemoveRecorded(
-                        at=self._now(), family="wsn", tag=tag, sub_id=subscription.key
-                    )
-                )
+            elif event == "removed":
+                self._append(RemoveRecorded(at=at, family=family, tag=tag, sub_id=sub_id))
             elif event in ("paused", "resumed"):
                 self._append(
-                    PauseRecorded(
-                        at=self._now(),
-                        tag=tag,
-                        sub_id=subscription.key,
-                        paused=event == "paused",
-                    )
+                    PauseRecorded(at=at, tag=tag, sub_id=sub_id, paused=event == "paused")
+                )
+            elif event == "pulled":
+                self._append(
+                    PullDrainRecorded(at=at, tag=tag, sub_id=sub_id, count=detail["count"])
                 )
 
         return on_event
@@ -409,23 +370,14 @@ class BrokerStore:
         broker = broker if broker is not None else self.broker
         assert broker is not None
         subscriptions: Dict[str, dict] = {}
-        for version, source in broker.wse_sources.items():
-            tag = version.name.lower()
-            for sub in source.store.live():
-                subscriptions[f"wse:{tag}:{sub.id}"] = {
-                    "sink": sub.notify_to.address if sub.notify_to else None,
-                    "mode": sub.mode.value,
-                    "expires": sub.expires,
+        for family, tag, manager in broker.subscription_managers():
+            for sub in manager.live_resources():
+                state, value = _FAMILY_STATE[family](sub)
+                subscriptions[f"{family}:{tag}:{sub.key}"] = {
+                    "sink": sub.consumer.address if sub.consumer else None,
+                    state: value,
+                    "expires": sub.termination_time,
                     "queued": len(sub.queue),
-                }
-        for version, producer in broker.wsn_producers.items():
-            tag = version.name.lower()
-            for sub in producer.live_subscriptions():
-                subscriptions[f"wsn:{tag}:{sub.key}"] = {
-                    "sink": sub.consumer.address,
-                    "expires": sub.resource.termination_time,
-                    "paused": sub.paused,
-                    "queued": len(sub.paused_queue),
                 }
         boxes = {}
         if broker.message_boxes is not None:

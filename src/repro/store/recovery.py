@@ -7,7 +7,7 @@ rebuilt projections (subscription stores, topic indexes, pull queues,
 message boxes, DLQ) converge on the pre-crash state:
 
 * ``subscribe`` records re-post the original wire bytes with the
-  subscription identifier pinned (``force_next_subscription_id``), so the
+  subscription identifier pinned (``SubscriptionManager.forced_id``), so the
   manager EPRs clients hold — which embed the id — stay valid; the
   *granted absolute expiry* is then forced back, so a replay at a later
   virtual time never silently extends a lease (and an already-expired
@@ -96,53 +96,42 @@ def replay_log(broker) -> None:
             producer.templates.clear()
 
 
-def _wse_source(broker, tag: str):
-    for version, source in broker.wse_sources.items():
-        if version.name.lower() == tag:
-            return source
+def _manager(broker, family: str, tag: str):
+    """The subscription manager behind ``family``/``tag`` (None when that
+    version is not enabled on the recovering broker)."""
+    for candidate in broker.subscription_managers():
+        if candidate[:2] == (family, tag):
+            return candidate[2]
     return None
 
 
-def _wsn_producer(broker, tag: str):
-    for version, producer in broker.wsn_producers.items():
-        if version.name.lower() == tag:
-            return producer
-    return None
+def _record_of(broker, family: str, tag: str, sub_id: str):
+    manager = _manager(broker, family, tag)
+    subscription = manager.find(sub_id) if manager is not None else None
+    return manager, subscription
 
 
 def _force_expiry(broker, family: str, tag: str, sub_id: str, expires) -> None:
     """Pin the *granted* absolute expiry from the record, overriding
     whatever a duration-based request re-granted relative to replay time."""
-    if family == "wse":
-        source = _wse_source(broker, tag)
-        subscription = (
-            source.store._subscriptions.get(sub_id) if source is not None else None
-        )
-        if subscription is not None:
-            source.store.update_expiry(subscription, expires)
-    else:
-        producer = _wsn_producer(broker, tag)
-        subscription = (
-            producer._subscriptions.get(sub_id) if producer is not None else None
-        )
-        if subscription is not None:
-            subscription.resource.termination_time = expires
-            producer.registry.note_termination(subscription.resource)
+    manager, subscription = _record_of(broker, family, tag, sub_id)
+    if subscription is not None:
+        subscription.termination_time = expires
+        manager.note_termination(subscription)
 
 
 def _replay_subscribe(broker, store, record: SubscribeRecorded) -> None:
-    implementation = (
-        _wse_source(broker, record.tag)
-        if record.family == "wse"
-        else _wsn_producer(broker, record.tag)
-    )
-    if implementation is None:
+    manager = _manager(broker, record.family, record.tag)
+    if manager is None:
         return  # version not enabled on the recovering broker
-    implementation.force_next_subscription_id(record.sub_id)
     wire = build_request(
         broker.address, record.wire.encode("utf-8"), soap_action=record.action
     )
-    response = parse_response(broker.network.send_request(broker.address, wire))
+    manager.forced_id = record.sub_id
+    try:
+        response = parse_response(broker.network.send_request(broker.address, wire))
+    finally:
+        manager.forced_id = None
     if response.ok:
         _force_expiry(broker, record.family, record.tag, record.sub_id, record.expires)
         store.stats.recovered_subscriptions += 1
@@ -162,38 +151,27 @@ def _replay_renew(broker, record: RenewRecorded) -> None:
 
 
 def _replay_remove(broker, record: RemoveRecorded) -> None:
-    if record.family == "wse":
-        source = _wse_source(broker, record.tag)
-        if source is not None:
-            source.store.remove(record.sub_id)
-    else:
-        producer = _wsn_producer(broker, record.tag)
-        if producer is not None:
-            # silent drop: no duplicate TerminationNotification on replay
-            producer.forget_subscription(record.sub_id)
+    manager = _manager(broker, record.family, record.tag)
+    if manager is not None:
+        # silent drop: no duplicate end notice on replay
+        manager.forget(record.sub_id)
 
 
 def _replay_pause(broker, record: PauseRecorded) -> None:
-    producer = _wsn_producer(broker, record.tag)
-    subscription = (
-        producer._subscriptions.get(record.sub_id) if producer is not None else None
-    )
+    manager, subscription = _record_of(broker, "wsn", record.tag, record.sub_id)
     if subscription is None:
         return
     subscription.paused = record.paused
     if not record.paused:
         # the pre-crash resume already delivered this backlog (see module
         # docstring); replayed publishes after this point re-queue correctly
-        subscription.paused_queue.clear()
+        manager.drain(subscription)
 
 
 def _replay_pull_drain(broker, record: PullDrainRecorded) -> None:
-    source = _wse_source(broker, record.tag)
-    subscription = (
-        source.store._subscriptions.get(record.sub_id) if source is not None else None
-    )
+    manager, subscription = _record_of(broker, "wse", record.tag, record.sub_id)
     if subscription is not None:
-        del subscription.queue[: record.count]
+        manager.drain(subscription, record.count)
 
 
 def _close_books(broker, store, record: PublishRecorded) -> None:

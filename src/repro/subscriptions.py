@@ -1,0 +1,490 @@
+"""The one subscription manager all three specification families run on.
+
+The paper's Table 2 lines the control operations of WS-Eventing and
+WS-Notification up almost one-to-one, and section VI predicts
+WS-EventNotification as their union.  What the families share is here, once:
+one :class:`Subscription` record, one lease table (the WS-Resource registry —
+a subscription *is* a WS-Resource: its key is the subscription id, its
+termination time the granted expiry) and one lifecycle::
+
+    created -> active <-> paused -> expired | unsubscribed | ended
+
+:class:`SubscriptionManager` owns id minting (with the forced id of log
+replay), :meth:`~SubscriptionManager.grant_expiry`, creation in the one safe
+order, liveness lookup, renew, pause / resume, the bounded parked queue and
+removal; it reports every transition to ``listeners`` as ``(event,
+subscription, detail)`` and fails with one neutral :class:`SubscriptionError`.
+A family keeps what Table 2 says differs: parsing a request, rendering the
+response, a fault table (error kind x operation -> fault subcode) and
+an end-notice table (removal reason -> SubscriptionEnd /
+TerminationNotification), handed in as ``announce``.
+:class:`SubscriptionService` is the frame those rows hang on: the two
+endpoints, the manager and the fan-out pipeline, wired the one way all three
+families wire them.  DESIGN.md, "The subscription manager", has the
+operation-by-operation map.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
+
+from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterError
+from repro.filters.content import MessageContentFilter, content_expression_of
+from repro.filters.producer import ProducerPropertiesFilter
+from repro.filters.topics import (
+    TopicFilter,
+    TopicNamespace,
+    TopicSubscriptionIndex,
+    topic_expression_of,
+)
+from repro.qos.adaptive import validate_supported
+from repro.qos.properties import DiscardPolicy, QosError, QosProfile
+from repro.soap.envelope import SoapEnvelope, SoapVersion
+from repro.soap.fault import FaultCode, SoapFault
+from repro.transport.endpoint import SoapClient, SoapEndpoint
+from repro.transport.network import SimulatedNetwork
+from repro.util.xstime import format_datetime, parse_expires
+from repro.wsa.epr import EndpointReference
+from repro.wsa.headers import MessageHeaders, reply_envelope
+from repro.wsrf.resource import ResourceRegistry, ResourceUnknownFault, WsResource
+from repro.xmlkit.element import XElem
+from repro.xmlkit.names import Namespaces, QName
+
+# repro.delivery and repro.fanout are imported where they are used: the
+# delivery package's message boxes import repro.wse, which imports this module
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.delivery.manager import DeliveryManager
+    from repro.delivery.outcome import DeliveryFailure
+
+
+class DeliveryMode(Enum):
+    """How notifications reach the sink."""
+
+    PUSH = "Push"
+    PULL = "Pull"
+    WRAPPED = "Wrap"
+
+    def uri(self, version) -> str:
+        return f"{version.namespace}/DeliveryModes/{self.value}"
+
+    @classmethod
+    def from_uri(cls, uri: str, version) -> "DeliveryMode":
+        for mode in cls:
+            if mode.uri(version) == uri:
+                return mode
+        raise ValueError(f"unknown delivery mode URI: {uri!r}")
+
+
+class SubscriptionError(Exception):
+    """A control operation the core refuses; ``kind`` is ``invalid_topic``,
+    ``invalid_properties``, ``invalid_content``, ``invalid_expiry``,
+    ``unsupported_qos``, ``unknown_subscription`` or ``not_pull_mode``."""
+
+    def __init__(self, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.kind = kind
+
+
+def build_filter(
+    *,
+    topic: Optional[str] = None,
+    topic_dialect: Optional[str] = None,
+    properties: Optional[str] = None,
+    properties_namespaces: Optional[dict[str, str]] = None,
+    content: Optional[str] = None,
+    content_namespaces: Optional[dict[str, str]] = None,
+    content_dialect: Optional[str] = None,
+) -> Filter:
+    """The conjunction of the (up to three) filter parts a Subscribe carries:
+    WS-Notification's TopicExpression, ProducerProperties and MessageContent;
+    WS-Eventing's Filter is the last alone.  A part that cannot be compiled
+    is refused now, not at the first publication."""
+    parts: list[Filter] = []
+    try:
+        kind = "invalid_topic"
+        if topic is not None:
+            parts.append(TopicFilter.parse(topic, topic_dialect))
+        kind = "invalid_properties"
+        if properties is not None:
+            parts.append(ProducerPropertiesFilter(properties, properties_namespaces))
+        kind = "invalid_content"
+        if content is not None:
+            if (content_dialect or Namespaces.DIALECT_XPATH10) != Namespaces.DIALECT_XPATH10:
+                raise FilterError(f"unsupported content dialect {content_dialect!r}")
+            parts.append(MessageContentFilter(content, content_namespaces))
+    except FilterError as exc:
+        raise SubscriptionError(kind, str(exc)) from exc
+    if not parts:
+        return AcceptAllFilter()
+    return parts[0] if len(parts) == 1 else AndFilter(parts)
+
+
+@dataclass(eq=False)
+class Subscription(WsResource):
+    """One subscription, whichever family granted it."""
+
+    #: where notifications go (NotifyTo / ConsumerReference); None in pull mode
+    consumer: Optional[EndpointReference] = None
+    filter: Filter = field(default_factory=AcceptAllFilter)
+    end_to: Optional[EndpointReference] = None
+    #: the accepted QoS profile, and the Priority it carries
+    qos: Optional[QosProfile] = None
+    priority: int = 0
+    paused: bool = False
+    #: the one parked queue: pull backlog, wrapped batch or paused copies
+    queue: list = field(default_factory=list)
+    mode: DeliveryMode = DeliveryMode.PUSH
+    use_raw: bool = False
+    topic_expression: Optional[str] = None
+
+
+class SubscriptionManager(ResourceRegistry):
+    """The lease table of one producer / event source, and every operation
+    on it that does not depend on the wire format."""
+
+    def __init__(
+        self,
+        network: SimulatedNetwork,
+        *,
+        family: str,
+        key_prefix: str,
+        default_lifetime: Optional[float],
+        max_lifetime: Optional[float] = None,
+        durations: bool = True,
+        delivery_manager: Optional["DeliveryManager"] = None,
+        announce: Callable[[Subscription, str, str], None],
+    ) -> None:
+        super().__init__(network.clock, key_prefix)
+        self.network = network
+        self.family = family
+        self.default_lifetime = default_lifetime
+        self.max_lifetime = max_lifetime
+        #: whether an expiry may be a duration (WS-BaseNotification <= 1.2: no)
+        self.durations = durations
+        self.delivery_manager = delivery_manager
+        #: the family's end-notice table: ``announce(subscription, reason,
+        #: detail)`` runs last on every removal
+        self.announce = announce
+        #: key -> record, the table itself: the fan-out's candidate lookup, and
+        #: empty exactly when there is no subscription, swept or not
+        self.records: dict[str, Subscription] = self._resources
+        self.index = TopicSubscriptionIndex()
+        #: ``(event, subscription, detail)`` with events created | renewed |
+        #: paused | resumed | pulled (count) | removed (reason)
+        self.listeners: list[Callable[[str, Subscription, dict], None]] = []
+        #: log replay pins the id the next :meth:`subscribe` mints, and
+        #: clears it once its request is answered (a faulting request must
+        #: not leak it into a later subscription)
+        self.forced_id: Optional[str] = None
+
+    def fire(self, event: str, subscription: Subscription, **detail) -> None:
+        for listener in self.listeners:
+            listener(event, subscription, detail)
+
+    # --- create ----------------------------------------------------------------------
+
+    def grant_expiry(self, text: Optional[str]) -> Optional[float]:
+        """The absolute expiry granted for a requested one (None = never)."""
+        now = self.clock.now()
+        if text is None:
+            return None if self.default_lifetime is None else now + self.default_lifetime
+        if not self.durations and text.lstrip("-").startswith("P"):
+            raise SubscriptionError(
+                "invalid_expiry",
+                f"unacceptable termination time {text!r}: only absolute times are "
+                "accepted (durations arrived in WS-BaseNotification 1.3)",
+            )
+        try:
+            requested = parse_expires(text, now)
+        except ValueError as exc:
+            raise SubscriptionError("invalid_expiry", f"invalid expiration {text!r}: {exc}") from exc
+        if requested is not None and requested <= now:
+            raise SubscriptionError("invalid_expiry", f"expiration {text!r} is in the past")
+        if self.max_lifetime is not None:
+            ceiling = now + self.max_lifetime
+            if requested is None or requested > ceiling:
+                return ceiling
+        return requested
+
+    def lease_text(self, expires: Optional[float]) -> str:
+        """A granted expiry as an absolute dateTime; "never" is reported as
+        the largest representable lease in this implementation."""
+        return format_datetime(self.clock.now() + 10 * 365 * 86400 if expires is None else expires)
+
+    def _accept_qos(
+        self, qos: Optional[QosProfile], consumer: Optional[EndpointReference]
+    ) -> Optional[QosProfile]:
+        """Accept (or refuse) a requested profile; an accepted one is
+        registered with the adaptive controller, when the delivery pipeline
+        carries one, so its bounds and priority drive real decisions."""
+        if qos is None:
+            return None
+        manager = self.delivery_manager
+        try:
+            if manager is not None and manager.qos is not None and consumer is not None:
+                return manager.qos.register_consumer(consumer.address, qos)
+            return validate_supported(qos)
+        except QosError as exc:
+            raise SubscriptionError("unsupported_qos", f"unsupported QoS: {exc}") from exc
+
+    def subscribe(
+        self,
+        *,
+        consumer: Optional[EndpointReference],
+        filter_parts: dict,
+        expires_text: Optional[str],
+        qos: Optional[QosProfile] = None,
+        **extras,
+    ) -> Subscription:
+        """Create a subscription; ``filter_parts`` are :func:`build_filter`'s
+        arguments.  The order is the contract: filter and expiry are
+        validated, then the profile is accepted, then the id is minted, then
+        the index learns of it — a request that faults leaves nothing behind."""
+        filter = build_filter(**filter_parts)
+        expires = self.grant_expiry(expires_text)
+        accepted = self._accept_qos(qos, consumer)
+        forced, self.forced_id = self.forced_id, None
+        subscription = self.create(
+            key=forced,
+            factory=Subscription,
+            termination_time=expires,
+            consumer=consumer,
+            filter=filter,
+            qos=accepted,
+            priority=int(accepted.get("Priority")) if accepted is not None else 0,
+            **extras,
+        )
+        self.index.add(
+            subscription.key, topic_expression_of(filter), content_expression_of(filter)
+        )
+        self.fire("created", subscription)
+        return subscription
+
+    # --- the operations of Table 2 ---------------------------------------------------
+
+    def lookup(self, sub_id: str) -> Subscription:
+        """The live subscription ``sub_id`` (an overdue one expires here)."""
+        try:
+            return self.get(sub_id)
+        except ResourceUnknownFault:
+            raise SubscriptionError(
+                "unknown_subscription", f"unknown subscription {sub_id!r}"
+            ) from None
+
+    def renew(self, subscription: Subscription, expires_text: Optional[str]) -> None:
+        subscription.termination_time = self.grant_expiry(expires_text)
+        self.note_termination(subscription)
+        self.fire("renewed", subscription)
+
+    def pause(self, subscription: Subscription) -> None:
+        subscription.paused = True
+        self.fire("paused", subscription)
+
+    def resume(self, subscription: Subscription, deliver: Callable[[Subscription, list], None]) -> None:
+        """Unpause; what was parked meanwhile goes to ``deliver`` first."""
+        subscription.paused = False
+        if subscription.mode is not DeliveryMode.PULL and subscription.queue:
+            deliver(subscription, self.drain(subscription))
+        self.fire("resumed", subscription)
+
+    def forget(self, sub_id: str) -> None:
+        """Drop a subscription without an end notice (log replay: the
+        pre-crash removal already announced itself); listeners still hear
+        ``removed``, so derived state stays consistent."""
+        if sub_id in self.records:
+            self.destroy(sub_id, "unsubscribed")
+
+    def _terminate(self, subscription: Subscription, reason: str, detail: str = "") -> None:
+        super()._terminate(subscription, reason, detail)
+        self.index.discard(subscription.key)
+        self.fire("removed", subscription, reason=reason)
+        self.announce(subscription, reason, detail)
+
+    # --- the parked queue --------------------------------------------------------------
+
+    def park(self, subscription: Subscription, item, lineage=None) -> bool:
+        """Append to the parked queue, honouring ``MaxEventsPerConsumer``.
+        Returns False when the *incoming* item was the one discarded
+        (LifoOrder); otherwise the oldest parked item makes room.  Parked
+        items are bare, so per-item lineage ends here with an informational
+        ``queued`` (no obligation) and a drop is a counter, not a ledger
+        event."""
+        instr = self.network.instrumentation
+        profile = subscription.qos
+        if profile is not None:
+            limit = profile.get("MaxEventsPerConsumer")
+            if limit and len(subscription.queue) >= limit:
+                instr.count("qos.shed_total", family=self.family, reason="sub_queue_full")
+                if profile.get("DiscardPolicy") is DiscardPolicy.LIFO_ORDER:
+                    return False
+                del subscription.queue[0]
+        subscription.queue.append(item)
+        if lineage is not None:
+            instr.lineage_event(
+                lineage.lineage_id, "queued", subscription=subscription.key,
+                mode="paused" if subscription.paused else subscription.mode.name.lower(),
+            )
+        return True
+
+    def drain(self, subscription: Subscription, limit: Optional[int] = None) -> list:
+        """Take the oldest ``limit`` parked items (all of them by default)."""
+        queue = subscription.queue
+        taken = queue[:limit]
+        del queue[:limit]
+        return taken
+
+    def pull(
+        self, subscription: Subscription, request: XElem, limit_name: QName, subcode: Optional[QName] = None
+    ) -> list:
+        """A consumer-initiated drain: at most ``request``'s ``limit_name``
+        items (absent = the whole backlog, malformed = a Sender fault)."""
+        from repro.delivery.limits import parse_drain_limit
+
+        if subscription.mode is not DeliveryMode.PULL:
+            raise SubscriptionError("not_pull_mode", "subscription is not in pull mode")
+        limit = parse_drain_limit(
+            request, limit_name, backlog=len(subscription.queue), subcode=subcode
+        )
+        taken = self.drain(subscription, limit)
+        if taken:
+            self.fire("pulled", subscription, count=len(taken))
+        return taken
+
+
+class SubscriptionService:
+    """The frame every family's producer / event source hangs its rows on
+    (the paper's Fig. 1 and 2 differ in names, not in parts): the endpoint
+    that grants subscriptions, the manager endpoint for the rest of Table 2,
+    the lease table, the fan-out pipeline and a client for what goes out."""
+
+    def __init__(
+        self,
+        network: SimulatedNetwork,
+        address: str,
+        manager_address: str,
+        *,
+        family: str,
+        version_tag: str,
+        role: str,
+        wsa_version,
+        faults: Mapping[tuple[str, Optional[str]], QName],
+        topics: Optional[TopicNamespace] = None,
+        delivery_manager: Optional["DeliveryManager"] = None,
+        **leases,
+    ) -> None:
+        from repro.fanout import Fanout
+
+        self.network = network
+        self.clock = network.clock
+        #: when set, push delivery routes through the reliable store-and-
+        #: forward pipeline instead of the immediate best-effort attempt
+        self.delivery_manager = delivery_manager
+        #: every failed outbound send, recorded (see repro.delivery.outcome)
+        self.delivery_failures: list["DeliveryFailure"] = []
+        self.subscriptions = SubscriptionManager(
+            network,
+            family=family,
+            key_prefix=f"{family}-sub",
+            delivery_manager=delivery_manager,
+            announce=self._announce_end,
+            **leases,
+        )
+        #: the family's fault vocabulary: ``(kind, operation)`` -> subcode,
+        #: ``(kind, None)`` naming the kind for every other operation
+        self._faults = faults
+        #: match and settle are the shared pipeline's; rendering, and when a
+        #: parked queue is flushed, stay with the family
+        self._fanout = Fanout(
+            network,
+            family=family,
+            version_tag=version_tag,
+            role=role,
+            address=address,
+            subscriptions=self.subscriptions,
+            manager=delivery_manager,
+            failures=self.delivery_failures,
+        )
+        #: the topic space of a family that has one (WS-Eventing does not),
+        #: and the last message on each topic (what GetCurrentMessage answers)
+        self.topics = topics
+        self._current_message: dict[str, XElem] = {}
+        self._client = SoapClient(network, wsa_version=wsa_version, soap_version=SoapVersion.V11)
+        self.endpoint = SoapEndpoint(network, address)
+        self.manager_address = manager_address
+        #: WS-Eventing 01/2004: the source *is* the manager
+        self.manager_endpoint = (
+            self.endpoint if manager_address == address else SoapEndpoint(network, manager_address)
+        )
+
+    @property
+    def address(self) -> str:
+        return self.endpoint.address
+
+    def epr(self) -> EndpointReference:
+        return EndpointReference(self.address)
+
+    def close(self) -> None:
+        self.endpoint.close()
+        if self.manager_endpoint is not self.endpoint:
+            self.manager_endpoint.close()
+
+    def _core(self, operation: str, core_call: Callable, *args, **kwargs):
+        """``core_call(*args, **kwargs)`` on behalf of a wire ``operation``:
+        a neutral error leaves as this family's Sender fault."""
+        try:
+            return core_call(*args, **kwargs)
+        except SubscriptionError as error:
+            rows = self._faults
+            subcode = rows.get((error.kind, operation)) or rows.get((error.kind, None))
+            raise SoapFault(FaultCode.SENDER, str(error), subcode=subcode) from error
+
+    def _lookup(self, sub_id: str) -> Subscription:
+        return self._core("lookup", self.subscriptions.lookup, sub_id)
+
+    def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> SoapEnvelope:
+        return reply_envelope(request_headers, action, body, self._client.wsa_version)
+
+    def _admit_publication(self, payload: XElem, topic: Optional[str]) -> None:
+        """A publication on ``topic`` must be one the topic space admits (a
+        fixed set refuses strangers, an open one learns the topic) and
+        becomes that topic's current message."""
+        if topic is None:
+            return
+        try:
+            self.topics.validate_publication(topic)
+        except FilterError as exc:
+            raise SoapFault(FaultCode.SENDER, str(exc)) from exc
+        self._current_message[topic] = payload if payload.frozen else payload.copy()
+
+    def _current_message_on(self, topic: str, subcode: QName) -> XElem:
+        payload = self._current_message.get(topic)
+        if payload is None:
+            raise SoapFault(
+                FaultCode.SENDER, f"no current message on topic {topic!r}", subcode=subcode
+            )
+        return payload
+
+    def _send_notice(self, target: EndpointReference, action: str, body: XElem) -> None:
+        self._client.call(target, action, [body], expect_reply=False)
+
+    def _send_end_notice(
+        self, subscription: Subscription, target: EndpointReference, action: str, body: XElem, stage: str
+    ) -> None:
+        """An end notice is a control message: under a delivery manager it is
+        retried like any delivery, but it carries no items, so it is never
+        parked (it is meaningless once the sink is gone)."""
+        self._fanout.settle(
+            target.address,
+            self._send_notice,
+            (target, action, body),
+            stage=stage,
+            describe=f"{stage} {subscription.key}",
+        )
+
+    def _end_after_failure(self, exc: Exception, subscription: Subscription, *_) -> None:
+        """A direct attempt failed: the subscription ends, in the family's
+        own vocabulary (see its ``_announce_end``)."""
+        if not subscription.destroyed:
+            self.subscriptions.destroy(subscription.key, "delivery failure", str(exc))

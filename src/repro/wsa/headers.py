@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.soap.envelope import SoapEnvelope
+from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.wsa.epr import EndpointReference
 from repro.wsa.versions import WsaVersion
 from repro.xmlkit.element import XElem, text_element
@@ -102,6 +102,16 @@ def apply_headers(
             block.attrs[version.is_reference_parameter_attr] = "true"
         envelope.add_header(block)
     return envelope
+
+
+def reply_envelope(
+    request: MessageHeaders, action: str, body: XElem, version: WsaVersion
+) -> SoapEnvelope:
+    """The response to ``request``: ``body`` under reply addressing."""
+    reply = SoapEnvelope(SoapVersion.V11)
+    apply_headers(reply, MessageHeaders.reply(request, action, version), version)
+    reply.add_body(body)
+    return reply
 
 
 def detect_wsa_version(envelope: SoapEnvelope) -> Optional[WsaVersion]:

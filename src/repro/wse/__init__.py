@@ -23,7 +23,7 @@ Public API:
 """
 
 from repro.wse.versions import WseVersion
-from repro.wse.model import DeliveryMode, SubscriptionEndCode, WseSubscription
+from repro.wse.model import DeliveryMode, SubscriptionEndCode
 from repro.wse.source import EventSource
 from repro.wse.sink import EventSink
 from repro.wse.subscriber import SubscriptionHandle, WseSubscriber
@@ -32,7 +32,6 @@ __all__ = [
     "WseVersion",
     "DeliveryMode",
     "SubscriptionEndCode",
-    "WseSubscription",
     "EventSource",
     "EventSink",
     "WseSubscriber",

@@ -31,7 +31,7 @@ from repro.transport.network import SimulatedNetwork
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders, apply_headers
 from repro.wsn import messages
-from repro.wsn.producer import NotificationProducer, WsnSubscription
+from repro.wsn.producer import NotificationProducer
 from repro.wsn.subscriber import WsnSubscriber, WsnSubscriptionHandle
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem, text_element
@@ -97,7 +97,7 @@ class NotificationBroker:
             topic_namespace=topic_namespace,
             delivery_manager=delivery_manager,
         )
-        self.producer.subscription_listeners.append(self._on_subscription_event)
+        self.producer.subscriptions.listeners.append(self._on_subscription_event)
         self.delivery_manager = delivery_manager
         if (
             delivery_manager is not None
@@ -273,8 +273,8 @@ class NotificationBroker:
 
     # --- demand-based publishing ----------------------------------------------------------
 
-    def _on_subscription_event(self, event: str, subscription: WsnSubscription) -> None:
-        if event in ("created", "destroyed", "paused", "resumed"):
+    def _on_subscription_event(self, event: str, subscription, detail: dict) -> None:
+        if event in ("created", "removed", "paused", "resumed"):
             for registration in self._registrations.values():
                 if registration.demand and not registration.destroyed:
                     self._reconcile_demand(registration)
@@ -282,7 +282,7 @@ class NotificationBroker:
     def demand_for(self, topic: str) -> int:
         """Number of live, unpaused subscriptions whose filter selects ``topic``."""
         count = 0
-        for subscription in self.producer.live_subscriptions():
+        for subscription in self.producer.subscriptions.live_resources():
             if subscription.paused:
                 continue
             if subscription.topic_expression is None:

@@ -10,38 +10,32 @@ WS-Eventing's SubscriptionEnd (Table 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.delivery.batcher import DeliveryBatcher
-from repro.delivery.outcome import DeliveryFailure
 from repro.delivery.policy import BatchingPolicy
 from repro.delivery.task import DeliveryItem
-from repro.fanout import Fanout
-from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterError
 from repro.obs.instrument import BoundCounters
-from repro.qos.adaptive import validate_supported
-from repro.qos.properties import QosError, QosProfile
-from repro.filters.content import MessageContentFilter, content_expression_of
-from repro.filters.producer import ProducerPropertiesFilter, properties_document
-from repro.filters.topics import TopicFilter, TopicNamespace, topic_expression_of
-from repro.soap.envelope import SoapEnvelope, SoapVersion
+from repro.filters.producer import properties_document
+from repro.filters.topics import TopicNamespace
+from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
-from repro.transport.endpoint import SoapClient, SoapEndpoint
+from repro.subscriptions import Subscription, SubscriptionService
+from repro.transport.endpoint import SoapEndpoint
 from repro.transport.network import SimulatedNetwork
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, apply_headers, fresh_message_id
+from repro.wsa.headers import MessageHeaders, fresh_message_id
 from repro.wsn import messages
-from repro.wsn.messages import NotificationMessage, WsnFilterSpec, WsnSubscribeRequest
+from repro.wsn.messages import NotificationMessage, WsnSubscribeRequest
 from repro.wsn.templates import NotifyTemplateCache, sink_signature
 from repro.wsn.versions import WsnVersion
-from repro.wsrf.lifetime import set_termination_time
+from repro.wsrf.lifetime import UnableToSetTerminationTimeFault, set_termination_time
 from repro.wsrf.properties import get_resource_property
-from repro.wsrf.resource import RESOURCE_ID, ResourceRegistry, ResourceUnknownFault, WsResource
+from repro.wsrf.resource import RESOURCE_ID, ResourceUnknownFault, WsResource
 from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.writer import frozen_namespace_order
 from repro.xmlkit.names import Namespaces, QName
-from repro.util.xstime import format_datetime, parse_datetime, parse_expires
+from repro.util.xstime import format_datetime, parse_datetime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.delivery.manager import DeliveryManager
@@ -54,27 +48,9 @@ PROP_FILTER = QName(Namespaces.WSNT_13, "FilterDescription")
 PROP_TOPIC_SET = QName(Namespaces.WSTOP_13, "TopicSet")
 
 
-@dataclass
-class WsnSubscription:
-    """Runtime state attached to a subscription resource."""
-
-    resource: WsResource
-    consumer: EndpointReference
-    filter: Filter
-    topic_expression: Optional[str]
-    use_raw: bool
-    paused: bool = False
-    paused_queue: list[NotificationMessage] = field(default_factory=list)
-    #: accepted QoS profile (1.3 SubscriptionPolicy / <=1.2 extension child)
-    qos: Optional[QosProfile] = None
-
-    @property
-    def key(self) -> str:
-        return self.resource.key
-
-
-class NotificationProducer:
-    """A WSN producer bound to the simulated network.
+class NotificationProducer(SubscriptionService):
+    """A WSN producer bound to the simulated network: the WS-Notification
+    rows over the shared subscription manager and fan-out.
 
     The producer is distinct from the *publisher* (Fig. 2): publishers call
     :meth:`publish`; consumers never talk to publishers directly.
@@ -94,38 +70,45 @@ class NotificationProducer:
         delivery_manager: Optional["DeliveryManager"] = None,
         batching: Optional[BatchingPolicy] = None,
     ) -> None:
-        self.network = network
+        super().__init__(
+            network,
+            address,
+            manager_address or f"{address}/subscriptions",
+            family="wsn",
+            version_tag=version.name.lower(),
+            role="producer",
+            wsa_version=version.wsa_version,
+            faults={
+                ("invalid_topic", None): version.qname("InvalidTopicExpressionFault"),
+                ("invalid_properties", None): version.qname(
+                    "InvalidProducerPropertiesExpressionFault"
+                ),
+                ("invalid_content", None): version.qname("InvalidMessageContentExpressionFault"),
+                ("invalid_expiry", "subscribe"): version.qname(
+                    "UnacceptableInitialTerminationTimeFault"
+                ),
+                ("invalid_expiry", "renew"): version.qname("UnacceptableTerminationTimeFault"),
+                ("unsupported_qos", None): version.qname("UnsupportedPolicyRequestFault"),
+                ("unknown_subscription", None): QName(Namespaces.WSRF_BF, "ResourceUnknownFault"),
+            },
+            topics=topic_namespace or TopicNamespace(),
+            delivery_manager=delivery_manager,
+            default_lifetime=default_lifetime,
+            durations=version.supports_duration_expiry,
+        )
         self.version = version
         #: pre-bound template hit/miss counters (see BoundCounters)
         self._bound_counters = BoundCounters()
-        self.clock = network.clock
-        self.default_lifetime = default_lifetime
-        self.topics = topic_namespace or TopicNamespace()
-        self._topic_index = self.topics.new_index()
         self.producer_properties = dict(producer_properties or {})
         #: (properties rendered, their frozen document): see _properties_document
         self._properties_rendered: tuple[Optional[dict], Optional[XElem]] = (None, None)
-        # WSRF port: mandatory <= 1.2, optional (default on) in 1.3
+        # WSRF port: mandatory <= 1.2, optional (default on) in 1.3; a
+        # subscription is a WS-Resource on the wire either way, its property
+        # document a view of the shared record (see _resource_view)
         if enable_wsrf is None:
             self.wsrf_enabled = True
         else:
             self.wsrf_enabled = enable_wsrf or version.requires_wsrf
-        #: when set, push delivery routes through the reliable store-and-
-        #: forward pipeline instead of the immediate best-effort attempt
-        self.delivery_manager = delivery_manager
-        #: every failed outbound send, recorded (see repro.delivery.outcome)
-        self.delivery_failures: list[DeliveryFailure] = []
-        self.registry = ResourceRegistry(self.clock, key_prefix="wsn-sub")
-        self._subscriptions: dict[str, WsnSubscription] = {}
-        #: consumed by the next create_subscription (log replay pins the key)
-        self._forced_sub_id: Optional[str] = None
-        self._current_message: dict[str, XElem] = {}  # last message per topic
-        self._client = SoapClient(
-            network, wsa_version=version.wsa_version, soap_version=SoapVersion.V11
-        )
-        #: listeners for broker demand accounting: (event, subscription)
-        self.subscription_listeners: list[Callable[[str, WsnSubscription], None]] = []
-        self.endpoint = SoapEndpoint(network, address)
         self.endpoint.on_action(version.action("Subscribe"), self._handle_subscribe)
         self.endpoint.on_action(
             version.action("GetCurrentMessage"), self._handle_get_current_message
@@ -137,25 +120,8 @@ class NotificationProducer:
                 messages.wsrf_action("GetResourceProperty"),
                 self._handle_producer_property,
             )
-        self.manager_address = manager_address or f"{address}/subscriptions"
-        self.manager_endpoint = SoapEndpoint(network, self.manager_address)
         self._register_manager_handlers(self.manager_endpoint)
         self.templates = NotifyTemplateCache(version, address, self.manager_address)
-        #: match and settle are the shared pipeline's; rendering, the paused
-        #: queue and the fault names below are what WS-Notification adds
-        self._fanout = Fanout(
-            network,
-            family="wsn",
-            version_tag=version.name.lower(),
-            role="producer",
-            address=address,
-            index=self._topic_index,
-            subscriptions=self._subscriptions,
-            expired=lambda subscription, now: not subscription.resource.alive(now),
-            sweep=self.registry.sweep_due,
-            manager=delivery_manager,
-            failures=self.delivery_failures,
-        )
         #: per-sink wire coalescing (None = one request per notification);
         #: shares the delivery manager's scheduler so window expiry rides the
         #: same run_due/run_until_idle pump as retries
@@ -170,13 +136,6 @@ class NotificationProducer:
                 family="wsn",
             )
 
-    @property
-    def address(self) -> str:
-        return self.endpoint.address
-
-    def epr(self) -> EndpointReference:
-        return EndpointReference(self.address)
-
     def wsdl(self) -> str:
         """This producer's self-description as a WSDL 1.1 document."""
         from repro.wsdl.generator import wsdl_for_wsn_producer
@@ -185,16 +144,12 @@ class NotificationProducer:
             self.version, address=self.address, include_wsrf=self.wsrf_enabled
         ).to_xml()
 
-    def close(self) -> None:
-        self.endpoint.close()
-        self.manager_endpoint.close()
-
     # --- subscribe -----------------------------------------------------------
 
     def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
         request = messages.parse_subscribe(envelope.body_element(), self.version)
         subscription = self.create_subscription(request)
-        termination = subscription.resource.termination_time
+        termination = subscription.termination_time
         body = messages.build_subscribe_response(
             self.version,
             manager_address=self.manager_address,
@@ -206,173 +161,49 @@ class NotificationProducer:
         )
         return self._reply(headers, self.version.action("SubscribeResponse"), body)
 
-    def force_next_subscription_id(self, sub_id: str) -> None:
-        """Pin the key the next Subscribe mints (log replay)."""
-        self._forced_sub_id = sub_id
-
-    def forget_subscription(self, sub_id: str) -> None:
-        """Drop a subscription without a TerminationNotification (log
-        replay: the pre-crash removal already announced itself).  The
-        "destroyed" listeners still fire so derived state — topic index,
-        mesh demand — stays consistent."""
-        if self.registry.find(sub_id) is not None:
-            self.registry.destroy(sub_id, reason="unsubscribed")
-        else:
-            self._subscriptions.pop(sub_id, None)
-            self._topic_index.discard(sub_id)
-            self.templates.note_removed(sub_id)
-
-    def create_subscription(self, request: WsnSubscribeRequest) -> WsnSubscription:
+    def create_subscription(self, request: WsnSubscribeRequest) -> Subscription:
         """Core Subscribe logic (also called in-process by the broker)."""
-        if self.version.requires_topic and request.filter.topic_expression is None:
+        spec = request.filter
+        if self.version.requires_topic and spec.topic_expression is None:
             raise SoapFault(
                 FaultCode.SENDER,
                 f"WS-BaseNotification {self.version.name} requires a TopicExpression",
                 subcode=self.version.qname("TopicExpressionRequired"),
             )
-        # consume the forced key up front so a faulting request cannot leak
-        # it into an unrelated later subscription
-        forced_sub_id, self._forced_sub_id = self._forced_sub_id, None
-        self._accept_qos(request.qos, request.consumer)
-        subscription_filter = self._build_filter(request.filter)
-        expiry = self._grant_termination(request.initial_termination_text)
-        resource = self.registry.create(key=forced_sub_id)
-        resource.termination_time = expiry
-        self.registry.note_termination(resource)
-        subscription = WsnSubscription(
-            resource=resource,
+        return self._core(
+            "subscribe",
+            self.subscriptions.subscribe,
             consumer=request.consumer,
-            filter=subscription_filter,
-            topic_expression=request.filter.topic_expression,
-            use_raw=request.use_raw,
+            filter_parts={
+                "topic": spec.topic_expression,
+                "topic_dialect": spec.topic_dialect,
+                "properties": spec.producer_properties,
+                "properties_namespaces": spec.namespaces,
+                "content": spec.message_content,
+                "content_namespaces": spec.namespaces,
+                "content_dialect": spec.message_content_dialect,
+            },
+            expires_text=request.initial_termination_text,
             qos=request.qos,
+            use_raw=request.use_raw,
+            topic_expression=spec.topic_expression,
         )
-        self._subscriptions[resource.key] = subscription
-        self._topic_index.add(
-            resource.key,
-            topic_expression_of(subscription_filter),
-            content_expression_of(subscription_filter),
-        )
-        self._set_resource_properties(subscription)
-        resource.termination_listeners.append(self._on_subscription_terminated)
-        self._notify_listeners("created", subscription)
-        return subscription
 
-    def _accept_qos(
-        self, qos: Optional[QosProfile], consumer: EndpointReference
-    ) -> None:
-        """Vet a requested QoS profile, registering it with the adaptive
-        controller when the delivery pipeline carries one.  A profile the
-        producer cannot honour faults the Subscribe (1.3's
-        UnsupportedPolicyRequestFault) rather than silently degrading."""
-        if qos is None:
-            return
-        controller = (
-            self.delivery_manager.qos if self.delivery_manager is not None else None
+    def _resource_view(self, subscription: Subscription) -> WsResource:
+        """The subscription's resource-property document, rendered from the
+        record when it is read (GetResourceProperty is Table 2's GetStatus)."""
+        view = WsResource(subscription.key)
+        view.set_text_property(PROP_STATUS, "Paused" if subscription.paused else "Active")
+        termination = subscription.termination_time
+        view.set_text_property(
+            PROP_TERMINATION, format_datetime(termination) if termination is not None else ""
         )
-        try:
-            if controller is not None:
-                controller.register_consumer(consumer.address, qos)
-            else:
-                validate_supported(qos)
-        except QosError as exc:
-            raise SoapFault(
-                FaultCode.SENDER,
-                f"unsupported QoS policy: {exc}",
-                subcode=self.version.qname("UnsupportedPolicyRequestFault"),
-            ) from exc
-
-    def _priority_of(self, subscription: WsnSubscription) -> int:
-        return subscription.qos.get("Priority") if subscription.qos is not None else 0
-
-    def _set_resource_properties(self, subscription: WsnSubscription) -> None:
-        resource = subscription.resource
-        resource.set_text_property(
-            PROP_STATUS, "Paused" if subscription.paused else "Active"
-        )
-        termination = resource.termination_time
-        resource.set_text_property(
-            PROP_TERMINATION,
-            format_datetime(termination) if termination is not None else "",
-        )
-        resource.set_property(
+        view.set_property(
             PROP_CONSUMER,
             subscription.consumer.to_element(self.version.wsa_version, PROP_CONSUMER),
         )
-        resource.set_text_property(PROP_FILTER, subscription.filter.describe())
-
-    def _build_filter(self, spec: WsnFilterSpec) -> Filter:
-        parts: list[Filter] = []
-        if spec.topic_expression is not None:
-            try:
-                parts.append(TopicFilter.parse(spec.topic_expression, spec.topic_dialect))
-            except FilterError as exc:
-                raise SoapFault(
-                    FaultCode.SENDER,
-                    str(exc),
-                    subcode=self.version.qname("InvalidTopicExpressionFault"),
-                ) from exc
-        if spec.producer_properties is not None:
-            try:
-                parts.append(
-                    ProducerPropertiesFilter(spec.producer_properties, spec.namespaces)
-                )
-            except FilterError as exc:
-                raise SoapFault(
-                    FaultCode.SENDER,
-                    str(exc),
-                    subcode=self.version.qname("InvalidProducerPropertiesExpressionFault"),
-                ) from exc
-        if spec.message_content is not None:
-            if spec.message_content_dialect != Namespaces.DIALECT_XPATH10:
-                raise SoapFault(
-                    FaultCode.SENDER,
-                    f"unsupported content dialect {spec.message_content_dialect!r}",
-                    subcode=self.version.qname("InvalidMessageContentExpressionFault"),
-                )
-            try:
-                parts.append(MessageContentFilter(spec.message_content, spec.namespaces))
-            except FilterError as exc:
-                raise SoapFault(
-                    FaultCode.SENDER,
-                    str(exc),
-                    subcode=self.version.qname("InvalidMessageContentExpressionFault"),
-                ) from exc
-        if not parts:
-            return AcceptAllFilter()
-        if len(parts) == 1:
-            return parts[0]
-        return AndFilter(parts)
-
-    def _grant_termination(self, text: Optional[str]) -> Optional[float]:
-        now = self.clock.now()
-        if text is None:
-            return None if self.default_lifetime is None else now + self.default_lifetime
-        fault = SoapFault(
-            FaultCode.SENDER,
-            f"unacceptable initial termination time {text!r}",
-            subcode=self.version.qname("UnacceptableInitialTerminationTimeFault"),
-        )
-        if text.startswith("P") or text.startswith("-P"):
-            if not self.version.supports_duration_expiry:
-                raise SoapFault(
-                    FaultCode.SENDER,
-                    f"WS-BaseNotification {self.version.name} accepts only absolute "
-                    "termination times (durations arrived in 1.3)",
-                    subcode=self.version.qname("UnacceptableInitialTerminationTimeFault"),
-                )
-            try:
-                requested = parse_expires(text, now)
-            except ValueError:
-                raise fault from None
-        else:
-            try:
-                requested = parse_datetime(text)
-            except ValueError:
-                raise fault from None
-        if requested is not None and requested <= now:
-            raise fault
-        return requested
+        view.set_text_property(PROP_FILTER, subscription.filter.describe())
+        return view
 
     # --- manager operations ---------------------------------------------------------
 
@@ -395,23 +226,15 @@ class NotificationProducer:
                 messages.wsrf_lifetime_action("Destroy"), self._handle_destroy
             )
 
-    def _subscription_for(self, headers: MessageHeaders) -> WsnSubscription:
-        sub_id = messages.subscription_id_from_headers(headers.echoed)
-        self.registry.get(sub_id)  # liveness check; faults ResourceUnknown
-        subscription = self._subscriptions.get(sub_id)
-        if subscription is None:
-            raise ResourceUnknownFault(sub_id)
-        return subscription
+    def _subscription_for(self, headers: MessageHeaders) -> Subscription:
+        return self._lookup(messages.subscription_id_from_headers(headers.echoed))
 
     def _handle_renew(self, envelope: SoapEnvelope, headers: MessageHeaders):
         subscription = self._subscription_for(headers)
         term_elem = envelope.body_element().find(self.version.qname("TerminationTime"))
         text = term_elem.full_text().strip() if term_elem is not None else None
-        subscription.resource.termination_time = self._grant_termination(text)
-        self.registry.note_termination(subscription.resource)
-        self._set_resource_properties(subscription)
-        self._notify_listeners("renewed", subscription)
-        termination = subscription.resource.termination_time
+        self._core("renew", self.subscriptions.renew, subscription, text)
+        termination = subscription.termination_time
         body = messages.build_renew_response(
             self.version,
             format_datetime(termination) if termination is not None else "",
@@ -420,34 +243,24 @@ class NotificationProducer:
         return self._reply(headers, self.version.action("RenewResponse"), body)
 
     def _handle_unsubscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
-        self.registry.destroy(subscription.key, reason="unsubscribed")
+        self.subscriptions.destroy(self._subscription_for(headers).key, "unsubscribed")
         body = XElem(self.version.qname("UnsubscribeResponse"))
         return self._reply(headers, self.version.action("UnsubscribeResponse"), body)
 
     def _handle_pause(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
-        subscription.paused = True
-        self._set_resource_properties(subscription)
-        self._notify_listeners("paused", subscription)
+        self.subscriptions.pause(self._subscription_for(headers))
         body = XElem(self.version.qname("PauseSubscriptionResponse"))
         return self._reply(headers, self.version.action("PauseSubscriptionResponse"), body)
 
     def _handle_resume(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
-        subscription.paused = False
-        self._set_resource_properties(subscription)
-        backlog, subscription.paused_queue = subscription.paused_queue, []
-        if backlog:
-            self._deliver(subscription, backlog)
-        self._notify_listeners("resumed", subscription)
+        self.subscriptions.resume(self._subscription_for(headers), self._deliver)
         body = XElem(self.version.qname("ResumeSubscriptionResponse"))
         return self._reply(headers, self.version.action("ResumeSubscriptionResponse"), body)
 
     def _handle_get_property(self, envelope: SoapEnvelope, headers: MessageHeaders):
         subscription = self._subscription_for(headers)
         name = messages.parse_get_resource_property(envelope.body_element())
-        values = get_resource_property(subscription.resource, name)
+        values = get_resource_property(self._resource_view(subscription), name)
         body = XElem(QName(Namespaces.WSRF_RP, "GetResourcePropertyResponse"))
         for value in values:
             body.append(value.copy())
@@ -459,13 +272,15 @@ class NotificationProducer:
         subscription = self._subscription_for(headers)
         request = envelope.body_element()
         requested = request.find(QName(Namespaces.WSRF_RL, "RequestedTerminationTime"))
-        if requested is None or not requested.full_text().strip():
-            new_time: Optional[float] = None
-        else:
-            new_time = parse_datetime(requested.full_text().strip())
-        set_termination_time(self.registry, subscription.resource, new_time)
-        self._set_resource_properties(subscription)
-        self._notify_listeners("renewed", subscription)
+        text = requested.full_text().strip() if requested is not None else ""
+        try:
+            new_time = parse_datetime(text) if text else None
+        except ValueError as exc:
+            raise UnableToSetTerminationTimeFault(
+                f"unacceptable RequestedTerminationTime {text!r}: {exc}"
+            ) from exc
+        set_termination_time(self.subscriptions, subscription, new_time)
+        self.subscriptions.fire("renewed", subscription)
         body = XElem(QName(Namespaces.WSRF_RL, "SetTerminationTimeResponse"))
         body.append(
             text_element(
@@ -478,8 +293,7 @@ class NotificationProducer:
         )
 
     def _handle_destroy(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
-        self.registry.destroy(subscription.key, reason="destroyed")
+        self.subscriptions.destroy(self._subscription_for(headers).key, "destroyed")
         body = XElem(QName(Namespaces.WSRF_RL, "DestroyResponse"))
         return self._reply(headers, messages.wsrf_lifetime_action("DestroyResponse"), body)
 
@@ -521,25 +335,13 @@ class NotificationProducer:
         topic, _dialect = messages.parse_get_current_message(
             envelope.body_element(), self.version
         )
-        payload = self._current_message.get(topic)
-        if payload is None:
-            raise SoapFault(
-                FaultCode.SENDER,
-                f"no current message on topic {topic!r}",
-                subcode=self.version.qname("NoCurrentMessageOnTopicFault"),
-            )
         body = XElem(self.version.qname("GetCurrentMessageResponse"))
-        body.append(payload if payload.frozen else payload.copy())
+        body.append(
+            self._current_message_on(topic, self.version.qname("NoCurrentMessageOnTopicFault"))
+        )
         return self._reply(
             headers, self.version.action("GetCurrentMessageResponse"), body
         )
-
-    def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> SoapEnvelope:
-        reply = SoapEnvelope(SoapVersion.V11)
-        headers = MessageHeaders.reply(request_headers, action, self.version.wsa_version)
-        apply_headers(reply, headers, self.version.wsa_version)
-        reply.add_body(body)
-        return reply
 
     # --- publication --------------------------------------------------------------------
 
@@ -559,17 +361,10 @@ class NotificationProducer:
         )
 
     def _match_and_deliver(self, payload: XElem, topic: Optional[str]) -> int:
-        if topic is not None:
-            try:
-                self.topics.validate_publication(topic)
-            except FilterError as exc:
-                raise SoapFault(FaultCode.SENDER, str(exc)) from exc
         # one frozen payload instance is shared by every match this publish
         frozen = self._fanout.freeze(payload)
-        if topic is not None:
-            self._current_message[topic] = frozen
-        instr = self.network.instrumentation
-        lineage = instr.trace_context()
+        self.note_publication(frozen, topic)
+        lineage = self.network.instrumentation.trace_context()
         matched = 0
         for subscription in self._fanout.match(
             frozen, topic, self.producer_properties, self._properties_document()
@@ -578,20 +373,13 @@ class NotificationProducer:
             message = NotificationMessage(
                 frozen,
                 topic=topic,
-                subscription_reference=self.registry.epr_for(
-                    subscription.resource, self.manager_address
+                subscription_reference=self.subscriptions.epr_for(
+                    subscription, self.manager_address
                 ),
                 producer_reference=self.epr(),
             )
             if subscription.paused:
-                subscription.paused_queue.append(message)
-                if lineage is not None:
-                    # informational: the paused queue holds bare messages,
-                    # so per-item lineage ends here (no obligation)
-                    instr.lineage_event(
-                        lineage.lineage_id, "queued",
-                        subscription=subscription.key, mode="paused",
-                    )
+                self.subscriptions.park(subscription, message, lineage)
             elif self.batcher is not None and not subscription.use_raw:
                 # same sink + same shape coalesce into one wire request; the
                 # group key mirrors the byte-template cache key so every
@@ -603,7 +391,7 @@ class NotificationProducer:
                         frozen_namespace_order(frozen),
                     ),
                     (subscription, message, lineage),
-                    priority=self._priority_of(subscription),
+                    priority=subscription.priority,
                 )
             else:
                 self._flush_batch(None, [(subscription, message, lineage)])
@@ -612,24 +400,14 @@ class NotificationProducer:
         return matched
 
     def note_publication(self, payload: XElem, topic: Optional[str]) -> None:
-        """Record a publication without fanning out — the broker's
-        zero-subscription fast path.  Preserves the observable side effects
-        of :meth:`publish`: topic validation (and namespace growth) and the
+        """Record a publication without fanning out — the first step of
+        :meth:`publish`, and all of it on the broker's zero-subscription fast
+        path: topic validation (and namespace growth) and the
         GetCurrentMessage cache."""
-        if topic is None:
-            return
-        try:
-            self.topics.validate_publication(topic)
-        except FilterError as exc:
-            raise SoapFault(FaultCode.SENDER, str(exc)) from exc
-        self._current_message[topic] = payload if payload.frozen else payload.copy()
-
-    def has_subscriptions(self) -> bool:
-        """Whether any subscription (live or not-yet-swept) exists — O(1)."""
-        return bool(self._subscriptions)
+        self._admit_publication(payload, topic)
 
     def _deliver(
-        self, subscription: WsnSubscription, notifications: list[NotificationMessage]
+        self, subscription: Subscription, notifications: list[NotificationMessage]
     ) -> None:
         """One subscriber's notifications (a resumed backlog) as one request
         — a one-subscription batch."""
@@ -644,7 +422,7 @@ class NotificationProducer:
     def _flush_batch(
         self,
         key,
-        entries: list[tuple[WsnSubscription, NotificationMessage, object]],
+        entries: list[tuple[Subscription, NotificationMessage, object]],
     ) -> None:
         """Deliver one batch — same sink, same shape, one settlement: the
         batcher's coalesced group (``key`` is its group key), or the
@@ -657,11 +435,11 @@ class NotificationProducer:
         if key is None:
             attrs = {"raw": "true" if first.use_raw else "false"}
             describe = f"notify {first.key}"
-            priority = self._priority_of(first)
+            priority = first.priority
         else:
             attrs = {"raw": "false", "batch": str(len(entries))}
             describe = f"notify batch[{len(entries)}] {sink}"
-            priority = max(self._priority_of(sub) for sub, _, _ in entries)
+            priority = max(sub.priority for sub, _, _ in entries)
         self._fanout.settle(
             sink,
             self._send_raw if first.use_raw else self._send_wrapped,
@@ -686,7 +464,7 @@ class NotificationProducer:
         DeliveryFailure ending)."""
         for sub_key in dict.fromkeys(sub_key for sub_key, _ in entries):
             try:
-                self.registry.destroy(sub_key, reason="delivery failure")
+                self.subscriptions.destroy(sub_key, "delivery failure")
             except ResourceUnknownFault as destroy_exc:
                 # already destroyed (e.g. swept mid-delivery); record the skip
                 self.network.instrumentation.count(
@@ -694,9 +472,6 @@ class NotificationProducer:
                     site="wsn.producer.destroy_after_failure",
                     kind=type(destroy_exc).__name__,
                 )
-
-    def _send_notice(self, target: EndpointReference, action: str, body: XElem) -> None:
-        self._client.call(target, action, [body], expect_reply=False)
 
     def _send_raw(
         self,
@@ -841,45 +616,21 @@ class NotificationProducer:
 
     # --- termination -----------------------------------------------------------------------
 
-    def _on_subscription_terminated(self, resource: WsResource, reason: str) -> None:
-        subscription = self._subscriptions.pop(resource.key, None)
-        self._topic_index.discard(resource.key)
-        self.templates.note_removed(resource.key)
-        if subscription is None:
+    def _announce_end(self, subscription: Subscription, reason: str, detail: str) -> None:
+        """The end-notice table: every removal but an orderly Unsubscribe is
+        a TerminationNotification — a WSRF resource-lifetime feature,
+        mandatory <= 1.2 and available in 1.3 exactly when WSRF is mounted."""
+        self.templates.note_removed(subscription.key)
+        if reason == "unsubscribed" or not self.wsrf_enabled:
             return
-        self._notify_listeners("destroyed", subscription)
-        if reason == "unsubscribed":
-            return  # orderly removal, no termination notice
-        if not self.wsrf_enabled:
-            # TerminationNotification is a WSRF resource-lifetime feature:
-            # mandatory <= 1.2, available in 1.3 exactly when WSRF is mounted
-            return
-        # control message: under a delivery manager retried like any
-        # delivery, but content-free so it is never parked in a message box
-        self._fanout.settle(
-            subscription.consumer.address,
-            self._send_notice,
-            (
-                subscription.consumer,
-                messages.wsrf_lifetime_action("TerminationNotification"),
-                messages.build_termination_notification(reason),
-            ),
-            stage="termination_notification",
-            describe=f"termination_notification {subscription.key}",
+        self._send_end_notice(
+            subscription,
+            subscription.consumer,
+            messages.wsrf_lifetime_action("TerminationNotification"),
+            messages.build_termination_notification(reason),
+            "termination_notification",
         )
 
     def sweep(self) -> None:
         """Expire overdue subscriptions (fires termination notifications)."""
-        self.registry.sweep()
-
-    def _notify_listeners(self, event: str, subscription: WsnSubscription) -> None:
-        for listener in self.subscription_listeners:
-            listener(event, subscription)
-
-    # --- introspection -----------------------------------------------------------------
-
-    def live_subscriptions(self) -> list[WsnSubscription]:
-        now = self.clock.now()
-        return [
-            s for s in self._subscriptions.values() if s.resource.alive(now)
-        ]
+        self.subscriptions.sweep()

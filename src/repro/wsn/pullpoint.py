@@ -19,7 +19,7 @@ from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, apply_headers
+from repro.wsa.headers import MessageHeaders, reply_envelope
 from repro.wsn import messages
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem, text_element
@@ -113,11 +113,7 @@ class PullPoint:
         )
 
     def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> SoapEnvelope:
-        reply = SoapEnvelope(SoapVersion.V11)
-        headers = MessageHeaders.reply(request_headers, action, self.version.wsa_version)
-        apply_headers(reply, headers, self.version.wsa_version)
-        reply.add_body(body)
-        return reply
+        return reply_envelope(request_headers, action, body, self.version.wsa_version)
 
 
 class PullPointFactory:
@@ -160,13 +156,12 @@ class PullPointFactory:
                 self.version.wsa_version, self.version.qname("PullPoint")
             )
         )
-        reply = SoapEnvelope(SoapVersion.V11)
-        reply_headers = MessageHeaders.reply(
-            headers, self.version.action("CreatePullPointResponse"), self.version.wsa_version
+        return reply_envelope(
+            headers,
+            self.version.action("CreatePullPointResponse"),
+            response,
+            self.version.wsa_version,
         )
-        apply_headers(reply, reply_headers, self.version.wsa_version)
-        reply.add_body(response)
-        return reply
 
 
 class PullPointClient:

@@ -16,9 +16,9 @@ This package implements the parts the notification stack needs:
   SetResourceProperties (insert/update/delete) and QueryResourceProperties
   (XPath over the property document).
 - :mod:`repro.wsrf.lifetime` -- immediate ``Destroy`` and scheduled
-  termination (``SetTerminationTime``), plus termination notification
-  callbacks (how WSN <= 1.2 realizes WS-Eventing's SubscriptionEnd, per
-  Table 2).
+  termination (``SetTerminationTime``); every death reaches the registry's
+  one termination hook (how WSN <= 1.2 realizes WS-Eventing's
+  SubscriptionEnd, per Table 2).
 """
 
 from repro.wsrf.resource import ResourceKey, ResourceRegistry, WsResource, ResourceUnknownFault

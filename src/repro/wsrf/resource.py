@@ -43,8 +43,6 @@ class WsResource:
     #: virtual-clock timestamp after which the resource is expired; None = infinite
     termination_time: Optional[float] = None
     destroyed: bool = False
-    #: callbacks run exactly once on destruction/expiry (termination notification)
-    termination_listeners: list[Callable[["WsResource", str], None]] = field(default_factory=list)
 
     def set_property(self, name: QName, *values: XElem) -> None:
         self.properties[name] = list(values)
@@ -75,11 +73,6 @@ class WsResource:
     def alive(self, now: float) -> bool:
         return not self.destroyed and not self.is_expired(now)
 
-    def _fire_termination(self, reason: str) -> None:
-        listeners, self.termination_listeners = self.termination_listeners, []
-        for listener in listeners:
-            listener(self, reason)
-
 
 class ResourceRegistry:
     """All live resources behind one Web service endpoint."""
@@ -95,10 +88,17 @@ class ResourceRegistry:
         self._expiry_heap: list[tuple[float, ResourceKey]] = []
 
     def create(
-        self, *, lifetime: Optional[float] = None, key: Optional[ResourceKey] = None
+        self,
+        *,
+        lifetime: Optional[float] = None,
+        key: Optional[ResourceKey] = None,
+        factory: Callable[..., WsResource] = WsResource,
+        **fields,
     ) -> WsResource:
         """Create a resource; ``lifetime`` is seconds from now (soft state).
-        A forced ``key`` (log replay) also advances the serial past it."""
+        A forced ``key`` (log replay) also advances the serial past it.
+        ``factory(key, **fields)`` builds a richer resource — a subscription
+        record is one (see :mod:`repro.subscriptions`)."""
         if key is None:
             self._serial += 1
             key = f"{self._key_prefix}-{self._serial}"
@@ -108,7 +108,7 @@ class ResourceRegistry:
             tail = key.rsplit("-", 1)[-1]
             if key.startswith(f"{self._key_prefix}-") and tail.isdigit():
                 self._serial = max(self._serial, int(tail))
-        resource = WsResource(key)
+        resource = factory(key, **fields)
         if lifetime is not None:
             resource.termination_time = self.clock.now() + lifetime
         self._resources[key] = resource
@@ -165,12 +165,11 @@ class ResourceRegistry:
         epr.with_parameter(text_element(RESOURCE_ID, resource.key))
         return epr
 
-    def destroy(self, key: ResourceKey, reason: str = "destroyed") -> None:
+    def destroy(self, key: ResourceKey, reason: str = "destroyed", detail: str = "") -> None:
         resource = self._resources.pop(key, None)
         if resource is None or resource.destroyed:
             raise ResourceUnknownFault(key)
-        resource.destroyed = True
-        resource._fire_termination(reason)
+        self._terminate(resource, reason, detail)
 
     def sweep(self) -> list[WsResource]:
         """Expire every resource whose termination time has passed."""
@@ -183,8 +182,13 @@ class ResourceRegistry:
     def _expire(self, resource: WsResource) -> None:
         self._resources.pop(resource.key, None)
         if not resource.destroyed:
-            resource.destroyed = True
-            resource._fire_termination("expired")
+            self._terminate(resource, "expired")
+
+    def _terminate(self, resource: WsResource, reason: str, detail: str = "") -> None:
+        """Every way a resource dies (destroy, sweep, lazy expiry) ends here,
+        exactly once; the owner of the resources overrides it to announce
+        the death (a TerminationNotification, for a subscription)."""
+        resource.destroyed = True
 
     def live_resources(self) -> Iterator[WsResource]:
         now = self.clock.now()

@@ -67,12 +67,12 @@ def _wsn(kind: str, network, manager, refusing: bool) -> Cell:
     cell = Cell(
         producer, "wsn",
         items=1 if raw else 2, traced=1 if raw else 2, stage="notify",
-        subscriptions=len(producer.live_subscriptions()), received=consumer.received,
+        subscriptions=len(producer.subscriptions), received=consumer.received,
     )
     if kind == "wsn_termination":
         cell.items = cell.traced = 0
         cell.stage = "termination_notification"
-        producer.registry.destroy(handle.sub_id, reason="destroyed")
+        producer.subscriptions.destroy(handle.sub_id, "destroyed")
     else:
         assert producer.publish(event(), topic="t") == cell.items
     return cell
@@ -97,8 +97,8 @@ def _wse(kind: str, network, manager, refusing: bool) -> Cell:
     if kind == "wse_subscription_end":
         cell.items = cell.traced = 0
         cell.stage = "subscription_end"
-        [subscription] = source.store.live()
-        source._end_subscription(subscription, SubscriptionEndCode.SOURCE_CANCELING, "test")
+        [subscription] = source.subscriptions.live_resources()
+        source.subscriptions.destroy(subscription.key, "source shutting down", "test")
     elif kind == "wse_wrapped":
         cell.items, cell.traced, cell.stage = 2, 0, "wrapped_notify"
         source.publish(event(1))
@@ -198,9 +198,7 @@ def test_settle_contract(kind, path, sink):
 
 
 def _live(owner) -> int:
-    if isinstance(owner, EventSource):
-        return len(owner.store.live())
-    return len(owner.live_subscriptions())
+    return len(owner.subscriptions)
 
 
 # --- the two counter bugs the merge fixed -----------------------------------------------

@@ -18,7 +18,6 @@ from repro.filters.topics import (
     TopicDialect,
     TopicExpression,
     TopicFilter,
-    TopicNamespace,
     TopicSubscriptionIndex,
     topic_expression_of,
 )
@@ -203,11 +202,6 @@ class TestTopicExpressionOf:
     def test_unindexable_filters_map_to_always(self):
         assert topic_expression_of(AcceptAllFilter()) is None
         assert topic_expression_of(MessageContentFilter("true()")) is None
-
-    def test_namespace_mints_indexes(self):
-        namespace = TopicNamespace()
-        assert isinstance(namespace.new_index(), TopicSubscriptionIndex)
-        assert namespace.new_index() is not namespace.new_index()
 
 
 def _reading(host: str):

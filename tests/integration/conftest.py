@@ -24,14 +24,14 @@ from repro.filters.base import FilterContext, admits
 from repro.messenger import WsMessenger
 
 
-def _install_linear_matcher(fanout, full_sweep) -> None:
+def _install_linear_matcher(fanout) -> None:
     def linear_match(frozen, topic, producer_properties, producer_document=None):
         instr = fanout.network.instrumentation
-        full_sweep()
+        fanout.subscriptions.sweep()  # the registry's full scan, not the heap
         context = FilterContext(frozen.copy(), topic, producer_properties)
         assert not context.payload.frozen
-        for key, subscription in list(fanout.subscriptions.items()):
-            if fanout.expired(subscription, fanout.network.clock.now()):
+        for key, subscription in list(fanout.subscriptions.records.items()):
+            if subscription.is_expired(fanout.network.clock.now()):
                 continue
             if instr.enabled:
                 instr.count("fanout.filter_evals", family=fanout.family)
@@ -45,9 +45,9 @@ def build_oracle_broker(network, address, *, linear=False, tree=False, **kwargs)
     broker = WsMessenger(network, address, **kwargs)
     if linear:
         for source in broker.wse_sources.values():
-            _install_linear_matcher(source._fanout, source.store.sweep_expired)
+            _install_linear_matcher(source._fanout)
         for producer in broker.wsn_producers.values():
-            _install_linear_matcher(producer._fanout, producer.registry.sweep)
+            _install_linear_matcher(producer._fanout)
     if tree:
         for producer in broker.wsn_producers.values():
             producer._render_notify = lambda consumer, entries: None

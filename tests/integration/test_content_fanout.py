@@ -264,7 +264,7 @@ class TestUncompilableFiltersFaultAtSubscribe:
             )
         broker.publish(_reading(0, 0, 1))
         assert len(healthy.received) == 1
-        assert sum(len(s._topic_index) for s in broker.wse_sources.values()) == 1
+        assert sum(len(s.subscriptions.index) for s in broker.wse_sources.values()) == 1
 
 
 class TestAFailingFilterCostsOnlyItsOwnSubscriptions:
@@ -341,8 +341,8 @@ class TestWorkPerPublish:
                 )
         assert len(plans) == 4000
         indexes = [
-            broker.wse_sources[WseVersion.V2004_08]._topic_index,
-            broker.wsn_producers[WsnVersion.V1_3]._topic_index,
+            broker.wse_sources[WseVersion.V2004_08].subscriptions.index,
+            broker.wsn_producers[WsnVersion.V1_3].subscriptions.index,
         ]
         assert [len(index._content) for index in indexes] == [HOSTS, HOSTS]
 

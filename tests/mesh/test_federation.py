@@ -60,7 +60,7 @@ class TestLinkLifecycle:
             consumer.address, topic="jobs/status", home=home.name
         )
         assert home.links.links() == {owner.name: frozenset({"jobs"})}
-        assert owner.exchange.has_subscriptions()
+        assert owner.exchange.subscriptions.records
 
         mesh.unsubscribe(record)
         assert home.links.links() == {}

@@ -120,8 +120,8 @@ class TestJournal:
         # absolute expiry survives: the remaining lifetime shrank by the
         # 20 minutes that elapsed, instead of being re-granted in full
         source = recovered.wse_sources[WseVersion.V2004_08]
-        [subscription] = source.store.live()
-        assert subscription.expires == pytest.approx(3600.0, abs=1.0)
+        [subscription] = source.subscriptions.live_resources()
+        assert subscription.termination_time == pytest.approx(3600.0, abs=1.0)
 
 
 class TestJournalWithReliableDelivery:

@@ -111,9 +111,9 @@ class TestMiscLeftovers:
         consumer = ConvergedConsumer(network, "http://lc-cons")
         subscriber = ConvergedSubscriber(network)
         handle = subscriber.subscribe(source.epr(), consumer=consumer.epr())
-        assert source.live_count() == 1
+        assert len(source.subscriptions) == 1
         subscriber.unsubscribe(handle)
-        assert source.live_count() == 0
+        assert len(source.subscriptions) == 0
 
     def test_trace_edge_set(self):
         from repro.comparison import trace_wse_architecture

@@ -27,7 +27,9 @@ def test_demand_for_counts_unparsable_filters():
     broker.network = network
     good = SimpleNamespace(paused=False, topic_expression="jobs")
     bad = SimpleNamespace(paused=False, topic_expression="")  # FilterError
-    broker.producer = SimpleNamespace(live_subscriptions=lambda: [good, bad])
+    broker.producer = SimpleNamespace(
+        subscriptions=SimpleNamespace(live_resources=lambda: [good, bad])
+    )
 
     assert broker.demand_for("jobs") == 1  # the bad filter is skipped...
     assert counter_total(
@@ -77,10 +79,10 @@ def test_producer_counts_double_destroy_after_delivery_failure():
     handle = WsnSubscriber(network).subscribe(
         producer.epr(), consumer.epr(), topic="t"
     )
-    subscription = producer._subscriptions[handle.sub_id]
+    subscription = producer.subscriptions.lookup(handle.sub_id)
     # the resource dies first (e.g. swept mid-delivery), then the consumer:
     # the failure-path destroy now hits ResourceUnknownFault
-    producer.registry.destroy(subscription.key, reason="test teardown")
+    producer.subscriptions.destroy(subscription.key, "unsubscribed")
     consumer.close()
     producer._deliver(
         subscription, [NotificationMessage(parse_xml("<e/>"), topic="t")]
@@ -101,11 +103,17 @@ def test_convergence_counts_unreachable_end_to():
         source.epr(), consumer=consumer.epr(), topic="t", end_to=end_sink.epr()
     )
     # both the consumer and the EndTo sink vanish: delivery fails, and the
-    # SubscriptionEnd notice cannot be delivered either
+    # SubscriptionEnd notice cannot be delivered either — both failures are
+    # recorded by the shared settle stage, neither is swallowed
     consumer.close()
     end_sink.close()
     source.publish(parse_xml("<e/>"), topic="t")
-    assert counter_total(instrumentation, "convergence.send_end") == 1
+    assert [failure.stage for failure in source.delivery_failures] == [
+        "notify", "subscription_end",
+    ]
+    failed = instrumentation.metrics.counter_values("delivery.failed_total")
+    assert sum(v for k, v in failed.items() if "family=wsen" in k) == 2
+    assert counter_total(instrumentation, "convergence.send_end") == 0
 
 
 def test_jms_consumer_double_close_is_counted():

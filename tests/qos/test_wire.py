@@ -73,7 +73,7 @@ class TestWseSubscribeQos:
             notify_to=sink.epr(),
             qos=QosProfile({"Priority": 3, "MaxEventsPerConsumer": 2}),
         )
-        (subscription,) = source.store._subscriptions.values()
+        (subscription,) = source.subscriptions.records.values()
         assert subscription.qos is not None
         assert subscription.qos.get("Priority") == 3
 
@@ -90,7 +90,7 @@ class TestWseSubscribeQos:
         fault = excinfo.value
         assert fault.code is FaultCode.SENDER
         assert fault.subcode is not None and "UnsupportedQoS" in fault.subcode.local
-        assert len(source.store) == 0
+        assert len(source.subscriptions) == 0
 
 
 class TestWsnSubscribeQos:
@@ -105,7 +105,7 @@ class TestWsnSubscribeQos:
             topic="qos",
             qos=QosProfile({"Priority": 5}),
         )
-        (subscription,) = producer._subscriptions.values()
+        (subscription,) = producer.subscriptions.records.values()
         assert subscription.qos is not None
         assert subscription.qos.get("Priority") == 5
 
@@ -126,7 +126,7 @@ class TestWsnSubscribeQos:
             fault.subcode is not None
             and "UnsupportedPolicyRequestFault" in fault.subcode.local
         )
-        assert producer.live_subscriptions() == []
+        assert len(producer.subscriptions) == 0
 
     def test_13_profile_rides_subscription_policy_with_use_raw(self):
         # the profile and UseRaw share the SubscriptionPolicy wrapper
@@ -140,7 +140,7 @@ class TestWsnSubscribeQos:
             use_raw=True,
             qos=QosProfile({"Priority": 2}),
         )
-        (subscription,) = producer._subscriptions.values()
+        (subscription,) = producer.subscriptions.records.values()
         assert subscription.use_raw
         assert subscription.qos is not None and subscription.qos.get("Priority") == 2
 
@@ -191,4 +191,4 @@ class TestDeclaredButUnimplementedKnobsFault:
             notify_to=EventSink(network, "http://sink").epr(),
             qos=QosProfile({"DiscardPolicy": DiscardPolicy.ANY_ORDER, "PacingInterval": 0.0}),
         )
-        assert len(source.store) == 1
+        assert len(source.subscriptions) == 1

@@ -1,0 +1,484 @@
+"""The control-plane contract: Table 2 as one test table.
+
+Every row is an operation (Subscribe, Renew, GetStatus, Pause, Resume,
+Unsubscribe, Pull, lease expiry, forced-id replay, forget), every column a
+dialect — WS-Eventing 01/2004 and 08/2004, WS-BaseNotification 1.0, 1.2 and
+1.3, and the converged prototype — and every cell is checked over the wire
+against the one :class:`repro.subscriptions.SubscriptionManager` all of them
+run on: the granted expiry is exact, the listener hears the same event
+sequence, the fault carries the family's subcode for that (operation, error
+kind), an operation a version does not define faults as it always did,
+nothing is delivered after removal, and a parked queue has one fate on
+resume and one on pause -> expire.
+"""
+
+import pytest
+
+from repro.convergence import MODE_PULL, ConvergedConsumer, ConvergedSource, ConvergedSubscriber
+from repro.soap import SoapFault
+from repro.transport import SimulatedNetwork, VirtualClock
+from repro.util.xstime import format_datetime
+from repro.wse import DeliveryMode, EventSink, EventSource, WseSubscriber, WseVersion
+from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber, WsnVersion
+from repro.xmlkit import parse_xml
+
+TOPIC = "contract"
+
+
+def event(n: int = 0):
+    return parse_xml(f"<evt>{n}</evt>")
+
+
+class Dialect:
+    """One column: a source, a client and a sink speaking one dialect."""
+
+    #: what this dialect calls its faults, per (operation, error kind)
+    invalid_subscribe: str
+    invalid_renew: str
+    unknown: str
+    #: operations the version defines (the rest fault or do not exist)
+    can_renew_natively = True
+    can_status = True
+    can_pause = False
+    can_pull = False
+    #: removal reason an orderly unsubscribe reports, and whether the
+    #: dialect announces an expired lease to the consumer
+    unsubscribe_reason = "unsubscribed"
+    announces_expiry = False
+
+    def __init__(self) -> None:
+        self.network = SimulatedNetwork(VirtualClock())
+        self.build()
+        self.events: list[tuple] = []
+        self.source.subscriptions.listeners.append(
+            lambda name, subscription, detail: self.events.append(
+                (name, subscription.key, *detail.values())
+            )
+        )
+
+    @property
+    def manager(self):
+        return self.source.subscriptions
+
+    def clock_text(self, offset: float) -> str:
+        return format_datetime(self.network.clock.now() + offset)
+
+    # the bindings a column supplies -------------------------------------------------
+    def build(self) -> None: ...
+    def subscribe(self, expires=None, pull=False): ...
+    def publish(self, n=0): ...
+    def end_notices(self) -> list: ...
+    def granted(self, handle) -> str: ...
+
+    def delivered(self) -> int:
+        return len(self.sink.received)
+
+    def status(self, handle) -> str:
+        return self.client.get_status(handle)
+
+    def renew(self, handle, expires):
+        return self.client.renew(handle, expires)
+
+    def unsubscribe(self, handle) -> None:
+        self.client.unsubscribe(handle)
+
+    def pause(self, handle) -> None:
+        self.client.pause(handle)
+
+    def resume(self, handle) -> None:
+        self.client.resume(handle)
+
+    def pull(self, handle, maximum=0) -> int:
+        return len(self.client.pull(handle, max_messages=maximum))
+
+
+class Wse(Dialect):
+    version = WseVersion.V2004_08
+    invalid_subscribe = invalid_renew = "InvalidExpirationTime"
+    unknown = "InvalidMessage"
+    can_pull = True
+
+    def build(self) -> None:
+        self.source = EventSource(self.network, "http://c-source", version=self.version)
+        self.client = WseSubscriber(self.network, version=self.version)
+        self.sink = EventSink(self.network, "http://c-sink", version=self.version)
+
+    def subscribe(self, expires=None, pull=False):
+        return self.client.subscribe(
+            self.source.epr(),
+            notify_to=None if pull else self.sink.epr(),
+            end_to=self.sink.epr(),
+            expires=expires,
+            mode=DeliveryMode.PULL if pull else DeliveryMode.PUSH,
+        )
+
+    def publish(self, n=0):
+        return self.source.publish(event(n))
+
+    def end_notices(self) -> list:
+        return self.sink.subscription_ends
+
+    def granted(self, handle) -> str:
+        return handle.expires_text
+
+
+class Wse01(Wse):
+    version = WseVersion.V2004_01
+    can_status = False
+    can_pull = False
+
+
+class Wsn(Dialect):
+    version = WsnVersion.V1_3
+    invalid_subscribe = "UnacceptableInitialTerminationTimeFault"
+    invalid_renew = "UnacceptableTerminationTimeFault"
+    unknown = "ResourceUnknownFault"
+    can_pause = True
+    announces_expiry = True  # a WSRF TerminationNotification
+
+    def build(self) -> None:
+        self.source = NotificationProducer(self.network, "http://c-producer", version=self.version)
+        self.client = WsnSubscriber(self.network, version=self.version)
+        self.sink = NotificationConsumer(self.network, "http://c-consumer", version=self.version)
+
+    def subscribe(self, expires=None, pull=False):
+        return self.client.subscribe(
+            self.source.epr(), self.sink.epr(), topic=TOPIC, initial_termination=expires
+        )
+
+    def publish(self, n=0):
+        return self.source.publish(event(n), topic=TOPIC)
+
+    def end_notices(self) -> list:
+        return self.sink.termination_notices
+
+    def granted(self, handle) -> str:
+        return handle.termination_time_text
+
+
+class WsnViaWsrf(Wsn):
+    """<= 1.2: no native Renew / Unsubscribe, lifetime is WSRF's."""
+
+    invalid_renew = "UnableToSetTerminationTimeFault"
+    can_renew_natively = False
+    unsubscribe_reason = "destroyed"
+
+    def renew(self, handle, expires):
+        return self.client.set_termination_time(handle, expires)
+
+    def unsubscribe(self, handle) -> None:
+        self.client.destroy(handle)
+
+
+class Wsn10(WsnViaWsrf):
+    version = WsnVersion.V1_0
+
+
+class Wsn12(WsnViaWsrf):
+    version = WsnVersion.V1_2
+
+
+class Converged(Dialect):
+    invalid_subscribe = invalid_renew = "InvalidExpirationTime"
+    unknown = "UnknownSubscription"
+    can_pause = True
+    can_pull = True
+    announces_expiry = True  # SubscriptionEnd / SubscriptionExpired
+
+    def build(self) -> None:
+        self.source = ConvergedSource(self.network, "http://c-converged")
+        self.client = ConvergedSubscriber(self.network)
+        self.sink = ConvergedConsumer(self.network, "http://c-wsen-consumer")
+
+    def subscribe(self, expires=None, pull=False):
+        return self.client.subscribe(
+            self.source.epr(),
+            consumer=None if pull else self.sink.epr(),
+            end_to=self.sink.epr(),
+            expires=expires,
+            **({"mode": MODE_PULL} if pull else {}),
+        )
+
+    def publish(self, n=0):
+        return self.source.publish(event(n))
+
+    def end_notices(self) -> list:
+        return self.sink.ends
+
+    def granted(self, handle) -> str:
+        return handle.expires_text
+
+
+DIALECTS = [Wse01, Wse, Wsn10, Wsn12, Wsn, Converged]
+
+
+@pytest.fixture(params=DIALECTS, ids=lambda cls: cls.__name__)
+def dialect(request):
+    return request.param()
+
+
+def fault_of(call, *args) -> SoapFault:
+    with pytest.raises(SoapFault) as excinfo:
+        call(*args)
+    return excinfo.value
+
+
+def subcode_of(call, *args) -> str:
+    fault = fault_of(call, *args)
+    return fault.subcode.local if fault.subcode is not None else ""
+
+
+class TestSubscribe:
+    def test_an_absolute_expiry_is_granted_exactly(self, dialect):
+        wanted = dialect.clock_text(500.0)
+        handle = dialect.subscribe(expires=wanted)
+        assert dialect.granted(handle) == wanted
+        record = dialect.manager.lookup(handle.sub_id)
+        assert format_datetime(record.termination_time) == wanted
+        assert dialect.events == [("created", handle.sub_id)]
+
+    def test_the_default_lifetime_is_anchored_at_the_grant(self, dialect):
+        before = dialect.network.clock.now()
+        handle = dialect.subscribe()
+        record = dialect.manager.lookup(handle.sub_id)
+        assert before <= record.termination_time - 3600.0 <= dialect.network.clock.now()
+        assert dialect.granted(handle) == format_datetime(record.termination_time)
+
+    @pytest.mark.parametrize("offset", [-5.0, 0.0])
+    def test_an_expiry_not_in_the_future_faults_and_leaves_nothing(self, dialect, offset):
+        assert subcode_of(dialect.subscribe, dialect.clock_text(offset)) == dialect.invalid_subscribe
+        assert len(dialect.manager) == 0 and not dialect.manager.records
+        assert dialect.events == []
+        assert dialect.publish() == 0
+
+
+class TestRenew:
+    def test_renew_moves_the_lease_and_reports_it(self, dialect):
+        handle = dialect.subscribe(expires=dialect.clock_text(10.0))
+        wanted = dialect.clock_text(900.0)
+        assert dialect.renew(handle, wanted) == wanted
+        assert format_datetime(dialect.manager.lookup(handle.sub_id).termination_time) == wanted
+        assert dialect.events[-1] == ("renewed", handle.sub_id)
+        dialect.network.clock.advance(100.0)  # past the original lease
+        assert dialect.publish() == 1 and dialect.delivered() == 1
+
+    def test_an_invalid_renewal_has_the_operations_own_fault_name(self, dialect):
+        handle = dialect.subscribe()
+        lease = dialect.manager.lookup(handle.sub_id).termination_time
+        for text in (dialect.clock_text(-30.0), "not a time"):
+            assert subcode_of(dialect.renew, handle, text) == dialect.invalid_renew
+        assert dialect.manager.lookup(handle.sub_id).termination_time == lease
+        assert [name for name, *_ in dialect.events] == ["created"]
+
+    def test_native_renew_and_unsubscribe_are_13_operations(self, dialect):
+        if dialect.can_renew_natively:
+            pytest.skip("defined in this version")
+        handle = dialect.subscribe()
+        assert "not defined" in str(fault_of(dialect.client.renew, handle, None))
+        assert "not defined" in str(fault_of(dialect.client.unsubscribe, handle))
+        assert dialect.manager.lookup(handle.sub_id)  # untouched
+
+
+class TestGetStatus:
+    def test_status_reports_the_record(self, dialect):
+        wanted = dialect.clock_text(300.0)
+        handle = dialect.subscribe(expires=wanted)
+        if not dialect.can_status:
+            fault_of(dialect.status, handle)  # 01/2004: no GetStatus
+            return
+        # WS-Eventing answers with the lease, the others with the pause state
+        assert dialect.status(handle) in (wanted, "Active")
+        if dialect.can_pause:
+            dialect.pause(handle)
+            assert dialect.status(handle) == "Paused"
+
+
+class TestPauseResume:
+    def test_pause_parks_and_resume_delivers_once(self, dialect):
+        if not dialect.can_pause:
+            assert not hasattr(dialect.client, "pause")  # no such operation in WS-Eventing
+            return
+        handle = dialect.subscribe()
+        dialect.pause(handle)
+        assert dialect.publish(1) == 1 and dialect.publish(2) == 1
+        record = dialect.manager.lookup(handle.sub_id)
+        assert dialect.delivered() == 0 and len(record.queue) == 2
+        dialect.resume(handle)
+        assert dialect.delivered() == 2 and record.queue == []
+        assert [name for name, *_ in dialect.events] == ["created", "paused", "resumed"]
+        dialect.publish(3)
+        assert dialect.delivered() == 3
+
+    def test_a_parked_queue_dies_with_its_lease(self, dialect):
+        if not dialect.can_pause:
+            pytest.skip("no Pause in WS-Eventing")
+        handle = dialect.subscribe(expires=dialect.clock_text(50.0))
+        dialect.pause(handle)
+        dialect.publish(1)
+        record = dialect.manager.lookup(handle.sub_id)
+        dialect.network.clock.advance(60.0)
+        assert dialect.publish(2) == 0  # the sweep expires it, parked copy and all
+        assert record.destroyed and dialect.delivered() == 0
+        assert dialect.events[-1] == ("removed", handle.sub_id, "expired")
+        assert subcode_of(dialect.resume, handle) == dialect.unknown
+        assert dialect.delivered() == 0  # the backlog is not resurrected
+
+
+class TestUnsubscribe:
+    def test_nothing_is_delivered_after_removal(self, dialect):
+        handle = dialect.subscribe()
+        keeper = dialect.subscribe()
+        dialect.unsubscribe(handle)
+        assert dialect.events[-1] == ("removed", handle.sub_id, dialect.unsubscribe_reason)
+        assert dialect.publish() == 1  # the keeper only
+        assert [record.key for record in dialect.manager.live_resources()] == [keeper.sub_id]
+        assert subcode_of(dialect.unsubscribe, handle) == dialect.unknown
+        assert subcode_of(dialect.renew, handle, dialect.clock_text(100.0)) == dialect.unknown
+
+
+class TestPull:
+    def test_pull_honours_the_maximum(self, dialect):
+        if not dialect.can_pull:
+            pytest.skip("covered by test_pull_is_not_in_every_version")
+        handle = dialect.subscribe(pull=True)
+        for n in range(5):
+            assert dialect.publish(n) == 1
+        assert dialect.pull(handle, 2) == 2
+        assert dialect.events[-1] == ("pulled", handle.sub_id, 2)
+        assert subcode_of(dialect.pull, handle, "2x") in ("InvalidMessage", "")  # malformed: Sender
+        assert dialect.pull(handle) == 3 and dialect.pull(handle) == 0
+        assert [e[0] for e in dialect.events].count("pulled") == 2  # an empty drain is no event
+        push = dialect.subscribe()
+        assert "not in pull mode" in str(fault_of(dialect.pull, push))
+
+    def test_pull_is_not_in_every_version(self, dialect):
+        if dialect.can_pull:
+            pytest.skip("defined in this version")
+        if isinstance(dialect, Wse01):
+            fault = fault_of(dialect.subscribe, None, True)
+            assert fault.subcode.local == "DeliveryModeRequestedUnavailable"
+        else:
+            assert not hasattr(dialect.client, "pull")  # WSN pulls from a pull point
+
+
+class TestLeaseExpiry:
+    def test_an_expired_lease_is_swept_once_and_announced_per_family(self, dialect):
+        handle = dialect.subscribe(expires=dialect.clock_text(10.0))
+        assert dialect.publish(1) == 1
+        dialect.network.clock.advance(20.0)
+        assert dialect.publish(2) == 0 and dialect.publish(3) == 0
+        assert dialect.delivered() == 1
+        removed = [e for e in dialect.events if e[0] == "removed"]
+        assert removed == [("removed", handle.sub_id, "expired")]
+        assert len(dialect.end_notices()) == (1 if dialect.announces_expiry else 0)
+        assert subcode_of(dialect.renew, handle, dialect.clock_text(100.0)) == dialect.unknown
+
+    def test_a_lookup_expires_an_overdue_lease_before_any_publish(self, dialect):
+        handle = dialect.subscribe(expires=dialect.clock_text(10.0))
+        dialect.network.clock.advance(20.0)
+        assert subcode_of(dialect.renew, handle, dialect.clock_text(100.0)) == dialect.unknown
+        assert dialect.events[-1] == ("removed", handle.sub_id, "expired")
+        assert not dialect.manager.records
+
+
+class TestReplayHooks:
+    def test_a_forced_id_is_minted_once_and_advances_the_serial(self, dialect):
+        prefix = dialect.subscribe().sub_id.rsplit("-", 1)[0]
+        dialect.manager.forced_id = f"{prefix}-41"
+        assert dialect.subscribe().sub_id == f"{prefix}-41"
+        assert dialect.manager.forced_id is None
+        assert dialect.subscribe().sub_id == f"{prefix}-42"
+
+    def test_a_faulting_subscribe_does_not_spend_the_forced_id(self, dialect):
+        dialect.manager.forced_id = "replayed-7"
+        fault_of(dialect.subscribe, dialect.clock_text(-1.0))
+        assert dialect.manager.forced_id == "replayed-7"  # recovery clears it itself
+        assert dialect.subscribe().sub_id == "replayed-7"
+
+    def test_forget_is_silent_on_the_wire_but_not_to_listeners(self, dialect):
+        handle = dialect.subscribe()
+        dialect.manager.forget(handle.sub_id)
+        assert dialect.events[-1] == ("removed", handle.sub_id, "unsubscribed")
+        assert dialect.end_notices() == [] and dialect.publish() == 0
+        dialect.manager.forget(handle.sub_id)  # already gone: nothing happens
+        assert [e[0] for e in dialect.events] == ["created", "removed"]
+
+
+# --- the drift the three copies had accumulated (ISSUE 16, defects A-E) ------------
+
+
+class TestDriftDefects:
+    @pytest.mark.parametrize("with_controller", [False, True], ids=["bare", "controller"])
+    @pytest.mark.parametrize("family", ["wse", "wsn"])
+    def test_a_refused_subscribe_registers_no_qos_profile(self, family, with_controller):
+        """A: WSN used to register the profile before validating the request."""
+        from repro.delivery.manager import DeliveryManager
+        from repro.qos.adaptive import AdaptiveQosController
+        from repro.qos.properties import QosProfile
+
+        network = SimulatedNetwork(VirtualClock())
+        controller = AdaptiveQosController(network.clock) if with_controller else None
+        manager = DeliveryManager(network, qos=controller) if with_controller else None
+        profile = QosProfile({"Priority": 7, "MaxEventsPerConsumer": 3})
+        if family == "wse":
+            source = EventSource(network, "http://a-source", delivery_manager=manager)
+            sink = EventSink(network, "http://a-sink")
+
+            def subscribe(**bad):
+                WseSubscriber(network).subscribe(
+                    source.epr(), notify_to=sink.epr(), qos=profile, **bad
+                )
+
+            bad_requests = [{"expires": "PT0S"}, {"filter": "///"}]
+        else:
+            source = NotificationProducer(network, "http://a-producer", delivery_manager=manager)
+            sink = NotificationConsumer(network, "http://a-consumer")
+
+            def subscribe(**bad):
+                WsnSubscriber(network).subscribe(
+                    source.epr(), sink.epr(), topic="t", qos=profile, **bad
+                )
+
+            bad_requests = [{"initial_termination": "PT0S"}, {"message_content": "///"}]
+        for bad in bad_requests:
+            fault_of(lambda: subscribe(**bad))
+            assert len(source.subscriptions) == 0
+            if controller is not None:
+                assert controller.profile_for(sink.address) is None
+        subscribe()  # the same profile on a valid request is accepted
+        if controller is not None:
+            assert controller.profile_for(sink.address).get("Priority") == 7
+
+    def test_wsrf_set_termination_time_never_raises_past_the_wire(self):
+        """C: an unparseable RequestedTerminationTime was a bare ValueError."""
+        dialect = Wsn()
+        handle = dialect.subscribe()
+        for text in ("garbage", "PT5M", "2006-13-45T99:00:00Z"):
+            fault = fault_of(dialect.client.set_termination_time, handle, text)
+            assert fault.subcode.local == "UnableToSetTerminationTimeFault"
+        assert dialect.client.set_termination_time(handle, None) == ""  # empty = infinite
+        assert dialect.manager.lookup(handle.sub_id).termination_time is None
+
+    def test_converged_publish_outside_a_fixed_topic_set_is_a_sender_fault(self):
+        """D: the prototype raised a raw FilterError."""
+        from repro.filters.topics import TopicNamespace
+        from repro.soap import FaultCode
+
+        network = SimulatedNetwork(VirtualClock())
+        topics = TopicNamespace("urn:fixed", fixed=True)
+        topics.add("known")
+        source = ConvergedSource(network, "http://d-source", topic_namespace=topics)
+        assert source.publish(event(), topic="known") == 0
+        fault = fault_of(lambda: source.publish(event(), topic="unknown"))
+        assert fault.code is FaultCode.SENDER
+        with pytest.raises(SoapFault):
+            ConvergedSubscriber(network).get_current_message(source.epr(), "unknown")
+
+    def test_converged_failing_filter_starves_only_itself(self):
+        """Found on the way: a filter failing at match time aborted the publish."""
+        dialect = Converged()
+        dialect.client.subscribe(
+            dialect.source.epr(), consumer=dialect.sink.epr(), message_content="1 | 2"
+        )
+        dialect.subscribe()
+        assert dialect.publish() == 1 and dialect.delivered() == 1

@@ -1,12 +1,15 @@
-"""Unit tests for the WS-Eventing subscription store and model."""
+"""Unit tests for the lease table under WS-Eventing (the shared
+:class:`repro.subscriptions.SubscriptionManager`) and the delivery modes."""
 
 import pytest
 
-from repro.filters.base import AcceptAllFilter
-from repro.transport import VirtualClock
+from repro.subscriptions import SubscriptionError, SubscriptionManager
+from repro.transport import SimulatedNetwork, VirtualClock
+from repro.util.xstime import format_datetime
 from repro.wsa import EndpointReference
-from repro.wse.model import DeliveryMode, SubscriptionStore, WseSubscription
+from repro.wse.model import DeliveryMode
 from repro.wse.versions import WseVersion
+from repro.wsrf import ResourceUnknownFault
 
 
 @pytest.fixture
@@ -16,16 +19,20 @@ def clock():
 
 @pytest.fixture
 def store(clock):
-    return SubscriptionStore(clock)
+    return SubscriptionManager(
+        SimulatedNetwork(clock),
+        family="wse",
+        key_prefix="wse-sub",
+        default_lifetime=None,
+        announce=lambda subscription, reason, detail: None,
+    )
 
 
 def make(store, expires=None):
-    return store.create(
-        version=WseVersion.V2004_08,
-        notify_to=EndpointReference("http://sink"),
-        mode=DeliveryMode.PUSH,
-        filter=AcceptAllFilter(),
-        expires=expires,
+    return store.subscribe(
+        consumer=EndpointReference("http://sink"),
+        filter_parts={},
+        expires_text=None if expires is None else format_datetime(expires),
     )
 
 
@@ -49,40 +56,48 @@ class TestDeliveryModeUris:
 class TestStore:
     def test_ids_unique_and_prefixed(self, store):
         first, second = make(store), make(store)
-        assert first.id != second.id
-        assert first.id.startswith("wse-sub-")
+        assert first.key != second.key
+        assert first.key.startswith("wse-sub-")
 
     def test_get_live(self, store):
         subscription = make(store)
-        assert store.get(subscription.id) is subscription
+        assert store.lookup(subscription.key) is subscription
 
     def test_get_unknown_none(self, store):
-        assert store.get("nope") is None
+        with pytest.raises(SubscriptionError) as excinfo:
+            store.lookup("nope")
+        assert excinfo.value.kind == "unknown_subscription"
 
     def test_get_expired_none(self, store, clock):
         subscription = make(store, expires=10.0)
+        assert subscription.termination_time == 10.0
         clock.advance(11.0)
-        assert store.get(subscription.id) is None
+        with pytest.raises(SubscriptionError):
+            store.lookup(subscription.key)
+        assert store.find(subscription.key) is None  # the lookup expired it
 
     def test_remove(self, store):
         subscription = make(store)
-        assert store.remove(subscription.id) is subscription
-        assert store.remove(subscription.id) is None
+        store.destroy(subscription.key, "unsubscribed")
+        assert subscription.destroyed and store.find(subscription.key) is None
+        with pytest.raises(ResourceUnknownFault):
+            store.destroy(subscription.key, "unsubscribed")
+        store.forget(subscription.key)  # silent when already gone
 
     def test_live_excludes_expired(self, store, clock):
         make(store, expires=10.0)
         keeper = make(store)
         clock.advance(20.0)
-        assert [s.id for s in store.live()] == [keeper.id]
+        assert [s.key for s in store.live_resources()] == [keeper.key]
         assert len(store) == 1
 
     def test_sweep_returns_and_drops_expired(self, store, clock):
         doomed = make(store, expires=5.0)
         make(store)
         clock.advance(6.0)
-        swept = store.sweep_expired()
-        assert [s.id for s in swept] == [doomed.id]
-        assert store.sweep_expired() == []
+        swept = store.sweep()
+        assert [s.key for s in swept] == [doomed.key]
+        assert store.sweep() == []
 
 
 class TestSubscriptionModel:

@@ -1,11 +1,13 @@
 """Amortized expiry: the earliest-expiry heaps must agree with the full scans."""
 
+import pytest
+
+from repro.subscriptions import DeliveryMode, SubscriptionError, SubscriptionManager
+from repro.transport import SimulatedNetwork
 from repro.transport.clock import VirtualClock
-from repro.wse.model import DeliveryMode, SubscriptionStore
-from repro.wse.versions import WseVersion
+from repro.util.xstime import format_datetime
 from repro.wsrf.lifetime import set_termination_time
 from repro.wsrf.resource import ResourceRegistry
-from repro.filters.base import AcceptAllFilter
 
 
 class TestRegistrySweepDue:
@@ -23,11 +25,17 @@ class TestRegistrySweepDue:
 
     def test_sweep_due_fires_termination_listeners(self):
         clock = VirtualClock()
-        registry = ResourceRegistry(clock)
-        resource = registry.create(lifetime=5.0)
         seen = []
-        resource.termination_listeners.append(lambda r, reason: seen.append(reason))
+
+        class Recording(ResourceRegistry):
+            def _terminate(self, resource, reason, detail=""):
+                super()._terminate(resource, reason, detail)
+                seen.append(reason)
+
+        registry = Recording(clock)
+        registry.create(lifetime=5.0)
         clock.advance(10.0)
+        registry.sweep_due()
         registry.sweep_due()
         assert seen == ["expired"]
 
@@ -78,17 +86,26 @@ class TestRegistrySweepDue:
 
 
 class TestStoreSweepDue:
+    """The same heap, seen through the subscription manager every family's
+    subscriptions live in (it *is* the registry above, specialised)."""
+
     def _store(self):
         clock = VirtualClock()
-        return clock, SubscriptionStore(clock)
+        manager = SubscriptionManager(
+            SimulatedNetwork(clock),
+            family="wse",
+            key_prefix="wse-sub",
+            default_lifetime=None,
+            announce=lambda subscription, reason, detail: None,
+        )
+        return clock, manager
 
     def _create(self, store, expires):
-        return store.create(
-            version=WseVersion.V2004_08,
-            notify_to=None,
+        return store.subscribe(
+            consumer=None,
+            filter_parts={},
+            expires_text=None if expires is None else format_datetime(expires),
             mode=DeliveryMode.PULL,
-            filter=AcceptAllFilter(),
-            expires=expires,
         )
 
     def test_sweep_due_matches_sweep_expired(self):
@@ -98,50 +115,67 @@ class TestStoreSweepDue:
         self._create(store, None)
         clock.advance(10.0)
         expired = store.sweep_due()
-        assert [s.expires for s in expired] == [5.0]
-        assert store.get(keeper.id) is keeper
-        assert store.sweep_expired() == []  # nothing left overdue
+        assert [s.termination_time for s in expired] == [5.0]
+        assert store.lookup(keeper.key) is keeper
+        assert store.sweep() == []  # nothing left overdue for the full scan
 
     def test_renew_through_update_expiry_staleness(self):
         clock, store = self._store()
         subscription = self._create(store, 5.0)
-        store.update_expiry(subscription, clock.now() + 100.0)
+        store.renew(subscription, "PT100S")
         clock.advance(10.0)
         assert store.sweep_due() == []
-        assert store.get(subscription.id) is subscription
+        assert store.lookup(subscription.key) is subscription
 
     def test_removed_subscription_is_not_resurrected(self):
         clock, store = self._store()
         subscription = self._create(store, 5.0)
-        store.remove(subscription.id)
+        store.destroy(subscription.key, "unsubscribed")
         clock.advance(10.0)
         assert store.sweep_due() == []
 
     def test_hooks_fire_on_create_and_every_removal_path(self):
         clock, store = self._store()
         events = []
-        store.on_created.append(lambda s: events.append(("created", s.id)))
-        store.on_removed.append(lambda s: events.append(("removed", s.id)))
+        store.listeners.append(
+            lambda event, s, detail: events.append((event, s.key, detail.get("reason")))
+        )
         a = self._create(store, 5.0)
         b = self._create(store, 6.0)
         c = self._create(store, None)
-        store.remove(a.id)
+        d = self._create(store, 7.0)
+        store.destroy(a.key, "unsubscribed")
         clock.advance(10.0)
+        with pytest.raises(SubscriptionError):
+            store.lookup(d.key)  # lazy expiry of the one looked up
         store.sweep_due()
-        store.remove(c.id)
+        store.forget(c.key)
         assert events == [
-            ("created", a.id),
-            ("created", b.id),
-            ("created", c.id),
-            ("removed", a.id),
-            ("removed", b.id),
-            ("removed", c.id),
+            ("created", a.key, None),
+            ("created", b.key, None),
+            ("created", c.key, None),
+            ("created", d.key, None),
+            ("removed", a.key, "unsubscribed"),
+            ("removed", d.key, "expired"),
+            ("removed", b.key, "expired"),
+            ("removed", c.key, "unsubscribed"),
         ]
+        assert store.index.candidates(None, None) == []  # the index followed
 
     def test_has_subscriptions(self):
         clock, store = self._store()
-        assert not store.has_subscriptions()
-        subscription = self._create(store, None)
-        assert store.has_subscriptions()
-        store.remove(subscription.id)
-        assert not store.has_subscriptions()
+        assert not store.records
+        subscription = self._create(store, 5.0)
+        clock.advance(10.0)
+        assert store.records and len(store) == 0  # overdue, not yet swept
+        store.destroy(subscription.key, "unsubscribed")
+        assert not store.records
+
+    def test_forced_id_advances_the_serial(self):
+        clock, store = self._store()
+        store.forced_id = "wse-sub-7"
+        assert self._create(store, None).key == "wse-sub-7"
+        assert self._create(store, None).key == "wse-sub-8"  # consumed, serial moved
+        store.forced_id = "replayed"  # an id outside the serial's shape
+        assert self._create(store, None).key == "replayed"
+        assert self._create(store, None).key == "wse-sub-9"

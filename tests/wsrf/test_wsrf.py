@@ -35,6 +35,18 @@ def registry(clock):
     return ResourceRegistry(clock, key_prefix="sub")
 
 
+class RecordingRegistry(ResourceRegistry):
+    """How an owner hears of a death: the registry's one termination hook."""
+
+    def __init__(self, clock):
+        super().__init__(clock)
+        self.fired = []
+
+    def _terminate(self, resource, reason, detail=""):
+        super()._terminate(resource, reason, detail)
+        self.fired.append((resource.key, reason))
+
+
 class TestRegistry:
     def test_create_assigns_unique_keys(self, registry):
         assert registry.create().key != registry.create().key
@@ -83,21 +95,19 @@ class TestRegistry:
         with pytest.raises(ResourceUnknownFault):
             registry.resolve([text_element(QName("urn:x", "Other"), "1")])
 
-    def test_termination_listener_fires_on_destroy(self, registry):
-        fired = []
+    def test_termination_listener_fires_on_destroy(self, clock):
+        registry = RecordingRegistry(clock)
         resource = registry.create()
-        resource.termination_listeners.append(lambda r, reason: fired.append(reason))
         registry.destroy(resource.key)
-        assert fired == ["destroyed"]
+        assert registry.fired == [(resource.key, "destroyed")]
 
-    def test_termination_listener_fires_once_on_expiry_sweep(self, registry, clock):
-        fired = []
+    def test_termination_listener_fires_once_on_expiry_sweep(self, clock):
+        registry = RecordingRegistry(clock)
         resource = registry.create(lifetime=1.0)
-        resource.termination_listeners.append(lambda r, reason: fired.append(reason))
         clock.advance(2.0)
         assert [r.key for r in sweep_expired(registry)] == [resource.key]
         sweep_expired(registry)
-        assert fired == ["expired"]
+        assert registry.fired == [(resource.key, "expired")]
 
 
 class TestProperties:
