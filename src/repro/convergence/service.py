@@ -21,6 +21,7 @@ from typing import Optional
 from repro.convergence.profile import WSEN_NS, ConvergedProfile
 from repro.delivery.task import DeliveryItem
 from repro.filters.topics import TopicNamespace
+from repro.render import Entry
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
 from repro.subscriptions import DeliveryMode, Subscription, SubscriptionService
@@ -106,6 +107,12 @@ class ConvergedSource(SubscriptionService):
         )
         self.wrapped_batch_size = wrapped_batch_size
         self.producer_properties = dict(producer_properties or {})
+        #: the converged rows of the rendering table: raw push with the topic
+        #: in a header, and the *defined* wrapped format
+        self._raw_entry = Entry("raw", topic_header=_q("Topic"))
+        self._wrapped_entry = Entry(
+            "wrapped", lambda entries: self._wrapped("Notifications", entries), batch=True
+        )
         self.endpoint.on_action(_action("Subscribe"), self._handle_subscribe)
         self.endpoint.on_action(_action("GetCurrentMessage"), self._handle_get_current)
         for local, handler in [
@@ -234,10 +241,7 @@ class ConvergedSource(SubscriptionService):
             envelope.body_element(),
             _q("MaxMessages"),
         )
-        response = XElem(_q("PullResponse"))
-        for payload, topic in batch:
-            response.append(self._wrap_one(payload, topic))
-        return self._respond(headers, response)
+        return self._respond(headers, self._wrapped("PullResponse", batch))
 
     def _handle_get_current(self, envelope: SoapEnvelope, headers: MessageHeaders):
         topic = _text_of(envelope.body_element(), "Topic") or ""
@@ -302,23 +306,19 @@ class ConvergedSource(SubscriptionService):
             on_failed=self._end_after_failure,
         )
 
+    def _wrapped(self, local: str, entries: list) -> XElem:
+        wrapper = XElem(_q(local))
+        for payload, topic in entries:
+            wrapper.append(self._wrap_one(payload, topic))
+        return wrapper
+
     def _send_entries(self, subscription: Subscription, entries: list) -> None:
         if subscription.use_raw and subscription.mode is DeliveryMode.PUSH:
             # raw: each payload is the body of its own message, topic in a header
-            for payload, topic in entries:
-                extra = [text_element(_q("Topic"), topic)] if topic is not None else []
-                self._client.call(
-                    subscription.consumer,
-                    _action("Notify"),
-                    [payload],
-                    expect_reply=False,
-                    extra_headers=extra,
-                )
-            return
-        wrapper = XElem(_q("Notifications"))
-        for payload, topic in entries:
-            wrapper.append(self._wrap_one(payload, topic))
-        self._send_notice(subscription.consumer, _action("Notify"), wrapper)
+            for entry in entries:
+                self._send_rendered(subscription, _action("Notify"), self._raw_entry, [entry])
+        else:
+            self._send_rendered(subscription, _action("Notify"), self._wrapped_entry, entries)
 
     def _announce_end(self, subscription: Subscription, reason: str, detail: str) -> None:
         """The end-notice table: expiry and delivery failure are announced."""

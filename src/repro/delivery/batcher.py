@@ -8,8 +8,8 @@ implements the coalescing half of that bargain, policy-driven by
 :class:`~repro.delivery.policy.BatchingPolicy`:
 
 * entries accumulate per **group key** (the caller supplies it — the WSN
-  producer keys on sink signature + notification shape so every group can
-  render through a single envelope byte-template);
+  producer keys on sink address + reference shape + notification shape so
+  every group can render through a single envelope byte-template);
 * a group flushes when it reaches ``max_batch``, when its virtual-clock
   window expires (``window > 0``, scheduled on the shared
   :class:`~repro.transport.clock.ClockScheduler`), or when the owner flushes

@@ -42,24 +42,16 @@ def _fanout_summary(counters: dict[str, int]) -> dict[str, int]:
 
 
 def caches_snapshot() -> dict:
-    """The process-global fast-path cache stats (PR 8's machinery), in one
-    deterministic dict: notify byte-templates, the frozen-subtree writer
-    and the compiled-filter caches."""
+    """The process-global fast-path cache stats, in one deterministic dict:
+    envelope byte-templates, the frozen-subtree writer and the compiled-filter
+    caches."""
     from repro.filters.compilecache import FILTER_COMPILE_STATS
     from repro.xmlkit.template import TEMPLATE_STATS
     from repro.xmlkit.writer import WRITER_STATS
 
     return {
-        "templates": {
-            "hits": TEMPLATE_STATS.hits,
-            "misses": TEMPLATE_STATS.misses,
-            "fallbacks": TEMPLATE_STATS.fallbacks,
-        },
-        "writer": {
-            "frozen_serializations": WRITER_STATS.frozen_serializations,
-            "frozen_splices": WRITER_STATS.frozen_splices,
-            "tree_serializations": WRITER_STATS.tree_serializations,
-        },
+        "templates": TEMPLATE_STATS.snapshot(),
+        "writer": WRITER_STATS.snapshot(),
         "filter_compiles": FILTER_COMPILE_STATS.snapshot(),
     }
 

@@ -89,11 +89,11 @@ def replay_log(broker) -> None:
         broker.publish_router = saved_router
         store.replaying = False
         store.current_message_id = None
-        # replayed publishes may have compiled Notify byte-templates against
+        # replayed publishes may have compiled envelope byte-templates against
         # mid-replay subscription state; drop them so post-recovery traffic
         # recompiles against the converged stores (cheap: one compile each)
-        for producer in broker.wsn_producers.values():
-            producer.templates.clear()
+        for service in (*broker.wse_sources.values(), *broker.wsn_producers.values()):
+            service.renderer.templates.clear()
 
 
 def _manager(broker, family: str, tag: str):

@@ -43,7 +43,9 @@ from repro.qos.adaptive import validate_supported
 from repro.qos.properties import DiscardPolicy, QosError, QosProfile
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
+from repro.render import Entry, Renderer
 from repro.transport.endpoint import SoapClient, SoapEndpoint
+from repro.transport.http import request_head
 from repro.transport.network import SimulatedNetwork
 from repro.util.xstime import format_datetime, parse_expires
 from repro.wsa.epr import EndpointReference
@@ -138,6 +140,9 @@ class Subscription(WsResource):
     mode: DeliveryMode = DeliveryMode.PUSH
     use_raw: bool = False
     topic_expression: Optional[str] = None
+    #: ``(action, framed request head)`` of a push to the consumer: validated
+    #: and framed at the first one, kept while the subscription lives
+    head: Optional[tuple] = None
 
 
 class SubscriptionManager(ResourceRegistry):
@@ -388,14 +393,14 @@ class SubscriptionService:
             family=family,
             key_prefix=f"{family}-sub",
             delivery_manager=delivery_manager,
-            announce=self._announce_end,
+            announce=self._ended,
             **leases,
         )
         #: the family's fault vocabulary: ``(kind, operation)`` -> subcode,
         #: ``(kind, None)`` naming the kind for every other operation
         self._faults = faults
-        #: match and settle are the shared pipeline's; rendering, and when a
-        #: parked queue is flushed, stay with the family
+        #: match and settle are the shared pipeline's; a family keeps its rows
+        #: of the rendering table, and when a parked queue is flushed
         self._fanout = Fanout(
             network,
             family=family,
@@ -411,6 +416,8 @@ class SubscriptionService:
         self.topics = topics
         self._current_message: dict[str, XElem] = {}
         self._client = SoapClient(network, wsa_version=wsa_version, soap_version=SoapVersion.V11)
+        #: every notification leaves as text this renders (see repro.render)
+        self.renderer = Renderer(self._client, family)
         self.endpoint = SoapEndpoint(network, address)
         self.manager_address = manager_address
         #: WS-Eventing 01/2004: the source *is* the manager
@@ -466,8 +473,20 @@ class SubscriptionService:
             )
         return payload
 
-    def _send_notice(self, target: EndpointReference, action: str, body: XElem) -> None:
-        self._client.call(target, action, [body], expect_reply=False)
+    def _send_rendered(self, subscription: Subscription, action: str, entry: Entry, items: list) -> None:
+        """One wire attempt at a notification: render, ``send_rendered``."""
+        text = self.renderer.render(entry, action, subscription, items)
+        address = subscription.consumer.address
+        head = subscription.head
+        if head is None or head[0] != action:
+            head = subscription.head = (action, request_head(address, action))
+        self._client.send_rendered(address, action, text, head=head[1])
+
+    def _ended(self, subscription: Subscription, reason: str, detail: str) -> None:
+        """Runs last on every removal: per-sink templates go with their last
+        subscription, then the family's end-notice table speaks."""
+        self.renderer.templates.note_removed(subscription.key)
+        self._announce_end(subscription, reason, detail)
 
     def _send_end_notice(
         self, subscription: Subscription, target: EndpointReference, action: str, body: XElem, stage: str
@@ -477,8 +496,8 @@ class SubscriptionService:
         parked (it is meaningless once the sink is gone)."""
         self._fanout.settle(
             target.address,
-            self._send_notice,
-            (target, action, body),
+            self._client.call,
+            (target, action, [body]),
             stage=stage,
             describe=f"{stage} {subscription.key}",
         )

@@ -198,60 +198,41 @@ class SoapClient:
             envelope.add_header(header.copy())
         for element in body:
             envelope.add_body(element)
-        if self.envelope_filter is not None:
-            self.envelope_filter(envelope)
-        context = self.network.instrumentation.trace_context()
-        wire = build_request(
-            target.address,
-            serialize_envelope(envelope).encode("utf-8"),
-            soap_action=action,
-            lineage=None if context is None else context.wire_text(),
-        )
-        raw = self.network.send_request(target.address, wire, from_zone=self.zone)
-        response = parse_response(raw)
-        if not response.body:
-            return None
-        reply = parse_envelope(response.body)
-        if reply.is_fault():
-            raise SoapFault.from_element(reply.body_element(), reply.version)
+        reply = self._post(target.address, envelope, action)
         return reply if expect_reply else None
-
-    def send_rendered(
-        self, target_address: str, action: str, text: str,
-        *, lineage: Optional[str] = None,
-    ) -> Optional[SoapEnvelope]:
-        """Send pre-rendered envelope text (the byte-template fast path).
-
-        The caller has already rendered addressing and body into ``text``,
-        so unlike :meth:`call` nothing touches the envelope here; lineage
-        (when tracing) rides the HTTP head and only the framing and the
-        reply unwrap run.  Callers must not use this when an
-        :attr:`envelope_filter` is installed — the filter operates on
-        envelope trees, which a rendered send never builds.
-        """
-        wire = build_request(
-            target_address, text.encode("utf-8"), soap_action=action, lineage=lineage
-        )
-        raw = self.network.send_request(target_address, wire, from_zone=self.zone)
-        response = parse_response(raw)
-        if not response.body:
-            return None
-        reply = parse_envelope(response.body)
-        if reply.is_fault():
-            raise SoapFault.from_element(reply.body_element(), reply.version)
-        return reply
 
     def send_envelope(self, target_address: str, envelope: SoapEnvelope) -> Optional[SoapEnvelope]:
         """Send a pre-built envelope (used by the mediation layer)."""
+        return self._post(target_address, envelope)
+
+    def _post(
+        self, target_address: str, envelope: SoapEnvelope, action: Optional[str] = None
+    ) -> Optional[SoapEnvelope]:
+        """Filter, serialise and send a tree-built envelope."""
         if self.envelope_filter is not None:
             self.envelope_filter(envelope)
+        if action is None:
+            action = extract_headers(envelope).action
+        return self.send_rendered(target_address, action, serialize_envelope(envelope))
+
+    def send_rendered(
+        self, target_address: str, action: str, text: str,
+        *, head: Optional[tuple[bytes, bytes]] = None,
+    ) -> Optional[SoapEnvelope]:
+        """One request/response exchange of envelope ``text`` that is ready
+        to go (what :mod:`repro.render` hands out, or a tree serialised just
+        now — an :attr:`envelope_filter` works on trees, so whoever built
+        ``text`` has applied it): the reply envelope, ``None`` for an empty
+        response (202), the peer's fault raised.  Lineage (when tracing) rides
+        the HTTP head; ``head`` is the request head a subscription keeps
+        framed for this address and action (see ``request_head``)."""
         context = self.network.instrumentation.trace_context()
-        headers = extract_headers(envelope)
         wire = build_request(
             target_address,
-            serialize_envelope(envelope).encode("utf-8"),
-            soap_action=headers.action,
+            text.encode("utf-8"),
+            soap_action=action,
             lineage=None if context is None else context.wire_text(),
+            head=head,
         )
         raw = self.network.send_request(target_address, wire, from_zone=self.zone)
         response = parse_response(raw)

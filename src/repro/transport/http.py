@@ -16,9 +16,10 @@ bug the conformance fuzzer exists to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from urllib.parse import urlparse
+from urllib.parse import urlsplit
 
 _CRLF = "\r\n"
+_XML = "text/xml; charset=utf-8"
 
 #: trace-context request header (see :mod:`repro.obs.propagation`).
 #: Instrumented sends carry lineage here — in the HTTP head, the way W3C
@@ -60,49 +61,74 @@ def _require_token(value: str, what: str) -> str:
     return value
 
 
+def request_head(url: str, soap_action: str = "", content_type: str = _XML) -> tuple[bytes, bytes]:
+    """Validate and frame what a SOAP POST to ``url`` says apart from its
+    body: the bytes before and after the ``Content-Length`` value.
+
+    The one framing code: :func:`build_request` calls it per request, and a
+    subscription keeps the result for its consumer, so a push validates and
+    frames its head once and not per delivery.
+    """
+    if any(ch <= " " for ch in url):
+        # controls and SP must be rejected before urlsplit sees them: a SP in
+        # the request-target would mis-split the request line on parse, and
+        # urlsplit *silently strips* tab/CR/LF (WHATWG sanitization) — either
+        # way the target on the wire would not be the one the caller addressed
+        # (RFC 7230 §3.1.1 requires percent-encoding)
+        raise HttpFramingError(f"control character or space in request URL: {url!r}")
+    parts = urlsplit(url)
+    # origin-form (RFC 7230 §5.3.1): the absolute path *and* the query
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    before = (
+        f"POST {_require_token(target, 'request target')} HTTP/1.1{_CRLF}"
+        f"Host: {_require_token(parts.netloc or 'localhost', 'Host')}{_CRLF}"
+        f"Content-Type: {_require_token(content_type, 'Content-Type')}{_CRLF}"
+        "Content-Length: "
+    )
+    after = f'{_CRLF}SOAPAction: "{_require_token(soap_action, "SOAPAction")}"{_CRLF}'
+    return before.encode("ascii"), after.encode("ascii")
+
+
 def build_request(
     url: str,
     body: bytes,
     *,
     soap_action: str = "",
-    content_type: str = "text/xml; charset=utf-8",
+    content_type: str = _XML,
     lineage: str | None = None,
+    head: tuple[bytes, bytes] | None = None,
 ) -> bytes:
     """Frame a SOAP POST to ``url``.
 
-    ``lineage`` is the optional trace-context value; when given it is
-    emitted as an ``X-Lineage`` header so instrumented sends never alter
-    the envelope bytes themselves.
+    ``head`` is a :func:`request_head` already framed for this URL, action
+    and content type (they are then not looked at again).  ``lineage`` is the
+    optional trace-context value; when given it is emitted as an
+    ``X-Lineage`` header so instrumented sends never alter the envelope
+    bytes themselves.
     """
-    if any(ch <= " " for ch in url):
-        # controls and SP must be rejected before urlparse sees them: a SP in
-        # the request-target would mis-split the request line on parse, and
-        # urlparse *silently strips* tab/CR/LF (WHATWG sanitization) — either
-        # way the path on the wire would not be the path the caller addressed
-        # (RFC 7230 §3.1.1 requires percent-encoding)
-        raise HttpFramingError(f"control character or space in request URL: {url!r}")
-    parts = urlparse(url)
-    path = _require_token(parts.path or "/", "request path")
-    headers = [
-        f"POST {path} HTTP/1.1",
-        f"Host: {_require_token(parts.netloc or 'localhost', 'Host')}",
-        f"Content-Type: {_require_token(content_type, 'Content-Type')}",
-        f"Content-Length: {len(body)}",
-        f'SOAPAction: "{_require_token(soap_action, "SOAPAction")}"',
-    ]
+    before, after = head or request_head(url, soap_action, content_type)
     if lineage is not None:
-        headers.append(
-            f"{LINEAGE_HTTP_HEADER}: {_require_token(lineage, LINEAGE_HTTP_HEADER)}"
-        )
-    headers += ["", ""]
-    return _CRLF.join(headers).encode("ascii") + body
+        after += (
+            f"{LINEAGE_HTTP_HEADER}: {_require_token(lineage, LINEAGE_HTTP_HEADER)}{_CRLF}"
+        ).encode("ascii")
+    return b"%b%d%b\r\n%b" % (before, len(body), after, body)
 
 
-def parse_request(wire: bytes) -> HttpRequest:
+def _head_lines(wire: bytes) -> tuple[list[str], bytes]:
+    """The header section of a message, line by line, and its body."""
     head, sep, body = wire.partition(b"\r\n\r\n")
     if not sep:
         raise HttpFramingError("no header/body separator (CRLFCRLF)")
-    lines = _decode_head(head).split(_CRLF)
+    try:
+        return head.decode("ascii").split(_CRLF), body
+    except UnicodeDecodeError as exc:
+        raise HttpFramingError(f"non-ASCII bytes in header section: {exc}") from exc
+
+
+def parse_request(wire: bytes) -> HttpRequest:
+    lines, body = _head_lines(wire)
     if not lines or " " not in lines[0]:
         raise HttpFramingError("missing request line")
     try:
@@ -113,25 +139,30 @@ def parse_request(wire: bytes) -> HttpRequest:
     return HttpRequest(method, path, headers, _checked_body(headers, body))
 
 
+_REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 500: "Internal Server Error"}
+
+
 def build_response(status: int, body: bytes = b"", reason: str | None = None) -> bytes:
-    reason = reason or {200: "OK", 202: "Accepted", 400: "Bad Request", 500: "Internal Server Error"}.get(
-        status, "Unknown"
+    if status == 202 and not body and reason is None:
+        return _ACCEPTED
+    reason = _require_token(reason or _REASONS.get(status, "Unknown"), "reason phrase")
+    head = (
+        f"HTTP/1.1 {status} {reason}{_CRLF}Content-Type: {_XML}{_CRLF}"
+        f"Content-Length: {len(body)}{_CRLF}{_CRLF}"
     )
-    headers = [
-        f"HTTP/1.1 {status} {_require_token(reason, 'reason phrase')}",
-        "Content-Type: text/xml; charset=utf-8",
-        f"Content-Length: {len(body)}",
-        "",
-        "",
-    ]
-    return _CRLF.join(headers).encode("ascii") + body
+    return head.encode("ascii") + body
+
+
+#: the one canonical empty ``202 Accepted`` — what every one-way push is
+#: answered with, so it is framed once here and recognised by equality below
+_ACCEPTED = build_response(202, reason="Accepted")
 
 
 def parse_response(wire: bytes) -> HttpResponse:
-    head, sep, body = wire.partition(b"\r\n\r\n")
-    if not sep:
-        raise HttpFramingError("no header/body separator (CRLFCRLF)")
-    lines = _decode_head(head).split(_CRLF)
+    if wire == _ACCEPTED:
+        # byte-for-byte the canonical answer: stricter than parsing it
+        return HttpResponse(202, "Accepted", {"Content-Type": _XML, "Content-Length": "0"})
+    lines, body = _head_lines(wire)
     if not lines or not lines[0].startswith("HTTP/"):
         raise HttpFramingError("missing status line")
     parts = lines[0].split(" ", 2)
@@ -144,13 +175,6 @@ def parse_response(wire: bytes) -> HttpResponse:
     reason = parts[2] if len(parts) > 2 else ""
     headers = _parse_headers(lines[1:])
     return HttpResponse(status, reason, headers, _checked_body(headers, body))
-
-
-def _decode_head(head: bytes) -> str:
-    try:
-        return head.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise HttpFramingError(f"non-ASCII bytes in header section: {exc}") from exc
 
 
 def _parse_headers(lines: list[str]) -> dict[str, str]:

@@ -26,6 +26,7 @@ from typing import Optional
 
 from repro.qos.properties import QosError, QosProfile
 from repro.qos.wire import find_profile, profile_to_element
+from repro.render import Entry
 from repro.soap.fault import FaultCode, SoapFault
 from repro.wsa.epr import EndpointReference
 from repro.wse.model import DeliveryMode, SubscriptionEndCode
@@ -356,6 +357,16 @@ def build_wrapped_notification(version: WseVersion, messages: list[XElem]) -> XE
     for message in messages:
         wrapper.append(message if message.frozen else message.copy())
     return wrapper
+
+
+def wrapped_entry(version: WseVersion) -> Entry:
+    """The wrapped batch as a row of the rendering table: ``(payload, None)``
+    items, each payload its own chunk of the wrapper."""
+    return Entry(
+        "wrapped",
+        lambda items: build_wrapped_notification(version, [payload for payload, _ in items]),
+        batch=True,
+    )
 
 
 def parse_wrapped_notification(body: XElem, version: WseVersion) -> list[XElem]:

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.delivery.policy import BatchingPolicy
 from repro.delivery.task import DeliveryItem
+from repro.render import Entry
 from repro.transport.clock import ClockScheduler
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
@@ -24,7 +25,7 @@ from repro.wsa.headers import MessageHeaders
 from repro.wse import messages
 from repro.wse.model import DeliveryMode, SubscriptionEndCode
 from repro.wse.versions import WseVersion
-from repro.xmlkit.element import XElem, text_element
+from repro.xmlkit.element import XElem
 from repro.xmlkit.names import QName
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,9 +87,11 @@ class EventSource(SubscriptionService):
         self.version = version
         self.wrapped_batch_size = wrapped_batch_size
         self.producer_properties = dict(producer_properties or {})
-        # mediation hook (section V.4 category 6): WSE has no body slot for a
-        # topic, so when set, published topics ride as this SOAP header
-        self.topic_header = topic_header
+        #: this family's rows of the rendering table.  ``topic_header`` is the
+        #: mediation hook (section V.4 category 6): WSE has no body slot for a
+        #: topic, so when set, published topics ride as this SOAP header
+        self._push_entry = Entry("push", topic_header=topic_header)
+        self._wrapped_entry = messages.wrapped_entry(version)
         #: wrapped-mode batching policy: ``max_batch`` replaces the size
         #: trigger, a positive ``window`` flushes partial batches on the
         #: virtual clock instead of waiting for explicit ``flush()``
@@ -302,24 +305,12 @@ class EventSource(SubscriptionService):
     ) -> None:
         self._fanout.settle(
             subscription.consumer.address,
-            self._send_push,
-            (subscription, payload, action, topic),
+            self._send_rendered,
+            (subscription, action, self._push_entry, [(payload, topic)]),
             [DeliveryItem(payload, topic, lineage=lineage)],
             describe=f"notify {subscription.key}",
             priority=subscription.priority,
             on_failed=self._end_after_failure,
-        )
-
-    def _send_push(
-        self, subscription: Subscription, payload: XElem, action: str, topic: Optional[str]
-    ) -> None:
-        """One raw notification: the (frozen, fan-out-shared) payload is the
-        body; a mediated topic rides as a SOAP header."""
-        extra = []
-        if topic is not None and self.topic_header is not None:
-            extra.append(text_element(self.topic_header, topic))
-        self._client.call(
-            subscription.consumer, action, [payload], expect_reply=False, extra_headers=extra
         )
 
     def _flush_wrapped(self, subscription: Subscription) -> None:
@@ -327,8 +318,13 @@ class EventSource(SubscriptionService):
         batch = self.subscriptions.drain(subscription)
         self._fanout.settle(
             subscription.consumer.address,
-            self._send_wrapper,
-            (subscription, messages.build_wrapped_notification(self.version, batch)),
+            self._send_rendered,
+            (
+                subscription,
+                self.version.action("Notifications"),
+                self._wrapped_entry,
+                [(message, None) for message in batch],
+            ),
             [DeliveryItem(message) for message in batch],
             stage="wrapped_notify",
             describe=f"wrapped notify {subscription.key}",
@@ -336,9 +332,6 @@ class EventSource(SubscriptionService):
             on_failed=self._end_after_failure,
             mode="wrapped",
         )
-
-    def _send_wrapper(self, subscription: Subscription, wrapper: XElem) -> None:
-        self._send_notice(subscription.consumer, self.version.action("Notifications"), wrapper)
 
     # --- termination -----------------------------------------------------------------
 

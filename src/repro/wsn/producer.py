@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.delivery.batcher import DeliveryBatcher
 from repro.delivery.policy import BatchingPolicy
 from repro.delivery.task import DeliveryItem
-from repro.obs.instrument import BoundCounters
 from repro.filters.producer import properties_document
 from repro.filters.topics import TopicNamespace
 from repro.soap.envelope import SoapEnvelope
@@ -23,15 +22,15 @@ from repro.soap.fault import FaultCode, SoapFault
 from repro.subscriptions import Subscription, SubscriptionService
 from repro.transport.endpoint import SoapEndpoint
 from repro.transport.network import SimulatedNetwork
-from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, fresh_message_id
+from repro.render import Entry, reference_shape
+from repro.wsa.headers import MessageHeaders
 from repro.wsn import messages
 from repro.wsn.messages import NotificationMessage, WsnSubscribeRequest
-from repro.wsn.templates import NotifyTemplateCache, sink_signature
+from repro.wsn.templates import NotifyEntry
 from repro.wsn.versions import WsnVersion
 from repro.wsrf.lifetime import UnableToSetTerminationTimeFault, set_termination_time
 from repro.wsrf.properties import get_resource_property
-from repro.wsrf.resource import RESOURCE_ID, ResourceUnknownFault, WsResource
+from repro.wsrf.resource import ResourceUnknownFault, WsResource
 from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.writer import frozen_namespace_order
 from repro.xmlkit.names import Namespaces, QName
@@ -97,8 +96,6 @@ class NotificationProducer(SubscriptionService):
             durations=version.supports_duration_expiry,
         )
         self.version = version
-        #: pre-bound template hit/miss counters (see BoundCounters)
-        self._bound_counters = BoundCounters()
         self.producer_properties = dict(producer_properties or {})
         #: (properties rendered, their frozen document): see _properties_document
         self._properties_rendered: tuple[Optional[dict], Optional[XElem]] = (None, None)
@@ -121,7 +118,9 @@ class NotificationProducer(SubscriptionService):
                 self._handle_producer_property,
             )
         self._register_manager_handlers(self.manager_endpoint)
-        self.templates = NotifyTemplateCache(version, address, self.manager_address)
+        #: this family's rows of the rendering table
+        self._notify_entry = NotifyEntry(version, address, self.manager_address)
+        self._raw_entry = Entry("raw")
         #: per-sink wire coalescing (None = one request per notification);
         #: shares the delivery manager's scheduler so window expiry rides the
         #: same run_due/run_until_idle pump as retries
@@ -384,9 +383,11 @@ class NotificationProducer(SubscriptionService):
                 # same sink + same shape coalesce into one wire request; the
                 # group key mirrors the byte-template cache key so every
                 # flushed batch renders through a single compiled envelope
+                consumer = subscription.consumer
                 self.batcher.add(
                     (
-                        sink_signature(subscription.consumer),
+                        consumer.address,
+                        reference_shape(consumer),
                         topic,
                         frozen_namespace_order(frozen),
                     ),
@@ -442,8 +443,8 @@ class NotificationProducer(SubscriptionService):
             priority = max(sub.priority for sub, _, _ in entries)
         self._fanout.settle(
             sink,
-            self._send_raw if first.use_raw else self._send_wrapped,
-            (first.consumer, [(sub.key, item) for sub, item, _ in entries]),
+            self._send,
+            (first, [(sub.key, item) for sub, item, _ in entries]),
             [
                 DeliveryItem(
                     item.payload if item.payload.frozen else item.payload.copy(),
@@ -458,7 +459,7 @@ class NotificationProducer(SubscriptionService):
             **attrs,
         )
 
-    def _end_after_failure(self, exc: Exception, consumer, entries) -> None:
+    def _end_after_failure(self, exc: Exception, subscription, entries) -> None:
         """A direct attempt failed: destroy the subscriptions it carried
         (soft state would collect them anyway; this mirrors WS-Eventing's
         DeliveryFailure ending)."""
@@ -473,146 +474,17 @@ class NotificationProducer(SubscriptionService):
                     kind=type(destroy_exc).__name__,
                 )
 
-    def _send_raw(
-        self,
-        consumer: EndpointReference,
-        entries: list[tuple[str, NotificationMessage]],
+    def _send(
+        self, subscription: Subscription, entries: list[tuple[str, NotificationMessage]]
     ) -> None:
-        """Raw delivery: each payload is the body of its own message."""
+        """One wire attempt: a wrapped Notify carrying ``entries`` (sub key,
+        message) or — raw delivery — each payload the body of its own message."""
         action = self.version.action("Notify")
-        for _, item in entries:
-            self._send_notice(
-                consumer, action, item.payload if item.payload.frozen else item.payload.copy()
-            )
-
-    def _send_wrapped(
-        self,
-        consumer: EndpointReference,
-        entries: list[tuple[str, NotificationMessage]],
-    ) -> None:
-        """One wrapped Notify request carrying ``entries`` (sub key, message).
-
-        Fast path: render through the envelope byte-template cache — no tree
-        build, no tree walk.  Fallback (unfrozen payload, mixed shapes,
-        sentinel collision, envelope filter): the original ``build_notify``
-        + ``call`` path, byte-identical output.
-        """
-        action = self.version.action("Notify")
-        text = self._render_notify(consumer, entries)
-        if text is not None:
-            instr = self.network.instrumentation
-            context = instr.trace_context() if instr.enabled else None
-            self._client.send_rendered(
-                consumer.address,
-                action,
-                text,
-                lineage=None if context is None else context.wire_text(),
-            )
+        if not subscription.use_raw:
+            self._send_rendered(subscription, action, self._notify_entry, entries)
             return
-        self._send_notice(
-            consumer, action, messages.build_notify(self.version, [item for _, item in entries])
-        )
-
-    def _render_notify(
-        self,
-        consumer: EndpointReference,
-        entries: list[tuple[str, NotificationMessage]],
-    ) -> Optional[str]:
-        """Rendered envelope text for ``entries``, or ``None`` for the tree
-        path.  Runs at attempt time, so the message id is minted exactly
-        where the tree path would mint it.  Lineage never appears here:
-        trace context rides the HTTP head (see ``_send_wrapped``), so the
-        rendered bytes match the uninstrumented envelope exactly."""
-        if self._client.envelope_filter is not None:
-            return None
-        instr = self.network.instrumentation
-        first = entries[0][1]
-        topic = first.topic
-        dialect = first.topic_dialect
-        payload0 = first.payload
-        if not payload0.frozen:
-            return None
-        shape = frozen_namespace_order(payload0)
-        for sub_key, item in entries:
-            if (
-                item.topic != topic
-                or item.topic_dialect != dialect
-                or not item.payload.frozen
-                or (item.payload is not payload0
-                    and frozen_namespace_order(item.payload) != shape)
-                or not self._references_match(sub_key, item)
-            ):
-                if instr.enabled:
-                    self._bound_counters.get(
-                        instr, "template_misses", "fanout.template_misses",
-                        family="wsn",
-                    ).inc()
-                return None
-        compiled, outcome = self.templates.lookup(
-            consumer,
-            topic,
-            dialect,
-            payload0,
-            sub_keys=[sub_key for sub_key, _ in entries],
-        )
-        if instr.enabled:
-            if outcome == "hit":
-                self._bound_counters.get(
-                    instr, "template_hits", "fanout.template_hits", family="wsn"
-                ).inc()
-            else:
-                self._bound_counters.get(
-                    instr, "template_misses", "fanout.template_misses",
-                    family="wsn",
-                ).inc()
-            flight = instr.flight
-            if flight.enabled:
-                flight.record(
-                    "serialize",
-                    family="wsn",
-                    sink=consumer.address,
-                    outcome=outcome,
-                    batch=len(entries),
-                )
-        if compiled is None:
-            return None
-        message_id = fresh_message_id()
-        phases = instr.phases
-        if phases is None:
-            return compiled.render(
-                message_id,
-                [(sub_key, item.payload) for sub_key, item in entries],
-            )
-        timer = phases.begin()
-        text = compiled.render(
-            message_id,
-            [(sub_key, item.payload) for sub_key, item in entries],
-        )
-        phases.end("serialize", timer)
-        return text
-
-    def _references_match(self, sub_key: str, item: NotificationMessage) -> bool:
-        """Whether the message's EPRs are exactly the shapes the template
-        bakes in (our own ``epr_for`` + producer EPR); anything else — e.g. a
-        re-published message carrying foreign references — takes the tree
-        path rather than silently rewriting its references."""
-        sref = item.subscription_reference
-        pref = item.producer_reference
-        if sref is None or pref is None:
-            return False
-        if pref.address != self.address or pref.reference_parameters or pref.reference_properties:
-            return False
-        if sref.address != self.manager_address or sref.reference_properties:
-            return False
-        if len(sref.reference_parameters) != 1:
-            return False
-        param = sref.reference_parameters[0]
-        return (
-            param.name == RESOURCE_ID
-            and not param.attrs
-            and len(param.children) == 1
-            and param.children[0] == sub_key
-        )
+        for _, item in entries:
+            self._send_rendered(subscription, action, self._raw_entry, [(item.payload, None)])
 
     # --- termination -----------------------------------------------------------------------
 
@@ -620,7 +492,6 @@ class NotificationProducer(SubscriptionService):
         """The end-notice table: every removal but an orderly Unsubscribe is
         a TerminationNotification — a WSRF resource-lifetime feature,
         mandatory <= 1.2 and available in 1.3 exactly when WSRF is mounted."""
-        self.templates.note_removed(subscription.key)
         if reason == "unsubscribed" or not self.wsrf_enabled:
             return
         self._send_end_notice(

@@ -5,14 +5,17 @@ a notification *payload* serialize once per publish.  At 100k subscribers the
 remaining per-send cost is everything around the payload: building the SOAP
 envelope tree and walking it.  A :class:`ByteTemplate` removes that walk for
 the steady state: the envelope is serialized once with unique sentinel
-strings standing in for the per-send fields (message id, lineage header,
+strings standing in for the per-send fields (destination, message id, topic,
 subscription id, payload), the text is split on those sentinels, and every
 later send is a ``str.join`` over the cached segments with fresh slot values.
 
 Compilation is strict: a sentinel that does not occur **exactly once** in the
 serialized text raises :class:`TemplateSlotError`, and callers fall back to
 the ordinary tree path — a payload that happens to contain a sentinel string
-can therefore never corrupt the wire, it just loses the fast path.
+can therefore never corrupt the wire, it just loses the fast path.  Two
+sentinels of which one contains the other can never both occur exactly once,
+so they are refused by name before the text is looked at: the error then says
+what is wrong instead of "occurs 2 times".
 """
 
 from __future__ import annotations
@@ -63,10 +66,17 @@ class ByteTemplate:
     def compile(cls, text: str, slots: list[tuple[str, str]]) -> "ByteTemplate":
         """Split ``text`` on each ``(name, sentinel)``, in document order.
 
-        Every sentinel must occur exactly once in the whole text; the slots
-        must appear in the order given.  Violations raise
-        :class:`TemplateSlotError` so the caller can fall back.
+        No sentinel may contain another, every sentinel must occur exactly
+        once in the whole text, and the slots must appear in the order given.
+        Violations raise :class:`TemplateSlotError` so the caller can fall
+        back.
         """
+        for name, sentinel in slots:
+            for other, inner in slots:
+                if other != name and inner in sentinel:
+                    raise TemplateSlotError(
+                        f"slot {name!r}: sentinel contains the sentinel of slot {other!r}"
+                    )
         segments: list[str] = []
         names: list[str] = []
         rest = text

@@ -9,9 +9,10 @@ installed on a freshly-built broker through the pipeline's one seam:
   subscription order, every filter evaluated on its own against an unfrozen
   tree (which never reaches the per-document match state of
   ``repro.xmlkit.xpath``), no shared producer-properties document;
-* ``tree=True`` makes every producer's ``_render_notify`` decline, so each
-  wrapped Notify is built as a tree and serialized instead of rendered
-  through the envelope byte-template cache.
+* ``tree=True`` makes the template lookup of every internal source's and
+  producer's renderer decline (``install_tree_oracle``, which works on any
+  ``SubscriptionService``), so each notification of either family is built
+  as a tree and serialized instead of rendered through a byte-template.
 
 Everything downstream of the replaced stage — batching, QoS admission, the
 delivery manager, the store — is the product's, which is what lets the
@@ -41,17 +42,26 @@ def _install_linear_matcher(fanout) -> None:
     fanout.match = linear_match
 
 
+def install_tree_oracle(service) -> None:
+    """The renderer's one seam: with no template to be had, every render of
+    ``service`` (a source or producer of any family) takes the tree path."""
+    service.renderer.templates.lookup = lambda *args: (None, "fallback")
+
+
 def build_oracle_broker(network, address, *, linear=False, tree=False, **kwargs):
     broker = WsMessenger(network, address, **kwargs)
-    if linear:
-        for source in broker.wse_sources.values():
-            _install_linear_matcher(source._fanout)
-        for producer in broker.wsn_producers.values():
-            _install_linear_matcher(producer._fanout)
-    if tree:
-        for producer in broker.wsn_producers.values():
-            producer._render_notify = lambda consumer, entries: None
+    for service in (*broker.wse_sources.values(), *broker.wsn_producers.values()):
+        if linear:
+            _install_linear_matcher(service._fanout)
+        if tree:
+            install_tree_oracle(service)
     return broker
+
+
+@pytest.fixture
+def tree_oracle():
+    """``tree_oracle(service)``: the tree renderer on a bare source / producer."""
+    return install_tree_oracle
 
 
 @pytest.fixture

@@ -15,16 +15,25 @@ delivery manager, batching and a QoS queue bound composed in.
 import random
 from dataclasses import dataclass, field
 
+from repro.convergence.service import (
+    MODE_WRAP,
+    ConvergedConsumer,
+    ConvergedSource,
+    ConvergedSubscriber,
+)
 from repro.delivery import BatchingPolicy, DeliveryPolicy
 from repro.qos.adaptive import AdaptiveQosPolicy
+from repro.render import MESSAGE_ID, SUB_ID, TO, TOPIC
 from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
 from repro.wsa.headers import reset_message_counter
 from repro.wse import EventSink, WseSubscriber
+from repro.wse.model import DeliveryMode
 from repro.wse.versions import WseVersion
 from repro.wsn import NotificationConsumer, WsnSubscriber
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit import parse_xml
 from repro.xmlkit.names import Namespaces
+from repro.xmlkit.template import TEMPLATE_STATS
 
 SEED = 20060813
 
@@ -182,6 +191,123 @@ def _run_scenario(
     return result
 
 
+# --- every entry of the rendering table, one by one ---------------------------------
+
+#: a reference parameter with an attribute and text that needs escaping, and a
+#: reference property (WSA 2004/08 carries both; 2005/08 folds the property
+#: into the parameters and echoes each with IsReferenceParameter)
+REF_PARAMETER = '<t:Tag xmlns:t="urn:diff:ref" t:kind="a&amp;b">p &lt; q</t:Tag>'
+REF_PROPERTY = '<t:Prop xmlns:t="urn:diff:ref"><t:inner>r</t:inner></t:Prop>'
+
+
+def _with_references(epr):
+    return epr.with_parameter(parse_xml(REF_PARAMETER)).with_property(parse_xml(REF_PROPERTY))
+
+
+def _odd(i: int, *, collide: bool) -> "XElem":
+    """A payload of a second namespace shape.  One that holds the slot
+    sentinels can compile no template and must take the tree path."""
+    text = " ".join(slot[1] for slot in (TO, MESSAGE_ID, TOPIC, SUB_ID)) if collide else "plain"
+    return parse_xml(f'<c:Odd xmlns:c="urn:diff:odd"><c:n>{i}</c:n>{text}</c:Odd>')
+
+
+def _run_entries(oracle_broker, tree_oracle, *, tree: bool, composed: bool = False) -> RunResult:
+    """WSE push with and without the topic header in both WSE versions, WSN
+    wrapped and raw, the WSE wrapped batch, converged raw push and wrapped
+    Notify, EPRs with reference parameters and properties, an address and a
+    topic that need escaping, a payload that contains the sentinels and —
+    composed — attempts retried after a dark stretch."""
+    reset_message_counter()
+    TEMPLATE_STATS.reset()
+    result = RunResult()
+    network = SimulatedNetwork(VirtualClock())
+    network.wire_observers.append(
+        lambda obs: result.wire.append((obs.address, bytes(obs.request)))
+    )
+    options = dict(delivery=DeliveryPolicy(max_attempts=4, base_backoff=0.5, jitter=0.0))
+    broker = oracle_broker(
+        network, "http://entry-broker", tree=tree, **(options if composed else {})
+    )
+    dark: set[str] = set()
+
+    def blackout(target, payload):
+        if target in dark:
+            raise MessageLost(target)
+
+    network.observers.append(blackout)
+
+    sinks = []
+    for name, version, mode, decorate in [
+        ("push-08", WseVersion.V2004_08, DeliveryMode.PUSH, None),
+        ("push-01", WseVersion.V2004_01, DeliveryMode.PUSH, None),
+        ("wrapped", WseVersion.V2004_08, DeliveryMode.WRAPPED, None),
+        ("refs", WseVersion.V2004_08, DeliveryMode.PUSH, _with_references),
+        ("a&b?tenant=x&y", WseVersion.V2004_08, DeliveryMode.PUSH, None),
+    ]:
+        sink = EventSink(network, f"http://entry-sink/{name}", version=version)
+        epr = sink.epr() if decorate is None else decorate(sink.epr())
+        WseSubscriber(network, version=version).subscribe(broker.epr(), notify_to=epr, mode=mode)
+        sinks.append(sink)
+    consumers = []
+    for name, version, kwargs, decorate in [
+        ("13", WsnVersion.V1_3, dict(topic="entry"), None),
+        ("10", WsnVersion.V1_0, dict(topic="entry"), None),
+        ("raw", WsnVersion.V1_3, dict(use_raw=True), None),
+        ("amp", WsnVersion.V1_3, dict(topic="a&b"), None),
+        ("refs-13", WsnVersion.V1_3, dict(topic="entry"), _with_references),
+        ("refs-12", WsnVersion.V1_2, dict(topic="entry"), _with_references),
+    ]:
+        consumer = NotificationConsumer(network, f"http://entry-consumer/{name}", version=version)
+        epr = consumer.epr() if decorate is None else decorate(consumer.epr())
+        WsnSubscriber(network, version=version).subscribe(broker.epr(), epr, **kwargs)
+        consumers.append(consumer)
+
+    for i, topic in enumerate(["entry", None, "a&b", "entry", None, "entry", "a&b", "entry"]):
+        if composed:
+            dark.clear()
+            if i in (2, 3):
+                dark.update({sinks[0].address, sinks[3].address, consumers[0].address})
+        # the fourth publish opens a new namespace shape with a payload no
+        # template can be compiled from; the sixth compiles that shape
+        payload = _odd(i, collide=i == 3) if i in (3, 5) else _event(i)
+        broker.publish(payload, topic=topic)
+    dark.clear()
+    broker.flush()
+    broker.run_deliveries_until_idle()
+
+    # the converged prototype is not behind the broker: drive it bare
+    source = ConvergedSource(network, "http://entry-converged")
+    if tree:
+        tree_oracle(source)
+    converged = []
+    for name, kwargs in [
+        ("raw", dict(use_raw=True)),
+        ("raw-topic", dict(use_raw=True, topic="entry")),
+        ("wrapped", dict(mode=MODE_WRAP)),
+        ("notify", dict()),
+    ]:
+        consumer = ConvergedConsumer(network, f"http://entry-wsen/{name}")
+        ConvergedSubscriber(network).subscribe(source.epr(), consumer=consumer.epr(), **kwargs)
+        converged.append(consumer)
+    for i, topic in enumerate(["entry", None, "a&b", "entry", "entry"]):
+        source.publish(_odd(i, collide=i == 1) if i in (1, 4) else _event(i), topic=topic)
+    source.flush()
+
+    for sink in sinks:
+        result.received[sink.address] = [
+            (item.action, item.payload.full_text()) for item in sink.received
+        ]
+    for consumer in consumers:
+        result.received[consumer.address] = [
+            (item.topic, item.payload.full_text()) for item in consumer.received
+        ]
+    for consumer in converged:
+        result.received[consumer.address] = [
+            (topic, payload.full_text(), wrapped) for payload, topic, wrapped in consumer.received
+        ]
+    return result
+
+
 def _assert_same_wire(want: RunResult, got: RunResult) -> None:
     assert len(got.wire) == len(want.wire)
     for i, (expected, actual) in enumerate(zip(want.wire, got.wire)):
@@ -209,6 +335,28 @@ class TestFanoutDifferential:
         templated = _run_scenario(oracle_broker, linear=False)
         assert templated.received == tree.received
         assert templated.wire == tree.wire
+
+    def test_every_entry_is_byte_identical_to_the_tree_path(self, oracle_broker, tree_oracle):
+        tree = _run_entries(oracle_broker, tree_oracle, tree=True)
+        assert TEMPLATE_STATS.hits == TEMPLATE_STATS.misses == 0, "the oracle renders trees only"
+        templated = _run_entries(oracle_broker, tree_oracle, tree=False)
+        # not vacuous: every consumer was reached, templates did the rendering,
+        # and the only trees were the 9 + 2 pushes of the payloads that contain
+        # the sentinels and the two wrapped batches of mixed namespace shapes
+        assert all(templated.received.values())
+        assert TEMPLATE_STATS.hits > TEMPLATE_STATS.misses > 0
+        assert TEMPLATE_STATS.fallbacks == 11 + 2
+        assert templated.received == tree.received
+        _assert_same_wire(tree, templated)
+
+    def test_retried_attempts_mint_message_ids_as_the_tree_path_does(
+        self, oracle_broker, tree_oracle
+    ):
+        tree = _run_entries(oracle_broker, tree_oracle, tree=True, composed=True)
+        templated = _run_entries(oracle_broker, tree_oracle, tree=False, composed=True)
+        assert len(templated.wire) > len(_run_entries(oracle_broker, tree_oracle, tree=False).wire)
+        assert templated.received == tree.received
+        _assert_same_wire(tree, templated)
 
     def test_composed_stack_is_byte_identical_to_both_oracles(self, oracle_broker):
         # the cell the in-product forks could never run: the linear path

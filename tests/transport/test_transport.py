@@ -19,6 +19,7 @@ from repro.transport.http import (
     build_response,
     parse_request,
     parse_response,
+    request_head,
 )
 from repro.wsa import EndpointReference
 from repro.xmlkit.element import text_element
@@ -70,6 +71,40 @@ class TestHttpFraming:
 
     def test_error_status_not_ok(self):
         assert not parse_response(build_response(500, b"<f/>")).ok
+
+    def test_request_target_keeps_the_query(self):
+        # RFC 7230 §5.3.1 origin-form is path + "?" + query; a sink at
+        # /in?tenant=a used to be POSTed to /in (the fragment never travels)
+        wire = build_request("http://host/in?tenant=a&x=1#frag", b"<x/>")
+        assert parse_request(wire).path == "/in?tenant=a&x=1"
+        assert parse_request(build_request("http://host/a;v=1", b"")).path == "/a;v=1"
+        assert parse_request(build_request("http://host?q=1", b"")).path == "/?q=1"
+
+    def test_request_head_is_the_one_framing_code(self):
+        head = request_head("http://host/in?tenant=a", "urn:a")
+        for body, lineage in [(b"", None), (b"<x/>", None), (b"<x/>", "01-abc")]:
+            framed = build_request("ignored when a head is given", body, lineage=lineage, head=head)
+            assert framed == build_request(
+                "http://host/in?tenant=a", body, soap_action="urn:a", lineage=lineage
+            )
+        for url, action in [("http://host/a b", ""), ("http://host/\u00e4", ""), ("http://h/", "a\r\nb")]:
+            with pytest.raises(HttpFramingError):
+                request_head(url, action)
+
+    def test_canonical_202_is_recognised_by_equality_only(self):
+        canonical = build_response(202)
+        assert canonical is build_response(202) == build_response(202, b"", "Accepted")
+        assert parse_response(canonical) == parse_response(bytes(bytearray(canonical)))
+        assert parse_response(canonical).headers == {
+            "Content-Type": "text/xml; charset=utf-8", "Content-Length": "0"
+        }
+        # anything that merely resembles it is parsed (and checked) in full
+        with pytest.raises(HttpFramingError):
+            parse_response(canonical.replace(b"Content-Length: 0", b"Content-Length: 7"))
+        assert parse_response(canonical.replace(b"Accepted", b"Fine")).reason == "Fine"
+        response = parse_response(canonical)
+        response.headers["X-Mutated"] = "1"
+        assert "X-Mutated" not in parse_response(canonical).headers
 
     def test_malformed_request(self):
         with pytest.raises(HttpFramingError):

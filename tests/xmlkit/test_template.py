@@ -31,6 +31,28 @@ class TestCompile:
         with pytest.raises(TemplateSlotError):
             ByteTemplate.compile("<a>BBB AAA</a>", [("x", "AAA"), ("y", "BBB")])
 
+    def test_overlapping_sentinels_are_refused_by_name(self):
+        # "S:to" is a prefix of "S:topic": counting substrings used to report
+        # "slot 'to': sentinel occurs 2 times", which reads as a payload
+        # collision — callers fell back to the tree for every send
+        text = "<a><b>S:to</b><c>S:topic</c></a>"
+        with pytest.raises(TemplateSlotError) as refused:
+            ByteTemplate.compile(text, [("to", "S:to"), ("topic", "S:topic")])
+        assert "'topic'" in str(refused.value) and "'to'" in str(refused.value)
+        assert "times" not in str(refused.value)
+        # by name, before the text is looked at: the text need not hold either
+        with pytest.raises(TemplateSlotError, match="contains the sentinel of slot 'x'"):
+            ByteTemplate.compile("", [("x", "AA"), ("y", "zAAz")])
+        # closing every sentinel the same way makes prefixes impossible
+        ByteTemplate.compile("<a><b>S:to.</b><c>S:topic.</c></a>", [("to", "S:to."), ("topic", "S:topic.")])
+
+    def test_renderer_sentinels_do_not_overlap(self):
+        from repro.render import MESSAGE_ID, SUB_ID, TO, TOPIC
+
+        slots = [TO, MESSAGE_ID, TOPIC, SUB_ID]
+        template = ByteTemplate.compile("|".join(sentinel for _, sentinel in slots), slots)
+        assert template.slot_names == ("to", "message_id", "topic", "sub_id")
+
     def test_empty_slot_list(self):
         template = ByteTemplate.compile("<a/>", [])
         assert template.render({}) == "<a/>"
