@@ -13,10 +13,15 @@ broker that is killed after ``crash_at`` publishes and rebuilt from its log
 - every consumer sees the same notifications as the baseline, in the same
   order, payloads strictly byte-identical, topics preserved — no loss from
   the crash, no duplicates from the replay.
+
+The restart reads the log back from a file, behind whatever partial last
+line the case's optional ``torn_tail`` says the crash left on it.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from typing import Optional
 
 from repro.conformance.gen import (
@@ -67,14 +72,15 @@ class DurabilityEngine:
         crash_at = case.get("crash_at")
         if not isinstance(crash_at, int) or not 0 <= crash_at <= len(stream):
             return False
-        return True
+        return isinstance(case.get("torn_tail", ""), str)
 
     def check(self, case: object) -> Optional[str]:
         if not self._valid(case):
             return None
         from repro.delivery import DeliveryPolicy
         from repro.messenger import WsMessenger
-        from repro.store import BrokerStore, MemoryEventLog, recover_broker
+        from repro.store import BrokerStore, FileEventLog, MemoryEventLog
+        from repro.store import recover_broker
         from repro.transport import SimulatedNetwork, VirtualClock
         from repro.wse import EventSink, WseSubscriber
         from repro.wse.versions import WseVersion
@@ -123,7 +129,15 @@ class DurabilityEngine:
         broker.run_deliveries_until_idle()
         live = broker.store.projection(broker)
         broker.close()
-        broker = recover_broker(dur_net, "http://conf-dur", broker.store.log)
+        log = MemoryEventLog()
+        with tempfile.TemporaryDirectory() as workdir:
+            on_disk = FileEventLog(os.path.join(workdir, "broker.log"))
+            on_disk.extend(broker.store.log.segment())
+            on_disk.close()
+            with on_disk.path.open("a", encoding="utf-8") as handle:
+                handle.write(case.get("torn_tail", ""))
+            log.extend(FileEventLog(on_disk.path).segment())
+        broker = recover_broker(dur_net, "http://conf-dur", log)
         broker.run_deliveries_until_idle()
         rebuilt = broker.store.projection(broker)
         if rebuilt != live:

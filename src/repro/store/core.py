@@ -13,15 +13,22 @@ tells the delivery manager which replayed obligations are already
 delivered (suppress), parked (re-park without re-attempting), or dead
 (restore to the DLQ) — which is what makes crash-replay exactly-once.
 
+The commit rule (the log itself only buffers): every append commits at
+once, except the outcomes of the publish in flight, which wait behind its
+already-committed publish record for ``end_publish``'s one write.  So a
+Subscribe, Renew, Remove or Pause acknowledged on the wire is on disk, and
+a retry tick commits per record.
+
 Crash model: a record append and the wire exchange it describes are
-atomic in the simulation; crash points fall *between* operations, never
-inside one.
+atomic in the simulation; crash points fall *between* operations.  A
+process killed *inside* a publish keeps the publish record and loses its
+uncommitted outcomes: replay re-attempts those sinks of that one publish
+(at-least-once within it, exactly-once everywhere else).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from repro.store.log import MemoryEventLog
@@ -57,6 +64,7 @@ class StoreStats:
     """Append/replay accounting (virtual-clock deterministic)."""
 
     appends: int = 0
+    commits: int = 0  #: writes to the log; appends / commits = records per write
     publishes: int = 0
     outcomes: int = 0
     #: replayed tasks skipped because the log had already settled them
@@ -71,7 +79,7 @@ class StoreStats:
     crash_failures: int = 0
 
     def snapshot(self) -> dict:
-        return dataclasses.asdict(self)
+        return asdict(self)
 
 
 class BrokerStore:
@@ -124,10 +132,12 @@ class BrokerStore:
     def _now(self) -> float:
         return self.clock.now() if self.clock is not None else 0.0
 
-    def _append(self, record: Any) -> None:
+    def _append(self, record: Any, *, defer: bool = False) -> None:
         self.log.append(record)
         self.stats.appends += 1
         self._index(record)
+        if not defer:
+            self._commit()
         broker = self.broker
         if broker is not None:
             instr = broker.network.instrumentation
@@ -140,6 +150,12 @@ class BrokerStore:
                         entry=type(record).__name__,
                         length=len(self.log),
                     )
+
+    def _commit(self) -> None:
+        if self.log.commit():
+            self.stats.commits += 1
+            if self.broker is not None:
+                self.broker.network.instrumentation.count("store.log_commits")
 
     # --- wiring ------------------------------------------------------------
 
@@ -244,16 +260,19 @@ class BrokerStore:
         )
 
     def end_publish(self) -> None:
+        """Close the in-flight publish: its buffered outcomes commit."""
         if not self.replaying:
             self.current_message_id = None
+            self._commit()
 
     def stamp_items(self, items: List["DeliveryItem"]) -> List["DeliveryItem"]:
         """Stamp the in-flight publish's message id onto delivery items —
         the idempotency key is born here."""
-        if self.current_message_id is None:
+        message_id = self.current_message_id
+        if message_id is None:
             return items
         return [
-            dataclasses.replace(item, message_id=self.current_message_id)
+            type(item)(item.payload, item.topic, item.lineage, message_id)
             if item.message_id is None
             else item
             for item in items
@@ -271,34 +290,27 @@ class BrokerStore:
         if outcome == "parked" and key in self._parked:
             return
         self._append(
-            OutcomeRecorded(
-                at=self._now(),
-                message_id=message_id,
-                sink=sink,
-                outcome=outcome,
-                reason=reason,
-            )
+            OutcomeRecorded(self._now(), message_id, sink, outcome, reason),
+            # the outbox transaction: outcomes of the live publish in flight
+            # ride its one closing write (replay and retry ticks do not)
+            defer=self.current_message_id is not None and not self.replaying,
         )
         self.stats.outcomes += 1
 
-    def _keyed_items(self, task: "DeliveryTask"):
-        for item in task.items:
+    def _record_outcomes(
+        self, sink: str, items: List["DeliveryItem"], outcome: str, reason: str = ""
+    ) -> None:
+        for item in items:
             if item.message_id is not None:
-                yield item
+                self._record_outcome(item.message_id, sink, outcome, reason)
 
     def task_delivered(self, task: "DeliveryTask") -> None:
-        for item in self._keyed_items(task):
-            self._record_outcome(item.message_id, task.sink, "delivered")
-
-    def task_parked(self, task: "DeliveryTask") -> None:
-        self.items_parked(task, list(self._keyed_items(task)))
+        self._record_outcomes(task.sink, task.items, "delivered")
 
     def items_parked(self, task: "DeliveryTask", items: List["DeliveryItem"]) -> None:
         """Park outcomes for a subset of a task's items (the rest may have
         overflowed the box and been shed instead)."""
-        for item in items:
-            if item.message_id is not None:
-                self._record_outcome(item.message_id, task.sink, "parked")
+        self._record_outcomes(task.sink, items, "parked")
 
     def items_shed(
         self, task: "DeliveryTask", items: List["DeliveryItem"], reason: str
@@ -308,24 +320,16 @@ class BrokerStore:
         Recorded as ``dead`` with a ``shed:`` reason so crash replay treats
         them as settled (a shed message must not resurrect as a fresh wire
         attempt) while the reason keeps the distinction auditable."""
-        for item in items:
-            if item.message_id is not None:
-                self._record_outcome(
-                    item.message_id, task.sink, "dead", f"shed:{reason}"
-                )
+        self._record_outcomes(task.sink, items, "dead", f"shed:{reason}")
 
     def task_dead(self, task: "DeliveryTask", reason: str) -> None:
-        for item in self._keyed_items(task):
-            self._record_outcome(item.message_id, task.sink, "dead", reason)
+        self._record_outcomes(task.sink, task.items, "dead", reason)
 
     def task_replayed(self, task: "DeliveryTask") -> None:
-        for item in self._keyed_items(task):
-            self._record_outcome(item.message_id, task.sink, "replayed")
+        self._record_outcomes(task.sink, task.items, "replayed")
 
     def _box_drained(self, box, batch: List["DeliveryItem"]) -> None:
-        for item in batch:
-            if item.message_id is not None:
-                self._record_outcome(item.message_id, box.sink, "drained")
+        self._record_outcomes(box.sink, batch, "drained")
 
     # --- replay routing (consulted by the delivery manager) ------------------
 
@@ -336,7 +340,11 @@ class BrokerStore:
         item, ``("park", "")`` when the open items were parked pre-crash,
         ``("dead", reason)`` when the task died pre-crash, or None for a
         live re-attempt (the obligation was genuinely in flight)."""
-        keys = [(item.message_id, task.sink) for item in self._keyed_items(task)]
+        keys = [
+            (item.message_id, task.sink)
+            for item in task.items
+            if item.message_id is not None
+        ]
         if not keys:
             return None
         open_keys = [key for key in keys if key not in self._settled]
@@ -354,7 +362,7 @@ class BrokerStore:
         """The items of a "park"-routed task that are still owed a drain."""
         return [
             item
-            for item in self._keyed_items(task)
+            for item in task.items
             if (item.message_id, task.sink) in self._parked
             and (item.message_id, task.sink) not in self._settled
         ]
@@ -398,5 +406,6 @@ class BrokerStore:
             "log_records": len(self.log),
             "settled": len(self._settled),
             "parked_open": len(self._parked),
+            "torn_records": self.log.torn_records,
             "stats": self.stats.snapshot(),
         }

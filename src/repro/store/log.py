@@ -1,84 +1,111 @@
 """Event-log backends: in-memory (default) and deterministic file-backed.
 
-Both store the serialized (dict) form of the typed records in
-:mod:`repro.store.records` and hand typed records back out.  The file
-backend writes one canonical JSON object per line (sorted keys, no
-whitespace) and flushes after every append, so a log file is stable
-across runs under the virtual clock and a crashed process can be
-rebuilt from whatever made it to disk.
+Both hold the typed records of :mod:`repro.store.records` themselves.  The
+serialized (dict) form exists only in ``segment()`` / ``extend()`` — the
+unit a mesh shard hands to its successor instead of draining in-flight
+work — and in the file: one canonical JSON object per line (sorted keys,
+no whitespace, ASCII), stable across runs under the virtual clock.
 
-``segment(start)`` returns serialized records — the unit a mesh shard
-hands to its successor instead of draining in-flight work.
+``append`` buffers; ``commit`` makes everything appended since the last
+commit durable with one ``write`` + ``flush``, in order, and a crashed
+process is rebuilt from the commits that reached the disk.  When to commit
+is the store's decision (the commit rule in :mod:`repro.store.core`).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
-from repro.store.records import record_from_dict
+from repro.store.records import encode_line, record_from_dict
 
 
 class MemoryEventLog:
-    """The default backend: an append-only list of serialized records."""
+    """The default backend: an append-only list of typed records."""
 
-    def __init__(self, entries: Optional[Iterable[Dict[str, Any]]] = None):
-        self._entries: List[Dict[str, Any]] = [dict(e) for e in entries or ()]
+    torn_records = 0  #: lines the open found torn and dropped (file backend)
+
+    def __init__(self) -> None:
+        self._entries: List[Any] = []
+        self._committed = 0  # how many of them a commit has covered
 
     def append(self, record: Any) -> int:
-        """Append one typed record; returns its sequence number."""
-        self._append_entry(record.to_dict())
+        """Buffer one typed record; returns its sequence number."""
+        self._entries.append(record)
         return len(self._entries) - 1
 
-    def _append_entry(self, entry: Dict[str, Any]) -> None:
-        self._entries.append(entry)
+    def commit(self) -> int:
+        """Make the appends since the last commit durable; returns how many."""
+        pending = len(self._entries) - self._committed
+        self._committed = len(self._entries)
+        return pending
 
     def records(self) -> List[Any]:
-        """A typed snapshot of the whole log (appends during iteration
-        over the result are safe)."""
-        return [record_from_dict(entry) for entry in self._entries]
+        """A snapshot of the whole log: safe to iterate while appending."""
+        return list(self._entries)
 
     def segment(self, start: int = 0) -> List[Dict[str, Any]]:
         """Serialized records from ``start`` on — the handoff payload."""
-        return [dict(entry) for entry in self._entries[start:]]
+        return [record.to_dict() for record in self._entries[start:]]
 
     def extend(self, entries: Iterable[Dict[str, Any]]) -> None:
         """Splice a serialized segment (e.g. a shard handoff) onto the log."""
-        for entry in entries:
-            self._append_entry(dict(entry))
+        self._entries.extend(map(record_from_dict, entries))
+        self.commit()
 
     def close(self) -> None:
-        pass
+        self.commit()
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
 class FileEventLog(MemoryEventLog):
-    """JSON-lines log file; loads existing records on open, appends with
-    a flush per record so every acknowledged append survives a crash."""
+    """JSON-lines log file: loads existing records on open, writes each
+    commit at once.  A last line left unterminated or unparsable by a crash
+    inside a write is dropped on open (file truncated to the last good
+    newline, ``torn_records`` counts it); any other bad line raises."""
 
     def __init__(self, path):
+        super().__init__()
         self.path = Path(path)
-        entries: List[Dict[str, Any]] = []
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    entries.append(json.loads(line))
-        super().__init__(entries)
         self._handle = None
+        if self.path.exists():
+            self._load()
 
-    def _append_entry(self, entry: Dict[str, Any]) -> None:
-        super()._append_entry(entry)
-        if self._handle is None:
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(
-            json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-        self._handle.flush()
+    def _load(self) -> None:
+        data = self.path.read_bytes()
+        *lines, torn = data.split(b"\n")  # torn: whatever no newline ended
+        good = 0
+        for number, line in enumerate(lines, 1):
+            try:
+                if line.strip():
+                    self._entries.append(record_from_dict(json.loads(line)))
+            except (ValueError, TypeError) as exc:
+                if torn or number < len(lines):
+                    raise ValueError(
+                        f"{self.path}:{number}: unparsable log record: {exc}"
+                    ) from exc
+                break  # a garbled last line is a torn write as well
+            good += len(line) + 1
+        self._committed = len(self._entries)
+        if good < len(data):
+            self.torn_records = 1
+            os.truncate(self.path, good)
+
+    def commit(self) -> int:
+        pending = self._entries[self._committed :]
+        if pending:
+            if self._handle is None:
+                self._handle = self.path.open("a", encoding="ascii")
+            self._handle.write("".join(map(encode_line, pending)))
+            self._handle.flush()
+        return super().commit()
 
     def close(self) -> None:
+        super().close()
         if self._handle is not None:
             self._handle.close()
             self._handle = None

@@ -1,9 +1,10 @@
 """Typed log records — the durable vocabulary of the broker.
 
 Every record is a frozen dataclass with a ``kind`` tag and a flat,
-JSON-serializable ``to_dict`` form; :func:`record_from_dict` is the
-inverse.  Timestamps are virtual-clock seconds, so a log replayed under
-the same clock is bit-for-bit deterministic.
+JSON-serializable ``to_dict`` form (:func:`record_from_dict` is the
+inverse; :func:`encode_line` writes it as a log-file line).  Timestamps are
+virtual-clock seconds, so a log replayed under the same clock is
+bit-for-bit deterministic.
 
 The records fall into three groups:
 
@@ -22,7 +23,8 @@ The records fall into three groups:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Optional, Type
+from json.encoder import encode_basestring_ascii
+from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 #: outcome states a delivery obligation can settle into.  ``delivered``,
 #: ``dead`` and ``drained`` are terminal; ``parked`` is an open obligation
@@ -34,8 +36,17 @@ OUTCOMES = frozenset(
 )
 
 
+class _Record:
+    """What every record shares: a ``kind`` tag and a flat dict form."""
+
+    kind: ClassVar[str]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {**self.__dict__, "kind": self.kind}
+
+
 @dataclass(frozen=True)
-class SubscribeRecorded:
+class SubscribeRecorded(_Record):
     """A granted Subscribe: wire bytes plus the identifier it minted."""
 
     kind: ClassVar[str] = "subscribe"
@@ -47,12 +58,9 @@ class SubscribeRecorded:
     wire: str  # the original Subscribe envelope, serialized
     expires: Optional[float]  # granted *absolute* expiry (virtual seconds)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _to_dict(self)
-
 
 @dataclass(frozen=True)
-class RenewRecorded:
+class RenewRecorded(_Record):
     """A granted Renew / SetTerminationTime: new absolute expiry."""
 
     kind: ClassVar[str] = "renew"
@@ -62,12 +70,9 @@ class RenewRecorded:
     sub_id: str
     expires: Optional[float]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _to_dict(self)
-
 
 @dataclass(frozen=True)
-class RemoveRecorded:
+class RemoveRecorded(_Record):
     """A subscription leaving the store: unsubscribe, destroy or expiry."""
 
     kind: ClassVar[str] = "remove"
@@ -77,12 +82,9 @@ class RemoveRecorded:
     sub_id: str
     reason: str = ""
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _to_dict(self)
-
 
 @dataclass(frozen=True)
-class PauseRecorded:
+class PauseRecorded(_Record):
     """A WSN subscription paused (``paused=True``) or resumed."""
 
     kind: ClassVar[str] = "pause"
@@ -91,12 +93,9 @@ class PauseRecorded:
     sub_id: str
     paused: bool
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _to_dict(self)
-
 
 @dataclass(frozen=True)
-class PullDrainRecorded:
+class PullDrainRecorded(_Record):
     """A pull-mode WSE subscription drained ``count`` queued messages."""
 
     kind: ClassVar[str] = "pull_drain"
@@ -105,12 +104,9 @@ class PullDrainRecorded:
     sub_id: str
     count: int
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _to_dict(self)
-
 
 @dataclass(frozen=True)
-class PublishRecorded:
+class PublishRecorded(_Record):
     """The transactional outbox entry: appended before any fan-out."""
 
     kind: ClassVar[str] = "publish"
@@ -120,12 +116,9 @@ class PublishRecorded:
     payload: str  # serialized event XML
     lineage: Optional[str]  # encoded LineageContext, if instrumented
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _to_dict(self)
-
 
 @dataclass(frozen=True)
-class OutcomeRecorded:
+class OutcomeRecorded(_Record):
     """A delivery obligation settling; key = ``(message_id, sink)``."""
 
     kind: ClassVar[str] = "outcome"
@@ -135,31 +128,45 @@ class OutcomeRecorded:
     outcome: str  # one of OUTCOMES
     reason: str = ""
 
-    def to_dict(self) -> Dict[str, Any]:
-        return _to_dict(self)
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-_RECORD_TYPES: Dict[str, Type[Any]] = {
-    cls.kind: cls
-    for cls in (
-        SubscribeRecorded,
-        RenewRecorded,
-        RemoveRecorded,
-        PauseRecorded,
-        PullDrainRecorded,
-        PublishRecorded,
-        OutcomeRecorded,
-    )
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)  # json.dumps' spellings
+
+
+#: JSON text of each scalar a record field can hold, by exact type
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    float: _float_text,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
 }
 
+_RECORD_TYPES = {cls.kind: cls for cls in _Record.__subclasses__()}
 
-def _to_dict(record: Any) -> Dict[str, Any]:
-    # every record is a flat dataclass of scalars; a __dict__ copy is ~5x
-    # cheaper than dataclasses.asdict's recursive walk, and outcomes are
-    # appended once per (message, sink) — this is the outbox's hot path
-    doc = dict(record.__dict__)
-    doc["kind"] = record.kind
-    return doc
+
+def _line_layout(cls: Type[Any]) -> Tuple[str, Tuple[str, ...]]:
+    """A record's log line as a ``%`` template — keys sorted, the constant
+    ``kind`` written in — and the field names its slots take, in order."""
+    names = sorted([*(field.name for field in fields(cls)), "kind"])
+    slots = [f'"kind":"{cls.kind}"' if n == "kind" else f'"{n}":%s' for n in names]
+    return "{" + ",".join(slots) + "}\n", tuple(n for n in names if n != "kind")
+
+
+_LINE_LAYOUTS = {cls: _line_layout(cls) for cls in _RECORD_TYPES.values()}
+
+
+def encode_line(record: Any) -> str:
+    """One log-file line for ``record``: byte for byte what
+    ``json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))``
+    plus a newline gives (ASCII only), without building the dict."""
+    template, names = _LINE_LAYOUTS[type(record)]
+    doc = record.__dict__
+    return template % tuple([_SCALAR_TEXT[type(doc[n])](doc[n]) for n in names])
 
 
 def record_from_dict(doc: Dict[str, Any]) -> Any:
@@ -168,5 +175,5 @@ def record_from_dict(doc: Dict[str, Any]) -> Any:
     cls = _RECORD_TYPES.get(kind)  # type: ignore[arg-type]
     if cls is None:
         raise ValueError(f"unknown log record kind {kind!r}")
-    names = {field.name for field in fields(cls)}
+    names = _LINE_LAYOUTS[cls][1]
     return cls(**{key: value for key, value in doc.items() if key in names})

@@ -6,9 +6,11 @@ interleaving of lifecycle and publish records is exactly what makes the
 rebuilt projections (subscription stores, topic indexes, pull queues,
 message boxes, DLQ) converge on the pre-crash state:
 
-* ``subscribe`` records re-post the original wire bytes with the
-  subscription identifier pinned (``SubscriptionManager.forced_id``), so the
-  manager EPRs clients hold — which embed the id — stay valid; the
+* ``subscribe`` records hand the original wire bytes to the broker's own
+  front door (in-process: the network's loss model has no say in a
+  restart) with the subscription identifier pinned
+  (``SubscriptionManager.forced_id``), so the manager EPRs clients hold —
+  which embed the id — stay valid; the
   *granted absolute expiry* is then forced back, so a replay at a later
   virtual time never silently extends a lease (and an already-expired
   subscription replays as expired);
@@ -129,7 +131,8 @@ def _replay_subscribe(broker, store, record: SubscribeRecorded) -> None:
     )
     manager.forced_id = record.sub_id
     try:
-        response = parse_response(broker.network.send_request(broker.address, wire))
+        # in-process, not network.send_request: no loss model on a restart
+        response = parse_response(broker.endpoint._handle_wire(wire))
     finally:
         manager.forced_id = None
     if response.ok:

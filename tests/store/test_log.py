@@ -8,12 +8,57 @@ from repro.store import (
     FileEventLog,
     MemoryEventLog,
     OutcomeRecorded,
+    PauseRecorded,
     PublishRecorded,
+    PullDrainRecorded,
     RemoveRecorded,
     RenewRecorded,
     SubscribeRecorded,
     record_from_dict,
 )
+from repro.store.records import encode_line
+
+
+def reference_line(record):
+    """The line format, as the retired per-record ``json.dumps`` wrote it."""
+    return json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+#: strings a line-oriented, ASCII-only JSON writer has to get right: the two
+#: JSON escapes, every C0 control, the separators ``str.splitlines`` splits
+#: on beyond ``\n`` (U+0085, U+2028), and a character outside the BMP
+HOSTILE_TEXT = (
+    'quote " backslash \\ '
+    + "".join(map(chr, range(0x20)))
+    + " nel \x85 ls \u2028 ps \u2029 astral \U0001f680 del \x7f"
+)
+HOSTILE_FLOATS = (1e22, 5e-324, -0.0, 0.1 + 0.2, 1.0, 123456789.125, float("inf"))
+
+
+def hostile_records():
+    """All seven record types, every field holding something awkward."""
+    text = HOSTILE_TEXT
+    records = [
+        SubscribeRecorded(
+            at=0.1 + 0.2, family=text, tag="v1_3", sub_id=text, action=text,
+            wire=text * 3, expires=None,
+        ),
+        RemoveRecorded(at=3, family="wsn", tag=text, sub_id=text),
+        RemoveRecorded(at=3.5, family="wsn", tag="t", sub_id="s", reason=text),
+        PauseRecorded(at=1.0, tag=text, sub_id=text, paused=True),
+        PauseRecorded(at=1.0, tag="t", sub_id="s", paused=False),
+        PullDrainRecorded(at=2.0, tag=text, sub_id=text, count=0),
+        PullDrainRecorded(at=2.0, tag="t", sub_id="s", count=10**20),
+        PublishRecorded(at=4.0, message_id=text, topic=None, payload=text, lineage=None),
+        PublishRecorded(at=4.0, message_id="m", topic=text, payload="", lineage=text),
+        OutcomeRecorded(at=5.0, message_id=text, sink=text, outcome="dead", reason=text),
+    ]
+    for value in HOSTILE_FLOATS:
+        records.append(
+            RenewRecorded(at=value, family="wse", tag="t", sub_id="s", expires=-value)
+        )
+        records.append(OutcomeRecorded(at=value, message_id="m", sink="s", outcome="parked"))
+    return records
 
 
 class TestRecords:
@@ -106,3 +151,102 @@ class TestFileEventLog:
         final = FileEventLog(str(path))
         assert [r.message_id for r in final.records()] == ["msg-1", "msg-2"]
         final.close()
+
+
+class TestLineEncoder:
+    """The hand-framed line against the ``json.dumps`` it replaced."""
+
+    def test_covers_every_record_type(self):
+        from repro.store.records import _RECORD_TYPES
+
+        assert {type(r) for r in hostile_records()} == set(_RECORD_TYPES.values())
+        assert len(_RECORD_TYPES) == 7
+
+    @pytest.mark.parametrize("record", hostile_records(), ids=lambda r: r.kind)
+    def test_byte_identical_to_json_dumps(self, record):
+        line = encode_line(record)
+        assert line == reference_line(record)
+        assert line.isascii() and line.endswith("\n")
+        assert len(line.splitlines()) == 1  # the reader splits on lines
+        assert record_from_dict(json.loads(line)) == record
+
+    def test_non_finite_floats_spelled_as_json_dumps_spells_them(self):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            record = RenewRecorded(at=value, family="f", tag="t", sub_id="s", expires=value)
+            assert encode_line(record) == reference_line(record)
+
+    def test_close_reopen_round_trip(self, tmp_path):
+        path = tmp_path / "hostile.log"
+        records = hostile_records()
+        log = FileEventLog(path)
+        for record in records:
+            log.append(record)
+        log.close()
+        assert path.read_bytes() == "".join(map(reference_line, records)).encode("ascii")
+        reopened = FileEventLog(path)
+        assert reopened.records() == records
+        assert reopened.torn_records == 0
+        reopened.close()
+
+
+class TestCommit:
+    def test_append_buffers_until_commit(self, tmp_path):
+        path = tmp_path / "broker.log"
+        log = FileEventLog(path)
+        records = [
+            OutcomeRecorded(at=float(n), message_id="msg-1", sink=f"s{n}", outcome="delivered")
+            for n in range(3)
+        ]
+        for record in records:
+            log.append(record)
+        assert len(log) == 3 and log.records() == records  # the log has them
+        assert not path.exists()  # the disk does not, yet
+        assert log.commit() == 3
+        assert path.read_text() == "".join(map(reference_line, records))
+        assert log.commit() == 0  # nothing pending: nothing written
+        log.close()
+
+    def test_memory_log_counts_commits_the_same_way(self):
+        log = MemoryEventLog()
+        log.append(OutcomeRecorded(at=1.0, message_id="m", sink="s", outcome="parked"))
+        log.append(OutcomeRecorded(at=2.0, message_id="m", sink="s", outcome="drained"))
+        assert log.commit() == 2
+        assert log.commit() == 0
+
+    def test_extend_and_close_commit(self, tmp_path):
+        source = MemoryEventLog()
+        source.append(OutcomeRecorded(at=1.0, message_id="m", sink="s", outcome="parked"))
+        log = FileEventLog(tmp_path / "handoff.log")
+        log.extend(source.segment())
+        assert len(log.path.read_text().splitlines()) == 1
+        log.append(OutcomeRecorded(at=2.0, message_id="m", sink="s", outcome="drained"))
+        log.close()
+        assert len(log.path.read_text().splitlines()) == 2
+
+
+class TestTornTail:
+    """A batched write cut short by a crash: open drops the partial line."""
+
+    def test_unparsable_line_before_the_last_names_path_and_line(self, tmp_path):
+        path = tmp_path / "corrupt.log"
+        good = reference_line(OutcomeRecorded(at=1.0, message_id="m", sink="s", outcome="parked"))
+        path.write_text(good + "{not json}\n" + good)
+        with pytest.raises(ValueError, match=r"corrupt\.log:2: unparsable log record"):
+            FileEventLog(path)
+        # ... also when what follows it is itself a torn tail
+        path.write_text(good + "{not json}\n" + good[:10])
+        with pytest.raises(ValueError, match=r"corrupt\.log:2:"):
+            FileEventLog(path)
+        # ... and a line that is JSON but no record is as unparsable
+        path.write_text('{"kind":"nonsense"}\n' + good)
+        with pytest.raises(ValueError, match=r"corrupt\.log:1:.*nonsense"):
+            FileEventLog(path)
+        assert path.read_text() == '{"kind":"nonsense"}\n' + good  # left as found
+
+    def test_garbled_terminated_last_line_is_dropped_too(self, tmp_path):
+        path = tmp_path / "garbled.log"
+        good = reference_line(OutcomeRecorded(at=1.0, message_id="m", sink="s", outcome="parked"))
+        path.write_text(good + good[:20] + "\n")
+        log = FileEventLog(path)
+        assert len(log) == 1 and log.torn_records == 1
+        assert path.read_text() == good

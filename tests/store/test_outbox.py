@@ -71,6 +71,28 @@ class TestOutbox:
         }
         assert len(outcomes) == 2  # idempotent: exactly one per (message, sink)
 
+    def test_stamping_keeps_every_other_field(self, store):
+        """``stamp_items`` builds the stamped item itself; this is the
+        ``dataclasses.replace`` it stands in for, field for field (a field
+        added to ``DeliveryItem`` has to be carried there too)."""
+        import dataclasses
+
+        from repro.delivery import DeliveryItem
+        from repro.obs.propagation import LineageContext
+
+        assert [f.name for f in dataclasses.fields(DeliveryItem)] == [
+            "payload", "topic", "lineage", "message_id",
+        ]
+        lineage = LineageContext(lineage_id="lin-1", parent_span=2, hop=3)
+        fresh = DeliveryItem(event(), topic="ob", lineage=lineage)
+        stamped_before = DeliveryItem(event(), topic="ob", message_id="msg-0")
+        assert store.stamp_items([fresh]) == [fresh]  # no publish in flight
+        store.current_message_id = "msg-7"
+        stamped, kept = store.stamp_items([fresh, stamped_before])
+        assert stamped == dataclasses.replace(fresh, message_id="msg-7")
+        assert stamped.payload is fresh.payload and stamped.lineage is lineage
+        assert kept is stamped_before
+
     def test_duplicate_terminal_outcome_suppressed(self, store):
         store._record_outcome("msg-1", "http://s", "delivered")
         store._record_outcome("msg-1", "http://s", "delivered")

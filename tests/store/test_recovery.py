@@ -208,6 +208,46 @@ class TestObligationRecovery:
         assert result.failed == 1
 
 
+class TestRecoveryOffTheWire:
+    def test_recovery_does_not_ride_the_loss_model(self):
+        """A restart is in-process: with nine requests in ten lost on the
+        wire, every logged Subscribe still replays, ids and expiries as
+        recorded (it used to re-post them through ``send_request``, where
+        one ``MessageLost`` aborted the whole recovery)."""
+        network = SimulatedNetwork(VirtualClock(), seed=7)
+        broker = _broker(network)
+        wse, wsn = WseSubscriber(network), WsnSubscriber(network)
+        keys = []
+        for index in range(20):
+            if index % 2:
+                sink = EventSink(network, f"http://rc-sink-{index}")
+                wse_handle = wse.subscribe(
+                    broker.epr(), notify_to=sink.epr(), expires=f"PT{index + 1}H"
+                )
+                keys.append(f"wse:v2004_08:{wse_handle.sub_id}")
+            else:
+                consumer = NotificationConsumer(network, f"http://rc-consumer-{index}")
+                handle = wsn.subscribe(broker.epr(), consumer.epr(), topic="rc")
+                keys.append(f"wsn:v1_3:{handle.sub_id}")
+        wse.renew(wse_handle, "PT90M")
+        projection = broker.store.projection(broker)
+        expected = {key: projection["subscriptions"][key]["expires"] for key in keys}
+        assert len(set(expected.values())) > 5
+        broker.close()
+        requests = network.stats.requests
+        network.loss_rate = 0.9
+        recovered = _recover(network, broker.store.log)
+        network.loss_rate = 0.0
+        assert recovered.store.stats.recovered_subscriptions == 20
+        rebuilt = recovered.store.projection(recovered)
+        assert rebuilt == projection
+        assert {k: v["expires"] for k, v in rebuilt["subscriptions"].items()} == expected
+        # nothing went over the wire, lost or not
+        assert (network.stats.requests, network.stats.lost) == (requests, 0)
+        # and the manager EPRs minted before the crash still reach it
+        wse.renew(wse_handle, "PT3H")
+
+
 class TestFileBackedRecovery:
     def test_fresh_process_recovery_from_disk(self, network, tmp_path):
         path = tmp_path / "broker.log"
