@@ -25,8 +25,8 @@ Timing methodology (the ratio is the contract, so it must be noise-proof):
 
 The benchmark also exercises the report end-to-end (connected span tree,
 per-family counters, deterministic JSON), and embeds the *deterministic*
-telemetry evidence — queue-depth/lag gauge series and phase counts from
-the scripted ``obs-health`` minute — in ``BENCH_observability.json``.
+telemetry evidence — queue-depth/lag gauge series from the scripted
+``obs-health`` minute — in ``BENCH_observability.json``.
 """
 
 from __future__ import annotations
@@ -189,7 +189,6 @@ def test_gauge_series_from_the_health_minute():
         "interval_seconds": SAMPLE_INTERVAL,
         "series": series,
     }
-    _results["phase_counts"] = health["phases"]["counts"]
     _results["health_anomalies"] = health["anomalies"]
 
 
@@ -213,7 +212,6 @@ def test_write_overhead_report():
         "metric_series": _results["metric_series"],
         "delivery_latency": _results["delivery_latency"],
         "gauges": _results["gauges"],
-        "phase_counts": _results["phase_counts"],
         "health_anomalies": _results["health_anomalies"],
     }
     write_artifact(RESULT_FILE, document)
@@ -239,7 +237,6 @@ def test_schema_matches_committed_artifact():
         "metric_series",
         "delivery_latency",
         "gauges",
-        "phase_counts",
         "health_anomalies",
         "schema_version",
     }

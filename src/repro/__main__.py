@@ -14,8 +14,8 @@ column.  Subcommands:
   virtual clock, and report the anomaly probes: queue growth, breaker
   flaps, stale batch timers, conservation drift (see
   :mod:`repro.obs.health`);
-- ``obs-top [--timings]`` — same scenario, rendered as a ``top``-style
-  snapshot: flight-recorder tail, non-zero backlogs, phase counts;
+- ``obs-top`` — same scenario, rendered as a ``top``-style snapshot:
+  flight-recorder tail, non-zero backlogs;
 - ``conformance --seed N --cases M`` — deterministic wire-fidelity fuzzing
   of the codec, framing, lifecycle, mediation, and mesh layers
   (see :mod:`repro.conformance`); exit 1 on any failure;

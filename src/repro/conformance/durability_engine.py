@@ -15,7 +15,10 @@ broker that is killed after ``crash_at`` publishes and rebuilt from its log
   the crash, no duplicates from the replay.
 
 The restart reads the log back from a file, behind whatever partial last
-line the case's optional ``torn_tail`` says the crash left on it.
+line the case's optional ``torn_tail`` says the crash left on it.  A case
+with ``sink_queue`` runs both brokers with that adaptive-QoS queue bound and
+keeps every consumer dark until the crash point, so the crash lands on shed
+and dead-lettered obligations instead of delivered ones.
 """
 
 from __future__ import annotations
@@ -72,6 +75,9 @@ class DurabilityEngine:
         crash_at = case.get("crash_at")
         if not isinstance(crash_at, int) or not 0 <= crash_at <= len(stream):
             return False
+        sink_queue = case.get("sink_queue", 1)
+        if not isinstance(sink_queue, int) or sink_queue < 1:
+            return False
         return isinstance(case.get("torn_tail", ""), str)
 
     def check(self, case: object) -> Optional[str]:
@@ -79,9 +85,10 @@ class DurabilityEngine:
             return None
         from repro.delivery import DeliveryPolicy
         from repro.messenger import WsMessenger
+        from repro.qos import AdaptiveQosPolicy
         from repro.store import BrokerStore, FileEventLog, MemoryEventLog
         from repro.store import recover_broker
-        from repro.transport import SimulatedNetwork, VirtualClock
+        from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
         from repro.wse import EventSink, WseSubscriber
         from repro.wse.versions import WseVersion
         from repro.wsn import NotificationConsumer, WsnSubscriber
@@ -94,21 +101,37 @@ class DurabilityEngine:
         versions = dict(
             wse_versions=[WseVersion.V2004_08], wsn_versions=[WsnVersion.V1_3]
         )
-
-        # --- the uninterrupted baseline --------------------------------------
         # a store implies a delivery pipeline, so the baseline gets the same
         # policy — the differential must isolate the crash, not the pipeline
+        dark = "sink_queue" in case
+        if dark:
+            pipeline = {
+                "delivery": DeliveryPolicy(max_attempts=3, base_backoff=5.0, jitter=0.0),
+                "qos": AdaptiveQosPolicy(max_sink_queue=case["sink_queue"]),
+            }
+        else:
+            pipeline = {"delivery": DeliveryPolicy()}
+
+        def outage(address: str, request: bytes) -> None:
+            if address.endswith(("-sink", "-consumer")):
+                raise MessageLost(address)
+
+        # --- the uninterrupted baseline --------------------------------------
         base_net = SimulatedNetwork(VirtualClock())
-        baseline = WsMessenger(
-            base_net, "http://conf-dur-base", delivery=DeliveryPolicy(), **versions
-        )
+        baseline = WsMessenger(base_net, "http://conf-dur-base", **pipeline, **versions)
         base_sink = EventSink(base_net, "http://conf-dur-base-sink")
         WseSubscriber(base_net).subscribe(baseline.epr(), notify_to=base_sink.epr())
         base_consumer = NotificationConsumer(base_net, "http://conf-dur-base-consumer")
         WsnSubscriber(base_net).subscribe(
             baseline.epr(), base_consumer.epr(), topic=watch
         )
-        for item, payload in zip(stream, originals):
+        if dark:
+            base_net.observers.append(outage)
+        for item, payload in zip(stream[:crash_at], originals[:crash_at]):
+            baseline.publish(payload.copy(), topic=item["topic"])
+        baseline.run_deliveries_until_idle()
+        base_net.observers.clear()
+        for item, payload in zip(stream[crash_at:], originals[crash_at:]):
             baseline.publish(payload.copy(), topic=item["topic"])
         baseline.run_deliveries_until_idle()
 
@@ -118,15 +141,19 @@ class DurabilityEngine:
             dur_net,
             "http://conf-dur",
             store=BrokerStore(MemoryEventLog()),
+            **pipeline,
             **versions,
         )
         dur_sink = EventSink(dur_net, "http://conf-dur-sink")
         WseSubscriber(dur_net).subscribe(broker.epr(), notify_to=dur_sink.epr())
         dur_consumer = NotificationConsumer(dur_net, "http://conf-dur-consumer")
         WsnSubscriber(dur_net).subscribe(broker.epr(), dur_consumer.epr(), topic=watch)
+        if dark:
+            dur_net.observers.append(outage)
         for item, payload in zip(stream[:crash_at], originals[:crash_at]):
             broker.publish(payload.copy(), topic=item["topic"])
         broker.run_deliveries_until_idle()
+        dur_net.observers.clear()
         live = broker.store.projection(broker)
         broker.close()
         log = MemoryEventLog()
@@ -137,7 +164,7 @@ class DurabilityEngine:
             with on_disk.path.open("a", encoding="utf-8") as handle:
                 handle.write(case.get("torn_tail", ""))
             log.extend(FileEventLog(on_disk.path).segment())
-        broker = recover_broker(dur_net, "http://conf-dur", log)
+        broker = recover_broker(dur_net, "http://conf-dur", log, **pipeline)
         broker.run_deliveries_until_idle()
         rebuilt = broker.store.projection(broker)
         if rebuilt != live:

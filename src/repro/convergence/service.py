@@ -302,7 +302,6 @@ class ConvergedSource(SubscriptionService):
             self._send_entries,
             (subscription, entries),
             [DeliveryItem(payload, topic, lineage=lineage) for payload, topic in entries],
-            describe=f"notify {subscription.key}",
             on_failed=self._end_after_failure,
         )
 
@@ -329,7 +328,7 @@ class ConvergedSource(SubscriptionService):
         body.append(text_element(_q("Identifier"), subscription.key))
         body.append(text_element(_q("Reason"), text.format(detail=detail)))
         self._send_end_notice(
-            subscription, subscription.end_to, _action("SubscriptionEnd"), body, "subscription_end"
+            subscription.end_to, _action("SubscriptionEnd"), body, "subscription_end"
         )
 
 

@@ -28,24 +28,52 @@ asserts its artifact is byte-identical across runs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from repro.delivery.breaker import BreakerState, CircuitBreaker
 from repro.delivery.dlq import DeadLetterQueue
 from repro.delivery.policy import DeliveryPolicy
 from repro.delivery.task import DeliveryItem, DeliveryTask, TaskStatus
 from repro.obs.instrument import BoundCounters
+from repro.soap.fault import SoapFault
 from repro.transport.clock import ClockScheduler
 from repro.transport.network import FirewallBlocked, NetworkError, SimulatedNetwork
 from repro.util.rng import SeededRng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.delivery.messagebox import MessageBoxRegistry
+    from repro.delivery.messagebox import MessageBox, MessageBoxRegistry
     from repro.qos.adaptive import AdaptiveQosController
     from repro.store.core import BrokerStore
 
-from repro.soap.fault import SoapFault
+
+class Closing(NamedTuple):
+    """One row of the closing table: what each book writes when items of a
+    task leave the queue this way."""
+
+    status: str  #: the ``TaskStatus`` the task takes
+    stat: str  #: the ``DeliveryStats`` field that moves ...
+    per_item: bool  #: ... by the number of items closed (else by one: the task)
+    counter: str  #: the obs counter that moves with it (``family``, + ``reason`` if any)
+    ledger: str  #: the lineage-ledger state each item takes
+    store: str  #: the ``BrokerStore`` entry point that logs each item's outcome
+
+
+#: How an obligation leaves the pipeline: the one table ``DeliveryManager._close``
+#: reads, so every book says the same thing.  (A pull drain later finishes a
+#: ``parked`` row, item by item: ``DeliveryManager.drained``.)
+CLOSING: dict[str, Closing] = {
+    "delivered": Closing(
+        TaskStatus.DELIVERED, "delivered", False, "delivery.delivered", "delivered", "task_delivered"
+    ),
+    "parked": Closing(
+        TaskStatus.PARKED, "parked", True, "delivery.parked", "pending_pull", "items_parked"
+    ),
+    "shed": Closing(TaskStatus.SHED, "shed", True, "qos.shed_total", "shed", "items_shed"),
+    "dead_lettered": Closing(
+        TaskStatus.DEAD, "dead_lettered", False, "delivery.dead_lettered", "dead_lettered", "task_dead"
+    ),
+}
 
 
 @dataclass
@@ -72,21 +100,7 @@ class DeliveryStats:
     throttled: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "batched": self.batched,
-            "delivered": self.delivered,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "failed_attempts": self.failed_attempts,
-            "parked": self.parked,
-            "dead_lettered": self.dead_lettered,
-            "replayed": self.replayed,
-            "expired": self.expired,
-            "breaker_fast_fails": self.breaker_fast_fails,
-            "shed": self.shed,
-            "throttled": self.throttled,
-        }
+        return asdict(self)
 
 
 class DeliveryManager:
@@ -110,6 +124,8 @@ class DeliveryManager:
         self.rng = SeededRng(seed).fork("delivery.backoff")
         self.dlq = DeadLetterQueue()
         self.message_boxes = message_boxes
+        if message_boxes is not None:
+            message_boxes.on_drained = self.drained
         #: adaptive QoS controller: bounded queues, DiscardPolicy shedding
         #: and token-bucket pacing (None = the historical unbounded pipeline)
         self.qos = qos
@@ -125,10 +141,8 @@ class DeliveryManager:
         self._queues: dict[str, deque[DeliveryTask]] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._wakeups: dict[str, float] = {}
-        #: pre-bound per-family counters/histograms for the attempt loop
-        self._bound_counters = BoundCounters()
-        self._lag_instr = None
-        self._lag_histograms: dict[str, object] = {}
+        #: pre-bound per-family counters and the queue-lag histogram
+        self._bound = BoundCounters()
 
     # --- intake ------------------------------------------------------------
 
@@ -137,19 +151,16 @@ class DeliveryManager:
         sink: str,
         send: Callable[[], None],
         *,
-        items: Optional[list[DeliveryItem]] = None,
+        items: Sequence[DeliveryItem] = (),
         family: str = "",
-        describe: str = "",
         priority: int = 0,
-        on_delivered: Optional[Callable[[DeliveryTask], None]] = None,
-        on_dead: Optional[Callable[[DeliveryTask, str], None]] = None,
     ) -> DeliveryTask:
         """Queue one message for ``sink``; attempts immediately when the
         sink's queue is empty (the healthy-network fast path)."""
         instr = self.network.instrumentation
-        item_list = list(items or [])
-        if self.store is not None:
-            item_list = self.store.stamp_items(item_list)
+        store = self.store
+        # the task's own list, made once (the store stamps as it copies)
+        item_list = store.stamp_items(items) if store is not None else list(items)
         lineage = next(
             (item.lineage for item in item_list if item.lineage is not None), None
         )
@@ -158,31 +169,21 @@ class DeliveryManager:
             send=send,
             items=item_list,
             family=family,
-            describe=describe,
             # itemless control traffic still resumes under the span that
             # submitted it (e.g. a SubscriptionEnd inside a publish)
             lineage=lineage if lineage is not None else instr.trace_context(),
             enqueued_at=self.clock.now(),
             priority=priority,
-            on_delivered=on_delivered,
-            on_dead=on_dead,
         )
-        if self.store is not None and self.store.replaying:
-            resolution = self.store.resolve_replay(task)
+        if store is not None and store.replaying:
+            resolution = store.resolve_replay(task)
             if resolution is not None:
                 return self._apply_replay_resolution(task, resolution)
         self.stats.submitted += 1
         if len(item_list) > 1:
             self.stats.batched += 1
-        submitted_counter = self._bound_counters.probe(
-            instr, "submitted:" + family
-        )
-        if submitted_counter is None:
-            submitted_counter = self._bound_counters.get(
-                instr, "submitted:" + family, "delivery.submitted", family=family
-            )
-        submitted_counter.inc()
-        self._record_items(task, "enqueued", sink=sink, family=family)
+        self._bound.inc(instr, 1, "delivery.submitted", "family", family)
+        self._ledger(item_list, "enqueued", sink=sink, family=family)
         self._enqueue(task)
         self._notify_backlog()
         return task
@@ -196,7 +197,7 @@ class DeliveryManager:
         task.enqueued_at = self.clock.now()
         self.stats.replayed += 1
         self.network.instrumentation.count("delivery.replayed", family=task.family)
-        self._record_items(task, "replayed", sink=task.sink)
+        self._ledger(task.items, "replayed", sink=task.sink)
         if self.store is not None:
             self.store.task_replayed(task)
         self._enqueue(task)
@@ -226,22 +227,22 @@ class DeliveryManager:
             task.last_error = reason
             self.dlq.add(task, reason, self.clock.now())
             store.stats.redead += 1
+        elif verdict == "shed":  # a QoS decision, settled for good: not a dead letter
+            task.status = TaskStatus.SHED
+            task.last_error = reason
+            store.stats.suppressed += 1
         else:  # "suppress": every item already delivered or drained
             task.status = TaskStatus.DELIVERED
             store.stats.suppressed += 1
         return task
 
-    def _record_items(self, task: DeliveryTask, state: str, **detail) -> None:
-        """Ledger one transition for every lineage-bearing item of a task."""
-        self._record_item_subset(task.items, state, **detail)
-
-    def _record_item_subset(self, items, state: str, **detail) -> None:
+    def _ledger(self, items: Sequence[DeliveryItem], state: str, **detail) -> None:
+        """Ledger one transition for every lineage-bearing item."""
         instr = self.network.instrumentation
-        if not instr.enabled:
-            return
-        for item in items:
-            if item.lineage is not None:
-                instr.lineage_event(item.lineage.lineage_id, state, **detail)
+        if instr.enabled:
+            for item in items:
+                if item.lineage is not None:
+                    instr.lineage_event(item.lineage.lineage_id, state, **detail)
 
     def _enqueue(self, task: DeliveryTask) -> None:
         queue = self._queues.setdefault(task.sink, deque())
@@ -264,9 +265,6 @@ class DeliveryManager:
     def pending(self) -> int:
         """Messages still queued (excludes delivered/parked/dead)."""
         return sum(len(queue) for queue in self._queues.values())
-
-    def next_due(self) -> Optional[float]:
-        return self.scheduler.next_due()
 
     def run_due(self) -> int:
         """Run retries whose deadline has passed (clock advanced elsewhere)."""
@@ -308,66 +306,18 @@ class DeliveryManager:
         self._drain_sink(sink)
         self._notify_backlog()
 
-    def _breaker_moved(self, instr, sink: str, before, after) -> None:
-        """Record one breaker state transition (metric + flight record)."""
-        if after is before or not instr.enabled:
-            return
-        instr.count(
-            "delivery.breaker_transitions", sink=sink, state=after.value
-        )
-        flight = instr.flight
-        if flight.enabled:
-            flight.record(
-                "breaker", sink=sink, previous=before.value, state=after.value
-            )
-
-    def _parkable(self, task: DeliveryTask) -> bool:
-        return self.message_boxes is not None and bool(task.items)
-
-    def _park(self, task: DeliveryTask) -> None:
-        assert self.message_boxes is not None
-        box = self.message_boxes.box_for(task.sink)
-        parked: list[DeliveryItem] = []
-        dropped: list[DeliveryItem] = []
-        for item in task.items:
-            (parked if box.park(item) else dropped).append(item)
-        task.status = TaskStatus.PARKED if parked else TaskStatus.SHED
-        instr = self.network.instrumentation
-        if parked:
-            self.stats.parked += len(parked)
-            instr.count("delivery.parked", len(parked), family=task.family)
+    def _breaker_step(self, instr, sink: str, breaker: CircuitBreaker, step: Callable):
+        """Run one breaker operation; record the state transition it caused,
+        if any (metric + flight record)."""
+        before = breaker.state
+        result = step()
+        after = breaker.state
+        if after is not before and instr.enabled:
+            instr.count("delivery.breaker_transitions", sink=sink, state=after.value)
             flight = instr.flight
             if flight.enabled:
-                flight.record(
-                    "delivery", sink=task.sink, family=task.family,
-                    outcome="parked", items=len(parked),
-                )
-            self._record_item_subset(
-                parked, "pending_pull", sink=task.sink, box=box.address
-            )
-        if dropped:
-            # box overflow: the item never reaches the box, so its
-            # obligation must close here (``shed``) or the conservation
-            # audit would find messages silently lost under overload
-            self.stats.shed += len(dropped)
-            instr.count(
-                "qos.shed_total", len(dropped),
-                family=task.family, reason="box_overflow",
-            )
-            flight = instr.flight
-            if flight.enabled:
-                flight.record(
-                    "delivery", sink=task.sink, family=task.family,
-                    outcome="shed", reason="box_overflow", items=len(dropped),
-                )
-            self._record_item_subset(
-                dropped, "shed", sink=task.sink, reason="box_overflow"
-            )
-        if self.store is not None:
-            if parked:
-                self.store.items_parked(task, parked)
-            if dropped:
-                self.store.items_shed(task, dropped, "box_overflow")
+                flight.record("breaker", sink=sink, previous=before.value, state=after.value)
+        return result
 
     def _notify_backlog(self) -> None:
         if not self.backlog_listeners:
@@ -376,47 +326,92 @@ class DeliveryManager:
         for listener in self.backlog_listeners:
             listener(pending)
 
+    # --- closing an obligation ---------------------------------------------
+
+    def _close(
+        self, task: DeliveryTask, outcome: str, items: Sequence[DeliveryItem],
+        reason: str = "", **detail: str,
+    ) -> None:
+        """Take ``items`` of ``task`` out of the pipeline as ``outcome``.
+
+        The one place an obligation closes: the :data:`CLOSING` row says
+        what each book records, and every book is written here, in one
+        order — task status, stats, counter, flight record, then per item
+        the ledger (``detail`` is extra event detail) and the store."""
+        row = CLOSING[outcome]
+        amount = len(items) if row.per_item else 1
+        task.status = row.status
+        stats = self.stats
+        setattr(stats, row.stat, getattr(stats, row.stat) + amount)
+        instr = self.network.instrumentation
+        if reason:
+            why = {"reason": reason}
+            self._bound.inc(instr, amount, row.counter, "family", task.family, "reason", reason)
+        else:
+            why = {}
+            self._bound.inc(instr, amount, row.counter, "family", task.family)
+        flight = instr.flight
+        if flight.enabled:
+            flight.record(
+                "delivery", sink=task.sink, family=task.family, outcome=outcome,
+                attempt=task.attempts, items=len(items), **why,
+            )
+        detail.update(why)
+        self._settle(row.ledger, row.store, task.sink, task.family, items, reason, detail)
+
+    def drained(self, box: "MessageBox", batch: list[DeliveryItem], family: str) -> None:
+        """A pull drain (in the ``family`` dialect) finishes what ``parked``
+        began: the task's books were written then, each item closes now —
+        ``delivered``, ``via=pull``."""
+        self._settle("delivered", "items_drained", box.sink, family, batch, "", {"via": "pull"})
+
+    def _settle(
+        self, state: str, record: str, sink: str, family: str,
+        items: Sequence[DeliveryItem], reason: str, detail: dict,
+    ) -> None:
+        """The per-item books of a close: ledger ``state``, store ``record``."""
+        instr = self.network.instrumentation
+        if instr.enabled:
+            if state == "delivered":
+                for item in items:
+                    lineage = item.lineage
+                    if lineage is not None:
+                        instr.lineage_delivered(
+                            lineage.lineage_id, family=family, hops=lineage.hop + 1,
+                            sink=sink, **detail,
+                        )
+            else:
+                self._ledger(items, state, sink=sink, **detail)
+        if self.store is not None:
+            getattr(self.store, record)(sink, items, reason)
+
+    def _park(self, task: DeliveryTask) -> None:
+        assert self.message_boxes is not None
+        box = self.message_boxes.box_for(task.sink)
+        parked: list[DeliveryItem] = []
+        dropped: list[DeliveryItem] = []
+        for item in task.items:
+            (parked if box.park(item) else dropped).append(item)
+        if parked:
+            self._close(task, "parked", parked, box=box.address)
+        if dropped:
+            # box overflow: the item never reaches the box, so its
+            # obligation must close here (``shed``) or the conservation
+            # audit would find messages silently lost under overload
+            self._close(task, "shed", dropped, "box_overflow")
+            if parked:
+                task.status = TaskStatus.PARKED  # what it parked is still owed
+
     def _shed(self, task: DeliveryTask, reason: str) -> None:
         """Drop one task by QoS decision, with its books kept straight:
         every item's obligation closes as ``shed`` and the drop is counted
         — graceful degradation must never be silent loss."""
-        task.status = TaskStatus.SHED
         task.last_error = reason
-        self.stats.shed += len(task.items)
-        instr = self.network.instrumentation
-        instr.count(
-            "qos.shed_total", len(task.items) or 1,
-            family=task.family, reason=reason,
-        )
-        flight = instr.flight
-        if flight.enabled:
-            flight.record(
-                "delivery", sink=task.sink, family=task.family,
-                outcome="shed", reason=reason, items=len(task.items),
-            )
-        self._record_items(task, "shed", sink=task.sink, reason=reason)
-        if self.store is not None:
-            self.store.items_shed(task, task.items, reason)
-        if task.on_dead is not None:
-            task.on_dead(task, f"shed:{reason}")
+        self._close(task, "shed", task.items, reason)
 
     def _dead_letter(self, task: DeliveryTask, reason: str) -> None:
-        task.status = TaskStatus.DEAD
         self.dlq.add(task, reason, self.clock.now())
-        self.stats.dead_lettered += 1
-        instr = self.network.instrumentation
-        instr.count("delivery.dead_lettered", family=task.family, reason=reason)
-        flight = instr.flight
-        if flight.enabled:
-            flight.record(
-                "delivery", sink=task.sink, family=task.family,
-                outcome="dead_lettered", reason=reason,
-            )
-        self._record_items(task, "dead_lettered", sink=task.sink, reason=reason)
-        if self.store is not None:
-            self.store.task_dead(task, reason)
-        if task.on_dead is not None:
-            task.on_dead(task, reason)
+        self._close(task, "dead_lettered", task.items, reason)
 
     def _drain_sink(self, sink: str) -> None:
         """Work the sink's queue head until empty or forced to wait."""
@@ -435,14 +430,11 @@ class DeliveryManager:
                 self._dead_letter(task, "ttl_expired")
                 continue
             breaker = self._breaker_for(sink)
-            state_before = breaker.state
-            allowed = breaker.allows()
-            self._breaker_moved(instr, sink, state_before, breaker.state)
+            allowed = self._breaker_step(instr, sink, breaker, breaker.allows)
+            parkable = self.message_boxes is not None and bool(task.items)
             if not allowed:
                 # known-firewalled sinks store-and-forward straight away
-                if self.message_boxes is not None and self.message_boxes.get(
-                    sink
-                ) is not None and task.items:
+                if parkable and self.message_boxes.get(sink) is not None:
                     queue.popleft()
                     self._park(task)
                     continue
@@ -461,21 +453,11 @@ class DeliveryManager:
                     return
             task.attempts += 1
             self.stats.attempts += 1
-            bound = self._bound_counters
-            attempts_counter = bound.probe(instr, "attempts:" + task.family)
-            if attempts_counter is None:
-                attempts_counter = bound.get(
-                    instr, "attempts:" + task.family, "delivery.attempts",
-                    family=task.family,
-                )
-            attempts_counter.inc()
+            self._bound.inc(instr, 1, "delivery.attempts", "family", task.family)
             if task.attempts > 1:
                 self.stats.retries += 1
-                bound.get(
-                    instr, "retries:" + task.family, "delivery.retries",
-                    family=task.family,
-                ).inc()
-            self._record_items(task, "attempted", n=task.attempts, sink=sink)
+                self._bound.inc(instr, 1, "delivery.retries", "family", task.family)
+            self._ledger(task.items, "attempted", n=task.attempts, sink=sink)
             try:
                 # resume the message's trace: a scheduler-fired retry has an
                 # empty span stack, so ``remote=`` re-parents this attempt
@@ -491,9 +473,7 @@ class DeliveryManager:
                     task.send()
             except (NetworkError, SoapFault) as exc:
                 task.last_error = f"{type(exc).__name__}: {exc}"
-                state_before = breaker.state
-                breaker.record_failure()
-                self._breaker_moved(instr, sink, state_before, breaker.state)
+                self._breaker_step(instr, sink, breaker, breaker.record_failure)
                 self.stats.failed_attempts += 1
                 instr.count(
                     "delivery.failed_total",
@@ -508,7 +488,7 @@ class DeliveryManager:
                         outcome="failed_attempt", attempt=task.attempts,
                         error=type(exc).__name__,
                     )
-                if isinstance(exc, FirewallBlocked) and self._parkable(task):
+                if parkable and isinstance(exc, FirewallBlocked):
                     queue.popleft()
                     self._park(task)
                     continue
@@ -522,54 +502,14 @@ class DeliveryManager:
                 )
                 return
             # success (the send itself advanced the clock by the RTT)
-            state_before = breaker.state
-            breaker.record_success()
-            self._breaker_moved(instr, sink, state_before, breaker.state)
-            delivered_at = self.clock.now()
-            task.status = TaskStatus.DELIVERED
-            task.delivered_at = delivered_at
+            self._breaker_step(instr, sink, breaker, breaker.record_success)
             queue.popleft()
-            self.stats.delivered += 1
-            delivered_counter = self._bound_counters.probe(
-                instr, "delivered:" + task.family
+            task.delivered_at = delivered_at = self.clock.now()
+            self._bound.observe(
+                instr, delivered_at - task.enqueued_at,
+                "delivery.queue_lag_seconds", "family", task.family,
             )
-            if delivered_counter is None:
-                delivered_counter = self._bound_counters.get(
-                    instr, "delivered:" + task.family, "delivery.delivered",
-                    family=task.family,
-                )
-            delivered_counter.inc()
-            if instr is not self._lag_instr:
-                self._lag_instr = instr
-                self._lag_histograms = {}
-            lag_histogram = self._lag_histograms.get(task.family)
-            if lag_histogram is None:
-                lag_histogram = self._lag_histograms[task.family] = (
-                    instr.histogram_handle(
-                        "delivery.queue_lag_seconds", family=task.family
-                    )
-                )
-            lag_histogram.observe(delivered_at - task.enqueued_at)
-            flight = instr.flight
-            if flight.enabled:
-                flight.record(
-                    "delivery", sink=task.sink, family=task.family,
-                    outcome="delivered", attempt=task.attempts,
-                    items=len(task.items),
-                )
-            if instr.enabled:
-                for item in task.items:
-                    if item.lineage is not None:
-                        instr.lineage_delivered(
-                            item.lineage.lineage_id,
-                            family=task.family,
-                            hops=item.lineage.hop + 1,
-                            sink=task.sink,
-                        )
-            if self.store is not None:
-                self.store.task_delivered(task)
-            if task.on_delivered is not None:
-                task.on_delivered(task)
+            self._close(task, "delivered", task.items)
 
     # --- introspection -----------------------------------------------------
 

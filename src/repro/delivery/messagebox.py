@@ -60,9 +60,10 @@ class MessageBox:
         self.total_parked = 0
         #: messages dropped because the box was full
         self.overflowed = 0
-        #: durable-store hook: called with (box, batch) after every drain
+        #: the owning delivery manager's close (``DeliveryManager.drained``):
+        #: called with (box, batch, family of the draining dialect)
         self.on_drained: Optional[
-            Callable[["MessageBox", list[DeliveryItem]], None]
+            Callable[["MessageBox", list[DeliveryItem], str], None]
         ] = None
         self.endpoint = SoapEndpoint(network, address)
         self.endpoint.on_action(
@@ -91,30 +92,17 @@ class MessageBox:
 
     # --- drain handlers (both are client-initiated: firewall-safe) ---------
 
-    def _take(self, body: XElem, limit_name, subcode=None) -> list[DeliveryItem]:
+    def _take(self, body: XElem, limit_name, family: str, subcode=None) -> list[DeliveryItem]:
+        """The next batch, out of the box: handing it to the puller is what
+        closes its obligations, so the manager that parked it is told."""
         count = parse_drain_limit(
             body, limit_name, backlog=len(self.queue), subcode=subcode
         )
         batch = self.queue[:count]
         del self.queue[:count]
         if batch and self.on_drained is not None:
-            self.on_drained(self, batch)
+            self.on_drained(self, batch, family)
         return batch
-
-    def _record_drained(self, batch: list[DeliveryItem], family: str) -> None:
-        """Close each drained item's obligation: delivered, via pull."""
-        instr = self.network.instrumentation
-        if not instr.enabled:
-            return
-        for item in batch:
-            if item.lineage is not None:
-                instr.lineage_delivered(
-                    item.lineage.lineage_id,
-                    family=family,
-                    hops=item.lineage.hop + 1,
-                    sink=self.sink,
-                    via="pull",
-                )
 
     def _handle_get_messages(self, envelope: SoapEnvelope, headers: MessageHeaders):
         # imported here, not at module top: mediation lives in the messenger
@@ -127,9 +115,9 @@ class MessageBox:
         batch = self._take(
             envelope.body_element(),
             self.wsn_version.qname("MaximumNumber"),
+            "wsn",
             subcode=self.wsn_version.qname("UnableToGetMessagesFault"),
         )
-        self._record_drained(batch, "wsn")
         response = XElem(self.wsn_version.qname("GetMessagesResponse"))
         for element in wsn_message_elements(
             [MediatedNotification(item.payload, item.topic) for item in batch],
@@ -145,9 +133,8 @@ class MessageBox:
 
     def _handle_pull(self, envelope: SoapEnvelope, headers: MessageHeaders):
         batch = self._take(
-            envelope.body_element(), self.wse_version.qname("MaxMessages")
+            envelope.body_element(), self.wse_version.qname("MaxMessages"), "wse"
         )
-        self._record_drained(batch, "wse")
         response = wse_messages.build_pull_response(
             self.wse_version, [item.payload for item in batch]
         )
@@ -181,9 +168,10 @@ class MessageBoxRegistry:
         self.capacity = capacity
         self._boxes: dict[str, MessageBox] = {}
         self._counter = 0
-        #: durable-store hook, copied onto each box as it is minted
+        #: the owning delivery manager's close, copied onto each box as it
+        #: is minted (None for a registry nobody delivers through)
         self.on_drained: Optional[
-            Callable[[MessageBox, list[DeliveryItem]], None]
+            Callable[[MessageBox, list[DeliveryItem], str], None]
         ] = None
 
     def box_for(self, sink: str) -> MessageBox:

@@ -14,7 +14,10 @@ fail to deliver, to whom, and why".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
+
+from repro.soap.fault import SoapFault
+from repro.transport.network import NetworkError
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,34 @@ def record_failure(
         "delivery.failed_total", family=family, stage=stage, kind=failure.kind
     )
     return failure
+
+
+def attempt_directly(
+    instrumentation, send: Callable[[], None], sink: str, family: str, lineages: Sequence
+) -> Optional[Exception]:
+    """One wire attempt outside the delivery manager (best-effort fan-out, a
+    mesh forward), with its obligation opened and closed right here: every
+    lineage is ledgered ``enqueued -> attempted -> delivered | failed``.
+
+    Returns the ``NetworkError`` / ``SoapFault`` that failed the attempt —
+    the caller decides what a failure means — or None on success.  Anything
+    else ``send`` raises is not a delivery failure and passes through."""
+    for lineage in lineages:
+        instrumentation.lineage_event(lineage.lineage_id, "enqueued", sink=sink, family=family)
+        instrumentation.lineage_event(lineage.lineage_id, "attempted", n=1, sink=sink)
+    try:
+        send()
+    except (NetworkError, SoapFault) as exc:
+        for lineage in lineages:
+            instrumentation.lineage_event(
+                lineage.lineage_id, "failed", sink=sink, reason=type(exc).__name__
+            )
+        return exc
+    for lineage in lineages:
+        instrumentation.lineage_delivered(
+            lineage.lineage_id, family=family, hops=lineage.hop + 1, sink=sink
+        )
+    return None
 
 
 def failure_counts(failures: list[DeliveryFailure]) -> dict[str, int]:

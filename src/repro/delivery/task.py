@@ -63,7 +63,6 @@ class DeliveryTask:
     items: list[DeliveryItem] = field(default_factory=list)
     #: metric label: which protocol family queued this ("wse"/"wsn"/"")
     family: str = ""
-    describe: str = ""
     #: trace context the send thunk resumes under (a batched wrapped-mode
     #: task carries several lineages in ``items``; the wire header carries
     #: this one — the first item's)
@@ -76,10 +75,6 @@ class DeliveryTask:
     status: str = TaskStatus.QUEUED
     last_error: Optional[str] = None
     delivered_at: Optional[float] = None
-    #: called once with the task on terminal success
-    on_delivered: Optional[Callable[["DeliveryTask"], None]] = None
-    #: called once with (task, reason) when the task is dead-lettered
-    on_dead: Optional[Callable[["DeliveryTask", str], None]] = None
 
     @property
     def done(self) -> bool:
@@ -90,7 +85,6 @@ class DeliveryTask:
         return {
             "sink": self.sink,
             "family": self.family,
-            "describe": self.describe,
             "items": len(self.items),
             "topics": [item.topic for item in self.items],
             "enqueued_at": round(self.enqueued_at, 9),

@@ -16,10 +16,11 @@ everything else about a publication is here, once, as three stages:
    out lazily, in subscription order, so liveness is checked at each one's turn;
 3. :meth:`Fanout.settle` — one wire attempt wrapped in the ``notify`` span and
    counted per *item*, handed to the :class:`DeliveryManager` when there is one
-   and otherwise made right here, with the obligation ledger written as one
-   state sequence: ``enqueued -> attempted -> delivered | failed`` (the manager
-   adds ``dead_lettered`` and ``shed``).  SubscriptionEnd and
-   TerminationNotification take the same road with no items.
+   and otherwise made at once through :func:`repro.delivery.outcome.attempt_directly`,
+   which writes the obligation ledger as one state sequence: ``enqueued ->
+   attempted -> delivered | failed`` (the manager adds ``dead_lettered`` and
+   ``shed``).  SubscriptionEnd and TerminationNotification take the same road
+   with no items.
 
 Best-effort delivery is deliberately still the ``manager is None`` branch of
 ``settle`` and not a ``BEST_EFFORT``-policy manager: see DESIGN.md, "The
@@ -30,12 +31,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from repro.delivery.outcome import DeliveryFailure, record_failure
+from repro.delivery.outcome import DeliveryFailure, attempt_directly, record_failure
 from repro.delivery.task import DeliveryItem
 from repro.filters.base import FilterContext, admits
 from repro.obs.instrument import BoundCounters
-from repro.soap.fault import SoapFault
-from repro.transport.network import NetworkError, SimulatedNetwork
+from repro.transport.network import SimulatedNetwork
 from repro.xmlkit.element import XElem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,7 +49,7 @@ def freeze_once(payload: XElem, instr, bound: BoundCounters, family: str) -> XEl
     if payload.frozen:
         return payload
     if instr.enabled:
-        bound.get(instr, "payload_copies", "fanout.payload_copies", family=family).inc()
+        bound.inc(instr, 1, "fanout.payload_copies", "family", family)
     return payload.copy().freeze()
 
 
@@ -83,14 +83,8 @@ class Fanout:
         self.failures = failures
         self._bound = BoundCounters()
 
-    def _notifications_counter(self, instr, key: str):
-        counter = self._bound.probe(instr, key)
-        if counter is None:
-            counter = self._bound.get(
-                instr, key, "notifications." + key,
-                family=self.family, version=self.version_tag,
-            )
-        return counter
+    def _count_notifications(self, instr, name: str, amount: int) -> None:
+        self._bound.inc(instr, amount, name, "family", self.family, "version", self.version_tag)
 
     # --- stage 1: publish framing --------------------------------------------------
 
@@ -115,7 +109,7 @@ class Fanout:
                     span.lineage, "published", **self._origin, family=self.family
                 )
             matched = fan_out(*args)
-        self._notifications_counter(instr, "matched").inc(matched)
+        self._count_notifications(instr, "notifications.matched", matched)
         return matched
 
     # --- stage 2: match ------------------------------------------------------------------
@@ -143,15 +137,13 @@ class Fanout:
         if instr.enabled:
             bound = self._bound
             if index.content_evals:
-                bound.get(instr, "xpath_evals", "fanout.xpath_evals", family=family).inc(
-                    index.content_evals
-                )
-            bound.get(instr, "index_hits", "fanout.index_hits", family=family).inc(len(candidates))
+                bound.inc(instr, index.content_evals, "fanout.xpath_evals", "family", family)
+            bound.inc(instr, len(candidates), "fanout.index_hits", "family", family)
             skipped = len(self.subscriptions.records) - len(candidates)
             if skipped > 0:
-                bound.get(instr, "index_skips", "fanout.index_skips", family=family).inc(skipped)
+                bound.inc(instr, skipped, "fanout.index_skips", "family", family)
             # one increment per residual filter run, via one handle
-            evals_counter = bound.get(instr, "filter_evals", "fanout.filter_evals", family=family)
+            evals_counter = bound.get(instr, "fanout.filter_evals", "family", family)
         records, now = self.subscriptions.records, self.network.clock.now
         for key in candidates:
             subscription = records.get(key)
@@ -175,7 +167,6 @@ class Fanout:
         items: Sequence[DeliveryItem] = (),
         *,
         stage: str = "notify",
-        describe: str = "",
         priority: int = 0,
         on_failed: Optional[Callable[..., None]] = None,
         **span_attrs: str,
@@ -187,8 +178,9 @@ class Fanout:
         With a delivery manager the attempt is submitted and the pipeline owns
         retries, dead-lettering and the firewall fallback — a failed attempt
         never ends the subscription.  Without one the obligation opens and
-        closes here, and a failure is handed to ``on_failed(exc, *args)`` so
-        the owner ends the subscription in its own vocabulary.
+        closes in the one direct attempt, and a failure is handed to
+        ``on_failed(exc, *args)`` so the owner ends the subscription in its
+        own vocabulary.
         """
         network = self.network
         family = self.family
@@ -201,28 +193,19 @@ class Fanout:
                 return
             with instr.span("notify", family=family, to=sink, **span_attrs):
                 send(*args)
-            self._notifications_counter(instr, "delivered").inc(n)
+            self._count_notifications(instr, "notifications.delivered", n)
 
         if self.manager is not None:
-            self.manager.submit(
-                sink, attempt, items=items, family=family, describe=describe, priority=priority
-            )
+            self.manager.submit(sink, attempt, items=items, family=family, priority=priority)
             return
         instr = network.instrumentation
-        lineages = [item.lineage for item in items if item.lineage is not None]
-        # ledger written directly — every lineage id here is known non-None
-        for lineage in lineages:
-            instr._ledger_record(lineage.lineage_id, "enqueued", sink=sink, family=family)
-            instr._ledger_record(lineage.lineage_id, "attempted", n=1, sink=sink)
-        try:
-            attempt()
-        except (NetworkError, SoapFault) as exc:
+        exc = attempt_directly(
+            instr, attempt, sink, family,
+            [item.lineage for item in items if item.lineage is not None],
+        )
+        if exc is not None:
             if n and instr.enabled:
-                self._notifications_counter(instr, "failed").inc(n)
-            for lineage in lineages:
-                instr.lineage_event(
-                    lineage.lineage_id, "failed", sink=sink, reason=type(exc).__name__
-                )
+                self._count_notifications(instr, "notifications.failed", n)
             # recorded, never swallowed — even when the sink is the thing
             # that died (delivery.failed_total)
             record_failure(
@@ -231,8 +214,3 @@ class Fanout:
             )
             if on_failed is not None:
                 on_failed(exc, *args)
-            return
-        for lineage in lineages:
-            instr.lineage_delivered(
-                lineage.lineage_id, family=family, hops=lineage.hop + 1, sink=sink
-            )

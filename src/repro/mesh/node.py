@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.delivery.outcome import attempt_directly
 from repro.delivery.policy import DeliveryPolicy
 from repro.filters.topics import TopicNamespace, topic_expression_of
 from repro.messenger import mediation
@@ -131,29 +132,17 @@ class MeshNode:
             return False
         owner = self.owner_of_topic(topic)
         instr = self.network.instrumentation
-        phases = instr.phases
-        timer = phases.begin() if phases is not None else 0
-        if owner == self.name:
-            instr.count("mesh.owned_publishes", node=self.name)
-            flight = instr.flight
-            if flight.enabled:
-                flight.record(
-                    "route", node=self.name, topic=topic or "", owner=owner,
-                    via="owned",
-                )
-            if phases is not None:
-                phases.end("route", timer)
-            if self.exchange.subscriptions.records:
-                self.exchange.publish(payload, topic=topic)
-            return False
         flight = instr.flight
         if flight.enabled:
             flight.record(
                 "route", node=self.name, topic=topic or "", owner=owner,
-                via="forwarded",
+                via="owned" if owner == self.name else "forwarded",
             )
-        if phases is not None:
-            phases.end("route", timer)
+        if owner == self.name:
+            instr.count("mesh.owned_publishes", node=self.name)
+            if self.exchange.subscriptions.records:
+                self.exchange.publish(payload, topic=topic)
+            return False
         self._forward(payload, topic, owner)
         return True
 
@@ -164,7 +153,8 @@ class MeshNode:
         re-parents under the same lineage (the hop is visible in the trace)
         and the hop itself is a ledgered obligation: ``enqueued`` here,
         ``delivered`` when the owner's 202 comes back, ``failed`` if the
-        wire loses it — mesh conservation covers the forward path too.
+        wire loses it — mesh conservation covers the forward path too.  The
+        publisher sees the failure either way.
         """
         instr = self.network.instrumentation
         target = EndpointReference(self._peer_address_of(owner))
@@ -172,33 +162,17 @@ class MeshNode:
             [mediation.MediatedNotification(payload, topic)], LINK_VERSION
         )
         lineage = instr.trace_context()
-        if lineage is not None:
-            instr.lineage_event(
-                lineage.lineage_id, "enqueued", sink=target.address, family="mesh"
-            )
-            instr.lineage_event(
-                lineage.lineage_id, "attempted", n=1, sink=target.address
-            )
-        try:
-            self._forward_client.call(
+        exc = attempt_directly(
+            instr,
+            lambda: self._forward_client.call(
                 target, LINK_VERSION.action("Notify"), [body], expect_reply=False
-            )
-        except Exception as exc:
-            if lineage is not None:
-                instr.lineage_event(
-                    lineage.lineage_id,
-                    "failed",
-                    sink=target.address,
-                    reason=type(exc).__name__,
-                )
-            raise
-        if lineage is not None:
-            instr.lineage_delivered(
-                lineage.lineage_id,
-                family="mesh",
-                hops=lineage.hop + 1,
-                sink=target.address,
-            )
+            ),
+            target.address,
+            "mesh",
+            [lineage] if lineage is not None else [],
+        )
+        if exc is not None:
+            raise exc
         instr.count("mesh.forwarded_publishes", origin=self.name, owner=owner)
 
     def _accept_federated(self, item: mediation.MediatedNotification) -> None:

@@ -241,37 +241,23 @@ class WsMessenger:
         self, envelope: SoapEnvelope, headers: MessageHeaders
     ) -> Optional[SoapEnvelope]:
         instr = self.network.instrumentation
-        if not instr.enabled:
+        with instr.span("detect_spec") as span:
             try:
                 spec = detect_spec(envelope)
             except SpecDetectionError as exc:
                 self.stats.detection_failures += 1
+                instr.count("broker.detection_failures")
                 raise SoapFault(
                     FaultCode.SENDER, f"specification detection failed: {exc}"
                 )
-        else:
-            with instr.span("detect_spec") as span:
-                try:
-                    spec = detect_spec(envelope)
-                except SpecDetectionError as exc:
-                    self.stats.detection_failures += 1
-                    instr.count("broker.detection_failures")
-                    raise SoapFault(
-                        FaultCode.SENDER, f"specification detection failed: {exc}"
-                    )
-                span.set("family", _family_tag(spec))
-                span.set("version", spec.version.name.lower())
-                span.set("operation", spec.operation)
             family = _family_tag(spec)
             version = spec.version.name.lower()
-            request_key = family + ":" + version
-            request_counter = self._bound_counters.probe(instr, request_key)
-            if request_counter is None:
-                request_counter = self._bound_counters.get(
-                    instr, request_key, "broker.requests",
-                    family=family, version=version,
-                )
-            request_counter.inc()
+            span.set("family", family)
+            span.set("version", version)
+            span.set("operation", spec.operation)
+        self._bound_counters.inc(
+            instr, 1, "broker.requests", "family", family, "version", version
+        )
         self.stats.record(spec)
         if spec.operation == "Notify" and spec.family is SpecFamily.WS_NOTIFICATION:
             return self._accept_wsn_publication(envelope, spec)
@@ -333,17 +319,10 @@ class WsMessenger:
         if not instr.enabled:
             self._outbox_publish(payload, topic, instr)
             return
-        publications_counter = self._bound_counters.probe(instr, "publications")
-        if publications_counter is None:
-            publications_counter = self._bound_counters.get(
-                instr, "publications", "broker.publications"
-            )
-        publications_counter.inc()
+        self._bound_counters.inc(instr, 1, "broker.publications")
         # a mediated publish arrives inside a dispatch span that already
         # carries the origin's lineage; a locally-originated one mints here
         originating = instr.trace_context() is None
-        phases = instr.phases
-        timer = phases.begin() if phases is not None else 0
         with instr.span("broker.publish", mint=True, topic=topic or "") as span:
             # direct ledger write: mint=True guarantees span.lineage
             instr._ledger_record(
@@ -361,11 +340,7 @@ class WsMessenger:
                     lineage=span.lineage,
                     origin="local" if originating else "mediated",
                 )
-            try:
-                self._outbox_publish(payload, topic, instr)
-            finally:
-                if phases is not None:
-                    phases.end("publish", timer)
+            self._outbox_publish(payload, topic, instr)
 
     def _outbox_publish(self, payload: XElem, topic: Optional[str], instr) -> None:
         """Transactional outbox, then router or backbone: the publish record
@@ -398,9 +373,7 @@ class WsMessenger:
         # whole delivery machinery below them) shares this one instance
         payload = freeze_once(payload, instr, self._bound_counters, "broker")
         skips_counter = (
-            self._bound_counters.get(
-                instr, "index_skips", "fanout.index_skips", family="broker"
-            )
+            self._bound_counters.get(instr, "fanout.index_skips", "family", "broker")
             if instr.enabled
             else None
         )

@@ -52,11 +52,6 @@ def neutral_from_wsn_notify(
     body: XElem, version: WsnVersion, *, instrumentation=NULL_INSTRUMENTATION
 ) -> list[MediatedNotification]:
     """Unwrap a wsnt:Notify into neutral notifications (category 5)."""
-    if not instrumentation.enabled:
-        return [
-            MediatedNotification(item.payload, item.topic)
-            for item in wsn_messages.parse_notify(body, version)
-        ]
     with instrumentation.span(
         "mediate", direction="wsn-to-neutral", version=version.name.lower()
     ):
@@ -88,9 +83,6 @@ def neutral_from_wse_envelope(
     envelope: SoapEnvelope, *, instrumentation=NULL_INSTRUMENTATION
 ) -> MediatedNotification:
     """Lift a raw WSE notification (topic in header, if any) to neutral form."""
-    if not instrumentation.enabled:
-        topic = envelope.header_text(WSE_TOPIC_HEADER)
-        return MediatedNotification(envelope.body_element().copy(), topic)
     with instrumentation.span("mediate", direction="wse-to-neutral"):
         topic = envelope.header_text(WSE_TOPIC_HEADER)
         item = MediatedNotification(envelope.body_element().copy(), topic)

@@ -30,8 +30,7 @@ Continuous health telemetry rides alongside:
 - :mod:`repro.obs.flight` — a bounded ring-buffer flight recorder of
   typed hot-path records (dormant by default, armed per run);
 - :mod:`repro.obs.probes` — :class:`GaugeProbes` backlog sweeps on the
-  virtual scheduler and the opt-in :class:`PhaseTimers` wall-clock
-  phase totals;
+  virtual scheduler;
 - :mod:`repro.obs.health` — the scripted degraded-traffic scenario and
   anomaly probes behind ``python -m repro obs-health`` / ``obs-top``.
 
@@ -51,7 +50,7 @@ from repro.obs.instrument import (
 )
 from repro.obs.lineage import LineageEvent, LineageLedger
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.probes import PHASES, GaugeProbes, PhaseTimers
+from repro.obs.probes import GaugeProbes
 from repro.obs.propagation import LINEAGE_HEADER, LineageContext
 from repro.obs.slo import slo_summary
 from repro.obs.tracing import Span, Tracer
@@ -74,8 +73,6 @@ __all__ = [
     "NULL_FLIGHT",
     "NULL_INSTRUMENTATION",
     "NullInstrumentation",
-    "PHASES",
-    "PhaseTimers",
     "Span",
     "Tracer",
     "WireCapture",

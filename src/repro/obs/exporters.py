@@ -114,8 +114,6 @@ def build_report(instrumentation: Instrumentation, *, title: str = "obs report")
     }
     if "flight" in snapshot:
         report["flight"] = snapshot["flight"]
-    if "phases" in snapshot:
-        report["phases"] = snapshot["phases"]
     if latency:
         report["delivery_latency"] = latency
     return report
@@ -172,15 +170,6 @@ def render_text_report(
     if not (counters or gauges or report["metrics"]["histograms"]):
         lines.append("  (none)")
     lines.append("")
-
-    if "phases" in report:
-        lines.append("Phase timers")
-        lines.append("------------")
-        counts = report["phases"]["counts"]
-        lines.append(
-            "  " + " -> ".join(f"{phase}={counts[phase]}" for phase in counts)
-        )
-        lines.append("")
 
     if "flight" in report:
         flight = report["flight"]

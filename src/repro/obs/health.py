@@ -27,8 +27,7 @@ that has never seen an anomaly proves nothing:
   degraded but accounted for.
 
 Every probe reads virtual-clock state only, so both CLIs are byte-stable
-and golden-tested (``obs-top --timings`` adds wall-clock phase means and
-is therefore excluded from goldens).
+and golden-tested.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.obs.instrument import Instrumentation
-from repro.obs.probes import PHASES, GaugeProbes
+from repro.obs.probes import GaugeProbes
 
 #: topic the scripted core-broker publishes ride on
 HEALTH_TOPIC = "health/metrics"
@@ -219,7 +218,6 @@ def run_health_scenario() -> HealthRun:
     network = SimulatedNetwork(VirtualClock())
     instrumentation = Instrumentation.attach(network)
     instrumentation.enable_flight(capacity=128)
-    instrumentation.enable_phase_timers()
     network.add_zone(ZONE, blocks_inbound=True)
 
     # -- the two-shard mesh: cross-shard traffic, then a rebalance ----------
@@ -319,7 +317,6 @@ def build_health_report(run: HealthRun) -> dict:
     drift = conservation_drift(instrumentation, run.brokers)
     anomalies = len(growth) + len(flaps) + len(stale) + (1 if drift["drift"] else 0)
     flight = instrumentation.flight
-    phases = instrumentation.phases
     return {
         "clock": round(instrumentation.clock.now(), 9),
         "samples": run.probes.samples,
@@ -330,7 +327,6 @@ def build_health_report(run: HealthRun) -> dict:
         "stale_batches": stale,
         "conservation": drift,
         "gauges": run.probes.last_values(),
-        "phases": phases.snapshot(include_wall=False) if phases else {},
         "flight": {
             "recorded": flight.snapshot()["recorded"],
             "dropped": flight.snapshot().get("dropped", 0),
@@ -401,15 +397,6 @@ def render_health_text(run: HealthRun) -> str:
     )
     lines.append("")
 
-    if report["phases"]:
-        counts = report["phases"]["counts"]
-        lines.append("Phase counts")
-        lines.append("------------")
-        lines.append(
-            "  " + " -> ".join(f"{phase}={counts[phase]}" for phase in PHASES)
-        )
-        lines.append("")
-
     lines.append("Gauges (last sample)")
     lines.append("--------------------")
     for key, value in report["gauges"].items():
@@ -417,7 +404,7 @@ def render_health_text(run: HealthRun) -> str:
     return "\n".join(lines)
 
 
-def render_top_text(run: HealthRun, *, timings: bool = False) -> str:
+def render_top_text(run: HealthRun) -> str:
     """The ``obs-top`` snapshot: flight tail + live backlog at a glance."""
     instrumentation = run.instrumentation
     flight = instrumentation.flight
@@ -434,20 +421,6 @@ def render_top_text(run: HealthRun, *, timings: bool = False) -> str:
         lines.append(
             "kinds: " + ", ".join(f"{k}={v}" for k, v in by_kind.items())
         )
-    phases = instrumentation.phases
-    if phases is not None:
-        counts = phases.snapshot(include_wall=timings)
-        lines.append(
-            "phases: "
-            + " -> ".join(f"{phase}={counts['counts'][phase]}" for phase in PHASES)
-        )
-        if timings:
-            lines.append(
-                "phase mean us: "
-                + ", ".join(
-                    f"{phase}={counts['mean_us'][phase]}" for phase in PHASES
-                )
-            )
     lines.append("")
 
     lines.append("Backlogs (last sample)")
@@ -486,12 +459,10 @@ def obs_health_main(argv: "list[str] | None" = None) -> int:
 
 
 def obs_top_main(argv: "list[str] | None" = None) -> int:
-    """CLI: run the scripted scenario and print the ``top``-style snapshot
-    (``--timings`` adds wall-clock phase means — excluded from goldens)."""
-    argv = list(argv or [])
+    """CLI: run the scripted scenario and print the ``top``-style snapshot."""
     run = run_health_scenario()
     try:
-        print(render_top_text(run, timings="--timings" in argv))
+        print(render_top_text(run))
     except BrokenPipeError:
         pass
     return 0

@@ -12,15 +12,13 @@ its hot surface is deliberately cheap (see ``BENCH_observability.json``):
 
 * ``count``/``gauge`` hash a small structural tuple — label strings are
   only rendered at snapshot time (lazy label formatting);
-* per-notification call sites can pre-bind a :class:`Counter` handle once
-  (:meth:`counter_handle`) and pay a single attribute increment per event;
+* per-notification call sites hold a :class:`BoundCounters` — the one
+  handle cache — and pay one call plus an attribute increment per event;
   the null handle hands out an inert shared counter, so binding code needs
   no ``enabled`` branches;
-* spans are their own context managers (no ``contextlib`` generator), and
-  :class:`~repro.obs.tracing.Tracer` retention can be sampled for
-  always-on runs;
-* the flight recorder (:attr:`flight`) and phase timers (:attr:`phases`)
-  are dormant by default — one attribute load and a falsy check.
+* spans are their own context managers (no ``contextlib`` generator);
+* the flight recorder (:attr:`flight`) is dormant by default — one
+  attribute load and a falsy check.
 
 Usage::
 
@@ -40,7 +38,6 @@ from repro.obs.flight import NULL_FLIGHT, DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.lineage import LineageLedger
 from repro.obs.metrics import (
     NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
     Counter,
     Gauge,
@@ -49,7 +46,6 @@ from repro.obs.metrics import (
 from repro.obs.tracing import Tracer
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.transport.network
-    from repro.obs.probes import PhaseTimers
     from repro.obs.propagation import LineageContext
     from repro.transport.network import SimulatedNetwork
 
@@ -76,43 +72,63 @@ _NULL_SPAN = _NullSpan()
 
 
 class BoundCounters:
-    """A per-component cache of pre-bound counters, keyed on the *identity*
+    """The one cache of pre-bound metric handles, keyed on the *identity*
     of the network's instrumentation handle.
 
-    Components that count per notification hold one of these and call
-    :meth:`get` with a short site-local key; the first call per (handle,
-    key) resolves the counter through the registry, every later call is an
-    identity check plus one dict probe.  Swapping the network's
-    instrumentation (attach/uninstall, or a fresh handle between benchmark
-    phases) invalidates the cache automatically.  Works against the null
-    handle too — it binds inert counters, so call sites stay branch-free.
+    A component that counts per notification holds one of these and calls
+    ``inc(instr, 1, "delivery.attempts", "family", family)`` — the metric
+    name followed by its labels as alternating names and values.  Those
+    arguments *are* the cache key, so the steady state is one call: an
+    identity check, one dict probe and the increment, with no label dict
+    built; the first call per (handle, key) resolves the instrument through
+    the registry.  Swapping the network's instrumentation (attach/uninstall,
+    or a fresh handle between benchmark phases) invalidates the cache
+    automatically.  Works against the null handle too — it binds inert
+    instruments, so call sites stay branch-free.  :meth:`observe` is the
+    same for histograms; :meth:`get` hands out the counter itself, for a
+    loop that increments it many times.
     """
 
-    __slots__ = ("_instr", "_by_key")
+    __slots__ = ("_instr", "_handles")
 
     def __init__(self) -> None:
         self._instr = None
-        self._by_key: dict[str, Counter] = {}
+        self._handles: dict[tuple, object] = {}
 
-    def get(self, instr, key: str, name: str, **labels: str) -> Counter:
+    def inc(self, instr, amount: int, *key: str) -> None:
+        if instr is self._instr:
+            try:
+                self._handles[key].value += amount
+                return
+            except KeyError:
+                pass
+        self._bind(instr, instr.counter_handle, key).value += amount
+
+    def observe(self, instr, value: float, *key: str) -> None:
+        if instr is self._instr:
+            try:
+                self._handles[key].observe(value)
+                return
+            except KeyError:
+                pass
+        self._bind(instr, instr.histogram_handle, key).observe(value)
+
+    def get(self, instr, *key: str) -> Counter:
+        if instr is self._instr:
+            try:
+                return self._handles[key]
+            except KeyError:
+                pass
+        return self._bind(instr, instr.counter_handle, key)
+
+    def _bind(self, instr, resolve, key: tuple):
         if instr is not self._instr:
             self._instr = instr
-            self._by_key = {}
-        counter = self._by_key.get(key)
-        if counter is None:
-            counter = self._by_key[key] = instr.counter_handle(name, **labels)
-        return counter
-
-    def probe(self, instr, key: str) -> Optional[Counter]:
-        """Steady-state half of :meth:`get`: no label kwargs are built.
-
-        Returns ``None`` on the first call per (handle, key) — the caller
-        then binds once via :meth:`get`, which does build the labels."""
-        if instr is not self._instr:
-            self._instr = instr
-            self._by_key = {}
-            return None
-        return self._by_key.get(key)
+            self._handles = {}
+        handle = self._handles[key] = resolve(
+            key[0], **dict(zip(key[1::2], key[2::2]))
+        )
+        return handle
 
 
 class NullInstrumentation:
@@ -121,8 +137,6 @@ class NullInstrumentation:
     enabled = False
     #: dormant flight recorder (``enabled`` False, records nothing)
     flight = NULL_FLIGHT
-    #: phase timers are off (call sites check ``is not None``)
-    phases = None
 
     def span(self, name: str, *, remote=None, mint: bool = False, **attrs: str) -> _NullSpan:
         return _NULL_SPAN
@@ -139,9 +153,6 @@ class NullInstrumentation:
     def counter_handle(self, name: str, **labels: str):
         """An inert pre-bound counter — binding sites need no branches."""
         return NULL_COUNTER
-
-    def gauge_handle(self, name: str, **labels: str):
-        return NULL_GAUGE
 
     def histogram_handle(self, name: str, **labels: str):
         return NULL_HISTOGRAM
@@ -170,16 +181,10 @@ class Instrumentation:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock,
-        *,
-        max_frames: Optional[int] = None,
-        span_sample_every: int = 1,
-    ) -> None:
+    def __init__(self, clock, *, max_frames: Optional[int] = None) -> None:
         self.clock = clock
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(clock, sample_every=span_sample_every)
+        self.tracer = Tracer(clock)
         self.capture = WireCapture(max_frames=max_frames)
         self.ledger = LineageLedger(clock)
         # instance-attribute fast path: span() and trace_context() are pure
@@ -190,8 +195,6 @@ class Instrumentation:
         self._ledger_record = self.ledger.record
         #: flight recorder: dormant until :meth:`enable_flight`
         self.flight = NULL_FLIGHT
-        #: phase timers: off until :meth:`enable_phase_timers`
-        self.phases: Optional["PhaseTimers"] = None
         # hot-path aliases: count()/gauge() write through these directly
         self._counters = self.metrics._counters
         self._gauges = self.metrics._gauges
@@ -200,18 +203,10 @@ class Instrumentation:
 
     @classmethod
     def attach(
-        cls,
-        network: "SimulatedNetwork",
-        *,
-        max_frames: Optional[int] = None,
-        span_sample_every: int = 1,
+        cls, network: "SimulatedNetwork", *, max_frames: Optional[int] = None
     ) -> "Instrumentation":
         """Create on the network's clock and install in one step."""
-        return cls(
-            network.clock,
-            max_frames=max_frames,
-            span_sample_every=span_sample_every,
-        ).install(network)
+        return cls(network.clock, max_frames=max_frames).install(network)
 
     def install(self, network: "SimulatedNetwork") -> "Instrumentation":
         """Point the network (and everything holding it) at this handle."""
@@ -231,14 +226,6 @@ class Instrumentation:
         if not (self.flight.enabled and self.flight.capacity == capacity):
             self.flight = FlightRecorder(self.clock, capacity)
         return self.flight
-
-    def enable_phase_timers(self) -> "PhaseTimers":
-        """Arm the publish→route→serialize→deliver wall-clock timers."""
-        if self.phases is None:
-            from repro.obs.probes import PhaseTimers
-
-            self.phases = PhaseTimers()
-        return self.phases
 
     # --- the hot-path surface ---------------------------------------------
 
@@ -278,9 +265,6 @@ class Instrumentation:
         *identity*, so swapping the network's handle rebinds naturally.
         """
         return self.metrics.counter(name, **labels)
-
-    def gauge_handle(self, name: str, **labels: str) -> Gauge:
-        return self.metrics.gauge(name, **labels)
 
     def histogram_handle(self, name: str, **labels: str):
         return self.metrics.histogram(name, **labels)
@@ -350,8 +334,6 @@ class Instrumentation:
         }
         if self.flight.enabled:
             snap["flight"] = self.flight.snapshot()
-        if self.phases is not None:
-            snap["phases"] = self.phases.snapshot(include_wall=False)
         return snap
 
     def reset(self) -> None:
@@ -361,5 +343,3 @@ class Instrumentation:
         self.capture.reset()
         self.ledger.reset()
         self.flight.reset()
-        if self.phases is not None:
-            self.phases.reset()

@@ -146,18 +146,10 @@ class _NullCounter(Counter):
     """Pre-bound handle handed out by ``NullInstrumentation``: inert."""
 
     __slots__ = ()
+    #: reads 0 and ignores writes, so ``handle.value += n`` is inert too
+    value = property(lambda self: 0, lambda self, value: None)
 
     def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
         pass
 
 
@@ -170,7 +162,6 @@ class _NullHistogram(Histogram):
 
 #: shared inert instruments (safe to share: every operation is a no-op)
 NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
 
 

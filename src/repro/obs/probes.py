@@ -1,4 +1,4 @@
-"""Backlog probes: gauges sampled on the virtual clock, plus phase timers.
+"""Backlog probes: gauges sampled on the virtual clock.
 
 Counters say how much work *happened*; the health of a running broker lives
 in how much work is *waiting*.  A :class:`GaugeProbes` holds a catalogue of
@@ -22,65 +22,14 @@ backlog in the system:
 Sampling runs on the :class:`~repro.transport.clock.ClockScheduler`, so
 sample times are virtual, deterministic and golden-testable — no
 wall-clock ever leaks into a sample (asserted by tests).
-
-:class:`PhaseTimers` is the opposite kind of probe: optional wall-clock
-(``perf_counter_ns``) totals over the four hot-path phases
-``publish → route → serialize → deliver``.  Deterministic *counts* may
-appear in reports; wall-time means are only rendered behind explicit
-flags (benchmark artifacts, ``obs-top --timings``) so golden outputs stay
-byte-stable.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from time import perf_counter_ns
 from typing import Callable, Optional
 
 from repro.obs.metrics import metric_key
-
-#: the hot-path phases a broker publish traverses, in pipeline order
-PHASES: tuple[str, ...] = ("publish", "route", "serialize", "deliver")
-
-
-class PhaseTimers:
-    """Wall-clock totals per hot-path phase (opt-in, see module docstring).
-
-    Call sites pair ``t0 = timers.begin()`` with ``timers.end(phase, t0)``;
-    a ``None`` timers handle (the default) costs one attribute load and an
-    ``is not None`` branch.
-    """
-
-    __slots__ = ("counts", "totals_ns")
-
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {phase: 0 for phase in PHASES}
-        self.totals_ns: dict[str, int] = {phase: 0 for phase in PHASES}
-
-    def begin(self) -> int:
-        return perf_counter_ns()
-
-    def end(self, phase: str, started_ns: int) -> None:
-        self.counts[phase] += 1
-        self.totals_ns[phase] += perf_counter_ns() - started_ns
-
-    def mean_us(self, phase: str) -> float:
-        count = self.counts[phase]
-        return (self.totals_ns[phase] / count / 1000.0) if count else 0.0
-
-    def snapshot(self, *, include_wall: bool = False) -> dict:
-        """Deterministic counts; wall-time means only when asked for."""
-        out: dict = {"counts": {phase: self.counts[phase] for phase in PHASES}}
-        if include_wall:
-            out["mean_us"] = {
-                phase: round(self.mean_us(phase), 3) for phase in PHASES
-            }
-        return out
-
-    def reset(self) -> None:
-        for phase in PHASES:
-            self.counts[phase] = 0
-            self.totals_ns[phase] = 0
 
 
 class GaugeProbes:

@@ -119,26 +119,15 @@ class Span:
 
 
 class Tracer:
-    """Produces spans and stores every finished one in memory.
+    """Produces spans and stores every finished one in memory."""
 
-    ``sample_every`` trades span *retention* for memory and time: with a
-    value N > 1 only every Nth span is kept in :attr:`spans` (the first of
-    each stride survives, so small scenarios still trace).  The live stack —
-    and with it lineage inheritance, parent ids and wire propagation — is
-    always maintained, so sampling never changes wire bytes or ledger
-    accounting, only which span records remain for the report.
-    """
-
-    def __init__(self, clock, *, sample_every: int = 1) -> None:
+    def __init__(self, clock) -> None:
         self._clock = clock
         self._now = clock.now  # pre-bound: read 2x per span
         self.spans: list[Span] = []
         self._stack: list[Span] = []
         self._next_id = 1
         self._next_lineage = 1
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        self.sample_every = sample_every
 
     def mint_lineage(self) -> str:
         """A fresh, deterministic lineage id (one per root publish)."""
@@ -205,8 +194,7 @@ class Tracer:
         record.hop = hop
         record._tracer = self
         record._context = None
-        if self.sample_every == 1 or span_id % self.sample_every == 1:
-            self.spans.append(record)
+        self.spans.append(record)
         stack.append(record)
         return record
 

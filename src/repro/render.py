@@ -237,13 +237,10 @@ class Renderer:
                 )
         instr = self.client.network.instrumentation
         if instr.enabled:
-            name = "template_hits" if outcome == "hit" else "template_misses"
-            counter = self._bound.probe(instr, name)
-            if counter is None:
-                counter = self._bound.get(instr, name, "fanout." + name, family=self.family)
-            counter.inc()
-            # flight ``serialize`` records and the phase below describe batch
-            # envelopes (size, outcome); a push has its ``delivery`` record
+            name = "fanout.template_hits" if outcome == "hit" else "fanout.template_misses"
+            self._bound.inc(instr, 1, name, "family", self.family)
+            # flight ``serialize`` records describe batch envelopes (size,
+            # outcome); a push has its ``delivery`` record
             if entry.batch and instr.flight.enabled:
                 instr.flight.record(
                     "serialize", family=self.family, sink=consumer.address,
@@ -258,12 +255,7 @@ class Renderer:
             if self.client.envelope_filter is not None:
                 self.client.envelope_filter(envelope)
             return serialize_envelope(envelope)
-        phases = instr.phases if entry.batch else None
-        timer = phases.begin() if phases is not None else 0
-        text = compiled.render(consumer.address, fresh_message_id(), parts)
-        if phases is not None:
-            phases.end("serialize", timer)
-        return text
+        return compiled.render(consumer.address, fresh_message_id(), parts)
 
     def _envelope(
         self, action: str, to: str, message_id: str, consumer: EndpointReference,

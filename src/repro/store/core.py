@@ -29,7 +29,7 @@ uncommitted outcomes: replay re-attempts those sinks of that one publish
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.store.log import MemoryEventLog
 from repro.store.records import (
@@ -49,6 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: outcomes after which a (message_id, sink) obligation needs no further work
 TERMINAL_OUTCOMES = frozenset({"delivered", "dead", "drained"})
+#: how a ``dead`` record says the QoS layer shed the message
+SHED_PREFIX = "shed:"
 
 #: the state a family's subscriptions can differ in beyond sink, expiry and
 #: backlog: WS-Eventing picks a delivery mode at Subscribe, WS-Notification
@@ -160,16 +162,14 @@ class BrokerStore:
     # --- wiring ------------------------------------------------------------
 
     def attach(self, broker: "WsMessenger") -> None:
-        """Wire the store into a broker's sources, producers, delivery
-        manager and message boxes.  Called from the broker constructor."""
+        """Wire the store into a broker's sources, producers and delivery
+        manager.  Called from the broker constructor."""
         self.broker = broker
         self.clock = broker.network.clock
         for family, tag, subscriptions in broker.subscription_managers():
             subscriptions.listeners.append(self._lifecycle_hook(family, tag))
         if broker.delivery_manager is not None:
             broker.delivery_manager.store = self
-        if broker.message_boxes is not None:
-            broker.message_boxes.on_drained = self._box_drained
 
     def _lifecycle_hook(self, family: str, tag: str):
         def on_event(event: str, subscription, detail: dict) -> None:
@@ -265,12 +265,12 @@ class BrokerStore:
             self.current_message_id = None
             self._commit()
 
-    def stamp_items(self, items: List["DeliveryItem"]) -> List["DeliveryItem"]:
-        """Stamp the in-flight publish's message id onto delivery items —
-        the idempotency key is born here."""
+    def stamp_items(self, items: Sequence["DeliveryItem"]) -> List["DeliveryItem"]:
+        """A task's own list of ``items``, each stamped with the in-flight
+        publish's message id — the idempotency key is born here."""
         message_id = self.current_message_id
         if message_id is None:
-            return items
+            return list(items)
         return [
             type(item)(item.payload, item.topic, item.lineage, message_id)
             if item.message_id is None
@@ -298,38 +298,35 @@ class BrokerStore:
         self.stats.outcomes += 1
 
     def _record_outcomes(
-        self, sink: str, items: List["DeliveryItem"], outcome: str, reason: str = ""
+        self, sink: str, items: Sequence["DeliveryItem"], outcome: str, reason: str = ""
     ) -> None:
         for item in items:
             if item.message_id is not None:
                 self._record_outcome(item.message_id, sink, outcome, reason)
 
-    def task_delivered(self, task: "DeliveryTask") -> None:
-        self._record_outcomes(task.sink, task.items, "delivered")
+    # The closing table's entry points (``repro.delivery.manager.CLOSING``):
+    # one shape — the sink, the items that closed, why — one record each.
 
-    def items_parked(self, task: "DeliveryTask", items: List["DeliveryItem"]) -> None:
-        """Park outcomes for a subset of a task's items (the rest may have
-        overflowed the box and been shed instead)."""
-        self._record_outcomes(task.sink, items, "parked")
+    def task_delivered(self, sink: str, items, reason: str = "") -> None:
+        self._record_outcomes(sink, items, "delivered")
 
-    def items_shed(
-        self, task: "DeliveryTask", items: List["DeliveryItem"], reason: str
-    ) -> None:
-        """Terminal outcomes for QoS-shed items.
+    def items_parked(self, sink: str, items, reason: str = "") -> None:
+        self._record_outcomes(sink, items, "parked")
 
-        Recorded as ``dead`` with a ``shed:`` reason so crash replay treats
-        them as settled (a shed message must not resurrect as a fresh wire
-        attempt) while the reason keeps the distinction auditable."""
-        self._record_outcomes(task.sink, items, "dead", f"shed:{reason}")
+    def items_shed(self, sink: str, items, reason: str) -> None:
+        """Recorded as ``dead`` with a ``shed:`` reason: the log format has
+        no ``shed`` outcome, the reason is what replay tells them apart by
+        (a shed message is settled — no fresh wire attempt, no dead letter)."""
+        self._record_outcomes(sink, items, "dead", SHED_PREFIX + reason)
 
-    def task_dead(self, task: "DeliveryTask", reason: str) -> None:
-        self._record_outcomes(task.sink, task.items, "dead", reason)
+    def task_dead(self, sink: str, items, reason: str) -> None:
+        self._record_outcomes(sink, items, "dead", reason)
+
+    def items_drained(self, sink: str, items, reason: str = "") -> None:
+        self._record_outcomes(sink, items, "drained")
 
     def task_replayed(self, task: "DeliveryTask") -> None:
         self._record_outcomes(task.sink, task.items, "replayed")
-
-    def _box_drained(self, box, batch: List["DeliveryItem"]) -> None:
-        self._record_outcomes(box.sink, batch, "drained")
 
     # --- replay routing (consulted by the delivery manager) ------------------
 
@@ -338,8 +335,10 @@ class BrokerStore:
 
         Returns ``("suppress", "")`` when the log already settled every
         item, ``("park", "")`` when the open items were parked pre-crash,
-        ``("dead", reason)`` when the task died pre-crash, or None for a
-        live re-attempt (the obligation was genuinely in flight)."""
+        ``("dead", reason)`` when the task died pre-crash — ``("shed",
+        reason)`` when what killed it was a QoS decision, which stays out of
+        the dead-letter queue — or None for a live re-attempt (the obligation
+        was genuinely in flight)."""
         keys = [
             (item.message_id, task.sink)
             for item in task.items
@@ -352,6 +351,8 @@ class BrokerStore:
             outcomes = [self._settled[key] for key in keys]
             dead = [reason for outcome, reason in outcomes if outcome == "dead"]
             if dead and not any(o in ("delivered", "drained") for o, _ in outcomes):
+                if dead[0].startswith(SHED_PREFIX):
+                    return ("shed", dead[0][len(SHED_PREFIX):])
                 return ("dead", dead[0])
             return ("suppress", "")
         if all(key in self._parked for key in open_keys):

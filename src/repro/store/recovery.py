@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.obs.lineage import CLOSING_STATES, OPENING_STATES
 from repro.obs.propagation import LineageContext
 from repro.store.core import BrokerStore
 from repro.store.records import (
@@ -194,9 +195,9 @@ def _close_books(broker, store, record: PublishRecorded) -> None:
         sink = event.detail.get("sink")
         if sink is None:
             continue
-        if event.state in ("enqueued", "replayed"):
+        if event.state in OPENING_STATES:
             opened[sink] = opened.get(sink, 0) + 1
-        elif event.state in ("delivered", "dead_lettered", "failed"):
+        elif event.state in CLOSING_STATES:
             closed[sink] = closed.get(sink, 0) + 1
             if event.state == "delivered" and event.detail.get("via") == "pull":
                 pulled[sink] = pulled.get(sink, 0) + 1

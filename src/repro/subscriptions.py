@@ -489,17 +489,13 @@ class SubscriptionService:
         self._announce_end(subscription, reason, detail)
 
     def _send_end_notice(
-        self, subscription: Subscription, target: EndpointReference, action: str, body: XElem, stage: str
+        self, target: EndpointReference, action: str, body: XElem, stage: str
     ) -> None:
         """An end notice is a control message: under a delivery manager it is
         retried like any delivery, but it carries no items, so it is never
         parked (it is meaningless once the sink is gone)."""
         self._fanout.settle(
-            target.address,
-            self._client.call,
-            (target, action, [body]),
-            stage=stage,
-            describe=f"{stage} {subscription.key}",
+            target.address, self._client.call, (target, action, [body]), stage=stage
         )
 
     def _end_after_failure(self, exc: Exception, subscription: Subscription, *_) -> None:

@@ -76,13 +76,9 @@ class SoapEndpoint:
     # --- wire handling ----------------------------------------------------
 
     def _count_request(self, instr, status: str) -> None:
-        counter = self._request_counters.probe(instr, status)
-        if counter is None:
-            counter = self._request_counters.get(
-                instr, status, "endpoint.requests",
-                address=self.address, status=status,
-            )
-        counter.inc()
+        self._request_counters.inc(
+            instr, 1, "endpoint.requests", "address", self.address, "status", status
+        )
 
     def _handle_wire(self, wire: bytes) -> bytes:
         instr = self.network.instrumentation

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.obs.instrument import NULL_INSTRUMENTATION
+from repro.obs.instrument import NULL_INSTRUMENTATION, BoundCounters
 from repro.transport.clock import VirtualClock
 
 Handler = Callable[[bytes], bytes]
@@ -163,10 +163,8 @@ class SimulatedNetwork:
         self.wire_observers: list[Callable[[WireObservation], None]] = []
         #: observability handle (see repro.obs); the null object by default
         self.instrumentation = NULL_INSTRUMENTATION
-        # pre-bound net.* instruments, invalidated when the handle changes
-        self._net_instr = None
-        self._net_counters: dict[str, object] = {}
-        self._net_rtt = None
+        #: pre-bound net.* instruments
+        self._bound = BoundCounters()
 
     # --- topology ----------------------------------------------------------
 
@@ -213,8 +211,6 @@ class SimulatedNetwork:
         started = self.clock.now()
         response: Optional[bytes] = None
         outcome = "error"
-        phases = instr.phases
-        timer = phases.begin() if phases is not None else 0
         with instr.span("deliver", address=target_address, from_zone=from_zone):
             try:
                 response = self._transfer(target_address, payload, from_zone)
@@ -230,20 +226,9 @@ class SimulatedNetwork:
                 outcome = "lost"
                 raise
             finally:
-                if phases is not None:
-                    phases.end("deliver", timer)
                 finished = self.clock.now()
-                if instr is not self._net_instr:
-                    self._net_instr = instr
-                    self._net_counters = {}
-                    self._net_rtt = instr.histogram_handle("net.rtt_seconds")
-                counter = self._net_counters.get(outcome)
-                if counter is None:
-                    counter = self._net_counters[outcome] = instr.counter_handle(
-                        "net.requests", outcome=outcome
-                    )
-                counter.inc()
-                self._net_rtt.observe(finished - started)
+                self._bound.inc(instr, 1, "net.requests", "outcome", outcome)
+                self._bound.observe(instr, finished - started, "net.rtt_seconds")
                 if self.wire_observers:
                     registration = self._registrations.get(target_address)
                     observation = WireObservation(

@@ -308,7 +308,6 @@ class EventSource(SubscriptionService):
             self._send_rendered,
             (subscription, action, self._push_entry, [(payload, topic)]),
             [DeliveryItem(payload, topic, lineage=lineage)],
-            describe=f"notify {subscription.key}",
             priority=subscription.priority,
             on_failed=self._end_after_failure,
         )
@@ -327,7 +326,6 @@ class EventSource(SubscriptionService):
             ),
             [DeliveryItem(message) for message in batch],
             stage="wrapped_notify",
-            describe=f"wrapped notify {subscription.key}",
             priority=subscription.priority,
             on_failed=self._end_after_failure,
             mode="wrapped",
@@ -353,7 +351,6 @@ class EventSource(SubscriptionService):
             # per the paper: no EndTo in the request => no SubscriptionEnd message
             return
         self._send_end_notice(
-            subscription,
             subscription.end_to,
             self.version.action("SubscriptionEnd"),
             messages.build_subscription_end(

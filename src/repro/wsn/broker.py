@@ -65,14 +65,11 @@ class NotificationBroker:
         *,
         version: WsnVersion = WsnVersion.V1_3,
         topic_namespace: Optional[TopicNamespace] = None,
-        require_registration: bool = False,
-        store=None,
         delivery_manager: Optional[DeliveryManager] = None,
         qos: Optional[AdaptiveQosPolicy] = None,
     ) -> None:
         self.network = network
         self.version = version
-        self.require_registration = require_registration
         #: adaptive QoS: lag thresholds for publisher pause/resume (the
         #: demand-based mechanism of Section V.5, driven by *downstream*
         #: backlog rather than subscriber count alone)
@@ -82,13 +79,6 @@ class NotificationBroker:
         self.lag_paused = False
         self.publisher_pauses = 0
         self.publisher_resumes = 0
-        #: optional event log (repro.store.BrokerStore): publications are
-        #: appended outbox-first, giving this standalone broker a durable
-        #: publish audit trail (full projection recovery lives in
-        #: repro.store.recovery, on the mediation broker)
-        self.store = store
-        if store is not None and store.clock is None:
-            store.clock = network.clock
         # the broker's producer side (Subscribe / GetCurrentMessage / delivery)
         self.producer = NotificationProducer(
             network,
@@ -162,16 +152,7 @@ class NotificationBroker:
 
     def publish(self, payload: XElem, *, topic: Optional[str] = None) -> int:
         """Broker-side publication (in-process publisher API)."""
-        if self.store is None:
-            return self.producer.publish(payload, topic=topic)
-        # transactional outbox: append before fan-out
-        self.store.record_publish(
-            payload, topic, self.network.instrumentation.trace_context()
-        )
-        try:
-            return self.producer.publish(payload, topic=topic)
-        finally:
-            self.store.end_publish()
+        return self.producer.publish(payload, topic=topic)
 
     # --- publisher registration --------------------------------------------------------
 

@@ -435,11 +435,9 @@ class NotificationProducer(SubscriptionService):
         sink = first.consumer.address
         if key is None:
             attrs = {"raw": "true" if first.use_raw else "false"}
-            describe = f"notify {first.key}"
             priority = first.priority
         else:
             attrs = {"raw": "false", "batch": str(len(entries))}
-            describe = f"notify batch[{len(entries)}] {sink}"
             priority = max(sub.priority for sub, _, _ in entries)
         self._fanout.settle(
             sink,
@@ -453,7 +451,6 @@ class NotificationProducer(SubscriptionService):
                 )
                 for _, item, lineage in entries
             ],
-            describe=describe,
             priority=priority,
             on_failed=self._end_after_failure,
             **attrs,
@@ -495,7 +492,6 @@ class NotificationProducer(SubscriptionService):
         if reason == "unsubscribed" or not self.wsrf_enabled:
             return
         self._send_end_notice(
-            subscription,
             subscription.consumer,
             messages.wsrf_lifetime_action("TerminationNotification"),
             messages.build_termination_notification(reason),

@@ -158,16 +158,6 @@ class TestDeadLetters:
         assert manager.dlq.replay(manager, sink="http://a") == 1
         assert [d.task.sink for d in manager.dlq.entries] == ["http://b"]
 
-    def test_on_dead_callback_fires(self):
-        _, manager = make_manager(DeliveryPolicy(max_attempts=1))
-        deaths = []
-        manager.submit(
-            "http://sink",
-            FlakySend(failures=9),
-            on_dead=lambda task, reason: deaths.append(reason),
-        )
-        assert deaths == ["max_attempts"]
-
 
 class TestBreaker:
     def test_breaker_opens_and_fast_fails_without_wire_attempts(self):
@@ -266,16 +256,12 @@ class TestDeterminism:
         network, manager = make_manager(
             DeliveryPolicy(max_attempts=6, base_backoff=0.5, jitter=0.3), seed=seed
         )
-        times = []
-        for n, failures in enumerate([3, 1, 4]):
-            send = FlakySend(failures=failures)
-            manager.submit(
-                f"http://sink-{n}",
-                send,
-                on_delivered=lambda task: times.append(task.delivered_at),
-            )
+        tasks = [
+            manager.submit(f"http://sink-{n}", FlakySend(failures=failures))
+            for n, failures in enumerate([3, 1, 4])
+        ]
         manager.run_until_idle()
-        return times, manager.stats.snapshot()
+        return [task.delivered_at for task in tasks], manager.stats.snapshot()
 
     def test_same_seed_same_retry_schedule(self):
         assert self.run_scenario(42) == self.run_scenario(42)

@@ -7,10 +7,12 @@ Integration level: a real cross-shard flow audits green with its hops
 classified as federation traffic.
 """
 
+import pytest
+
 from repro.mesh import MeshCluster
 from repro.obs.audit import audit
 from repro.obs.instrument import Instrumentation
-from repro.transport import SimulatedNetwork, VirtualClock
+from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
 from repro.wsa.headers import reset_message_counter
 from repro.wsn import NotificationConsumer
 from repro.xmlkit import parse_xml
@@ -124,3 +126,54 @@ class TestMeshFlowAudit:
         assert result.federation_delivered == 2
         assert result.consumer_delivered == 1
         assert len(consumer.received) == 1
+
+
+class TestForwardFailure:
+    """A forward is one direct attempt: what the wire does to it is a
+    delivery outcome, anything else is not."""
+
+    def forwarding_mesh(self):
+        reset_message_counter()
+        network = SimulatedNetwork(VirtualClock())
+        instrumentation = Instrumentation.attach(network)
+        mesh = MeshCluster(network, 2, base_address="http://fwdmesh")
+        owner = mesh.owner_node_of_topic("jobs/status")
+        origin = next(node for node in mesh if node.name != owner.name)
+        return network, instrumentation, mesh, owner, origin
+
+    def forward_events(self, instrumentation, owner):
+        return [
+            event.state
+            for events in instrumentation.ledger.events.values()
+            for event in events
+            if event.detail.get("sink") == owner.address
+        ]
+
+    def test_forward_lost_on_the_wire_closes_failed(self):
+        network, instrumentation, mesh, owner, origin = self.forwarding_mesh()
+
+        def lose_the_hop(address, request):
+            if address == owner.address:
+                raise MessageLost(address)
+
+        network.observers.append(lose_the_hop)
+        with pytest.raises(MessageLost):  # the publisher still sees it
+            mesh.publish(parse_xml("<j/>"), topic="jobs/status", via=origin.name)
+        assert self.forward_events(instrumentation, owner) == ["enqueued", "attempted", "failed"]
+        result = audit(instrumentation, federation_sinks=mesh.federation_sinks())
+        assert result.passed, [finding.render() for finding in result.findings]
+        assert (result.opened, result.failed, result.pending) == (1, 1, 0)
+
+    def test_a_bug_in_the_hop_is_not_booked_as_a_delivery_failure(self):
+        network, instrumentation, mesh, owner, origin = self.forwarding_mesh()
+
+        def broken(address, request):
+            if address == owner.address:
+                raise KeyError("not a network error")
+
+        network.observers.append(broken)
+        with pytest.raises(KeyError):
+            mesh.publish(parse_xml("<j/>"), topic="jobs/status", via=origin.name)
+        # the obligation stays open for the audit to find; it is not ``failed``
+        assert self.forward_events(instrumentation, owner) == ["enqueued", "attempted"]
+        assert not instrumentation.metrics.counter_values("mesh.forwarded_publishes")

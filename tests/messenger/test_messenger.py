@@ -301,6 +301,20 @@ class TestBrokerStats:
             client.call(broker.epr(), "urn:mystery:Op", [event()])
         assert broker.stats.detection_failures == 1
 
+    def test_detection_failure_counted_by_obs_too(self, network, broker):
+        """One front-door body: with obs on the same failure path counts
+        ``broker.detection_failures`` beside the stats field."""
+        from repro.obs import Instrumentation
+        from repro.transport.endpoint import SoapClient
+
+        instrumentation = Instrumentation.attach(network)
+        with pytest.raises(SoapFault, match="specification detection failed"):
+            SoapClient(network).call(broker.epr(), "urn:mystery:Op", [event()])
+        assert broker.stats.detection_failures == 1
+        counters = instrumentation.metrics.counter_values
+        assert counters("broker.detection_failures") == {"broker.detection_failures": 1}
+        assert not counters("broker.requests")  # nothing was detected
+
     def test_publication_counter(self, network, broker):
         broker.publish(event(), topic="jobs")
         broker.publish(event())

@@ -1,7 +1,7 @@
-"""Gauge probes and phase timers: virtual-clock sampling, no wall leakage."""
+"""Gauge probes: virtual-clock sampling, no wall leakage."""
 
 from repro.obs.instrument import Instrumentation
-from repro.obs.probes import PHASES, GaugeProbes, PhaseTimers
+from repro.obs.probes import GaugeProbes
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.transport.clock import ClockScheduler
 
@@ -105,39 +105,3 @@ class TestGrowthAnomalies:
             backlog["value"] = value
             probes.sample()
         assert probes.growth_anomalies(min_samples=4) == []
-
-
-class TestPhaseTimers:
-    def test_counts_are_deterministic_and_wall_time_is_opt_in(self):
-        timers = PhaseTimers()
-        t0 = timers.begin()
-        timers.end("publish", t0)
-        snapshot = timers.snapshot()
-        assert snapshot == {
-            "counts": {"publish": 1, "route": 0, "serialize": 0, "deliver": 0}
-        }
-        with_wall = timers.snapshot(include_wall=True)
-        assert set(with_wall) == {"counts", "mean_us"}
-        assert with_wall["mean_us"]["publish"] >= 0.0
-
-    def test_instrumented_traffic_counts_phases(self):
-        network, instrumentation = attached()
-        instrumentation.enable_phase_timers()
-        network.register("http://svc", lambda wire: b"ok")
-        network.send_request("http://svc", b"ping")
-        counts = instrumentation.phases.snapshot()["counts"]
-        assert counts["deliver"] == 1
-        assert list(counts) == list(PHASES)
-
-    def test_snapshot_includes_phase_counts_when_armed(self):
-        network, instrumentation = attached()
-        assert "phases" not in instrumentation.snapshot()
-        instrumentation.enable_phase_timers()
-        assert instrumentation.snapshot()["phases"]["counts"]["publish"] == 0
-
-    def test_reset_zeroes_counts(self):
-        _, instrumentation = attached()
-        timers = instrumentation.enable_phase_timers()
-        timers.end("route", timers.begin())
-        instrumentation.reset()
-        assert timers.snapshot()["counts"]["route"] == 0

@@ -6,6 +6,7 @@ from repro.delivery import DeliveryPolicy, drain_message_box_wse
 from repro.messenger import WsMessenger
 from repro.obs import Instrumentation
 from repro.obs.audit import audit
+from repro.qos import AdaptiveQosPolicy
 from repro.store import BrokerStore, FileEventLog, MemoryEventLog, recover_broker
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.wse import DeliveryMode, EventSink, WseSubscriber
@@ -206,6 +207,44 @@ class TestObligationRecovery:
         result = audit(instrumentation, scenario="dangling")
         assert result.passed
         assert result.failed == 1
+
+
+class TestShedIsTerminal:
+    def test_shed_obligations_stay_shed_across_recovery(self, network):
+        """Six publishes at a dark sink behind a two-deep queue: four are
+        shed, two are in flight when the broker dies.  A shed obligation is
+        settled — replay must neither re-attempt it nor turn its ``dead`` /
+        ``shed:`` record into a dead letter, and the books it closed must
+        count as closed (they used to be failed a second time)."""
+        instrumentation = Instrumentation.attach(network)
+        config = dict(
+            delivery=DeliveryPolicy(max_attempts=3, base_backoff=5, jitter=0.0),
+            qos=AdaptiveQosPolicy(max_sink_queue=2),
+        )
+        broker = _broker(network, **config)
+        sink = EventSink(network, "http://rc-dark")
+        WseSubscriber(network).subscribe(broker.epr(), notify_to=sink.epr())
+        sink.close()
+        for n in range(6):
+            broker.publish(event(n), topic="rc")
+        manager = broker.delivery_manager
+        assert (manager.stats.shed, manager.pending(), len(manager.dlq)) == (4, 2, 0)
+        live = broker.store.projection(broker)
+        log_before = len(broker.store.log)
+        broker.close()
+        sink = EventSink(network, "http://rc-dark")  # back before the restart
+        recovered = _recover(network, broker.store.log, **config)
+        assert recovered.store.projection(recovered)["dead_letters"] == live["dead_letters"] == 0
+        stats = recovered.store.stats
+        assert (stats.suppressed, stats.redead, stats.crash_failures) == (4, 0, 2)
+        recovered.run_deliveries_until_idle()
+        # only the two genuinely in flight went out, once each; the log gained
+        # their two outcomes and nothing for the shed four
+        assert [item.payload.full_text() for item in sink.received] == ["0", "5"]
+        assert len(recovered.store.log) == log_before + 2
+        result = audit(instrumentation, scenario="shed-replay")
+        assert result.passed, result.render()
+        assert (result.shed, result.failed, result.delivered, result.pending) == (4, 2, 2, 0)
 
 
 class TestRecoveryOffTheWire:
