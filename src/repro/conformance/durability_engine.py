@@ -18,7 +18,10 @@ The restart reads the log back from a file, behind whatever partial last
 line the case's optional ``torn_tail`` says the crash left on it.  A case
 with ``sink_queue`` runs both brokers with that adaptive-QoS queue bound and
 keeps every consumer dark until the crash point, so the crash lands on shed
-and dead-lettered obligations instead of delivered ones.
+and dead-lettered obligations instead of delivered ones.  A case with
+``ward`` puts the WSE sink behind a firewall, so its notifications park in a
+message box, and drains that box just before the crash: the box must come
+back, empty, at the address the consumer holds.
 """
 
 from __future__ import annotations
@@ -78,12 +81,14 @@ class DurabilityEngine:
         sink_queue = case.get("sink_queue", 1)
         if not isinstance(sink_queue, int) or sink_queue < 1:
             return False
+        if not isinstance(case.get("ward", False), bool):
+            return False
         return isinstance(case.get("torn_tail", ""), str)
 
     def check(self, case: object) -> Optional[str]:
         if not self._valid(case):
             return None
-        from repro.delivery import DeliveryPolicy
+        from repro.delivery import DeliveryPolicy, drain_message_box_wse
         from repro.messenger import WsMessenger
         from repro.qos import AdaptiveQosPolicy
         from repro.store import BrokerStore, FileEventLog, MemoryEventLog
@@ -112,15 +117,19 @@ class DurabilityEngine:
         else:
             pipeline = {"delivery": DeliveryPolicy()}
 
+        # both networks have the firewalled zone; only a warded sink sits in it
+        ward = {"zone": "conf-dur-ward"} if case.get("ward") else {}
+
         def outage(address: str, request: bytes) -> None:
             if address.endswith(("-sink", "-consumer")):
                 raise MessageLost(address)
 
         # --- the uninterrupted baseline --------------------------------------
         base_net = SimulatedNetwork(VirtualClock())
+        base_net.add_zone("conf-dur-ward", blocks_inbound=True)
         baseline = WsMessenger(base_net, "http://conf-dur-base", **pipeline, **versions)
-        base_sink = EventSink(base_net, "http://conf-dur-base-sink")
-        WseSubscriber(base_net).subscribe(baseline.epr(), notify_to=base_sink.epr())
+        base_sink = EventSink(base_net, "http://conf-dur-base-sink", **ward)
+        WseSubscriber(base_net, **ward).subscribe(baseline.epr(), notify_to=base_sink.epr())
         base_consumer = NotificationConsumer(base_net, "http://conf-dur-base-consumer")
         WsnSubscriber(base_net).subscribe(
             baseline.epr(), base_consumer.epr(), topic=watch
@@ -137,6 +146,7 @@ class DurabilityEngine:
 
         # --- the crash-recovered broker --------------------------------------
         dur_net = SimulatedNetwork(VirtualClock())
+        dur_net.add_zone("conf-dur-ward", blocks_inbound=True)
         broker = WsMessenger(
             dur_net,
             "http://conf-dur",
@@ -144,8 +154,8 @@ class DurabilityEngine:
             **pipeline,
             **versions,
         )
-        dur_sink = EventSink(dur_net, "http://conf-dur-sink")
-        WseSubscriber(dur_net).subscribe(broker.epr(), notify_to=dur_sink.epr())
+        dur_sink = EventSink(dur_net, "http://conf-dur-sink", **ward)
+        WseSubscriber(dur_net, **ward).subscribe(broker.epr(), notify_to=dur_sink.epr())
         dur_consumer = NotificationConsumer(dur_net, "http://conf-dur-consumer")
         WsnSubscriber(dur_net).subscribe(broker.epr(), dur_consumer.epr(), topic=watch)
         if dark:
@@ -154,6 +164,9 @@ class DurabilityEngine:
             broker.publish(payload.copy(), topic=item["topic"])
         broker.run_deliveries_until_idle()
         dur_net.observers.clear()
+        if ward:
+            for box in broker.message_boxes.boxes():
+                drain_message_box_wse(dur_net, box.epr(), **ward)
         live = broker.store.projection(broker)
         broker.close()
         log = MemoryEventLog()

@@ -24,7 +24,13 @@ from repro.filters.topics import TopicNamespace
 from repro.render import Entry
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import DeliveryMode, Subscription, SubscriptionService
+from repro.subscriptions import (
+    DeliveryMode,
+    Operation,
+    OperationTable,
+    Subscription,
+    SubscriptionService,
+)
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
@@ -78,6 +84,33 @@ _FAULTS = {
 }
 _END_REASONS = {"expired": "SubscriptionExpired", "delivery failure": "DeliveryFailure: {detail}"}
 
+#: Table 2's union, as the prototype serves it: WS-Eventing's GetStatus / Pull
+#: / SubscriptionEnd beside WS-Notification's Pause / Resume / GetCurrentMessage
+OPERATIONS = OperationTable(
+    "WsEventNotificationDraft",
+    WSEN_NS,
+    {
+        "source": "EventNotificationSource",
+        "manager": "SubscriptionManager",
+        "sink": "EventNotificationConsumer",
+    },
+    tuple(
+        Operation(name, port, _action(name), f"wsen:{name}", handler)
+        for name, port, handler in (
+            ("Subscribe", "source", "_handle_subscribe"),
+            ("GetCurrentMessage", "source", "_handle_get_current"),
+            ("Renew", "manager", "_handle_renew"),
+            ("GetStatus", "manager", "_handle_get_status"),
+            ("Unsubscribe", "manager", "_handle_unsubscribe"),
+            ("PauseSubscription", "manager", "_handle_pause"),
+            ("ResumeSubscription", "manager", "_handle_resume"),
+            ("Pull", "manager", "_handle_pull"),
+            ("Notify", "sink", None),
+            ("SubscriptionEnd", "sink", None),
+        )
+    ),
+)
+
 
 class ConvergedSource(SubscriptionService):
     """The prototype event source/producer (one endpoint + one manager):
@@ -96,7 +129,7 @@ class ConvergedSource(SubscriptionService):
         super().__init__(
             network,
             address,
-            f"{address}/subscriptions",
+            OPERATIONS,
             family="wsen",
             version_tag="wsen",
             role="source",
@@ -113,23 +146,6 @@ class ConvergedSource(SubscriptionService):
         self._wrapped_entry = Entry(
             "wrapped", lambda entries: self._wrapped("Notifications", entries), batch=True
         )
-        self.endpoint.on_action(_action("Subscribe"), self._handle_subscribe)
-        self.endpoint.on_action(_action("GetCurrentMessage"), self._handle_get_current)
-        for local, handler in [
-            ("Renew", self._handle_renew),
-            ("GetStatus", self._handle_get_status),
-            ("Unsubscribe", self._handle_unsubscribe),
-            ("PauseSubscription", self._handle_pause),
-            ("ResumeSubscription", self._handle_resume),
-            ("Pull", self._handle_pull),
-        ]:
-            self.manager_endpoint.on_action(_action(local), handler)
-
-    def wsdl(self) -> str:
-        """This prototype's self-description as a WSDL 1.1 document."""
-        from repro.wsdl.generator import wsdl_for_converged_source
-
-        return wsdl_for_converged_source(address=self.address).to_xml()
 
     # --- subscribe -----------------------------------------------------------------
 

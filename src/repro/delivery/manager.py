@@ -232,6 +232,11 @@ class DeliveryManager:
             task.last_error = reason
             store.stats.suppressed += 1
         else:  # "suppress": every item already delivered or drained
+            if reason == "drained":
+                # re-mint the drained box in first-park order: the consumer
+                # pulls at its address, and the next sink to park must not get it
+                assert self.message_boxes is not None
+                self.message_boxes.box_for(task.sink)
             task.status = TaskStatus.DELIVERED
             store.stats.suppressed += 1
         return task

@@ -44,6 +44,7 @@ from repro.qos.adaptive import AdaptiveQosController, AdaptiveQosPolicy
 from repro.messenger import mediation
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
+from repro.subscriptions import SubscriptionService
 from repro.transport.endpoint import SoapEndpoint
 from repro.transport.network import SimulatedNetwork
 from repro.wsa.epr import EndpointReference
@@ -136,18 +137,20 @@ class WsMessenger:
             self.delivery_manager = None
             self.qos = None
         topics = topic_namespace or TopicNamespace()
+        #: every internal service by (family, version tag), WSE versions
+        #: first — the order publications fan out in
+        self._services: dict[tuple[str, str], SubscriptionService] = {}
         # internal per-version implementations on hidden sub-addresses; the
-        # manager EPRs they mint are handed to clients verbatim, so Renew /
-        # Unsubscribe / GetStatus / Pull flow to them directly, already in
-        # the right dialect.
+        # manager EPRs they mint (``<sub-address>/subscriptions``) are handed
+        # to clients verbatim, so Renew / Unsubscribe / GetStatus / Pull flow
+        # to them directly, already in the right dialect.
         self.wse_sources: dict[WseVersion, EventSource] = {}
         for version in wse_versions if wse_versions is not None else list(WseVersion):
             tag = version.name.lower()
-            self.wse_sources[version] = EventSource(
+            self.wse_sources[version] = self._services["wse", tag] = EventSource(
                 network,
                 f"{address}/{tag}",
                 version=version,
-                manager_address=f"{address}/{tag}/subscriptions",
                 topic_header=mediation.WSE_TOPIC_HEADER,
                 delivery_manager=self.delivery_manager,
                 batching=batching,
@@ -155,11 +158,10 @@ class WsMessenger:
         self.wsn_producers: dict[WsnVersion, NotificationProducer] = {}
         for version in wsn_versions if wsn_versions is not None else list(WsnVersion):
             tag = version.name.lower()
-            self.wsn_producers[version] = NotificationProducer(
+            self.wsn_producers[version] = self._services["wsn", tag] = NotificationProducer(
                 network,
                 f"{address}/{tag}",
                 version=version,
-                manager_address=f"{address}/{tag}/subscriptions",
                 topic_namespace=topics,
                 delivery_manager=self.delivery_manager,
                 batching=batching,
@@ -191,14 +193,19 @@ class WsMessenger:
         if self.store is not None:
             self.store.attach(self)
 
+    def services(self):
+        """``(family, version tag, service)`` of every internal source and
+        producer: one surface — ``publish``, ``flush``, ``close``, the
+        operation table — whichever family serves it."""
+        for (family, tag), service in self._services.items():
+            yield family, tag, service
+
     def subscription_managers(self):
-        """``(family, version tag, SubscriptionManager)`` of every internal
-        source and producer — how the store, the mesh and the probes reach
-        subscriptions without knowing which family holds them."""
-        for version, source in self.wse_sources.items():
-            yield "wse", version.name.lower(), source.subscriptions
-        for version, producer in self.wsn_producers.items():
-            yield "wsn", version.name.lower(), producer.subscriptions
+        """``(family, version tag, SubscriptionManager)`` of every service —
+        how the store, the mesh and the probes reach subscriptions without
+        knowing which family holds them."""
+        for family, tag, service in self.services():
+            yield family, tag, service.subscriptions
 
     def _granted_hook(self, family: str, tag: str):
         def on_event(event: str, subscription, detail: dict) -> None:
@@ -214,10 +221,8 @@ class WsMessenger:
 
     def close(self) -> None:
         self.endpoint.close()
-        for source in self.wse_sources.values():
-            source.close()
-        for producer in self.wsn_producers.values():
-            producer.close()
+        for service in self._services.values():
+            service.close()
         if self.message_boxes is not None:
             self.message_boxes.close()
 
@@ -262,7 +267,7 @@ class WsMessenger:
         if spec.operation == "Notify" and spec.family is SpecFamily.WS_NOTIFICATION:
             return self._accept_wsn_publication(envelope, spec)
         self._last_granted = None
-        reply = self._route(envelope, headers, spec)
+        reply = self._route(envelope, headers, spec, (family, version))
         if spec.operation == "Subscribe":  # only reached on success (no fault)
             granted, self._last_granted = self._last_granted, None
             if self.store is not None:
@@ -270,25 +275,26 @@ class WsMessenger:
         return reply
 
     def _route(
-        self, envelope: SoapEnvelope, headers: MessageHeaders, spec: DetectedSpec
+        self,
+        envelope: SoapEnvelope,
+        headers: MessageHeaders,
+        spec: DetectedSpec,
+        dialect: tuple[str, str],
     ) -> Optional[SoapEnvelope]:
         if spec.operation == "CreatePullPoint":
             if self.pullpoint_factory is None:
                 raise SoapFault(FaultCode.SENDER, "pull points require WSN 1.3")
             return self.pullpoint_factory._handle_create(envelope, headers)
-        if spec.family is SpecFamily.WS_EVENTING:
-            implementation = self.wse_sources.get(spec.version)
-        else:
-            implementation = self.wsn_producers.get(spec.version)
+        implementation = self._services.get(dialect)
         if implementation is None:
             raise SoapFault(
                 FaultCode.SENDER,
                 f"{spec.describe()} is not enabled on this broker",
             )
-        handler = implementation.endpoint._handlers.get(headers.action)
+        handler = implementation.handler_for("source", headers.action)
         if handler is None:
-            # WSE 01/2004 mounts manager ops on the source endpoint itself, so
-            # they resolve above; for every other version, management flows to
+            # WSE 01/2004's manager rows are on the source port, so they
+            # resolve above; for every other version, management flows to
             # the subscription-manager EPR minted at Subscribe time, not here.
             raise SoapFault(
                 FaultCode.SENDER,
@@ -377,30 +383,22 @@ class WsMessenger:
             if instr.enabled
             else None
         )
-        for source in self.wse_sources.values():
-            if not source.subscriptions.records:
-                if skips_counter is not None:
-                    skips_counter.inc()
-                continue
-            source.publish(payload, topic=topic)
-        for producer in self.wsn_producers.values():
-            if topic is None and producer.version.requires_topic:
+        for service in self._services.values():
+            if topic is None and service.requires_topic:
                 continue  # <=1.2 subscriptions are all topic-filtered anyway
-            if not producer.subscriptions.records:
-                # still validate the topic and refresh GetCurrentMessage
-                producer.note_publication(payload, topic)
+            if not service.subscriptions.records:
+                # a topic space still validates the topic and refreshes GetCurrentMessage
+                service.note_publication(payload, topic)
                 if skips_counter is not None:
                     skips_counter.inc()
                 continue
-            producer.publish(payload, topic=topic)
+            service.publish(payload, topic=topic)
 
     def flush(self) -> None:
         """Flush wrapped-mode batches in the internal WSE sources and any
         pending per-sink Notify batches in the WSN producers."""
-        for source in self.wse_sources.values():
-            source.flush()
-        for producer in self.wsn_producers.values():
-            producer.flush_batches()
+        for service in self._services.values():
+            service.flush()
 
     # --- introspection ---------------------------------------------------------------
 

@@ -25,11 +25,10 @@ from typing import Optional
 from repro.obs.instrument import NULL_INSTRUMENTATION
 from repro.soap.envelope import SoapEnvelope
 from repro.wsa.headers import extract_headers
-from repro.wse.versions import WseVersion
 from repro.wsn import messages as wsn_messages
 from repro.wsn.messages import NotificationMessage
 from repro.wsn.versions import WsnVersion
-from repro.xmlkit.element import XElem, text_element
+from repro.xmlkit.element import XElem
 from repro.xmlkit.names import QName
 
 #: where the topic rides when a WSN notification is mediated to a WSE sink
@@ -45,7 +44,7 @@ class MediatedNotification:
     topic: Optional[str] = None
 
 
-# --- WSN -> neutral -> WSE -------------------------------------------------------
+# --- WSN -> neutral (-> WSE: the renderer's ``Entry("push", topic_header=WSE_TOPIC_HEADER)``)
 
 
 def neutral_from_wsn_notify(
@@ -63,17 +62,6 @@ def neutral_from_wsn_notify(
         "mediation.messages", len(items), direction="wsn-to-neutral"
     )
     return items
-
-
-def wse_notification_parts(
-    item: MediatedNotification, version: WseVersion
-) -> tuple[XElem, list[XElem]]:
-    """Render for a WSE consumer: raw payload body + topic as a SOAP header
-    (categories 5 and 6)."""
-    headers: list[XElem] = []
-    if item.topic is not None:
-        headers.append(text_element(WSE_TOPIC_HEADER, item.topic))
-    return item.payload.copy(), headers
 
 
 # --- WSE -> neutral -> WSN --------------------------------------------------------------

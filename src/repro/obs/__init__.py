@@ -16,7 +16,7 @@ measurement substrate the reproduction itself runs on.  Four layers:
 
 On top of those, message lineage connects the story *across* hops:
 
-- :mod:`repro.obs.propagation` — the W3C-traceparent-style SOAP header
+- :mod:`repro.obs.propagation` — the W3C-traceparent-style HTTP header
   that carries (lineage id, parent span, hop) over the wire;
 - :mod:`repro.obs.lineage` — the per-lineage state ledger
   (published → mediated → enqueued → attempted → delivered/…);
@@ -51,7 +51,7 @@ from repro.obs.instrument import (
 from repro.obs.lineage import LineageEvent, LineageLedger
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.probes import GaugeProbes
-from repro.obs.propagation import LINEAGE_HEADER, LineageContext
+from repro.obs.propagation import LineageContext
 from repro.obs.slo import slo_summary
 from repro.obs.tracing import Span, Tracer
 
@@ -65,7 +65,6 @@ __all__ = [
     "GaugeProbes",
     "Histogram",
     "Instrumentation",
-    "LINEAGE_HEADER",
     "LineageContext",
     "LineageEvent",
     "LineageLedger",

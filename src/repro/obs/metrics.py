@@ -52,13 +52,6 @@ def metric_key(name: str, labels: dict[str, str]) -> str:
     return f"{name}{{{inner}}}"
 
 
-def structural_key(name: str, labels: dict[str, str]) -> MetricKey:
-    """The hot-path registry key: no string building, just a small tuple."""
-    if not labels:
-        return (name, ())
-    return (name, tuple(sorted(labels.items())))
-
-
 def render_key(key: MetricKey) -> str:
     """Render a structural key into the canonical ``name{k=v,...}`` form."""
     name, items = key

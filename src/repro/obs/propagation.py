@@ -25,23 +25,11 @@ endpoint.SoapEndpoint` as a dict probe on the parsed request head.  A
 missing or malformed header never faults a message: extraction degrades to
 ``None`` and the dispatch starts a fresh root span, exactly as before this
 module existed.
-
-The envelope-level form (:func:`inject` / :func:`extract`, a
-``lin:Lineage`` SOAP header block) is kept for transports that cannot
-carry HTTP headers (stored envelopes, alternative bindings): extraction
-falls back to it when the HTTP header is absent.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-from repro.soap.envelope import SoapEnvelope
-from repro.xmlkit.names import QName
-
-#: namespace + qualified name of the lineage extension header block
-LINEAGE_NS = "http://repro.invalid/obs/lineage"
-LINEAGE_HEADER = QName(LINEAGE_NS, "Lineage")
 
 #: wire-format version field (bump on any encoding change)
 FORMAT_VERSION = "01"
@@ -132,35 +120,3 @@ class LineageContext:
             return None
         return cls(lineage_id=lineage_id, parent_span=parent_span, hop=hop)
 
-
-def inject(envelope: SoapEnvelope, context: LineageContext) -> SoapEnvelope:
-    """Stamp the sender's context onto an outgoing envelope (stepped one
-    hop, so the receiver reads its own position).  Replaces any stale
-    lineage header already present (e.g. a re-sent envelope)."""
-    from repro.xmlkit.element import text_element
-
-    envelope.remove_headers(LINEAGE_HEADER)
-    envelope.add_header(text_element(LINEAGE_HEADER, context.wire_text()))
-    return envelope
-
-
-def extract(envelope: SoapEnvelope) -> Optional[LineageContext]:
-    """Recover the lineage context; ``None`` when absent or malformed.
-
-    Open-coded header scan: this runs on every instrumented dispatch, and
-    the generic ``envelope.header_text`` path (``name`` property per block,
-    dataclass ``QName.__eq__``, a parts-list ``full_text``) measured ~4x
-    the cost of comparing the two name strings directly.  The ``local``
-    comparison runs first — it rejects every other header on a one-length
-    string check without ever touching the namespace URI.
-    """
-    for block in envelope.headers:
-        name = block.content.name
-        if name.local == "Lineage" and name.namespace == LINEAGE_NS:
-            children = block.content.children
-            if len(children) == 1 and type(children[0]) is str:
-                text = children[0]
-            else:  # mixed/nested content: fall back to the string-value
-                text = block.content.full_text()
-            return LineageContext.decode(text)
-    return None

@@ -55,18 +55,6 @@ SLO_QUANTILES: tuple[tuple[str, float], ...] = (
 )
 
 
-def observe_delivery_latency(
-    metrics: MetricsRegistry, latency: float, *, family: str, hops: int
-) -> None:
-    """Record one publish-to-delivery latency under its (family, hops) series."""
-    metrics.histogram(
-        DELIVERY_LATENCY_METRIC,
-        buckets=SLO_BUCKETS,
-        family=family,
-        hops=str(hops),
-    ).observe(latency)
-
-
 def bucket_percentile(
     buckets: tuple[float, ...], counts: list[int], q: float, maximum: Optional[float]
 ) -> Optional[float]:

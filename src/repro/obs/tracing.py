@@ -14,7 +14,7 @@ The stack alone breaks wherever a message's life continues outside the call
 stack that produced it — a delivery retry fired later by the scheduler, a
 parked message drained by pull, a logical process boundary.  For those,
 spans carry a **lineage**: an id minted at the root publish (``mint=True``)
-that is inherited down the stack, carried across the wire in a SOAP header
+that is inherited down the stack, carried across the wire in an HTTP header
 (:mod:`repro.obs.propagation`), and re-established on the far side via
 ``remote=``, which links the new span under its wire-carried parent instead
 of starting a disconnected root.  ``hop`` counts wire hops crossed since

@@ -334,7 +334,9 @@ class BrokerStore:
         """Route one replayed submission by its idempotency keys.
 
         Returns ``("suppress", "")`` when the log already settled every
-        item, ``("park", "")`` when the open items were parked pre-crash,
+        item (``("suppress", "drained")`` when a message box served any of
+        them: its consumer still holds that box's address),
+        ``("park", "")`` when the open items were parked pre-crash,
         ``("dead", reason)`` when the task died pre-crash — ``("shed",
         reason)`` when what killed it was a QoS decision, which stays out of
         the dead-letter queue — or None for a live re-attempt (the obligation
@@ -349,12 +351,13 @@ class BrokerStore:
         open_keys = [key for key in keys if key not in self._settled]
         if not open_keys:
             outcomes = [self._settled[key] for key in keys]
-            dead = [reason for outcome, reason in outcomes if outcome == "dead"]
-            if dead and not any(o in ("delivered", "drained") for o, _ in outcomes):
-                if dead[0].startswith(SHED_PREFIX):
-                    return ("shed", dead[0][len(SHED_PREFIX):])
-                return ("dead", dead[0])
-            return ("suppress", "")
+            kinds = [outcome for outcome, _ in outcomes]
+            if "dead" in kinds and "delivered" not in kinds and "drained" not in kinds:
+                reason = outcomes[kinds.index("dead")][1]
+                if reason.startswith(SHED_PREFIX):
+                    return ("shed", reason[len(SHED_PREFIX):])
+                return ("dead", reason)
+            return ("suppress", "drained" if "drained" in kinds else "")
         if all(key in self._parked for key in open_keys):
             return ("park", "")
         return None

@@ -36,8 +36,6 @@ reproduced.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs.lineage import CLOSING_STATES, OPENING_STATES
 from repro.obs.propagation import LineageContext
 from repro.store.core import BrokerStore
@@ -95,7 +93,7 @@ def replay_log(broker) -> None:
         # replayed publishes may have compiled envelope byte-templates against
         # mid-replay subscription state; drop them so post-recovery traffic
         # recompiles against the converged stores (cheap: one compile each)
-        for service in (*broker.wse_sources.values(), *broker.wsn_producers.values()):
+        for _, _, service in broker.services():
             service.renderer.templates.clear()
 
 

@@ -20,15 +20,17 @@ an end-notice table (removal reason -> SubscriptionEnd /
 TerminationNotification), handed in as ``announce``.
 :class:`SubscriptionService` is the frame those rows hang on: the two
 endpoints, the manager and the fan-out pipeline, wired the one way all three
-families wire them.  DESIGN.md, "The subscription manager", has the
-operation-by-operation map.
+families wire them — and Table 2 itself is data: an :class:`OperationTable`
+per (family, version), from which the frame mounts the handlers, answers the
+broker's front door and renders the WSDL.  DESIGN.md, "The subscription
+manager", has the operation-by-operation map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
 from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterError
 from repro.filters.content import MessageContentFilter, content_expression_of
@@ -358,17 +360,53 @@ class SubscriptionManager(ResourceRegistry):
         return taken
 
 
+class Operation(NamedTuple):
+    """One row of the paper's Table 2 as one (family, version) service has it."""
+
+    #: the Table 2 name, which is also the WSDL operation name
+    name: str
+    #: ``source`` or ``manager`` — the endpoint that serves it — or ``sink``:
+    #: a message the service *sends*, which its consumers serve
+    port: str
+    #: the ``wsa:Action`` of the request; a response carries ``<action>Response``
+    action: str
+    #: WSDL label of the request's body element, e.g. ``wse:Subscribe``
+    element: str
+    #: name of the service method that handles it; None on a ``sink`` row
+    handler: Optional[str]
+
+    @property
+    def one_way(self) -> bool:
+        """What a service sends expects no response; what it serves has one."""
+        return self.handler is None
+
+
+class OperationTable(NamedTuple):
+    """What one service serves — stated once, by its family's ``operations``
+    — and what its WSDL calls the description and each port."""
+
+    name: str
+    namespace: str
+    #: port -> portType name
+    port_types: Mapping[str, str]
+    rows: tuple[Operation, ...]
+
+
 class SubscriptionService:
     """The frame every family's producer / event source hangs its rows on
     (the paper's Fig. 1 and 2 differ in names, not in parts): the endpoint
     that grants subscriptions, the manager endpoint for the rest of Table 2,
     the lease table, the fan-out pipeline and a client for what goes out."""
 
+    #: whether a publication must name a topic (WS-BaseNotification <= 1.2)
+    requires_topic = False
+
     def __init__(
         self,
         network: SimulatedNetwork,
         address: str,
-        manager_address: str,
+        operations: OperationTable,
+        manager_address: Optional[str] = None,
         *,
         family: str,
         version_tag: str,
@@ -419,11 +457,22 @@ class SubscriptionService:
         #: every notification leaves as text this renders (see repro.render)
         self.renderer = Renderer(self._client, family)
         self.endpoint = SoapEndpoint(network, address)
+        if not any(row.port == "manager" for row in operations.rows):
+            manager_address = address  # WS-Eventing 01/2004: the source *is* the manager
+        elif manager_address is None:
+            manager_address = f"{address}/subscriptions"
         self.manager_address = manager_address
-        #: WS-Eventing 01/2004: the source *is* the manager
         self.manager_endpoint = (
             self.endpoint if manager_address == address else SoapEndpoint(network, manager_address)
         )
+        #: Table 2 as this service has it, mounted here and nowhere else
+        self.operations = operations
+        self._served: dict[tuple[str, str], Callable] = {}
+        endpoints = {"source": self.endpoint, "manager": self.manager_endpoint}
+        for row in operations.rows:
+            if row.handler is not None:
+                handler = self._served[row.port, row.action] = getattr(self, row.handler)
+                endpoints[row.port].on_action(row.action, handler)
 
     @property
     def address(self) -> str:
@@ -436,6 +485,18 @@ class SubscriptionService:
         self.endpoint.close()
         if self.manager_endpoint is not self.endpoint:
             self.manager_endpoint.close()
+
+    def handler_for(self, port: str, action: str) -> Optional[Callable]:
+        """What serves ``action`` at ``port`` (None: not there — the broker's
+        front door stands in for the ``source`` port only)."""
+        return self._served.get((port, action))
+
+    def wsdl(self) -> str:
+        """This service's self-description as a WSDL 1.1 document: the mounted
+        table, each port at the address of the endpoint that serves it."""
+        from repro.wsdl.generator import definition_of
+
+        return definition_of(self.operations, self.address, self.manager_address).to_xml()
 
     def _core(self, operation: str, core_call: Callable, *args, **kwargs):
         """``core_call(*args, **kwargs)`` on behalf of a wire ``operation``:
@@ -452,6 +513,9 @@ class SubscriptionService:
 
     def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> SoapEnvelope:
         return reply_envelope(request_headers, action, body, self._client.wsa_version)
+
+    def note_publication(self, payload: XElem, topic: Optional[str]) -> None:
+        """A publication nobody here matches: nothing to note without a topic space."""
 
     def _admit_publication(self, payload: XElem, topic: Optional[str]) -> None:
         """A publication on ``topic`` must be one the topic space admits (a

@@ -64,15 +64,8 @@ class ClockScheduler:
             self._heap, (max(when, self.clock.now()), next(self._seq), callback)
         )
 
-    def call_later(self, delay: float, callback: Callable[[], None]) -> None:
-        self.call_at(self.clock.now() + max(delay, 0.0), callback)
-
     def pending(self) -> int:
         return len(self._heap)
-
-    def next_due(self) -> Optional[float]:
-        """The earliest scheduled deadline, or ``None`` when idle."""
-        return self._heap[0][0] if self._heap else None
 
     def run_due(self) -> int:
         """Run every callback whose deadline has passed; returns how many."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.obs.instrument import BoundCounters
-from repro.obs.propagation import LineageContext, extract as extract_lineage
+from repro.obs.propagation import LineageContext
 from repro.soap.codec import parse_envelope, serialize_envelope
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
@@ -100,16 +100,11 @@ class SoapEndpoint:
             headers = MessageHeaders(to=self.address, action="")
         if not instr.enabled:
             return self._dispatch(envelope, headers)
-        # re-establish the wire-carried trace context (None when absent or
-        # malformed: the dispatch then roots a fresh tree, exactly as
-        # before).  Instrumented senders put it in the HTTP head; envelopes
-        # from other carriers (stored replays, alternative bindings) may
-        # still bear the lin:Lineage SOAP header, so fall back to that.
+        # re-establish the trace context instrumented senders put in the HTTP
+        # head (None when absent or malformed: the dispatch then roots a
+        # fresh tree)
         lineage_text = request.headers.get(LINEAGE_HTTP_HEADER)
-        if lineage_text is not None:
-            lineage = LineageContext.decode(lineage_text)
-        else:
-            lineage = extract_lineage(envelope)
+        lineage = None if lineage_text is None else LineageContext.decode(lineage_text)
         with instr.span(
             "dispatch", remote=lineage, address=self.address, action=headers.action
         ) as span:

@@ -3,20 +3,20 @@
 "Web Service Description Language (WSDL) defines valid XML document
 structures for message exchanges to enable the interoperability feature of
 Web services" (paper section III).  This package renders real WSDL 1.1
-documents for every service this reproduction implements — the WS-Eventing
-event source / subscription manager, the WS-Notification producer /
-subscription manager / broker / pull point, and the converged prototype —
+documents for the WS-Eventing event source / subscription manager, the
+WS-Notification producer / subscription manager and the converged prototype,
 so each endpoint can *describe itself* the way its specification intends.
 
-The generator is introspective: the operations come from the same
-per-version profiles that drive the implementations, so a WSE 01/2004 WSDL
-has no GetStatus and a WSN 1.0 subscription manager describes the WSRF
-lifetime operations instead of Renew/Unsubscribe.
+Every description is rendered from the operation table its service mounts
+(:class:`repro.subscriptions.OperationTable`, one per family and version), so
+what is advertised is exactly what is served, port by port: a WSE 01/2004
+WSDL has no GetStatus and no separate manager port, and a WSN 1.0
+subscription manager describes the WSRF lifetime operations instead of
+Renew/Unsubscribe.
 """
 
 from repro.wsdl.generator import (
     WsdlDefinition,
-    WsdlOperation,
     WsdlPortType,
     wsdl_for_converged_source,
     wsdl_for_wse_source,
@@ -26,7 +26,6 @@ from repro.wsdl.generator import (
 __all__ = [
     "WsdlDefinition",
     "WsdlPortType",
-    "WsdlOperation",
     "wsdl_for_wse_source",
     "wsdl_for_wsn_producer",
     "wsdl_for_converged_source",

@@ -1,11 +1,22 @@
-"""The WSDL 1.1 model and the per-specification document builders."""
+"""The WSDL 1.1 model, rendered from the operation table a service mounts.
+
+A port type holds the :class:`~repro.subscriptions.Operation` rows of one
+port, so a description cannot advertise what the endpoint does not serve (or
+omit what it does): a request/response row's reply is ``<element>Response``
+under ``<action>Response``, a served port sits at the address of the endpoint
+that serves it, and a ``sink`` port type — what the service *sends* — has no
+service port."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.convergence.service import OPERATIONS as CONVERGED_OPERATIONS
+from repro.subscriptions import Operation, OperationTable
+from repro.wse.source import operations as wse_operations
 from repro.wse.versions import WseVersion
+from repro.wsn.producer import operations as wsn_operations
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces, QName
@@ -19,25 +30,21 @@ def _w(local: str) -> QName:
     return QName(WSDL_NS, local)
 
 
-@dataclass
-class WsdlOperation:
-    """One operation: request message, optional reply, action URIs."""
-
-    name: str
-    input_element: str  # QName-ish label of the body element, e.g. "wse:Subscribe"
-    input_action: str
-    output_element: Optional[str] = None
-    output_action: Optional[str] = None
-
-    @property
-    def one_way(self) -> bool:
-        return self.output_element is None
+def _messages(operation: Operation):
+    """``(wsdl tag, message name, body element, wsa:Action)`` of a row: its
+    request and — unless it is one-way — the reply, named by convention."""
+    yield "input", f"{operation.name}In", operation.element, operation.action
+    if not operation.one_way:
+        name, element, action = operation.name, operation.element, operation.action
+        yield "output", f"{name}Out", f"{element}Response", f"{action}Response"
 
 
 @dataclass
 class WsdlPortType:
     name: str
-    operations: list[WsdlOperation] = field(default_factory=list)
+    operations: list[Operation] = field(default_factory=list)
+    #: where the port is served; None for a port the service does not serve
+    address: Optional[str] = None
 
     def operation_names(self) -> list[str]:
         return [operation.name for operation in self.operations]
@@ -50,7 +57,6 @@ class WsdlDefinition:
     name: str
     target_namespace: str
     port_types: list[WsdlPortType] = field(default_factory=list)
-    service_address: Optional[str] = None
 
     def port_type(self, name: str) -> WsdlPortType:
         for port_type in self.port_types:
@@ -58,7 +64,7 @@ class WsdlDefinition:
                 return port_type
         raise KeyError(name)
 
-    def all_operations(self) -> list[WsdlOperation]:
+    def all_operations(self) -> list[Operation]:
         return [op for pt in self.port_types for op in pt.operations]
 
     # --- rendering -----------------------------------------------------------
@@ -70,13 +76,7 @@ class WsdlDefinition:
         # messages: one per distinct in/out element
         seen_messages: set[str] = set()
         for operation in self.all_operations():
-            for element, suffix in (
-                (operation.input_element, "In"),
-                (operation.output_element, "Out"),
-            ):
-                if element is None:
-                    continue
-                message_name = f"{operation.name}{suffix}"
+            for _, message_name, element, _ in _messages(operation):
                 if message_name in seen_messages:
                     continue
                 seen_messages.add(message_name)
@@ -94,24 +94,16 @@ class WsdlDefinition:
             for operation in port_type.operations:
                 op_elem = XElem(_w("operation"))
                 op_elem.attrs[QName("", "name")] = operation.name
-                input_elem = XElem(_w("input"))
-                input_elem.attrs[QName("", "message")] = f"tns:{operation.name}In"
-                input_elem.attrs[
-                    QName(Namespaces.WSA_2005_08, "Action")
-                ] = operation.input_action
-                op_elem.append(input_elem)
-                if operation.output_element is not None:
-                    output_elem = XElem(_w("output"))
-                    output_elem.attrs[QName("", "message")] = f"tns:{operation.name}Out"
-                    if operation.output_action:
-                        output_elem.attrs[
-                            QName(Namespaces.WSA_2005_08, "Action")
-                        ] = operation.output_action
-                    op_elem.append(output_elem)
+                for tag, message_name, _, action in _messages(operation):
+                    message = XElem(_w(tag))
+                    message.attrs[QName("", "message")] = f"tns:{message_name}"
+                    message.attrs[QName(Namespaces.WSA_2005_08, "Action")] = action
+                    op_elem.append(message)
                 pt_elem.append(op_elem)
             definitions.append(pt_elem)
         # binding + service (document/literal SOAP-over-HTTP)
-        if self.service_address is not None:
+        served = [port_type for port_type in self.port_types if port_type.address is not None]
+        if served:
             for port_type in self.port_types:
                 binding = XElem(_w("binding"))
                 binding.attrs[QName("", "name")] = f"{port_type.name}SoapBinding"
@@ -125,12 +117,12 @@ class WsdlDefinition:
                 definitions.append(binding)
             service = XElem(_w("service"))
             service.attrs[QName("", "name")] = f"{self.name}Service"
-            for port_type in self.port_types:
+            for port_type in served:
                 port = XElem(_w("port"))
                 port.attrs[QName("", "name")] = f"{port_type.name}Port"
                 port.attrs[QName("", "binding")] = f"tns:{port_type.name}SoapBinding"
                 address = XElem(QName(WSDL_SOAP_NS, "address"))
-                address.attrs[QName("", "location")] = self.service_address
+                address.attrs[QName("", "location")] = port_type.address
                 port.append(address)
                 service.append(port)
             definitions.append(service)
@@ -140,89 +132,32 @@ class WsdlDefinition:
         return serialize_xml(self.to_element(), xml_declaration=True, indent=True)
 
 
-# --- per-specification builders -----------------------------------------------------
+# --- one builder, and the description of each family without a live service ----------
+
+
+def definition_of(
+    table: OperationTable, address: Optional[str] = None, manager_address: Optional[str] = None
+) -> WsdlDefinition:
+    """The description of ``table``: one port type per port that has rows,
+    for a service at ``address`` (none: an abstract description) whose manager
+    answers at ``manager_address`` (by default where the services put it)."""
+    served = {}
+    if address is not None:
+        served = {"source": address, "manager": manager_address or f"{address}/subscriptions"}
+    port_types = [
+        WsdlPortType(name, [row for row in table.rows if row.port == port], served.get(port))
+        for port, name in table.port_types.items()
+    ]
+    return WsdlDefinition(
+        table.name, table.namespace, [port_type for port_type in port_types if port_type.operations]
+    )
 
 
 def wsdl_for_wse_source(
     version: WseVersion = WseVersion.V2004_08, *, address: Optional[str] = None
 ) -> WsdlDefinition:
     """The WS-Eventing event source (+ subscription manager) WSDL."""
-    prefix = "wse"
-    source = WsdlPortType("EventSource")
-    source.operations.append(
-        WsdlOperation(
-            "Subscribe",
-            f"{prefix}:Subscribe",
-            version.action("Subscribe"),
-            f"{prefix}:SubscribeResponse",
-            version.action("SubscribeResponse"),
-        )
-    )
-    manager = WsdlPortType("SubscriptionManager")
-    manager.operations.append(
-        WsdlOperation(
-            "Renew",
-            f"{prefix}:Renew",
-            version.action("Renew"),
-            f"{prefix}:RenewResponse",
-            version.action("RenewResponse"),
-        )
-    )
-    if version.has_get_status:
-        manager.operations.append(
-            WsdlOperation(
-                "GetStatus",
-                f"{prefix}:GetStatus",
-                version.action("GetStatus"),
-                f"{prefix}:GetStatusResponse",
-                version.action("GetStatusResponse"),
-            )
-        )
-    manager.operations.append(
-        WsdlOperation(
-            "Unsubscribe",
-            f"{prefix}:Unsubscribe",
-            version.action("Unsubscribe"),
-            f"{prefix}:UnsubscribeResponse",
-            version.action("UnsubscribeResponse"),
-        )
-    )
-    if version.supports_pull_delivery:
-        manager.operations.append(
-            WsdlOperation(
-                "Pull",
-                f"{prefix}:Pull",
-                version.action("Pull"),
-                f"{prefix}:PullResponse",
-                version.action("PullResponse"),
-            )
-        )
-    sink = WsdlPortType("EventSink")
-    sink.operations.append(
-        WsdlOperation(
-            "SubscriptionEnd",
-            f"{prefix}:SubscriptionEnd",
-            version.action("SubscriptionEnd"),
-        )
-    )
-    port_types = (
-        [source, manager, sink]
-        if version.separate_subscription_manager
-        else [_merged(source, manager), sink]
-    )
-    return WsdlDefinition(
-        f"WsEventing{version.name}",
-        version.namespace,
-        port_types,
-        service_address=address,
-    )
-
-
-def _merged(first: WsdlPortType, second: WsdlPortType) -> WsdlPortType:
-    """01/2004: the event source carries the manager operations itself."""
-    merged = WsdlPortType(first.name)
-    merged.operations = [*first.operations, *second.operations]
-    return merged
+    return definition_of(wse_operations(version), address)
 
 
 def wsdl_for_wsn_producer(
@@ -232,126 +167,9 @@ def wsdl_for_wsn_producer(
     include_wsrf: bool = True,
 ) -> WsdlDefinition:
     """The WS-BaseNotification producer (+ manager + consumer) WSDL."""
-    prefix = "wsnt"
-    producer = WsdlPortType("NotificationProducer")
-    producer.operations.append(
-        WsdlOperation(
-            "Subscribe",
-            f"{prefix}:Subscribe",
-            version.action("Subscribe"),
-            f"{prefix}:SubscribeResponse",
-            version.action("SubscribeResponse"),
-        )
-    )
-    producer.operations.append(
-        WsdlOperation(
-            "GetCurrentMessage",
-            f"{prefix}:GetCurrentMessage",
-            version.action("GetCurrentMessage"),
-            f"{prefix}:GetCurrentMessageResponse",
-            version.action("GetCurrentMessageResponse"),
-        )
-    )
-    manager = WsdlPortType("SubscriptionManager")
-    if version.has_native_unsubscribe:
-        manager.operations.append(
-            WsdlOperation(
-                "Renew",
-                f"{prefix}:Renew",
-                version.action("Renew"),
-                f"{prefix}:RenewResponse",
-                version.action("RenewResponse"),
-            )
-        )
-        manager.operations.append(
-            WsdlOperation(
-                "Unsubscribe",
-                f"{prefix}:Unsubscribe",
-                version.action("Unsubscribe"),
-                f"{prefix}:UnsubscribeResponse",
-                version.action("UnsubscribeResponse"),
-            )
-        )
-    for local in ("PauseSubscription", "ResumeSubscription"):
-        manager.operations.append(
-            WsdlOperation(
-                local,
-                f"{prefix}:{local}",
-                version.action(local),
-                f"{prefix}:{local}Response",
-                version.action(f"{local}Response"),
-            )
-        )
-    if include_wsrf or version.requires_wsrf:
-        manager.operations.append(
-            WsdlOperation(
-                "GetResourceProperty",
-                "wsrf-rp:GetResourceProperty",
-                f"{Namespaces.WSRF_RP}/GetResourceProperty",
-                "wsrf-rp:GetResourcePropertyResponse",
-                f"{Namespaces.WSRF_RP}/GetResourcePropertyResponse",
-            )
-        )
-        manager.operations.append(
-            WsdlOperation(
-                "SetTerminationTime",
-                "wsrf-rl:SetTerminationTime",
-                f"{Namespaces.WSRF_RL}/SetTerminationTime",
-                "wsrf-rl:SetTerminationTimeResponse",
-                f"{Namespaces.WSRF_RL}/SetTerminationTimeResponse",
-            )
-        )
-        manager.operations.append(
-            WsdlOperation(
-                "Destroy",
-                "wsrf-rl:Destroy",
-                f"{Namespaces.WSRF_RL}/Destroy",
-                "wsrf-rl:DestroyResponse",
-                f"{Namespaces.WSRF_RL}/DestroyResponse",
-            )
-        )
-    consumer = WsdlPortType("NotificationConsumer")
-    consumer.operations.append(
-        WsdlOperation("Notify", f"{prefix}:Notify", version.action("Notify"))
-    )
-    return WsdlDefinition(
-        f"WsBaseNotification{version.name}",
-        version.namespace,
-        [producer, manager, consumer],
-        service_address=address,
-    )
+    return definition_of(wsn_operations(version, include_wsrf), address)
 
 
 def wsdl_for_converged_source(*, address: Optional[str] = None) -> WsdlDefinition:
     """The WS-EventNotification prototype WSDL (union port type)."""
-    from repro.convergence.profile import WSEN_NS
-
-    prefix = "wsen"
-
-    def op(local: str, one_way: bool = False) -> WsdlOperation:
-        if one_way:
-            return WsdlOperation(local, f"{prefix}:{local}", f"{WSEN_NS}/{local}")
-        return WsdlOperation(
-            local,
-            f"{prefix}:{local}",
-            f"{WSEN_NS}/{local}",
-            f"{prefix}:{local}Response",
-            f"{WSEN_NS}/{local}Response",
-        )
-
-    source = WsdlPortType("EventNotificationSource")
-    source.operations = [op("Subscribe"), op("GetCurrentMessage")]
-    manager = WsdlPortType("SubscriptionManager")
-    manager.operations = [
-        op("Renew"),
-        op("GetStatus"),
-        op("Unsubscribe"),
-        op("PauseSubscription"),
-        op("ResumeSubscription"),
-        op("Pull"),
-    ]
-    consumer = WsdlPortType("EventNotificationConsumer")
-    consumer.operations = [op("Notify", one_way=True), op("SubscriptionEnd", one_way=True)]
-    return WsdlDefinition(
-        "WsEventNotificationDraft", WSEN_NS, [source, manager, consumer], service_address=address
-    )
+    return definition_of(CONVERGED_OPERATIONS, address)

@@ -18,8 +18,7 @@ from repro.render import Entry
 from repro.transport.clock import ClockScheduler
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import Subscription, SubscriptionService
-from repro.transport.endpoint import SoapEndpoint
+from repro.subscriptions import Operation, OperationTable, Subscription, SubscriptionService
 from repro.transport.network import SimulatedNetwork
 from repro.wsa.headers import MessageHeaders
 from repro.wse import messages
@@ -42,6 +41,29 @@ _END_CODES = {
 }
 
 
+def operations(version: WseVersion) -> OperationTable:
+    """Table 2 as a ``version`` event source serves it — the one place the
+    version profile decides which operations exist, and on which port."""
+    # 01/2004: Renew / Unsubscribe land on the event source itself
+    manager = "manager" if version.separate_subscription_manager else "source"
+    rows = [("Subscribe", "source", "_handle_subscribe"), ("Renew", manager, "_handle_renew")]
+    if version.has_get_status:
+        rows.append(("GetStatus", manager, "_handle_get_status"))
+    rows.append(("Unsubscribe", manager, "_handle_unsubscribe"))
+    if version.supports_pull_delivery:
+        rows.append(("Pull", manager, "_handle_pull"))
+    rows.append(("SubscriptionEnd", "sink", None))
+    return OperationTable(
+        f"WsEventing{version.name}",
+        version.namespace,
+        {"source": "EventSource", "manager": "SubscriptionManager", "sink": "EventSink"},
+        tuple(
+            Operation(name, port, version.action(name), f"wse:{name}", handler)
+            for name, port, handler in rows
+        ),
+    )
+
+
 class EventSource(SubscriptionService):
     """A WS-Eventing event source bound to the simulated network: the
     WS-Eventing rows over the shared subscription manager and fan-out."""
@@ -61,14 +83,10 @@ class EventSource(SubscriptionService):
         delivery_manager: Optional["DeliveryManager"] = None,
         batching: Optional[BatchingPolicy] = None,
     ) -> None:
-        manager_address = (
-            (manager_address or f"{address}/subscriptions")
-            if version.separate_subscription_manager
-            else address  # 01/2004: the source *is* the manager
-        )
         super().__init__(
             network,
             address,
+            operations(version),
             manager_address,
             family="wse",
             version_tag=version.name.lower(),
@@ -104,23 +122,16 @@ class EventSource(SubscriptionService):
                 if delivery_manager is not None
                 else ClockScheduler(network.clock)
             )
-        self.endpoint.on_action(version.action("Subscribe"), self._handle_subscribe)
-        self._register_manager_handlers(self.manager_endpoint)
         #: SubscriptionEnd messages we emitted (observability for tests/benches)
         self.ended_subscriptions: list[tuple[str, SubscriptionEndCode]] = []
-
-    def wsdl(self) -> str:
-        """This source's self-description as a WSDL 1.1 document."""
-        from repro.wsdl.generator import wsdl_for_wse_source
-
-        return wsdl_for_wse_source(self.version, address=self.address).to_xml()
 
     # --- subscribe --------------------------------------------------------------
 
     def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
         request = messages.parse_subscribe(envelope.body_element(), self.version)
-        if request.mode is not DeliveryMode.PUSH and not (
-            self.version.supports_pull_delivery or request.mode is DeliveryMode.WRAPPED
+        # pull delivery is the Pull operation: a version without the row has no such mode
+        if request.mode is DeliveryMode.PULL and not any(
+            row.name == "Pull" for row in self.operations.rows
         ):
             raise SoapFault(
                 FaultCode.SENDER,
@@ -158,15 +169,6 @@ class EventSource(SubscriptionService):
         return self._reply(headers, self.version.action("SubscribeResponse"), response_body)
 
     # --- manager operations ---------------------------------------------------------
-
-    def _register_manager_handlers(self, endpoint: SoapEndpoint) -> None:
-        version = self.version
-        endpoint.on_action(version.action("Renew"), self._handle_renew)
-        endpoint.on_action(version.action("Unsubscribe"), self._handle_unsubscribe)
-        if version.has_get_status:
-            endpoint.on_action(version.action("GetStatus"), self._handle_get_status)
-        if version.supports_pull_delivery:
-            endpoint.on_action(version.action("Pull"), self._handle_pull)
 
     def _subscription_for(self, envelope: SoapEnvelope, headers: MessageHeaders) -> Subscription:
         return self._lookup(

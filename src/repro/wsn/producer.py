@@ -19,8 +19,7 @@ from repro.filters.producer import properties_document
 from repro.filters.topics import TopicNamespace
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import Subscription, SubscriptionService
-from repro.transport.endpoint import SoapEndpoint
+from repro.subscriptions import Operation, OperationTable, Subscription, SubscriptionService
 from repro.transport.network import SimulatedNetwork
 from repro.render import Entry, reference_shape
 from repro.wsa.headers import MessageHeaders
@@ -45,6 +44,48 @@ PROP_TERMINATION = QName(Namespaces.WSRF_RL, "TerminationTime")
 PROP_CONSUMER = QName(Namespaces.WSNT_13, "ConsumerReference")
 PROP_FILTER = QName(Namespaces.WSNT_13, "FilterDescription")
 PROP_TOPIC_SET = QName(Namespaces.WSTOP_13, "TopicSet")
+
+
+def operations(version: WsnVersion, wsrf: bool = True) -> OperationTable:
+    """Table 2 as a ``version`` producer serves it — the one place the
+    version profile decides which operations exist.  ``wsrf`` mounts the WSRF
+    port: mandatory <= 1.2, optional beside the native Renew / Unsubscribe in
+    1.3; a subscription is a WS-Resource on the wire either way."""
+
+    def row(name, port, handler, prefix="wsnt", action=version.action) -> Operation:
+        return Operation(name, port, action(name), f"{prefix}:{name}", handler)
+
+    properties = ("wsrf-rp", messages.wsrf_action)
+    lifetime = ("wsrf-rl", messages.wsrf_lifetime_action)
+    wsrf = wsrf or version.requires_wsrf
+    rows = [
+        row("Subscribe", "source", "_handle_subscribe"),
+        row("GetCurrentMessage", "source", "_handle_get_current_message"),
+    ]
+    if wsrf:
+        # the producer itself is a WS-Resource: its TopicSet and producer
+        # properties are readable via GetResourceProperty
+        rows.append(row("GetResourceProperty", "source", "_handle_producer_property", *properties))
+    if version.has_native_unsubscribe:
+        rows.append(row("Renew", "manager", "_handle_renew"))
+        rows.append(row("Unsubscribe", "manager", "_handle_unsubscribe"))
+    rows.append(row("PauseSubscription", "manager", "_handle_pause"))
+    rows.append(row("ResumeSubscription", "manager", "_handle_resume"))
+    if wsrf:
+        rows.append(row("GetResourceProperty", "manager", "_handle_get_property", *properties))
+        rows.append(row("SetTerminationTime", "manager", "_handle_set_termination_time", *lifetime))
+        rows.append(row("Destroy", "manager", "_handle_destroy", *lifetime))
+    rows.append(row("Notify", "sink", None))
+    return OperationTable(
+        f"WsBaseNotification{version.name}",
+        version.namespace,
+        {
+            "source": "NotificationProducer",
+            "manager": "SubscriptionManager",
+            "sink": "NotificationConsumer",
+        },
+        tuple(rows),
+    )
 
 
 class NotificationProducer(SubscriptionService):
@@ -72,7 +113,8 @@ class NotificationProducer(SubscriptionService):
         super().__init__(
             network,
             address,
-            manager_address or f"{address}/subscriptions",
+            operations(version, enable_wsrf is None or enable_wsrf),
+            manager_address,
             family="wsn",
             version_tag=version.name.lower(),
             role="producer",
@@ -96,28 +138,14 @@ class NotificationProducer(SubscriptionService):
             durations=version.supports_duration_expiry,
         )
         self.version = version
+        self.requires_topic = version.requires_topic
         self.producer_properties = dict(producer_properties or {})
         #: (properties rendered, their frozen document): see _properties_document
         self._properties_rendered: tuple[Optional[dict], Optional[XElem]] = (None, None)
-        # WSRF port: mandatory <= 1.2, optional (default on) in 1.3; a
-        # subscription is a WS-Resource on the wire either way, its property
-        # document a view of the shared record (see _resource_view)
-        if enable_wsrf is None:
-            self.wsrf_enabled = True
-        else:
-            self.wsrf_enabled = enable_wsrf or version.requires_wsrf
-        self.endpoint.on_action(version.action("Subscribe"), self._handle_subscribe)
-        self.endpoint.on_action(
-            version.action("GetCurrentMessage"), self._handle_get_current_message
-        )
-        if self.wsrf_enabled:
-            # the producer itself is a WS-Resource: its TopicSet and
-            # producer properties are readable via GetResourceProperty
-            self.endpoint.on_action(
-                messages.wsrf_action("GetResourceProperty"),
-                self._handle_producer_property,
-            )
-        self._register_manager_handlers(self.manager_endpoint)
+        #: whether the WSRF port is mounted (see :func:`operations`); a
+        #: subscription's property document is a view of the shared record
+        #: (see _resource_view)
+        self.wsrf_enabled = any(row.name == "Destroy" for row in self.operations.rows)
         #: this family's rows of the rendering table
         self._notify_entry = NotifyEntry(version, address, self.manager_address)
         self._raw_entry = Entry("raw")
@@ -134,14 +162,6 @@ class NotificationProducer(SubscriptionService):
                 instrumentation=network.instrumentation,
                 family="wsn",
             )
-
-    def wsdl(self) -> str:
-        """This producer's self-description as a WSDL 1.1 document."""
-        from repro.wsdl.generator import wsdl_for_wsn_producer
-
-        return wsdl_for_wsn_producer(
-            self.version, address=self.address, include_wsrf=self.wsrf_enabled
-        ).to_xml()
 
     # --- subscribe -----------------------------------------------------------
 
@@ -205,25 +225,6 @@ class NotificationProducer(SubscriptionService):
         return view
 
     # --- manager operations ---------------------------------------------------------
-
-    def _register_manager_handlers(self, endpoint: SoapEndpoint) -> None:
-        version = self.version
-        if version.has_native_unsubscribe:
-            endpoint.on_action(version.action("Renew"), self._handle_renew)
-            endpoint.on_action(version.action("Unsubscribe"), self._handle_unsubscribe)
-        endpoint.on_action(version.action("PauseSubscription"), self._handle_pause)
-        endpoint.on_action(version.action("ResumeSubscription"), self._handle_resume)
-        if self.wsrf_enabled:
-            endpoint.on_action(
-                messages.wsrf_action("GetResourceProperty"), self._handle_get_property
-            )
-            endpoint.on_action(
-                messages.wsrf_lifetime_action("SetTerminationTime"),
-                self._handle_set_termination_time,
-            )
-            endpoint.on_action(
-                messages.wsrf_lifetime_action("Destroy"), self._handle_destroy
-            )
 
     def _subscription_for(self, headers: MessageHeaders) -> Subscription:
         return self._lookup(messages.subscription_id_from_headers(headers.echoed))
@@ -415,8 +416,8 @@ class NotificationProducer(SubscriptionService):
         lineage = self.network.instrumentation.trace_context()
         self._flush_batch(None, [(subscription, item, lineage) for item in notifications])
 
-    def flush_batches(self) -> None:
-        """Force out every partially-filled batch (broker ``flush()``)."""
+    def flush(self) -> None:
+        """Force out every partially-filled batch."""
         if self.batcher is not None:
             self.batcher.flush_all()
 

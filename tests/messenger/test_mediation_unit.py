@@ -9,9 +9,9 @@ from repro.messenger.mediation import (
     compare_message_pair,
     neutral_from_wse_envelope,
     neutral_from_wsn_notify,
-    wse_notification_parts,
     wsn_notify_from_neutral,
 )
+from repro.render import Entry
 from repro.soap import SoapEnvelope, SoapVersion
 from repro.wsa.headers import MessageHeaders, apply_headers
 from repro.wse.versions import WseVersion
@@ -29,6 +29,15 @@ def payload(n=1):
     return parse_xml(f'<e:V xmlns:e="urn:mu"><e:n>{n}</e:n></e:V>')
 
 
+def wse_parts(item):
+    """Render for a WSE consumer the way the broker's event sources do: the
+    push row of the rendering table, topic in the mediated SOAP header."""
+    headers, body = Entry("push", topic_header=WSE_TOPIC_HEADER).build(
+        [(item.payload, item.topic)]
+    )
+    return body, headers
+
+
 class TestNeutralConversions:
     def test_wsn_notify_to_neutral(self):
         notify = wsn_messages.build_notify(
@@ -44,13 +53,13 @@ class TestNeutralConversions:
 
     def test_neutral_to_wse_parts(self):
         item = MediatedNotification(payload(), topic="a/b")
-        body, headers = wse_notification_parts(item, WSE)
+        body, headers = wse_parts(item)
         assert body == payload()
         assert headers[0].name == WSE_TOPIC_HEADER
         assert headers[0].full_text() == "a/b"
 
     def test_neutral_to_wse_without_topic(self):
-        body, headers = wse_notification_parts(MediatedNotification(payload()), WSE)
+        body, headers = wse_parts(MediatedNotification(payload()))
         assert headers == []
 
     def test_wse_envelope_to_neutral(self):
@@ -74,7 +83,7 @@ class TestNeutralConversions:
             WSN, [NotificationMessage(payload(7), topic="jobs/x")]
         )
         neutral = neutral_from_wsn_notify(original, WSN)
-        body, headers = wse_notification_parts(neutral[0], WSE)
+        body, headers = wse_parts(neutral[0])
         envelope = SoapEnvelope()
         for header in headers:
             envelope.add_header(header)

@@ -164,37 +164,43 @@ class TestLineage:
 
     def test_malformed_wire_header_yields_an_untraced_dispatch(self):
         """End-to-end: garbage lineage text on the wire never faults the
-        receiving endpoint; the dispatch simply starts untraced."""
+        receiving endpoint; the dispatch simply starts untraced.  The same
+        goes for a stray ``lin:Lineage`` SOAP header (the envelope-level
+        form nobody emits any more): it is just an unknown header."""
         from repro.obs.instrument import Instrumentation
-        from repro.obs.propagation import LINEAGE_HEADER
+        from repro.soap import serialize_envelope
+        from repro.soap.envelope import SoapVersion, build_envelope
         from repro.transport import SimulatedNetwork
-        from repro.transport.endpoint import SoapClient, SoapEndpoint
-        from repro.wsa.epr import EndpointReference
+        from repro.transport.endpoint import SoapEndpoint
+        from repro.transport.http import build_request, parse_response
         from repro.xmlkit import parse_xml
         from repro.xmlkit.element import text_element
+        from repro.xmlkit.names import QName
 
         network = SimulatedNetwork(VirtualClock())
         instrumentation = Instrumentation.attach(network)
         endpoint = SoapEndpoint(network, "http://trace-sink")
         endpoint.on_any(lambda envelope, headers: None)
-
-        def corrupt(envelope):
-            envelope.remove_headers(LINEAGE_HEADER)
-            envelope.add_header(text_element(LINEAGE_HEADER, "99-bogus"))
-            return envelope
-
-        client = SoapClient(network, envelope_filter=corrupt)
-        client.call(
-            EndpointReference("http://trace-sink"),
-            "urn:trace-test/Poke",
-            [parse_xml('<t:Poke xmlns:t="urn:trace-test"/>')],
+        stray = QName("http://repro.invalid/obs/lineage", "Lineage")
+        envelope = build_envelope(
+            SoapVersion.V11,
+            headers=[text_element(stray, "01-lin-00000009-00000001-01")],
+            body=[parse_xml('<t:Poke xmlns:t="urn:trace-test"/>')],
         )
+        body = serialize_envelope(envelope).encode("utf-8")
+        for lineage in ("99-bogus", None):  # garbage head; no head, stray header only
+            wire = build_request(
+                "http://trace-sink", body, soap_action="urn:trace-test/Poke", lineage=lineage
+            )
+            assert (b"X-Lineage: 99-bogus" in wire) == (lineage is not None)
+            response = parse_response(network.send_request("http://trace-sink", wire))
+            assert response.status == 202
         dispatches = [
             s for s in instrumentation.tracer.spans if s.name == "dispatch"
         ]
-        assert len(dispatches) == 1
-        assert dispatches[0].lineage is None
-        assert dispatches[0].status == "ok"
+        assert len(dispatches) == 2
+        assert [s.lineage for s in dispatches] == [None, None]
+        assert [s.status for s in dispatches] == ["ok", "ok"]
 
     def test_failed_span_inside_lineage_keeps_error_and_lineage(self):
         tracer = make_tracer()

@@ -247,6 +247,35 @@ class TestShedIsTerminal:
         assert (result.shed, result.failed, result.delivered, result.pending) == (4, 2, 2, 0)
 
 
+class TestDrainedBoxSurvivesRecovery:
+    def test_drained_box_is_re_minted_at_its_address(self, network):
+        """A firewalled sink's box, drained before the crash, is still the
+        address its consumer pulls at: recovery re-mints it (it used to come
+        back as no box at all — the old address unreachable, and ``box-1``
+        handed to the next stranger to park)."""
+        network.add_zone("rc-dmz", blocks_inbound=True)
+        broker = _broker(network, delivery=DeliveryPolicy())
+        sink = EventSink(network, "http://rc-inside", zone="rc-dmz")
+        subscriber = WseSubscriber(network, zone="rc-dmz")
+        subscriber.subscribe(broker.epr(), notify_to=sink.epr())
+        broker.publish(event(1), topic="rc")
+        box = broker.message_boxes.get("http://rc-inside")
+        assert len(drain_message_box_wse(network, box.epr(), zone="rc-dmz")) == 1
+        live = broker.store.projection(broker)
+        assert live["boxes"] == {"http://rc-inside": {"address": box.address, "pending": 0}}
+        broker.close()
+        recovered = _recover(network, broker.store.log, delivery=DeliveryPolicy())
+        assert recovered.store.projection(recovered) == live
+        # the address the consumer holds answers, with nothing left to hand out
+        assert drain_message_box_wse(network, box.epr(), zone="rc-dmz") == []
+        other = EventSink(network, "http://rc-other", zone="rc-dmz")
+        subscriber.subscribe(recovered.epr(), notify_to=other.epr())
+        recovered.publish(event(2), topic="rc")
+        boxes = recovered.store.projection(recovered)["boxes"]
+        assert boxes["http://rc-other"]["address"].endswith("/box-2")
+        assert boxes["http://rc-inside"] == {"address": box.address, "pending": 1}
+
+
 class TestRecoveryOffTheWire:
     def test_recovery_does_not_ride_the_loss_model(self):
         """A restart is in-process: with nine requests in ten lost on the

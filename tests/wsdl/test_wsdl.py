@@ -68,10 +68,15 @@ class TestWsnWsdl:
         assert {"SetTerminationTime", "Destroy"} <= ops  # mandatory WSRF
 
     def test_producer_operations(self):
+        native = ["Subscribe", "GetCurrentMessage"]
+        bare = wsdl_for_wsn_producer(WsnVersion.V1_3, include_wsrf=False)
+        assert bare.port_type("NotificationProducer").operation_names() == native
+        # with WSRF mounted the producer is itself a WS-Resource: it serves
+        # GetResourceProperty (TopicSet, ProducerProperties) on its own port
         definition = wsdl_for_wsn_producer(WsnVersion.V1_3)
         assert definition.port_type("NotificationProducer").operation_names() == [
-            "Subscribe",
-            "GetCurrentMessage",
+            *native,
+            "GetResourceProperty",
         ]
 
     def test_notify_is_one_way(self):
@@ -105,18 +110,26 @@ class TestRendering:
         )
 
     def test_binding_and_service_present_with_address(self):
+        """A port says where it is served: the manager port at the manager's
+        address, and the consumer port type — which the producer does not
+        serve — keeps its portType and binding but gets no port."""
         definition = wsdl_for_wsn_producer(
             WsnVersion.V1_3, address="http://producer.example"
         )
         document = parse_xml(definition.to_xml())
-        assert document.find_all(QName(WSDL_NS, "binding"))
+        bindings = document.find_all(QName(WSDL_NS, "binding"))
+        assert len(bindings) == len(document.find_all(QName(WSDL_NS, "portType"))) == 3
         service = document.find(QName(WSDL_NS, "service"))
-        ports = service.find_all(QName(WSDL_NS, "port"))
-        addresses = [
-            port.find(QName(WSDL_SOAP_NS, "address")).attrs[QName("", "location")]
-            for port in ports
-        ]
-        assert set(addresses) == {"http://producer.example"}
+        addresses = {
+            port.attrs[QName("", "name")]: port.find(QName(WSDL_SOAP_NS, "address")).attrs[
+                QName("", "location")
+            ]
+            for port in service.find_all(QName(WSDL_NS, "port"))
+        }
+        assert addresses == {
+            "NotificationProducerPort": "http://producer.example",
+            "SubscriptionManagerPort": "http://producer.example/subscriptions",
+        }
 
     def test_no_service_without_address(self):
         definition = wsdl_for_wse_source(WseVersion.V2004_08)
