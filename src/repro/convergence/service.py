@@ -265,7 +265,7 @@ class ConvergedSource(SubscriptionService):
         response.append(self._current_message_on(topic, _q("NoCurrentMessageOnTopic")))
         return self._respond(headers, response)
 
-    def _respond(self, request_headers: MessageHeaders, body: XElem) -> SoapEnvelope:
+    def _respond(self, request_headers: MessageHeaders, body: XElem) -> str:
         return self._reply(request_headers, _action(body.name.local), body)
 
     # --- publication -----------------------------------------------------------------

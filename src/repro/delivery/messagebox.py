@@ -25,12 +25,13 @@ from typing import Callable, Optional
 
 from repro.delivery.limits import parse_drain_limit
 from repro.delivery.task import DeliveryItem
+from repro.render import reply_text
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, reply_envelope
+from repro.wsa.headers import MessageHeaders
 from repro.wse import messages as wse_messages
 from repro.wse.versions import WseVersion
 from repro.wsn.versions import WsnVersion
@@ -124,7 +125,7 @@ class MessageBox:
             self.wsn_version,
         ):
             response.append(element)
-        return reply_envelope(
+        return reply_text(
             headers,
             self.wsn_version.action("GetMessagesResponse"),
             response,
@@ -138,7 +139,7 @@ class MessageBox:
         response = wse_messages.build_pull_response(
             self.wse_version, [item.payload for item in batch]
         )
-        return reply_envelope(
+        return reply_text(
             headers,
             self.wse_version.action("PullResponse"),
             response,

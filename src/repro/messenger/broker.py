@@ -244,7 +244,7 @@ class WsMessenger:
 
     def _front_door(
         self, envelope: SoapEnvelope, headers: MessageHeaders
-    ) -> Optional[SoapEnvelope]:
+    ) -> Optional[str]:
         instr = self.network.instrumentation
         with instr.span("detect_spec") as span:
             try:
@@ -280,7 +280,7 @@ class WsMessenger:
         headers: MessageHeaders,
         spec: DetectedSpec,
         dialect: tuple[str, str],
-    ) -> Optional[SoapEnvelope]:
+    ) -> Optional[str]:
         if spec.operation == "CreatePullPoint":
             if self.pullpoint_factory is None:
                 raise SoapFault(FaultCode.SENDER, "pull points require WSN 1.3")

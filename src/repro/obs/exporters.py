@@ -61,14 +61,16 @@ def reset_cache_stats() -> None:
     so cache sections are a function of the scenario alone).  The compiled-
     filter *cache content* is dropped too — otherwise a second scenario run
     in the same process hits where the first missed and the report stops
-    being deterministic."""
+    being deterministic; the framed control-envelope heads likewise."""
     from repro.filters.compilecache import FILTER_COMPILE_STATS, clear_caches
+    from repro.render import FRAMES
     from repro.xmlkit.template import TEMPLATE_STATS
     from repro.xmlkit.writer import WRITER_STATS
 
     TEMPLATE_STATS.reset()
     WRITER_STATS.reset()
     clear_caches()
+    FRAMES.clear()
     FILTER_COMPILE_STATS.reset()
 
 

@@ -17,18 +17,23 @@ in (topic present, its dialect), the fold of the consumer EPR's reference
 parameters/properties (``()`` for a plain address), the payload's namespace
 order — and ``wsa:To``, ``MessageID``, topic, subscription id and payload are
 **slots**: see DESIGN.md, "Envelope byte-templates".
+
+Control envelopes (the requests of ``SoapClient.call``, the replies handlers
+return) leave through :func:`control_envelope`: the SOAP + WS-Addressing head
+framed once per shape, the body a subtree spliced behind it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.obs.instrument import BoundCounters
 from repro.soap.codec import envelope_root, serialize_envelope
-from repro.soap.envelope import SoapEnvelope
+from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders, apply_headers, fresh_message_id
+from repro.wsa.versions import WsaVersion
 from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.names import QName
 from repro.xmlkit.template import TEMPLATE_STATS, ByteTemplate, TemplateSlotError
@@ -36,6 +41,7 @@ from repro.xmlkit.writer import (
     _escape_text,
     frozen_namespace_order,
     frozen_splice_text,
+    namespace_order,
     serialize_subtree,
     serialize_with_allocator,
 )
@@ -48,6 +54,7 @@ TO = ("to", "urn:x-repro-template-slot:to.")
 MESSAGE_ID = ("message_id", "urn:x-repro-template-slot:message-id.")
 TOPIC = ("topic", "urn:x-repro-template-slot:topic.")
 SUB_ID = ("sub_id", "urn:x-repro-template-slot:subscription-id.")
+RELATES_TO = ("relates_to", "urn:x-repro-template-slot:relates-to.")
 
 
 def _fold(elem: XElem):
@@ -162,11 +169,12 @@ class TemplateCache:
         self._held: dict[str, set[tuple]] = {}
 
     def lookup(
-        self, key: tuple, holder: str, compile: Callable[..., CompiledEnvelope], *args
+        self, key: tuple, holder: Optional[str], compile: Callable[..., CompiledEnvelope], *args
     ) -> tuple[Optional[CompiledEnvelope], str]:
         """The compiled template for ``key`` plus an outcome tag: ``"hit"``,
         ``"miss"`` (``compile(*args)`` ran) or ``"fallback"`` (it refused — a
-        sentinel collision — and the caller takes the tree path)."""
+        sentinel collision — and the caller takes the tree path).  ``holder``
+        is None for a framed head: only the LRU bound drops one."""
         compiled = self._templates.get(key)
         if compiled is not None:
             self._templates.move_to_end(key)
@@ -181,7 +189,7 @@ class TemplateCache:
             outcome = "miss"
             if len(self._templates) > self.capacity:
                 self._holders.pop(self._templates.popitem(last=False)[0], None)
-        if key[3]:
+        if holder is not None and key[3]:
             self._holders.setdefault(key, set()).add(holder)
             self._held.setdefault(holder, set()).add(key)
         return compiled, outcome
@@ -295,3 +303,97 @@ class Renderer:
             text, [TO, MESSAGE_ID, *([TOPIC] if headers else []), ("items", items_text)]
         )
         return CompiledEnvelope(outer, chunk, mapping)
+
+
+# --- control envelopes: the framed head ----------------------------------------------
+
+#: the heads every client's requests and every service's replies share (both
+#: protocol versions are in the key): process-wide, like the compiled filters
+FRAMES = TemplateCache()
+
+
+def _compile_head(soap_version, wsa_version, headers: MessageHeaders, order: tuple):
+    """``(head template, sealed prefix assignment)`` of one shape: the stand-in
+    envelope is built exactly the way the tree path builds the real one —
+    sentinels for the slot texts, for the body an element that uses
+    ``order``'s namespaces in that order — and cut at the sentinels."""
+    present = ((MESSAGE_ID, headers.message_id), (RELATES_TO, headers.relates_to))
+    slots = [TO, *(slot for slot, value in present if value)]
+    stand_in = MessageHeaders(
+        TO[1], headers.action, headers.message_id and MESSAGE_ID[1],
+        headers.relates_to and RELATES_TO[1], headers.reply_to, headers.fault_to,
+    )
+    for index, elem in enumerate(headers.echoed):
+        if elem.children:
+            slots.append((f"echo{index}", f"urn:x-repro-template-slot:echo-{index}."))
+            elem = XElem(elem.name, elem.attrs, [slots[-1][1]])
+        stand_in.echoed.append(elem)
+    body = XElem(QName(order[0] if order else "", "body-slot"))
+    body.extend(XElem(QName(uri, "body-slot")) for uri in order[1:])
+    envelope = apply_headers(SoapEnvelope(soap_version), stand_in, wsa_version).add_body(body)
+    text, allocator = serialize_with_allocator(envelope_root(envelope))
+    allocator.sealed = True
+    slots.append(("body", serialize_subtree(body, allocator)))
+    return ByteTemplate.compile(text, slots), allocator
+
+
+def _framed(soap_version, wsa_version, headers: MessageHeaders, body: XElem) -> Optional[str]:
+    """``head template + serialize_subtree(body)``; None when no head fits: a
+    reference parameter that nests an element, a sentinel collision, a body
+    whose write wants a prefix the head never declared."""
+    echoed = headers.echoed
+    if any(not isinstance(child, str) for elem in echoed for child in elem.children):
+        return None
+    order = namespace_order(body)
+    eprs = (headers.reply_to, headers.fault_to)  # baked in: a control call rarely names one
+    key = (
+        soap_version, wsa_version, headers.action,
+        tuple((elem.name, tuple(elem.attrs.items()), not elem.children) for elem in echoed),
+        bool(headers.message_id), bool(headers.relates_to), order,
+        *(epr and (epr.address, reference_shape(epr)) for epr in eprs),
+    )
+    head, _ = FRAMES.lookup(key, None, _compile_head, soap_version, wsa_version, headers, order)
+    if head is None:
+        return None
+    template, allocator = head
+    try:
+        values = {"body": serialize_subtree(body, allocator)}
+    except LookupError:
+        return None
+    values["to"] = _escape_text(headers.to)
+    values["message_id"] = _escape_text(headers.message_id or "")
+    values["relates_to"] = _escape_text(headers.relates_to or "")
+    for index, elem in enumerate(echoed):
+        values[f"echo{index}"] = _escape_text("".join(elem.children))
+    return template.render(values)
+
+
+def control_envelope(
+    soap_version: SoapVersion, wsa_version: WsaVersion, headers: MessageHeaders,
+    body: Sequence[XElem], extra_headers: Sequence[XElem] = (),
+    envelope_filter: Optional[Callable[[SoapEnvelope], None]] = None,
+) -> str:
+    """The text of one control request or reply under ``headers`` (minted by
+    the caller, where a tree-built message mints them).  An ``envelope_filter``
+    works on trees, ``extra_headers`` and a body of not exactly one element
+    have no frame: those, and whatever :func:`_framed` declines, are the tree
+    they always were."""
+    if envelope_filter is None and not extra_headers and len(body) == 1:
+        text = _framed(soap_version, wsa_version, headers, body[0])
+        if text is not None:
+            return text
+    TEMPLATE_STATS.fallbacks += 1
+    envelope = apply_headers(SoapEnvelope(soap_version), headers, wsa_version)
+    for header in extra_headers:
+        envelope.add_header(header.copy())
+    for element in body:
+        envelope.add_body(element)
+    if envelope_filter is not None:
+        envelope_filter(envelope)
+    return serialize_envelope(envelope)
+
+
+def reply_text(request: MessageHeaders, action: str, body: XElem, version: WsaVersion) -> str:
+    """The response to ``request`` (what ``wsa.headers.reply_envelope`` builds), as text."""
+    reply = MessageHeaders.reply(request, action, version)
+    return control_envelope(SoapVersion.V11, version, reply, [body])

@@ -43,15 +43,15 @@ from repro.filters.topics import (
 )
 from repro.qos.adaptive import validate_supported
 from repro.qos.properties import DiscardPolicy, QosError, QosProfile
-from repro.soap.envelope import SoapEnvelope, SoapVersion
+from repro.soap.envelope import SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
-from repro.render import Entry, Renderer
+from repro.render import Entry, Renderer, reply_text
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.http import request_head
 from repro.transport.network import SimulatedNetwork
 from repro.util.xstime import format_datetime, parse_expires
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, reply_envelope
+from repro.wsa.headers import MessageHeaders
 from repro.wsrf.resource import ResourceRegistry, ResourceUnknownFault, WsResource
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces, QName
@@ -511,8 +511,8 @@ class SubscriptionService:
     def _lookup(self, sub_id: str) -> Subscription:
         return self._core("lookup", self.subscriptions.lookup, sub_id)
 
-    def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> SoapEnvelope:
-        return reply_envelope(request_headers, action, body, self._client.wsa_version)
+    def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> str:
+        return reply_text(request_headers, action, body, self._client.wsa_version)
 
     def note_publication(self, payload: XElem, topic: Optional[str]) -> None:
         """A publication nobody here matches: nothing to note without a topic space."""

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 from repro.obs.instrument import BoundCounters
 from repro.obs.propagation import LineageContext
+from repro.render import control_envelope
 from repro.soap.codec import parse_envelope, serialize_envelope
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
@@ -26,12 +27,12 @@ from repro.transport.http import (
 )
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, apply_headers, extract_headers
+from repro.wsa.headers import MessageHeaders, extract_headers
 from repro.wsa.versions import WsaVersion
 from repro.xmlkit.element import XElem
 
-#: an action handler: (request envelope, addressing headers) -> reply or None
-ActionHandler = Callable[[SoapEnvelope, MessageHeaders], Optional[SoapEnvelope]]
+#: an action handler: (request envelope, addressing headers) -> reply (text or tree) or None
+ActionHandler = Callable[[SoapEnvelope, MessageHeaders], Optional[str | SoapEnvelope]]
 
 
 class SoapEndpoint:
@@ -123,9 +124,7 @@ class SoapEndpoint:
                 self._count_request(instr, "fault")
                 return build_response(500, self._fault_bytes(fault, envelope.version))
             self._count_request(instr, "ok")
-            if reply is None:
-                return build_response(202)
-            return build_response(200, serialize_envelope(reply).encode("utf-8"))
+            return self._reply_response(reply)
 
     def _dispatch(self, envelope: SoapEnvelope, headers: MessageHeaders) -> bytes:
         """Uninstrumented action dispatch (the seed hot path, unchanged)."""
@@ -139,9 +138,15 @@ class SoapEndpoint:
             reply = handler(envelope, headers)
         except SoapFault as fault:
             return build_response(500, self._fault_bytes(fault, envelope.version))
+        return self._reply_response(reply)
+
+    @staticmethod
+    def _reply_response(reply: Optional[str | SoapEnvelope]) -> bytes:
         if reply is None:
             return build_response(202)
-        return build_response(200, serialize_envelope(reply).encode("utf-8"))
+        # rendered text goes out as it is; a handler may still answer with a tree
+        text = reply if isinstance(reply, str) else serialize_envelope(reply)
+        return build_response(200, text.encode("utf-8"))
 
     def _fault_bytes(self, fault: SoapFault, version: SoapVersion) -> bytes:
         return serialize_envelope(fault.to_envelope(version)).encode("utf-8")
@@ -182,28 +187,19 @@ class SoapClient:
         Raises :class:`SoapFault` when the peer answered with a fault, and
         the transport's :class:`NetworkError` subclasses on wire failures.
         """
-        envelope = SoapEnvelope(self.soap_version)
         headers = MessageHeaders.request(target, action, reply_to=reply_to)
-        apply_headers(envelope, headers, self.wsa_version)
-        for header in extra_headers or []:
-            envelope.add_header(header.copy())
-        for element in body:
-            envelope.add_body(element)
-        reply = self._post(target.address, envelope, action)
+        text = control_envelope(
+            self.soap_version, self.wsa_version, headers, body,
+            extra_headers or (), self.envelope_filter,
+        )
+        reply = self.send_rendered(target.address, action, text)
         return reply if expect_reply else None
 
     def send_envelope(self, target_address: str, envelope: SoapEnvelope) -> Optional[SoapEnvelope]:
-        """Send a pre-built envelope (used by the mediation layer)."""
-        return self._post(target_address, envelope)
-
-    def _post(
-        self, target_address: str, envelope: SoapEnvelope, action: Optional[str] = None
-    ) -> Optional[SoapEnvelope]:
-        """Filter, serialise and send a tree-built envelope."""
+        """Filter, serialise and send a pre-built envelope (the mediation layer's)."""
         if self.envelope_filter is not None:
             self.envelope_filter(envelope)
-        if action is None:
-            action = extract_headers(envelope).action
+        action = extract_headers(envelope).action
         return self.send_rendered(target_address, action, serialize_envelope(envelope))
 
     def send_rendered(

@@ -16,6 +16,7 @@ bug the conformance fuzzer exists to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from urllib.parse import urlsplit
 
 _CRLF = "\r\n"
@@ -61,13 +62,15 @@ def _require_token(value: str, what: str) -> str:
     return value
 
 
+@lru_cache(maxsize=256)
 def request_head(url: str, soap_action: str = "", content_type: str = _XML) -> tuple[bytes, bytes]:
     """Validate and frame what a SOAP POST to ``url`` says apart from its
     body: the bytes before and after the ``Content-Length`` value.
 
     The one framing code: :func:`build_request` calls it per request, and a
     subscription keeps the result for its consumer, so a push validates and
-    frames its head once and not per delivery.
+    frames its head once and not per delivery; pure, so the last answers are
+    remembered (a refusal never is) and a repeated control call frames none.
     """
     if any(ch <= " " for ch in url):
         # controls and SP must be rejected before urlsplit sees them: a SP in

@@ -38,6 +38,11 @@ def reset_message_counter() -> None:
     _message_counter = itertools.count(1)
 
 
+def _echo_of(epr: EndpointReference) -> list[XElem]:
+    """What addressing a message to ``epr`` makes its sender echo as headers."""
+    return [elem.copy() for elem in (*epr.reference_parameters, *epr.reference_properties)]
+
+
 @dataclass
 class MessageHeaders:
     """The addressing properties of one message."""
@@ -61,23 +66,18 @@ class MessageHeaders:
     ) -> "MessageHeaders":
         headers = cls(to=target.address, action=action, message_id=fresh_message_id())
         headers.reply_to = reply_to
-        headers.echoed = [
-            elem.copy()
-            for elem in (*target.reference_parameters, *target.reference_properties)
-        ]
+        headers.echoed = _echo_of(target)
         return headers
 
     @classmethod
     def reply(cls, request: "MessageHeaders", action: str, version: WsaVersion) -> "MessageHeaders":
-        reply_address = (
-            request.reply_to.address if request.reply_to else version.anonymous_uri
-        )
-        return cls(
-            to=reply_address,
-            action=action,
-            message_id=fresh_message_id(),
-            relates_to=request.message_id,
-        )
+        # WS-Addressing 1.0 Core 3.4 (the 2004/08 submission likewise): a
+        # reply goes to the ReplyTo endpoint, so that endpoint's reference
+        # parameters and properties are headers of the reply
+        target = request.reply_to or EndpointReference.anonymous(version)
+        reply = cls(target.address, action, fresh_message_id(), request.message_id)
+        reply.echoed = _echo_of(target)
+        return reply
 
 
 def apply_headers(

@@ -14,12 +14,13 @@ import itertools
 from typing import Optional
 
 from repro.delivery.limits import parse_drain_limit
+from repro.render import reply_text
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, reply_envelope
+from repro.wsa.headers import MessageHeaders
 from repro.wsn import messages
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem, text_element
@@ -112,8 +113,8 @@ class PullPoint:
             headers, self.version.action("DestroyPullPointResponse"), response
         )
 
-    def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> SoapEnvelope:
-        return reply_envelope(request_headers, action, body, self.version.wsa_version)
+    def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> str:
+        return reply_text(request_headers, action, body, self.version.wsa_version)
 
 
 class PullPointFactory:
@@ -156,7 +157,7 @@ class PullPointFactory:
                 self.version.wsa_version, self.version.qname("PullPoint")
             )
         )
-        return reply_envelope(
+        return reply_text(
             headers,
             self.version.action("CreatePullPointResponse"),
             response,

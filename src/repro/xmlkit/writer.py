@@ -77,6 +77,10 @@ WRITER_STATS = WriterStats()
 
 
 class _PrefixAllocator:
+    #: a sealed allocator (the one a framed head was compiled under, shared by
+    #: every body spliced behind it) refuses a namespace it never declared
+    sealed = False
+
     def __init__(self) -> None:
         self._by_uri: dict[str, str] = {}
         self._used: set[str] = set()
@@ -85,6 +89,8 @@ class _PrefixAllocator:
     def prefix_for(self, uri: str) -> str:
         if uri in self._by_uri:
             return self._by_uri[uri]
+        if self.sealed:
+            raise LookupError(f"no prefix declared for namespace {uri!r}")
         preferred = Namespaces.PREFERRED_PREFIXES.get(uri)
         if preferred and preferred not in self._used:
             prefix = preferred
@@ -177,26 +183,30 @@ def frozen_namespace_order(elem: XElem) -> tuple[str, ...]:
     return _frozen_namespace_order(elem)
 
 
-def _namespace_order(elem: XElem) -> list[str]:
-    """Namespaces of a subtree in first-use pre-order (deduplicated) —
-    the exact order :func:`_collect_namespaces` would register them in."""
-    seen: set[str] = set()
-    order: list[str] = []
+def namespace_order(elem: XElem) -> tuple[str, ...]:
+    """The same order for any subtree (a framed head is keyed on its body's)."""
+    if elem._fcache is not None:
+        return _frozen_namespace_order(elem)
+    return tuple(_namespace_order(elem))
 
-    def walk(node: XElem) -> None:
-        uri = node.name.namespace
-        if uri and uri not in seen:
-            seen.add(uri)
-            order.append(uri)
-        for attr in node.attrs:
-            ns = attr.namespace
-            if ns and ns not in (Namespaces.XMLNS, Namespaces.XML) and ns not in seen:
-                seen.add(ns)
-                order.append(ns)
-        for child in node.elements():
-            walk(child)
 
-    walk(elem)
+def _namespace_order(elem: XElem, order: dict[str, None] | None = None) -> dict[str, None]:
+    """Namespaces of a subtree in first-use pre-order (a dict as an ordered
+    set) — the exact order :func:`_collect_namespaces` would register them in.
+    Plain recursion: a control envelope asks per message, and a recursive
+    closure is a reference cycle per call for the collector to find."""
+    if order is None:
+        order = {}
+    uri = elem.name.namespace
+    if uri:
+        order.setdefault(uri)
+    for attr in elem.attrs:
+        ns = attr.namespace
+        if ns and ns not in (Namespaces.XMLNS, Namespaces.XML):
+            order.setdefault(ns)
+    for child in elem.children:
+        if not isinstance(child, str):
+            _namespace_order(child, order)
     return order
 
 

@@ -12,15 +12,21 @@ installed on a freshly-built broker through the pipeline's one seam:
 * ``tree=True`` makes the template lookup of every internal source's and
   producer's renderer decline (``install_tree_oracle``, which works on any
   ``SubscriptionService``), so each notification of either family is built
-  as a tree and serialized instead of rendered through a byte-template.
+  as a tree and serialized instead of rendered through a byte-template —
+  and, through the fixtures, the lookup of ``repro.render.FRAMES`` too
+  (``frames_oracle``), so every control request of every client and every
+  reply of every service is the tree it was before heads were framed.
 
 Everything downstream of the replaced stage — batching, QoS admission, the
 delivery manager, the store — is the product's, which is what lets the
 differential run composed configurations.
 """
 
+import functools
+
 import pytest
 
+from repro import render
 from repro.filters.base import FilterContext, admits
 from repro.messenger import WsMessenger
 
@@ -42,10 +48,25 @@ def _install_linear_matcher(fanout) -> None:
     fanout.match = linear_match
 
 
+def _decline(*args):
+    return None, "fallback"
+
+
 def install_tree_oracle(service) -> None:
     """The renderer's one seam: with no template to be had, every render of
     ``service`` (a source or producer of any family) takes the tree path."""
-    service.renderer.templates.lookup = lambda *args: (None, "fallback")
+    service.renderer.templates.lookup = _decline
+
+
+def _frames_oracle(monkeypatch, tree: bool = True) -> None:
+    """The same seam on the process-wide frame cache: while declined, every
+    control envelope — client requests and service replies alike — is the
+    tree it was before heads were framed.  ``tree=False`` puts the product's
+    lookup back mid-test; ``monkeypatch`` does at its end."""
+    if tree:
+        monkeypatch.setitem(vars(render.FRAMES), "lookup", _decline)
+    else:
+        monkeypatch.delitem(vars(render.FRAMES), "lookup", raising=False)
 
 
 def build_oracle_broker(network, address, *, linear=False, tree=False, **kwargs):
@@ -59,12 +80,30 @@ def build_oracle_broker(network, address, *, linear=False, tree=False, **kwargs)
 
 
 @pytest.fixture
-def tree_oracle():
-    """``tree_oracle(service)``: the tree renderer on a bare source / producer."""
-    return install_tree_oracle
+def frames_oracle(monkeypatch):
+    """``frames_oracle(tree=True)``: decline (or, ``False``, restore) the
+    framed heads of every control envelope in the process."""
+    return functools.partial(_frames_oracle, monkeypatch)
 
 
 @pytest.fixture
-def oracle_broker():
+def tree_oracle(monkeypatch):
+    """``tree_oracle(service)``: the tree renderer on a bare source / producer
+    (and on every control envelope from then on)."""
+
+    def install(service) -> None:
+        install_tree_oracle(service)
+        _frames_oracle(monkeypatch)
+
+    return install
+
+
+@pytest.fixture
+def oracle_broker(monkeypatch):
     """``oracle_broker(network, address, linear=..., tree=..., **broker_kwargs)``"""
-    return build_oracle_broker
+
+    def build(network, address, *, tree=False, **kwargs):
+        _frames_oracle(monkeypatch, tree)
+        return build_oracle_broker(network, address, tree=tree, **kwargs)
+
+    return build

@@ -8,16 +8,26 @@ cache (every delivery a compile) and every new topic was a miss for every
 sink, which is what ``match_sparse`` showed as a hit ratio of 0.
 """
 
+import gc
+
 import pytest
 
+from repro import render
 from repro.messenger import WsMessenger
+from repro.soap.envelope import SoapVersion
+from repro.store import BrokerStore
 from repro.transport import SimulatedNetwork, VirtualClock
+from repro.util.xstime import format_datetime
+from repro.wsa.epr import EndpointReference
+from repro.wsa.headers import MessageHeaders
+from repro.wsa.versions import WsaVersion
 from repro.wse import EventSink, WseSubscriber
 from repro.wse.versions import WseVersion
 from repro.wsn import NotificationConsumer, WsnSubscriber
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit import parse_xml
-from repro.xmlkit.names import Namespaces
+from repro.xmlkit.element import XElem, text_element
+from repro.xmlkit.names import Namespaces, QName
 from repro.xmlkit.template import TEMPLATE_STATS
 from repro.xmlkit.writer import WRITER_STATS
 
@@ -87,3 +97,82 @@ def test_rotating_topics_hit_the_templates_they_share():
     assert stats["hits"] / (n * topics) >= 0.99
     assert templates_held(broker) == len(DIALECTS)
     assert all(len(consumer.received) == topics + 1 for consumer in consumers)
+
+
+# --- control envelopes: counted too, because the counts repeat exactly -----------------
+
+
+def lifecycle(network, broker, version, consumer) -> None:
+    """Table 2 over the wire in one dialect, as ``control_churn`` walks it."""
+    lease = format_datetime(network.clock.now() + 7200.0)
+    if isinstance(version, WseVersion):
+        client = WseSubscriber(network, version=version)
+        handle = client.subscribe(broker.epr(), notify_to=consumer.epr())
+        client.renew(handle, lease)
+        if version is WseVersion.V2004_08:
+            client.get_status(handle)
+        client.unsubscribe(handle)
+        return
+    client = WsnSubscriber(network, version=version)
+    handle = client.subscribe(broker.epr(), consumer.epr(), topic="fan")
+    native = version is WsnVersion.V1_3
+    (client.renew if native else client.set_termination_time)(handle, lease)
+    assert client.get_status(handle) == "Active"  # WSRF GetResourceProperty
+    client.pause(handle)
+    client.resume(handle)
+    (client.unsubscribe if native else client.destroy)(handle)
+
+
+def test_a_warm_control_lifecycle_serialises_one_tree_and_compiles_nothing(monkeypatch):
+    monkeypatch.setattr(render, "FRAMES", render.TemplateCache())
+    network = SimulatedNetwork(VirtualClock())
+    broker = WsMessenger(network, "http://counts-broker", store=BrokerStore())
+    consumers = {}
+    for version in (*DIALECTS, WsnVersion.V1_2):  # the warm-up: every head compiles
+        sink = NotificationConsumer if isinstance(version, WsnVersion) else EventSink
+        consumers[version] = sink(network, f"http://counts-sink/{version.name}", version=version)
+        lifecycle(network, broker, version, consumers[version])
+    held = len(render.FRAMES)
+
+    trees, requests = WRITER_STATS.tree_serializations, network.stats.requests
+    TEMPLATE_STATS.reset()
+    lifecycle(network, broker, WsnVersion.V1_3, consumers[WsnVersion.V1_3])
+    assert network.stats.requests - requests == 6
+    # six requests, six replies: the one tree is the Subscribe envelope the
+    # store logs (``BrokerStore.record_subscribe``) — log bytes do not move
+    assert WRITER_STATS.tree_serializations - trees == 1
+    assert TEMPLATE_STATS.snapshot() == {"hits": 12, "misses": 0, "fallbacks": 0}
+    assert len(render.FRAMES) == held
+
+
+def test_distinct_reference_parameter_shapes_stay_under_the_lru_bound(monkeypatch):
+    monkeypatch.setattr(render, "FRAMES", render.TemplateCache())
+    body = [XElem(QName("urn:counts", "Op"))]
+    for i in range(10_000):  # a parameter's *name* is shape; its text is a slot
+        target = EndpointReference("http://counts-manager").with_parameter(
+            text_element(QName("urn:counts", f"p{i}"), "v")
+        )
+        headers = MessageHeaders.request(target, "urn:counts:Op")
+        render.control_envelope(SoapVersion.V11, WsaVersion.V2005_08, headers, body)
+    assert len(render.FRAMES) == render.FRAMES.capacity == 512
+    assert not render.FRAMES._holders and not render.FRAMES._held  # nothing but the LRU holds a head
+
+
+def test_a_control_lifecycle_leaves_the_collector_nothing(monkeypatch):
+    # the benchmark times with the collector off: a reference cycle per
+    # control envelope (a recursive closure in the namespace walk did that)
+    # is peak RSS and cache pressure on every workload, not a leak a test
+    # with the collector on would ever see
+    monkeypatch.setattr(render, "FRAMES", render.TemplateCache())
+    network = SimulatedNetwork(VirtualClock())
+    broker = WsMessenger(network, "http://counts-broker")
+    consumer = NotificationConsumer(network, "http://counts-sink/gc")
+    lifecycle(network, broker, WsnVersion.V1_3, consumer)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            lifecycle(network, broker, WsnVersion.V1_3, consumer)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

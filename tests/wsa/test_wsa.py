@@ -139,6 +139,32 @@ class TestHeaders:
         reply = MessageHeaders.reply(request, "a", WsaVersion.V2005_08)
         assert reply.to == "http://client/回"
 
+    @pytest.mark.parametrize("version", [WsaVersion.V2004_08, WsaVersion.V2005_08])
+    def test_reply_echoes_the_reply_to_endpoints_reference_parameters(self, version):
+        # WS-Addressing 1.0 Core 3.4 "Formulating a Reply Message" (and the
+        # 2004/08 submission, of properties too): addressing the reply to the
+        # ReplyTo endpoint means echoing what that EPR carries, not only its
+        # address.  The parent copied the address alone.
+        correlation = text_element(QName("urn:client", "Correlation"), "c-7 & <8>")
+        session = text_element(QName("urn:client", "Session"), "s-1")
+        request = self._request_headers()
+        request.reply_to = (
+            EndpointReference("http://client/replies")
+            .with_parameter(correlation)
+            .with_property(session)
+        )
+        reply = MessageHeaders.reply(request, "urn:spec:RenewResponse", version)
+        assert reply.echoed == [correlation, session]
+        assert reply.echoed[0] is not correlation  # copies: the request's EPR stays its own
+        envelope = apply_headers(SoapEnvelope(), reply, version)
+        recovered = extract_headers(parse_envelope(serialize_envelope(envelope)))
+        assert recovered.to == "http://client/replies"
+        assert [block.full_text() for block in recovered.echoed] == ["c-7 & <8>", "s-1"]
+
+    def test_a_reply_without_reply_to_echoes_nothing(self):
+        reply = MessageHeaders.reply(self._request_headers(), "a", WsaVersion.V2005_08)
+        assert reply.echoed == []
+
     def test_message_ids_unique(self):
         assert fresh_message_id() != fresh_message_id()
 
