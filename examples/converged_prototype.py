@@ -63,7 +63,7 @@ def main(network=None) -> None:
     source.publish(event("job-1", 80), topic="jobs/job-1")   # delivered
 
     print("push consumer received:", len(consumer.received))
-    print("  ", consumer.received[0][0].full_text(), "on topic", consumer.received[0][1])
+    print("  ", consumer.received[0].payload.full_text(), "on topic", consumer.received[0].topic)
     pulled = lan_subscriber.pull(pull_handle)
     print("firewalled pull consumer drained:", len(pulled), "messages")
 

@@ -34,34 +34,40 @@ def _event():
     return parse_xml('<ev:E xmlns:ev="urn:probe"><ev:n>1</ev:n></ev:E>')
 
 
-class _WseHarness:
-    def __init__(self, version: WseVersion) -> None:
-        self.version = version
+class _Harness:
+    """One version's live stack: the service, a consumer, the subscriber."""
+
+    def __init__(self, version: SpecVersion) -> None:
         self.network = SimulatedNetwork(VirtualClock())
-        self.source = EventSource(self.network, "http://probe-source", version=version)
-        self.sink = EventSink(self.network, "http://probe-sink", version=version)
-        self.subscriber = WseSubscriber(self.network, version=version)
+        if isinstance(version, WseVersion):
+            self.service = EventSource(self.network, "http://probe-source", version=version)
+            self.consumer = EventSink(self.network, "http://probe-sink", version=version)
+            self.subscriber = WseSubscriber(self.network, version=version)
+            self._request = {"notify_to": self.consumer.epr()}
+        else:
+            self.service = NotificationProducer(
+                self.network, "http://probe-producer", version=version
+            )
+            self.consumer = NotificationConsumer(
+                self.network, "http://probe-consumer", version=version
+            )
+            self.subscriber = WsnSubscriber(self.network, version=version)
+            self._request = {"consumer": self.consumer.epr(), "topic": "probe"}
 
     def subscribe(self, **kwargs):
-        kwargs.setdefault("notify_to", self.sink.epr())
-        return self.subscriber.subscribe(self.source.epr(), **kwargs)
+        return self.subscriber.subscribe(self.service.epr(), **{**self._request, **kwargs})
+
+    def publish(self) -> None:
+        self.service.publish(_event(), topic="probe")
 
 
-class _WsnHarness:
-    def __init__(self, version: WsnVersion) -> None:
-        self.version = version
-        self.network = SimulatedNetwork(VirtualClock())
-        self.producer = NotificationProducer(
-            self.network, "http://probe-producer", version=version
-        )
-        self.consumer = NotificationConsumer(
-            self.network, "http://probe-consumer", version=version
-        )
-        self.subscriber = WsnSubscriber(self.network, version=version)
-
-    def subscribe(self, **kwargs):
-        kwargs.setdefault("topic", "probe")
-        return self.subscriber.subscribe(self.producer.epr(), self.consumer.epr(), **kwargs)
+def _answers(exchange, *args, **kwargs) -> bool:
+    """Whether ``exchange`` went through with something to show; a fault —
+    the client's own ``OperationNotAvailable`` included — is a No."""
+    try:
+        return bool(exchange(*args, **kwargs))
+    except SoapFault:
+        return False
 
 
 # --- probes (each returns the measured cell value) -----------------------------------
@@ -69,71 +75,42 @@ class _WsnHarness:
 
 def probe_separate_manager(version: SpecVersion) -> bool:
     """Does Subscribe yield a manager endpoint distinct from the source?"""
-    if isinstance(version, WseVersion):
-        harness = _WseHarness(version)
-        handle = harness.subscribe()
-        return handle.manager.address != harness.source.address
-    harness = _WsnHarness(version)
-    handle = harness.subscribe()
-    return handle.reference.address != harness.producer.address
+    harness = _Harness(version)
+    return harness.subscribe().manager.address != harness.service.address
 
 
 def probe_get_status(version: SpecVersion) -> bool:
     """Can the subscription's status/expiry be queried?"""
-    if isinstance(version, WseVersion):
-        harness = _WseHarness(version)
-        handle = harness.subscribe()
-        try:
-            return bool(harness.subscriber.get_status(handle))
-        except SoapFault:
-            return False
-    harness = _WsnHarness(version)
-    handle = harness.subscribe()
-    try:
-        return harness.subscriber.get_status(handle) == "Active"
-    except SoapFault:
-        return False
+    harness = _Harness(version)
+    return _answers(harness.subscriber.get_status, harness.subscribe())
 
 
 def probe_id_in_epr(version: SpecVersion) -> bool:
     """Is the subscription id returned inside the manager EPR's WS-Addressing
     reference parameters/properties (vs a bare element)?"""
-    if isinstance(version, WseVersion):
-        handle = _WseHarness(version).subscribe()
-        return bool(
-            handle.manager.reference_parameters or handle.manager.reference_properties
-        )
-    handle = _WsnHarness(version).subscribe()
-    return bool(
-        handle.reference.reference_parameters or handle.reference.reference_properties
-    )
+    manager = _Harness(version).subscribe().manager
+    return bool(manager.reference_parameters or manager.reference_properties)
 
 
 def probe_wrapped_delivery(version: SpecVersion) -> bool:
+    harness = _Harness(version)
     if isinstance(version, WseVersion):
-        harness = _WseHarness(version)
-        try:
-            harness.subscribe(mode=DeliveryMode.WRAPPED)
-            return True
-        except SoapFault:
-            return False
-    harness = _WsnHarness(version)
+        return _answers(harness.subscribe, mode=DeliveryMode.WRAPPED)
     harness.subscribe()
-    harness.producer.publish(_event(), topic="probe")
+    harness.publish()
     return bool(harness.consumer.received) and harness.consumer.received[0].wrapped
 
 
 def probe_pull_delivery(version: SpecVersion) -> bool:
     """Is there *any* way to pull notifications (mode or pull point)?"""
+    harness = _Harness(version)
     if isinstance(version, WseVersion):
-        harness = _WseHarness(version)
         try:
             handle = harness.subscribe(notify_to=None, mode=DeliveryMode.PULL)
-            harness.source.publish(_event())
+            harness.publish()
             return len(harness.subscriber.pull(handle)) == 1
         except SoapFault:
             return False
-    harness = _WsnHarness(version)
     try:
         factory = PullPointFactory(
             harness.network, "http://probe-pullpoints", version=version
@@ -142,56 +119,37 @@ def probe_pull_delivery(version: SpecVersion) -> bool:
         return False
     client = PullPointClient(harness.network, version=version)
     pull_point = client.create(factory.epr())
-    harness.subscriber.subscribe(harness.producer.epr(), pull_point, topic="probe")
-    harness.producer.publish(_event(), topic="probe")
+    harness.subscriber.subscribe(harness.service.epr(), pull_point, topic="probe")
+    harness.publish()
     return len(client.get_messages(pull_point)) == 1
 
 
 def probe_duration_expiry(version: SpecVersion) -> bool:
-    if isinstance(version, WseVersion):
-        harness = _WseHarness(version)
-        try:
-            harness.subscribe(expires="PT60S")
-            return True
-        except SoapFault:
-            return False
-    harness = _WsnHarness(version)
-    try:
-        harness.subscribe(initial_termination="PT60S")
-        return True
-    except SoapFault:
-        return False
+    keyword = "expires" if isinstance(version, WseVersion) else "initial_termination"
+    return _answers(_Harness(version).subscribe, **{keyword: "PT60S"})
 
 
 def probe_requires_topic(version: SpecVersion) -> bool:
     """Does a topic-less Subscribe fault?"""
     if isinstance(version, WseVersion):
         return False  # WSE has no topic notion at all
-    harness = _WsnHarness(version)
-    try:
-        harness.subscribe(topic=None)
-        return False
-    except SoapFault:
-        return True
+    return not _answers(_Harness(version).subscribe, topic=None)
 
 
 def probe_get_current_message(version: SpecVersion) -> bool:
-    if isinstance(version, WseVersion):
-        return False  # no such operation exists to call
-    harness = _WsnHarness(version)
+    harness = _Harness(version)
     harness.subscribe()
-    harness.producer.publish(_event(), topic="probe")
-    try:
-        current = harness.subscriber.get_current_message(harness.producer.epr(), "probe")
-        return current.name.local == "E"
-    except SoapFault:
-        return False
+    harness.publish()
+    return _answers(
+        lambda: harness.subscriber.get_current_message(harness.service.epr(), "probe").name.local
+        == "E"
+    )
 
 
 def probe_pull_point_interface(version: SpecVersion) -> bool:
     if isinstance(version, WseVersion):
         return False
-    harness = _WsnHarness(version)
+    harness = _Harness(version)
     try:
         PullPointFactory(harness.network, "http://probe-pp", version=version)
         return True
@@ -204,39 +162,34 @@ def probe_pull_mode_in_subscription(version: SpecVersion) -> bool:
     yes via the Delivery extension point; WSN never — the pull point is
     created beforehand and subscribed as an ordinary consumer.)"""
     if isinstance(version, WseVersion):
-        harness = _WseHarness(version)
-        try:
-            harness.subscribe(notify_to=None, mode=DeliveryMode.PULL)
-            return True
-        except SoapFault:
-            return False
+        return _answers(_Harness(version).subscribe, notify_to=None, mode=DeliveryMode.PULL)
     return version.pull_mode_in_subscription
 
 
 def probe_subscription_end_notice(version: SpecVersion) -> bool:
     """Does the consumer get an end-of-subscription notice when the source
     dies or the subscription expires?"""
+    harness = _Harness(version)
     if isinstance(version, WseVersion):
-        harness = _WseHarness(version)
         end_sink = EventSink(harness.network, "http://probe-end", version=version)
         harness.subscribe(end_to=end_sink.epr())
-        harness.source.shutdown()
+        harness.service.shutdown()
         return len(end_sink.subscription_ends) == 1
-    harness = _WsnHarness(version)
     harness.subscribe(initial_termination="2006-01-01T00:01:00Z")
     harness.network.clock.advance(120.0)
-    harness.producer.sweep()
+    harness.service.sweep()
     return bool(harness.consumer.termination_notices)
 
 
 def probe_pause_resume(version: SpecVersion) -> bool:
     """Are Pause/ResumeSubscription operations available?"""
-    if isinstance(version, WseVersion):
-        return False
-    harness = _WsnHarness(version)
+    harness = _Harness(version)
     handle = harness.subscribe()
-    harness.subscriber.pause(handle)
-    harness.producer.publish(_event(), topic="probe")
+    try:
+        harness.subscriber.pause(handle)
+    except SoapFault:
+        return False  # WS-Eventing: the client answers OperationNotAvailable
+    harness.publish()
     if harness.consumer.received:
         return False  # pause had no effect
     harness.subscriber.resume(handle)

@@ -3,15 +3,18 @@
 The paper's Table 2 maps each WS-Eventing operation to how
 WS-BaseNotification achieves it (natively, or through the optional WSRF),
 plus the two WSN-only operations.  :func:`build_table2` *executes* each
-mapping against live endpoints — every cell string is only emitted after the
-corresponding exchange actually succeeded (or, for "Not available", after
-the operation was confirmed absent).
+row in both columns through the one subscriber client — a cell string is only
+emitted after the corresponding exchange actually succeeded, and "Not
+available" is what the client answered: :class:`OperationNotAvailable`, the
+column's operation table having no such row.
 """
 
 from __future__ import annotations
 
+from repro.comparison.probes import _event
 from repro.comparison.tables import ComparisonTable
 from repro.soap.fault import SoapFault
+from repro.subscriptions import OperationNotAvailable
 from repro.transport.clock import VirtualClock
 from repro.transport.network import SimulatedNetwork
 from repro.wse.sink import EventSink
@@ -42,92 +45,83 @@ PAPER_TABLE2.add_row("Pause/resume Subscription", "Not available", "Pause/resume
 PAPER_TABLE2.add_row("GetCurrentMessage", "Not available", "GetCurrentMessage")
 
 
+def _pause_resume(service, client, handle) -> None:
+    client.pause(handle)
+    client.resume(handle)
+
+
+#: the rows both columns run through the same verbs, in an order a live
+#: subscription allows (GetStatus before Unsubscribe): label -> the exchange
+VERB_ROWS = {
+    "Renew": lambda service, client, handle: client.renew(handle, "PT2H"),
+    "GetStatus": lambda service, client, handle: client.get_status(handle),
+    "Pause/resume Subscription": _pause_resume,
+    "GetCurrentMessage": lambda service, client, handle: client.get_current_message(
+        service.epr(), "t2"
+    ),
+    "Unsubscribe": lambda service, client, handle: client.unsubscribe(handle),
+}
+
+#: what the WS-BaseNotification column calls the rows it leaves to WSRF
+VIA_WSRF = {
+    "GetStatus": "Not defined, can use getResourceProperties in WSRF",
+    "SubscriptionEnd": "Not defined, can use TerminationNotification in WSRF",
+}
+
+
+def _cell(label: str, exchange, *stack) -> str:
+    """``label`` once ``exchange(*stack)`` went through with something to
+    show; "Not available" where the column's operation table has no such row."""
+    try:
+        answer = exchange(*stack)
+    except OperationNotAvailable:
+        return "Not available"
+    except SoapFault as exc:
+        return f"FAILED: {exc}"
+    return "FAILED" if answer == "" else label
+
+
 def build_table2() -> ComparisonTable:
     """Execute every Table 2 mapping and report how each function is achieved."""
     table = ComparisonTable("Table 2: Function Comparison (measured)", COLUMNS)
 
-    # --- live WSE 08/2004 stack ---------------------------------------------------
+    # --- live WSE 08/2004 and WSN 1.3 stacks ------------------------------------------
     wse_net = SimulatedNetwork(VirtualClock())
     wse_version = WseVersion.V2004_08
     source = EventSource(wse_net, "http://t2-source", version=wse_version)
     sink = EventSink(wse_net, "http://t2-sink", version=wse_version)
     end_sink = EventSink(wse_net, "http://t2-end", version=wse_version)
     wse_sub = WseSubscriber(wse_net, version=wse_version)
-
-    # --- live WSN 1.3 stack -----------------------------------------------------------
     wsn_net = SimulatedNetwork(VirtualClock())
     wsn_version = WsnVersion.V1_3
     producer = NotificationProducer(wsn_net, "http://t2-producer", version=wsn_version)
     consumer = NotificationConsumer(wsn_net, "http://t2-consumer", version=wsn_version)
     wsn_sub = WsnSubscriber(wsn_net, version=wsn_version)
 
-    # Subscribe
     wse_handle = wse_sub.subscribe(source.epr(), notify_to=sink.epr(), end_to=end_sink.epr())
     wsn_handle = wsn_sub.subscribe(producer.epr(), consumer.epr(), topic="t2")
+    #: per column: the service, its client, the live subscription, its own names
+    columns = ((source, wse_sub, wse_handle, {}), (producer, wsn_sub, wsn_handle, VIA_WSRF))
     table.add_row("Subscribe", "Subscribe", "Subscribe")
-
-    # Renew
-    wse_sub.renew(wse_handle, "PT2H")
-    wsn_sub.renew(wsn_handle, "PT2H")
-    table.add_row("Renew", "Renew", "Renew")
-
-    # GetStatus (do this before unsubscribing)
-    wse_status = "GetStatus" if wse_sub.get_status(wse_handle) else "FAILED"
-    try:
-        # WSN 1.3 defines no GetStatus action; the WSRF port answers instead
-        wsn_status = (
-            "Not defined, can use getResourceProperties in WSRF"
-            if wsn_sub.get_status(wsn_handle) == "Active"
-            else "FAILED"
+    producer.publish(_event(), topic="t2")  # something for GetCurrentMessage to answer with
+    for label, exchange in VERB_ROWS.items():
+        table.add_row(
+            label,
+            *(_cell(names.get(label, label), exchange, *stack) for *stack, names in columns),
         )
-    except SoapFault as exc:
-        wsn_status = f"FAILED: {exc}"
-    table.add_row("GetStatus", wse_status, wsn_status)
-
-    # Pause/Resume
-    try:
-        wse_pause = "Not available"  # no such actions exist in WS-Eventing
-        wsn_sub.pause(wsn_handle)
-        wsn_sub.resume(wsn_handle)
-        wsn_pause = "Pause/resume Subscription"
-    except SoapFault as exc:
-        wsn_pause = f"FAILED: {exc}"
-    table.add_row("Pause/resume Subscription", wse_pause, wsn_pause)
-
-    # GetCurrentMessage
-    from repro.comparison.probes import _event
-
-    producer.publish(_event(), topic="t2")
-    try:
-        wsn_sub.get_current_message(producer.epr(), "t2")
-        wsn_gcm = "GetCurrentMessage"
-    except SoapFault as exc:
-        wsn_gcm = f"FAILED: {exc}"
-    table.add_row("GetCurrentMessage", "Not available", wsn_gcm)
-
-    # Unsubscribe
-    wse_sub.unsubscribe(wse_handle)
-    wsn_sub.unsubscribe(wsn_handle)
-    table.add_row("Unsubscribe", "Unsubscribe", "Unsubscribe")
 
     # SubscriptionEnd: WSE sends an explicit notice on abnormal termination;
     # WSN realizes the same through WSRF's TerminationNotification
-    wse_handle2 = wse_sub.subscribe(
-        source.epr(), notify_to=sink.epr(), end_to=end_sink.epr()
-    )
+    wse_sub.subscribe(source.epr(), notify_to=sink.epr(), end_to=end_sink.epr())
     source.shutdown()
-    wse_end = "SubscriptionEnd" if end_sink.subscription_ends else "FAILED"
-    wsn_handle2 = wsn_sub.subscribe(
-        producer.epr(), consumer.epr(), topic="t2", initial_termination="PT10S"
-    )
+    wsn_sub.subscribe(producer.epr(), consumer.epr(), topic="t2", initial_termination="PT10S")
     wsn_net.clock.advance(20.0)
     producer.sweep()
-    wsn_end = (
-        "Not defined, can use TerminationNotification in WSRF"
-        if consumer.termination_notices
-        else "FAILED"
+    table.add_row(
+        "SubscriptionEnd",
+        "SubscriptionEnd" if end_sink.subscription_ends else "FAILED",
+        VIA_WSRF["SubscriptionEnd"] if consumer.termination_notices else "FAILED",
     )
-    table.add_row("SubscriptionEnd", wse_end, wsn_end)
 
     # reorder to the paper's row order for diffing
     order = [label for label, _ in PAPER_TABLE2.rows]

@@ -24,7 +24,11 @@ paper's comparison takes for granted:
 - a QoS profile asking for a property the broker understands but does not
   implement (``DiscardPolicy=DeadlineOrder``, a ``PacingInterval``) is faulted
   at subscribe time with the family's QoS subcode — never granted and ignored;
-- management operations on an expired or unsubscribed subscription fault.
+- management operations on an expired or unsubscribed subscription fault;
+- GetStatus answers what the family's table says it does — the lease on
+  WS-Eventing 08/2004, ``Active`` through WSRF and on the converged source —
+  and where the table has no row (01/2004) the client answers
+  ``OperationNotAvailable``.
 
 The model is deliberately naive — a dict per subscription with a float
 expiry — because its whole value is having *no code in common* with the
@@ -33,23 +37,25 @@ stores it checks.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.conformance.gen import pick
+from repro.convergence import ConvergedConsumer, ConvergedSource, ConvergedSubscriber
 from repro.delivery.manager import DeliveryManager
 from repro.qos.adaptive import AdaptiveQosController
 from repro.qos.properties import DiscardPolicy, QosProfile
 from repro.soap.fault import SoapFault
+from repro.subscriptions import OperationNotAvailable
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.util.rng import SeededRng
 from repro.util.xstime import format_datetime, parse_expires
+from repro.wse import EventSink, EventSource, WseSubscriber, WseVersion
+from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber, WsnVersion
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import QName
 
 _FAMILIES = ("wse", "wsn")
 _WSE_VERSIONS = ("V2004_01", "V2004_08")
-#: family -> the versions a case may name ("wsen": the converged prototype)
-_VERSIONS = {"wse": _WSE_VERSIONS, "wsn": ("V1_3",), "wsen": ("WSEN",)}
 _DEFAULT_LIFETIME = 3600.0
 
 _INVALID_KINDS = ("zero", "negative", "pastdt", "garbage")
@@ -170,7 +176,7 @@ class LifecycleEngine:
         if not isinstance(case, dict):
             return False
         family, version = case.get("family"), case.get("version")
-        if version not in _VERSIONS.get(family, ()):
+        if family not in _RUNS or version not in _RUNS[family].status:
             return False
         if case.get("controller", False) not in (False, True) or (
             family == "wsen" and case.get("controller")
@@ -211,8 +217,6 @@ class LifecycleEngine:
             elif kind in ("unsubscribe", "status"):
                 if not (isinstance(op.get("sub"), int) and 0 <= op["sub"] < len(subs)):
                     return False
-                if kind == "status" and version != "V2004_08":
-                    return False
             else:
                 return False
         return True
@@ -222,22 +226,84 @@ class LifecycleEngine:
     def check(self, case: object) -> Optional[str]:
         if not self._valid(case):
             return None
-        return _RUNS[case["family"]](case).run()
+        return _Run(case, _RUNS[case["family"]]).run()
+
+
+class _Family(NamedTuple):
+    """What the schedule interpreter cannot read off the shared client: how
+    one family builds its stack and what it calls things."""
+
+    #: the source, subscriber and consumer classes, and the enum their
+    #: ``version=`` is a member of (None: the family has one version)
+    roles: tuple
+    versions: Optional[type]
+    #: ``consumer`` / ``expires`` / ``content`` / ``qos`` -> Subscribe's
+    #: keyword for it (no ``qos``: the family's Subscribe carries no profile)
+    keywords: dict
+    #: the topic it subscribes to and publishes on, if it needs one
+    topic: Optional[str]
+    #: fault subcodes: an invalid expiration at Subscribe (``expiry``) and at
+    #: ``renew``, a ``filter`` that cannot compile, an unsupported ``qos`` profile
+    faults: dict
+    #: version name -> what GetStatus answers for a live subscription: its
+    #: ``lease``, a literal, or None — Table 2's "Not available"
+    status: dict
+
+
+_RUNS = {
+    "wse": _Family(
+        (EventSource, WseSubscriber, EventSink),
+        WseVersion,
+        {"consumer": "notify_to", "expires": "expires", "content": "filter", "qos": "qos"},
+        None,
+        {
+            "expiry": "InvalidExpirationTime",
+            "renew": "InvalidExpirationTime",
+            "filter": "FilteringRequestedUnavailable",
+            "qos": "UnsupportedQoS",
+        },
+        {"V2004_01": None, "V2004_08": "lease"},
+    ),
+    "wsn": _Family(
+        (NotificationProducer, WsnSubscriber, NotificationConsumer),
+        WsnVersion,
+        {
+            "consumer": "consumer",
+            "expires": "initial_termination",
+            "content": "message_content",
+            "qos": "qos",
+        },
+        "conf",
+        {
+            "expiry": "TerminationTimeFault",  # Unacceptable(Initial)TerminationTimeFault
+            "renew": "UnacceptableTerminationTimeFault",  # not the Subscribe one
+            "filter": "InvalidMessageContentExpressionFault",
+            "qos": "UnsupportedPolicyRequestFault",
+        },
+        {"V1_3": "Active"},
+    ),
+    "wsen": _Family(
+        (ConvergedSource, ConvergedSubscriber, ConvergedConsumer),
+        None,
+        {"consumer": "consumer", "expires": "expires", "content": "message_content"},
+        None,
+        {
+            "expiry": "InvalidExpirationTime",
+            "renew": "InvalidExpirationTime",
+            "filter": "InvalidFilterFault",
+            "qos": "n/a",  # no QoS profile on the converged wire
+        },
+        {"WSEN": "Active"},
+    ),
+}
 
 
 class _Run:
-    """Shared schedule interpreter; subclasses bind one family's client API."""
+    """The schedule interpreter: one family's stack, the shared verbs."""
 
-    fault_subcode: str  # invalid expiration at Subscribe ...
-    renew_fault_subcode: str  # ... and at Renew
-    filter_fault_subcode: str
-    qos_fault_subcode: str
-    #: set by the subclass: the client role, and one sink per subscription
-    subscriber: object
-    sinks: list
-
-    def __init__(self, case: dict) -> None:
+    def __init__(self, case: dict, family: _Family) -> None:
         self.case = case
+        self.family = family
         self.clock = VirtualClock()
         self.network = SimulatedNetwork(self.clock)
         #: ``"controller"`` cases run over the reliable pipeline with an
@@ -246,11 +312,18 @@ class _Run:
         self.manager = (
             DeliveryManager(self.network, qos=self.controller) if self.controller else None
         )
+        source, subscriber, consumer = family.roles
+        versioned = {"version": family.versions[case["version"]]} if family.versions else {}
+        managed = {"delivery_manager": self.manager} if self.manager else {}
+        self.source = source(self.network, "http://conf-source", **versioned, **managed)
+        self.subscriber = subscriber(self.network, **versioned)
+        self.sinks = [
+            consumer(self.network, f"http://conf-sink-{index}", **versioned)
+            for index in range(len(case["subs"]))
+        ]
         #: per-sub model: {"handle", "expires": float, "gone": bool, "expected": [markers]}
         self.model: list[dict] = []
         self.published = 0
-
-    # family bindings ------------------------------------------------------
 
     def subscribe(
         self,
@@ -259,25 +332,15 @@ class _Run:
         xpath: Optional[str],
         qos: Optional[QosProfile],
     ) -> object:
-        raise NotImplementedError
-
-    def renew(self, handle: object, expires_text: Optional[str]) -> str:
-        return self.subscriber.renew(handle, expires_text)
-
-    def unsubscribe(self, handle: object) -> None:
-        self.subscriber.unsubscribe(handle)
-
-    def status(self, handle: object) -> str:  # pragma: no cover - WSE 08/2004 only
-        raise NotImplementedError
-
-    def publish(self, payload: XElem) -> None:
-        raise NotImplementedError
+        consumer = self.sinks[index].epr()
+        values = {"consumer": consumer, "expires": expires_text, "content": xpath, "qos": qos}
+        request = {keyword: values[name] for name, keyword in self.family.keywords.items()}
+        if self.family.topic is not None:
+            request["topic"] = self.family.topic
+        return self.subscriber.subscribe(self.source.epr(), **request)
 
     def delivered(self, index: int) -> list[str]:
         return [payload.full_text() for payload in self.sinks[index].payloads()]
-
-    def granted_text(self, handle: object) -> str:
-        raise NotImplementedError
 
     # model ----------------------------------------------------------------
 
@@ -344,11 +407,11 @@ class _Run:
             except SoapFault as fault:
                 if self.controller and self.controller.profile_for(self.sinks[index].address):
                     return f"{tag}: the refused Subscribe left its QoS profile registered"
-                wanted = [self.filter_fault_subcode] if uncompilable else []
+                wanted = [self.family.faults["filter"]] if uncompilable else []
                 if qos:
-                    wanted.append(self.qos_fault_subcode)
+                    wanted.append(self.family.faults["qos"])
                 if _expiry_is_invalid(spec):
-                    wanted.append(self.fault_subcode)
+                    wanted.append(self.family.faults["expiry"])
                 if not wanted:
                     return f"{tag}: unexpected fault: {fault}"
                 if not any(self._fault_matches(fault, subcode) for subcode in wanted):
@@ -364,7 +427,7 @@ class _Run:
             if qos:
                 return f"{tag}: unsupported QoS {_UNSUPPORTED_QOS[qos]} was granted"
             failure, granted = self._grant_failure(
-                spec, text, now, self.clock.now(), self.granted_text(handle)
+                spec, text, now, self.clock.now(), handle.expires_text
             )
             if failure is not None:
                 return f"{tag}: {failure}"
@@ -393,7 +456,9 @@ class _Run:
             for sub in self.model:
                 if self._live(sub) and not sub["mute"]:  # a failing filter matches nothing
                     sub["expected"].append(marker)
-            self.publish(XElem(QName("", "conf-evt"), children=[marker]))
+            self.source.publish(
+                XElem(QName("", "conf-evt"), children=[marker]), topic=self.family.topic
+            )
             if self.manager is not None:
                 self.manager.run_until_idle()
             return self._check_deliveries(f"after publish {marker}")
@@ -418,11 +483,11 @@ class _Run:
             if wsrf:
                 granted = self.subscriber.set_termination_time(sub["handle"], text)
             else:
-                granted = self.renew(sub["handle"], text)
+                granted = self.subscriber.renew(sub["handle"], text)
         except SoapFault as fault:
             if live and not invalid:
                 return f"sub {op['sub']}: unexpected {op['op']} fault: {fault}"
-            wanted = "UnableToSetTerminationTimeFault" if wsrf else self.renew_fault_subcode
+            wanted = "UnableToSetTerminationTimeFault" if wsrf else self.family.faults["renew"]
             if live and not self._fault_matches(fault, wanted):
                 return f"sub {op['sub']}: {op['op']} fault lacks {wanted} subcode: {fault}"
             return None  # dead subscription or invalid expiry: fault is the contract
@@ -446,7 +511,7 @@ class _Run:
     def _apply_unsubscribe(self, sub: dict, op: dict) -> Optional[str]:
         live = self._live(sub)
         try:
-            self.unsubscribe(sub["handle"])
+            self.subscriber.unsubscribe(sub["handle"])
         except SoapFault as fault:
             if live:
                 return f"sub {op['sub']}: unexpected unsubscribe fault: {fault}"
@@ -458,19 +523,23 @@ class _Run:
 
     def _apply_status(self, sub: dict, op: dict) -> Optional[str]:
         live = self._live(sub)
+        answer = self.family.status[self.case["version"]]
         try:
-            reported = self.status(sub["handle"])
+            reported = self.subscriber.get_status(sub["handle"])
+        except OperationNotAvailable as fault:
+            # dead or alive: the client refuses before anything reaches the wire
+            return f"sub {op['sub']}: {fault}" if answer is not None else None
         except SoapFault as fault:
             if live:
                 return f"sub {op['sub']}: unexpected status fault: {fault}"
             return None
+        if answer is None:
+            return f"sub {op['sub']}: status {reported!r} from a version that defines none"
         if not live:
             return f"sub {op['sub']}: status of a dead subscription succeeded"
-        if reported != format_datetime(sub["expires"]):
-            return (
-                f"sub {op['sub']}: status reports {reported!r}, model says "
-                f"{format_datetime(sub['expires'])!r}"
-            )
+        expected = format_datetime(sub["expires"]) if answer == "lease" else answer
+        if reported != expected:
+            return f"sub {op['sub']}: status reports {reported!r}, model says {expected!r}"
         return None
 
     def _check_deliveries(self, when: str) -> Optional[str]:
@@ -484,137 +553,3 @@ class _Run:
                     f"sub {index} saw {actual}, model expects {sub['expected']}"
                 )
         return None
-
-
-class _WseRun(_Run):
-    fault_subcode = renew_fault_subcode = "InvalidExpirationTime"
-    filter_fault_subcode = "FilteringRequestedUnavailable"
-    qos_fault_subcode = "UnsupportedQoS"
-
-    def __init__(self, case: dict) -> None:
-        super().__init__(case)
-        from repro.wse import EventSink, EventSource, WseSubscriber
-        from repro.wse.versions import WseVersion
-
-        version = WseVersion[case["version"]]
-        self.source = EventSource(
-            self.network, "http://conf-source", version=version, delivery_manager=self.manager
-        )
-        self.subscriber = WseSubscriber(self.network, version=version)
-        self.sinks = [
-            EventSink(self.network, f"http://conf-sink-{i}", version=version)
-            for i in range(len(case["subs"]))
-        ]
-
-    def subscribe(
-        self,
-        index: int,
-        expires_text: Optional[str],
-        xpath: Optional[str],
-        qos: Optional[QosProfile],
-    ) -> object:
-        return self.subscriber.subscribe(
-            self.source.epr(),
-            notify_to=self.sinks[index].epr(),
-            expires=expires_text,
-            filter=xpath,
-            qos=qos,
-        )
-
-    def status(self, handle: object) -> str:
-        return self.subscriber.get_status(handle)
-
-    def publish(self, payload: XElem) -> None:
-        self.source.publish(payload)
-
-    def granted_text(self, handle: object) -> str:
-        return handle.expires_text
-
-
-class _WsnRun(_Run):
-    fault_subcode = "TerminationTimeFault"  # Unacceptable(Initial)TerminationTimeFault
-    renew_fault_subcode = "UnacceptableTerminationTimeFault"  # not the Subscribe one
-    filter_fault_subcode = "InvalidMessageContentExpressionFault"
-    qos_fault_subcode = "UnsupportedPolicyRequestFault"
-
-    TOPIC = "conf"
-
-    def __init__(self, case: dict) -> None:
-        super().__init__(case)
-        from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber
-        from repro.wsn.versions import WsnVersion
-
-        version = WsnVersion[case["version"]]
-        self.source = NotificationProducer(
-            self.network, "http://conf-producer", version=version, delivery_manager=self.manager
-        )
-        self.subscriber = WsnSubscriber(self.network, version=version)
-        self.sinks = [
-            NotificationConsumer(self.network, f"http://conf-consumer-{i}", version=version)
-            for i in range(len(case["subs"]))
-        ]
-
-    def subscribe(
-        self,
-        index: int,
-        expires_text: Optional[str],
-        xpath: Optional[str],
-        qos: Optional[QosProfile],
-    ) -> object:
-        return self.subscriber.subscribe(
-            self.source.epr(),
-            self.sinks[index].epr(),
-            topic=self.TOPIC,
-            initial_termination=expires_text,
-            message_content=xpath,
-            qos=qos,
-        )
-
-    def publish(self, payload: XElem) -> None:
-        self.source.publish(payload, topic=self.TOPIC)
-
-    def granted_text(self, handle: object) -> str:
-        return handle.termination_time_text or ""
-
-
-class _ConvergedRun(_Run):
-    fault_subcode = renew_fault_subcode = "InvalidExpirationTime"
-    filter_fault_subcode = "InvalidFilterFault"
-    qos_fault_subcode = "n/a"  # no QoS profile on the converged wire
-
-    def __init__(self, case: dict) -> None:
-        super().__init__(case)
-        from repro.convergence import ConvergedConsumer, ConvergedSource, ConvergedSubscriber
-
-        self.source = ConvergedSource(self.network, "http://conf-converged")
-        self.subscriber = ConvergedSubscriber(self.network)
-        self.sinks = [
-            ConvergedConsumer(self.network, f"http://conf-wsen-consumer-{i}")
-            for i in range(len(case["subs"]))
-        ]
-
-    def subscribe(
-        self,
-        index: int,
-        expires_text: Optional[str],
-        xpath: Optional[str],
-        qos: Optional[QosProfile],
-    ) -> object:
-        return self.subscriber.subscribe(
-            self.source.epr(),
-            consumer=self.sinks[index].epr(),
-            expires=expires_text,
-            message_content=xpath,
-        )
-
-    def publish(self, payload: XElem) -> None:
-        self.source.publish(payload)
-
-    def delivered(self, index: int) -> list[str]:
-        return [payload.full_text() for payload, _, _ in self.sinks[index].received]
-
-    def granted_text(self, handle: object) -> str:
-        return handle.expires_text
-
-
-_RUNS = {"wse": _WseRun, "wsn": _WsnRun, "wsen": _ConvergedRun}

@@ -20,9 +20,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.conformance.gen import pick
+from repro.convergence import MODE_PULL, ConvergedSource, ConvergedSubscriber
 from repro.soap.fault import FaultCode, SoapFault
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.util.rng import SeededRng
+from repro.wse import DeliveryMode, EventSource, WseSubscriber
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import QName
 
@@ -217,49 +219,37 @@ class _PullPointRun:
         return [item.payload.full_text() for item in batch]
 
 
-class _WsePullRun:
-    """A WSE 08/2004 pull-mode subscription at a real event source."""
+class _PullRun:
+    """A pull-mode subscription at a real source: WS-Eventing 08/2004's, or
+    the converged (WS-EventNotification) prototype's."""
+
+    #: surface -> the source, its subscriber, the Subscribe mode that asks
+    #: for pull delivery, and the payload of one pulled item
+    STACKS = {
+        "wse_pull": (EventSource, WseSubscriber, DeliveryMode.PULL, lambda item: item),
+        "wsen_pull": (ConvergedSource, ConvergedSubscriber, MODE_PULL, lambda item: item[0]),
+    }
 
     def __init__(self, case: dict) -> None:
         self.network = SimulatedNetwork(VirtualClock())
-        from repro.wse import EventSource, WseSubscriber
-        from repro.wse.model import DeliveryMode
-
-        self.source = EventSource(self.network, "http://conf-source")
-        self.subscriber = WseSubscriber(self.network)
-        self.handle = self.subscriber.subscribe(
-            self.source.epr(), mode=DeliveryMode.PULL
-        )
+        source, subscriber, mode, self.payload_of = self.STACKS[case["surface"]]
+        self.source = source(self.network, "http://conf-source")
+        self.subscriber = subscriber(self.network)
+        self.handle = self.subscriber.subscribe(self.source.epr(), mode=mode)
 
     def fill(self, markers: list[str]) -> None:
         for marker in markers:
             self.source.publish(_marker_payload(marker))
 
     def drain(self, spec: dict) -> list[str]:
-        payloads = self.subscriber.pull(self.handle, max_messages=_wse_maximum(spec))
-        return [payload.full_text() for payload in payloads]
-
-
-class _ConvergedPullRun(_WsePullRun):
-    """A pull-mode subscription at the converged (WS-EventNotification) source."""
-
-    def __init__(self, case: dict) -> None:
-        self.network = SimulatedNetwork(VirtualClock())
-        from repro.convergence import MODE_PULL, ConvergedSource, ConvergedSubscriber
-
-        self.source = ConvergedSource(self.network, "http://conf-converged")
-        self.subscriber = ConvergedSubscriber(self.network)
-        self.handle = self.subscriber.subscribe(self.source.epr(), mode=MODE_PULL)
-
-    def drain(self, spec: dict) -> list[str]:
-        entries = self.subscriber.pull(self.handle, max_messages=_wse_maximum(spec))
-        return [payload.full_text() for payload, _topic in entries]
+        items = self.subscriber.pull(self.handle, max_messages=_wse_maximum(spec))
+        return [self.payload_of(item).full_text() for item in items]
 
 
 _SURFACE_RUNNERS = {
     "msgbox_wsn": _MsgboxWsnRun,
     "msgbox_wse": _MsgboxWseRun,
     "pullpoint": _PullPointRun,
-    "wse_pull": _WsePullRun,
-    "wsen_pull": _ConvergedPullRun,
+    "wse_pull": _PullRun,
+    "wsen_pull": _PullRun,
 }

@@ -15,23 +15,28 @@ One subscription operation carries the union of both parents' power:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.convergence.profile import WSEN_NS, ConvergedProfile
 from repro.delivery.task import DeliveryItem
 from repro.filters.topics import TopicNamespace
 from repro.render import Entry
-from repro.soap.envelope import SoapEnvelope, SoapVersion
+from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
 from repro.subscriptions import (
+    ConsumerEndpoint,
     DeliveryMode,
     Operation,
     OperationTable,
+    ReceivedNotification,
+    SubscriberClient,
     Subscription,
+    SubscriptionHandle,
     SubscriptionService,
+    Verb,
+    read_current_message,
 )
-from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders
@@ -110,6 +115,99 @@ OPERATIONS = OperationTable(
         )
     ),
 )
+
+
+def _request(local: str, **texts: object) -> XElem:
+    """A request body: ``local`` with one text child per value that is not None."""
+    body = XElem(_q(local))
+    for name, value in texts.items():
+        if value is not None:
+            body.append(text_element(_q(name), str(value)))
+    return body
+
+
+def build_subscribe(
+    *,
+    consumer: Optional[EndpointReference] = None,
+    mode: str = MODE_PUSH,
+    topic: Optional[str] = None,
+    topic_dialect: str = Namespaces.DIALECT_TOPIC_CONCRETE,
+    message_content: Optional[str] = None,
+    producer_properties: Optional[str] = None,
+    namespaces: Optional[dict[str, str]] = None,
+    expires: Optional[str] = None,
+    end_to: Optional[EndpointReference] = None,
+    use_raw: bool = False,
+) -> XElem:
+    """One Subscribe carrying both parents' vocabulary: WS-Eventing's
+    delivery mode and EndTo, WS-Notification's three-part filter."""
+    body = XElem(_q("Subscribe"))
+    if consumer is not None:
+        body.append(consumer.to_element(WSA, _q("ConsumerReference")))
+    if mode != MODE_PUSH:
+        delivery = XElem(_q("Delivery"))
+        delivery.attrs[_MODE] = mode
+        body.append(delivery)
+    if end_to is not None:
+        body.append(end_to.to_element(WSA, _q("EndTo")))
+    if topic or message_content or producer_properties:
+        filter_elem = XElem(_q("Filter"))
+        if topic is not None:
+            topic_part = text_element(_q("TopicExpression"), topic)
+            topic_part.attrs[_DIALECT] = topic_dialect
+            filter_elem.append(topic_part)
+        if producer_properties is not None:
+            props = text_element(_q("ProducerProperties"), producer_properties)
+            if namespaces:
+                encode_filter_namespaces(props, namespaces)
+            filter_elem.append(props)
+        if message_content is not None:
+            content = text_element(_q("MessageContent"), message_content)
+            if namespaces:
+                encode_filter_namespaces(content, namespaces)
+            filter_elem.append(content)
+        body.append(filter_elem)
+    if expires is not None:
+        body.append(text_element(_q("Expires"), expires))
+    if use_raw:
+        body.append(XElem(_q("UseRaw")))
+    return body
+
+
+def _parse_subscribe_response(response: XElem) -> SubscriptionHandle:
+    manager = EndpointReference.from_element(response.require(_q("SubscriptionManager")), WSA)
+    return SubscriptionHandle(
+        manager, manager.parameter_text(_q("Identifier")) or "", _text_of(response, "Expires") or ""
+    )
+
+
+#: the subscriber's verb table: what each verb is called in the converged
+#: draft, how its request is built and its response read
+VERBS = {
+    "subscribe": Verb("Subscribe", build_subscribe, _parse_subscribe_response),
+    "get_current_message": Verb(
+        "GetCurrentMessage",
+        lambda topic: _request("GetCurrentMessage", Topic=topic),
+        read_current_message,
+    ),
+    "renew": Verb(
+        "Renew",
+        lambda expires: _request("Renew", Expires=expires),
+        lambda body: _text_of(body, "Expires") or "",
+    ),
+    "get_status": Verb(
+        "GetStatus", partial(_request, "GetStatus"), lambda body: _text_of(body, "Status") or ""
+    ),
+    "unsubscribe": Verb("Unsubscribe", partial(_request, "Unsubscribe")),
+    "pause": Verb("PauseSubscription", partial(_request, "PauseSubscription")),
+    "resume": Verb("ResumeSubscription", partial(_request, "ResumeSubscription")),
+    "pull": Verb(
+        "Pull",
+        # 0 = no maximum: MaxMessages stays off the wire
+        lambda max_messages: _request("Pull", MaxMessages=max_messages or None),
+        _entries_of,
+    ),
+}
 
 
 class ConvergedSource(SubscriptionService):
@@ -348,41 +446,27 @@ class ConvergedSource(SubscriptionService):
         )
 
 
-@dataclass
-class ConvergedHandle:
-    manager: EndpointReference
-    sub_id: str
-    expires_text: str
-
-
-class ConvergedConsumer:
+class ConvergedConsumer(ConsumerEndpoint):
     """A consumer endpoint for the converged Notify/SubscriptionEnd shapes."""
 
     def __init__(
         self, network: SimulatedNetwork, address: str, *, zone: str = PUBLIC_ZONE
     ) -> None:
-        self.endpoint = SoapEndpoint(network, address, zone=zone)
-        self.received: list[tuple[XElem, Optional[str], bool]] = []  # payload/topic/wrapped
+        super().__init__(network, address, zone)
         self.ends: list[str] = []
         self.endpoint.on_action(_action("Notify"), self._handle_notify)
         self.endpoint.on_action(_action("SubscriptionEnd"), self._handle_end)
 
-    @property
-    def address(self) -> str:
-        return self.endpoint.address
-
-    def epr(self) -> EndpointReference:
-        return EndpointReference(self.address)
-
-    def close(self) -> None:
-        self.endpoint.close()
-
     def _handle_notify(self, envelope: SoapEnvelope, headers: MessageHeaders):
         body = envelope.body_element()
         if body.name == _q("Notifications"):
-            self.received.extend((payload, topic, True) for payload, topic in _entries_of(body))
+            self.received.extend(
+                ReceivedNotification(payload, topic, True) for payload, topic in _entries_of(body)
+            )
         else:
-            self.received.append((body.copy(), envelope.header_text(_q("Topic")), False))
+            self.received.append(
+                ReceivedNotification(body.copy(), envelope.header_text(_q("Topic")))
+            )
         return None
 
     def _handle_end(self, envelope: SoapEnvelope, headers: MessageHeaders):
@@ -390,106 +474,13 @@ class ConvergedConsumer:
         return None
 
 
-class ConvergedSubscriber:
-    """Client API for the converged prototype."""
+class ConvergedSubscriber(SubscriberClient):
+    """Client API for the converged prototype: the shared verbs, all of
+    them served, and a Subscribe that carries both parents' vocabulary."""
 
     def __init__(self, network: SimulatedNetwork, *, zone: str = PUBLIC_ZONE) -> None:
-        self._client = SoapClient(
-            network, zone=zone, wsa_version=WSA, soap_version=SoapVersion.V11
-        )
+        super().__init__(network, OPERATIONS, VERBS, wsa_version=WSA, zone=zone)
 
-    def subscribe(
-        self,
-        source: EndpointReference,
-        *,
-        consumer: Optional[EndpointReference] = None,
-        mode: str = MODE_PUSH,
-        topic: Optional[str] = None,
-        topic_dialect: str = Namespaces.DIALECT_TOPIC_CONCRETE,
-        message_content: Optional[str] = None,
-        producer_properties: Optional[str] = None,
-        namespaces: Optional[dict[str, str]] = None,
-        expires: Optional[str] = None,
-        end_to: Optional[EndpointReference] = None,
-        use_raw: bool = False,
-    ) -> ConvergedHandle:
-        body = XElem(_q("Subscribe"))
-        if consumer is not None:
-            body.append(consumer.to_element(WSA, _q("ConsumerReference")))
-        if mode != MODE_PUSH:
-            delivery = XElem(_q("Delivery"))
-            delivery.attrs[_MODE] = mode
-            body.append(delivery)
-        if end_to is not None:
-            body.append(end_to.to_element(WSA, _q("EndTo")))
-        if topic or message_content or producer_properties:
-            filter_elem = XElem(_q("Filter"))
-            if topic is not None:
-                topic_part = text_element(_q("TopicExpression"), topic)
-                topic_part.attrs[_DIALECT] = topic_dialect
-                filter_elem.append(topic_part)
-            if producer_properties is not None:
-                props = text_element(_q("ProducerProperties"), producer_properties)
-                if namespaces:
-                    encode_filter_namespaces(props, namespaces)
-                filter_elem.append(props)
-            if message_content is not None:
-                content = text_element(_q("MessageContent"), message_content)
-                if namespaces:
-                    encode_filter_namespaces(content, namespaces)
-                filter_elem.append(content)
-            body.append(filter_elem)
-        if expires is not None:
-            body.append(text_element(_q("Expires"), expires))
-        if use_raw:
-            body.append(XElem(_q("UseRaw")))
-        reply = self._client.call(source, _action("Subscribe"), [body])
-        response = reply.body_element()
-        manager = EndpointReference.from_element(
-            response.require(_q("SubscriptionManager")), WSA
-        )
-        return ConvergedHandle(
-            manager,
-            manager.parameter_text(_q("Identifier")) or "",
-            _text_of(response, "Expires") or "",
-        )
-
-    def _manager_call(self, handle: ConvergedHandle, local: str, body: XElem) -> XElem:
-        reply = self._client.call(handle.manager, _action(local), [body])
-        if reply is None:
-            raise SoapFault(FaultCode.RECEIVER, f"no response to {local}")
-        return reply.body_element()
-
-    def renew(self, handle: ConvergedHandle, expires: Optional[str] = None) -> str:
-        body = XElem(_q("Renew"))
-        if expires is not None:
-            body.append(text_element(_q("Expires"), expires))
-        return _text_of(self._manager_call(handle, "Renew", body), "Expires") or ""
-
-    def get_status(self, handle: ConvergedHandle) -> str:
-        response = self._manager_call(handle, "GetStatus", XElem(_q("GetStatus")))
-        return _text_of(response, "Status") or ""
-
-    def unsubscribe(self, handle: ConvergedHandle) -> None:
-        self._manager_call(handle, "Unsubscribe", XElem(_q("Unsubscribe")))
-
-    def pause(self, handle: ConvergedHandle) -> None:
-        self._manager_call(handle, "PauseSubscription", XElem(_q("PauseSubscription")))
-
-    def resume(self, handle: ConvergedHandle) -> None:
-        self._manager_call(handle, "ResumeSubscription", XElem(_q("ResumeSubscription")))
-
-    def pull(
-        self, handle: ConvergedHandle, max_messages: int = 0
-    ) -> list[tuple[XElem, Optional[str]]]:
-        """Drain a pull-mode subscription (``max_messages`` 0 = no maximum)."""
-        body = XElem(_q("Pull"))
-        if max_messages:
-            body.append(text_element(_q("MaxMessages"), str(max_messages)))
-        return _entries_of(self._manager_call(handle, "Pull", body))
-
-    def get_current_message(self, source: EndpointReference, topic: str) -> XElem:
-        body = XElem(_q("GetCurrentMessage"))
-        body.append(text_element(_q("Topic"), topic))
-        reply = self._client.call(source, _action("GetCurrentMessage"), [body])
-        return next(reply.body_element().elements()).copy()
+    def subscribe(self, source: EndpointReference, **vocabulary) -> SubscriptionHandle:
+        """Subscribe at ``source``; the keywords are :func:`build_subscribe`'s."""
+        return self._call("subscribe", source, **vocabulary)

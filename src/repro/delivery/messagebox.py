@@ -27,7 +27,6 @@ from repro.delivery.limits import parse_drain_limit
 from repro.delivery.task import DeliveryItem
 from repro.render import reply_text
 from repro.soap.envelope import SoapEnvelope, SoapVersion
-from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
@@ -231,9 +230,7 @@ def drain_message_box_wse(
     client = SoapClient(
         network, zone=zone, wsa_version=version.wsa_version, soap_version=SoapVersion.V11
     )
-    reply = client.call(
-        box, version.action("Pull"), [wse_messages.build_pull(version, max_messages)]
+    reply = client.request(
+        box, version.action("Pull"), wse_messages.build_pull(version, max_messages), "Pull"
     )
-    if reply is None:
-        raise SoapFault(FaultCode.RECEIVER, "no response to Pull")
-    return wse_messages.parse_pull_response(reply.body_element(), version)
+    return wse_messages.parse_pull_response(reply, version)

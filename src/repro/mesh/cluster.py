@@ -98,6 +98,8 @@ class MeshCluster:
         for name in names:
             self.nodes[name] = self._build_node(name)
         self.subscriptions: dict[int, MeshSubscription] = {}
+        #: one subscriber client per (family, version), made when first needed
+        self._subscribers: dict[tuple, object] = {}
         #: every address that ever served as a federation sink (forward
         #: targets = front doors, link targets = ingest endpoints) — the
         #: audit's key for telling federation hops from consumer deliveries
@@ -238,8 +240,8 @@ class MeshCluster:
 
     def _place(self, record: MeshSubscription, node: MeshNode) -> None:
         """Register ``record`` at ``node``'s front door (initial or re-home)."""
+        subscriber = self._subscriber(record)
         if record.family == "wsn":
-            subscriber = WsnSubscriber(self.network, version=record.version)
             record.handle = subscriber.subscribe(
                 node.broker.epr(),
                 EndpointReference(record.consumer),
@@ -248,7 +250,6 @@ class MeshCluster:
                 message_content=record.message_content,
             )
         else:
-            subscriber = WseSubscriber(self.network, version=record.version)
             record.handle = subscriber.subscribe(
                 node.broker.epr(),
                 notify_to=EndpointReference(record.consumer),
@@ -263,14 +264,14 @@ class MeshCluster:
         self.subscriptions.pop(record.sid, None)
 
     def _retract(self, record: MeshSubscription) -> None:
-        if record.family == "wsn":
-            WsnSubscriber(self.network, version=record.version).unsubscribe(
-                record.handle
-            )
-        else:
-            WseSubscriber(self.network, version=record.version).unsubscribe(
-                record.handle
-            )
+        self._subscriber(record).unsubscribe(record.handle)
+
+    def _subscriber(self, record: MeshSubscription):
+        key = (record.family, record.version)
+        if key not in self._subscribers:
+            client = WsnSubscriber if record.family == "wsn" else WseSubscriber
+            self._subscribers[key] = client(self.network, version=record.version)
+        return self._subscribers[key]
 
     # --- membership / rebalancing -------------------------------------------------
 

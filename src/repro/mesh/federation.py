@@ -35,11 +35,12 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.messenger import mediation
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import SoapFault
+from repro.subscriptions import SubscriptionHandle
 from repro.transport.endpoint import SoapEndpoint
 from repro.transport.network import NetworkError, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders
-from repro.wsn.subscriber import WsnSubscriber, WsnSubscriptionHandle
+from repro.wsn.subscriber import WsnSubscriber
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.names import Namespaces
 
@@ -68,7 +69,7 @@ def link_topic_expression(coverage: LinkCoverage) -> Optional[str]:
 class FederationLink:
     """One live subscribe link from an owner's exchange back to a home."""
 
-    def __init__(self, peer: str, coverage: LinkCoverage, handle: WsnSubscriptionHandle) -> None:
+    def __init__(self, peer: str, coverage: LinkCoverage, handle: SubscriptionHandle) -> None:
         self.peer = peer
         self.coverage = coverage
         self.handle = handle

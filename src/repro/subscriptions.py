@@ -48,7 +48,7 @@ from repro.soap.fault import FaultCode, SoapFault
 from repro.render import Entry, Renderer, reply_text
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.http import request_head
-from repro.transport.network import SimulatedNetwork
+from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.util.xstime import format_datetime, parse_expires
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders
@@ -567,3 +567,154 @@ class SubscriptionService:
         own vocabulary (see its ``_announce_end``)."""
         if not subscription.destroyed:
             self.subscriptions.destroy(subscription.key, "delivery failure", str(exc))
+
+
+# --- the client side ---------------------------------------------------------------------
+
+
+class OperationNotAvailable(SoapFault):
+    """The paper's "Not available" cell as a value: the dialect's operation
+    table has no row for what was asked, and nothing was put on the wire."""
+
+    def __init__(self, operation: str, table: OperationTable) -> None:
+        super().__init__(FaultCode.SENDER, f"{operation} is not defined in {table.name}")
+
+
+@dataclass
+class SubscriptionHandle:
+    """Everything a client needs to manage one subscription."""
+
+    #: where the rest of Table 2 goes; the id rides in it as a reference
+    #: parameter / property (WS-Eventing 01/2004: a bare address)
+    manager: EndpointReference
+    sub_id: str
+    expires_text: str
+
+
+class Verb(NamedTuple):
+    """One row of a family's client verb table (kept in its ``messages.py``)."""
+
+    #: the Table 2 operation this verb is in the family — whether a version
+    #: *has* it is its operation table's to say, not this row's
+    operation: str
+    #: ``build(*args) -> request body``; None: the family has no such message
+    build: Optional[Callable[..., XElem]] = None
+    #: ``read(response body) -> what the verb returns``
+    read: Callable[[XElem], object] = lambda body: None
+
+
+def read_current_message(body: XElem) -> XElem:
+    """The payload a GetCurrentMessageResponse carries."""
+    payload = next(body.elements(), None)
+    if payload is None:
+        raise SoapFault(FaultCode.RECEIVER, "empty GetCurrentMessageResponse")
+    return payload.copy()
+
+
+class SubscriberClient:
+    """The subscriber role of all three families: each verb is resolved to
+    its :class:`Operation` once, here, from the family's operation table, and
+    every exchange goes through :meth:`_call`.  A family class adds
+    ``subscribe`` with its own wire vocabulary, and what only it has."""
+
+    def __init__(
+        self,
+        network: SimulatedNetwork,
+        table: OperationTable,
+        verbs: Mapping[str, Verb],
+        *,
+        wsa_version,
+        zone: str = PUBLIC_ZONE,
+    ) -> None:
+        self.table = table
+        self.verbs = verbs
+        self._client = SoapClient(
+            network, zone=zone, wsa_version=wsa_version, soap_version=SoapVersion.V11
+        )
+        served = {(row.name, row.port): row for row in table.rows}
+        #: verb -> (operation, build, read, its row on the source port, its
+        #: row for a handle: the manager port, or the source's where the
+        #: version has no separate manager); a missing row is None
+        self._resolved: dict[str, tuple] = {}
+        for verb, row in verbs.items():
+            at_source = served.get((row.operation, "source"))
+            at_manager = served.get((row.operation, "manager"), at_source)
+            self._resolved[verb] = (*row, at_source, at_manager)
+
+    def _call(self, verb: str, target, *args, **kwargs):
+        """One exchange of ``verb``: with the manager of a
+        :class:`SubscriptionHandle`, or with the ``target`` endpoint itself."""
+        operation, build, read, at_source, at_manager = self._resolved[verb]
+        managed = isinstance(target, SubscriptionHandle)
+        row = at_manager if managed else at_source
+        if row is None:
+            raise OperationNotAvailable(operation, self.table)
+        body = build(*args, **kwargs)
+        if managed:
+            target = self._address(target, body)
+        return read(self._client.request(target, row.action, body, operation))
+
+    def _address(self, handle: SubscriptionHandle, body: XElem) -> EndpointReference:
+        """Where a request about ``handle`` goes (the id travels in the EPR)."""
+        return handle.manager
+
+    # --- the shared verbs of Table 2 -----------------------------------------------------
+
+    def renew(self, handle: SubscriptionHandle, expires: Optional[str] = None) -> str:
+        handle.expires_text = self._call("renew", handle, expires)
+        return handle.expires_text
+
+    def get_status(self, handle: SubscriptionHandle) -> str:
+        return self._call("get_status", handle)
+
+    def unsubscribe(self, handle: SubscriptionHandle) -> None:
+        self._call("unsubscribe", handle)
+
+    def pause(self, handle: SubscriptionHandle) -> None:
+        self._call("pause", handle)
+
+    def resume(self, handle: SubscriptionHandle) -> None:
+        self._call("resume", handle)
+
+    def pull(self, handle: SubscriptionHandle, max_messages: int = 0) -> list:
+        """Drain a pull-mode subscription (``max_messages`` 0 = no maximum)."""
+        return self._call("pull", handle, max_messages)
+
+    def get_current_message(self, source: EndpointReference, topic: str, *dialect: str) -> XElem:
+        return self._call("get_current_message", source, topic, *dialect)
+
+
+# --- the consumer side -------------------------------------------------------------------
+
+
+@dataclass
+class ReceivedNotification:
+    """One notification as a consumer of any family records it."""
+
+    payload: XElem
+    topic: Optional[str] = None
+    wrapped: bool = False
+    action: Optional[str] = None
+    subscription_address: Optional[str] = None
+
+
+class ConsumerEndpoint:
+    """What the three families' consumers share: an endpoint and the record
+    of what arrived; each family mounts its own ``_handle_*`` on it."""
+
+    def __init__(self, network: SimulatedNetwork, address: str, zone: str = PUBLIC_ZONE) -> None:
+        self.endpoint = SoapEndpoint(network, address, zone=zone)
+        self.received: list[ReceivedNotification] = []
+
+    @property
+    def address(self) -> str:
+        return self.endpoint.address
+
+    def epr(self) -> EndpointReference:
+        return EndpointReference(self.address)
+
+    def close(self) -> None:
+        self.endpoint.close()
+
+    def payloads(self) -> list[XElem]:
+        return [item.payload for item in self.received]

@@ -195,6 +195,16 @@ class SoapClient:
         reply = self.send_rendered(target.address, action, text)
         return reply if expect_reply else None
 
+    def request(
+        self, target: EndpointReference, action: str, body: XElem, operation: str
+    ) -> XElem:
+        """:meth:`call` for an ``operation`` that has a response: its body
+        element.  A peer that answers nothing (202) is a Receiver fault."""
+        reply = self.call(target, action, [body])
+        if reply is None:
+            raise SoapFault(FaultCode.RECEIVER, f"no response to {operation}")
+        return reply.body_element()
+
     def send_envelope(self, target_address: str, envelope: SoapEnvelope) -> Optional[SoapEnvelope]:
         """Filter, serialise and send a pre-built envelope (the mediation layer's)."""
         if self.envelope_filter is not None:

@@ -26,7 +26,7 @@ from repro.wse.versions import WseVersion
 from repro.wse.model import DeliveryMode, SubscriptionEndCode
 from repro.wse.source import EventSource
 from repro.wse.sink import EventSink
-from repro.wse.subscriber import SubscriptionHandle, WseSubscriber
+from repro.wse.subscriber import WseSubscriber
 
 __all__ = [
     "WseVersion",
@@ -35,5 +35,4 @@ __all__ = [
     "EventSource",
     "EventSink",
     "WseSubscriber",
-    "SubscriptionHandle",
 ]

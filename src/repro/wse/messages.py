@@ -22,12 +22,14 @@ Filter element carries them as attributes in a private namespace
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.qos.properties import QosError, QosProfile
 from repro.qos.wire import find_profile, profile_to_element
 from repro.render import Entry
 from repro.soap.fault import FaultCode, SoapFault
+from repro.subscriptions import SubscriptionHandle, Verb
 from repro.wsa.epr import EndpointReference
 from repro.wse.model import DeliveryMode, SubscriptionEndCode
 from repro.wse.versions import WseVersion
@@ -185,16 +187,9 @@ def build_subscribe_response(
     return response
 
 
-@dataclass
-class SubscribeResult:
-    manager: EndpointReference
-    sub_id: str
-    expires_text: str
-
-
 def parse_subscribe_response(
     body: XElem, version: WseVersion, source_address: str
-) -> SubscribeResult:
+) -> SubscriptionHandle:
     if body.name != version.qname("SubscribeResponse"):
         raise SoapFault(FaultCode.SENDER, f"unexpected response {body.name}")
     expires_elem = body.find(version.qname("Expires"))
@@ -206,7 +201,7 @@ def parse_subscribe_response(
     else:
         sub_id = body.require(version.qname("Id")).full_text().strip()
         manager = EndpointReference(source_address)
-    return SubscribeResult(manager, sub_id, expires_text)
+    return SubscriptionHandle(manager, sub_id, expires_text)
 
 
 def subscription_id_from_request(
@@ -251,12 +246,6 @@ def build_renew_response(version: WseVersion, expires_text: str) -> XElem:
 
 
 def build_get_status(version: WseVersion) -> XElem:
-    if not version.has_get_status:
-        raise SoapFault(
-            FaultCode.SENDER,
-            "GetStatus is not defined in WS-Eventing 01/2004",
-            subcode=version.qname("ActionNotSupported"),
-        )
     return XElem(version.qname("GetStatus"))
 
 
@@ -371,3 +360,29 @@ def wrapped_entry(version: WseVersion) -> Entry:
 
 def parse_wrapped_notification(body: XElem, version: WseVersion) -> list[XElem]:
     return [child.copy() for child in body.elements()]
+
+
+# --- the client's verbs ----------------------------------------------------------------
+
+
+def verbs(version: WseVersion) -> dict[str, Verb]:
+    """The subscriber's verb table: what each verb is called in WS-Eventing,
+    how its request is built and its response read.  Pause / resume and
+    GetCurrentMessage are Table 2's "Not available" cells: named, never built."""
+
+    def granted(body: XElem) -> str:
+        return expires_from_body(body, version) or ""
+
+    return {
+        # the SubscribeResponse is read by the subscriber, which knows the source
+        "subscribe": Verb("Subscribe", partial(build_subscribe, version), lambda body: body),
+        "renew": Verb("Renew", partial(build_renew, version), granted),
+        "get_status": Verb("GetStatus", partial(build_get_status, version), granted),
+        "unsubscribe": Verb("Unsubscribe", partial(build_unsubscribe, version)),
+        "pull": Verb(
+            "Pull", partial(build_pull, version), partial(parse_pull_response, version=version)
+        ),
+        "pause": Verb("PauseSubscription"),
+        "resume": Verb("ResumeSubscription"),
+        "get_current_message": Verb("GetCurrentMessage"),
+    }

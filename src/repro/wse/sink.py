@@ -7,28 +7,18 @@ separate subscriber role (:mod:`repro.wse.subscriber`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.soap.envelope import SoapEnvelope
-from repro.transport.endpoint import SoapEndpoint
+from repro.subscriptions import ConsumerEndpoint, ReceivedNotification
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
-from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders
 from repro.wse import messages
 from repro.wse.messages import SubscriptionEnd
 from repro.wse.versions import WseVersion
-from repro.xmlkit.element import XElem
 
 
-@dataclass
-class ReceivedNotification:
-    action: str
-    payload: XElem
-    wrapped: bool = False
-
-
-class EventSink:
+class EventSink(ConsumerEndpoint):
     """Receives raw and wrapped notifications plus SubscriptionEnd notices."""
 
     def __init__(
@@ -39,9 +29,8 @@ class EventSink:
         version: WseVersion = WseVersion.V2004_08,
         zone: str = PUBLIC_ZONE,
     ) -> None:
+        super().__init__(network, address, zone)
         self.version = version
-        self.endpoint = SoapEndpoint(network, address, zone=zone)
-        self.received: list[ReceivedNotification] = []
         self.subscription_ends: list[SubscriptionEnd] = []
         self.endpoint.on_action(
             version.action("SubscriptionEnd"), self._handle_subscription_end
@@ -49,32 +38,23 @@ class EventSink:
         self.endpoint.on_action(version.action("Notifications"), self._handle_wrapped)
         self.endpoint.on_any(self._handle_notification)
 
-    @property
-    def address(self) -> str:
-        return self.endpoint.address
-
-    def epr(self) -> EndpointReference:
-        return EndpointReference(self.address)
-
-    def close(self) -> None:
-        self.endpoint.close()
-
-    def payloads(self) -> list[XElem]:
-        return [item.payload for item in self.received]
-
     # --- handlers ------------------------------------------------------------
 
     def _handle_notification(
         self, envelope: SoapEnvelope, headers: MessageHeaders
     ) -> Optional[SoapEnvelope]:
-        self.received.append(ReceivedNotification(headers.action, envelope.body_element()))
+        self.received.append(
+            ReceivedNotification(envelope.body_element(), action=headers.action)
+        )
         return None
 
     def _handle_wrapped(
         self, envelope: SoapEnvelope, headers: MessageHeaders
     ) -> Optional[SoapEnvelope]:
         for payload in messages.parse_wrapped_notification(envelope.body_element(), self.version):
-            self.received.append(ReceivedNotification(headers.action, payload, wrapped=True))
+            self.received.append(
+                ReceivedNotification(payload, wrapped=True, action=headers.action)
+            )
         return None
 
     def _handle_subscription_end(

@@ -2,36 +2,30 @@
 
 08/2004 separates this role from the event sink (Table 1 row 2); the sink
 only receives, while the subscriber knows source/manager locations and sends
-Subscribe/Renew/GetStatus/Unsubscribe.
+Subscribe/Renew/GetStatus/Unsubscribe.  The verbs are the shared ones of
+:class:`repro.subscriptions.SubscriberClient`; what is WS-Eventing's own is
+Subscribe's vocabulary and where 01/2004 carries the subscription id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.soap.envelope import SoapVersion
-from repro.soap.fault import FaultCode, SoapFault
-from repro.transport.endpoint import SoapClient
+from repro.subscriptions import SubscriberClient, SubscriptionHandle
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
 from repro.wse import messages
 from repro.wse.model import DeliveryMode
+from repro.wse.source import operations
 from repro.wse.versions import WseVersion
 from repro.xmlkit.element import XElem
 
 
-@dataclass
-class SubscriptionHandle:
-    """Everything a client needs to manage one subscription."""
-
-    version: WseVersion
-    manager: EndpointReference
-    sub_id: str
-    expires_text: str
+#: per version: Table 2 as the source serves it, and the client's verbs for it
+_DIALECTS = {version: (operations(version), messages.verbs(version)) for version in WseVersion}
 
 
-class WseSubscriber:
+class WseSubscriber(SubscriberClient):
     """Client-side API over the WS-Eventing message exchanges."""
 
     def __init__(
@@ -41,12 +35,8 @@ class WseSubscriber:
         version: WseVersion = WseVersion.V2004_08,
         zone: str = PUBLIC_ZONE,
     ) -> None:
+        super().__init__(network, *_DIALECTS[version], wsa_version=version.wsa_version, zone=zone)
         self.version = version
-        self._client = SoapClient(
-            network, zone=zone, wsa_version=version.wsa_version, soap_version=SoapVersion.V11
-        )
-
-    # --- subscribe --------------------------------------------------------------
 
     def subscribe(
         self,
@@ -61,8 +51,9 @@ class WseSubscriber:
         filter_namespaces: Optional[dict[str, str]] = None,
         qos=None,
     ) -> SubscriptionHandle:
-        body = messages.build_subscribe(
-            self.version,
+        response = self._call(
+            "subscribe",
+            source,
             mode=mode,
             notify_to=notify_to,
             end_to=end_to,
@@ -72,52 +63,11 @@ class WseSubscriber:
             filter_namespaces=filter_namespaces,
             qos=qos,
         )
-        reply = self._client.call(source, self.version.action("Subscribe"), [body])
-        if reply is None:
-            raise SoapFault(FaultCode.RECEIVER, "no response to Subscribe")
-        result = messages.parse_subscribe_response(
-            reply.body_element(), self.version, source.address
-        )
-        return SubscriptionHandle(self.version, result.manager, result.sub_id, result.expires_text)
+        # 01/2004: the source is the manager, so its address makes the handle
+        return messages.parse_subscribe_response(response, self.version, source.address)
 
-    # --- management -------------------------------------------------------------
-
-    def _manager_call(self, handle: SubscriptionHandle, action_local: str, body: XElem):
-        target = self._manager_target(handle)
+    def _address(self, handle: SubscriptionHandle, body: XElem) -> EndpointReference:
+        # 08/2004: the id travels in the manager EPR; 01/2004: in the body, to
+        # the source's bare address (which is what its handle's manager is)
         messages.attach_subscription_id(self.version, body, handle.sub_id)
-        reply = self._client.call(target, self.version.action(action_local), [body])
-        if reply is None:
-            raise SoapFault(FaultCode.RECEIVER, f"no response to {action_local}")
-        return reply.body_element()
-
-    def _manager_target(self, handle: SubscriptionHandle) -> EndpointReference:
-        if self.version.subscription_id_in_epr:
-            return handle.manager  # identifier travels as a reference parameter
-        return EndpointReference(handle.manager.address)  # id travels in the body
-
-    def renew(self, handle: SubscriptionHandle, expires: Optional[str] = None) -> str:
-        body = self._manager_call(handle, "Renew", messages.build_renew(self.version, expires))
-        new_expires = messages.expires_from_body(body, self.version) or ""
-        handle.expires_text = new_expires
-        return new_expires
-
-    def get_status(self, handle: SubscriptionHandle) -> str:
-        request = messages.build_get_status(self.version)  # faults on 01/2004
-        body = self._manager_call(handle, "GetStatus", request)
-        return messages.expires_from_body(body, self.version) or ""
-
-    def unsubscribe(self, handle: SubscriptionHandle) -> None:
-        self._manager_call(handle, "Unsubscribe", messages.build_unsubscribe(self.version))
-
-    def pull(self, handle: SubscriptionHandle, max_messages: int = 0) -> list[XElem]:
-        """Retrieve queued messages for a pull-mode subscription."""
-        if not self.version.supports_pull_delivery:
-            raise SoapFault(
-                FaultCode.SENDER,
-                "pull delivery is not defined in WS-Eventing 01/2004",
-                subcode=self.version.qname("DeliveryModeRequestedUnavailable"),
-            )
-        body = self._manager_call(
-            handle, "Pull", messages.build_pull(self.version, max_messages)
-        )
-        return [child.copy() for child in body.elements()]
+        return handle.manager

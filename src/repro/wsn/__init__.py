@@ -27,7 +27,7 @@ expirations and the PullPoint interface.
 from repro.wsn.versions import WsnVersion
 from repro.wsn.producer import NotificationProducer
 from repro.wsn.consumer import NotificationConsumer
-from repro.wsn.subscriber import WsnSubscriber, WsnSubscriptionHandle
+from repro.wsn.subscriber import WsnSubscriber
 from repro.wsn.broker import NotificationBroker, PublisherRegistration
 from repro.wsn.pullpoint import PullPointFactory, PullPointClient
 
@@ -36,7 +36,6 @@ __all__ = [
     "NotificationProducer",
     "NotificationConsumer",
     "WsnSubscriber",
-    "WsnSubscriptionHandle",
     "NotificationBroker",
     "PublisherRegistration",
     "PullPointFactory",

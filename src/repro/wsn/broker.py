@@ -26,13 +26,14 @@ from repro.filters.topics import TopicDialect, TopicExpression, TopicNamespace
 from repro.qos.adaptive import AdaptiveQosPolicy
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
+from repro.subscriptions import SubscriptionHandle
 from repro.transport.endpoint import SoapEndpoint
 from repro.transport.network import SimulatedNetwork
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders, apply_headers
 from repro.wsn import messages
 from repro.wsn.producer import NotificationProducer
-from repro.wsn.subscriber import WsnSubscriber, WsnSubscriptionHandle
+from repro.wsn.subscriber import WsnSubscriber
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.names import Namespaces, QName
@@ -50,7 +51,7 @@ class PublisherRegistration:
     topic: Optional[str]
     demand: bool
     #: broker's subscription at the demand publisher (paused when demand = 0)
-    upstream: Optional[WsnSubscriptionHandle] = None
+    upstream: Optional[SubscriptionHandle] = None
     paused_upstream: bool = True
     destroyed: bool = False
 
@@ -371,12 +372,10 @@ class BrokeredClient:
         body.append(
             text_element(QName(BROKERED_NS, "Demand"), "true" if demand else "false")
         )
-        reply = self._client.call(broker, f"{BROKERED_NS}/RegisterPublisher", [body])
-        if reply is None:
-            raise SoapFault(FaultCode.RECEIVER, "no response to RegisterPublisher")
-        reference_elem = reply.body_element().require(
-            QName(BROKERED_NS, "PublisherRegistrationReference")
+        reply = self._client.request(
+            broker, f"{BROKERED_NS}/RegisterPublisher", body, "RegisterPublisher"
         )
+        reference_elem = reply.require(QName(BROKERED_NS, "PublisherRegistrationReference"))
         reference = EndpointReference.from_element(
             reference_elem, self.version.wsa_version
         )

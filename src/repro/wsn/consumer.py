@@ -2,29 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.soap.envelope import SoapEnvelope
-from repro.transport.endpoint import SoapEndpoint
+from repro.subscriptions import ConsumerEndpoint, ReceivedNotification
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
-from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders
 from repro.wsn import messages
 from repro.wsn.versions import WsnVersion
-from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces, QName
 
 
-@dataclass
-class ReceivedWsnNotification:
-    payload: XElem
-    topic: Optional[str] = None
-    wrapped: bool = True
-    subscription_address: Optional[str] = None
-
-
-class NotificationConsumer:
+class NotificationConsumer(ConsumerEndpoint):
     """Receives wrapped ``Notify`` messages, raw messages, and WSRF
     termination notifications."""
 
@@ -36,9 +25,8 @@ class NotificationConsumer:
         version: WsnVersion = WsnVersion.V1_3,
         zone: str = PUBLIC_ZONE,
     ) -> None:
+        super().__init__(network, address, zone)
         self.version = version
-        self.endpoint = SoapEndpoint(network, address, zone=zone)
-        self.received: list[ReceivedWsnNotification] = []
         self.termination_notices: list[str] = []
         self.endpoint.on_action(version.action("Notify"), self._handle_notify)
         self.endpoint.on_action(
@@ -46,19 +34,6 @@ class NotificationConsumer:
             self._handle_termination,
         )
         self.endpoint.on_any(self._handle_raw)
-
-    @property
-    def address(self) -> str:
-        return self.endpoint.address
-
-    def epr(self) -> EndpointReference:
-        return EndpointReference(self.address)
-
-    def close(self) -> None:
-        self.endpoint.close()
-
-    def payloads(self) -> list[XElem]:
-        return [item.payload for item in self.received]
 
     def topics_seen(self) -> list[Optional[str]]:
         return [item.topic for item in self.received]
@@ -70,7 +45,7 @@ class NotificationConsumer:
         if body.name == self.version.qname("Notify"):
             for item in messages.parse_notify(body, self.version):
                 self.received.append(
-                    ReceivedWsnNotification(
+                    ReceivedNotification(
                         item.payload,
                         topic=item.topic,
                         wrapped=True,
@@ -83,13 +58,11 @@ class NotificationConsumer:
                 )
         else:
             # raw delivery arrives under the Notify action with a bare payload
-            self.received.append(ReceivedWsnNotification(body, wrapped=False))
+            self.received.append(ReceivedNotification(body))
         return None
 
     def _handle_raw(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        self.received.append(
-            ReceivedWsnNotification(envelope.body_element(), wrapped=False)
-        )
+        self.received.append(ReceivedNotification(envelope.body_element()))
         return None
 
     def _handle_termination(self, envelope: SoapEnvelope, headers: MessageHeaders):

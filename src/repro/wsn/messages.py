@@ -19,11 +19,13 @@ message-format comparison):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.qos.properties import QosError, QosProfile
 from repro.qos.wire import find_profile, profile_to_element
 from repro.soap.fault import FaultCode, SoapFault
+from repro.subscriptions import SubscriptionHandle, Verb, read_current_message
 from repro.wsa.epr import EndpointReference
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem, text_element
@@ -212,23 +214,18 @@ def build_subscribe_response(
     return response
 
 
-@dataclass
-class WsnSubscribeResult:
-    reference: EndpointReference
-    sub_id: str
-    termination_time_text: Optional[str]
-
-
-def parse_subscribe_response(body: XElem, version: WsnVersion) -> WsnSubscribeResult:
+def parse_subscribe_response(body: XElem, version: WsnVersion) -> SubscriptionHandle:
     if body.name != version.qname("SubscribeResponse"):
         raise SoapFault(FaultCode.SENDER, f"unexpected response {body.name}")
     ref_elem = body.require(version.qname("SubscriptionReference"))
     reference = EndpointReference.from_element(ref_elem, version.wsa_version)
     sub_id = reference.parameter_text(SUBSCRIPTION_ID) or ""
+    return SubscriptionHandle(reference, sub_id, _termination_of(body, version))
+
+
+def _termination_of(body: XElem, version: WsnVersion) -> str:
     term = body.find(version.qname("TerminationTime"))
-    return WsnSubscribeResult(
-        reference, sub_id, term.full_text().strip() if term is not None else None
-    )
+    return term.full_text().strip() if term is not None else ""
 
 
 def subscription_id_from_headers(echoed: list[XElem]) -> str:
@@ -313,12 +310,6 @@ def parse_notify(body: XElem, version: WsnVersion) -> list[NotificationMessage]:
 
 
 def build_renew(version: WsnVersion, termination_text: Optional[str]) -> XElem:
-    if not version.has_native_unsubscribe:
-        raise SoapFault(
-            FaultCode.SENDER,
-            f"Renew is not defined in WS-BaseNotification {version.name}; "
-            "use WSRF SetTerminationTime",
-        )
     renew = XElem(version.qname("Renew"))
     if termination_text is not None:
         renew.append(text_element(version.qname("TerminationTime"), termination_text))
@@ -333,12 +324,6 @@ def build_renew_response(version: WsnVersion, termination_text: str, current_tex
 
 
 def build_unsubscribe(version: WsnVersion) -> XElem:
-    if not version.has_native_unsubscribe:
-        raise SoapFault(
-            FaultCode.SENDER,
-            f"Unsubscribe is not defined in WS-BaseNotification {version.name}; "
-            "use WSRF Destroy",
-        )
     return XElem(version.qname("Unsubscribe"))
 
 
@@ -350,7 +335,9 @@ def build_resume(version: WsnVersion) -> XElem:
     return XElem(version.qname("ResumeSubscription"))
 
 
-def build_get_current_message(version: WsnVersion, topic: str, dialect: str) -> XElem:
+def build_get_current_message(
+    version: WsnVersion, topic: str, dialect: str = Namespaces.DIALECT_TOPIC_CONCRETE
+) -> XElem:
     request = XElem(version.qname("GetCurrentMessage"))
     topic_elem = text_element(version.qname("Topic"), topic)
     topic_elem.attrs[_DIALECT] = dialect
@@ -413,3 +400,55 @@ def build_termination_notification(reason: str) -> XElem:
     note = XElem(QName(Namespaces.WSRF_RL, "TerminationNotification"))
     note.append(text_element(QName(Namespaces.WSRF_RL, "TerminationReason"), reason))
     return note
+
+
+# --- the client's verbs ----------------------------------------------------------------
+
+#: the resource property GetStatus is read through (Table 2: "Not defined,
+#: can use getResourceProperties in WSRF")
+PROP_STATUS = QName(Namespaces.WSNT_13, "SubscriptionStatus")
+
+
+def _read_status(body: XElem) -> str:
+    return next((value.full_text().strip() for value in body.elements()), "")
+
+
+def _read_new_termination(body: XElem) -> str:
+    new_time = body.find(QName(Namespaces.WSRF_RL, "NewTerminationTime"))
+    return new_time.full_text().strip() if new_time is not None else ""
+
+
+def verbs(version: WsnVersion) -> dict[str, Verb]:
+    """The subscriber's verb table: what each verb is called in
+    WS-BaseNotification, how its request is built and its response read —
+    the native rows, then the three WSRF ones.  A subscription is never
+    pulled (a pull point is a consumer of its own): named, never built."""
+    return {
+        "subscribe": Verb(
+            "Subscribe",
+            partial(build_subscribe, version),
+            partial(parse_subscribe_response, version=version),
+        ),
+        "get_current_message": Verb(
+            "GetCurrentMessage", partial(build_get_current_message, version), read_current_message
+        ),
+        "renew": Verb(
+            "Renew", partial(build_renew, version), partial(_termination_of, version=version)
+        ),
+        "unsubscribe": Verb("Unsubscribe", partial(build_unsubscribe, version)),
+        "pause": Verb("PauseSubscription", partial(build_pause, version)),
+        "resume": Verb("ResumeSubscription", partial(build_resume, version)),
+        "pull": Verb("Pull"),
+        "get_status": Verb(
+            "GetResourceProperty", partial(build_get_resource_property, PROP_STATUS), _read_status
+        ),
+        "get_resource_property": Verb(
+            "GetResourceProperty",
+            build_get_resource_property,
+            lambda body: [child.copy() for child in body.elements()],
+        ),
+        "set_termination_time": Verb(
+            "SetTerminationTime", build_set_termination_time, _read_new_termination
+        ),
+        "destroy": Verb("Destroy", build_destroy),
+    }

@@ -24,7 +24,7 @@ from repro.transport.network import SimulatedNetwork
 from repro.render import Entry, reference_shape
 from repro.wsa.headers import MessageHeaders
 from repro.wsn import messages
-from repro.wsn.messages import NotificationMessage, WsnSubscribeRequest
+from repro.wsn.messages import PROP_STATUS, NotificationMessage, WsnSubscribeRequest
 from repro.wsn.templates import NotifyEntry
 from repro.wsn.versions import WsnVersion
 from repro.wsrf.lifetime import UnableToSetTerminationTimeFault, set_termination_time
@@ -38,8 +38,8 @@ from repro.util.xstime import format_datetime, parse_datetime
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.delivery.manager import DeliveryManager
 
-# resource property names of a subscription resource
-PROP_STATUS = QName(Namespaces.WSNT_13, "SubscriptionStatus")
+# resource property names of a subscription resource (PROP_STATUS, which the
+# client reads too, is stated beside its verb in repro.wsn.messages)
 PROP_TERMINATION = QName(Namespaces.WSRF_RL, "TerminationTime")
 PROP_CONSUMER = QName(Namespaces.WSNT_13, "ConsumerReference")
 PROP_FILTER = QName(Namespaces.WSNT_13, "FilterDescription")

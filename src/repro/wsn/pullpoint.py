@@ -183,10 +183,10 @@ class PullPointClient:
 
     def create(self, factory: EndpointReference) -> EndpointReference:
         body = XElem(self.version.qname("CreatePullPoint"))
-        reply = self._client.call(factory, self.version.action("CreatePullPoint"), [body])
-        if reply is None:
-            raise SoapFault(FaultCode.RECEIVER, "no response to CreatePullPoint")
-        pp_elem = reply.body_element().require(self.version.qname("PullPoint"))
+        reply = self._client.request(
+            factory, self.version.action("CreatePullPoint"), body, "CreatePullPoint"
+        )
+        pp_elem = reply.require(self.version.qname("PullPoint"))
         return EndpointReference.from_element(pp_elem, self.version.wsa_version)
 
     def get_messages(
@@ -195,12 +195,12 @@ class PullPointClient:
         body = XElem(self.version.qname("GetMessages"))
         if maximum is not None:
             body.append(text_element(self.version.qname("MaximumNumber"), str(maximum)))
-        reply = self._client.call(pull_point, self.version.action("GetMessages"), [body])
-        if reply is None:
-            raise SoapFault(FaultCode.RECEIVER, "no response to GetMessages")
+        reply = self._client.request(
+            pull_point, self.version.action("GetMessages"), body, "GetMessages"
+        )
         # reuse the Notify parser by re-rooting the response
         notify = XElem(self.version.qname("Notify"))
-        for child in reply.body_element().elements():
+        for child in reply.elements():
             notify.append(child.copy())
         return messages.parse_notify(notify, self.version)
 

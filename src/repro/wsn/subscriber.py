@@ -1,47 +1,45 @@
 """The WS-Notification subscriber: the client role managing subscriptions.
 
-The method set mirrors the paper's Table 2 exactly:
+The method set mirrors the paper's Table 2 exactly — the shared verbs are
+:class:`repro.subscriptions.SubscriberClient`'s, and which of them a version
+has is its operation table's to say:
 
 ===================  ==========================================================
 WS-Eventing          WS-BaseNotification equivalent (this class)
 ===================  ==========================================================
 Subscribe            :meth:`WsnSubscriber.subscribe`
-Renew                :meth:`renew` (1.3) / :meth:`set_termination_time` (WSRF)
-Unsubscribe          :meth:`unsubscribe` (1.3) / :meth:`destroy` (WSRF)
-GetStatus            not defined — :meth:`get_resource_property` (WSRF)
+Renew                ``renew`` (1.3) / :meth:`set_termination_time` (WSRF)
+Unsubscribe          ``unsubscribe`` (1.3) / :meth:`destroy` (WSRF)
+GetStatus            not defined — ``get_status`` reads it through WSRF's
+                     :meth:`get_resource_property`
 SubscriptionEnd      not defined — WSRF TerminationNotification (consumer side)
-(not available)      :meth:`pause` / :meth:`resume`
-(not available)      :meth:`get_current_message`
+(not available)      ``pause`` / ``resume``
+(not available)      ``get_current_message``
 ===================  ==========================================================
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.qos.properties import QosProfile
-from repro.soap.envelope import SoapVersion
-from repro.soap.fault import FaultCode, SoapFault
-from repro.transport.endpoint import SoapClient
+from repro.subscriptions import SubscriberClient, SubscriptionHandle
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
 from repro.wsn import messages
 from repro.wsn.messages import WsnFilterSpec
+from repro.wsn.producer import operations
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces, QName
 
 
-@dataclass
-class WsnSubscriptionHandle:
-    version: WsnVersion
-    reference: EndpointReference  # subscription-manager EPR w/ id ref param/prop
-    sub_id: str
-    termination_time_text: Optional[str]
+#: per version: Table 2 as a producer serves it (WSRF port mounted), and the
+#: client's verbs for it
+_DIALECTS = {version: (operations(version), messages.verbs(version)) for version in WsnVersion}
 
 
-class WsnSubscriber:
+class WsnSubscriber(SubscriberClient):
     """Client-side API over the WS-BaseNotification message exchanges."""
 
     def __init__(
@@ -51,12 +49,8 @@ class WsnSubscriber:
         version: WsnVersion = WsnVersion.V1_3,
         zone: str = PUBLIC_ZONE,
     ) -> None:
+        super().__init__(network, *_DIALECTS[version], wsa_version=version.wsa_version, zone=zone)
         self.version = version
-        self._client = SoapClient(
-            network, zone=zone, wsa_version=version.wsa_version, soap_version=SoapVersion.V11
-        )
-
-    # --- subscribe ----------------------------------------------------------------
 
     def subscribe(
         self,
@@ -71,7 +65,7 @@ class WsnSubscriber:
         initial_termination: Optional[str] = None,
         use_raw: bool = False,
         qos: Optional[QosProfile] = None,
-    ) -> WsnSubscriptionHandle:
+    ) -> SubscriptionHandle:
         spec = WsnFilterSpec(
             topic_expression=topic,
             topic_dialect=topic_dialect,
@@ -79,105 +73,24 @@ class WsnSubscriber:
             producer_properties=producer_properties,
             namespaces=dict(namespaces or {}),
         )
-        body = messages.build_subscribe(
-            self.version,
+        return self._call(
+            "subscribe",
+            producer,
             consumer=consumer,
             filter=spec,
             initial_termination=initial_termination,
             use_raw=use_raw,
             qos=qos,
         )
-        reply = self._client.call(producer, self.version.action("Subscribe"), [body])
-        if reply is None:
-            raise SoapFault(FaultCode.RECEIVER, "no response to Subscribe")
-        result = messages.parse_subscribe_response(reply.body_element(), self.version)
-        return WsnSubscriptionHandle(
-            self.version, result.reference, result.sub_id, result.termination_time_text
-        )
-
-    def _manager_call(self, handle: WsnSubscriptionHandle, action: str, body: XElem) -> XElem:
-        reply = self._client.call(handle.reference, action, [body])
-        if reply is None:
-            raise SoapFault(FaultCode.RECEIVER, f"no response to {action}")
-        return reply.body_element()
-
-    # --- native (1.3) management ----------------------------------------------------
-
-    def renew(self, handle: WsnSubscriptionHandle, termination: Optional[str] = None) -> str:
-        body = messages.build_renew(self.version, termination)  # faults <= 1.2
-        response = self._manager_call(handle, self.version.action("Renew"), body)
-        term = response.find(self.version.qname("TerminationTime"))
-        text = term.full_text().strip() if term is not None else ""
-        handle.termination_time_text = text
-        return text
-
-    def unsubscribe(self, handle: WsnSubscriptionHandle) -> None:
-        body = messages.build_unsubscribe(self.version)  # faults <= 1.2
-        self._manager_call(handle, self.version.action("Unsubscribe"), body)
-
-    # --- pause / resume (WSN-only; Table 2's last rows) ----------------------------------
-
-    def pause(self, handle: WsnSubscriptionHandle) -> None:
-        self._manager_call(
-            handle,
-            self.version.action("PauseSubscription"),
-            messages.build_pause(self.version),
-        )
-
-    def resume(self, handle: WsnSubscriptionHandle) -> None:
-        self._manager_call(
-            handle,
-            self.version.action("ResumeSubscription"),
-            messages.build_resume(self.version),
-        )
 
     # --- WSRF management (mandatory <= 1.2, optional 1.3) ---------------------------------
 
-    def get_resource_property(self, handle: WsnSubscriptionHandle, name: QName) -> list[XElem]:
-        body = messages.build_get_resource_property(name)
-        response = self._manager_call(
-            handle, messages.wsrf_action("GetResourceProperty"), body
-        )
-        return [child.copy() for child in response.elements()]
+    def get_resource_property(self, handle: SubscriptionHandle, name: QName) -> list[XElem]:
+        return self._call("get_resource_property", handle, name)
 
-    def get_status(self, handle: WsnSubscriptionHandle) -> str:
-        """Table 2's GetStatus equivalent: read SubscriptionStatus via WSRF."""
-        from repro.wsn.producer import PROP_STATUS
+    def set_termination_time(self, handle: SubscriptionHandle, termination: Optional[str]) -> str:
+        return self._call("set_termination_time", handle, termination)
 
-        values = self.get_resource_property(handle, PROP_STATUS)
-        return values[0].full_text().strip() if values else ""
-
-    def set_termination_time(
-        self, handle: WsnSubscriptionHandle, termination: Optional[str]
-    ) -> str:
-        body = messages.build_set_termination_time(termination)
-        response = self._manager_call(
-            handle, messages.wsrf_lifetime_action("SetTerminationTime"), body
-        )
-        new_time = response.find(QName(Namespaces.WSRF_RL, "NewTerminationTime"))
-        return new_time.full_text().strip() if new_time is not None else ""
-
-    def destroy(self, handle: WsnSubscriptionHandle) -> None:
+    def destroy(self, handle: SubscriptionHandle) -> None:
         """WSRF Destroy — the <= 1.2 way to unsubscribe."""
-        self._manager_call(
-            handle, messages.wsrf_lifetime_action("Destroy"), messages.build_destroy()
-        )
-
-    # --- GetCurrentMessage ------------------------------------------------------------------
-
-    def get_current_message(
-        self,
-        producer: EndpointReference,
-        topic: str,
-        dialect: str = Namespaces.DIALECT_TOPIC_CONCRETE,
-    ) -> XElem:
-        body = messages.build_get_current_message(self.version, topic, dialect)
-        reply = self._client.call(
-            producer, self.version.action("GetCurrentMessage"), [body]
-        )
-        if reply is None:
-            raise SoapFault(FaultCode.RECEIVER, "no response to GetCurrentMessage")
-        payload = next(reply.body_element().elements(), None)
-        if payload is None:
-            raise SoapFault(FaultCode.RECEIVER, "empty GetCurrentMessageResponse")
-        return payload.copy()
+        self._call("destroy", handle)

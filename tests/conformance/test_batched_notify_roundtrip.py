@@ -97,7 +97,7 @@ class TestBatchedRoundtrip:
         assert len(consumer.received) == N_SUBSCRIPTIONS
         assert {
             item.subscription_address for item in consumer.received
-        } == {handle.reference.address for handle in handles}
+        } == {handle.manager.address for handle in handles}
         for item in consumer.received:
             assert item.payload.full_text() == "7a & b < c"
 

@@ -84,9 +84,9 @@ class TestConvergedLifecycle:
         assert source.publish(event(3), topic="jobs/a") == 0
         assert source.publish(event(9), topic="jobs/a") == 1
         assert source.publish(event(9), topic="other") == 0
-        payload, topic, wrapped = consumer.received[0]
-        assert topic == "jobs/a" and wrapped  # wrapped is the default
-        assert "9" in payload.full_text()
+        first = consumer.received[0]
+        assert first.topic == "jobs/a" and first.wrapped  # wrapped is the default
+        assert "9" in first.payload.full_text()
 
     def test_raw_mode_topic_rides_header(self, stack):
         source, consumer, subscriber = stack
@@ -94,8 +94,8 @@ class TestConvergedLifecycle:
             source.epr(), consumer=consumer.epr(), topic="t", use_raw=True
         )
         source.publish(event(), topic="t")
-        payload, topic, wrapped = consumer.received[0]
-        assert topic == "t" and not wrapped
+        first = consumer.received[0]
+        assert first.topic == "t" and not first.wrapped
 
     def test_pull_mode_in_subscription(self, stack):
         """WSE's contribution: pull selected in the Subscribe message."""
@@ -126,8 +126,8 @@ class TestConvergedLifecycle:
         assert consumer.received == []
         source.publish(event(2), topic="t")
         assert len(consumer.received) == 2
-        assert all(wrapped for _, _, wrapped in consumer.received)
-        assert all(topic == "t" for _, topic, _ in consumer.received)
+        assert all(item.wrapped for item in consumer.received)
+        assert all(item.topic == "t" for item in consumer.received)
 
     def test_get_status_and_renew(self, stack, network):
         """WSE's GetStatus plus duration renewal."""

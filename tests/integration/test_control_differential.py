@@ -32,7 +32,6 @@ from repro.wsa.headers import MessageHeaders, reply_envelope, reset_message_coun
 from repro.wsa.versions import WsaVersion
 from repro.wse import DeliveryMode, EventSink, EventSource, WseSubscriber, WseVersion
 from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber, WsnVersion
-from repro.wsn import messages as wsn_messages
 from repro.wsn.producer import PROP_STATUS, PROP_TOPIC_SET
 from repro.xmlkit import parse_xml
 from repro.xmlkit.element import XElem, text_element
@@ -61,90 +60,102 @@ def faulting(call, *args):
         call(*args)
 
 
-# --- one lifecycle per family: every row the table serves ------------------------------
+# --- one lifecycle, driven by the verb table: every row the table serves ----------------
 
 
-def wse_lifecycle(network, version, sub_id):
+def wse_stack(network, version):
     source = EventSource(network, "http://cd-source", version=version)
     client = WseSubscriber(network, version=version)
     sink = EventSink(network, "http://cd-sink", version=version)
-    lease = lambda offset: format_datetime(network.clock.now() + offset)  # noqa: E731
-    source.subscriptions.forced_id = sub_id
-    handle = client.subscribe(source.epr(), notify_to=sink.epr(), end_to=sink.epr(),
-                              expires=lease(60.0), filter="/e:V", filter_namespaces={"e": "urn:control-diff"})
-    source.publish(event())
-    client.renew(handle, lease(900.0))
-    faulting(client.renew, handle, HOSTILE)  # a hostile lease text: a fault, framed request
-    if version is WseVersion.V2004_08:
-        client.get_status(handle)
-        pulling = client.subscribe(source.epr(), mode=DeliveryMode.PULL)
-        source.publish(event(1))
-        assert len(client.pull(pulling, max_messages=5)) == 1
-    client.unsubscribe(handle)
-    faulting(client.unsubscribe, handle)  # unknown by now
-    return source
+
+    def subscribe(expires=None, pull=False):
+        if pull:
+            return client.subscribe(source.epr(), mode=DeliveryMode.PULL)
+        return client.subscribe(
+            source.epr(), notify_to=sink.epr(), end_to=sink.epr(), expires=expires,
+            filter="/e:V", filter_namespaces={"e": "urn:control-diff"},
+        )
+
+    return source, client, subscribe
 
 
-def wsn_lifecycle(network, version, sub_id):
+def wsn_stack(network, version):
     source = NotificationProducer(network, "http://cd-producer", version=version, enable_wsrf=True)
     client = WsnSubscriber(network, version=version)
     sink = NotificationConsumer(network, "http://cd-consumer", version=version)
-    lease = lambda offset: format_datetime(network.clock.now() + offset)  # noqa: E731
-    source.subscriptions.forced_id = sub_id
-    handle = client.subscribe(source.epr(), sink.epr(), topic=TOPIC, initial_termination=lease(60.0))
-    source.publish(event(), topic=TOPIC)
-    client.get_current_message(source.epr(), TOPIC)
-    # the producer is a WS-Resource too; the subscriber client has no verb for it
-    client._client.call(
-        source.epr(),
-        wsn_messages.wsrf_action("GetResourceProperty"),
-        [wsn_messages.build_get_resource_property(PROP_TOPIC_SET)],
-    )
-    if version is WsnVersion.V1_3:
-        client.renew(handle, lease(900.0))
-        faulting(client.renew, handle, HOSTILE)
-    client.set_termination_time(handle, lease(1200.0))
-    client.get_resource_property(handle, PROP_STATUS)
-    client.pause(handle)
-    client.resume(handle)
-    if version is WsnVersion.V1_3:
-        client.unsubscribe(handle)
-        handle = client.subscribe(source.epr(), sink.epr(), topic=TOPIC)
-    client.destroy(handle)
-    faulting(client.pause, handle)
-    return source
+
+    def subscribe(expires=None, pull=False):
+        return client.subscribe(source.epr(), sink.epr(), topic=TOPIC, initial_termination=expires)
+
+    return source, client, subscribe
 
 
-def converged_lifecycle(network, version, sub_id):
+def converged_stack(network, version):
     source = ConvergedSource(network, "http://cd-converged")
     client = ConvergedSubscriber(network)
     sink = ConvergedConsumer(network, "http://cd-wsen-consumer")
+
+    def subscribe(expires=None, pull=False):
+        if pull:
+            return client.subscribe(source.epr(), mode=MODE_PULL, topic=TOPIC)
+        return client.subscribe(
+            source.epr(), consumer=sink.epr(), end_to=sink.epr(), topic=TOPIC, expires=expires
+        )
+
+    return source, client, subscribe
+
+
+#: every verb any client has, in an order one live subscription allows; the
+#: two that end it come last, each on a subscription of its own
+VERBS = (
+    "get_current_message", "renew", "set_termination_time", "get_resource_property",
+    "get_status", "pause", "resume", "pull", "unsubscribe", "destroy",
+)
+
+
+def lifecycle(network, stack, version, sub_id):
+    """Drives every verb the client's table has a row for; the rows are read
+    off ``client.table``, so a table that gains one drives it here too."""
+    source, client, subscribe = stack(network, version)
+    assert set(client.verbs) - {"subscribe"} <= set(VERBS), "a verb this lifecycle does not know"
+    served = {row.name for row in client.table.rows if not row.one_way}
     lease = lambda offset: format_datetime(network.clock.now() + offset)  # noqa: E731
     source.subscriptions.forced_id = sub_id
-    handle = client.subscribe(source.epr(), consumer=sink.epr(), end_to=sink.epr(),
-                              topic=TOPIC, expires=lease(60.0))
+    handle = subscribe(expires=lease(60.0))
     source.publish(event(), topic=TOPIC)
-    client.get_current_message(source.epr(), TOPIC)
-    client.renew(handle, lease(900.0))
-    faulting(client.renew, handle, HOSTILE)
-    client.get_status(handle)
-    client.pause(handle)
-    client.resume(handle)
-    pulling = client.subscribe(source.epr(), mode=MODE_PULL, topic=TOPIC)
-    source.publish(event(1), topic=TOPIC)
-    assert len(client.pull(pulling, max_messages=5)) == 1
-    client.unsubscribe(handle)
-    faulting(client.get_status, handle)
+    arguments = {
+        "get_current_message": lambda: (source.epr(), TOPIC),
+        "renew": lambda: (handle, lease(900.0)),
+        "set_termination_time": lambda: (handle, lease(1200.0)),
+        "get_resource_property": lambda: (handle, PROP_STATUS),
+    }
+    for verb in VERBS:
+        if verb not in client.verbs or client.verbs[verb].operation not in served:
+            continue
+        if verb == "pull":
+            pulling = subscribe(pull=True)
+            source.publish(event(1), topic=TOPIC)
+            assert len(client.pull(pulling, max_messages=5)) == 1
+            continue
+        getattr(client, verb)(*arguments.get(verb, lambda: (handle,))())
+        if verb == "renew":
+            faulting(client.renew, handle, HOSTILE)  # a hostile lease text: a fault, framed request
+        if verb == "get_resource_property":
+            # the operation's other row: the producer is a WS-Resource too
+            client.get_resource_property(source.epr(), PROP_TOPIC_SET)
+        if verb in ("unsubscribe", "destroy"):
+            faulting(getattr(client, verb), handle)  # unknown by now
+            handle = subscribe()
     return source
 
 
 DIALECTS = {
-    "wse-2004-01": (wse_lifecycle, WseVersion.V2004_01),
-    "wse-2004-08": (wse_lifecycle, WseVersion.V2004_08),
-    "wsn-1.0": (wsn_lifecycle, WsnVersion.V1_0),
-    "wsn-1.2": (wsn_lifecycle, WsnVersion.V1_2),
-    "wsn-1.3": (wsn_lifecycle, WsnVersion.V1_3),
-    "converged": (converged_lifecycle, None),
+    "wse-2004-01": (wse_stack, WseVersion.V2004_01),
+    "wse-2004-08": (wse_stack, WseVersion.V2004_08),
+    "wsn-1.0": (wsn_stack, WsnVersion.V1_0),
+    "wsn-1.2": (wsn_stack, WsnVersion.V1_2),
+    "wsn-1.3": (wsn_stack, WsnVersion.V1_3),
+    "converged": (converged_stack, None),
 }
 
 
@@ -182,8 +193,10 @@ def action_of(request: bytes) -> str:
 @pytest.mark.parametrize("sub_id", SUB_IDS, ids=["minted", "hostile", "to-sentinel", "echo-sentinel"])
 @pytest.mark.parametrize("dialect", DIALECTS)
 def test_every_served_operation_is_byte_identical_to_its_tree(dialect, sub_id, frames_oracle):
-    lifecycle, version = DIALECTS[dialect]
-    wire, source = differential(lambda network: lifecycle(network, version, sub_id), frames_oracle)
+    stack, version = DIALECTS[dialect]
+    wire, source = differential(
+        lambda network: lifecycle(network, stack, version, sub_id), frames_oracle
+    )
     at = {"source": source.address, "manager": source.manager_address}
     served = {(at[row.port], row.action) for row in source.operations.rows if not row.one_way}
     reached = {(address, action_of(request)) for address, request, _ in wire}
@@ -344,9 +357,9 @@ def test_the_differential_fails_when_the_frame_drops_or_reorders_a_header(
         return template, allocator
 
     monkeypatch.setattr(render, "_compile_head", sabotaged)
-    lifecycle, version = DIALECTS["wsn-1.3"]
+    stack, version = DIALECTS["wsn-1.3"]
     with pytest.raises(AssertionError):
-        differential(lambda network: lifecycle(network, version, None), frames_oracle)
+        differential(lambda network: lifecycle(network, stack, version, None), frames_oracle)
 
 
 def test_soap_12_and_every_addressing_version_frame_alike(frames_oracle):

@@ -303,7 +303,7 @@ def _run_entries(oracle_broker, tree_oracle, *, tree: bool, composed: bool = Fal
         ]
     for consumer in converged:
         result.received[consumer.address] = [
-            (topic, payload.full_text(), wrapped) for payload, topic, wrapped in consumer.received
+            (item.topic, item.payload.full_text(), item.wrapped) for item in consumer.received
         ]
     return result
 

@@ -9,17 +9,23 @@ run on: the granted expiry is exact, the listener hears the same event
 sequence, the fault carries the family's subcode for that (operation, error
 kind), an operation a version does not define faults as it always did,
 nothing is delivered after removal, and a parked queue has one fate on
-resume and one on pause -> expire.
+resume and one on pause -> expire.  Which operations a column *has* is not
+declared here: :meth:`Dialect.defines` reads it off the column's
+``OperationTable``, and every (dialect, verb) cell holds the same rule — a
+row means the verb works over the wire, no row means the client answers
+:class:`~repro.subscriptions.OperationNotAvailable` and sends nothing.
 """
 
 import pytest
 
 from repro.convergence import MODE_PULL, ConvergedConsumer, ConvergedSource, ConvergedSubscriber
-from repro.soap import SoapFault
+from repro.soap import FaultCode, SoapFault
+from repro.subscriptions import OperationNotAvailable
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.util.xstime import format_datetime
 from repro.wse import DeliveryMode, EventSink, EventSource, WseSubscriber, WseVersion
 from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber, WsnVersion
+from repro.wsn.producer import PROP_STATUS, PROP_TOPIC_SET
 from repro.xmlkit import parse_xml
 
 TOPIC = "contract"
@@ -36,11 +42,6 @@ class Dialect:
     invalid_subscribe: str
     invalid_renew: str
     unknown: str
-    #: operations the version defines (the rest fault or do not exist)
-    can_renew_natively = True
-    can_status = True
-    can_pause = False
-    can_pull = False
     #: removal reason an orderly unsubscribe reports, and whether the
     #: dialect announces an expired lease to the consumer
     unsubscribe_reason = "unsubscribed"
@@ -60,6 +61,19 @@ class Dialect:
     def manager(self):
         return self.source.subscriptions
 
+    def defines(self, verb: str) -> bool:
+        """Whether this column's operation table has the row ``verb`` names."""
+        operation = self.client.verbs[verb].operation
+        return any(row.name == operation and not row.one_way for row in self.client.table.rows)
+
+    def not_available(self, call, *args) -> OperationNotAvailable:
+        """``call`` is refused by the client: typed, and nothing was sent."""
+        sent = self.network.stats.requests
+        with pytest.raises(OperationNotAvailable) as excinfo:
+            call(*args)
+        assert self.network.stats.requests == sent
+        return excinfo.value
+
     def clock_text(self, offset: float) -> str:
         return format_datetime(self.network.clock.now() + offset)
 
@@ -68,25 +82,16 @@ class Dialect:
     def subscribe(self, expires=None, pull=False): ...
     def publish(self, n=0): ...
     def end_notices(self) -> list: ...
-    def granted(self, handle) -> str: ...
 
     def delivered(self) -> int:
         return len(self.sink.received)
 
-    def status(self, handle) -> str:
-        return self.client.get_status(handle)
-
+    # the lease verbs: the native ones, or WSRF's where the version has no other
     def renew(self, handle, expires):
         return self.client.renew(handle, expires)
 
     def unsubscribe(self, handle) -> None:
         self.client.unsubscribe(handle)
-
-    def pause(self, handle) -> None:
-        self.client.pause(handle)
-
-    def resume(self, handle) -> None:
-        self.client.resume(handle)
 
     def pull(self, handle, maximum=0) -> int:
         return len(self.client.pull(handle, max_messages=maximum))
@@ -96,7 +101,6 @@ class Wse(Dialect):
     version = WseVersion.V2004_08
     invalid_subscribe = invalid_renew = "InvalidExpirationTime"
     unknown = "InvalidMessage"
-    can_pull = True
 
     def build(self) -> None:
         self.source = EventSource(self.network, "http://c-source", version=self.version)
@@ -118,14 +122,9 @@ class Wse(Dialect):
     def end_notices(self) -> list:
         return self.sink.subscription_ends
 
-    def granted(self, handle) -> str:
-        return handle.expires_text
-
 
 class Wse01(Wse):
     version = WseVersion.V2004_01
-    can_status = False
-    can_pull = False
 
 
 class Wsn(Dialect):
@@ -133,7 +132,6 @@ class Wsn(Dialect):
     invalid_subscribe = "UnacceptableInitialTerminationTimeFault"
     invalid_renew = "UnacceptableTerminationTimeFault"
     unknown = "ResourceUnknownFault"
-    can_pause = True
     announces_expiry = True  # a WSRF TerminationNotification
 
     def build(self) -> None:
@@ -152,15 +150,11 @@ class Wsn(Dialect):
     def end_notices(self) -> list:
         return self.sink.termination_notices
 
-    def granted(self, handle) -> str:
-        return handle.termination_time_text
-
 
 class WsnViaWsrf(Wsn):
     """<= 1.2: no native Renew / Unsubscribe, lifetime is WSRF's."""
 
     invalid_renew = "UnableToSetTerminationTimeFault"
-    can_renew_natively = False
     unsubscribe_reason = "destroyed"
 
     def renew(self, handle, expires):
@@ -181,8 +175,6 @@ class Wsn12(WsnViaWsrf):
 class Converged(Dialect):
     invalid_subscribe = invalid_renew = "InvalidExpirationTime"
     unknown = "UnknownSubscription"
-    can_pause = True
-    can_pull = True
     announces_expiry = True  # SubscriptionEnd / SubscriptionExpired
 
     def build(self) -> None:
@@ -204,9 +196,6 @@ class Converged(Dialect):
 
     def end_notices(self) -> list:
         return self.sink.ends
-
-    def granted(self, handle) -> str:
-        return handle.expires_text
 
 
 DIALECTS = [Wse01, Wse, Wsn10, Wsn12, Wsn, Converged]
@@ -232,7 +221,7 @@ class TestSubscribe:
     def test_an_absolute_expiry_is_granted_exactly(self, dialect):
         wanted = dialect.clock_text(500.0)
         handle = dialect.subscribe(expires=wanted)
-        assert dialect.granted(handle) == wanted
+        assert handle.expires_text == wanted
         record = dialect.manager.lookup(handle.sub_id)
         assert format_datetime(record.termination_time) == wanted
         assert dialect.events == [("created", handle.sub_id)]
@@ -242,7 +231,7 @@ class TestSubscribe:
         handle = dialect.subscribe()
         record = dialect.manager.lookup(handle.sub_id)
         assert before <= record.termination_time - 3600.0 <= dialect.network.clock.now()
-        assert dialect.granted(handle) == format_datetime(record.termination_time)
+        assert handle.expires_text == format_datetime(record.termination_time)
 
     @pytest.mark.parametrize("offset", [-5.0, 0.0])
     def test_an_expiry_not_in_the_future_faults_and_leaves_nothing(self, dialect, offset):
@@ -271,11 +260,12 @@ class TestRenew:
         assert [name for name, *_ in dialect.events] == ["created"]
 
     def test_native_renew_and_unsubscribe_are_13_operations(self, dialect):
-        if dialect.can_renew_natively:
+        if dialect.defines("renew") and dialect.defines("unsubscribe"):
             pytest.skip("defined in this version")
+        assert isinstance(dialect, WsnViaWsrf)  # the only tables without the native rows
         handle = dialect.subscribe()
-        assert "not defined" in str(fault_of(dialect.client.renew, handle, None))
-        assert "not defined" in str(fault_of(dialect.client.unsubscribe, handle))
+        assert "not defined" in str(dialect.not_available(dialect.client.renew, handle, None))
+        assert "not defined" in str(dialect.not_available(dialect.client.unsubscribe, handle))
         assert dialect.manager.lookup(handle.sub_id)  # untouched
 
 
@@ -283,44 +273,50 @@ class TestGetStatus:
     def test_status_reports_the_record(self, dialect):
         wanted = dialect.clock_text(300.0)
         handle = dialect.subscribe(expires=wanted)
-        if not dialect.can_status:
-            fault_of(dialect.status, handle)  # 01/2004: no GetStatus
+        if not dialect.defines("get_status"):
+            assert isinstance(dialect, Wse01)  # GetStatus arrived in 08/2004
+            fault = dialect.not_available(dialect.client.get_status, handle)
+            assert str(fault).endswith("GetStatus is not defined in WsEventingV2004_01")
             return
         # WS-Eventing answers with the lease, the others with the pause state
-        assert dialect.status(handle) in (wanted, "Active")
-        if dialect.can_pause:
-            dialect.pause(handle)
-            assert dialect.status(handle) == "Paused"
+        assert dialect.client.get_status(handle) in (wanted, "Active")
+        if dialect.defines("pause"):
+            dialect.client.pause(handle)
+            assert dialect.client.get_status(handle) == "Paused"
 
 
 class TestPauseResume:
     def test_pause_parks_and_resume_delivers_once(self, dialect):
-        if not dialect.can_pause:
-            assert not hasattr(dialect.client, "pause")  # no such operation in WS-Eventing
+        if not dialect.defines("pause"):
+            assert isinstance(dialect, Wse)  # no such operation in WS-Eventing
+            handle = dialect.subscribe()
+            dialect.not_available(dialect.client.pause, handle)
+            dialect.not_available(dialect.client.resume, handle)
+            assert dialect.publish(1) == 1 and dialect.delivered() == 1  # never paused
             return
         handle = dialect.subscribe()
-        dialect.pause(handle)
+        dialect.client.pause(handle)
         assert dialect.publish(1) == 1 and dialect.publish(2) == 1
         record = dialect.manager.lookup(handle.sub_id)
         assert dialect.delivered() == 0 and len(record.queue) == 2
-        dialect.resume(handle)
+        dialect.client.resume(handle)
         assert dialect.delivered() == 2 and record.queue == []
         assert [name for name, *_ in dialect.events] == ["created", "paused", "resumed"]
         dialect.publish(3)
         assert dialect.delivered() == 3
 
     def test_a_parked_queue_dies_with_its_lease(self, dialect):
-        if not dialect.can_pause:
+        if not dialect.defines("pause"):
             pytest.skip("no Pause in WS-Eventing")
         handle = dialect.subscribe(expires=dialect.clock_text(50.0))
-        dialect.pause(handle)
+        dialect.client.pause(handle)
         dialect.publish(1)
         record = dialect.manager.lookup(handle.sub_id)
         dialect.network.clock.advance(60.0)
         assert dialect.publish(2) == 0  # the sweep expires it, parked copy and all
         assert record.destroyed and dialect.delivered() == 0
         assert dialect.events[-1] == ("removed", handle.sub_id, "expired")
-        assert subcode_of(dialect.resume, handle) == dialect.unknown
+        assert subcode_of(dialect.client.resume, handle) == dialect.unknown
         assert dialect.delivered() == 0  # the backlog is not resurrected
 
 
@@ -338,7 +334,7 @@ class TestUnsubscribe:
 
 class TestPull:
     def test_pull_honours_the_maximum(self, dialect):
-        if not dialect.can_pull:
+        if not dialect.defines("pull"):
             pytest.skip("covered by test_pull_is_not_in_every_version")
         handle = dialect.subscribe(pull=True)
         for n in range(5):
@@ -352,13 +348,14 @@ class TestPull:
         assert "not in pull mode" in str(fault_of(dialect.pull, push))
 
     def test_pull_is_not_in_every_version(self, dialect):
-        if dialect.can_pull:
+        if dialect.defines("pull"):
             pytest.skip("defined in this version")
         if isinstance(dialect, Wse01):
             fault = fault_of(dialect.subscribe, None, True)
             assert fault.subcode.local == "DeliveryModeRequestedUnavailable"
         else:
-            assert not hasattr(dialect.client, "pull")  # WSN pulls from a pull point
+            assert isinstance(dialect, Wsn)  # WSN pulls from a pull point
+        dialect.not_available(dialect.pull, dialect.subscribe())
 
 
 class TestLeaseExpiry:
@@ -402,6 +399,82 @@ class TestReplayHooks:
         assert dialect.end_notices() == [] and dialect.publish() == 0
         dialect.manager.forget(handle.sub_id)  # already gone: nothing happens
         assert [e[0] for e in dialect.events] == ["created", "removed"]
+
+
+# --- the client reads the table (ISSUE 23) ----------------------------------------------
+
+
+class TestTableCoverage:
+    #: what a verb takes besides the handle
+    EXTRA = {"get_resource_property": (PROP_STATUS,), "set_termination_time": (None,)}
+
+    def arguments(self, dialect, verb, handle) -> tuple:
+        if verb == "get_current_message":
+            return (dialect.source.epr(), TOPIC)
+        return (handle, *self.EXTRA.get(verb, ()))
+
+    def test_the_client_resolves_exactly_the_verbs_its_table_has_rows_for(self, dialect):
+        verbs = [verb for verb in dialect.client.verbs if verb != "subscribe"]
+        shared = {"renew", "get_status", "unsubscribe", "pause", "resume", "pull"}
+        assert shared | {"get_current_message"} <= set(verbs)  # every family names all of them
+        for verb in verbs:
+            handle = dialect.subscribe()
+            sent = dialect.network.stats.requests
+            try:
+                getattr(dialect.client, verb)(*self.arguments(dialect, verb, handle))
+            except OperationNotAvailable:
+                resolved = False
+            except SoapFault:
+                resolved = True  # the service's own answer: it was asked
+            else:
+                resolved = True
+            assert resolved == dialect.defines(verb), verb
+            assert (dialect.network.stats.requests > sent) == resolved, verb
+            if resolved:  # a verb with a row is one the family can build
+                assert dialect.client.verbs[verb].build is not None
+
+    def test_every_served_row_is_reachable_from_some_verb(self, dialect):
+        """A row added to an operation table without a client verb fails here."""
+        named = {row.operation for row in dialect.client.verbs.values()}
+        assert dialect.client.table == dialect.source.operations
+        for row in dialect.client.table.rows:
+            if not row.one_way:
+                assert row.name in named, f"{row.name} ({row.port} port) has no client verb"
+
+    def test_the_source_port_of_a_two_port_operation_is_reached_by_its_address(self):
+        """GetResourceProperty is served twice: a handle reads the
+        subscription's properties, the producer's own EPR the producer's."""
+        dialect = Wsn()
+        handle = dialect.subscribe()
+        assert dialect.client.get_resource_property(handle, PROP_STATUS)[0].full_text() == "Active"
+        topic_set = dialect.client.get_resource_property(dialect.source.epr(), PROP_TOPIC_SET)
+        assert topic_set[0].name == PROP_TOPIC_SET
+
+
+CLIENTS = {
+    "wse": lambda network: WseSubscriber(network),
+    "wsn": lambda network: WsnSubscriber(network),
+    "converged": lambda network: ConvergedSubscriber(network),
+}
+
+
+@pytest.mark.parametrize("family", CLIENTS)
+def test_a_client_faults_alike_when_nothing_answers(family):
+    """ISSUE 23: the converged client raised AttributeError on a 202."""
+    network = SimulatedNetwork(VirtualClock())
+    mute = EventSink(network, "http://c-mute")  # accepts anything, answers nothing
+    client = CLIENTS[family](network)
+    subscribe = {
+        "wse": lambda: client.subscribe(mute.epr(), notify_to=mute.epr()),
+        "wsn": lambda: client.subscribe(mute.epr(), mute.epr(), topic=TOPIC),
+        "converged": lambda: client.subscribe(mute.epr(), consumer=mute.epr()),
+    }[family]
+    fault = fault_of(subscribe)
+    assert fault.code is FaultCode.RECEIVER and fault.reason == "no response to Subscribe"
+    if family != "wse":  # WS-Eventing has no GetCurrentMessage to ask with
+        fault = fault_of(client.get_current_message, mute.epr(), TOPIC)
+        assert fault.code is FaultCode.RECEIVER
+        assert fault.reason == "no response to GetCurrentMessage"
 
 
 # --- the drift the three copies had accumulated (ISSUE 16, defects A-E) ------------

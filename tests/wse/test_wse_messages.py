@@ -6,6 +6,7 @@ from repro.soap import SoapFault
 from repro.wsa import EndpointReference
 from repro.wse import messages
 from repro.wse.model import DeliveryMode, SubscriptionEndCode
+from repro.wse.source import operations
 from repro.wse.versions import WseVersion
 from repro.xmlkit import parse_xml, serialize_xml
 from repro.xmlkit.names import Namespaces, QName
@@ -167,9 +168,12 @@ class TestManagementMessages:
         assert messages.expires_from_body(built, version) is None
 
     def test_get_status_only_on_08(self):
+        # the builder builds; which version *has* GetStatus is its operation table's to say
         assert messages.build_get_status(WseVersion.V2004_08) is not None
-        with pytest.raises(SoapFault):
-            messages.build_get_status(WseVersion.V2004_01)
+        served = {v: {row.name for row in operations(v).rows} for v in WseVersion}
+        assert "GetStatus" in served[WseVersion.V2004_08]
+        assert "GetStatus" not in served[WseVersion.V2004_01]
+        assert messages.verbs(WseVersion.V2004_01)["get_status"].operation == "GetStatus"
 
     def test_unsubscribe_shapes(self, version):
         assert messages.build_unsubscribe(version).name == version.qname("Unsubscribe")

@@ -70,7 +70,7 @@ class TestSubscribeNotify:
         producer, consumer, subscriber = stack
         handle = subscriber.subscribe(producer.epr(), consumer.epr(), topic="jobs")
         producer.publish(event(), topic="jobs")
-        assert consumer.received[0].subscription_address == handle.reference.address
+        assert consumer.received[0].subscription_address == handle.manager.address
 
     def test_topic_required_pre_13(self, network):
         for version in (WsnVersion.V1_0, WsnVersion.V1_2):
@@ -177,16 +177,16 @@ class TestSubscriptionIdentifierStyle:
         consumer = NotificationConsumer(network, "http://c10", version=WsnVersion.V1_0)
         subscriber = WsnSubscriber(network, version=WsnVersion.V1_0)
         handle = subscriber.subscribe(producer.epr(), consumer.epr(), topic="jobs")
-        assert handle.reference.reference_properties
-        assert not handle.reference.reference_parameters
+        assert handle.manager.reference_properties
+        assert not handle.manager.reference_parameters
 
     def test_13_uses_reference_parameters(self, network):
         producer = NotificationProducer(network, "http://p13", version=WsnVersion.V1_3)
         consumer = NotificationConsumer(network, "http://c13", version=WsnVersion.V1_3)
         subscriber = WsnSubscriber(network, version=WsnVersion.V1_3)
         handle = subscriber.subscribe(producer.epr(), consumer.epr(), topic="jobs")
-        assert handle.reference.reference_parameters
-        assert not handle.reference.reference_properties
+        assert handle.manager.reference_parameters
+        assert not handle.manager.reference_properties
 
 
 class TestLifetimeManagement:
@@ -257,7 +257,7 @@ class TestLifetimeManagement:
         handle = subscriber.subscribe(
             producer.epr(), consumer.epr(), topic="jobs", initial_termination="PT60S"
         )
-        assert handle.termination_time_text.startswith("2006-")
+        assert handle.expires_text.startswith("2006-")
 
     def test_expiry_fires_termination_notification_pre_13(self, network):
         producer = NotificationProducer(network, "http://p10", version=WsnVersion.V1_0)
