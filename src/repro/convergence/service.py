@@ -247,7 +247,8 @@ class ConvergedSource(SubscriptionService):
 
     # --- subscribe -----------------------------------------------------------------
 
-    def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
+    def grant(self, envelope: SoapEnvelope) -> Subscription:
+        """Subscribe below the wire (log replay re-grants here): the subscription, or its fault."""
         body = envelope.body_element()
         if body.name != _q("Subscribe"):
             raise SoapFault(FaultCode.SENDER, f"expected wsen:Subscribe, got {body.name}")
@@ -270,7 +271,7 @@ class ConvergedSource(SubscriptionService):
                 FaultCode.SENDER, "push/wrapped delivery requires ConsumerReference"
             )
         end_elem = body.find(_q("EndTo"))
-        subscription = self._core(
+        return self._core(
             "subscribe",
             self.subscriptions.subscribe,
             consumer=consumer,
@@ -280,6 +281,9 @@ class ConvergedSource(SubscriptionService):
             mode=mode,
             use_raw=body.find(_q("UseRaw")) is not None,
         )
+
+    def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
+        subscription = self.grant(envelope)
         response = self._lease_response("SubscribeResponse", subscription)
         manager = EndpointReference(self.manager_address)
         manager.with_parameter(text_element(_q("Identifier"), subscription.key))

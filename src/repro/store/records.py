@@ -9,8 +9,8 @@ bit-for-bit deterministic.
 The records fall into three groups:
 
 * **subscription lifecycle** — :class:`SubscribeRecorded` (with the
-  original wire bytes *and* the granted subscription id, so replay can
-  re-post the request while pinning the identifier and the manager
+  original envelope *and* the granted subscription id, so replay can
+  re-grant the request while pinning the identifier and the manager
   EPR), :class:`RenewRecorded`, :class:`RemoveRecorded`,
   :class:`PauseRecorded`, :class:`PullDrainRecorded`;
 * **publishes** — :class:`PublishRecorded`, appended *before* fan-out

@@ -6,14 +6,13 @@ interleaving of lifecycle and publish records is exactly what makes the
 rebuilt projections (subscription stores, topic indexes, pull queues,
 message boxes, DLQ) converge on the pre-crash state:
 
-* ``subscribe`` records hand the original wire bytes to the broker's own
-  front door (in-process: the network's loss model has no say in a
-  restart) with the subscription identifier pinned
-  (``SubscriptionManager.forced_id``), so the manager EPRs clients hold —
-  which embed the id — stay valid; the
-  *granted absolute expiry* is then forced back, so a replay at a later
-  virtual time never silently extends a lease (and an already-expired
-  subscription replays as expired);
+* ``subscribe`` records are re-granted below the wire — the recorded
+  envelope, parsed once, goes to ``grant`` of the service the record names:
+  no transport, detection, routing or response, a restart is not traffic —
+  with the subscription identifier pinned (``SubscriptionManager.forced_id``),
+  so the manager EPRs clients hold, which embed the id, stay valid; the
+  *granted absolute expiry* is then forced back, so a replay at a later virtual
+  time never extends a lease (an already-expired subscription replays expired);
 * ``publish`` records re-run fan-out with ``current_message_id`` pinned,
   and the delivery manager consults the store's settlement index per
   task: settled obligations are suppressed, pre-crash parked items are
@@ -38,6 +37,8 @@ from __future__ import annotations
 
 from repro.obs.lineage import CLOSING_STATES, OPENING_STATES
 from repro.obs.propagation import LineageContext
+from repro.soap.codec import SoapCodecError, parse_envelope
+from repro.soap.fault import SoapFault
 from repro.store.core import BrokerStore
 from repro.store.records import (
     PauseRecorded,
@@ -47,7 +48,6 @@ from repro.store.records import (
     RenewRecorded,
     SubscribeRecorded,
 )
-from repro.transport.http import build_request, parse_response
 from repro.xmlkit.parser import parse_xml
 
 
@@ -74,18 +74,9 @@ def replay_log(broker) -> None:
     saved_router, broker.publish_router = broker.publish_router, None
     try:
         for record in store.log.records():
-            if isinstance(record, SubscribeRecorded):
-                _replay_subscribe(broker, store, record)
-            elif isinstance(record, RenewRecorded):
-                _replay_renew(broker, record)
-            elif isinstance(record, RemoveRecorded):
-                _replay_remove(broker, record)
-            elif isinstance(record, PauseRecorded):
-                _replay_pause(broker, record)
-            elif isinstance(record, PullDrainRecorded):
-                _replay_pull_drain(broker, record)
-            elif isinstance(record, PublishRecorded):
-                _replay_publish(broker, store, record)
+            replay = REPLAY.get(type(record))  # an outcome replays as nothing
+            if replay is not None:
+                replay(broker, store, record)
     finally:
         broker.publish_router = saved_router
         store.replaying = False
@@ -97,69 +88,67 @@ def replay_log(broker) -> None:
             service.renderer.templates.clear()
 
 
-def _manager(broker, family: str, tag: str):
-    """The subscription manager behind ``family``/``tag`` (None when that
-    version is not enabled on the recovering broker)."""
-    for candidate in broker.subscription_managers():
-        if candidate[:2] == (family, tag):
-            return candidate[2]
-    return None
+def _service(broker, family: str, tag: str):
+    """The service behind ``family``/``tag`` (None when that version is not
+    enabled on the recovering broker)."""
+    dialect = (family, tag)
+    return next((s for f, t, s in broker.services() if (f, t) == dialect), None)
 
 
 def _record_of(broker, family: str, tag: str, sub_id: str):
-    manager = _manager(broker, family, tag)
-    subscription = manager.find(sub_id) if manager is not None else None
-    return manager, subscription
+    service = _service(broker, family, tag)
+    if service is None:
+        return None, None
+    return service.subscriptions, service.subscriptions.find(sub_id)
 
 
-def _force_expiry(broker, family: str, tag: str, sub_id: str, expires) -> None:
+def _force_expiry(manager, subscription, expires) -> None:
     """Pin the *granted* absolute expiry from the record, overriding
     whatever a duration-based request re-granted relative to replay time."""
-    manager, subscription = _record_of(broker, family, tag, sub_id)
-    if subscription is not None:
-        subscription.termination_time = expires
-        manager.note_termination(subscription)
+    subscription.termination_time = expires
+    manager.note_termination(subscription)
+
+
+def _unrestored(broker, **why: str) -> None:
+    """The logged Subscribe no longer takes (e.g. a consumer EPR whose zone
+    vanished): count it, instead of moving on as if it had been restored."""
+    broker.network.instrumentation.count(
+        "obs.swallowed_errors_total", site="store.recovery.replay_subscribe", **why
+    )
 
 
 def _replay_subscribe(broker, store, record: SubscribeRecorded) -> None:
-    manager = _manager(broker, record.family, record.tag)
-    if manager is None:
+    service = _service(broker, record.family, record.tag)
+    if service is None:
         return  # version not enabled on the recovering broker
-    wire = build_request(
-        broker.address, record.wire.encode("utf-8"), soap_action=record.action
-    )
+    manager = service.subscriptions
     manager.forced_id = record.sub_id
     try:
-        # in-process, not network.send_request: no loss model on a restart
-        response = parse_response(broker.endpoint._handle_wire(wire))
+        subscription = service.grant(parse_envelope(record.wire))
+    except SoapCodecError:
+        return _unrestored(broker, reason="unparseable")
+    except SoapFault as fault:
+        subcode = fault.subcode.local if fault.subcode is not None else ""
+        return _unrestored(broker, reason="fault", subcode=subcode)
     finally:
-        manager.forced_id = None
-    if response.ok:
-        _force_expiry(broker, record.family, record.tag, record.sub_id, record.expires)
-        store.stats.recovered_subscriptions += 1
-    else:
-        # the logged Subscribe no longer takes (e.g. a consumer EPR whose
-        # zone vanished): count the dropped recovery instead of moving on
-        # as if the subscription had been restored
-        broker.network.instrumentation.count(
-            "obs.swallowed_errors_total",
-            site="store.recovery.replay_subscribe",
-            status=str(response.status),
-        )
+        manager.forced_id = None  # a refused grant must not name the next live one
+    _force_expiry(manager, subscription, record.expires)
+    store.stats.recovered_subscriptions += 1
 
 
-def _replay_renew(broker, record: RenewRecorded) -> None:
-    _force_expiry(broker, record.family, record.tag, record.sub_id, record.expires)
+def _replay_renew(broker, store, record: RenewRecorded) -> None:
+    manager, subscription = _record_of(broker, record.family, record.tag, record.sub_id)
+    if subscription is not None:
+        _force_expiry(manager, subscription, record.expires)
 
 
-def _replay_remove(broker, record: RemoveRecorded) -> None:
-    manager = _manager(broker, record.family, record.tag)
-    if manager is not None:
-        # silent drop: no duplicate end notice on replay
-        manager.forget(record.sub_id)
+def _replay_remove(broker, store, record: RemoveRecorded) -> None:
+    service = _service(broker, record.family, record.tag)
+    if service is not None:
+        service.subscriptions.forget(record.sub_id)  # silent: no second end notice on replay
 
 
-def _replay_pause(broker, record: PauseRecorded) -> None:
+def _replay_pause(broker, store, record: PauseRecorded) -> None:
     manager, subscription = _record_of(broker, "wsn", record.tag, record.sub_id)
     if subscription is None:
         return
@@ -170,7 +159,7 @@ def _replay_pause(broker, record: PauseRecorded) -> None:
         manager.drain(subscription)
 
 
-def _replay_pull_drain(broker, record: PullDrainRecorded) -> None:
+def _replay_pull_drain(broker, store, record: PullDrainRecorded) -> None:
     manager, subscription = _record_of(broker, "wse", record.tag, record.sub_id)
     if subscription is not None:
         manager.drain(subscription, record.count)
@@ -235,3 +224,14 @@ def _replay_publish(broker, store, record: PublishRecorded) -> None:
             broker.publish(payload, topic=record.topic)
     finally:
         store.current_message_id = None
+
+
+#: record type -> its replay; an outcome has none (the settlement index read it)
+REPLAY = {
+    SubscribeRecorded: _replay_subscribe,
+    RenewRecorded: _replay_renew,
+    RemoveRecorded: _replay_remove,
+    PauseRecorded: _replay_pause,
+    PullDrainRecorded: _replay_pull_drain,
+    PublishRecorded: _replay_publish,
+}

@@ -127,7 +127,8 @@ class EventSource(SubscriptionService):
 
     # --- subscribe --------------------------------------------------------------
 
-    def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
+    def grant(self, envelope: SoapEnvelope) -> Subscription:
+        """Subscribe below the wire (log replay re-grants here): the subscription, or its fault."""
         request = messages.parse_subscribe(envelope.body_element(), self.version)
         # pull delivery is the Pull operation: a version without the row has no such mode
         if request.mode is DeliveryMode.PULL and not any(
@@ -146,7 +147,7 @@ class EventSource(SubscriptionService):
             )
         if request.mode is not DeliveryMode.PULL and request.notify_to is None:
             raise SoapFault(FaultCode.SENDER, "push/wrapped delivery requires NotifyTo")
-        subscription = self._core(
+        return self._core(
             "subscribe",
             self.subscriptions.subscribe,
             consumer=request.notify_to,
@@ -160,6 +161,9 @@ class EventSource(SubscriptionService):
             end_to=request.end_to,
             mode=request.mode,
         )
+
+    def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
+        subscription = self.grant(envelope)
         response_body = messages.build_subscribe_response(
             self.version,
             sub_id=subscription.key,

@@ -165,9 +165,13 @@ class NotificationProducer(SubscriptionService):
 
     # --- subscribe -----------------------------------------------------------
 
-    def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
+    def grant(self, envelope: SoapEnvelope) -> Subscription:
+        """Subscribe below the wire (log replay re-grants here): the subscription, or its fault."""
         request = messages.parse_subscribe(envelope.body_element(), self.version)
-        subscription = self.create_subscription(request)
+        return self.create_subscription(request)
+
+    def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
+        subscription = self.grant(envelope)
         termination = subscription.termination_time
         body = messages.build_subscribe_response(
             self.version,

@@ -203,8 +203,7 @@ def test_store_recovery_counts_failed_subscribe_replay():
     instrumentation = Instrumentation.attach(network)
     store = BrokerStore(MemoryEventLog())
     broker = WsMessenger(network, "http://replay-broker", store=store)
-    # a logged Subscribe whose wire bytes no longer parse as a Subscribe:
-    # the front door answers with a fault, not a grant
+    # a logged Subscribe whose wire bytes are no envelope: nothing to grant
     record = SubscribeRecorded(
         at=0.0,
         family="wsn",

@@ -1,17 +1,26 @@
 """Crash recovery from the event log: replayable projections end to end."""
 
+import dataclasses
+
 import pytest
 
 from repro.delivery import DeliveryPolicy, drain_message_box_wse
 from repro.messenger import WsMessenger
 from repro.obs import Instrumentation
 from repro.obs.audit import audit
-from repro.qos import AdaptiveQosPolicy
+from repro.qos import AdaptiveQosPolicy, QosProfile
 from repro.store import BrokerStore, FileEventLog, MemoryEventLog, recover_broker
+from repro.store.records import SubscribeRecorded
+from repro.store.recovery import REPLAY
 from repro.transport import SimulatedNetwork, VirtualClock
-from repro.wse import DeliveryMode, EventSink, WseSubscriber
-from repro.wsn import NotificationConsumer, WsnSubscriber
+from repro.transport.http import build_request, parse_response
+from repro.util.xstime import format_datetime
+from repro.wse import DeliveryMode, EventSink, WseSubscriber, WseVersion
+from repro.wsn import NotificationConsumer, WsnSubscriber, WsnVersion
 from repro.xmlkit import parse_xml
+from repro.xmlkit.names import Namespaces
+from repro.xmlkit.template import TEMPLATE_STATS
+from repro.xmlkit.writer import WRITER_STATS
 
 
 def event(n=1):
@@ -314,6 +323,247 @@ class TestRecoveryOffTheWire:
         assert (network.stats.requests, network.stats.lost) == (requests, 0)
         # and the manager EPRs minted before the crash still reach it
         wse.renew(wse_handle, "PT3H")
+
+
+# --- recovery below the wire (ISSUE 24): the retired re-post is the oracle ---------------
+
+
+def _copy(log, change=lambda index, record: record):
+    """A log of its own holding ``log``'s records, each through ``change``."""
+    copy = MemoryEventLog()
+    for index, record in enumerate(log.records()):
+        copy.append(change(index, record))
+    copy.commit()
+    return copy
+
+
+def _recover_by_re_post(network, log, **kwargs):
+    """How a restart restored a logged Subscribe until ISSUE 24, kept as the
+    oracle: its wire bytes re-posted at the fresh broker's own front door —
+    HTTP framing, header extraction, detection, routing, the handler, a
+    rendered reply parsed back for its status — with the id pinned, then the
+    subscription found again by id to force the recorded expiry."""
+    store = BrokerStore(log)
+    broker = WsMessenger(network, "http://rc-broker", store=store, **kwargs)
+    store.replaying = True
+    for record in log.records():
+        if not isinstance(record, SubscribeRecorded):
+            REPLAY.get(type(record), lambda *_: None)(broker, store, record)
+            continue
+        [manager] = [
+            manager
+            for family, tag, manager in broker.subscription_managers()
+            if (family, tag) == (record.family, record.tag)
+        ]
+        wire = build_request(
+            broker.address, record.wire.encode("utf-8"), soap_action=record.action
+        )
+        manager.forced_id = record.sub_id
+        try:
+            response = parse_response(broker.endpoint._handle_wire(wire))
+        finally:
+            manager.forced_id = None
+        assert response.ok, record
+        subscription = manager.find(record.sub_id)
+        subscription.termination_time = record.expires
+        manager.note_termination(subscription)
+    store.replaying = False
+    return broker
+
+
+def _restored(broker) -> dict:
+    """Everything a Subscribe's options decide, per subscription."""
+    return {
+        (family, tag, sub.key): (
+            service.manager_address,
+            sub.filter.describe(),
+            sub.termination_time,
+            sub.mode,
+            sub.paused,
+            sub.use_raw,
+            sub.topic_expression,
+            sub.consumer and sub.consumer.address,
+            sub.end_to and sub.end_to.address,
+            sub.qos and sorted(sub.qos.values.items()),
+            sub.priority,
+            len(sub.queue),
+        )
+        for family, tag, service in broker.services()
+        for sub in service.subscriptions.records.values()
+    }
+
+
+def _counter(instrumentation, name) -> int:
+    return sum(instrumentation.metrics.counter_values(name).values())
+
+
+def _unrestored(instrumentation) -> dict:
+    values = instrumentation.metrics.counter_values("obs.swallowed_errors_total")
+    return {k: v for k, v in values.items() if "site=store.recovery.replay_subscribe" in k}
+
+
+class TestRecoveryBelowTheWire:
+    def _population(self, network, broker):
+        """Every store-backed dialect x the Subscribe options that reach the
+        record: ``(family, tag) -> (client, handles)``, in Subscribe order."""
+        lease = lambda offset: format_datetime(network.clock.now() + offset)  # noqa: E731
+        profile = QosProfile({"Priority": 7, "MaxEventsPerConsumer": 3})
+        namespaces = {"e": "urn:rc"}
+        granted = {}
+        for version in WseVersion:
+            tag = version.name.lower()
+            client = WseSubscriber(network, version=version)
+            sink = EventSink(network, f"http://rc-sink/{tag}", version=version)
+            ender = EventSink(network, f"http://rc-ender/{tag}", version=version)
+            to = {"notify_to": sink.epr()}
+            requests = [
+                dict(to, end_to=ender.epr(), expires="PT2H",
+                     filter="/e:V[e:n > 0]", filter_namespaces=namespaces),
+                dict(to, expires=lease(900.0), qos=profile),
+            ]
+            if version is WseVersion.V2004_08:  # 01/2004 has push only
+                requests += [dict(mode=DeliveryMode.PULL), dict(to, mode=DeliveryMode.WRAPPED)]
+            granted["wse", tag] = client, [
+                client.subscribe(broker.epr(), **request) for request in requests
+            ]
+        for version in WsnVersion:
+            tag = version.name.lower()
+            client = WsnSubscriber(network, version=version)
+            consumer = NotificationConsumer(network, f"http://rc-consumer/{tag}", version=version)
+            requests = [
+                dict(topic="rc", initial_termination=lease(1800.0)),
+                dict(topic="rc//*", topic_dialect=Namespaces.DIALECT_TOPIC_FULL,
+                     message_content="/e:V/e:n = 1", namespaces=namespaces, use_raw=True),
+                dict(topic="rc", qos=profile),
+            ]
+            if version.supports_duration_expiry:
+                requests.append(dict(initial_termination="PT45M"))
+            granted["wsn", tag] = client, [
+                client.subscribe(broker.epr(), consumer.epr(), **request) for request in requests
+            ]
+        return granted
+
+    def test_grant_restores_what_the_re_post_restored(self, network):
+        broker = _broker(network)
+        population = self._population(network, broker)
+        subscribed = len(broker.store.log)
+        assert subscribed == broker.subscription_count() == 2 + 4 + 3 + 3 + 4
+        # the other lifecycle records, and a backlog for the pull queue
+        wse, (filtered, _, pulling, _) = population["wse", "v2004_08"]
+        wsn, (paused, *_) = population["wsn", "v1_3"]
+        wse.renew(filtered, "PT6H")
+        wsn.pause(paused)
+        gone = NotificationConsumer(network, "http://rc-gone")
+        wsn.unsubscribe(wsn.subscribe(broker.epr(), gone.epr(), topic="rc"))
+        for n in range(3):
+            broker.publish(event(n), topic="rc")
+        broker.run_deliveries_until_idle()
+        assert len(wse.pull(pulling, max_messages=1)) == 1
+        live = _restored(broker), broker.store.projection(broker)
+        assert len(live[0]) == subscribed
+        broker.close()
+        network.clock.advance(600.0)  # a duration re-granted now would end later
+        by_grant = _recover(network, _copy(broker.store.log))
+        assert by_grant.store.stats.recovered_subscriptions == subscribed + 1
+        granted = _restored(by_grant), by_grant.store.projection(by_grant)
+        by_grant.close()
+        by_re_post = _recover_by_re_post(network, _copy(broker.store.log))
+        assert (_restored(by_re_post), by_re_post.store.projection(by_re_post)) == granted
+        assert granted == live
+        # the ids and manager EPRs clients hold address what came back
+        for (family, tag), (_, handles) in population.items():
+            for handle in handles:
+                manager_address = granted[0][family, tag, handle.sub_id][0]
+                if tag != "v2004_01":  # whose handle is the address it subscribed at
+                    assert manager_address == handle.manager.address
+        assert [p.full_text() for p in wse.pull(pulling)] == ["1", "2"]
+
+    def test_a_restart_is_not_traffic(self, network):
+        instrumentation = Instrumentation.attach(network)
+        broker = _broker(network)
+        self._population(network, broker)
+        log = broker.store.log
+        broker.close()
+
+        def traffic():
+            return (
+                network.stats.requests,
+                _counter(instrumentation, "endpoint.requests"),
+                _counter(instrumentation, "broker.requests"),
+                WRITER_STATS.snapshot(),
+                TEMPLATE_STATS.snapshot(),
+            )
+
+        before = traffic()
+        recovered = _recover(network, log)
+        assert traffic() == before
+        assert recovered.stats.detected == {} and recovered.stats.detection_failures == 0
+        assert recovered.store.stats.recovered_subscriptions == len(log) == 16
+        assert _unrestored(instrumentation) == {}
+
+    def test_an_unrestorable_subscribe_is_counted_and_the_rest_come_back(self, network):
+        """One garbled Subscribe record among good ones: counted once, by
+        why; every other subscription restored, fixpoint on the rest."""
+        instrumentation = Instrumentation.attach(network)
+        broker = _broker(network)
+        self._population(network, broker)
+        projection = broker.store.projection(broker)
+        broker.close()
+        victim = broker.store.log.records()[4]
+        garbled = _copy(
+            broker.store.log,
+            lambda index, record: (
+                dataclasses.replace(record, wire=record.wire[: len(record.wire) // 2])
+                if index == 4 else record
+            ),
+        )
+        recovered = _recover(network, garbled)
+        [(labels, count)] = _unrestored(instrumentation).items()
+        assert count == 1 and "reason=unparseable" in labels and "status=" not in labels
+        assert recovered.store.stats.recovered_subscriptions == len(garbled) - 1
+        del projection["subscriptions"][f"{victim.family}:{victim.tag}:{victim.sub_id}"]
+        assert recovered.store.projection(recovered) == projection
+
+    def test_a_refused_replay_says_why_and_does_not_name_the_next_subscribe(self, network):
+        """An absolute expiry that has passed is refused at replay, as it
+        would be live; the id it pinned must not leak into the next live
+        Subscribe (``forced_id`` is cleared in a ``finally``)."""
+        instrumentation = Instrumentation.attach(network)
+        broker = _broker(network)
+        sink = EventSink(network, "http://rc-sink")
+        WseSubscriber(network).subscribe(
+            broker.epr(), notify_to=sink.epr(),
+            expires=format_datetime(network.clock.now() + 60.0),
+        )
+        broker.close()
+        network.clock.advance(120.0)
+        log = _copy(broker.store.log, lambda _, r: dataclasses.replace(r, sub_id="recorded-41"))
+        recovered = _recover(network, log)
+        assert recovered.subscription_count() == 0
+        [(labels, count)] = _unrestored(instrumentation).items()
+        assert count == 1 and "reason=fault" in labels
+        assert "subcode=InvalidExpirationTime" in labels
+        assert all(m.forced_id is None for _, _, m in recovered.subscription_managers())
+        fresh = WseSubscriber(network).subscribe(recovered.epr(), notify_to=sink.epr())
+        assert fresh.sub_id != "recorded-41"
+
+    def test_a_bug_inside_grant_surfaces(self, network, monkeypatch):
+        """Only what a logged request can earn is swallowed — an unparseable
+        envelope, a fault; anything else stops the restart, loudly."""
+        from repro.wse import EventSource
+
+        broker = _broker(network)
+        WseSubscriber(network).subscribe(
+            broker.epr(), notify_to=EventSink(network, "http://rc-sink").epr()
+        )
+        broker.close()
+
+        def broken(self, envelope):
+            raise AttributeError("a bug, not a refusal")
+
+        monkeypatch.setattr(EventSource, "grant", broken)
+        with pytest.raises(AttributeError):
+            _recover(network, broker.store.log)
 
 
 class TestFileBackedRecovery:

@@ -20,9 +20,12 @@ import pytest
 
 from repro.convergence import MODE_PULL, ConvergedConsumer, ConvergedSource, ConvergedSubscriber
 from repro.soap import FaultCode, SoapFault
+from repro.soap.codec import parse_envelope
 from repro.subscriptions import OperationNotAvailable
 from repro.transport import SimulatedNetwork, VirtualClock
+from repro.transport.http import parse_request
 from repro.util.xstime import format_datetime
+from repro.wsa.headers import extract_headers, reset_message_counter
 from repro.wse import DeliveryMode, EventSink, EventSource, WseSubscriber, WseVersion
 from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber, WsnVersion
 from repro.wsn.producer import PROP_STATUS, PROP_TOPIC_SET
@@ -399,6 +402,115 @@ class TestReplayHooks:
         assert dialect.end_notices() == [] and dialect.publish() == 0
         dialect.manager.forget(handle.sub_id)  # already gone: nothing happens
         assert [e[0] for e in dialect.events] == ["created", "removed"]
+
+
+# --- Subscribe below the wire: the grant seam (ISSUE 24) --------------------------------
+
+#: per family, requests that between them reach every check ``grant`` makes —
+#: the Subscribe fault cases above, and the family's own.  Whether a column
+#: grants or refuses one is the column's business (01/2004 has no pull, <= 1.2
+#: no durations and no topic-less Subscribe): the seam must agree either way.
+REQUESTS = {
+    Wse: {
+        "default": lambda d: d.subscribe(),
+        "absolute": lambda d: d.subscribe(d.clock_text(500.0)),
+        "duration": lambda d: d.subscribe("PT10M"),
+        "pull": lambda d: d.subscribe(None, True),
+        "wrapped": lambda d: d.client.subscribe(
+            d.source.epr(), notify_to=d.sink.epr(), mode=DeliveryMode.WRAPPED
+        ),
+        "past": lambda d: d.subscribe(d.clock_text(-5.0)),
+        "now": lambda d: d.subscribe(d.clock_text(0.0)),
+        "not a time": lambda d: d.subscribe("not a time"),
+        "bad filter": lambda d: d.client.subscribe(
+            d.source.epr(), notify_to=d.sink.epr(), filter="///"
+        ),
+        "no NotifyTo": lambda d: d.client.subscribe(d.source.epr()),
+    },
+    Wsn: {
+        "default": lambda d: d.subscribe(),
+        "absolute": lambda d: d.subscribe(d.clock_text(500.0)),
+        "duration": lambda d: d.subscribe("PT10M"),
+        "raw": lambda d: d.client.subscribe(
+            d.source.epr(), d.sink.epr(), topic=TOPIC, use_raw=True
+        ),
+        "past": lambda d: d.subscribe(d.clock_text(-5.0)),
+        "now": lambda d: d.subscribe(d.clock_text(0.0)),
+        "not a time": lambda d: d.subscribe("not a time"),
+        "bad filter": lambda d: d.client.subscribe(
+            d.source.epr(), d.sink.epr(), topic=TOPIC, message_content="///"
+        ),
+        "bad topic": lambda d: d.client.subscribe(d.source.epr(), d.sink.epr(), topic="a|b"),
+        "no topic": lambda d: d.client.subscribe(d.source.epr(), d.sink.epr()),
+    },
+    Converged: {
+        "default": lambda d: d.subscribe(),
+        "absolute": lambda d: d.subscribe(d.clock_text(500.0)),
+        "pull": lambda d: d.subscribe(None, True),
+        "raw on a topic": lambda d: d.client.subscribe(
+            d.source.epr(), consumer=d.sink.epr(), topic=TOPIC, use_raw=True
+        ),
+        "past": lambda d: d.subscribe(d.clock_text(-5.0)),
+        "not a time": lambda d: d.subscribe("not a time"),
+        "bad filter": lambda d: d.client.subscribe(
+            d.source.epr(), consumer=d.sink.epr(), message_content="///"
+        ),
+        "bad mode": lambda d: d.client.subscribe(
+            d.source.epr(), consumer=d.sink.epr(), mode="urn:no-such-mode"
+        ),
+        "no ConsumerReference": lambda d: d.client.subscribe(d.source.epr()),
+    },
+}
+
+
+def subscribe_as_sent(dialect, request) -> bytes:
+    """The Subscribe envelope ``request`` puts on this column's wire."""
+    seen = []
+    dialect.network.wire_observers.append(seen.append)
+    try:
+        request(dialect)
+    except SoapFault:
+        pass
+    return parse_request(seen[0].request).body
+
+
+class TestGrantSeam:
+    def test_the_handler_is_grant_and_then_the_response(self, dialect, monkeypatch):
+        """``grant`` is Subscribe above the response: for every request, it
+        and the handler refuse alike (code, subcode, text, nothing left
+        behind), or the handler's reply is, byte for byte, the response half
+        run on what ``grant`` returned."""
+        column = type(dialect)
+        [requests] = [rows for family, rows in REQUESTS.items() if isinstance(dialect, family)]
+        outcomes = set()
+        for name, request in requests.items():
+            wire = subscribe_as_sent(column(), request)
+            whole, halves = column(), column()
+            headers = extract_headers(parse_envelope(wire))
+            reset_message_counter()
+            try:
+                reply = whole.source.handler_for("source", headers.action)(
+                    parse_envelope(wire), headers
+                )
+            except SoapFault as fault:
+                refused = fault_of(halves.source.grant, parse_envelope(wire))
+                assert (refused.code, refused.subcode, refused.reason) == (
+                    fault.code, fault.subcode, fault.reason,
+                ), name
+                assert not halves.manager.records and halves.events == [], name
+                outcomes.add("refused")
+                continue
+            granted = halves.source.grant(parse_envelope(wire))
+            assert halves.events == [("created", granted.key)], name
+            # the response half: the handler, with the grant already made
+            monkeypatch.setattr(halves.source, "grant", lambda envelope: granted)
+            reset_message_counter()
+            assert reply == halves.source.handler_for("source", headers.action)(
+                parse_envelope(wire), headers
+            ), name
+            assert halves.events == [("created", granted.key)], name
+            outcomes.add("granted")
+        assert outcomes == {"granted", "refused"}
 
 
 # --- the client reads the table (ISSUE 23) ----------------------------------------------
