@@ -8,7 +8,7 @@ no-op, so uninstrumented runs pay only an attribute read and an empty
 context-manager enter/exit on the hottest paths.
 
 The live handle is built for continuous use, not just one-shot reports, so
-its hot surface is deliberately cheap (see ``BENCH_observability.json``):
+its hot surface is deliberately cheap (``benchmarks/e2e``: ``ladder.obs_us``):
 
 * ``count``/``gauge`` hash a small structural tuple — label strings are
   only rendered at snapshot time (lazy label formatting);

@@ -31,7 +31,7 @@ def run_demo_scenario() -> Instrumentation:
     """
     from repro.delivery import DeliveryPolicy
     from repro.messenger import WsMessenger, mediation
-    from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
+    from repro.transport import AddressUnreachable, MessageLost, SimulatedNetwork, VirtualClock
     from repro.wsa.headers import reset_message_counter
     from repro.wse import EventSink, EventSource, WseSubscriber
     from repro.wsn import NotificationConsumer, PullPointClient, WsnSubscriber
@@ -97,7 +97,7 @@ def run_demo_scenario() -> Instrumentation:
     # one unreachable push for the third failure outcome
     try:
         network.send_request("http://obs-nowhere", b"probe")
-    except Exception:
+    except AddressUnreachable:
         pass
     return instrumentation
 

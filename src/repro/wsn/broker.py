@@ -18,10 +18,11 @@ what WS-Messenger does (:mod:`repro.messenger`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.delivery.manager import DeliveryManager
+from repro.filters.base import FilterError
 from repro.filters.topics import TopicDialect, TopicExpression, TopicNamespace
 from repro.qos.adaptive import AdaptiveQosPolicy
 from repro.soap.envelope import SoapEnvelope, SoapVersion
@@ -276,7 +277,7 @@ class NotificationBroker:
                 )
                 if expression.matches(topic):
                     count += 1
-            except Exception as exc:
+            except FilterError as exc:
                 # an unparsable filter contributes no demand, but the skip
                 # must be visible — a silent drop here pauses real publishers
                 self.network.instrumentation.count(

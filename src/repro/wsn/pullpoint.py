@@ -24,7 +24,6 @@ from repro.wsa.headers import MessageHeaders
 from repro.wsn import messages
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem, text_element
-from repro.xmlkit.names import QName
 
 
 class PullPoint:

@@ -15,10 +15,12 @@ from repro.delivery import (
     MessageBoxRegistry,
     TaskStatus,
 )
+from repro.messenger import WsMessenger
 from repro.obs.audit import audit
 from repro.obs.instrument import Instrumentation
 from repro.qos import AdaptiveQosController, AdaptiveQosPolicy, DiscardPolicy, QosProfile
 from repro.transport import FirewallBlocked, MessageLost, SimulatedNetwork, VirtualClock
+from repro.wsn import NotificationConsumer, WsnSubscriber
 from repro.xmlkit import parse_xml
 
 
@@ -150,6 +152,52 @@ class TestBoundedQueues:
             counters["qos.shed_total{family=test,reason=queue_full}"]
             == manager.stats.shed
         )
+
+    @pytest.mark.parametrize("bounded", [False, True], ids=["no_qos", "adaptive"])
+    def test_an_outage_backlog_stays_under_the_cap_only_with_qos(self, bounded):
+        """Three consumers dark while 120 publishes arrive at 20/s, then back."""
+        qos = AdaptiveQosPolicy(max_sink_queue=4, per_sink_rate=25.0, per_sink_burst=5.0)
+        network = SimulatedNetwork(VirtualClock(), seed=20060813)
+        instrumentation = Instrumentation.attach(network)
+        broker = WsMessenger(
+            network,
+            "http://aq-broker",
+            # retries outlast the outage: without QoS the backlog queues, it is not dead-lettered
+            delivery=DeliveryPolicy(
+                max_attempts=30, base_backoff=0.25, max_backoff=0.5, jitter=0.0,
+                breaker_failure_threshold=100,
+            ),
+            delivery_seed=20060813,
+            qos=qos if bounded else None,
+        )
+        consumers = [NotificationConsumer(network, f"http://aq-c/{n}") for n in range(3)]
+        for consumer in consumers:
+            WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="aq")
+        dark = {consumer.address for consumer in consumers}
+
+        def outage(address, request):
+            if address in dark:
+                raise MessageLost(address)
+
+        network.observers.append(outage)
+        manager = broker.delivery_manager
+        backlog = []
+        manager.backlog_listeners.append(backlog.append)
+        for n in range(120):
+            broker.publish(event(n), topic="aq")
+            network.clock.advance(1.0 / 20.0)
+            manager.run_due()
+        dark.clear()
+        broker.run_deliveries_until_idle()
+
+        ceiling = qos.max_sink_queue * len(consumers)
+        assert (max(backlog) <= ceiling) is bounded
+        assert (manager.stats.shed > 0) is bounded
+        delivered = sum(len(consumer.received) for consumer in consumers)
+        assert delivered + manager.stats.shed == 120 * len(consumers)
+        result = audit(instrumentation)
+        assert result.passed, [f.render() for f in result.findings]
+        assert (result.shed, result.pending) == (manager.stats.shed, 0)
 
 
 class TestBoxOverflowAccounting:

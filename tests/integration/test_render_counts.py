@@ -13,17 +13,21 @@ import gc
 import pytest
 
 from repro import render
+from repro.delivery.policy import BatchingPolicy
 from repro.messenger import WsMessenger
+from repro.obs import Instrumentation
 from repro.soap.envelope import SoapVersion
 from repro.store import BrokerStore
 from repro.transport import SimulatedNetwork, VirtualClock
+from repro.transport.endpoint import SoapEndpoint
 from repro.util.xstime import format_datetime
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders
 from repro.wsa.versions import WsaVersion
 from repro.wse import EventSink, WseSubscriber
 from repro.wse.versions import WseVersion
-from repro.wsn import NotificationConsumer, WsnSubscriber
+from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber
+from repro.wsn.messages import WsnFilterSpec, WsnSubscribeRequest
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit import parse_xml
 from repro.xmlkit.element import XElem, text_element
@@ -97,6 +101,61 @@ def test_rotating_topics_hit_the_templates_they_share():
     assert stats["hits"] / (n * topics) >= 0.99
     assert templates_held(broker) == len(DIALECTS)
     assert all(len(consumer.received) == topics + 1 for consumer in consumers)
+
+
+HOT = "fan/hot"
+PUBLISHES = 3
+
+
+def hot_topic_producer(subscribers: int, selectivity: float, *, batching=None):
+    """``subscribers`` subscriptions to one sink; the first ``selectivity`` share
+    select ``HOT``, every other one a topic of its own."""
+    network = SimulatedNetwork(VirtualClock())
+    instrumentation = Instrumentation.attach(network)
+    SoapEndpoint(network, "http://counts-sink").on_any(lambda envelope, headers: None)
+    producer = NotificationProducer(network, "http://counts-producer", batching=batching)
+    matching = max(1, int(subscribers * selectivity))
+    sink = EndpointReference("http://counts-sink")
+    for i in range(subscribers):
+        producer.create_subscription(
+            WsnSubscribeRequest(
+                consumer=sink,
+                filter=WsnFilterSpec(topic_expression=HOT if i < matching else f"fan/cold-{i}"),
+                initial_termination_text=None,
+                use_raw=False,
+            )
+        )
+    return network, instrumentation, producer, matching
+
+
+@pytest.mark.parametrize("subscribers, selectivity", [(10, 1.0), (1000, 0.01)])
+@pytest.mark.parametrize("batched", [False, True], ids=["templated", "batched"])
+def test_a_hot_topic_walks_one_tree_and_evaluates_only_what_matches(
+    subscribers, selectivity, batched
+):
+    network, instrumentation, producer, matching = hot_topic_producer(
+        subscribers,
+        selectivity,
+        batching=BatchingPolicy(window=0.0, max_batch=100) if batched else None,
+    )
+    network.stats.reset()
+    WRITER_STATS.reset()
+    matched = sum(producer.publish(event(i), topic=HOT) for i in range(PUBLISHES))
+    assert matched == matching * PUBLISHES
+
+    def total(name):
+        return sum(instrumentation.metrics.counter_values(name).values())
+
+    # the one template compile is the only tree walk; every other send is a join
+    assert WRITER_STATS.tree_serializations == 1
+    # the index hands the loop only the subscriptions that match
+    assert total("fanout.filter_evals") == matched
+    if batched:  # one sink: each publish's sends coalesce into one request
+        assert network.stats.requests == PUBLISHES
+        assert total("delivery.batched_total") == matched
+    else:
+        assert network.stats.requests == matched
+        assert (total("fanout.template_misses"), total("fanout.template_hits")) == (1, matched - 1)
 
 
 # --- control envelopes: counted too, because the counts repeat exactly -----------------

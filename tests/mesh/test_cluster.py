@@ -7,9 +7,10 @@ topic preserved.
 """
 
 from repro.mesh import MeshCluster
+from repro.messenger import WsMessenger
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.wse import EventSink
-from repro.wsn import NotificationConsumer
+from repro.wsn import NotificationConsumer, WsnSubscriber
 from repro.xmlkit import parse_xml
 from repro.xmlkit.writer import serialize_xml
 
@@ -86,3 +87,54 @@ def test_default_entry_is_the_owner():
     owned = instrumentation.metrics.counter_values("mesh.owned_publishes")
     assert sum(forwarded.values()) == 0
     assert sum(owned.values()) == 1
+
+
+ROOTS = [f"t{i:02d}" for i in range(32)]
+
+
+def tick(topic, n):
+    return parse_xml(f'<ev:Tick xmlns:ev="urn:clus"><ev:topic>{topic}</ev:topic><ev:n>{n}</ev:n></ev:Tick>')
+
+
+def fan_out(shards):
+    """32 topic roots x 3 consumers x 2 publishes, everyone at the topic's owner
+    (``shards=0`` is one plain broker).  Returns every consumer's delivery
+    sequence and the busiest shard's virtual seconds — the makespan of the
+    parallel-shard model, publish cost charged to the owning shard."""
+    if shards:
+        network, target = make_mesh(shards)
+    else:
+        network = SimulatedNetwork(VirtualClock())
+        target = WsMessenger(network, "http://clustest")
+    consumers = {
+        topic: [NotificationConsumer(network, f"http://clus-c/{topic}/{j}") for j in range(3)]
+        for topic in ROOTS
+    }
+    for topic in ROOTS:
+        for consumer in consumers[topic]:
+            if shards:
+                target.subscribe_wsn(consumer.address, topic=topic)
+            else:
+                WsnSubscriber(network).subscribe(target.epr(), consumer.epr(), topic=topic)
+    busy = {}
+    for n in range(2):
+        for topic in ROOTS:
+            shard = target.owner_node_of_topic(topic).name if shards else None
+            before = network.clock.now()
+            target.publish(tick(topic, n), topic=topic)
+            busy[shard] = busy.get(shard, 0.0) + network.clock.now() - before
+    received = [
+        [(serialize_xml(item.payload), item.topic) for item in consumer.received]
+        for topic in ROOTS
+        for consumer in consumers[topic]
+    ]
+    return received, max(busy.values())
+
+
+def test_shards_deliver_what_one_broker_does_and_four_halve_the_makespan():
+    one_broker, _ = fan_out(0)
+    one_shard, one_makespan = fan_out(1)
+    four_shards, four_makespan = fan_out(4)
+    assert sum(map(len, one_broker)) == len(ROOTS) * 3 * 2
+    assert one_shard == four_shards == one_broker
+    assert one_makespan / four_makespan >= 2.0

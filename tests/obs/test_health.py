@@ -48,6 +48,24 @@ class TestScriptedScenario:
         for kind in ("publish", "delivery", "breaker", "log_append", "sample"):
             assert kinds.get(kind, 0) > 0, f"no {kind!r} flight records"
 
+    def test_every_watched_gauge_is_a_full_series(self, health_run):
+        # queue depths and lag of the broker, the delivery layer, the mesh and
+        # the store, one point per sweep
+        samples = build_health_report(health_run)["samples"]
+        series = {
+            key: health_run.probes.series(key)
+            for key in health_run.probes.history
+            if key.startswith(("broker.", "delivery.", "mesh.", "store."))
+        }
+        for family in (
+            "broker.sub_queue_depth",
+            "delivery.oldest_queued_age_seconds",
+            "mesh.",
+            "store.parked_open",
+        ):
+            assert any(key.startswith(family) for key in series), family
+        assert {len(points) for points in series.values()} == {samples}
+
     def test_mesh_rebalance_counted(self, health_run):
         counters = health_run.instrumentation.metrics.counter_values(
             "mesh.rebalances"

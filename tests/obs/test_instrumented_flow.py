@@ -124,3 +124,15 @@ class TestCountersAndWire:
         publish_once(source)
         assert consumer.received  # behaviour unchanged
         assert instrumentation.tracer.spans == []  # nothing new recorded
+
+
+def test_a_never_instrumented_broker_stays_inert():
+    network = SimulatedNetwork(VirtualClock())
+    broker = WsMessenger(network, "http://flow-broker")
+    consumer = NotificationConsumer(network, "http://flow-consumer")
+    WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic=TOPIC)
+    broker.publish(parse_xml("<f:Hit xmlns:f='urn:flow'/>"), topic=TOPIC)
+    assert consumer.received
+    assert network.instrumentation is NULL_INSTRUMENTATION
+    assert network.instrumentation.enabled is False
+    assert network.wire_observers == []

@@ -37,6 +37,31 @@ def test_demand_for_counts_unparsable_filters():
     ) == 1  # ...but the skip is recorded
 
 
+def test_demand_for_lets_a_bug_in_matching_surface(monkeypatch):
+    import pytest
+
+    from repro.filters.topics import TopicExpression
+
+    network = SimulatedNetwork(VirtualClock())
+    instrumentation = Instrumentation.attach(network)
+    broker = object.__new__(NotificationBroker)  # unit-level: no endpoints
+    broker.network = network
+    bad = SimpleNamespace(paused=False, topic_expression="")  # FilterError
+    good = SimpleNamespace(paused=False, topic_expression="jobs")
+    broker.producer = SimpleNamespace(
+        subscriptions=SimpleNamespace(live_resources=lambda: [bad, good])
+    )
+
+    def broken(self, topic):
+        raise AttributeError("a bug, not a bad filter")
+
+    monkeypatch.setattr(TopicExpression, "matches", broken)
+    with pytest.raises(AttributeError, match="a bug"):
+        broker.demand_for("jobs")
+    # the malformed expression before it was still skipped and counted
+    assert counter_total(instrumentation, "wsn.broker.demand_for") == 1
+
+
 def test_figure_recorder_counts_unparsable_frames():
     network = SimulatedNetwork(VirtualClock())
     instrumentation = Instrumentation.attach(network)

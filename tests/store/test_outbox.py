@@ -4,11 +4,18 @@ import pytest
 
 from repro.delivery import DeliveryPolicy
 from repro.messenger import WsMessenger
-from repro.store import BrokerStore, MemoryEventLog, OutcomeRecorded, PublishRecorded
+from repro.store import (
+    BrokerStore,
+    FileEventLog,
+    MemoryEventLog,
+    OutcomeRecorded,
+    PublishRecorded,
+)
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.wse import EventSink, WseSubscriber
 from repro.wsn import NotificationConsumer, WsnSubscriber
 from repro.xmlkit import parse_xml
+from repro.xmlkit.writer import serialize_xml
 
 
 def event(n=1):
@@ -141,3 +148,32 @@ class TestOutbox:
         assert subscribe.sub_id == renew.sub_id == remove.sub_id == handle.sub_id
         assert subscribe.family == "wse"
         assert renew.expires is not None and renew.expires > subscribe.expires
+
+
+def _deliveries(log):
+    """What 20 consumers receive of 8 publishes, and the records ``log`` holds."""
+    network = SimulatedNetwork(VirtualClock())
+    store = BrokerStore(log) if log is not None else None
+    broker = WsMessenger(network, "http://ob-broker", delivery=DeliveryPolicy(), store=store)
+    consumers = [NotificationConsumer(network, f"http://ob-c/{i}") for i in range(20)]
+    for consumer in consumers:
+        WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="ob")
+    for n in range(8):
+        broker.publish(event(n), topic="ob")
+    broker.run_deliveries_until_idle()
+    if store is not None:
+        store.log.close()
+    received = [
+        [(serialize_xml(item.payload), item.topic) for item in consumer.received]
+        for consumer in consumers
+    ]
+    return received, len(log) if log is not None else 0
+
+
+def test_the_outbox_is_invisible_to_what_is_delivered(tmp_path):
+    bare, _ = _deliveries(None)
+    in_memory, memory_records = _deliveries(MemoryEventLog())
+    on_disk, file_records = _deliveries(FileEventLog(str(tmp_path / "ob.log")))
+    assert sum(map(len, bare)) == 20 * 8
+    assert in_memory == on_disk == bare
+    assert memory_records == file_records > 0

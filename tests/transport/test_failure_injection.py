@@ -3,6 +3,7 @@
 import pytest
 
 from repro.delivery import DeliveryManager, DeliveryPolicy
+from repro.messenger import WsMessenger
 from repro.soap import SoapFault
 from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
 from repro.wse import EventSink, EventSource, SubscriptionEndCode, WseSubscriber
@@ -117,6 +118,35 @@ class TestLossyDelivery:
             outcomes.append(results)
         assert outcomes[0] == outcomes[1]
         assert any(outcomes[0]) and not all(outcomes[0])
+
+    @staticmethod
+    def _ten_percent_loss(policy):
+        """40 publishes to 3 WSN consumers and 2 WSE sinks over a wire losing 10 %."""
+        network = SimulatedNetwork(VirtualClock(), seed=20060813)
+        broker = WsMessenger(network, "http://lossy-broker", delivery=policy, delivery_seed=20060813)
+        receivers = [NotificationConsumer(network, f"http://lossy-c/{n}") for n in range(3)]
+        for consumer in receivers:
+            WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="fi")
+        for n in range(2):
+            sink = EventSink(network, f"http://lossy-s/{n}")
+            WseSubscriber(network).subscribe(broker.epr(), notify_to=sink.epr())
+            receivers.append(sink)
+        network.loss_rate = 0.10  # subscriptions were made on a clean wire
+        for n in range(40):
+            broker.publish(event(n), topic="fi")
+        broker.run_deliveries_until_idle()
+        delivered = sum(len(receiver.received) for receiver in receivers)
+        return delivered / (40 * len(receivers)), broker.subscription_count(), broker
+
+    def test_a_retry_policy_turns_ten_percent_loss_into_full_delivery(self):
+        share, surviving, _ = self._ten_percent_loss(None)
+        # best effort: the first lost push ends its subscription
+        assert share < 0.9 and surviving < 5
+        share, surviving, broker = self._ten_percent_loss(
+            DeliveryPolicy(max_attempts=8, base_backoff=0.25, backoff_multiplier=2.0, jitter=0.2)
+        )
+        assert share >= 0.99 and surviving == 5
+        assert broker.delivery_manager.stats.retries > 0
 
 
 class TestWsnFailureHandling:
