@@ -27,6 +27,7 @@ from repro.soap.fault import FaultCode, SoapFault
 from repro.subscriptions import (
     ConsumerEndpoint,
     DeliveryMode,
+    Grant,
     Operation,
     OperationTable,
     ReceivedNotification,
@@ -247,8 +248,8 @@ class ConvergedSource(SubscriptionService):
 
     # --- subscribe -----------------------------------------------------------------
 
-    def grant(self, envelope: SoapEnvelope) -> Subscription:
-        """Subscribe below the wire (log replay re-grants here): the subscription, or its fault."""
+    def read_subscribe(self, envelope: SoapEnvelope) -> tuple[Grant, Optional[str]]:
+        """Subscribe as the grant asked for and the expiry it requests, or a fault."""
         body = envelope.body_element()
         if body.name != _q("Subscribe"):
             raise SoapFault(FaultCode.SENDER, f"expected wsen:Subscribe, got {body.name}")
@@ -271,19 +272,16 @@ class ConvergedSource(SubscriptionService):
                 FaultCode.SENDER, "push/wrapped delivery requires ConsumerReference"
             )
         end_elem = body.find(_q("EndTo"))
-        return self._core(
-            "subscribe",
-            self.subscriptions.subscribe,
-            consumer=consumer,
-            filter_parts=self._filter_parts(body.find(_q("Filter"))),
-            expires_text=_text_of(body, "Expires"),
-            end_to=EndpointReference.from_element(end_elem, WSA) if end_elem is not None else None,
+        return Grant(
+            consumer,
+            self._filter_parts(body.find(_q("Filter"))),
             mode=mode,
+            end_to=EndpointReference.from_element(end_elem, WSA) if end_elem is not None else None,
             use_raw=body.find(_q("UseRaw")) is not None,
-        )
+        ), _text_of(body, "Expires")
 
     def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self.grant(envelope)
+        subscription = self.grant(*self.read_subscribe(envelope))
         response = self._lease_response("SubscribeResponse", subscription)
         manager = EndpointReference(self.manager_address)
         manager.with_parameter(text_element(_q("Identifier"), subscription.key))

@@ -127,7 +127,8 @@ class Fanout:
         """The live subscriptions whose filter admits this publication."""
         instr = self.network.instrumentation
         family = self.family
-        self.subscriptions.sweep_due()
+        if not self.subscriptions.restoring:  # log replay sweeps nothing
+            self.subscriptions.sweep_due()
         context = FilterContext(
             frozen, topic, producer_properties, producer_document=producer_document
         )

@@ -178,11 +178,6 @@ class WsMessenger:
         self.publish_router: Optional[
             Callable[[XElem, Optional[str]], bool]
         ] = None
-        # capture the identity each granted Subscribe mints — (family, tag,
-        # sub_id, granted absolute expiry) — for the store
-        self._last_granted: Optional[tuple[str, str, str, Optional[float]]] = None
-        for family, tag, subscriptions in self.subscription_managers():
-            subscriptions.listeners.append(self._granted_hook(family, tag))
         # the front door
         self.endpoint = SoapEndpoint(network, address)
         self.endpoint.on_any(self._front_door)
@@ -206,15 +201,6 @@ class WsMessenger:
         knowing which family holds them."""
         for family, tag, service in self.services():
             yield family, tag, service.subscriptions
-
-    def _granted_hook(self, family: str, tag: str):
-        def on_event(event: str, subscription, detail: dict) -> None:
-            if event == "created":
-                self._last_granted = (
-                    family, tag, subscription.key, subscription.termination_time
-                )
-
-        return on_event
 
     def epr(self) -> EndpointReference:
         return EndpointReference(self.address)
@@ -266,13 +252,14 @@ class WsMessenger:
         self.stats.record(spec)
         if spec.operation == "Notify" and spec.family is SpecFamily.WS_NOTIFICATION:
             return self._accept_wsn_publication(envelope, spec)
-        self._last_granted = None
-        reply = self._route(envelope, headers, spec, (family, version))
-        if spec.operation == "Subscribe":  # only reached on success (no fault)
-            granted, self._last_granted = self._last_granted, None
-            if self.store is not None:
-                self.store.record_subscribe(envelope, headers.action, granted)
-        return reply
+        store = self.store
+        if store is None or spec.operation != "Subscribe":
+            return self._route(envelope, headers, spec, (family, version))
+        store.front_door = True  # the grants the store logs are the front door's
+        try:
+            return self._route(envelope, headers, spec, (family, version))
+        finally:
+            store.front_door = False
 
     def _route(
         self,

@@ -17,7 +17,7 @@ to a sender fault (CORBA's ``UnsupportedQoS`` surfaced in SOAP terms).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.qos.properties import DiscardPolicy, OrderPolicy, QosError, QosProfile
 from repro.xmlkit.element import XElem, text_element
@@ -65,32 +65,42 @@ def _encode(value: Any) -> str:
     return str(value)
 
 
+def profile_texts(profile: QosProfile) -> dict[str, str]:
+    """A profile's explicitly-set values as ``{name: text}`` (wire and log)."""
+    return {name: _encode(profile.values[name]) for name in sorted(profile.values)}
+
+
 def profile_to_element(profile: QosProfile) -> XElem:
     """Render a profile's explicitly-set values as a ``qos:Profile``."""
     element = XElem(PROFILE)
-    for name in sorted(profile.values):
-        prop = text_element(PROPERTY, _encode(profile.values[name]))
+    for name, text in profile_texts(profile).items():
+        prop = text_element(PROPERTY, text)
         prop.attrs[_NAME_ATTR] = name
         element.append(prop)
     return element
 
 
-def profile_from_element(element: XElem) -> QosProfile:
-    """Parse a ``qos:Profile``; :class:`QosError` on anything malformed."""
+def profile_from_texts(texts: Iterable[tuple[Optional[str], str]]) -> QosProfile:
+    """A profile from ``(name, text)`` pairs — a ``qos:Profile``'s, or a
+    logged ``{name: text}``'s items; :class:`QosError` on anything malformed."""
     values: dict[str, Any] = {}
-    for prop in element.find_all(PROPERTY):
-        name = prop.attrs.get(_NAME_ATTR)
+    for name, text in texts:
         if not name:
             raise QosError("qos:Property without a Name attribute")
         decoder = _DECODERS.get(name)
         if decoder is None:
             raise QosError(f"unknown QoS property {name!r}")
-        text = prop.full_text().strip()
         try:
             values[name] = decoder(text)
         except (ValueError, KeyError) as exc:
             raise QosError(f"bad value for QoS property {name}: {text!r}") from exc
     return QosProfile(values)
+
+
+def profile_from_element(element: XElem) -> QosProfile:
+    """Parse a ``qos:Profile``; :class:`QosError` on anything malformed."""
+    properties = element.find_all(PROPERTY)
+    return profile_from_texts((p.attrs.get(_NAME_ATTR), p.full_text().strip()) for p in properties)
 
 
 def find_profile(parent: XElem) -> Optional[QosProfile]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.qos.wire import profile_from_texts, profile_texts
 from repro.store.log import MemoryEventLog
 from repro.store.records import (
     OutcomeRecorded,
@@ -41,6 +42,10 @@ from repro.store.records import (
     RenewRecorded,
     SubscribeRecorded,
 )
+from repro.subscriptions import DeliveryMode, Grant
+from repro.wsa.epr import EndpointReference
+from repro.wsa.versions import WsaVersion
+from repro.xmlkit.parser import parse_xml
 from repro.xmlkit.writer import serialize_xml
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,6 +64,32 @@ _FAMILY_STATE = {
     "wse": lambda sub: ("mode", sub.mode.value),
     "wsn": lambda sub: ("paused", sub.paused),
 }
+
+#: a logged EPR is written in the addressing version with properties *and* parameters
+_LOG_WSA = WsaVersion.V2004_08
+
+
+def _epr_fields(epr: Optional[EndpointReference]) -> Tuple[Optional[str], Optional[str]]:
+    """An EPR as logged: its address, and all of it if it has reference parameters / properties."""
+    if epr is None or not (epr.reference_parameters or epr.reference_properties):
+        return (epr and epr.address), None
+    return epr.address, serialize_xml(epr.to_element(_LOG_WSA))
+
+
+def _epr_of(address: Optional[str], serialized: Optional[str]) -> Optional[EndpointReference]:
+    if serialized is not None:
+        return EndpointReference.from_element(parse_xml(serialized), _LOG_WSA)
+    return None if address is None else EndpointReference(address)
+
+
+def grant_of(record: SubscribeRecorded) -> Grant:
+    """The grant ``record`` logged, id and expiry pinned; ``ValueError`` if it is garbled."""
+    return Grant(
+        _epr_of(record.consumer, record.consumer_epr), record.filter, record.expires,
+        profile_from_texts(record.qos.items()) if record.qos is not None else None,
+        DeliveryMode(record.mode), _epr_of(record.end_to, record.end_to_epr),
+        record.use_raw, record.topic, record.sub_id,
+    )
 
 
 @dataclass
@@ -94,6 +125,8 @@ class BrokerStore:
         #: recording is muted (the log already has those records), while
         #: genuinely new delivery outcomes still append
         self.replaying = False
+        #: True while the broker's front door routes a Subscribe: its grant is logged
+        self.front_door = False
         self.broker: Optional["WsMessenger"] = None
         self.clock = None
         self._message_serial = 0
@@ -176,7 +209,9 @@ class BrokerStore:
             if self.replaying:
                 return
             at, sub_id = self._now(), subscription.key
-            if event == "renewed":
+            if event == "created" and self.front_door:
+                self.record_subscribe(family, tag, detail["grant"])
+            elif event == "renewed":
                 self._append(
                     RenewRecorded(
                         at=at,
@@ -201,24 +236,16 @@ class BrokerStore:
 
     # --- recording: subscription lifecycle ---------------------------------
 
-    def record_subscribe(self, envelope, action: str, granted) -> None:
-        """Front-door hook after a granted Subscribe.  ``granted`` is the
-        ``(family, tag, sub_id, expires)`` tuple the broker captured from
-        the implementation's creation hook."""
-        if self.replaying or granted is None:
-            return
-        from repro.soap.codec import serialize_envelope
-
-        family, tag, sub_id, expires = granted
+    def record_subscribe(self, family: str, tag: str, grant: Grant) -> None:
+        """A Subscribe the front door granted, logged as the grant it made:
+        no request bytes — one tree serialisation per EPR that carries
+        reference parameters or properties, none otherwise."""
         self._append(
             SubscribeRecorded(
-                at=self._now(),
-                family=family,
-                tag=tag,
-                sub_id=sub_id,
-                action=action,
-                wire=serialize_envelope(envelope),
-                expires=expires,
+                self._now(), family, tag, grant.sub_id, grant.expires,
+                *_epr_fields(grant.consumer), *_epr_fields(grant.end_to), grant.filter_parts,
+                profile_texts(grant.qos) if grant.qos is not None else None,
+                grant.mode.value, grant.use_raw, grant.topic_expression,
             )
         )
 

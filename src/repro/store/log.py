@@ -64,9 +64,10 @@ class MemoryEventLog:
 
 class FileEventLog(MemoryEventLog):
     """JSON-lines log file: loads existing records on open, writes each
-    commit at once.  A last line left unterminated or unparsable by a crash
-    inside a write is dropped on open (file truncated to the last good
-    newline, ``torn_records`` counts it); any other bad line raises."""
+    commit at once.  A last line a crash inside a write left unterminated or
+    not JSON is dropped on open (file truncated to the last good newline,
+    ``torn_records`` counts it); any other bad line — JSON that is no record
+    of this format, the last line included — raises, naming path and line."""
 
     def __init__(self, path):
         super().__init__()
@@ -84,7 +85,8 @@ class FileEventLog(MemoryEventLog):
                 if line.strip():
                     self._entries.append(record_from_dict(json.loads(line)))
             except (ValueError, TypeError) as exc:
-                if torn or number < len(lines):
+                json_error = isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError))
+                if torn or number < len(lines) or not json_error:
                     raise ValueError(
                         f"{self.path}:{number}: unparsable log record: {exc}"
                     ) from exc

@@ -8,10 +8,10 @@ bit-for-bit deterministic.
 
 The records fall into three groups:
 
-* **subscription lifecycle** — :class:`SubscribeRecorded` (with the
-  original envelope *and* the granted subscription id, so replay can
-  re-grant the request while pinning the identifier and the manager
-  EPR), :class:`RenewRecorded`, :class:`RemoveRecorded`,
+* **subscription lifecycle** — :class:`SubscribeRecorded` (the grant as
+  made, not the request: replay restores it with its id, so the manager
+  EPRs clients hold stay valid, and its absolute expiry),
+  :class:`RenewRecorded`, :class:`RemoveRecorded`,
   :class:`PauseRecorded`, :class:`PullDrainRecorded`;
 * **publishes** — :class:`PublishRecorded`, appended *before* fan-out
   (the transactional outbox);
@@ -47,16 +47,23 @@ class _Record:
 
 @dataclass(frozen=True)
 class SubscribeRecorded(_Record):
-    """A granted Subscribe: wire bytes plus the identifier it minted."""
+    """A granted Subscribe: the :class:`~repro.subscriptions.Grant` made, not the request."""
 
     kind: ClassVar[str] = "subscribe"
     at: float
     family: str  # "wse" | "wsn"
     tag: str  # version tag, e.g. "v2004_08" / "v1_3"
     sub_id: str
-    action: str  # SOAPAction of the original request
-    wire: str  # the original Subscribe envelope, serialized
     expires: Optional[float]  # granted *absolute* expiry (virtual seconds)
+    consumer: Optional[str]  # the consumer's address; None in pull mode
+    consumer_epr: Optional[str]  # the EPR whole, if it has reference parameters / properties
+    end_to: Optional[str]
+    end_to_epr: Optional[str]
+    filter: Dict[str, Any]  # the filter parts (build_filter's arguments)
+    qos: Optional[Dict[str, str]]  # the accepted QoS profile, property -> wire text
+    mode: str  # "Push" | "Pull" | "Wrap"
+    use_raw: bool
+    topic: Optional[str]  # the topic expression a subscription keeps
 
 
 @dataclass(frozen=True)
@@ -137,13 +144,20 @@ def _float_text(value: float) -> str:
     return _NON_FINITE.get(text, text)  # json.dumps' spellings
 
 
-#: JSON text of each scalar a record field can hold, by exact type
+def _dict_text(value: Dict[str, Any]) -> str:
+    """A nested object: keys sorted, each value through the same table."""
+    text = _SCALAR_TEXT
+    return "{%s}" % ",".join(f"{text[str](k)}:{text[type(v)](v)}" for k, v in sorted(value.items()))
+
+
+#: JSON text of each value a record field can hold, by exact type
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     float: _float_text,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
+    dict: _dict_text,
 }
 
 _RECORD_TYPES = {cls.kind: cls for cls in _Record.__subclasses__()}
@@ -170,10 +184,9 @@ def encode_line(record: Any) -> str:
 
 
 def record_from_dict(doc: Dict[str, Any]) -> Any:
-    """Rebuild a typed record from its serialized form."""
+    """Rebuild a typed record from its serialized form: its fields, no others."""
     kind = doc.get("kind")
     cls = _RECORD_TYPES.get(kind)  # type: ignore[arg-type]
     if cls is None:
         raise ValueError(f"unknown log record kind {kind!r}")
-    names = _LINE_LAYOUTS[cls][1]
-    return cls(**{key: value for key, value in doc.items() if key in names})
+    return cls(**{key: value for key, value in doc.items() if key != "kind"})

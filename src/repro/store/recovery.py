@@ -6,13 +6,14 @@ interleaving of lifecycle and publish records is exactly what makes the
 rebuilt projections (subscription stores, topic indexes, pull queues,
 message boxes, DLQ) converge on the pre-crash state:
 
-* ``subscribe`` records are re-granted below the wire — the recorded
-  envelope, parsed once, goes to ``grant`` of the service the record names:
-  no transport, detection, routing or response, a restart is not traffic —
-  with the subscription identifier pinned (``SubscriptionManager.forced_id``),
-  so the manager EPRs clients hold, which embed the id, stay valid; the
-  *granted absolute expiry* is then forced back, so a replay at a later virtual
-  time never extends a lease (an already-expired subscription replays expired);
+* ``subscribe`` records are grants, handed back to ``grant`` of the service
+  the record names as made — no XML, no family code, no version rules, no
+  transport (a restart is not traffic) — with the id pinned, so the manager
+  EPRs clients hold stay valid, and the *granted absolute expiry*, so a
+  replay never extends a lease.  A lapsed one comes back lapsed and nothing
+  sweeps during replay: one the pre-crash sweep ended (``remove`` follows) is
+  forgotten silently, the first sweep after recovery ends the rest — one end
+  notice per subscription across the crash;
 * ``publish`` records re-run fan-out with ``current_message_id`` pinned,
   and the delivery manager consults the store's settlement index per
   task: settled obligations are suppressed, pre-crash parked items are
@@ -37,9 +38,8 @@ from __future__ import annotations
 
 from repro.obs.lineage import CLOSING_STATES, OPENING_STATES
 from repro.obs.propagation import LineageContext
-from repro.soap.codec import SoapCodecError, parse_envelope
 from repro.soap.fault import SoapFault
-from repro.store.core import BrokerStore
+from repro.store.core import BrokerStore, grant_of
 from repro.store.records import (
     PauseRecorded,
     PublishRecorded,
@@ -70,14 +70,19 @@ def replay_log(broker) -> None:
     """Replay the attached store's log into a freshly-built broker."""
     store = broker.store
     assert store is not None, "replay_log needs a store-backed broker"
+    managers = [manager for _, _, manager in broker.subscription_managers()]
     store.replaying = True
     saved_router, broker.publish_router = broker.publish_router, None
+    for manager in managers:
+        manager.restoring = True
     try:
         for record in store.log.records():
             replay = REPLAY.get(type(record))  # an outcome replays as nothing
             if replay is not None:
                 replay(broker, store, record)
     finally:
+        for manager in managers:
+            manager.restoring = False
         broker.publish_router = saved_router
         store.replaying = False
         store.current_message_id = None
@@ -102,16 +107,9 @@ def _record_of(broker, family: str, tag: str, sub_id: str):
     return service.subscriptions, service.subscriptions.find(sub_id)
 
 
-def _force_expiry(manager, subscription, expires) -> None:
-    """Pin the *granted* absolute expiry from the record, overriding
-    whatever a duration-based request re-granted relative to replay time."""
-    subscription.termination_time = expires
-    manager.note_termination(subscription)
-
-
 def _unrestored(broker, **why: str) -> None:
-    """The logged Subscribe no longer takes (e.g. a consumer EPR whose zone
-    vanished): count it, instead of moving on as if it had been restored."""
+    """The logged grant no longer takes (garbled, or a QoS profile now refused):
+    count it, instead of moving on as if it had been restored."""
     broker.network.instrumentation.count(
         "obs.swallowed_errors_total", site="store.recovery.replay_subscribe", **why
     )
@@ -121,25 +119,23 @@ def _replay_subscribe(broker, store, record: SubscribeRecorded) -> None:
     service = _service(broker, record.family, record.tag)
     if service is None:
         return  # version not enabled on the recovering broker
-    manager = service.subscriptions
-    manager.forced_id = record.sub_id
     try:
-        subscription = service.grant(parse_envelope(record.wire))
-    except SoapCodecError:
+        grant = grant_of(record)
+    except ValueError:
         return _unrestored(broker, reason="unparseable")
+    try:
+        service.grant(grant)
     except SoapFault as fault:
         subcode = fault.subcode.local if fault.subcode is not None else ""
         return _unrestored(broker, reason="fault", subcode=subcode)
-    finally:
-        manager.forced_id = None  # a refused grant must not name the next live one
-    _force_expiry(manager, subscription, record.expires)
     store.stats.recovered_subscriptions += 1
 
 
 def _replay_renew(broker, store, record: RenewRecorded) -> None:
     manager, subscription = _record_of(broker, record.family, record.tag, record.sub_id)
     if subscription is not None:
-        _force_expiry(manager, subscription, record.expires)
+        subscription.termination_time = record.expires  # as granted, not re-granted now
+        manager.note_termination(subscription)
 
 
 def _replay_remove(broker, store, record: RemoveRecorded) -> None:

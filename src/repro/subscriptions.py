@@ -9,12 +9,14 @@ termination time the granted expiry) and one lifecycle::
 
     created -> active <-> paused -> expired | unsubscribed | ended
 
-:class:`SubscriptionManager` owns id minting (with the forced id of log
-replay), :meth:`~SubscriptionManager.grant_expiry`, creation in the one safe
-order, liveness lookup, renew, pause / resume, the bounded parked queue and
-removal; it reports every transition to ``listeners`` as ``(event,
-subscription, detail)`` and fails with one neutral :class:`SubscriptionError`.
-A family keeps what Table 2 says differs: parsing a request, rendering the
+Every family's Subscribe becomes one :class:`Grant`, paper §VII's internal
+model: the one :meth:`SubscriptionService.grant` makes it, the store logs it
+as made, and a restart hands it back with its id and expiry pinned.
+:class:`SubscriptionManager` owns id minting, ``grant_expiry``, creation in
+the one safe order, liveness lookup, renew, pause / resume, the bounded
+parked queue and removal; it reports every transition to ``listeners`` as
+``(event, subscription, detail)`` and fails with one :class:`SubscriptionError`.
+A family keeps what Table 2 says differs: reading a request, rendering the
 response, a fault table (error kind x operation -> fault subcode) and
 an end-notice table (removal reason -> SubscriptionEnd /
 TerminationNotification), handed in as ``announce``.
@@ -28,9 +30,9 @@ manager", has the operation-by-operation map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
 
 from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterError
 from repro.filters.content import MessageContentFilter, content_expression_of
@@ -125,6 +127,22 @@ def build_filter(
     return parts[0] if len(parts) == 1 else AndFilter(parts)
 
 
+@dataclass(frozen=True)
+class Grant:
+    """A subscription as granted, whichever family asked for it.  Read off
+    the wire it has no ``sub_id`` and no ``expires`` yet; logged, it has both."""
+
+    consumer: Optional[EndpointReference]  # NotifyTo / ConsumerReference; None: pull
+    filter_parts: Mapping[str, Any]  # build_filter's arguments: the parts asked for
+    expires: Optional[float] = None  # the granted *absolute* expiry (None = never)
+    qos: Optional[QosProfile] = None  # the accepted profile
+    mode: DeliveryMode = DeliveryMode.PUSH
+    end_to: Optional[EndpointReference] = None
+    use_raw: bool = False
+    topic_expression: Optional[str] = None
+    sub_id: Optional[str] = None
+
+
 @dataclass(eq=False)
 class Subscription(WsResource):
     """One subscription, whichever family granted it."""
@@ -178,13 +196,12 @@ class SubscriptionManager(ResourceRegistry):
         #: empty exactly when there is no subscription, swept or not
         self.records: dict[str, Subscription] = self._resources
         self.index = TopicSubscriptionIndex()
-        #: ``(event, subscription, detail)`` with events created | renewed |
-        #: paused | resumed | pulled (count) | removed (reason)
+        #: ``(event, subscription, detail)`` with events created (grant, as
+        #: made) | renewed | paused | resumed | pulled (count) | removed (reason)
         self.listeners: list[Callable[[str, Subscription, dict], None]] = []
-        #: log replay pins the id the next :meth:`subscribe` mints, and
-        #: clears it once its request is answered (a faulting request must
-        #: not leak it into a later subscription)
-        self.forced_id: Optional[str] = None
+        #: True during log replay, which sweeps nothing: a lapsed lease waits
+        #: for the first sweep after it (see repro.store.recovery)
+        self.restoring = False
 
     def fire(self, event: str, subscription: Subscription, **detail) -> None:
         for listener in self.listeners:
@@ -236,37 +253,32 @@ class SubscriptionManager(ResourceRegistry):
         except QosError as exc:
             raise SubscriptionError("unsupported_qos", f"unsupported QoS: {exc}") from exc
 
-    def subscribe(
-        self,
-        *,
-        consumer: Optional[EndpointReference],
-        filter_parts: dict,
-        expires_text: Optional[str],
-        qos: Optional[QosProfile] = None,
-        **extras,
-    ) -> Subscription:
-        """Create a subscription; ``filter_parts`` are :func:`build_filter`'s
-        arguments.  The order is the contract: filter and expiry are
-        validated, then the profile is accepted, then the id is minted, then
-        the index learns of it — a request that faults leaves nothing behind."""
-        filter = build_filter(**filter_parts)
-        expires = self.grant_expiry(expires_text)
-        accepted = self._accept_qos(qos, consumer)
-        forced, self.forced_id = self.forced_id, None
+    def subscribe(self, grant: Grant, expires_text: Optional[str] = None) -> Subscription:
+        """Create the subscription ``grant`` describes: a request (no ``sub_id``)
+        has its expiry granted from ``expires_text``, a logged grant keeps
+        both.  The order is the contract: filter and expiry are validated,
+        then the profile is accepted, then the id is minted, then the index
+        learns of it — a request that faults leaves nothing behind."""
+        filter = build_filter(**grant.filter_parts)
+        expires = self.grant_expiry(expires_text) if grant.sub_id is None else grant.expires
+        accepted = self._accept_qos(grant.qos, grant.consumer)
         subscription = self.create(
-            key=forced,
+            key=grant.sub_id,
             factory=Subscription,
             termination_time=expires,
-            consumer=consumer,
+            consumer=grant.consumer,
             filter=filter,
             qos=accepted,
             priority=int(accepted.get("Priority")) if accepted is not None else 0,
-            **extras,
+            mode=grant.mode, end_to=grant.end_to,
+            use_raw=grant.use_raw, topic_expression=grant.topic_expression,
         )
         self.index.add(
             subscription.key, topic_expression_of(filter), content_expression_of(filter)
         )
-        self.fire("created", subscription)
+        if grant.sub_id is None:
+            grant = replace(grant, expires=expires, qos=accepted, sub_id=subscription.key)
+        self.fire("created", subscription, grant=grant)
         return subscription
 
     # --- the operations of Table 2 ---------------------------------------------------
@@ -507,6 +519,11 @@ class SubscriptionService:
             rows = self._faults
             subcode = rows.get((error.kind, operation)) or rows.get((error.kind, None))
             raise SoapFault(FaultCode.SENDER, str(error), subcode=subcode) from error
+
+    def grant(self, grant: Grant, expires_text: Optional[str] = None) -> Subscription:
+        """Subscribe below the wire — a request ``read_subscribe`` read, or a
+        logged grant: the subscription, or the family's fault."""
+        return self._core("subscribe", self.subscriptions.subscribe, grant, expires_text)
 
     def _lookup(self, sub_id: str) -> Subscription:
         return self._core("lookup", self.subscriptions.lookup, sub_id)

@@ -21,7 +21,7 @@ Filter element carries them as attributes in a private namespace
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -29,7 +29,7 @@ from repro.qos.properties import QosError, QosProfile
 from repro.qos.wire import find_profile, profile_to_element
 from repro.render import Entry
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import SubscriptionHandle, Verb
+from repro.subscriptions import Grant, SubscriptionHandle, Verb
 from repro.wsa.epr import EndpointReference
 from repro.wse.model import DeliveryMode, SubscriptionEndCode
 from repro.wse.versions import WseVersion
@@ -51,21 +51,6 @@ def decode_filter_namespaces(filter_elem: XElem) -> dict[str, str]:
         if attr.namespace == FILTER_NS_BINDING and attr.local.startswith("ns-"):
             namespaces[attr.local[3:]] = uri
     return namespaces
-
-
-@dataclass
-class SubscribeRequest:
-    """Parsed content of a wse:Subscribe body."""
-
-    mode: DeliveryMode
-    notify_to: Optional[EndpointReference]
-    end_to: Optional[EndpointReference]
-    expires_text: Optional[str]
-    filter_expression: Optional[str]
-    filter_dialect: Optional[str]
-    filter_namespaces: dict[str, str] = field(default_factory=dict)
-    #: requested QoS profile (the qos:Profile extension element), if any
-    qos: Optional[QosProfile] = None
 
 
 def build_subscribe(
@@ -107,7 +92,8 @@ def build_subscribe(
     return subscribe
 
 
-def parse_subscribe(body: XElem, version: WseVersion) -> SubscribeRequest:
+def parse_subscribe(body: XElem, version: WseVersion) -> tuple[Grant, Optional[str]]:
+    """A wse:Subscribe body as the grant it asks for, and its Expires text."""
     if body.name != version.qname("Subscribe"):
         raise SoapFault(
             FaultCode.SENDER,
@@ -138,13 +124,15 @@ def parse_subscribe(body: XElem, version: WseVersion) -> SubscribeRequest:
     expires_elem = body.find(version.qname("Expires"))
     expires_text = expires_elem.full_text().strip() if expires_elem is not None else None
     filter_elem = body.find(version.qname("Filter"))
+    parts = {}
     if filter_elem is not None:
-        expression = filter_elem.full_text().strip()
-        dialect = filter_elem.attrs.get(QName("", "Dialect"), Namespaces.DIALECT_XPATH10)
-        namespaces = decode_filter_namespaces(filter_elem)
-    else:
-        expression = dialect = None
-        namespaces = {}
+        parts = {
+            "content": filter_elem.full_text().strip(),
+            "content_namespaces": decode_filter_namespaces(filter_elem),
+            "content_dialect": filter_elem.attrs.get(
+                QName("", "Dialect"), Namespaces.DIALECT_XPATH10
+            ),
+        }
     try:
         qos = find_profile(body)
     except QosError as exc:
@@ -153,10 +141,7 @@ def parse_subscribe(body: XElem, version: WseVersion) -> SubscribeRequest:
             f"unsupported QoS: {exc}",
             subcode=version.qname("UnsupportedQoS"),
         ) from exc
-    return SubscribeRequest(
-        mode, notify_to, end_to, expires_text, expression, dialect, namespaces,
-        qos=qos,
-    )
+    return Grant(notify_to, parts, qos=qos, mode=mode, end_to=end_to), expires_text
 
 
 # --- subscription identity ---------------------------------------------------

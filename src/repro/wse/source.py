@@ -18,7 +18,7 @@ from repro.render import Entry
 from repro.transport.clock import ClockScheduler
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import Operation, OperationTable, Subscription, SubscriptionService
+from repro.subscriptions import Grant, Operation, OperationTable, Subscription, SubscriptionService
 from repro.transport.network import SimulatedNetwork
 from repro.wsa.headers import MessageHeaders
 from repro.wse import messages
@@ -127,9 +127,9 @@ class EventSource(SubscriptionService):
 
     # --- subscribe --------------------------------------------------------------
 
-    def grant(self, envelope: SoapEnvelope) -> Subscription:
-        """Subscribe below the wire (log replay re-grants here): the subscription, or its fault."""
-        request = messages.parse_subscribe(envelope.body_element(), self.version)
+    def read_subscribe(self, envelope: SoapEnvelope) -> tuple[Grant, Optional[str]]:
+        """Subscribe as the grant asked for and the expiry it requests, or a fault."""
+        request, expires_text = messages.parse_subscribe(envelope.body_element(), self.version)
         # pull delivery is the Pull operation: a version without the row has no such mode
         if request.mode is DeliveryMode.PULL and not any(
             row.name == "Pull" for row in self.operations.rows
@@ -145,25 +145,12 @@ class EventSource(SubscriptionService):
                 "wrapped delivery unavailable in WS-Eventing 01/2004",
                 subcode=self.version.qname("DeliveryModeRequestedUnavailable"),
             )
-        if request.mode is not DeliveryMode.PULL and request.notify_to is None:
+        if request.mode is not DeliveryMode.PULL and request.consumer is None:
             raise SoapFault(FaultCode.SENDER, "push/wrapped delivery requires NotifyTo")
-        return self._core(
-            "subscribe",
-            self.subscriptions.subscribe,
-            consumer=request.notify_to,
-            filter_parts={
-                "content": request.filter_expression,
-                "content_namespaces": request.filter_namespaces,
-                "content_dialect": request.filter_dialect,
-            },
-            expires_text=request.expires_text,
-            qos=request.qos,
-            end_to=request.end_to,
-            mode=request.mode,
-        )
+        return request, expires_text
 
     def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self.grant(envelope)
+        subscription = self.grant(*self.read_subscribe(envelope))
         response_body = messages.build_subscribe_response(
             self.version,
             sub_id=subscription.key,

@@ -25,7 +25,7 @@ from typing import Optional
 from repro.qos.properties import QosError, QosProfile
 from repro.qos.wire import find_profile, profile_to_element
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import SubscriptionHandle, Verb, read_current_message
+from repro.subscriptions import Grant, SubscriptionHandle, Verb, read_current_message
 from repro.wsa.epr import EndpointReference
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem, text_element
@@ -46,17 +46,6 @@ class WsnFilterSpec:
     message_content: Optional[str] = None
     message_content_dialect: str = Namespaces.DIALECT_XPATH10
     namespaces: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class WsnSubscribeRequest:
-    consumer: EndpointReference
-    filter: WsnFilterSpec
-    initial_termination_text: Optional[str]
-    use_raw: bool  # False = wrapped Notify (the default in every version)
-    #: requested QoS profile (1.3: inside SubscriptionPolicy; 1.0/1.2: a
-    #: direct extension child of Subscribe), if any
-    qos: Optional[QosProfile] = None
 
 
 def build_subscribe(
@@ -123,27 +112,28 @@ def _append_filter_parts(version: WsnVersion, parent: XElem, filter: WsnFilterSp
         parent.append(content)
 
 
-def parse_subscribe(body: XElem, version: WsnVersion) -> WsnSubscribeRequest:
+def parse_subscribe(body: XElem, version: WsnVersion) -> tuple[Grant, Optional[str]]:
+    """A wsnt:Subscribe body as the grant it asks for, and its InitialTerminationTime."""
     if body.name != version.qname("Subscribe"):
         raise SoapFault(FaultCode.SENDER, f"expected wsnt:Subscribe, got {body.name}")
     consumer_elem = body.find(version.qname("ConsumerReference"))
     if consumer_elem is None:
         raise SoapFault(FaultCode.SENDER, "Subscribe has no ConsumerReference")
     consumer = EndpointReference.from_element(consumer_elem, version.wsa_version)
-    filter = WsnFilterSpec()
-    use_raw = False
+    parts: dict = {}
+    use_raw = False  # a wrapped Notify, the default in every version
     qos_parent = body
     if version.has_filter_element:
         filter_elem = body.find(version.qname("Filter"))
         if filter_elem is not None:
-            _parse_filter_parts(version, filter_elem, filter)
+            _parse_filter_parts(version, filter_elem, parts)
         policy = body.find(version.qname("SubscriptionPolicy"))
         if policy is not None:
             if policy.find(version.qname("UseRaw")) is not None:
                 use_raw = True
             qos_parent = policy
     else:
-        _parse_filter_parts(version, body, filter)
+        _parse_filter_parts(version, body, parts)
         use_notify = body.find(version.qname("UseNotify"))
         if use_notify is not None and use_notify.full_text().strip() == "false":
             use_raw = True
@@ -159,27 +149,29 @@ def parse_subscribe(body: XElem, version: WsnVersion) -> WsnSubscribeRequest:
         ) from exc
     term_elem = body.find(version.qname("InitialTerminationTime"))
     termination = term_elem.full_text().strip() if term_elem is not None else None
-    return WsnSubscribeRequest(consumer, filter, termination, use_raw, qos=qos)
+    topic = parts.get("topic")
+    return Grant(consumer, parts, qos=qos, use_raw=use_raw, topic_expression=topic), termination
 
 
-def _parse_filter_parts(version: WsnVersion, parent: XElem, filter: WsnFilterSpec) -> None:
+def _parse_filter_parts(version: WsnVersion, parent: XElem, parts: dict) -> None:
+    namespaces: dict[str, str] = {}
     topic = parent.find(version.qname("TopicExpression"))
     if topic is not None:
-        filter.topic_expression = topic.full_text().strip()
-        filter.topic_dialect = topic.attrs.get(_DIALECT, Namespaces.DIALECT_TOPIC_CONCRETE)
+        parts["topic"] = topic.full_text().strip()
+        parts["topic_dialect"] = topic.attrs.get(_DIALECT, Namespaces.DIALECT_TOPIC_CONCRETE)
     props = parent.find(version.qname("ProducerProperties"))
     if props is not None:
-        filter.producer_properties = props.full_text().strip()
-        filter.namespaces.update(decode_filter_namespaces(props))
+        parts["properties"] = props.full_text().strip()
+        parts["properties_namespaces"] = namespaces
+        namespaces.update(decode_filter_namespaces(props))
     content = parent.find(version.qname("MessageContent")) or parent.find(
         version.qname("Selector")
     )
     if content is not None:
-        filter.message_content = content.full_text().strip()
-        filter.message_content_dialect = content.attrs.get(
-            _DIALECT, Namespaces.DIALECT_XPATH10
-        )
-        filter.namespaces.update(decode_filter_namespaces(content))
+        parts["content"] = content.full_text().strip()
+        parts["content_dialect"] = content.attrs.get(_DIALECT, Namespaces.DIALECT_XPATH10)
+        parts["content_namespaces"] = namespaces
+        namespaces.update(decode_filter_namespaces(content))
 
 
 # --- SubscribeResponse -----------------------------------------------------------

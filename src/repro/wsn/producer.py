@@ -19,12 +19,12 @@ from repro.filters.producer import properties_document
 from repro.filters.topics import TopicNamespace
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import Operation, OperationTable, Subscription, SubscriptionService
+from repro.subscriptions import Grant, Operation, OperationTable, Subscription, SubscriptionService
 from repro.transport.network import SimulatedNetwork
 from repro.render import Entry, reference_shape
 from repro.wsa.headers import MessageHeaders
 from repro.wsn import messages
-from repro.wsn.messages import PROP_STATUS, NotificationMessage, WsnSubscribeRequest
+from repro.wsn.messages import PROP_STATUS, NotificationMessage
 from repro.wsn.templates import NotifyEntry
 from repro.wsn.versions import WsnVersion
 from repro.wsrf.lifetime import UnableToSetTerminationTimeFault, set_termination_time
@@ -165,13 +165,19 @@ class NotificationProducer(SubscriptionService):
 
     # --- subscribe -----------------------------------------------------------
 
-    def grant(self, envelope: SoapEnvelope) -> Subscription:
-        """Subscribe below the wire (log replay re-grants here): the subscription, or its fault."""
-        request = messages.parse_subscribe(envelope.body_element(), self.version)
-        return self.create_subscription(request)
+    def read_subscribe(self, envelope: SoapEnvelope) -> tuple[Grant, Optional[str]]:
+        """Subscribe as the grant asked for and the expiry it requests, or a fault."""
+        request, termination_text = messages.parse_subscribe(envelope.body_element(), self.version)
+        if self.version.requires_topic and request.topic_expression is None:
+            raise SoapFault(
+                FaultCode.SENDER,
+                f"WS-BaseNotification {self.version.name} requires a TopicExpression",
+                subcode=self.version.qname("TopicExpressionRequired"),
+            )
+        return request, termination_text
 
     def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self.grant(envelope)
+        subscription = self.grant(*self.read_subscribe(envelope))
         termination = subscription.termination_time
         body = messages.build_subscribe_response(
             self.version,
@@ -183,34 +189,6 @@ class NotificationProducer(SubscriptionService):
             ),
         )
         return self._reply(headers, self.version.action("SubscribeResponse"), body)
-
-    def create_subscription(self, request: WsnSubscribeRequest) -> Subscription:
-        """Core Subscribe logic (also called in-process by the broker)."""
-        spec = request.filter
-        if self.version.requires_topic and spec.topic_expression is None:
-            raise SoapFault(
-                FaultCode.SENDER,
-                f"WS-BaseNotification {self.version.name} requires a TopicExpression",
-                subcode=self.version.qname("TopicExpressionRequired"),
-            )
-        return self._core(
-            "subscribe",
-            self.subscriptions.subscribe,
-            consumer=request.consumer,
-            filter_parts={
-                "topic": spec.topic_expression,
-                "topic_dialect": spec.topic_dialect,
-                "properties": spec.producer_properties,
-                "properties_namespaces": spec.namespaces,
-                "content": spec.message_content,
-                "content_namespaces": spec.namespaces,
-                "content_dialect": spec.message_content_dialect,
-            },
-            expires_text=request.initial_termination_text,
-            qos=request.qos,
-            use_raw=request.use_raw,
-            topic_expression=spec.topic_expression,
-        )
 
     def _resource_view(self, subscription: Subscription) -> WsResource:
         """The subscription's resource-property document, rendered from the

@@ -113,6 +113,17 @@ VERBS = (
 )
 
 
+def mint_once(manager, sub_id):
+    """The next subscription ``manager`` creates gets ``sub_id`` as its key."""
+    create = manager.create
+
+    def pinned(**fields):
+        del manager.create  # back to the class's own
+        return create(**{**fields, "key": sub_id})
+
+    manager.create = pinned
+
+
 def lifecycle(network, stack, version, sub_id):
     """Drives every verb the client's table has a row for; the rows are read
     off ``client.table``, so a table that gains one drives it here too."""
@@ -120,7 +131,8 @@ def lifecycle(network, stack, version, sub_id):
     assert set(client.verbs) - {"subscribe"} <= set(VERBS), "a verb this lifecycle does not know"
     served = {row.name for row in client.table.rows if not row.one_way}
     lease = lambda offset: format_datetime(network.clock.now() + offset)  # noqa: E731
-    source.subscriptions.forced_id = sub_id
+    if sub_id is not None:
+        mint_once(source.subscriptions, sub_id)
     handle = subscribe(expires=lease(60.0))
     source.publish(event(), topic=TOPIC)
     arguments = {

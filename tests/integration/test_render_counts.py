@@ -18,6 +18,7 @@ from repro.messenger import WsMessenger
 from repro.obs import Instrumentation
 from repro.soap.envelope import SoapVersion
 from repro.store import BrokerStore
+from repro.subscriptions import Grant
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.transport.endpoint import SoapEndpoint
 from repro.util.xstime import format_datetime
@@ -27,7 +28,6 @@ from repro.wsa.versions import WsaVersion
 from repro.wse import EventSink, WseSubscriber
 from repro.wse.versions import WseVersion
 from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber
-from repro.wsn.messages import WsnFilterSpec, WsnSubscribeRequest
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit import parse_xml
 from repro.xmlkit.element import XElem, text_element
@@ -117,14 +117,9 @@ def hot_topic_producer(subscribers: int, selectivity: float, *, batching=None):
     matching = max(1, int(subscribers * selectivity))
     sink = EndpointReference("http://counts-sink")
     for i in range(subscribers):
-        producer.create_subscription(
-            WsnSubscribeRequest(
-                consumer=sink,
-                filter=WsnFilterSpec(topic_expression=HOT if i < matching else f"fan/cold-{i}"),
-                initial_termination_text=None,
-                use_raw=False,
-            )
-        )
+        topic = HOT if i < matching else f"fan/cold-{i}"
+        parts = {"topic": topic, "topic_dialect": Namespaces.DIALECT_TOPIC_CONCRETE}
+        producer.grant(Grant(sink, parts, topic_expression=topic))
     return network, instrumentation, producer, matching
 
 
@@ -182,7 +177,7 @@ def lifecycle(network, broker, version, consumer) -> None:
     (client.unsubscribe if native else client.destroy)(handle)
 
 
-def test_a_warm_control_lifecycle_serialises_one_tree_and_compiles_nothing(monkeypatch):
+def test_a_warm_control_lifecycle_serialises_and_compiles_nothing(monkeypatch):
     monkeypatch.setattr(render, "FRAMES", render.TemplateCache())
     network = SimulatedNetwork(VirtualClock())
     broker = WsMessenger(network, "http://counts-broker", store=BrokerStore())
@@ -197,11 +192,35 @@ def test_a_warm_control_lifecycle_serialises_one_tree_and_compiles_nothing(monke
     TEMPLATE_STATS.reset()
     lifecycle(network, broker, WsnVersion.V1_3, consumers[WsnVersion.V1_3])
     assert network.stats.requests - requests == 6
-    # six requests, six replies: the one tree is the Subscribe envelope the
-    # store logs (``BrokerStore.record_subscribe``) — log bytes do not move
-    assert WRITER_STATS.tree_serializations - trees == 1
+    # six requests, six replies, every one framed; the store logs the grant
+    # the Subscribe made, not its envelope (``BrokerStore.record_subscribe``)
+    assert WRITER_STATS.tree_serializations - trees == 0
     assert TEMPLATE_STATS.snapshot() == {"hits": 12, "misses": 0, "fallbacks": 0}
     assert len(render.FRAMES) == held
+
+
+@pytest.mark.parametrize("parameters, trees", [(0, 0), (1, 1)], ids=["address", "parameter"])
+def test_a_warm_subscribe_logs_its_grant_serialising_only_a_consumer_with_parameters(
+    parameters, trees, monkeypatch
+):
+    """The store logs what a Subscribe granted, not the request: a consumer
+    that is an address costs no tree, one whose EPR carries a reference
+    parameter exactly one — that EPR, written whole."""
+    monkeypatch.setattr(render, "FRAMES", render.TemplateCache())
+    network = SimulatedNetwork(VirtualClock())
+    broker = WsMessenger(network, "http://counts-broker", store=BrokerStore())
+    consumer = NotificationConsumer(network, "http://counts-sink/grant")
+    epr = consumer.epr()
+    for n in range(parameters):
+        epr.with_parameter(text_element(QName("urn:counts", f"p{n}"), "v"))
+    client = WsnSubscriber(network)
+    client.subscribe(broker.epr(), epr, topic="fan")  # the warm-up compiles the heads
+    before = WRITER_STATS.tree_serializations
+    client.subscribe(broker.epr(), epr, topic="fan")
+    assert WRITER_STATS.tree_serializations - before == trees
+    record = broker.store.log.records()[-1]
+    assert record.consumer == epr.address
+    assert (record.consumer_epr is not None) == bool(parameters)
 
 
 def test_distinct_reference_parameter_shapes_stay_under_the_lru_bound(monkeypatch):

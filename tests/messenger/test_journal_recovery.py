@@ -1,8 +1,9 @@
 """Broker crash recovery: the event log is the subscription journal.
 
 These are the behaviours the retired ``SubscriptionJournal`` was tested for
-(every accepted Subscribe is journalled verbatim and replayed at a fresh
-broker, ids / manager EPRs / granted expiries survive), ported to what
+(every accepted Subscribe is journalled — as the grant it made, not its
+bytes — and replayed at a fresh broker, ids / manager EPRs / granted
+expiries survive), ported to what
 subsumed it: ``WsMessenger(store=BrokerStore(log))`` + ``recover_broker``.
 A store implies the delivery manager, so a consumer that vanished with the
 broker dead-letters instead of being reaped on first failure.
@@ -58,7 +59,11 @@ class TestJournal:
         broker = _broker(network)
         _populate(network, broker)
         broker.publish(event(), topic="jr")  # logged, but not as a Subscribe
-        assert len(_journalled(broker)) == 2
+        # each as the grant it made: who is notified, of what, until when
+        journalled = _journalled(broker)
+        assert [r.consumer for r in journalled] == ["http://jr-sink", "http://jr-consumer"]
+        assert journalled[1].topic == journalled[1].filter["topic"] == "jr"
+        assert all(r.expires is not None and r.consumer_epr is None for r in journalled)
 
     def test_failed_subscribe_not_journalled(self, network):
         broker = _broker(network)

@@ -228,15 +228,22 @@ def test_store_recovery_counts_failed_subscribe_replay():
     instrumentation = Instrumentation.attach(network)
     store = BrokerStore(MemoryEventLog())
     broker = WsMessenger(network, "http://replay-broker", store=store)
-    # a logged Subscribe whose wire bytes are no envelope: nothing to grant
+    # a logged grant whose consumer EPR is no EPR: nothing to grant
     record = SubscribeRecorded(
         at=0.0,
         family="wsn",
         tag="v1_3",
         sub_id="sub-bogus",
-        action="urn:not-subscribe",
-        wire="<bogus/>",
         expires=None,
+        consumer="http://consumer",
+        consumer_epr="<bogus/>",
+        end_to=None,
+        end_to_epr=None,
+        filter={"topic": "t"},
+        qos=None,
+        mode="Push",
+        use_raw=False,
+        topic="t",
     )
     _replay_subscribe(broker, store, record)
     assert store.stats.recovered_subscriptions == 0  # the replay moved on...

@@ -16,7 +16,14 @@ from repro.store import (
     SubscribeRecorded,
     record_from_dict,
 )
+from repro.qos import DiscardPolicy, QosProfile
+from repro.store import BrokerStore
+from repro.store.core import grant_of
 from repro.store.records import encode_line
+from repro.subscriptions import Grant
+from repro.wsa.epr import EndpointReference
+from repro.xmlkit.element import text_element
+from repro.xmlkit.names import Namespaces, QName
 
 
 def reference_line(record):
@@ -35,13 +42,25 @@ HOSTILE_TEXT = (
 HOSTILE_FLOATS = (1e22, 5e-324, -0.0, 0.1 + 0.2, 1.0, 123456789.125, float("inf"))
 
 
+def subscribe_record(**fields):
+    """A Subscribe record of a plain push subscription, ``fields`` changed."""
+    return SubscribeRecorded(**{
+        "at": 1.0, "family": "wse", "tag": "v2004_08", "sub_id": "wse-sub-1",
+        "expires": 3601.0, "consumer": "http://sink", "consumer_epr": None,
+        "end_to": None, "end_to_epr": None, "filter": {}, "qos": None,
+        "mode": "Push", "use_raw": False, "topic": None, **fields,
+    })
+
+
 def hostile_records():
     """All seven record types, every field holding something awkward."""
     text = HOSTILE_TEXT
     records = [
-        SubscribeRecorded(
-            at=0.1 + 0.2, family=text, tag="v1_3", sub_id=text, action=text,
-            wire=text * 3, expires=None,
+        subscribe_record(
+            at=0.1 + 0.2, family=text, tag="v1_3", sub_id=text, expires=None,
+            consumer=text, consumer_epr=text * 3, end_to=text, end_to_epr=text,
+            filter={text: text, "content_namespaces": {text: text, "": ""}, "z": {}},
+            qos={text: text, "Priority": "7"}, mode=text, use_raw=True, topic=text,
         ),
         RemoveRecorded(at=3, family="wsn", tag=text, sub_id=text),
         RemoveRecorded(at=3.5, family="wsn", tag="t", sub_id="s", reason=text),
@@ -64,15 +83,7 @@ def hostile_records():
 class TestRecords:
     def test_roundtrip_every_record_type(self):
         records = [
-            SubscribeRecorded(
-                at=1.0,
-                family="wse",
-                tag="v2004_08",
-                sub_id="wse-sub-1",
-                action="urn:Subscribe",
-                wire="<Envelope/>",
-                expires=3601.0,
-            ),
+            subscribe_record(filter={"content": "/e", "content_namespaces": {"e": "urn:e"}}),
             RenewRecorded(at=2.0, family="wse", tag="v2004_08", sub_id="wse-sub-1", expires=7201.0),
             RemoveRecorded(at=3.0, family="wsn", tag="v1_3", sub_id="wsn-sub-1", reason="unsubscribed"),
             PublishRecorded(at=4.0, message_id="msg-1", topic="t", payload="<e/>", lineage=None),
@@ -115,14 +126,9 @@ class TestFileEventLog:
         path = tmp_path / "broker.log"
         log = FileEventLog(str(path))
         log.append(
-            SubscribeRecorded(
-                at=1.0,
-                family="wsn",
-                tag="v1_3",
-                sub_id="wsn-sub-1",
-                action="urn:Subscribe",
-                wire="<Envelope/>",
-                expires=None,
+            subscribe_record(
+                family="wsn", tag="v1_3", sub_id="wsn-sub-1", expires=None,
+                filter={"topic": "t"}, topic="t",
             )
         )
         log.append(PublishRecorded(at=2.0, message_id="msg-1", topic="t", payload="<e/>", lineage=None))
@@ -169,6 +175,35 @@ class TestLineEncoder:
         assert line.isascii() and line.endswith("\n")
         assert len(line.splitlines()) == 1  # the reader splits on lines
         assert record_from_dict(json.loads(line)) == record
+
+    def test_a_granted_subscribe_is_one_json_dumps_line_and_comes_back_the_grant(self):
+        """Filter namespaces, a consumer EPR with a reference parameter and a
+        QoS profile: the nested fields too are written as ``json.dumps``
+        writes them, and the line reads back as the grant that was made."""
+        consumer = EndpointReference("http://sink/c").with_parameter(
+            text_element(QName("urn:app", "Tenant"), 'a & <b> "c" \u00e9 \u2603 \U0001f680')
+        )
+        consumer.with_property(text_element(QName("urn:app", "Shard"), "7"))
+        namespaces = {"e": "urn:e", "q": 'urn:"q"'}
+        grant = Grant(
+            consumer,
+            {"topic": "rc//*", "topic_dialect": Namespaces.DIALECT_TOPIC_FULL,
+             "content": "/e:V[e:n > 0]", "content_namespaces": namespaces},
+            expires=5400.25,
+            qos=QosProfile({"Priority": 7, "DiscardPolicy": DiscardPolicy.LIFO_ORDER}),
+            end_to=EndpointReference("http://sink/end"),
+            use_raw=True,
+            topic_expression="rc//*",
+            sub_id="wsn-sub-9",
+        )
+        store = BrokerStore(MemoryEventLog())
+        store.record_subscribe("wsn", "v1_3", grant)
+        [record] = store.log.records()
+        line = encode_line(record)
+        assert line == reference_line(record)
+        assert record.consumer_epr is not None and record.end_to_epr is None
+        assert record.qos == {"DiscardPolicy": "LifoOrder", "Priority": "7"}
+        assert grant_of(record_from_dict(json.loads(line))) == grant
 
     def test_non_finite_floats_spelled_as_json_dumps_spells_them(self):
         for value in (float("inf"), float("-inf"), float("nan")):
@@ -242,6 +277,28 @@ class TestTornTail:
         with pytest.raises(ValueError, match=r"corrupt\.log:1:.*nonsense"):
             FileEventLog(path)
         assert path.read_text() == '{"kind":"nonsense"}\n' + good  # left as found
+
+    def test_an_old_format_subscribe_is_refused_even_as_the_last_line(self, tmp_path):
+        """A Subscribe logged as its request (``action`` + ``wire``) is no
+        record of this format: refused where it stands, never dropped as a
+        torn tail — that would lose the newest subscription silently."""
+        path = tmp_path / "old.log"
+        good = reference_line(OutcomeRecorded(at=1.0, message_id="m", sink="s", outcome="parked"))
+        old = json.dumps(
+            {"kind": "subscribe", "at": 2.0, "family": "wse", "tag": "v2004_08",
+             "sub_id": "wse-sub-1", "action": "urn:Subscribe", "wire": "<Envelope/>",
+             "expires": None},
+            sort_keys=True, separators=(",", ":"),
+        ) + "\n"
+        for text, number in ((good + old, 2), (old + good, 1)):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=rf"old\.log:{number}: unparsable log record"):
+                FileEventLog(path)
+            assert path.read_text() == text  # left as found
+        # a record with one of its fields missing is as foreign
+        path.write_text(good + reference_line(subscribe_record())[:-1].replace(',"topic":null', "") + "\n")
+        with pytest.raises(ValueError, match=r"old\.log:2:.*topic"):
+            FileEventLog(path)
 
     def test_garbled_terminated_last_line_is_dropped_too(self, tmp_path):
         path = tmp_path / "garbled.log"

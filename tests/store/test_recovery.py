@@ -10,15 +10,14 @@ from repro.obs import Instrumentation
 from repro.obs.audit import audit
 from repro.qos import AdaptiveQosPolicy, QosProfile
 from repro.store import BrokerStore, FileEventLog, MemoryEventLog, recover_broker
-from repro.store.records import SubscribeRecorded
-from repro.store.recovery import REPLAY
 from repro.transport import SimulatedNetwork, VirtualClock
-from repro.transport.http import build_request, parse_response
 from repro.util.xstime import format_datetime
+from repro.wsa.epr import EndpointReference
 from repro.wse import DeliveryMode, EventSink, WseSubscriber, WseVersion
 from repro.wsn import NotificationConsumer, WsnSubscriber, WsnVersion
 from repro.xmlkit import parse_xml
-from repro.xmlkit.names import Namespaces
+from repro.xmlkit.element import text_element
+from repro.xmlkit.names import Namespaces, QName
 from repro.xmlkit.template import TEMPLATE_STATS
 from repro.xmlkit.writer import WRITER_STATS
 
@@ -325,7 +324,7 @@ class TestRecoveryOffTheWire:
         wse.renew(wse_handle, "PT3H")
 
 
-# --- recovery below the wire (ISSUE 24): the retired re-post is the oracle ---------------
+# --- recovery replays grants: no request, no wire, no family code -----------------------
 
 
 def _copy(log, change=lambda index, record: record):
@@ -335,40 +334,6 @@ def _copy(log, change=lambda index, record: record):
         copy.append(change(index, record))
     copy.commit()
     return copy
-
-
-def _recover_by_re_post(network, log, **kwargs):
-    """How a restart restored a logged Subscribe until ISSUE 24, kept as the
-    oracle: its wire bytes re-posted at the fresh broker's own front door —
-    HTTP framing, header extraction, detection, routing, the handler, a
-    rendered reply parsed back for its status — with the id pinned, then the
-    subscription found again by id to force the recorded expiry."""
-    store = BrokerStore(log)
-    broker = WsMessenger(network, "http://rc-broker", store=store, **kwargs)
-    store.replaying = True
-    for record in log.records():
-        if not isinstance(record, SubscribeRecorded):
-            REPLAY.get(type(record), lambda *_: None)(broker, store, record)
-            continue
-        [manager] = [
-            manager
-            for family, tag, manager in broker.subscription_managers()
-            if (family, tag) == (record.family, record.tag)
-        ]
-        wire = build_request(
-            broker.address, record.wire.encode("utf-8"), soap_action=record.action
-        )
-        manager.forced_id = record.sub_id
-        try:
-            response = parse_response(broker.endpoint._handle_wire(wire))
-        finally:
-            manager.forced_id = None
-        assert response.ok, record
-        subscription = manager.find(record.sub_id)
-        subscription.termination_time = record.expires
-        manager.note_termination(subscription)
-    store.replaying = False
-    return broker
 
 
 def _restored(broker) -> dict:
@@ -382,8 +347,8 @@ def _restored(broker) -> dict:
             sub.paused,
             sub.use_raw,
             sub.topic_expression,
-            sub.consumer and sub.consumer.address,
-            sub.end_to and sub.end_to.address,
+            sub.consumer,
+            sub.end_to,
             sub.qos and sorted(sub.qos.values.items()),
             sub.priority,
             len(sub.queue),
@@ -400,6 +365,11 @@ def _counter(instrumentation, name) -> int:
 def _unrestored(instrumentation) -> dict:
     values = instrumentation.metrics.counter_values("obs.swallowed_errors_total")
     return {k: v for k, v in values.items() if "site=store.recovery.replay_subscribe" in k}
+
+
+def _with_reference(address, local, text):
+    """An EPR whose address is not all of it: one reference parameter."""
+    return EndpointReference(address).with_parameter(text_element(QName("urn:rc", local), text))
 
 
 class TestRecoveryBelowTheWire:
@@ -422,7 +392,13 @@ class TestRecoveryBelowTheWire:
                 dict(to, expires=lease(900.0), qos=profile),
             ]
             if version is WseVersion.V2004_08:  # 01/2004 has push only
-                requests += [dict(mode=DeliveryMode.PULL), dict(to, mode=DeliveryMode.WRAPPED)]
+                requests += [
+                    dict(mode=DeliveryMode.PULL),
+                    dict(to, mode=DeliveryMode.WRAPPED),
+                    # the one record that logs its EPRs whole
+                    dict(notify_to=_with_reference(sink.address, "Tenant", "a & <b>"),
+                         end_to=_with_reference(ender.address, "Ended", "1")),
+                ]
             granted["wse", tag] = client, [
                 client.subscribe(broker.epr(), **request) for request in requests
             ]
@@ -443,13 +419,13 @@ class TestRecoveryBelowTheWire:
             ]
         return granted
 
-    def test_grant_restores_what_the_re_post_restored(self, network):
+    def test_a_restart_restores_what_was_live(self, network):
         broker = _broker(network)
         population = self._population(network, broker)
         subscribed = len(broker.store.log)
-        assert subscribed == broker.subscription_count() == 2 + 4 + 3 + 3 + 4
+        assert subscribed == broker.subscription_count() == 2 + 5 + 3 + 3 + 4
         # the other lifecycle records, and a backlog for the pull queue
-        wse, (filtered, _, pulling, _) = population["wse", "v2004_08"]
+        wse, (filtered, _, pulling, _, _) = population["wse", "v2004_08"]
         wsn, (paused, *_) = population["wsn", "v1_3"]
         wse.renew(filtered, "PT6H")
         wsn.pause(paused)
@@ -463,12 +439,9 @@ class TestRecoveryBelowTheWire:
         assert len(live[0]) == subscribed
         broker.close()
         network.clock.advance(600.0)  # a duration re-granted now would end later
-        by_grant = _recover(network, _copy(broker.store.log))
-        assert by_grant.store.stats.recovered_subscriptions == subscribed + 1
-        granted = _restored(by_grant), by_grant.store.projection(by_grant)
-        by_grant.close()
-        by_re_post = _recover_by_re_post(network, _copy(broker.store.log))
-        assert (_restored(by_re_post), by_re_post.store.projection(by_re_post)) == granted
+        recovered = _recover(network, _copy(broker.store.log))
+        assert recovered.store.stats.recovered_subscriptions == subscribed + 1
+        granted = _restored(recovered), recovered.store.projection(recovered)
         assert granted == live
         # the ids and manager EPRs clients hold address what came back
         for (family, tag), (_, handles) in population.items():
@@ -498,59 +471,99 @@ class TestRecoveryBelowTheWire:
         recovered = _recover(network, log)
         assert traffic() == before
         assert recovered.stats.detected == {} and recovered.stats.detection_failures == 0
-        assert recovered.store.stats.recovered_subscriptions == len(log) == 16
+        assert recovered.store.stats.recovered_subscriptions == len(log) == 17
         assert _unrestored(instrumentation) == {}
 
     def test_an_unrestorable_subscribe_is_counted_and_the_rest_come_back(self, network):
-        """One garbled Subscribe record among good ones: counted once, by
-        why; every other subscription restored, fixpoint on the rest."""
+        """One garbled Subscribe record among good ones — its consumer EPR
+        cut in half: counted once, by why; every other subscription
+        restored, fixpoint on the rest."""
         instrumentation = Instrumentation.attach(network)
         broker = _broker(network)
         self._population(network, broker)
         projection = broker.store.projection(broker)
         broker.close()
-        victim = broker.store.log.records()[4]
+        [victim] = [r for r in broker.store.log.records() if r.consumer_epr is not None]
         garbled = _copy(
             broker.store.log,
             lambda index, record: (
-                dataclasses.replace(record, wire=record.wire[: len(record.wire) // 2])
-                if index == 4 else record
+                dataclasses.replace(record, consumer_epr=record.consumer_epr[:40])
+                if record is victim else record
             ),
         )
         recovered = _recover(network, garbled)
         [(labels, count)] = _unrestored(instrumentation).items()
-        assert count == 1 and "reason=unparseable" in labels and "status=" not in labels
+        assert count == 1 and "reason=unparseable" in labels and "subcode=" not in labels
         assert recovered.store.stats.recovered_subscriptions == len(garbled) - 1
         del projection["subscriptions"][f"{victim.family}:{victim.tag}:{victim.sub_id}"]
         assert recovered.store.projection(recovered) == projection
 
     def test_a_refused_replay_says_why_and_does_not_name_the_next_subscribe(self, network):
-        """An absolute expiry that has passed is refused at replay, as it
-        would be live; the id it pinned must not leak into the next live
-        Subscribe (``forced_id`` is cleared in a ``finally``)."""
+        """A logged grant is not re-validated, but the restarted broker
+        still accepts its QoS profile: one it refuses is counted with the
+        family's subcode, and the id the grant pinned is not minted."""
         instrumentation = Instrumentation.attach(network)
         broker = _broker(network)
         sink = EventSink(network, "http://rc-sink")
         WseSubscriber(network).subscribe(
-            broker.epr(), notify_to=sink.epr(),
-            expires=format_datetime(network.clock.now() + 60.0),
+            broker.epr(), notify_to=sink.epr(), qos=QosProfile({"Priority": 3})
         )
         broker.close()
-        network.clock.advance(120.0)
-        log = _copy(broker.store.log, lambda _, r: dataclasses.replace(r, sub_id="recorded-41"))
+        log = _copy(
+            broker.store.log,
+            lambda _, r: dataclasses.replace(
+                r, sub_id="recorded-41", qos={"PacingInterval": "1.5"}
+            ),
+        )
         recovered = _recover(network, log)
         assert recovered.subscription_count() == 0
         [(labels, count)] = _unrestored(instrumentation).items()
         assert count == 1 and "reason=fault" in labels
-        assert "subcode=InvalidExpirationTime" in labels
-        assert all(m.forced_id is None for _, _, m in recovered.subscription_managers())
+        assert "subcode=UnsupportedQoS" in labels
+        assert recovered.store.stats.recovered_subscriptions == 0
         fresh = WseSubscriber(network).subscribe(recovered.epr(), notify_to=sink.epr())
         assert fresh.sub_id != "recorded-41"
 
+    def test_a_lapsed_lease_comes_back_lapsed_and_ends_once(self, network):
+        """A lease that lapsed before the restart is restored as granted, not
+        refused.  Ended and logged before the crash, replay forgets it
+        silently — even with publishes replayed after its expiry; lapsed but
+        never swept, the first sweep after recovery ends it, announced once."""
+        broker = _broker(network)
+        client = WsnSubscriber(network)
+        swept = NotificationConsumer(network, "http://rc-swept")
+        lapsed = NotificationConsumer(network, "http://rc-lapsed")
+        for consumer, seconds in ((swept, 60.0), (lapsed, 80.0)):
+            client.subscribe(
+                broker.epr(), consumer.epr(), topic="rc",
+                initial_termination=format_datetime(network.clock.now() + seconds),
+            )
+        broker.publish(event(1), topic="rc")
+        network.clock.advance(70.0)
+        broker.publish(event(2), topic="rc")  # sweeps the first lease: its notice
+        broker.run_deliveries_until_idle()
+        assert (len(swept.termination_notices), len(lapsed.termination_notices)) == (1, 0)
+        broker.close()
+        network.clock.advance(30.0)  # the second lapses before the restart
+        recovered = _recover(network, broker.store.log)
+        recovered.run_deliveries_until_idle()
+        assert recovered.store.stats.recovered_subscriptions == 2
+        assert (len(swept.termination_notices), len(lapsed.termination_notices)) == (1, 0)
+        assert recovered.subscription_count() == 0  # restored, but not live
+        recovered.publish(event(3), topic="rc")  # the first sweep after recovery
+        recovered.run_deliveries_until_idle()
+        assert (len(swept.termination_notices), len(lapsed.termination_notices)) == (1, 1)
+        recovered.close()
+        again = _recover(network, recovered.store.log)  # both ended, both logged
+        again.publish(event(4), topic="rc")
+        again.run_deliveries_until_idle()
+        assert (len(swept.termination_notices), len(lapsed.termination_notices)) == (1, 1)
+        assert [item.payload.full_text() for item in lapsed.received] == ["1", "2"]
+
     def test_a_bug_inside_grant_surfaces(self, network, monkeypatch):
-        """Only what a logged request can earn is swallowed — an unparseable
-        envelope, a fault; anything else stops the restart, loudly."""
-        from repro.wse import EventSource
+        """Only what a logged grant can earn is swallowed — a garbled record,
+        a fault; anything else stops the restart, loudly."""
+        from repro.subscriptions import SubscriptionManager
 
         broker = _broker(network)
         WseSubscriber(network).subscribe(
@@ -558,10 +571,10 @@ class TestRecoveryBelowTheWire:
         )
         broker.close()
 
-        def broken(self, envelope):
+        def broken(self, grant, expires_text=None):
             raise AttributeError("a bug, not a refusal")
 
-        monkeypatch.setattr(EventSource, "grant", broken)
+        monkeypatch.setattr(SubscriptionManager, "subscribe", broken)
         with pytest.raises(AttributeError):
             _recover(network, broker.store.log)
 

@@ -1,7 +1,7 @@
 """The control-plane contract: Table 2 as one test table.
 
 Every row is an operation (Subscribe, Renew, GetStatus, Pause, Resume,
-Unsubscribe, Pull, lease expiry, forced-id replay, forget), every column a
+Unsubscribe, Pull, lease expiry, pinned-id replay, forget), every column a
 dialect — WS-Eventing 01/2004 and 08/2004, WS-BaseNotification 1.0, 1.2 and
 1.3, and the converged prototype — and every cell is checked over the wire
 against the one :class:`repro.subscriptions.SubscriptionManager` all of them
@@ -16,12 +16,14 @@ row means the verb works over the wire, no row means the client answers
 :class:`~repro.subscriptions.OperationNotAvailable` and sends nothing.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.convergence import MODE_PULL, ConvergedConsumer, ConvergedSource, ConvergedSubscriber
 from repro.soap import FaultCode, SoapFault
 from repro.soap.codec import parse_envelope
-from repro.subscriptions import OperationNotAvailable
+from repro.subscriptions import Grant, OperationNotAvailable
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.transport.http import parse_request
 from repro.util.xstime import format_datetime
@@ -54,10 +56,15 @@ class Dialect:
         self.network = SimulatedNetwork(VirtualClock())
         self.build()
         self.events: list[tuple] = []
-        self.source.subscriptions.listeners.append(
-            lambda name, subscription, detail: self.events.append(
-                (name, subscription.key, *detail.values())
-            )
+        #: the grant each ``created`` carried, as made
+        self.grants: list[Grant] = []
+        self.source.subscriptions.listeners.append(self._heard)
+
+    def _heard(self, name: str, subscription, detail: dict) -> None:
+        if name == "created":
+            self.grants.append(detail["grant"])
+        self.events.append(
+            (name, subscription.key, *(value for key, value in detail.items() if key != "grant"))
         )
 
     @property
@@ -383,17 +390,27 @@ class TestLeaseExpiry:
 
 class TestReplayHooks:
     def test_a_forced_id_is_minted_once_and_advances_the_serial(self, dialect):
-        prefix = dialect.subscribe().sub_id.rsplit("-", 1)[0]
-        dialect.manager.forced_id = f"{prefix}-41"
-        assert dialect.subscribe().sub_id == f"{prefix}-41"
-        assert dialect.manager.forced_id is None
+        """``created`` carries the grant as made — the id minted, the expiry
+        granted.  Handed back with both pinned (a restart), it keeps them,
+        a lapsed expiry included, and the serial moves past the id."""
+        handle = dialect.subscribe(expires=dialect.clock_text(500.0))
+        [grant] = dialect.grants
+        assert grant.sub_id == handle.sub_id
+        assert format_datetime(grant.expires) == handle.expires_text
+        prefix = handle.sub_id.rsplit("-", 1)[0]
+        pinned = replace(grant, sub_id=f"{prefix}-41", expires=dialect.network.clock.now() - 1.0)
+        restored = dialect.source.grant(pinned)
+        assert (restored.key, restored.termination_time) == (pinned.sub_id, pinned.expires)
+        assert dialect.grants[-1] is pinned
         assert dialect.subscribe().sub_id == f"{prefix}-42"
 
     def test_a_faulting_subscribe_does_not_spend_the_forced_id(self, dialect):
-        dialect.manager.forced_id = "replayed-7"
-        fault_of(dialect.subscribe, dialect.clock_text(-1.0))
-        assert dialect.manager.forced_id == "replayed-7"  # recovery clears it itself
-        assert dialect.subscribe().sub_id == "replayed-7"
+        """A pinned grant the manager refuses leaves nothing behind: granted
+        again, the id is still free."""
+        refused = Grant(dialect.sink.epr(), {"content": "///"}, sub_id="replayed-7")
+        fault_of(dialect.source.grant, refused)
+        assert not dialect.manager.records and dialect.events == []
+        assert dialect.source.grant(replace(refused, filter_parts={})).key == "replayed-7"
 
     def test_forget_is_silent_on_the_wire_but_not_to_listeners(self, dialect):
         handle = dialect.subscribe()
@@ -404,9 +421,9 @@ class TestReplayHooks:
         assert [e[0] for e in dialect.events] == ["created", "removed"]
 
 
-# --- Subscribe below the wire: the grant seam (ISSUE 24) --------------------------------
+# --- Subscribe below the wire: read, then grant -----------------------------------------
 
-#: per family, requests that between them reach every check ``grant`` makes —
+#: per family, requests that between them reach every check Subscribe makes —
 #: the Subscribe fault cases above, and the family's own.  Whether a column
 #: grants or refuses one is the column's business (01/2004 has no pull, <= 1.2
 #: no durations and no topic-less Subscribe): the seam must agree either way.
@@ -476,13 +493,17 @@ def subscribe_as_sent(dialect, request) -> bytes:
 
 class TestGrantSeam:
     def test_the_handler_is_grant_and_then_the_response(self, dialect, monkeypatch):
-        """``grant`` is Subscribe above the response: for every request, it
-        and the handler refuse alike (code, subcode, text, nothing left
-        behind), or the handler's reply is, byte for byte, the response half
-        run on what ``grant`` returned."""
+        """``read_subscribe`` then ``grant`` is Subscribe above the response:
+        for every request, they and the handler refuse alike (code, subcode,
+        text, nothing left behind), or the handler's reply is, byte for
+        byte, the response half run on what ``grant`` returned."""
         column = type(dialect)
         [requests] = [rows for family, rows in REQUESTS.items() if isinstance(dialect, family)]
         outcomes = set()
+
+        def subscribe(source, envelope):
+            return source.grant(*source.read_subscribe(envelope))
+
         for name, request in requests.items():
             wire = subscribe_as_sent(column(), request)
             whole, halves = column(), column()
@@ -493,17 +514,17 @@ class TestGrantSeam:
                     parse_envelope(wire), headers
                 )
             except SoapFault as fault:
-                refused = fault_of(halves.source.grant, parse_envelope(wire))
+                refused = fault_of(subscribe, halves.source, parse_envelope(wire))
                 assert (refused.code, refused.subcode, refused.reason) == (
                     fault.code, fault.subcode, fault.reason,
                 ), name
                 assert not halves.manager.records and halves.events == [], name
                 outcomes.add("refused")
                 continue
-            granted = halves.source.grant(parse_envelope(wire))
+            granted = subscribe(halves.source, parse_envelope(wire))
             assert halves.events == [("created", granted.key)], name
             # the response half: the handler, with the grant already made
-            monkeypatch.setattr(halves.source, "grant", lambda envelope: granted)
+            monkeypatch.setattr(halves.source, "grant", lambda grant, expires_text: granted)
             reset_message_counter()
             assert reply == halves.source.handler_for("source", headers.action)(
                 parse_envelope(wire), headers

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.subscriptions import SubscriptionError, SubscriptionManager
+from repro.subscriptions import Grant, SubscriptionError, SubscriptionManager
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.util.xstime import format_datetime
 from repro.wsa import EndpointReference
@@ -30,9 +30,8 @@ def store(clock):
 
 def make(store, expires=None):
     return store.subscribe(
-        consumer=EndpointReference("http://sink"),
-        filter_parts={},
-        expires_text=None if expires is None else format_datetime(expires),
+        Grant(EndpointReference("http://sink"), {}),
+        None if expires is None else format_datetime(expires),
     )
 
 

@@ -27,11 +27,11 @@ class TestSubscribeMessage:
         built = messages.build_subscribe(
             version, notify_to=EndpointReference("http://sink")
         )
-        parsed = messages.parse_subscribe(roundtrip(built), version)
+        parsed, expires_text = messages.parse_subscribe(roundtrip(built), version)
         assert parsed.mode is DeliveryMode.PUSH
-        assert parsed.notify_to.address == "http://sink"
-        assert parsed.end_to is None
-        assert parsed.filter_expression is None
+        assert parsed.consumer.address == "http://sink"
+        assert parsed.end_to is None and expires_text is None
+        assert parsed.filter_parts == {}
 
     def test_full_roundtrip(self, version):
         built = messages.build_subscribe(
@@ -42,19 +42,21 @@ class TestSubscribeMessage:
             filter_expression="/ev:E[ev:n > 1]",
             filter_namespaces={"ev": "urn:m"},
         )
-        parsed = messages.parse_subscribe(roundtrip(built), version)
+        parsed, expires_text = messages.parse_subscribe(roundtrip(built), version)
         assert parsed.end_to.address == "http://end"
-        assert parsed.expires_text == "PT10M"
-        assert parsed.filter_expression == "/ev:E[ev:n > 1]"
-        assert parsed.filter_dialect == Namespaces.DIALECT_XPATH10
-        assert parsed.filter_namespaces == {"ev": "urn:m"}
+        assert expires_text == "PT10M"
+        assert parsed.filter_parts == {
+            "content": "/ev:E[ev:n > 1]",
+            "content_dialect": Namespaces.DIALECT_XPATH10,
+            "content_namespaces": {"ev": "urn:m"},
+        }
 
     def test_pull_mode_roundtrip_08(self):
         version = WseVersion.V2004_08
         built = messages.build_subscribe(version, mode=DeliveryMode.PULL)
-        parsed = messages.parse_subscribe(roundtrip(built), version)
+        parsed, _ = messages.parse_subscribe(roundtrip(built), version)
         assert parsed.mode is DeliveryMode.PULL
-        assert parsed.notify_to is None
+        assert parsed.consumer is None
 
     def test_wrong_body_element_faults(self, version):
         with pytest.raises(SoapFault):

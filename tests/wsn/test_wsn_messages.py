@@ -30,9 +30,9 @@ class TestSubscribeMessage:
         built = messages.build_subscribe(
             version, consumer=EndpointReference("http://c")
         )
-        parsed = messages.parse_subscribe(roundtrip(built), version)
+        parsed, _ = messages.parse_subscribe(roundtrip(built), version)
         assert parsed.consumer.address == "http://c"
-        assert parsed.filter.topic_expression is None
+        assert parsed.filter_parts == {} and parsed.topic_expression is None
         assert not parsed.use_raw
 
     def test_full_filter_roundtrip(self, version):
@@ -48,18 +48,19 @@ class TestSubscribeMessage:
             filter=spec,
             initial_termination="2006-01-01T01:00:00Z",
         )
-        parsed = messages.parse_subscribe(roundtrip(built), version)
-        assert parsed.filter.topic_expression == "jobs/status"
-        assert parsed.filter.producer_properties == "/*[cluster='A']"
-        assert parsed.filter.message_content == "/e:V[e:n > 0]"
-        assert parsed.filter.namespaces == {"e": "urn:wm"}
-        assert parsed.initial_termination_text == "2006-01-01T01:00:00Z"
+        parsed, termination_text = messages.parse_subscribe(roundtrip(built), version)
+        parts = parsed.filter_parts
+        assert parsed.topic_expression == parts["topic"] == "jobs/status"
+        assert parts["properties"] == "/*[cluster='A']"
+        assert parts["content"] == "/e:V[e:n > 0]"
+        assert parts["properties_namespaces"] == parts["content_namespaces"] == {"e": "urn:wm"}
+        assert termination_text == "2006-01-01T01:00:00Z"
 
     def test_raw_flag_roundtrip(self, version):
         built = messages.build_subscribe(
             version, consumer=EndpointReference("http://c"), use_raw=True
         )
-        assert messages.parse_subscribe(roundtrip(built), version).use_raw
+        assert messages.parse_subscribe(roundtrip(built), version)[0].use_raw
 
     def test_13_uses_filter_wrapper(self):
         version = WsnVersion.V1_3

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.subscriptions import DeliveryMode, SubscriptionError, SubscriptionManager
+from repro.subscriptions import DeliveryMode, Grant, SubscriptionError, SubscriptionManager
 from repro.transport import SimulatedNetwork
 from repro.transport.clock import VirtualClock
 from repro.util.xstime import format_datetime
@@ -100,12 +100,10 @@ class TestStoreSweepDue:
         )
         return clock, manager
 
-    def _create(self, store, expires):
+    def _create(self, store, expires, sub_id=None):
         return store.subscribe(
-            consumer=None,
-            filter_parts={},
-            expires_text=None if expires is None else format_datetime(expires),
-            mode=DeliveryMode.PULL,
+            Grant(None, {}, mode=DeliveryMode.PULL, sub_id=sub_id),
+            None if expires is None else format_datetime(expires),
         )
 
     def test_sweep_due_matches_sweep_expired(self):
@@ -173,9 +171,7 @@ class TestStoreSweepDue:
 
     def test_forced_id_advances_the_serial(self):
         clock, store = self._store()
-        store.forced_id = "wse-sub-7"
-        assert self._create(store, None).key == "wse-sub-7"
-        assert self._create(store, None).key == "wse-sub-8"  # consumed, serial moved
-        store.forced_id = "replayed"  # an id outside the serial's shape
-        assert self._create(store, None).key == "replayed"
+        assert self._create(store, None, "wse-sub-7").key == "wse-sub-7"
+        assert self._create(store, None).key == "wse-sub-8"  # the serial moved past it
+        assert self._create(store, None, "replayed").key == "replayed"  # outside its shape
         assert self._create(store, None).key == "wse-sub-9"
