@@ -6,12 +6,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.render import reply_text
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.network import NetworkError, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, reply_envelope
+from repro.wsa.headers import MessageHeaders
 from repro.wsa.versions import WsaVersion
 from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.names import QName
@@ -123,12 +124,12 @@ class GridService:
         self.endpoint.close()
         return None
 
-    def _ack(self, headers: MessageHeaders, local: str) -> SoapEnvelope:
+    def _ack(self, headers: MessageHeaders, local: str) -> str:
         return self._reply(headers, _action(local), XElem(_q(local)))
 
-    def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> SoapEnvelope:
+    def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> str:
         # OGSI is WSA 2003/03 era
-        return reply_envelope(request_headers, action, body, WsaVersion.V2003_03)
+        return reply_text(request_headers, action, body, WsaVersion.V2003_03)
 
 
 class NotificationSource(GridService):

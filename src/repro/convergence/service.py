@@ -377,13 +377,13 @@ class ConvergedSource(SubscriptionService):
         # one frozen payload instance is shared by every match this publish
         frozen = self._fanout.freeze(payload)
         self._admit_publication(frozen, topic)
-        lineage = self.network.instrumentation.trace_context()
+        items = [DeliveryItem(frozen, topic, self.network.instrumentation.trace_context())]
         matched = 0
         for subscription in self._fanout.match(frozen, topic, self.producer_properties):
             matched += 1
             if not subscription.paused and subscription.mode is DeliveryMode.PUSH:
-                self._notify(subscription, [(frozen, topic)], lineage)
-            elif self.subscriptions.park(subscription, (frozen, topic), lineage) and (
+                self._notify(subscription, items)
+            elif self.subscriptions.park(subscription, items[0]) and (
                 subscription.mode is DeliveryMode.WRAPPED
                 and not subscription.paused
                 and len(subscription.queue) >= self.wrapped_batch_size
@@ -400,40 +400,40 @@ class ConvergedSource(SubscriptionService):
             ):
                 self._notify(subscription, self.subscriptions.drain(subscription))
 
-    def _wrap_one(self, payload: XElem, topic: Optional[str]) -> XElem:
+    def _wrap_one(self, item: DeliveryItem) -> XElem:
         """The *defined* wrapped entry format (closing WSE's gap)."""
         entry = XElem(_q("Notification"))
-        if topic is not None:
-            entry.append(text_element(_q("Topic"), topic))
+        if item.topic is not None:
+            entry.append(text_element(_q("Topic"), item.topic))
         message = XElem(_q("Message"))
-        message.append(payload)
+        message.append(item.payload)
         entry.append(message)
         return entry
 
-    def _notify(self, subscription: Subscription, entries: list, lineage=None) -> None:
-        """``entries`` (payload, topic) to one consumer; a failed attempt
-        ends the subscription with a DeliveryFailure notice."""
+    def _notify(self, subscription: Subscription, items: list[DeliveryItem]) -> None:
+        """``items`` to one consumer; a failed attempt ends the subscription
+        with a DeliveryFailure notice."""
         self._fanout.settle(
             subscription.consumer.address,
-            self._send_entries,
-            (subscription, entries),
-            [DeliveryItem(payload, topic, lineage=lineage) for payload, topic in entries],
+            self._send_items,
+            (subscription, items),
+            items,
             on_failed=self._end_after_failure,
         )
 
-    def _wrapped(self, local: str, entries: list) -> XElem:
+    def _wrapped(self, local: str, items: list[DeliveryItem]) -> XElem:
         wrapper = XElem(_q(local))
-        for payload, topic in entries:
-            wrapper.append(self._wrap_one(payload, topic))
+        for item in items:
+            wrapper.append(self._wrap_one(item))
         return wrapper
 
-    def _send_entries(self, subscription: Subscription, entries: list) -> None:
+    def _send_items(self, subscription: Subscription, items: list[DeliveryItem]) -> None:
         if subscription.use_raw and subscription.mode is DeliveryMode.PUSH:
             # raw: each payload is the body of its own message, topic in a header
-            for entry in entries:
-                self._send_rendered(subscription, _action("Notify"), self._raw_entry, [entry])
+            for item in items:
+                self._send_rendered(subscription, _action("Notify"), self._raw_entry, [item])
         else:
-            self._send_rendered(subscription, _action("Notify"), self._wrapped_entry, entries)
+            self._send_rendered(subscription, _action("Notify"), self._wrapped_entry, items)
 
     def _announce_end(self, subscription: Subscription, reason: str, detail: str) -> None:
         """The end-notice table: expiry and delivery failure are announced."""

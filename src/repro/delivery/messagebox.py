@@ -11,12 +11,13 @@ drain on its own schedule from inside its zone:
 * WSN 1.3 ``GetMessages`` — the box answers exactly like a
   :class:`~repro.wsn.pullpoint.PullPoint`, so the stock
   :class:`~repro.wsn.pullpoint.PullPointClient` drains it unchanged;
-* WSE ``Pull`` — the minimal WS-Eventing-side equivalent (same body shape
-  the 08/2004 pull delivery mode uses at a subscription manager).
+* WSE 08/2004 ``Pull`` — the minimal WS-Eventing-side equivalent (same body
+  shape the 08/2004 pull delivery mode uses at a subscription manager).
 
-Messages are stored spec-neutrally (payload + topic) and re-rendered in the
-dialect of whichever drain arrives — one more instance of the broker's
-"notifications follow the consumer's spec" rule.
+Those two dialects are the box's, whatever the parked sink speaks.  Messages
+are stored spec-neutrally (the ``DeliveryItem`` s the fan-out settled) and
+re-rendered in the dialect of whichever drain arrives — one more instance of
+the broker's "notifications follow the consumer's spec" rule.
 """
 
 from __future__ import annotations
@@ -36,24 +37,19 @@ from repro.wse.versions import WseVersion
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem
 
+#: the drain dialects every box answers in
+WSN = WsnVersion.V1_3
+WSE = WseVersion.V2004_08
+
 
 class MessageBox:
     """Parked messages for one firewalled sink, drained by pull."""
 
     def __init__(
-        self,
-        network: SimulatedNetwork,
-        address: str,
-        sink: str,
-        *,
-        wsn_version: WsnVersion = WsnVersion.V1_3,
-        wse_version: WseVersion = WseVersion.V2004_08,
-        capacity: int = 10_000,
+        self, network: SimulatedNetwork, address: str, sink: str, *, capacity: int = 10_000
     ) -> None:
         self.network = network
         self.sink = sink
-        self.wsn_version = wsn_version
-        self.wse_version = wse_version
         self.capacity = capacity
         self.queue: list[DeliveryItem] = []
         #: total parked here over the box's lifetime (draining keeps this)
@@ -66,10 +62,8 @@ class MessageBox:
             Callable[["MessageBox", list[DeliveryItem], str], None]
         ] = None
         self.endpoint = SoapEndpoint(network, address)
-        self.endpoint.on_action(
-            wsn_version.action("GetMessages"), self._handle_get_messages
-        )
-        self.endpoint.on_action(wse_version.action("Pull"), self._handle_pull)
+        self.endpoint.on_action(WSN.action("GetMessages"), self._handle_get_messages)
+        self.endpoint.on_action(WSE.action("Pull"), self._handle_pull)
 
     @property
     def address(self) -> str:
@@ -107,43 +101,24 @@ class MessageBox:
     def _handle_get_messages(self, envelope: SoapEnvelope, headers: MessageHeaders):
         # imported here, not at module top: mediation lives in the messenger
         # package, whose __init__ pulls in the broker — which imports us
-        from repro.messenger.mediation import (
-            MediatedNotification,
-            wsn_message_elements,
-        )
+        from repro.messenger.mediation import wsn_message_elements
 
         batch = self._take(
             envelope.body_element(),
-            self.wsn_version.qname("MaximumNumber"),
+            WSN.qname("MaximumNumber"),
             "wsn",
-            subcode=self.wsn_version.qname("UnableToGetMessagesFault"),
+            subcode=WSN.qname("UnableToGetMessagesFault"),
         )
-        response = XElem(self.wsn_version.qname("GetMessagesResponse"))
-        for element in wsn_message_elements(
-            [MediatedNotification(item.payload, item.topic) for item in batch],
-            self.wsn_version,
-        ):
-            response.append(element)
+        response = XElem(WSN.qname("GetMessagesResponse"))
+        response.extend(wsn_message_elements(batch, WSN))
         return reply_text(
-            headers,
-            self.wsn_version.action("GetMessagesResponse"),
-            response,
-            self.wsn_version.wsa_version,
+            headers, WSN.action("GetMessagesResponse"), response, WSN.wsa_version
         )
 
     def _handle_pull(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        batch = self._take(
-            envelope.body_element(), self.wse_version.qname("MaxMessages"), "wse"
-        )
-        response = wse_messages.build_pull_response(
-            self.wse_version, [item.payload for item in batch]
-        )
-        return reply_text(
-            headers,
-            self.wse_version.action("PullResponse"),
-            response,
-            self.wse_version.wsa_version,
-        )
+        batch = self._take(envelope.body_element(), WSE.qname("MaxMessages"), "wse")
+        response = wse_messages.build_pull_response(WSE, [item.payload for item in batch])
+        return reply_text(headers, WSE.action("PullResponse"), response, WSE.wsa_version)
 
     def close(self) -> None:
         self.endpoint.close()
@@ -153,18 +128,10 @@ class MessageBoxRegistry:
     """Mints and tracks message boxes, one per firewalled sink."""
 
     def __init__(
-        self,
-        network: SimulatedNetwork,
-        base_address: str,
-        *,
-        wsn_version: WsnVersion = WsnVersion.V1_3,
-        wse_version: WseVersion = WseVersion.V2004_08,
-        capacity: int = 10_000,
+        self, network: SimulatedNetwork, base_address: str, *, capacity: int = 10_000
     ) -> None:
         self.network = network
         self.base_address = base_address
-        self.wsn_version = wsn_version
-        self.wse_version = wse_version
         self.capacity = capacity
         self._boxes: dict[str, MessageBox] = {}
         self._counter = 0
@@ -183,8 +150,6 @@ class MessageBoxRegistry:
                 self.network,
                 f"{self.base_address}/box-{self._counter}",
                 sink,
-                wsn_version=self.wsn_version,
-                wse_version=self.wse_version,
                 capacity=self.capacity,
             )
             box.on_drained = self.on_drained
@@ -222,15 +187,14 @@ def drain_message_box_wse(
     box: EndpointReference,
     *,
     zone: str = PUBLIC_ZONE,
-    version: WseVersion = WseVersion.V2004_08,
     max_messages: int = 0,
 ) -> list[XElem]:
     """The minimal WSE-side drain: a client-initiated ``Pull`` against a
     message box, usable from inside a firewalled zone."""
     client = SoapClient(
-        network, zone=zone, wsa_version=version.wsa_version, soap_version=SoapVersion.V11
+        network, zone=zone, wsa_version=WSE.wsa_version, soap_version=SoapVersion.V11
     )
     reply = client.request(
-        box, version.action("Pull"), wse_messages.build_pull(version, max_messages), "Pull"
+        box, WSE.action("Pull"), wse_messages.build_pull(WSE, max_messages), "Pull"
     )
-    return wse_messages.parse_pull_response(reply, version)
+    return wse_messages.parse_pull_response(reply, WSE)

@@ -22,12 +22,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class DeliveryItem:
-    """One spec-neutral message carried by a task (payload + topic).
+    """One spec-neutral notification (payload + topic): the producer side's
+    one value for it from match to wire — what a family routes, parks,
+    renders and settles, and what mediation translates to and from.
 
     ``lineage`` is the sender-side trace context captured when the fan-out
-    created this obligation; it survives queueing, parking and DLQ replay,
-    so the eventual delivery (push or pull) still lands in the publish's
-    trace tree and ledger.
+    created this obligation; it survives queueing, message-box parking and
+    DLQ replay, so the eventual delivery (push or pull) still lands in the
+    publish's trace tree and ledger.  A copy parked on a subscription is bare:
+    the drain that sends it stamps its own.
 
     ``message_id`` is the durable publish id stamped by the broker store
     (when one is attached): ``(message_id, sink)`` is the idempotency key

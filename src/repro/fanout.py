@@ -6,7 +6,11 @@ the families is how a notification is *rendered* (wrapped Notify / raw /
 WSE push with a topic header / wrapped ``Notifications``), *when* a parked
 copy is flushed (resume, a pull, a full wrapped batch) and what the faults
 are *called*.  The subscriptions themselves are :mod:`repro.subscriptions`';
-everything else about a publication is here, once, as three stages:
+everything else about a publication is here, once, as three stages.  A
+publication travels them as one value, the
+:class:`~repro.delivery.task.DeliveryItem` its family makes before matching:
+the same item is routed to every match, parked (bare: a drain stamps its own
+lineage), rendered and settled.
 
 1. :meth:`Fanout.publish` — publish framing: origin detection, the
    ``<family>.publish`` span that mints the lineage, the ``published`` ledger
@@ -15,7 +19,8 @@ everything else about a publication is here, once, as three stages:
    index lookup, the ``fanout.*`` counters, the residual filter; survivors come
    out lazily, in subscription order, so liveness is checked at each one's turn;
 3. :meth:`Fanout.settle` — one wire attempt wrapped in the ``notify`` span and
-   counted per *item*, handed to the :class:`DeliveryManager` when there is one
+   counted per *item* (the items the attempt renders, not copies of them),
+   handed to the :class:`DeliveryManager` when there is one
    and otherwise made at once through :func:`repro.delivery.outcome.attempt_directly`,
    which writes the obligation ledger as one state sequence: ``enqueued ->
    attempted -> delivered | failed`` (the manager adds ``dead_lettered`` and

@@ -30,8 +30,9 @@ links would be a duplicate factory.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
+from repro.delivery.task import DeliveryItem
 from repro.messenger import mediation
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import SoapFault
@@ -43,9 +44,6 @@ from repro.wsa.headers import MessageHeaders
 from repro.wsn.subscriber import WsnSubscriber
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.names import Namespaces
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.messenger.mediation import MediatedNotification
 
 #: the one WSN version federation links speak (duration expiry, optional topic)
 LINK_VERSION = WsnVersion.V1_3
@@ -91,7 +89,7 @@ class FederationLinkManager:
         self,
         network: SimulatedNetwork,
         home_address: str,
-        deliver: Callable[["MediatedNotification"], None],
+        deliver: Callable[[DeliveryItem], None],
         *,
         exchange_address_of: Callable[[str], str],
     ) -> None:

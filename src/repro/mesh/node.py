@@ -31,6 +31,7 @@ from typing import Callable, Optional
 
 from repro.delivery.outcome import attempt_directly
 from repro.delivery.policy import DeliveryPolicy
+from repro.delivery.task import DeliveryItem
 from repro.filters.topics import TopicNamespace, topic_expression_of
 from repro.messenger import mediation
 from repro.messenger.broker import WsMessenger
@@ -158,9 +159,7 @@ class MeshNode:
         """
         instr = self.network.instrumentation
         target = EndpointReference(self._peer_address_of(owner))
-        body = mediation.wsn_notify_from_neutral(
-            [mediation.MediatedNotification(payload, topic)], LINK_VERSION
-        )
+        body = mediation.wsn_notify_from_neutral([DeliveryItem(payload, topic)], LINK_VERSION)
         lineage = instr.trace_context()
         exc = attempt_directly(
             instr,
@@ -175,7 +174,7 @@ class MeshNode:
             raise exc
         instr.count("mesh.forwarded_publishes", origin=self.name, owner=owner)
 
-    def _accept_federated(self, item: mediation.MediatedNotification) -> None:
+    def _accept_federated(self, item: DeliveryItem) -> None:
         self._ingesting = True
         try:
             self.broker.publish(item.payload, topic=item.topic)

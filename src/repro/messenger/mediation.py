@@ -15,6 +15,10 @@ pairs (used by the message-format benchmark, experiment E6):
    nesting vs WSE's raw body);
 6. content locations (the topic lives in the WSN *body* but would ride a
    SOAP *header* for WSE).
+
+The spec-neutral form is the producer side's one notification value,
+:class:`~repro.delivery.task.DeliveryItem` (payload + topic): what a
+translation returns is what the fan-out settles and a message box parks.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.delivery.task import DeliveryItem
 from repro.obs.instrument import NULL_INSTRUMENTATION
 from repro.soap.envelope import SoapEnvelope
 from repro.wsa.headers import extract_headers
 from repro.wsn import messages as wsn_messages
-from repro.wsn.messages import NotificationMessage
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import QName
@@ -36,26 +40,18 @@ from repro.xmlkit.names import QName
 WSE_TOPIC_HEADER = QName("http://repro.invalid/mediation", "Topic")
 
 
-@dataclass
-class MediatedNotification:
-    """A spec-neutral notification inside the broker."""
-
-    payload: XElem
-    topic: Optional[str] = None
-
-
 # --- WSN -> neutral (-> WSE: the renderer's ``Entry("push", topic_header=WSE_TOPIC_HEADER)``)
 
 
 def neutral_from_wsn_notify(
     body: XElem, version: WsnVersion, *, instrumentation=NULL_INSTRUMENTATION
-) -> list[MediatedNotification]:
+) -> list[DeliveryItem]:
     """Unwrap a wsnt:Notify into neutral notifications (category 5)."""
     with instrumentation.span(
         "mediate", direction="wsn-to-neutral", version=version.name.lower()
     ):
         items = [
-            MediatedNotification(item.payload, item.topic)
+            DeliveryItem(item.payload, item.topic)
             for item in wsn_messages.parse_notify(body, version)
         ]
     instrumentation.count(
@@ -69,35 +65,27 @@ def neutral_from_wsn_notify(
 
 def neutral_from_wse_envelope(
     envelope: SoapEnvelope, *, instrumentation=NULL_INSTRUMENTATION
-) -> MediatedNotification:
+) -> DeliveryItem:
     """Lift a raw WSE notification (topic in header, if any) to neutral form."""
     with instrumentation.span("mediate", direction="wse-to-neutral"):
         topic = envelope.header_text(WSE_TOPIC_HEADER)
-        item = MediatedNotification(envelope.body_element().copy(), topic)
+        item = DeliveryItem(envelope.body_element().copy(), topic)
     instrumentation.count("mediation.messages", direction="wse-to-neutral")
     return item
 
 
-def wsn_notify_from_neutral(
-    items: list[MediatedNotification], version: WsnVersion
-) -> XElem:
+def wsn_notify_from_neutral(items: list[DeliveryItem], version: WsnVersion) -> XElem:
     """Render for a WSN consumer: wrapped Notify with topic in the body."""
-    return wsn_messages.build_notify(
-        version,
-        [NotificationMessage(item.payload.copy(), topic=item.topic) for item in items],
-    )
+    return wsn_messages.build_notify(version, wsn_messages.bare_messages(items))
 
 
-def wsn_message_elements(
-    items: list[MediatedNotification], version: WsnVersion
-) -> list[XElem]:
+def wsn_message_elements(items: list[DeliveryItem], version: WsnVersion) -> list[XElem]:
     """Render neutral items as bare ``NotificationMessage`` elements.
 
     Used by the delivery subsystem's message boxes: a ``GetMessagesResponse``
     carries NotificationMessage children directly (no ``Notify`` wrapper), so
     parked spec-neutral messages are re-rendered in the drain dialect here."""
-    notify = wsn_notify_from_neutral(items, version)
-    return [child.copy() for child in notify.elements()]
+    return list(wsn_notify_from_neutral(items, version).elements())
 
 
 # --- difference analysis (experiment E6) ---------------------------------------------------

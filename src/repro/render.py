@@ -8,14 +8,14 @@ action, the subscription and the items to carry.  Output: ready envelope
 text, always — steady state a ``str.join`` over a compiled ``ByteTemplate``,
 otherwise the envelope built as a tree and serialised *here*: for an unfrozen
 payload, an installed ``envelope_filter``, items no one template fits (mixed
-shapes, foreign references) or a payload that contains a slot sentinel.  Both
-paths build the tree through the same ``Entry.build``; the tree path alone is
-the oracle of the byte-identity differentials.
+shapes) or a payload that contains a slot sentinel.  Both paths build the
+tree through the same ``Entry.build``; the tree path alone is the oracle of
+the byte-identity differentials.
 
 Compiled entries are keyed by **shape** — entry, action, what the entry bakes
-in (topic present, its dialect), the fold of the consumer EPR's reference
-parameters/properties (``()`` for a plain address), the payload's namespace
-order — and ``wsa:To``, ``MessageID``, topic, subscription id and payload are
+in (topic present, for a row that puts one on the wire), the fold of the
+consumer EPR's reference parameters/properties (``()`` for a plain address),
+the payload's namespace order — and ``wsa:To``, ``MessageID``, topic, subscription id and payload are
 **slots**: see DESIGN.md, "Envelope byte-templates".
 
 Control envelopes (the requests of ``SoapClient.call``, the replies handlers
@@ -26,6 +26,7 @@ framed once per shape, the body a subtree spliced behind it.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.obs.instrument import BoundCounters
@@ -78,11 +79,12 @@ def reference_shape(epr: EndpointReference) -> tuple:
 
 
 class Entry:
-    """One row of the rendering table: how ``(payload, topic)`` items become
-    a message.  A single-message entry carries one item, the payload as the
-    body itself and its topic (if any) in the ``topic_header`` SOAP header; a
-    ``batch`` entry carries any number under the wrapper ``body`` builds, one
-    *chunk* (a child of the wrapper) each."""
+    """One row of the rendering table: how
+    :class:`~repro.delivery.task.DeliveryItem` s become a message.  A
+    single-message entry carries one item, the payload as the body itself and
+    its topic (if any) in the ``topic_header`` SOAP header; a ``batch`` entry
+    carries any number under the wrapper ``body`` builds, one *chunk* (a
+    child of the wrapper) each."""
 
     def __init__(
         self,
@@ -99,26 +101,35 @@ class Entry:
 
     def shape(self, items: list):
         """What of ``items`` a template bakes in; None when no one fits them."""
-        topical = items[0][1] is not None
-        return topical if all((topic is not None) == topical for _, topic in items) else None
+        topical = items[0].topic is not None
+        return topical if all((item.topic is not None) == topical for item in items) else None
 
     def parts(self, item) -> tuple[Optional[str], Optional[str], XElem]:
         """The slot values of one item: ``(subscription id, topic, payload)``."""
-        return None, item[1], item[0]
+        return None, item.topic, item.payload
 
     def stand_in(self, item):
         """``item`` with sentinels where its slots are."""
-        return item[0], None if item[1] is None else TOPIC[1]
+        return replace(item, topic=None if item.topic is None else TOPIC[1])
 
     def build(self, items: list) -> tuple[list[XElem], XElem]:
         """``(extra SOAP headers, body)`` carrying ``items``."""
-        payload, topic = items[0]
+        payload, topic = items[0].payload, items[0].topic
         headers = []
         if topic is not None and self.topic_header is not None:
             headers.append(text_element(self.topic_header, topic))
         if self.body is not None:
             return headers, self.body(items)
         return headers, payload if payload.frozen else payload.copy()
+
+
+class TopiclessEntry(Entry):
+    """A row that puts no topic on the wire — WS-Notification's raw
+    delivery, WS-Eventing's wrapped batch — so whether its items have one is
+    no part of its shape."""
+
+    def shape(self, items: list):
+        return False
 
 
 class CompiledEnvelope(NamedTuple):

@@ -63,6 +63,7 @@ from repro.xmlkit.names import Namespaces, QName
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.delivery.manager import DeliveryManager
     from repro.delivery.outcome import DeliveryFailure
+    from repro.delivery.task import DeliveryItem
 
 
 class DeliveryMode(Enum):
@@ -155,8 +156,9 @@ class Subscription(WsResource):
     qos: Optional[QosProfile] = None
     priority: int = 0
     paused: bool = False
-    #: the one parked queue: pull backlog, wrapped batch or paused copies
-    queue: list = field(default_factory=list)
+    #: the one parked queue, of bare items: pull backlog, wrapped batch or
+    #: paused copies
+    queue: list[DeliveryItem] = field(default_factory=list)
     mode: DeliveryMode = DeliveryMode.PUSH
     use_raw: bool = False
     topic_expression: Optional[str] = None
@@ -323,13 +325,13 @@ class SubscriptionManager(ResourceRegistry):
 
     # --- the parked queue --------------------------------------------------------------
 
-    def park(self, subscription: Subscription, item, lineage=None) -> bool:
+    def park(self, subscription: Subscription, item: "DeliveryItem") -> bool:
         """Append to the parked queue, honouring ``MaxEventsPerConsumer``.
         Returns False when the *incoming* item was the one discarded
         (LifoOrder); otherwise the oldest parked item makes room.  Parked
-        items are bare, so per-item lineage ends here with an informational
-        ``queued`` (no obligation) and a drop is a counter, not a ledger
-        event."""
+        copies are bare — a drain stamps its own lineage — so the item's
+        lineage ends here with an informational ``queued`` (no obligation)
+        and a drop is a counter, not a ledger event."""
         instr = self.network.instrumentation
         profile = subscription.qos
         if profile is not None:
@@ -339,7 +341,8 @@ class SubscriptionManager(ResourceRegistry):
                 if profile.get("DiscardPolicy") is DiscardPolicy.LIFO_ORDER:
                     return False
                 del subscription.queue[0]
-        subscription.queue.append(item)
+        lineage = item.lineage
+        subscription.queue.append(item if lineage is None else replace(item, lineage=None))
         if lineage is not None:
             instr.lineage_event(
                 lineage.lineage_id, "queued", subscription=subscription.key,

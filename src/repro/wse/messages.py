@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.qos.properties import QosError, QosProfile
 from repro.qos.wire import find_profile, profile_to_element
-from repro.render import Entry
+from repro.render import Entry, TopiclessEntry
 from repro.soap.fault import FaultCode, SoapFault
 from repro.subscriptions import Grant, SubscriptionHandle, Verb
 from repro.wsa.epr import EndpointReference
@@ -334,11 +334,11 @@ def build_wrapped_notification(version: WseVersion, messages: list[XElem]) -> XE
 
 
 def wrapped_entry(version: WseVersion) -> Entry:
-    """The wrapped batch as a row of the rendering table: ``(payload, None)``
-    items, each payload its own chunk of the wrapper."""
-    return Entry(
+    """The wrapped batch as a row of the rendering table: each item's payload
+    its own chunk of the wrapper, which has no place for a topic."""
+    return TopiclessEntry(
         "wrapped",
-        lambda items: build_wrapped_notification(version, [payload for payload, _ in items]),
+        lambda items: build_wrapped_notification(version, [item.payload for item in items]),
         batch=True,
     )
 

@@ -198,7 +198,7 @@ class EventSource(SubscriptionService):
             self.version.qname("MaxMessages"),
             self.version.qname("InvalidMessage"),
         )
-        body = messages.build_pull_response(self.version, batch)
+        body = messages.build_pull_response(self.version, [item.payload for item in batch])
         return self._reply(headers, self.version.action("PullResponse"), body)
 
     # --- publication ------------------------------------------------------------------
@@ -222,14 +222,14 @@ class EventSource(SubscriptionService):
     ) -> int:
         # one frozen payload instance is shared by every match this publish
         frozen = self._fanout.freeze(payload)
-        lineage = self.network.instrumentation.trace_context()
+        items = [DeliveryItem(frozen, topic, self.network.instrumentation.trace_context())]
         delivered = 0
         for subscription in self._fanout.match(frozen, topic, self.producer_properties):
             delivered += 1
             if subscription.mode is DeliveryMode.PUSH:
-                self._push(subscription, frozen, action, topic, lineage)
+                self._settle(subscription, action, self._push_entry, items)
                 continue
-            if not self.subscriptions.park(subscription, frozen, lineage):
+            if not self.subscriptions.park(subscription, items[0]):
                 continue
             if subscription.mode is DeliveryMode.WRAPPED:
                 self._note_wrapped_queued(subscription)
@@ -288,39 +288,29 @@ class EventSource(SubscriptionService):
             if subscription.mode is DeliveryMode.WRAPPED and subscription.queue:
                 self._flush_wrapped(subscription)
 
-    def _push(
-        self,
-        subscription: Subscription,
-        payload: XElem,
-        action: str,
-        topic: Optional[str],
-        lineage,
+    def _settle(
+        self, subscription: Subscription, action: str, entry: Entry, items: list, **wrapped
     ) -> None:
+        """``items`` to one sink through ``entry``: the list rendered is the
+        list settled."""
         self._fanout.settle(
             subscription.consumer.address,
             self._send_rendered,
-            (subscription, action, self._push_entry, [(payload, topic)]),
-            [DeliveryItem(payload, topic, lineage=lineage)],
+            (subscription, action, entry, items),
+            items,
             priority=subscription.priority,
             on_failed=self._end_after_failure,
+            **wrapped,
         )
 
     def _flush_wrapped(self, subscription: Subscription) -> None:
         self._wrapped_deadlines.pop(subscription.key, None)
-        batch = self.subscriptions.drain(subscription)
-        self._fanout.settle(
-            subscription.consumer.address,
-            self._send_rendered,
-            (
-                subscription,
-                self.version.action("Notifications"),
-                self._wrapped_entry,
-                [(message, None) for message in batch],
-            ),
-            [DeliveryItem(message) for message in batch],
+        self._settle(
+            subscription,
+            self.version.action("Notifications"),
+            self._wrapped_entry,
+            self.subscriptions.drain(subscription),
             stage="wrapped_notify",
-            priority=subscription.priority,
-            on_failed=self._end_after_failure,
             mode="wrapped",
         )
 

@@ -25,13 +25,14 @@ from repro.delivery.manager import DeliveryManager
 from repro.filters.base import FilterError
 from repro.filters.topics import TopicDialect, TopicExpression, TopicNamespace
 from repro.qos.adaptive import AdaptiveQosPolicy
-from repro.soap.envelope import SoapEnvelope, SoapVersion
+from repro.render import reply_text
+from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
 from repro.subscriptions import SubscriptionHandle
 from repro.transport.endpoint import SoapEndpoint
 from repro.transport.network import SimulatedNetwork
 from repro.wsa.epr import EndpointReference
-from repro.wsa.headers import MessageHeaders, apply_headers
+from repro.wsa.headers import MessageHeaders
 from repro.wsn import messages
 from repro.wsn.producer import NotificationProducer
 from repro.wsn.subscriber import WsnSubscriber
@@ -182,13 +183,9 @@ class NotificationBroker:
                 QName(BROKERED_NS, "PublisherRegistrationReference"),
             )
         )
-        reply = SoapEnvelope(SoapVersion.V11)
-        reply_headers = MessageHeaders.reply(
-            headers, f"{BROKERED_NS}/RegisterPublisherResponse", self.version.wsa_version
+        return reply_text(
+            headers, f"{BROKERED_NS}/RegisterPublisherResponse", response, self.version.wsa_version
         )
-        apply_headers(reply, reply_headers, self.version.wsa_version)
-        reply.add_body(response)
-        return reply
 
     def register_publisher(
         self,
@@ -231,14 +228,12 @@ class NotificationBroker:
                 subcode=QName(BROKERED_NS, "ResourceNotDestroyedFault"),
             )
         self.destroy_registration(registration)
-        response = XElem(QName(BROKERED_NS, "DestroyRegistrationResponse"))
-        reply = SoapEnvelope(SoapVersion.V11)
-        reply_headers = MessageHeaders.reply(
-            headers, f"{BROKERED_NS}/DestroyRegistrationResponse", self.version.wsa_version
+        return reply_text(
+            headers,
+            f"{BROKERED_NS}/DestroyRegistrationResponse",
+            XElem(QName(BROKERED_NS, "DestroyRegistrationResponse")),
+            self.version.wsa_version,
         )
-        apply_headers(reply, reply_headers, self.version.wsa_version)
-        reply.add_body(response)
-        return reply
 
     def destroy_registration(self, registration: PublisherRegistration) -> None:
         registration.destroyed = True

@@ -239,6 +239,15 @@ class NotificationMessage:
     producer_reference: Optional[EndpointReference] = None
 
 
+def bare_messages(items) -> list[NotificationMessage]:
+    """``DeliveryItem`` s (payload + topic) as messages that carry no
+    references: what a broker re-renders for a WSN consumer it is not the
+    producer for.  Each payload is a copy: writing a frozen payload caches its
+    text on it, and a re-rendered message leaves the fan-out's instance as
+    the fan-out's own sends left it."""
+    return [NotificationMessage(item.payload.copy(), topic=item.topic) for item in items]
+
+
 def build_notify(version: WsnVersion, notifications: list[NotificationMessage]) -> XElem:
     notify = XElem(version.qname("Notify"))
     for item in notifications:

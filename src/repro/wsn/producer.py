@@ -10,6 +10,7 @@ WS-Eventing's SubscriptionEnd (Table 2).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.delivery.batcher import DeliveryBatcher
@@ -21,10 +22,10 @@ from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
 from repro.subscriptions import Grant, Operation, OperationTable, Subscription, SubscriptionService
 from repro.transport.network import SimulatedNetwork
-from repro.render import Entry, reference_shape
+from repro.render import TopiclessEntry, reference_shape
 from repro.wsa.headers import MessageHeaders
 from repro.wsn import messages
-from repro.wsn.messages import PROP_STATUS, NotificationMessage
+from repro.wsn.messages import PROP_STATUS
 from repro.wsn.templates import NotifyEntry
 from repro.wsn.versions import WsnVersion
 from repro.wsrf.lifetime import UnableToSetTerminationTimeFault, set_termination_time
@@ -148,7 +149,7 @@ class NotificationProducer(SubscriptionService):
         self.wsrf_enabled = any(row.name == "Destroy" for row in self.operations.rows)
         #: this family's rows of the rendering table
         self._notify_entry = NotifyEntry(version, address, self.manager_address)
-        self._raw_entry = Entry("raw")
+        self._raw_entry = TopiclessEntry("raw")
         #: per-sink wire coalescing (None = one request per notification);
         #: shares the delivery manager's scheduler so window expiry rides the
         #: same run_due/run_until_idle pump as retries
@@ -346,22 +347,14 @@ class NotificationProducer(SubscriptionService):
         # one frozen payload instance is shared by every match this publish
         frozen = self._fanout.freeze(payload)
         self.note_publication(frozen, topic)
-        lineage = self.network.instrumentation.trace_context()
+        item = DeliveryItem(frozen, topic, self.network.instrumentation.trace_context())
         matched = 0
         for subscription in self._fanout.match(
             frozen, topic, self.producer_properties, self._properties_document()
         ):
             matched += 1
-            message = NotificationMessage(
-                frozen,
-                topic=topic,
-                subscription_reference=self.subscriptions.epr_for(
-                    subscription, self.manager_address
-                ),
-                producer_reference=self.epr(),
-            )
             if subscription.paused:
-                self.subscriptions.park(subscription, message, lineage)
+                self.subscriptions.park(subscription, item)
             elif self.batcher is not None and not subscription.use_raw:
                 # same sink + same shape coalesce into one wire request; the
                 # group key mirrors the byte-template cache key so every
@@ -374,11 +367,11 @@ class NotificationProducer(SubscriptionService):
                         topic,
                         frozen_namespace_order(frozen),
                     ),
-                    (subscription, message, lineage),
+                    (subscription, item),
                     priority=subscription.priority,
                 )
             else:
-                self._flush_batch(None, [(subscription, message, lineage)])
+                self._flush_batch(None, [(subscription, item)])
         if self.batcher is not None:
             self.batcher.flush_publish()
         return matched
@@ -390,24 +383,20 @@ class NotificationProducer(SubscriptionService):
         GetCurrentMessage cache."""
         self._admit_publication(payload, topic)
 
-    def _deliver(
-        self, subscription: Subscription, notifications: list[NotificationMessage]
-    ) -> None:
-        """One subscriber's notifications (a resumed backlog) as one request
-        — a one-subscription batch."""
+    def _deliver(self, subscription: Subscription, backlog: list[DeliveryItem]) -> None:
+        """One subscriber's resumed backlog as one request — a one-subscription
+        batch, each item under the lineage of the resume that flushes it."""
         lineage = self.network.instrumentation.trace_context()
-        self._flush_batch(None, [(subscription, item, lineage) for item in notifications])
+        self._flush_batch(
+            None, [(subscription, replace(item, lineage=lineage)) for item in backlog]
+        )
 
     def flush(self) -> None:
         """Force out every partially-filled batch."""
         if self.batcher is not None:
             self.batcher.flush_all()
 
-    def _flush_batch(
-        self,
-        key,
-        entries: list[tuple[Subscription, NotificationMessage, object]],
-    ) -> None:
+    def _flush_batch(self, key, entries: list[tuple[Subscription, DeliveryItem]]) -> None:
         """Deliver one batch — same sink, same shape, one settlement: the
         batcher's coalesced group (``key`` is its group key), or the
         unbatched case of a single subscription (``key`` is None).  Every
@@ -421,19 +410,12 @@ class NotificationProducer(SubscriptionService):
             priority = first.priority
         else:
             attrs = {"raw": "false", "batch": str(len(entries))}
-            priority = max(sub.priority for sub, _, _ in entries)
+            priority = max(sub.priority for sub, _ in entries)
         self._fanout.settle(
             sink,
             self._send,
-            (first, [(sub.key, item) for sub, item, _ in entries]),
-            [
-                DeliveryItem(
-                    item.payload if item.payload.frozen else item.payload.copy(),
-                    item.topic,
-                    lineage=lineage,
-                )
-                for _, item, lineage in entries
-            ],
+            (first, [(sub.key, item) for sub, item in entries]),
+            [item for _, item in entries],
             priority=priority,
             on_failed=self._end_after_failure,
             **attrs,
@@ -454,17 +436,15 @@ class NotificationProducer(SubscriptionService):
                     kind=type(destroy_exc).__name__,
                 )
 
-    def _send(
-        self, subscription: Subscription, entries: list[tuple[str, NotificationMessage]]
-    ) -> None:
+    def _send(self, subscription: Subscription, entries: list[tuple[str, DeliveryItem]]) -> None:
         """One wire attempt: a wrapped Notify carrying ``entries`` (sub key,
-        message) or — raw delivery — each payload the body of its own message."""
+        item) or — raw delivery — each payload the body of its own message."""
         action = self.version.action("Notify")
         if not subscription.use_raw:
             self._send_rendered(subscription, action, self._notify_entry, entries)
             return
         for _, item in entries:
-            self._send_rendered(subscription, action, self._raw_entry, [(item.payload, None)])
+            self._send_rendered(subscription, action, self._raw_entry, [item])
 
     # --- termination -----------------------------------------------------------------------
 

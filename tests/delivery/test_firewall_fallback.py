@@ -13,7 +13,9 @@ import pytest
 from repro.delivery import DeliveryPolicy, drain_message_box_wse
 from repro.messenger import WsMessenger
 from repro.transport import SimulatedNetwork, VirtualClock
+from repro.wsa.epr import EndpointReference
 from repro.wse import EventSink, WseSubscriber
+from repro.wse.model import DeliveryMode
 from repro.wsn import NotificationConsumer, PullPointClient, WsnSubscriber
 from repro.xmlkit import parse_xml
 
@@ -102,6 +104,27 @@ class TestWseDrain:
         payloads = drain_message_box_wse(network, box.epr(), zone=ZONE)
         assert [p.full_text() for p in payloads] == ["7"]
         assert len(box) == 0
+
+    def test_a_wrapped_batch_keeps_its_topics_in_the_box_and_the_dlq(self, network, broker):
+        """WSE's wrapper has no place for a topic, but what parks or dead-letters
+        is the notification, not the wrapper: a GetMessages drain and the DLQ
+        listing still see each item's topic."""
+        sink = EventSink(network, "http://inside-sink", zone=ZONE)
+        client = WseSubscriber(network, zone=ZONE)
+        client.subscribe(broker.epr(), notify_to=sink.epr(), mode=DeliveryMode.WRAPPED)
+        client.subscribe(
+            broker.epr(), notify_to=EndpointReference("http://gone"), mode=DeliveryMode.WRAPPED
+        )
+        broker.publish(event(1), topic="fw")
+        broker.publish(event(2), topic="fw/x")
+        broker.flush()
+        broker.run_deliveries_until_idle()
+        box = broker.message_boxes.get("http://inside-sink")
+        messages = PullPointClient(network, zone=ZONE).get_messages(box.epr())
+        assert [(m.payload.full_text(), m.topic) for m in messages] == [("1", "fw"), ("2", "fw/x")]
+        [letter] = broker.delivery_manager.dlq.snapshot()
+        assert letter["sink"] == "http://gone"
+        assert letter["topics"] == ["fw", "fw/x"]
 
     def test_wse_subscription_survives_the_block(self, network, broker):
         sink = EventSink(network, "http://inside-sink", zone=ZONE)

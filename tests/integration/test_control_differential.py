@@ -18,6 +18,7 @@ import re
 import pytest
 
 from repro import render
+from repro.baselines.ogsi.grid_service import OGSI_NS
 from repro.composition.security import SECURITY_HEADER, secure_endpoint, sign_envelope
 from repro.convergence import MODE_PULL, ConvergedConsumer, ConvergedSource, ConvergedSubscriber
 from repro.soap import SoapFault
@@ -32,6 +33,7 @@ from repro.wsa.headers import MessageHeaders, reply_envelope, reset_message_coun
 from repro.wsa.versions import WsaVersion
 from repro.wse import DeliveryMode, EventSink, EventSource, WseSubscriber, WseVersion
 from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber, WsnVersion
+from repro.wsn.broker import BROKERED_NS, REGISTRATION_ID
 from repro.wsn.producer import PROP_STATUS, PROP_TOPIC_SET
 from repro.xmlkit import parse_xml
 from repro.xmlkit.element import XElem, text_element
@@ -338,15 +340,39 @@ def test_a_reply_to_with_reference_parameters_is_echoed_framed_and_tree(frames_o
     assert TEMPLATE_STATS.fallbacks == 0
 
 
+def brokered_reply(local: str, *children) -> tuple:
+    return f"{BROKERED_NS}/{local}", XElem(QName(BROKERED_NS, local), None, children), WSA
+
+
+def ogsi_reply(local: str) -> tuple:
+    return f"{OGSI_NS}/{local}", XElem(QName(OGSI_NS, local)), WsaVersion.V2003_03
+
+
+#: (action, body, WS-Addressing version) of replies as their handlers build them
+REPLIES = [
+    ("urn:aResponse", text_element(QName("urn:cd", "Done"), "ok"), WSA),
+    # WS-BrokeredNotification's registration manager
+    brokered_reply(
+        "RegisterPublisherResponse",
+        EndpointReference("http://cd-broker/registrations")
+        .with_parameter(text_element(REGISTRATION_ID, "reg-1"))
+        .to_element(WSA, QName(BROKERED_NS, "PublisherRegistrationReference")),
+    ),
+    brokered_reply("DestroyRegistrationResponse"),
+    # the OGSI grid service (WS-Addressing 2003/03)
+    ogsi_reply("requestTerminationAfterResponse"),
+]
+
+
 def test_reply_text_is_reply_envelope_serialised():
     request = MessageHeaders("http://x", "urn:a", message_id="urn:uuid:req-1")
-    body = text_element(QName("urn:cd", "Done"), "ok")
-    reset_message_counter()
-    tree = serialize_envelope(reply_envelope(request, "urn:aResponse", body, WSA))
-    for _ in range(2):  # a miss, then a hit
+    for action, body, version in REPLIES:
         reset_message_counter()
-        assert render.reply_text(request, "urn:aResponse", body, WSA) == tree
-    assert TEMPLATE_STATS.snapshot() == {"hits": 1, "misses": 1, "fallbacks": 0}
+        tree = serialize_envelope(reply_envelope(request, action, body, version))
+        for _ in range(2):  # a miss, then a hit
+            reset_message_counter()
+            assert render.reply_text(request, action, body, version) == tree
+    assert TEMPLATE_STATS.snapshot() == {"hits": len(REPLIES), "misses": len(REPLIES), "fallbacks": 0}
 
 
 # --- the differential has teeth ---------------------------------------------------------

@@ -1,0 +1,219 @@
+"""Wire and ledger digests of every path a notification value travels.
+
+Each scenario drives one path between match and wire — a batched WSN Notify,
+a resumed WSN backlog (wrapped and raw), WS-Eventing push / wrapped / pull,
+the converged prototype's push / wrapped / pull, the message-box drains in
+both dialects, a mesh forward hop and federation ingress — with
+instrumentation on.  The digests pin the exact request and response bytes,
+frame by frame (the HTTP head carries the lineage header), and the
+lineage-ledger event sequence: how a notification is carried inside the
+broker may change, what it puts on the wire and in the books may not.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.convergence.service import (
+    MODE_PULL,
+    MODE_WRAP,
+    ConvergedConsumer,
+    ConvergedSource,
+    ConvergedSubscriber,
+)
+from repro.delivery import BatchingPolicy, DeliveryPolicy, drain_message_box_wse
+from repro.mesh.cluster import MeshCluster
+from repro.messenger import WsMessenger
+from repro.obs import Instrumentation
+from repro.transport import SimulatedNetwork, VirtualClock
+from repro.wsa.headers import reset_message_counter
+from repro.wse import EventSink, EventSource, WseSubscriber
+from repro.wse.model import DeliveryMode
+from repro.wsn import NotificationConsumer, NotificationProducer, PullPointClient, WsnSubscriber
+from repro.xmlkit import parse_xml
+
+ZONE = "golden-lan"
+
+
+def event(n: int):
+    return parse_xml(f'<g:E xmlns:g="urn:golden"><g:n>{n}</g:n><g:t>a &amp; b</g:t></g:E>')
+
+
+def wsn_batched(network):
+    """Three subscriptions at one sink coalesce into one Notify per publish."""
+    producer = NotificationProducer(
+        network, "http://g-producer", batching=BatchingPolicy(window=0.0, max_batch=10)
+    )
+    consumer = NotificationConsumer(network, "http://g-consumer")
+    client = WsnSubscriber(network)
+    for _ in range(3):
+        client.subscribe(producer.epr(), consumer.epr(), topic="t")
+    for n in range(2):
+        producer.publish(event(n), topic="t")
+    producer.publish(event(9), topic="u")
+    assert len(consumer.received) == 6
+
+
+def wsn_resume(network):
+    """A paused backlog of mixed topics, resumed wrapped and raw."""
+    producer = NotificationProducer(network, "http://g-producer")
+    wrapped = NotificationConsumer(network, "http://g-wrapped")
+    raw = NotificationConsumer(network, "http://g-raw")
+    client = WsnSubscriber(network)
+    handles = [
+        client.subscribe(producer.epr(), wrapped.epr()),
+        client.subscribe(producer.epr(), raw.epr(), use_raw=True),
+    ]
+    for handle in handles:
+        client.pause(handle)
+    producer.publish(event(1), topic="a")
+    producer.publish(event(2), topic="b")
+    producer.publish(event(3))
+    for handle in handles:
+        client.resume(handle)
+    producer.publish(event(4), topic="a")
+    assert [len(wrapped.received), len(raw.received)] == [4, 4]
+
+
+def wse_paths(network):
+    """WS-Eventing push, a wrapped batch (size trigger and flush) and pull."""
+    source = EventSource(network, "http://g-source", wrapped_batch_size=3)
+    push = EventSink(network, "http://g-push")
+    wrapped = EventSink(network, "http://g-wrapped")
+    client = WseSubscriber(network)
+    client.subscribe(source.epr(), notify_to=push.epr())
+    client.subscribe(source.epr(), notify_to=wrapped.epr(), mode=DeliveryMode.WRAPPED)
+    pull = client.subscribe(source.epr(), mode=DeliveryMode.PULL)
+    for n in range(5):
+        source.publish(event(n), topic="a" if n % 2 else None)
+    source.flush()
+    assert len(client.pull(pull, 2)) == 2
+    assert len(client.pull(pull)) == 3
+    assert [len(push.received), len(wrapped.received)] == [5, 5]
+
+
+def converged_paths(network):
+    """The converged prototype: push (wrapped and raw), a paused push resumed,
+    a wrapped batch and pull."""
+    source = ConvergedSource(network, "http://g-conv", wrapped_batch_size=3)
+    push = ConvergedConsumer(network, "http://g-conv-push")
+    raw = ConvergedConsumer(network, "http://g-conv-raw")
+    wrapped = ConvergedConsumer(network, "http://g-conv-wrapped")
+    client = ConvergedSubscriber(network)
+    paused = client.subscribe(source.epr(), consumer=push.epr())
+    client.subscribe(source.epr(), consumer=raw.epr(), use_raw=True)
+    client.subscribe(source.epr(), consumer=wrapped.epr(), mode=MODE_WRAP)
+    pull = client.subscribe(source.epr(), mode=MODE_PULL)
+    for n in range(2):
+        source.publish(event(n), topic="a" if n % 2 else None)
+    client.pause(paused)
+    for n in range(2, 5):
+        source.publish(event(n), topic="a" if n % 2 else "b")
+    client.resume(paused)
+    source.flush()
+    assert len(client.pull(pull, 2)) == 2
+    assert len(client.pull(pull)) == 3
+    assert [len(push.received), len(raw.received), len(wrapped.received)] == [5, 5, 5]
+
+
+def message_box_drains(network):
+    """Firewalled sinks park at the broker; GetMessages and Pull drain them."""
+    network.add_zone(ZONE, blocks_inbound=True)
+    broker = WsMessenger(
+        network,
+        "http://g-broker",
+        delivery=DeliveryPolicy(
+            max_attempts=4, base_backoff=1.0, jitter=0.0, breaker_failure_threshold=1
+        ),
+    )
+    consumer = NotificationConsumer(network, "http://g-inside-c", zone=ZONE)
+    WsnSubscriber(network, zone=ZONE).subscribe(broker.epr(), consumer.epr(), topic="fw")
+    sink = EventSink(network, "http://g-inside-s", zone=ZONE)
+    WseSubscriber(network, zone=ZONE).subscribe(broker.epr(), notify_to=sink.epr())
+    for n in range(3):
+        broker.publish(event(n), topic="fw")
+    broker.publish(event(3))
+    puller = PullPointClient(network, zone=ZONE)
+    box = broker.message_boxes.get(consumer.address).epr()
+    assert len(puller.get_messages(box, maximum=2)) == 2
+    assert len(drain_message_box_wse(network, box, zone=ZONE)) == 1
+    box = broker.message_boxes.get(sink.address).epr()
+    assert len(puller.get_messages(box, maximum=1)) == 1
+    assert len(drain_message_box_wse(network, box, zone=ZONE)) == 3
+
+
+def mesh_hops(network):
+    """Publishes entering at non-owner shards forward one hop to the owner,
+    whose exchange federates them to a consumer homed elsewhere."""
+    mesh = MeshCluster(network, 3)
+    owner = mesh.owner_node_of_topic("jobs/status").name
+    other = next(name for name in mesh.registry.current.members if name != owner)
+    local = NotificationConsumer(network, "http://g-local")
+    mesh.subscribe_wsn(local.address, topic="jobs/status")
+    remote = NotificationConsumer(network, "http://g-remote")
+    mesh.subscribe_wsn(remote.address, topic="jobs/status", home=other)
+    for index in range(3):
+        mesh.publish(event(index), topic="jobs/status", via=index)
+    mesh.quiesce()
+    assert [len(local.received), len(remote.received)] == [3, 3]
+
+
+def digests(scenario) -> tuple[str, str]:
+    """SHA-256 of every frame's (address, outcome, request, response) in
+    order, and of the lineage ledger's snapshot."""
+    reset_message_counter()
+    network = SimulatedNetwork(VirtualClock())
+    instrumentation = Instrumentation.attach(network)
+    wire = hashlib.sha256()
+
+    def observe(observation) -> None:
+        for part in (
+            observation.address.encode(),
+            observation.outcome.encode(),
+            bytes(observation.request),
+            bytes(observation.response or b""),
+        ):
+            wire.update(len(part).to_bytes(4, "big"))
+            wire.update(part)
+
+    network.wire_observers.append(observe)
+    scenario(network)
+    ledger = json.dumps(instrumentation.ledger.snapshot(), sort_keys=True)
+    return wire.hexdigest(), hashlib.sha256(ledger.encode()).hexdigest()
+
+
+#: recorded before the producer side carried notifications as one value
+GOLDEN = {
+    "wsn_batched": (
+        "01997d0c9c0d0613c1dded08eca8bae8eee73f4c49ec0b0034571b1b760abe7a",
+        "f8f557cb5a964559f1a22872199170852081a931e23ad51705080765b59786f6",
+    ),
+    "wsn_resume": (
+        "b9953f220fc88c3575fca751e62ed99654bf0825df003fb76bbba5f34e0f9d27",
+        "801d0c09fd4358c9c8d11067ca0f8df09815f075c146597468e6705dcd33338c",
+    ),
+    "wse_paths": (
+        "231c57203be02eb43de8ba1a1eaae06442ada1e73a608e6fb5e645092cc1ed6b",
+        "d088dbfa7f18da43f16c14448b7df228f4b06fe095552b4cc6964e8ff8696281",
+    ),
+    "converged_paths": (
+        "085f6453076b3f24b2c555fd613b20a01e242b59dfdeeed5e7b1ee749a028123",
+        "d30de5e19523e9d4e9f7ea40255e88e07ed1941083e8052fbd410aea98423e35",
+    ),
+    "message_box_drains": (
+        "99a4e10ac77b37d53940ead3c478a6987e2837e0b63ea901b49e7be34356bc37",
+        "af2c625f57a70e4f06751c075ff90c600eb256eb03545fff04c06f9ae60cffec",
+    ),
+    "mesh_hops": (
+        "a7bb42aa6e25b9c2d3c4c857cb89cb9f31f3a60d27557d748873d193002da422",
+        "a470118d6f5c8f397d61be80f0ed6bb8bb8d52dabb2da93dc7a875c590802340",
+    ),
+}
+
+SCENARIOS = [wsn_batched, wsn_resume, wse_paths, converged_paths, message_box_drains, mesh_hops]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda scenario: scenario.__name__)
+def test_wire_and_ledger_digests_hold(scenario):
+    assert digests(scenario) == GOLDEN[scenario.__name__]

@@ -28,6 +28,7 @@ from repro.wsa.versions import WsaVersion
 from repro.wse import EventSink, WseSubscriber
 from repro.wse.versions import WseVersion
 from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber
+from repro.wsn.messages import NotificationMessage
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit import parse_xml
 from repro.xmlkit.element import XElem, text_element
@@ -151,6 +152,32 @@ def test_a_hot_topic_walks_one_tree_and_evaluates_only_what_matches(
     else:
         assert network.stats.requests == matched
         assert (total("fanout.template_misses"), total("fanout.template_hits")) == (1, matched - 1)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["templated", "batched"])
+def test_a_warm_wsn_publish_builds_no_message_and_no_reference(batched, monkeypatch):
+    """A match hands the renderer the publish's one ``DeliveryItem``: the
+    ``NotificationMessage`` and its two references are built where a tree
+    is — compiling the template — and never per delivery."""
+    network, _, producer, matching = hot_topic_producer(
+        20, 1.0, batching=BatchingPolicy(window=0.0, max_batch=100) if batched else None
+    )
+    producer.publish(event(0), topic=HOT)  # the warm-up compiles the one shape
+    built = []
+
+    def counted(init):
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        return counting_init
+
+    for cls in (NotificationMessage, EndpointReference):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    network.stats.reset()
+    assert producer.publish(event(1), topic=HOT) == matching
+    assert network.stats.requests == (1 if batched else matching)
+    assert built == []
 
 
 # --- control envelopes: counted too, because the counts repeat exactly -----------------

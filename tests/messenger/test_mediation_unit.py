@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.messenger import mediation
+from repro.delivery.task import DeliveryItem
 from repro.messenger.mediation import (
-    MediatedNotification,
     WSE_TOPIC_HEADER,
     compare_message_pair,
     neutral_from_wse_envelope,
@@ -32,9 +31,7 @@ def payload(n=1):
 def wse_parts(item):
     """Render for a WSE consumer the way the broker's event sources do: the
     push row of the rendering table, topic in the mediated SOAP header."""
-    headers, body = Entry("push", topic_header=WSE_TOPIC_HEADER).build(
-        [(item.payload, item.topic)]
-    )
+    headers, body = Entry("push", topic_header=WSE_TOPIC_HEADER).build([item])
     return body, headers
 
 
@@ -52,14 +49,14 @@ class TestNeutralConversions:
         assert items[0].payload == payload(1)
 
     def test_neutral_to_wse_parts(self):
-        item = MediatedNotification(payload(), topic="a/b")
+        item = DeliveryItem(payload(), topic="a/b")
         body, headers = wse_parts(item)
         assert body == payload()
         assert headers[0].name == WSE_TOPIC_HEADER
         assert headers[0].full_text() == "a/b"
 
     def test_neutral_to_wse_without_topic(self):
-        body, headers = wse_parts(MediatedNotification(payload()))
+        body, headers = wse_parts(DeliveryItem(payload()))
         assert headers == []
 
     def test_wse_envelope_to_neutral(self):
@@ -71,7 +68,7 @@ class TestNeutralConversions:
         assert item.payload == payload()
 
     def test_neutral_to_wsn_notify(self):
-        items = [MediatedNotification(payload(i), topic="t") for i in range(2)]
+        items = [DeliveryItem(payload(i), topic="t") for i in range(2)]
         notify = wsn_notify_from_neutral(items, WSN)
         parsed = wsn_messages.parse_notify(notify, WSN)
         assert len(parsed) == 2

@@ -93,8 +93,8 @@ def test_destroy_registration_counts_upstream_unsubscribe_fault():
 
 
 def test_producer_counts_double_destroy_after_delivery_failure():
+    from repro.delivery.task import DeliveryItem
     from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber
-    from repro.wsn.messages import NotificationMessage
     from repro.xmlkit import parse_xml
 
     network = SimulatedNetwork(VirtualClock())
@@ -109,9 +109,7 @@ def test_producer_counts_double_destroy_after_delivery_failure():
     # the failure-path destroy now hits ResourceUnknownFault
     producer.subscriptions.destroy(subscription.key, "unsubscribed")
     consumer.close()
-    producer._deliver(
-        subscription, [NotificationMessage(parse_xml("<e/>"), topic="t")]
-    )
+    producer._deliver(subscription, [DeliveryItem(parse_xml("<e/>"), "t")])
     assert counter_total(instrumentation, "wsn.producer.destroy_after_failure") == 1
 
 
