@@ -464,18 +464,20 @@ class DeliveryManager:
                 self._bound.inc(instr, 1, "delivery.retries", "family", task.family)
             self._ledger(task.items, "attempted", n=task.attempts, sink=sink)
             try:
-                # resume the message's trace: a scheduler-fired retry has an
-                # empty span stack, so ``remote=`` re-parents this attempt
-                # (and the wire injection inside the thunk) under the span
-                # that enqueued the task
-                with instr.span(
-                    "delivery.attempt",
-                    remote=task.lineage,
-                    sink=sink,
-                    family=task.family,
-                    attempt=str(task.attempts),
-                ):
+                # a first attempt inside the span that enqueued it sends under
+                # that span (the wire injection reads its context); one whose
+                # stack has lost it (a scheduler-fired retry, a timer-flushed
+                # batch, a drain under another publish) re-parents there by
+                # ``remote=``, so its header still names the enqueuing span
+                lineage = task.lineage
+                if lineage is not None and instr.trace_context() is lineage:
                     task.send()
+                else:
+                    with instr.span(
+                        "delivery.attempt", remote=lineage, sink=sink,
+                        family=task.family, attempt=str(task.attempts),
+                    ):
+                        task.send()
             except (NetworkError, SoapFault) as exc:
                 task.last_error = f"{type(exc).__name__}: {exc}"
                 self._breaker_step(instr, sink, breaker, breaker.record_failure)

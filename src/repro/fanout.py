@@ -18,8 +18,9 @@ lineage), rendered and settled.
 2. :meth:`Fanout.match` — the only candidate loop: expiry sweep, topic/content
    index lookup, the ``fanout.*`` counters, the residual filter; survivors come
    out lazily, in subscription order, so liveness is checked at each one's turn;
-3. :meth:`Fanout.settle` — one wire attempt wrapped in the ``notify`` span and
-   counted per *item* (the items the attempt renders, not copies of them),
+3. :meth:`Fanout.settle` — one wire attempt, opening no span of its own (the
+   client's ``deliver`` span and the lineage header it sends are the trace)
+   and counted per *item* (the items the attempt renders, not copies of them),
    handed to the :class:`DeliveryManager` when there is one
    and otherwise made at once through :func:`repro.delivery.outcome.attempt_directly`,
    which writes the obligation ledger as one state sequence: ``enqueued ->
@@ -175,7 +176,6 @@ class Fanout:
         stage: str = "notify",
         priority: int = 0,
         on_failed: Optional[Callable[..., None]] = None,
-        **span_attrs: str,
     ) -> None:
         """Get one message to ``sink``: ``send(*args)`` is exactly one wire
         attempt (raising ``NetworkError`` / ``SoapFault``), ``items`` are the
@@ -193,13 +193,10 @@ class Fanout:
         n = len(items)
 
         def attempt() -> None:
+            send(*args)
             instr = network.instrumentation
-            if not n or not instr.enabled:
-                send(*args)
-                return
-            with instr.span("notify", family=family, to=sink, **span_attrs):
-                send(*args)
-            self._count_notifications(instr, "notifications.delivered", n)
+            if n and instr.enabled:
+                self._count_notifications(instr, "notifications.delivered", n)
 
         if self.manager is not None:
             self.manager.submit(sink, attempt, items=items, family=family, priority=priority)

@@ -4,9 +4,12 @@ The whole simulation is synchronous, so span context is a plain stack: a
 span opened while another is active becomes its child, which makes a
 mediated publish come out as one connected tree
 
-    deliver → dispatch → detect_spec / mediate → notify → deliver → ...
+    deliver → dispatch → detect_spec / mediate → wsn.publish → deliver → ...
 
-with no explicit context passing anywhere in the instrumented code.
+with no explicit context passing anywhere in the instrumented code.  A
+delivery spans only what crosses the wire (the client's ``deliver``, the
+endpoint's ``dispatch``); its attempt gets a ``delivery.attempt`` span only
+where the stack has lost the lineage.
 Timestamps come from the :class:`VirtualClock`, so traces are bit-for-bit
 deterministic across runs.
 
@@ -129,12 +132,6 @@ class Tracer:
         self._next_id = 1
         self._next_lineage = 1
 
-    def mint_lineage(self) -> str:
-        """A fresh, deterministic lineage id (one per root publish)."""
-        lineage = f"lin-{self._next_lineage:08d}"
-        self._next_lineage += 1
-        return lineage
-
     def span(
         self,
         name: str,
@@ -173,7 +170,7 @@ class Tracer:
             # but this dispatch is one wire hop further along
             hop = remote.hop
         if mint and lineage is None:
-            # inlined mint_lineage(): this runs once per root publish
+            # a fresh, deterministic lineage id: once per root publish
             lineage = f"lin-{self._next_lineage:08d}"
             self._next_lineage += 1
             hop = 0

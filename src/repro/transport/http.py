@@ -113,10 +113,16 @@ def build_request(
     """
     before, after = head or request_head(url, soap_action, content_type)
     if lineage is not None:
-        after += (
-            f"{LINEAGE_HTTP_HEADER}: {_require_token(lineage, LINEAGE_HTTP_HEADER)}{_CRLF}"
-        ).encode("ascii")
+        after += _lineage_line(lineage)
     return b"%b%d%b\r\n%b" % (before, len(body), after, body)
+
+
+@lru_cache(maxsize=256)
+def _lineage_line(lineage: str) -> bytes:
+    """The ``X-Lineage`` line, validated and framed once per lineage text (a
+    publish's deliveries share one) the way :func:`request_head` is."""
+    text = _require_token(lineage, LINEAGE_HTTP_HEADER)
+    return f"{LINEAGE_HTTP_HEADER}: {text}{_CRLF}".encode("ascii")
 
 
 def _head_lines(wire: bytes) -> tuple[list[str], bytes]:

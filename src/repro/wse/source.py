@@ -289,7 +289,8 @@ class EventSource(SubscriptionService):
                 self._flush_wrapped(subscription)
 
     def _settle(
-        self, subscription: Subscription, action: str, entry: Entry, items: list, **wrapped
+        self, subscription: Subscription, action: str, entry: Entry, items: list,
+        stage: str = "notify",
     ) -> None:
         """``items`` to one sink through ``entry``: the list rendered is the
         list settled."""
@@ -298,9 +299,9 @@ class EventSource(SubscriptionService):
             self._send_rendered,
             (subscription, action, entry, items),
             items,
+            stage=stage,
             priority=subscription.priority,
             on_failed=self._end_after_failure,
-            **wrapped,
         )
 
     def _flush_wrapped(self, subscription: Subscription) -> None:
@@ -311,7 +312,6 @@ class EventSource(SubscriptionService):
             self._wrapped_entry,
             self.subscriptions.drain(subscription),
             stage="wrapped_notify",
-            mode="wrapped",
         )
 
     # --- termination -----------------------------------------------------------------

@@ -404,21 +404,13 @@ class NotificationProducer(SubscriptionService):
         ends every subscription in the batch, just as per-subscriber pushes
         would have."""
         first = entries[0][0]
-        sink = first.consumer.address
-        if key is None:
-            attrs = {"raw": "true" if first.use_raw else "false"}
-            priority = first.priority
-        else:
-            attrs = {"raw": "false", "batch": str(len(entries))}
-            priority = max(sub.priority for sub, _ in entries)
         self._fanout.settle(
-            sink,
+            first.consumer.address,
             self._send,
             (first, [(sub.key, item) for sub, item in entries]),
             [item for _, item in entries],
-            priority=priority,
+            priority=max(sub.priority for sub, _ in entries),
             on_failed=self._end_after_failure,
-            **attrs,
         )
 
     def _end_after_failure(self, exc: Exception, subscription, entries) -> None:

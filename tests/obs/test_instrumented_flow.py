@@ -3,7 +3,7 @@
 The acceptance scenario: an external WS-Eventing source bridged into the
 WS-Messenger broker, delivering to a WS-Notification consumer.  One
 publish must come out as a single connected span tree nesting at least
-``deliver -> detect_spec/dispatch -> mediate -> ... -> notify``, with the
+``deliver -> dispatch -> mediate -> ... -> wsn.publish -> deliver``, with the
 per-spec-family counters filled in.
 """
 
@@ -56,8 +56,9 @@ class TestSpanTree:
             "broker.publish",
             "broker.fan_out",
             "wsn.publish",
-            "notify",
         } <= names
+        counters = instrumentation.metrics.counter_values("notifications.delivered")
+        assert counters["notifications.delivered{family=wsn,version=v1_3}"] == 1
         # every span closed, on the virtual clock, in id order
         assert all(span.end is not None for span in tracer.spans)
         assert all(span.status == "ok" for span in tracer.spans)

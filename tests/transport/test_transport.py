@@ -91,6 +91,16 @@ class TestHttpFraming:
             with pytest.raises(HttpFramingError):
                 request_head(url, action)
 
+    def test_a_malformed_lineage_header_is_refused_every_time(self):
+        # the header line is framed once per lineage text; a refusal is not
+        # remembered, so the same bad text raises again on every request
+        good = build_request("http://host/in", b"<x/>", lineage="01-lin-1-0000002a-01")
+        assert parse_request(good).headers["X-Lineage"] == "01-lin-1-0000002a-01"
+        for lineage in ["01-lin\r\nX-Evil: 1", "01-lin\n", "01-lïn-1-0000002a-01"]:
+            for _ in range(2):
+                with pytest.raises(HttpFramingError):
+                    build_request("http://host/in", b"<x/>", lineage=lineage)
+
     def test_canonical_202_is_recognised_by_equality_only(self):
         canonical = build_response(202)
         assert canonical is build_response(202) == build_response(202, b"", "Accepted")
