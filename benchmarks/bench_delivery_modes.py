@@ -32,7 +32,7 @@ def _push_stack():
 
 def _wrapped_stack():
     network = SimulatedNetwork(VirtualClock())
-    source = EventSource(network, "http://src", wrapped_batch_size=10)
+    source = EventSource(network, "http://src")
     sink = EventSink(network, "http://snk")
     WseSubscriber(network).subscribe(
         source.epr(), notify_to=sink.epr(), mode=DeliveryMode.WRAPPED

@@ -19,6 +19,7 @@ from functools import partial
 from typing import Optional
 
 from repro.convergence.profile import WSEN_NS, ConvergedProfile
+from repro.delivery.policy import BatchingPolicy
 from repro.delivery.task import DeliveryItem
 from repro.filters.topics import TopicNamespace
 from repro.render import Entry
@@ -222,8 +223,8 @@ class ConvergedSource(SubscriptionService):
         *,
         topic_namespace: Optional[TopicNamespace] = None,
         default_lifetime: Optional[float] = 3600.0,
-        wrapped_batch_size: int = 10,
         producer_properties: Optional[dict[str, str]] = None,
+        batching: Optional[BatchingPolicy] = None,
     ) -> None:
         super().__init__(
             network,
@@ -235,10 +236,10 @@ class ConvergedSource(SubscriptionService):
             wsa_version=WSA,
             faults=_FAULTS,
             topics=topic_namespace or TopicNamespace(),
+            producer_properties=producer_properties,
+            batching=batching,
             default_lifetime=default_lifetime,
         )
-        self.wrapped_batch_size = wrapped_batch_size
-        self.producer_properties = dict(producer_properties or {})
         #: the converged rows of the rendering table: raw push with the topic
         #: in a header, and the *defined* wrapped format
         self._raw_entry = Entry("raw", topic_header=_q("Topic"))
@@ -371,34 +372,7 @@ class ConvergedSource(SubscriptionService):
     # --- publication -----------------------------------------------------------------
 
     def publish(self, payload: XElem, *, topic: Optional[str] = None) -> int:
-        return self._fanout.publish(self._fan_out_event, payload, topic, topic=topic or "")
-
-    def _fan_out_event(self, payload: XElem, topic: Optional[str]) -> int:
-        # one frozen payload instance is shared by every match this publish
-        frozen = self._fanout.freeze(payload)
-        self._admit_publication(frozen, topic)
-        items = [DeliveryItem(frozen, topic, self.network.instrumentation.trace_context())]
-        matched = 0
-        for subscription in self._fanout.match(frozen, topic, self.producer_properties):
-            matched += 1
-            if not subscription.paused and subscription.mode is DeliveryMode.PUSH:
-                self._notify(subscription, items)
-            elif self.subscriptions.park(subscription, items[0]) and (
-                subscription.mode is DeliveryMode.WRAPPED
-                and not subscription.paused
-                and len(subscription.queue) >= self.wrapped_batch_size
-            ):
-                self._notify(subscription, self.subscriptions.drain(subscription))
-        return matched
-
-    def flush(self) -> None:
-        for subscription in self.subscriptions.live_resources():
-            if (
-                subscription.mode is DeliveryMode.WRAPPED
-                and subscription.queue
-                and not subscription.paused
-            ):
-                self._notify(subscription, self.subscriptions.drain(subscription))
+        return self._fanout.publish(self._route, payload, topic, self._notify, topic=topic or "")
 
     def _wrap_one(self, item: DeliveryItem) -> XElem:
         """The *defined* wrapped entry format (closing WSE's gap)."""
@@ -420,6 +394,9 @@ class ConvergedSource(SubscriptionService):
             items,
             on_failed=self._end_after_failure,
         )
+
+    #: push, resume and a wrapped batch are all one send here
+    _send_wrapped = _notify
 
     def _wrapped(self, local: str, items: list[DeliveryItem]) -> XElem:
         wrapper = XElem(_q(local))

@@ -71,11 +71,9 @@ class DeliveryBatcher:
         self._family = family
         self._pending: "OrderedDict[Hashable, list]" = OrderedDict()
         self._deadlines: dict[Hashable, float] = {}
-        #: per-group QoS priority (highest entry wins), for priority_flush
-        self._priorities: dict[Hashable, int] = {}
         self.stats = BatcherStats()
 
-    def add(self, key: Hashable, entry, *, priority: int = 0) -> None:
+    def add(self, key: Hashable, entry) -> None:
         """Queue one entry; may flush its group immediately (size trigger)."""
         group = self._pending.get(key)
         if group is None:
@@ -84,8 +82,6 @@ class DeliveryBatcher:
                 when = self.clock.now() + self.policy.window
                 self._deadlines[key] = when
                 self.scheduler.call_at(when, lambda: self._on_deadline(key, when))
-        if priority and priority > self._priorities.get(key, 0):
-            self._priorities[key] = priority
         group.append(entry)
         if len(group) >= self.policy.max_batch:
             self._flush_key(key)
@@ -98,7 +94,6 @@ class DeliveryBatcher:
     def _flush_key(self, key: Hashable) -> None:
         entries = self._pending.pop(key, None)
         self._deadlines.pop(key, None)
-        self._priorities.pop(key, None)
         if not entries:
             return
         n = len(entries)
@@ -123,15 +118,9 @@ class DeliveryBatcher:
             self.flush_all()
 
     def flush_all(self) -> None:
-        """Flush every group now (explicit drain, e.g. broker ``flush()``).
-
-        With ``priority_flush``, groups leave highest-priority first (the
-        sort is stable, so equal priorities keep insertion order); the
-        default remains pure insertion order."""
-        keys = list(self._pending)
-        if self.policy.priority_flush and self._priorities:
-            keys.sort(key=lambda key: -self._priorities.get(key, 0))
-        for key in keys:
+        """Flush every group now, in insertion order (explicit drain, e.g.
+        broker ``flush()``)."""
+        for key in list(self._pending):
             self._flush_key(key)
 
     def pending(self) -> int:

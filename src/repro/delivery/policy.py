@@ -81,15 +81,13 @@ class BatchingPolicy:
     a single publish (every matched subscriber of one event, flushed before
     ``publish`` returns); a positive window additionally holds partial
     batches on the clock scheduler, trading latency for fewer requests.
-    ``max_batch`` bounds a single wire request regardless of window.
+    ``max_batch`` bounds a single wire request regardless of window.  Every
+    wrapped queue (WS-Eventing, converged) reads the same policy: its first
+    item arms ``window``, and it leaves at ``max_batch`` items.
     """
 
     window: float = 0.0
     max_batch: int = 100
-    #: flush held groups highest consumer QoS ``Priority`` first: under an
-    #: adaptive (bounded/paced) delivery pipeline the flush order decides
-    #: which consumers reach the queue before shedding starts
-    priority_flush: bool = False
 
     def __post_init__(self) -> None:
         if self.window < 0:

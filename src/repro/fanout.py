@@ -3,14 +3,16 @@
 The paper's Table 2 maps WS-Eventing and WS-Notification operations almost
 one-to-one, and section VII serves both from one broker; what differs between
 the families is how a notification is *rendered* (wrapped Notify / raw /
-WSE push with a topic header / wrapped ``Notifications``), *when* a parked
-copy is flushed (resume, a pull, a full wrapped batch) and what the faults
-are *called*.  The subscriptions themselves are :mod:`repro.subscriptions`';
-everything else about a publication is here, once, as three stages.  A
-publication travels them as one value, the
-:class:`~repro.delivery.task.DeliveryItem` its family makes before matching:
-the same item is routed to every match, parked (bare: a drain stamps its own
-lineage), rendered and settled.
+WSE push with a topic header / wrapped ``Notifications``), what a resume
+*delivers* and what the faults are *called*.  Whether a match is pushed,
+parked or held for a wrapped batch, and when a held batch leaves, is not a
+family difference: it is the one route of
+:class:`~repro.subscriptions.SubscriptionService`.  The subscriptions
+themselves are :mod:`repro.subscriptions`'; everything else about a
+publication is here, once, as three stages.  A publication travels them as
+one value, the :class:`~repro.delivery.task.DeliveryItem` the route makes
+before matching: the same item is routed to every match, parked (bare: a
+drain stamps its own lineage), rendered and settled.
 
 1. :meth:`Fanout.publish` — publish framing: origin detection, the
    ``<family>.publish`` span that mints the lineage, the ``published`` ledger
@@ -95,8 +97,8 @@ class Fanout:
     # --- stage 1: publish framing --------------------------------------------------
 
     def publish(self, fan_out: Callable[..., int], *args, **span_attrs: str) -> int:
-        """Run ``fan_out(*args)`` — the owner's match-and-route loop, which
-        returns how many subscriptions matched — as one publication."""
+        """Run ``fan_out(*args)`` — the frame's route, which returns how many
+        subscriptions matched — as one publication."""
         instr = self.network.instrumentation
         if not instr.enabled:
             return fan_out(*args)

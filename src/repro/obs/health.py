@@ -122,46 +122,25 @@ def breaker_flaps(
 
 
 def stale_batch_timers(brokers: list) -> list[dict]:
-    """Batch groups whose window deadline passed without a flush.
+    """Held batches whose window deadline passed without a flush.
 
     Non-zero means a window timer was armed but the scheduler pump never
     reached it — held notifications will sit forever unless something
-    pumps or flushes explicitly.  WSN producers batch through a
-    :class:`~repro.delivery.batcher.DeliveryBatcher`; WSE sources hold
-    wrapped-mode subscription queues with their own window deadlines.
+    pumps or flushes explicitly.  Every service holds its batches in the
+    frame (wrapped queues, and a WSN producer's push batcher), so one
+    ``stale_deadlines()`` per service answers for all of them.
     """
     findings = []
     for broker in brokers:
-        for version, source in sorted(
-            broker.wse_sources.items(), key=lambda kv: kv[0].name
-        ):
-            stale = source.stale_wrapped_deadlines()
+        for family, tag, service in broker.services():
+            stale = service.stale_deadlines()
             if stale:
                 findings.append(
                     {
                         "broker": broker.address,
-                        "family": f"wse/{version.name.lower()}",
+                        "family": f"{family}/{tag}",
                         "stale_groups": stale,
-                        "held_entries": sum(
-                            len(s.queue)
-                            for s in source.subscriptions.records.values()
-                        ),
-                    }
-                )
-        for version, producer in sorted(
-            broker.wsn_producers.items(), key=lambda kv: kv[0].name
-        ):
-            batcher = producer.batcher
-            if batcher is None:
-                continue
-            stale = batcher.stale_deadlines()
-            if stale:
-                findings.append(
-                    {
-                        "broker": broker.address,
-                        "family": f"wsn/{version.name.lower()}",
-                        "stale_groups": stale,
-                        "held_entries": batcher.pending(),
+                        "held_entries": service.held(),
                     }
                 )
     return findings

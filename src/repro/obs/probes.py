@@ -108,9 +108,9 @@ class GaugeProbes:
             self.watch_delivery_manager(broker.delivery_manager, **labels)
             if broker.delivery_manager.qos is not None:
                 self.watch_qos(broker.delivery_manager, **labels)
-        # WSE sources batch via wrapped-mode subscription queues, which the
-        # broker.sub_queue_depth{family=wse} source below already covers;
-        # only WSN producers own a DeliveryBatcher
+        # wrapped batches are held in subscription queues, which the
+        # broker.sub_queue_depth sources below already cover; only a WSN
+        # producer's push row coalesces in a DeliveryBatcher
         for version, producer in sorted(
             broker.wsn_producers.items(), key=lambda kv: kv[0].name
         ):

@@ -22,9 +22,10 @@ an end-notice table (removal reason -> SubscriptionEnd /
 TerminationNotification), handed in as ``announce``.
 :class:`SubscriptionService` is the frame those rows hang on: the two
 endpoints, the manager and the fan-out pipeline, wired the one way all three
-families wire them — and Table 2 itself is data: an :class:`OperationTable`
-per (family, version), from which the frame mounts the handlers, answers the
-broker's front door and renders the WSDL.  DESIGN.md, "The subscription
+families wire them, and the one route that pushes, parks or holds every
+match — and Table 2 itself is data: an :class:`OperationTable` per (family,
+version), from which the frame mounts the handlers, answers the broker's
+front door and renders the WSDL.  DESIGN.md, "The subscription
 manager", has the operation-by-operation map.
 """
 
@@ -32,11 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterError
 from repro.filters.content import MessageContentFilter, content_expression_of
-from repro.filters.producer import ProducerPropertiesFilter
+from repro.filters.producer import ProducerPropertiesFilter, properties_document
 from repro.filters.topics import (
     TopicFilter,
     TopicNamespace,
@@ -48,6 +49,7 @@ from repro.qos.properties import DiscardPolicy, QosError, QosProfile
 from repro.soap.envelope import SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
 from repro.render import Entry, Renderer, reply_text
+from repro.transport.clock import ClockScheduler
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.http import request_head
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
@@ -61,9 +63,15 @@ from repro.xmlkit.names import Namespaces, QName
 # repro.delivery and repro.fanout are imported where they are used: the
 # delivery package's message boxes import repro.wse, which imports this module
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.delivery.batcher import DeliveryBatcher
     from repro.delivery.manager import DeliveryManager
     from repro.delivery.outcome import DeliveryFailure
+    from repro.delivery.policy import BatchingPolicy
     from repro.delivery.task import DeliveryItem
+
+#: how many items a wrapped queue holds before it leaves, without a
+#: ``BatchingPolicy`` to say otherwise
+WRAPPED_BATCH = 10
 
 
 class DeliveryMode(Enum):
@@ -429,9 +437,12 @@ class SubscriptionService:
         wsa_version,
         faults: Mapping[tuple[str, Optional[str]], QName],
         topics: Optional[TopicNamespace] = None,
+        producer_properties: Optional[dict[str, str]] = None,
         delivery_manager: Optional["DeliveryManager"] = None,
+        batching: Optional["BatchingPolicy"] = None,
         **leases,
     ) -> None:
+        from repro.delivery.policy import BatchingPolicy
         from repro.fanout import Fanout
 
         self.network = network
@@ -439,6 +450,23 @@ class SubscriptionService:
         #: when set, push delivery routes through the reliable store-and-
         #: forward pipeline instead of the immediate best-effort attempt
         self.delivery_manager = delivery_manager
+        #: sizes and times every held batch: a wrapped queue leaves at
+        #: ``max_batch`` items or when the ``window`` its first item armed
+        #: runs out; a family whose push row coalesces (WSN) builds its
+        #: ``batcher`` from the policy it was given
+        self.batching = batching or BatchingPolicy(max_batch=WRAPPED_BATCH)
+        self.batcher: Optional["DeliveryBatcher"] = None
+        #: window timers ride the delivery manager's pump when there is one
+        self.scheduler = (
+            delivery_manager.scheduler
+            if delivery_manager is not None
+            else ClockScheduler(self.clock)
+        )
+        #: sub key -> the deadline its wrapped queue's first item armed
+        self._deadlines: dict[str, float] = {}
+        self.producer_properties = dict(producer_properties or {})
+        #: (properties rendered, their frozen document): see _properties_document
+        self._properties_rendered: tuple[Optional[dict], Optional[XElem]] = (None, None)
         #: every failed outbound send, recorded (see repro.delivery.outcome)
         self.delivery_failures: list["DeliveryFailure"] = []
         self.subscriptions = SubscriptionManager(
@@ -452,8 +480,8 @@ class SubscriptionService:
         #: the family's fault vocabulary: ``(kind, operation)`` -> subcode,
         #: ``(kind, None)`` naming the kind for every other operation
         self._faults = faults
-        #: match and settle are the shared pipeline's; a family keeps its rows
-        #: of the rendering table, and when a parked queue is flushed
+        #: match and settle are the shared pipeline's, the route is the
+        #: frame's; a family keeps its rows of the rendering table
         self._fanout = Fanout(
             network,
             family=family,
@@ -535,13 +563,13 @@ class SubscriptionService:
         return reply_text(request_headers, action, body, self._client.wsa_version)
 
     def note_publication(self, payload: XElem, topic: Optional[str]) -> None:
-        """A publication nobody here matches: nothing to note without a topic space."""
-
-    def _admit_publication(self, payload: XElem, topic: Optional[str]) -> None:
-        """A publication on ``topic`` must be one the topic space admits (a
-        fixed set refuses strangers, an open one learns the topic) and
-        becomes that topic's current message."""
-        if topic is None:
+        """Record a publication without fanning out — the first step of the
+        route, and all of it on the broker's zero-subscription fast path.
+        With a topic space, ``topic`` must be one it admits (a fixed set
+        refuses strangers, an open one learns the topic) and the payload
+        becomes that topic's current message; without one there is nothing
+        to note."""
+        if topic is None or self.topics is None:
             return
         try:
             self.topics.validate_publication(topic)
@@ -565,6 +593,116 @@ class SubscriptionService:
         if head is None or head[0] != action:
             head = subscription.head = (action, request_head(address, action))
         self._client.send_rendered(address, action, text, head=head[1])
+
+    # --- the route: push, park or hold -------------------------------------------------
+
+    def _route(
+        self, payload: XElem, topic: Optional[str], push: Callable[[Subscription, list], None]
+    ) -> int:
+        """Match one publication and route each survivor; returns how many
+        matched.  The payload is frozen once and travels as one item: a live
+        push match goes to the family's ``push(subscription, items)`` row,
+        anything else is parked, and an unpaused wrapped queue is then held
+        for its batch."""
+        from repro.delivery.task import DeliveryItem
+
+        frozen = self._fanout.freeze(payload)
+        self.note_publication(frozen, topic)
+        items = [DeliveryItem(frozen, topic, self.network.instrumentation.trace_context())]
+        matched = 0
+        for subscription in self._fanout.match(
+            frozen, topic, self.producer_properties, self._properties_document()
+        ):
+            matched += 1
+            if subscription.mode is DeliveryMode.PUSH and not subscription.paused:
+                push(subscription, items)
+            elif (
+                self.subscriptions.park(subscription, items[0])
+                and subscription.mode is DeliveryMode.WRAPPED
+                and not subscription.paused
+            ):
+                self._hold(subscription)
+        if self.batcher is not None:
+            self.batcher.flush_publish()
+        return matched
+
+    def _properties_document(self) -> XElem:
+        """What ProducerProperties filters see: frozen, so a fan-out evaluates
+        each expression on it once; rebuilt only when the properties change."""
+        rendered, document = self._properties_rendered
+        if rendered != self.producer_properties:
+            rendered = dict(self.producer_properties)
+            document = properties_document(rendered).freeze()
+            self._properties_rendered = (rendered, document)
+        return document
+
+    def _hold(self, subscription: Subscription) -> None:
+        """A wrapped queue waits for its batch: the first item arms the
+        window, then a full batch leaves now."""
+        queue, policy = subscription.queue, self.batching
+        if policy.window > 0 and len(queue) == 1:
+            key, when = subscription.key, self.clock.now() + policy.window
+            self._deadlines[key] = when
+            self.scheduler.call_at(when, lambda: self._on_deadline(key, when))
+        if len(queue) >= policy.max_batch:
+            self._flush_wrapped(subscription)
+
+    def _on_deadline(self, sub_id: str, when: float) -> None:
+        if self._deadlines.get(sub_id) != when:
+            return  # flushed by size or flush(); a stale timer
+        subscription = self._held(sub_id)
+        if subscription is None:
+            del self._deadlines[sub_id]  # gone, drained or paused: nothing waits
+        else:
+            self._flush_wrapped(subscription)
+
+    def _held(self, sub_id: str) -> Optional[Subscription]:
+        """The live, unpaused subscription ``sub_id`` if its queue holds items."""
+        subscription = self.subscriptions.find(sub_id)
+        if subscription is None or not subscription.queue or subscription.paused:
+            return None
+        return subscription if subscription.alive(self.clock.now()) else None
+
+    def _wrapped_queues(self) -> Iterator[Subscription]:
+        return (
+            subscription
+            for subscription in self.subscriptions.live_resources()
+            if subscription.mode is DeliveryMode.WRAPPED
+            and subscription.queue
+            and not subscription.paused
+        )
+
+    def _flush_wrapped(self, subscription: Subscription) -> None:
+        self._deadlines.pop(subscription.key, None)
+        self._send_wrapped(subscription, self.subscriptions.drain(subscription))
+
+    def _send_wrapped(self, subscription: Subscription, items: list) -> None:
+        """The family's wrapped-send row: ``items`` to one sink as one batch."""
+        raise NotImplementedError(f"{type(self).__name__} has no wrapped delivery")
+
+    def flush(self) -> None:
+        """Send every held batch now: the push batcher's groups, then every
+        unpaused wrapped queue."""
+        if self.batcher is not None:
+            self.batcher.flush_all()
+        for subscription in self._wrapped_queues():
+            self._flush_wrapped(subscription)
+
+    def stale_deadlines(self) -> int:
+        """Held batches whose window deadline passed without a flush.  Non-zero
+        after the scheduler has run everything due means a window timer was
+        lost or never pumped — the ``obs-health`` stale-batch-timer anomaly."""
+        now = self.clock.now()
+        stale = sum(
+            1 for sub_id, when in self._deadlines.items()
+            if when < now and self._held(sub_id) is not None
+        )
+        return stale + (self.batcher.stale_deadlines() if self.batcher is not None else 0)
+
+    def held(self) -> int:
+        """Notifications held back for a batch: what :meth:`flush` would send."""
+        held = sum(len(subscription.queue) for subscription in self._wrapped_queues())
+        return held + (self.batcher.pending() if self.batcher is not None else 0)
 
     def _ended(self, subscription: Subscription, reason: str, detail: str) -> None:
         """Runs last on every removal: per-sink templates go with their last

@@ -10,12 +10,11 @@ here, switched by the version profile.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.delivery.policy import BatchingPolicy
-from repro.delivery.task import DeliveryItem
 from repro.render import Entry
-from repro.transport.clock import ClockScheduler
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
 from repro.subscriptions import Grant, Operation, OperationTable, Subscription, SubscriptionService
@@ -77,7 +76,6 @@ class EventSource(SubscriptionService):
         manager_address: Optional[str] = None,
         default_lifetime: Optional[float] = 3600.0,
         max_lifetime: Optional[float] = None,
-        wrapped_batch_size: int = 10,
         producer_properties: Optional[dict[str, str]] = None,
         topic_header: Optional["QName"] = None,
         delivery_manager: Optional["DeliveryManager"] = None,
@@ -98,30 +96,18 @@ class EventSource(SubscriptionService):
                 ("unsupported_qos", None): version.qname("UnsupportedQoS"),
                 ("unknown_subscription", None): version.qname("InvalidMessage"),
             },
+            producer_properties=producer_properties,
             delivery_manager=delivery_manager,
+            batching=batching,
             default_lifetime=default_lifetime,
             max_lifetime=max_lifetime,
         )
         self.version = version
-        self.wrapped_batch_size = wrapped_batch_size
-        self.producer_properties = dict(producer_properties or {})
         #: this family's rows of the rendering table.  ``topic_header`` is the
         #: mediation hook (section V.4 category 6): WSE has no body slot for a
         #: topic, so when set, published topics ride as this SOAP header
         self._push_entry = Entry("push", topic_header=topic_header)
         self._wrapped_entry = messages.wrapped_entry(version)
-        #: wrapped-mode batching policy: ``max_batch`` replaces the size
-        #: trigger, a positive ``window`` flushes partial batches on the
-        #: virtual clock instead of waiting for explicit ``flush()``
-        self.batching = batching
-        self._wrapped_deadlines: dict[str, float] = {}
-        self._batch_scheduler: Optional[ClockScheduler] = None
-        if batching is not None and batching.window > 0:
-            self._batch_scheduler = (
-                delivery_manager.scheduler
-                if delivery_manager is not None
-                else ClockScheduler(network.clock)
-            )
         #: SubscriptionEnd messages we emitted (observability for tests/benches)
         self.ended_subscriptions: list[tuple[str, SubscriptionEndCode]] = []
 
@@ -215,81 +201,12 @@ class EventSource(SubscriptionService):
         WS-Eventing has no topic model — ``topic`` only feeds filters that
         look at it (the mediation layer maps WSN topics through here).
         """
-        return self._fanout.publish(self._fan_out_event, payload, action, topic)
-
-    def _fan_out_event(
-        self, payload: XElem, action: str, topic: Optional[str]
-    ) -> int:
-        # one frozen payload instance is shared by every match this publish
-        frozen = self._fanout.freeze(payload)
-        items = [DeliveryItem(frozen, topic, self.network.instrumentation.trace_context())]
-        delivered = 0
-        for subscription in self._fanout.match(frozen, topic, self.producer_properties):
-            delivered += 1
-            if subscription.mode is DeliveryMode.PUSH:
-                self._settle(subscription, action, self._push_entry, items)
-                continue
-            if not self.subscriptions.park(subscription, items[0]):
-                continue
-            if subscription.mode is DeliveryMode.WRAPPED:
-                self._note_wrapped_queued(subscription)
-                if len(subscription.queue) >= self._wrapped_trigger():
-                    self._flush_wrapped(subscription)
-        return delivered
-
-    def _wrapped_trigger(self) -> int:
-        """Queue length that forces a wrapped flush (batching policy wins)."""
-        return self.batching.max_batch if self.batching is not None else self.wrapped_batch_size
-
-    def _note_wrapped_queued(self, subscription: Subscription) -> None:
-        """First message into an empty wrapped queue starts its window."""
-        if self._batch_scheduler is None or len(subscription.queue) != 1:
-            return
-        assert self.batching is not None
-        when = self.clock.now() + self.batching.window
-        self._wrapped_deadlines[subscription.key] = when
-        self._batch_scheduler.call_at(
-            when, lambda: self._on_wrapped_deadline(subscription.key, when)
+        return self._fanout.publish(
+            self._route, payload, topic, partial(self._settle, action, self._push_entry)
         )
-
-    def stale_wrapped_deadlines(self) -> int:
-        """Wrapped queues whose window deadline passed without a flush.
-
-        Non-zero after the scheduler has drained everything due means a
-        window timer was lost or never pumped — the ``obs-health``
-        stale-batch-timer anomaly (the WSE analog of
-        :meth:`repro.delivery.batcher.DeliveryBatcher.stale_deadlines`)."""
-        now = self.clock.now()
-        return sum(
-            1
-            for sub_id, when in self._wrapped_deadlines.items()
-            if when < now and self._live_queue(sub_id) is not None
-        )
-
-    def _live_queue(self, sub_id: str) -> Optional[Subscription]:
-        """The live subscription ``sub_id`` if it holds parked messages."""
-        subscription = self.subscriptions.find(sub_id)
-        if subscription is None or not subscription.queue:
-            return None
-        return subscription if subscription.alive(self.clock.now()) else None
-
-    def _on_wrapped_deadline(self, sub_id: str, when: float) -> None:
-        if self._wrapped_deadlines.get(sub_id) != when:
-            return  # flushed by size or explicit flush(); stale timer
-        subscription = self._live_queue(sub_id)
-        if subscription is not None:
-            self._flush_wrapped(subscription)
-        else:
-            self._wrapped_deadlines.pop(sub_id, None)
-
-    def flush(self) -> None:
-        """Deliver any batched wrapped-mode notifications immediately."""
-        for subscription in self.subscriptions.live_resources():
-            if subscription.mode is DeliveryMode.WRAPPED and subscription.queue:
-                self._flush_wrapped(subscription)
 
     def _settle(
-        self, subscription: Subscription, action: str, entry: Entry, items: list,
+        self, action: str, entry: Entry, subscription: Subscription, items: list,
         stage: str = "notify",
     ) -> None:
         """``items`` to one sink through ``entry``: the list rendered is the
@@ -304,13 +221,9 @@ class EventSource(SubscriptionService):
             on_failed=self._end_after_failure,
         )
 
-    def _flush_wrapped(self, subscription: Subscription) -> None:
-        self._wrapped_deadlines.pop(subscription.key, None)
+    def _send_wrapped(self, subscription: Subscription, items: list) -> None:
         self._settle(
-            subscription,
-            self.version.action("Notifications"),
-            self._wrapped_entry,
-            self.subscriptions.drain(subscription),
+            self.version.action("Notifications"), self._wrapped_entry, subscription, items,
             stage="wrapped_notify",
         )
 

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.delivery.batcher import DeliveryBatcher
 from repro.delivery.policy import BatchingPolicy
 from repro.delivery.task import DeliveryItem
-from repro.filters.producer import properties_document
 from repro.filters.topics import TopicNamespace
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
@@ -134,15 +133,14 @@ class NotificationProducer(SubscriptionService):
                 ("unknown_subscription", None): QName(Namespaces.WSRF_BF, "ResourceUnknownFault"),
             },
             topics=topic_namespace or TopicNamespace(),
+            producer_properties=producer_properties,
             delivery_manager=delivery_manager,
+            batching=batching,
             default_lifetime=default_lifetime,
             durations=version.supports_duration_expiry,
         )
         self.version = version
         self.requires_topic = version.requires_topic
-        self.producer_properties = dict(producer_properties or {})
-        #: (properties rendered, their frozen document): see _properties_document
-        self._properties_rendered: tuple[Optional[dict], Optional[XElem]] = (None, None)
         #: whether the WSRF port is mounted (see :func:`operations`); a
         #: subscription's property document is a view of the shared record
         #: (see _resource_view)
@@ -150,16 +148,15 @@ class NotificationProducer(SubscriptionService):
         #: this family's rows of the rendering table
         self._notify_entry = NotifyEntry(version, address, self.manager_address)
         self._raw_entry = TopiclessEntry("raw")
-        #: per-sink wire coalescing (None = one request per notification);
-        #: shares the delivery manager's scheduler so window expiry rides the
-        #: same run_due/run_until_idle pump as retries
-        self.batcher: Optional[DeliveryBatcher] = None
+        #: per-sink wire coalescing of the push row (None = one request per
+        #: notification); on the frame's scheduler, so window expiry rides
+        #: the same run_due/run_until_idle pump as retries
         if batching is not None:
             self.batcher = DeliveryBatcher(
                 self.clock,
                 batching,
                 self._flush_batch,
-                scheduler=delivery_manager.scheduler if delivery_manager else None,
+                scheduler=self.scheduler,
                 instrumentation=network.instrumentation,
                 family="wsn",
             )
@@ -304,16 +301,6 @@ class NotificationProducer(SubscriptionService):
             headers, messages.wsrf_action("GetResourcePropertyResponse"), body
         )
 
-    def _properties_document(self) -> XElem:
-        """What ProducerProperties filters see: frozen, so a fan-out evaluates
-        each expression on it once; rebuilt only when the properties change."""
-        rendered, document = self._properties_rendered
-        if rendered != self.producer_properties:
-            rendered = dict(self.producer_properties)
-            document = properties_document(rendered).freeze()
-            self._properties_rendered = (rendered, document)
-        return document
-
     def _handle_get_current_message(self, envelope: SoapEnvelope, headers: MessageHeaders):
         topic, _dialect = messages.parse_get_current_message(
             envelope.body_element(), self.version
@@ -339,49 +326,33 @@ class NotificationProducer(SubscriptionService):
                 FaultCode.SENDER,
                 f"WS-BaseNotification {self.version.name} publications require a topic",
             )
-        return self._fanout.publish(
-            self._match_and_deliver, payload, topic, topic=topic or ""
+        return self._fanout.publish(self._route, payload, topic, self._push, topic=topic or "")
+
+    def _push(self, subscription: Subscription, items: list[DeliveryItem]) -> None:
+        """The push row: under a batcher same sink + same shape coalesce into
+        one wire request (the group key mirrors the byte-template cache key,
+        so every flushed batch renders through a single compiled envelope);
+        otherwise, or raw, the item leaves now."""
+        item = items[0]
+        if self.batcher is None or subscription.use_raw:
+            self._flush_batch(None, [(subscription, item)])
+            return
+        consumer = subscription.consumer
+        self.batcher.add(
+            (
+                consumer.address,
+                reference_shape(consumer),
+                item.topic,
+                frozen_namespace_order(item.payload),
+            ),
+            (subscription, item),
         )
 
-    def _match_and_deliver(self, payload: XElem, topic: Optional[str]) -> int:
-        # one frozen payload instance is shared by every match this publish
-        frozen = self._fanout.freeze(payload)
-        self.note_publication(frozen, topic)
-        item = DeliveryItem(frozen, topic, self.network.instrumentation.trace_context())
-        matched = 0
-        for subscription in self._fanout.match(
-            frozen, topic, self.producer_properties, self._properties_document()
-        ):
-            matched += 1
-            if subscription.paused:
-                self.subscriptions.park(subscription, item)
-            elif self.batcher is not None and not subscription.use_raw:
-                # same sink + same shape coalesce into one wire request; the
-                # group key mirrors the byte-template cache key so every
-                # flushed batch renders through a single compiled envelope
-                consumer = subscription.consumer
-                self.batcher.add(
-                    (
-                        consumer.address,
-                        reference_shape(consumer),
-                        topic,
-                        frozen_namespace_order(frozen),
-                    ),
-                    (subscription, item),
-                    priority=subscription.priority,
-                )
-            else:
-                self._flush_batch(None, [(subscription, item)])
-        if self.batcher is not None:
-            self.batcher.flush_publish()
-        return matched
-
     def note_publication(self, payload: XElem, topic: Optional[str]) -> None:
-        """Record a publication without fanning out — the first step of
-        :meth:`publish`, and all of it on the broker's zero-subscription fast
-        path: topic validation (and namespace growth) and the
-        GetCurrentMessage cache."""
-        self._admit_publication(payload, topic)
+        """The frame's (topic validation and the GetCurrentMessage cache),
+        stated on this class because ``benchmarks/e2e``'s wrap table names it
+        here."""
+        super().note_publication(payload, topic)
 
     def _deliver(self, subscription: Subscription, backlog: list[DeliveryItem]) -> None:
         """One subscriber's resumed backlog as one request — a one-subscription
@@ -390,11 +361,6 @@ class NotificationProducer(SubscriptionService):
         self._flush_batch(
             None, [(subscription, replace(item, lineage=lineage)) for item in backlog]
         )
-
-    def flush(self) -> None:
-        """Force out every partially-filled batch."""
-        if self.batcher is not None:
-            self.batcher.flush_all()
 
     def _flush_batch(self, key, entries: list[tuple[Subscription, DeliveryItem]]) -> None:
         """Deliver one batch — same sink, same shape, one settlement: the

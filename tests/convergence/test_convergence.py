@@ -11,6 +11,7 @@ from repro.convergence import (
     ConvergedSubscriber,
     converged_table_column,
 )
+from repro.delivery import BatchingPolicy
 from repro.soap import SoapFault
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.wse.versions import WseVersion
@@ -116,9 +117,11 @@ class TestConvergedLifecycle:
         source.publish(event())
         assert len(subscriber.pull(handle)) == 1
 
-    def test_wrapped_mode_with_defined_format(self, stack):
-        source, consumer, subscriber = stack
-        source.wrapped_batch_size = 2
+    def test_wrapped_mode_with_defined_format(self, stack, network):
+        _, consumer, subscriber = stack
+        source = ConvergedSource(
+            network, "http://converged-wrapped", batching=BatchingPolicy(max_batch=2)
+        )
         subscriber.subscribe(
             source.epr(), consumer=consumer.epr(), mode=MODE_WRAP, topic="t"
         )

@@ -80,7 +80,8 @@ def _wsn(kind: str, network, manager, refusing: bool) -> Cell:
 
 def _wse(kind: str, network, manager, refusing: bool) -> Cell:
     source = EventSource(
-        network, "http://sc-source", delivery_manager=manager, wrapped_batch_size=2
+        network, "http://sc-source", delivery_manager=manager,
+        batching=BatchingPolicy(max_batch=2),
     )
     sink = EventSink(network, SINK)
     mode = DeliveryMode.WRAPPED if kind == "wse_wrapped" else DeliveryMode.PUSH

@@ -79,7 +79,7 @@ def wsn_resume(network):
 
 def wse_paths(network):
     """WS-Eventing push, a wrapped batch (size trigger and flush) and pull."""
-    source = EventSource(network, "http://g-source", wrapped_batch_size=3)
+    source = EventSource(network, "http://g-source", batching=BatchingPolicy(max_batch=3))
     push = EventSink(network, "http://g-push")
     wrapped = EventSink(network, "http://g-wrapped")
     client = WseSubscriber(network)
@@ -97,7 +97,7 @@ def wse_paths(network):
 def converged_paths(network):
     """The converged prototype: push (wrapped and raw), a paused push resumed,
     a wrapped batch and pull."""
-    source = ConvergedSource(network, "http://g-conv", wrapped_batch_size=3)
+    source = ConvergedSource(network, "http://g-conv", batching=BatchingPolicy(max_batch=3))
     push = ConvergedConsumer(network, "http://g-conv-push")
     raw = ConvergedConsumer(network, "http://g-conv-raw")
     wrapped = ConvergedConsumer(network, "http://g-conv-wrapped")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.delivery import BatchingPolicy
 from repro.soap import SoapFault
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.wse import (
@@ -256,7 +257,8 @@ class TestPullDelivery:
 class TestWrappedDelivery:
     def test_wrapped_batches(self, network):
         source = EventSource(
-            network, "http://source", version=WseVersion.V2004_08, wrapped_batch_size=3
+            network, "http://source", version=WseVersion.V2004_08,
+            batching=BatchingPolicy(max_batch=3),
         )
         sink = EventSink(network, "http://sink", version=WseVersion.V2004_08)
         subscriber = WseSubscriber(network, version=WseVersion.V2004_08)
@@ -269,9 +271,7 @@ class TestWrappedDelivery:
         assert all(item.wrapped for item in sink.received)
 
     def test_flush_delivers_partial_batch(self, network):
-        source = EventSource(
-            network, "http://source", version=WseVersion.V2004_08, wrapped_batch_size=10
-        )
+        source = EventSource(network, "http://source", version=WseVersion.V2004_08)
         sink = EventSink(network, "http://sink", version=WseVersion.V2004_08)
         subscriber = WseSubscriber(network, version=WseVersion.V2004_08)
         subscriber.subscribe(source.epr(), notify_to=sink.epr(), mode=DeliveryMode.WRAPPED)
