@@ -7,6 +7,8 @@ to the broker once; a WSE sink and a WSN consumer are both subscribed at the
 front door, and every notification must be payload-identical — to the other
 family's copy and to the original publish — with topics preserved on the
 WSN side (WSE has no topic slot in the body; it rides as a SOAP header).
+A case's hostile ``notify`` bodies, sent to the consumer and the front door,
+must be accepted or refused with a Sender fault, never raise at the sender.
 """
 
 from __future__ import annotations
@@ -55,11 +57,14 @@ class MediationEngine:
         if not self._valid(case):
             return None
         from repro.messenger import WsMessenger
+        from repro.soap.fault import FaultCode, SoapFault
         from repro.transport import SimulatedNetwork, VirtualClock
+        from repro.transport.endpoint import SoapClient
         from repro.wse import EventSink, WseSubscriber
         from repro.wse.versions import WseVersion
         from repro.wsn import NotificationConsumer, WsnSubscriber
         from repro.wsn.versions import WsnVersion
+        from repro.xmlkit import parse_xml
 
         network = SimulatedNetwork(VirtualClock())
         broker = WsMessenger(
@@ -96,4 +101,11 @@ class MediationEngine:
                     f"publish {index}: topic {item['topic']!r} arrived as "
                     f"{wsn_item.topic!r} on the WSN path"
                 )
+        client = SoapClient(network)
+        for notify, target in ((n, t) for n in case.get("notify", []) for t in (consumer, broker)):
+            try:
+                client.call(target.epr(), WsnVersion.V1_3.action("Notify"), [parse_xml(notify)])
+            except SoapFault as fault:
+                if fault.code is not FaultCode.SENDER:
+                    return f"hostile Notify at {target.address}: {fault.code.name} fault"
         return None

@@ -37,6 +37,7 @@ from repro.subscriptions import (
     SubscriptionHandle,
     SubscriptionService,
     Verb,
+    message_payload,
     read_current_message,
 )
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
@@ -67,7 +68,7 @@ def _text_of(parent: XElem, local: str) -> Optional[str]:
 def _entries_of(container: XElem) -> list[tuple[XElem, Optional[str]]]:
     """The (payload, topic) pairs a wrapped Notify / PullResponse carries."""
     return [
-        (next(entry.require(_q("Message")).elements()).copy(), _text_of(entry, "Topic"))
+        (message_payload(entry.find(_q("Message")), "Notification"), _text_of(entry, "Topic"))
         for entry in container.find_all(_q("Notification"))
     ]
 
@@ -443,9 +444,7 @@ class ConvergedConsumer(ConsumerEndpoint):
                 ReceivedNotification(payload, topic, True) for payload, topic in _entries_of(body)
             )
         else:
-            self.received.append(
-                ReceivedNotification(body.copy(), envelope.header_text(_q("Topic")))
-            )
+            self.received.append(ReceivedNotification(body, envelope.header_text(_q("Topic"))))
         return None
 
     def _handle_end(self, envelope: SoapEnvelope, headers: MessageHeaders):

@@ -52,8 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def freeze_once(payload: XElem, instr, bound: BoundCounters, family: str) -> XElem:
-    """The frozen instance every match of one publish shares (copied at most
-    once, at whichever layer sees the mutable tree first)."""
+    """The frozen instance every match of one publish shares: a frozen tree (a
+    reader's, the door's) as it is, a mutable one (a publisher's) copied once."""
     if payload.frozen:
         return payload
     if instr.enabled:

@@ -6,7 +6,8 @@ underlying message systems.  In this way, WS-Messenger provides Web service
 interfaces to existing messaging systems." (section VII)
 
 A backbone carries neutral notifications from :meth:`WsMessenger.publish`
-to the broker's fan-out.  Besides the trivial in-memory fabric, two real
+to the broker's fan-out, frozen: an adapter that re-parses the payload
+freezes the tree it read in place.  Besides the trivial in-memory fabric, two real
 adapters wrap the baseline systems: the payload XML genuinely traverses a
 JMS topic (as a TextMessage) or a CORBA Notification channel (as a
 structured event through CDR marshalling) before reaching WS consumers.
@@ -110,7 +111,7 @@ class JmsBackbone(MessagingBackbone):
             self.messages_carried += 1
             carried_topic = received.get_property(self.TOPIC_PROPERTY)
             try:
-                self._deliver(parse_xml(received.text), carried_topic)
+                self._deliver(parse_xml(received.text).freeze(), carried_topic)
             except Exception as exc:  # noqa: BLE001
                 # one bad buffered message must not strand those queued
                 # behind it; the first error still surfaces after the drain,
@@ -151,7 +152,7 @@ class CorbaBackbone(MessagingBackbone):
                 self.messages_carried += 1
                 topic = event.filterable_data.get("wsTopic")
                 try:
-                    deliver(parse_xml(event.payload), topic)
+                    deliver(parse_xml(event.payload).freeze(), topic)
                 except Exception as exc:  # noqa: BLE001
                     # same contract as the JMS drain: finish the batch, then
                     # surface the first error; count the rest

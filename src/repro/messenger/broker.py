@@ -251,7 +251,7 @@ class WsMessenger:
         )
         self.stats.record(spec)
         if spec.operation == "Notify" and spec.family is SpecFamily.WS_NOTIFICATION:
-            return self._accept_wsn_publication(envelope, spec)
+            return self._publish_notify(envelope.body_element(), spec.version)
         store = self.store
         if store is None or spec.operation != "Subscribe":
             return self._route(envelope, headers, spec, (family, version))
@@ -291,16 +291,12 @@ class WsMessenger:
             )
         return handler(envelope, headers)
 
-    def _accept_wsn_publication(
-        self, envelope: SoapEnvelope, spec: DetectedSpec
-    ) -> None:
-        body = envelope.body_element()
-        items = mediation.neutral_from_wsn_notify(
-            body, spec.version, instrumentation=self.network.instrumentation
-        )
-        for item in items:
+    def _publish_notify(self, body: XElem, version: WsnVersion) -> None:
+        """Publish each message of a Notify read off the wire, frozen in place."""
+        for item in mediation.neutral_from_wsn_notify(
+            body, version, instrumentation=self.network.instrumentation
+        ):
             self.publish(item.payload, topic=item.topic)
-        return None
 
     # --- publication & fan-out ------------------------------------------------------
 
@@ -338,7 +334,9 @@ class WsMessenger:
     def _outbox_publish(self, payload: XElem, topic: Optional[str], instr) -> None:
         """Transactional outbox, then router or backbone: the publish record
         (and the message id that stamps every delivery item) exists before
-        any fan-out, and the publish is closed whatever the fan-out raised."""
+        any fan-out, and the publish is closed whatever the fan-out raised.
+        Frozen at the door: the log, router and every service share it."""
+        payload = freeze_once(payload, instr, self._bound_counters, "broker")
         store = self.store
         if store is not None:
             store.record_publish(payload, topic, instr.trace_context())
@@ -362,9 +360,6 @@ class WsMessenger:
 
     def _fan_out_all(self, payload: XElem, topic: Optional[str]) -> None:
         instr = self.network.instrumentation
-        # freeze once at the broker: every internal source/producer (and the
-        # whole delivery machinery below them) shares this one instance
-        payload = freeze_once(payload, instr, self._bound_counters, "broker")
         skips_counter = (
             self._bound_counters.get(instr, "fanout.index_skips", "family", "broker")
             if instr.enabled
@@ -443,16 +438,11 @@ class WsMessenger:
         def on_notify(envelope: SoapEnvelope, headers: MessageHeaders):
             body = envelope.body_element()
             if body.name == version.qname("Notify"):
-                items = mediation.neutral_from_wsn_notify(
-                    body, version, instrumentation=self.network.instrumentation
-                )
-                for item in items:
-                    self.publish(item.payload, topic=item.topic)
+                self._publish_notify(body, version)
             else:
-                self.publish(body.copy())
+                self.publish(body)
             return None
 
-        ingest.on_action(version.action("Notify"), on_notify)
         ingest.on_any(on_notify)
         self._ingest_endpoints.append(ingest)
         subscriber = WsnSubscriber(self.network, version=version)

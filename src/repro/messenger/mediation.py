@@ -19,6 +19,8 @@ pairs (used by the message-format benchmark, experiment E6):
 The spec-neutral form is the producer side's one notification value,
 :class:`~repro.delivery.task.DeliveryItem` (payload + topic): what a
 translation returns is what the fan-out settles and a message box parks.
+Inbound, the payload is taken as parsed (the tree is the reader's): one
+unwrapped from a Notify is frozen in place, a raw body the door copies once.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def neutral_from_wsn_notify(
         "mediate", direction="wsn-to-neutral", version=version.name.lower()
     ):
         items = [
-            DeliveryItem(item.payload, item.topic)
+            DeliveryItem(item.payload.freeze(), item.topic)
             for item in wsn_messages.parse_notify(body, version)
         ]
     instrumentation.count(
@@ -69,7 +71,7 @@ def neutral_from_wse_envelope(
     """Lift a raw WSE notification (topic in header, if any) to neutral form."""
     with instrumentation.span("mediate", direction="wse-to-neutral"):
         topic = envelope.header_text(WSE_TOPIC_HEADER)
-        item = DeliveryItem(envelope.body_element().copy(), topic)
+        item = DeliveryItem(envelope.body_element(), topic)
     instrumentation.count("mediation.messages", direction="wse-to-neutral")
     return item
 

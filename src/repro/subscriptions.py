@@ -761,12 +761,17 @@ class Verb(NamedTuple):
     read: Callable[[XElem], object] = lambda body: None
 
 
+def message_payload(message: Optional[XElem], what: str, code=FaultCode.SENDER) -> XElem:
+    """``message``'s first element, as parsed; a ``code`` fault naming ``what`` if none."""
+    payload = next(message.elements(), None) if message is not None else None
+    if payload is None:
+        raise SoapFault(code, f"{what} carries no payload")
+    return payload
+
+
 def read_current_message(body: XElem) -> XElem:
     """The payload a GetCurrentMessageResponse carries."""
-    payload = next(body.elements(), None)
-    if payload is None:
-        raise SoapFault(FaultCode.RECEIVER, "empty GetCurrentMessageResponse")
-    return payload.copy()
+    return message_payload(body, "GetCurrentMessageResponse", FaultCode.RECEIVER)
 
 
 class SubscriberClient:
@@ -847,7 +852,8 @@ class SubscriberClient:
 
 @dataclass
 class ReceivedNotification:
-    """One notification as a consumer of any family records it."""
+    """One notification as a consumer of any family records it: ``payload``
+    is the tree the consumer's reader parsed, held by reference, not a copy."""
 
     payload: XElem
     topic: Optional[str] = None

@@ -317,7 +317,7 @@ def build_pull_response(version: WseVersion, messages: list[XElem]) -> XElem:
 def parse_pull_response(body: XElem, version: WseVersion) -> list[XElem]:
     if body.name != version.qname("PullResponse"):
         raise SoapFault(FaultCode.SENDER, f"unexpected response {body.name}")
-    return [child.copy() for child in body.elements()]
+    return list(body.elements())
 
 
 # --- wrapped delivery (format undefined by the spec; ours documented) ----------------
@@ -344,7 +344,7 @@ def wrapped_entry(version: WseVersion) -> Entry:
 
 
 def parse_wrapped_notification(body: XElem, version: WseVersion) -> list[XElem]:
-    return [child.copy() for child in body.elements()]
+    return list(body.elements())
 
 
 # --- the client's verbs ----------------------------------------------------------------

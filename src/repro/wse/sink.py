@@ -51,10 +51,8 @@ class EventSink(ConsumerEndpoint):
     def _handle_wrapped(
         self, envelope: SoapEnvelope, headers: MessageHeaders
     ) -> Optional[SoapEnvelope]:
-        for payload in messages.parse_wrapped_notification(envelope.body_element(), self.version):
-            self.received.append(
-                ReceivedNotification(payload, wrapped=True, action=headers.action)
-            )
+        payloads = messages.parse_wrapped_notification(envelope.body_element(), self.version)
+        self.received.extend(ReceivedNotification(p, wrapped=True, action=headers.action) for p in payloads)
         return None
 
     def _handle_subscription_end(

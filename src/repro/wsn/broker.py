@@ -116,9 +116,8 @@ class NotificationBroker:
         self._upstream_subscriber = WsnSubscriber(network, version=version)
         self._upstream_consumer_address = f"{address}/upstream"
         self._upstream_consumer = SoapEndpoint(network, self._upstream_consumer_address)
-        self._upstream_consumer.on_action(
-            version.action("Notify"), self._handle_upstream_notify
-        )
+        # demand-publisher traffic re-enters the broker's fan-out
+        self._upstream_consumer.on_action(version.action("Notify"), self._handle_notify)
 
     # --- convenience ------------------------------------------------------------
 
@@ -142,16 +141,11 @@ class NotificationBroker:
     def _handle_notify(self, envelope: SoapEnvelope, headers: MessageHeaders):
         body = envelope.body_element()
         if body.name == self.version.qname("Notify"):
-            items = messages.parse_notify(body, self.version)
-            for item in items:
-                self.publish(item.payload, topic=item.topic)
+            for item in messages.parse_notify(body, self.version):
+                self.publish(item.payload.freeze(), topic=item.topic)
         else:
             self.publish(body)
         return None
-
-    def _handle_upstream_notify(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        # demand-publisher traffic re-enters the broker's fan-out
-        return self._handle_notify(envelope, headers)
 
     def publish(self, payload: XElem, *, topic: Optional[str] = None) -> int:
         """Broker-side publication (in-process publisher API)."""

@@ -28,12 +28,11 @@ class NotificationConsumer(ConsumerEndpoint):
         super().__init__(network, address, zone)
         self.version = version
         self.termination_notices: list[str] = []
-        self.endpoint.on_action(version.action("Notify"), self._handle_notify)
         self.endpoint.on_action(
             messages.wsrf_lifetime_action("TerminationNotification"),
             self._handle_termination,
         )
-        self.endpoint.on_any(self._handle_raw)
+        self.endpoint.on_any(self._handle_notify)
 
     def topics_seen(self) -> list[Optional[str]]:
         return [item.topic for item in self.received]
@@ -41,28 +40,17 @@ class NotificationConsumer(ConsumerEndpoint):
     # --- handlers -----------------------------------------------------------
 
     def _handle_notify(self, envelope: SoapEnvelope, headers: MessageHeaders):
+        """Any action: a raw payload, or a Notify read whole (a fault records none)."""
         body = envelope.body_element()
-        if body.name == self.version.qname("Notify"):
-            for item in messages.parse_notify(body, self.version):
-                self.received.append(
-                    ReceivedNotification(
-                        item.payload,
-                        topic=item.topic,
-                        wrapped=True,
-                        subscription_address=(
-                            item.subscription_reference.address
-                            if item.subscription_reference
-                            else None
-                        ),
-                    )
-                )
-        else:
-            # raw delivery arrives under the Notify action with a bare payload
+        if body.name != self.version.qname("Notify"):
             self.received.append(ReceivedNotification(body))
-        return None
-
-    def _handle_raw(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        self.received.append(ReceivedNotification(envelope.body_element()))
+            return None
+        self.received.extend([
+            ReceivedNotification(
+                item.payload, item.topic, True, subscription_address=item.subscription_address
+            )
+            for item in messages.parse_notify(body, self.version)
+        ])
         return None
 
     def _handle_termination(self, envelope: SoapEnvelope, headers: MessageHeaders):

@@ -25,8 +25,9 @@ from typing import Optional
 from repro.qos.properties import QosError, QosProfile
 from repro.qos.wire import find_profile, profile_to_element
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import Grant, SubscriptionHandle, Verb, read_current_message
+from repro.subscriptions import Grant, SubscriptionHandle, Verb, message_payload, read_current_message
 from repro.wsa.epr import EndpointReference
+from repro.wsa.versions import WsaVersion
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.names import Namespaces, QName
@@ -230,21 +231,59 @@ def subscription_id_from_headers(echoed: list[XElem]) -> str:
 # --- Notify ----------------------------------------------------------------------
 
 
+def reference_address(reference: XElem, wsa: WsaVersion) -> str:
+    """A reference element's wsa:Address; a Sender fault when it has none."""
+    address = reference.find(wsa.qname("Address"))
+    if address is None:
+        raise SoapFault(FaultCode.SENDER, f"<{reference.name}> has no wsa:Address")
+    return address.full_text().strip()
+
+
+class _Reference:
+    """A reference field, as set: an ``EndpointReference``, or the element a
+    reader kept, which becomes one the first time it is read."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, message, owner=None):
+        value = getattr(message, self.slot, None)  # the class's: the default, None
+        if isinstance(value, XElem):
+            reference_address(value, message.wsa)
+            value = EndpointReference.from_element(value, message.wsa)
+            setattr(message, self.slot, value)
+        return value
+
+    def __set__(self, message, value) -> None:
+        setattr(message, self.slot, value)
+
+
 @dataclass
 class NotificationMessage:
+    """One wsnt:NotificationMessage.  One :func:`parse_notify` read keeps its
+    references as elements (WS-Addressing ``wsa``) until they are asked for."""
+
     payload: XElem
     topic: Optional[str] = None
     topic_dialect: str = Namespaces.DIALECT_TOPIC_CONCRETE
-    subscription_reference: Optional[EndpointReference] = None
-    producer_reference: Optional[EndpointReference] = None
+    subscription_reference: Optional[EndpointReference] = _Reference()
+    producer_reference: Optional[EndpointReference] = _Reference()
+    wsa: Optional[WsaVersion] = None
+
+    @property
+    def subscription_address(self) -> Optional[str]:
+        """The subscription reference's address, read without building it."""
+        value = self._subscription_reference
+        if isinstance(value, XElem):
+            return reference_address(value, self.wsa)
+        return value and value.address
 
 
 def bare_messages(items) -> list[NotificationMessage]:
-    """``DeliveryItem`` s (payload + topic) as messages that carry no
-    references: what a broker re-renders for a WSN consumer it is not the
-    producer for.  Each payload is a copy: writing a frozen payload caches its
-    text on it, and a re-rendered message leaves the fan-out's instance as
-    the fan-out's own sends left it."""
+    """``DeliveryItem`` s as messages with no references: what a mesh hop
+    forwards and a message box drains.  Each payload is copied, the one copy a
+    frozen payload gets on purpose: the tree writer would splice it under this
+    envelope's prefixes, re-priming the cache the fan-out's renders read."""
     return [NotificationMessage(item.payload.copy(), topic=item.topic) for item in items]
 
 
@@ -269,40 +308,36 @@ def build_notify(version: WsnVersion, notifications: list[NotificationMessage]) 
                 )
             )
         wrapper = XElem(version.qname("Message"))
-        # frozen payloads are fan-out-shared and safe to alias; mutable ones
-        # are defensively copied as before
-        wrapper.append(item.payload if item.payload.frozen else item.payload.copy())
+        wrapper.append(item.payload)  # aliased: bare_messages hands over copies
         message.append(wrapper)
         notify.append(message)
     return notify
 
 
-def parse_notify(body: XElem, version: WsnVersion) -> list[NotificationMessage]:
-    if body.name != version.qname("Notify"):
-        raise SoapFault(FaultCode.SENDER, f"expected wsnt:Notify, got {body.name}")
+def parse_notify(
+    body: XElem, version: WsnVersion, root: str = "Notify"
+) -> list[NotificationMessage]:
+    """The NotificationMessages of a wsnt:Notify (or another ``root``), one
+    walk of each one's children.  The parsed tree is the reader's: a payload is
+    taken as it is, a reference stays an element until asked for."""
+    if body.name != version.qname(root):
+        raise SoapFault(FaultCode.SENDER, f"expected wsnt:{root}, got {body.name}")
+    names = [version.qname(n) for n in "Message Topic SubscriptionReference ProducerReference".split()]
     notifications: list[NotificationMessage] = []
     for message in body.find_all(version.qname("NotificationMessage")):
-        wrapper = message.require(version.qname("Message"))
-        payload = next(wrapper.elements(), None)
-        if payload is None:
-            raise SoapFault(FaultCode.SENDER, "NotificationMessage has empty Message")
-        item = NotificationMessage(payload.copy())
-        topic = message.find(version.qname("Topic"))
+        parts: dict = {}
+        for child in message.elements():
+            parts.setdefault(child.name, child)
+        wrapper, topic, subscription, producer = (parts.get(name) for name in names)
+        item = NotificationMessage(
+            message_payload(wrapper, "NotificationMessage"),
+            subscription_reference=subscription,
+            producer_reference=producer,
+            wsa=version.wsa_version,
+        )
         if topic is not None:
             item.topic = topic.full_text().strip()
-            item.topic_dialect = topic.attrs.get(
-                _DIALECT, Namespaces.DIALECT_TOPIC_CONCRETE
-            )
-        sub_ref = message.find(version.qname("SubscriptionReference"))
-        if sub_ref is not None:
-            item.subscription_reference = EndpointReference.from_element(
-                sub_ref, version.wsa_version
-            )
-        prod_ref = message.find(version.qname("ProducerReference"))
-        if prod_ref is not None:
-            item.producer_reference = EndpointReference.from_element(
-                prod_ref, version.wsa_version
-            )
+            item.topic_dialect = topic.attrs.get(_DIALECT, Namespaces.DIALECT_TOPIC_CONCRETE)
         notifications.append(item)
     return notifications
 

@@ -64,11 +64,8 @@ class PullPoint:
             incoming = body.find_all(self.version.qname("NotificationMessage"))
         else:
             # raw payload: wrap so GetMessages output is uniform
-            wrapper = XElem(self.version.qname("NotificationMessage"))
-            message = XElem(self.version.qname("Message"))
-            message.append(body.copy())
-            wrapper.append(message)
-            incoming = [wrapper]
+            message = XElem(self.version.qname("Message"), children=[body])
+            incoming = [XElem(self.version.qname("NotificationMessage"), children=[message])]
         room = max(self.capacity - len(self.queue), 0)
         accepted = incoming[:room]
         if len(accepted) < len(incoming):
@@ -80,7 +77,7 @@ class PullPoint:
                 site="wsn.pullpoint.capacity_overflow",
                 kind="QueueOverflow",
             )
-        self.queue.extend(item.copy() for item in accepted)
+        self.queue.extend(accepted)  # as parsed: the tree is the pull point's
         return None
 
     def _handle_get_messages(self, envelope: SoapEnvelope, headers: MessageHeaders):
@@ -197,11 +194,7 @@ class PullPointClient:
         reply = self._client.request(
             pull_point, self.version.action("GetMessages"), body, "GetMessages"
         )
-        # reuse the Notify parser by re-rooting the response
-        notify = XElem(self.version.qname("Notify"))
-        for child in reply.elements():
-            notify.append(child.copy())
-        return messages.parse_notify(notify, self.version)
+        return messages.parse_notify(reply, self.version, "GetMessagesResponse")
 
     def destroy(self, pull_point: EndpointReference) -> None:
         body = XElem(self.version.qname("DestroyPullPoint"))

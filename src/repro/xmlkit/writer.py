@@ -113,7 +113,8 @@ def serialize_xml(root: XElem, *, xml_declaration: bool = False, indent: bool = 
 
     All namespace declarations are hoisted to the root element (a single
     two-pass walk), which keeps notification payload serialization compact
-    and stable regardless of tree construction order.
+    and stable regardless of tree construction order.  A frozen root (a
+    payload logged standalone) leaves its children's splice caches alone.
     """
     WRITER_STATS.tree_serializations += 1
     allocator = _PrefixAllocator()
@@ -123,7 +124,8 @@ def serialize_xml(root: XElem, *, xml_declaration: bool = False, indent: bool = 
         parts.append('<?xml version="1.0" encoding="utf-8"?>')
         if indent:
             parts.append("\n")
-    _write(root, allocator, parts, declare_namespaces=True, indent=0 if indent else None)
+    level = 0 if indent else None
+    _write(root, allocator, parts, declare_namespaces=True, indent=level, splice=root._fcache is None)
     return "".join(parts)
 
 

@@ -7,9 +7,14 @@ both dialects, a mesh forward hop and federation ingress — with
 instrumentation on.  The digests pin the exact request and response bytes,
 frame by frame (the HTTP head carries the lineage header), and the
 lineage-ledger event sequence: how a notification is carried inside the
-broker may change, what it puts on the wire and in the books may not.
+broker may change, what it puts on the wire and in the books may not.  A
+third digest pins what the receiving side read off that wire: every
+consumer's records (serialized payload, topic, ``wrapped``, subscription
+address) and every pulled batch — how a reader holds what it parsed may
+change, what it hands its caller may not.
 """
 
+import functools
 import hashlib
 import json
 import re
@@ -32,7 +37,7 @@ from repro.wsa.headers import reset_message_counter
 from repro.wse import EventSink, EventSource, WseSubscriber
 from repro.wse.model import DeliveryMode
 from repro.wsn import NotificationConsumer, NotificationProducer, PullPointClient, WsnSubscriber
-from repro.xmlkit import parse_xml
+from repro.xmlkit import parse_xml, serialize_xml
 
 ZONE = "golden-lan"
 
@@ -54,6 +59,7 @@ def wsn_batched(network):
         producer.publish(event(n), topic="t")
     producer.publish(event(9), topic="u")
     assert len(consumer.received) == 6
+    return [consumer]
 
 
 def wsn_resume(network):
@@ -75,6 +81,7 @@ def wsn_resume(network):
         client.resume(handle)
     producer.publish(event(4), topic="a")
     assert [len(wrapped.received), len(raw.received)] == [4, 4]
+    return [wrapped, raw]
 
 
 def wse_paths(network):
@@ -89,9 +96,10 @@ def wse_paths(network):
     for n in range(5):
         source.publish(event(n), topic="a" if n % 2 else None)
     source.flush()
-    assert len(client.pull(pull, 2)) == 2
-    assert len(client.pull(pull)) == 3
+    pulled = [client.pull(pull, 2), client.pull(pull)]
+    assert [len(batch) for batch in pulled] == [2, 3]
     assert [len(push.received), len(wrapped.received)] == [5, 5]
+    return [push, wrapped, *pulled]
 
 
 def converged_paths(network):
@@ -113,9 +121,10 @@ def converged_paths(network):
         source.publish(event(n), topic="a" if n % 2 else "b")
     client.resume(paused)
     source.flush()
-    assert len(client.pull(pull, 2)) == 2
-    assert len(client.pull(pull)) == 3
+    pulled = [client.pull(pull, 2), client.pull(pull)]
+    assert [len(batch) for batch in pulled] == [2, 3]
     assert [len(push.received), len(raw.received), len(wrapped.received)] == [5, 5, 5]
+    return [push, raw, wrapped, *pulled]
 
 
 def message_box_drains(network):
@@ -137,11 +146,11 @@ def message_box_drains(network):
     broker.publish(event(3))
     puller = PullPointClient(network, zone=ZONE)
     box = broker.message_boxes.get(consumer.address).epr()
-    assert len(puller.get_messages(box, maximum=2)) == 2
-    assert len(drain_message_box_wse(network, box, zone=ZONE)) == 1
+    pulled = [puller.get_messages(box, maximum=2), drain_message_box_wse(network, box, zone=ZONE)]
     box = broker.message_boxes.get(sink.address).epr()
-    assert len(puller.get_messages(box, maximum=1)) == 1
-    assert len(drain_message_box_wse(network, box, zone=ZONE)) == 3
+    pulled += [puller.get_messages(box, maximum=1), drain_message_box_wse(network, box, zone=ZONE)]
+    assert [len(batch) for batch in pulled] == [2, 1, 1, 3]
+    return [consumer, sink, *pulled]
 
 
 def mesh_hops(network):
@@ -158,6 +167,7 @@ def mesh_hops(network):
         mesh.publish(event(index), topic="jobs/status", via=index)
     mesh.quiesce()
     assert [len(local.received), len(remote.received)] == [3, 3]
+    return [local, remote]
 
 
 #: the fixed-width parent-span field of ``X-Lineage: 01-<lineage>-<parent>-<hop>``:
@@ -166,10 +176,37 @@ def mesh_hops(network):
 _LINEAGE_PARENT = re.compile(rb"(X-Lineage: 01-[^\r\n]+-)[0-9a-f]{8}(-[0-9a-f]{2}\r\n)")
 
 
-def digests(scenario) -> tuple[str, str]:
+def _rows(receiver) -> list:
+    """What one receiver holds, as (payload text, topic, wrapped,
+    subscription address) rows: a consumer's records, or a pulled batch —
+    bare payloads, (payload, topic) pairs or WSN NotificationMessages."""
+    if hasattr(receiver, "received"):
+        return [
+            (serialize_xml(r.payload), r.topic, r.wrapped, r.subscription_address)
+            for r in receiver.received
+        ]
+    rows = []
+    for entry in receiver:
+        if isinstance(entry, tuple):
+            rows.append((serialize_xml(entry[0]), entry[1], True, None))
+        elif hasattr(entry, "subscription_reference"):
+            reference = entry.subscription_reference
+            rows.append((
+                serialize_xml(entry.payload),
+                entry.topic,
+                True,
+                reference.address if reference is not None else None,
+            ))
+        else:
+            rows.append((serialize_xml(entry), None, False, None))
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def digests(scenario) -> tuple[str, str, str]:
     """SHA-256 of every frame's (address, outcome, request, response) in
-    order, the request's lineage parent span masked, and of the lineage
-    ledger's snapshot."""
+    order, the request's lineage parent span masked; of the lineage
+    ledger's snapshot; and of what the scenario's receivers recorded."""
     reset_message_counter()
     network = SimulatedNetwork(VirtualClock())
     instrumentation = Instrumentation.attach(network)
@@ -186,9 +223,14 @@ def digests(scenario) -> tuple[str, str]:
             wire.update(part)
 
     network.wire_observers.append(observe)
-    scenario(network)
+    receivers = scenario(network)
     ledger = json.dumps(instrumentation.ledger.snapshot(), sort_keys=True)
-    return wire.hexdigest(), hashlib.sha256(ledger.encode()).hexdigest()
+    recorded = json.dumps([_rows(receiver) for receiver in receivers])
+    return (
+        wire.hexdigest(),
+        hashlib.sha256(ledger.encode()).hexdigest(),
+        hashlib.sha256(recorded.encode()).hexdigest(),
+    )
 
 
 #: recorded before the producer side carried notifications as one value; the
@@ -224,6 +266,22 @@ GOLDEN = {
 SCENARIOS = [wsn_batched, wsn_resume, wse_paths, converged_paths, message_box_drains, mesh_hops]
 
 
+#: what the receivers recorded, before readers took parsed payloads by reference
+RECORDED = {
+    "wsn_batched": "421cbb1489934120cc27b9820b2e39b1346fb22311e01943813b6ffcb673d03d",
+    "wsn_resume": "13279407e718fef2ed3c9f6412a24108f1472208bf2748fdaca2546bf6e3bd5d",
+    "wse_paths": "0335b3bf5c61c29d97d97d797784b02292b1ffa753aa879e3e496f6c2e8d0df1",
+    "converged_paths": "bfe02f762adda04b20823c96d771a243472e182b5ed2a1cbb9284f9400b3bf23",
+    "message_box_drains": "4df552219de410fdb88fe7ff9cebf0b48fc024108ae71b68d0bcaccda984de56",
+    "mesh_hops": "5b7c36bbdd5a1fbd097b2e5c0f4a9957772a0f87f8b87c2ede76fbb71509bfed",
+}
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda scenario: scenario.__name__)
 def test_wire_and_ledger_digests_hold(scenario):
-    assert digests(scenario) == GOLDEN[scenario.__name__]
+    assert digests(scenario)[:2] == GOLDEN[scenario.__name__]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda scenario: scenario.__name__)
+def test_what_each_receiver_recorded_holds(scenario):
+    assert digests(scenario)[2] == RECORDED[scenario.__name__]

@@ -100,6 +100,16 @@ class TestFrozenSerialization:
         assert WRITER_STATS.frozen_serializations == 1
         assert WRITER_STATS.frozen_splices == 1
 
+    def test_a_frozen_root_written_standalone_touches_no_splice_cache(self):
+        # the event log writes a door-frozen payload on its own: its children
+        # must not be spliced (and re-primed) under the log's prefixes
+        frozen_payload = _payload().freeze()
+        WRITER_STATS.reset()
+        assert serialize_xml(frozen_payload) == serialize_xml(_payload())
+        assert serialize_xml(frozen_payload) == serialize_xml(_payload())
+        assert (WRITER_STATS.frozen_serializations, WRITER_STATS.frozen_splices) == (0, 0)
+        assert all(child._fcache[2] is None for child in frozen_payload.elements())
+
     def test_prefix_context_change_refills_cache_correctly(self):
         # first wrapper gives the payload namespace prefix ns1; a wrapper in
         # the payload's own namespace gives it ns0 — the cache must miss and
