@@ -140,6 +140,8 @@ class DeliveryManager:
         self.store: Optional["BrokerStore"] = None
         self._queues: dict[str, deque[DeliveryTask]] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
+        #: ``len(open_breakers())``, kept by ``_breaker_step`` (sees every transition)
+        self.breakers_open = 0
         self._wakeups: dict[str, float] = {}
         #: pre-bound per-family counters and the queue-lag histogram
         self._bound = BoundCounters()
@@ -317,11 +319,14 @@ class DeliveryManager:
         before = breaker.state
         result = step()
         after = breaker.state
-        if after is not before and instr.enabled:
-            instr.count("delivery.breaker_transitions", sink=sink, state=after.value)
-            flight = instr.flight
-            if flight.enabled:
-                flight.record("breaker", sink=sink, previous=before.value, state=after.value)
+        if after is not before:
+            closed = BreakerState.CLOSED
+            self.breakers_open += (after is not closed) - (before is not closed)
+            if instr.enabled:
+                instr.count("delivery.breaker_transitions", sink=sink, state=after.value)
+                flight = instr.flight
+                if flight.enabled:
+                    flight.record("breaker", sink=sink, previous=before.value, state=after.value)
         return result
 
     def _notify_backlog(self) -> None:
@@ -542,7 +547,7 @@ class DeliveryManager:
             "delivery.parked_pending",
             self.message_boxes.total_parked() if self.message_boxes else 0,
         )
-        instr.gauge("delivery.breakers_open", len(self.open_breakers()))
+        instr.gauge("delivery.breakers_open", self.breakers_open)
         if self.qos is not None:
             instr.gauge("qos.shed_messages", self.stats.shed)
             instr.gauge("qos.throttled_attempts", self.stats.throttled)

@@ -13,20 +13,28 @@ SHA-256 (stable across processes and Python versions — ``hash()`` is
 salted), so ring placement is a pure function of (member names, vnodes),
 which the rebalancing tests and the shard-map versioning both rely on.
 
-The property that makes the structure worth its complexity: membership
-changes move only the keys whose owning arc the new/departed member's
-points cover — on average ``1/n`` of the key space — instead of re-mapping
-everything the way ``hash(key) % n`` would.
+A ring is an immutable value, built once from its member list: membership
+changes only by minting a new shard-map version, whose ring is a new
+value.  The property that makes the structure worth its complexity holds
+*between* two such rings: the member set of the second differing by one
+moves only the keys whose owning arc that member's points cover — on
+average ``1/n`` of the key space — instead of re-mapping everything the
+way ``hash(key) % n`` would.  Lookups are memoised per ring in a bounded
+table (cleared when full), so routing the same roots again is a dict probe.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, Iterator
+from typing import Iterable
 
 #: ring positions per member; more points → smoother key distribution
 DEFAULT_VNODES = 64
+
+#: most distinct keys one ring remembers the owner of; the memo is cleared
+#: when full, so unbounded distinct topic roots cost re-hashing, never memory
+OWNER_MEMO_CAP = 4096
 
 
 def _ring_hash(text: str) -> int:
@@ -35,47 +43,26 @@ def _ring_hash(text: str) -> int:
 
 
 class HashRing:
-    """Consistent-hash ring over member names with virtual nodes."""
+    """Immutable consistent-hash ring over member names with virtual nodes."""
 
     def __init__(self, members: Iterable[str] = (), *, vnodes: int = DEFAULT_VNODES) -> None:
         if vnodes <= 0:
             raise ValueError("vnodes must be positive")
-        self.vnodes = vnodes
-        self._members: set[str] = set()
-        #: sorted virtual-node positions and their owners, kept in lockstep
-        self._points: list[int] = []
-        self._owners: list[str] = []
-        for member in members:
-            self.add(member)
-
-    # --- membership ---------------------------------------------------------
-
-    def add(self, member: str) -> None:
-        if not member:
+        names = frozenset(members)
+        if "" in names:
             raise ValueError("empty member name")
-        if member in self._members:
-            return
-        self._members.add(member)
-        for position, owner in self._points_of(member):
-            index = bisect.bisect_left(self._points, position)
-            self._points.insert(index, position)
-            self._owners.insert(index, owner)
-
-    def remove(self, member: str) -> None:
-        if member not in self._members:
-            raise KeyError(member)
-        self._members.discard(member)
-        keep = [
-            (position, owner)
-            for position, owner in zip(self._points, self._owners)
-            if owner != member
-        ]
-        self._points = [position for position, _ in keep]
-        self._owners = [owner for _, owner in keep]
-
-    def _points_of(self, member: str) -> Iterator[tuple[int, str]]:
-        for replica in range(self.vnodes):
-            yield _ring_hash(f"{member}#{replica}"), member
+        self.vnodes = vnodes
+        self._members = names
+        #: every virtual-node position, hashed and sorted in one pass
+        points = sorted(
+            (_ring_hash(f"{member}#{replica}"), member)
+            for member in names
+            for replica in range(vnodes)
+        )
+        self._points = [position for position, _ in points]
+        self._owners = [owner for _, owner in points]
+        #: key -> owner, bounded by OWNER_MEMO_CAP
+        self._memo: dict[str, str] = {}
 
     def members(self) -> list[str]:
         return sorted(self._members)
@@ -90,12 +77,20 @@ class HashRing:
 
     def owner(self, key: str) -> str:
         """The member owning ``key`` (first point clockwise from its hash)."""
+        memo = self._memo
+        owner = memo.get(key)
+        if owner is not None:
+            return owner
         if not self._points:
             raise LookupError("hash ring has no members")
         index = bisect.bisect_right(self._points, _ring_hash(key))
         if index == len(self._points):
             index = 0  # wrap: the ring is circular
-        return self._owners[index]
+        owner = self._owners[index]
+        if len(memo) >= OWNER_MEMO_CAP:
+            memo.clear()
+        memo[key] = owner
+        return owner
 
     def moved_keys(self, other: "HashRing", keys: Iterable[str]) -> dict[str, tuple[str, str]]:
         """Keys whose owner differs between this ring and ``other``, as

@@ -74,7 +74,6 @@ class MeshNode:
             peer_address_of = lambda peer: f"{prefix}/{peer}"  # noqa: E731
         self._peer_address_of = peer_address_of
         self.map = registry.fetch()
-        self._ring = self.map.ring()
         wsn_versions = (
             list(wsn_versions) if wsn_versions is not None else [WsnVersion.V1_3]
         )
@@ -124,7 +123,7 @@ class MeshNode:
         self.broker.publish(payload, topic=topic)
 
     def owner_of_topic(self, topic: Optional[str]) -> str:
-        return self._ring.owner(routing_key_of_topic(topic))
+        return self.map.owner(routing_key_of_topic(topic))
 
     def _route_publish(self, payload: XElem, topic: Optional[str]) -> bool:
         if self._ingesting:
@@ -213,12 +212,10 @@ class MeshNode:
 
     def sync_links(self) -> None:
         """Re-derive the link set from current needs and the current ring."""
+        ring = self.map.ring
         self.links.sync(
             aggregate_coverage(
-                self._needs,
-                self._ring.owner,
-                self_name=self.name,
-                peers=self._ring.members(),
+                self._needs, ring.owner, self_name=self.name, peers=ring.members()
             )
         )
 
@@ -241,7 +238,6 @@ class MeshNode:
         if snapshot.version == self.map.version:
             return False
         self.map = snapshot
-        self._ring = snapshot.ring()
         self.sync_links()
         return True
 

@@ -1,12 +1,14 @@
 """The versioned shard map: who owns which slice of the topic space.
 
 A :class:`ShardMap` is an immutable snapshot — a member list, a vnode
-count, and a monotonically increasing version — from which every node
-derives the same :class:`~repro.mesh.hashring.HashRing`.  The
-:class:`ShardMapRegistry` is the authority the mesh members fetch from:
-``join``/``leave`` mint a new version, and the registry reports the
-*moved-key set* between any two versions so the cutover can be limited to
-the topics whose owner actually changed.
+count, and a monotonically increasing version — that builds its one
+:class:`~repro.mesh.hashring.HashRing` on first use and hands that same
+ring to every caller: the cluster, each node holding the version, and the
+registry.  The :class:`ShardMapRegistry` is the authority the mesh members
+fetch from: ``join``/``leave`` mint a new version (membership never
+changes in place), and the registry reports the *moved-key set* between
+any two versions so the cutover can be limited to the topics whose owner
+actually changed.
 
 Routing keys
 ------------
@@ -30,6 +32,7 @@ mesh's conservation story), while subscriptions may fan *in* from many.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from repro.filters.topics import TopicExpression
@@ -75,11 +78,13 @@ class ShardMap:
     members: tuple[str, ...]
     vnodes: int = DEFAULT_VNODES
 
+    @cached_property
     def ring(self) -> HashRing:
+        """This version's one ring, built on first use."""
         return HashRing(self.members, vnodes=self.vnodes)
 
     def owner(self, key: str) -> str:
-        return self.ring().owner(key)
+        return self.ring.owner(key)
 
     def to_dict(self) -> dict:
         return {
@@ -150,4 +155,4 @@ class ShardMapRegistry:
         before = (
             self.version_at(since) if since is not None else self._versions[-2]
         )
-        return before.ring().moved_keys(self.current.ring(), keys)
+        return before.ring.moved_keys(self.current.ring, keys)

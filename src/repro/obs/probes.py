@@ -59,9 +59,7 @@ class GaugeProbes:
         self.add_source("delivery.pending", manager.pending, **labels)
         self.add_source("delivery.dlq_depth", lambda: len(manager.dlq), **labels)
         self.add_source(
-            "delivery.breakers_open",
-            lambda: len(manager.open_breakers()),
-            **labels,
+            "delivery.breakers_open", lambda: manager.breakers_open, **labels
         )
         self.add_source(
             "delivery.retry_wakeups", lambda: len(manager._wakeups), **labels

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.obs.instrument import BoundCounters
 from repro.qos.wire import profile_from_texts, profile_texts
 from repro.store.log import MemoryEventLog
 from repro.store.records import (
@@ -139,6 +140,8 @@ class BrokerStore:
         #: message id stamped onto delivery items minted by the in-flight
         #: publish (set around fan-out, both live and during replay)
         self.current_message_id: Optional[str] = None
+        #: pre-bound per-record counters
+        self._bound = BoundCounters()
         for record in self.log.records():
             self._index(record)
 
@@ -177,14 +180,11 @@ class BrokerStore:
         if broker is not None:
             instr = broker.network.instrumentation
             if instr.enabled:
-                instr.count("store.log_appends", kind=type(record).__name__)
+                kind = type(record).__name__
+                self._bound.inc(instr, 1, "store.log_appends", "kind", kind)
                 flight = instr.flight
                 if flight.enabled:
-                    flight.record(
-                        "log_append",
-                        entry=type(record).__name__,
-                        length=len(self.log),
-                    )
+                    flight.record("log_append", entry=kind, length=len(self.log))
 
     def _commit(self) -> None:
         if self.log.commit():

@@ -207,6 +207,44 @@ class TestBreaker:
         manager.submit("http://good", FlakySend())
         assert manager.open_breakers() == ["http://bad"]
 
+    def test_the_open_count_tracks_every_transition(self):
+        from repro.obs.instrument import Instrumentation
+
+        network, manager = make_manager(
+            DeliveryPolicy(
+                max_attempts=3, base_backoff=1.0, jitter=0.0,
+                breaker_failure_threshold=2, breaker_reset_after=4.0,
+            )
+        )
+        instrumentation = Instrumentation.attach(network)
+
+        def flapping(period):
+            calls = [0]
+
+            def send():
+                calls[0] += 1
+                if (calls[0] // period) % 2 == 0:
+                    raise MessageLost("flap")
+
+            return send
+
+        sends = {f"http://dead-{n}": FlakySend(failures=10**6) for n in range(2)}
+        sends.update({f"http://flap-{n}": flapping(2 + n) for n in range(3)})
+        sends["http://good"] = FlakySend()
+        seen = set()
+        for _ in range(40):
+            for sink, send in sends.items():
+                manager.submit(sink, send)
+            network.clock.advance(1.5)
+            for drain in (manager.run_due, manager.run_until_idle):
+                drain()
+                assert manager.breakers_open == len(manager.open_breakers())
+                gauges = instrumentation.metrics.snapshot()["gauges"]
+                assert gauges["delivery.breakers_open"] == manager.breakers_open
+                seen.add(manager.breakers_open)
+        # the run opened breakers, closed some again and never left the books
+        assert len(seen) > 2 and 0 < max(seen) <= len(sends) - 1
+
 
 class TestFirewallParking:
     def test_firewall_blocked_parks_content_in_message_box(self):

@@ -1,10 +1,12 @@
 """Properties of the consistent-hash ring.
 
 The mesh's correctness leans on two ring properties: placement is a pure
-function of (member names, vnodes) — every node derives the same ring from
-the same shard map — and membership changes move only the keys whose arc
-the joining/leaving member covers.  Both are asserted as properties over a
-key population, not as golden owner assignments.
+function of (member names, vnodes) — two rings built from the same shard
+map agree — and between two rings whose member lists differ by one, only
+the keys whose arc that member covers move.  Both are asserted as
+properties over a key population, not as golden owner assignments.  A ring
+is immutable: the "after" ring of each movement test is built from its own
+member list.
 """
 
 import pytest
@@ -42,16 +44,14 @@ class TestPlacement:
 class TestMovement:
     def test_join_moves_keys_only_to_the_joiner(self):
         before = HashRing(["n0", "n1", "n2"])
-        after = HashRing(["n0", "n1", "n2"])
-        after.add("n3")
+        after = HashRing(["n0", "n1", "n2", "n3"])
         moved = before.moved_keys(after, KEYS)
         assert moved  # with 201 keys and 64 vnodes something must move
         assert all(new == "n3" for _, new in moved.values())
 
     def test_leave_moves_exactly_the_leavers_keys(self):
         before = HashRing(["n0", "n1", "n2", "n3"])
-        after = HashRing(["n0", "n1", "n2", "n3"])
-        after.remove("n3")
+        after = HashRing(["n0", "n1", "n2"])
         moved = before.moved_keys(after, KEYS)
         assert sorted(moved) == sorted(k for k in KEYS if before.owner(k) == "n3")
         assert all(old == "n3" and new != "n3" for old, new in moved.values())
@@ -60,15 +60,13 @@ class TestMovement:
         # consistent hashing moves ~1/n of the key space; hash % n would
         # reshuffle ~all of it — assert we are on the right side of that
         before = HashRing([f"n{i}" for i in range(4)])
-        after = HashRing([f"n{i}" for i in range(4)])
-        after.add("n4")
+        after = HashRing([f"n{i}" for i in range(5)])
         moved = before.moved_keys(after, KEYS)
         assert 0 < len(moved) < len(KEYS) / 2
 
     def test_unmoved_keys_keep_their_owner(self):
         before = HashRing(["n0", "n1"])
-        after = HashRing(["n0", "n1"])
-        after.add("n2")
+        after = HashRing(["n0", "n1", "n2"])
         moved = before.moved_keys(after, KEYS)
         for key in KEYS:
             if key not in moved:
@@ -86,13 +84,14 @@ class TestEdges:
 
     def test_empty_member_name_rejected(self):
         with pytest.raises(ValueError):
-            HashRing(["ok"]).add("")
+            HashRing(["ok", ""])
 
-    def test_duplicate_add_is_idempotent(self):
-        ring = HashRing(["a"])
-        ring.add("a")
+    def test_a_duplicate_member_is_placed_once(self):
+        ring = HashRing(["a", "a"])
         assert len(ring._points) == ring.vnodes
+        assert len(ring) == 1
 
-    def test_remove_unknown_member_raises(self):
-        with pytest.raises(KeyError):
-            HashRing(["a"]).remove("b")
+    def test_a_ring_has_no_add_or_remove(self):
+        # membership changes by minting a new shard-map version, never in place
+        ring = HashRing(["a"])
+        assert not hasattr(ring, "add") and not hasattr(ring, "remove")
