@@ -221,19 +221,23 @@ def _corba_suspend_resume() -> bool:
 
 
 def _wsn_demand() -> bool:
-    from repro.wsn.broker import NotificationBroker
+    """A demand publisher registered at WS-Messenger over the wire is paused
+    until a consumer wants its topic, then resumed."""
+    from repro.messenger.broker import WsMessenger
     from repro.wsn.consumer import NotificationConsumer
     from repro.wsn.producer import NotificationProducer
     from repro.wsn.subscriber import WsnSubscriber
 
     network = SimulatedNetwork(VirtualClock())
     publisher = NotificationProducer(network, "http://t3-pub")
-    broker = NotificationBroker(network, "http://t3-broker")
-    registration = broker.register_publisher(publisher.epr(), topic="jobs", demand=True)
+    broker = WsMessenger(network, "http://t3-broker")
+    client = WsnSubscriber(network)
+    client.register_publisher(broker.epr(), publisher=publisher.epr(), topic="jobs", demand=True)
+    (registration,) = broker.publishers
     if not registration.paused_upstream:
         return False
     consumer = NotificationConsumer(network, "http://t3-consumer")
-    WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="jobs")
+    client.subscribe(broker.epr(), consumer.epr(), topic="jobs")
     return not registration.paused_upstream
 
 

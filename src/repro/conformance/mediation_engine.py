@@ -7,8 +7,10 @@ to the broker once; a WSE sink and a WSN consumer are both subscribed at the
 front door, and every notification must be payload-identical — to the other
 family's copy and to the original publish — with topics preserved on the
 WSN side (WSE has no topic slot in the body; it rides as a SOAP header).
-A case's hostile ``notify`` bodies, sent to the consumer and the front door,
-must be accepted or refused with a Sender fault, never raise at the sender.
+A case's hostile ``notify`` bodies — a Notify, or another WSN 1.3 request such
+as WS-BrokeredNotification's RegisterPublisher, each sent under the action its
+root element names — go to the consumer and the front door and must be
+accepted or refused with a Sender fault, never raise at the sender.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ class MediationEngine:
                 )
         client = SoapClient(network)
         for notify, target in ((n, t) for n in case.get("notify", []) for t in (consumer, broker)):
+            body = parse_xml(notify)
             try:
-                client.call(target.epr(), WsnVersion.V1_3.action("Notify"), [parse_xml(notify)])
+                client.call(target.epr(), f"{body.name.namespace}/{body.name.local}", [body])
             except SoapFault as fault:
                 if fault.code is not FaultCode.SENDER:
                     return f"hostile Notify at {target.address}: {fault.code.name} fault"

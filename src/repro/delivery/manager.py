@@ -131,8 +131,8 @@ class DeliveryManager:
         self.qos = qos
         self.stats = DeliveryStats()
         #: called with the aggregate pending count whenever it may have
-        #: moved (submits, drains, gauge sweeps) — the WSN broker hangs its
-        #: lag-driven demand pause/resume here
+        #: moved (submits, drains, gauge sweeps) — WS-Messenger's publisher
+        #: registrations hang their lag-driven demand pause / resume here
         self.backlog_listeners: list[Callable[[int], None]] = []
         #: durable broker store (set by BrokerStore.attach): stamps items
         #: with idempotency keys, records outcomes, and routes replayed

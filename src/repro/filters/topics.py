@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Optional
 
 from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterContext, FilterError
@@ -211,6 +212,14 @@ class TopicExpression:
     def _match_alt(alt: _Alternative, parts: tuple[str, ...]) -> bool:
         return _match_segments(alt.segments, parts, alt.descendants_of_last)
 
+    @cached_property
+    def roots(self) -> tuple:
+        """The topic roots this expression pins, or ``(None,)`` when a branch
+        opens with ``*`` or ``//`` — then no static root set bounds what it
+        selects.  Computed once: compiled expressions are shared."""
+        heads = {alternative.segments[0] for alternative in self._alternatives}
+        return (None,) if heads & {"", "*"} else tuple(heads)
+
     @property
     def alternatives(self) -> list[_Alternative]:
         """The compiled ``|``-branches (read-only; the subscription index
@@ -285,6 +294,10 @@ class TopicSubscriptionIndex:
         self._trie_entries = 0
         self._content: dict[XPath, set[str]] = {}  # expression -> its bucket
         self._content_of: dict[str, XPath] = {}
+        #: topic root -> how many keys pin it, under ``None`` the keys that
+        #: may match below any root (see :attr:`TopicExpression.roots`)
+        self.root_refs: dict[Optional[str], int] = {}
+        self._roots_of: dict[str, tuple] = {}
         #: content expressions the latest ``candidates`` call evaluated (the
         #: fan-out reports it as ``fanout.xpath_evals``)
         self.content_evals = 0
@@ -297,6 +310,10 @@ class TopicSubscriptionIndex:
         if key in self._seq:
             self.discard(key)
         self._seq[key] = next(self._counter)
+        refs = self.root_refs
+        self._roots_of[key] = roots = (None,) if expression is None else expression.roots
+        for root in roots:
+            refs[root] = refs.get(root, 0) + 1
         if content is not None:
             self._content.setdefault(content, set()).add(key)
             self._content_of[key] = content
@@ -317,6 +334,12 @@ class TopicSubscriptionIndex:
     def discard(self, key: str) -> None:
         if self._seq.pop(key, None) is None:
             return
+        refs = self.root_refs
+        for root in self._roots_of.pop(key):
+            if refs[root] == 1:
+                del refs[root]
+            else:
+                refs[root] -= 1
         self._always.discard(key)
         for node in self._terminals.pop(key, ()):
             node.entries.pop(key, None)
@@ -333,10 +356,7 @@ class TopicSubscriptionIndex:
     ) -> list[str]:
         """Keys whose topic constraint admits ``topic`` and, given the
         ``payload``, whose content expression admits it (insertion order)."""
-        found: set[str] = set(self._always)
-        if topic is not None and self._trie_entries:
-            path = TopicPath.parse(topic) if isinstance(topic, str) else topic
-            self._collect(self._root, path.parts, found)
+        found = self.topic_candidates(topic)
         self.content_evals = 0
         if payload is not None:
             for content, bucket in self._content.items():
@@ -350,6 +370,15 @@ class TopicSubscriptionIndex:
                 if not admitted:
                     found.difference_update(bucket)
         return sorted(found, key=self._seq.__getitem__)
+
+    def topic_candidates(self, topic: Optional[str | TopicPath]) -> set[str]:
+        """Keys whose topic constraint admits ``topic``, in no order; content
+        is not consulted and ``content_evals`` is left as it was."""
+        found: set[str] = set(self._always)
+        if topic is not None and self._trie_entries:
+            path = TopicPath.parse(topic) if isinstance(topic, str) else topic
+            self._collect(self._root, path.parts, found)
+        return found
 
     def _collect(
         self, node: _IndexNode, parts: tuple[str, ...], found: set[str]
@@ -392,6 +421,14 @@ def topic_expression_of(filter: Filter) -> Optional[TopicExpression]:
             if isinstance(part, TopicFilter):
                 return part.expression
     return None
+
+
+def expression_roots(expression: Optional[TopicExpression]) -> Optional[set[str]]:
+    """The topic roots ``expression`` pins, or ``None`` when it may match
+    below any root (no expression at all, or see :attr:`TopicExpression.roots`)."""
+    if expression is None or expression.roots == (None,):
+        return None
+    return set(expression.roots)
 
 
 #: compiled topic expressions are immutable after __init__ — identical

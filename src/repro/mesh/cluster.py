@@ -279,8 +279,7 @@ class MeshCluster:
         """Routing keys the cluster cares about (for moved-set reporting)."""
         keys = {TOPICLESS_KEY}
         for node in self.nodes.values():
-            for roots in node._needs.values():
-                keys.update(roots or ())
+            keys.update(root for root in node.root_refs() if root is not None)
         return keys
 
     def join(self, name: Optional[str] = None) -> tuple[MeshNode, dict[str, tuple[str, str]]]:

@@ -17,26 +17,27 @@ WSN 1.3 Notify over the simulated HTTP transport, WSA-addressed to the
 owner's front door, lineage header attached — and local fan-out is
 skipped, so every message is processed by exactly one owner.
 
-Federation demand is *derived*, never declared: listeners on every internal
-WSE store and WSN producer translate each subscription's filter into the
-set of topic roots it pins (:func:`repro.mesh.shardmap
-.routing_keys_of_expression`) and re-sync the node's links, so a plain
-Subscribe at any front door transparently becomes a cross-shard
-subscription when its roots are owned elsewhere.
+Federation demand is *read*, never kept: every subscription manager's topic
+index counts the roots its subscriptions pin
+(``TopicSubscriptionIndex.root_refs``), and on every Subscribe or removal
+the node folds those counts into its link set, so a plain Subscribe at any
+front door transparently becomes a cross-shard subscription when its roots
+are owned elsewhere.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Optional
 
 from repro.delivery.outcome import attempt_directly
 from repro.delivery.policy import DeliveryPolicy
 from repro.delivery.task import DeliveryItem
-from repro.filters.topics import TopicNamespace, topic_expression_of
+from repro.filters.topics import TopicNamespace
 from repro.messenger import mediation
 from repro.messenger.broker import WsMessenger
 from repro.mesh.federation import LINK_VERSION, FederationLinkManager, aggregate_coverage
-from repro.mesh.shardmap import ShardMapRegistry, routing_key_of_topic, routing_keys_of_expression
+from repro.mesh.shardmap import ShardMapRegistry, routing_key_of_topic
 from repro.soap.envelope import SoapVersion
 from repro.transport.endpoint import SoapClient
 from repro.transport.network import SimulatedNetwork
@@ -110,11 +111,10 @@ class MeshNode:
             wsa_version=LINK_VERSION.wsa_version,
             soap_version=SoapVersion.V11,
         )
-        #: local subscription key -> pinned topic roots (None = all shards)
-        self._needs: dict[str, Optional[set[str]]] = {}
         self._ingesting = False  # reentrancy guard: federated republish
         self.broker.publish_router = self._route_publish
-        self._attach_demand_listeners()
+        for _, _, subscriptions in self.broker.subscription_managers():
+            subscriptions.listeners.append(self._on_subscription_event)
 
     # --- publishing ----------------------------------------------------------
 
@@ -182,41 +182,24 @@ class MeshNode:
 
     # --- federation demand ----------------------------------------------------
 
-    def _attach_demand_listeners(self) -> None:
-        for family, tag, subscriptions in self.broker.subscription_managers():
-            subscriptions.listeners.append(self._demand_listener(f"{family}:{tag}"))
+    def _on_subscription_event(self, event: str, subscription, detail: dict) -> None:
+        if event in ("created", "removed"):  # the index already has it
+            self.sync_links()
 
-    def _demand_listener(self, prefix: str):
-        def listener(event: str, subscription, detail: dict) -> None:
-            key = f"{prefix}:{subscription.key}"
-            if event == "created":
-                self._need_changed(
-                    key,
-                    routing_keys_of_expression(
-                        topic_expression_of(subscription.filter)
-                    ),
-                )
-            elif event == "removed":
-                self._need_changed(key, None, gone=True)
-
-        return listener
-
-    def _need_changed(
-        self, key: str, roots: Optional[set[str]], *, gone: bool = False
-    ) -> None:
-        if gone:
-            self._needs.pop(key, None)
-        else:
-            self._needs[key] = roots
-        self.sync_links()
+    def root_refs(self) -> Counter:
+        """Topic root -> local subscriptions pinning it, summed over every
+        manager's index; under ``None`` those that need every root."""
+        refs: Counter = Counter()
+        for _, _, subscriptions in self.broker.subscription_managers():
+            refs.update(subscriptions.index.root_refs)
+        return refs
 
     def sync_links(self) -> None:
-        """Re-derive the link set from current needs and the current ring."""
-        ring = self.map.ring
+        """Re-derive the link set from the local roots and the current ring."""
+        refs, ring = self.root_refs(), self.map.ring
+        needs = {self.name: None if None in refs else set(refs)}
         self.links.sync(
-            aggregate_coverage(
-                self._needs, ring.owner, self_name=self.name, peers=ring.members()
-            )
+            aggregate_coverage(needs, ring.owner, self_name=self.name, peers=ring.members())
         )
 
     # --- durable handoff --------------------------------------------------------

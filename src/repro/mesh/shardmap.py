@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from repro.filters.topics import TopicExpression
+from repro.filters.topics import expression_roots
 from repro.mesh.hashring import DEFAULT_VNODES, HashRing
 
 #: routing key for publishes that carry no topic (legal in WSE and WSN 1.3)
@@ -50,24 +50,10 @@ def routing_key_of_topic(topic: Optional[str]) -> str:
     return head or TOPICLESS_KEY
 
 
-def routing_keys_of_expression(
-    expression: Optional[TopicExpression],
-) -> Optional[set[str]]:
-    """The ring keys a subscription filter pins to, or ``None`` for all.
-
-    ``None`` (broadcast) exactly when some branch's first segment is a
-    wildcard — then no static root set can bound the shards whose traffic
-    the subscription may match.
-    """
-    if expression is None:
-        return None
-    roots: set[str] = set()
-    for alternative in expression.alternatives:
-        head = alternative.segments[0]
-        if head == "" or head == "*":  # '//' gap or '*' at the root
-            return None
-        roots.add(head)
-    return roots
+#: the ring keys a subscription's topic expression pins to, or ``None`` for
+#: all (broadcast): its roots, as every subscription manager's topic index
+#: counts them (``TopicSubscriptionIndex.root_refs``)
+routing_keys_of_expression = expression_roots
 
 
 @dataclass(frozen=True)

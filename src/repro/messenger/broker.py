@@ -20,6 +20,9 @@ One front-door address accepts traffic in **both** specification families and
   notifications using either the WS-Eventing specification or the
   WS-Notification specification.  It makes no difference to the event
   consumers";
+- publishers register with WS-BrokeredNotification's RegisterPublisher, and a
+  demand-based one is a bridge paused while no consumer of either family
+  wants its topic (:mod:`repro.messenger.registration`);
 - all traffic is carried by a pluggable messaging backbone
   (:mod:`repro.messenger.adapters`).
 """
@@ -42,11 +45,12 @@ from repro.messenger.detection import DetectedSpec, SpecDetectionError, SpecFami
 from repro.obs.instrument import BoundCounters
 from repro.qos.adaptive import AdaptiveQosController, AdaptiveQosPolicy
 from repro.messenger import mediation
+from repro.messenger.registration import BrokerProducer, PublisherRegistrations
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
 from repro.subscriptions import SubscriptionService
 from repro.transport.endpoint import SoapEndpoint
-from repro.transport.network import SimulatedNetwork
+from repro.transport.network import NetworkError, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders
 from repro.wse.model import DeliveryMode
@@ -58,6 +62,7 @@ from repro.wsn.pullpoint import PullPointFactory
 from repro.wsn.subscriber import WsnSubscriber
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem
+from repro.xmlkit.names import Namespaces
 
 
 @dataclass
@@ -158,7 +163,7 @@ class WsMessenger:
         self.wsn_producers: dict[WsnVersion, NotificationProducer] = {}
         for version in wsn_versions if wsn_versions is not None else list(WsnVersion):
             tag = version.name.lower()
-            self.wsn_producers[version] = self._services["wsn", tag] = NotificationProducer(
+            self.wsn_producers[version] = self._services["wsn", tag] = BrokerProducer(
                 network,
                 f"{address}/{tag}",
                 version=version,
@@ -182,11 +187,15 @@ class WsMessenger:
         self.endpoint = SoapEndpoint(network, address)
         self.endpoint.on_any(self._front_door)
         # bridging roles (lazy): the broker as subscriber/consumer upstream
-        self._ingest_counter = 0
-        self._ingest_endpoints: list[object] = []
+        self._ingest_endpoints: list[SoapEndpoint] = []
         self.backbone.start(self._fan_out)
         if self.store is not None:
             self.store.attach(self)
+        #: WS-BrokeredNotification: registered publishers and the demand that
+        #: pauses and resumes them, served by the WSN 1.3 rows
+        self.publishers = PublisherRegistrations(self)
+        for producer in self.wsn_producers.values():
+            producer.registrations = self.publishers
 
     def services(self):
         """``(family, version tag, service)`` of every internal source and
@@ -207,6 +216,8 @@ class WsMessenger:
 
     def close(self) -> None:
         self.endpoint.close()
+        for ingest in self._ingest_endpoints:
+            ingest.close()
         for service in self._services.values():
             service.close()
         if self.message_boxes is not None:
@@ -396,13 +407,11 @@ class WsMessenger:
         version: WseVersion = WseVersion.V2004_08,
         filter: Optional[str] = None,
         filter_namespaces: Optional[dict[str, str]] = None,
-    ) -> None:
+    ):
         """Subscribe the broker to an external WS-Eventing source; everything
         it pushes is re-published to all broker subscribers (mediation from
-        WSE publishers to consumers of either spec)."""
-        self._ingest_counter += 1
-        ingest_address = f"{self.address}/ingest-{self._ingest_counter}"
-        ingest = SoapEndpoint(self.network, ingest_address)
+        WSE publishers to consumers of either spec).  Returns the
+        subscription and the ingest endpoint it delivers to."""
 
         def on_notification(envelope: SoapEnvelope, headers: MessageHeaders):
             item = mediation.neutral_from_wse_envelope(
@@ -411,15 +420,15 @@ class WsMessenger:
             self.publish(item.payload, topic=item.topic)
             return None
 
-        ingest.on_any(on_notification)
-        self._ingest_endpoints.append(ingest)
-        subscriber = WseSubscriber(self.network, version=version)
-        subscriber.subscribe(
-            source,
-            notify_to=EndpointReference(ingest_address),
-            mode=DeliveryMode.PUSH,
-            filter=filter,
-            filter_namespaces=filter_namespaces,
+        return self._bridge(
+            on_notification,
+            lambda ingest: WseSubscriber(self.network, version=version).subscribe(
+                source,
+                notify_to=ingest,
+                mode=DeliveryMode.PUSH,
+                filter=filter,
+                filter_namespaces=filter_namespaces,
+            ),
         )
 
     def bridge_from_wsn_producer(
@@ -428,12 +437,12 @@ class WsMessenger:
         *,
         version: WsnVersion = WsnVersion.V1_3,
         topic: Optional[str] = None,
-        topic_dialect: Optional[str] = None,
-    ) -> None:
-        """Subscribe the broker to an external WS-Notification producer."""
-        self._ingest_counter += 1
-        ingest_address = f"{self.address}/ingest-{self._ingest_counter}"
-        ingest = SoapEndpoint(self.network, ingest_address)
+        topic_dialect: str = Namespaces.DIALECT_TOPIC_CONCRETE,
+    ):
+        """Subscribe the broker to an external WS-Notification producer (a
+        demand-based publisher's registration is one, see
+        :mod:`repro.messenger.registration`).  Returns the subscription and
+        the ingest endpoint it delivers to."""
 
         def on_notify(envelope: SoapEnvelope, headers: MessageHeaders):
             body = envelope.body_element()
@@ -443,12 +452,25 @@ class WsMessenger:
                 self.publish(body)
             return None
 
-        ingest.on_any(on_notify)
-        self._ingest_endpoints.append(ingest)
-        subscriber = WsnSubscriber(self.network, version=version)
-        kwargs = {}
-        if topic_dialect is not None:
-            kwargs["topic_dialect"] = topic_dialect
-        subscriber.subscribe(
-            producer, EndpointReference(ingest_address), topic=topic, **kwargs
+        return self._bridge(
+            on_notify,
+            lambda ingest: WsnSubscriber(self.network, version=version).subscribe(
+                producer, ingest, topic=topic, topic_dialect=topic_dialect
+            ),
         )
+
+    def _bridge(self, on_message, subscribe):
+        """An ingest endpoint serving ``on_message``, then ``subscribe(its
+        EPR)`` upstream: ``(subscription, ingest)``.  A refused or unreachable
+        subscribe takes the endpoint down again and surfaces."""
+        # numbered by the network: a broker rebuilt here after a crash never
+        # mounts an address a pre-crash upstream still pushes to
+        ingest = SoapEndpoint(self.network, self.network.serial_address(f"{self.address}/ingest"))
+        ingest.on_any(on_message)
+        try:
+            handle = subscribe(ingest.epr())
+        except (NetworkError, SoapFault):
+            ingest.close()
+            raise
+        self._ingest_endpoints.append(ingest)
+        return handle, ingest

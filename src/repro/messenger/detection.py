@@ -18,6 +18,7 @@ from repro.wsa.headers import detect_wsa_version
 from repro.wsa.versions import WsaVersion
 from repro.wse.versions import WseVersion
 from repro.wsn.versions import WsnVersion
+from repro.xmlkit.names import Namespaces
 
 
 class SpecFamily(Enum):
@@ -30,6 +31,8 @@ SpecVersion = Union[WseVersion, WsnVersion]
 _NAMESPACE_TO_VERSION: dict[str, tuple[SpecFamily, SpecVersion]] = {
     **{v.namespace: (SpecFamily.WS_EVENTING, v) for v in WseVersion},
     **{v.namespace: (SpecFamily.WS_NOTIFICATION, v) for v in WsnVersion},
+    # WS-BrokeredNotification 1.3 (RegisterPublisher, DestroyRegistration)
+    Namespaces.WSNT_BROKERED_13: (SpecFamily.WS_NOTIFICATION, WsnVersion.V1_3),
 }
 
 

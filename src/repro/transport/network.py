@@ -153,6 +153,7 @@ class SimulatedNetwork:
         self._rng = random.Random(seed)
         self._zones: dict[str, Zone] = {PUBLIC_ZONE: Zone(PUBLIC_ZONE)}
         self._registrations: dict[str, _Registration] = {}
+        self._serials: dict[str, int] = {}  # see serial_address
         self._link_latency: dict[tuple[str, str], float] = {}
         #: request observers: called with (target_address, request_bytes)
         #: just before a request is handed to its handler; may raise a
@@ -186,6 +187,13 @@ class SimulatedNetwork:
 
     def is_registered(self, address: str) -> bool:
         return address in self._registrations
+
+    def serial_address(self, prefix: str) -> str:
+        """``{prefix}-{n}``, ``n`` counting up per prefix for the network's
+        life: an endpoint rebuilt after a restart never takes over a name a
+        pre-crash peer may still send to."""
+        n = self._serials[prefix] = self._serials.get(prefix, 0) + 1
+        return f"{prefix}-{n}"
 
     def zone_of(self, address: str) -> Optional[str]:
         registration = self._registrations.get(address)

@@ -116,7 +116,3 @@ class WseVersion(NamespaceVersion):
     @property
     def requires_subscription_end(self) -> bool:
         return True
-
-    @property
-    def defines_broker(self) -> bool:
-        return False

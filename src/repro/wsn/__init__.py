@@ -11,9 +11,11 @@ The family splits the paper's Fig. 2 roles into separate entities:
   Pause/ResumeSubscription.
 - **NotificationConsumer** (:mod:`repro.wsn.consumer`) receives ``Notify``
   (wrapped) or raw messages.
-- **NotificationBroker** (:mod:`repro.wsn.broker`, WS-BrokeredNotification)
-  decouples publishers from consumers, supports publisher registration and
-  demand-based publishing.
+- **WS-BrokeredNotification** — publisher registration and demand-based
+  publishing — is the mediation broker's (:mod:`repro.messenger.registration`):
+  RegisterPublisher / DestroyRegistration are rows of its 1.3 table
+  (:func:`repro.wsn.producer.operations` with ``brokered``), and
+  :class:`WsnSubscriber` has the two verbs.
 - **PullPoint** (:mod:`repro.wsn.pullpoint`, 1.3 only) lets firewalled
   consumers poll for messages.
 
@@ -28,7 +30,6 @@ from repro.wsn.versions import WsnVersion
 from repro.wsn.producer import NotificationProducer
 from repro.wsn.consumer import NotificationConsumer
 from repro.wsn.subscriber import WsnSubscriber
-from repro.wsn.broker import NotificationBroker, PublisherRegistration
 from repro.wsn.pullpoint import PullPointFactory, PullPointClient
 
 __all__ = [
@@ -36,8 +37,6 @@ __all__ = [
     "NotificationProducer",
     "NotificationConsumer",
     "WsnSubscriber",
-    "NotificationBroker",
-    "PublisherRegistration",
     "PullPointFactory",
     "PullPointClient",
 ]

@@ -221,11 +221,13 @@ def _termination_of(body: XElem, version: WsnVersion) -> str:
     return term.full_text().strip() if term is not None else ""
 
 
-def subscription_id_from_headers(echoed: list[XElem]) -> str:
+def subscription_id_from_headers(echoed: list[XElem], name: QName = SUBSCRIPTION_ID) -> str:
+    """The id a reference carried back as the header ``name`` (a
+    subscription's, or a publisher registration's)."""
     for header in echoed:
-        if header.name == SUBSCRIPTION_ID:
+        if header.name == name:
             return header.full_text().strip()
-    raise SoapFault(FaultCode.SENDER, "missing SubscriptionId reference parameter/property")
+    raise SoapFault(FaultCode.SENDER, f"missing {name.local} reference parameter/property")
 
 
 # --- Notify ----------------------------------------------------------------------
@@ -239,6 +241,13 @@ def reference_address(reference: XElem, wsa: WsaVersion) -> str:
     return address.full_text().strip()
 
 
+def read_reference(reference: XElem, wsa: WsaVersion) -> EndpointReference:
+    """A reference element as an ``EndpointReference``; a Sender fault when
+    it has no wsa:Address."""
+    reference_address(reference, wsa)
+    return EndpointReference.from_element(reference, wsa)
+
+
 class _Reference:
     """A reference field, as set: an ``EndpointReference``, or the element a
     reader kept, which becomes one the first time it is read."""
@@ -249,8 +258,7 @@ class _Reference:
     def __get__(self, message, owner=None):
         value = getattr(message, self.slot, None)  # the class's: the default, None
         if isinstance(value, XElem):
-            reference_address(value, message.wsa)
-            value = EndpointReference.from_element(value, message.wsa)
+            value = read_reference(value, message.wsa)
             setattr(message, self.slot, value)
         return value
 
@@ -438,6 +446,61 @@ def build_termination_notification(reason: str) -> XElem:
     return note
 
 
+# --- WS-BrokeredNotification 1.3: publisher registration at a broker ---------------
+
+BROKERED_NS = Namespaces.WSNT_BROKERED_13
+REGISTRATION_ID = QName("http://repro.invalid/wsn", "RegistrationId")
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+
+
+def _br(local: str) -> QName:
+    return QName(BROKERED_NS, local)
+
+
+def brokered_action(local: str) -> str:
+    return f"{BROKERED_NS}/{local}"
+
+
+def build_register_publisher(
+    version: WsnVersion, publisher: Optional[EndpointReference] = None, topic=None, demand=False
+) -> XElem:
+    request = XElem(_br("RegisterPublisher"))
+    if publisher is not None:
+        request.append(publisher.to_element(version.wsa_version, _br("PublisherReference")))
+    if topic is not None:
+        request.append(text_element(version.qname("Topic"), topic))
+    request.append(text_element(_br("Demand"), "true" if demand else "false"))
+    return request
+
+
+def parse_register_publisher(body: XElem, version: WsnVersion) -> tuple:
+    """``(publisher, topic, demand)`` of a RegisterPublisher; a Sender fault
+    for a reference with no address or a Demand that is no xsd:boolean."""
+    reference, topic, demand = (
+        body.find(name) for name in (_br("PublisherReference"), version.qname("Topic"), _br("Demand"))
+    )
+    demand_text = demand.full_text().strip() if demand is not None else "false"
+    if demand_text not in _BOOLEANS:
+        raise SoapFault(FaultCode.SENDER, f"Demand {demand_text!r} is not an xsd:boolean")
+    return (
+        read_reference(reference, version.wsa_version) if reference is not None else None,
+        topic.full_text().strip() if topic is not None else None,
+        _BOOLEANS[demand_text],
+    )
+
+
+def build_register_publisher_response(version: WsnVersion, address: str, key: str) -> XElem:
+    """The registration's reference: ``address``, the id a reference parameter."""
+    reference = EndpointReference(address).with_parameter(text_element(REGISTRATION_ID, key))
+    response = XElem(_br("RegisterPublisherResponse"))
+    response.append(reference.to_element(version.wsa_version, _br("PublisherRegistrationReference")))
+    return response
+
+
+def read_registration_reference(body: XElem, version: WsnVersion) -> EndpointReference:
+    return read_reference(body.require(_br("PublisherRegistrationReference")), version.wsa_version)
+
+
 # --- the client's verbs ----------------------------------------------------------------
 
 #: the resource property GetStatus is read through (Table 2: "Not defined,
@@ -457,8 +520,9 @@ def _read_new_termination(body: XElem) -> str:
 def verbs(version: WsnVersion) -> dict[str, Verb]:
     """The subscriber's verb table: what each verb is called in
     WS-BaseNotification, how its request is built and its response read —
-    the native rows, then the three WSRF ones.  A subscription is never
-    pulled (a pull point is a consumer of its own): named, never built."""
+    the native rows, the three WSRF ones, then WS-BrokeredNotification's two.
+    A subscription is never pulled (a pull point is a consumer of its own):
+    named, never built."""
     return {
         "subscribe": Verb(
             "Subscribe",
@@ -487,4 +551,10 @@ def verbs(version: WsnVersion) -> dict[str, Verb]:
             "SetTerminationTime", build_set_termination_time, _read_new_termination
         ),
         "destroy": Verb("Destroy", build_destroy),
+        "register_publisher": Verb(
+            "RegisterPublisher",
+            partial(build_register_publisher, version),
+            partial(read_registration_reference, version=version),
+        ),
+        "destroy_registration": Verb("DestroyRegistration", partial(XElem, _br("DestroyRegistration"))),
     }

@@ -46,11 +46,13 @@ PROP_FILTER = QName(Namespaces.WSNT_13, "FilterDescription")
 PROP_TOPIC_SET = QName(Namespaces.WSTOP_13, "TopicSet")
 
 
-def operations(version: WsnVersion, wsrf: bool = True) -> OperationTable:
+def operations(version: WsnVersion, wsrf: bool = True, brokered: bool = False) -> OperationTable:
     """Table 2 as a ``version`` producer serves it — the one place the
     version profile decides which operations exist.  ``wsrf`` mounts the WSRF
     port: mandatory <= 1.2, optional beside the native Renew / Unsubscribe in
-    1.3; a subscription is a WS-Resource on the wire either way."""
+    1.3; a subscription is a WS-Resource on the wire either way.  ``brokered``
+    adds a broker's WS-BrokeredNotification rows, which only 1.3 has (the
+    paper's Table 2 has no registration row: a plain producer serves none)."""
 
     def row(name, port, handler, prefix="wsnt", action=version.action) -> Operation:
         return Operation(name, port, action(name), f"{prefix}:{name}", handler)
@@ -75,6 +77,11 @@ def operations(version: WsnVersion, wsrf: bool = True) -> OperationTable:
         rows.append(row("GetResourceProperty", "manager", "_handle_get_property", *properties))
         rows.append(row("SetTerminationTime", "manager", "_handle_set_termination_time", *lifetime))
         rows.append(row("Destroy", "manager", "_handle_destroy", *lifetime))
+    if brokered and version is WsnVersion.V1_3:
+        # the registration reference is the source's address plus an id
+        registration = ("wsntbr", messages.brokered_action)
+        rows.append(row("RegisterPublisher", "source", "_handle_register_publisher", *registration))
+        rows.append(row("DestroyRegistration", "source", "_handle_destroy_registration", *registration))
     rows.append(row("Notify", "sink", None))
     return OperationTable(
         f"WsBaseNotification{version.name}",
@@ -96,6 +103,9 @@ class NotificationProducer(SubscriptionService):
     :meth:`publish`; consumers never talk to publishers directly.
     """
 
+    #: whether the table has the broker's registration rows (see :func:`operations`)
+    brokered = False
+
     def __init__(
         self,
         network: SimulatedNetwork,
@@ -113,7 +123,7 @@ class NotificationProducer(SubscriptionService):
         super().__init__(
             network,
             address,
-            operations(version, enable_wsrf is None or enable_wsrf),
+            operations(version, enable_wsrf is None or enable_wsrf, self.brokered),
             manager_address,
             family="wsn",
             version_tag=version.name.lower(),

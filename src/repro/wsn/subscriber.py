@@ -16,6 +16,10 @@ SubscriptionEnd      not defined — WSRF TerminationNotification (consumer side
 (not available)      ``pause`` / ``resume``
 (not available)      ``get_current_message``
 ===================  ==========================================================
+
+A 1.3 client also speaks WS-BrokeredNotification to a broker:
+:meth:`WsnSubscriber.register_publisher` returns the registration's
+reference, which :meth:`WsnSubscriber.destroy_registration` takes.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces, QName
 
 
-#: per version: Table 2 as a producer serves it (WSRF port mounted), and the
-#: client's verbs for it
-_DIALECTS = {version: (operations(version), messages.verbs(version)) for version in WsnVersion}
+#: per version: Table 2 as a broker serves it (WSRF port mounted, and in 1.3
+#: the registration rows), and the client's verbs for it
+_DIALECTS = {
+    version: (operations(version, brokered=True), messages.verbs(version)) for version in WsnVersion
+}
 
 
 class WsnSubscriber(SubscriberClient):
@@ -94,3 +100,19 @@ class WsnSubscriber(SubscriberClient):
     def destroy(self, handle: SubscriptionHandle) -> None:
         """WSRF Destroy — the <= 1.2 way to unsubscribe."""
         self._call("destroy", handle)
+
+    # --- WS-BrokeredNotification (1.3) -------------------------------------------------
+
+    def register_publisher(
+        self,
+        broker: EndpointReference,
+        *,
+        publisher: Optional[EndpointReference] = None,
+        topic: Optional[str] = None,
+        demand: bool = False,
+    ) -> EndpointReference:
+        """Register ``publisher`` at ``broker``; the registration's reference."""
+        return self._call("register_publisher", broker, publisher, topic, demand)
+
+    def destroy_registration(self, registration: EndpointReference) -> None:
+        self._call("destroy_registration", registration)

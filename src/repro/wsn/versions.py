@@ -141,7 +141,3 @@ class WsnVersion(NamespaceVersion):
         """<=1.2: WSRF TerminationNotification is part of the required
         resource lifetime; 1.3 does not require an end notice."""
         return self is not WsnVersion.V1_3
-
-    @property
-    def defines_broker(self) -> bool:
-        return True  # WS-BrokeredNotification accompanies every release

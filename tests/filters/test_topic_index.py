@@ -303,3 +303,40 @@ class TestContentExpressionOf:
         assert content_expression_of(AcceptAllFilter()) is None
         assert content_expression_of(ProducerPropertiesFilter("/*")) is None
         assert content_expression_of(TopicFilter(TopicExpression("a", FULL))) is None
+
+
+class TestRootRefs:
+    """The roots the index's keys pin, counted in ``add`` / ``discard``: what
+    a mesh node reads as its federation demand."""
+
+    def test_a_root_is_counted_once_per_key_and_goes_with_its_last_key(self):
+        index = _index_with(
+            {
+                "k1": TopicExpression("jobs/a|jobs/b|grid", FULL),
+                "k2": TopicExpression("jobs", TopicDialect.CONCRETE),
+            }
+        )
+        assert index.root_refs == {"jobs": 2, "grid": 1}
+        index.discard("k1")
+        assert index.root_refs == {"jobs": 1}
+        index.add("k2", TopicExpression("grid//.", FULL))  # re-added: re-counted
+        assert index.root_refs == {"grid": 1}
+        index.discard("k2")
+        assert index.root_refs == {}
+
+    @pytest.mark.parametrize("expression", [None, TopicExpression("*/x", FULL), TopicExpression("a|//b", FULL)])
+    def test_no_topic_constraint_or_a_root_wildcard_counts_under_none(self, expression):
+        index = _index_with({"pinned": TopicExpression("a", TopicDialect.CONCRETE), "any": expression})
+        assert index.root_refs == {"a": 1, None: 1}  # a wildcard branch pins nothing else
+        index.discard("any")
+        assert None not in index.root_refs
+
+    def test_a_topic_only_read_leaves_content_evals_alone(self):
+        index = TopicSubscriptionIndex()
+        index.add("k", TopicExpression("a", TopicDialect.CONCRETE), _host("h1"))
+        index.add("all", None)
+        assert index.candidates("a", _reading("h1")) == ["k", "all"]
+        assert index.content_evals == 1
+        assert index.topic_candidates("a") == {"k", "all"}
+        assert index.topic_candidates("b") == {"all"}
+        assert index.content_evals == 1

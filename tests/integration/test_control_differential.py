@@ -5,7 +5,8 @@ Every control request (``SoapClient.call``) and every reply a handler returns
 leaves as ``head template + serialize_subtree(body)`` (``repro.render``,
 DESIGN.md "Control envelopes: the framed head"); the tree path it falls back
 to is the oracle.  For WS-Eventing 01/2004 and 08/2004, WS-BaseNotification
-1.0 / 1.2 / 1.3 (WSRF on) and the converged source, one lifecycle that reaches
+1.0 / 1.2 / 1.3 (WSRF on), the broker's 1.3 service (WS-BrokeredNotification's
+registration rows too) and the converged source, one lifecycle that reaches
 every row its ``OperationTable`` serves — the test reads the rows off the
 table, so a row added to a table and not to the lifecycle fails here — runs
 twice, framed and with the frame cache's lookup declining
@@ -32,8 +33,9 @@ from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders, reply_envelope, reset_message_counter
 from repro.wsa.versions import WsaVersion
 from repro.wse import DeliveryMode, EventSink, EventSource, WseSubscriber, WseVersion
+from repro.messenger import WsMessenger
 from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber, WsnVersion
-from repro.wsn.broker import BROKERED_NS, REGISTRATION_ID
+from repro.wsn.messages import BROKERED_NS, REGISTRATION_ID
 from repro.wsn.producer import PROP_STATUS, PROP_TOPIC_SET
 from repro.xmlkit import parse_xml
 from repro.xmlkit.element import XElem, text_element
@@ -92,6 +94,20 @@ def wsn_stack(network, version):
     return source, client, subscribe
 
 
+def broker_stack(network, version):
+    """The broker's WSN service: Table 2's rows plus, in 1.3, the two of
+    WS-BrokeredNotification."""
+    broker = WsMessenger(network, "http://cd-broker", wse_versions=[], wsn_versions=[version])
+    source = broker.wsn_producers[version]
+    client = WsnSubscriber(network, version=version)
+    sink = NotificationConsumer(network, "http://cd-consumer", version=version)
+
+    def subscribe(expires=None, pull=False):
+        return client.subscribe(source.epr(), sink.epr(), topic=TOPIC, initial_termination=expires)
+
+    return source, client, subscribe
+
+
 def converged_stack(network, version):
     source = ConvergedSource(network, "http://cd-converged")
     client = ConvergedSubscriber(network)
@@ -111,7 +127,8 @@ def converged_stack(network, version):
 #: two that end it come last, each on a subscription of its own
 VERBS = (
     "get_current_message", "renew", "set_termination_time", "get_resource_property",
-    "get_status", "pause", "resume", "pull", "unsubscribe", "destroy",
+    "get_status", "pause", "resume", "pull", "register_publisher", "destroy_registration",
+    "unsubscribe", "destroy",
 )
 
 
@@ -127,21 +144,24 @@ def mint_once(manager, sub_id):
 
 
 def lifecycle(network, stack, version, sub_id):
-    """Drives every verb the client's table has a row for; the rows are read
-    off ``client.table``, so a table that gains one drives it here too."""
+    """Drives every verb the source serves a row for; the rows are read off
+    ``source.operations``, so a table that gains one drives it here too."""
     source, client, subscribe = stack(network, version)
     assert set(client.verbs) - {"subscribe"} <= set(VERBS), "a verb this lifecycle does not know"
-    served = {row.name for row in client.table.rows if not row.one_way}
+    served = {row.name for row in source.operations.rows if not row.one_way}
     lease = lambda offset: format_datetime(network.clock.now() + offset)  # noqa: E731
     if sub_id is not None:
         mint_once(source.subscriptions, sub_id)
     handle = subscribe(expires=lease(60.0))
     source.publish(event(), topic=TOPIC)
+    registration = None
     arguments = {
         "get_current_message": lambda: (source.epr(), TOPIC),
         "renew": lambda: (handle, lease(900.0)),
         "set_termination_time": lambda: (handle, lease(1200.0)),
         "get_resource_property": lambda: (handle, PROP_STATUS),
+        "register_publisher": lambda: (source.epr(),),
+        "destroy_registration": lambda: (registration,),
     }
     for verb in VERBS:
         if verb not in client.verbs or client.verbs[verb].operation not in served:
@@ -151,7 +171,11 @@ def lifecycle(network, stack, version, sub_id):
             source.publish(event(1), topic=TOPIC)
             assert len(client.pull(pulling, max_messages=5)) == 1
             continue
-        getattr(client, verb)(*arguments.get(verb, lambda: (handle,))())
+        answer = getattr(client, verb)(*arguments.get(verb, lambda: (handle,))())
+        if verb == "register_publisher":
+            registration = answer
+        if verb == "destroy_registration":
+            faulting(client.destroy_registration, registration)  # unknown by now
         if verb == "renew":
             faulting(client.renew, handle, HOSTILE)  # a hostile lease text: a fault, framed request
         if verb == "get_resource_property":
@@ -169,6 +193,7 @@ DIALECTS = {
     "wsn-1.0": (wsn_stack, WsnVersion.V1_0),
     "wsn-1.2": (wsn_stack, WsnVersion.V1_2),
     "wsn-1.3": (wsn_stack, WsnVersion.V1_3),
+    "wsn-1.3-broker": (broker_stack, WsnVersion.V1_3),
     "converged": (converged_stack, None),
 }
 

@@ -1,10 +1,10 @@
 """Formerly-silent exception swallows now surface as a counter.
 
-Both sites still skip the failing element (an unparsable filter must not
-take down demand reconciliation; an unparsable frame must not break a
-figure trace) — but the skip is recorded in
+Each site still skips the failing element (an unparsable frame must not
+break a figure trace; an upstream subscription the publisher already ended
+must not strand a registration's teardown) — but the skip is recorded in
 ``obs.swallowed_errors_total{site=...}`` so it can never again hide a
-broker pausing real publishers or a figure silently losing edges.
+broker losing publishers or a figure silently losing edges.
 """
 
 from types import SimpleNamespace
@@ -12,7 +12,6 @@ from types import SimpleNamespace
 from repro.comparison.figures import _Recorder
 from repro.obs.instrument import Instrumentation
 from repro.transport import SimulatedNetwork, VirtualClock
-from repro.wsn.broker import NotificationBroker
 
 
 def counter_total(instrumentation, site):
@@ -20,46 +19,25 @@ def counter_total(instrumentation, site):
     return sum(v for k, v in values.items() if f"site={site}" in k)
 
 
-def test_demand_for_counts_unparsable_filters():
-    network = SimulatedNetwork(VirtualClock())
-    instrumentation = Instrumentation.attach(network)
-    broker = object.__new__(NotificationBroker)  # unit-level: no endpoints
-    broker.network = network
-    good = SimpleNamespace(paused=False, topic_expression="jobs")
-    bad = SimpleNamespace(paused=False, topic_expression="")  # FilterError
-    broker.producer = SimpleNamespace(
-        subscriptions=SimpleNamespace(live_resources=lambda: [good, bad])
-    )
-
-    assert broker.demand_for("jobs") == 1  # the bad filter is skipped...
-    assert counter_total(
-        instrumentation, "wsn.broker.demand_for"
-    ) == 1  # ...but the skip is recorded
-
-
-def test_demand_for_lets_a_bug_in_matching_surface(monkeypatch):
+def test_an_unparsable_topic_filter_faults_and_adds_no_demand():
+    """Demand is read off the index, which holds compiled filters only: an
+    unparsable one is refused at Subscribe, so there is nothing to skip."""
     import pytest
 
-    from repro.filters.topics import TopicExpression
+    from repro.messenger import WsMessenger
+    from repro.soap import SoapFault
+    from repro.wsn import NotificationConsumer, WsnSubscriber
 
     network = SimulatedNetwork(VirtualClock())
     instrumentation = Instrumentation.attach(network)
-    broker = object.__new__(NotificationBroker)  # unit-level: no endpoints
-    broker.network = network
-    bad = SimpleNamespace(paused=False, topic_expression="")  # FilterError
-    good = SimpleNamespace(paused=False, topic_expression="jobs")
-    broker.producer = SimpleNamespace(
-        subscriptions=SimpleNamespace(live_resources=lambda: [bad, good])
-    )
-
-    def broken(self, topic):
-        raise AttributeError("a bug, not a bad filter")
-
-    monkeypatch.setattr(TopicExpression, "matches", broken)
-    with pytest.raises(AttributeError, match="a bug"):
-        broker.demand_for("jobs")
-    # the malformed expression before it was still skipped and counted
-    assert counter_total(instrumentation, "wsn.broker.demand_for") == 1
+    broker = WsMessenger(network, "http://swallow-broker")
+    consumer = NotificationConsumer(network, "http://swallow-consumer")
+    with pytest.raises(SoapFault) as refused:
+        WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="")
+    assert refused.value.subcode.local == "InvalidTopicExpressionFault"
+    assert broker.subscription_count() == 0
+    assert broker.publishers.demand("jobs") == 0
+    assert not instrumentation.metrics.counter_values("obs.swallowed_errors_total")
 
 
 def test_figure_recorder_counts_unparsable_frames():
@@ -74,22 +52,21 @@ def test_figure_recorder_counts_unparsable_frames():
 
 
 def test_destroy_registration_counts_upstream_unsubscribe_fault():
-    from repro.soap.fault import FaultCode, SoapFault
+    from repro.messenger import WsMessenger
+    from repro.wsn import NotificationProducer
 
     network = SimulatedNetwork(VirtualClock())
     instrumentation = Instrumentation.attach(network)
-    broker = object.__new__(NotificationBroker)  # unit-level: no endpoints
-    broker.network = network
+    broker = WsMessenger(network, "http://swallow-broker")
+    publisher = NotificationProducer(network, "http://swallow-publisher")
+    registration = broker.publishers.register(publisher.epr(), topic="jobs", demand=True)
+    # the publisher ends the broker's subscription behind its back
+    publisher.subscriptions.destroy(registration.upstream.sub_id, "unsubscribed")
 
-    def failing_unsubscribe(handle):
-        raise SoapFault(FaultCode.SENDER, "already gone")
-
-    broker._upstream_subscriber = SimpleNamespace(unsubscribe=failing_unsubscribe)
-    registration = SimpleNamespace(destroyed=False, upstream=object())
-
-    broker.destroy_registration(registration)
-    assert registration.destroyed  # the registration is still torn down...
-    assert counter_total(instrumentation, "wsn.broker.destroy_registration") == 1
+    broker.publishers.destroy(registration.key)
+    assert list(broker.publishers) == []  # the registration is still torn down...
+    assert not network.is_registered(registration.ingest.address)
+    assert counter_total(instrumentation, "messenger.registration.destroy") == 1
 
 
 def test_producer_counts_double_destroy_after_delivery_failure():

@@ -21,6 +21,7 @@ from dataclasses import replace
 import pytest
 
 from repro.convergence import MODE_PULL, ConvergedConsumer, ConvergedSource, ConvergedSubscriber
+from repro.messenger import WsMessenger
 from repro.soap import FaultCode, SoapFault
 from repro.soap.codec import parse_envelope
 from repro.subscriptions import Grant, OperationNotAvailable
@@ -145,7 +146,10 @@ class Wsn(Dialect):
     announces_expiry = True  # a WSRF TerminationNotification
 
     def build(self) -> None:
-        self.source = NotificationProducer(self.network, "http://c-producer", version=self.version)
+        # the broker's service: the table a WSN client resolves against (in
+        # 1.3 it has WS-BrokeredNotification's rows, a plain producer not)
+        broker = WsMessenger(self.network, "http://c-broker", wse_versions=[], wsn_versions=[self.version])
+        self.source = broker.wsn_producers[self.version]
         self.client = WsnSubscriber(self.network, version=self.version)
         self.sink = NotificationConsumer(self.network, "http://c-consumer", version=self.version)
 
@@ -544,6 +548,8 @@ class TestTableCoverage:
     def arguments(self, dialect, verb, handle) -> tuple:
         if verb == "get_current_message":
             return (dialect.source.epr(), TOPIC)
+        if verb == "register_publisher":
+            return (dialect.source.epr(),)
         return (handle, *self.EXTRA.get(verb, ()))
 
     def test_the_client_resolves_exactly_the_verbs_its_table_has_rows_for(self, dialect):

@@ -22,6 +22,7 @@ import pytest
 from repro.convergence import ConvergedSource
 from repro.convergence.service import OPERATIONS as CONVERGED_OPERATIONS
 from repro.messenger import WsMessenger
+from repro.messenger.registration import BrokerProducer
 from repro.soap import SoapFault
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.transport.endpoint import SoapClient
@@ -149,7 +150,11 @@ class TestOneStatement:
                 assert elements[message] == f"{row.element}Response"
 
 
-_PREFIXES = {"wsrf-rp": Namespaces.WSRF_RP, "wsrf-rl": Namespaces.WSRF_RL}
+_PREFIXES = {
+    "wsrf-rp": Namespaces.WSRF_RP,
+    "wsrf-rl": Namespaces.WSRF_RL,
+    "wsntbr": Namespaces.WSNT_BROKERED_13,
+}
 _FAMILY_NAMES = {"wse": "WS-Eventing", "wsn": "WS-Notification"}
 
 
@@ -164,7 +169,7 @@ def test_front_door_stands_in_for_the_source_port_only(family, version, monkeypa
     cls, table = (
         (EventSource, wse_operations(version))
         if family == "wse"
-        else (NotificationProducer, wsn_operations(version))
+        else (BrokerProducer, wsn_operations(version, brokered=True))
     )
     served_by: list[str] = []
     for name in {row.handler for row in table.rows if row.handler is not None}:

@@ -1,16 +1,13 @@
-"""Wire-level tests for WS-BrokeredNotification publisher registration."""
+"""Wire-level tests for WS-BrokeredNotification publisher registration: the
+two rows of WS-Messenger's WSN 1.3 table, driven by ``WsnSubscriber``."""
 
 import pytest
 
+from repro.messenger import WsMessenger
 from repro.soap import SoapFault
 from repro.transport import SimulatedNetwork, VirtualClock
-from repro.wsn import (
-    NotificationBroker,
-    NotificationConsumer,
-    NotificationProducer,
-    WsnSubscriber,
-)
-from repro.wsn.broker import BrokeredClient
+from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber, WsnVersion
+from repro.wsn.messages import REGISTRATION_ID
 from repro.xmlkit import parse_xml
 
 
@@ -25,34 +22,35 @@ def network():
 
 @pytest.fixture
 def broker(network):
-    return NotificationBroker(network, "http://broker")
+    return WsMessenger(network, "http://broker")
 
 
 @pytest.fixture
 def client(network):
-    return BrokeredClient(network)
+    return WsnSubscriber(network)
+
+
+def registration_of(broker, reference):
+    key = reference.parameter_text(REGISTRATION_ID)
+    return next((r for r in broker.publishers if r.key == key), None)
 
 
 class TestRegisterPublisherOverTheWire:
     def test_plain_registration(self, network, broker, client):
-        handle = client.register_publisher(
-            broker.epr(), publisher=None, topic="jobs", demand=False
-        )
-        assert handle.key
-        assert any(r.key == handle.key for r in broker.registrations())
+        reference = client.register_publisher(broker.epr(), topic="jobs", demand=False)
+        assert reference.parameter_text(REGISTRATION_ID)
+        assert registration_of(broker, reference) is not None
 
     def test_demand_registration_full_chain(self, network, broker, client):
         publisher = NotificationProducer(network, "http://publisher")
-        handle = client.register_publisher(
+        reference = client.register_publisher(
             broker.epr(), publisher=publisher.epr(), topic="jobs", demand=True
         )
-        registration = next(
-            r for r in broker.registrations() if r.key == handle.key
-        )
+        registration = registration_of(broker, reference)
         assert registration.demand and registration.paused_upstream
         # consumer demand appears -> upstream resumed -> events flow
         consumer = NotificationConsumer(network, "http://consumer")
-        WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="jobs")
+        client.subscribe(broker.epr(), consumer.epr(), topic="jobs")
         assert not registration.paused_upstream
         publisher.publish(event(), topic="jobs")
         assert len(consumer.received) == 1
@@ -60,23 +58,26 @@ class TestRegisterPublisherOverTheWire:
     def test_demand_without_publisher_faults(self, broker, client):
         with pytest.raises(SoapFault):
             client.register_publisher(broker.epr(), topic="jobs", demand=True)
+        assert list(broker.publishers) == []
 
     def test_destroy_registration(self, network, broker, client):
         publisher = NotificationProducer(network, "http://publisher")
-        handle = client.register_publisher(
+        reference = client.register_publisher(
             broker.epr(), publisher=publisher.epr(), topic="jobs", demand=True
         )
-        client.destroy_registration(handle)
-        assert all(r.key != handle.key for r in broker.registrations())
+        client.destroy_registration(reference)
+        assert registration_of(broker, reference) is None
         # the broker's upstream subscription at the publisher is gone too
         assert len(publisher.subscriptions) == 0
 
     def test_destroy_twice_faults(self, network, broker, client):
-        handle = client.register_publisher(broker.epr(), topic="jobs")
-        client.destroy_registration(handle)
-        with pytest.raises(SoapFault):
-            client.destroy_registration(handle)
+        reference = client.register_publisher(broker.epr(), topic="jobs")
+        client.destroy_registration(reference)
+        with pytest.raises(SoapFault) as refused:
+            client.destroy_registration(reference)
+        assert refused.value.subcode.local == "ResourceNotDestroyedFault"
 
     def test_registration_reference_targets_manager_endpoint(self, broker, client):
-        handle = client.register_publisher(broker.epr(), topic="jobs")
-        assert handle.reference.address == broker.registration_address
+        """The registrations' manager is the broker's WSN 1.3 service."""
+        reference = client.register_publisher(broker.epr(), topic="jobs")
+        assert reference.address == broker.wsn_producers[WsnVersion.V1_3].address

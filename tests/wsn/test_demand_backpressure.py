@@ -1,24 +1,20 @@
 """Demand-based publishing as a backpressure valve.
 
 Section V.5's demand mechanism pauses upstream publishers when no consumer
-wants their topic.  The adaptive-QoS broker extends the same wire mechanism
-to *load*: when the delivery pipeline's backlog crosses the policy's
-high-water mark, the broker advertises zero demand (pausing every upstream
-subscription) until the backlog drains below the low-water mark — and the
-reconciliation must stay correct while subscribers churn mid-pause.
+wants their topic.  WS-Messenger with an adaptive-QoS policy extends the same
+wire mechanism to *load*: when its delivery pipeline's backlog crosses the
+policy's high-water mark, the broker advertises zero demand (pausing every
+upstream subscription) until the backlog drains below the low-water mark —
+and the reconciliation must stay correct while subscribers churn mid-pause.
 """
 
 import pytest
 
-from repro.delivery import DeliveryManager, DeliveryPolicy
+from repro.delivery import DeliveryPolicy
+from repro.messenger import WsMessenger
 from repro.qos import AdaptiveQosPolicy
 from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
-from repro.wsn import (
-    NotificationBroker,
-    NotificationConsumer,
-    NotificationProducer,
-    WsnSubscriber,
-)
+from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber
 from repro.xmlkit import parse_xml
 
 
@@ -32,37 +28,34 @@ def network():
 
 
 @pytest.fixture
-def manager(network):
-    return DeliveryManager(
+def broker(network):
+    return WsMessenger(
         network,
-        policy=DeliveryPolicy(
+        "http://broker",
+        delivery=DeliveryPolicy(
             max_attempts=8,
             base_backoff=5.0,
             jitter=0.0,
             breaker_failure_threshold=100,
         ),
-    )
-
-
-@pytest.fixture
-def broker(network, manager):
-    return NotificationBroker(
-        network,
-        "http://broker",
-        delivery_manager=manager,
         qos=AdaptiveQosPolicy(pause_pending_above=3, resume_pending_below=1),
     )
 
 
 @pytest.fixture
+def manager(broker):
+    return broker.delivery_manager
+
+
+@pytest.fixture
 def publisher(network, broker):
     publisher = NotificationProducer(network, "http://publisher")
-    broker.register_publisher(publisher.epr(), topic="jobs", demand=True)
+    broker.publishers.register(publisher.epr(), topic="jobs", demand=True)
     return publisher
 
 
 def upstream_of(broker):
-    (registration,) = broker.registrations()
+    (registration,) = broker.publishers
     return registration
 
 
@@ -85,8 +78,8 @@ class TestLagDrivenPauseResume:
             broker.publish(event(n), topic="jobs")
         # backlog hit the high-water mark: the broker advertises zero demand
         assert manager.pending() == 3
-        assert broker.lag_paused
-        assert broker.publisher_pauses == 1
+        assert broker.publishers.lag_paused
+        assert broker.publishers.pauses == 1
         assert upstream_of(broker).paused_upstream
 
         # a paused upstream adds nothing to the backlog: the publisher's
@@ -97,8 +90,8 @@ class TestLagDrivenPauseResume:
         drops["on"] = False
         manager.run_until_idle()
         assert manager.pending() == 0
-        assert not broker.lag_paused
-        assert broker.publisher_resumes == 1
+        assert not broker.publishers.lag_paused
+        assert broker.publishers.resumes == 1
         assert not upstream_of(broker).paused_upstream
         # the deferred event flushed on resume — leveled, not lost
         assert len(consumer.received) == 4
@@ -115,12 +108,12 @@ class TestLagDrivenPauseResume:
         )
         for n in range(4):
             broker.publish(event(n), topic="jobs")
-        assert broker.publisher_pauses == 1
+        assert broker.publishers.pauses == 1
         # retries fire, fail, and re-notify with pending still at 4: the
         # broker must not count a fresh pause for every backlog report
         manager.run_until_idle(deadline=network.clock.now() + 20.0)
-        assert broker.publisher_pauses == 1
-        assert broker.lag_paused
+        assert broker.publishers.pauses == 1
+        assert broker.publishers.lag_paused
 
     def test_subscriber_churn_while_lag_paused_stays_paused(
         self, network, manager, broker, publisher
@@ -137,7 +130,7 @@ class TestLagDrivenPauseResume:
         network.observers.append(drop)
         for n in range(3):
             broker.publish(event(n), topic="jobs")
-        assert broker.lag_paused
+        assert broker.publishers.lag_paused
 
         # churn during the pause: every subscription event reconciles demand,
         # but lag overrides it — the upstream must not flap open
@@ -150,7 +143,7 @@ class TestLagDrivenPauseResume:
         drops["on"] = False
         manager.run_until_idle()
         # lag cleared with one live subscriber left: demand wins again
-        assert not broker.lag_paused
+        assert not broker.publishers.lag_paused
         assert not upstream_of(broker).paused_upstream
 
         # ...and ordinary demand reconciliation still works after the episode
@@ -172,11 +165,11 @@ class TestLagDrivenPauseResume:
         network.observers.append(drop)
         for n in range(3):
             broker.publish(event(n), topic="jobs")
-        assert broker.lag_paused
+        assert broker.publishers.lag_paused
         subscriber.unsubscribe(handle)
 
         drops["on"] = False
         manager.run_until_idle()
         # the lag pause ended, but with zero demand the upstream stays paused
-        assert not broker.lag_paused
+        assert not broker.publishers.lag_paused
         assert upstream_of(broker).paused_upstream

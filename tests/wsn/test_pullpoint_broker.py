@@ -1,12 +1,12 @@
-"""Tests for WSN 1.3 pull points and the WS-BrokeredNotification broker."""
+"""Tests for WSN 1.3 pull points and WS-BrokeredNotification on the broker."""
 
 import pytest
 
+from repro.messenger import WsMessenger
 from repro.soap import SoapFault
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.wsa import EndpointReference
 from repro.wsn import (
-    NotificationBroker,
     NotificationConsumer,
     NotificationProducer,
     PullPointClient,
@@ -90,11 +90,11 @@ class TestPullPoint:
 
 class TestBroker:
     def test_decouples_publisher_and_consumer(self, network):
-        broker = NotificationBroker(network, "http://broker")
+        broker = WsMessenger(network, "http://broker")
         consumer = NotificationConsumer(network, "http://consumer")
         subscriber = WsnSubscriber(network)
         subscriber.subscribe(broker.epr(), consumer.epr(), topic="jobs/status")
-        assert broker.publish(event(), topic="jobs/status") == 1
+        broker.publish(event(), topic="jobs/status")
         assert len(consumer.received) == 1
 
     def test_notify_interface_accepts_publications(self, network):
@@ -104,7 +104,7 @@ class TestBroker:
         from repro.wsn import messages
         from repro.wsn.messages import NotificationMessage
 
-        broker = NotificationBroker(network, "http://broker")
+        broker = WsMessenger(network, "http://broker")
         consumer = NotificationConsumer(network, "http://consumer")
         WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="jobs")
         version = WsnVersion.V1_3
@@ -117,28 +117,26 @@ class TestBroker:
         assert "7" in consumer.received[0].payload.full_text()
 
     def test_register_publisher(self, network):
-        broker = NotificationBroker(network, "http://broker")
-        registration = broker.register_publisher(
+        broker = WsMessenger(network, "http://broker")
+        registration = broker.publishers.register(
             EndpointReference("http://some-publisher"), topic="jobs"
         )
-        assert registration in broker.registrations()
-        broker.destroy_registration(registration)
-        assert registration not in broker.registrations()
+        assert registration in list(broker.publishers)
+        broker.publishers.destroy(registration.key)
+        assert registration not in list(broker.publishers)
 
     def test_demand_registration_requires_publisher_and_topic(self, network):
-        broker = NotificationBroker(network, "http://broker")
+        broker = WsMessenger(network, "http://broker")
         with pytest.raises(SoapFault):
-            broker.register_publisher(None, topic="jobs", demand=True)
+            broker.publishers.register(None, topic="jobs", demand=True)
 
 
 class TestDemandBasedPublishing:
     def _setup(self, network):
         # the demand publisher exposes its own producer endpoint
         publisher = NotificationProducer(network, "http://publisher")
-        broker = NotificationBroker(network, "http://broker")
-        registration = broker.register_publisher(
-            publisher.epr(), topic="jobs", demand=True
-        )
+        broker = WsMessenger(network, "http://broker")
+        registration = broker.publishers.register(publisher.epr(), topic="jobs", demand=True)
         return publisher, broker, registration
 
     def test_paused_until_demand(self, network):
@@ -166,8 +164,8 @@ class TestDemandBasedPublishing:
         consumer = NotificationConsumer(network, "http://consumer")
         WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="system/alerts")
         assert registration.paused_upstream  # interest is in a different topic
-        assert broker.demand_for("jobs") == 0
-        assert broker.demand_for("system/alerts") == 1
+        assert broker.publishers.demand("jobs") == 0
+        assert broker.publishers.demand("system/alerts") == 1
 
     def test_paused_subscription_carries_no_demand(self, network):
         publisher, broker, registration = self._setup(network)
