@@ -29,6 +29,7 @@ from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterContext
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces
 from repro.xmlkit.xpath import XPath, XPathError
+from repro.xmlkit.xpath.engine import document_of
 
 
 class TopicDialect(Enum):
@@ -256,16 +257,19 @@ class _IndexNode:
 
     Children are keyed by expression segment: a literal topic name, ``'*'``
     (any one name) or ``''`` (a ``//`` gap matching any number of levels) —
-    the same alphabet :func:`_match_segments` walks.  ``entries`` marks the
-    subscriptions whose expression *ends* here, with their trailing
-    ``//.``-descendants flag.
+    the same alphabet :func:`_match_segments` walks.  ``exact`` and
+    ``subtree`` hold the subscriptions whose expression *ends* here, without
+    and with a trailing ``//.`` (descendants too); a key is in one of them.
+    They are key-only dicts: smaller than sets, and a set takes their keys
+    in one ``update``.
     """
 
-    __slots__ = ("children", "entries")
+    __slots__ = ("children", "exact", "subtree")
 
     def __init__(self) -> None:
         self.children: dict[str, _IndexNode] = {}
-        self.entries: dict[str, bool] = {}
+        self.exact: dict[str, None] = {}
+        self.subtree: dict[str, None] = {}
 
 
 class TopicSubscriptionIndex:
@@ -276,7 +280,8 @@ class TopicSubscriptionIndex:
     ones under their compiled expression branches, everything else (no topic
     constraint, or a filter the index cannot see through) in an always-
     candidate bucket; those with a MessageContent part also in the bucket of
-    their shared compiled expression (see ``compiled_xpath``).
+    their shared compiled expression (see ``compiled_xpath``), the rest in
+    the set of keys with no content constraint.
     :meth:`candidates` then returns the subscriptions whose topic constraint
     admits the published path and whose content expression — evaluated once
     however many keys carry it — admits the payload, in subscription
@@ -294,6 +299,10 @@ class TopicSubscriptionIndex:
         self._trie_entries = 0
         self._content: dict[XPath, set[str]] = {}  # expression -> its bucket
         self._content_of: dict[str, XPath] = {}
+        #: expression -> how many keys of its bucket are always-candidates
+        #: (no entry for none)
+        self._always_in: dict[XPath, int] = {}
+        self._plain: set[str] = set()  # the keys with no content constraint
         #: topic root -> how many keys pin it, under ``None`` the keys that
         #: may match below any root (see :attr:`TopicExpression.roots`)
         self.root_refs: dict[Optional[str], int] = {}
@@ -314,11 +323,15 @@ class TopicSubscriptionIndex:
         self._roots_of[key] = roots = (None,) if expression is None else expression.roots
         for root in roots:
             refs[root] = refs.get(root, 0) + 1
-        if content is not None:
+        if content is None:
+            self._plain.add(key)
+        else:
             self._content.setdefault(content, set()).add(key)
             self._content_of[key] = content
         if expression is None:
             self._always.add(key)
+            if content is not None:
+                self._always_in[content] = self._always_in.get(content, 0) + 1
             return
         terminals: list[_IndexNode] = []
         for alt in expression.alternatives:
@@ -326,7 +339,11 @@ class TopicSubscriptionIndex:
             for segment in alt.segments:
                 node = node.children.setdefault(segment, _IndexNode())
             # two branches ending on one node: descendants is the superset
-            node.entries[key] = alt.descendants_of_last or node.entries.get(key, False)
+            if alt.descendants_of_last or key in node.subtree:
+                node.exact.pop(key, None)
+                node.subtree[key] = None
+            else:
+                node.exact[key] = None
             terminals.append(node)
             self._trie_entries += 1
         self._terminals[key] = terminals
@@ -340,14 +357,21 @@ class TopicSubscriptionIndex:
                 del refs[root]
             else:
                 refs[root] -= 1
+        always = key in self._always
         self._always.discard(key)
+        self._plain.discard(key)
         for node in self._terminals.pop(key, ()):
-            node.entries.pop(key, None)
+            node.exact.pop(key, None)
+            node.subtree.pop(key, None)
             self._trie_entries -= 1
         content = self._content_of.pop(key, None)
         if content is not None:
             bucket = self._content[content]
             bucket.discard(key)
+            if always:
+                count = self._always_in.pop(content) - 1
+                if count:
+                    self._always_in[content] = count
             if not bucket:
                 del self._content[content]
 
@@ -355,26 +379,51 @@ class TopicSubscriptionIndex:
         self, topic: Optional[str | TopicPath], payload: Optional[XElem] = None
     ) -> list[str]:
         """Keys whose topic constraint admits ``topic`` and, given the
-        ``payload``, whose content expression admits it (insertion order)."""
-        found = self.topic_candidates(topic)
+        ``payload``, whose content expression admits it (insertion order).
+
+        Each content bucket with a topic-live key is evaluated once, through
+        the payload's one XPath document; the result is assembled from the
+        admitted buckets and the keys with no content constraint, so nothing
+        is copied or pruned per rejected bucket."""
+        found = self._trie_candidates(topic)
+        always = self._always
         self.content_evals = 0
-        if payload is not None:
+        if payload is None:
+            found |= always
+            return sorted(found, key=self._seq.__getitem__)
+        admitted: list[str] = []
+        if self._content:  # else no XPath tree is built for this payload
+            verdicts, always_in = document_of(payload).verdicts, self._always_in
+            evals = 0
             for content, bucket in self._content.items():
-                if found.isdisjoint(bucket):
+                if not always_in.get(content) and found.isdisjoint(bucket):
                     continue  # the topic side already ruled the whole bucket out
-                self.content_evals += 1
-                try:
-                    admitted = content.matches(payload)
-                except XPathError:
-                    continue  # each subscription's own filter reports it
-                if not admitted:
-                    found.difference_update(bucket)
-        return sorted(found, key=self._seq.__getitem__)
+                evals += 1
+                verdict = verdicts.get(content)  # asked already on this payload
+                if verdict is None:
+                    try:  # through matches, which keeps the verdict in ``verdicts``
+                        verdict = content.matches(payload)
+                    except XPathError:
+                        verdict = True  # each subscription's own filter reports it
+                if verdict:
+                    admitted += [key for key in bucket if key in always or key in found]
+            self.content_evals = evals
+        plain = self._plain
+        if plain:
+            admitted += plain & always
+            admitted += plain & found
+        return sorted(admitted, key=self._seq.__getitem__)
 
     def topic_candidates(self, topic: Optional[str | TopicPath]) -> set[str]:
         """Keys whose topic constraint admits ``topic``, in no order; content
         is not consulted and ``content_evals`` is left as it was."""
-        found: set[str] = set(self._always)
+        found = self._trie_candidates(topic)
+        found |= self._always
+        return found
+
+    def _trie_candidates(self, topic: Optional[str | TopicPath]) -> set[str]:
+        """The keys with a topic expression that admits ``topic``."""
+        found: set[str] = set()
         if topic is not None and self._trie_entries:
             path = TopicPath.parse(topic) if isinstance(topic, str) else topic
             self._collect(self._root, path.parts, found)
@@ -384,9 +433,9 @@ class TopicSubscriptionIndex:
         self, node: _IndexNode, parts: tuple[str, ...], found: set[str]
     ) -> None:
         # terminal test mirrors _match_segments: consumed path, or descendants
-        for key, descendants in node.entries.items():
-            if descendants or not parts:
-                found.add(key)
+        if not parts:
+            found.update(node.exact)
+        found.update(node.subtree)
         gap = node.children.get("")
         if gap is not None:  # '//': skip zero or more levels
             for skip in range(len(parts) + 1):

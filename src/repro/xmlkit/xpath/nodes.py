@@ -3,12 +3,14 @@
 XPath needs parent pointers, document order, and distinct node kinds for
 attributes and text; ``XElem`` keeps none of these (it is a pure message
 payload structure).  The evaluator therefore wraps the tree once per
-evaluation into ``XNode`` objects carrying a document-order index.
+document into ``XNode`` objects carrying a document-order index.  Every node
+answers ``children`` and ``attributes`` (empty where the kind has none), so
+a compiled step reads an axis without asking what kind of node it is on.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import QName
@@ -18,6 +20,9 @@ class XNode:
     """Base wrapper: parent pointer plus a document-order index."""
 
     __slots__ = ("parent", "order")
+
+    children: list["XNode"] | tuple = ()
+    attributes: list["AttributeNode"] | tuple = ()
 
     def __init__(self, parent: Optional["XNode"], order: int) -> None:
         self.parent = parent
@@ -41,19 +46,19 @@ class RootNode(XNode):
 
 
 class ElementNode(XNode):
-    __slots__ = ("elem", "children", "attributes")
+    __slots__ = ("elem", "name", "children", "attributes")
 
     def __init__(self, elem: XElem, parent: XNode, order: int) -> None:
         super().__init__(parent, order)
         self.elem = elem
+        self.name: QName = elem.name
         self.children: list[XNode] = []
         self.attributes: list[AttributeNode] = []
 
-    @property
-    def name(self) -> QName:
-        return self.elem.name
-
     def string_value(self) -> str:
+        children = self.elem.children
+        if len(children) == 1 and type(children[0]) is str:
+            return children[0]  # a leaf field, the common case
         return self.elem.full_text()
 
 
@@ -103,9 +108,13 @@ def _wrap(elem: XElem, parent: XNode, counter: list[int]) -> ElementNode:
     return node
 
 
-def descendants(node: XNode) -> Iterator[XNode]:
-    """Depth-first descendants (elements and text), excluding ``node``."""
-    children = getattr(node, "children", ())
-    for child in children:
-        yield child
-        yield from descendants(child)
+def descendants(node: XNode) -> list[XNode]:
+    """The descendants of ``node`` (elements and text) in document order."""
+    found: list[XNode] = []
+    pending = node.children[::-1]
+    while pending:
+        child = pending.pop()
+        found.append(child)
+        if child.children:
+            pending += child.children[::-1]
+    return found

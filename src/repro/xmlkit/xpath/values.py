@@ -8,6 +8,7 @@ existential node-set comparison) and 4.x (conversion functions).
 from __future__ import annotations
 
 import math
+import re
 from typing import Union
 
 from repro.xmlkit.xpath.nodes import XNode
@@ -30,16 +31,20 @@ def to_boolean(value: XPathValue) -> bool:
     return len(value) > 0  # node-set: true iff non-empty
 
 
+#: XPath 1.0 section 4.4: optional whitespace, an optional minus sign, a
+#: Number (``Digits ('.' Digits?)? | '.' Digits``), optional whitespace.
+#: No exponent, no plus sign, no ``inf``/``nan`` words, no digit separators.
+_NUMBER = re.compile(r"[ \t\r\n]*(-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+))[ \t\r\n]*")
+
+
 def to_number(value: XPathValue) -> float:
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, float):
         return value
     if isinstance(value, str):
-        try:
-            return float(value.strip())
-        except ValueError:
-            return math.nan
+        number = _NUMBER.fullmatch(value)
+        return float(number.group(1)) if number else math.nan
     return to_number(to_string(value))  # node-set: via string-value
 
 
@@ -56,18 +61,34 @@ def to_string(value: XPathValue) -> str:
 
 
 def format_number(number: float) -> str:
-    """XPath number-to-string: integers print without a decimal point."""
+    """XPath number-to-string: integers print without a decimal point, and
+    nothing prints with an exponent (section 4.2), so the text reads back as
+    the same number."""
     if math.isnan(number):
         return "NaN"
     if math.isinf(number):
         return "Infinity" if number > 0 else "-Infinity"
     if number == int(number):
         return str(int(number))
-    return repr(number)
+    text = repr(number)
+    if "e" not in text:
+        return text
+    # a non-integer has an exponent only below 1e-4: as many places as the
+    # shortest repr's digits reach
+    mantissa, exponent = text.split("e")
+    return f"{number:.{len(mantissa.partition('.')[2]) - int(exponent)}f}"
 
 
 def compare(op: str, left: XPathValue, right: XPathValue) -> bool:
-    """XPath 1.0 comparison, with existential node-set semantics."""
+    """XPath 1.0 comparison, with existential node-set semantics.
+
+    A node-set compared with a boolean is converted with ``boolean()`` first
+    (section 3.4), so an empty node-set equals ``false()``.
+    """
+    if isinstance(left, bool) and is_node_set(right):
+        right = to_boolean(right)
+    elif isinstance(right, bool) and is_node_set(left):
+        left = to_boolean(left)
     if is_node_set(left) and is_node_set(right):
         left_values = {node.string_value() for node in left}
         right_values = {node.string_value() for node in right}

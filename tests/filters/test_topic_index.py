@@ -270,10 +270,17 @@ class TestContentDimension:
             if step % 7 == 0 and live:  # re-registration replaces the old entry
                 index.add(live[0], None, _host(f"h{rng.randrange(5)}"))
             assert len(index._content) == len({index._content_of[k] for k in live if k in index._content_of})
+            always_in = {
+                content: n for content, bucket in index._content.items()
+                if (n := len(bucket & index._always))
+            }
+            assert index._always_in == always_in
+            assert index._plain == {k for k in live if k not in index._content_of}
         for key in live:
             index.discard(key)
         assert len(index._content) == 0 and len(index) == 0
         assert index._content == {} and index._content_of == {}
+        assert index._always_in == {} and index._plain == set()
         assert index.candidates("a/b", _reading("h1")) == []
 
     def test_same_predicate_under_different_in_scope_bindings_shares_a_bucket(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.xmlkit import XPath, parse_xml
 from repro.xmlkit.xpath.errors import XPathEvaluationError, XPathSyntaxError
+from repro.xmlkit.xpath.values import to_number, to_string
 
 NS = {"ev": "urn:grid:events", "s": "urn:soap"}
 
@@ -236,3 +237,70 @@ class TestFilterDialectUsage:
     def test_select_rejects_scalar(self):
         with pytest.raises(XPathEvaluationError):
             XPath("1 + 1", NS).select(DOC)
+
+
+READING = parse_xml(
+    '<ev:Reading xmlns:ev="urn:grid:events"><ev:host>h042</ev:host>'
+    "<ev:empty/><ev:value>1e3</ev:value></ev:Reading>"
+)
+
+
+class TestNodeSetAgainstBoolean:
+    """XPath 1.0 section 3.4: a node-set compared with a boolean compares
+    ``boolean(node-set)`` with it, whatever the nodes' string-values."""
+
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            ("/ev:Reading/ev:missing = false()", True),
+            ("/ev:Reading/ev:missing = true()", False),
+            ("/ev:Reading/ev:missing != true()", True),
+            ("/ev:Reading/ev:missing != false()", False),
+            ("false() = /ev:Reading/ev:missing", True),
+            # an empty element is a non-empty node-set: true, whatever its text
+            ("/ev:Reading/ev:empty = true()", True),
+            ("/ev:Reading/ev:empty = false()", False),
+            ("/ev:Reading/ev:empty != true()", False),
+            ("true() != /ev:Reading/ev:empty", False),
+            # relational operators compare the two booleans as numbers
+            ("/ev:Reading/ev:missing < true()", True),
+            ("/ev:Reading/ev:empty > false()", True),
+            ("/ev:Reading/ev:empty > true()", False),
+        ],
+    )
+    def test_compares_the_node_sets_boolean(self, expr, expected):
+        assert XPath(expr, NS).evaluate(READING) is expected
+
+    def test_a_predicate_on_a_missing_field(self):
+        assert XPath("/ev:Reading[ev:missing = false()]", NS).matches(READING)
+        assert not XPath("/ev:Reading[ev:host = false()]", NS).matches(READING)
+
+
+class TestStringToNumber:
+    """XPath 1.0 section 4.4: optional whitespace, an optional minus sign, a
+    Number, optional whitespace; anything else is NaN."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("12", 12.0), ("-3", -3.0), ("4.", 4.0), (".5", 0.5), ("-.5", -0.5),
+         (" \t\r\n7\n ", 7.0), ("007", 7.0), ("1.25", 1.25)],
+    )
+    def test_numbers(self, text, expected):
+        assert to_number(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e3", "1E3", "inf", "Infinity", "-Infinity", "nan", "NaN", " +5 ", "+5",
+         "1_000", "--1", "- 1", ".", "", " ", "0x10", "١٢", "1.2.3", "\u00a05"],
+    )
+    def test_everything_else_is_nan(self, text):
+        assert math.isnan(to_number(text))
+
+    def test_an_exponent_reading_does_not_pass_a_threshold(self):
+        assert not XPath("/ev:Reading[ev:value > 999]", NS).matches(READING)
+        assert math.isnan(XPath("number(/ev:Reading/ev:value)", NS).evaluate(READING))
+
+    @pytest.mark.parametrize("number", [7.1e-26, -1.5e-7, 1e-5, 0.1, 2.5, 1e21, -3.0])
+    def test_a_number_printed_by_string_reads_back(self, number):
+        # number-to-string writes no exponent (section 4.2), so it round-trips
+        assert "e" not in to_string(number) and to_number(to_string(number)) == number
