@@ -19,8 +19,9 @@ paper's comparison takes for granted:
   latency between client and manager;
 - no delivery after expiry or unsubscribe, every delivery before, in order;
 - a content filter that cannot compile (unbound prefix, unknown function,
-  wrong arity) is faulted at subscribe time with the family's filter subcode;
-  one that compiles but fails on every message starves only its own subscription;
+  wrong arity, nested deeper than the expression bound) is faulted at
+  subscribe time with the family's filter subcode; one that compiles but
+  fails or is false on every message starves only its own subscription;
 - a QoS profile asking for a property the broker understands but does not
   implement (``DiscardPolicy=DeadlineOrder``, a ``PacingInterval``) is faulted
   at subscribe time with the family's QoS subcode — never granted and ignored;
@@ -47,6 +48,7 @@ from repro.qos.properties import DiscardPolicy, QosProfile
 from repro.soap.fault import SoapFault
 from repro.subscriptions import OperationNotAvailable
 from repro.transport import SimulatedNetwork, VirtualClock
+from repro.util.grammar import MAX_DEPTH
 from repro.util.rng import SeededRng
 from repro.util.xstime import format_datetime, parse_expires
 from repro.wse import EventSink, EventSource, WseSubscriber, WseVersion
@@ -65,8 +67,12 @@ _POISON_FILTERS = {
     "unbound_prefix": "/q:conf-evt[q:host='a']",
     "unknown_function": "frobnicate(1)",
     "wrong_arity": "contains('x')",
+    "too_deep": "(" * (MAX_DEPTH + 1) + "/conf-evt" + ")" * (MAX_DEPTH + 1),
     "dynamic_error": "1 | 2",  # compiles; '|' needs node-sets on every message
+    "nan_floor": "floor(/x) > 1",  # compiles; floor(NaN) is NaN on every message
 }
+#: ... of which these compile (and match nothing)
+_COMPILING_POISONS = ("dynamic_error", "nan_floor")
 
 #: optional ``"qos"`` of a subscription spec -> the profile it asks for
 _UNSUPPORTED_QOS = {
@@ -396,7 +402,7 @@ class _Run:
             text = _render_expiry(spec, now)
             tag = f"[{self.case['family']}/{self.case['version']}] subscribe {index} ({spec['kind']})"
             poison = spec.get("filter")
-            uncompilable = poison not in (None, "dynamic_error")
+            uncompilable = poison is not None and poison not in _COMPILING_POISONS
             profile = spec.get("qos")
             qos = profile if profile in _UNSUPPORTED_QOS else None
             try:

@@ -15,10 +15,14 @@ one of those filter languages is implemented in this package:
   dialect; WSN MessageContent filter).
 - :mod:`repro.filters.producer` -- WSN ProducerProperties filters.
 - :mod:`repro.filters.compilecache` -- shared compiled-expression caches
-- :mod:`repro.filters.selector` -- the JMS SQL92-subset message selector
-  (own lexer/parser/evaluator).
+- :mod:`repro.filters.selector` -- the JMS SQL92-subset message selector.
 - :mod:`repro.filters.tcl` -- the CORBA Notification extended Trader
   Constraint Language subset.
+
+The selector and TCL parsers are grammar rows over :mod:`repro.util.grammar`
+(the front end XPath's parser shares) that build the match closures
+directly; an expression nested deeper than ``grammar.MAX_DEPTH`` is a
+syntax error in all three languages.
 """
 
 from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterContext, FilterError

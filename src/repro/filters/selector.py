@@ -5,259 +5,224 @@ the SQL92 conditional expression syntax".  This module implements that
 language: comparison, arithmetic, ``AND``/``OR``/``NOT`` with SQL
 three-valued logic, ``BETWEEN``, ``IN``, ``LIKE`` (with ``ESCAPE``) and
 ``IS [NOT] NULL``, evaluated over a message's header fields and properties.
+
+The grammar rows below run over :mod:`repro.util.grammar` and build the
+selector's closure directly: one closure per construct, taking the message's
+fields and returning ``True``, ``False`` or ``None`` (unknown).
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from repro.filters.base import FilterError
+from repro.util.grammar import Cursor, Scanner, Token, binary, decimal, prefixed
 
 Value = Union[str, float, int, bool, None]
+#: a compiled selector construct: fields -> its value
+Compiled = Callable[[Mapping[str, Value]], Value]
 
-_KEYWORDS = {"and", "or", "not", "between", "in", "like", "escape", "is", "null", "true", "false"}
-
-_TOKEN_RE = re.compile(
+_scan = Scanner(
     r"""
-    \s*(?:
       (?P<number>\d+\.\d*|\.\d+|\d+)
     | (?P<name>[A-Za-z_$][A-Za-z0-9_$.]*)
     | (?P<string>'(?:[^']|'')*')
     | (?P<op><>|<=|>=|[=<>+\-*/(),])
-    )
     """,
-    re.VERBOSE,
+    frozenset({"and", "or", "not", "between", "in", "like", "escape", "is", "null", "true", "false"}),
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number name string op keyword end
-    value: str
+_LOGIC = {("keyword", "or"): 1, ("keyword", "and"): 2}
+_ARITHMETIC = {("op", "+"): 1, ("op", "-"): 1, ("op", "*"): 2, ("op", "/"): 2}
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            if text[position:].strip() == "":
-                break
-            raise FilterError(f"bad selector syntax at {text[position:position+10]!r}")
-        position = match.end()
-        if match.lastgroup == "number":
-            tokens.append(_Token("number", match.group("number")))
-        elif match.lastgroup == "name":
-            name = match.group("name")
-            if name.lower() in _KEYWORDS:
-                tokens.append(_Token("keyword", name.lower()))
-            else:
-                tokens.append(_Token("name", name))
-        elif match.lastgroup == "string":
-            raw = match.group("string")[1:-1].replace("''", "'")
-            tokens.append(_Token("string", raw))
-        else:
-            tokens.append(_Token("op", match.group("op")))
-    tokens.append(_Token("end", ""))
-    return tokens
-
-
-# --- AST -----------------------------------------------------------------
-
-# The AST is nested tuples: ("lit", v) ("ident", name) ("not", x) ("and", a, b)
-# ("or", a, b) ("cmp", op, a, b) ("arith", op, a, b) ("neg", x)
-# ("isnull", x, negated) ("between", x, lo, hi, negated)
-# ("in", x, [values], negated) ("like", x, pattern, escape, negated)
-
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "end":
-            self.pos += 1
-        return token
-
-    def accept(self, kind: str, value: Optional[str] = None) -> Optional[_Token]:
-        token = self.peek()
-        if token.kind == kind and (value is None or token.value == value):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, value: Optional[str] = None) -> _Token:
-        token = self.accept(kind, value)
-        if token is None:
-            raise FilterError(
-                f"selector syntax error: expected {value or kind}, got "
-                f"{self.peek().value or 'end'!r} in {self.text!r}"
-            )
-        return token
-
-    def parse(self):
-        expr = self.parse_or()
-        if self.peek().kind != "end":
-            raise FilterError(f"trailing input in selector: {self.peek().value!r}")
-        return expr
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.accept("keyword", "or"):
-            left = ("or", left, self.parse_and())
-        return left
-
-    def parse_and(self):
-        left = self.parse_not()
-        while self.accept("keyword", "and"):
-            left = ("and", left, self.parse_not())
-        return left
-
-    def parse_not(self):
-        if self.accept("keyword", "not"):
-            return ("not", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self):
-        left = self.parse_arith()
-        token = self.peek()
-        if token.kind == "op" and token.value in ("=", "<>", "<", "<=", ">", ">="):
-            self.advance()
-            return ("cmp", token.value, left, self.parse_arith())
-        if token.kind == "keyword" and token.value == "is":
-            self.advance()
-            negated = bool(self.accept("keyword", "not"))
-            self.expect("keyword", "null")
-            return ("isnull", left, negated)
-        negated = False
-        if token.kind == "keyword" and token.value == "not":
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "keyword" and nxt.value in ("between", "in", "like"):
-                self.advance()
-                negated = True
-                token = self.peek()
-        if token.kind == "keyword" and token.value == "between":
-            self.advance()
-            low = self.parse_arith()
-            self.expect("keyword", "and")
-            high = self.parse_arith()
-            return ("between", left, low, high, negated)
-        if token.kind == "keyword" and token.value == "in":
-            self.advance()
-            self.expect("op", "(")
-            values = [self.expect("string").value]
-            while self.accept("op", ","):
-                values.append(self.expect("string").value)
-            self.expect("op", ")")
-            return ("in", left, values, negated)
-        if token.kind == "keyword" and token.value == "like":
-            self.advance()
-            pattern = self.expect("string").value
-            escape = None
-            if self.accept("keyword", "escape"):
-                escape = self.expect("string").value
-                if len(escape) != 1:
-                    raise FilterError("LIKE escape must be a single character")
-            return ("like", left, pattern, escape, negated)
-        return left
-
-    def parse_arith(self):
-        left = self.parse_term()
-        while True:
-            token = self.peek()
-            if token.kind == "op" and token.value in ("+", "-"):
-                self.advance()
-                left = ("arith", token.value, left, self.parse_term())
-            else:
-                return left
-
-    def parse_term(self):
-        left = self.parse_factor()
-        while True:
-            token = self.peek()
-            if token.kind == "op" and token.value in ("*", "/"):
-                self.advance()
-                left = ("arith", token.value, left, self.parse_factor())
-            else:
-                return left
-
-    def parse_factor(self):
-        if self.accept("op", "-"):
-            return ("neg", self.parse_factor())
-        if self.accept("op", "+"):
-            return self.parse_factor()
-        return self.parse_primary()
-
-    def parse_primary(self):
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            text = token.value
-            return ("lit", float(text) if "." in text else int(text))
-        if token.kind == "string":
-            self.advance()
-            return ("lit", token.value)
-        if token.kind == "keyword" and token.value in ("true", "false"):
-            self.advance()
-            return ("lit", token.value == "true")
-        if token.kind == "name":
-            self.advance()
-            return ("ident", token.value)
-        if self.accept("op", "("):
-            expr = self.parse_or()
-            self.expect("op", ")")
-            return expr
-        raise FilterError(f"selector syntax error at {token.value or 'end'!r}")
-
-
-# --- evaluation (SQL three-valued logic: True / False / None=unknown) --------
+# --- SQL three-valued logic: True / False / None = unknown --------------------
 
 
 def _and3(a, b):
-    if a is False or b is False:
-        return False
-    if a is None or b is None:
-        return None
-    return True
+    return False if a is False or b is False else None if a is None or b is None else True
 
 
 def _or3(a, b):
-    if a is True or b is True:
-        return True
-    if a is None or b is None:
-        return None
-    return False
+    return True if a is True or b is True else None if a is None or b is None else False
 
 
 def _not3(a):
     return None if a is None else (not a)
 
 
-def _like_to_regex(pattern: str, escape: Optional[str]) -> re.Pattern:
-    out = []
-    i = 0
-    while i < len(pattern):
-        ch = pattern[i]
-        if escape is not None and ch == escape and i + 1 < len(pattern):
-            out.append(re.escape(pattern[i + 1]))
-            i += 2
-            continue
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
+def _as_bool(value):
+    # non-boolean operands of AND/OR/NOT are unknown
+    return value if value is None or isinstance(value, bool) else None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _compare(op: str, left: Value, right: Value):
+    if left is None or right is None:
+        return None
+    numeric = _is_number(left) and _is_number(right)
+    if op in _ORDERINGS:
+        # ordering is only defined on numerics in JMS selectors
+        return _ORDERINGS[op](float(left), float(right)) if numeric else None
+    if isinstance(left, bool) or isinstance(right, bool):
+        equal = isinstance(left, bool) and isinstance(right, bool) and left == right
+    elif numeric:
+        equal = float(left) == float(right)
+    else:
+        equal = isinstance(left, str) and isinstance(right, str) and left == right
+    return equal if op == "=" else not equal
+
+
+def _like(pattern: str, escape: Optional[str]) -> Callable[[str], Optional[re.Match]]:
+    """The matcher of a LIKE pattern: ``%`` any run, ``_`` any one character,
+    and the escape character takes the one after it literally."""
+    parts = re.findall(f"{re.escape(escape)}.|." if escape else ".", pattern, re.DOTALL)
+    body = "".join(".*" if p == "%" else "." if p == "_" else re.escape(p[-1]) for p in parts)
+    return re.compile(f"^{body}$", re.DOTALL).match
+
+
+_ARITHMETIC_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda a, b: a / b if b != 0 else None,
+}
+
+
+def _connective(token: Token, left: Compiled, right: Compiled) -> Compiled:
+    join = _and3 if token.value == "and" else _or3
+    return lambda fields: join(_as_bool(left(fields)), _as_bool(right(fields)))
+
+
+def _arithmetic(token: Token, left: Compiled, right: Compiled) -> Compiled:
+    apply = _ARITHMETIC_OPS[token.value]
+
+    def arithmetic(fields):
+        a, b = left(fields), right(fields)
+        return apply(a, b) if _is_number(a) and _is_number(b) else None
+
+    return arithmetic
+
+
+def _inverse(token: Token, operand: Compiled) -> Compiled:
+    return lambda fields: _not3(_as_bool(operand(fields)))
+
+
+def _sign(token: Token, operand: Compiled) -> Compiled:
+    if token.value == "+":
+        return operand
+
+    def negate(fields):
+        value = operand(fields)
+        return -value if _is_number(value) else None
+
+    return negate
+
+
+class _Parser:
+    def __init__(self, text: str) -> None:
+        def error(message: str, position: int) -> FilterError:
+            return FilterError(f"selector syntax error: {message} at offset {position} in {text!r}")
+
+        self.cursor = Cursor(_scan(text, error), error)
+
+    def disjunction(self) -> Compiled:
+        return binary(self.cursor, _LOGIC, self.negation, _connective)
+
+    def negation(self) -> Compiled:
+        return prefixed(self.cursor, "keyword", ("not",), self.comparison, _inverse)
+
+    def comparison(self) -> Compiled:
+        cursor = self.cursor
+        left = self.sum()
+        if (token := cursor.accept("op", *_COMPARISONS)) is not None:
+            op, right = token.value, self.sum()
+            return lambda fields: _compare(op, left(fields), right(fields))
+        if cursor.accept("keyword", "is"):
+            negated = cursor.accept("keyword", "not") is not None
+            cursor.expect("keyword", "null")
+            return lambda fields: (left(fields) is None) is not negated
+        negated = cursor.at("keyword", "not") and cursor.peek(1).kind == "keyword" and (
+            cursor.peek(1).value in ("between", "in", "like")
+        )
+        if negated:
+            cursor.advance()
+        if cursor.accept("keyword", "between"):
+            low = self.sum()
+            cursor.expect("keyword", "and")
+            high = self.sum()
+
+            def between(fields):
+                value, lo, hi = left(fields), low(fields), high(fields)
+                inside = _and3(_compare(">=", value, lo), _compare("<=", value, hi))
+                return _not3(inside) if negated else inside
+
+            return between
+        if cursor.accept("keyword", "in"):
+            cursor.expect("op", "(")
+            values = {self.string()}
+            while cursor.accept("op", ","):
+                values.add(self.string())
+            cursor.expect("op", ")")
+
+            def member(fields):
+                value = left(fields)
+                if value is None:
+                    return None
+                return (isinstance(value, str) and value in values) is not negated
+
+            return member
+        if cursor.accept("keyword", "like"):
+            pattern, escape = self.string(), None
+            if cursor.accept("keyword", "escape"):
+                escape = self.string()
+                if len(escape) != 1:
+                    raise cursor.fail("LIKE escape must be a single character")
+            match = _like(pattern, escape)
+
+            def like(fields):
+                value = left(fields)
+                if value is None:
+                    return None
+                return isinstance(value, str) and (match(value) is not None) is not negated
+
+            return like
+        return left
+
+    def sum(self) -> Compiled:
+        return binary(self.cursor, _ARITHMETIC, self.signed, _arithmetic)
+
+    def signed(self) -> Compiled:
+        return prefixed(self.cursor, "op", ("-", "+"), self.primary, _sign)
+
+    def string(self) -> str:
+        return self.cursor.expect("string").value[1:-1].replace("''", "'")
+
+    def primary(self) -> Compiled:
+        cursor = self.cursor
+        token = cursor.peek()
+        if token.kind == "string":
+            value: Value = self.string()
+            return lambda fields: value
+        cursor.advance()
+        if token.kind == "number":
+            value = decimal(cursor, token)
+        elif token.kind == "keyword" and token.value in ("true", "false"):
+            value = token.value == "true"
+        elif token.kind == "name":
+            return operator.methodcaller("get", token.value)
+        elif token.kind == "op" and token.value == "(":
+            return cursor.enclosed(self.disjunction, "op", ")")
         else:
-            out.append(re.escape(ch))
-        i += 1
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
+            raise cursor.fail(f"unexpected {token.value or 'end of input'!r}", token)
+        return lambda fields: value
 
 
 class MessageSelector:
@@ -267,110 +232,13 @@ class MessageSelector:
         self.expression = expression.strip()
         if not self.expression:
             raise FilterError("empty selector")
-        self._ast = _Parser(self.expression).parse()
+        parser = _Parser(self.expression)
+        self._run = parser.disjunction()
+        parser.cursor.end()
 
     def matches(self, fields: Mapping[str, Value]) -> bool:
         """True iff the selector evaluates to TRUE (unknown/false both fail)."""
-        return self._evaluate(self._ast, fields) is True
-
-    def _evaluate(self, node, fields: Mapping[str, Value]):
-        kind = node[0]
-        if kind == "lit":
-            return node[1]
-        if kind == "ident":
-            return fields.get(node[1])
-        if kind == "not":
-            return _not3(self._as_bool(self._evaluate(node[1], fields)))
-        if kind == "and":
-            return _and3(
-                self._as_bool(self._evaluate(node[1], fields)),
-                self._as_bool(self._evaluate(node[2], fields)),
-            )
-        if kind == "or":
-            return _or3(
-                self._as_bool(self._evaluate(node[1], fields)),
-                self._as_bool(self._evaluate(node[2], fields)),
-            )
-        if kind == "cmp":
-            return self._compare(node[1], self._evaluate(node[2], fields), self._evaluate(node[3], fields))
-        if kind == "arith":
-            left = self._evaluate(node[2], fields)
-            right = self._evaluate(node[3], fields)
-            if not isinstance(left, (int, float)) or isinstance(left, bool):
-                return None
-            if not isinstance(right, (int, float)) or isinstance(right, bool):
-                return None
-            op = node[1]
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            return left / right if right != 0 else None
-        if kind == "neg":
-            value = self._evaluate(node[1], fields)
-            return -value if isinstance(value, (int, float)) and not isinstance(value, bool) else None
-        if kind == "isnull":
-            result = self._evaluate(node[1], fields) is None
-            return (not result) if node[2] else result
-        if kind == "between":
-            value = self._evaluate(node[1], fields)
-            low = self._evaluate(node[2], fields)
-            high = self._evaluate(node[3], fields)
-            base = _and3(self._compare(">=", value, low), self._compare("<=", value, high))
-            return _not3(base) if node[4] else base
-        if kind == "in":
-            value = self._evaluate(node[1], fields)
-            if value is None:
-                return None
-            result = isinstance(value, str) and value in node[2]
-            return (not result) if node[3] else result
-        if kind == "like":
-            value = self._evaluate(node[1], fields)
-            if value is None:
-                return None
-            if not isinstance(value, str):
-                return False
-            result = bool(_like_to_regex(node[2], node[3]).match(value))
-            return (not result) if node[4] else result
-        raise FilterError(f"unhandled selector node {kind!r}")
-
-    @staticmethod
-    def _as_bool(value):
-        if value is None or isinstance(value, bool):
-            return value
-        return None  # non-boolean operands of AND/OR are unknown
-
-    @staticmethod
-    def _compare(op: str, left: Value, right: Value):
-        if left is None or right is None:
-            return None
-        numeric = isinstance(left, (int, float)) and not isinstance(left, bool) and isinstance(
-            right, (int, float)
-        ) and not isinstance(right, bool)
-        if op in ("=", "<>"):
-            if isinstance(left, bool) or isinstance(right, bool):
-                if not (isinstance(left, bool) and isinstance(right, bool)):
-                    return False if op == "=" else True
-                equal = left == right
-            elif numeric:
-                equal = float(left) == float(right)
-            elif isinstance(left, str) and isinstance(right, str):
-                equal = left == right
-            else:
-                equal = False
-            return equal if op == "=" else not equal
-        if not numeric:
-            return None  # ordering only defined on numerics in JMS selectors
-        left_num, right_num = float(left), float(right)
-        if op == "<":
-            return left_num < right_num
-        if op == "<=":
-            return left_num <= right_num
-        if op == ">":
-            return left_num > right_num
-        return left_num >= right_num
+        return self._run(fields) is True
 
     def __repr__(self) -> str:
         return f"MessageSelector({self.expression!r})"

@@ -17,243 +17,41 @@ filters used:
 
 Constraints evaluate over the structured-event representation of
 :mod:`repro.baselines.corba.events` (plain nested mappings here, so the
-language is independently testable).
+language is independently testable).  The grammar rows below run over
+:mod:`repro.util.grammar` and build the constraint's closure directly; a
+component path is resolved once, when its closure is built, so a malformed
+one (``$.``) is refused with the constraint.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Any, Mapping
+import functools
+import operator
+from typing import Any, Callable, Mapping
 
 from repro.filters.base import FilterError
+from repro.util.grammar import Cursor, Scanner, Token, binary, decimal, prefixed
 
-_TOKEN_RE = re.compile(
+#: a compiled constraint construct: event -> its value
+Compiled = Callable[[Mapping[str, Any]], Any]
+
+_scan = Scanner(
     r"""
-    \s*(?:
       (?P<number>\d+\.\d*|\.\d+|\d+)
     | (?P<dollar>\$[A-Za-z0-9_.]*)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>'(?:[^'\\]|\\.)*')
     | (?P<op>==|!=|<=|>=|[<>+\-*/()~])
-    )
     """,
-    re.VERBOSE,
+    frozenset({"and", "or", "not", "exist", "in", "true", "false"}),
 )
 
-_KEYWORDS = {"and", "or", "not", "exist", "in", "true", "false"}
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            if text[position:].strip() == "":
-                break
-            raise FilterError(f"bad TCL syntax at {text[position:position+10]!r}")
-        position = match.end()
-        kind = match.lastgroup
-        value = match.group(kind)
-        if kind == "name":
-            lowered = value.lower()
-            if lowered in _KEYWORDS:
-                tokens.append(("keyword", lowered))
-            else:
-                raise FilterError(f"bare identifier {value!r}; TCL components start with '$'")
-        elif kind == "string":
-            tokens.append(("string", value[1:-1].replace("\\'", "'").replace("\\\\", "\\")))
-        else:
-            tokens.append((kind, value))
-    tokens.append(("end", ""))
-    return tokens
-
-
-class TclConstraint:
-    """A compiled extended-TCL constraint."""
-
-    def __init__(self, expression: str) -> None:
-        self.expression = expression.strip()
-        if not self.expression:
-            raise FilterError("empty TCL constraint")
-        self._tokens = _tokenize(self.expression)
-        self._pos = 0
-        self._ast = self._parse_or()
-        if self._peek()[0] != "end":
-            raise FilterError(f"trailing TCL input: {self._peek()[1]!r}")
-
-    # --- parser ------------------------------------------------------------
-
-    def _peek(self):
-        return self._tokens[self._pos]
-
-    def _advance(self):
-        token = self._tokens[self._pos]
-        if token[0] != "end":
-            self._pos += 1
-        return token
-
-    def _accept(self, kind, value=None):
-        token = self._peek()
-        if token[0] == kind and (value is None or token[1] == value):
-            return self._advance()
-        return None
-
-    def _expect(self, kind, value=None):
-        token = self._accept(kind, value)
-        if token is None:
-            raise FilterError(f"TCL: expected {value or kind}, got {self._peek()[1]!r}")
-        return token
-
-    def _parse_or(self):
-        left = self._parse_and()
-        while self._accept("keyword", "or"):
-            left = ("or", left, self._parse_and())
-        return left
-
-    def _parse_and(self):
-        left = self._parse_not()
-        while self._accept("keyword", "and"):
-            left = ("and", left, self._parse_not())
-        return left
-
-    def _parse_not(self):
-        if self._accept("keyword", "not"):
-            return ("not", self._parse_not())
-        if self._accept("keyword", "exist"):
-            token = self._expect("dollar")
-            return ("exist", token[1])
-        return self._parse_comparison()
-
-    def _parse_comparison(self):
-        left = self._parse_arith()
-        token = self._peek()
-        if token[0] == "op" and token[1] in ("==", "!=", "<", "<=", ">", ">="):
-            self._advance()
-            return ("cmp", token[1], left, self._parse_arith())
-        if token == ("op", "~"):
-            self._advance()
-            return ("substr", left, self._parse_arith())
-        if token == ("keyword", "in"):
-            self._advance()
-            return ("in", left, self._parse_arith())
-        return left
-
-    def _parse_arith(self):
-        left = self._parse_term()
-        while True:
-            token = self._peek()
-            if token[0] == "op" and token[1] in ("+", "-"):
-                self._advance()
-                left = ("arith", token[1], left, self._parse_term())
-            else:
-                return left
-
-    def _parse_term(self):
-        left = self._parse_factor()
-        while True:
-            token = self._peek()
-            if token[0] == "op" and token[1] in ("*", "/"):
-                self._advance()
-                left = ("arith", token[1], left, self._parse_factor())
-            else:
-                return left
-
-    def _parse_factor(self):
-        if self._accept("op", "-"):
-            return ("neg", self._parse_factor())
-        token = self._peek()
-        if token[0] == "number":
-            self._advance()
-            return ("lit", float(token[1]) if "." in token[1] else int(token[1]))
-        if token[0] == "string":
-            self._advance()
-            return ("lit", token[1])
-        if token[0] == "keyword" and token[1] in ("true", "false"):
-            self._advance()
-            return ("lit", token[1] == "true")
-        if token[0] == "dollar":
-            self._advance()
-            return ("component", token[1])
-        if self._accept("op", "("):
-            expr = self._parse_or()
-            self._expect("op", ")")
-            return expr
-        raise FilterError(f"TCL syntax error at {token[1] or 'end'!r}")
-
-    # --- evaluation ------------------------------------------------------------
-
-    def matches(self, event: Mapping[str, Any]) -> bool:
-        """Evaluate against a structured event (nested mappings)."""
-        try:
-            return bool(self._evaluate(self._ast, event))
-        except _ComponentMissing:
-            # TCL semantics: a constraint referring to absent data is false
-            return False
-
-    def _evaluate(self, node, event):
-        kind = node[0]
-        if kind == "lit":
-            return node[1]
-        if kind == "component":
-            return _resolve(node[1], event)
-        if kind == "exist":
-            try:
-                _resolve(node[1], event)
-                return True
-            except _ComponentMissing:
-                return False
-        if kind == "not":
-            return not self._evaluate(node[1], event)
-        if kind == "and":
-            return self._evaluate(node[1], event) and self._evaluate(node[2], event)
-        if kind == "or":
-            return self._evaluate(node[1], event) or self._evaluate(node[2], event)
-        if kind == "neg":
-            return -self._as_number(self._evaluate(node[1], event))
-        if kind == "arith":
-            left = self._as_number(self._evaluate(node[2], event))
-            right = self._as_number(self._evaluate(node[3], event))
-            op = node[1]
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if right == 0:
-                raise _ComponentMissing("division by zero")
-            return left / right
-        if kind == "cmp":
-            left = self._evaluate(node[2], event)
-            right = self._evaluate(node[3], event)
-            return _compare(node[1], left, right)
-        if kind == "substr":
-            left = self._evaluate(node[1], event)
-            right = self._evaluate(node[2], event)
-            if not isinstance(left, str) or not isinstance(right, str):
-                return False
-            return right in left
-        if kind == "in":
-            left = self._evaluate(node[1], event)
-            right = self._evaluate(node[2], event)
-            if isinstance(right, (list, tuple)):
-                return left in right
-            return False
-        raise FilterError(f"unhandled TCL node {kind!r}")
-
-    @staticmethod
-    def _as_number(value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _ComponentMissing(f"non-numeric operand {value!r}")
-        return value
-
-    def __repr__(self) -> str:
-        return f"TclConstraint({self.expression!r})"
+_LOGIC = {("keyword", "or"): 1, ("keyword", "and"): 2}
+_ARITHMETIC = {("op", "+"): 1, ("op", "-"): 1, ("op", "*"): 2, ("op", "/"): 2}
 
 
 class _ComponentMissing(Exception):
-    pass
+    """The constraint refers to absent data: the whole constraint is false."""
 
 
 _SHORTHANDS = {
@@ -263,57 +61,191 @@ _SHORTHANDS = {
 }
 
 
-def _resolve(component: str, event: Mapping[str, Any]) -> Any:
-    if component in _SHORTHANDS:
-        return _walk(event, _SHORTHANDS[component])
-    if component.startswith("$."):
-        path = tuple(part for part in component[2:].split(".") if part)
-        if not path:
-            raise FilterError("empty component path '$.'")
-        return _walk(event, path)
-    if component == "$":
-        return event
-    # generic $name: search filterable data, then variable header
-    name = component[1:]
-    for section in ("filterable_data", "variable_header"):
-        mapping = event.get(section)
-        if isinstance(mapping, Mapping) and name in mapping:
-            return mapping[name]
-    raise _ComponentMissing(component)
+def _walk(path: tuple[str, ...]) -> Compiled:
+    def walk(event):
+        current: Any = event
+        for part in path:
+            if not isinstance(current, Mapping) or part not in current:
+                raise _ComponentMissing(".".join(path))
+            current = current[part]
+        return current
+
+    return walk
 
 
-def _walk(event: Mapping[str, Any], path: tuple[str, ...]) -> Any:
-    current: Any = event
-    for part in path:
-        if not isinstance(current, Mapping) or part not in current:
-            raise _ComponentMissing(".".join(path))
-        current = current[part]
-    return current
+def _lookup(name: str) -> Compiled:
+    """``$name``: the filterable data, then the variable header."""
+
+    def lookup(event):
+        for section in ("filterable_data", "variable_header"):
+            mapping = event.get(section)
+            if isinstance(mapping, Mapping) and name in mapping:
+                return mapping[name]
+        raise _ComponentMissing("$" + name)
+
+    return lookup
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _ComponentMissing(f"non-numeric operand {value!r}")
+    return value
+
+
+def _divide(a, b):
+    if b == 0:
+        raise _ComponentMissing("division by zero")
+    return a / b
+
+
+_ARITHMETIC_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _compare(op: str, left: Any, right: Any) -> bool:
     if isinstance(left, bool) or isinstance(right, bool):
-        if op == "==":
-            return left is right if isinstance(left, bool) and isinstance(right, bool) else False
-        if op == "!=":
-            return not _compare("==", left, right)
-        raise _ComponentMissing("ordering undefined for booleans")
-    numeric = isinstance(left, (int, float)) and isinstance(right, (int, float))
-    stringy = isinstance(left, str) and isinstance(right, str)
-    if not numeric and not stringy:
-        if op == "==":
+        equal = isinstance(left, bool) and isinstance(right, bool) and left is right
+    elif isinstance(left, (int, float)) and isinstance(right, (int, float)) or (
+        isinstance(left, str) and isinstance(right, str)
+    ):
+        if op in _ORDERINGS:
+            return _ORDERINGS[op](left, right)
+        equal = left == right
+    else:
+        equal = False
+    if op in _ORDERINGS:
+        raise _ComponentMissing("ordering undefined for these operands")
+    return equal if op == "==" else not equal
+
+
+def _connective(token: Token, left: Compiled, right: Compiled) -> Compiled:
+    if token.value == "and":
+        return lambda event: left(event) and right(event)
+    return lambda event: left(event) or right(event)
+
+
+def _arithmetic(token: Token, left: Compiled, right: Compiled) -> Compiled:
+    apply = _ARITHMETIC_OPS[token.value]
+    return lambda event: apply(_number(left(event)), _number(right(event)))
+
+
+def _not(token: Token, operand: Compiled) -> Compiled:
+    return lambda event: not operand(event)
+
+
+def _minus(token: Token, operand: Compiled) -> Compiled:
+    return lambda event: -_number(operand(event))
+
+
+def _exist(component: Compiled) -> Compiled:
+    def exist(event):
+        try:
+            component(event)
+        except _ComponentMissing:
             return False
-        if op == "!=":
-            return True
-        raise _ComponentMissing("type mismatch in ordering comparison")
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
+        return True
+
+    return exist
+
+
+def _contains(haystack: Any, needle: Any) -> bool:
+    return isinstance(haystack, str) and isinstance(needle, str) and needle in haystack
+
+
+def _member(item: Any, sequence: Any) -> bool:
+    return isinstance(sequence, (list, tuple)) and item in sequence
+
+
+#: the relations between two operands: ``(kind, value)`` of its token -> test
+_RELATIONS = {
+    **{("op", op): functools.partial(_compare, op) for op in ("==", "!=", *_ORDERINGS)},
+    ("op", "~"): _contains,
+    ("keyword", "in"): _member,
+}
+
+
+class _Parser:
+    def __init__(self, text: str) -> None:
+        def error(message: str, position: int) -> FilterError:
+            return FilterError(f"TCL syntax error: {message} at offset {position} in {text!r}")
+
+        self.cursor = Cursor(_scan(text, error), error)
+
+    def disjunction(self) -> Compiled:
+        return binary(self.cursor, _LOGIC, self.negation, _connective)
+
+    def negation(self) -> Compiled:
+        return prefixed(self.cursor, "keyword", ("not",), self.comparison, _not)
+
+    def comparison(self) -> Compiled:
+        if self.cursor.accept("keyword", "exist"):
+            return _exist(self.component(self.cursor.expect("dollar")))
+        left = self.sum()
+        relation = _RELATIONS.get((self.cursor.peek().kind, self.cursor.peek().value))
+        if relation is None:
+            return left
+        self.cursor.advance()
+        right = self.sum()
+        return lambda event: relation(left(event), right(event))
+
+    def sum(self) -> Compiled:
+        return binary(self.cursor, _ARITHMETIC, self.signed, _arithmetic)
+
+    def signed(self) -> Compiled:
+        return prefixed(self.cursor, "op", ("-",), self.primary, _minus)
+
+    def primary(self) -> Compiled:
+        cursor = self.cursor
+        token = cursor.advance()
+        if token.kind == "number":
+            value: Any = decimal(cursor, token)
+        elif token.kind == "string":
+            value = token.value[1:-1].replace("\\'", "'").replace("\\\\", "\\")
+        elif token.kind == "keyword" and token.value in ("true", "false"):
+            value = token.value == "true"
+        elif token.kind == "dollar":
+            return self.component(token)
+        elif token.kind == "op" and token.value == "(":
+            return cursor.enclosed(self.disjunction, "op", ")")
+        elif token.kind == "name":
+            raise cursor.fail(f"bare identifier {token.value!r}; TCL components start with '$'", token)
+        else:
+            raise cursor.fail(f"unexpected {token.value or 'end of input'!r}", token)
+        return lambda event: value
+
+    def component(self, token: Token) -> Compiled:
+        """The reader of the component ``token`` names, resolved now."""
+        text = token.value
+        if text in _SHORTHANDS:
+            return _walk(_SHORTHANDS[text])
+        if text.startswith("$."):
+            path = tuple(part for part in text[2:].split(".") if part)
+            if not path:
+                raise self.cursor.fail(f"empty component path {text!r}", token)
+            return _walk(path)
+        if text == "$":
+            return lambda event: event
+        return _lookup(text[1:])
+
+
+class TclConstraint:
+    """A compiled extended-TCL constraint."""
+
+    def __init__(self, expression: str) -> None:
+        self.expression = expression.strip()
+        if not self.expression:
+            raise FilterError("empty TCL constraint")
+        parser = _Parser(self.expression)
+        self._run = parser.disjunction()
+        parser.cursor.end()
+
+    def matches(self, event: Mapping[str, Any]) -> bool:
+        """Evaluate against a structured event (nested mappings)."""
+        try:
+            return bool(self._run(event))
+        except _ComponentMissing:
+            # TCL semantics: a constraint referring to absent data is false
+            return False
+
+    def __repr__(self) -> str:
+        return f"TclConstraint({self.expression!r})"

@@ -178,19 +178,15 @@ def fn_sum(ctx: Context, args: list[XPathValue]) -> XPathValue:
     return float(sum(to_number(node.string_value()) for node in args[0]))
 
 
-def fn_floor(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    return float(math.floor(to_number(args[0])))
+def _rounding(to_integer: Callable[[float], float]) -> Callable[..., XPathValue]:
+    """floor(), ceiling() or round(): NaN and the infinities are returned as
+    they are (XPath 1.0 section 4.4)."""
 
+    def fn(ctx: Context, args: list[XPathValue]) -> XPathValue:
+        value = to_number(args[0])
+        return float(to_integer(value)) if math.isfinite(value) else value
 
-def fn_ceiling(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    return float(math.ceil(to_number(args[0])))
-
-
-def fn_round(ctx: Context, args: list[XPathValue]) -> XPathValue:
-    value = to_number(args[0])
-    if math.isnan(value) or math.isinf(value):
-        return value
-    return float(math.floor(value + 0.5))  # XPath rounds .5 towards +inf
+    return fn
 
 
 #: name -> (implementation, fewest arguments, most arguments or None for any
@@ -218,7 +214,7 @@ FUNCTIONS: dict[str, tuple[Callable[..., XPathValue], int, Optional[int]]] = {
     "false": (fn_false, 0, 0),
     "number": (fn_number, 0, 1),
     "sum": (fn_sum, 1, 1),
-    "floor": (fn_floor, 1, 1),
-    "ceiling": (fn_ceiling, 1, 1),
-    "round": (fn_round, 1, 1),
+    "floor": (_rounding(math.floor), 1, 1),
+    "ceiling": (_rounding(math.ceil), 1, 1),
+    "round": (_rounding(lambda value: math.floor(value + 0.5)), 1, 1),  # .5 goes up
 }

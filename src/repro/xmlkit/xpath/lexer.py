@@ -8,9 +8,10 @@ an operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
 
+from repro.util.grammar import Token
 from repro.xmlkit.xpath.errors import XPathSyntaxError
 
 
@@ -35,13 +36,13 @@ class TokenKind(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: TokenKind
-    value: str
-    position: int
-
-
+#: fixed punctuation: text -> kind (two-character tokens are tried first)
+_PUNCTUATION = {
+    **dict.fromkeys(("//", "!=", "<=", ">=", "/", "|", "+", "-", "=", "<", ">"), TokenKind.OPERATOR),
+    "..": TokenKind.DOTDOT, "(": TokenKind.LPAREN, ")": TokenKind.RPAREN,
+    "[": TokenKind.LBRACKET, "]": TokenKind.RBRACKET, "@": TokenKind.AT,
+    ",": TokenKind.COMMA, ":": TokenKind.COLON, ".": TokenKind.DOT,
+}
 _OPERATOR_NAMES = {"and", "or", "div", "mod"}
 _NODE_TYPES = {"node", "text", "comment", "processing-instruction"}
 # token kinds after which '*' and the operator names are operators
@@ -57,19 +58,10 @@ _OPERAND_ENDERS = {
 }
 
 
-_DIGITS = "0123456789"
-
-
-def _is_digit(ch: str) -> bool:
-    return ch in _DIGITS  # ASCII only: unicode "digits" pass isdigit() but not float()
-
-
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_-."
+# ASCII digits only: unicode "digits" pass isdigit() but not float()
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+")
+# after a letter or '_': letters, digits, '_', '-', '.'
+_NAME_REST = re.compile(r"[\w.-]*")
 
 
 def tokenize(expression: str) -> list[Token]:
@@ -87,77 +79,27 @@ def tokenize(expression: str) -> list[Token]:
             i += 1
             continue
         start = i
-        if ch in "([":
-            tokens.append(Token(TokenKind.LPAREN if ch == "(" else TokenKind.LBRACKET, ch, start))
+        if number := _NUMBER.match(expression, i):
+            tokens.append(Token(TokenKind.NUMBER, number.group(), start))
+            i = number.end()
+        elif (pair := expression[i : i + 2]) in _PUNCTUATION:
+            tokens.append(Token(_PUNCTUATION[pair], pair, start))
+            i += 2
+        elif ch in _PUNCTUATION:
+            tokens.append(Token(_PUNCTUATION[ch], ch, start))
             i += 1
-        elif ch in ")]":
-            tokens.append(Token(TokenKind.RPAREN if ch == ")" else TokenKind.RBRACKET, ch, start))
-            i += 1
-        elif ch == "@":
-            tokens.append(Token(TokenKind.AT, ch, start))
-            i += 1
-        elif ch == ",":
-            tokens.append(Token(TokenKind.COMMA, ch, start))
-            i += 1
-        elif ch == "/":
-            if i + 1 < n and expression[i + 1] == "/":
-                tokens.append(Token(TokenKind.OPERATOR, "//", start))
-                i += 2
-            else:
-                tokens.append(Token(TokenKind.OPERATOR, "/", start))
-                i += 1
-        elif ch == "|":
-            tokens.append(Token(TokenKind.OPERATOR, "|", start))
-            i += 1
-        elif ch in "+-":
-            tokens.append(Token(TokenKind.OPERATOR, ch, start))
-            i += 1
-        elif ch == "=":
-            tokens.append(Token(TokenKind.OPERATOR, "=", start))
-            i += 1
-        elif ch == "!":
-            if i + 1 < n and expression[i + 1] == "=":
-                tokens.append(Token(TokenKind.OPERATOR, "!=", start))
-                i += 2
-            else:
-                raise XPathSyntaxError("unexpected '!'", expression, start)
-        elif ch in "<>":
-            if i + 1 < n and expression[i + 1] == "=":
-                tokens.append(Token(TokenKind.OPERATOR, ch + "=", start))
-                i += 2
-            else:
-                tokens.append(Token(TokenKind.OPERATOR, ch, start))
-                i += 1
         elif ch == "*":
-            if prev_kind() in _OPERAND_ENDERS:
-                tokens.append(Token(TokenKind.OPERATOR, "*", start))
-            else:
-                tokens.append(Token(TokenKind.STAR, "*", start))
+            kind = TokenKind.OPERATOR if prev_kind() in _OPERAND_ENDERS else TokenKind.STAR
+            tokens.append(Token(kind, "*", start))
             i += 1
-        elif ch == ".":
-            if i + 1 < n and expression[i + 1] == ".":
-                tokens.append(Token(TokenKind.DOTDOT, "..", start))
-                i += 2
-            elif i + 1 < n and _is_digit(expression[i + 1]):
-                i = _lex_number(expression, i, tokens)
-            else:
-                tokens.append(Token(TokenKind.DOT, ".", start))
-                i += 1
-        elif _is_digit(ch):
-            i = _lex_number(expression, i, tokens)
         elif ch in "'\"":
             end = expression.find(ch, i + 1)
             if end < 0:
                 raise XPathSyntaxError("unterminated string literal", expression, start)
             tokens.append(Token(TokenKind.LITERAL, expression[i + 1 : end], start))
             i = end + 1
-        elif ch == ":":
-            tokens.append(Token(TokenKind.COLON, ":", start))
-            i += 1
-        elif _is_name_start(ch):
-            j = i + 1
-            while j < n and _is_name_char(expression[j]):
-                j += 1
+        elif ch.isalpha() or ch == "_":
+            j = _NAME_REST.match(expression, i + 1).end()
             name = expression[i:j]
             # operator-name disambiguation (XPath 1.0 section 3.7)
             if name in _OPERATOR_NAMES and prev_kind() in _OPERAND_ENDERS:
@@ -183,16 +125,3 @@ def tokenize(expression: str) -> list[Token]:
             raise XPathSyntaxError(f"unexpected character {ch!r}", expression, start)
     tokens.append(Token(TokenKind.EOF, "", n))
     return tokens
-
-
-def _lex_number(expression: str, i: int, tokens: list[Token]) -> int:
-    start = i
-    n = len(expression)
-    while i < n and _is_digit(expression[i]):
-        i += 1
-    if i < n and expression[i] == ".":
-        i += 1
-        while i < n and _is_digit(expression[i]):
-            i += 1
-    tokens.append(Token(TokenKind.NUMBER, expression[start:i], start))
-    return i

@@ -73,10 +73,12 @@ def format_number(number: float) -> str:
     text = repr(number)
     if "e" not in text:
         return text
-    # a non-integer has an exponent only below 1e-4: as many places as the
-    # shortest repr's digits reach
+    # a non-integer has an exponent only below 1e-4: the shortest repr's
+    # digits behind the zeros its exponent stands for (formatting the float
+    # to that many places could round its last digit the other way)
     mantissa, exponent = text.split("e")
-    return f"{number:.{len(mantissa.partition('.')[2]) - int(exponent)}f}"
+    sign, digits = ("-" if number < 0 else ""), mantissa.lstrip("-").replace(".", "")
+    return f"{sign}0.{'0' * (-int(exponent) - 1)}{digits}"
 
 
 def compare(op: str, left: XPathValue, right: XPathValue) -> bool:

@@ -247,6 +247,26 @@ class TestNotificationService:
         with pytest.raises(CorbaError):
             FilterObject().add_constraint("((")
 
+    @pytest.mark.parametrize("constraint", ["$. == 1", "exist $.", "$.. == 'x'"])
+    def test_an_empty_component_path_is_refused_and_the_push_stays_clean(self, constraint):
+        # it used to be accepted, and every push on the channel then raised
+        # FilterError out of the supplier's push_structured_event
+        orb = Orb()
+        channel = NotificationChannel(orb)
+        received = []
+        proxy = channel.new_for_consumers().obtain_structured_push_supplier()
+        filter_object = FilterObject()
+        with pytest.raises(CorbaError, match="InvalidConstraint"):
+            filter_object.add_constraint(constraint)
+        filter_object.add_constraint("$progress > 50")
+        assert list(filter_object.get_constraints().values()) == ["$progress > 50"]
+        proxy.add_filter(filter_object)
+        proxy.connect_structured_push_consumer(orb.register(lambda op, args: received.append(args[0])))
+        supplier = channel.new_for_suppliers().obtain_structured_push_consumer()
+        supplier.push_structured_event(_status_event(30))
+        supplier.push_structured_event(_status_event(80))
+        assert [event["filterable_data"]["progress"] for event in received] == [80]
+
     def test_priority_order_pull(self):
         orb = Orb()
         channel = NotificationChannel(orb)

@@ -205,6 +205,27 @@ class TestFunctions:
             XPath(bad, NS)
 
 
+class TestRoundingOfNonFiniteNumbers:
+    """XPath 1.0 section 4.4: floor(), ceiling() and round() of NaN or an
+    infinity return it; floor() and ceiling() raised from math instead."""
+
+    @pytest.mark.parametrize("function", ["floor", "ceiling", "round"])
+    @pytest.mark.parametrize(
+        "argument, expected",
+        [
+            ("0 div 0", math.nan), ("1 div 0", math.inf), ("-1 div 0", -math.inf),
+            ("'x'", math.nan), ("/missing", math.nan),
+        ],
+    )
+    def test_returned_as_they_are(self, function, argument, expected):
+        value = ev(f"{function}({argument})")
+        assert math.isnan(value) if math.isnan(expected) else value == expected
+
+    def test_a_nan_floor_is_false_not_an_error(self):
+        assert not match("floor(/x) > 1")
+        assert not match("ceiling(//ev:missing) = 1")
+
+
 class TestSyntaxErrors:
     @pytest.mark.parametrize(
         "bad",
