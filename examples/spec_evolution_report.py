@@ -7,25 +7,12 @@ diff of every table against the published cells.
 Run:  python examples/spec_evolution_report.py
 """
 
-from repro.comparison import (
-    PAPER_TABLE1,
-    PAPER_TABLE2,
-    PAPER_TABLE3,
-    build_table1,
-    build_table2,
-    build_table3,
-    trace_wse_architecture,
-    trace_wsn_architecture,
-)
+from repro.comparison import STUDY, trace_wse_architecture, trace_wsn_architecture
 from repro.wse.versions import WseVersion
 
 
 def main() -> None:
-    for build, paper, widths in [
-        (build_table1, PAPER_TABLE1, dict(label_width=52, cell_width=14)),
-        (build_table2, PAPER_TABLE2, dict(label_width=28, cell_width=52)),
-        (build_table3, PAPER_TABLE3, dict(label_width=22, cell_width=26)),
-    ]:
+    for build, paper, widths in STUDY:
         measured = build()
         print(measured.render(**widths))
         print()

@@ -127,7 +127,7 @@ class ObjectMessage(JmsMessage):
     def set_object(self, value: Any) -> None:
         try:
             self._payload = pickle.dumps(value)
-        except Exception as exc:  # unpicklable
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:  # unpicklable
             raise JmsError(f"object not serializable: {exc}") from exc
 
     def get_object(self) -> Any:

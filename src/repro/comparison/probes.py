@@ -38,6 +38,7 @@ class _Harness:
     """One version's live stack: the service, a consumer, the subscriber."""
 
     def __init__(self, version: SpecVersion) -> None:
+        self.version = version
         self.network = SimulatedNetwork(VirtualClock())
         if isinstance(version, WseVersion):
             self.service = EventSource(self.network, "http://probe-source", version=version)

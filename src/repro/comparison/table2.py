@@ -11,19 +11,11 @@ column's operation table having no such row.
 
 from __future__ import annotations
 
-from repro.comparison.probes import _event
+from repro.comparison.probes import _Harness, probe_subscription_end_notice
 from repro.comparison.tables import ComparisonTable
 from repro.soap.fault import SoapFault
 from repro.subscriptions import OperationNotAvailable
-from repro.transport.clock import VirtualClock
-from repro.transport.network import SimulatedNetwork
-from repro.wse.sink import EventSink
-from repro.wse.source import EventSource
-from repro.wse.subscriber import WseSubscriber
 from repro.wse.versions import WseVersion
-from repro.wsn.consumer import NotificationConsumer
-from repro.wsn.producer import NotificationProducer
-from repro.wsn.subscriber import WsnSubscriber
 from repro.wsn.versions import WsnVersion
 
 COLUMNS = ["WS-Eventing", "WS-BaseNotification"]
@@ -45,27 +37,26 @@ PAPER_TABLE2.add_row("Pause/resume Subscription", "Not available", "Pause/resume
 PAPER_TABLE2.add_row("GetCurrentMessage", "Not available", "GetCurrentMessage")
 
 
-def _pause_resume(service, client, handle) -> None:
-    client.pause(handle)
-    client.resume(handle)
+def _pause_resume(harness, handle) -> None:
+    harness.subscriber.pause(handle)
+    harness.subscriber.resume(handle)
 
 
 #: the rows both columns run through the same verbs, in an order a live
 #: subscription allows (GetStatus before Unsubscribe): label -> the exchange
 VERB_ROWS = {
-    "Renew": lambda service, client, handle: client.renew(handle, "PT2H"),
-    "GetStatus": lambda service, client, handle: client.get_status(handle),
+    "Renew": lambda harness, handle: harness.subscriber.renew(handle, "PT2H"),
+    "GetStatus": lambda harness, handle: harness.subscriber.get_status(handle),
     "Pause/resume Subscription": _pause_resume,
-    "GetCurrentMessage": lambda service, client, handle: client.get_current_message(
-        service.epr(), "t2"
+    "GetCurrentMessage": lambda harness, handle: harness.subscriber.get_current_message(
+        harness.service.epr(), "probe"
     ),
-    "Unsubscribe": lambda service, client, handle: client.unsubscribe(handle),
+    "Unsubscribe": lambda harness, handle: harness.subscriber.unsubscribe(handle),
 }
 
 #: what the WS-BaseNotification column calls the rows it leaves to WSRF
 VIA_WSRF = {
-    "GetStatus": "Not defined, can use getResourceProperties in WSRF",
-    "SubscriptionEnd": "Not defined, can use TerminationNotification in WSRF",
+    label: PAPER_TABLE2.cell(label, COLUMNS[1]) for label in ("GetStatus", "SubscriptionEnd")
 }
 
 
@@ -84,45 +75,27 @@ def _cell(label: str, exchange, *stack) -> str:
 def build_table2() -> ComparisonTable:
     """Execute every Table 2 mapping and report how each function is achieved."""
     table = ComparisonTable("Table 2: Function Comparison (measured)", COLUMNS)
-
-    # --- live WSE 08/2004 and WSN 1.3 stacks ------------------------------------------
-    wse_net = SimulatedNetwork(VirtualClock())
-    wse_version = WseVersion.V2004_08
-    source = EventSource(wse_net, "http://t2-source", version=wse_version)
-    sink = EventSink(wse_net, "http://t2-sink", version=wse_version)
-    end_sink = EventSink(wse_net, "http://t2-end", version=wse_version)
-    wse_sub = WseSubscriber(wse_net, version=wse_version)
-    wsn_net = SimulatedNetwork(VirtualClock())
-    wsn_version = WsnVersion.V1_3
-    producer = NotificationProducer(wsn_net, "http://t2-producer", version=wsn_version)
-    consumer = NotificationConsumer(wsn_net, "http://t2-consumer", version=wsn_version)
-    wsn_sub = WsnSubscriber(wsn_net, version=wsn_version)
-
-    wse_handle = wse_sub.subscribe(source.epr(), notify_to=sink.epr(), end_to=end_sink.epr())
-    wsn_handle = wsn_sub.subscribe(producer.epr(), consumer.epr(), topic="t2")
-    #: per column: the service, its client, the live subscription, its own names
-    columns = ((source, wse_sub, wse_handle, {}), (producer, wsn_sub, wsn_handle, VIA_WSRF))
+    wse, wsn = _Harness(WseVersion.V2004_08), _Harness(WsnVersion.V1_3)
+    #: per column: the version's live stack, its subscription, its own names
+    columns = ((wse, wse.subscribe(), {}), (wsn, wsn.subscribe(), VIA_WSRF))
     table.add_row("Subscribe", "Subscribe", "Subscribe")
-    producer.publish(_event(), topic="t2")  # something for GetCurrentMessage to answer with
+    wsn.publish()  # something for GetCurrentMessage to answer with
     for label, exchange in VERB_ROWS.items():
         table.add_row(
             label,
             *(_cell(names.get(label, label), exchange, *stack) for *stack, names in columns),
         )
-
     # SubscriptionEnd: WSE sends an explicit notice on abnormal termination;
     # WSN realizes the same through WSRF's TerminationNotification
-    wse_sub.subscribe(source.epr(), notify_to=sink.epr(), end_to=end_sink.epr())
-    source.shutdown()
-    wsn_sub.subscribe(producer.epr(), consumer.epr(), topic="t2", initial_termination="PT10S")
-    wsn_net.clock.advance(20.0)
-    producer.sweep()
     table.add_row(
         "SubscriptionEnd",
-        "SubscriptionEnd" if end_sink.subscription_ends else "FAILED",
-        VIA_WSRF["SubscriptionEnd"] if consumer.termination_notices else "FAILED",
+        *(
+            names.get("SubscriptionEnd", "SubscriptionEnd")
+            if probe_subscription_end_notice(harness.version)
+            else "FAILED"
+            for harness, _, names in columns
+        ),
     )
-
     # reorder to the paper's row order for diffing
     order = [label for label, _ in PAPER_TABLE2.rows]
     table.rows.sort(key=lambda row: order.index(row[0]))

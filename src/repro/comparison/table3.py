@@ -1,16 +1,18 @@
 """Table 3: comparison among six event-notification specifications.
 
 Columns in the paper's order: CORBA Event Service, CORBA Notification
-Service, JMS, OGSI-Notification, WS-Notification, WS-Eventing.  Historical
-rows (release dates, creators) are transcription; behavioural rows are
-*probed*: the cell text is only emitted after the corresponding capability
-was exercised against the live implementation — a failed probe yields a
-``FAILED`` cell that the diff against ``PAPER_TABLE3`` will flag.
+Service, JMS, OGSI-Notification, WS-Notification, WS-Eventing.  :data:`ROWS`
+states the table once.  Historical cells (release dates, creators) are
+transcription; behavioural cells pair the published text with a *probe*:
+:func:`build_table3` shows the text only after the capability was exercised
+against the live implementation — a failed probe yields a ``FAILED`` cell
+that the diff against ``PAPER_TABLE3`` (the rows' published texts) flags.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from typing import Callable, Union
 
 from repro.baselines.corba.event_service import EventChannel
 from repro.baselines.corba.events import StructuredEvent
@@ -196,10 +198,6 @@ def _ogsi_timeout() -> bool:
     return source.set_service_data("sd", text_element(QName("urn:t3", "v"), "1")) == 0
 
 
-def _ws_timeout(version) -> bool:
-    return probes.probe_duration_expiry(version)
-
-
 # --- demand probes -----------------------------------------------------------------------------------
 
 
@@ -241,248 +239,127 @@ def _wsn_demand() -> bool:
     return not registration.paused_upstream
 
 
-# --- the tables -----------------------------------------------------------------------------------------
+# --- the table --------------------------------------------------------------------------------
 
+#: a published cell: its text as transcribed, or the probe that must succeed
+#: before the measured table shows the text
+Cell = Union[str, tuple[Callable[[], bool], str]]
 
-def build_table3() -> ComparisonTable:
-    table = ComparisonTable(
-        "Table 3: Comparison among specifications on event notifications (measured)",
-        COLUMNS,
-    )
-    table.add_row(
-        "First Release", "3/1995", "6/1997", "1998", "6/27/2003", "1/20/2004", "1/7/2004"
-    )
-    table.add_row(
-        "Latest Release",
-        "10/2/2004",
-        "10/11/2004",
-        "4/12/2002",
-        "6/27/2003",
-        "2/2006",
-        "8/30/2004",
-    )
-    table.add_row(
-        "Creator(s)",
-        "OMG",
-        "OMG",
-        "Sun Microsystems",
-        "Global Grid Forum",
-        "IBM, Sonic, TIBCO, Akamai, SAP, CA, HP, Fujitsu, Globus",
-        "IBM, BEA, CA, Sun, Microsoft, TIBCO",
-    )
-    table.add_row(
-        "Message transport",
-        "RPC",
-        "RPC",
-        "RPC",
-        "HTTP RPC",
-        "Transport independent",
-        "Transport independent",
-    )
-    table.add_row(
-        "Intermediary",
-        "EventChannel object",
-        "EventChannel object",
-        "Message Queue, Pub/Sub broker",
-        "directly or through intermediary",
-        "directly or through broker",
-        "directly or through broker",
-    )
-    table.add_row(
-        "Delivery Mode",
-        _checked(_corba_event_delivery, "Push, pull & both"),
-        _checked(_corba_notif_delivery, "Push, pull & both"),
-        _checked(_jms_delivery, "Pull, Push"),
-        _checked(_ogsi_delivery, "Push"),
-        _checked(lambda: probes.probe_pull_delivery(_WSN), "Push, Pull"),
-        _checked(
-            lambda: probes.probe_pull_delivery(_WSE),
-            "Push by default, Can use Pull or other modes",
-        ),
-    )
-    table.add_row(
-        "Message Structure",
-        "Generic (Anys), Typed",
-        "Generic (Anys), Typed, Structured, sequences of structured",
-        "TextMessage, ByteMessage, MapMessage, StreamMessage, ObjectMessage",
-        "SOAP with Xml based Service data Elements",
-        "SOAP (with Raw XML data or wrapped messages)",
-        "SOAP (with Raw XML data only). Can use wrapped mode.",
-    )
-    table.add_row(
-        "Filter",
-        "No",
-        _checked(_corba_notif_filter, "Channel, Filter Object."),
-        _checked(_jms_filter, "Queue/topic name, message selector on header fields"),
-        _checked(_ogsi_filter, "ServiceDataName. Can add other filter services."),
-        "Hierarchy Topic tree; Content Selector. Producer properties.",
-        "A “Filter” element for any filter. At most 1 filter.",
-    )
-    table.add_row(
-        "Filter language",
-        "No",
-        _checked(_corba_notif_filter, "Extended Trader Constraint Language"),
-        _checked(_jms_filter, "a subset of the SQL92 conditional expression syntax"),
-        "ServicedDataName String or other expressions.",
-        _checked(
-            _xpath_boolean_filter,
-            "Any expression (xsd:any) that evaluates to a Boolean. e.g. XPath",
-        ),
-        _checked(
-            _xpath_boolean_filter,
-            "Default XPath. Can use any expression (xsd:any) that evaluates to a Boolean.",
-        ),
-    )
-    table.add_row(
-        "QoS criteria",
-        "Not defined",
-        _checked(_corba_qos, "Defined 13 QoS properties, can be extended to others"),
-        _checked(_jms_qos, "Priority; persistence; durable; transaction; message order"),
-        "Not defined",
-        "Depends on composition with other WS* specification",
-        "Depends on composition with other WS* specification",
-    )
-    table.add_row(
-        "Subscription Timeout",
-        "No",
-        "No",
-        "No",
-        _checked(_ogsi_timeout, "Absolute Time"),
-        _checked(lambda: _ws_timeout(_WSN), "Absolute Time or duration"),
-        _checked(lambda: _ws_timeout(_WSE), "Absolute time or duration"),
-    )
-    table.add_row(
-        "Demand-based",
-        "No",
-        _checked(_corba_suspend_resume, "Defined"),
-        "No",
-        "No",
-        _checked(_wsn_demand, "Defined"),
-        "No",
-    )
-    table.add_row(
-        "Management operations",
-        "connect_*, obtain_(typed)_push/pull_supplier/consumer",
-        "connect_*, obtain_notification_pull/push_supplier/consumer, "
-        "suspend/resume_connection, get/set/validate_qos, "
-        "add/remove/get/getAll/removeAll_filter, obtain_subscription/offered_types",
-        "createSubscriber, createDurableSubscriber, unsubscribe",
-        "Subscribe, requestTerminationAfter, requestTerminationBefore, destroy",
-        "Subscribe, Renew, unsubscribe, Pause/resume subscription, "
-        "get/getMultiple/set/query ResourceProperties, TerminationNotification, "
-        "Destroy, SetTerminationTime",
-        "Subscribe, Renew, GetStatus, Unsubscribe, SubscriptionEnd",
-    )
-    return table
-
-
-#: the published Table 3 cell texts (transcription)
-PAPER_TABLE3 = ComparisonTable(
-    "Table 3: Comparison among specifications on event notifications (paper)",
-    COLUMNS,
-)
-for _label, _cells in [
-    ("First Release", ["3/1995", "6/1997", "1998", "6/27/2003", "1/20/2004", "1/7/2004"]),
+#: Table 3 in the paper's row order: (label, one cell per column)
+ROWS: list[tuple[str, tuple[Cell, ...]]] = [
+    ("First Release", ("3/1995", "6/1997", "1998", "6/27/2003", "1/20/2004", "1/7/2004")),
     (
         "Latest Release",
-        ["10/2/2004", "10/11/2004", "4/12/2002", "6/27/2003", "2/2006", "8/30/2004"],
+        ("10/2/2004", "10/11/2004", "4/12/2002", "6/27/2003", "2/2006", "8/30/2004"),
     ),
     (
         "Creator(s)",
-        [
+        (
             "OMG",
             "OMG",
             "Sun Microsystems",
             "Global Grid Forum",
             "IBM, Sonic, TIBCO, Akamai, SAP, CA, HP, Fujitsu, Globus",
             "IBM, BEA, CA, Sun, Microsoft, TIBCO",
-        ],
+        ),
     ),
     (
         "Message transport",
-        ["RPC", "RPC", "RPC", "HTTP RPC", "Transport independent", "Transport independent"],
+        ("RPC", "RPC", "RPC", "HTTP RPC", "Transport independent", "Transport independent"),
     ),
     (
         "Intermediary",
-        [
+        (
             "EventChannel object",
             "EventChannel object",
             "Message Queue, Pub/Sub broker",
             "directly or through intermediary",
             "directly or through broker",
             "directly or through broker",
-        ],
+        ),
     ),
     (
         "Delivery Mode",
-        [
-            "Push, pull & both",
-            "Push, pull & both",
-            "Pull, Push",
-            "Push",
-            "Push, Pull",
-            "Push by default, Can use Pull or other modes",
-        ],
+        (
+            (_corba_event_delivery, "Push, pull & both"),
+            (_corba_notif_delivery, "Push, pull & both"),
+            (_jms_delivery, "Pull, Push"),
+            (_ogsi_delivery, "Push"),
+            (partial(probes.probe_pull_delivery, _WSN), "Push, Pull"),
+            (
+                partial(probes.probe_pull_delivery, _WSE),
+                "Push by default, Can use Pull or other modes",
+            ),
+        ),
     ),
     (
         "Message Structure",
-        [
+        (
             "Generic (Anys), Typed",
             "Generic (Anys), Typed, Structured, sequences of structured",
             "TextMessage, ByteMessage, MapMessage, StreamMessage, ObjectMessage",
             "SOAP with Xml based Service data Elements",
             "SOAP (with Raw XML data or wrapped messages)",
             "SOAP (with Raw XML data only). Can use wrapped mode.",
-        ],
+        ),
     ),
     (
         "Filter",
-        [
+        (
             "No",
-            "Channel, Filter Object.",
-            "Queue/topic name, message selector on header fields",
-            "ServiceDataName. Can add other filter services.",
+            (_corba_notif_filter, "Channel, Filter Object."),
+            (_jms_filter, "Queue/topic name, message selector on header fields"),
+            (_ogsi_filter, "ServiceDataName. Can add other filter services."),
             "Hierarchy Topic tree; Content Selector. Producer properties.",
             "A “Filter” element for any filter. At most 1 filter.",
-        ],
+        ),
     ),
     (
         "Filter language",
-        [
+        (
             "No",
-            "Extended Trader Constraint Language",
-            "a subset of the SQL92 conditional expression syntax",
+            (_corba_notif_filter, "Extended Trader Constraint Language"),
+            (_jms_filter, "a subset of the SQL92 conditional expression syntax"),
             "ServicedDataName String or other expressions.",
-            "Any expression (xsd:any) that evaluates to a Boolean. e.g. XPath",
-            "Default XPath. Can use any expression (xsd:any) that evaluates to a Boolean.",
-        ],
+            (
+                _xpath_boolean_filter,
+                "Any expression (xsd:any) that evaluates to a Boolean. e.g. XPath",
+            ),
+            (
+                _xpath_boolean_filter,
+                "Default XPath. Can use any expression (xsd:any) that evaluates to a Boolean.",
+            ),
+        ),
     ),
     (
         "QoS criteria",
-        [
+        (
             "Not defined",
-            "Defined 13 QoS properties, can be extended to others",
-            "Priority; persistence; durable; transaction; message order",
+            (_corba_qos, "Defined 13 QoS properties, can be extended to others"),
+            (_jms_qos, "Priority; persistence; durable; transaction; message order"),
             "Not defined",
             "Depends on composition with other WS* specification",
             "Depends on composition with other WS* specification",
-        ],
+        ),
     ),
     (
         "Subscription Timeout",
-        [
+        (
             "No",
             "No",
             "No",
-            "Absolute Time",
-            "Absolute Time or duration",
-            "Absolute time or duration",
-        ],
+            (_ogsi_timeout, "Absolute Time"),
+            (partial(probes.probe_duration_expiry, _WSN), "Absolute Time or duration"),
+            (partial(probes.probe_duration_expiry, _WSE), "Absolute time or duration"),
+        ),
     ),
-    ("Demand-based", ["No", "Defined", "No", "No", "Defined", "No"]),
+    (
+        "Demand-based",
+        ("No", (_corba_suspend_resume, "Defined"), "No", "No", (_wsn_demand, "Defined"), "No"),
+    ),
     (
         "Management operations",
-        [
+        (
             "connect_*, obtain_(typed)_push/pull_supplier/consumer",
             "connect_*, obtain_notification_pull/push_supplier/consumer, "
             "suspend/resume_connection, get/set/validate_qos, "
@@ -493,7 +370,21 @@ for _label, _cells in [
             "get/getMultiple/set/query ResourceProperties, TerminationNotification, "
             "Destroy, SetTerminationTime",
             "Subscribe, Renew, GetStatus, Unsubscribe, SubscriptionEnd",
-        ],
+        ),
     ),
-]:
-    PAPER_TABLE3.add_row(_label, *_cells)
+]
+
+_TITLE = "Table 3: Comparison among specifications on event notifications"
+
+
+def build_table3() -> ComparisonTable:
+    table = ComparisonTable(f"{_TITLE} (measured)", COLUMNS)
+    for label, cells in ROWS:
+        table.add_row(label, *(c if isinstance(c, str) else _checked(*c) for c in cells))
+    return table
+
+
+#: the published Table 3 cell texts
+PAPER_TABLE3 = ComparisonTable(f"{_TITLE} (paper)", COLUMNS)
+for _label, _cells in ROWS:
+    PAPER_TABLE3.add_row(_label, *(c if isinstance(c, str) else c[1] for c in _cells))

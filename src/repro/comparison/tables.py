@@ -54,7 +54,8 @@ class ComparisonTable:
         return "\n".join(lines)
 
     def diff(self, other: "ComparisonTable") -> "TableDiff":
-        """Cell-by-cell comparison against an expected table (same shape)."""
+        """Cell-by-cell comparison against an expected table (same shape); a
+        row only one of the two tables has is a mismatch."""
         mismatches: list[str] = []
         if self.columns != other.columns:
             mismatches.append(f"columns differ: {self.columns} vs {other.columns}")
@@ -74,6 +75,12 @@ class ComparisonTable:
                         f"{label!r} / {column}: measured {render_cell(got)!r}, "
                         f"paper says {render_cell(want)!r}"
                     )
+        measured = {label for label, _ in self.rows}
+        mismatches.extend(
+            f"row {label!r} missing from measured table"
+            for label in expected_rows
+            if label not in measured
+        )
         return TableDiff(mismatches, matched)
 
 

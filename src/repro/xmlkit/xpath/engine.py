@@ -14,12 +14,12 @@ filter dialects use on every publish are compiled specially:
   nodes and stops at the first that compares true.
 
 The gathering closure of a step is shared by every expression taking that
-step.  A step over several context nodes merges what each gathers (document
-order, no duplicates) before its predicates run, so a positional predicate
-counts over the merged node-set.  A predicate that gives a number is
-positional; any other value is taken as a boolean.  Node trees are built
-once per frozen document (:func:`document_of`), which also keeps each
-expression's verdict on it.
+step.  A step over several context nodes runs its predicates on what each
+context node gathers, so a positional predicate counts per context node
+(XPath 1.0 section 2.4), and then merges the survivors (document order, no
+duplicates).  A predicate that gives a number is positional; any other value
+is taken as a boolean.  Node trees are built once per frozen document
+(:func:`document_of`), which also keeps each expression's verdict on it.
 """
 
 from __future__ import annotations
@@ -396,20 +396,19 @@ def _from_node(step: ast.Step) -> FromNode:
 
 
 def _step_over(step: ast.Step) -> OverNodes:
-    """``step`` taken from every node of a node-set: the gathered nodes are
-    merged into one node-set before the predicates see them."""
-    gather, predicates = _gather(step.axis, step.test), _predicates(step.predicates)
+    """``step`` taken from every node of a node-set: each context node's
+    nodes pass the predicates on their own (XPath 1.0 section 2.4), then
+    are merged in document order."""
+    take = _from_node(step)
 
     def over(nodes: NodeSet) -> NodeSet:
         if len(nodes) == 1:
-            gathered = gather(nodes[0])
-        else:
-            merged: dict[int, XNode] = {}
-            for node in nodes:
-                for found in gather(node):
-                    merged[id(found)] = found
-            gathered = sorted(merged.values(), key=_ORDER)
-        return gathered if predicates is None else predicates(gathered)
+            return take(nodes[0])
+        merged: dict[int, XNode] = {}
+        for node in nodes:
+            for found in take(node):
+                merged[id(found)] = found
+        return sorted(merged.values(), key=_ORDER)
 
     return over
 

@@ -1,5 +1,7 @@
 """Tests for the JMS baseline: styles, message types, selectors, QoS."""
 
+import threading
+
 import pytest
 
 from repro.baselines.jms import (
@@ -14,6 +16,13 @@ from repro.baselines.jms import (
     TextMessage,
 )
 from repro.transport import VirtualClock
+
+
+def _local_instance():
+    class Local:
+        pass
+
+    return Local()
 
 
 @pytest.fixture
@@ -247,6 +256,23 @@ class TestMessageTypes:
         message = ObjectMessage()
         message.set_object({"nested": [1, 2, 3]})
         assert message.get_object() == {"nested": [1, 2, 3]}
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: (lambda: 1), threading.Lock, lambda: _local_instance()],
+        ids=["lambda", "lock", "local-class"],
+    )
+    def test_unpicklable_object_is_a_jms_error(self, make):
+        with pytest.raises(JmsError, match="not serializable"):
+            ObjectMessage().set_object(make())
+
+    def test_a_failure_other_than_pickling_propagates(self):
+        class Exploding:
+            def __reduce__(self):
+                raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            ObjectMessage().set_object(Exploding())
 
     def test_property_type_check(self):
         message = TextMessage()

@@ -50,6 +50,13 @@ class TestTableModel:
         diff = left.diff(right)
         assert diff.clean and diff.matched_cells == 1
 
+    def test_diff_reports_a_paper_row_the_measured_table_lacks(self):
+        measured = ComparisonTable("t", ["a"])
+        paper = ComparisonTable("t", ["a"]).add_row("r", True)
+        diff = measured.diff(paper)
+        assert not diff.clean
+        assert diff.mismatches == ["row 'r' missing from measured table"]
+
     def test_render_contains_rows_and_columns(self):
         text = PAPER_TABLE1.render()
         assert "WSE 01/2004" in text

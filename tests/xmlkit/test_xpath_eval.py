@@ -97,6 +97,32 @@ class TestPredicates:
         assert match("/ev:StatusEvent[ev:metrics]")
 
 
+class TestPositionsPerContextNode:
+    """XPath 1.0 section 2.4: a step's predicates count proximity positions
+    among the nodes each context node gathers, not over the merged set."""
+
+    TWO_PARENTS = parse_xml("<r><a><x/><y/></a><b><z/><w/></b></r>")
+
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            ("/r/*/*[1]", ["x", "z"]),
+            ("/r/*/*[last()]", ["y", "w"]),
+            ("/r/*/*[2]", ["y", "w"]),
+            ("//*[1]", ["r", "a", "x", "z"]),
+            ("//*[last()][1]", ["r", "y", "b", "w"]),
+            ("(/r/*/*)[1]", ["x"]),
+        ],
+    )
+    def test_each_parent_counts_its_own_children(self, expr, expected):
+        nodes = XPath(expr).select(self.TWO_PARENTS)
+        assert [node.name.local for node in nodes] == expected
+
+    def test_a_single_context_step_is_unchanged(self):
+        assert ev("//ev:worker[2]/text()") == ["n02.cluster"]
+        assert match("/ev:StatusEvent[ev:worker[2] = 'n02.cluster']")
+
+
 class TestOperators:
     def test_arithmetic_precedence(self):
         assert ev("2 + 3 * 4") == 14.0

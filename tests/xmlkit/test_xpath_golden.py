@@ -401,7 +401,20 @@ ROUNDING_FIX: dict[tuple[str, str], dict] = {
     **{("floor('x')", document): {'type': 'number', 'value': 'nan'} for document in DOCUMENTS},
     **{('ceiling(1 div 0)', document): {'type': 'number', 'value': 'inf'} for document in DOCUMENTS},
 }
-SPEC_FIXES = {**NUMBER_FIX, **BOOLEAN_FIX, **ROUNDING_FIX}
+#: XPath 1.0 section 2.4: a step's predicates count proximity positions
+#: among the nodes each context node gathers (they counted over the nodes
+#: gathered from all context nodes, so ``//*[1]`` was the root element alone).
+POSITION_FIX: dict[tuple[str, str], dict] = {
+    ('//*/attribute::*[1]', 'status'): {'type': 'node-set', 'value': ["attribute#2 level='info'", "attribute#12 rank='0'", "attribute#16 rank='1'"]},
+    ('//*/attribute::*[1]', 'mixed'): {'type': 'node-set', 'value': ["attribute#2 {urn:one}k='v'", "attribute#4 id='1'"]},
+    ('//*[1]', 'reading'): {'type': 'node-set', 'value': ['element#1 {urn:grid:events}Reading', 'element#2 {urn:grid:events}host']},
+    ('//*[1]', 'status'): {'type': 'node-set', 'value': ['element#1 {urn:grid:events}StatusEvent', 'element#5 {urn:grid:events}jobId', 'element#20 {urn:grid:events}cpu']},
+    ('//*[1]', 'mixed'): {'type': 'node-set', 'value': ['element#1 {urn:one}r', 'element#3 {urn:two}x', 'element#9 {urn:one}w']},
+    ('//*[last()][1]', 'reading'): {'type': 'node-set', 'value': ['element#1 {urn:grid:events}Reading', 'element#8 {urn:grid:events}value']},
+    ('//*[last()][1]', 'status'): {'type': 'node-set', 'value': ['element#1 {urn:grid:events}StatusEvent', 'element#19 {urn:grid:events}metrics', 'element#22 {urn:grid:events}memory']},
+    ('//*[last()][1]', 'mixed'): {'type': 'node-set', 'value': ['element#1 {urn:one}r', 'element#11 {urn:one}w', 'element#17 {urn:one}u']},
+}
+SPEC_FIXES = {**NUMBER_FIX, **BOOLEAN_FIX, **ROUNDING_FIX, **POSITION_FIX}
 
 
 def _node(node) -> str:
