@@ -1,8 +1,9 @@
 """``python -m repro``: regenerate the paper's comparative study.
 
 With no arguments, prints the measured Tables 1-3 (diffed against the
-published cells), the traced Figures 1-2, and the converged-prototype
-column.  Subcommands:
+published cells), the traced Figures 1-2, the converged-prototype column
+and the rows of experiments E6-E10; exit 1 if a table diffs or a row
+fails.  Subcommands:
 
 - ``obs-report [--text|--json]`` — run the instrumented mediation demo
   scenario and render the observability report (see :mod:`repro.obs`);
@@ -69,7 +70,8 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.comparison import STUDY, trace_wse_architecture, trace_wsn_architecture
+    from repro.comparison import EXPERIMENTS, STUDY, trace_wse_architecture, trace_wsn_architecture
+    from repro.comparison.experiments import TITLE
     from repro.comparison.tables import render_cell
     from repro.convergence import converged_table_column
 
@@ -92,6 +94,13 @@ def main(argv: list[str] | None = None) -> int:
     print("WS-EventNotification prototype (the convergence the paper anticipates):")
     for label, value in converged_table_column().items():
         print(f"  {label:52s} {render_cell(value)}")
+    print("\n" + "#" * 100 + "\n")
+
+    print(TITLE + "\n" + "=" * len(TITLE))
+    for row in EXPERIMENTS:
+        text, held = row.result()
+        print(f"{row.id:18s}{row.claim}\n{'':18s}{text}")
+        failures += not held
     return 1 if failures else 0
 
 

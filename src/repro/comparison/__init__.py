@@ -17,6 +17,8 @@ comparison reproducible against the live implementations:
 - :mod:`repro.comparison.figures` -- trace a full subscribe/notify/manage
   lifecycle on the wire and render the entity/interaction diagrams of
   Fig. 1 (WS-Eventing) and Fig. 2 (WS-BaseNotification).
+- :mod:`repro.comparison.experiments` -- experiments E6-E10, one row per
+  claim, measured in requests, bytes and Python calls.
 """
 
 from repro.comparison.tables import ComparisonTable, TableDiff
@@ -24,6 +26,7 @@ from repro.comparison.table1 import build_table1, PAPER_TABLE1
 from repro.comparison.table2 import build_table2, PAPER_TABLE2
 from repro.comparison.table3 import build_table3, PAPER_TABLE3
 from repro.comparison.figures import trace_wse_architecture, trace_wsn_architecture
+from repro.comparison.experiments import EXPERIMENTS, Experiment, python_calls
 
 #: the study as ``python -m repro`` prints it: each table's builder, the
 #: published table its diff is against, and its render widths
@@ -35,6 +38,9 @@ STUDY = [
 
 __all__ = [
     "STUDY",
+    "EXPERIMENTS",
+    "Experiment",
+    "python_calls",
     "ComparisonTable",
     "TableDiff",
     "build_table1",

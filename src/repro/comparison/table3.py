@@ -68,18 +68,22 @@ def _corba_event_delivery() -> bool:
     return len(received) == 1 and ok
 
 
-def _corba_notif_delivery() -> bool:
+def structured_push():
+    """A Notification Service channel with one structured push consumer:
+    ``(orb, channel, consumer's proxy, supplier, what the consumer got)``."""
     orb = Orb()
     channel = NotificationChannel(orb)
     received = []
-    push = channel.new_for_consumers().obtain_structured_push_supplier()
-    push.connect_structured_push_consumer(
-        orb.register(lambda op, args: received.append(args[0]))
-    )
+    proxy = channel.new_for_consumers().obtain_structured_push_supplier()
+    proxy.connect_structured_push_consumer(orb.register(lambda op, args: received.append(args[0])))
+    supplier = channel.new_for_suppliers().obtain_structured_push_consumer()
+    return orb, channel, proxy, supplier, received
+
+
+def _corba_notif_delivery() -> bool:
+    _, channel, _, supplier, received = structured_push()
     pull = channel.new_for_consumers().obtain_structured_pull_supplier()
-    channel.new_for_suppliers().obtain_structured_push_consumer().push_structured_event(
-        StructuredEvent(type_name="T")
-    )
+    supplier.push_structured_event(StructuredEvent(type_name="T"))
     _, ok = pull.try_pull_structured_event()
     return len(received) == 1 and ok
 
@@ -202,14 +206,7 @@ def _ogsi_timeout() -> bool:
 
 
 def _corba_suspend_resume() -> bool:
-    orb = Orb()
-    channel = NotificationChannel(orb)
-    received = []
-    proxy = channel.new_for_consumers().obtain_structured_push_supplier()
-    proxy.connect_structured_push_consumer(
-        orb.register(lambda op, args: received.append(args[0]))
-    )
-    supplier = channel.new_for_suppliers().obtain_structured_push_consumer()
+    _, _, proxy, supplier, received = structured_push()
     proxy.suspend_connection()
     supplier.push_structured_event(StructuredEvent(type_name="T"))
     if received:

@@ -1,10 +1,12 @@
 """The comparative study, pinned byte for byte.
 
 ``golden/study.txt`` is the stdout of ``python -m repro`` (Tables 1-3 with
-their diffs against the paper, Figs. 1-2 and the converged column) and
-``golden/table1_extended.txt`` is ``build_table1_extended().render()``, both
-recorded before the tables were restated as row lists.  A golden is a record
-of what the study printed; it is not re-recorded to make a cell pass.
+their diffs against the paper, Figs. 1-2, the converged column and the rows
+of experiments E6-E10) and ``golden/table1_extended.txt`` is
+``build_table1_extended().render()``.  Both were recorded before the tables
+were restated as row lists, except the experiment rows, which were first
+recorded when the rows replaced the pytest benches.  A golden is a record of
+what the study printed; it is not re-recorded to make a cell pass.
 """
 
 from __future__ import annotations

@@ -6,13 +6,14 @@ host predicate every ``match_sparse`` subscription carries costs a handful of
 Python calls.  The subscription index evaluates each distinct expression once
 and assembles its answer from the buckets that admit, so the number of Python
 calls it makes does not depend on how many subscriptions share the
-expressions.  Calls are counted with ``sys.setprofile`` (``call`` events:
-Python frames, including comprehensions on interpreters that give them one).
+expressions.  Calls are counted by :func:`repro.comparison.python_calls`
+(``call`` events under ``sys.setprofile``, with the collector off: Python
+frames, including comprehensions on interpreters that give them one).
 """
 
 import random
-import sys
 
+from repro.comparison import python_calls
 from repro.filters.compilecache import compiled_xpath
 from repro.filters.topics import TopicDialect, TopicSubscriptionIndex, compiled_topic_expression
 from repro.xmlkit import XPath, parse_xml
@@ -20,22 +21,6 @@ from repro.xmlkit.xpath import engine
 
 NS = {"ev": "urn:grid:events"}
 HOSTS = 100
-
-
-def _python_calls(fn, *args):
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        result = fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls, result
 
 
 def _reading(host: int):
@@ -51,7 +36,7 @@ class TestOneEvaluation:
         payload = _reading(42)
         xpath = XPath("/ev:Reading[ev:host='h042']", NS)
         XPath("/ev:Reading", NS).matches(payload)  # the document's tree exists
-        calls, verdict = _python_calls(xpath.matches, payload)
+        calls, verdict = python_calls(xpath.matches, payload)
         assert verdict is True
         # the AST interpreter made 43 Python and 56 C calls here
         assert calls <= 20
@@ -59,8 +44,8 @@ class TestOneEvaluation:
     def test_a_miss_costs_no_more_than_a_hit(self):
         payload = _reading(42)
         XPath("/ev:Reading", NS).matches(payload)
-        hit, _ = _python_calls(XPath("/ev:Reading[ev:host='h042']", NS).matches, payload)
-        miss, verdict = _python_calls(XPath("/ev:Reading[ev:host='h041']", NS).matches, payload)
+        hit, _ = python_calls(XPath("/ev:Reading[ev:host='h042']", NS).matches, payload)
+        miss, verdict = python_calls(XPath("/ev:Reading[ev:host='h041']", NS).matches, payload)
         assert verdict is False and miss <= hit
 
 
@@ -94,7 +79,7 @@ class TestOneCandidatesCall:
             index = _population(copies)
             assert len(index) == 4000 * copies and len(index._content) == HOSTS
             payload = _reading(42)
-            count, found = _python_calls(index.candidates, "grid/s07/load", payload)
+            count, found = python_calls(index.candidates, "grid/s07/load", payload)
             assert index.content_evals == HOSTS
             # the 20 topic-free subscriptions of host 42 and those of its 20
             # topic subscriptions whose expression admits grid/s07/load
