@@ -16,7 +16,7 @@ fails.  Subcommands:
   flaps, stale batch timers, conservation drift (see
   :mod:`repro.obs.health`);
 - ``obs-top`` — same scenario, rendered as a ``top``-style snapshot:
-  flight-recorder tail, non-zero backlogs;
+  non-zero backlogs, the lineage ledger's latest events;
 - ``conformance --seed N --cases M`` — deterministic wire-fidelity fuzzing
   of the codec, framing, lifecycle, mediation, and mesh layers
   (see :mod:`repro.conformance`); exit 1 on any failure;

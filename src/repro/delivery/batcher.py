@@ -103,12 +103,6 @@ class DeliveryBatcher:
             self.stats.largest_batch = n
         if self._instr is not None:
             self._instr.count("delivery.batched_total", n, family=self._family)
-            flight = self._instr.flight
-            if flight.enabled:
-                flight.record(
-                    "batch_flush", family=self._family, size=n,
-                    still_pending=len(self._pending),
-                )
         self._flush_group(key, entries)
 
     def flush_publish(self) -> None:

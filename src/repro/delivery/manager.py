@@ -315,7 +315,7 @@ class DeliveryManager:
 
     def _breaker_step(self, instr, sink: str, breaker: CircuitBreaker, step: Callable):
         """Run one breaker operation; record the state transition it caused,
-        if any (metric + flight record)."""
+        if any, as a counter."""
         before = breaker.state
         result = step()
         after = breaker.state
@@ -324,9 +324,6 @@ class DeliveryManager:
             self.breakers_open += (after is not closed) - (before is not closed)
             if instr.enabled:
                 instr.count("delivery.breaker_transitions", sink=sink, state=after.value)
-                flight = instr.flight
-                if flight.enabled:
-                    flight.record("breaker", sink=sink, previous=before.value, state=after.value)
         return result
 
     def _notify_backlog(self) -> None:
@@ -346,8 +343,8 @@ class DeliveryManager:
 
         The one place an obligation closes: the :data:`CLOSING` row says
         what each book records, and every book is written here, in one
-        order — task status, stats, counter, flight record, then per item
-        the ledger (``detail`` is extra event detail) and the store."""
+        order — task status, stats, counter, then per item the ledger
+        (``detail`` is extra event detail) and the store."""
         row = CLOSING[outcome]
         amount = len(items) if row.per_item else 1
         task.status = row.status
@@ -360,12 +357,6 @@ class DeliveryManager:
         else:
             why = {}
             self._bound.inc(instr, amount, row.counter, "family", task.family)
-        flight = instr.flight
-        if flight.enabled:
-            flight.record(
-                "delivery", sink=task.sink, family=task.family, outcome=outcome,
-                attempt=task.attempts, items=len(items), **why,
-            )
         detail.update(why)
         self._settle(row.ledger, row.store, task.sink, task.family, items, reason, detail)
 
@@ -493,13 +484,6 @@ class DeliveryManager:
                     stage="attempt",
                     kind=type(exc).__name__,
                 )
-                flight = instr.flight
-                if flight.enabled:
-                    flight.record(
-                        "delivery", sink=sink, family=task.family,
-                        outcome="failed_attempt", attempt=task.attempts,
-                        error=type(exc).__name__,
-                    )
                 if parkable and isinstance(exc, FirewallBlocked):
                     queue.popleft()
                     self._park(task)

@@ -328,23 +328,14 @@ class MeshCluster:
     def _record_rebalance(
         self, change: str, name: str, moved: dict[str, tuple[str, str]]
     ) -> None:
-        """Membership changes are rare and load-bearing: count the moved
-        keys and drop a flight record so ``obs-top`` shows the rebalance."""
+        """Membership changes are rare and load-bearing: count the change
+        and the keys it moved."""
         instr = self.network.instrumentation
         if not instr.enabled:
             return
         instr.count("mesh.rebalances", change=change, node=name)
         if moved:
             instr.count("mesh.moved_keys", len(moved), change=change)
-        flight = instr.flight
-        if flight.enabled:
-            flight.record(
-                "rebalance",
-                change=change,
-                node=name,
-                moved_keys=len(moved),
-                members=len(self.nodes),
-            )
 
     def _retract_from(self, departing: MeshNode, record: MeshSubscription) -> None:
         # unsubscribing at the departing node keeps its ledger clean (no

@@ -132,12 +132,6 @@ class MeshNode:
             return False
         owner = self.owner_of_topic(topic)
         instr = self.network.instrumentation
-        flight = instr.flight
-        if flight.enabled:
-            flight.record(
-                "route", node=self.name, topic=topic or "", owner=owner,
-                via="owned" if owner == self.name else "forwarded",
-            )
         if owner == self.name:
             instr.count("mesh.owned_publishes", node=self.name)
             if self.exchange.subscriptions.records:

@@ -331,15 +331,6 @@ class WsMessenger:
                 broker=self.address,
                 topic=topic or "",
             )
-            flight = instr.flight
-            if flight.enabled:
-                flight.record(
-                    "publish",
-                    broker=self.address,
-                    topic=topic or "",
-                    lineage=span.lineage,
-                    origin="local" if originating else "mediated",
-                )
             self._outbox_publish(payload, topic, instr)
 
     def _outbox_publish(self, payload: XElem, topic: Optional[str], instr) -> None:

@@ -27,8 +27,6 @@ On top of those, message lineage connects the story *across* hops:
 
 Continuous health telemetry rides alongside:
 
-- :mod:`repro.obs.flight` — a bounded ring-buffer flight recorder of
-  typed hot-path records (dormant by default, armed per run);
 - :mod:`repro.obs.probes` — :class:`GaugeProbes` backlog sweeps on the
   virtual scheduler;
 - :mod:`repro.obs.health` — the scripted degraded-traffic scenario and
@@ -42,7 +40,6 @@ uninstrumented runs pay near-zero cost.
 
 from repro.obs.capture import CapturedFrame, WireCapture
 from repro.obs.exporters import build_report, render_json_report, render_text_report
-from repro.obs.flight import FLIGHT_KINDS, NULL_FLIGHT, FlightRecord, FlightRecorder
 from repro.obs.instrument import (
     NULL_INSTRUMENTATION,
     Instrumentation,
@@ -58,9 +55,6 @@ from repro.obs.tracing import Span, Tracer
 __all__ = [
     "CapturedFrame",
     "Counter",
-    "FLIGHT_KINDS",
-    "FlightRecord",
-    "FlightRecorder",
     "Gauge",
     "GaugeProbes",
     "Histogram",
@@ -69,7 +63,6 @@ __all__ = [
     "LineageEvent",
     "LineageLedger",
     "MetricsRegistry",
-    "NULL_FLIGHT",
     "NULL_INSTRUMENTATION",
     "NullInstrumentation",
     "Span",

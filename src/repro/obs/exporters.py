@@ -114,8 +114,6 @@ def build_report(instrumentation: Instrumentation, *, title: str = "obs report")
         "lineage": lineage,
         "caches": caches_snapshot(),
     }
-    if "flight" in snapshot:
-        report["flight"] = snapshot["flight"]
     if latency:
         report["delivery_latency"] = latency
     return report
@@ -172,22 +170,6 @@ def render_text_report(
     if not (counters or gauges or report["metrics"]["histograms"]):
         lines.append("  (none)")
     lines.append("")
-
-    if "flight" in report:
-        flight = report["flight"]
-        lines.append("Flight recorder")
-        lines.append("---------------")
-        lines.append(
-            f"  {flight['recorded']} recorded, {flight['dropped']} dropped"
-            f" (ring capacity {flight['capacity']}); by kind: "
-            + (
-                ", ".join(f"{k}={v}" for k, v in flight["by_kind"].items())
-                or "none"
-            )
-        )
-        for record in instrumentation.flight.tail(12):
-            lines.append(f"  {record.render()}")
-        lines.append("")
 
     lines.append("Spans")
     lines.append("-----")

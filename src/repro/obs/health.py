@@ -4,8 +4,7 @@ Where ``obs-report`` explains one publish in depth and ``obs-audit``
 checks the books after the fact, this module watches a broker *while it
 runs*: a store-backed core broker plus a two-shard mesh execute a scripted
 minute of traffic with :class:`~repro.obs.probes.GaugeProbes` sampling
-every backlog on the virtual scheduler and the
-:class:`~repro.obs.flight.FlightRecorder` armed throughout.
+every backlog on the virtual scheduler.
 
 The scripted workload deliberately ends degraded, because a health report
 that has never seen an anomaly proves nothing:
@@ -83,15 +82,6 @@ def queue_growth_anomalies(probes: GaugeProbes) -> list[dict]:
     ]
 
 
-def _parse_labels(key: str) -> dict[str, str]:
-    brace = key.find("{")
-    if brace < 0:
-        return {}
-    return dict(
-        part.split("=", 1) for part in key[brace + 1 : -1].split(",") if "=" in part
-    )
-
-
 def breaker_flaps(
     instrumentation: Instrumentation, *, threshold: int = 3
 ) -> list[dict]:
@@ -101,16 +91,13 @@ def breaker_flaps(
     cycles closed → open → half-open repeatedly is a *flapping* one — the
     consumer is intermittently alive, which retry storms make worse.
     """
-    transitions = instrumentation.metrics.counter_values(
-        "delivery.breaker_transitions"
-    )
     per_sink: dict[str, dict[str, int]] = {}
-    for key, count in transitions.items():
-        labels = _parse_labels(key)
-        sink = labels.get("sink", "?")
-        state = labels.get("state", "?")
-        by_state = per_sink.setdefault(sink, {})
-        by_state[state] = by_state.get(state, 0) + count
+    for labels, counter in instrumentation.metrics.counter_series(
+        "delivery.breaker_transitions"
+    ):
+        by_state = per_sink.setdefault(labels["sink"], {})
+        state = labels["state"]
+        by_state[state] = by_state.get(state, 0) + counter.value
     flapping = []
     for sink in sorted(per_sink):
         total = sum(per_sink[sink].values())
@@ -196,7 +183,6 @@ def run_health_scenario() -> HealthRun:
     reset_cache_stats()
     network = SimulatedNetwork(VirtualClock())
     instrumentation = Instrumentation.attach(network)
-    instrumentation.enable_flight(capacity=128)
     network.add_zone(ZONE, blocks_inbound=True)
 
     # -- the two-shard mesh: cross-shard traffic, then a rebalance ----------
@@ -208,7 +194,7 @@ def run_health_scenario() -> HealthRun:
     cluster.publish(_event(101), topic=MESH_TOPIC)  # at the owner: local route
     cluster.publish(_event(102), topic=MESH_TOPIC, via=other)  # forwarded hop
     cluster.quiesce()
-    cluster.join()  # a live rebalance: flight "rebalance" + mesh.moved_keys
+    cluster.join()  # a live rebalance: mesh.rebalances + mesh.moved_keys
     cluster.publish(_event(103), topic=MESH_TOPIC)
     cluster.quiesce()
 
@@ -295,7 +281,6 @@ def build_health_report(run: HealthRun) -> dict:
     stale = stale_batch_timers(run.brokers)
     drift = conservation_drift(instrumentation, run.brokers)
     anomalies = len(growth) + len(flaps) + len(stale) + (1 if drift["drift"] else 0)
-    flight = instrumentation.flight
     return {
         "clock": round(instrumentation.clock.now(), 9),
         "samples": run.probes.samples,
@@ -306,11 +291,6 @@ def build_health_report(run: HealthRun) -> dict:
         "stale_batches": stale,
         "conservation": drift,
         "gauges": run.probes.last_values(),
-        "flight": {
-            "recorded": flight.snapshot()["recorded"],
-            "dropped": flight.snapshot().get("dropped", 0),
-            "by_kind": flight.by_kind() if flight.enabled else {},
-        },
     }
 
 
@@ -321,8 +301,6 @@ def render_health_text(run: HealthRun) -> str:
     lines.append(
         f"virtual clock {report['clock']:.4f}s | {report['samples']} gauge sweeps"
         f" over {report['gauge_series']} series"
-        f" | flight: {report['flight']['recorded']} records"
-        f" ({report['flight']['dropped']} dropped)"
         f" | anomalies: {report['anomalies']}"
     )
     lines.append("")
@@ -384,22 +362,25 @@ def render_health_text(run: HealthRun) -> str:
 
 
 def render_top_text(run: HealthRun) -> str:
-    """The ``obs-top`` snapshot: flight tail + live backlog at a glance."""
+    """The ``obs-top`` snapshot: live backlog + the ledger's latest events."""
     instrumentation = run.instrumentation
-    flight = instrumentation.flight
-    snapshot = flight.snapshot()
+    # every ledger event in time order; sorted() is stable, so events at
+    # one instant keep lineage first-seen order, then recording order
+    events = sorted(
+        (
+            (event, lineage_id)
+            for lineage_id, lineage in instrumentation.ledger.events.items()
+            for event in lineage
+        ),
+        key=lambda pair: pair[0].at,
+    )
     title = "repro.obs top — live snapshot"
     lines = [title, "=" * len(title), ""]
     lines.append(
         f"virtual clock {instrumentation.clock.now():.4f}s"
-        f" | flight ring {len(flight)}/{flight.capacity}"
-        f" ({snapshot['recorded']} recorded, {snapshot.get('dropped', 0)} dropped)"
+        f" | ledger: {len(events)} events over"
+        f" {len(instrumentation.ledger)} lineages"
     )
-    by_kind = snapshot.get("by_kind", {})
-    if by_kind:
-        lines.append(
-            "kinds: " + ", ".join(f"{k}={v}" for k, v in by_kind.items())
-        )
     lines.append("")
 
     lines.append("Backlogs (last sample)")
@@ -409,10 +390,13 @@ def render_top_text(run: HealthRun) -> str:
             lines.append(f"  {key:<60s} {value:g}")
     lines.append("")
 
-    lines.append("Flight tail")
+    lines.append("Ledger tail")
     lines.append("-----------")
-    for record in flight.tail(20):
-        lines.append(f"  {record.render()}")
+    for event, lineage_id in events[-20:]:
+        detail = " ".join(f"{k}={event.detail[k]}" for k in sorted(event.detail))
+        lines.append(
+            f"  [{event.at:9.4f}s] {lineage_id} {event.state:<13s} {detail}".rstrip()
+        )
     return "\n".join(lines)
 
 

@@ -16,15 +16,12 @@ its hot surface is deliberately cheap (``benchmarks/e2e``: ``ladder.obs_us``):
   handle cache — and pay one call plus an attribute increment per event;
   the null handle hands out an inert shared counter, so binding code needs
   no ``enabled`` branches;
-* spans are their own context managers (no ``contextlib`` generator);
-* the flight recorder (:attr:`flight`) is dormant by default — one
-  attribute load and a falsy check.
+* spans are their own context managers (no ``contextlib`` generator).
 
 Usage::
 
     network = SimulatedNetwork(VirtualClock())
     instr = Instrumentation.attach(network)     # flips the network live
-    instr.enable_flight()                        # optional: ring recorder
     ... run a scenario ...
     print(render_text_report(instr))            # repro.obs.exporters
 """
@@ -34,7 +31,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs.capture import WireCapture
-from repro.obs.flight import NULL_FLIGHT, DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.lineage import LineageLedger
 from repro.obs.metrics import (
     NULL_COUNTER,
@@ -46,7 +42,6 @@ from repro.obs.metrics import (
 from repro.obs.tracing import Tracer
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.transport.network
-    from repro.obs.propagation import LineageContext
     from repro.transport.network import SimulatedNetwork
 
 
@@ -135,8 +130,6 @@ class NullInstrumentation:
     """The default: the same surface as :class:`Instrumentation`, inert."""
 
     enabled = False
-    #: dormant flight recorder (``enabled`` False, records nothing)
-    flight = NULL_FLIGHT
 
     def span(self, name: str, *, remote=None, mint: bool = False, **attrs: str) -> _NullSpan:
         return _NULL_SPAN
@@ -187,14 +180,14 @@ class Instrumentation:
         self.tracer = Tracer(clock)
         self.capture = WireCapture(max_frames=max_frames)
         self.ledger = LineageLedger(clock)
-        # instance-attribute fast path: span() and trace_context() are pure
-        # delegations, so bind the tracer methods directly and skip a frame
-        # on the two hottest obs entry points
+        # the two hottest obs entry points are the tracer's own methods,
+        # bound here so a call skips a delegating frame
         self.span = self.tracer.span
+        # the current span's lineage context (sender hop), or ``None``
+        # exactly when no lineage-bearing span is active — which is also
+        # when wire injection must not happen
         self.trace_context = self.tracer.continuation
         self._ledger_record = self.ledger.record
-        #: flight recorder: dormant until :meth:`enable_flight`
-        self.flight = NULL_FLIGHT
         # hot-path aliases: count()/gauge() write through these directly
         self._counters = self.metrics._counters
         self._gauges = self.metrics._gauges
@@ -219,25 +212,7 @@ class Instrumentation:
         if self.capture.record in network.wire_observers:
             network.wire_observers.remove(self.capture.record)
 
-    # --- continuous-telemetry attachments -----------------------------------
-
-    def enable_flight(self, capacity: int = DEFAULT_CAPACITY) -> FlightRecorder:
-        """Arm the flight recorder (idempotent for a matching capacity)."""
-        if not (self.flight.enabled and self.flight.capacity == capacity):
-            self.flight = FlightRecorder(self.clock, capacity)
-        return self.flight
-
     # --- the hot-path surface ---------------------------------------------
-
-    def span(
-        self,
-        name: str,
-        *,
-        remote: Optional["LineageContext"] = None,
-        mint: bool = False,
-        **attrs: str,
-    ):
-        return self.tracer.span(name, remote=remote, mint=mint, **attrs)
 
     def count(self, name: str, value: int = 1, **labels: str) -> None:
         # inlined registry access: one tuple, one dict probe, no strings
@@ -273,15 +248,6 @@ class Instrumentation:
         self.capture.record(observation)
 
     # --- lineage -----------------------------------------------------------
-
-    def trace_context(self) -> Optional["LineageContext"]:
-        """The current span's lineage context (sender hop), or ``None``.
-
-        ``None`` exactly when no lineage-bearing span is active — which is
-        also when wire injection must not happen, so call sites can gate on
-        the return value alone.
-        """
-        return self.tracer.continuation()
 
     def lineage_event(self, lineage_id: Optional[str], state: str, **detail) -> None:
         """Record one ledger transition; a ``None`` lineage id is ignored
@@ -325,16 +291,13 @@ class Instrumentation:
 
     def snapshot(self) -> dict:
         """Deterministic state of all layers (see also exporters)."""
-        snap = {
+        return {
             "clock": round(self.clock.now(), 9),
             "metrics": self.metrics.snapshot(),
             "spans": [span.to_dict() for span in self.tracer.spans],
             "wire": self.capture.snapshot(),
             "lineage": self.ledger.snapshot(),
         }
-        if self.flight.enabled:
-            snap["flight"] = self.flight.snapshot()
-        return snap
 
     def reset(self) -> None:
         """Zero everything between benchmark phases."""
@@ -342,4 +305,3 @@ class Instrumentation:
         self.tracer.reset()
         self.capture.reset()
         self.ledger.reset()
-        self.flight.reset()

@@ -215,6 +215,12 @@ class MetricsRegistry:
         }
         return {k: values[k] for k in sorted(values)}
 
+    def counter_series(self, name: str) -> Iterator[tuple[dict[str, str], Counter]]:
+        """Every ``(labels, counter)`` recorded under ``name``, in
+        deterministic label order."""
+        for key in sorted(k for k in self._counters if k[0] == name):
+            yield dict(key[1]), self._counters[key]
+
     def histogram_series(
         self, name: str
     ) -> Iterator[tuple[dict[str, str], Histogram]]:

@@ -194,9 +194,6 @@ class GaugeProbes:
         self.samples += 1
         instr.count("obs.samples_total")
         instr.gauge("obs.last_sample_at", now)
-        flight = instr.flight
-        if flight.enabled:
-            flight.record("sample", sweep=self.samples, series=len(swept))
         return swept
 
     def schedule(self, scheduler, *, interval: float, count: int) -> None:

@@ -258,13 +258,6 @@ class Renderer:
         if instr.enabled:
             name = "fanout.template_hits" if outcome == "hit" else "fanout.template_misses"
             self._bound.inc(instr, 1, name, "family", self.family)
-            # flight ``serialize`` records describe batch envelopes (size,
-            # outcome); a push has its ``delivery`` record
-            if entry.batch and instr.flight.enabled:
-                instr.flight.record(
-                    "serialize", family=self.family, sink=consumer.address,
-                    outcome=outcome, batch=len(items),
-                )
         if compiled is None:
             TEMPLATE_STATS.fallbacks += 1
             headers, body = entry.build(items)

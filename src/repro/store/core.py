@@ -182,9 +182,6 @@ class BrokerStore:
             if instr.enabled:
                 kind = type(record).__name__
                 self._bound.inc(instr, 1, "store.log_appends", "kind", kind)
-                flight = instr.flight
-                if flight.enabled:
-                    flight.record("log_append", entry=kind, length=len(self.log))
 
     def _commit(self) -> None:
         if self.log.commit():

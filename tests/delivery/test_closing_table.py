@@ -1,7 +1,7 @@
 """The closing table: one way an obligation leaves the delivery pipeline.
 
 Every cell is one ``CLOSING`` row driven through a ``DeliveryManager`` with
-the optional books (store, obs, flight recorder) switched on or off: exactly
+the optional books (store, obs) switched on or off: exactly
 the books the row names move, each by the amount the row says, and the
 conservation audit passes whenever there is a ledger to audit.
 """
@@ -37,11 +37,9 @@ RECORDS = {
     "task_dead": ("dead", "max_attempts"),
 }
 CELLS = [
-    pytest.param(store, obs, flight, id=f"store={store:d}-obs={obs:d}-flight={flight:d}")
+    pytest.param(store, obs, id=f"store={store:d}-obs={obs:d}")
     for store in (False, True)
     for obs in (False, True)
-    for flight in (False, True)
-    if obs or not flight  # the flight recorder hangs off a live handle
 ]
 
 
@@ -65,14 +63,12 @@ class Rig:
     """A manager with the optional books of one cell attached."""
 
     def __init__(
-        self, store, obs, flight, *,
+        self, store, obs, *,
         policy=DeliveryPolicy(max_attempts=1), box_capacity=10_000, max_sink_queue=None,
     ):
         self.network = SimulatedNetwork(VirtualClock())
         self.network.add_zone(ZONE, blocks_inbound=True)
         self.instr = Instrumentation.attach(self.network) if obs else None
-        if flight:
-            self.instr.enable_flight(64)
         self.boxes = MessageBoxRegistry(self.network, "http://ct/msgbox", capacity=box_capacity)
         self.manager = DeliveryManager(
             self.network,
@@ -125,9 +121,6 @@ class Rig:
                 for e in events:
                     if e.state in states:
                         books["ledger", e.state, e.detail.get("via", "push")] += 1
-            for record in self.instr.flight.records() if self.instr.flight.enabled else ():
-                if record.kind == "delivery" and record.fields["outcome"] in CLOSING:
-                    books["flight", record.fields["outcome"]] += record.fields["items"]
         if self.store is not None:
             for record in self.store.log.records():
                 if isinstance(record, OutcomeRecorded):
@@ -148,8 +141,6 @@ class Rig:
             if self.instr is not None:
                 moves["counter", row.counter] = n_items if row.per_item else 1
                 moves["ledger", row.ledger, "push"] = n_items
-                if self.instr.flight.enabled:
-                    moves["flight", name] = n_items
             if self.store is not None:
                 moves[("record", *RECORDS[row.store])] = n_items
         return moves
@@ -161,18 +152,18 @@ class Rig:
         return result.passed and result.pending == result.parked_outstanding
 
 
-@pytest.mark.parametrize("store, obs, flight", CELLS)
+@pytest.mark.parametrize("store, obs", CELLS)
 class TestEveryRowInEveryCell:
-    def test_delivered(self, store, obs, flight):
-        rig = Rig(store, obs, flight)
+    def test_delivered(self, store, obs):
+        rig = Rig(store, obs)
         before = rig.books()
         task = rig.submit(deliver)
         assert task.status == CLOSING["delivered"].status == TaskStatus.DELIVERED
         assert rig.moved(before) == rig.expected({"delivered": 2})
         assert rig.audit_passes()
 
-    def test_parked_then_drained_by_pull(self, store, obs, flight):
-        rig = Rig(store, obs, flight)
+    def test_parked_then_drained_by_pull(self, store, obs):
+        rig = Rig(store, obs)
         before = rig.books()
         task = rig.submit(refuse)
         assert task.status == CLOSING["parked"].status == TaskStatus.PARKED
@@ -193,9 +184,9 @@ class TestEveryRowInEveryCell:
         if obs:
             assert audit(rig.instr).pending == 0
 
-    def test_shed(self, store, obs, flight):
+    def test_shed(self, store, obs):
         rig = Rig(
-            store, obs, flight, max_sink_queue=1,
+            store, obs, max_sink_queue=1,
             policy=DeliveryPolicy(max_attempts=2, base_backoff=1.0, jitter=0.0),
         )
         head = rig.submit(lose)  # holds the sink's one queue slot
@@ -210,8 +201,8 @@ class TestEveryRowInEveryCell:
         rig.manager.run_until_idle()
         assert rig.audit_passes()
 
-    def test_dead_lettered(self, store, obs, flight):
-        rig = Rig(store, obs, flight)
+    def test_dead_lettered(self, store, obs):
+        rig = Rig(store, obs)
         before = rig.books()
         task = rig.submit(lose)
         assert task.status == CLOSING["dead_lettered"].status == TaskStatus.DEAD
@@ -219,8 +210,8 @@ class TestEveryRowInEveryCell:
         assert rig.moved(before) == rig.expected({"dead_lettered": 2})
         assert rig.audit_passes()
 
-    def test_box_overflow_is_parked_plus_shed_in_one_task(self, store, obs, flight):
-        rig = Rig(store, obs, flight, box_capacity=1)
+    def test_box_overflow_is_parked_plus_shed_in_one_task(self, store, obs):
+        rig = Rig(store, obs, box_capacity=1)
         before = rig.books()
         task = rig.submit(refuse, n_items=3)
         assert task.status == TaskStatus.PARKED  # what it parked is still owed

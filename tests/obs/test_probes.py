@@ -58,16 +58,6 @@ class TestSampling:
             probes.sample()
         assert len(probes.series("delivery.pending")) == 4
 
-    def test_armed_flight_records_each_sweep(self):
-        _, instrumentation = attached()
-        instrumentation.enable_flight(capacity=8)
-        probes = GaugeProbes(instrumentation)
-        probes.add_source("delivery.pending", lambda: 0.0)
-        probes.sample()
-        (record,) = instrumentation.flight.tail(1)
-        assert record.kind == "sample"
-        assert record.fields == {"sweep": 1, "series": 1}
-
 
 class TestGrowthAnomalies:
     def test_strictly_monotonic_series_flagged(self):
