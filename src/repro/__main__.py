@@ -18,8 +18,7 @@ fails.  Subcommands:
 - ``obs-top`` — same scenario, rendered as a ``top``-style snapshot:
   non-zero backlogs, the lineage ledger's latest events;
 - ``conformance --seed N --cases M`` — deterministic wire-fidelity fuzzing
-  of the codec, framing, lifecycle, mediation, and mesh layers
-  (see :mod:`repro.conformance`); exit 1 on any failure;
+  by the seven engines of :mod:`repro.conformance`; exit 1 on any failure;
 - ``mesh-demo`` — assemble a sharded, federated broker mesh, drive
   cross-shard traffic through a join/leave rebalance, and audit mesh-wide
   message conservation (see :mod:`repro.mesh`); exit 1 if any book fails;

@@ -30,82 +30,48 @@ import os
 import tempfile
 from typing import Optional
 
-from repro.conformance.gen import (
-    gen_tree_spec,
-    pick,
-    spec_to_elem,
-    strict_diff,
-    valid_tree_spec,
-)
+from repro.conformance.differential import TOPICS, VERSIONS, front_door, gen_stream
+from repro.conformance.differential import received, same_deliveries, valid_index
+from repro.conformance.differential import valid_stream, valid_topic
+from repro.conformance.gen import pick, spec_to_elem
+from repro.delivery import DeliveryPolicy, drain_message_box_wse
+from repro.messenger import WsMessenger
+from repro.qos import AdaptiveQosPolicy
+from repro.store import BrokerStore, FileEventLog, MemoryEventLog, recover_broker
+from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
+from repro.transport.network import PUBLIC_ZONE
 from repro.util.rng import SeededRng
 
-_TOPIC_POOL = ("alpha", "beta", "gamma", "delta")
+_WARD = "conf-dur-ward"
 
 
 class DurabilityEngine:
     name = "durability"
 
     def generate(self, rng: SeededRng) -> dict:
-        stream = []
-        for _ in range(1 + rng.randrange(5)):
-            topic = None if rng.randrange(6) == 0 else pick(rng, _TOPIC_POOL)
-            stream.append(
-                {"topic": topic, "payload": gen_tree_spec(rng, max_depth=2)}
-            )
+        stream = gen_stream(rng, most=5, topicless=True)
         return {
             "stream": stream,
-            "watch_topic": pick(rng, _TOPIC_POOL),
+            "watch_topic": pick(rng, TOPICS),
             "crash_at": rng.randrange(len(stream) + 1),
         }
 
     def _valid(self, case: object) -> bool:
-        if not isinstance(case, dict):
-            return False
-        stream = case.get("stream")
-        if not isinstance(stream, list) or not stream:
-            return False
-        for item in stream:
-            if not isinstance(item, dict):
-                return False
-            topic = item.get("topic")
-            if topic is not None and not (isinstance(topic, str) and topic.isalnum()):
-                return False
-            if not valid_tree_spec(item.get("payload")):
-                return False
-        watch = case.get("watch_topic")
-        if not isinstance(watch, str) or not watch.isalnum():
-            return False
-        crash_at = case.get("crash_at")
-        if not isinstance(crash_at, int) or not 0 <= crash_at <= len(stream):
-            return False
-        sink_queue = case.get("sink_queue", 1)
-        if not isinstance(sink_queue, int) or sink_queue < 1:
-            return False
-        if not isinstance(case.get("ward", False), bool):
-            return False
-        return isinstance(case.get("torn_tail", ""), str)
+        return (
+            valid_stream(case, topicless=True)
+            and valid_topic(case.get("watch_topic"))
+            and valid_index(case.get("crash_at"), len(case["stream"]) + 1)
+            and isinstance(queue := case.get("sink_queue", 1), int)
+            and queue >= 1
+            and isinstance(case.get("ward", False), bool)
+            and isinstance(case.get("torn_tail", ""), str)
+        )
 
     def check(self, case: object) -> Optional[str]:
         if not self._valid(case):
             return None
-        from repro.delivery import DeliveryPolicy, drain_message_box_wse
-        from repro.messenger import WsMessenger
-        from repro.qos import AdaptiveQosPolicy
-        from repro.store import BrokerStore, FileEventLog, MemoryEventLog
-        from repro.store import recover_broker
-        from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
-        from repro.wse import EventSink, WseSubscriber
-        from repro.wse.versions import WseVersion
-        from repro.wsn import NotificationConsumer, WsnSubscriber
-        from repro.wsn.versions import WsnVersion
-
-        stream = case["stream"]
-        watch = case["watch_topic"]
-        crash_at = case["crash_at"]
-        originals = [spec_to_elem(item["payload"]) for item in stream]
-        versions = dict(
-            wse_versions=[WseVersion.V2004_08], wsn_versions=[WsnVersion.V1_3]
-        )
+        stream, crash_at = case["stream"], case["crash_at"]
+        sent = [(spec_to_elem(item["payload"]), item["topic"]) for item in stream]
         # a store implies a delivery pipeline, so the baseline gets the same
         # policy — the differential must isolate the crash, not the pipeline
         dark = "sink_queue" in case
@@ -116,57 +82,40 @@ class DurabilityEngine:
             }
         else:
             pipeline = {"delivery": DeliveryPolicy()}
-
         # both networks have the firewalled zone; only a warded sink sits in it
-        ward = {"zone": "conf-dur-ward"} if case.get("ward") else {}
+        zone = _WARD if case.get("ward") else PUBLIC_ZONE
 
         def outage(address: str, request: bytes) -> None:
             if address.endswith(("-sink", "-consumer")):
                 raise MessageLost(address)
 
+        def publish(broker: WsMessenger, part: list) -> None:
+            for payload, topic in part:
+                broker.publish(payload.copy(), topic=topic)
+            broker.run_deliveries_until_idle()
+
+        def until_crash(address: str, **store):
+            """A broker with the receiver pair at its front door, run through
+            the publishes before the crash point (consumers dark if ``dark``)."""
+            network = SimulatedNetwork(VirtualClock())
+            network.add_zone(_WARD, blocks_inbound=True)
+            broker = WsMessenger(network, address, **store, **pipeline, **VERSIONS)
+            pair = front_door(network, broker, address, topic=case["watch_topic"], zone=zone)
+            if dark:
+                network.observers.append(outage)
+            publish(broker, sent[:crash_at])
+            network.observers.clear()
+            return network, broker, pair
+
         # --- the uninterrupted baseline --------------------------------------
-        base_net = SimulatedNetwork(VirtualClock())
-        base_net.add_zone("conf-dur-ward", blocks_inbound=True)
-        baseline = WsMessenger(base_net, "http://conf-dur-base", **pipeline, **versions)
-        base_sink = EventSink(base_net, "http://conf-dur-base-sink", **ward)
-        WseSubscriber(base_net, **ward).subscribe(baseline.epr(), notify_to=base_sink.epr())
-        base_consumer = NotificationConsumer(base_net, "http://conf-dur-base-consumer")
-        WsnSubscriber(base_net).subscribe(
-            baseline.epr(), base_consumer.epr(), topic=watch
-        )
-        if dark:
-            base_net.observers.append(outage)
-        for item, payload in zip(stream[:crash_at], originals[:crash_at]):
-            baseline.publish(payload.copy(), topic=item["topic"])
-        baseline.run_deliveries_until_idle()
-        base_net.observers.clear()
-        for item, payload in zip(stream[crash_at:], originals[crash_at:]):
-            baseline.publish(payload.copy(), topic=item["topic"])
-        baseline.run_deliveries_until_idle()
+        _, baseline, base_pair = until_crash("http://conf-dur-base")
+        publish(baseline, sent[crash_at:])
 
         # --- the crash-recovered broker --------------------------------------
-        dur_net = SimulatedNetwork(VirtualClock())
-        dur_net.add_zone("conf-dur-ward", blocks_inbound=True)
-        broker = WsMessenger(
-            dur_net,
-            "http://conf-dur",
-            store=BrokerStore(MemoryEventLog()),
-            **pipeline,
-            **versions,
-        )
-        dur_sink = EventSink(dur_net, "http://conf-dur-sink", **ward)
-        WseSubscriber(dur_net, **ward).subscribe(broker.epr(), notify_to=dur_sink.epr())
-        dur_consumer = NotificationConsumer(dur_net, "http://conf-dur-consumer")
-        WsnSubscriber(dur_net).subscribe(broker.epr(), dur_consumer.epr(), topic=watch)
-        if dark:
-            dur_net.observers.append(outage)
-        for item, payload in zip(stream[:crash_at], originals[:crash_at]):
-            broker.publish(payload.copy(), topic=item["topic"])
-        broker.run_deliveries_until_idle()
-        dur_net.observers.clear()
-        if ward:
+        network, broker, pair = until_crash("http://conf-dur", store=BrokerStore(MemoryEventLog()))
+        if zone != PUBLIC_ZONE:
             for box in broker.message_boxes.boxes():
-                drain_message_box_wse(dur_net, box.epr(), **ward)
+                drain_message_box_wse(network, box.epr(), zone=zone)
         live = broker.store.projection(broker)
         broker.close()
         log = MemoryEventLog()
@@ -177,7 +126,7 @@ class DurabilityEngine:
             with on_disk.path.open("a", encoding="utf-8") as handle:
                 handle.write(case.get("torn_tail", ""))
             log.extend(FileEventLog(on_disk.path).segment())
-        broker = recover_broker(dur_net, "http://conf-dur", log, **pipeline)
+        broker = recover_broker(network, "http://conf-dur", log, **pipeline)
         broker.run_deliveries_until_idle()
         rebuilt = broker.store.projection(broker)
         if rebuilt != live:
@@ -185,39 +134,9 @@ class DurabilityEngine:
                 "projection fixpoint violated: live state before the crash"
                 f" {live!r}, rebuilt from the log {rebuilt!r}"
             )
-        for item, payload in zip(stream[crash_at:], originals[crash_at:]):
-            broker.publish(payload.copy(), topic=item["topic"])
-        broker.run_deliveries_until_idle()
-
-        # --- the differential ------------------------------------------------
-        if len(dur_sink.received) != len(base_sink.received):
-            return (
-                f"WSE path: recovered broker delivered {len(dur_sink.received)},"
-                f" baseline {len(base_sink.received)}"
-                f" (crash after {crash_at} of {len(stream)} publishes)"
-            )
-        if len(dur_consumer.received) != len(base_consumer.received):
-            return (
-                f"WSN path: recovered broker delivered"
-                f" {len(dur_consumer.received)},"
-                f" baseline {len(base_consumer.received)}"
-                f" (crash after {crash_at} of {len(stream)} publishes)"
-            )
-        for index, (base_item, dur_item) in enumerate(
-            zip(base_sink.received, dur_sink.received)
-        ):
-            diff = strict_diff(base_item.payload, dur_item.payload)
-            if diff is not None:
-                return f"WSE delivery {index}: payload differs at {diff}"
-        for index, (base_item, dur_item) in enumerate(
-            zip(base_consumer.received, dur_consumer.received)
-        ):
-            diff = strict_diff(base_item.payload, dur_item.payload)
-            if diff is not None:
-                return f"WSN delivery {index}: payload differs at {diff}"
-            if base_item.topic != dur_item.topic:
-                return (
-                    f"WSN delivery {index}: topic {base_item.topic!r} arrived"
-                    f" as {dur_item.topic!r} after recovery"
-                )
-        return None
+        publish(broker, sent[crash_at:])
+        return same_deliveries(
+            received(*base_pair),
+            received(*pair),
+            f"after a crash at publish {crash_at} of {len(stream)}",
+        )

@@ -2,29 +2,30 @@
 
 The mesh's contract is the mediation claim one level up: sharding, publish
 forwarding and federation links are topology, not semantics.  Each case is
-a short publish stream with randomized *entry nodes* (which shard each
-publish enters at) and randomized *consumer homes* (which shard each
+a short publish stream with randomized *entry nodes* (``via``, which shard
+each publish enters at) and randomized *consumer homes* (which shard each
 subscription registers at).  The same stream is fed to a 1-broker baseline
 and to a 3-shard :class:`~repro.mesh.MeshCluster`; every consumer must see
-the same notifications, in the same order, with payloads strictly
-identical byte-for-byte (``strict_diff``) and topics preserved — whatever
-path the mesh routed them over.
+the same notifications, in the same order, with payloads strictly identical
+and topics preserved (:func:`~repro.conformance.differential.same_deliveries`)
+— whatever path the mesh routed them over.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.conformance.gen import (
-    gen_tree_spec,
-    pick,
-    spec_to_elem,
-    strict_diff,
-    valid_tree_spec,
-)
+from repro.conformance.differential import TOPICS, VERSIONS, front_door, gen_stream
+from repro.conformance.differential import received, same_deliveries, valid_index
+from repro.conformance.differential import valid_stream, valid_topic
+from repro.conformance.gen import pick, spec_to_elem
+from repro.mesh import MeshCluster
+from repro.messenger import WsMessenger
+from repro.transport import SimulatedNetwork, VirtualClock
 from repro.util.rng import SeededRng
+from repro.wse import EventSink
+from repro.wsn import NotificationConsumer
 
-_TOPIC_POOL = ("alpha", "beta", "gamma", "delta")
 _SHARDS = 3
 
 
@@ -32,123 +33,41 @@ class MeshEngine:
     name = "mesh"
 
     def generate(self, rng: SeededRng) -> dict:
-        stream = []
-        for _ in range(1 + rng.randrange(5)):
-            # one in six publishes is topicless (legal in WSE and WSN 1.3;
-            # routes by the reserved topicless key)
-            topic = None if rng.randrange(6) == 0 else pick(rng, _TOPIC_POOL)
-            stream.append(
-                {
-                    "topic": topic,
-                    "payload": gen_tree_spec(rng, max_depth=2),
-                    "via": rng.randrange(_SHARDS),
-                }
-            )
         return {
-            "stream": stream,
-            "watch_topic": pick(rng, _TOPIC_POOL),
+            "stream": gen_stream(rng, most=5, topicless=True, shards=_SHARDS),
+            "watch_topic": pick(rng, TOPICS),
             "wsn_home": rng.randrange(_SHARDS),
             "wse_home": rng.randrange(_SHARDS),
         }
 
     def _valid(self, case: object) -> bool:
-        if not isinstance(case, dict):
-            return False
-        stream = case.get("stream")
-        if not isinstance(stream, list) or not stream:
-            return False
-        for item in stream:
-            if not isinstance(item, dict):
-                return False
-            topic = item.get("topic")
-            if topic is not None and not (isinstance(topic, str) and topic.isalnum()):
-                return False
-            if not valid_tree_spec(item.get("payload")):
-                return False
-            via = item.get("via")
-            if not isinstance(via, int) or not 0 <= via < _SHARDS:
-                return False
-        watch = case.get("watch_topic")
-        if not isinstance(watch, str) or not watch.isalnum():
-            return False
-        for key in ("wsn_home", "wse_home"):
-            home = case.get(key)
-            if not isinstance(home, int) or not 0 <= home < _SHARDS:
-                return False
-        return True
+        return (
+            valid_stream(case, topicless=True, shards=_SHARDS)
+            and valid_topic(case.get("watch_topic"))
+            and valid_index(case.get("wsn_home"), _SHARDS)
+            and valid_index(case.get("wse_home"), _SHARDS)
+        )
 
     def check(self, case: object) -> Optional[str]:
         if not self._valid(case):
             return None
-        from repro.mesh import MeshCluster
-        from repro.messenger import WsMessenger
-        from repro.transport import SimulatedNetwork, VirtualClock
-        from repro.wse import EventSink, WseSubscriber
-        from repro.wse.versions import WseVersion
-        from repro.wsn import NotificationConsumer, WsnSubscriber
-        from repro.wsn.versions import WsnVersion
-
         stream = case["stream"]
         watch = case["watch_topic"]
         originals = [spec_to_elem(item["payload"]) for item in stream]
 
-        # --- the 1-broker baseline -------------------------------------------
         base_net = SimulatedNetwork(VirtualClock())
-        broker = WsMessenger(
-            base_net,
-            "http://conf-mesh-baseline",
-            wse_versions=[WseVersion.V2004_08],
-            wsn_versions=[WsnVersion.V1_3],
-        )
-        base_sink = EventSink(base_net, "http://conf-base-sink")
-        WseSubscriber(base_net).subscribe(broker.epr(), notify_to=base_sink.epr())
-        base_consumer = NotificationConsumer(base_net, "http://conf-base-consumer")
-        WsnSubscriber(base_net).subscribe(broker.epr(), base_consumer.epr(), topic=watch)
+        broker = WsMessenger(base_net, "http://conf-mesh-baseline", **VERSIONS)
+        baseline = front_door(base_net, broker, "http://conf-base", topic=watch)
         for item, payload in zip(stream, originals):
             broker.publish(payload.copy(), topic=item["topic"])
 
-        # --- the 3-shard mesh ------------------------------------------------
         mesh_net = SimulatedNetwork(VirtualClock())
-        mesh = MeshCluster(
-            mesh_net,
-            _SHARDS,
-            base_address="http://conf-mesh",
-            wse_versions=[WseVersion.V2004_08],
-            wsn_versions=[WsnVersion.V1_3],
-        )
-        mesh_sink = EventSink(mesh_net, "http://conf-mesh-sink")
-        mesh.subscribe_wse(mesh_sink.address, home=case["wse_home"])
-        mesh_consumer = NotificationConsumer(mesh_net, "http://conf-mesh-consumer")
-        mesh.subscribe_wsn(mesh_consumer.address, topic=watch, home=case["wsn_home"])
+        mesh = MeshCluster(mesh_net, _SHARDS, base_address="http://conf-mesh", **VERSIONS)
+        sink = EventSink(mesh_net, "http://conf-mesh-sink")
+        mesh.subscribe_wse(sink.address, home=case["wse_home"])
+        consumer = NotificationConsumer(mesh_net, "http://conf-mesh-consumer")
+        mesh.subscribe_wsn(consumer.address, topic=watch, home=case["wsn_home"])
         for item, payload in zip(stream, originals):
             mesh.publish(payload.copy(), topic=item["topic"], via=item["via"])
 
-        # --- the differential ------------------------------------------------
-        if len(mesh_sink.received) != len(base_sink.received):
-            return (
-                f"WSE path: mesh delivered {len(mesh_sink.received)},"
-                f" baseline {len(base_sink.received)}"
-            )
-        if len(mesh_consumer.received) != len(base_consumer.received):
-            return (
-                f"WSN path: mesh delivered {len(mesh_consumer.received)},"
-                f" baseline {len(base_consumer.received)}"
-            )
-        for index, (base_item, mesh_item) in enumerate(
-            zip(base_sink.received, mesh_sink.received)
-        ):
-            diff = strict_diff(base_item.payload, mesh_item.payload)
-            if diff is not None:
-                return f"WSE delivery {index}: mesh payload differs at {diff}"
-        for index, (base_item, mesh_item) in enumerate(
-            zip(base_consumer.received, mesh_consumer.received)
-        ):
-            diff = strict_diff(base_item.payload, mesh_item.payload)
-            if diff is not None:
-                return f"WSN delivery {index}: mesh payload differs at {diff}"
-            if base_item.topic != mesh_item.topic:
-                return (
-                    f"WSN delivery {index}: topic {base_item.topic!r} arrived"
-                    f" as {mesh_item.topic!r} through the mesh"
-                )
-        return None
+        return same_deliveries(received(*baseline), received(sink, consumer), "through the mesh")

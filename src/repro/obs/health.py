@@ -141,11 +141,11 @@ def conservation_drift(instrumentation: Instrumentation, brokers: list) -> dict:
     flight nowhere — lost by the pipeline without a closing ledger event.
     """
     totals = instrumentation.ledger.totals()
-    live_parked = 0
-    for broker in brokers:
-        boxes = broker.message_boxes
-        if boxes is not None:
-            live_parked += sum(len(box) for box in boxes._boxes.values())
+    live_parked = sum(
+        broker.message_boxes.total_parked()
+        for broker in brokers
+        if broker.message_boxes is not None
+    )
     return {
         "ledger_pending": totals.pending,
         "live_parked": live_parked,

@@ -76,11 +76,7 @@ class GaugeProbes:
         self.add_source("delivery.oldest_queued_age_seconds", oldest_age, **labels)
         boxes = manager.message_boxes
         if boxes is not None:
-            self.add_source(
-                "delivery.parked_pending",
-                lambda: sum(len(box) for box in boxes._boxes.values()),
-                **labels,
-            )
+            self.add_source("delivery.parked_pending", boxes.total_parked, **labels)
 
     def watch_qos(self, manager, **labels: str) -> None:
         """Adaptive-QoS counters of one delivery manager: messages shed by

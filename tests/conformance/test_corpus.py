@@ -26,7 +26,7 @@ def test_corpus_case_passes(entry):
 
 def test_corpus_covers_every_engine():
     # the corpus is the fuzzer's memory: each engine must have at least one
-    # frozen counterexample so `run_corpus` exercises all four checkers
+    # frozen counterexample so `run_corpus` exercises all seven checkers
     assert {entry.engine for entry in CORPUS} == set(ENGINES)
 
 

@@ -32,19 +32,21 @@ class TestDeterminism:
         assert first.render() == second.render()
         assert first.to_json() == second.to_json()
 
-    def test_generation_depends_only_on_coordinates(self):
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_generation_depends_only_on_coordinates(self, name):
         # the case at (engine, index) must not depend on which other engines
         # run or how many cases they get — that is what makes a single
         # failure re-investigable in isolation
-        engine = ENGINES["codec"]
-        direct = engine.generate(SeededRng(2006).fork("codec/7"))
-        again = engine.generate(SeededRng(2006).fork("codec/7"))
+        engine = ENGINES[name]
+        direct = engine.generate(SeededRng(2006).fork(f"{name}/7"))
+        again = engine.generate(SeededRng(2006).fork(f"{name}/7"))
         assert direct == again
 
-    def test_different_seeds_generate_different_cases(self):
-        engine = ENGINES["codec"]
-        a = engine.generate(SeededRng(1).fork("codec/0"))
-        b = engine.generate(SeededRng(2).fork("codec/0"))
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_different_seeds_generate_different_cases(self, name):
+        engine = ENGINES[name]
+        a = engine.generate(SeededRng(1).fork(f"{name}/0"))
+        b = engine.generate(SeededRng(2).fork(f"{name}/0"))
         assert a != b
 
 
