@@ -3,9 +3,9 @@
 At 100k subscribers the Subscribe storm dominated by re-parsing the same
 handful of XPath expressions (and topic expressions) once per subscription.
 Both compiled forms are immutable after construction — :class:`repro.xmlkit.
-xpath.XPath` keeps only its AST and namespace map, evaluation state lives in
-a per-call context or with the document — so identical expressions can share
-one instance.
+xpath.XPath` keeps only its closures and namespace map, evaluation state
+lives in a per-call context or with the document — so identical expressions
+can share one instance.
 
 Keys capture everything that affects compilation and little else: for XPath
 the expression text plus the bindings whose prefix occurs in it (the other

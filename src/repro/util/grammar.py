@@ -28,6 +28,8 @@ MAX_DEPTH = 32
 #: (message, offset) -> the language's syntax error
 ErrorFactory = Callable[[str, int], Exception]
 
+_BLANK = re.compile(r"\s*").match
+
 
 @dataclass(frozen=True, slots=True)
 class Token:
@@ -38,9 +40,10 @@ class Token:
 
 class Scanner:
     """A lexer from one master pattern: each alternative is a named group
-    whose name is the token's kind; whitespace between tokens is skipped.  A
-    ``name`` whose lower-cased text is a keyword becomes a ``keyword`` token
-    carrying that text.  The last token is ``end``."""
+    whose name is the token's kind; whitespace between tokens is skipped, and
+    input that no alternative matches is reported at its first non-blank
+    character.  A ``name`` whose lower-cased text is a keyword becomes a
+    ``keyword`` token carrying that text.  The last token is ``end``."""
 
     def __init__(self, pattern: str, keywords: frozenset[str]) -> None:
         self._match = re.compile(rf"\s*(?:{pattern})", re.VERBOSE).match
@@ -52,7 +55,8 @@ class Scanner:
         while position < end:
             match = self._match(text, position)
             if match is None:
-                raise error(f"unexpected input {text[position:position + 10].strip()!r}", position)
+                position = _BLANK(text, position).end()
+                raise error(f"unexpected input {text[position:position + 10].rstrip()!r}", position)
             kind, value = match.lastgroup, match.group(match.lastgroup)
             if kind == "name" and value.lower() in self._keywords:
                 kind, value = "keyword", value.lower()
@@ -88,7 +92,7 @@ class Cursor:
 
     def expect(self, kind: Hashable, *values: str) -> Token:
         if not self.at(kind, *values):
-            wanted = " or ".join(values) or getattr(kind, "name", kind)
+            wanted = " or ".join(values) or kind
             raise self.fail(f"expected {wanted}, found {self.peek().value or 'end of input'!r}")
         return self.advance()
 

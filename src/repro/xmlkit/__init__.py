@@ -14,9 +14,9 @@ expat (the stdlib ``pyexpat`` binding), whose callbacks build the tree:
 - :mod:`repro.xmlkit.parser` / :mod:`repro.xmlkit.writer` -- parse (expat,
   one pass, bounded nesting, no DOCTYPE) and serialize with deterministic
   namespace-prefix management.
-- :mod:`repro.xmlkit.xpath` -- an XPath 1.0 subset engine (lexer, parser,
-  evaluator) used as the content-based filter dialect in both WS-Eventing and
-  WS-Notification 1.3.
+- :mod:`repro.xmlkit.xpath` -- an XPath 1.0 subset engine (a lexer and a
+  parser that builds each expression's closures as it parses) used as the
+  content-based filter dialect in both WS-Eventing and WS-Notification 1.3.
 """
 
 from repro.xmlkit.names import QName, Namespaces

@@ -15,6 +15,12 @@ of XPath 1.0 those dialects need:
 Entry point: :class:`XPath` compiles an expression once; ``evaluate`` returns
 the raw XPath value and ``matches`` applies boolean coercion, which is exactly
 the "evaluates to a Boolean" filter criterion in both specifications.
+
+The front end is the one the JMS selector and CORBA TCL languages share
+(:mod:`repro.util.grammar`): :mod:`~repro.xmlkit.xpath.lexer` is one scanner
+pattern plus one pass for the section 3.7 disambiguation, and the grammar
+rows of :mod:`~repro.xmlkit.xpath.parser` build the expression's closures as
+they parse, so there is no AST and no second pass.
 """
 
 from repro.xmlkit.xpath.errors import XPathError, XPathSyntaxError, XPathEvaluationError

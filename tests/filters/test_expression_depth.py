@@ -243,3 +243,15 @@ def test_any_input_compiles_or_is_the_syntax_error(language):
             compile_(text)
         except syntax_error:
             pass
+
+
+@pytest.mark.parametrize(
+    "language, text, offset",
+    [("selector", "a = 1   #", 8), ("tcl", "$a == 1   #", 10), ("xpath", "abc   $", 6)],
+)
+def test_a_syntax_error_is_reported_at_the_character_no_token_matches(language, text, offset):
+    """Not at the blanks before it, where the shared scanner put selector
+    and TCL errors before."""
+    compile_, syntax_error = _COMPILE[language]
+    with pytest.raises(syntax_error, match=f"offset {offset} "):
+        compile_(text)

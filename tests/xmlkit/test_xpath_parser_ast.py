@@ -1,110 +1,93 @@
-"""Parser/AST-level tests: grammar shapes and precedence."""
+"""Parser-level tests: grammar shapes and precedence.
+
+The parser compiles as it parses, so each shape is checked by what its
+expression evaluates to on :data:`DOC`, chosen so that the wrong parse (the
+wrong precedence, grouping or step) gives a different answer.
+"""
 
 import pytest
 
-from repro.xmlkit.xpath import ast
+from repro.xmlkit import XPath, parse_xml
 from repro.xmlkit.xpath.errors import XPathSyntaxError
 from repro.xmlkit.xpath.parser import parse_xpath
+
+DOC = parse_xml(
+    '<r><a>1</a><a>2</a><b><a>3</a></b><c id="7"/><local/>'
+    '<local xmlns="urn:x"/><local xmlns="urn:x"/></r>'
+)
+
+
+def value(expression, namespaces=None):
+    return XPath(expression, namespaces).evaluate(DOC)
 
 
 class TestPrecedence:
     def test_or_binds_loosest(self):
-        tree = parse_xpath("1 and 2 or 3")
-        assert isinstance(tree, ast.BinaryOp) and tree.op == "or"
-        assert isinstance(tree.left, ast.BinaryOp) and tree.left.op == "and"
+        assert value("1 or 0 and 0") is True  # (1 or 0) and 0 is false
 
     def test_comparison_below_and(self):
-        tree = parse_xpath("1 = 2 and 3 = 4")
-        assert tree.op == "and"
-        assert tree.left.op == "=" and tree.right.op == "="
+        assert value("1 = 2 and 3 = 3") is False  # 1 = (2 and 3) = 3 is true
 
     def test_relational_below_equality(self):
-        tree = parse_xpath("1 < 2 = 3 < 4")
-        assert tree.op == "="
-        assert tree.left.op == "<"
+        assert value("2 < 1 = 0") is True  # 2 < (1 = 0) is false
 
     def test_multiplicative_below_additive(self):
-        tree = parse_xpath("1 + 2 * 3")
-        assert tree.op == "+"
-        assert tree.right.op == "*"
+        assert value("1 + 2 * 3") == 7  # (1 + 2) * 3 is 9
 
     def test_union_below_unary_minus(self):
-        tree = parse_xpath("-a | b")
-        assert isinstance(tree, ast.UnaryMinus)
-        assert isinstance(tree.operand, ast.BinaryOp) and tree.operand.op == "|"
+        # -(/r/b | /r/a) is minus the first node in document order; the
+        # union of a number with a node-set would raise
+        assert value("-/r/b | /r/a") == -1
 
     def test_left_associativity(self):
-        tree = parse_xpath("1 - 2 - 3")
-        assert tree.op == "-"
-        assert tree.left.op == "-"
-        assert tree.left.left == ast.NumberLit(1.0)
+        assert value("1 - 2 - 3") == -4  # 1 - (2 - 3) is 2
 
 
 class TestLocationPaths:
     def test_absolute_root_only(self):
-        tree = parse_xpath("/")
-        assert isinstance(tree, ast.LocationPath)
-        assert tree.absolute and tree.steps == ()
+        assert value("count(/)") == 1
+        assert XPath("/").select(DOC) == []  # the root node, not the element
 
     def test_descendant_shorthand_expands(self):
-        tree = parse_xpath("//a")
-        assert tree.steps[0].axis == "descendant-or-self"
-        assert tree.steps[0].test.kind == "node"
-        assert tree.steps[1].test.local == "a"
+        assert value("count(//a)") == 3  # the one under b too
 
     def test_double_slash_mid_path(self):
-        tree = parse_xpath("a//b")
-        axes = [step.axis for step in tree.steps]
-        assert axes == ["child", "descendant-or-self", "child"]
+        assert value("count(/r//a)") == 3
 
     def test_explicit_axes(self):
-        tree = parse_xpath("descendant::x/parent::node()")
-        assert tree.steps[0].axis == "descendant"
-        assert tree.steps[1].axis == "parent"
+        assert value("count(descendant::a/parent::node())") == 2  # r and b
 
     def test_attribute_shorthand(self):
-        tree = parse_xpath("@id")
-        assert tree.steps[0].axis == "attribute"
+        assert value("string(/r/c/@id)") == "7"
 
     def test_dot_and_dotdot(self):
-        tree = parse_xpath("./..")
-        assert tree.steps[0].axis == "self"
-        assert tree.steps[1].axis == "parent"
+        assert value("name(/r/b/a/./..)") == "b"
 
     def test_qname_test(self):
-        tree = parse_xpath("ns:local", {"ns": "urn:x"})
-        test = tree.steps[0].test
-        assert test.prefix == "ns" and test.local == "local"
-        assert test.namespace == "urn:x"
+        assert value("count(/r/ns:local)", {"ns": "urn:x"}) == 2
+        assert value("count(/r/local)") == 1
 
     def test_predicates_attached_to_step(self):
-        tree = parse_xpath("a[1][b]")
-        assert len(tree.steps[0].predicates) == 2
+        assert value("count(/r/a[1][. = 2])") == 0
+        assert value("string(/r/a[. = 2][1])") == "2"
 
 
 class TestFilterPaths:
     def test_function_followed_by_path(self):
-        # this is a FilterExpr with trailing steps
-        tree = parse_xpath("string(/a)")
-        assert isinstance(tree, ast.FunctionCall)
+        assert value("string(/r/a)") == "1"
 
     def test_parenthesized_with_predicate(self):
-        tree = parse_xpath("(//a)[1]")
-        assert isinstance(tree, ast.FilterPath)
-        assert len(tree.predicates) == 1
+        assert value("count((//a)[1])") == 1
+        assert value("count(//a[1])") == 2  # the first a of r and of b
 
     def test_parenthesized_with_steps(self):
-        tree = parse_xpath("(//a)/b")
-        assert isinstance(tree, ast.FilterPath)
-        assert tree.steps[0].test.local == "b"
+        assert value("string((/r/*)/a)") == "3"
 
     def test_function_args(self):
-        tree = parse_xpath("concat('a', 'b', 'c')")
-        assert len(tree.args) == 3
+        assert value("concat('a', 'b', 'c')") == "abc"
 
     def test_zero_arg_function(self):
-        tree = parse_xpath("true()")
-        assert tree.args == ()
+        assert value("true()") is True
 
 
 class TestErrors:
