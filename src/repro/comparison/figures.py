@@ -44,9 +44,6 @@ class ArchitectureTrace:
     interactions: list[Interaction] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def edge_set(self) -> set[tuple[str, str, str]]:
-        return {(i.source, i.target, i.operation) for i in self.interactions}
-
     def operations_between(self, source: str, target: str) -> list[str]:
         seen: list[str] = []
         for interaction in self.interactions:

@@ -19,7 +19,7 @@ from repro.delivery.batcher import BatcherStats, DeliveryBatcher
 from repro.delivery.breaker import BreakerState, CircuitBreaker
 from repro.delivery.dlq import DeadLetter, DeadLetterQueue
 from repro.delivery.manager import DeliveryManager, DeliveryStats
-from repro.delivery.outcome import DeliveryFailure, failure_counts, record_failure
+from repro.delivery.outcome import DeliveryFailure, record_failure
 from repro.delivery.policy import BEST_EFFORT, BatchingPolicy, DeliveryPolicy
 from repro.delivery.task import DeliveryItem, DeliveryTask, TaskStatus
 from repro.delivery.messagebox import (
@@ -47,6 +47,5 @@ __all__ = [
     "MessageBoxRegistry",
     "TaskStatus",
     "drain_message_box_wse",
-    "failure_counts",
     "record_failure",
 ]

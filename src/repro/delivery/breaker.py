@@ -96,11 +96,3 @@ class CircuitBreaker:
         ):
             self.opened_at = self.clock.now()
             self._move(BreakerState.OPEN)
-
-    def snapshot(self) -> dict:
-        return {
-            "state": self.state.value,
-            "consecutive_failures": self.consecutive_failures,
-            "opened_at": self.opened_at,
-            "transitions": [[round(t, 9), s] for t, s in self.transitions],
-        }

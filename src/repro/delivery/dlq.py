@@ -2,7 +2,7 @@
 
 A message whose attempt budget or TTL is exhausted is *not* dropped — it is
 parked here with the reason and its full attempt history, introspectable by
-operators (``snapshot``) and replayable once the sink recovers
+operators (``entries``) and replayable once the sink recovers
 (:meth:`DeadLetterQueue.replay` re-submits through the owning manager with a
 fresh attempt budget).  This is the disconnection-tolerant redelivery the
 CORBA-services experience report identifies as the distinguishing feature of
@@ -28,12 +28,6 @@ class DeadLetter:
     reason: str  # "max_attempts" | "ttl_expired" | explicit park reason
     dead_at: float
 
-    def snapshot(self) -> dict:
-        entry = self.task.snapshot()
-        entry["reason"] = self.reason
-        entry["dead_at"] = round(self.dead_at, 9)
-        return entry
-
 
 class DeadLetterQueue:
     """Terminal parking for undeliverable messages, with replay."""
@@ -51,10 +45,6 @@ class DeadLetterQueue:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def snapshot(self) -> list[dict]:
-        """Deterministic listing for reports and operator introspection."""
-        return [letter.snapshot() for letter in self.entries]
 
     def replay(
         self,

@@ -535,22 +535,3 @@ class DeliveryManager:
         if self.qos is not None:
             instr.gauge("qos.shed_messages", self.stats.shed)
             instr.gauge("qos.throttled_attempts", self.stats.throttled)
-
-    def snapshot(self) -> dict:
-        """Deterministic pipeline state for reports and tests."""
-        return {
-            "stats": self.stats.snapshot(),
-            "pending_by_sink": {
-                sink: len(queue)
-                for sink, queue in sorted(self._queues.items())
-                if queue
-            },
-            "breakers": {
-                sink: breaker.snapshot()
-                for sink, breaker in sorted(self._breakers.items())
-            },
-            "dlq": self.dlq.snapshot(),
-            "message_boxes": (
-                self.message_boxes.snapshot() if self.message_boxes else []
-            ),
-        }

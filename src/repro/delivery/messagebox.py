@@ -165,18 +165,6 @@ class MessageBoxRegistry:
     def total_parked(self) -> int:
         return sum(len(box) for box in self._boxes.values())
 
-    def snapshot(self) -> list[dict]:
-        return [
-            {
-                "sink": box.sink,
-                "address": box.address,
-                "pending": len(box),
-                "total_parked": box.total_parked,
-                "overflowed": box.overflowed,
-            }
-            for box in self._boxes.values()
-        ]
-
     def close(self) -> None:
         for box in self._boxes.values():
             box.close()

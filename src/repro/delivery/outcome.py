@@ -90,12 +90,3 @@ def attempt_directly(
             lineage.lineage_id, family=family, hops=lineage.hop + 1, sink=sink
         )
     return None
-
-
-def failure_counts(failures: list[DeliveryFailure]) -> dict[str, int]:
-    """Aggregate records by ``family/stage/kind`` (deterministic order)."""
-    counts: dict[str, int] = {}
-    for failure in failures:
-        key = f"{failure.family}/{failure.stage}/{failure.kind}"
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))

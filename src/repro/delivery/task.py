@@ -78,23 +78,3 @@ class DeliveryTask:
     status: str = TaskStatus.QUEUED
     last_error: Optional[str] = None
     delivered_at: Optional[float] = None
-
-    @property
-    def done(self) -> bool:
-        return self.status != TaskStatus.QUEUED
-
-    def snapshot(self) -> dict:
-        """Introspection form (used by DLQ listings and tests)."""
-        return {
-            "sink": self.sink,
-            "family": self.family,
-            "items": len(self.items),
-            "topics": [item.topic for item in self.items],
-            "enqueued_at": round(self.enqueued_at, 9),
-            "attempts": self.attempts,
-            "status": self.status,
-            "last_error": self.last_error,
-            "delivered_at": (
-                round(self.delivered_at, 9) if self.delivered_at is not None else None
-            ),
-        }

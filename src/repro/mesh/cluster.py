@@ -157,10 +157,6 @@ class MeshCluster:
         node = self.owner_node_of_topic(topic) if via is None else self.node(via)
         node.publish(payload, topic=topic)
 
-    def flush(self) -> None:
-        for node in self.nodes.values():
-            node.broker.flush()
-
     def quiesce(self, *, max_rounds: int = 100) -> None:
         """Drain every delivery pipeline mesh-wide.
 

@@ -72,10 +72,6 @@ class FederationLink:
         self.coverage = coverage
         self.handle = handle
 
-    def describe(self) -> str:
-        expression = link_topic_expression(self.coverage)
-        return f"{self.peer}<-[{expression if expression is not None else '*'}]"
-
 
 class FederationLinkManager:
     """The home side of federation: ingest endpoint + link lifecycle.

@@ -33,7 +33,6 @@ from typing import Callable, Optional
 from repro.delivery.outcome import attempt_directly
 from repro.delivery.policy import DeliveryPolicy
 from repro.delivery.task import DeliveryItem
-from repro.filters.topics import TopicNamespace
 from repro.messenger import mediation
 from repro.messenger.broker import WsMessenger
 from repro.mesh.federation import LINK_VERSION, FederationLinkManager, aggregate_coverage
@@ -57,22 +56,18 @@ class MeshNode:
         name: str,
         registry: ShardMapRegistry,
         *,
-        address: Optional[str] = None,
-        peer_address_of: Optional[Callable[[str], str]] = None,
+        address: str,
+        peer_address_of: Callable[[str], str],
         wse_versions: Optional[list[WseVersion]] = None,
         wsn_versions: Optional[list[WsnVersion]] = None,
         delivery: Optional[DeliveryPolicy] = None,
         delivery_seed: int = 0,
-        topic_namespace: Optional[TopicNamespace] = None,
         store=None,
     ) -> None:
         self.network = network
         self.name = name
         self.registry = registry
-        self.address = address or f"http://mesh/{name}"
-        if peer_address_of is None:
-            prefix = self.address.rsplit("/", 1)[0]
-            peer_address_of = lambda peer: f"{prefix}/{peer}"  # noqa: E731
+        self.address = address
         self._peer_address_of = peer_address_of
         self.map = registry.fetch()
         wsn_versions = (
@@ -89,7 +84,6 @@ class MeshNode:
             wsn_versions=wsn_versions,
             delivery=delivery,
             delivery_seed=delivery_seed,
-            topic_namespace=topic_namespace,
             store=store,
         )
         self.exchange = NotificationProducer(

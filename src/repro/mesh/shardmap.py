@@ -72,13 +72,6 @@ class ShardMap:
     def owner(self, key: str) -> str:
         return self.ring.owner(key)
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "members": list(self.members),
-            "vnodes": self.vnodes,
-        }
-
 
 class ShardMapRegistry:
     """The mesh's membership authority; members fetch, never cache forever.

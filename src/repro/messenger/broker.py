@@ -280,9 +280,15 @@ class WsMessenger:
         dialect: tuple[str, str],
     ) -> Optional[str]:
         if spec.operation == "CreatePullPoint":
-            if self.pullpoint_factory is None:
-                raise SoapFault(FaultCode.SENDER, "pull points require WSN 1.3")
-            return self.pullpoint_factory._handle_create(envelope, headers)
+            # Table 1: only WSN 1.3 defines the PullPoint interface, and the
+            # reply speaks the request's dialect -- so no other one gets one
+            factory = self.pullpoint_factory
+            if factory is None or spec.version is not factory.version:
+                raise SoapFault(
+                    FaultCode.SENDER,
+                    f"pull points require WSN 1.3, not {spec.describe()}",
+                )
+            return factory._handle_create(envelope, headers)
         implementation = self._services.get(dialect)
         if implementation is None:
             raise SoapFault(

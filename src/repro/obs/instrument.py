@@ -140,18 +140,12 @@ class NullInstrumentation:
     def gauge(self, name: str, value: float, **labels: str) -> None:
         pass
 
-    def observe(self, name: str, value: float, **labels: str) -> None:
-        pass
-
     def counter_handle(self, name: str, **labels: str):
         """An inert pre-bound counter — binding sites need no branches."""
         return NULL_COUNTER
 
     def histogram_handle(self, name: str, **labels: str):
         return NULL_HISTOGRAM
-
-    def record_wire(self, observation) -> None:
-        pass
 
     def trace_context(self) -> None:
         return None
@@ -229,9 +223,6 @@ class Instrumentation:
             gauge = self._gauges[key] = Gauge()
         gauge.value = float(value)
 
-    def observe(self, name: str, value: float, **labels: str) -> None:
-        self.metrics.histogram(name, **labels).observe(value)
-
     def counter_handle(self, name: str, **labels: str) -> Counter:
         """A pre-bound counter for per-notification sites.
 
@@ -243,9 +234,6 @@ class Instrumentation:
 
     def histogram_handle(self, name: str, **labels: str):
         return self.metrics.histogram(name, **labels)
-
-    def record_wire(self, observation) -> None:
-        self.capture.record(observation)
 
     # --- lineage -----------------------------------------------------------
 

@@ -78,21 +78,6 @@ class GaugeProbes:
         if boxes is not None:
             self.add_source("delivery.parked_pending", boxes.total_parked, **labels)
 
-    def watch_qos(self, manager, **labels: str) -> None:
-        """Adaptive-QoS counters of one delivery manager: messages shed by
-        the bounded queues and attempts held back by the token buckets, plus
-        the controller's rejected-profile count when one is attached."""
-        stats = manager.stats
-        self.add_source("qos.shed_messages", lambda: stats.shed, **labels)
-        self.add_source("qos.throttled_attempts", lambda: stats.throttled, **labels)
-        controller = manager.qos
-        if controller is not None:
-            self.add_source(
-                "qos.profile_rejections",
-                lambda: controller.profile_rejections,
-                **labels,
-            )
-
     def watch_batcher(self, batcher, *, family: str, **labels: str) -> None:
         self.add_source("delivery.batch_pending", batcher.pending, family=family, **labels)
 
@@ -100,8 +85,6 @@ class GaugeProbes:
         """Everything one :class:`~repro.messenger.WsMessenger` queues."""
         if broker.delivery_manager is not None:
             self.watch_delivery_manager(broker.delivery_manager, **labels)
-            if broker.delivery_manager.qos is not None:
-                self.watch_qos(broker.delivery_manager, **labels)
         # wrapped batches are held in subscription queues, which the
         # broker.sub_queue_depth sources below already cover; only a WSN
         # producer's push row coalesces in a DeliveryBatcher

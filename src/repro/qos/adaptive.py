@@ -298,13 +298,3 @@ class AdaptiveQosController:
         for bucket in buckets:
             bucket.try_acquire()
         return None
-
-    # --- introspection ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "profiles": len(self._profiles),
-            "profile_rejections": self.profile_rejections,
-            "sink_buckets": len(self._sink_buckets),
-            "tenant_buckets": len(self._tenant_buckets),
-        }

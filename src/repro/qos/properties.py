@@ -127,7 +127,3 @@ class QosProfile:
         merged = dict(self.values)
         merged.update(overrides)
         return QosProfile(merged, allow_extensions=self.allow_extensions)
-
-    @staticmethod
-    def understood_properties() -> tuple[str, ...]:
-        return CORBA_QOS_PROPERTIES

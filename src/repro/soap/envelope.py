@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces, NamespaceVersion, QName
@@ -66,14 +66,6 @@ class SoapEnvelope:
         block = self.header(name)
         return block.full_text().strip() if block is not None else None
 
-    def headers_named(self, name: QName) -> list[XElem]:
-        return [block.content for block in self.headers if block.name == name]
-
-    def remove_headers(self, name: QName) -> int:
-        before = len(self.headers)
-        self.headers = [block for block in self.headers if block.name != name]
-        return before - len(self.headers)
-
     # --- body access ----------------------------------------------------------
 
     def add_body(self, content: XElem) -> "SoapEnvelope":
@@ -105,17 +97,3 @@ class SoapEnvelope:
             [HeaderBlock(block.content.copy(), block.must_understand, block.actor) for block in self.headers],
             [element.copy() for element in self.body],
         )
-
-
-def build_envelope(
-    version: SoapVersion,
-    headers: Iterable[XElem] = (),
-    body: Iterable[XElem] = (),
-) -> SoapEnvelope:
-    """Convenience constructor from plain element iterables."""
-    envelope = SoapEnvelope(version)
-    for header in headers:
-        envelope.add_header(header)
-    for payload in body:
-        envelope.add_body(payload)
-    return envelope

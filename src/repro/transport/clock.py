@@ -64,9 +64,6 @@ class ClockScheduler:
             self._heap, (max(when, self.clock.now()), next(self._seq), callback)
         )
 
-    def pending(self) -> int:
-        return len(self._heap)
-
     def run_due(self) -> int:
         """Run every callback whose deadline has passed; returns how many."""
         ran = 0

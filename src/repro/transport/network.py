@@ -116,10 +116,6 @@ class WireObservation:
         self.finished = finished
 
     @property
-    def latency(self) -> float:
-        return self.finished - self.started
-
-    @property
     def ok(self) -> bool:
         return self.outcome == "ok"
 
@@ -154,7 +150,6 @@ class SimulatedNetwork:
         self._zones: dict[str, Zone] = {PUBLIC_ZONE: Zone(PUBLIC_ZONE)}
         self._registrations: dict[str, _Registration] = {}
         self._serials: dict[str, int] = {}  # see serial_address
-        self._link_latency: dict[tuple[str, str], float] = {}
         #: request observers: called with (target_address, request_bytes)
         #: just before a request is handed to its handler; may raise a
         #: NetworkError to inject failures (see tests' loss schedules)
@@ -174,9 +169,6 @@ class SimulatedNetwork:
         self._zones[name] = zone
         return zone
 
-    def set_link_latency(self, from_zone: str, to_zone: str, latency: float) -> None:
-        self._link_latency[(from_zone, to_zone)] = latency
-
     def register(self, address: str, handler: Handler, *, zone: str = PUBLIC_ZONE) -> None:
         if zone not in self._zones:
             raise ValueError(f"unknown zone {zone!r}")
@@ -194,10 +186,6 @@ class SimulatedNetwork:
         pre-crash peer may still send to."""
         n = self._serials[prefix] = self._serials.get(prefix, 0) + 1
         return f"{prefix}-{n}"
-
-    def zone_of(self, address: str) -> Optional[str]:
-        registration = self._registrations.get(address)
-        return registration.zone if registration else None
 
     # --- transfer --------------------------------------------------------------
 
@@ -268,7 +256,7 @@ class SimulatedNetwork:
             self.stats.lost += 1
             self.stats.bytes_sent += len(payload)
             raise MessageLost(target_address)
-        one_way = self._link_latency.get((from_zone, registration.zone), self.latency)
+        one_way = self.latency
         try:
             for observer in self.observers:
                 observer(target_address, payload)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.soap.envelope import SoapEnvelope
 from repro.subscriptions import ConsumerEndpoint, ReceivedNotification
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
@@ -33,9 +31,6 @@ class NotificationConsumer(ConsumerEndpoint):
             self._handle_termination,
         )
         self.endpoint.on_any(self._handle_notify)
-
-    def topics_seen(self) -> list[Optional[str]]:
-        return [item.topic for item in self.received]
 
     # --- handlers -----------------------------------------------------------
 

@@ -23,10 +23,6 @@ class WsnVersion(NamespaceVersion):
         return f"{self.namespace}/{local}"
 
     @property
-    def topics_namespace(self) -> str:
-        return Namespaces.WSTOP_13 if self is WsnVersion.V1_3 else Namespaces.WSTOP_10
-
-    @property
     def wsa_version(self) -> WsaVersion:
         """Table 1: WSN 1.0 binds WSA 2003/03; 1.3 binds 2005/08.
         (1.2, the OASIS submission, used the 2004/08 member submission.)"""

@@ -114,17 +114,6 @@ class XElem:
     def find_all(self, name: QName) -> list["XElem"]:
         return [child for child in self.elements() if child.name == name]
 
-    def find_local(self, local: str) -> Optional["XElem"]:
-        """First direct sub-element matching on local name only.
-
-        The WS-Messenger spec-detection layer uses this when the namespace is
-        the thing being detected.
-        """
-        for child in self.elements():
-            if child.name.local == local:
-                return child
-        return None
-
     def require(self, name: QName) -> "XElem":
         """Like :meth:`find` but raises ``KeyError`` when absent."""
         found = self.find(name)

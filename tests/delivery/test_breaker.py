@@ -79,11 +79,3 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert [s for _, s in breaker.transitions] == ["open", "half_open", "closed"]
         assert [t for t, _ in breaker.transitions] == [0.0, 10.0, 10.0]
-
-    def test_snapshot_shape(self):
-        _, breaker = make(threshold=1)
-        breaker.record_failure()
-        snap = breaker.snapshot()
-        assert snap["state"] == "open"
-        assert snap["consecutive_failures"] == 1
-        assert snap["transitions"] == [[0.0, "open"]]

@@ -122,9 +122,9 @@ class TestWseDrain:
         box = broker.message_boxes.get("http://inside-sink")
         messages = PullPointClient(network, zone=ZONE).get_messages(box.epr())
         assert [(m.payload.full_text(), m.topic) for m in messages] == [("1", "fw"), ("2", "fw/x")]
-        [letter] = broker.delivery_manager.dlq.snapshot()
-        assert letter["sink"] == "http://gone"
-        assert letter["topics"] == ["fw", "fw/x"]
+        [letter] = broker.delivery_manager.dlq.entries
+        assert letter.task.sink == "http://gone"
+        assert [item.topic for item in letter.task.items] == ["fw", "fw/x"]
 
     def test_wse_subscription_survives_the_block(self, network, broker):
         sink = EventSink(network, "http://inside-sink", zone=ZONE)

@@ -120,6 +120,9 @@ class TestDeadLetters:
         assert send.calls == 3
         assert len(manager.dlq) == 1
         assert manager.dlq.entries[0].reason == "max_attempts"
+        assert manager.stats.dead_lettered == 1
+        # three failures, under the default threshold of five: counted, not open
+        assert manager._breakers["http://sink"].consecutive_failures == 3
 
     def test_ttl_expiry_dead_letters_without_further_attempts(self):
         _, manager = make_manager(
@@ -311,14 +314,6 @@ class TestDeterminism:
 
 
 class TestIntrospection:
-    def test_snapshot_shape(self):
-        _, manager = make_manager(DeliveryPolicy(max_attempts=1), boxes=True)
-        manager.submit("http://sink", FlakySend(failures=9), family="wse")
-        snap = manager.snapshot()
-        assert snap["stats"]["dead_lettered"] == 1
-        assert snap["dlq"][0]["reason"] == "max_attempts"
-        assert snap["breakers"]["http://sink"]["consecutive_failures"] == 1
-
     def test_delivery_metrics_flow_into_instrumentation(self):
         from repro.obs.instrument import Instrumentation
 

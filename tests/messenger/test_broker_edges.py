@@ -5,12 +5,14 @@ import pytest
 
 from repro.messenger import WsMessenger, detect_spec
 from repro.messenger.detection import SpecFamily
-from repro.soap import SoapEnvelope, SoapFault, SoapVersion, parse_envelope, serialize_envelope
+from repro.soap import FaultCode, SoapEnvelope, SoapFault, SoapVersion, parse_envelope, serialize_envelope
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.transport.http import build_request, parse_response
+from repro.wsa import EndpointReference
 from repro.wsa.headers import MessageHeaders, apply_headers
 from repro.wse import EventSink, WseSubscriber, WseVersion
 from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber, WsnVersion
+from repro.wsn.pullpoint import PullPointClient
 from repro.xmlkit import parse_xml
 from repro.xmlkit.element import text_element
 
@@ -103,6 +105,23 @@ class TestRestrictedBroker:
     def test_no_wsn_13_no_pullpoints(self, network):
         broker = WsMessenger(network, "http://broker", wsn_versions=[WsnVersion.V1_0])
         assert broker.pullpoint_factory is None
+
+    @pytest.mark.parametrize("version", list(WsnVersion), ids=lambda v: v.name)
+    def test_create_pull_point_at_the_front_door_is_wsn_13_only(self, network, version):
+        """Table 1 gives the PullPoint interface to WSN 1.3 alone, and a reply
+        speaks the request's dialect: an earlier CreatePullPoint sent to the
+        front door is a Sender fault and creates nothing."""
+        broker = WsMessenger(network, "http://broker")
+        client = PullPointClient(network, version=version)
+        if version is WsnVersion.V1_3:
+            pull_point = client.create(EndpointReference(broker.address))
+            assert list(broker.pullpoint_factory.pull_points) == [pull_point.address]
+            return
+        with pytest.raises(SoapFault) as excinfo:
+            client.create(EndpointReference(broker.address))
+        assert excinfo.value.code is FaultCode.SENDER
+        assert version.name in excinfo.value.reason
+        assert broker.pullpoint_factory.pull_points == {}
 
 
 class TestWsrfDisabledProducer:

@@ -1,30 +1,11 @@
-"""Remaining unit coverage: envelope helpers, table diff edges, HTTP
-details, writer prefix allocation."""
-
-import pytest
+"""Remaining unit coverage: table diff edges, HTTP details, writer prefix
+allocation."""
 
 from repro.comparison.tables import ComparisonTable
-from repro.soap.envelope import SoapEnvelope, SoapVersion, build_envelope
 from repro.transport.http import build_request, build_response, parse_request, parse_response
 from repro.xmlkit import parse_xml, serialize_xml
-from repro.xmlkit.element import XElem, text_element
+from repro.xmlkit.element import XElem
 from repro.xmlkit.names import QName
-
-
-class TestBuildEnvelopeHelper:
-    def test_builds_from_iterables(self):
-        envelope = build_envelope(
-            SoapVersion.V12,
-            headers=[text_element(QName("urn:h", "H"), "x")],
-            body=[XElem(QName("urn:b", "B"))],
-        )
-        assert envelope.version is SoapVersion.V12
-        assert envelope.header(QName("urn:h", "H")) is not None
-        assert envelope.body_element().name == QName("urn:b", "B")
-
-    def test_empty(self):
-        envelope = build_envelope(SoapVersion.V11)
-        assert envelope.headers == [] and envelope.body == []
 
 
 class TestTableDiffEdges:

@@ -169,7 +169,7 @@ class TestLineage:
         form nobody emits any more): it is just an unknown header."""
         from repro.obs.instrument import Instrumentation
         from repro.soap import serialize_envelope
-        from repro.soap.envelope import SoapVersion, build_envelope
+        from repro.soap.envelope import SoapEnvelope
         from repro.transport import SimulatedNetwork
         from repro.transport.endpoint import SoapEndpoint
         from repro.transport.http import build_request, parse_response
@@ -182,10 +182,10 @@ class TestLineage:
         endpoint = SoapEndpoint(network, "http://trace-sink")
         endpoint.on_any(lambda envelope, headers: None)
         stray = QName("http://repro.invalid/obs/lineage", "Lineage")
-        envelope = build_envelope(
-            SoapVersion.V11,
-            headers=[text_element(stray, "01-lin-00000009-00000001-01")],
-            body=[parse_xml('<t:Poke xmlns:t="urn:trace-test"/>')],
+        envelope = (
+            SoapEnvelope()
+            .add_header(text_element(stray, "01-lin-00000009-00000001-01"))
+            .add_body(parse_xml('<t:Poke xmlns:t="urn:trace-test"/>'))
         )
         body = serialize_envelope(envelope).encode("utf-8")
         for lineage in ("99-bogus", None):  # garbage head; no head, stray header only

@@ -31,13 +31,6 @@ class TestEnvelopeModel:
         assert envelope.header_text(HEADER) == "s-1"
         assert envelope.header(QName("urn:app", "Nope")) is None
 
-    def test_headers_named_and_remove(self):
-        envelope = make_envelope()
-        envelope.add_header(text_element(HEADER, "s-2"))
-        assert len(envelope.headers_named(HEADER)) == 2
-        assert envelope.remove_headers(HEADER) == 2
-        assert envelope.header(HEADER) is None
-
     def test_body_element_exactly_one(self):
         envelope = make_envelope()
         assert envelope.body_element().name == PAYLOAD

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import Instrumentation
-from repro.soap import SoapEnvelope, SoapFault, FaultCode, parse_envelope
+from repro.soap import SoapEnvelope, SoapFault, FaultCode, parse_envelope, serialize_envelope
 from repro.transport import (
     AddressUnreachable,
     FirewallBlocked,
@@ -22,6 +22,8 @@ from repro.transport.http import (
     request_head,
 )
 from repro.wsa import EndpointReference
+from repro.wsa.headers import MessageHeaders, apply_headers
+from repro.wsa.versions import WsaVersion
 from repro.xmlkit.element import text_element
 from repro.xmlkit.names import QName
 
@@ -149,15 +151,6 @@ class TestNetwork:
         network.send_request("http://svc", b"x")
         assert clock.now() == pytest.approx(0.02)  # round trip
 
-    def test_link_latency_override(self):
-        clock = VirtualClock()
-        network = SimulatedNetwork(clock, latency=0.01)
-        network.add_zone("far")
-        network.register("http://svc", lambda req: b"", zone="far")
-        network.set_link_latency("public", "far", 0.1)
-        network.send_request("http://svc", b"x")
-        assert clock.now() == pytest.approx(0.2)
-
     def test_firewall_blocks_inbound(self):
         network = SimulatedNetwork()
         network.add_zone("lan", blocks_inbound=True)
@@ -283,4 +276,44 @@ class TestSoapEndpoint:
         assert "unparseable envelope" in fault.reason
         assert instrumentation.metrics.counter_values("endpoint.requests") == {
             "endpoint.requests{address=http://svc,status=parse_error}": 1
+        }
+
+    def test_malformed_framing_answers_400_sender_fault(self):
+        network, _ = self._setup()
+        instrumentation = Instrumentation.attach(network)
+        wire = network.send_request("http://svc", b"POST /svc HTTP/1.1\r\nHost: svc\r\n")
+        response = parse_response(wire)
+        assert response.status == 400
+        reply = parse_envelope(response.body)
+        fault = SoapFault.from_element(reply.body_element(), reply.version)
+        assert fault.code is FaultCode.SENDER
+        assert "malformed HTTP framing" in fault.reason
+        assert instrumentation.metrics.counter_values("endpoint.requests") == {
+            "endpoint.requests{address=http://svc,status=framing_error}": 1
+        }
+
+    def test_an_action_without_handler_answers_500_and_fails_its_dispatch(self):
+        network, _ = self._setup()
+        instrumentation = Instrumentation.attach(network)
+        envelope = SoapEnvelope().add_body(text_element(PING, "x"))
+        apply_headers(
+            envelope,
+            MessageHeaders(to="http://svc", action="urn:app:Nope"),
+            WsaVersion.V2005_08,
+        )
+        body = serialize_envelope(envelope).encode("utf-8")
+        wire = network.send_request(
+            "http://svc", build_request("http://svc", body, soap_action="urn:app:Nope")
+        )
+        response = parse_response(wire)
+        assert response.status == 500
+        reply = parse_envelope(response.body)
+        fault = SoapFault.from_element(reply.body_element(), reply.version)
+        assert fault.code is FaultCode.SENDER
+        assert fault.reason == "no handler for action 'urn:app:Nope'"
+        [dispatch] = [s for s in instrumentation.tracer.spans if s.name == "dispatch"]
+        assert dispatch.status == "error"
+        assert dispatch.error == "no handler for 'urn:app:Nope'"
+        assert instrumentation.metrics.counter_values("endpoint.requests") == {
+            "endpoint.requests{address=http://svc,status=no_handler}": 1
         }

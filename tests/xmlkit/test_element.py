@@ -48,10 +48,6 @@ class TestNavigation:
     def test_find_all(self):
         assert [e.text() for e in make_tree().find_all(B)] == ["one", "two"]
 
-    def test_find_local_ignores_namespace(self):
-        tree = make_tree()
-        assert tree.find_local("c") is tree.find(C)
-
     def test_require_raises(self):
         with pytest.raises(KeyError):
             make_tree().require(QName("urn:t", "zzz"))
