@@ -25,7 +25,7 @@ class DeadLetter:
     """One dead-lettered task plus why and when it died."""
 
     task: DeliveryTask
-    reason: str  # "max_attempts" | "ttl_expired" | explicit park reason
+    reason: str  # "max_attempts" | "ttl_expired" | "unwritable" | explicit park reason
     dead_at: float
 
 

@@ -40,6 +40,7 @@ from repro.soap.fault import SoapFault
 from repro.transport.clock import ClockScheduler
 from repro.transport.network import FirewallBlocked, NetworkError, SimulatedNetwork
 from repro.util.rng import SeededRng
+from repro.xmlkit.writer import XmlCharacterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.delivery.messagebox import MessageBox, MessageBoxRegistry
@@ -497,6 +498,13 @@ class DeliveryManager:
                     sink, max(self.clock.now() + delay, breaker.retry_at())
                 )
                 return
+            except XmlCharacterError as exc:
+                # the writer refused the payload: no attempt can ever succeed,
+                # and the sink is not to blame (its breaker is left alone)
+                task.last_error = f"{type(exc).__name__}: {exc}"
+                queue.popleft()
+                self._dead_letter(task, "unwritable")
+                continue
             # success (the send itself advanced the clock by the RTT)
             self._breaker_step(instr, sink, breaker, breaker.record_success)
             queue.popleft()

@@ -125,23 +125,16 @@ class Fanout:
     def freeze(self, payload: XElem) -> XElem:
         return freeze_once(payload, self.network.instrumentation, self._bound, self.family)
 
-    def match(
-        self,
-        frozen: XElem,
-        topic: Optional[str],
-        producer_properties: dict[str, str],
-        producer_document: Optional[XElem] = None,
-    ) -> Iterator["Subscription"]:
+    def match(self, context: FilterContext) -> Iterator["Subscription"]:
         """The live subscriptions whose filter admits this publication."""
         instr = self.network.instrumentation
         family = self.family
         if not self.subscriptions.restoring:  # log replay sweeps nothing
             self.subscriptions.sweep_due()
-        context = FilterContext(
-            frozen, topic, producer_properties, producer_document=producer_document
-        )
         index = self.subscriptions.index
-        candidates = index.candidates(topic, frozen)
+        # the topic's one parse is the context's, made only if a key has a topic expression
+        path = context.topic_path if context.topic is not None and index.topical else None
+        candidates = index.candidates(path, context.payload)
         evals_counter = None
         if instr.enabled:
             bound = self._bound

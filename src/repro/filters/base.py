@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.xmlkit.element import XElem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.filters.topics import TopicPath
 
 
 class FilterError(Exception):
@@ -28,6 +32,15 @@ class FilterContext:
     topic: Optional[str] = None
     producer_properties: dict[str, str] = field(default_factory=dict)
     producer_document: Optional[XElem] = None
+
+    @cached_property
+    def topic_path(self) -> "TopicPath":
+        """``topic`` parsed once for every reader of this publication (the
+        route seeds it when its topic space already parsed the topic); a
+        topic that does not parse raises ``FilterError`` at every read."""
+        from repro.filters.topics import TopicPath
+
+        return TopicPath.parse(self.topic)
 
 
 class Filter:

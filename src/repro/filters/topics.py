@@ -448,6 +448,12 @@ class TopicSubscriptionIndex:
             if star is not None:
                 self._collect(star, parts[1:], found)
 
+    @property
+    def topical(self) -> bool:
+        """Whether any key is registered under a topic expression: only then
+        does a candidate lookup read the published topic's path."""
+        return self._trie_entries > 0
+
     def __len__(self) -> int:
         return len(self._seq)
 
@@ -514,7 +520,7 @@ class TopicFilter(Filter):
     def matches(self, context: FilterContext) -> bool:
         if context.topic is None:
             return False
-        return self.expression.matches(context.topic)
+        return self.expression.matches(context.topic_path)
 
     def describe(self) -> str:
         return f"topic({self.expression})"

@@ -9,9 +9,10 @@ manager appends an :class:`OutcomeRecorded` per settled obligation.
 
 The same object *projects*: rebuilt over an existing log (see
 :mod:`repro.store.recovery`), its ``(message_id, sink)`` settlement index
-tells the delivery manager which replayed obligations are already
-delivered (suppress), parked (re-park without re-attempting), or dead
-(restore to the DLQ) — which is what makes crash-replay exactly-once.
+tells the route which replayed pushes were already delivered (push
+nothing), and the delivery manager which of the rest are parked (re-park
+without re-attempting) or dead (restore to the DLQ) — which is what makes
+crash-replay exactly-once.
 
 The commit rule (the log itself only buffers): every append commits at
 once, except the outcomes of the publish in flight, which wait behind its
@@ -101,7 +102,9 @@ class StoreStats:
     commits: int = 0  #: writes to the log; appends / commits = records per write
     publishes: int = 0
     outcomes: int = 0
-    #: replayed tasks skipped because the log had already settled them
+    #: replayed obligations the log had already settled: a delivered
+    #: ``(message_id, sink)`` key the route dropped, or a task the delivery
+    #: manager suppressed
     suppressed: int = 0
     #: replayed items re-parked into message boxes without a wire attempt
     reparked: int = 0
@@ -137,6 +140,9 @@ class BrokerStore:
         self._parked: Set[Tuple[str, str]] = set()
         #: publishes forwarded to their owning mesh shard (no local fan-out)
         self._routed: Set[str] = set()
+        #: the replayed publish whose delivered pushes the route dropped, and
+        #: the sinks it dropped them for (each key counts once)
+        self._dropped: Tuple[Optional[str], Set[str]] = (None, set())
         #: message id stamped onto delivery items minted by the in-flight
         #: publish (set around fan-out, both live and during replay)
         self.current_message_id: Optional[str] = None
@@ -352,7 +358,23 @@ class BrokerStore:
     def task_replayed(self, task: "DeliveryTask") -> None:
         self._record_outcomes(task.sink, task.items, "replayed")
 
-    # --- replay routing (consulted by the delivery manager) ------------------
+    # --- replay routing (the route asks first, the delivery manager the rest) --
+
+    def replay_delivered(self, sink: str) -> bool:
+        """Whether the replayed publish's obligation to ``sink`` was delivered
+        before the crash: the route then pushes nothing.  The key counts as
+        suppressed once, however many of the sink's subscriptions ask."""
+        message_id = self.current_message_id
+        outcome = self._settled.get((message_id, sink))
+        if outcome is None or outcome[0] != "delivered":
+            return False
+        if self._dropped[0] != message_id:
+            self._dropped = (message_id, set())
+        sinks = self._dropped[1]
+        if sink not in sinks:
+            sinks.add(sink)
+            self.stats.suppressed += 1
+        return True
 
     def resolve_replay(self, task: "DeliveryTask") -> Optional[Tuple[str, str]]:
         """Route one replayed submission by its idempotency keys.

@@ -14,12 +14,17 @@ message boxes, DLQ) converge on the pre-crash state:
   sweeps during replay: one the pre-crash sweep ended (``remove`` follows) is
   forgotten silently, the first sweep after recovery ends the rest — one end
   notice per subscription across the crash;
-* ``publish`` records re-run fan-out with ``current_message_id`` pinned,
-  and the delivery manager consults the store's settlement index per
-  task: settled obligations are suppressed, pre-crash parked items are
-  re-parked (same box addresses, since boxes are minted in first-park
-  order), dead tasks are restored to the DLQ with a working send thunk,
-  and only genuinely in-flight obligations are re-attempted;
+* ``publish`` records re-run matching with ``current_message_id`` pinned,
+  and a delivered obligation replays as nothing; the manager resolves the
+  rest: the route asks the store's settlement index before it pushes, so
+  a push the log settled as delivered makes no task, while every other
+  one reaches the delivery manager, which asks the index per task —
+  pre-crash parked items are re-parked (same box addresses, since boxes
+  are minted in first-park order; a drained box is re-minted empty), dead
+  tasks are restored to the DLQ with a working send thunk, shed ones stay
+  shed, and only genuinely in-flight obligations are re-attempted.  Replay
+  work therefore grows with the obligations still open plus matching, not
+  with every obligation ever made;
 * before each publish replays, its pre-crash ledger books are closed:
   any obligation the crash left dangling (opened, not closed, not
   parked) is marked ``failed(reason=broker_crash)`` so the mesh-wide

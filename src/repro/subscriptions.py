@@ -35,12 +35,13 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Optional
 
-from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterError
+from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterContext, FilterError
 from repro.filters.content import MessageContentFilter, content_expression_of
 from repro.filters.producer import ProducerPropertiesFilter, properties_document
 from repro.filters.topics import (
     TopicFilter,
     TopicNamespace,
+    TopicPath,
     TopicSubscriptionIndex,
     topic_expression_of,
 )
@@ -562,20 +563,21 @@ class SubscriptionService:
     def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> str:
         return reply_text(request_headers, action, body, self._client.wsa_version)
 
-    def note_publication(self, payload: XElem, topic: Optional[str]) -> None:
+    def note_publication(self, payload: XElem, topic: Optional[str]) -> Optional[TopicPath]:
         """Record a publication without fanning out — the first step of the
         route, and all of it on the broker's zero-subscription fast path.
         With a topic space, ``topic`` must be one it admits (a fixed set
         refuses strangers, an open one learns the topic) and the payload
         becomes that topic's current message; without one there is nothing
-        to note."""
+        to note.  Returns the path the topic space parsed (None: none did)."""
         if topic is None or self.topics is None:
-            return
+            return None
         try:
-            self.topics.validate_publication(topic)
+            path = self.topics.validate_publication(topic)
         except FilterError as exc:
             raise SoapFault(FaultCode.SENDER, str(exc)) from exc
         self._current_message[topic] = payload if payload.frozen else payload.copy()
+        return path
 
     def _current_message_on(self, topic: str, subcode: QName) -> XElem:
         payload = self._current_message.get(topic)
@@ -603,19 +605,26 @@ class SubscriptionService:
         matched.  The payload is frozen once and travels as one item: a live
         push match goes to the family's ``push(subscription, items)`` row,
         anything else is parked, and an unpaused wrapped queue is then held
-        for its batch."""
+        for its batch.  Replaying the log, a push the log settled as
+        delivered goes nowhere."""
         from repro.delivery.task import DeliveryItem
 
         frozen = self._fanout.freeze(payload)
-        self.note_publication(frozen, topic)
-        items = [DeliveryItem(frozen, topic, self.network.instrumentation.trace_context())]
-        matched = 0
-        for subscription in self._fanout.match(
+        path = self.note_publication(frozen, topic)
+        context = FilterContext(
             frozen, topic, self.producer_properties, self._properties_document()
-        ):
+        )
+        if path is not None:
+            context.topic_path = path  # parsed once per publication
+        items = [DeliveryItem(frozen, topic, self.network.instrumentation.trace_context())]
+        store = self.delivery_manager.store if self.delivery_manager is not None else None
+        delivered = store.replay_delivered if store is not None and store.replaying else None
+        matched = 0
+        for subscription in self._fanout.match(context):
             matched += 1
             if subscription.mode is DeliveryMode.PUSH and not subscription.paused:
-                push(subscription, items)
+                if delivered is None or not delivered(subscription.consumer.address):
+                    push(subscription, items)
             elif (
                 self.subscriptions.park(subscription, items[0])
                 and subscription.mode is DeliveryMode.WRAPPED

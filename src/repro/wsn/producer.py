@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.delivery.batcher import DeliveryBatcher
 from repro.delivery.policy import BatchingPolicy
 from repro.delivery.task import DeliveryItem
-from repro.filters.topics import TopicNamespace
+from repro.filters.topics import TopicNamespace, TopicPath
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
 from repro.subscriptions import Grant, Operation, OperationTable, Subscription, SubscriptionService
@@ -358,11 +358,11 @@ class NotificationProducer(SubscriptionService):
             (subscription, item),
         )
 
-    def note_publication(self, payload: XElem, topic: Optional[str]) -> None:
+    def note_publication(self, payload: XElem, topic: Optional[str]) -> Optional[TopicPath]:
         """The frame's (topic validation and the GetCurrentMessage cache),
         stated on this class because ``benchmarks/e2e``'s wrap table names it
         here."""
-        super().note_publication(payload, topic)
+        return super().note_publication(payload, topic)
 
     def _deliver(self, subscription: Subscription, backlog: list[DeliveryItem]) -> None:
         """One subscriber's resumed backlog as one request — a one-subscription

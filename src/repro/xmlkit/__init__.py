@@ -22,7 +22,7 @@ expat (the stdlib ``pyexpat`` binding), whose callbacks build the tree:
 from repro.xmlkit.names import QName, Namespaces
 from repro.xmlkit.element import FrozenElementError, XElem
 from repro.xmlkit.parser import parse_xml, XmlParseError
-from repro.xmlkit.writer import serialize_xml
+from repro.xmlkit.writer import XmlCharacterError, serialize_xml
 from repro.xmlkit.xpath import XPath, XPathError
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "Namespaces",
     "FrozenElementError",
     "XElem",
+    "XmlCharacterError",
     "parse_xml",
     "XmlParseError",
     "serialize_xml",

@@ -17,15 +17,24 @@ re-used byte-identically for each subscriber.
 
 from __future__ import annotations
 
+import re
+
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces, QName
 
+#: every character XML 1.0's ``Char`` production leaves out: the C0 controls
+#: other than tab, LF and CR, the surrogate block, U+FFFE and U+FFFF
+_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+#: the ASCII ones, each mapped to NUL (itself one): the escape pass maps
+#: them, so one ``in`` test of its output finds them in an ASCII value, and
+#: only a non-ASCII value is searched for the rest
+_C0 = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20)], "\x00")
 # a single translate pass per text node (was: chained str.replace passes)
 # \r must be a character reference: the XML line-end normalization pass turns
 # a literal \r (or \r\n) into \n before the parser ever sees it
 _TEXT_TRANSLATION = str.maketrans(
     {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
-)
+) | _C0
 # attribute-value normalization additionally folds \t and \n to spaces, so
 # all three must ride as character references to round-trip exactly
 _ATTR_TRANSLATION = str.maketrans(
@@ -38,15 +47,51 @@ _ATTR_TRANSLATION = str.maketrans(
         "\n": "&#10;",
         "\r": "&#13;",
     }
-)
+) | _C0
+
+
+class XmlCharacterError(ValueError):
+    """A tree holds a character XML 1.0 forbids: written out, no parser
+    (ours included) would read it back, so the writer refuses it.  Every
+    path to the log or the wire writes through here, so neither ever
+    receives one."""
+
+
+def _refuse_forbidden(value: str) -> None:
+    """Raise :class:`XmlCharacterError` naming the first character of
+    ``value`` that XML 1.0 forbids, if there is one."""
+    found = _FORBIDDEN.search(value)
+    if found is not None:
+        raise XmlCharacterError(
+            f"U+{ord(found.group()):04X} at offset {found.start()} of {value[:40]!r}"
+            " is not an XML 1.0 character"
+        )
+
+
+#: local names found clean, so a name is checked once, not per write
+#: (bounded: a caller may build any number of names)
+_CLEAN_NAMES: set[str] = set()
+
+
+def _admit_name(local: str) -> None:
+    _refuse_forbidden(local)
+    if len(_CLEAN_NAMES) >= 4096:
+        _CLEAN_NAMES.clear()
+    _CLEAN_NAMES.add(local)
 
 
 def _escape_text(value: str) -> str:
-    return value.translate(_TEXT_TRANSLATION)
+    escaped = value.translate(_TEXT_TRANSLATION)
+    if "\x00" in escaped or not value.isascii():
+        _refuse_forbidden(value)
+    return escaped
 
 
 def _escape_attr(value: str) -> str:
-    return value.translate(_ATTR_TRANSLATION)
+    escaped = value.translate(_ATTR_TRANSLATION)
+    if "\x00" in escaped or not value.isascii():
+        _refuse_forbidden(value)
+    return escaped
 
 
 class WriterStats:
@@ -235,6 +280,8 @@ def _collect_namespaces(elem: XElem, allocator: _PrefixAllocator) -> None:
 
 
 def _tag(name: QName, allocator: _PrefixAllocator) -> str:
+    if name.local not in _CLEAN_NAMES:
+        _admit_name(name.local)
     if not name.namespace:
         return name.local
     return f"{allocator.prefix_for(name.namespace)}:{name.local}"
@@ -282,6 +329,8 @@ def _write(
         for uri, prefix in sorted(allocator.declared().items(), key=lambda kv: kv[1]):
             parts.append(f' xmlns:{prefix}="{_escape_attr(uri)}"')
     for attr, value in elem.attrs.items():
+        if attr.local not in _CLEAN_NAMES:
+            _admit_name(attr.local)
         if attr.namespace == Namespaces.XML:
             attr_tag = f"xml:{attr.local}"
         elif attr.namespace:

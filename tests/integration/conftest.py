@@ -32,10 +32,12 @@ from repro.messenger import WsMessenger
 
 
 def _install_linear_matcher(fanout) -> None:
-    def linear_match(frozen, topic, producer_properties, producer_document=None):
+    def linear_match(route_context):
         instr = fanout.network.instrumentation
         fanout.subscriptions.sweep()  # the registry's full scan, not the heap
-        context = FilterContext(frozen.copy(), topic, producer_properties)
+        context = FilterContext(
+            route_context.payload.copy(), route_context.topic, route_context.producer_properties
+        )
         assert not context.payload.frozen
         for key, subscription in list(fanout.subscriptions.records.items()):
             if subscription.is_expired(fanout.network.clock.now()):

@@ -4,12 +4,15 @@ import dataclasses
 
 import pytest
 
-from repro.delivery import DeliveryPolicy, drain_message_box_wse
+from repro.delivery import BatchingPolicy, DeliveryPolicy, drain_message_box_wse
+from repro.delivery.manager import DeliveryManager
+from repro.delivery.task import DeliveryTask
 from repro.messenger import WsMessenger
 from repro.obs import Instrumentation
 from repro.obs.audit import audit
-from repro.qos import AdaptiveQosPolicy, QosProfile
+from repro.qos import AdaptiveQosPolicy, DiscardPolicy, QosProfile
 from repro.store import BrokerStore, FileEventLog, MemoryEventLog, recover_broker
+from repro.store.records import OutcomeRecorded, PublishRecorded
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.util.xstime import format_datetime
 from repro.wsa.epr import EndpointReference
@@ -253,6 +256,162 @@ class TestShedIsTerminal:
         result = audit(instrumentation, scenario="shed-replay")
         assert result.passed, result.render()
         assert (result.shed, result.failed, result.delivered, result.pending) == (4, 2, 2, 0)
+
+
+def _flushes(broker) -> int:
+    """Batches the broker's push batchers have flushed."""
+    return sum(s.batcher.stats.flushes for _, _, s in broker.services() if s.batcher)
+
+
+class TestReplayPaysOnlyForWhatIsOwed:
+    """The route asks the log before it pushes: an obligation settled as
+    delivered replays as nothing — no submission, no task, no batch — while
+    every other verdict still reaches the delivery manager."""
+
+    def test_a_delivered_history_replays_as_nothing(self, network, monkeypatch):
+        publishes, config = 4, dict(batching=BatchingPolicy(window=0.0, max_batch=100))
+        broker = _broker(network, **config)
+        sinks = [EventSink(network, f"http://rc-sink-{n}") for n in range(3)]
+        consumers = [NotificationConsumer(network, f"http://rc-consumer-{n}") for n in range(3)]
+        for sink in sinks:
+            WseSubscriber(network).subscribe(broker.epr(), notify_to=sink.epr())
+        for consumer in consumers:
+            WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="rc")
+        for n in range(publishes):
+            broker.publish(event(n), topic="rc")
+        broker.run_deliveries_until_idle()
+        receivers = sinks + consumers
+        assert [len(r.received) for r in receivers] == [publishes] * len(receivers)
+        # live, every WSN push went through the batcher: one group per sink
+        assert _flushes(broker) == publishes * len(consumers)
+        broker.close()
+        work = {"submit": 0, "task": 0}
+        submit, init = DeliveryManager.submit, DeliveryTask.__init__
+
+        def counted_submit(manager, *args, **kwargs):
+            work["submit"] += 1
+            return submit(manager, *args, **kwargs)
+
+        def counted_init(task, *args, **kwargs):
+            work["task"] += 1
+            init(task, *args, **kwargs)
+
+        monkeypatch.setattr(DeliveryManager, "submit", counted_submit)
+        monkeypatch.setattr(DeliveryTask, "__init__", counted_init)
+        recovered = _recover(network, broker.store.log, **config)
+        assert work == {"submit": 0, "task": 0}
+        assert _flushes(recovered) == 0
+        # one suppression per settled (message id, sink) key, as before
+        assert recovered.store.stats.suppressed == publishes * len(receivers)
+        recovered.run_deliveries_until_idle()
+        assert [len(r.received) for r in receivers] == [publishes] * len(receivers)
+        recovered.publish(event(9), topic="rc")
+        recovered.run_deliveries_until_idle()
+        assert [len(r.received) for r in receivers] == [publishes + 1] * len(receivers)
+
+    def test_a_sink_subscribed_twice_counts_once_per_publish(self, network):
+        """Suppression counts settled ``(message id, sink)`` keys, not the
+        subscriptions that share one: a WSE sink with two subscriptions and a
+        WSN consumer whose two subscriptions share each batch count one each."""
+        publishes, config = 3, dict(batching=BatchingPolicy(window=0.0, max_batch=100))
+        broker = _broker(network, **config)
+        sink = EventSink(network, "http://rc-twice-sink")
+        consumer = NotificationConsumer(network, "http://rc-twice-consumer")
+        for _ in range(2):
+            WseSubscriber(network).subscribe(broker.epr(), notify_to=sink.epr())
+            WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="rc")
+        for n in range(publishes):
+            broker.publish(event(n), topic="rc")
+        broker.run_deliveries_until_idle()
+        assert len(sink.received) == len(consumer.received) == 2 * publishes
+        broker.close()
+        recovered = _recover(network, broker.store.log, **config)
+        assert recovered.store.stats.suppressed == 2 * publishes
+        recovered.run_deliveries_until_idle()
+        assert len(sink.received) == len(consumer.received) == 2 * publishes
+
+    def test_a_mixed_publish_replays_only_its_open_obligation(self, network, tmp_path):
+        """One publish, six fates: delivered, parked, drained (parked, then
+        pulled), shed (a LIFO queue of one already full), dead (two failed
+        attempts) and still in retry (queued behind a task that died).  The
+        restart reproduces the projection, the DLQ and the box addresses,
+        writes nothing to the log, and sends only the obligation in retry."""
+        network.add_zone("rc-dmz", blocks_inbound=True)
+        config = dict(
+            delivery=DeliveryPolicy(max_attempts=2, base_backoff=10.0, jitter=0.0),
+            qos=AdaptiveQosPolicy(),
+        )
+        broker = _broker(network, FileEventLog(tmp_path / "broker.log"), **config)
+        client, inside = WseSubscriber(network), WseSubscriber(network, zone="rc-dmz")
+        healthy = EventSink(network, "http://rc-healthy")
+        parked = EventSink(network, "http://rc-parked", zone="rc-dmz")
+        drained = EventSink(network, "http://rc-drained", zone="rc-dmz")
+        retried = EventSink(network, "http://rc-retried")
+        shed = EventSink(network, "http://rc-shed")
+        client.subscribe(broker.epr(), notify_to=healthy.epr())
+        inside.subscribe(broker.epr(), notify_to=parked.epr())
+        inside.subscribe(broker.epr(), notify_to=drained.epr())
+        client.subscribe(broker.epr(), notify_to=retried.epr())
+        lifo = QosProfile({"MaxEventsPerConsumer": 1, "DiscardPolicy": DiscardPolicy.LIFO_ORDER})
+        client.subscribe(broker.epr(), notify_to=shed.epr(), qos=lifo)
+        retried.close()
+        shed.close()
+        broker.publish(event(0), topic="rc")  # its tasks at the dark sinks back off
+        dead = EventSink(network, "http://rc-dead")
+        client.subscribe(broker.epr(), notify_to=dead.epr())
+        dead.close()
+        broker.publish(event(1), topic="rc")  # the publish of six fates
+        network.clock.advance(10.0)
+        broker.delivery_manager.run_due()  # the second attempts: three tasks die
+        box = broker.message_boxes.get("http://rc-drained")
+        pulled = drain_message_box_wse(network, box.epr(), zone="rc-dmz")
+        assert [p.full_text() for p in pulled] == ["0", "1"]
+        records = list(broker.store.log.records())
+        _, message_id = [r.message_id for r in records if isinstance(r, PublishRecorded)]
+        fates = {
+            r.sink: (r.outcome, r.reason)
+            for r in records
+            if isinstance(r, OutcomeRecorded) and r.message_id == message_id
+        }
+        assert fates == {
+            "http://rc-healthy": ("delivered", ""),
+            "http://rc-parked": ("parked", ""),
+            "http://rc-drained": ("drained", ""),
+            "http://rc-shed": ("dead", "shed:queue_full"),
+            "http://rc-dead": ("dead", "max_attempts"),
+        }  # and nothing yet for http://rc-retried: its task is backing off
+        assert broker.delivery_manager.pending() == 1
+
+        def dead_letters(b):
+            return [
+                (entry.task.sink, entry.reason, [i.payload.full_text() for i in entry.task.items])
+                for entry in b.delivery_manager.dlq.entries
+            ]
+
+        live, letters = broker.store.projection(broker), dead_letters(broker)
+        assert letters == [
+            ("http://rc-retried", "max_attempts", ["0"]),
+            ("http://rc-shed", "max_attempts", ["0"]),
+            ("http://rc-dead", "max_attempts", ["1"]),
+        ]
+        log_bytes = broker.store.log.path.read_bytes()
+        broker.close()
+        recovered = _recover(network, broker.store.log, **config)
+        assert recovered.store.projection(recovered) == live
+        assert dead_letters(recovered) == letters
+        # the one re-attempt replay made failed at a still-dark sink: no record
+        assert broker.store.log.path.read_bytes() == log_bytes
+        assert recovered.delivery_manager.pending() == 1
+        receivers = {
+            address: EventSink(network, address)
+            for address in ("http://rc-retried", "http://rc-shed", "http://rc-dead")
+        }
+        recovered.run_deliveries_until_idle()
+        assert {a: [i.payload.full_text() for i in r.received] for a, r in receivers.items()} == {
+            "http://rc-retried": ["1"], "http://rc-shed": [], "http://rc-dead": [],
+        }
+        assert [len(healthy.received), len(parked.received), len(drained.received)] == [2, 0, 0]
+        assert len(broker.store.log) == len(log_bytes.splitlines()) + 1  # its delivery
 
 
 class TestDrainedBoxSurvivesRecovery:
