@@ -8,7 +8,10 @@ subscription registers at).  The same stream is fed to a 1-broker baseline
 and to a 3-shard :class:`~repro.mesh.MeshCluster`; every consumer must see
 the same notifications, in the same order, with payloads strictly identical
 and topics preserved (:func:`~repro.conformance.differential.same_deliveries`)
-— whatever path the mesh routed them over.
+— whatever path the mesh routed them over.  Each shard keeps an in-memory
+event log; after the stream every shard is rebuilt from its own log, and
+the consumers must have received nothing more: a publish forwarded to its
+owner, or delivered before the restart, replays as nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from repro.conformance.differential import valid_stream, valid_topic
 from repro.conformance.gen import pick, spec_to_elem
 from repro.mesh import MeshCluster
 from repro.messenger import WsMessenger
+from repro.store import BrokerStore, MemoryEventLog, recover_broker
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.util.rng import SeededRng
 from repro.wse import EventSink
@@ -62,12 +66,25 @@ class MeshEngine:
             broker.publish(payload.copy(), topic=item["topic"])
 
         mesh_net = SimulatedNetwork(VirtualClock())
-        mesh = MeshCluster(mesh_net, _SHARDS, base_address="http://conf-mesh", **VERSIONS)
+        mesh = MeshCluster(
+            mesh_net, _SHARDS, base_address="http://conf-mesh",
+            store_factory=lambda name: BrokerStore(MemoryEventLog()), **VERSIONS,
+        )
         sink = EventSink(mesh_net, "http://conf-mesh-sink")
         mesh.subscribe_wse(sink.address, home=case["wse_home"])
         consumer = NotificationConsumer(mesh_net, "http://conf-mesh-consumer")
         mesh.subscribe_wsn(consumer.address, topic=watch, home=case["wsn_home"])
         for item, payload in zip(stream, originals):
             mesh.publish(payload.copy(), topic=item["topic"], via=item["via"])
+        mesh.quiesce()
+        delivered = received(sink, consumer)
+        failure = same_deliveries(received(*baseline), delivered, "through the mesh")
+        if failure is not None:
+            return failure
 
-        return same_deliveries(received(*baseline), received(sink, consumer), "through the mesh")
+        # every shard restarts from its own log: what was delivered replays as nothing
+        logs = [(node.address, node.broker.store.log) for node in mesh]
+        mesh.close()
+        for address, log in logs:
+            recover_broker(mesh_net, address, log, **VERSIONS).run_deliveries_until_idle()
+        return same_deliveries(delivered, received(sink, consumer), "after every shard's replay")

@@ -135,8 +135,8 @@ class DeliveryManager:
         #: moved (submits, drains, gauge sweeps) — WS-Messenger's publisher
         #: registrations hang their lag-driven demand pause / resume here
         self.backlog_listeners: list[Callable[[int], None]] = []
-        #: durable broker store (set by BrokerStore.attach): stamps items
-        #: with idempotency keys, records outcomes, and routes replayed
+        #: durable broker store (set by BrokerStore.attach): records
+        #: outcomes under the items' idempotency keys, and routes replayed
         #: submissions past obligations the log already settled
         self.store: Optional["BrokerStore"] = None
         self._queues: dict[str, deque[DeliveryTask]] = {}
@@ -162,8 +162,8 @@ class DeliveryManager:
         sink's queue is empty (the healthy-network fast path)."""
         instr = self.network.instrumentation
         store = self.store
-        # the task's own list, made once (the store stamps as it copies)
-        item_list = store.stamp_items(items) if store is not None else list(items)
+        # the task's own list; each item already carries its publish's id
+        item_list = list(items)
         lineage = next(
             (item.lineage for item in item_list if item.lineage is not None), None
         )

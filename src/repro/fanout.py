@@ -18,8 +18,10 @@ drain stamps its own lineage), rendered and settled.
    ``<family>.publish`` span that mints the lineage, the ``published`` ledger
    record and ``notifications.matched``;
 2. :meth:`Fanout.match` — the only candidate loop: expiry sweep, topic/content
-   index lookup, the ``fanout.*`` counters, the residual filter; survivors come
-   out lazily, in subscription order, so liveness is checked at each one's turn;
+   index lookup, the ``fanout.*`` counters, the full filter of the keys the
+   index does not decide (its admission is final for the rest); survivors
+   come out lazily, in subscription order, so liveness is checked at each
+   one's turn;
 3. :meth:`Fanout.settle` — one wire attempt, opening no span of its own (the
    client's ``deliver`` span and the lineage header it sends are the trace)
    and counted per *item* (the items the attempt renders, not copies of them),
@@ -146,6 +148,10 @@ class Fanout:
                 bound.inc(instr, skipped, "fanout.index_skips", "family", family)
             # one increment per residual filter run, via one handle
             evals_counter = bound.get(instr, "fanout.filter_evals", "family", family)
+        # the index's admission is final except for these keys
+        residual = index.residual
+        if index.undecided:
+            residual = residual | index.undecided
         records, now = self.subscriptions.records, self.network.clock.now
         for key in candidates:
             subscription = records.get(key)
@@ -154,10 +160,12 @@ class Fanout:
             expires = subscription.termination_time
             if expires is not None and now() >= expires:
                 continue
-            if evals_counter is not None:
-                evals_counter.inc()
-            if admits(subscription.filter, context, instr, family, key):
-                yield subscription
+            if key in residual:
+                if evals_counter is not None:
+                    evals_counter.inc()
+                if not admits(subscription.filter, context, instr, family, key):
+                    continue
+            yield subscription
 
     # --- stage 3: settle -----------------------------------------------------------------
 

@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterContext, FilterError
+from repro.filters.content import MessageContentFilter
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces
 from repro.xmlkit.xpath import XPath, XPathError
@@ -252,6 +253,10 @@ def _match_segments(
     return _match_segments(rest, parts[1:], descendants)
 
 
+#: the ``undecided`` of a lookup whose every content expression evaluated
+_NONE: frozenset[str] = frozenset()
+
+
 class _IndexNode:
     """One trie level of a :class:`TopicSubscriptionIndex`.
 
@@ -286,8 +291,11 @@ class TopicSubscriptionIndex:
     admits the published path and whose content expression — evaluated once
     however many keys carry it — admits the payload, in subscription
     insertion order, so delivery order (and therefore wire bytes) is
-    identical to a linear scan over the subscription table.  It is a
-    conservative pre-filter: callers still run each candidate's full filter.
+    identical to a linear scan over the subscription table.  For a key
+    added ``final`` (see :func:`index_decides`) the answer is the filter's:
+    callers run the full filter only of the keys in :attr:`residual`, and of
+    those in :attr:`undecided` (a content bucket whose expression raised on
+    this payload, so each key's own filter reports the error).
     """
 
     def __init__(self) -> None:
@@ -310,15 +318,26 @@ class TopicSubscriptionIndex:
         #: content expressions the latest ``candidates`` call evaluated (the
         #: fan-out reports it as ``fanout.xpath_evals``)
         self.content_evals = 0
+        #: the keys whose filter holds more than the index represents
+        self.residual: set[str] = set()
+        #: keys the latest ``candidates`` call admitted without deciding
+        self.undecided: frozenset[str] = _NONE
 
     def add(
-        self, key: str, expression: Optional[TopicExpression], content: Optional[XPath] = None
+        self,
+        key: str,
+        expression: Optional[TopicExpression],
+        content: Optional[XPath] = None,
+        final: bool = False,
     ) -> None:
         """Register ``key``; ``expression=None`` means always-candidate on
-        the topic side, ``content=None`` no content constraint."""
+        the topic side, ``content=None`` no content constraint, ``final``
+        that the two are the key's whole filter."""
         if key in self._seq:
             self.discard(key)
         self._seq[key] = next(self._counter)
+        if not final:
+            self.residual.add(key)
         refs = self.root_refs
         self._roots_of[key] = roots = (None,) if expression is None else expression.roots
         for root in roots:
@@ -360,6 +379,7 @@ class TopicSubscriptionIndex:
         always = key in self._always
         self._always.discard(key)
         self._plain.discard(key)
+        self.residual.discard(key)
         for node in self._terminals.pop(key, ()):
             node.exact.pop(key, None)
             node.subtree.pop(key, None)
@@ -388,7 +408,9 @@ class TopicSubscriptionIndex:
         found = self._trie_candidates(topic)
         always = self._always
         self.content_evals = 0
-        if payload is None:
+        self.undecided = _NONE
+        if payload is None:  # content unasked: every content key is undecided
+            self.undecided = frozenset(self._content_of)
             found |= always
             return sorted(found, key=self._seq.__getitem__)
         admitted: list[str] = []
@@ -404,7 +426,11 @@ class TopicSubscriptionIndex:
                     try:  # through matches, which keeps the verdict in ``verdicts``
                         verdict = content.matches(payload)
                     except XPathError:
-                        verdict = True  # each subscription's own filter reports it
+                        # undecided: each subscription's own filter reports it
+                        live = [key for key in bucket if key in always or key in found]
+                        self.undecided = self.undecided.union(live)
+                        admitted += live
+                        continue
                 if verdict:
                     admitted += [key for key in bucket if key in always or key in found]
             self.content_evals = evals
@@ -524,3 +550,18 @@ class TopicFilter(Filter):
 
     def describe(self) -> str:
         return f"topic({self.expression})"
+
+
+#: the filter kinds the index represents whole (see :func:`index_decides`)
+_INDEXED = (AcceptAllFilter, TopicFilter, MessageContentFilter)
+
+
+def index_decides(filter: Filter) -> bool:
+    """Whether the index's admission is all of ``filter``: accept-all, one
+    topic part, one content part, or the AND of one of each.  Anything more
+    (a ProducerProperties part, a second topic or content part) stays
+    residual: the fan-out runs that key's full filter on every candidacy."""
+    if type(filter) is not AndFilter:
+        return type(filter) in _INDEXED
+    kinds = [type(part) for part in filter.parts]
+    return len(set(kinds)) == len(kinds) and all(kind in _INDEXED for kind in kinds)

@@ -346,17 +346,20 @@ class WsMessenger:
         Frozen at the door: the log, router and every service share it."""
         payload = freeze_once(payload, instr, self._bound_counters, "broker")
         store = self.store
-        if store is not None:
+        message_id = (
             store.record_publish(payload, topic, instr.trace_context())
+            if store is not None
+            else None
+        )
         try:
             if self.publish_router is not None and self.publish_router(payload, topic):
                 if store is not None:
-                    store.record_routed()
+                    store.record_routed(message_id)
                 return
             self.backbone.publish(payload, topic)
         finally:
             if store is not None:
-                store.end_publish()
+                store.end_publish(message_id)
 
     def _fan_out(self, payload: XElem, topic: Optional[str]) -> None:
         instr = self.network.instrumentation

@@ -7,8 +7,8 @@ stores, topic indexes, message boxes, and the delivery manager's
 obligation ledger become replayable *projections* over that log.
 
 Publishing is transactional-outbox style: the publish record is appended
-*before* fan-out, and every delivery item is stamped with the publish's
-message id so the (message id, sink) pair is an idempotency key — a
+*before* fan-out, and the route stamps the publish's one delivery item
+with its message id so the (message id, sink) pair is an idempotency key — a
 crashed broker replayed from its log never double-delivers an outcome
 the log already settled.
 

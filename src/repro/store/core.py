@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.delivery.task import DeliveryItem
 from repro.obs.instrument import BoundCounters
 from repro.qos.wire import profile_from_texts, profile_texts
 from repro.store.log import MemoryEventLog
@@ -51,7 +52,7 @@ from repro.xmlkit.parser import parse_xml
 from repro.xmlkit.writer import serialize_xml
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.delivery.task import DeliveryItem, DeliveryTask
+    from repro.delivery.task import DeliveryTask
     from repro.messenger.broker import WsMessenger
 
 #: outcomes after which a (message_id, sink) obligation needs no further work
@@ -143,9 +144,11 @@ class BrokerStore:
         #: the replayed publish whose delivered pushes the route dropped, and
         #: the sinks it dropped them for (each key counts once)
         self._dropped: Tuple[Optional[str], Set[str]] = (None, set())
-        #: message id stamped onto delivery items minted by the in-flight
-        #: publish (set around fan-out, both live and during replay)
+        #: message id the route stamps on the item of the in-flight publish
+        #: (set around fan-out, both live and during replay)
         self.current_message_id: Optional[str] = None
+        #: the ids of the publishes the in-flight one nests in, innermost last
+        self._enclosing: List[Optional[str]] = []
         #: pre-bound per-record counters
         self._bound = BoundCounters()
         for record in self.log.records():
@@ -255,9 +258,11 @@ class BrokerStore:
     # --- recording: the transactional outbox -------------------------------
 
     def record_publish(self, payload, topic: Optional[str], lineage) -> Optional[str]:
-        """Append the outbox entry *before* fan-out and arm item stamping.
-        Returns the minted message id (None while replaying: the replay
-        loop pins ``current_message_id`` itself)."""
+        """Append the outbox entry *before* fan-out and make its message id
+        the in-flight one (the route stamps it on the publish's item).
+        Returns the minted id, which the caller hands back to
+        :meth:`record_routed` and :meth:`end_publish` (None while replaying:
+        the replay loop pins ``current_message_id`` itself)."""
         if self.replaying:
             return None
         self._message_serial += 1
@@ -272,41 +277,32 @@ class BrokerStore:
             )
         )
         self.stats.publishes += 1
+        # a publish can nest in another (a mesh forward's federated ingress
+        # re-enters this broker): end_publish gives the outer one its id back
+        self._enclosing.append(self.current_message_id)
         self.current_message_id = message_id
         return message_id
 
-    def record_routed(self) -> None:
-        """The mesh router forwarded the in-flight publish to its owning
+    def record_routed(self, message_id: Optional[str]) -> None:
+        """The mesh router forwarded publish ``message_id`` to its owning
         shard: no local fan-out exists to reproduce on replay."""
-        if self.replaying or self.current_message_id is None:
+        if message_id is None:
             return
-        self._append(
-            OutcomeRecorded(
-                at=self._now(),
-                message_id=self.current_message_id,
-                sink="",
-                outcome="routed",
-            )
-        )
+        self._append(OutcomeRecorded(self._now(), message_id, "", "routed"))
 
-    def end_publish(self) -> None:
-        """Close the in-flight publish: its buffered outcomes commit."""
-        if not self.replaying:
-            self.current_message_id = None
+    def end_publish(self, message_id: Optional[str]) -> None:
+        """Close publish ``message_id``: its buffered outcomes commit, and
+        the publish it nested in (if any) is in flight again."""
+        if message_id is not None:
+            self.current_message_id = self._enclosing.pop()
             self._commit()
 
-    def stamp_items(self, items: Sequence["DeliveryItem"]) -> List["DeliveryItem"]:
-        """A task's own list of ``items``, each stamped with the in-flight
-        publish's message id — the idempotency key is born here."""
-        message_id = self.current_message_id
-        if message_id is None:
-            return list(items)
-        return [
-            type(item)(item.payload, item.topic, item.lineage, message_id)
-            if item.message_id is None
-            else item
-            for item in items
-        ]
+    def stamp_items(self, payload, topic: Optional[str], lineage) -> List[DeliveryItem]:
+        """The route's one item of the in-flight publish, stamped with its
+        message id — the idempotency key is born here.  Every task, parked
+        queue and wrapped batch carries the item as it is, so a batch that
+        holds several publishes holds each under its own id."""
+        return [DeliveryItem(payload, topic, lineage, self.current_message_id)]
 
     # --- recording: delivery outcomes --------------------------------------
 

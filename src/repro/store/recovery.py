@@ -23,20 +23,28 @@ message boxes, DLQ) converge on the pre-crash state:
   are minted in first-park order; a drained box is re-minted empty), dead
   tasks are restored to the DLQ with a working send thunk, shed ones stay
   shed, and only genuinely in-flight obligations are re-attempted.  Replay
-  work therefore grows with the obligations still open plus matching, not
-  with every obligation ever made;
+  work therefore grows with the obligations still open plus one index
+  lookup per publish (its admission is final, no filter runs), not with
+  every obligation ever made; a publish the mesh router forwarded to its
+  owning shard (``routed``) replays as nothing at all;
 * before each publish replays, its pre-crash ledger books are closed:
   any obligation the crash left dangling (opened, not closed, not
   parked) is marked ``failed(reason=broker_crash)`` so the mesh-wide
   conservation audit balances — the re-fan-out then opens a fresh,
   properly-closed obligation.
 
+A publish that fails to parse back (only a log written before the writer
+refused the characters XML 1.0 forbids can hold one) is skipped and counted
+as ``obs.swallowed_errors_total{site=store.recovery.replay_publish,
+reason=unparseable}``.
+
 Known limits (documented in DESIGN.md): itemless control traffic
 (SubscriptionEnd / TerminationNotification) carries no idempotency key
 and is not replayed; a WSN pause/resume backlog delivered before the
 crash is not re-delivered; manual wrapped-mode ``flush()`` calls between
 publishes are not log events, so their batch boundaries are not
-reproduced.
+reproduced (each item keeps its own publish's id, but a replayed batch
+that mixes settled and open items is sent again whole).
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from repro.store.records import (
     RenewRecorded,
     SubscribeRecorded,
 )
-from repro.xmlkit.parser import parse_xml
+from repro.xmlkit.parser import XmlParseError, parse_xml
 
 
 def recover_broker(network, address, log, **broker_kwargs):
@@ -112,11 +120,11 @@ def _record_of(broker, family: str, tag: str, sub_id: str):
     return service.subscriptions, service.subscriptions.find(sub_id)
 
 
-def _unrestored(broker, **why: str) -> None:
-    """The logged grant no longer takes (garbled, or a QoS profile now refused):
-    count it, instead of moving on as if it had been restored."""
+def _unrestored(broker, site: str, **why: str) -> None:
+    """A logged record no longer replays (a garbled grant or payload, a QoS
+    profile now refused): count it, instead of moving on as if it had."""
     broker.network.instrumentation.count(
-        "obs.swallowed_errors_total", site="store.recovery.replay_subscribe", **why
+        "obs.swallowed_errors_total", site=f"store.recovery.{site}", **why
     )
 
 
@@ -127,12 +135,12 @@ def _replay_subscribe(broker, store, record: SubscribeRecorded) -> None:
     try:
         grant = grant_of(record)
     except ValueError:
-        return _unrestored(broker, reason="unparseable")
+        return _unrestored(broker, "replay_subscribe", reason="unparseable")
     try:
         service.grant(grant)
     except SoapFault as fault:
         subcode = fault.subcode.local if fault.subcode is not None else ""
-        return _unrestored(broker, reason="fault", subcode=subcode)
+        return _unrestored(broker, "replay_subscribe", reason="fault", subcode=subcode)
     store.stats.recovered_subscriptions += 1
 
 
@@ -206,7 +214,10 @@ def _replay_publish(broker, store, record: PublishRecorded) -> None:
     if record.message_id in store._routed:
         return  # forwarded to its owning shard pre-crash: nothing local
     _close_books(broker, store, record)
-    payload = parse_xml(record.payload).freeze()
+    try:
+        payload = parse_xml(record.payload).freeze()
+    except XmlParseError:  # only a log written before the writer refused bad characters
+        return _unrestored(broker, "replay_publish", reason="unparseable")
     store.current_message_id = record.message_id
     store.stats.replayed_publishes += 1
     instr = broker.network.instrumentation

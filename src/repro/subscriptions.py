@@ -43,6 +43,7 @@ from repro.filters.topics import (
     TopicNamespace,
     TopicPath,
     TopicSubscriptionIndex,
+    index_decides,
     topic_expression_of,
 )
 from repro.qos.adaptive import validate_supported
@@ -285,7 +286,8 @@ class SubscriptionManager(ResourceRegistry):
             use_raw=grant.use_raw, topic_expression=grant.topic_expression,
         )
         self.index.add(
-            subscription.key, topic_expression_of(filter), content_expression_of(filter)
+            subscription.key, topic_expression_of(filter), content_expression_of(filter),
+            index_decides(filter),
         )
         if grant.sub_id is None:
             grant = replace(grant, expires=expires, qos=accepted, sub_id=subscription.key)
@@ -602,10 +604,11 @@ class SubscriptionService:
         self, payload: XElem, topic: Optional[str], push: Callable[[Subscription, list], None]
     ) -> int:
         """Match one publication and route each survivor; returns how many
-        matched.  The payload is frozen once and travels as one item: a live
-        push match goes to the family's ``push(subscription, items)`` row,
-        anything else is parked, and an unpaused wrapped queue is then held
-        for its batch.  Replaying the log, a push the log settled as
+        matched.  The payload is frozen once and travels as one item, which
+        carries the in-flight publish's message id when there is a store: a
+        live push match goes to the family's ``push(subscription, items)``
+        row, anything else is parked, and an unpaused wrapped queue is then
+        held for its batch.  Replaying the log, a push the log settled as
         delivered goes nowhere."""
         from repro.delivery.task import DeliveryItem
 
@@ -616,9 +619,14 @@ class SubscriptionService:
         )
         if path is not None:
             context.topic_path = path  # parsed once per publication
-        items = [DeliveryItem(frozen, topic, self.network.instrumentation.trace_context())]
+        lineage = self.network.instrumentation.trace_context()
         store = self.delivery_manager.store if self.delivery_manager is not None else None
-        delivered = store.replay_delivered if store is not None and store.replaying else None
+        if store is None:
+            items = [DeliveryItem(frozen, topic, lineage)]
+            delivered = None
+        else:
+            items = store.stamp_items(frozen, topic, lineage)
+            delivered = store.replay_delivered if store.replaying else None
         matched = 0
         for subscription in self._fanout.match(context):
             matched += 1

@@ -144,8 +144,10 @@ def test_a_hot_topic_walks_one_tree_and_evaluates_only_what_matches(
 
     # the one template compile is the only tree walk; every other send is a join
     assert WRITER_STATS.tree_serializations == 1
-    # the index hands the loop only the subscriptions that match
-    assert total("fanout.filter_evals") == matched
+    # the index hands the loop only the subscriptions that match, and its
+    # admission of a one-topic filter is final: no filter runs at all
+    assert total("fanout.index_hits") == matched
+    assert total("fanout.filter_evals") == 0
     if batched:  # one sink: each publish's sends coalesce into one request
         assert network.stats.requests == PUBLISHES
         assert total("delivery.batched_total") == matched

@@ -12,7 +12,7 @@ from repro.store import (
     PublishRecorded,
 )
 from repro.transport import SimulatedNetwork, VirtualClock
-from repro.wse import EventSink, WseSubscriber
+from repro.wse import DeliveryMode, EventSink, WseSubscriber
 from repro.wsn import NotificationConsumer, WsnSubscriber
 from repro.xmlkit import parse_xml
 from repro.xmlkit.writer import serialize_xml
@@ -78,9 +78,31 @@ class TestOutbox:
         }
         assert len(outcomes) == 2  # idempotent: exactly one per (message, sink)
 
+    def test_a_wrapped_batch_settles_each_publish_under_its_own_id(
+        self, network, store, broker
+    ):
+        """The route stamps the item, not the submit that flushes a batch: ten
+        publishes held for one WS-Eventing ``Wrap`` batch settle as ten keys."""
+        sink = EventSink(network, "http://ob-wrapped")
+        WseSubscriber(network).subscribe(
+            broker.epr(), notify_to=sink.epr(), mode=DeliveryMode.WRAPPED
+        )
+        for n in range(10):
+            broker.publish(event(n), topic="ob")
+        broker.run_deliveries_until_idle()
+        assert len(sink.received) == 10
+        outcomes = [
+            (r.message_id, r.sink, r.outcome)
+            for r in store.log.records()
+            if isinstance(r, OutcomeRecorded)
+        ]
+        assert outcomes == [
+            (f"msg-{n}", "http://ob-wrapped", "delivered") for n in range(1, 11)
+        ]
+
     def test_stamping_keeps_every_other_field(self, store):
-        """``stamp_items`` builds the stamped item itself; this is the
-        ``dataclasses.replace`` it stands in for, field for field (a field
+        """``stamp_items`` builds the route's one item itself, under the
+        in-flight publish's id; every other field is the route's (a field
         added to ``DeliveryItem`` has to be carried there too)."""
         import dataclasses
 
@@ -91,14 +113,13 @@ class TestOutbox:
             "payload", "topic", "lineage", "message_id",
         ]
         lineage = LineageContext(lineage_id="lin-1", parent_span=2, hop=3)
-        fresh = DeliveryItem(event(), topic="ob", lineage=lineage)
-        stamped_before = DeliveryItem(event(), topic="ob", message_id="msg-0")
-        assert store.stamp_items([fresh]) == [fresh]  # no publish in flight
+        payload = event()
+        fresh = DeliveryItem(payload, topic="ob", lineage=lineage)
+        assert store.stamp_items(payload, "ob", lineage) == [fresh]  # no publish in flight
         store.current_message_id = "msg-7"
-        stamped, kept = store.stamp_items([fresh, stamped_before])
+        [stamped] = store.stamp_items(payload, "ob", lineage)
         assert stamped == dataclasses.replace(fresh, message_id="msg-7")
-        assert stamped.payload is fresh.payload and stamped.lineage is lineage
-        assert kept is stamped_before
+        assert stamped.payload is payload and stamped.lineage is lineage
 
     def test_duplicate_terminal_outcome_suppressed(self, store):
         store._record_outcome("msg-1", "http://s", "delivered")

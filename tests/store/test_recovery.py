@@ -7,6 +7,7 @@ import pytest
 from repro.delivery import BatchingPolicy, DeliveryPolicy, drain_message_box_wse
 from repro.delivery.manager import DeliveryManager
 from repro.delivery.task import DeliveryTask
+from repro.mesh import MeshCluster
 from repro.messenger import WsMessenger
 from repro.obs import Instrumentation
 from repro.obs.audit import audit
@@ -414,6 +415,81 @@ class TestReplayPaysOnlyForWhatIsOwed:
         assert len(broker.store.log) == len(log_bytes.splitlines()) + 1  # its delivery
 
 
+class TestAForwardedPublishReplaysAsNothing:
+    """A publish that enters a mesh at a shard which does not own its topic
+    is forwarded to the owner, whose link push re-enters the entry shard as
+    a federated publish of its own, nested inside the first.  The outer
+    publish keeps its message id across the nesting, so its ``routed`` mark
+    is logged, and a restart of every shard sends nothing."""
+
+    def test_every_shard_recovers_without_a_send(self, network):
+        config = dict(delivery=DeliveryPolicy(), wsn_versions=[WsnVersion.V1_3])
+        cluster = MeshCluster(
+            network, 2, base_address="http://rc-mesh",
+            store_factory=lambda name: BrokerStore(MemoryEventLog()), **config,
+        )
+        owner = cluster.owner_node_of_topic("rc")
+        entry = next(node for node in cluster if node is not owner)
+        consumer = NotificationConsumer(network, "http://rc-mesh-consumer")
+        cluster.subscribe_wsn(consumer.address, topic="rc", home=entry.name)
+        cluster.publish(event(1), topic="rc", via=entry.name)
+        cluster.quiesce()
+        assert len(consumer.received) == 1
+        records = list(entry.broker.store.log.records())
+        forwarded, ingress = [r.message_id for r in records if isinstance(r, PublishRecorded)]
+        outcomes = {
+            (r.message_id, r.outcome)
+            for r in records
+            if isinstance(r, OutcomeRecorded)
+        }
+        assert outcomes == {(forwarded, "routed"), (ingress, "delivered")}
+        shards = [(node.address, node.broker.store.log) for node in cluster]
+        cluster.close()
+        requests = network.stats.requests
+        recovered = {
+            address: recover_broker(network, address, log, **config)
+            for address, log in shards
+        }
+        assert network.stats.requests == requests
+        assert len(consumer.received) == 1
+        # the entry shard replays the federated copy only, the owner its own
+        assert recovered[entry.address].store.stats.replayed_publishes == 1
+        assert recovered[owner.address].store.stats.replayed_publishes == 1
+        for broker in recovered.values():
+            broker.run_deliveries_until_idle()
+        assert network.stats.requests == requests and len(consumer.received) == 1
+
+    def test_a_nested_publish_gives_the_outer_one_its_id_back(self, network):
+        """A consumer that publishes back into the broker from inside a
+        delivery nests one publish in another: the outer publish's later
+        deliveries still carry its own id."""
+        broker = _broker(network)
+        store = broker.store
+        seen = []
+
+        def record_and_echo(address, request):
+            seen.append((address, store.current_message_id))
+            if address == "http://rc-echo" and len(seen) == 1:
+                broker.publish(event(2), topic="rc-echo")
+
+        for address in ("http://rc-echo", "http://rc-after"):
+            consumer = NotificationConsumer(network, address)
+            WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="rc")
+        network.observers.append(record_and_echo)
+        broker.publish(event(1), topic="rc")
+        broker.run_deliveries_until_idle()
+        assert seen == [("http://rc-echo", "msg-1"), ("http://rc-after", "msg-1")]
+        assert store.current_message_id is None
+        outcomes = [
+            (r.message_id, r.sink, r.outcome)
+            for r in store.log.records()
+            if isinstance(r, OutcomeRecorded)
+        ]
+        assert outcomes == [
+            ("msg-1", "http://rc-echo", "delivered"), ("msg-1", "http://rc-after", "delivered"),
+        ]
+
+
 class TestDrainedBoxSurvivesRecovery:
     def test_drained_box_is_re_minted_at_its_address(self, network):
         """A firewalled sink's box, drained before the crash, is still the
@@ -521,9 +597,9 @@ def _counter(instrumentation, name) -> int:
     return sum(instrumentation.metrics.counter_values(name).values())
 
 
-def _unrestored(instrumentation) -> dict:
+def _unrestored(instrumentation, site="replay_subscribe") -> dict:
     values = instrumentation.metrics.counter_values("obs.swallowed_errors_total")
-    return {k: v for k, v in values.items() if "site=store.recovery.replay_subscribe" in k}
+    return {k: v for k, v in values.items() if f"site=store.recovery.{site}" in k}
 
 
 def _with_reference(address, local, text):
@@ -759,3 +835,33 @@ class TestFileBackedRecovery:
         assert len(sink.received) == 2
         keys = set(recovered.store.projection(recovered)["subscriptions"])
         assert keys == {f"wse:v2004_08:{handle.sub_id}"}
+
+    def test_an_unparseable_publish_is_counted_and_the_rest_replay(self, network, tmp_path):
+        """Only a log written before the writer refused the characters XML 1.0
+        forbids can hold a payload that does not parse back: replay skips that
+        one publish and counts it, and the restart goes on."""
+        path = tmp_path / "broker.log"
+        broker = _broker(network, log=FileEventLog(str(path)))
+        sink = EventSink(network, "http://rc-sink")
+        WseSubscriber(network).subscribe(broker.epr(), notify_to=sink.epr())
+        broker.publish(event(1), topic="rc")
+        broker.run_deliveries_until_idle()
+        broker.close()
+        broker.store.log.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(
+                '{"at":1.0,"kind":"publish","lineage":null,"message_id":"msg-2",'
+                '"payload":"<e:V xmlns:e=\\"urn:rc\\">bad\\u0001char</e:V>","topic":"rc"}\n'
+            )
+        instrumentation = Instrumentation.attach(network)
+        recovered = _recover(network, FileEventLog(str(path)))
+        [(labels, count)] = _unrestored(instrumentation, "replay_publish").items()
+        assert count == 1 and "reason=unparseable" in labels
+        assert recovered.store.stats.replayed_publishes == 1
+        recovered.run_deliveries_until_idle()
+        assert len(sink.received) == 1
+        recovered.publish(event(3), topic="rc")
+        recovered.run_deliveries_until_idle()
+        assert [note.payload.full_text() for note in sink.received] == ["1", "3"]
+        publishes = [r for r in recovered.store.log.records() if isinstance(r, PublishRecorded)]
+        assert publishes[-1].message_id == "msg-3"  # the skipped id is not minted again
