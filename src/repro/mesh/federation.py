@@ -18,8 +18,13 @@ between shards.  Each node mounts two extra endpoints next to its broker:
 Keeping link traffic on the exchange — never the broker's own subscription
 store — is what makes the fan-out exactly-once: the owner's broker serves
 local consumers, the owner's exchange serves remote shards, and a federated
-ingress republish touches only the local broker, so no message can transit
-two links or revisit its origin.
+ingress republish touches only the local broker (it is never forwarded or
+re-exported), so a message leaves its owner over at most one link per shard
+and never transits two.  It can revisit the shard it entered at: a publish
+entering at a non-owner shard that homes a subscriber of its root is
+forwarded to the owner (no local fan-out there), and the owner's link
+delivers it back — that one federated ingress is how the entry shard's own
+consumers get it, once.
 
 A link's filter is the union of the roots its home shard needs from that
 owner (``jobs//.|billing//.`` in the Full dialect), or no filter at all

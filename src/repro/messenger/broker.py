@@ -204,6 +204,10 @@ class WsMessenger:
         for (family, tag), service in self._services.items():
             yield family, tag, service
 
+    def service(self, family: str, tag: str) -> Optional[SubscriptionService]:
+        """The service of one ``family`` / version ``tag`` (None: not enabled)."""
+        return self._services.get((family, tag))
+
     def subscription_managers(self):
         """``(family, version tag, SubscriptionManager)`` of every service —
         how the store, the mesh and the probes reach subscriptions without

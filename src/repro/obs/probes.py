@@ -115,12 +115,8 @@ class GaugeProbes:
     def watch_store(self, store, **labels: str) -> None:
         """Event-log length and projection sizes of one broker store."""
         self.add_source("store.log_records", lambda: len(store.log), **labels)
-        self.add_source(
-            "store.settled_outcomes", lambda: len(store._settled), **labels
-        )
-        self.add_source(
-            "store.parked_open", lambda: len(store._parked), **labels
-        )
+        self.add_source("store.settled_outcomes", lambda: store.settled, **labels)
+        self.add_source("store.parked_open", lambda: store.parked_open, **labels)
 
     def watch_node(self, node) -> None:
         """Federation link count of one mesh node (labelled by node name)."""

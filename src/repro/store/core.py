@@ -8,11 +8,11 @@ subscription, lifecycle listeners append renew/remove/pause/pull records,
 manager appends an :class:`OutcomeRecorded` per settled obligation.
 
 The same object *projects*: rebuilt over an existing log (see
-:mod:`repro.store.recovery`), its ``(message_id, sink)`` settlement index
-tells the route which replayed pushes were already delivered (push
-nothing), and the delivery manager which of the rest are parked (re-park
-without re-attempting) or dead (restore to the DLQ) — which is what makes
-crash-replay exactly-once.
+:mod:`repro.store.recovery`), its settlement index — per publish, each
+sink's deciding :class:`OutcomeRecorded` — tells the route which replayed
+pushes were already delivered (push nothing), and the delivery manager
+which of the rest are parked (re-park without re-attempting) or dead
+(restore to the DLQ) — which is what makes crash-replay exactly-once.
 
 The commit rule (the log itself only buffers): every append commits at
 once, except the outcomes of the publish in flight, which wait behind its
@@ -30,7 +30,10 @@ uncommitted outcomes: replay re-attempts those sinks of that one publish
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.delivery.task import DeliveryItem
 from repro.obs.instrument import BoundCounters
@@ -59,6 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 TERMINAL_OUTCOMES = frozenset({"delivered", "dead", "drained"})
 #: how a ``dead`` record says the QoS layer shed the message
 SHED_PREFIX = "shed:"
+#: the sinks of a publish that has no outcome yet (shared, never written)
+_NO_OUTCOMES: Mapping[str, OutcomeRecorded] = MappingProxyType({})
 
 #: the state a family's subscriptions can differ in beyond sink, expiry and
 #: backlog: WS-Eventing picks a delivery mode at Subscribe, WS-Notification
@@ -135,15 +140,18 @@ class BrokerStore:
         self.broker: Optional["WsMessenger"] = None
         self.clock = None
         self._message_serial = 0
-        #: settled obligations: (message_id, sink) -> (outcome, reason)
-        self._settled: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        #: open parked obligations awaiting a pull drain
-        self._parked: Set[Tuple[str, str]] = set()
+        #: the settlement index: message id -> sink -> the outcome record that
+        #: decides the obligation — terminal (settled) or ``parked`` (open,
+        #: owed a drain); no entry: never settled, or reopened by a DLQ replay
+        self._outcomes: Dict[str, Dict[str, OutcomeRecorded]] = {}
+        #: how many obligations the index holds settled / parked
+        self.settled = 0
+        self.parked_open = 0
         #: publishes forwarded to their owning mesh shard (no local fan-out)
         self._routed: Set[str] = set()
-        #: the replayed publish whose delivered pushes the route dropped, and
-        #: the sinks it dropped them for (each key counts once)
-        self._dropped: Tuple[Optional[str], Set[str]] = (None, set())
+        #: the sinks whose delivered push the route dropped for the publish
+        #: replaying now (each counts once in ``stats.suppressed``)
+        self.replay_dropped: Set[str] = set()
         #: message id the route stamps on the item of the in-flight publish
         #: (set around fan-out, both live and during replay)
         self.current_message_id: Optional[str] = None
@@ -151,30 +159,61 @@ class BrokerStore:
         self._enclosing: List[Optional[str]] = []
         #: pre-bound per-record counters
         self._bound = BoundCounters()
-        for record in self.log.records():
-            self._index(record)
+        #: the log's records a restart replays, in log order: every one but
+        #: the outcomes, which the index has read (``replay_log`` takes them)
+        self.replayable: List[Any] = []
+        self._index(self.log.records(), self.replayable)
 
     # --- settlement index --------------------------------------------------
 
-    def _index(self, record: Any) -> None:
-        if isinstance(record, PublishRecorded):
-            tail = record.message_id.rsplit("-", 1)[-1]
-            if tail.isdigit():
-                self._message_serial = max(self._message_serial, int(tail))
-        elif isinstance(record, OutcomeRecorded):
-            key = (record.message_id, record.sink)
-            if record.outcome in TERMINAL_OUTCOMES:
-                self._settled[key] = (record.outcome, record.reason)
-                self._parked.discard(key)
-            elif record.outcome == "parked":
-                if key not in self._settled:
-                    self._parked.add(key)
-            elif record.outcome == "replayed":
-                # DLQ replay reopens a dead obligation
-                if self._settled.get(key, ("", ""))[0] == "dead":
-                    del self._settled[key]
-            elif record.outcome == "routed":
-                self._routed.add(record.message_id)
+    def _index(self, records: Iterable[Any], replayable: Optional[List[Any]] = None) -> None:
+        """Fold ``records`` into the settlement index, in log order: one pass
+        that dispatches on each record's type, the whole log at open, one
+        record per append.  Every record but an outcome goes to
+        ``replayable``."""
+        outcomes, routed = self._outcomes, self._routed
+        settled = parked = 0
+        for record in records:
+            kind = type(record)
+            if kind is OutcomeRecorded:
+                outcome, sink = record.outcome, record.sink
+                by_sink = outcomes.get(record.message_id)
+                if outcome in TERMINAL_OUTCOMES:
+                    if by_sink is None:
+                        outcomes[record.message_id] = {sink: record}
+                        settled += 1
+                    elif sink not in by_sink:
+                        by_sink[sink] = record
+                        settled += 1
+                    else:
+                        if by_sink[sink].outcome == "parked":
+                            settled += 1
+                            parked -= 1
+                        by_sink[sink] = record
+                elif outcome == "parked":
+                    if by_sink is None:
+                        outcomes[record.message_id] = {sink: record}
+                        parked += 1
+                    elif sink not in by_sink:
+                        by_sink[sink] = record
+                        parked += 1
+                elif outcome == "replayed":
+                    # DLQ replay reopens a dead obligation
+                    prior = by_sink.get(sink) if by_sink is not None else None
+                    if prior is not None and prior.outcome == "dead":
+                        del by_sink[sink]
+                        settled -= 1
+                elif outcome == "routed":
+                    routed.add(record.message_id)
+                continue
+            if kind is PublishRecorded:
+                tail = record.message_id.rsplit("-", 1)[-1]
+                if tail.isdigit():
+                    self._message_serial = max(self._message_serial, int(tail))
+            if replayable is not None:
+                replayable.append(record)
+        self.settled += settled
+        self.parked_open += parked
 
     def _now(self) -> float:
         return self.clock.now() if self.clock is not None else 0.0
@@ -182,7 +221,7 @@ class BrokerStore:
     def _append(self, record: Any, *, defer: bool = False) -> None:
         self.log.append(record)
         self.stats.appends += 1
-        self._index(record)
+        self._index((record,))
         if not defer:
             self._commit()
         broker = self.broker
@@ -309,12 +348,13 @@ class BrokerStore:
     def _record_outcome(
         self, message_id: str, sink: str, outcome: str, reason: str = ""
     ) -> None:
-        key = (message_id, sink)
-        settled = self._settled.get(key, ("", ""))[0]
-        if settled in TERMINAL_OUTCOMES and outcome != "replayed":
-            return  # already terminal: appending again would be noise
-        if outcome == "parked" and key in self._parked:
-            return
+        prior = self._outcomes.get(message_id, _NO_OUTCOMES).get(sink)
+        if prior is not None:
+            if prior.outcome in TERMINAL_OUTCOMES:
+                if outcome != "replayed":
+                    return  # already terminal: appending again would be noise
+            elif outcome == "parked":
+                return  # already parked
         self._append(
             OutcomeRecorded(self._now(), message_id, sink, outcome, reason),
             # the outbox transaction: outcomes of the live publish in flight
@@ -356,21 +396,11 @@ class BrokerStore:
 
     # --- replay routing (the route asks first, the delivery manager the rest) --
 
-    def replay_delivered(self, sink: str) -> bool:
-        """Whether the replayed publish's obligation to ``sink`` was delivered
-        before the crash: the route then pushes nothing.  The key counts as
-        suppressed once, however many of the sink's subscriptions ask."""
-        message_id = self.current_message_id
-        outcome = self._settled.get((message_id, sink))
-        if outcome is None or outcome[0] != "delivered":
-            return False
-        if self._dropped[0] != message_id:
-            self._dropped = (message_id, set())
-        sinks = self._dropped[1]
-        if sink not in sinks:
-            sinks.add(sink)
-            self.stats.suppressed += 1
-        return True
+    def replay_outcomes(self) -> Mapping[str, OutcomeRecorded]:
+        """The replayed publish's settlement, sink -> deciding outcome record:
+        the route takes it once per publish and drops a push whose sink's
+        record says ``delivered``, adding the sink to :attr:`replay_dropped`."""
+        return self._outcomes.get(self.current_message_id, _NO_OUTCOMES)
 
     def resolve_replay(self, task: "DeliveryTask") -> Optional[Tuple[str, str]]:
         """Route one replayed submission by its idempotency keys.
@@ -383,35 +413,37 @@ class BrokerStore:
         reason)`` when what killed it was a QoS decision, which stays out of
         the dead-letter queue — or None for a live re-attempt (the obligation
         was genuinely in flight)."""
-        keys = [
-            (item.message_id, task.sink)
+        outcomes, sink = self._outcomes, task.sink
+        # each keyed item's deciding record at the sink (None: never settled)
+        records = [
+            outcomes.get(item.message_id, _NO_OUTCOMES).get(sink)
             for item in task.items
             if item.message_id is not None
         ]
-        if not keys:
+        if not records:
             return None
-        open_keys = [key for key in keys if key not in self._settled]
-        if not open_keys:
-            outcomes = [self._settled[key] for key in keys]
-            kinds = [outcome for outcome, _ in outcomes]
+        open_records = [r for r in records if r is None or r.outcome == "parked"]
+        if not open_records:
+            kinds = [record.outcome for record in records]
             if "dead" in kinds and "delivered" not in kinds and "drained" not in kinds:
-                reason = outcomes[kinds.index("dead")][1]
+                reason = records[kinds.index("dead")].reason
                 if reason.startswith(SHED_PREFIX):
                     return ("shed", reason[len(SHED_PREFIX):])
                 return ("dead", reason)
             return ("suppress", "drained" if "drained" in kinds else "")
-        if all(key in self._parked for key in open_keys):
+        if all(record is not None for record in open_records):
             return ("park", "")
         return None
 
     def replay_park_items(self, task: "DeliveryTask") -> List["DeliveryItem"]:
         """The items of a "park"-routed task that are still owed a drain."""
-        return [
-            item
-            for item in task.items
-            if (item.message_id, task.sink) in self._parked
-            and (item.message_id, task.sink) not in self._settled
-        ]
+        outcomes, sink = self._outcomes, task.sink
+        owed = []
+        for item in task.items:
+            record = outcomes.get(item.message_id, _NO_OUTCOMES).get(sink)
+            if record is not None and record.outcome == "parked":
+                owed.append(item)
+        return owed
 
     # --- projections ---------------------------------------------------------
 
@@ -450,8 +482,8 @@ class BrokerStore:
         """Deterministic store state for reports and tests."""
         return {
             "log_records": len(self.log),
-            "settled": len(self._settled),
-            "parked_open": len(self._parked),
+            "settled": self.settled,
+            "parked_open": self.parked_open,
             "torn_records": self.log.torn_records,
             "stats": self.stats.snapshot(),
         }

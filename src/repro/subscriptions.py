@@ -609,7 +609,7 @@ class SubscriptionService:
         live push match goes to the family's ``push(subscription, items)``
         row, anything else is parked, and an unpaused wrapped queue is then
         held for its batch.  Replaying the log, a push the log settled as
-        delivered goes nowhere."""
+        delivered goes nowhere: one probe of the publish's settlement."""
         from repro.delivery.task import DeliveryItem
 
         frozen = self._fanout.freeze(payload)
@@ -621,18 +621,25 @@ class SubscriptionService:
             context.topic_path = path  # parsed once per publication
         lineage = self.network.instrumentation.trace_context()
         store = self.delivery_manager.store if self.delivery_manager is not None else None
+        outcomes = None  # replaying: the publish's outcome record per sink
         if store is None:
             items = [DeliveryItem(frozen, topic, lineage)]
-            delivered = None
         else:
             items = store.stamp_items(frozen, topic, lineage)
-            delivered = store.replay_delivered if store.replaying else None
+            if store.replaying:
+                outcomes, dropped = store.replay_outcomes(), store.replay_dropped
         matched = 0
+        push_mode = DeliveryMode.PUSH  # an Enum member read per candidate is not free
         for subscription in self._fanout.match(context):
             matched += 1
-            if subscription.mode is DeliveryMode.PUSH and not subscription.paused:
-                if delivered is None or not delivered(subscription.consumer.address):
-                    push(subscription, items)
+            if subscription.mode is push_mode and not subscription.paused:
+                if outcomes:
+                    sink = subscription.consumer.address
+                    record = outcomes.get(sink)
+                    if record is not None and record.outcome == "delivered":
+                        dropped.add(sink)
+                        continue
+                push(subscription, items)
             elif (
                 self.subscriptions.park(subscription, items[0])
                 and subscription.mode is DeliveryMode.WRAPPED

@@ -11,6 +11,7 @@ from repro.obs.instrument import Instrumentation
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.wse import EventSink
 from repro.wsn import NotificationConsumer
+from repro.xmlkit import parse_xml
 
 
 def counter_total(instrumentation, site):
@@ -106,3 +107,22 @@ class TestLinkLifecycle:
         home.links.sync({})  # ...the teardown still completes
         assert home.links.links() == {}
         assert counter_total(instrumentation, "mesh.federation.unsubscribe") == 1
+
+
+class TestTheEntryShardHearsItsPublishBack:
+    def test_one_federated_ingress_delivers_the_entry_shards_consumer_once(self):
+        """A publish entering at a non-owner shard that homes a subscriber of
+        its root goes to the owner and comes back over the owner's link: the
+        entry shard ingests it exactly once, and only from that link."""
+        network = SimulatedNetwork(VirtualClock())
+        instrumentation = Instrumentation.attach(network)
+        mesh = MeshCluster(network, 3, base_address="http://fedback")
+        owner = mesh.owner_node_of_topic("jobs/status")
+        entry = next(node for node in mesh if node is not owner)
+        consumer = NotificationConsumer(network, "http://fedback-consumer")
+        mesh.subscribe_wsn(consumer.address, topic="jobs/status", home=entry.name)
+        mesh.publish(parse_xml('<e:V xmlns:e="urn:fedback"/>'), topic="jobs/status", via=entry.name)
+        mesh.quiesce()
+        ingress = instrumentation.metrics.counter_values("mesh.federated_ingress")
+        assert ingress == {f"mesh.federated_ingress{{home={entry.address}}}": 1}
+        assert len(consumer.received) == 1

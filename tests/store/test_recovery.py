@@ -14,6 +14,7 @@ from repro.obs.audit import audit
 from repro.qos import AdaptiveQosPolicy, DiscardPolicy, QosProfile
 from repro.store import BrokerStore, FileEventLog, MemoryEventLog, recover_broker
 from repro.store.records import OutcomeRecorded, PublishRecorded
+from repro.subscriptions import SubscriptionService
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.util.xstime import format_datetime
 from repro.wsa.epr import EndpointReference
@@ -187,6 +188,31 @@ class TestObligationRecovery:
         remaining = subscriber.pull(handle)
         assert [p.full_text() for p in remaining] == ["2", "3"]
 
+    def test_a_half_pulled_batch_re_parks_only_what_is_owed(self, network):
+        """A wrapped batch of two parked at a firewalled sink, its first item
+        pulled before the crash: the replayed batch re-parks the second only."""
+        network.add_zone("rc-dmz", blocks_inbound=True)
+        config = dict(batching=BatchingPolicy(window=0.0, max_batch=2))
+        broker = _broker(network, **config)
+        sink = EventSink(network, "http://rc-inside", zone="rc-dmz")
+        WseSubscriber(network, zone="rc-dmz").subscribe(
+            broker.epr(), notify_to=sink.epr(), mode=DeliveryMode.WRAPPED
+        )
+        for n in range(2):
+            broker.publish(event(n), topic="rc")
+        broker.run_deliveries_until_idle()
+        box = broker.message_boxes.get("http://rc-inside")
+        pulled = drain_message_box_wse(network, box.epr(), zone="rc-dmz", max_messages=1)
+        assert [p.full_text() for p in pulled] == ["0"]
+        projection = broker.store.projection(broker)
+        assert projection["boxes"]["http://rc-inside"]["pending"] == 1
+        broker.close()
+        recovered = _recover(network, broker.store.log, **config)
+        assert recovered.store.stats.reparked == 1
+        assert recovered.store.projection(recovered) == projection
+        box = recovered.message_boxes.get("http://rc-inside")
+        assert [p.full_text() for p in drain_message_box_wse(network, box.epr(), zone="rc-dmz")] == ["1"]
+
     def test_wsn_pause_state_survives(self, network):
         broker = _broker(network)
         consumer = NotificationConsumer(network, "http://rc-consumer")
@@ -262,6 +288,28 @@ class TestShedIsTerminal:
 def _flushes(broker) -> int:
     """Batches the broker's push batchers have flushed."""
     return sum(s.batcher.stats.flushes for _, _, s in broker.services() if s.batcher)
+
+
+def _count_work(monkeypatch) -> dict:
+    """Count, from now on, every call of a family's push row (the callable
+    each service hands its route) and of ``DeliveryManager.submit``."""
+    work = {"push": 0, "submit": 0}
+    route, submit = SubscriptionService._route, DeliveryManager.submit
+
+    def counted_route(service, payload, topic, push):
+        def counted_push(*args):
+            work["push"] += 1
+            return push(*args)
+
+        return route(service, payload, topic, counted_push)
+
+    def counted_submit(manager, *args, **kwargs):
+        work["submit"] += 1
+        return submit(manager, *args, **kwargs)
+
+    monkeypatch.setattr(SubscriptionService, "_route", counted_route)
+    monkeypatch.setattr(DeliveryManager, "submit", counted_submit)
+    return work
 
 
 class TestReplayPaysOnlyForWhatIsOwed:
@@ -413,6 +461,112 @@ class TestReplayPaysOnlyForWhatIsOwed:
         }
         assert [len(healthy.received), len(parked.received), len(drained.received)] == [2, 0, 0]
         assert len(broker.store.log) == len(log_bytes.splitlines()) + 1  # its delivery
+
+
+    def test_a_delivered_fanout_reaches_no_push_row(self, network, monkeypatch):
+        """A fan-out every sink got — WSE sinks, one of them subscribed
+        through both WSE versions, and WSN consumers behind the push batcher
+        — replays without one push-row call, submission or batch flush, and
+        each delivered sink counts once, across the services that share it."""
+        config = dict(batching=BatchingPolicy(window=0.0, max_batch=100))
+        broker = _broker(network, **config)
+        sinks = [EventSink(network, f"http://rc-fan-sink-{n}") for n in range(2)]
+        consumers = [NotificationConsumer(network, f"http://rc-fan-consumer-{n}") for n in range(2)]
+        for sink in sinks:
+            WseSubscriber(network).subscribe(broker.epr(), notify_to=sink.epr())
+        WseSubscriber(network, version=WseVersion.V2004_01).subscribe(
+            broker.epr(), notify_to=sinks[0].epr()
+        )
+        for consumer in consumers:
+            WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="rc")
+        broker.publish(event(1), topic="rc")
+        broker.run_deliveries_until_idle()
+        assert [len(r.received) for r in sinks + consumers] == [2, 1, 1, 1]
+        assert _flushes(broker) == len(consumers)
+        # one settled obligation per (publish, sink), not one per publish
+        assert broker.store.snapshot()["settled"] == 4
+        broker.close()
+        work = _count_work(monkeypatch)
+        recovered = _recover(network, broker.store.log, **config)
+        assert work == {"push": 0, "submit": 0}
+        assert _flushes(recovered) == 0
+        assert recovered.store.stats.suppressed == len(sinks) + len(consumers)
+        assert recovered.store.snapshot()["settled"] == 4
+        recovered.run_deliveries_until_idle()
+        assert [len(r.received) for r in sinks + consumers] == [2, 1, 1, 1]
+
+    def test_a_lease_lapsed_since_its_delivery_is_neither_pushed_nor_counted(
+        self, network, monkeypatch
+    ):
+        """Replay matches as live does, expiry first: a subscription whose
+        lease lapsed after its publish was delivered is not a match, so the
+        route neither pushes it nor counts it as suppressed."""
+        broker = _broker(network)
+        lasting, lapsing = EventSink(network, "http://rc-lasting"), EventSink(network, "http://rc-lapsing")
+        client = WseSubscriber(network)
+        client.subscribe(broker.epr(), notify_to=lasting.epr())
+        client.subscribe(broker.epr(), notify_to=lapsing.epr(), expires="PT60S")
+        broker.publish(event(1), topic="rc")
+        broker.run_deliveries_until_idle()
+        assert len(lasting.received) == len(lapsing.received) == 1
+        broker.close()
+        network.clock.advance(120.0)
+        work = _count_work(monkeypatch)
+        recovered = _recover(network, broker.store.log)
+        assert work == {"push": 0, "submit": 0}
+        assert recovered.store.stats.suppressed == 1  # the lasting sink's key only
+        recovered.run_deliveries_until_idle()
+        assert len(lasting.received) == len(lapsing.received) == 1
+
+    def test_a_paused_copy_still_parks_beside_a_delivered_push(self, network):
+        """One consumer, two subscriptions, one of them paused: the delivered
+        push replays as nothing, and the paused copy queues again."""
+        broker = _broker(network)
+        consumer = NotificationConsumer(network, "http://rc-both")
+        client = WsnSubscriber(network)
+        client.subscribe(broker.epr(), consumer.epr(), topic="rc")
+        client.pause(client.subscribe(broker.epr(), consumer.epr(), topic="rc"))
+        for n in range(2):
+            broker.publish(event(n), topic="rc")
+        broker.run_deliveries_until_idle()
+        assert len(consumer.received) == 2
+        live = broker.store.projection(broker)
+        assert sorted(entry["queued"] for entry in live["subscriptions"].values()) == [0, 2]
+        broker.close()
+        recovered = _recover(network, broker.store.log)
+        assert recovered.store.projection(recovered) == live
+        assert recovered.store.stats.suppressed == 2
+        recovered.run_deliveries_until_idle()
+        assert len(consumer.received) == 2
+
+    def test_a_dead_letter_reopened_by_its_replay_resolves_as_before(self, network):
+        """``dead`` then ``replayed`` reopens an obligation.  Delivered by the
+        DLQ replay before the crash, the restart suppresses it; still in
+        retry at the crash, the restart attempts it again, once."""
+        policy = DeliveryPolicy(max_attempts=2, base_backoff=10.0, jitter=0.0)
+        broker = _broker(network, delivery=policy)
+        for address in ("http://rc-revived", "http://rc-retrying"):
+            consumer = NotificationConsumer(network, address)
+            WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="rc")
+            consumer.close()
+        broker.publish(event(1), topic="rc")
+        broker.run_deliveries_until_idle()
+        manager = broker.delivery_manager
+        assert len(manager.dlq) == 2
+        revived = NotificationConsumer(network, "http://rc-revived")
+        assert manager.dlq.replay(manager) == 2
+        # the revived consumer has it; the other's replay backs off again
+        assert (len(revived.received), manager.pending(), len(manager.dlq)) == (1, 1, 0)
+        assert broker.store.snapshot()["settled"] == 1
+        broker.close()
+        retrying = NotificationConsumer(network, "http://rc-retrying")
+        recovered = _recover(network, broker.store.log, delivery=policy)
+        recovered.run_deliveries_until_idle()
+        stats = recovered.store.stats
+        assert (stats.suppressed, stats.redead) == (1, 0)
+        assert len(recovered.delivery_manager.dlq) == 0
+        assert (len(revived.received), len(retrying.received)) == (1, 1)
+        assert recovered.store.snapshot()["settled"] == 2
 
 
 class TestAForwardedPublishReplaysAsNothing:
