@@ -51,16 +51,6 @@ class CdrEncoder:
     def put_boolean(self, value: bool) -> "CdrEncoder":
         return self.put_octet(1 if value else 0)
 
-    def put_short(self, value: int) -> "CdrEncoder":
-        self._align(2)
-        self._buffer.extend(struct.pack(">h", value))
-        return self
-
-    def put_ushort(self, value: int) -> "CdrEncoder":
-        self._align(2)
-        self._buffer.extend(struct.pack(">H", value))
-        return self
-
     def put_long(self, value: int) -> "CdrEncoder":
         self._align(4)
         try:
@@ -142,9 +132,6 @@ class CdrDecoder:
         self._offset += count
         return chunk
 
-    def at_end(self) -> bool:
-        return self._offset >= len(self._data)
-
     # --- primitives -----------------------------------------------------------
 
     def get_octet(self) -> int:
@@ -152,14 +139,6 @@ class CdrDecoder:
 
     def get_boolean(self) -> bool:
         return self.get_octet() != 0
-
-    def get_short(self) -> int:
-        self._align(2)
-        return struct.unpack(">h", self._take(2))[0]
-
-    def get_ushort(self) -> int:
-        self._align(2)
-        return struct.unpack(">H", self._take(2))[0]
 
     def get_long(self) -> int:
         self._align(4)
@@ -200,11 +179,3 @@ class CdrDecoder:
             count = self.get_ulong()
             return {self.get_string(): self.get_any() for _ in range(count)}
         raise CdrError(f"unknown CDR any tag {tag}")
-
-
-def encode_value(value: Any) -> bytes:
-    return CdrEncoder().put_any(value).data()
-
-
-def decode_value(data: bytes) -> Any:
-    return CdrDecoder(data).get_any()

@@ -13,30 +13,23 @@ from typing import Any, Optional
 from repro.baselines.corba.orb import CorbaError, ObjectReference, Orb
 
 
-class Disconnected(CorbaError):
-    """Operation on a disconnected proxy."""
-
-
 class ProxyPushSupplier:
     """Channel-side supplier proxy: pushes events at a connected consumer."""
 
     def __init__(self, channel: "EventChannel") -> None:
         self._channel = channel
         self._consumer: Optional[ObjectReference] = None
-        self.connected = False
 
     def connect_push_consumer(self, consumer: ObjectReference) -> None:
-        if self.connected:
+        if self._consumer is not None:
             raise CorbaError("AlreadyConnected")
         self._consumer = consumer
-        self.connected = True
 
     def disconnect_push_supplier(self) -> None:
-        self.connected = False
         self._consumer = None
 
     def _deliver(self, event: Any) -> None:
-        if not self.connected or self._consumer is None:
+        if self._consumer is None:
             return
         try:
             self._channel.orb.invoke(self._consumer, "push", [event])
@@ -50,29 +43,15 @@ class ProxyPullSupplier:
     def __init__(self, channel: "EventChannel") -> None:
         self._channel = channel
         self._queue: list[Any] = []
-        self.connected = True
-
-    def disconnect_pull_supplier(self) -> None:
-        self.connected = False
-        self._queue.clear()
 
     def _deliver(self, event: Any) -> None:
-        if self.connected:
-            self._queue.append(event)
+        self._queue.append(event)
 
     def try_pull(self) -> tuple[Any, bool]:
         """Non-blocking pull: (event, has_event)."""
-        if not self.connected:
-            raise Disconnected("pull supplier disconnected")
         if self._queue:
             return self._queue.pop(0), True
         return None, False
-
-    def pull(self) -> Any:
-        event, ok = self.try_pull()
-        if not ok:
-            raise CorbaError("no event available (would block)")
-        return event
 
 
 class ProxyPushConsumer:
@@ -80,15 +59,9 @@ class ProxyPushConsumer:
 
     def __init__(self, channel: "EventChannel") -> None:
         self._channel = channel
-        self.connected = True
 
     def push(self, event: Any) -> None:
-        if not self.connected:
-            raise Disconnected("push consumer disconnected")
         self._channel._fan_out(event)
-
-    def disconnect_push_consumer(self) -> None:
-        self.connected = False
 
 
 class ProxyPullConsumer:
@@ -97,18 +70,16 @@ class ProxyPullConsumer:
     def __init__(self, channel: "EventChannel") -> None:
         self._channel = channel
         self._supplier: Optional[ObjectReference] = None
-        self.connected = False
 
     def connect_pull_supplier(self, supplier: ObjectReference) -> None:
-        if self.connected:
+        if self._supplier is not None:
             raise CorbaError("AlreadyConnected")
         self._supplier = supplier
-        self.connected = True
 
     def poll(self) -> int:
         """Drain the connected supplier into the channel; returns count."""
-        if not self.connected or self._supplier is None:
-            raise Disconnected("pull consumer not connected")
+        if self._supplier is None:
+            raise CorbaError("Disconnected: pull consumer not connected")
         drained = 0
         while True:
             result = self._channel.orb.invoke(self._supplier, "try_pull", [])
@@ -117,10 +88,6 @@ class ProxyPullConsumer:
                 return drained
             self._channel._fan_out(event)
             drained += 1
-
-    def disconnect_pull_consumer(self) -> None:
-        self.connected = False
-        self._supplier = None
 
 
 class ConsumerAdmin:
@@ -143,14 +110,10 @@ class SupplierAdmin:
         self._channel = channel
 
     def obtain_push_consumer(self) -> ProxyPushConsumer:
-        proxy = ProxyPushConsumer(self._channel)
-        self._channel._push_consumers.append(proxy)
-        return proxy
+        return ProxyPushConsumer(self._channel)
 
     def obtain_pull_consumer(self) -> ProxyPullConsumer:
-        proxy = ProxyPullConsumer(self._channel)
-        self._channel._pull_consumers.append(proxy)
-        return proxy
+        return ProxyPullConsumer(self._channel)
 
 
 class EventChannel:
@@ -160,9 +123,6 @@ class EventChannel:
         self.orb = orb
         self._push_suppliers: list[ProxyPushSupplier] = []
         self._pull_suppliers: list[ProxyPullSupplier] = []
-        self._push_consumers: list[ProxyPushConsumer] = []
-        self._pull_consumers: list[ProxyPullConsumer] = []
-        self.events_routed = 0
 
     def for_consumers(self) -> ConsumerAdmin:
         return ConsumerAdmin(self)
@@ -171,18 +131,7 @@ class EventChannel:
         return SupplierAdmin(self)
 
     def _fan_out(self, event: Any) -> None:
-        self.events_routed += 1
         for proxy in list(self._push_suppliers):
             proxy._deliver(event)
         for proxy in list(self._pull_suppliers):
             proxy._deliver(event)
-
-    def destroy(self) -> None:
-        for proxy in self._push_suppliers:
-            proxy.disconnect_push_supplier()
-        for proxy in self._pull_suppliers:
-            proxy.disconnect_pull_supplier()
-        for proxy in self._push_consumers:
-            proxy.disconnect_push_consumer()
-        for proxy in self._pull_consumers:
-            proxy.disconnect_pull_consumer()

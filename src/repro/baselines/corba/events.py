@@ -69,11 +69,6 @@ class StructuredEvent:
             payload=wire.get("payload"),
         )
 
-    @classmethod
-    def from_generic(cls, value: Any) -> "StructuredEvent":
-        """Map a generic (any) event into a structured event."""
-        return cls(type_name="%ANY", payload=value)
-
     @property
     def priority(self) -> int:
         value = self.variable_header.get("Priority", 0)

@@ -41,14 +41,6 @@ class FilterObject:
         self._constraints[constraint_id] = constraint
         return constraint_id
 
-    def remove_constraint(self, constraint_id: int) -> None:
-        if constraint_id not in self._constraints:
-            raise CorbaError(f"ConstraintNotFound: {constraint_id}")
-        del self._constraints[constraint_id]
-
-    def get_constraints(self) -> dict[int, str]:
-        return {cid: c.expression for cid, c in self._constraints.items()}
-
     def match_structured(self, event: StructuredEvent) -> bool:
         if not self._constraints:
             return True  # an empty filter matches everything
@@ -94,17 +86,14 @@ class StructuredProxyPushSupplier(_FilterableMixin):
         self._consumer: Optional[ObjectReference] = None
         self._batch: list[StructuredEvent] = []
         self._suspended_buffer: list[StructuredEvent] = []
-        self.connected = False
         self.suspended = False
 
     def connect_structured_push_consumer(self, consumer: ObjectReference) -> None:
-        if self.connected:
+        if self._consumer is not None:
             raise CorbaError("AlreadyConnected")
         self._consumer = consumer
-        self.connected = True
 
     def disconnect_structured_push_supplier(self) -> None:
-        self.connected = False
         self._consumer = None
         self._batch.clear()
         self._suspended_buffer.clear()
@@ -112,7 +101,7 @@ class StructuredProxyPushSupplier(_FilterableMixin):
     def suspend_connection(self) -> None:
         """Buffer deliveries until resumed (the demand-control hook the
         paper's Table 3 credits the Notification Service with)."""
-        if not self.connected:
+        if self._consumer is None:
             raise CorbaError("NotConnected")
         if self.suspended:
             raise CorbaError("ConnectionAlreadyInactive")
@@ -130,7 +119,7 @@ class StructuredProxyPushSupplier(_FilterableMixin):
         self.qos = self.qos.merged_with(values)
 
     def _deliver(self, event: StructuredEvent) -> None:
-        if not self.connected or not self._passes(event):
+        if self._consumer is None or not self._passes(event):
             return
         if self.suspended:
             self._suspended_buffer.append(event)
@@ -149,8 +138,6 @@ class StructuredProxyPushSupplier(_FilterableMixin):
             self._send(batch)
 
     def _send(self, events: list[StructuredEvent]) -> None:
-        if self._consumer is None:
-            return
         wire = [event.to_wire() for event in events]
         if len(events) == 1:
             operation, argument = "push_structured_event", wire[0]
@@ -170,18 +157,13 @@ class StructuredProxyPullSupplier(_FilterableMixin):
         self._channel = channel
         self.qos = qos
         self._queue: list[StructuredEvent] = []
-        self.connected = True
         self.discarded = 0
-
-    def disconnect_structured_pull_supplier(self) -> None:
-        self.connected = False
-        self._queue.clear()
 
     def set_qos(self, values: dict[str, Any]) -> None:
         self.qos = self.qos.merged_with(values)
 
     def _deliver(self, event: StructuredEvent) -> None:
-        if not self.connected or not self._passes(event):
+        if not self._passes(event):
             return
         self._queue.append(event)
         self._enforce_bounds()
@@ -202,8 +184,6 @@ class StructuredProxyPullSupplier(_FilterableMixin):
                 self._queue.pop(0)
 
     def try_pull_structured_event(self) -> tuple[Optional[StructuredEvent], bool]:
-        if not self.connected:
-            raise CorbaError("pull supplier disconnected")
         if not self._queue:
             return None, False
         policy = self.qos.get("OrderPolicy")
@@ -213,9 +193,6 @@ class StructuredProxyPullSupplier(_FilterableMixin):
             index = 0
         return self._queue.pop(index), True
 
-    def pending(self) -> int:
-        return len(self._queue)
-
 
 class StructuredProxyPushConsumer(_FilterableMixin):
     """Suppliers push structured events into the channel through this proxy."""
@@ -223,16 +200,10 @@ class StructuredProxyPushConsumer(_FilterableMixin):
     def __init__(self, channel: "NotificationChannel") -> None:
         super().__init__()
         self._channel = channel
-        self.connected = True
 
     def push_structured_event(self, event: StructuredEvent) -> None:
-        if not self.connected:
-            raise CorbaError("disconnected")
         if self._passes(event):
             self._channel._fan_out(event)
-
-    def disconnect_structured_push_consumer(self) -> None:
-        self.connected = False
 
 
 class NotificationConsumerAdmin(_FilterableMixin):
@@ -241,33 +212,30 @@ class NotificationConsumerAdmin(_FilterableMixin):
     def __init__(self, channel: "NotificationChannel") -> None:
         super().__init__()
         self._channel = channel
-        self.proxies: list[_FilterableMixin] = []
 
     def obtain_structured_push_supplier(
         self, qos: Optional[QosProfile] = None
     ) -> StructuredProxyPushSupplier:
-        proxy = StructuredProxyPushSupplier(self._channel, qos or QosProfile(dict(self._channel.default_qos.values)))
-        self.proxies.append(proxy)
-        self._channel._consumer_proxies.append((self, proxy))
-        return proxy
+        return self._attach(StructuredProxyPushSupplier, qos)
 
     def obtain_structured_pull_supplier(
         self, qos: Optional[QosProfile] = None
     ) -> StructuredProxyPullSupplier:
-        proxy = StructuredProxyPullSupplier(self._channel, qos or QosProfile(dict(self._channel.default_qos.values)))
-        self.proxies.append(proxy)
+        return self._attach(StructuredProxyPullSupplier, qos)
+
+    def _attach(self, proxy_class, qos: Optional[QosProfile]):
+        """A consumer-side proxy with ``qos``, else the channel's QoS."""
+        proxy = proxy_class(self._channel, qos or QosProfile(dict(self._channel.default_qos.values)))
         self._channel._consumer_proxies.append((self, proxy))
         return proxy
 
 
-class NotificationSupplierAdmin(_FilterableMixin):
+class NotificationSupplierAdmin:
     def __init__(self, channel: "NotificationChannel") -> None:
-        super().__init__()
         self._channel = channel
 
     def obtain_structured_push_consumer(self) -> StructuredProxyPushConsumer:
-        proxy = StructuredProxyPushConsumer(self._channel)
-        return proxy
+        return StructuredProxyPushConsumer(self._channel)
 
 
 class NotificationChannel:
@@ -277,7 +245,6 @@ class NotificationChannel:
         self.orb = orb
         self.default_qos = default_qos or QosProfile()
         self._consumer_proxies: list[tuple[NotificationConsumerAdmin, Any]] = []
-        self.events_routed = 0
 
     def new_for_consumers(self) -> NotificationConsumerAdmin:
         return NotificationConsumerAdmin(self)
@@ -292,7 +259,6 @@ class NotificationChannel:
         self.default_qos.merged_with(values)  # raises QosError if invalid
 
     def _fan_out(self, event: StructuredEvent) -> None:
-        self.events_routed += 1
         for admin, proxy in list(self._consumer_proxies):
             if not admin._passes(event):
                 continue

@@ -66,9 +66,6 @@ class Orb:
         self._servants[object_key] = servant
         return ObjectReference(self.orb_id, object_key)
 
-    def unregister(self, reference: ObjectReference) -> None:
-        self._servants.pop(reference.object_key, None)
-
     # --- invocation ----------------------------------------------------------------
 
     def invoke(self, reference: ObjectReference, operation: str, args: list[Any]) -> Any:

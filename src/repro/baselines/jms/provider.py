@@ -36,14 +36,6 @@ class Queue:
                 return self._messages.pop(index)
         return None
 
-    def purge_expired(self, now: float) -> int:
-        before = len(self._messages)
-        self._messages = [m for m in self._messages if not m.is_expired(now)]
-        return before - len(self._messages)
-
-    def depth(self) -> int:
-        return len(self._messages)
-
 
 @dataclass
 class _DurableSubscription:

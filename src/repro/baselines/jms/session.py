@@ -19,26 +19,12 @@ class Connection:
         self.provider = provider
         self.client_id = client_id
         self.started = False
-        self.closed = False
-        self._sessions: list[Session] = []
 
     def create_session(self, *, transacted: bool = False) -> "Session":
-        if self.closed:
-            raise JmsError("connection closed")
-        session = Session(self, transacted=transacted)
-        self._sessions.append(session)
-        return session
+        return Session(self, transacted=transacted)
 
     def start(self) -> None:
         self.started = True
-
-    def stop(self) -> None:
-        self.started = False
-
-    def close(self) -> None:
-        self.closed = True
-        for session in self._sessions:
-            session.close()
 
 
 class MessageProducer:
@@ -54,8 +40,6 @@ class MessageProducer:
         delivery_mode: Optional[DeliveryMode] = None,
         time_to_live: float = 0.0,
     ) -> None:
-        if self.session.closed:
-            raise JmsError("session closed")
         clock = self.session.connection.provider.clock
         if priority is not None:
             if not 0 <= priority <= 9:
@@ -145,26 +129,22 @@ class Session:
     def __init__(self, connection: Connection, *, transacted: bool = False) -> None:
         self.connection = connection
         self.transacted = transacted
-        self.closed = False
         self._pending_sends: list[tuple[Destination, JmsMessage]] = []
         self._pending_receives: list[tuple[Destination, JmsMessage]] = []
 
     # --- factories ---------------------------------------------------------------
 
     def create_producer(self, destination: Destination) -> MessageProducer:
-        self._check_open()
         return MessageProducer(self, destination)
 
     def create_consumer(
         self, destination: Destination, selector: Optional[str] = None
     ) -> MessageConsumer:
-        self._check_open()
         return MessageConsumer(self, destination, selector)
 
     def create_durable_subscriber(
         self, topic: Topic, name: str, selector: Optional[str] = None
     ) -> MessageConsumer:
-        self._check_open()
         durable = self.connection.provider.durable_subscription(
             topic,
             self.connection.client_id,
@@ -198,13 +178,8 @@ class Session:
         self._pending_receives.clear()
 
     def _check_transacted(self) -> None:
-        self._check_open()
         if not self.transacted:
             raise JmsError("session is not transacted")
-
-    def _check_open(self) -> None:
-        if self.closed:
-            raise JmsError("session closed")
 
     def _dispatch(self, destination: Destination, message: JmsMessage) -> None:
         clock = self.connection.provider.clock
@@ -212,6 +187,3 @@ class Session:
             destination.put(message)
         else:
             destination.publish(message, clock.now())
-
-    def close(self) -> None:
-        self.closed = True

@@ -11,6 +11,7 @@ from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.network import NetworkError, SimulatedNetwork
+from repro.util.xstime import parse_datetime
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders
 from repro.wsa.versions import WsaVersion
@@ -31,6 +32,14 @@ def _action(local: str) -> str:
 class OgsiError(SoapFault):
     def __init__(self, reason: str) -> None:
         super().__init__(FaultCode.SENDER, reason, subcode=_q("Fault"))
+
+
+def _datetime(element: XElem) -> float:
+    """An ``xs:dateTime`` a requester sent; a malformed one is its fault."""
+    try:
+        return parse_datetime(element.full_text())
+    except ValueError as exc:
+        raise OgsiError(str(exc)) from exc
 
 
 @dataclass
@@ -72,6 +81,14 @@ class GridService:
         self.endpoint.on_action(_action("requestTerminationBefore"), self._handle_term_before)
         self.endpoint.on_action(_action("destroy"), self._handle_destroy)
 
+    def _check_alive(self) -> None:
+        """Soft state: a service past its termination time is destroyed when next reached."""
+        if self.destroyed:
+            raise OgsiError(f"Grid service {self.address} is destroyed")
+        if self.termination_time is not None and self.clock.now() >= self.termination_time:
+            self._handle_destroy()
+            raise OgsiError(f"Grid service {self.address} is destroyed")
+
     @property
     def address(self) -> str:
         return self.endpoint.address
@@ -85,6 +102,7 @@ class GridService:
         self.service_data[name] = ServiceDataElement(name, value, mutability)
 
     def set_service_data(self, name: str, value: XElem) -> None:
+        self._check_alive()
         sde = self.service_data.get(name)
         if sde is None:
             raise OgsiError(f"no service data element {name!r}")
@@ -93,6 +111,7 @@ class GridService:
         sde.value = value
 
     def _handle_find(self, envelope: SoapEnvelope, headers: MessageHeaders):
+        self._check_alive()
         name = envelope.body_element().full_text().strip()
         sde = self.service_data.get(name)
         if sde is None:
@@ -104,25 +123,23 @@ class GridService:
     # --- lifetime ----------------------------------------------------------------------
 
     def _handle_term_after(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        from repro.util.xstime import parse_datetime
-
-        requested = parse_datetime(envelope.body_element().full_text().strip())
+        self._check_alive()
+        requested = _datetime(envelope.body_element())
         if self.termination_time is None or requested > self.termination_time:
             self.termination_time = requested
         return self._ack(headers, "requestTerminationAfterResponse")
 
     def _handle_term_before(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        from repro.util.xstime import parse_datetime
-
-        requested = parse_datetime(envelope.body_element().full_text().strip())
+        self._check_alive()
+        requested = _datetime(envelope.body_element())
         if self.termination_time is None or requested < self.termination_time:
             self.termination_time = requested
         return self._ack(headers, "requestTerminationBeforeResponse")
 
-    def _handle_destroy(self, envelope: SoapEnvelope, headers: MessageHeaders):
+    def _handle_destroy(self, *_request) -> None:
+        """Ends the service at once (the request carries nothing it reads)."""
         self.destroyed = True
         self.endpoint.close()
-        return None
 
     def _ack(self, headers: MessageHeaders, local: str) -> str:
         return self._reply(headers, _action(local), XElem(_q(local)))
@@ -145,6 +162,7 @@ class NotificationSource(GridService):
     # --- subscribe (by serviceDataName only — the OGSI 'filter') ----------------------
 
     def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
+        self._check_alive()
         body = envelope.body_element()
         name_elem = body.find(_q("serviceDataName"))
         sink_elem = body.find(_q("sink"))
@@ -157,9 +175,7 @@ class NotificationSource(GridService):
         term_elem = body.find(_q("expirationTime"))
         termination: Optional[float] = None
         if term_elem is not None and term_elem.full_text().strip():
-            from repro.util.xstime import parse_datetime
-
-            termination = parse_datetime(term_elem.full_text().strip())
+            termination = _datetime(term_elem)
         subscription = self.subscribe(name, sink, termination)
         response = XElem(_q("subscribeResponse"))
         response.append(text_element(_q("subscriptionHandle"), subscription.key))
@@ -175,14 +191,6 @@ class NotificationSource(GridService):
         subscription = _OgsiSubscription(key, service_data_name, sink, termination_time)
         self._subscriptions[key] = subscription
         return subscription
-
-    def unsubscribe(self, key: str) -> None:
-        if self._subscriptions.pop(key, None) is None:
-            raise OgsiError(f"unknown subscription {key!r}")
-
-    def live_subscriptions(self) -> list[_OgsiSubscription]:
-        now = self.clock.now()
-        return [s for s in self._subscriptions.values() if s.alive(now)]
 
     # --- change notification --------------------------------------------------------------
 
@@ -228,9 +236,6 @@ class NotificationSink:
 
     def epr(self) -> EndpointReference:
         return EndpointReference(self.address)
-
-    def close(self) -> None:
-        self.endpoint.close()
 
     def _handle(self, envelope: SoapEnvelope, headers: MessageHeaders):
         body = envelope.body_element()

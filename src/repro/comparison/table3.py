@@ -18,18 +18,23 @@ from repro.baselines.corba.event_service import EventChannel
 from repro.baselines.corba.events import StructuredEvent
 from repro.baselines.corba.notification_service import FilterObject, NotificationChannel
 from repro.baselines.corba.orb import Orb
+from repro.baselines.jms.messages import BytesMessage, MapMessage, ObjectMessage, StreamMessage
 from repro.baselines.jms.messages import TextMessage
 from repro.baselines.jms.provider import JmsProvider
 from repro.baselines.jms.session import Connection
-from repro.baselines.ogsi.grid_service import NotificationSink, NotificationSource
+from repro.baselines.ogsi.grid_service import NotificationSink, NotificationSource, _action, _q
 from repro.comparison import probes
 from repro.comparison.tables import ComparisonTable
-from repro.qos.properties import CORBA_QOS_PROPERTIES, QosProfile
+from repro.qos.properties import CORBA_QOS_PROPERTIES, DiscardPolicy, QosError, QosProfile
+from repro.soap.fault import SoapFault
 from repro.transport.clock import VirtualClock
+from repro.transport.endpoint import SoapClient
 from repro.transport.network import SimulatedNetwork
+from repro.util.xstime import format_datetime
+from repro.wsa.versions import WsaVersion
 from repro.wse.versions import WseVersion
 from repro.wsn.versions import WsnVersion
-from repro.xmlkit.element import text_element
+from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.names import QName
 
 COLUMNS = [
@@ -53,19 +58,18 @@ def _checked(probe: Callable[[], bool], text_on_success: str) -> str:
         return f"FAILED: {exc}"
 
 
-# --- delivery-mode probes -------------------------------------------------------------
+# --- each column's setup -------------------------------------------------------------
 
 
-def _corba_event_delivery() -> bool:
+def _event_push():
+    """An Event Service channel with one push consumer:
+    ``(orb, channel, supplier's proxy, what the consumer got)``."""
     orb = Orb()
     channel = EventChannel(orb)
     received = []
-    push_proxy = channel.for_consumers().obtain_push_supplier()
-    push_proxy.connect_push_consumer(orb.register(lambda op, args: received.append(args[0])))
-    pull_proxy = channel.for_consumers().obtain_pull_supplier()
-    channel.for_suppliers().obtain_push_consumer().push("e")
-    _, ok = pull_proxy.try_pull()
-    return len(received) == 1 and ok
+    proxy = channel.for_consumers().obtain_push_supplier()
+    proxy.connect_push_consumer(orb.register(lambda op, args: received.append(args[0])))
+    return orb, channel, channel.for_suppliers().obtain_push_consumer(), received
 
 
 def structured_push():
@@ -80,6 +84,46 @@ def structured_push():
     return orb, channel, proxy, supplier, received
 
 
+def _jms_session():
+    """A started JMS connection's session: ``(provider, session)``."""
+    provider = JmsProvider(VirtualClock())
+    connection = Connection(provider, "t3")
+    connection.start()
+    return provider, connection.create_session()
+
+
+_sde = partial(text_element, QName("urn:t3", "v"))  # a service-data value
+
+
+def _ogsi_pair():
+    """An OGSI source with service data ``sd``, and a sink: ``(network, source, sink)``."""
+    network = SimulatedNetwork(VirtualClock())
+    source = NotificationSource(network, "http://t3-ogsi")
+    source.declare_service_data("sd", _sde("0"))
+    return network, source, NotificationSink(network, "http://t3-ogsi-sink")
+
+
+def _ogsi_call(source: NotificationSource, operation: str, body: XElem):
+    """One OGSI request over the wire (WS-Addressing 2003/03, OGSI's era)."""
+    client = SoapClient(source.network, wsa_version=WsaVersion.V2003_03)
+    return client.call(source.epr(), _action(operation), [body])
+
+
+# --- delivery-mode probes -------------------------------------------------------------
+
+
+#: a generic event holding every type the CDR Any encoding tags
+_ANY = {"up": True, "jobs": 7, "load": 0.5, "host": "n1", "path": ["a", 2, None]}
+
+
+def _corba_event_delivery() -> bool:
+    """Push and pull of a generic (Any) event, marshalled by the ORB."""
+    _, channel, supplier, received = _event_push()
+    pull_proxy = channel.for_consumers().obtain_pull_supplier()
+    supplier.push(_ANY)
+    return received == [_ANY] and pull_proxy.try_pull() == (_ANY, True)
+
+
 def _corba_notif_delivery() -> bool:
     _, channel, _, supplier, received = structured_push()
     pull = channel.new_for_consumers().obtain_structured_pull_supplier()
@@ -89,10 +133,7 @@ def _corba_notif_delivery() -> bool:
 
 
 def _jms_delivery() -> bool:
-    provider = JmsProvider(VirtualClock())
-    connection = Connection(provider, "t3")
-    connection.start()
-    session = connection.create_session()
+    provider, session = _jms_session()
     queue = provider.queue("q")
     session.create_producer(queue).send(TextMessage(text="m"))
     pulled = session.create_consumer(queue).receive()  # pull style
@@ -104,12 +145,39 @@ def _jms_delivery() -> bool:
 
 
 def _ogsi_delivery() -> bool:
-    network = SimulatedNetwork(VirtualClock())
-    source = NotificationSource(network, "http://t3-ogsi")
-    source.declare_service_data("sd", text_element(QName("urn:t3", "v"), "0"))
-    sink = NotificationSink(network, "http://t3-ogsi-sink")
+    """A change pushes the service-data element's XML to the sink in SOAP."""
+    _, source, sink = _ogsi_pair()
     source.subscribe("sd", sink.epr())
-    return source.set_service_data("sd", text_element(QName("urn:t3", "v"), "1")) == 1
+    delivered = source.set_service_data("sd", _sde("1")) == 1
+    return delivered and [(name, value.text()) for name, value in sink.received] == [("sd", "1")]
+
+
+# --- message-structure probes -----------------------------------------------------------
+
+
+def _corba_batches() -> bool:
+    """MaximumBatchSize 2 turns two structured events into one sequence push."""
+    _, _, proxy, supplier, received = structured_push()
+    proxy.set_qos({"MaximumBatchSize": 2})
+    for name in ("a", "b"):
+        supplier.push_structured_event(StructuredEvent(event_name=name))
+    return [[event["event_name"] for event in batch] for batch in received] == [["a", "b"]]
+
+
+def _jms_types() -> bool:
+    """The five message types, read back from a topic subscriber's copies."""
+    provider, session = _jms_session()
+    topic = provider.topic("types")
+    subscriber = session.create_consumer(topic)
+    mapped, streamed, objected = MapMessage(), StreamMessage(), ObjectMessage()
+    mapped.set_value("k", 1)
+    streamed.write("x")
+    objected.set_object({"k": [1]})
+    for message in (TextMessage(text="t"), BytesMessage(data=b"b"), mapped, streamed, objected):
+        session.create_producer(topic).send(message)
+    text, raw, mapped, streamed, objected = (subscriber.receive() for _ in range(5))
+    got = (text.text, raw.data, mapped.get_value("k"), streamed.read(), objected.get_object())
+    return got == ("t", b"b", 1, "x", {"k": [1]})
 
 
 # --- filter-language probes ---------------------------------------------------------------
@@ -124,23 +192,25 @@ def _corba_notif_filter() -> bool:
 
 
 def _jms_filter() -> bool:
-    from repro.filters.selector import MessageSelector
-
-    return MessageSelector("JMSPriority > 3 AND kind LIKE 'err%'").matches(
-        {"JMSPriority": 5, "kind": "error"}
-    )
+    """A queue consumer's selector on a header field and a property."""
+    provider, session = _jms_session()
+    queue = provider.queue("q")
+    for priority, kind in ((5, "info"), (2, "error"), (5, "error")):
+        message = TextMessage(text=kind)
+        message.set_property("kind", kind)
+        session.create_producer(queue).send(message, priority=priority)
+    consumer = session.create_consumer(queue, "JMSPriority > 3 AND kind LIKE 'err%'")
+    taken = consumer.receive()
+    return (taken.priority, taken.text) == (5, "error") and consumer.receive() is None
 
 
 def _ogsi_filter() -> bool:
     # filtering is by serviceDataName string match
-    network = SimulatedNetwork(VirtualClock())
-    source = NotificationSource(network, "http://t3-ogsi-f")
-    source.declare_service_data("wanted", text_element(QName("urn:t3", "v"), "0"))
-    source.declare_service_data("other", text_element(QName("urn:t3", "v"), "0"))
-    sink = NotificationSink(network, "http://t3-ogsi-f-sink")
-    source.subscribe("wanted", sink.epr())
-    source.set_service_data("other", text_element(QName("urn:t3", "v"), "1"))
-    source.set_service_data("wanted", text_element(QName("urn:t3", "v"), "1"))
+    _, source, sink = _ogsi_pair()
+    source.declare_service_data("other", _sde("0"))
+    source.subscribe("sd", sink.epr())
+    source.set_service_data("other", _sde("1"))
+    source.set_service_data("sd", _sde("1"))
     return len(sink.received) == 1
 
 
@@ -176,30 +246,33 @@ def _corba_qos() -> bool:
 
 def _jms_qos() -> bool:
     # priority ordering + persistence across a crash, probed live
-    provider = JmsProvider(VirtualClock())
-    connection = Connection(provider, "t3q")
-    connection.start()
-    session = connection.create_session()
+    provider, session = _jms_session()
     queue = provider.queue("q")
     producer = session.create_producer(queue)
     producer.send(TextMessage(text="lo"), priority=1)
     producer.send(TextMessage(text="hi"), priority=8)
     provider.crash_and_recover()  # both persistent by default -> survive
-    consumer = session.create_consumer(queue)
-    return consumer.receive().text == "hi"
+    reader = session.create_consumer(queue)
+    ordered = reader.receive().text == "hi"
+    # a transacted send is invisible until commit; a rolled-back receive comes back redelivered
+    transacted = session.connection.create_session(transacted=True)
+    transacted.create_producer(queue).send(TextMessage(text="tx"), priority=9)
+    invisible = reader.receive().text == "lo"
+    transacted.commit()
+    transacted.create_consumer(queue).receive()
+    transacted.rollback()
+    again = reader.receive()
+    return ordered and invisible and again.text == "tx" and again.redelivered
 
 
 # --- timeout probes -------------------------------------------------------------------------------
 
 
 def _ogsi_timeout() -> bool:
-    network = SimulatedNetwork(VirtualClock())
-    source = NotificationSource(network, "http://t3-ogsi-t")
-    source.declare_service_data("sd", text_element(QName("urn:t3", "v"), "0"))
-    sink = NotificationSink(network, "http://t3-ogsi-t-sink")
+    network, source, sink = _ogsi_pair()
     source.subscribe("sd", sink.epr(), termination_time=30.0)
     network.clock.advance(60.0)
-    return source.set_service_data("sd", text_element(QName("urn:t3", "v"), "1")) == 0
+    return source.set_service_data("sd", _sde("1")) == 0
 
 
 # --- demand probes -----------------------------------------------------------------------------------
@@ -234,6 +307,82 @@ def _wsn_demand() -> bool:
     consumer = NotificationConsumer(network, "http://t3-consumer")
     client.subscribe(broker.epr(), consumer.epr(), topic="jobs")
     return not registration.paused_upstream
+
+
+# --- management-operation probes ----------------------------------------------------------
+
+
+def _corba_event_admin() -> bool:
+    """Beyond the delivery probe's proxies: a connected pull supplier drained by poll."""
+    orb, channel, _, received = _event_push()
+    pending = ["a", "b"]
+    supplier = orb.register(lambda op, args: [pending.pop(0), True] if pending else [None, False])
+    proxy = channel.for_suppliers().obtain_pull_consumer()
+    proxy.connect_pull_supplier(supplier)
+    return _corba_event_delivery() and proxy.poll() == 2 and received == ["a", "b"]
+
+
+def _corba_notif_admin() -> bool:
+    """suspend/resume, channel and proxy QoS, and the filter-admin family."""
+    _, channel, proxy, supplier, received = structured_push()
+    try:
+        channel.validate_qos({"MaximumBatchSize": 0})
+        return False
+    except QosError:
+        channel.validate_qos({"MaximumBatchSize": 2})
+    channel.set_qos({"MaxEventsPerConsumer": 1})  # the next proxy's default
+    pull = channel.new_for_consumers().obtain_structured_pull_supplier()
+    pull.set_qos({"DiscardPolicy": DiscardPolicy.PRIORITY_ORDER})
+    major = FilterObject()
+    major.add_constraint("$severity == 'major'")
+    first, second = proxy.add_filter(major), proxy.add_filter(major)
+    proxy.remove_filter(first)
+    listed = proxy.get_all_filters() == [second]
+    for priority in (9, 1):  # minor: the push filter drops both, the pull keeps the higher
+        event = StructuredEvent(variable_header={"Priority": priority})
+        event.filterable_data["severity"] = "minor"
+        supplier.push_structured_event(event)
+    proxy.remove_all_filters()
+    supplier.push_structured_event(StructuredEvent())
+    kept, _ = pull.try_pull_structured_event()
+    bounded = kept.priority == 9 and not pull.try_pull_structured_event()[1]
+    return listed and bounded and len(received) == 1 and _corba_suspend_resume()
+
+
+def _jms_admin() -> bool:
+    """createSubscriber; a durable subscriber's backlog, until unsubscribe ends it."""
+    provider, session = _jms_session()
+    topic = provider.topic("t")
+    subscriber = session.create_consumer(topic)
+    session.create_durable_subscriber(topic, "d").close()
+    session.create_producer(topic).send(TextMessage(text="while away"))
+    durable = session.create_durable_subscriber(topic, "d")
+    kept = subscriber.receive().text == durable.receive().text == "while away"
+    durable.close()
+    session.unsubscribe(topic, "d")
+    session.create_producer(topic).send(TextMessage(text="after"))
+    return kept and session.create_durable_subscriber(topic, "d").receive() is None
+
+
+def _ogsi_admin() -> bool:
+    """Over the wire: subscribe, findServiceData, a requestTermination* lapse, destroy."""
+    network, source, sink = _ogsi_pair()
+    name = text_element(_q("serviceDataName"), "sd")
+    sink_epr = sink.epr().to_element(WsaVersion.V2003_03, _q("sink"))
+    _ogsi_call(source, "subscribe", XElem(_q("subscribe"), children=[name, sink_epr]))
+    delivered = source.set_service_data("sd", _sde("1")) == 1
+    find = text_element(_q("name"), "sd")
+    (found,) = _ogsi_call(source, "findServiceData", find).body_element().elements()
+    for operation, at in (("requestTerminationAfter", 100.0), ("requestTerminationBefore", 30.0)):
+        _ogsi_call(source, operation, text_element(_q("at"), format_datetime(at)))
+    network.clock.advance(60.0)
+    try:
+        _ogsi_call(source, "findServiceData", find)
+        return False
+    except SoapFault:
+        _, other, _ = _ogsi_pair()
+        _ogsi_call(other, "destroy", XElem(_q("destroy")))
+        return delivered and found.text() == "1" and source.destroyed and other.destroyed
 
 
 # --- the table --------------------------------------------------------------------------------
@@ -292,10 +441,10 @@ ROWS: list[tuple[str, tuple[Cell, ...]]] = [
     (
         "Message Structure",
         (
-            "Generic (Anys), Typed",
-            "Generic (Anys), Typed, Structured, sequences of structured",
-            "TextMessage, ByteMessage, MapMessage, StreamMessage, ObjectMessage",
-            "SOAP with Xml based Service data Elements",
+            (_corba_event_delivery, "Generic (Anys), Typed"),
+            (_corba_batches, "Generic (Anys), Typed, Structured, sequences of structured"),
+            (_jms_types, "TextMessage, ByteMessage, MapMessage, StreamMessage, ObjectMessage"),
+            (_ogsi_delivery, "SOAP with Xml based Service data Elements"),
             "SOAP (with Raw XML data or wrapped messages)",
             "SOAP (with Raw XML data only). Can use wrapped mode.",
         ),
@@ -357,12 +506,15 @@ ROWS: list[tuple[str, tuple[Cell, ...]]] = [
     (
         "Management operations",
         (
-            "connect_*, obtain_(typed)_push/pull_supplier/consumer",
-            "connect_*, obtain_notification_pull/push_supplier/consumer, "
-            "suspend/resume_connection, get/set/validate_qos, "
-            "add/remove/get/getAll/removeAll_filter, obtain_subscription/offered_types",
-            "createSubscriber, createDurableSubscriber, unsubscribe",
-            "Subscribe, requestTerminationAfter, requestTerminationBefore, destroy",
+            (_corba_event_admin, "connect_*, obtain_(typed)_push/pull_supplier/consumer"),
+            (
+                _corba_notif_admin,
+                "connect_*, obtain_notification_pull/push_supplier/consumer, "
+                "suspend/resume_connection, get/set/validate_qos, "
+                "add/remove/get/getAll/removeAll_filter, obtain_subscription/offered_types",
+            ),
+            (_jms_admin, "createSubscriber, createDurableSubscriber, unsubscribe"),
+            (_ogsi_admin, "Subscribe, requestTerminationAfter, requestTerminationBefore, destroy"),
             "Subscribe, Renew, unsubscribe, Pause/resume subscription, "
             "get/getMultiple/set/query ResourceProperties, TerminationNotification, "
             "Destroy, SetTerminationTime",

@@ -9,21 +9,24 @@ from repro.baselines.corba import (
     CorbaError,
     EventChannel,
     NotificationChannel,
+    ObjectReference,
     Orb,
     StructuredEvent,
 )
-from repro.baselines.corba.cdr import decode_value, encode_value
 from repro.baselines.corba.notification_service import FilterObject
 from repro.qos.properties import DiscardPolicy, OrderPolicy, QosProfile
+
+
+def _roundtrip(value):
+    return CdrDecoder(CdrEncoder().put_any(value).data()).get_any()
 
 
 class TestCdr:
     def test_primitive_roundtrip(self):
         encoder = CdrEncoder()
-        encoder.put_boolean(True).put_short(-5).put_ulong(7).put_double(2.5).put_string("hi")
+        encoder.put_boolean(True).put_ulong(7).put_double(2.5).put_string("hi")
         decoder = CdrDecoder(encoder.data())
         assert decoder.get_boolean() is True
-        assert decoder.get_short() == -5
         assert decoder.get_ulong() == 7
         assert decoder.get_double() == 2.5
         assert decoder.get_string() == "hi"
@@ -42,10 +45,10 @@ class TestCdr:
         [None, True, 42, -1, 3.5, "text", ["a", 1, None], {"k": "v", "n": [1, 2]}, {}],
     )
     def test_any_roundtrip(self, value):
-        assert decode_value(encode_value(value)) == value
+        assert _roundtrip(value) == value
 
     def test_unicode_string(self):
-        assert decode_value(encode_value("grüße-グリッド")) == "grüße-グリッド"
+        assert _roundtrip("grüße-グリッド") == "grüße-グリッド"
 
     def test_truncated_buffer(self):
         with pytest.raises(CdrError):
@@ -57,11 +60,11 @@ class TestCdr:
 
     def test_unmarshallable_type(self):
         with pytest.raises(CdrError):
-            encode_value(object())
+            CdrEncoder().put_any(object())
 
     def test_non_string_struct_key(self):
         with pytest.raises(CdrError):
-            encode_value({1: "x"})
+            CdrEncoder().put_any({1: "x"})
 
 
 class TestOrb:
@@ -77,10 +80,8 @@ class TestOrb:
 
     def test_unknown_object(self):
         orb = Orb()
-        ref = orb.register(lambda op, args: None)
-        orb.unregister(ref)
-        with pytest.raises(CorbaError):
-            orb.invoke(ref, "ping", [])
+        with pytest.raises(CorbaError, match="OBJECT_NOT_EXIST"):
+            orb.invoke(ObjectReference(orb.orb_id, "nobody"), "ping", [])
 
     def test_foreign_reference_rejected(self):
         """CORBA interop is intranet-scale: references don't cross ORBs."""
@@ -159,14 +160,17 @@ class TestEventService:
     def test_dead_consumer_disconnected(self):
         orb = Orb()
         channel = EventChannel(orb)
+        calls = []
 
         def dying(operation, args):
+            calls.append(operation)
             raise CorbaError("COMM_FAILURE")
 
-        proxy = channel.for_consumers().obtain_push_supplier()
-        proxy.connect_push_consumer(orb.register(dying))
-        channel.for_suppliers().obtain_push_consumer().push("x")
-        assert not proxy.connected
+        channel.for_consumers().obtain_push_supplier().connect_push_consumer(orb.register(dying))
+        supplier = channel.for_suppliers().obtain_push_consumer()
+        supplier.push("x")
+        supplier.push("y")
+        assert calls == ["push"]  # dropped off at the first failure
 
     def test_double_connect_rejected(self):
         orb = Orb()
@@ -209,9 +213,7 @@ class TestNotificationService:
 
     def test_structured_event_wire_roundtrip(self):
         event = _status_event(50)
-        again = StructuredEvent.from_wire(
-            decode_value(encode_value(event.to_wire()))
-        )
+        again = StructuredEvent.from_wire(_roundtrip(event.to_wire()))
         assert again == event
 
     def test_admin_filters_apply_to_all_proxies(self):
@@ -225,7 +227,9 @@ class TestNotificationService:
         supplier = channel.new_for_suppliers().obtain_structured_push_consumer()
         supplier.push_structured_event(_status_event(10, "info"))
         supplier.push_structured_event(_status_event(20, "fatal"))
-        assert pull.pending() == 1
+        event, _ = pull.try_pull_structured_event()
+        assert event.filterable_data["severity"] == "fatal"
+        assert pull.try_pull_structured_event() == (None, False)
 
     def test_filter_disjunction(self):
         filter_object = FilterObject()
@@ -234,14 +238,6 @@ class TestNotificationService:
         assert filter_object.match_structured(_status_event(99, "info"))
         assert filter_object.match_structured(_status_event(1, "fatal"))
         assert not filter_object.match_structured(_status_event(1, "info"))
-
-    def test_constraint_management(self):
-        filter_object = FilterObject()
-        cid = filter_object.add_constraint("$x == 1")
-        assert cid in filter_object.get_constraints()
-        filter_object.remove_constraint(cid)
-        with pytest.raises(CorbaError):
-            filter_object.remove_constraint(cid)
 
     def test_invalid_constraint(self):
         with pytest.raises(CorbaError):
@@ -259,7 +255,6 @@ class TestNotificationService:
         with pytest.raises(CorbaError, match="InvalidConstraint"):
             filter_object.add_constraint(constraint)
         filter_object.add_constraint("$progress > 50")
-        assert list(filter_object.get_constraints().values()) == ["$progress > 50"]
         proxy.add_filter(filter_object)
         proxy.connect_structured_push_consumer(orb.register(lambda op, args: received.append(args[0])))
         supplier = channel.new_for_suppliers().obtain_structured_push_consumer()
@@ -290,7 +285,6 @@ class TestNotificationService:
         supplier = channel.new_for_suppliers().obtain_structured_push_consumer()
         for i in range(4):
             supplier.push_structured_event(_status_event(i))
-        assert pull.pending() == 2
         assert pull.discarded == 2
         event, _ = pull.try_pull_structured_event()
         assert event.filterable_data["progress"] == 2  # oldest two discarded

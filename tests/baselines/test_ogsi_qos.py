@@ -3,10 +3,14 @@
 import pytest
 
 from repro.baselines.ogsi import GridService, NotificationSink, NotificationSource, OgsiError
+from repro.baselines.ogsi.grid_service import _action, _q
+from repro.soap.fault import FaultCode, SoapFault
 from repro.qos import CORBA_QOS_PROPERTIES, JMS_QOS_CRITERIA, QosError, QosProfile
 from repro.transport import SimulatedNetwork, VirtualClock
+from repro.transport.endpoint import SoapClient
 from repro.util.xstime import format_datetime
-from repro.xmlkit.element import text_element
+from repro.wsa.versions import WsaVersion
+from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.names import QName
 
 SDE_VALUE = QName("urn:grid", "jobStatus")
@@ -69,17 +73,10 @@ class TestOgsiNotification:
     def test_dead_sink_dropped(self, network, source):
         sink = NotificationSink(network, "http://sink")
         source.subscribe("jobStatus", sink.epr())
-        sink.close()
-        source.set_service_data("jobStatus", value("RUNNING"))
-        assert source.live_subscriptions() == []
-
-    def test_unsubscribe(self, network, source):
-        sink = NotificationSink(network, "http://sink")
-        subscription = source.subscribe("jobStatus", sink.epr())
-        source.unsubscribe(subscription.key)
-        assert source.set_service_data("jobStatus", value("X")) == 0
-        with pytest.raises(OgsiError):
-            source.unsubscribe(subscription.key)
+        sink.endpoint.close()
+        assert source.set_service_data("jobStatus", value("RUNNING")) == 0
+        NotificationSink(network, "http://sink")  # back, but no longer subscribed
+        assert source.set_service_data("jobStatus", value("DONE")) == 0
 
     def test_multiple_sinks(self, network, source):
         sinks = [NotificationSink(network, f"http://sink{i}") for i in range(3)]
@@ -138,6 +135,73 @@ class TestGridServiceLifetime:
         assert service.destroyed
         with pytest.raises(AddressUnreachable):
             client.call(service.epr(), _action("destroy"), [text_element(_q("destroy"), "")])
+
+
+def _ogsi_request(service, operation, body):
+    client = SoapClient(service.network, wsa_version=WsaVersion.V2003_03)
+    return client.call(service.epr(), _action(operation), [body])
+
+
+class TestTerminationTimeIsHonoured:
+    def test_a_service_past_its_termination_time_is_destroyed_when_next_reached(
+        self, network, source
+    ):
+        from repro.transport import AddressUnreachable
+
+        before = text_element(_q("before"), format_datetime(30.0))
+        _ogsi_request(source, "requestTerminationBefore", before)
+        network.clock.advance(20.0)
+        find = text_element(_q("name"), "jobStatus")
+        assert _ogsi_request(source, "findServiceData", find) is not None
+        network.clock.advance(40.0)
+        with pytest.raises(SoapFault, match="destroyed") as excinfo:
+            _ogsi_request(source, "findServiceData", find)
+        assert excinfo.value.code is FaultCode.SENDER
+        assert source.destroyed
+        with pytest.raises(AddressUnreachable):
+            _ogsi_request(source, "findServiceData", find)
+
+    def test_a_lapsed_source_notifies_no_sink(self, network, source):
+        sink = NotificationSink(network, "http://sink")
+        source.subscribe("jobStatus", sink.epr())
+        after = text_element(_q("after"), format_datetime(30.0))
+        _ogsi_request(source, "requestTerminationAfter", after)
+        network.clock.advance(60.0)
+        with pytest.raises(OgsiError, match="destroyed"):
+            source.set_service_data("jobStatus", value("DONE"))
+        assert source.destroyed and sink.received == []
+
+    def test_a_destroyed_service_leaves_its_address_successor_registered(self, network, source):
+        _ogsi_request(source, "destroy", XElem(_q("destroy")))
+        successor = NotificationSource(network, source.address)
+        with pytest.raises(OgsiError, match="destroyed"):
+            source.set_service_data("jobStatus", value("DONE"))
+        assert network.is_registered(successor.address)
+
+
+class TestMalformedDateTime:
+    """A requester's malformed ``xs:dateTime`` is answered with its fault,
+    never raised as a ValueError out of the service."""
+
+    @pytest.mark.parametrize("operation", ["requestTerminationAfter", "requestTerminationBefore"])
+    def test_a_termination_request_with_a_malformed_time_is_a_sender_fault(
+        self, source, operation
+    ):
+        with pytest.raises(SoapFault, match="invalid xs:dateTime") as excinfo:
+            _ogsi_request(source, operation, text_element(_q("time"), "garbage"))
+        assert excinfo.value.code is FaultCode.SENDER
+        assert source.termination_time is None
+
+    def test_a_subscribe_with_a_malformed_expiration_is_a_sender_fault(self, network, source):
+        sink = NotificationSink(network, "http://sink")
+        subscribe = XElem(_q("subscribe"))
+        subscribe.append(text_element(_q("serviceDataName"), "jobStatus"))
+        subscribe.append(sink.epr().to_element(WsaVersion.V2003_03, _q("sink")))
+        subscribe.append(text_element(_q("expirationTime"), "soon"))
+        with pytest.raises(SoapFault, match="invalid xs:dateTime") as excinfo:
+            _ogsi_request(source, "subscribe", subscribe)
+        assert excinfo.value.code is FaultCode.SENDER
+        assert source.set_service_data("jobStatus", value("RUNNING")) == 0
 
 
 class TestQosModels:

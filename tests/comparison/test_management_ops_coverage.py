@@ -1,80 +1,14 @@
-"""Table 3's "Management operations" row, verified by introspection:
-every operation the row lists must exist as a callable surface in the
-corresponding implementation."""
+"""Table 3's "Management operations" row for the two WS columns, verified
+by introspection: every operation the row lists must be an action the
+implementation answers.  The four baseline columns' cells run their
+operations live in ``repro.comparison.table3``."""
 
-from repro.baselines.corba.event_service import (
-    ConsumerAdmin,
-    ProxyPullConsumer,
-    ProxyPullSupplier,
-    ProxyPushConsumer,
-    ProxyPushSupplier,
-    SupplierAdmin,
-)
-from repro.baselines.corba.notification_service import (
-    FilterObject,
-    NotificationChannel,
-    NotificationConsumerAdmin,
-    StructuredProxyPushSupplier,
-)
-from repro.baselines.jms.session import Session
-from repro.baselines.ogsi.grid_service import GridService, NotificationSource, _action
 from repro.transport import SimulatedNetwork, VirtualClock
 from repro.wse.source import EventSource
 from repro.wse.versions import WseVersion
 from repro.wsn.producer import NotificationProducer
 from repro.wsn.versions import WsnVersion
 from repro.wsn import messages as wsn_messages
-
-
-class TestCorbaEventServiceOps:
-    def test_connect_and_obtain_operations(self):
-        assert hasattr(ProxyPushSupplier, "connect_push_consumer")
-        assert hasattr(ProxyPullConsumer, "connect_pull_supplier")
-        assert hasattr(ConsumerAdmin, "obtain_push_supplier")
-        assert hasattr(ConsumerAdmin, "obtain_pull_supplier")
-        assert hasattr(SupplierAdmin, "obtain_push_consumer")
-        assert hasattr(SupplierAdmin, "obtain_pull_consumer")
-        assert hasattr(ProxyPushConsumer, "disconnect_push_consumer")
-        assert hasattr(ProxyPullSupplier, "disconnect_pull_supplier")
-
-
-class TestCorbaNotificationServiceOps:
-    def test_structured_proxies_and_qos(self):
-        assert hasattr(NotificationConsumerAdmin, "obtain_structured_push_supplier")
-        assert hasattr(NotificationConsumerAdmin, "obtain_structured_pull_supplier")
-        assert hasattr(StructuredProxyPushSupplier, "suspend_connection")
-        assert hasattr(StructuredProxyPushSupplier, "resume_connection")
-        assert hasattr(StructuredProxyPushSupplier, "set_qos")
-        assert hasattr(NotificationChannel, "set_qos")
-        assert hasattr(NotificationChannel, "validate_qos")
-
-    def test_filter_admin_operations(self):
-        for op in ("add_filter", "remove_filter", "remove_all_filters", "get_all_filters"):
-            assert hasattr(StructuredProxyPushSupplier, op)
-        for op in ("add_constraint", "remove_constraint", "get_constraints"):
-            assert hasattr(FilterObject, op)
-
-
-class TestJmsOps:
-    def test_subscriber_operations(self):
-        assert hasattr(Session, "create_consumer")  # createSubscriber
-        assert hasattr(Session, "create_durable_subscriber")
-        assert hasattr(Session, "unsubscribe")
-
-
-class TestOgsiOps:
-    def test_ogsi_actions_registered(self):
-        network = SimulatedNetwork(VirtualClock())
-        source = NotificationSource(network, "http://ops-ogsi")
-        handlers = source.endpoint._handlers
-        for op in (
-            "subscribe",
-            "requestTerminationAfter",
-            "requestTerminationBefore",
-            "destroy",
-            "findServiceData",
-        ):
-            assert _action(op) in handlers, op
 
 
 class TestWseOps:

@@ -14,6 +14,16 @@ from repro.comparison import (
     trace_wse_architecture,
     trace_wsn_architecture,
 )
+from repro.baselines.corba.cdr import CdrDecoder
+from repro.baselines.corba.event_service import ProxyPullConsumer
+from repro.baselines.corba.notification_service import (
+    NotificationChannel,
+    StructuredProxyPushSupplier,
+)
+from repro.baselines.jms.messages import JmsMessage, MapMessage
+from repro.baselines.jms.session import Session
+from repro.baselines.ogsi.grid_service import GridService, NotificationSink
+from repro.comparison.table3 import COLUMNS, ROWS, _checked
 from repro.comparison.tables import ComparisonTable, render_cell
 from repro.wse.versions import WseVersion
 from repro.wsn.versions import WsnVersion
@@ -138,6 +148,51 @@ class TestTable3:
         for label, cells in table3.rows:
             for cell in cells:
                 assert "FAILED" not in str(cell), f"{label}: {cell}"
+
+    def test_the_probed_cells(self):
+        probed = [
+            (label, column)
+            for label, cells in ROWS
+            for column, cell in zip(COLUMNS, cells)
+            if not isinstance(cell, str)
+        ]
+        assert len(probed) == 28
+        for label in ("Management operations", "Message Structure"):
+            assert [column for row, column in probed if row == label] == COLUMNS[:4]
+
+    @pytest.mark.parametrize(
+        "label, column, owner, name, broken",
+        [
+            ("Management operations", "CORBA Event Service",
+             ProxyPullConsumer, "poll", lambda self: 0),
+            ("Management operations", "CORBA Notification Service",
+             NotificationChannel, "validate_qos", lambda self, values: None),
+            ("Management operations", "JMS",
+             Session, "unsubscribe", lambda self, topic, name: None),
+            ("Management operations", "OGSI-Notification", GridService, "_handle_term_before",
+             lambda self, envelope, headers: self._ack(headers, "requestTerminationBeforeResponse")),
+            ("Message Structure", "CORBA Event Service",
+             CdrDecoder, "get_boolean", lambda self: self.get_octet() == 0),
+            ("Message Structure", "CORBA Notification Service",
+             StructuredProxyPushSupplier, "flush", lambda self: None),
+            ("Message Structure", "JMS", MapMessage, "get_value", lambda self, name: None),
+            ("Message Structure", "OGSI-Notification",
+             NotificationSink, "_handle", lambda self, envelope, headers: None),
+            ("Filter", "JMS", JmsMessage, "selector_fields", lambda self: dict(self.properties)),
+            ("QoS criteria", "JMS", Session, "rollback", lambda self: None),
+        ],
+        ids=lambda value: (
+            value.replace(" ", "-") if isinstance(value, str)
+            else value.__name__ if isinstance(value, type) else "broken"
+        ),
+    )
+    def test_a_broken_operation_fails_its_cell(self, monkeypatch, label, column, owner, name, broken):
+        """No probe is vacuous: break one operation its cell names, and the
+        cell reads FAILED."""
+        probe, text = dict(ROWS)[label][COLUMNS.index(column)]
+        assert _checked(probe, text) == text
+        monkeypatch.setattr(owner, name, broken)
+        assert _checked(probe, text).startswith("FAILED")
 
     def test_evolution_observation_1_transport(self, table3):
         """Section VI observation (1): delivery moves to transport-independent."""

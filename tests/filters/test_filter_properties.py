@@ -1,9 +1,10 @@
 """Property-based tests for filter languages, topic trees and CDR."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.corba.cdr import decode_value, encode_value
+from repro.baselines.corba.cdr import CdrDecoder, CdrEncoder, CdrError
 from repro.filters.base import FilterError
 from repro.filters.selector import MessageSelector
 from repro.filters.tcl import TclConstraint
@@ -156,13 +157,12 @@ class TestCdrProperties:
     @given(_cdr_values)
     @settings(max_examples=300)
     def test_encode_decode_roundtrip(self, value):
-        assert decode_value(encode_value(value)) == value
+        assert CdrDecoder(CdrEncoder().put_any(value).data()).get_any() == value
 
     @given(_cdr_values)
     @settings(max_examples=100)
     def test_decoder_consumes_exactly(self, value):
-        from repro.baselines.corba.cdr import CdrDecoder
-
-        decoder = CdrDecoder(encode_value(value))
+        decoder = CdrDecoder(CdrEncoder().put_any(value).data())
         decoder.get_any()
-        assert decoder.at_end()
+        with pytest.raises(CdrError, match="truncated"):
+            decoder.get_octet()
