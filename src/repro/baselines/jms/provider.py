@@ -131,8 +131,12 @@ class JmsProvider:
         return existing
 
     def unsubscribe_durable(self, topic: Topic, client_id: str, name: str) -> None:
-        if topic._durables.pop((client_id, name), None) is None:
+        durable = topic._durables.get((client_id, name))
+        if durable is None:
             raise JmsError(f"no durable subscription {name!r} for client {client_id!r}")
+        if durable.active_listener is not None:  # JMS 1.1 Session.unsubscribe: erroneous
+            raise JmsError(f"durable subscription {name!r} still has an active subscriber")
+        del topic._durables[client_id, name]
 
     # --- failure injection ------------------------------------------------------------
 

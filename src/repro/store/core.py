@@ -118,6 +118,7 @@ class StoreStats:
     redead: int = 0
     replayed_publishes: int = 0
     recovered_subscriptions: int = 0
+    closed_lifetimes: int = 0  #: of those, replayed as nothing (see ``_index``)
     #: pre-crash in-flight obligations closed as failed during recovery
     crash_failures: int = 0
 
@@ -159,9 +160,10 @@ class BrokerStore:
         self._enclosing: List[Optional[str]] = []
         #: pre-bound per-record counters
         self._bound = BoundCounters()
-        #: the log's records a restart replays, in log order: every one but
-        #: the outcomes, which the index has read (``replay_log`` takes them)
-        self.replayable: List[Any] = []
+        #: the log's records a restart replays, in log order (``replay_log`` takes
+        #: them): all but the outcomes and a closed lifetime's (None; its grant in ``closed``)
+        self.replayable: List[Optional[Any]] = []
+        self.closed: List[SubscribeRecorded] = []
         self._index(self.log.records(), self.replayable)
 
     # --- settlement index --------------------------------------------------
@@ -170,9 +172,13 @@ class BrokerStore:
         """Fold ``records`` into the settlement index, in log order: one pass
         that dispatches on each record's type, the whole log at open, one
         record per append.  Every record but an outcome goes to
-        ``replayable``."""
+        ``replayable``, bar a closed lifetime's: granted without a QoS profile
+        (which its sink would keep) and removed before a publish could match
+        it, it changes nothing a replay rebuilds, so its Remove takes them out."""
         outcomes, routed = self._outcomes, self._routed
         settled = parked = 0
+        #: (tag, sub_id) -> replayable slots of a lifetime opened since the last publish
+        opened: Dict[Tuple[str, str], List[int]] = {}
         for record in records:
             kind = type(record)
             if kind is OutcomeRecorded:
@@ -210,6 +216,18 @@ class BrokerStore:
                 tail = record.message_id.rsplit("-", 1)[-1]
                 if tail.isdigit():
                     self._message_serial = max(self._message_serial, int(tail))
+                opened.clear()
+            elif kind is SubscribeRecorded and replayable is not None and record.qos is None:
+                opened[record.tag, record.sub_id] = [len(replayable)]
+            elif opened and (record.tag, record.sub_id) in opened:
+                slots = opened[record.tag, record.sub_id]
+                if kind is RemoveRecorded:
+                    del opened[record.tag, record.sub_id]
+                    self.closed.append(replayable[slots[0]])
+                    for slot in slots:
+                        replayable[slot] = None
+                    continue
+                slots.append(len(replayable))
             if replayable is not None:
                 replayable.append(record)
         self.settled += settled

@@ -41,7 +41,11 @@ final, no filter runs).  On a ``fanout_push`` log of 13 064 records (12 800
 delivered outcomes; wall time scaled to ``benchmarks/e2e``'s reference host
 speed, collector off) the open takes ≈ 0.25 µs per indexed outcome, and a
 replayed settled push ≈ 0.7 µs of matching and probing, its publish's share
-of parsing and framing included.
+of parsing and framing included.  A lease granted without a QoS profile
+and removed before a publish could match it (a closed lifetime) costs one
+id reservation: its records do not replay.  Two limits: a QoS lease still
+replays (the controller keeps the sink's profile past it), and a garbled
+grant inside a closed lifetime is never decoded, so it is not counted.
 
 A publish that fails to parse back (only a log written before the writer
 refused the characters XML 1.0 forbids can hold one) is skipped and counted
@@ -100,9 +104,17 @@ def replay_log(broker) -> None:
         manager.restoring = True
     # the records the store's open collected: outcomes replay as nothing
     records, store.replayable = store.replayable, []
+    closed, store.closed = store.closed, []
     try:
+        for record in closed:  # a closed lifetime replays as its id, reserved
+            service = broker.service(record.family, record.tag)
+            if service is not None:
+                service.subscriptions.reserve(record.sub_id)
+                store.stats.recovered_subscriptions += 1
+                store.stats.closed_lifetimes += 1
         for record in records:
-            REPLAY[type(record)](broker, store, record)
+            if record is not None:  # None: a closed lifetime's slot
+                REPLAY[type(record)](broker, store, record)
     finally:
         for manager in managers:
             manager.restoring = False

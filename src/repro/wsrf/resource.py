@@ -96,24 +96,28 @@ class ResourceRegistry:
         **fields,
     ) -> WsResource:
         """Create a resource; ``lifetime`` is seconds from now (soft state).
-        A forced ``key`` (log replay) also advances the serial past it.
+        A forced ``key`` (log replay) is reserved, see :meth:`reserve`.
         ``factory(key, **fields)`` builds a richer resource — a subscription
         record is one (see :mod:`repro.subscriptions`)."""
         if key is None:
             self._serial += 1
             key = f"{self._key_prefix}-{self._serial}"
+        elif key in self._resources:
+            raise ValueError(f"resource key {key!r} already exists")
         else:
-            if key in self._resources:
-                raise ValueError(f"resource key {key!r} already exists")
-            tail = key.rsplit("-", 1)[-1]
-            if key.startswith(f"{self._key_prefix}-") and tail.isdigit():
-                self._serial = max(self._serial, int(tail))
+            self.reserve(key)
         resource = factory(key, **fields)
         if lifetime is not None:
             resource.termination_time = self.clock.now() + lifetime
         self._resources[key] = resource
         self.note_termination(resource)
         return resource
+
+    def reserve(self, key: ResourceKey) -> None:
+        """Advance the serial past ``key``: no key minted from now on repeats it."""
+        tail = key.rsplit("-", 1)[-1]
+        if key.startswith(f"{self._key_prefix}-") and tail.isdigit():
+            self._serial = max(self._serial, int(tail))
 
     def note_termination(self, resource: WsResource) -> None:
         """Record (a change of) ``resource.termination_time`` so

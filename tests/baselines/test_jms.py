@@ -149,6 +149,21 @@ class TestPubSub:
         with pytest.raises(JmsError):
             session.unsubscribe(topic, "audit")
 
+    def test_unsubscribe_refuses_a_durable_with_an_active_subscriber(self, provider, connection):
+        """JMS 1.1: deleting a durable subscription while its subscriber is
+        active is an error; closed, the same call deletes it."""
+        topic = provider.topic("alerts")
+        session = connection.create_session()
+        active = session.create_durable_subscriber(topic, "audit")
+        with pytest.raises(JmsError, match="active subscriber"):
+            session.unsubscribe(topic, "audit")
+        session.create_producer(topic).send(TextMessage(text="kept"))
+        assert active.receive().text == "kept"  # the subscription is untouched
+        active.close()
+        session.unsubscribe(topic, "audit")
+        with pytest.raises(JmsError, match="no durable subscription"):
+            session.unsubscribe(topic, "audit")
+
     def test_topic_selector(self, provider, connection):
         topic = provider.topic("alerts")
         session = connection.create_session()

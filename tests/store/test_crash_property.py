@@ -1,15 +1,18 @@
 """Property test: crash the broker at a random point, recover, lose nothing.
 
 Each seed derives a randomized-but-deterministic scenario (publishes,
-renewals, pauses, pull drains, a firewalled consumer, a dark consumer) and a
-crash point between two of its operations.  After recovery the remaining
+renewals, pauses, pull drains, a firewalled consumer, a dark consumer, and
+two transient subscriptions: one subscribed, paused and unsubscribed between
+two publishes, one subscribed, renewed and unsubscribed around a publish)
+and a crash point between two of its operations.  After recovery the remaining
 operations continue against the recovered broker.  Whatever the crash point:
 
 - the mesh-wide conservation audit passes (no lost obligations — anything
   unsettled at the crash is explicitly failed, never silently dropped);
 - no consumer ever receives a payload twice (replay suppression);
 - consumers whose obligations settle synchronously receive exactly the
-  published sequence.
+  published sequence;
+- no subscription id is minted twice, across the crash too.
 """
 
 import pytest
@@ -60,6 +63,12 @@ class Scenario:
         )
         self.wsn.subscribe(self.broker.epr(), self.dark.epr(), topic="pp")
         self.dark.close()  # every copy for it retries, then dead-letters
+        self.passing = NotificationConsumer(self.network, "http://pp-passing")
+        self.spanning = NotificationConsumer(self.network, "http://pp-spanning")
+        self.transient = None
+        self.sub_ids = [
+            handle.sub_id for handle in (self.sink_handle, self.pull_handle, self.consumer_handle)
+        ]
         self.published = 0
         self.pulled: list[str] = []
         self.drained: list[str] = []
@@ -79,6 +88,9 @@ class Scenario:
                 ops.append("pull")
             else:
                 ops.append("settle")
+        # transient lifetimes: one closed between two publishes, one spanning one
+        ops += ["subscribe-passing", "pause-transient", "unsubscribe-transient"]
+        ops += ["subscribe-spanning", "renew-transient", "publish", "unsubscribe-transient"]
         ops.append("publish")  # at least one message always flows
         return ops
 
@@ -101,6 +113,18 @@ class Scenario:
             )
         elif op == "settle":
             self.broker.run_deliveries_until_idle()
+        elif op == "subscribe-passing":
+            self.transient = self.wsn.subscribe(self.broker.epr(), self.passing.epr(), topic="pp")
+            self.sub_ids.append(self.transient.sub_id)
+        elif op == "subscribe-spanning":
+            self.transient = self.wsn.subscribe(self.broker.epr(), self.spanning.epr(), topic="pp")
+            self.sub_ids.append(self.transient.sub_id)
+        elif op == "pause-transient":
+            self.wsn.pause(self.transient)
+        elif op == "renew-transient":
+            self.wsn.renew(self.transient, "PT3H")
+        elif op == "unsubscribe-transient":
+            self.wsn.unsubscribe(self.transient)
 
     def crash_and_recover(self) -> None:
         self.broker.close()
@@ -147,6 +171,11 @@ def test_crash_anywhere_loses_nothing(seed):
     assert scenario.drained == expected
     # the pull queue yielded each message exactly once, in order
     assert scenario.pulled == expected
+    # the transients: the one closed between publishes saw nothing, the one
+    # spanning a publish saw it once; a closed lifetime's id stays taken
+    assert scenario.passing.received == []
+    assert _texts(scenario.spanning.received) == [expected[-2]]
+    assert len(scenario.sub_ids) == len(set(scenario.sub_ids))
     # nobody saw a duplicate
     for texts in (
         _texts(scenario.sink.received),
@@ -177,5 +206,7 @@ def test_every_crash_point_for_two_seeds(seed):
         assert _texts(scenario.sink.received) == expected, f"crash_at={crash_at}"
         assert scenario.drained == expected, f"crash_at={crash_at}"
         assert scenario.pulled == expected, f"crash_at={crash_at}"
+        assert _texts(scenario.spanning.received) == [expected[-2]], f"crash_at={crash_at}"
+        assert len(scenario.sub_ids) == len(set(scenario.sub_ids)), f"crash_at={crash_at}"
         result = audit(scenario.instrumentation, scenario=f"sweep-{seed}-{crash_at}")
         assert result.passed, f"crash_at={crash_at}\n{result.render()}"

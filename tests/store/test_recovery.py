@@ -1019,3 +1019,157 @@ class TestFileBackedRecovery:
         assert [note.payload.full_text() for note in sink.received] == ["1", "3"]
         publishes = [r for r in recovered.store.log.records() if isinstance(r, PublishRecorded)]
         assert publishes[-1].message_id == "msg-3"  # the skipped id is not minted again
+
+
+# --- a lease that lived and died between two publishes replays as nothing ------------
+
+
+def _churn(network, broker, rounds=4):
+    """A churn stream over a standing population: per round, three lifetimes
+    closed between two publishes (WSE renewed, WSN paused and resumed, WSE
+    pull) and one WSN lifetime that spans a publish.  Returns the live
+    projection and log length at every operation boundary, and how many
+    lifetimes were standing, spanning and closed."""
+    wse, wsn = WseSubscriber(network), WsnSubscriber(network)
+    sink = EventSink(network, "http://rc-churn-sink")
+    consumer = NotificationConsumer(network, "http://rc-churn-consumer")
+    spanner = NotificationConsumer(network, "http://rc-churn-spanner")
+    boundaries = []
+
+    def step(operation):
+        result = operation()
+        broker.run_deliveries_until_idle()
+        boundaries.append((len(broker.store.log), broker.store.projection(broker)))
+        return result
+
+    def push():
+        return wse.subscribe(broker.epr(), notify_to=sink.epr())
+
+    def pull():
+        return wse.subscribe(broker.epr(), mode=DeliveryMode.PULL)
+
+    def notify():
+        return wsn.subscribe(broker.epr(), consumer.epr(), topic="rc")
+
+    standing = [step(push), step(notify), step(pull)]
+    for n in range(rounds):
+        renewed = step(push)
+        step(lambda: wse.renew(renewed, "PT2H"))
+        step(lambda: wse.unsubscribe(renewed))
+        paused = step(notify)
+        step(lambda: wsn.pause(paused))
+        step(lambda: wsn.resume(paused))
+        step(lambda: wsn.unsubscribe(paused))
+        pulling = step(pull)
+        step(lambda: wse.unsubscribe(pulling))
+        spanning = step(lambda: wsn.subscribe(broker.epr(), spanner.epr(), topic="rc"))
+        step(lambda: broker.publish(event(n), topic="rc"))
+        step(lambda: wsn.unsubscribe(spanning))
+        step(lambda: wse.pull(standing[2], max_messages=1))
+    return boundaries, {"standing": len(standing), "spanning": rounds, "closed": 3 * rounds}
+
+
+def _count_grants(monkeypatch) -> list:
+    grants, grant = [], SubscriptionService.grant
+
+    def counted(service, *args, **kwargs):
+        grants.append(args[0].sub_id)
+        return grant(service, *args, **kwargs)
+
+    monkeypatch.setattr(SubscriptionService, "grant", counted)
+    return grants
+
+
+class TestAClosedLifetimeReplaysAsNothing:
+    """A subscription granted without a QoS profile and removed before the
+    next publish could match it leaves nothing a replay rebuilds: its
+    records replay as nothing, and only its id is reserved."""
+
+    def test_a_churn_log_grants_only_what_is_live_or_spanned_a_publish(
+        self, network, monkeypatch
+    ):
+        broker = _broker(network)
+        _, lifetimes = _churn(network, broker)
+        live = broker.store.projection(broker)
+        broker.close()
+        grants = _count_grants(monkeypatch)
+        recovered = _recover(network, broker.store.log)
+        assert len(grants) == lifetimes["standing"] + lifetimes["spanning"] == 7
+        stats = recovered.store.stats
+        assert stats.closed_lifetimes == lifetimes["closed"] == 12
+        assert stats.recovered_subscriptions == sum(lifetimes.values()) == 19
+        # per publish, the delivered pushes to the standing sink and consumer
+        # and to the lifetime that spanned it: one per (message id, sink) key
+        assert stats.suppressed == 3 * 4
+        assert recovered.store.projection(recovered) == live
+
+    def test_every_prefix_of_a_churn_log_recovers_what_was_live_then(self, network):
+        broker = _broker(network)
+        boundaries, _ = _churn(network, broker)
+        broker.close()
+        records = list(broker.store.log.records())
+        for length, live in boundaries:
+            prefix = MemoryEventLog()
+            for record in records[:length]:
+                prefix.append(record)
+            prefix.commit()
+            recovered = _recover(network, prefix)
+            assert recovered.store.projection(recovered) == live, f"prefix of {length}"
+            recovered.close()
+
+    def test_a_lifetime_that_spans_a_publish_still_replays(self, network, monkeypatch):
+        broker = _broker(network)
+        consumer = NotificationConsumer(network, "http://rc-consumer")
+        client = WsnSubscriber(network)
+        handle = client.subscribe(broker.epr(), consumer.epr(), topic="rc")
+        client.pause(handle)
+        client.resume(handle)
+        broker.publish(event(1), topic="rc")
+        broker.run_deliveries_until_idle()
+        client.unsubscribe(handle)
+        broker.close()
+        grants = _count_grants(monkeypatch)
+        recovered = _recover(network, broker.store.log)
+        assert grants == [handle.sub_id]
+        stats = recovered.store.stats
+        assert (stats.recovered_subscriptions, stats.closed_lifetimes) == (1, 0)
+        assert stats.suppressed == 1  # its delivered push, dropped at the route
+        recovered.run_deliveries_until_idle()
+        assert [item.payload.full_text() for item in consumer.received] == ["1"]
+
+    def test_a_closed_lifetime_with_a_qos_profile_still_replays(self, network, monkeypatch):
+        """The adaptive controller keeps a sink's profile after its lease
+        ends, so a grant that carried one must replay to restore it."""
+        config = dict(qos=AdaptiveQosPolicy())
+        broker = _broker(network, **config)
+        sink = EventSink(network, "http://rc-qos-sink")
+        client = WseSubscriber(network)
+        profile = QosProfile({"Priority": 5, "MaxEventsPerConsumer": 2})
+        client.unsubscribe(client.subscribe(broker.epr(), notify_to=sink.epr(), qos=profile))
+        live = broker.qos.profile_for(sink.address)
+        assert live is not None
+        broker.close()
+        grants = _count_grants(monkeypatch)
+        recovered = _recover(network, broker.store.log, **config)
+        assert len(grants) == 1 and recovered.store.stats.closed_lifetimes == 0
+        assert recovered.qos.profile_for(sink.address) == live
+        assert recovered.subscription_count() == 0
+
+    def test_a_closed_lifetimes_id_is_never_minted_again(self, network):
+        """The highest id of a (family, tag) belongs to a closed lifetime: the
+        restarted manager reserves it, so the next Subscribe mints past it."""
+        broker = _broker(network)
+        sink = EventSink(network, "http://rc-sink")
+        client = WseSubscriber(network)
+        kept = client.subscribe(broker.epr(), notify_to=sink.epr())
+        closed = client.subscribe(broker.epr(), notify_to=sink.epr())
+        client.unsubscribe(closed)
+        broker.close()
+        recovered = _recover(network, broker.store.log)
+        assert recovered.store.stats.closed_lifetimes == 1
+        fresh = client.subscribe(recovered.epr(), notify_to=sink.epr())
+
+        def serial(handle):
+            return int(handle.sub_id.rsplit("-", 1)[-1])
+
+        assert serial(kept) < serial(closed) < serial(fresh)
