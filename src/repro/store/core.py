@@ -10,9 +10,10 @@ manager appends an :class:`OutcomeRecorded` per settled obligation.
 The same object *projects*: rebuilt over an existing log (see
 :mod:`repro.store.recovery`), its settlement index — per publish, each
 sink's deciding :class:`OutcomeRecorded` — tells the route which replayed
-pushes were already delivered (push nothing), and the delivery manager
-which of the rest are parked (re-park without re-attempting) or dead
-(restore to the DLQ) — which is what makes crash-replay exactly-once.
+pushes were already settled (delivered, shed or drained: push nothing), and
+the delivery manager which of the rest are parked (re-park without
+re-attempting) or dead (restore to the DLQ) — which is what makes
+crash-replay exactly-once.
 
 The commit rule (the log itself only buffers): every append commits at
 once, except the outcomes of the publish in flight, which wait behind its
@@ -108,9 +109,9 @@ class StoreStats:
     commits: int = 0  #: writes to the log; appends / commits = records per write
     publishes: int = 0
     outcomes: int = 0
-    #: replayed obligations the log had already settled: a delivered
-    #: ``(message_id, sink)`` key the route dropped, or a task the delivery
-    #: manager suppressed
+    #: replayed obligations the log had already settled: a ``(message_id,
+    #: sink)`` key the route dropped (delivered, shed, or drained from a box
+    #: already re-minted), or a task the delivery manager suppressed
     suppressed: int = 0
     #: replayed items re-parked into message boxes without a wire attempt
     reparked: int = 0
@@ -150,7 +151,7 @@ class BrokerStore:
         self.parked_open = 0
         #: publishes forwarded to their owning mesh shard (no local fan-out)
         self._routed: Set[str] = set()
-        #: the sinks whose delivered push the route dropped for the publish
+        #: the sinks whose settled push the route dropped for the publish
         #: replaying now (each counts once in ``stats.suppressed``)
         self.replay_dropped: Set[str] = set()
         #: message id the route stamps on the item of the in-flight publish
@@ -417,8 +418,21 @@ class BrokerStore:
     def replay_outcomes(self) -> Mapping[str, OutcomeRecorded]:
         """The replayed publish's settlement, sink -> deciding outcome record:
         the route takes it once per publish and drops a push whose sink's
-        record says ``delivered``, adding the sink to :attr:`replay_dropped`."""
+        record says ``delivered`` or :meth:`settled_at_route`, adding the sink
+        to :attr:`replay_dropped`."""
         return self._outcomes.get(self.current_message_id, _NO_OUTCOMES)
+
+    def settled_at_route(self, record: OutcomeRecorded) -> bool:
+        """Whether a replayed push whose sink's deciding record is ``record``
+        (not ``delivered``: the route reads that itself) replays as nothing.
+        Shed is terminal.  Drained is once the sink's box exists; before, the
+        push goes on to the delivery manager, which mints the box where the
+        live park did (a batcher's flush, after the route), so boxes keep
+        their first-park numbers."""
+        if record.outcome == "dead":
+            return record.reason.startswith(SHED_PREFIX)
+        boxes = self.broker.message_boxes
+        return record.outcome == "drained" and boxes.get(record.sink) is not None
 
     def resolve_replay(self, task: "DeliveryTask") -> Optional[Tuple[str, str]]:
         """Route one replayed submission by its idempotency keys.

@@ -15,17 +15,17 @@ message boxes, DLQ) converge on the pre-crash state:
   forgotten silently, the first sweep after recovery ends the rest — one end
   notice per subscription across the crash;
 * ``publish`` records re-run matching with ``current_message_id`` pinned,
-  and a delivered obligation replays as nothing; the manager resolves the
-  rest: the route takes the publish's settlement from the store once
-  (sink -> the outcome record that decides it) and probes it per live push
-  match, so a push the log settled as delivered makes no task, while every
-  other one reaches the delivery manager, which asks the index per task —
-  pre-crash parked items are re-parked (same box addresses, since boxes
-  are minted in first-park order; a drained box is re-minted empty), dead
-  tasks are restored to the DLQ with a working send thunk, shed ones stay
-  shed, and only genuinely in-flight obligations are re-attempted.  A
-  publish the mesh router forwarded to its owning shard (``routed``)
-  replays as nothing at all;
+  and a push the log settled replays as nothing: the route takes the
+  publish's settlement from the store once (sink -> the outcome record that
+  decides it) and probes it per live push match, so a push settled as
+  delivered, shed or drained makes no task — drained once its sink's box
+  exists: the manager mints a first park's box where the live park did, so
+  boxes keep their first-park numbers and a drained box's address answers.
+  Every other push reaches the delivery manager, which asks the index per
+  task — pre-crash parked items are re-parked, dead tasks are restored to
+  the DLQ with a working send thunk, and only genuinely in-flight
+  obligations are re-attempted.  A publish the mesh router forwarded to
+  its owning shard (``routed``) replays as nothing at all;
 * before each publish replays, its pre-crash ledger books are closed:
   any obligation the crash left dangling (opened, not closed, not
   parked) is marked ``failed(reason=broker_crash)`` so the mesh-wide
@@ -37,11 +37,12 @@ open indexes its outcome and one probe when its publish replays; outcomes
 are not walked again (the open hands ``replay_log`` the other records, in
 order).  Beyond that, replay work grows with the obligations still open,
 one task each, plus one index lookup per logged publish (its admission is
-final, no filter runs).  On a ``fanout_push`` log of 13 064 records (12 800
-delivered outcomes; wall time scaled to ``benchmarks/e2e``'s reference host
-speed, collector off) the open takes ≈ 0.25 µs per indexed outcome, and a
-replayed settled push ≈ 0.7 µs of matching and probing, its publish's share
-of parsing and framing included.  A lease granted without a QoS profile
+final, no filter runs).  On a ``fanout_push`` log of 13 064 records (wall
+time at ``benchmarks/e2e``'s reference host speed, collector off) the open
+takes ≈ 0.25 µs per indexed outcome, and a replayed settled push ≈ 0.7 µs,
+its publish's parsing and framing included.  A ``degraded_pull`` restart
+(29 196 records) submits 1 310 tasks, not 7 744: the real dead letters and
+each firewalled sink's first park.  A lease granted without a QoS profile
 and removed before a publish could match it (a closed lifetime) costs one
 id reservation: its records do not replay.  Two limits: a QoS lease still
 replays (the controller keeps the sink's profile past it), and a garbled

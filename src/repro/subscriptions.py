@@ -608,8 +608,10 @@ class SubscriptionService:
         carries the in-flight publish's message id when there is a store: a
         live push match goes to the family's ``push(subscription, items)``
         row, anything else is parked, and an unpaused wrapped queue is then
-        held for its batch.  Replaying the log, a push the log settled as
-        delivered goes nowhere: one probe of the publish's settlement."""
+        held for its batch.  Replaying the log, a push the log settled goes
+        nowhere — delivered, shed, or drained once its sink's box exists
+        (:meth:`~repro.store.core.BrokerStore.settled_at_route`): one probe
+        of the publish's settlement."""
         from repro.delivery.task import DeliveryItem
 
         frozen = self._fanout.freeze(payload)
@@ -636,7 +638,9 @@ class SubscriptionService:
                 if outcomes:
                     sink = subscription.consumer.address
                     record = outcomes.get(sink)
-                    if record is not None and record.outcome == "delivered":
+                    if record is not None and (
+                        record.outcome == "delivered" or store.settled_at_route(record)
+                    ):
                         dropped.add(sink)
                         continue
                 push(subscription, items)

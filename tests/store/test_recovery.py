@@ -15,11 +15,11 @@ from repro.qos import AdaptiveQosPolicy, DiscardPolicy, QosProfile
 from repro.store import BrokerStore, FileEventLog, MemoryEventLog, recover_broker
 from repro.store.records import OutcomeRecorded, PublishRecorded
 from repro.subscriptions import SubscriptionService
-from repro.transport import SimulatedNetwork, VirtualClock
+from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
 from repro.util.xstime import format_datetime
 from repro.wsa.epr import EndpointReference
 from repro.wse import DeliveryMode, EventSink, WseSubscriber, WseVersion
-from repro.wsn import NotificationConsumer, WsnSubscriber, WsnVersion
+from repro.wsn import NotificationConsumer, PullPointClient, WsnSubscriber, WsnVersion
 from repro.xmlkit import parse_xml
 from repro.xmlkit.element import text_element
 from repro.xmlkit.names import Namespaces, QName
@@ -314,8 +314,9 @@ def _count_work(monkeypatch) -> dict:
 
 class TestReplayPaysOnlyForWhatIsOwed:
     """The route asks the log before it pushes: an obligation settled as
-    delivered replays as nothing — no submission, no task, no batch — while
-    every other verdict still reaches the delivery manager."""
+    delivered, shed, or drained from a box that exists replays as nothing —
+    no submission, no task, no batch — while every other verdict still
+    reaches the delivery manager."""
 
     def test_a_delivered_history_replays_as_nothing(self, network, monkeypatch):
         publishes, config = 4, dict(batching=BatchingPolicy(window=0.0, max_batch=100))
@@ -495,6 +496,92 @@ class TestReplayPaysOnlyForWhatIsOwed:
         recovered.run_deliveries_until_idle()
         assert [len(r.received) for r in sinks + consumers] == [2, 1, 1, 1]
 
+    def test_a_drained_fanout_pays_only_for_its_first_parks(self, network, monkeypatch):
+        """Firewalled WSE sinks and WSN consumers behind the push batcher,
+        every publish parked and then pulled: the publish that first parked
+        each sink still reaches the delivery manager, which mints the boxes
+        in first-park order; every later drained push replays as nothing."""
+        network.add_zone("rc-dmz", blocks_inbound=True)
+        publishes = 3
+        config = dict(batching=BatchingPolicy(window=0.0, max_batch=100))
+        broker = _broker(network, **config)
+        sinks = [EventSink(network, f"http://rc-pull-sink-{n}", zone="rc-dmz") for n in range(2)]
+        consumers = [
+            NotificationConsumer(network, f"http://rc-pull-consumer-{n}", zone="rc-dmz")
+            for n in range(2)
+        ]
+        for sink in sinks:
+            WseSubscriber(network, zone="rc-dmz").subscribe(broker.epr(), notify_to=sink.epr())
+        for consumer in consumers:
+            WsnSubscriber(network, zone="rc-dmz").subscribe(broker.epr(), consumer.epr(), topic="rc")
+        for n in range(publishes):
+            broker.publish(event(n), topic="rc")
+        broker.run_deliveries_until_idle()
+        for box in broker.message_boxes.boxes():
+            assert len(drain_message_box_wse(network, box.epr(), zone="rc-dmz")) == publishes
+        outcomes = {r.outcome for r in broker.store.log.records() if isinstance(r, OutcomeRecorded)}
+        assert outcomes == {"parked", "drained"}
+        live = broker.store.projection(broker)
+        broker.close()
+        work = _count_work(monkeypatch)
+        recovered = _recover(network, broker.store.log, **config)
+        receivers = len(sinks) + len(consumers)
+        assert work == {"push": receivers, "submit": receivers}
+        assert _flushes(recovered) == len(consumers)
+        assert recovered.store.stats.suppressed == publishes * receivers
+        assert recovered.store.projection(recovered) == live
+
+    def test_a_shed_fanout_reaches_no_push_row(self, network, monkeypatch):
+        """A QoS queue bound of one sheds what piles up behind a dark sink's
+        head; the sinks come back and take what they kept.  Every key is then
+        delivered or shed, and shedding is terminal: the restart makes no
+        push-row call, submission or batch flush, and writes no dead letter."""
+        config = dict(
+            delivery=DeliveryPolicy(max_attempts=10, base_backoff=5.0, jitter=0.0),
+            qos=AdaptiveQosPolicy(max_sink_queue=1),
+            batching=BatchingPolicy(window=0.0, max_batch=100),
+        )
+        publishes = 4
+        broker = _broker(network, **config)
+        sinks = [EventSink(network, f"http://rc-shed-sink-{n}") for n in range(2)]
+        consumers = [NotificationConsumer(network, f"http://rc-shed-consumer-{n}") for n in range(2)]
+        for sink in sinks:
+            WseSubscriber(network).subscribe(broker.epr(), notify_to=sink.epr())
+        for consumer in consumers:
+            WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="rc")
+        receivers = sinks + consumers
+        dark = {receiver.address for receiver in receivers}
+
+        def outage(address, request):
+            if address in dark:
+                raise MessageLost(address)
+
+        network.observers.append(outage)
+        for n in range(publishes):
+            broker.publish(event(n), topic="rc")
+        network.observers.remove(outage)
+        broker.run_deliveries_until_idle()
+        manager = broker.delivery_manager
+        assert (manager.pending(), len(manager.dlq)) == (0, 0)
+        assert manager.stats.shed == (publishes - 1) * len(receivers)
+        reasons = {
+            (r.outcome, r.reason)
+            for r in broker.store.log.records()
+            if isinstance(r, OutcomeRecorded)
+        }
+        assert reasons == {("delivered", ""), ("dead", "shed:queue_full")}
+        received = [len(r.received) for r in receivers]
+        live = broker.store.projection(broker)
+        broker.close()
+        work = _count_work(monkeypatch)
+        recovered = _recover(network, broker.store.log, **config)
+        assert work == {"push": 0, "submit": 0}
+        assert _flushes(recovered) == 0
+        assert recovered.store.stats.suppressed == publishes * len(receivers)
+        assert recovered.store.projection(recovered) == live
+        recovered.run_deliveries_until_idle()
+        assert [len(r.received) for r in receivers] == received
+
     def test_a_lease_lapsed_since_its_delivery_is_neither_pushed_nor_counted(
         self, network, monkeypatch
     ):
@@ -671,6 +758,42 @@ class TestDrainedBoxSurvivesRecovery:
         boxes = recovered.store.projection(recovered)["boxes"]
         assert boxes["http://rc-other"]["address"].endswith("/box-2")
         assert boxes["http://rc-inside"] == {"address": box.address, "pending": 1}
+
+    @pytest.mark.parametrize("pulled", [0, 1], ids=["earlier-routed-pulled", "later-routed-pulled"])
+    def test_first_park_order_holds_across_the_push_batcher(self, network, pulled):
+        """Two WSN consumers behind the push batcher first park in the same
+        publish, so both boxes are minted at the batcher's flush, in routing
+        order; one box is then pulled dry, the other still holds.  Either
+        way round, recovery gives every box its live address, and the next
+        sink to park gets the next number."""
+        network.add_zone("rc-dmz", blocks_inbound=True)
+        config = dict(
+            delivery=DeliveryPolicy(), batching=BatchingPolicy(window=0.0, max_batch=100)
+        )
+        broker = _broker(network, **config)
+        inside = WsnSubscriber(network, zone="rc-dmz")
+        consumers = [
+            NotificationConsumer(network, f"http://rc-order-{n}", zone="rc-dmz") for n in range(3)
+        ]
+        for consumer in consumers[:2]:
+            inside.subscribe(broker.epr(), consumer.epr(), topic="rc")
+        for n in range(2):
+            broker.publish(event(n), topic="rc")
+        boxes = [broker.message_boxes.get(consumer.address) for consumer in consumers[:2]]
+        assert [box.address.rsplit("/", 1)[1] for box in boxes] == ["box-1", "box-2"]
+        assert len(PullPointClient(network, zone="rc-dmz").get_messages(boxes[pulled].epr())) == 2
+        live = broker.store.projection(broker)
+        assert [live["boxes"][c.address]["pending"] for c in consumers[:2]] == (
+            [0, 2] if pulled == 0 else [2, 0]
+        )
+        broker.close()
+        recovered = _recover(network, broker.store.log, **config)
+        assert recovered.store.projection(recovered) == live
+        inside.subscribe(recovered.epr(), consumers[2].epr(), topic="rc")
+        recovered.publish(event(2), topic="rc")
+        box = recovered.message_boxes.get(consumers[2].address)
+        assert box.address.endswith("/box-3")
+        assert PullPointClient(network, zone="rc-dmz").get_messages(boxes[pulled].epr())
 
 
 class TestRecoveryOffTheWire:
