@@ -21,7 +21,8 @@ keeps every consumer dark until the crash point, so the crash lands on shed
 and dead-lettered obligations instead of delivered ones.  A case with
 ``ward`` puts the WSE sink behind a firewall, so its notifications park in a
 message box, and drains that box just before the crash: the box must come
-back, empty, at the address the consumer holds.
+back, empty, at the address the consumer holds.  With ``idle`` seconds
+passing before the crash, the one-hour leases can lapse after the last publish.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class DurabilityEngine:
             and queue >= 1
             and isinstance(case.get("ward", False), bool)
             and isinstance(case.get("torn_tail", ""), str)
+            and isinstance(idle := case.get("idle", 0), int) and idle >= 0
         )
 
     def check(self, case: object) -> Optional[str]:
@@ -105,6 +107,7 @@ class DurabilityEngine:
                 network.observers.append(outage)
             publish(broker, sent[:crash_at])
             network.observers.clear()
+            network.clock.advance(case.get("idle", 0))
             return network, broker, pair
 
         # --- the uninterrupted baseline --------------------------------------

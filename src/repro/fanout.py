@@ -153,12 +153,14 @@ class Fanout:
         if index.undecided:
             residual = residual | index.undecided
         records, now = self.subscriptions.records, self.network.clock.now
+        # a replayed publish is judged at the time it was logged
+        at = self.manager.store.replay_at if self.subscriptions.restoring else None
         for key in candidates:
             subscription = records.get(key)
             if subscription is None:
                 continue
             expires = subscription.termination_time
-            if expires is not None and now() >= expires:
+            if expires is not None and (now() if at is None else at) >= expires:
                 continue
             if key in residual:
                 if evals_counter is not None:

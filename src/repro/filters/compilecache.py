@@ -79,14 +79,19 @@ class LRUCache:
 _xpath_cache = LRUCache()
 
 
+def xpath_key(expression: str, namespaces: Optional[dict[str, str]] = None) -> tuple:
+    """What identifies ``expression``'s compiled form under ``namespaces``."""
+    # a prefix the expression uses occurs in its text, so every other binding
+    # can be left out of the key (one that merely occurs is kept: harmless)
+    used = sorted(item for item in (namespaces or {}).items() if item[0] in expression)
+    return (expression, tuple(used))
+
+
 def compiled_xpath(
     expression: str, namespaces: Optional[dict[str, str]] = None
 ) -> XPath:
     """The shared compiled form of ``expression`` under ``namespaces``."""
-    # a prefix the expression uses occurs in its text, so every other binding
-    # can be left out of the key (one that merely occurs is kept: harmless)
-    used = sorted(item for item in (namespaces or {}).items() if item[0] in expression)
-    key = (expression, tuple(used))
+    key = xpath_key(expression, namespaces)
     return _xpath_cache.get_or_build(key, lambda: XPath(expression, namespaces))
 
 

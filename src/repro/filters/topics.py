@@ -22,10 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Iterator, Optional
+from functools import cached_property, lru_cache
+from typing import Hashable, Iterator, Optional
 
 from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterContext, FilterError
+from repro.filters.compilecache import xpath_key
 from repro.filters.content import MessageContentFilter
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces
@@ -277,6 +278,30 @@ class _IndexNode:
         self.subtree: dict[str, None] = {}
 
 
+class _Group:
+    """The content buckets one evaluation per payload decides: the
+    expressions ``P[Q = 'lit']`` sharing the probe ``P/Q`` (see
+    :attr:`XPath.equality`; keyed like ``compiled_xpath``), a bucket per
+    literal the probe's string-values admit; any other expression alone,
+    its bucket under ``True``."""
+
+    __slots__ = ("probe", "by_literal", "buckets", "always")
+
+    def __init__(self, content: XPath) -> None:
+        equality = content.equality
+        self.by_literal = equality is not None
+        self.probe = XPath(equality[0], content.namespaces) if equality else content
+        self.buckets: dict[str | bool, set[str]] = {}
+        self.always = 0  # how many of its keys are always-candidates
+
+
+@lru_cache(maxsize=4096)  # compiled expressions are shared: one slot each
+def _slot(content: XPath) -> tuple[Hashable, str | bool]:
+    """A content expression's group key and bucket: its probe's and literal, or itself and True."""
+    probe, value = content.equality or (None, True)
+    return (content if probe is None else xpath_key(probe, content.namespaces)), value
+
+
 class TopicSubscriptionIndex:
     """Topic-expression trie plus content buckets, mapping a publication to
     candidate keys.
@@ -284,18 +309,18 @@ class TopicSubscriptionIndex:
     The fan-out fast path registers every subscription here: topic-filtered
     ones under their compiled expression branches, everything else (no topic
     constraint, or a filter the index cannot see through) in an always-
-    candidate bucket; those with a MessageContent part also in the bucket of
-    their shared compiled expression (see ``compiled_xpath``), the rest in
-    the set of keys with no content constraint.
-    :meth:`candidates` then returns the subscriptions whose topic constraint
-    admits the published path and whose content expression — evaluated once
-    however many keys carry it — admits the payload, in subscription
-    insertion order, so delivery order (and therefore wire bytes) is
-    identical to a linear scan over the subscription table.  For a key
-    added ``final`` (see :func:`index_decides`) the answer is the filter's:
-    callers run the full filter only of the keys in :attr:`residual`, and of
-    those in :attr:`undecided` (a content bucket whose expression raised on
-    this payload, so each key's own filter reports the error).
+    candidate bucket; those with a MessageContent part also in a content
+    group (see :class:`_Group`), the rest in the set of keys with no content
+    constraint.  :meth:`candidates` then returns the subscriptions whose
+    topic constraint admits the published path and whose content expression
+    admits the payload — each group evaluated once however many keys and
+    literals it holds — in subscription insertion order, so delivery order
+    (and therefore wire bytes) is identical to a linear scan over the
+    subscription table.  For a key added ``final`` (see
+    :func:`index_decides`) the answer is the filter's: callers run the full
+    filter only of the keys in :attr:`residual`, and of those in
+    :attr:`undecided` (a group whose probe or expression raised on this
+    payload, so each key's own filter reports the error).
     """
 
     def __init__(self) -> None:
@@ -305,18 +330,16 @@ class TopicSubscriptionIndex:
         self._terminals: dict[str, list[_IndexNode]] = {}
         self._counter = itertools.count()
         self._trie_entries = 0
-        self._content: dict[XPath, set[str]] = {}  # expression -> its bucket
+        #: probe key or lone expression -> its group
+        self._groups: dict[Hashable, _Group] = {}
         self._content_of: dict[str, XPath] = {}
-        #: expression -> how many keys of its bucket are always-candidates
-        #: (no entry for none)
-        self._always_in: dict[XPath, int] = {}
         self._plain: set[str] = set()  # the keys with no content constraint
         #: topic root -> how many keys pin it, under ``None`` the keys that
         #: may match below any root (see :attr:`TopicExpression.roots`)
         self.root_refs: dict[Optional[str], int] = {}
         self._roots_of: dict[str, tuple] = {}
-        #: content expressions the latest ``candidates`` call evaluated (the
-        #: fan-out reports it as ``fanout.xpath_evals``)
+        #: content groups the latest ``candidates`` call evaluated, one probe
+        #: or lone expression each (the fan-out reports it as ``fanout.xpath_evals``)
         self.content_evals = 0
         #: the keys whose filter holds more than the index represents
         self.residual: set[str] = set()
@@ -345,12 +368,16 @@ class TopicSubscriptionIndex:
         if content is None:
             self._plain.add(key)
         else:
-            self._content.setdefault(content, set()).add(key)
+            group_key, value = _slot(content)
+            group = self._groups.get(group_key)
+            if group is None:
+                group = self._groups[group_key] = _Group(content)
+            group.buckets.setdefault(value, set()).add(key)
+            if expression is None:
+                group.always += 1
             self._content_of[key] = content
         if expression is None:
             self._always.add(key)
-            if content is not None:
-                self._always_in[content] = self._always_in.get(content, 0) + 1
             return
         terminals: list[_IndexNode] = []
         for alt in expression.alternatives:
@@ -386,14 +413,15 @@ class TopicSubscriptionIndex:
             self._trie_entries -= 1
         content = self._content_of.pop(key, None)
         if content is not None:
-            bucket = self._content[content]
-            bucket.discard(key)
-            if always:
-                count = self._always_in.pop(content) - 1
-                if count:
-                    self._always_in[content] = count
-            if not bucket:
-                del self._content[content]
+            group_key, value = _slot(content)
+            group = self._groups[group_key]
+            buckets = group.buckets
+            buckets[value].discard(key)
+            group.always -= always  # a bool: one less always-candidate, or none
+            if not buckets[value]:
+                del buckets[value]
+                if not buckets:
+                    del self._groups[group_key]
 
     def candidates(
         self, topic: Optional[str | TopicPath], payload: Optional[XElem] = None
@@ -401,10 +429,10 @@ class TopicSubscriptionIndex:
         """Keys whose topic constraint admits ``topic`` and, given the
         ``payload``, whose content expression admits it (insertion order).
 
-        Each content bucket with a topic-live key is evaluated once, through
-        the payload's one XPath document; the result is assembled from the
-        admitted buckets and the keys with no content constraint, so nothing
-        is copied or pruned per rejected bucket."""
+        Each probe, and each lone expression with a topic-live key, is
+        evaluated once, through the payload's one XPath document; the result
+        is assembled from the buckets that admit and the keys with no content
+        constraint, so nothing is copied or pruned per rejected bucket."""
         found = self._trie_candidates(topic)
         always = self._always
         self.content_evals = 0
@@ -414,25 +442,29 @@ class TopicSubscriptionIndex:
             found |= always
             return sorted(found, key=self._seq.__getitem__)
         admitted: list[str] = []
-        if self._content:  # else no XPath tree is built for this payload
-            verdicts, always_in = document_of(payload).verdicts, self._always_in
+        if self._groups:  # else no XPath tree is built for this payload
+            document = document_of(payload)
             evals = 0
-            for content, bucket in self._content.items():
-                if not always_in.get(content) and found.isdisjoint(bucket):
-                    continue  # the topic side already ruled the whole bucket out
+            for group_key, group in self._groups.items():
+                buckets = group.buckets
+                # a probe skips the topic check, a look into every literal's bucket
+                if not (group.by_literal or group.always) and found.isdisjoint(buckets[True]):
+                    continue  # the topic side already ruled the lone bucket out
                 evals += 1
-                verdict = verdicts.get(content)  # asked already on this payload
-                if verdict is None:
-                    try:  # through matches, which keeps the verdict in ``verdicts``
-                        verdict = content.matches(payload)
-                    except XPathError:
-                        # undecided: each subscription's own filter reports it
-                        live = [key for key in bucket if key in always or key in found]
-                        self.undecided = self.undecided.union(live)
-                        admitted += live
-                        continue
-                if verdict:
-                    admitted += [key for key in bucket if key in always or key in found]
+                try:
+                    values = (document.strings(group_key, group.probe) if group.by_literal
+                              else (document.verdict(group.probe),))
+                except XPathError:
+                    # undecided: each subscription's own filter reports it
+                    live = [key for bucket in buckets.values() for key in bucket
+                            if key in always or key in found]
+                    self.undecided = self.undecided.union(live)
+                    admitted += live
+                    continue
+                for value in values:
+                    bucket = buckets.get(value)
+                    if bucket is not None:
+                        admitted += [key for key in bucket if key in always or key in found]
             self.content_evals = evals
         plain = self._plain
         if plain:

@@ -157,6 +157,8 @@ class BrokerStore:
         #: message id the route stamps on the item of the in-flight publish
         #: (set around fan-out, both live and during replay)
         self.current_message_id: Optional[str] = None
+        #: the logged time of the publish replaying now: matching judges leases at it
+        self.replay_at = 0.0
         #: the ids of the publishes the in-flight one nests in, innermost last
         self._enclosing: List[Optional[str]] = []
         #: pre-bound per-record counters

@@ -14,13 +14,14 @@ message boxes, DLQ) converge on the pre-crash state:
   sweeps during replay: one the pre-crash sweep ended (``remove`` follows) is
   forgotten silently, the first sweep after recovery ends the rest — one end
   notice per subscription across the crash;
-* ``publish`` records re-run matching with ``current_message_id`` pinned,
-  and a push the log settled replays as nothing: the route takes the
-  publish's settlement from the store once (sink -> the outcome record that
-  decides it) and probes it per live push match, so a push settled as
-  delivered, shed or drained makes no task — drained once its sink's box
-  exists: the manager mints a first park's box where the live park did, so
-  boxes keep their first-park numbers and a drained box's address answers.
+* ``publish`` records re-run matching at the record's ``at`` with
+  ``current_message_id`` pinned, and a push the log settled replays as
+  nothing: the route takes the publish's settlement from the store once
+  (sink -> the outcome record that decides it) and probes it per live push
+  match, so a push settled as delivered, shed or drained makes no task —
+  drained once its sink's box exists: the manager mints a first park's box
+  where the live park did, so boxes keep their first-park numbers and a
+  drained box's address answers.
   Every other push reaches the delivery manager, which asks the index per
   task — pre-crash parked items are re-parked, dead tasks are restored to
   the DLQ with a working send thunk, and only genuinely in-flight
@@ -240,6 +241,7 @@ def _replay_publish(broker, store, record: PublishRecorded) -> None:
     store.stats.replayed_publishes += 1
     dropped = store.replay_dropped
     instr = broker.network.instrumentation
+    store.replay_at = record.at  # each lease is judged when the publish was made
     try:
         if instr.enabled and context is not None:
             # resume the original lineage so replayed obligations ledger

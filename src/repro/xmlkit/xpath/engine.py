@@ -9,7 +9,7 @@ the text again.  Node trees are built once per frozen document
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Hashable, Optional
 
 from repro.xmlkit.element import XElem
 from repro.xmlkit.xpath.errors import XPathEvaluationError
@@ -26,15 +26,16 @@ from repro.xmlkit.xpath.values import XPathValue, is_node_set, to_boolean
 
 
 class Document:
-    """What XPath keeps about one tree: its node tree, built once, and the
-    boolean each compiled expression gave on it."""
+    """What XPath keeps about one tree: its node tree, built once, and what
+    each compiled expression (a boolean) or probe (string-values) gave on it."""
 
-    __slots__ = ("root", "tree", "verdicts")
+    __slots__ = ("root", "tree", "verdicts", "values")
 
     def __init__(self, root: XElem) -> None:
         self.root = root  # a strong reference: the identity test below is safe
         self.tree = build_tree(root)
         self.verdicts: dict[XPath, bool] = {}
+        self.values: dict[Hashable, set[str]] = {}
 
     def verdict(self, xpath: "XPath") -> bool:
         """``xpath``'s boolean on this document, evaluated at most once."""
@@ -42,6 +43,13 @@ class Document:
         if verdict is None:
             verdict = self.verdicts[xpath] = to_boolean(xpath._value(self.tree))
         return verdict
+
+    def strings(self, key: Hashable, probe: "XPath") -> set[str]:
+        """The string-values of the nodes ``probe`` selects, evaluated once per ``key``."""
+        values = self.values.get(key)
+        if values is None:
+            values = self.values[key] = {node.string_value() for node in probe._value(self.tree)}
+        return values
 
 
 #: the frozen trees evaluated most recently, newest first.  A fan-out walks
@@ -76,7 +84,10 @@ class XPath:
     def __init__(self, expression: str, namespaces: Optional[dict[str, str]] = None) -> None:
         self.expression = expression
         self.namespaces = dict(namespaces or {})
-        self._run = parse_xpath(expression, self.namespaces)
+        parsed = parse_xpath(expression, self.namespaces)
+        self._run = parsed.run
+        #: ``(P/Q, 'lit')`` of ``P[Q = 'lit']``, see :class:`~.parser.Expr`
+        self.equality = parsed.equality if parsed.nodes else None
 
     def __repr__(self) -> str:
         return f"XPath({self.expression!r})"

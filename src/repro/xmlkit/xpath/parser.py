@@ -79,13 +79,19 @@ OverNodes = Callable[[NodeSet], NodeSet]
 
 
 class Expr(NamedTuple):
-    """A parsed expression: its closure, its value if it is a literal, and
+    """A parsed expression: its closure, its value if it is a literal,
     whether it gives a node-set whatever the document (a filter path over
-    something else raises instead of returning)."""
+    something else raises instead of returning), a relative location path's
+    text, and an equality form: ``(Q, 'lit')`` of ``Q = 'lit'`` (Q such a
+    path, 'lit' a string, either side), ``(P/Q, 'lit')`` of a location path
+    ``P[Q = 'lit']``, that predicate its last step's only one, which is
+    non-empty exactly when a node ``P/Q`` selects has the string-value 'lit'."""
 
     run: Compiled
     literal: Optional[str | float] = None
     nodes: bool = False
+    path: Optional[str] = None
+    equality: Optional[tuple[str, str]] = None
 
 
 # --- expressions -----------------------------------------------------------------
@@ -112,7 +118,10 @@ def _call(fn: Callable, args: list[Expr]) -> Expr:
 def _binary(token: Token, left_expr: Expr, right_expr: Expr) -> Expr:
     op = token.value
     if op in _COMPARISONS:
-        return Expr(_comparison(op, left_expr, right_expr))
+        path = left_expr.path or right_expr.path
+        literal = right_expr.literal if left_expr.path else left_expr.literal
+        equality = (path, literal) if op == "=" and path and type(literal) is str else None
+        return Expr(_comparison(op, left_expr, right_expr), equality=equality)
     left, right = left_expr.run, right_expr.run
     if op == "or":
         return Expr(lambda node, position, size: (
@@ -371,7 +380,10 @@ _UNION = {("operator", "|"): 1}
 
 class _Parser:
     def __init__(self, expression: str, namespaces: dict[str, str]) -> None:
+        self.text = expression
         self.namespaces = namespaces
+        #: ``('[' offset, equality)`` of the last step parsed, if its one predicate is one
+        self.tested: Optional[tuple[int, tuple[str, str]]] = None
         self.cursor = Cursor(
             tokenize(expression),
             lambda message, position: XPathSyntaxError(message, expression, position),
@@ -429,6 +441,7 @@ class _Parser:
     def location_path(self) -> Expr:
         cursor = self.cursor
         steps: list[FromNode] = []
+        start = cursor.peek().position
         absolute = cursor.at("operator", "/", "//")
         if cursor.accept("operator", "/"):
             if cursor.peek().kind not in _STEP_STARTS:
@@ -437,7 +450,12 @@ class _Parser:
             steps.append(_DESCENDANT_OR_SELF)
         steps.append(self.step())
         steps.extend(self.relative_steps())
-        return Expr(_location_path(absolute, steps), nodes=True)
+        path = None if absolute else self.text[start:cursor.peek().position].rstrip()
+        equality = None
+        if self.tested is not None:  # the last step's one predicate: P[Q = 'lit']
+            bracket, (tested, literal) = self.tested
+            equality = (f"{self.text[start:bracket].rstrip()}/{tested}", literal)
+        return Expr(_location_path(absolute, steps), nodes=True, path=path, equality=equality)
 
     def relative_steps(self) -> list[FromNode]:
         cursor = self.cursor
@@ -488,16 +506,20 @@ class _Parser:
         return ("name", uri, cursor.expect("name").value)
 
     def predicates(self) -> Optional[OverNodes]:
-        tests = []
+        bracket = self.cursor.peek().position
+        tests: list[Expr] = []
         while self.cursor.accept("["):
-            tests.append(self.cursor.enclosed(self.expr, "]").run)
-        return _predicates(tests)
+            tests.append(self.cursor.enclosed(self.expr, "]"))
+        self.tested = None
+        if len(tests) == 1 and not tests[0].nodes and tests[0].equality is not None:
+            self.tested = (bracket, tests[0].equality)
+        return _predicates([test.run for test in tests])
 
 
-def parse_xpath(expression: str, namespaces: Optional[dict[str, str]] = None) -> Compiled:
-    """Parse an XPath expression into its closure, resolving the prefixes it
-    uses against ``namespaces``."""
+def parse_xpath(expression: str, namespaces: Optional[dict[str, str]] = None) -> Expr:
+    """Parse an XPath expression into its closure and what the grammar rows
+    saw of its form, resolving the prefixes it uses against ``namespaces``."""
     parser = _Parser(expression, namespaces or {})
     expr = parser.expr()
     parser.cursor.end()
-    return expr.run
+    return expr

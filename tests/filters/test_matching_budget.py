@@ -3,10 +3,10 @@
 Wall-clock time is the benchmark's business; what is held here is the
 shape of the work.  An XPath evaluation runs closures compiled once, so the
 host predicate every ``match_sparse`` subscription carries costs a handful of
-Python calls.  The subscription index evaluates each distinct expression once
-and assembles its answer from the buckets that admit, so the number of Python
-calls it makes does not depend on how many subscriptions share the
-expressions.  Calls are counted by :func:`repro.comparison.python_calls`
+Python calls.  The subscription index evaluates the probe the hundred host
+predicates share (``/ev:Reading/ev:host``) once and looks its values up among
+their literals, so the number of Python calls it makes depends neither on how
+many subscriptions share the expressions nor on how many literals there are.  Calls are counted by :func:`repro.comparison.python_calls`
 (``call`` events under ``sys.setprofile``, with the collector off: Python
 frames, including comprehensions on interpreters that give them one).
 """
@@ -73,20 +73,23 @@ def _population(copies: int) -> TopicSubscriptionIndex:
 
 
 class TestOneCandidatesCall:
-    def test_100_evaluations_and_calls_independent_of_the_population(self):
+    def test_one_probe_evaluation_and_calls_independent_of_the_population(self):
         calls = []
         for copies in (1, 2):
             index = _population(copies)
-            assert len(index) == 4000 * copies and len(index._content) == HOSTS
+            assert len(index) == 4000 * copies and len(index._groups) == 1
             payload = _reading(42)
             count, found = python_calls(index.candidates, "grid/s07/load", payload)
-            assert index.content_evals == HOSTS
+            assert index.content_evals == 1
             # the 20 topic-free subscriptions of host 42 and those of its 20
             # topic subscriptions whose expression admits grid/s07/load
             assert 20 * copies < len(found) < 40 * copies
             assert found == sorted(found, key=index._seq.__getitem__)
             calls.append(count)
         assert calls[0] == calls[1]
+        # 57 on CPython 3.11, the tree build included; evaluating each of the
+        # 100 expressions on its own made 1 647
+        assert calls[0] <= 80
 
     def test_no_content_bucket_builds_no_xpath_tree(self, monkeypatch):
         builds = []

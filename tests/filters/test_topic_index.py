@@ -19,6 +19,7 @@ from repro.filters.topics import (
     TopicExpression,
     TopicFilter,
     TopicSubscriptionIndex,
+    _slot,
     topic_expression_of,
 )
 from repro.xmlkit import parse_xml
@@ -233,12 +234,20 @@ class TestContentDimension:
         assert index.candidates("a") == ["k"]
         assert index.content_evals == 0
 
-    def test_one_evaluation_per_distinct_expression_not_per_key(self):
+    def test_one_evaluation_per_probe_not_per_key_or_literal(self):
         index = TopicSubscriptionIndex()
         for n in range(300):
             index.add(f"k{n}", None, _host(f"h{n % 3}"))
-        assert len(index._content) == 3
+        assert len(index._groups) == 1
         assert index.candidates(None, _reading("h1")) == [f"k{n}" for n in range(1, 300, 3)]
+        assert index.content_evals == 1
+
+    def test_an_expression_of_no_equality_form_is_a_group_of_one(self):
+        index = TopicSubscriptionIndex()
+        for n in range(300):
+            index.add(f"k{n}", None, compiled_xpath(f"/Reading[host != 'h{n % 3}']"))
+        assert len(index._groups) == 3
+        assert index.candidates(None, _reading("h1")) == [f"k{n}" for n in range(300) if n % 3 != 1]
         assert index.content_evals == 3
 
     def test_buckets_the_topic_side_ruled_out_are_not_evaluated(self):
@@ -269,18 +278,18 @@ class TestContentDimension:
                 live.append(key)
             if step % 7 == 0 and live:  # re-registration replaces the old entry
                 index.add(live[0], None, _host(f"h{rng.randrange(5)}"))
-            assert len(index._content) == len({index._content_of[k] for k in live if k in index._content_of})
-            always_in = {
-                content: n for content, bucket in index._content.items()
-                if (n := len(bucket & index._always))
-            }
-            assert index._always_in == always_in
+            slots = {k: _slot(content) for k, content in index._content_of.items()}
+            assert set(index._groups) == {group for group, _ in slots.values()}
+            for group in index._groups.values():
+                assert group.buckets and all(group.buckets.values())
+                assert group.always == len(set().union(*group.buckets.values()) & index._always)
+            assert all(k in index._groups[g].buckets[v] for k, (g, v) in slots.items())
             assert index._plain == {k for k in live if k not in index._content_of}
         for key in live:
             index.discard(key)
-        assert len(index._content) == 0 and len(index) == 0
-        assert index._content == {} and index._content_of == {}
-        assert index._always_in == {} and index._plain == set()
+        assert len(index._groups) == 0 and len(index) == 0
+        assert index._groups == {} and index._content_of == {}
+        assert index._plain == set()
         assert index.candidates("a/b", _reading("h1")) == []
 
     def test_same_predicate_under_different_in_scope_bindings_shares_a_bucket(self):
@@ -291,7 +300,10 @@ class TestContentDimension:
         index = TopicSubscriptionIndex()
         index.add("a", None, wse)
         index.add("b", None, wsn)
-        assert len(index._content) == 1
+        index.add("c", None, compiled_xpath("/e:r[e:h='2']", {"e": "urn:e"}))
+        assert len(index._groups) == 1
+        index.add("d", None, compiled_xpath("/e:r[e:h='1']", {"e": "urn:other"}))
+        assert len(index._groups) == 2
 
 
 class TestContentExpressionOf:

@@ -582,12 +582,13 @@ class TestReplayPaysOnlyForWhatIsOwed:
         recovered.run_deliveries_until_idle()
         assert [len(r.received) for r in receivers] == received
 
-    def test_a_lease_lapsed_since_its_delivery_is_neither_pushed_nor_counted(
+    def test_a_lease_lapsed_since_its_delivery_replays_as_settled(
         self, network, monkeypatch
     ):
-        """Replay matches as live does, expiry first: a subscription whose
-        lease lapsed after its publish was delivered is not a match, so the
-        route neither pushes it nor counts it as suppressed."""
+        """Replay matches as live did, at the publish's own time: a
+        subscription whose lease lapsed after its publish was delivered is
+        still that publish's match, so the route counts its settled push as
+        suppressed and pushes nothing."""
         broker = _broker(network)
         lasting, lapsing = EventSink(network, "http://rc-lasting"), EventSink(network, "http://rc-lapsing")
         client = WseSubscriber(network)
@@ -601,7 +602,7 @@ class TestReplayPaysOnlyForWhatIsOwed:
         work = _count_work(monkeypatch)
         recovered = _recover(network, broker.store.log)
         assert work == {"push": 0, "submit": 0}
-        assert recovered.store.stats.suppressed == 1  # the lasting sink's key only
+        assert recovered.store.stats.suppressed == 2  # both sinks' keys
         recovered.run_deliveries_until_idle()
         assert len(lasting.received) == len(lapsing.received) == 1
 
