@@ -207,14 +207,14 @@ class DeliveryManager:
         return task
 
     def _apply_replay_resolution(
-        self, task: DeliveryTask, resolution: tuple[str, str]
+        self, task: DeliveryTask, resolution: tuple[str, str, float]
     ) -> DeliveryTask:
         """Settle a replayed submission the log already accounts for.
 
         No lineage events and no manager stats: the pre-crash ledger
         entries for these obligations still stand — emitting fresh ones
         would double the books the conservation audit balances."""
-        verdict, reason = resolution
+        verdict, reason, at = resolution
         store = self.store
         assert store is not None
         if verdict == "park":
@@ -228,7 +228,7 @@ class DeliveryManager:
         elif verdict == "dead":
             task.status = TaskStatus.DEAD
             task.last_error = reason
-            self.dlq.add(task, reason, self.clock.now())
+            self.dlq.add(task, reason, at)
             store.stats.redead += 1
         elif verdict == "shed":  # a QoS decision, settled for good: not a dead letter
             task.status = TaskStatus.SHED

@@ -25,14 +25,20 @@ endpoint.SoapEndpoint` as a dict probe on the parsed request head.  A
 missing or malformed header never faults a message: extraction degrades to
 ``None`` and the dispatch starts a fresh root span, exactly as before this
 module existed.
+
+Decoding is memoised per header text, in a bounded LRU table: a fan-out
+sends one text to many consumers, and a context is an immutable value.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 #: wire-format version field (bump on any encoding change)
 FORMAT_VERSION = "01"
+
+DECODE_MEMO_CAP = 256  # most header texts LineageContext.decode remembers
 
 
 class LineageContext:
@@ -98,6 +104,7 @@ class LineageContext:
         return f"{FORMAT_VERSION}-{self.lineage_id}-{parent:08x}-{hop:02x}"
 
     @classmethod
+    @lru_cache(maxsize=DECODE_MEMO_CAP)
     def decode(cls, text: str) -> Optional["LineageContext"]:
         """Parse the header text; ``None`` on anything malformed."""
         parts = text.strip().rsplit("-", 2)

@@ -43,36 +43,42 @@ def serialize_envelope(envelope: SoapEnvelope, *, indent: bool = False) -> str:
     return serialize_xml(envelope_root(envelope), xml_declaration=True, indent=indent)
 
 
+#: envelope namespace -> its version and names (Header, Body, mustUnderstand, actor/role)
+_READING = {
+    version.namespace: (version, *map(version.qname, (
+        "Header", "Body", "mustUnderstand", "actor" if version is SoapVersion.V11 else "role"
+    )))
+    for version in SoapVersion
+}
+
+
 def parse_envelope(text: str | bytes) -> SoapEnvelope:
-    """Parse wire XML into a :class:`SoapEnvelope`."""
+    """Parse wire XML into a :class:`SoapEnvelope`, one scan of the root's children."""
     try:
         root = parse_xml(text)
     except XmlParseError as exc:
         raise SoapCodecError(str(exc)) from exc
     if root.name.local != "Envelope":
         raise SoapCodecError(f"root element is <{root.name}>, not a SOAP Envelope")
-    try:
-        version = SoapVersion.from_namespace(root.name.namespace)
-    except ValueError as exc:
-        raise SoapCodecError(str(exc)) from exc
-    envelope = SoapEnvelope(version)
-    header = root.find(version.qname("Header"))
-    if header is not None:
-        mu_attr = version.qname("mustUnderstand")
-        actor_attr = version.qname("actor" if version is SoapVersion.V11 else "role")
-        for content in header.elements():
-            attrs = content.attrs
-            envelope.headers.append(
-                HeaderBlock(
-                    content,
-                    attrs.pop(mu_attr, "") in ("1", "true"),
-                    attrs.pop(actor_attr, None),
-                )
-            )
-    body = root.find(version.qname("Body"))
+    reading = _READING.get(root.name.namespace)
+    if reading is None:
+        raise SoapCodecError(f"not a SoapVersion namespace: {root.name.namespace!r}")
+    version, header_name, body_name, mu_attr, actor_attr = reading
+    first: dict = {}  # the first child of each name
+    for child in root.children:
+        if isinstance(child, XElem):
+            first.setdefault(child.name, child)
+    header, body = first.get(header_name), first.get(body_name)
     if body is None:
         raise SoapCodecError("envelope has no Body")
-    envelope.body.extend(body.elements())
+    envelope = SoapEnvelope(version)
+    for content in header.children if header is not None else ():
+        if isinstance(content, XElem):
+            attrs = content.attrs
+            envelope.headers.append(HeaderBlock(
+                content, attrs.pop(mu_attr, "") in ("1", "true"), attrs.pop(actor_attr, None)
+            ))
+    envelope.body.extend([child for child in body.children if isinstance(child, XElem)])
     return envelope
 
 

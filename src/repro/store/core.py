@@ -436,17 +436,18 @@ class BrokerStore:
         boxes = self.broker.message_boxes
         return record.outcome == "drained" and boxes.get(record.sink) is not None
 
-    def resolve_replay(self, task: "DeliveryTask") -> Optional[Tuple[str, str]]:
+    def resolve_replay(self, task: "DeliveryTask") -> Optional[Tuple[str, str, float]]:
         """Route one replayed submission by its idempotency keys.
 
-        Returns ``("suppress", "")`` when the log already settled every
-        item (``("suppress", "drained")`` when a message box served any of
+        Returns ``("suppress", "", at)`` when the log already settled every
+        item (``("suppress", "drained", at)`` when a message box served any of
         them: its consumer still holds that box's address),
-        ``("park", "")`` when the open items were parked pre-crash,
-        ``("dead", reason)`` when the task died pre-crash — ``("shed",
-        reason)`` when what killed it was a QoS decision, which stays out of
-        the dead-letter queue — or None for a live re-attempt (the obligation
-        was genuinely in flight)."""
+        ``("park", "", at)`` when the open items were parked pre-crash,
+        ``("dead", reason, at)`` when the task died pre-crash — ``("shed",
+        reason, at)`` when what killed it was a QoS decision, which stays out
+        of the dead-letter queue — or None for a live re-attempt (the
+        obligation was genuinely in flight).  ``at`` is the deciding record's
+        time: a restored dead letter died then, not at the restart."""
         outcomes, sink = self._outcomes, task.sink
         # each keyed item's deciding record at the sink (None: never settled)
         records = [
@@ -460,13 +461,13 @@ class BrokerStore:
         if not open_records:
             kinds = [record.outcome for record in records]
             if "dead" in kinds and "delivered" not in kinds and "drained" not in kinds:
-                reason = records[kinds.index("dead")].reason
-                if reason.startswith(SHED_PREFIX):
-                    return ("shed", reason[len(SHED_PREFIX):])
-                return ("dead", reason)
-            return ("suppress", "drained" if "drained" in kinds else "")
+                dead = records[kinds.index("dead")]
+                if dead.reason.startswith(SHED_PREFIX):
+                    return ("shed", dead.reason[len(SHED_PREFIX):], dead.at)
+                return ("dead", dead.reason, dead.at)
+            return ("suppress", "drained" if "drained" in kinds else "", records[0].at)
         if all(record is not None for record in open_records):
-            return ("park", "")
+            return ("park", "", open_records[0].at)
         return None
 
     def replay_park_items(self, task: "DeliveryTask") -> List["DeliveryItem"]:

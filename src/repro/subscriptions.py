@@ -791,10 +791,11 @@ class Verb(NamedTuple):
 
 def message_payload(message: Optional[XElem], what: str, code=FaultCode.SENDER) -> XElem:
     """``message``'s first element, as parsed; a ``code`` fault naming ``what`` if none."""
-    payload = next(message.elements(), None) if message is not None else None
-    if payload is None:
-        raise SoapFault(code, f"{what} carries no payload")
-    return payload
+    if message is not None:
+        for child in message.children:
+            if isinstance(child, XElem):
+                return child
+    raise SoapFault(code, f"{what} carries no payload")
 
 
 def read_current_message(body: XElem) -> XElem:

@@ -233,9 +233,20 @@ def subscription_id_from_headers(echoed: list[XElem], name: QName = SUBSCRIPTION
 # --- Notify ----------------------------------------------------------------------
 
 
+#: per WS-Addressing namespace, the name of an EPR's Address
+_ADDRESS = {wsa.namespace: wsa.qname("Address") for wsa in WsaVersion}
+
+#: per WSN namespace (an enum member hashes in Python): the names a Notify is read by
+_NOTIFY_READING = {
+    v.namespace: (v.qname("Notify"), v.qname("NotificationMessage"), tuple(map(v.qname, (
+        "Message", "Topic", "SubscriptionReference", "ProducerReference"))), v.wsa_version)
+    for v in WsnVersion
+}
+
+
 def reference_address(reference: XElem, wsa: WsaVersion) -> str:
     """A reference element's wsa:Address; a Sender fault when it has none."""
-    address = reference.find(wsa.qname("Address"))
+    address = reference.find(_ADDRESS[wsa.namespace])
     if address is None:
         raise SoapFault(FaultCode.SENDER, f"<{reference.name}> has no wsa:Address")
     return address.full_text().strip()
@@ -328,20 +339,23 @@ def parse_notify(
     """The NotificationMessages of a wsnt:Notify (or another ``root``), one
     walk of each one's children.  The parsed tree is the reader's: a payload is
     taken as it is, a reference stays an element until asked for."""
-    if body.name != version.qname(root):
+    notify, entry, names, wsa = _NOTIFY_READING[version.namespace]
+    if body.name != (notify if root == "Notify" else version.qname(root)):
         raise SoapFault(FaultCode.SENDER, f"expected wsnt:{root}, got {body.name}")
-    names = [version.qname(n) for n in "Message Topic SubscriptionReference ProducerReference".split()]
     notifications: list[NotificationMessage] = []
-    for message in body.find_all(version.qname("NotificationMessage")):
+    for message in body.children:
+        if not isinstance(message, XElem) or message.name != entry:
+            continue
         parts: dict = {}
-        for child in message.elements():
-            parts.setdefault(child.name, child)
-        wrapper, topic, subscription, producer = (parts.get(name) for name in names)
+        for child in message.children:
+            if isinstance(child, XElem):
+                parts.setdefault(child.name, child)
+        wrapper, topic, subscription, producer = map(parts.get, names)
         item = NotificationMessage(
             message_payload(wrapper, "NotificationMessage"),
             subscription_reference=subscription,
             producer_reference=producer,
-            wsa=version.wsa_version,
+            wsa=wsa,
         )
         if topic is not None:
             item.topic = topic.full_text().strip()

@@ -106,13 +106,13 @@ class XElem:
 
     def find(self, name: QName) -> Optional["XElem"]:
         """First direct sub-element with the given qualified name."""
-        for child in self.elements():
-            if child.name == name:
+        for child in self.children:
+            if isinstance(child, XElem) and child.name == name:
                 return child
         return None
 
     def find_all(self, name: QName) -> list["XElem"]:
-        return [child for child in self.elements() if child.name == name]
+        return [child for child in self.children if isinstance(child, XElem) and child.name == name]
 
     def require(self, name: QName) -> "XElem":
         """Like :meth:`find` but raises ``KeyError`` when absent."""
@@ -135,6 +135,8 @@ class XElem:
 
     def full_text(self) -> str:
         """Concatenated text of the whole subtree (XPath string-value)."""
+        if len(self.children) == 1 and isinstance(self.children[0], str):
+            return self.children[0]  # a lone text child: an address, an action, a topic
         parts: list[str] = []
         self._collect_text(parts)
         return "".join(parts)

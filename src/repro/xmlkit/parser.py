@@ -3,9 +3,11 @@
 The tokenizer is expat (the stdlib ``pyexpat`` binding, with namespace
 processing on); its callbacks build the ``XElem`` tree directly, so there is
 no intermediate tree and no recursion, and the rest of the stack never sees
-prefixes or Clark strings.  Comments and processing instructions are
-dropped; the text around them (and CDATA sections) is coalesced into one
-chunk per run, as ``xml.etree.ElementTree`` does.
+prefixes or Clark strings; an element's slots are filled in place
+(``XElem.__new__``).  Comments and processing instructions are dropped; the
+text around them (and CDATA sections) is one chunk per run, as
+``xml.etree.ElementTree`` makes it: expat hands a run over whole unless it
+overflows the buffer, which is never shorter than the document.
 
 Two limits guard the ingest side against hostile input: a document nested
 deeper than :data:`MAX_DEPTH` is refused (the tree's own walkers --
@@ -55,44 +57,50 @@ def _reject_doctype(*_declaration) -> None:
 def parse_xml(text: str | bytes) -> XElem:
     """Parse an XML document and return its root element."""
     names = _NAMES
+    new = XElem.__new__
     open_children: list[list] = []  # children lists of the open elements
-    pending: list[str] = []  # character data since the last element boundary
     roots: list[XElem] = []
 
     def start(tag: str, attributes: list[str]) -> None:
-        elem = XElem(names.get(tag) or _intern(tag))
+        elem = new(XElem)
+        elem.name = names.get(tag) or _intern(tag)
+        elem._frozen = False
+        elem._fcache = None
+        children = elem.children = []
+        attrs = elem.attrs = {}
         if attributes:
-            attrs = elem.attrs
             pairs = iter(attributes)
             for key in pairs:
                 attrs[names.get(key) or _intern(key)] = next(pairs)
         if open_children:
-            siblings = open_children[-1]
-            if pending:
-                siblings.append("".join(pending))
-                pending.clear()
-            siblings.append(elem)
+            open_children[-1].append(elem)
             if len(open_children) >= MAX_DEPTH:
                 raise XmlParseError(
                     f"malformed XML: elements nested deeper than {MAX_DEPTH}"
                 )
         else:
             roots.append(elem)
-        open_children.append(elem.children)
+        open_children.append(children)
 
     def end(_tag: str) -> None:
-        children = open_children.pop()
-        if pending:
-            children.append("".join(pending))
-            pending.clear()
+        open_children.pop()
+
+    def data(chunk: str) -> None:
+        children = open_children[-1]
+        if children and children[-1].__class__ is str:
+            children[-1] += chunk  # the rest of a run that overflowed the buffer
+        else:
+            children.append(chunk)
 
     parser = expat.ParserCreate(None, "}")
     parser.buffer_text = True
     parser.ordered_attributes = True
     parser.StartElementHandler = start
     parser.EndElementHandler = end
-    parser.CharacterDataHandler = pending.append
+    parser.CharacterDataHandler = data
     parser.StartDoctypeDeclHandler = _reject_doctype
+    if len(text) > parser.buffer_size:
+        parser.buffer_size = len(text)
     try:
         parser.Parse(text, True)
     except XmlParseError:

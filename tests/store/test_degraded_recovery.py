@@ -7,7 +7,8 @@ after two back-to-back recoveries from the log, the full store projection
 (subscriptions, box addresses and pending counts, dead-letter count) equals
 the live one.  It does so with leases that outlive the run and with
 one-hour leases that the dead sink's backoff carries past their end before
-the crash: replay judges each publish at the time it was logged.
+the crash: replay judges each publish at the time it was logged.  The
+rebuilt dead-letter queue also holds each letter with the time it died.
 """
 
 import pytest
@@ -106,6 +107,7 @@ def test_two_back_to_back_recoveries_rebuild_the_live_projection(seed, lease):
     assert "shed:queue_full" in reasons and "max_attempts" in reasons
     assert manager.pending() == 0 and manager.stats.shed > 0 and len(manager.dlq) > 0
     live = store.projection(broker)
+    died_at = [letter.dead_at for letter in manager.dlq.entries]
     # first-park order: WSE sinks mint at the route, WSN ones at the batcher's flush
     boxes = {
         sink: (box["address"].rsplit("/", 1)[1], box["pending"])
@@ -121,5 +123,7 @@ def test_two_back_to_back_recoveries_rebuild_the_live_projection(seed, lease):
     for _ in range(2):
         recovered = recover_broker(network, BROKER, store.log, **CONFIG)
         assert recovered.store.projection(recovered) == live
+        # a restored dead letter keeps the time it died, not the restart's
+        assert [letter.dead_at for letter in recovered.delivery_manager.dlq.entries] == died_at
         assert len(store.log) == records  # nothing was in flight: replay appends nothing
         recovered.close()

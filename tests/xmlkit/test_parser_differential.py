@@ -87,6 +87,10 @@ HANDWRITTEN = [
     '<r a=" two  spaces\tand\nnewline "/>',
     "<r>line\r\nend\rmixed</r>",
     "<r>" + "x" * 70_000 + "</r>",  # longer than expat's text buffer
+    " \n<!-- before -->\n<r> <i/> </r>\n<!-- after --> \n",
+    "<r>a&amp;b&#65;c&#x42;d&lt;<i/>e&gt;&#10;f&#x20AC;g</r>",  # runs split by references
+    "<r><a/>" + "line\n" * 4000 + "<b/></r>",  # a many-line run longer than expat's default buffer
+    "<r><a/>" + "\U0001F600\n" * 3000 + "<b/></r>",  # its UTF-8 outgrows the document
     "<r>" + "<i>t</i>tail" * 300 + "</r>",
 ]
 
