@@ -8,9 +8,9 @@ account wire bytes for CORBA just as they do for SOAP.
 
 The interoperability limitation the paper dwells on (section VI.A: CORBA
 solutions "depend on a single vendor's implementation... can only achieve
-interoperability on the intranet scale") is modelled by the ORB's
-``vendor`` tag: ORBs refuse frames from a different vendor unless both ends
-opt in, and object references do not resolve across ORB instances.
+interoperability on the intranet scale") is modelled by object references:
+one resolves only at the ORB instance that issued it, so an invocation
+routed to any other ORB is refused before its frame is read.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ Servant = Callable[[str, list[Any]], Any]  # (operation, args) -> result
 class Orb:
     """Routes marshalled invocations to registered servants."""
 
-    def __init__(self, vendor: str = "acme-orb", *, interop: bool = False) -> None:
-        self.vendor = vendor
-        self.interop = interop
+    def __init__(self, vendor: str = "acme-orb") -> None:
         self.orb_id = f"{vendor}-{id(self) & 0xFFFF:04x}"
         self._counter = itertools.count(1)
         self._servants: dict[str, Servant] = {}
@@ -78,7 +76,7 @@ class Orb:
         self, reference: ObjectReference, operation: str, args: list[Any]
     ) -> bytes:
         body = CdrEncoder()
-        body.put_string(self.orb_id)  # requesting ORB (vendor check)
+        body.put_string(self.orb_id)  # requesting ORB
         body.put_string(reference.object_key)
         body.put_string(operation)
         body.put_ulong(len(args))
@@ -96,25 +94,14 @@ class Orb:
                 f"object reference {reference} is foreign to ORB {self.orb_id}; "
                 "CORBA interoperates at intranet scale only"
             )
-        if len(frame) < 12 or frame[:4] != _GIOP_MAGIC:
-            raise CorbaError("bad GIOP magic")
-        _major, _minor, _flags, msg_type, size = struct.unpack(">BBBBI", frame[4:12])
-        if msg_type != _REQUEST or len(frame) - 12 != size:
-            raise CorbaError("malformed GIOP request frame")
-        decoder = CdrDecoder(frame[12:])
+        decoder = CdrDecoder(frame[12:])  # the GIOP header is invoke's own framing
         try:
-            requester = decoder.get_string()
+            decoder.get_string()  # the requesting ORB: on the wire, checked by nothing
             object_key = decoder.get_string()
             operation = decoder.get_string()
             args = [decoder.get_any() for _ in range(decoder.get_ulong())]
         except CdrError as exc:
             raise CorbaError(f"unmarshalling failed: {exc}") from exc
-        requester_vendor = requester.rsplit("-", 1)[0]
-        if requester_vendor != self.vendor and not self.interop:
-            return self._frame_reply(
-                _REPLY_EXCEPTION,
-                f"ORB vendor mismatch: {requester_vendor!r} cannot talk to {self.vendor!r}",
-            )
         servant = self._servants.get(object_key)
         if servant is None:
             return self._frame_reply(_REPLY_EXCEPTION, f"OBJECT_NOT_EXIST: {object_key}")

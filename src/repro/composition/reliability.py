@@ -57,12 +57,11 @@ class ReliableChannel:
         target: EndpointReference,
         *,
         max_retries: int = 3,
-        sequence_id: Optional[str] = None,
     ) -> None:
         self.client = client
         self.target = target
         self.max_retries = max_retries
-        self.sequence_id = sequence_id or f"urn:uuid:seq-{next(_sequence_counter):06d}"
+        self.sequence_id = f"urn:uuid:seq-{next(_sequence_counter):06d}"
         self._next_number = itertools.count(1)
         self.resends = 0
         self.gave_up = 0

@@ -41,10 +41,10 @@ def _body_digest(envelope: SoapEnvelope, key: bytes) -> str:
     return hmac.new(key, material.encode("utf-8"), hashlib.sha256).hexdigest()
 
 
-def sign_envelope(envelope: SoapEnvelope, key: bytes, *, key_id: str = "shared") -> SoapEnvelope:
+def sign_envelope(envelope: SoapEnvelope, key: bytes) -> SoapEnvelope:
     """Attach a Security header signing the current body (mutates & returns)."""
     header = XElem(SECURITY_HEADER)
-    header.append(text_element(_KEY_ID, key_id))
+    header.append(text_element(_KEY_ID, "shared"))
     header.append(text_element(_SIGNATURE, _body_digest(envelope, key)))
     envelope.add_header(header, must_understand=True)
     return envelope

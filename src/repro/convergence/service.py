@@ -11,6 +11,12 @@ One subscription operation carries the union of both parents' power:
 - SubscriptionEnd notices (WSE) with a *defined* wrapped message format
   (which WSE 08/2004 left unspecified — Table 1's "Define Wrapped message
   format" gap, closed here).
+
+Renew, GetStatus, Unsubscribe and Pause / Resume are the frame's lease rows
+(:class:`repro.subscriptions.SubscriptionService`), here as in both
+parents; the draft's own are the id's place (the ``Identifier`` reference
+parameter), GetStatus's extra ``Status`` child, Subscribe, Pull and
+GetCurrentMessage.
 """
 
 from __future__ import annotations
@@ -37,8 +43,10 @@ from repro.subscriptions import (
     SubscriptionHandle,
     SubscriptionService,
     Verb,
+    child_text,
     message_payload,
     read_current_message,
+    text_body,
 )
 from repro.transport.network import PUBLIC_ZONE, SimulatedNetwork
 from repro.wsa.epr import EndpointReference
@@ -60,15 +68,10 @@ def _action(local: str) -> str:
     return f"{WSEN_NS}/{local}"
 
 
-def _text_of(parent: XElem, local: str) -> Optional[str]:
-    child = parent.find(_q(local))
-    return child.full_text().strip() if child is not None else None
-
-
 def _entries_of(container: XElem) -> list[tuple[XElem, Optional[str]]]:
     """The (payload, topic) pairs a wrapped Notify / PullResponse carries."""
     return [
-        (message_payload(entry.find(_q("Message")), "Notification"), _text_of(entry, "Topic"))
+        (message_payload(entry.find(_q("Message")), "Notification"), child_text(entry, "Topic"))
         for entry in container.find_all(_q("Notification"))
     ]
 
@@ -118,15 +121,6 @@ OPERATIONS = OperationTable(
         )
     ),
 )
-
-
-def _request(local: str, **texts: object) -> XElem:
-    """A request body: ``local`` with one text child per value that is not None."""
-    body = XElem(_q(local))
-    for name, value in texts.items():
-        if value is not None:
-            body.append(text_element(_q(name), str(value)))
-    return body
 
 
 def build_subscribe(
@@ -179,9 +173,8 @@ def build_subscribe(
 
 def _parse_subscribe_response(response: XElem) -> SubscriptionHandle:
     manager = EndpointReference.from_element(response.require(_q("SubscriptionManager")), WSA)
-    return SubscriptionHandle(
-        manager, manager.parameter_text(_q("Identifier")) or "", _text_of(response, "Expires") or ""
-    )
+    sub_id = manager.parameter_text(_q("Identifier")) or ""
+    return SubscriptionHandle(manager, sub_id, child_text(response, "Expires") or "")
 
 
 #: the subscriber's verb table: what each verb is called in the converged
@@ -190,24 +183,26 @@ VERBS = {
     "subscribe": Verb("Subscribe", build_subscribe, _parse_subscribe_response),
     "get_current_message": Verb(
         "GetCurrentMessage",
-        lambda topic: _request("GetCurrentMessage", Topic=topic),
+        lambda topic: text_body(_q("GetCurrentMessage"), Topic=topic),
         read_current_message,
     ),
     "renew": Verb(
         "Renew",
-        lambda expires: _request("Renew", Expires=expires),
-        lambda body: _text_of(body, "Expires") or "",
+        lambda expires: text_body(_q("Renew"), Expires=expires),
+        lambda body: child_text(body, "Expires") or "",
     ),
     "get_status": Verb(
-        "GetStatus", partial(_request, "GetStatus"), lambda body: _text_of(body, "Status") or ""
+        "GetStatus",
+        partial(text_body, _q("GetStatus")),
+        lambda body: child_text(body, "Status") or "",
     ),
-    "unsubscribe": Verb("Unsubscribe", partial(_request, "Unsubscribe")),
-    "pause": Verb("PauseSubscription", partial(_request, "PauseSubscription")),
-    "resume": Verb("ResumeSubscription", partial(_request, "ResumeSubscription")),
+    "unsubscribe": Verb("Unsubscribe", partial(text_body, _q("Unsubscribe"))),
+    "pause": Verb("PauseSubscription", partial(text_body, _q("PauseSubscription"))),
+    "resume": Verb("ResumeSubscription", partial(text_body, _q("ResumeSubscription"))),
     "pull": Verb(
         "Pull",
         # 0 = no maximum: MaxMessages stays off the wire
-        lambda max_messages: _request("Pull", MaxMessages=max_messages or None),
+        lambda max_messages: text_body(_q("Pull"), MaxMessages=max_messages or None),
         _entries_of,
     ),
 }
@@ -280,15 +275,18 @@ class ConvergedSource(SubscriptionService):
             mode=mode,
             end_to=EndpointReference.from_element(end_elem, WSA) if end_elem is not None else None,
             use_raw=body.find(_q("UseRaw")) is not None,
-        ), _text_of(body, "Expires")
+        ), child_text(body, "Expires")
 
     def _handle_subscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
         subscription = self.grant(*self.read_subscribe(envelope))
-        response = self._lease_response("SubscribeResponse", subscription)
+        response = text_body(
+            _q("SubscribeResponse"),
+            **self._lease(subscription),
+            CurrentTime=format_datetime(self.clock.now()),
+        )
         manager = EndpointReference(self.manager_address)
         manager.with_parameter(text_element(_q("Identifier"), subscription.key))
         response.children.insert(0, manager.to_element(WSA, _q("SubscriptionManager")))
-        response.append(text_element(_q("CurrentTime"), format_datetime(self.clock.now())))
         return self._respond(headers, response)
 
     def _filter_parts(self, filter_elem: Optional[XElem]) -> dict:
@@ -309,60 +307,29 @@ class ConvergedSource(SubscriptionService):
 
     # --- manager operations ----------------------------------------------------------
 
-    def _subscription_for(self, headers: MessageHeaders) -> Subscription:
+    def _subscription_for(self, envelope: SoapEnvelope, headers: MessageHeaders) -> Subscription:
         sub_id = ""
         for echoed in headers.echoed:
             if echoed.name == _q("Identifier"):
                 sub_id = echoed.full_text().strip()
         return self._lookup(sub_id)
 
-    def _lease_response(self, local: str, subscription: Subscription) -> XElem:
-        response = XElem(_q(local))
-        response.append(
-            text_element(
-                _q("Expires"), self.subscriptions.lease_text(subscription.termination_time)
-            )
-        )
-        return response
-
-    def _handle_renew(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
-        expires_text = _text_of(envelope.body_element(), "Expires")
-        self._core("renew", self.subscriptions.renew, subscription, expires_text)
-        return self._respond(headers, self._lease_response("RenewResponse", subscription))
-
-    def _handle_get_status(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
-        response = self._lease_response("GetStatusResponse", subscription)
-        response.append(
-            text_element(_q("Status"), "Paused" if subscription.paused else "Active")
-        )
-        return self._respond(headers, response)
-
-    def _handle_unsubscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        self.subscriptions.destroy(self._subscription_for(headers).key, "unsubscribed")
-        return self._respond(headers, XElem(_q("UnsubscribeResponse")))
-
-    def _handle_pause(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        self.subscriptions.pause(self._subscription_for(headers))
-        return self._respond(headers, XElem(_q("PauseSubscriptionResponse")))
-
-    def _handle_resume(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        self.subscriptions.resume(self._subscription_for(headers), self._notify)
-        return self._respond(headers, XElem(_q("ResumeSubscriptionResponse")))
+    def _status(self, subscription: Subscription) -> dict[str, str]:
+        status = "Paused" if subscription.paused else "Active"
+        return {**self._lease(subscription), "Status": status}
 
     def _handle_pull(self, envelope: SoapEnvelope, headers: MessageHeaders):
         batch = self._core(
             "pull",
             self.subscriptions.pull,
-            self._subscription_for(headers),
+            self._subscription_for(envelope, headers),
             envelope.body_element(),
             _q("MaxMessages"),
         )
         return self._respond(headers, self._wrapped("PullResponse", batch))
 
     def _handle_get_current(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        topic = _text_of(envelope.body_element(), "Topic") or ""
+        topic = child_text(envelope.body_element(), "Topic") or ""
         response = XElem(_q("GetCurrentMessageResponse"))
         response.append(self._current_message_on(topic, _q("NoCurrentMessageOnTopic")))
         return self._respond(headers, response)
@@ -397,7 +364,7 @@ class ConvergedSource(SubscriptionService):
         )
 
     #: push, resume and a wrapped batch are all one send here
-    _send_wrapped = _notify
+    _send_wrapped = _deliver = _notify
 
     def _wrapped(self, local: str, items: list[DeliveryItem]) -> XElem:
         wrapper = XElem(_q(local))
@@ -448,7 +415,7 @@ class ConvergedConsumer(ConsumerEndpoint):
         return None
 
     def _handle_end(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        self.ends.append(_text_of(envelope.body_element(), "Reason") or "")
+        self.ends.append(child_text(envelope.body_element(), "Reason") or "")
         return None
 
 

@@ -20,7 +20,7 @@ from repro.delivery.breaker import BreakerState, CircuitBreaker
 from repro.delivery.dlq import DeadLetter, DeadLetterQueue
 from repro.delivery.manager import DeliveryManager, DeliveryStats
 from repro.delivery.outcome import DeliveryFailure, record_failure
-from repro.delivery.policy import BEST_EFFORT, BatchingPolicy, DeliveryPolicy
+from repro.delivery.policy import BatchingPolicy, DeliveryPolicy
 from repro.delivery.task import DeliveryItem, DeliveryTask, TaskStatus
 from repro.delivery.messagebox import (
     MessageBox,
@@ -29,7 +29,6 @@ from repro.delivery.messagebox import (
 )
 
 __all__ = [
-    "BEST_EFFORT",
     "BatcherStats",
     "BatchingPolicy",
     "BreakerState",

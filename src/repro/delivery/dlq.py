@@ -12,7 +12,7 @@ a production notification service.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.delivery.task import DeliveryTask
 
@@ -46,27 +46,18 @@ class DeadLetterQueue:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def replay(
-        self,
-        manager: "DeliveryManager",
-        *,
-        sink: Optional[str] = None,
-        select: Optional[Callable[[DeadLetter], bool]] = None,
-    ) -> int:
+    def replay(self, manager: "DeliveryManager", *, sink: Optional[str] = None) -> int:
         """Re-submit dead letters through ``manager`` with fresh budgets.
 
-        ``sink`` restricts replay to one consumer; ``select`` is an arbitrary
-        predicate.  Replayed entries leave the DLQ immediately — a replay
-        that fails again simply dead-letters again, so nothing is ever
-        double-queued.  Returns the number of re-submitted messages.
+        ``sink`` restricts replay to one consumer.  Replayed entries leave
+        the DLQ immediately — a replay that fails again simply dead-letters
+        again, so nothing is ever double-queued.  Returns the number of
+        re-submitted messages.
         """
         chosen: list[DeadLetter] = []
         kept: list[DeadLetter] = []
         for letter in self.entries:
-            matches = (sink is None or letter.task.sink == sink) and (
-                select is None or select(letter)
-            )
-            (chosen if matches else kept).append(letter)
+            (chosen if sink is None or letter.task.sink == sink else kept).append(letter)
         self.entries = kept
         for letter in chosen:
             manager.resubmit(letter.task)

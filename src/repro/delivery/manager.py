@@ -540,6 +540,3 @@ class DeliveryManager:
             self.message_boxes.total_parked() if self.message_boxes else 0,
         )
         instr.gauge("delivery.breakers_open", self.breakers_open)
-        if self.qos is not None:
-            instr.gauge("qos.shed_messages", self.stats.shed)
-            instr.gauge("qos.throttled_attempts", self.stats.throttled)

@@ -65,13 +65,6 @@ class DeliveryPolicy:
         return raw
 
 
-#: single-shot policy: behaves like the historical best-effort push except
-#: that failures become visible (outcome records + DLQ) instead of silent
-BEST_EFFORT = DeliveryPolicy(
-    max_attempts=1, base_backoff=0.0, jitter=0.0, breaker_failure_threshold=1
-)
-
-
 @dataclass(frozen=True)
 class BatchingPolicy:
     """Per-sink wire coalescing: notifications to the same consumer within

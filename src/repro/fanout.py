@@ -33,7 +33,7 @@ drain stamps its own lineage), rendered and settled.
    with no items.
 
 Best-effort delivery is deliberately still the ``manager is None`` branch of
-``settle`` and not a ``BEST_EFFORT``-policy manager: see DESIGN.md, "The
+``settle`` and not a single-shot-policy manager: see DESIGN.md, "The
 fan-out pipeline", for the ladder numbers that decide it.
 """
 

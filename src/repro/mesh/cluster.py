@@ -46,6 +46,9 @@ from repro.wsn.versions import WsnVersion
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces
 
+#: drain passes :meth:`MeshCluster.quiesce` makes before it gives up
+QUIESCE_ROUNDS = 100
+
 
 @dataclass
 class MeshSubscription:
@@ -157,14 +160,14 @@ class MeshCluster:
         node = self.owner_node_of_topic(topic) if via is None else self.node(via)
         node.publish(payload, topic=topic)
 
-    def quiesce(self, *, max_rounds: int = 100) -> None:
+    def quiesce(self) -> None:
         """Drain every delivery pipeline mesh-wide.
 
         One node's drain can enqueue work on another (a forwarded publish
         fans out at the owner), so drain in rounds until a full pass leaves
-        nothing pending anywhere.
+        nothing pending anywhere — at most ``QUIESCE_ROUNDS`` of them.
         """
-        for _ in range(max_rounds):
+        for _ in range(QUIESCE_ROUNDS):
             for node in self.nodes.values():
                 node.run_deliveries_until_idle()
             if all(node.pending_deliveries() == 0 for node in self.nodes.values()):

@@ -16,17 +16,18 @@ as made, and a restart hands it back with its id and expiry pinned.
 the one safe order, liveness lookup, renew, pause / resume, the bounded
 parked queue and removal; it reports every transition to ``listeners`` as
 ``(event, subscription, detail)`` and fails with one :class:`SubscriptionError`.
-A family keeps what Table 2 says differs: reading a request, rendering the
-response, a fault table (error kind x operation -> fault subcode) and
-an end-notice table (removal reason -> SubscriptionEnd /
-TerminationNotification), handed in as ``announce``.
-:class:`SubscriptionService` is the frame those rows hang on: the two
-endpoints, the manager and the fan-out pipeline, wired the one way all three
-families wire them, and the one route that pushes, parks or holds every
-match — and Table 2 itself is data: an :class:`OperationTable` per (family,
-version), from which the frame mounts the handlers, answers the broker's
-front door and renders the WSDL.  DESIGN.md, "The subscription
-manager", has the operation-by-operation map.
+A family keeps what Table 2 says differs: its Subscribe and the rows only it
+has, where a request carries the subscription id, what a lease reply holds,
+a fault table (error kind x operation -> fault subcode) and an end-notice
+table (removal reason -> SubscriptionEnd / TerminationNotification), handed
+in as ``announce``.  :class:`SubscriptionService` is the frame those rows
+hang on: the two endpoints, the manager and the fan-out pipeline, wired the
+one way all three families wire them, the one route that pushes, parks or
+holds every match, and the lease rows (Renew, GetStatus, Unsubscribe, Pause /
+Resume, Destroy), answered once for every family — and Table 2 itself is
+data: an :class:`OperationTable` per (family, version), from which the frame
+mounts the handlers, answers the broker's front door and renders the WSDL.
+DESIGN.md, "The subscription manager", has the operation-by-operation map.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.filters.topics import (
 )
 from repro.qos.adaptive import validate_supported
 from repro.qos.properties import DiscardPolicy, QosError, QosProfile
-from repro.soap.envelope import SoapVersion
+from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
 from repro.render import Entry, Renderer, reply_text
 from repro.transport.clock import ClockScheduler
@@ -59,7 +60,7 @@ from repro.util.xstime import format_datetime, parse_expires
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders
 from repro.wsrf.resource import ResourceRegistry, ResourceUnknownFault, WsResource
-from repro.xmlkit.element import XElem
+from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.names import Namespaces, QName
 
 # repro.delivery and repro.fanout are imported where they are used: the
@@ -565,6 +566,68 @@ class SubscriptionService:
     def _reply(self, request_headers: MessageHeaders, action: str, body: XElem) -> str:
         return reply_text(request_headers, action, body, self._client.wsa_version)
 
+    # --- the lease rows of Table 2, answered here for every family -------------------
+
+    #: the child of a Renew that asks for an expiry
+    _renew_child = "Expires"
+
+    def _subscription_for(self, envelope: SoapEnvelope, headers: MessageHeaders) -> Subscription:
+        """The live subscription a manager-bound request names: where its id
+        rides is the family's to say."""
+        raise NotImplementedError(f"{type(self).__name__} manages no subscription")
+
+    def _lease(self, subscription: Subscription) -> dict[str, str]:
+        """The children of a lease reply, by local name: the granted expiry."""
+        return {"Expires": self.subscriptions.lease_text(subscription.termination_time)}
+
+    def _status(self, subscription: Subscription) -> dict[str, str]:
+        """GetStatus's children: the lease, and whatever more a family reports."""
+        return self._lease(subscription)
+
+    def _deliver(self, subscription: Subscription, backlog: list) -> None:
+        """The resume row: a resumed subscription's backlog to its sink."""
+        raise NotImplementedError(f"{type(self).__name__} has no resume delivery")
+
+    def _answer(self, request: XElem, headers: MessageHeaders, **children: str) -> str:
+        """A lease row's reply, named after its request: ``<element>Response``
+        in the request's namespace under ``<action>Response`` — the rule the
+        WSDL generator states for every request/response row."""
+        name = request.name
+        body = text_body(QName(name.namespace, f"{name.local}Response"), **children)
+        return self._reply(headers, f"{headers.action}Response", body)
+
+    def _handle_renew(self, envelope: SoapEnvelope, headers: MessageHeaders) -> str:
+        request = envelope.body_element()
+        subscription = self._subscription_for(envelope, headers)
+        requested = child_text(request, self._renew_child)
+        self._core("renew", self.subscriptions.renew, subscription, requested)
+        return self._answer(request, headers, **self._lease(subscription))
+
+    def _handle_get_status(self, envelope: SoapEnvelope, headers: MessageHeaders) -> str:
+        request = envelope.body_element()
+        subscription = self._subscription_for(envelope, headers)
+        return self._answer(request, headers, **self._status(subscription))
+
+    def _handle_unsubscribe(self, envelope: SoapEnvelope, headers: MessageHeaders) -> str:
+        request = envelope.body_element()
+        self.subscriptions.destroy(self._subscription_for(envelope, headers).key, "unsubscribed")
+        return self._answer(request, headers)
+
+    def _handle_destroy(self, envelope: SoapEnvelope, headers: MessageHeaders) -> str:
+        request = envelope.body_element()
+        self.subscriptions.destroy(self._subscription_for(envelope, headers).key, "destroyed")
+        return self._answer(request, headers)
+
+    def _handle_pause(self, envelope: SoapEnvelope, headers: MessageHeaders) -> str:
+        request = envelope.body_element()
+        self.subscriptions.pause(self._subscription_for(envelope, headers))
+        return self._answer(request, headers)
+
+    def _handle_resume(self, envelope: SoapEnvelope, headers: MessageHeaders) -> str:
+        request = envelope.body_element()
+        self.subscriptions.resume(self._subscription_for(envelope, headers), self._deliver)
+        return self._answer(request, headers)
+
     def note_publication(self, payload: XElem, topic: Optional[str]) -> Optional[TopicPath]:
         """Record a publication without fanning out — the first step of the
         route, and all of it on the broker's zero-subscription fast path.
@@ -787,6 +850,24 @@ class Verb(NamedTuple):
     build: Optional[Callable[..., XElem]] = None
     #: ``read(response body) -> what the verb returns``
     read: Callable[[XElem], object] = lambda body: None
+
+
+def text_body(name: QName, **texts: object) -> XElem:
+    """A message body ``name`` with one text child per value that is not
+    None, in keyword order, each named in ``name``'s namespace: every lease
+    request a client sends and every lease reply the frame answers."""
+    body = XElem(name)
+    for local, value in texts.items():
+        if value is not None:
+            body.append(text_element(QName(name.namespace, local), str(value)))
+    return body
+
+
+def child_text(parent: XElem, local: str) -> Optional[str]:
+    """The stripped text of ``parent``'s child ``local`` in ``parent``'s
+    namespace (None: there is none) — how a body's one-child fields are read."""
+    child = parent.find(QName(parent.name.namespace, local))
+    return child.full_text().strip() if child is not None else None
 
 
 def message_payload(message: Optional[XElem], what: str, code=FaultCode.SENDER) -> XElem:

@@ -109,27 +109,18 @@ class SoapEndpoint:
         with instr.span(
             "dispatch", remote=lineage, address=self.address, action=headers.action
         ) as span:
-            handler = self._handlers.get(headers.action, self._fallback)
-            if handler is None:
-                span.fail(f"no handler for {headers.action!r}")
-                self._count_request(instr, "no_handler")
-                fault = SoapFault(
-                    FaultCode.SENDER, f"no handler for action {headers.action!r}"
-                )
-                return build_response(500, self._fault_bytes(fault, envelope.version))
-            try:
-                reply = handler(envelope, headers)
-            except SoapFault as fault:
-                span.fail(f"fault: {fault.reason}")
-                self._count_request(instr, "fault")
-                return build_response(500, self._fault_bytes(fault, envelope.version))
-            self._count_request(instr, "ok")
-            return self._reply_response(reply)
+            return self._dispatch(envelope, headers, span)
 
-    def _dispatch(self, envelope: SoapEnvelope, headers: MessageHeaders) -> bytes:
-        """Uninstrumented action dispatch (the seed hot path, unchanged)."""
+    def _dispatch(self, envelope: SoapEnvelope, headers: MessageHeaders, span=None) -> bytes:
+        """Action dispatch: the handler's reply, or a 500 fault for a missing
+        handler or a raised one.  ``span`` is the instrumented path's open
+        ``dispatch`` span, which hears how the request ended and counts it;
+        without one (untraced) nothing is counted, at no cost."""
         handler = self._handlers.get(headers.action, self._fallback)
         if handler is None:
+            if span is not None:
+                span.fail(f"no handler for {headers.action!r}")
+                self._count_request(self.network.instrumentation, "no_handler")
             fault = SoapFault(
                 FaultCode.SENDER, f"no handler for action {headers.action!r}"
             )
@@ -137,7 +128,12 @@ class SoapEndpoint:
         try:
             reply = handler(envelope, headers)
         except SoapFault as fault:
+            if span is not None:
+                span.fail(f"fault: {fault.reason}")
+                self._count_request(self.network.instrumentation, "fault")
             return build_response(500, self._fault_bytes(fault, envelope.version))
+        if span is not None:
+            self._count_request(self.network.instrumentation, "ok")
         return self._reply_response(reply)
 
     @staticmethod

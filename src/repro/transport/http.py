@@ -144,8 +144,8 @@ def parse_request(wire: bytes) -> HttpRequest:
         method, path, _version = lines[0].split(" ", 2)
     except ValueError as exc:
         raise HttpFramingError(f"bad request line: {lines[0]!r}") from exc
-    headers = _parse_headers(lines[1:])
-    return HttpRequest(method, path, headers, _checked_body(headers, body))
+    headers, length_name = _parse_headers(lines[1:])
+    return HttpRequest(method, path, headers, _checked_body(headers, length_name, body))
 
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 500: "Internal Server Error"}
@@ -182,23 +182,31 @@ def parse_response(wire: bytes) -> HttpResponse:
     except ValueError as exc:
         raise HttpFramingError(f"non-numeric status: {parts[1]!r}") from exc
     reason = parts[2] if len(parts) > 2 else ""
-    headers = _parse_headers(lines[1:])
-    return HttpResponse(status, reason, headers, _checked_body(headers, body))
+    headers, length_name = _parse_headers(lines[1:])
+    return HttpResponse(status, reason, headers, _checked_body(headers, length_name, body))
 
 
-def _parse_headers(lines: list[str]) -> dict[str, str]:
+def _parse_headers(lines: list[str]) -> tuple[dict[str, str], str | None]:
+    """The header fields, and the name of the first one that spells
+    ``Content-Length`` in any case (None: there is none).  A field repeated
+    under one name keeps its first position and its last value."""
     headers: dict[str, str] = {}
+    length_name = None
     for line in lines:
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep or not name.strip():
+        name = name.strip()
+        if not sep or not name:
             raise HttpFramingError(f"malformed header line: {line!r}")
-        headers[name.strip()] = value.strip()
-    return headers
+        headers[name] = value.strip()
+        # 14 = len("Content-Length"): no other name is lowercased to be compared
+        if length_name is None and len(name) == 14 and name.lower() == "content-length":
+            length_name = name
+    return headers, length_name
 
 
-def _checked_body(headers: dict[str, str], body: bytes) -> bytes:
+def _checked_body(headers: dict[str, str], length_name: str | None, body: bytes) -> bytes:
     """Validate the body against a declared Content-Length.
 
     With no declared length the body is taken as delimited by the wire blob
@@ -206,22 +214,17 @@ def _checked_body(headers: dict[str, str], body: bytes) -> bytes:
     one, any mismatch — short, long, or unparsable — is a framing error, not
     a silent truncation.
     """
-    declared = _content_length(headers)
-    if declared is not None and declared != len(body):
+    if length_name is None:
+        return body
+    value = headers[length_name]
+    try:
+        declared = int(value)
+    except ValueError as exc:
+        raise HttpFramingError(f"bad Content-Length: {value!r}") from exc
+    if declared < 0:
+        raise HttpFramingError(f"negative Content-Length: {declared}")
+    if declared != len(body):
         raise HttpFramingError(
             f"Content-Length mismatch: declared {declared}, body has {len(body)} bytes"
         )
     return body
-
-
-def _content_length(headers: dict[str, str]) -> int | None:
-    for name, value in headers.items():
-        if name.lower() == "content-length":
-            try:
-                declared = int(value)
-            except ValueError as exc:
-                raise HttpFramingError(f"bad Content-Length: {value!r}") from exc
-            if declared < 0:
-                raise HttpFramingError(f"negative Content-Length: {declared}")
-            return declared
-    return None

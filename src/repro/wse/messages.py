@@ -29,7 +29,7 @@ from repro.qos.properties import QosError, QosProfile
 from repro.qos.wire import find_profile, profile_to_element
 from repro.render import Entry, TopiclessEntry
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import Grant, SubscriptionHandle, Verb
+from repro.subscriptions import Grant, SubscriptionHandle, Verb, child_text, text_body
 from repro.wsa.epr import EndpointReference
 from repro.wse.model import DeliveryMode, SubscriptionEndCode
 from repro.wse.versions import WseVersion
@@ -214,45 +214,6 @@ def attach_subscription_id(version: WseVersion, body: XElem, sub_id: str) -> Non
         body.append(text_element(version.qname("Id"), sub_id))
 
 
-# --- Renew / GetStatus / Unsubscribe ---------------------------------------------
-
-
-def build_renew(version: WseVersion, expires_text: Optional[str]) -> XElem:
-    renew = XElem(version.qname("Renew"))
-    if expires_text is not None:
-        renew.append(text_element(version.qname("Expires"), expires_text))
-    return renew
-
-
-def build_renew_response(version: WseVersion, expires_text: str) -> XElem:
-    response = XElem(version.qname("RenewResponse"))
-    response.append(text_element(version.qname("Expires"), expires_text))
-    return response
-
-
-def build_get_status(version: WseVersion) -> XElem:
-    return XElem(version.qname("GetStatus"))
-
-
-def build_get_status_response(version: WseVersion, expires_text: str) -> XElem:
-    response = XElem(version.qname("GetStatusResponse"))
-    response.append(text_element(version.qname("Expires"), expires_text))
-    return response
-
-
-def build_unsubscribe(version: WseVersion) -> XElem:
-    return XElem(version.qname("Unsubscribe"))
-
-
-def build_unsubscribe_response(version: WseVersion) -> XElem:
-    return XElem(version.qname("UnsubscribeResponse"))
-
-
-def expires_from_body(body: XElem, version: WseVersion) -> Optional[str]:
-    expires = body.find(version.qname("Expires"))
-    return expires.full_text().strip() if expires is not None else None
-
-
 # --- SubscriptionEnd ----------------------------------------------------------
 
 
@@ -356,14 +317,16 @@ def verbs(version: WseVersion) -> dict[str, Verb]:
     GetCurrentMessage are Table 2's "Not available" cells: named, never built."""
 
     def granted(body: XElem) -> str:
-        return expires_from_body(body, version) or ""
+        return child_text(body, "Expires") or ""
 
     return {
         # the SubscribeResponse is read by the subscriber, which knows the source
         "subscribe": Verb("Subscribe", partial(build_subscribe, version), lambda body: body),
-        "renew": Verb("Renew", partial(build_renew, version), granted),
-        "get_status": Verb("GetStatus", partial(build_get_status, version), granted),
-        "unsubscribe": Verb("Unsubscribe", partial(build_unsubscribe, version)),
+        "renew": Verb(
+            "Renew", lambda expires: text_body(version.qname("Renew"), Expires=expires), granted
+        ),
+        "get_status": Verb("GetStatus", partial(text_body, version.qname("GetStatus")), granted),
+        "unsubscribe": Verb("Unsubscribe", partial(text_body, version.qname("Unsubscribe"))),
         "pull": Verb(
             "Pull", partial(build_pull, version), partial(parse_pull_response, version=version)
         ),

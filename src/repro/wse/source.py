@@ -4,8 +4,13 @@ In WS-Eventing the event source is both the notification producer and the
 publisher (the paper's Fig. 1: Subscribe arrives at the source, notifications
 leave from it).  In 08/2004 the *subscription manager* — the endpoint that
 handles Renew/GetStatus/Unsubscribe — is a separate entity; in 01/2004 those
-operations land on the event source itself.  Both layouts are implemented
-here, switched by the version profile.
+operations land on the event source itself.  Both layouts are the version's
+operation table here.  Renew, GetStatus and Unsubscribe are the frame's
+lease rows (:class:`repro.subscriptions.SubscriptionService`); what is
+WS-Eventing's own is Subscribe, Pull, where a request carries the
+subscription id (``_subscription_for``: the body's ``wse:Id`` in 01/2004,
+the echoed ``wse:Identifier`` in 08/2004) and which removals a
+SubscriptionEnd announces.
 """
 
 from __future__ import annotations
@@ -153,27 +158,6 @@ class EventSource(SubscriptionService):
                 self.version, envelope.body_element(), headers.echoed
             )
         )
-
-    def _handle_renew(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(envelope, headers)
-        expires_text = messages.expires_from_body(envelope.body_element(), self.version)
-        self._core("renew", self.subscriptions.renew, subscription, expires_text)
-        body = messages.build_renew_response(
-            self.version, self.subscriptions.lease_text(subscription.termination_time)
-        )
-        return self._reply(headers, self.version.action("RenewResponse"), body)
-
-    def _handle_get_status(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(envelope, headers)
-        body = messages.build_get_status_response(
-            self.version, self.subscriptions.lease_text(subscription.termination_time)
-        )
-        return self._reply(headers, self.version.action("GetStatusResponse"), body)
-
-    def _handle_unsubscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        self.subscriptions.destroy(self._subscription_for(envelope, headers).key, "unsubscribed")
-        body = messages.build_unsubscribe_response(self.version)
-        return self._reply(headers, self.version.action("UnsubscribeResponse"), body)
 
     def _handle_pull(self, envelope: SoapEnvelope, headers: MessageHeaders):
         batch = self._core(

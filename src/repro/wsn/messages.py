@@ -25,7 +25,15 @@ from typing import Optional
 from repro.qos.properties import QosError, QosProfile
 from repro.qos.wire import find_profile, profile_to_element
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import Grant, SubscriptionHandle, Verb, message_payload, read_current_message
+from repro.subscriptions import (
+    Grant,
+    SubscriptionHandle,
+    Verb,
+    child_text,
+    message_payload,
+    read_current_message,
+    text_body,
+)
 from repro.wsa.epr import EndpointReference
 from repro.wsa.versions import WsaVersion
 from repro.wsn.versions import WsnVersion
@@ -213,12 +221,7 @@ def parse_subscribe_response(body: XElem, version: WsnVersion) -> SubscriptionHa
     ref_elem = body.require(version.qname("SubscriptionReference"))
     reference = EndpointReference.from_element(ref_elem, version.wsa_version)
     sub_id = reference.parameter_text(SUBSCRIPTION_ID) or ""
-    return SubscriptionHandle(reference, sub_id, _termination_of(body, version))
-
-
-def _termination_of(body: XElem, version: WsnVersion) -> str:
-    term = body.find(version.qname("TerminationTime"))
-    return term.full_text().strip() if term is not None else ""
+    return SubscriptionHandle(reference, sub_id, child_text(body, "TerminationTime") or "")
 
 
 def subscription_id_from_headers(echoed: list[XElem], name: QName = SUBSCRIPTION_ID) -> str:
@@ -364,33 +367,7 @@ def parse_notify(
     return notifications
 
 
-# --- subscription management -----------------------------------------------------
-
-
-def build_renew(version: WsnVersion, termination_text: Optional[str]) -> XElem:
-    renew = XElem(version.qname("Renew"))
-    if termination_text is not None:
-        renew.append(text_element(version.qname("TerminationTime"), termination_text))
-    return renew
-
-
-def build_renew_response(version: WsnVersion, termination_text: str, current_text: str) -> XElem:
-    response = XElem(version.qname("RenewResponse"))
-    response.append(text_element(version.qname("TerminationTime"), termination_text))
-    response.append(text_element(version.qname("CurrentTime"), current_text))
-    return response
-
-
-def build_unsubscribe(version: WsnVersion) -> XElem:
-    return XElem(version.qname("Unsubscribe"))
-
-
-def build_pause(version: WsnVersion) -> XElem:
-    return XElem(version.qname("PauseSubscription"))
-
-
-def build_resume(version: WsnVersion) -> XElem:
-    return XElem(version.qname("ResumeSubscription"))
+# --- GetCurrentMessage -----------------------------------------------------------
 
 
 def build_get_current_message(
@@ -448,10 +425,6 @@ def build_set_termination_time(termination_text: Optional[str]) -> XElem:
             )
         )
     return request
-
-
-def build_destroy() -> XElem:
-    return XElem(QName(Namespaces.WSRF_RL, "Destroy"))
 
 
 def build_termination_notification(reason: str) -> XElem:
@@ -526,11 +499,6 @@ def _read_status(body: XElem) -> str:
     return next((value.full_text().strip() for value in body.elements()), "")
 
 
-def _read_new_termination(body: XElem) -> str:
-    new_time = body.find(QName(Namespaces.WSRF_RL, "NewTerminationTime"))
-    return new_time.full_text().strip() if new_time is not None else ""
-
-
 def verbs(version: WsnVersion) -> dict[str, Verb]:
     """The subscriber's verb table: what each verb is called in
     WS-BaseNotification, how its request is built and its response read —
@@ -547,11 +515,15 @@ def verbs(version: WsnVersion) -> dict[str, Verb]:
             "GetCurrentMessage", partial(build_get_current_message, version), read_current_message
         ),
         "renew": Verb(
-            "Renew", partial(build_renew, version), partial(_termination_of, version=version)
+            "Renew",
+            lambda termination: text_body(version.qname("Renew"), TerminationTime=termination),
+            lambda body: child_text(body, "TerminationTime") or "",
         ),
-        "unsubscribe": Verb("Unsubscribe", partial(build_unsubscribe, version)),
-        "pause": Verb("PauseSubscription", partial(build_pause, version)),
-        "resume": Verb("ResumeSubscription", partial(build_resume, version)),
+        "unsubscribe": Verb("Unsubscribe", partial(text_body, version.qname("Unsubscribe"))),
+        "pause": Verb("PauseSubscription", partial(text_body, version.qname("PauseSubscription"))),
+        "resume": Verb(
+            "ResumeSubscription", partial(text_body, version.qname("ResumeSubscription"))
+        ),
         "pull": Verb("Pull"),
         "get_status": Verb(
             "GetResourceProperty", partial(build_get_resource_property, PROP_STATUS), _read_status
@@ -562,9 +534,11 @@ def verbs(version: WsnVersion) -> dict[str, Verb]:
             lambda body: [child.copy() for child in body.elements()],
         ),
         "set_termination_time": Verb(
-            "SetTerminationTime", build_set_termination_time, _read_new_termination
+            "SetTerminationTime",
+            build_set_termination_time,
+            lambda body: child_text(body, "NewTerminationTime") or "",
         ),
-        "destroy": Verb("Destroy", build_destroy),
+        "destroy": Verb("Destroy", partial(text_body, QName(Namespaces.WSRF_RL, "Destroy"))),
         "register_publisher": Verb(
             "RegisterPublisher",
             partial(build_register_publisher, version),

@@ -6,6 +6,13 @@ managed through WSRF in 1.0/1.2 (mandatorily) and 1.3 (optionally, alongside
 the native Renew/Unsubscribe), and their demise triggers a WSRF
 TerminationNotification to the consumer — which is how WSN <= 1.2 realizes
 WS-Eventing's SubscriptionEnd (Table 2).
+
+Renew, Unsubscribe, Pause / Resume and WSRF's Destroy are the frame's lease
+rows (:class:`repro.subscriptions.SubscriptionService`); this family says
+where the id rides (the ``SubscriptionId`` reference parameter / property),
+that a Renew asks for and a lease reply grants a ``TerminationTime`` (with
+the ``CurrentTime``), and how a resumed backlog leaves.  Subscribe,
+GetCurrentMessage and the WSRF property and lifetime rows are its own.
 """
 
 from __future__ import annotations
@@ -216,39 +223,21 @@ class NotificationProducer(SubscriptionService):
 
     # --- manager operations ---------------------------------------------------------
 
-    def _subscription_for(self, headers: MessageHeaders) -> Subscription:
+    #: a Renew asks for, and a lease reply grants, a TerminationTime
+    _renew_child = "TerminationTime"
+
+    def _subscription_for(self, envelope: SoapEnvelope, headers: MessageHeaders) -> Subscription:
         return self._lookup(messages.subscription_id_from_headers(headers.echoed))
 
-    def _handle_renew(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
-        term_elem = envelope.body_element().find(self.version.qname("TerminationTime"))
-        text = term_elem.full_text().strip() if term_elem is not None else None
-        self._core("renew", self.subscriptions.renew, subscription, text)
+    def _lease(self, subscription: Subscription) -> dict[str, str]:
         termination = subscription.termination_time
-        body = messages.build_renew_response(
-            self.version,
-            format_datetime(termination) if termination is not None else "",
-            format_datetime(self.clock.now()),
-        )
-        return self._reply(headers, self.version.action("RenewResponse"), body)
-
-    def _handle_unsubscribe(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        self.subscriptions.destroy(self._subscription_for(headers).key, "unsubscribed")
-        body = XElem(self.version.qname("UnsubscribeResponse"))
-        return self._reply(headers, self.version.action("UnsubscribeResponse"), body)
-
-    def _handle_pause(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        self.subscriptions.pause(self._subscription_for(headers))
-        body = XElem(self.version.qname("PauseSubscriptionResponse"))
-        return self._reply(headers, self.version.action("PauseSubscriptionResponse"), body)
-
-    def _handle_resume(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        self.subscriptions.resume(self._subscription_for(headers), self._deliver)
-        body = XElem(self.version.qname("ResumeSubscriptionResponse"))
-        return self._reply(headers, self.version.action("ResumeSubscriptionResponse"), body)
+        return {
+            "TerminationTime": format_datetime(termination) if termination is not None else "",
+            "CurrentTime": format_datetime(self.clock.now()),
+        }
 
     def _handle_get_property(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
+        subscription = self._subscription_for(envelope, headers)
         name = messages.parse_get_resource_property(envelope.body_element())
         values = get_resource_property(self._resource_view(subscription), name)
         body = XElem(QName(Namespaces.WSRF_RP, "GetResourcePropertyResponse"))
@@ -259,7 +248,7 @@ class NotificationProducer(SubscriptionService):
         )
 
     def _handle_set_termination_time(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        subscription = self._subscription_for(headers)
+        subscription = self._subscription_for(envelope, headers)
         request = envelope.body_element()
         requested = request.find(QName(Namespaces.WSRF_RL, "RequestedTerminationTime"))
         text = requested.full_text().strip() if requested is not None else ""
@@ -281,11 +270,6 @@ class NotificationProducer(SubscriptionService):
         return self._reply(
             headers, messages.wsrf_lifetime_action("SetTerminationTimeResponse"), body
         )
-
-    def _handle_destroy(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        self.subscriptions.destroy(self._subscription_for(headers).key, "destroyed")
-        body = XElem(QName(Namespaces.WSRF_RL, "DestroyResponse"))
-        return self._reply(headers, messages.wsrf_lifetime_action("DestroyResponse"), body)
 
     def topic_set_document(self) -> XElem:
         """The producer's advertised topic space (WS-Topics TopicSet)."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.delivery import BEST_EFFORT, DeliveryPolicy
+from repro.delivery import DeliveryPolicy
 from repro.util.rng import SeededRng
 
 
@@ -99,6 +99,3 @@ class TestDeliveryPolicy:
         a = [policy.backoff(n, SeededRng(4).fork("j")) for n in range(1, 6)]
         b = [policy.backoff(n, SeededRng(4).fork("j")) for n in range(1, 6)]
         assert a == b
-
-    def test_best_effort_is_single_shot(self):
-        assert BEST_EFFORT.max_attempts == 1

@@ -149,7 +149,7 @@ class TestSingleSpecThroughBroker:
         from repro.transport.endpoint import SoapClient
 
         client = SoapClient(network)
-        body = wse_messages.build_renew(WseVersion.V2004_08, "PT1H")
+        body = wse_messages.verbs(WseVersion.V2004_08)["renew"].build("PT1H")
         with pytest.raises(SoapFault):
             client.call(broker.epr(), WseVersion.V2004_08.action("Renew"), [body])
 

@@ -1,9 +1,8 @@
-"""Small edge cases across packages: pull-point capacity, interoperable
-ORBs, backbone lifecycle errors, fault code coverage, the CLI report."""
+"""Small edge cases across packages: pull-point capacity, backbone lifecycle
+errors, fault code coverage, the CLI report."""
 
 import pytest
 
-from repro.baselines.corba.orb import CorbaError, Orb
 from repro.messenger import CorbaBackbone, InMemoryBackbone
 from repro.soap.fault import FaultCode, SoapFault, SoapVersion
 from repro.transport import SimulatedNetwork, VirtualClock
@@ -25,28 +24,6 @@ class TestPullPointCapacity:
         for i in range(5):
             producer.publish(parse_xml(f"<e>{i}</e>"), topic="t")
         assert len(client.get_messages(pull_point)) == 3  # overflow dropped
-
-
-class TestInteropOrbs:
-    def test_interop_orb_accepts_foreign_vendor_frames(self):
-        host = Orb("acme", interop=True)
-        ref = host.register(lambda op, args: "hi")
-        # a client ORB of another vendor invoking on the host's routing
-        client = Orb("globex")
-        # reuse host routing with a frame claiming the foreign vendor
-        frame = client._frame_request(ref, "ping", [])
-        reply = host._route(ref, frame)
-        assert host._parse_reply(reply) == "hi"
-
-    def test_non_interop_rejects_foreign_vendor(self):
-        host = Orb("acme", interop=False)
-        ref = host.register(lambda op, args: "hi")
-        client = Orb("globex")
-        frame = client._frame_request(ref, "ping", [])
-        reply = host._route(ref, frame)
-        with pytest.raises(CorbaError) as excinfo:
-            host._parse_reply(reply)
-        assert "vendor mismatch" in str(excinfo.value)
 
 
 class TestBackboneLifecycle:

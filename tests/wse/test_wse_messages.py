@@ -3,6 +3,7 @@
 import pytest
 
 from repro.soap import SoapFault
+from repro.subscriptions import child_text
 from repro.wsa import EndpointReference
 from repro.wse import messages
 from repro.wse.model import DeliveryMode, SubscriptionEndCode
@@ -142,7 +143,7 @@ class TestSubscriptionIdentityTransport:
 
     def test_01_id_from_body(self):
         version = WseVersion.V2004_01
-        body = messages.build_renew(version, None)
+        body = messages.verbs(version)["renew"].build(None)
         messages.attach_subscription_id(version, body, "sub-3")
         assert messages.subscription_id_from_request(version, body, []) == "sub-3"
 
@@ -150,38 +151,35 @@ class TestSubscriptionIdentityTransport:
         version = WseVersion.V2004_01
         with pytest.raises(SoapFault):
             messages.subscription_id_from_request(
-                version, messages.build_renew(version, None), []
+                version, messages.verbs(version)["renew"].build(None), []
             )
 
     def test_attach_is_noop_on_08(self):
         version = WseVersion.V2004_08
-        body = messages.build_renew(version, None)
+        body = messages.verbs(version)["renew"].build(None)
         messages.attach_subscription_id(version, body, "sub-3")
         assert body.find(version.qname("Id")) is None
 
 
 class TestManagementMessages:
     def test_renew_roundtrip(self, version):
-        built = messages.build_renew(version, "PT1H")
-        assert messages.expires_from_body(roundtrip(built), version) == "PT1H"
+        built = messages.verbs(version)["renew"].build("PT1H")
+        assert child_text(roundtrip(built), "Expires") == "PT1H"
 
     def test_renew_without_expires(self, version):
-        built = messages.build_renew(version, None)
-        assert messages.expires_from_body(built, version) is None
+        built = messages.verbs(version)["renew"].build(None)
+        assert child_text(built, "Expires") is None
 
     def test_get_status_only_on_08(self):
         # the builder builds; which version *has* GetStatus is its operation table's to say
-        assert messages.build_get_status(WseVersion.V2004_08) is not None
+        assert messages.verbs(WseVersion.V2004_08)["get_status"].build() is not None
         served = {v: {row.name for row in operations(v).rows} for v in WseVersion}
         assert "GetStatus" in served[WseVersion.V2004_08]
         assert "GetStatus" not in served[WseVersion.V2004_01]
         assert messages.verbs(WseVersion.V2004_01)["get_status"].operation == "GetStatus"
 
     def test_unsubscribe_shapes(self, version):
-        assert messages.build_unsubscribe(version).name == version.qname("Unsubscribe")
-        assert messages.build_unsubscribe_response(version).name == version.qname(
-            "UnsubscribeResponse"
-        )
+        assert messages.verbs(version)["unsubscribe"].build().name == version.qname("Unsubscribe")
 
 
 class TestSubscriptionEndMessage:

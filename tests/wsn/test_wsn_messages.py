@@ -176,19 +176,19 @@ class TestManagementMessages:
     # operation table's to say (the client answers OperationNotAvailable from it)
 
     def test_renew_only_13(self):
-        assert messages.build_renew(WsnVersion.V1_3, "PT1H") is not None
+        assert messages.verbs(WsnVersion.V1_3)["renew"].build("PT1H") is not None
         assert "Renew" in {row.name for row in operations(WsnVersion.V1_3).rows}
         for old in (WsnVersion.V1_0, WsnVersion.V1_2):
             assert "Renew" not in {row.name for row in operations(old).rows}
 
     def test_unsubscribe_only_13(self):
-        assert messages.build_unsubscribe(WsnVersion.V1_3) is not None
+        assert messages.verbs(WsnVersion.V1_3)["unsubscribe"].build() is not None
         assert "Unsubscribe" in {row.name for row in operations(WsnVersion.V1_3).rows}
         assert "Unsubscribe" not in {row.name for row in operations(WsnVersion.V1_0).rows}
 
     def test_pause_resume_all_versions(self, version):
-        assert messages.build_pause(version).name.local == "PauseSubscription"
-        assert messages.build_resume(version).name.local == "ResumeSubscription"
+        assert messages.verbs(version)["pause"].build().name.local == "PauseSubscription"
+        assert messages.verbs(version)["resume"].build().name.local == "ResumeSubscription"
 
     def test_get_current_message_roundtrip(self, version):
         built = messages.build_get_current_message(
