@@ -15,6 +15,13 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro.convergence.service import (
+    MODE_PUSH,
+    MODE_WRAP,
+    ConvergedConsumer,
+    ConvergedSource,
+    ConvergedSubscriber,
+)
 from repro.delivery import BatchingPolicy, DeliveryManager, DeliveryPolicy
 from repro.messenger import WsMessenger
 from repro.obs import Instrumentation
@@ -109,6 +116,40 @@ def _wse(kind: str, network, manager, refusing: bool) -> Cell:
     return cell
 
 
+def _converged(kind: str, network, manager, refusing: bool) -> Cell:
+    source = ConvergedSource(network, "http://sc-converged", batching=BatchingPolicy(max_batch=2))
+    if manager is not None:
+        # the converged source takes no delivery manager of its own (nothing
+        # composes one with it): its frame is wired to one here, as the
+        # other families' constructors wire theirs
+        source.delivery_manager = source._fanout.manager = manager
+        source.subscriptions.delivery_manager = manager
+    consumer = ConvergedConsumer(network, SINK)
+    ConvergedSubscriber(network).subscribe(
+        source.epr(), consumer=consumer.epr(), topic="t",
+        mode=MODE_WRAP if kind == "wsen_wrapped" else MODE_PUSH,
+        use_raw=kind == "wsen_raw",
+        end_to=consumer.epr() if kind == "wsen_subscription_end" else None,
+    )
+    if refusing:
+        consumer.close()
+    cell = Cell(source, "wsen", items=1, traced=1, stage="notify", received=consumer.received)
+    if kind == "wsen_subscription_end":
+        cell.items = cell.traced = 0
+        cell.stage = "subscription_end"
+        [subscription] = source.subscriptions.live_resources()
+        source.subscriptions.destroy(subscription.key, "expired")
+    elif kind == "wsen_wrapped":
+        # a wrapped batch is bare (parked items drop their lineage) and
+        # settles under the family's one "notify" stage
+        cell.items, cell.traced = 2, 0
+        source.publish(event(1), topic="t")
+        source.publish(event(2), topic="t")  # the second fills the batch and flushes it
+    else:
+        source.publish(event(), topic="t")
+    return cell
+
+
 KINDS = {
     "wsn_wrapped": _wsn,
     "wsn_raw": _wsn,
@@ -116,6 +157,10 @@ KINDS = {
     "wse_wrapped": _wse,
     "wsn_termination": _wsn,
     "wse_subscription_end": _wse,
+    "wsen_push": _converged,
+    "wsen_raw": _converged,
+    "wsen_wrapped": _converged,
+    "wsen_subscription_end": _converged,
 }
 
 
@@ -192,6 +237,9 @@ def test_settle_contract(kind, path, sink):
                 assert [code for _, code in owner.ended_subscriptions] == [
                     SubscriptionEndCode.DELIVERY_FAILURE
                 ]
+            elif cell.family == "wsen":
+                # no EndTo was asked for, so the end is silent
+                assert stages == [cell.stage]
             else:
                 # destroying the resource owes the dead consumer a
                 # TerminationNotification, which fails and is recorded too
