@@ -12,11 +12,13 @@ One subscription operation carries the union of both parents' power:
   (which WSE 08/2004 left unspecified — Table 1's "Define Wrapped message
   format" gap, closed here).
 
-Renew, GetStatus, Unsubscribe and Pause / Resume are the frame's lease rows
-(:class:`repro.subscriptions.SubscriptionService`), here as in both
-parents; the draft's own are the id's place (the ``Identifier`` reference
-parameter), GetStatus's extra ``Status`` child, Subscribe, Pull and
-GetCurrentMessage.
+Renew, GetStatus, Unsubscribe, Pause / Resume, Pull, GetCurrentMessage and
+every send are the frame's rows
+(:class:`repro.subscriptions.SubscriptionService`), here as in both parents;
+the draft's own are Subscribe, the id's place (the ``Identifier`` reference
+parameter), GetStatus's extra ``Status`` child, how a raw and a wrapped
+notification are written (``Sending`` rows: one wrapped format for push and
+wrapped delivery alike) and how a pulled item is (as a wrapped one).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.subscriptions import (
     Operation,
     OperationTable,
     ReceivedNotification,
+    Sending,
     SubscriberClient,
     Subscription,
     SubscriptionHandle,
@@ -68,6 +71,25 @@ def _action(local: str) -> str:
     return f"{WSEN_NS}/{local}"
 
 
+def _notification(item: DeliveryItem) -> XElem:
+    """The *defined* wrapped entry format (closing WSE's gap): one item."""
+    entry = XElem(_q("Notification"))
+    if item.topic is not None:
+        entry.append(text_element(_q("Topic"), item.topic))
+    message = XElem(_q("Message"))
+    message.append(item.payload)
+    entry.append(message)
+    return entry
+
+
+def _notifications(pairs: list) -> XElem:
+    """A wrapped batch: one ``Notification`` per item."""
+    wrapper = XElem(_q("Notifications"))
+    for _, item in pairs:
+        wrapper.append(_notification(item))
+    return wrapper
+
+
 def _entries_of(container: XElem) -> list[tuple[XElem, Optional[str]]]:
     """The (payload, topic) pairs a wrapped Notify / PullResponse carries."""
     return [
@@ -92,6 +114,7 @@ _FAULTS = {
     ("invalid_content", None): _q("InvalidFilterFault"),
     ("invalid_expiry", None): _q("InvalidExpirationTime"),
     ("unknown_subscription", None): _q("UnknownSubscription"),
+    ("no_current_message", None): _q("NoCurrentMessageOnTopic"),
 }
 _END_REASONS = {"expired": "SubscriptionExpired", "delivery failure": "DeliveryFailure: {detail}"}
 
@@ -109,7 +132,7 @@ OPERATIONS = OperationTable(
         Operation(name, port, _action(name), f"wsen:{name}", handler)
         for name, port, handler in (
             ("Subscribe", "source", "_handle_subscribe"),
-            ("GetCurrentMessage", "source", "_handle_get_current"),
+            ("GetCurrentMessage", "source", "_handle_get_current_message"),
             ("Renew", "manager", "_handle_renew"),
             ("GetStatus", "manager", "_handle_get_status"),
             ("Unsubscribe", "manager", "_handle_unsubscribe"),
@@ -236,12 +259,13 @@ class ConvergedSource(SubscriptionService):
             batching=batching,
             default_lifetime=default_lifetime,
         )
-        #: the converged rows of the rendering table: raw push with the topic
-        #: in a header, and the *defined* wrapped format
-        self._raw_entry = Entry("raw", topic_header=_q("Topic"))
-        self._wrapped_entry = Entry(
-            "wrapped", lambda entries: self._wrapped("Notifications", entries), batch=True
-        )
+        #: how the converged notifications leave: raw push with the topic in
+        #: a header, else the *defined* wrapped format, for push and wrapped
+        #: delivery alike
+        notify = _action("Notify")
+        self._raw_sending = Sending(notify, Entry("raw", topic_header=_q("Topic")))
+        wrapped = Sending(notify, Entry("wrapped", _notifications, batch=True))
+        self._push_sending = self._wrapped_sending = wrapped
 
     # --- subscribe -----------------------------------------------------------------
 
@@ -287,7 +311,7 @@ class ConvergedSource(SubscriptionService):
         manager = EndpointReference(self.manager_address)
         manager.with_parameter(text_element(_q("Identifier"), subscription.key))
         response.children.insert(0, manager.to_element(WSA, _q("SubscriptionManager")))
-        return self._respond(headers, response)
+        return self._reply(headers, _action("SubscribeResponse"), response)
 
     def _filter_parts(self, filter_elem: Optional[XElem]) -> dict:
         """WS-Notification's three-part filter, as the core's arguments."""
@@ -318,67 +342,13 @@ class ConvergedSource(SubscriptionService):
         status = "Paused" if subscription.paused else "Active"
         return {**self._lease(subscription), "Status": status}
 
-    def _handle_pull(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        batch = self._core(
-            "pull",
-            self.subscriptions.pull,
-            self._subscription_for(envelope, headers),
-            envelope.body_element(),
-            _q("MaxMessages"),
-        )
-        return self._respond(headers, self._wrapped("PullResponse", batch))
-
-    def _handle_get_current(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        topic = child_text(envelope.body_element(), "Topic") or ""
-        response = XElem(_q("GetCurrentMessageResponse"))
-        response.append(self._current_message_on(topic, _q("NoCurrentMessageOnTopic")))
-        return self._respond(headers, response)
-
-    def _respond(self, request_headers: MessageHeaders, body: XElem) -> str:
-        return self._reply(request_headers, _action(body.name.local), body)
+    #: a pulled item is written as a wrapped one
+    _pulled = staticmethod(_notification)
 
     # --- publication -----------------------------------------------------------------
 
     def publish(self, payload: XElem, *, topic: Optional[str] = None) -> int:
-        return self._fanout.publish(self._route, payload, topic, self._notify, topic=topic or "")
-
-    def _wrap_one(self, item: DeliveryItem) -> XElem:
-        """The *defined* wrapped entry format (closing WSE's gap)."""
-        entry = XElem(_q("Notification"))
-        if item.topic is not None:
-            entry.append(text_element(_q("Topic"), item.topic))
-        message = XElem(_q("Message"))
-        message.append(item.payload)
-        entry.append(message)
-        return entry
-
-    def _notify(self, subscription: Subscription, items: list[DeliveryItem]) -> None:
-        """``items`` to one consumer; a failed attempt ends the subscription
-        with a DeliveryFailure notice."""
-        self._fanout.settle(
-            subscription.consumer.address,
-            self._send_items,
-            (subscription, items),
-            items,
-            on_failed=self._end_after_failure,
-        )
-
-    #: push, resume and a wrapped batch are all one send here
-    _send_wrapped = _deliver = _notify
-
-    def _wrapped(self, local: str, items: list[DeliveryItem]) -> XElem:
-        wrapper = XElem(_q(local))
-        for item in items:
-            wrapper.append(self._wrap_one(item))
-        return wrapper
-
-    def _send_items(self, subscription: Subscription, items: list[DeliveryItem]) -> None:
-        if subscription.use_raw and subscription.mode is DeliveryMode.PUSH:
-            # raw: each payload is the body of its own message, topic in a header
-            for item in items:
-                self._send_rendered(subscription, _action("Notify"), self._raw_entry, [item])
-        else:
-            self._send_rendered(subscription, _action("Notify"), self._wrapped_entry, items)
+        return self._fanout.publish(self._route, payload, topic, self._push, topic=topic or "")
 
     def _announce_end(self, subscription: Subscription, reason: str, detail: str) -> None:
         """The end-notice table: expiry and delivery failure are announced."""

@@ -4,7 +4,8 @@ The paper's Table 2 and section VII say the families differ in message
 *shape*, not mechanism; :mod:`repro.fanout` is the mechanism, this is the
 shape.  Input: an :class:`Entry` (a row of the rendering table: wrapped
 Notify, raw, push with the mediated topic header, wrapped batch), the wire
-action, the subscription and the items to carry.  Output: ready envelope
+action, the subscription that addresses the request and the
+``(subscription, item)`` pairs to carry.  Output: ready envelope
 text, always — steady state a ``str.join`` over a compiled ``ByteTemplate``,
 otherwise the envelope built as a tree and serialised *here*: for an unfrozen
 payload, an installed ``envelope_filter``, items no one template fits (mixed
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import replace
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.obs.instrument import BoundCounters
@@ -56,6 +58,8 @@ MESSAGE_ID = ("message_id", "urn:x-repro-template-slot:message-id.")
 TOPIC = ("topic", "urn:x-repro-template-slot:topic.")
 SUB_ID = ("sub_id", "urn:x-repro-template-slot:subscription-id.")
 RELATES_TO = ("relates_to", "urn:x-repro-template-slot:relates-to.")
+#: the subscription of a stand-in pair: its id is the sentinel
+SLOT_SUBSCRIPTION = SimpleNamespace(key=SUB_ID[1])
 
 
 def _fold(elem: XElem):
@@ -80,11 +84,14 @@ def reference_shape(epr: EndpointReference) -> tuple:
 
 class Entry:
     """One row of the rendering table: how
-    :class:`~repro.delivery.task.DeliveryItem` s become a message.  A
-    single-message entry carries one item, the payload as the body itself and
-    its topic (if any) in the ``topic_header`` SOAP header; a ``batch`` entry
-    carries any number under the wrapper ``body`` builds, one *chunk* (a
-    child of the wrapper) each."""
+    :class:`~repro.delivery.task.DeliveryItem` s become a message.  Items come
+    as ``(subscription, item)`` pairs — one request may speak for several
+    subscriptions of one sink — and a row reads the subscription only where
+    its message names it.  A single-message entry carries one item, the
+    payload as the body itself and its topic (if any) in the ``topic_header``
+    SOAP header; a ``batch`` entry carries any number under the wrapper
+    ``body`` builds (from the pairs), one *chunk* (a child of the wrapper)
+    each."""
 
     def __init__(
         self,
@@ -99,27 +106,30 @@ class Entry:
         self.topic_header = topic_header
         self.batch = batch
 
-    def shape(self, items: list):
-        """What of ``items`` a template bakes in; None when no one fits them."""
-        topical = items[0].topic is not None
-        return topical if all((item.topic is not None) == topical for item in items) else None
+    def shape(self, pairs: list):
+        """What of ``pairs`` a template bakes in; None when no one fits them."""
+        topical = pairs[0][1].topic is not None
+        return topical if all((item.topic is not None) == topical for _, item in pairs) else None
 
-    def parts(self, item) -> tuple[Optional[str], Optional[str], XElem]:
-        """The slot values of one item: ``(subscription id, topic, payload)``."""
+    def parts(self, pair) -> tuple[Optional[str], Optional[str], XElem]:
+        """The slot values of one pair: ``(subscription id, topic, payload)``."""
+        item = pair[1]
         return None, item.topic, item.payload
 
-    def stand_in(self, item):
-        """``item`` with sentinels where its slots are."""
-        return replace(item, topic=None if item.topic is None else TOPIC[1])
+    def stand_in(self, pair):
+        """``pair`` with sentinels where its slots are."""
+        item = pair[1]
+        return SLOT_SUBSCRIPTION, replace(item, topic=None if item.topic is None else TOPIC[1])
 
-    def build(self, items: list) -> tuple[list[XElem], XElem]:
-        """``(extra SOAP headers, body)`` carrying ``items``."""
-        payload, topic = items[0].payload, items[0].topic
+    def build(self, pairs: list) -> tuple[list[XElem], XElem]:
+        """``(extra SOAP headers, body)`` carrying ``pairs``."""
+        item = pairs[0][1]
+        payload, topic = item.payload, item.topic
         headers = []
         if topic is not None and self.topic_header is not None:
             headers.append(text_element(self.topic_header, topic))
         if self.body is not None:
-            return headers, self.body(items)
+            return headers, self.body(pairs)
         return headers, payload if payload.frozen else payload.copy()
 
 
@@ -128,7 +138,7 @@ class TopiclessEntry(Entry):
     delivery, WS-Eventing's wrapped batch — so whether its items have one is
     no part of its shape."""
 
-    def shape(self, items: list):
+    def shape(self, pairs: list):
         return False
 
 
@@ -234,16 +244,16 @@ class Renderer:
         self.templates = TemplateCache()
         self._bound = BoundCounters()
 
-    def render(self, entry: Entry, action: str, subscription, items: list) -> str:
+    def render(self, entry: Entry, action: str, subscription, pairs: list) -> str:
         """The envelope text of one wire attempt.  Runs at attempt time, so
         the message id is minted exactly where a tree-built send mints it.
         Lineage never appears here: trace context rides the HTTP head, so the
         bytes match the uninstrumented envelope exactly."""
         consumer = subscription.consumer
-        parts = [entry.parts(item) for item in items]
+        parts = [entry.parts(pair) for pair in pairs]
         payload = parts[0][2]
         compiled, outcome = None, "fallback"
-        shape = entry.shape(items) if self.client.envelope_filter is None else None
+        shape = entry.shape(pairs) if self.client.envelope_filter is None else None
         if shape is not None and payload.frozen:
             order = frozen_namespace_order(payload)
             if len(parts) == 1 or all(
@@ -252,7 +262,7 @@ class Renderer:
             ):
                 compiled, outcome = self.templates.lookup(
                     (entry.name, action, shape, reference_shape(consumer), order),
-                    subscription.key, self._compile, entry, action, consumer, items[0],
+                    subscription.key, self._compile, entry, action, consumer, pairs[0],
                 )
         instr = self.client.network.instrumentation
         if instr.enabled:
@@ -260,7 +270,7 @@ class Renderer:
             self._bound.inc(instr, 1, name, "family", self.family)
         if compiled is None:
             TEMPLATE_STATS.fallbacks += 1
-            headers, body = entry.build(items)
+            headers, body = entry.build(pairs)
             envelope = self._envelope(
                 action, consumer.address, fresh_message_id(), consumer, headers, body
             )
@@ -284,12 +294,12 @@ class Renderer:
         return envelope
 
     def _compile(
-        self, entry: Entry, action: str, consumer: EndpointReference, item
+        self, entry: Entry, action: str, consumer: EndpointReference, pair
     ) -> CompiledEnvelope:
-        """Build the envelope of one stand-in item exactly the way the tree
+        """Build the envelope of one stand-in pair exactly the way the tree
         path does, serialize it once, and split it at the sentinels."""
-        payload = entry.parts(item)[2]
-        headers, body = entry.build([entry.stand_in(item)])
+        payload = entry.parts(pair)[2]
+        headers, body = entry.build([entry.stand_in(pair)])
         envelope = self._envelope(action, TO[1], MESSAGE_ID[1], consumer, headers, body)
         text, allocator = serialize_with_allocator(envelope_root(envelope))
         mapping = tuple(allocator.prefix_for(uri) for uri in frozen_namespace_order(payload))

@@ -73,10 +73,15 @@ class SoapEnvelope:
         return self
 
     def body_element(self) -> XElem:
-        """The single body payload element; raises when not exactly one."""
+        """The single body payload element; a Sender fault when there is not
+        exactly one, so a handler answers a malformed request with a fault."""
         elements = [child for child in self.body if isinstance(child, XElem)]
         if len(elements) != 1:
-            raise ValueError(f"expected exactly one body element, found {len(elements)}")
+            from repro.soap.fault import FaultCode, SoapFault  # fault.py imports this module
+
+            raise SoapFault(
+                FaultCode.SENDER, f"expected exactly one body element, found {len(elements)}"
+            )
         return elements[0]
 
     def first_body(self) -> Optional[XElem]:

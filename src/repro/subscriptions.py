@@ -18,15 +18,18 @@ parked queue and removal; it reports every transition to ``listeners`` as
 ``(event, subscription, detail)`` and fails with one :class:`SubscriptionError`.
 A family keeps what Table 2 says differs: its Subscribe and the rows only it
 has, where a request carries the subscription id, what a lease reply holds,
-a fault table (error kind x operation -> fault subcode) and an end-notice
-table (removal reason -> SubscriptionEnd / TerminationNotification), handed
-in as ``announce``.  :class:`SubscriptionService` is the frame those rows
-hang on: the two endpoints, the manager and the fan-out pipeline, wired the
-one way all three families wire them, the one route that pushes, parks or
-holds every match, and the lease rows (Renew, GetStatus, Unsubscribe, Pause /
-Resume, Destroy), answered once for every family — and Table 2 itself is
-data: an :class:`OperationTable` per (family, version), from which the frame
-mounts the handlers, answers the broker's front door and renders the WSDL.
+how its notifications are written (its :class:`Sending` rows), a fault table
+(error kind x operation -> fault subcode) and an end-notice table (removal
+reason -> SubscriptionEnd / TerminationNotification), handed in as
+``announce``.  :class:`SubscriptionService` is the frame those rows hang on:
+the two endpoints, the manager and the fan-out pipeline, wired the one way
+all three families wire them, the one route that pushes, parks or holds
+every match, the data plane every notification leaves through (push,
+wrapped send, resume, one wire attempt, the failure row) and the rows
+answered once for every family (Renew, GetStatus, Unsubscribe, Pause /
+Resume, Destroy, Pull, GetCurrentMessage) — and Table 2 itself is data: an
+:class:`OperationTable` per (family, version), from which the frame mounts
+the handlers, answers the broker's front door and renders the WSDL.
 DESIGN.md, "The subscription manager", has the operation-by-operation map.
 """
 
@@ -51,7 +54,7 @@ from repro.qos.adaptive import validate_supported
 from repro.qos.properties import DiscardPolicy, QosError, QosProfile
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
-from repro.render import Entry, Renderer, reply_text
+from repro.render import Entry, Renderer, reference_shape, reply_text
 from repro.transport.clock import ClockScheduler
 from repro.transport.endpoint import SoapClient, SoapEndpoint
 from repro.transport.http import request_head
@@ -62,6 +65,7 @@ from repro.wsa.headers import MessageHeaders
 from repro.wsrf.resource import ResourceRegistry, ResourceUnknownFault, WsResource
 from repro.xmlkit.element import XElem, text_element
 from repro.xmlkit.names import Namespaces, QName
+from repro.xmlkit.writer import frozen_namespace_order
 
 # repro.delivery and repro.fanout are imported where they are used: the
 # delivery package's message boxes import repro.wse, which imports this module
@@ -419,6 +423,19 @@ class OperationTable(NamedTuple):
     rows: tuple[Operation, ...]
 
 
+class Sending(NamedTuple):
+    """How one kind of notification leaves a service: a family states these
+    as facts, and the frame's data-plane rows send through them."""
+
+    #: the ``wsa:Action`` of the request
+    action: str
+    #: the row of the rendering table that writes it (a ``batch`` entry
+    #: carries every item in one request, any other entry one each)
+    entry: Entry
+    #: what a failed direct attempt is recorded under (``delivery_failures``)
+    stage: str = "notify"
+
+
 class SubscriptionService:
     """The frame every family's producer / event source hangs its rows on
     (the paper's Fig. 1 and 2 differ in names, not in parts): the endpoint
@@ -427,6 +444,16 @@ class SubscriptionService:
 
     #: whether a publication must name a topic (WS-BaseNotification <= 1.2)
     requires_topic = False
+    #: the family's facts for its data plane: how a push subscription's
+    #: notifications leave, a raw one's (``use_raw``) and a wrapped queue's
+    #: (a family states those it has)
+    _push_sending: Sending
+    _raw_sending: Optional[Sending] = None
+    _wrapped_sending: Optional[Sending] = None
+    #: whether a resumed backlog leaves under the resume's lineage (WSN)
+    _restamp_resumed = False
+    #: whether the push row coalesces per sink under a ``batching`` policy (WSN)
+    _coalesces = False
 
     def __init__(
         self,
@@ -446,6 +473,7 @@ class SubscriptionService:
         batching: Optional["BatchingPolicy"] = None,
         **leases,
     ) -> None:
+        from repro.delivery.batcher import DeliveryBatcher
         from repro.delivery.policy import BatchingPolicy
         from repro.fanout import Fanout
 
@@ -456,16 +484,22 @@ class SubscriptionService:
         self.delivery_manager = delivery_manager
         #: sizes and times every held batch: a wrapped queue leaves at
         #: ``max_batch`` items or when the ``window`` its first item armed
-        #: runs out; a family whose push row coalesces (WSN) builds its
-        #: ``batcher`` from the policy it was given
+        #: runs out
         self.batching = batching or BatchingPolicy(max_batch=WRAPPED_BATCH)
-        self.batcher: Optional["DeliveryBatcher"] = None
         #: window timers ride the delivery manager's pump when there is one
         self.scheduler = (
             delivery_manager.scheduler
             if delivery_manager is not None
             else ClockScheduler(self.clock)
         )
+        #: per-sink coalescing of the push row, from the policy a coalescing
+        #: family was given (None: one request per notification)
+        self.batcher: Optional["DeliveryBatcher"] = None
+        if batching is not None and self._coalesces:
+            self.batcher = DeliveryBatcher(
+                self.clock, batching, self._settle_group, scheduler=self.scheduler,
+                instrumentation=network.instrumentation, family=family,
+            )
         #: sub key -> the deadline its wrapped queue's first item armed
         self._deadlines: dict[str, float] = {}
         self.producer_properties = dict(producer_properties or {})
@@ -545,14 +579,18 @@ class SubscriptionService:
 
         return definition_of(self.operations, self.address, self.manager_address).to_xml()
 
+    def _subcode(self, kind: str, operation: str) -> Optional[QName]:
+        """The family's subcode for an error ``kind`` in ``operation``."""
+        rows = self._faults
+        return rows.get((kind, operation)) or rows.get((kind, None))
+
     def _core(self, operation: str, core_call: Callable, *args, **kwargs):
         """``core_call(*args, **kwargs)`` on behalf of a wire ``operation``:
         a neutral error leaves as this family's Sender fault."""
         try:
             return core_call(*args, **kwargs)
         except SubscriptionError as error:
-            rows = self._faults
-            subcode = rows.get((error.kind, operation)) or rows.get((error.kind, None))
+            subcode = self._subcode(error.kind, operation)
             raise SoapFault(FaultCode.SENDER, str(error), subcode=subcode) from error
 
     def grant(self, grant: Grant, expires_text: Optional[str] = None) -> Subscription:
@@ -584,16 +622,20 @@ class SubscriptionService:
         """GetStatus's children: the lease, and whatever more a family reports."""
         return self._lease(subscription)
 
-    def _deliver(self, subscription: Subscription, backlog: list) -> None:
-        """The resume row: a resumed subscription's backlog to its sink."""
-        raise NotImplementedError(f"{type(self).__name__} has no resume delivery")
+    def _pulled(self, item: "DeliveryItem") -> XElem:
+        """One pulled item as a PullResponse carries it: the payload itself."""
+        return item.payload
 
-    def _answer(self, request: XElem, headers: MessageHeaders, **children: str) -> str:
-        """A lease row's reply, named after its request: ``<element>Response``
-        in the request's namespace under ``<action>Response`` — the rule the
-        WSDL generator states for every request/response row."""
+    def _answer(
+        self, request: XElem, headers: MessageHeaders, *elements: XElem, **children: str
+    ) -> str:
+        """A row's reply, named after its request: ``<element>Response`` in
+        the request's namespace under ``<action>Response`` — the rule the
+        WSDL generator states for every request/response row — holding the
+        text ``children``, then ``elements``."""
         name = request.name
         body = text_body(QName(name.namespace, f"{name.local}Response"), **children)
+        body.children.extend(elements)
         return self._reply(headers, f"{headers.action}Response", body)
 
     def _handle_renew(self, envelope: SoapEnvelope, headers: MessageHeaders) -> str:
@@ -628,6 +670,30 @@ class SubscriptionService:
         self.subscriptions.resume(self._subscription_for(envelope, headers), self._deliver)
         return self._answer(request, headers)
 
+    def _handle_pull(self, envelope: SoapEnvelope, headers: MessageHeaders) -> str:
+        """At most the request's ``MaxMessages`` of a pull-mode backlog, each
+        item written as the family writes a pulled one."""
+        request = envelope.body_element()
+        subscription = self._subscription_for(envelope, headers)
+        batch = self._core(
+            "pull", self.subscriptions.pull, subscription, request,
+            QName(request.name.namespace, "MaxMessages"), self._subcode("invalid_limit", "pull"),
+        )
+        return self._answer(request, headers, *map(self._pulled, batch))
+
+    def _handle_get_current_message(self, envelope: SoapEnvelope, headers: MessageHeaders) -> str:
+        """The last message published on the request's ``Topic`` (a request
+        that names none asks about the empty topic, which has none)."""
+        request = envelope.body_element()
+        topic = child_text(request, "Topic") or ""
+        payload = self._current_message.get(topic)
+        if payload is None:
+            raise SoapFault(
+                FaultCode.SENDER, f"no current message on topic {topic!r}",
+                subcode=self._subcode("no_current_message", "get_current_message"),
+            )
+        return self._answer(request, headers, payload)
+
     def note_publication(self, payload: XElem, topic: Optional[str]) -> Optional[TopicPath]:
         """Record a publication without fanning out — the first step of the
         route, and all of it on the broker's zero-subscription fast path.
@@ -644,22 +710,89 @@ class SubscriptionService:
         self._current_message[topic] = payload if payload.frozen else payload.copy()
         return path
 
-    def _current_message_on(self, topic: str, subcode: QName) -> XElem:
-        payload = self._current_message.get(topic)
-        if payload is None:
-            raise SoapFault(
-                FaultCode.SENDER, f"no current message on topic {topic!r}", subcode=subcode
-            )
-        return payload
+    # --- the data plane: every notification leaves through these rows -----------
 
-    def _send_rendered(self, subscription: Subscription, action: str, entry: Entry, items: list) -> None:
-        """One wire attempt at a notification: render, ``send_rendered``."""
-        text = self.renderer.render(entry, action, subscription, items)
+    def _push(self, subscription: Subscription, items: list) -> None:
+        """The push row: a live match of one publication.  Under a push
+        batcher same sink + same shape coalesce into one request (the group
+        key mirrors the template cache key, so every flushed group renders
+        through one compiled envelope); raw, or without one, it leaves now."""
+        if self.batcher is None or subscription.use_raw:
+            sending = self._raw_sending if subscription.use_raw else self._push_sending
+            self._settle(sending, [(subscription, items[0])], items, subscription.priority)
+            return
+        item = items[0]
+        consumer = subscription.consumer
+        self.batcher.add(
+            (
+                consumer.address,
+                reference_shape(consumer),
+                item.topic,
+                frozen_namespace_order(item.payload),
+            ),
+            (subscription, item),
+        )
+
+    def _settle_group(self, key, pairs: list) -> None:
+        """A push batcher's group (``key`` is its group key) as one request."""
+        self._settle(
+            self._push_sending, pairs, [item for _, item in pairs],
+            max([subscription.priority for subscription, _ in pairs]),
+        )
+
+    def _deliver(self, subscription: Subscription, backlog: list) -> None:
+        """The resume row: a resumed subscription's backlog as one settlement,
+        through the wrapped send for a wrapped queue, each item under the
+        resume's lineage where the family restamps it."""
+        if self._restamp_resumed:
+            lineage = self.network.instrumentation.trace_context()
+            backlog = [replace(item, lineage=lineage) for item in backlog]
+        if subscription.mode is DeliveryMode.WRAPPED:
+            sending = self._wrapped_sending
+        else:
+            sending = self._raw_sending if subscription.use_raw else self._push_sending
+        self._settle_queue(sending, subscription, backlog)
+
+    def _settle_queue(self, sending: Sending, subscription: Subscription, items: list) -> None:
+        """One subscription's ``items`` as one settlement."""
+        self._settle(
+            sending, [(subscription, item) for item in items], items, subscription.priority
+        )
+
+    def _settle(self, sending: Sending, pairs: list, items: list, priority: int) -> None:
+        """``pairs`` — ``(subscription, item)``, all to one sink — as one
+        settlement: ``items`` are theirs, in order.  A failed direct attempt
+        goes to the failure row."""
+        self._fanout.settle(
+            pairs[0][0].consumer.address, self._send, (sending, pairs), items,
+            stage=sending.stage, priority=priority, on_failed=self._end_after_failure,
+        )
+
+    def _send(self, sending: Sending, pairs: list) -> None:
+        """One wire attempt: one request for a batch entry, one per pair for a
+        single-message entry.  The first subscription addresses it (a
+        coalesced group shares its sink and reference shape)."""
+        action, entry = sending.action, sending.entry
+        subscription = pairs[0][0]
         address = subscription.consumer.address
         head = subscription.head
         if head is None or head[0] != action:
             head = subscription.head = (action, request_head(address, action))
-        self._client.send_rendered(address, action, text, head=head[1])
+        render, send = self.renderer.render, self._client.send_rendered
+        if entry.batch:
+            send(address, action, render(entry, action, subscription, pairs), head=head[1])
+            return
+        for pair in pairs:
+            send(address, action, render(entry, action, subscription, [pair]), head=head[1])
+
+    def _end_after_failure(self, exc: Exception, sending: Sending, pairs: list) -> None:
+        """The failure row: a direct attempt failed, so every subscription it
+        carried that has not already ended ends now, in the family's own
+        vocabulary (its ``_announce_end``)."""
+        carried = {subscription.key: subscription for subscription, _ in pairs}
+        for subscription in carried.values():
+            if not subscription.destroyed:
+                self.subscriptions.destroy(subscription.key, "delivery failure", str(exc))
 
     # --- the route: push, park or hold -------------------------------------------------
 
@@ -764,12 +897,10 @@ class SubscriptionService:
         )
 
     def _flush_wrapped(self, subscription: Subscription) -> None:
+        """The wrapped send: a held queue leaves as one batch."""
         self._deadlines.pop(subscription.key, None)
-        self._send_wrapped(subscription, self.subscriptions.drain(subscription))
-
-    def _send_wrapped(self, subscription: Subscription, items: list) -> None:
-        """The family's wrapped-send row: ``items`` to one sink as one batch."""
-        raise NotImplementedError(f"{type(self).__name__} has no wrapped delivery")
+        items = self.subscriptions.drain(subscription)
+        self._settle_queue(self._wrapped_sending, subscription, items)
 
     def flush(self) -> None:
         """Send every held batch now: the push batcher's groups, then every
@@ -810,12 +941,6 @@ class SubscriptionService:
         self._fanout.settle(
             target.address, self._client.call, (target, action, [body]), stage=stage
         )
-
-    def _end_after_failure(self, exc: Exception, subscription: Subscription, *_) -> None:
-        """A direct attempt failed: the subscription ends, in the family's
-        own vocabulary (see its ``_announce_end``)."""
-        if not subscription.destroyed:
-            self.subscriptions.destroy(subscription.key, "delivery failure", str(exc))
 
 
 # --- the client side ---------------------------------------------------------------------

@@ -299,7 +299,7 @@ def wrapped_entry(version: WseVersion) -> Entry:
     its own chunk of the wrapper, which has no place for a topic."""
     return TopiclessEntry(
         "wrapped",
-        lambda items: build_wrapped_notification(version, [item.payload for item in items]),
+        lambda pairs: build_wrapped_notification(version, [item.payload for _, item in pairs]),
         batch=True,
     )
 

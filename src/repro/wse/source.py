@@ -5,24 +5,31 @@ publisher (the paper's Fig. 1: Subscribe arrives at the source, notifications
 leave from it).  In 08/2004 the *subscription manager* — the endpoint that
 handles Renew/GetStatus/Unsubscribe — is a separate entity; in 01/2004 those
 operations land on the event source itself.  Both layouts are the version's
-operation table here.  Renew, GetStatus and Unsubscribe are the frame's
-lease rows (:class:`repro.subscriptions.SubscriptionService`); what is
-WS-Eventing's own is Subscribe, Pull, where a request carries the
+operation table here.  Renew, GetStatus, Unsubscribe and Pull, and every
+send, are the frame's rows (:class:`repro.subscriptions.SubscriptionService`);
+what is WS-Eventing's own is Subscribe, where a request carries the
 subscription id (``_subscription_for``: the body's ``wse:Id`` in 01/2004,
-the echoed ``wse:Identifier`` in 08/2004) and which removals a
-SubscriptionEnd announces.
+the echoed ``wse:Identifier`` in 08/2004), how a push and a wrapped batch
+are written (``Sending`` rows) and which removals a SubscriptionEnd
+announces.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.delivery.policy import BatchingPolicy
 from repro.render import Entry
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import Grant, Operation, OperationTable, Subscription, SubscriptionService
+from repro.subscriptions import (
+    Grant,
+    Operation,
+    OperationTable,
+    Sending,
+    Subscription,
+    SubscriptionService,
+)
 from repro.transport.network import SimulatedNetwork
 from repro.wsa.headers import MessageHeaders
 from repro.wse import messages
@@ -100,6 +107,7 @@ class EventSource(SubscriptionService):
                 ("invalid_expiry", None): version.qname("InvalidExpirationTime"),
                 ("unsupported_qos", None): version.qname("UnsupportedQoS"),
                 ("unknown_subscription", None): version.qname("InvalidMessage"),
+                ("invalid_limit", None): version.qname("InvalidMessage"),
             },
             producer_properties=producer_properties,
             delivery_manager=delivery_manager,
@@ -108,11 +116,15 @@ class EventSource(SubscriptionService):
             max_lifetime=max_lifetime,
         )
         self.version = version
-        #: this family's rows of the rendering table.  ``topic_header`` is the
+        #: how this family's notifications leave.  ``topic_header`` is the
         #: mediation hook (section V.4 category 6): WSE has no body slot for a
         #: topic, so when set, published topics ride as this SOAP header
-        self._push_entry = Entry("push", topic_header=topic_header)
-        self._wrapped_entry = messages.wrapped_entry(version)
+        self._push_sending = Sending(
+            DEFAULT_NOTIFY_ACTION, Entry("push", topic_header=topic_header)
+        )
+        self._wrapped_sending = Sending(
+            version.action("Notifications"), messages.wrapped_entry(version), "wrapped_notify"
+        )
         #: SubscriptionEnd messages we emitted (observability for tests/benches)
         self.ended_subscriptions: list[tuple[str, SubscriptionEndCode]] = []
 
@@ -159,57 +171,15 @@ class EventSource(SubscriptionService):
             )
         )
 
-    def _handle_pull(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        batch = self._core(
-            "pull",
-            self.subscriptions.pull,
-            self._subscription_for(envelope, headers),
-            envelope.body_element(),
-            self.version.qname("MaxMessages"),
-            self.version.qname("InvalidMessage"),
-        )
-        body = messages.build_pull_response(self.version, [item.payload for item in batch])
-        return self._reply(headers, self.version.action("PullResponse"), body)
-
     # --- publication ------------------------------------------------------------------
 
-    def publish(
-        self,
-        payload: XElem,
-        *,
-        action: str = DEFAULT_NOTIFY_ACTION,
-        topic: Optional[str] = None,
-    ) -> int:
+    def publish(self, payload: XElem, *, topic: Optional[str] = None) -> int:
         """Publish one event; returns the number of subscriptions it reached.
 
         WS-Eventing has no topic model — ``topic`` only feeds filters that
         look at it (the mediation layer maps WSN topics through here).
         """
-        return self._fanout.publish(
-            self._route, payload, topic, partial(self._settle, action, self._push_entry)
-        )
-
-    def _settle(
-        self, action: str, entry: Entry, subscription: Subscription, items: list,
-        stage: str = "notify",
-    ) -> None:
-        """``items`` to one sink through ``entry``: the list rendered is the
-        list settled."""
-        self._fanout.settle(
-            subscription.consumer.address,
-            self._send_rendered,
-            (subscription, action, entry, items),
-            items,
-            stage=stage,
-            priority=subscription.priority,
-            on_failed=self._end_after_failure,
-        )
-
-    def _send_wrapped(self, subscription: Subscription, items: list) -> None:
-        self._settle(
-            self.version.action("Notifications"), self._wrapped_entry, subscription, items,
-            stage="wrapped_notify",
-        )
+        return self._fanout.publish(self._route, payload, topic, self._push)
 
     # --- termination -----------------------------------------------------------------
 

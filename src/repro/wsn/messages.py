@@ -380,14 +380,6 @@ def build_get_current_message(
     return request
 
 
-def parse_get_current_message(body: XElem, version: WsnVersion) -> tuple[str, str]:
-    topic_elem = body.require(version.qname("Topic"))
-    return (
-        topic_elem.full_text().strip(),
-        topic_elem.attrs.get(_DIALECT, Namespaces.DIALECT_TOPIC_CONCRETE),
-    )
-
-
 # --- WSRF operations on subscription resources (actions + bodies) ------------------
 
 

@@ -7,28 +7,35 @@ the native Renew/Unsubscribe), and their demise triggers a WSRF
 TerminationNotification to the consumer — which is how WSN <= 1.2 realizes
 WS-Eventing's SubscriptionEnd (Table 2).
 
-Renew, Unsubscribe, Pause / Resume and WSRF's Destroy are the frame's lease
-rows (:class:`repro.subscriptions.SubscriptionService`); this family says
-where the id rides (the ``SubscriptionId`` reference parameter / property),
-that a Renew asks for and a lease reply grants a ``TerminationTime`` (with
-the ``CurrentTime``), and how a resumed backlog leaves.  Subscribe,
-GetCurrentMessage and the WSRF property and lifetime rows are its own.
+Renew, Unsubscribe, Pause / Resume, WSRF's Destroy, GetCurrentMessage and
+every send are the frame's rows
+(:class:`repro.subscriptions.SubscriptionService`); this family says where
+the id rides (the ``SubscriptionId`` reference parameter / property), that a
+Renew asks for and a lease reply grants a ``TerminationTime`` (with the
+``CurrentTime``), how a Notify and a raw message are written (``Sending``
+rows), that a resumed backlog leaves under the resume's lineage and that its
+push row coalesces per sink.  Subscribe and the WSRF property and lifetime
+rows are its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
-from repro.delivery.batcher import DeliveryBatcher
 from repro.delivery.policy import BatchingPolicy
-from repro.delivery.task import DeliveryItem
 from repro.filters.topics import TopicNamespace, TopicPath
 from repro.soap.envelope import SoapEnvelope
 from repro.soap.fault import FaultCode, SoapFault
-from repro.subscriptions import Grant, Operation, OperationTable, Subscription, SubscriptionService
+from repro.subscriptions import (
+    Grant,
+    Operation,
+    OperationTable,
+    Sending,
+    Subscription,
+    SubscriptionService,
+)
 from repro.transport.network import SimulatedNetwork
-from repro.render import TopiclessEntry, reference_shape
+from repro.render import TopiclessEntry
 from repro.wsa.headers import MessageHeaders
 from repro.wsn import messages
 from repro.wsn.messages import PROP_STATUS
@@ -36,9 +43,8 @@ from repro.wsn.templates import NotifyEntry
 from repro.wsn.versions import WsnVersion
 from repro.wsrf.lifetime import UnableToSetTerminationTimeFault, set_termination_time
 from repro.wsrf.properties import get_resource_property
-from repro.wsrf.resource import ResourceUnknownFault, WsResource
+from repro.wsrf.resource import WsResource
 from repro.xmlkit.element import XElem, text_element
-from repro.xmlkit.writer import frozen_namespace_order
 from repro.xmlkit.names import Namespaces, QName
 from repro.util.xstime import format_datetime, parse_datetime
 
@@ -112,6 +118,10 @@ class NotificationProducer(SubscriptionService):
 
     #: whether the table has the broker's registration rows (see :func:`operations`)
     brokered = False
+    #: a resumed backlog leaves under the resume's lineage, and the push row
+    #: coalesces per sink under a ``batching`` policy
+    _restamp_resumed = True
+    _coalesces = True
 
     def __init__(
         self,
@@ -148,6 +158,7 @@ class NotificationProducer(SubscriptionService):
                 ("invalid_expiry", "renew"): version.qname("UnacceptableTerminationTimeFault"),
                 ("unsupported_qos", None): version.qname("UnsupportedPolicyRequestFault"),
                 ("unknown_subscription", None): QName(Namespaces.WSRF_BF, "ResourceUnknownFault"),
+                ("no_current_message", None): version.qname("NoCurrentMessageOnTopicFault"),
             },
             topics=topic_namespace or TopicNamespace(),
             producer_properties=producer_properties,
@@ -162,21 +173,11 @@ class NotificationProducer(SubscriptionService):
         #: subscription's property document is a view of the shared record
         #: (see _resource_view)
         self.wsrf_enabled = any(row.name == "Destroy" for row in self.operations.rows)
-        #: this family's rows of the rendering table
-        self._notify_entry = NotifyEntry(version, address, self.manager_address)
-        self._raw_entry = TopiclessEntry("raw")
-        #: per-sink wire coalescing of the push row (None = one request per
-        #: notification); on the frame's scheduler, so window expiry rides
-        #: the same run_due/run_until_idle pump as retries
-        if batching is not None:
-            self.batcher = DeliveryBatcher(
-                self.clock,
-                batching,
-                self._flush_batch,
-                scheduler=self.scheduler,
-                instrumentation=network.instrumentation,
-                family="wsn",
-            )
+        #: how this family's notifications leave: a wrapped Notify, or each
+        #: payload the body of its own message (raw)
+        notify = version.action("Notify")
+        self._push_sending = Sending(notify, NotifyEntry(version, address, self.manager_address))
+        self._raw_sending = Sending(notify, TopiclessEntry("raw"))
 
     # --- subscribe -----------------------------------------------------------
 
@@ -295,18 +296,6 @@ class NotificationProducer(SubscriptionService):
             headers, messages.wsrf_action("GetResourcePropertyResponse"), body
         )
 
-    def _handle_get_current_message(self, envelope: SoapEnvelope, headers: MessageHeaders):
-        topic, _dialect = messages.parse_get_current_message(
-            envelope.body_element(), self.version
-        )
-        body = XElem(self.version.qname("GetCurrentMessageResponse"))
-        body.append(
-            self._current_message_on(topic, self.version.qname("NoCurrentMessageOnTopicFault"))
-        )
-        return self._reply(
-            headers, self.version.action("GetCurrentMessageResponse"), body
-        )
-
     # --- publication --------------------------------------------------------------------
 
     def publish(self, payload: XElem, *, topic: Optional[str] = None) -> int:
@@ -322,81 +311,11 @@ class NotificationProducer(SubscriptionService):
             )
         return self._fanout.publish(self._route, payload, topic, self._push, topic=topic or "")
 
-    def _push(self, subscription: Subscription, items: list[DeliveryItem]) -> None:
-        """The push row: under a batcher same sink + same shape coalesce into
-        one wire request (the group key mirrors the byte-template cache key,
-        so every flushed batch renders through a single compiled envelope);
-        otherwise, or raw, the item leaves now."""
-        item = items[0]
-        if self.batcher is None or subscription.use_raw:
-            self._flush_batch(None, [(subscription, item)])
-            return
-        consumer = subscription.consumer
-        self.batcher.add(
-            (
-                consumer.address,
-                reference_shape(consumer),
-                item.topic,
-                frozen_namespace_order(item.payload),
-            ),
-            (subscription, item),
-        )
-
     def note_publication(self, payload: XElem, topic: Optional[str]) -> Optional[TopicPath]:
         """The frame's (topic validation and the GetCurrentMessage cache),
         stated on this class because ``benchmarks/e2e``'s wrap table names it
         here."""
         return super().note_publication(payload, topic)
-
-    def _deliver(self, subscription: Subscription, backlog: list[DeliveryItem]) -> None:
-        """One subscriber's resumed backlog as one request — a one-subscription
-        batch, each item under the lineage of the resume that flushes it."""
-        lineage = self.network.instrumentation.trace_context()
-        self._flush_batch(
-            None, [(subscription, replace(item, lineage=lineage)) for item in backlog]
-        )
-
-    def _flush_batch(self, key, entries: list[tuple[Subscription, DeliveryItem]]) -> None:
-        """Deliver one batch — same sink, same shape, one settlement: the
-        batcher's coalesced group (``key`` is its group key), or the
-        unbatched case of a single subscription (``key`` is None).  Every
-        entry is its own item, with its own lineage; a failed direct attempt
-        ends every subscription in the batch, just as per-subscriber pushes
-        would have."""
-        first = entries[0][0]
-        self._fanout.settle(
-            first.consumer.address,
-            self._send,
-            (first, [(sub.key, item) for sub, item in entries]),
-            [item for _, item in entries],
-            priority=max(sub.priority for sub, _ in entries),
-            on_failed=self._end_after_failure,
-        )
-
-    def _end_after_failure(self, exc: Exception, subscription, entries) -> None:
-        """A direct attempt failed: destroy the subscriptions it carried
-        (soft state would collect them anyway; this mirrors WS-Eventing's
-        DeliveryFailure ending)."""
-        for sub_key in dict.fromkeys(sub_key for sub_key, _ in entries):
-            try:
-                self.subscriptions.destroy(sub_key, "delivery failure")
-            except ResourceUnknownFault as destroy_exc:
-                # already destroyed (e.g. swept mid-delivery); record the skip
-                self.network.instrumentation.count(
-                    "obs.swallowed_errors_total",
-                    site="wsn.producer.destroy_after_failure",
-                    kind=type(destroy_exc).__name__,
-                )
-
-    def _send(self, subscription: Subscription, entries: list[tuple[str, DeliveryItem]]) -> None:
-        """One wire attempt: a wrapped Notify carrying ``entries`` (sub key,
-        item) or — raw delivery — each payload the body of its own message."""
-        action = self.version.action("Notify")
-        if not subscription.use_raw:
-            self._send_rendered(subscription, action, self._notify_entry, entries)
-            return
-        for _, item in entries:
-            self._send_rendered(subscription, action, self._raw_entry, [item])
 
     # --- termination -----------------------------------------------------------------------
 

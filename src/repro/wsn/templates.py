@@ -1,6 +1,6 @@
 """The wrapped Notify as a row of the rendering table (:mod:`repro.render`).
 
-Items are ``(subscription id, DeliveryItem)`` pairs; each becomes one
+Each ``(subscription, DeliveryItem)`` pair becomes one
 ``NotificationMessage`` chunk of the ``Notify`` body, which is what lets
 delivery batching coalesce *n* notifications to one sink into one wire request
 while staying byte-identical to :func:`repro.wsn.messages.build_notify`.  The
@@ -13,7 +13,7 @@ the tree path.
 
 from __future__ import annotations
 
-from repro.render import SUB_ID, CompiledEnvelope, Entry, TemplateCache
+from repro.render import CompiledEnvelope, Entry, TemplateCache
 from repro.wsa.epr import EndpointReference
 from repro.wsn.messages import NotificationMessage, build_notify
 from repro.wsn.versions import WsnVersion
@@ -34,17 +34,11 @@ class NotifyEntry(Entry):
         self.address = address
         self.manager_address = manager_address
 
-    def shape(self, items: list):
-        return super().shape([item for _, item in items])
+    def parts(self, pair):
+        subscription, item = pair
+        return subscription.key, item.topic, item.payload
 
-    def parts(self, item):
-        sub_key, item = item
-        return sub_key, item.topic, item.payload
-
-    def stand_in(self, item):
-        return SUB_ID[1], super().stand_in(item[1])
-
-    def build(self, items: list):
+    def build(self, pairs: list):
         producer = EndpointReference(self.address)
         return [], build_notify(
             self.version,
@@ -53,10 +47,10 @@ class NotifyEntry(Entry):
                     item.payload,
                     topic=item.topic,
                     subscription_reference=EndpointReference(self.manager_address).with_parameter(
-                        text_element(RESOURCE_ID, sub_key)
+                        text_element(RESOURCE_ID, subscription.key)
                     ),
                     producer_reference=producer,
                 )
-                for sub_key, item in items
+                for subscription, item in pairs
             ],
         )

@@ -12,9 +12,8 @@ This package implements the parts the notification stack needs:
 - :mod:`repro.wsrf.resource` -- WS-Resources, resource property documents and
   the implied-resource-pattern registry (EPR reference parameters select the
   resource).
-- :mod:`repro.wsrf.properties` -- GetResourceProperty, GetMultiple,
-  SetResourceProperties (insert/update/delete) and QueryResourceProperties
-  (XPath over the property document).
+- :mod:`repro.wsrf.properties` -- GetResourceProperty, the one property
+  operation a subscription manager mounts (WS-Notification's GetStatus).
 - :mod:`repro.wsrf.lifetime` -- immediate ``Destroy`` and scheduled
   termination (``SetTerminationTime``); every death reaches the registry's
   one termination hook (how WSN <= 1.2 realizes WS-Eventing's
@@ -22,14 +21,8 @@ This package implements the parts the notification stack needs:
 """
 
 from repro.wsrf.resource import ResourceKey, ResourceRegistry, WsResource, ResourceUnknownFault
-from repro.wsrf.properties import (
-    get_resource_property,
-    get_multiple_resource_properties,
-    set_resource_properties,
-    query_resource_properties,
-    InvalidResourcePropertyFault,
-)
-from repro.wsrf.lifetime import destroy_resource, set_termination_time, sweep_expired
+from repro.wsrf.properties import get_resource_property, InvalidResourcePropertyFault
+from repro.wsrf.lifetime import destroy_resource, set_termination_time
 
 __all__ = [
     "WsResource",
@@ -37,11 +30,7 @@ __all__ = [
     "ResourceRegistry",
     "ResourceUnknownFault",
     "get_resource_property",
-    "get_multiple_resource_properties",
-    "set_resource_properties",
-    "query_resource_properties",
     "InvalidResourcePropertyFault",
     "destroy_resource",
     "set_termination_time",
-    "sweep_expired",
 ]

@@ -49,8 +49,3 @@ def set_termination_time(
     resource.termination_time = termination_time
     registry.note_termination(resource)
     return termination_time
-
-
-def sweep_expired(registry: ResourceRegistry) -> list[WsResource]:
-    """Expire overdue resources, firing their termination notifications."""
-    return registry.sweep()

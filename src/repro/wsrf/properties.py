@@ -6,13 +6,10 @@ onto: "Not defined, can use getResourceProperties in WSRF".
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.soap.fault import FaultCode, SoapFault
 from repro.wsrf.resource import WsResource
 from repro.xmlkit.names import Namespaces, QName
 from repro.xmlkit.element import XElem
-from repro.xmlkit.xpath import XPath, XPathError
 
 
 class InvalidResourcePropertyFault(SoapFault):
@@ -31,69 +28,3 @@ def get_resource_property(resource: WsResource, name: QName) -> list[XElem]:
     if name not in resource.properties:
         raise InvalidResourcePropertyFault(name)
     return resource.get_property(name)
-
-
-def get_multiple_resource_properties(
-    resource: WsResource, names: list[QName]
-) -> dict[QName, list[XElem]]:
-    """GetMultipleResourceProperties: values for each requested property."""
-    return {name: get_resource_property(resource, name) for name in names}
-
-
-def set_resource_properties(
-    resource: WsResource,
-    *,
-    insert: Optional[list[XElem]] = None,
-    update: Optional[list[XElem]] = None,
-    delete: Optional[list[QName]] = None,
-) -> None:
-    """SetResourceProperties with Insert/Update/Delete components.
-
-    Components apply in the order delete, update, insert (each is atomic per
-    property; validation happens before mutation so a failed request leaves
-    the document untouched).
-    """
-    for name in delete or []:
-        if name not in resource.properties:
-            raise InvalidResourcePropertyFault(name)
-    for element in update or []:
-        if element.name not in resource.properties:
-            raise InvalidResourcePropertyFault(element.name)
-    for name in delete or []:
-        del resource.properties[name]
-    if update:
-        by_name: dict[QName, list[XElem]] = {}
-        for element in update:
-            by_name.setdefault(element.name, []).append(element.copy())
-        for name, values in by_name.items():
-            resource.properties[name] = values
-    for element in insert or []:
-        resource.properties.setdefault(element.name, []).append(element.copy())
-
-
-_PROPERTY_DOC_ROOT = QName(Namespaces.WSRF_RP, "ResourcePropertyDocument")
-
-
-def query_resource_properties(
-    resource: WsResource,
-    expression: str,
-    namespaces: Optional[dict[str, str]] = None,
-) -> list[XElem]:
-    """QueryResourceProperties with the XPath 1.0 dialect."""
-    document = resource.property_document(_PROPERTY_DOC_ROOT)
-    try:
-        result = XPath(expression, namespaces).evaluate(document)
-    except XPathError as exc:
-        raise SoapFault(
-            FaultCode.SENDER,
-            f"query evaluation failed: {exc}",
-            subcode=QName(Namespaces.WSRF_RP, "QueryEvaluationErrorFault"),
-        ) from exc
-    if isinstance(result, list):
-        return [item for item in result if isinstance(item, XElem)]
-    # scalar results come back wrapped so the response is still XML
-    from repro.xmlkit.xpath.values import to_string
-
-    wrapper = XElem(QName(Namespaces.WSRF_RP, "QueryResult"))
-    wrapper.append(to_string(result))
-    return [wrapper]

@@ -53,20 +53,6 @@ class WsResource:
     def get_property(self, name: QName) -> list[XElem]:
         return list(self.properties.get(name, []))
 
-    def property_text(self, name: QName) -> Optional[str]:
-        values = self.properties.get(name)
-        if not values:
-            return None
-        return values[0].full_text().strip()
-
-    def property_document(self, root_name: QName) -> XElem:
-        """The full resource property document as one element."""
-        document = XElem(root_name)
-        for values in self.properties.values():
-            for value in values:
-                document.append(value.copy())
-        return document
-
     def is_expired(self, now: float) -> bool:
         return self.termination_time is not None and now >= self.termination_time
 

@@ -31,7 +31,7 @@ def payload(n=1):
 def wse_parts(item):
     """Render for a WSE consumer the way the broker's event sources do: the
     push row of the rendering table, topic in the mediated SOAP header."""
-    headers, body = Entry("push", topic_header=WSE_TOPIC_HEADER).build([item])
+    headers, body = Entry("push", topic_header=WSE_TOPIC_HEADER).build([(None, item)])
     return body, headers
 
 

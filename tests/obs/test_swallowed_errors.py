@@ -69,7 +69,11 @@ def test_destroy_registration_counts_upstream_unsubscribe_fault():
     assert counter_total(instrumentation, "messenger.registration.destroy") == 1
 
 
-def test_producer_counts_double_destroy_after_delivery_failure():
+def test_delivery_failure_skips_an_already_ended_subscription():
+    """The one failure row ends only the subscriptions that have not already
+    ended, so there is nothing to swallow: one that died before its delivery
+    failed (e.g. swept mid-delivery) is skipped — no exception, no second
+    end notice, no count."""
     from repro.delivery.task import DeliveryItem
     from repro.wsn import NotificationConsumer, NotificationProducer, WsnSubscriber
     from repro.xmlkit import parse_xml
@@ -82,12 +86,19 @@ def test_producer_counts_double_destroy_after_delivery_failure():
         producer.epr(), consumer.epr(), topic="t"
     )
     subscription = producer.subscriptions.lookup(handle.sub_id)
-    # the resource dies first (e.g. swept mid-delivery), then the consumer:
-    # the failure-path destroy now hits ResourceUnknownFault
+    removals = []
+    producer.subscriptions.listeners.append(
+        lambda event, ended, detail: event == "removed" and removals.append(detail["reason"])
+    )
+    # the resource dies first, then the consumer: the delivery that fails
+    # carried a subscription that has already ended
     producer.subscriptions.destroy(subscription.key, "unsubscribed")
     consumer.close()
     producer._deliver(subscription, [DeliveryItem(parse_xml("<e/>"), "t")])
-    assert counter_total(instrumentation, "wsn.producer.destroy_after_failure") == 1
+    assert removals == ["unsubscribed"]
+    # the failed delivery is recorded; no TerminationNotification followed it
+    assert [failure.stage for failure in producer.delivery_failures] == ["notify"]
+    assert counter_total(instrumentation, "wsn.producer.destroy_after_failure") == 0
 
 
 def test_convergence_counts_unreachable_end_to():

@@ -35,8 +35,9 @@ class TestEnvelopeModel:
         envelope = make_envelope()
         assert envelope.body_element().name == PAYLOAD
         envelope.add_body(XElem(PAYLOAD))
-        with pytest.raises(ValueError):
+        with pytest.raises(SoapFault) as malformed:
             envelope.body_element()
+        assert malformed.value.code is FaultCode.SENDER
 
     def test_empty_body_first_body_none(self):
         assert SoapEnvelope().first_body() is None

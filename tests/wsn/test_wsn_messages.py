@@ -7,9 +7,10 @@ from repro.wsa import EndpointReference
 from repro.wsn import messages
 from repro.wsn.messages import NotificationMessage, WsnFilterSpec
 from repro.wsn.producer import operations
+from repro.subscriptions import child_text
 from repro.wsn.versions import WsnVersion
 from repro.xmlkit import parse_xml, serialize_xml
-from repro.xmlkit.names import Namespaces
+from repro.xmlkit.names import Namespaces, QName
 
 
 def roundtrip(element):
@@ -196,9 +197,11 @@ class TestManagementMessages:
             if hasattr(Namespaces, "DIALECT_CONCRETE")
             else Namespaces.DIALECT_TOPIC_CONCRETE,
         )
-        topic, dialect = messages.parse_get_current_message(roundtrip(built), version)
-        assert topic == "jobs"
-        assert dialect == Namespaces.DIALECT_TOPIC_CONCRETE
+        read = roundtrip(built)
+        assert child_text(read, "Topic") == "jobs"
+        assert read.find(version.qname("Topic")).attrs[QName("", "Dialect")] == (
+            Namespaces.DIALECT_TOPIC_CONCRETE
+        )
 
     def test_wsrf_property_request_roundtrip(self):
         from repro.xmlkit.names import QName

@@ -2,19 +2,14 @@
 
 import pytest
 
-from repro.soap import SoapFault
 from repro.transport import VirtualClock
 from repro.wsrf import (
     InvalidResourcePropertyFault,
     ResourceRegistry,
     ResourceUnknownFault,
     destroy_resource,
-    get_multiple_resource_properties,
     get_resource_property,
-    query_resource_properties,
-    set_resource_properties,
     set_termination_time,
-    sweep_expired,
 )
 from repro.wsrf.lifetime import UnableToSetTerminationTimeFault
 from repro.wsrf.resource import RESOURCE_ID
@@ -105,8 +100,8 @@ class TestRegistry:
         registry = RecordingRegistry(clock)
         resource = registry.create(lifetime=1.0)
         clock.advance(2.0)
-        assert [r.key for r in sweep_expired(registry)] == [resource.key]
-        sweep_expired(registry)
+        assert [r.key for r in registry.sweep()] == [resource.key]
+        registry.sweep()
         assert registry.fired == [(resource.key, "expired")]
 
 
@@ -125,60 +120,6 @@ class TestProperties:
     def test_get_unknown_property_faults(self, registry):
         with pytest.raises(InvalidResourcePropertyFault):
             get_resource_property(self._resource(registry), QName("urn:sub", "Nope"))
-
-    def test_get_multiple(self, registry):
-        resource = self._resource(registry)
-        result = get_multiple_resource_properties(resource, [STATE, FILTER])
-        assert set(result) == {STATE, FILTER}
-
-    def test_set_insert(self, registry):
-        resource = self._resource(registry)
-        extra = QName("urn:sub", "Extra")
-        set_resource_properties(resource, insert=[text_element(extra, "v")])
-        assert resource.property_text(extra) == "v"
-
-    def test_set_update_replaces_values(self, registry):
-        resource = self._resource(registry)
-        set_resource_properties(resource, update=[text_element(STATE, "Paused")])
-        assert resource.property_text(STATE) == "Paused"
-        assert len(resource.get_property(STATE)) == 1
-
-    def test_set_delete(self, registry):
-        resource = self._resource(registry)
-        set_resource_properties(resource, delete=[FILTER])
-        assert resource.property_text(FILTER) is None
-
-    def test_update_unknown_property_is_atomic(self, registry):
-        resource = self._resource(registry)
-        with pytest.raises(InvalidResourcePropertyFault):
-            set_resource_properties(
-                resource,
-                delete=[STATE],
-                update=[text_element(QName("urn:sub", "Ghost"), "x")],
-            )
-        # nothing was applied
-        assert resource.property_text(STATE) == "Active"
-
-    def test_query_with_xpath(self, registry):
-        resource = self._resource(registry)
-        results = query_resource_properties(
-            resource, "/*/s:State", {"s": "urn:sub"}
-        )
-        assert results[0].full_text() == "Active"
-
-    def test_query_scalar_wrapped(self, registry):
-        resource = self._resource(registry)
-        results = query_resource_properties(resource, "count(/*/*)")
-        assert results[0].full_text() == "2"
-
-    def test_query_bad_expression_faults(self, registry):
-        with pytest.raises(SoapFault):
-            query_resource_properties(self._resource(registry), "///")
-
-    def test_property_document_contains_all(self, registry):
-        resource = self._resource(registry)
-        doc = resource.property_document(QName("urn:sub", "Doc"))
-        assert len(list(doc.elements())) == 2
 
 
 class TestLifetime:
